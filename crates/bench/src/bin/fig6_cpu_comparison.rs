@@ -30,7 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ev = TowerEvaluator::new(n, log_q, 64)?;
         let a = ev.random_ciphertext(&mut rng);
         let b = ev.random_ciphertext(&mut rng);
-        println!("CPU towers: {}", ev.tower_count());
+        let towers = ev.tower_count();
+        println!(
+            "CPU towers: {towers}   (parallel units: {} forward / {} inverse NTTs — the sweep \
+             plateaus past these)",
+            4 * towers,
+            3 * towers
+        );
         let mut one_thread_ms = 0.0;
         for &threads in &thread_sweep {
             let (_, secs) = time_best(reps, || ev.multiply_threaded(&a, &b, threads).unwrap());

@@ -18,52 +18,29 @@
 //! Always writes `BENCH_hotpath.json` (schema `cofhee-hotpath-v1`) to
 //! the working directory — the artifact CI uploads.
 //!
-//! Degrees at or above the `2^12` threading gate also get
-//! **threaded-tier rows** (`ntt_threaded`, `poly_mul_threaded`): the
-//! same two-column record, with the baseline column holding the
-//! *single-threaded lazy* kernel and the comparison column the
-//! scoped-thread schedule under [`ThreadPolicy::auto`]. On a
-//! single-core host the schedule falls back to the sequential kernel,
-//! so those rows sit near 1.0x by construction — which is exactly what
-//! the wider `THREADED_REGRESSION_BUDGET` accounts for.
+//! **Full mode** asserts the lazy tier's acceptance criterion: ≥2x
+//! ns/op improvement on `ntt` and `poly_mul` at degree 2^13, on both
+//! rings.
 //!
-//! **Full mode** asserts the tentpole acceptance criteria: ≥2x ns/op
-//! improvement on `ntt` and `poly_mul` at degree 2^13, on both rings —
-//! and, on hosts with ≥4 cores, ≥2x from the threaded NTT over the
-//! single-threaded lazy kernel at the same degree.
-//!
-//! **`--check`** is the CI perf-regression gate: it loads
+//! **`--check`** (with `--smoke`, the mode the baseline was recorded
+//! in) is the CI perf-regression gate: it loads
 //! `bench/baselines/hotpath.json` and fails (with a diff table) if any
-//! lazy kernel's ns/op regressed more than 25% against the baseline
-//! (75% for the noisier threaded rows). Both sides are normalized to
-//! the *same-run* baseline kernel (`lazy_ns / strict_ns`) so the gate
-//! measures kernel quality, not the speed of the CI host it happens to
-//! run on.
+//! lazy kernel's ns/op regressed more than 25% against the baseline,
+//! or if a `(ring, n, op)` row exists on only one side — a renamed or
+//! dropped row must not leave the gate silently. Both sides are
+//! normalized to the *same-run* baseline kernel (`lazy_ns /
+//! strict_ns`) so the gate measures kernel quality, not the speed of
+//! the CI host it happens to run on.
 
 use std::fmt::Write as _;
 
 use cofhee_arith::{primes::ntt_prime, Barrett128, Barrett64, LazyRing, ModRing};
-use cofhee_poly::{ntt, pointwise, threaded::PARALLEL_MIN_LOG2, HarveyNtt, ThreadPolicy};
+use cofhee_poly::{ntt, pointwise, HarveyNtt};
 
 /// Allowed relative regression of `lazy_ns / strict_ns` vs baseline.
 const REGRESSION_BUDGET: f64 = 0.25;
-/// Allowed relative regression for the `*_threaded` rows: scheduling
-/// jitter hits a multi-thread measurement much harder than a
-/// single-thread one, and on single-core hosts the ratio hovers at
-/// 1.0x where small absolute wobbles are large relative ones.
-const THREADED_REGRESSION_BUDGET: f64 = 0.75;
-/// The acceptance floor for `ntt` / `poly_mul` at degree 2^13, and for
-/// the threaded NTT over single-threaded lazy on ≥4-core hosts.
+/// The acceptance floor for `ntt` / `poly_mul` at degree 2^13.
 const ACCEPTANCE_SPEEDUP: f64 = 2.0;
-
-/// The per-row regression budget (threaded rows get the wider one).
-fn budget_for(op: &str) -> f64 {
-    if op.ends_with("_threaded") {
-        THREADED_REGRESSION_BUDGET
-    } else {
-        REGRESSION_BUDGET
-    }
-}
 
 #[derive(Debug, Clone, PartialEq)]
 struct Record {
@@ -83,6 +60,16 @@ impl Record {
     /// the strict kernel measured in the same run.
     fn rel(&self) -> f64 {
         self.lazy_ns / self.strict_ns
+    }
+
+    /// Whether `other` is the same `(ring, n, op)` row.
+    fn same_row(&self, other: &Record) -> bool {
+        self.ring == other.ring && self.log_n == other.log_n && self.op == other.op
+    }
+
+    /// Relative change of `lazy/strict` against the baseline row.
+    fn delta_vs(&self, base: &Record) -> f64 {
+        self.rel() / base.rel() - 1.0
     }
 }
 
@@ -228,53 +215,6 @@ fn measure<R: LazyRing>(
         ),
     );
 
-    // --- threaded tier: scoped-thread schedule vs single-threaded
-    // lazy, only at degrees where the schedule actually engages ---
-    if log_n as usize >= PARALLEL_MIN_LOG2 {
-        // Bit-exactness under a forced multi-worker schedule (auto may
-        // resolve to 1 worker on a small host, which would test the
-        // fallback, not the schedule).
-        let forced = ThreadPolicy::exact(4);
-        let mut th = a.clone();
-        plan.forward_inplace_threaded(&mut th, &forced)?;
-        assert_eq!(th, fa, "{label} 2^{log_n}: threaded ntt != strict");
-        assert_eq!(
-            plan.poly_mul_threaded(&a, &b, &forced)?,
-            plan.poly_mul(&a, &b)?,
-            "{label} 2^{log_n}: threaded poly_mul != single"
-        );
-
-        let policy = ThreadPolicy::auto();
-        let mut push = |op: &str, (strict_ns, lazy_ns): (f64, f64)| {
-            out.push(Record { ring: label.into(), log_n, op: op.into(), strict_ns, lazy_ns });
-        };
-        push(
-            "ntt_threaded",
-            time_pair(
-                reps,
-                || {
-                    buf.copy_from_slice(&a);
-                    plan.forward_inplace(&mut buf).unwrap();
-                },
-                || {
-                    buf2.copy_from_slice(&a);
-                    plan.forward_inplace_threaded(&mut buf2, &policy).unwrap();
-                },
-            ),
-        );
-        push(
-            "poly_mul_threaded",
-            time_pair(
-                reps,
-                || {
-                    let _ = plan.poly_mul(&a, &b).unwrap();
-                },
-                || {
-                    let _ = plan.poly_mul_threaded(&a, &b, &policy).unwrap();
-                },
-            ),
-        );
-    }
     Ok(())
 }
 
@@ -350,55 +290,50 @@ fn load_baseline() -> Result<Vec<Record>, Box<dyn std::error::Error>> {
     Ok(baseline)
 }
 
-/// Rows of `records` whose `lazy/strict` ratio regressed beyond the
-/// budget vs the matching baseline row.
-fn gate_violations(records: &[Record], baseline: &[Record]) -> Vec<usize> {
-    records
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| {
-            let b =
-                baseline.iter().find(|b| b.ring == r.ring && b.log_n == r.log_n && b.op == r.op)?;
-            (r.rel() / b.rel() - 1.0 > budget_for(&r.op)).then_some(i)
-        })
-        .collect()
+/// Whether any row's `lazy/strict` ratio regressed beyond the budget
+/// vs its baseline row — the failures a re-measurement could clear (an
+/// unmatched row cannot be, so it does not count here).
+fn any_regressed(records: &[Record], baseline: &[Record]) -> bool {
+    records.iter().any(|r| {
+        baseline.iter().find(|b| b.same_row(r)).is_some_and(|b| r.delta_vs(b) > REGRESSION_BUDGET)
+    })
 }
 
 /// The CI regression gate: compares `lazy/strict` ratios against the
 /// checked-in baseline, printing the full diff table. Returns the
-/// number of violations.
-fn check_against_baseline(
-    records: &[Record],
-    baseline: &[Record],
-) -> Result<usize, Box<dyn std::error::Error>> {
+/// number of failing rows: regressions beyond the budget, measured
+/// rows the baseline lacks, and baseline rows the run did not measure.
+fn check_against_baseline(records: &[Record], baseline: &[Record]) -> usize {
     println!(
-        "\nRegression gate vs {} (budget: +{:.0}% on lazy/strict, +{:.0}% on threaded rows)",
+        "\nRegression gate vs {} (budget: +{:.0}% on lazy/strict)",
         baseline_path().display(),
-        REGRESSION_BUDGET * 100.0,
-        THREADED_REGRESSION_BUDGET * 100.0
+        REGRESSION_BUDGET * 100.0
     );
     println!(
         "{:<11} {:>6} {:<14} | {:>10} {:>10} {:>8} | verdict",
         "ring", "n", "op", "base", "now", "delta"
     );
-    let mut violations = 0usize;
-    let mut compared = 0usize;
+    let mut failures = 0usize;
     for r in records {
-        let Some(b) =
-            baseline.iter().find(|b| b.ring == r.ring && b.log_n == r.log_n && b.op == r.op)
-        else {
+        let n = 1u64 << r.log_n;
+        let Some(b) = baseline.iter().find(|b| b.same_row(r)) else {
+            failures += 1;
+            println!(
+                "{:<11} {n:>6} {:<14} | {:>10} {:>10.3} {:>8} | NO BASELINE ROW",
+                r.ring,
+                r.op,
+                "-",
+                r.rel(),
+                "-"
+            );
             continue;
         };
-        compared += 1;
-        let delta = r.rel() / b.rel() - 1.0;
-        let bad = delta > budget_for(&r.op);
-        if bad {
-            violations += 1;
-        }
+        let delta = r.delta_vs(b);
+        let bad = delta > REGRESSION_BUDGET;
+        failures += usize::from(bad);
         println!(
-            "{:<11} {:>6} {:<14} | {:>10.3} {:>10.3} {:>+7.1}% | {}",
+            "{:<11} {n:>6} {:<14} | {:>10.3} {:>10.3} {:>+7.1}% | {}",
             r.ring,
-            1u64 << r.log_n,
             r.op,
             b.rel(),
             r.rel(),
@@ -406,10 +341,19 @@ fn check_against_baseline(
             if bad { "REGRESSED" } else { "ok" }
         );
     }
-    if compared == 0 {
-        return Err("no overlapping (ring, n, op) rows between run and baseline".into());
+    for b in baseline.iter().filter(|b| !records.iter().any(|r| r.same_row(b))) {
+        failures += 1;
+        println!(
+            "{:<11} {:>6} {:<14} | {:>10.3} {:>10} {:>8} | NOT MEASURED",
+            b.ring,
+            1u64 << b.log_n,
+            b.op,
+            b.rel(),
+            "-",
+            "-"
+        );
     }
-    Ok(violations)
+    failures
 }
 
 /// One full sweep: both rings at every degree.
@@ -434,9 +378,7 @@ fn collect(log_ns: &[u32], reps: usize) -> Result<Vec<Record>, Box<dyn std::erro
 /// could manufacture a ratio no run exhibited.
 fn merge_best_ratio(records: &mut [Record], fresh: &[Record]) {
     for r in records.iter_mut() {
-        if let Some(f) =
-            fresh.iter().find(|f| f.ring == r.ring && f.log_n == r.log_n && f.op == r.op)
-        {
+        if let Some(f) = fresh.iter().find(|f| f.same_row(r)) {
             if f.rel() < r.rel() {
                 *r = f.clone();
             }
@@ -458,14 +400,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Hot-path profile: strict vs Harvey lazy-reduction kernels ({mode} mode)");
     println!("(best of {reps} reps per point; both kernels verified bit-exact before timing)\n");
 
+    let baseline = if check { Some(load_baseline()?) } else { None };
     let mut records = collect(log_ns, reps)?;
-    if check {
+    if let Some(baseline) = &baseline {
         // Noise rejection: a genuine kernel regression survives a
         // re-measurement; a scheduling hiccup on a shared host does
         // not. Up to two extra sweeps, merged best-of, before judging.
-        let baseline = load_baseline()?;
         for _ in 0..2 {
-            if gate_violations(&records, &baseline).is_empty() {
+            if !any_regressed(&records, baseline) {
                 break;
             }
             let fresh = collect(log_ns, reps)?;
@@ -494,7 +436,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nwrote BENCH_hotpath.json ({} records)", records.len());
 
     if !smoke {
-        // The tentpole acceptance criterion, enforced where it is
+        // The lazy tier's acceptance criterion, enforced where it is
         // claimed: ≥2x on ntt and poly_mul at the paper's 2^13
         // evaluation point, on both engine widths.
         for r in records.iter().filter(|r| r.log_n == 13 && (r.op == "ntt" || r.op == "poly_mul")) {
@@ -507,39 +449,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         println!("acceptance: ntt/poly_mul at 2^13 are ≥{ACCEPTANCE_SPEEDUP}x on both rings");
-
-        // The threaded-tier acceptance criterion is a statement about
-        // multi-core hosts only: with <4 cores the schedule cannot
-        // reach 2x no matter how good it is, so the assert is gated on
-        // the parallelism actually available.
-        let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        if cores >= 4 {
-            for r in records.iter().filter(|r| r.log_n == 13 && r.op == "ntt_threaded") {
-                assert!(
-                    r.speedup() >= ACCEPTANCE_SPEEDUP,
-                    "{} ntt_threaded at 2^13 on {cores} cores: {:.2}x < {ACCEPTANCE_SPEEDUP}x",
-                    r.ring,
-                    r.speedup()
-                );
-            }
-            println!(
-                "acceptance: threaded ntt at 2^13 is ≥{ACCEPTANCE_SPEEDUP}x over single-threaded \
-                 lazy on {cores} cores"
-            );
-        } else {
-            println!(
-                "acceptance: threaded ≥{ACCEPTANCE_SPEEDUP}x criterion skipped ({cores} core(s) \
-                 available, needs ≥4)"
-            );
-        }
     }
 
-    if check {
-        let baseline = load_baseline()?;
-        let violations = check_against_baseline(&records, &baseline)?;
-        if violations > 0 {
+    if let Some(baseline) = &baseline {
+        let failures = check_against_baseline(&records, baseline);
+        if failures > 0 {
             eprintln!(
-                "\n{violations} lazy kernel(s) regressed beyond the {:.0}% budget",
+                "\n{failures} row(s) regressed beyond the {:.0}% budget or exist on only one side \
+                 of the baseline",
                 REGRESSION_BUDGET * 100.0
             );
             std::process::exit(1);
@@ -547,4 +464,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("regression gate: clean");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(op: &str, lazy_ns: f64) -> Record {
+        Record { ring: "barrett64".into(), log_n: 11, op: op.into(), strict_ns: 100.0, lazy_ns }
+    }
+
+    #[test]
+    fn check_fails_on_regressed_and_on_unmatched_rows() {
+        let baseline = [row("ntt", 40.0), row("intt", 40.0)];
+        assert_eq!(check_against_baseline(&[row("ntt", 41.0), row("intt", 39.0)], &baseline), 0);
+        assert_eq!(check_against_baseline(&[row("ntt", 60.0), row("intt", 40.0)], &baseline), 1);
+        // A baseline row the run no longer measures (renamed or dropped).
+        assert_eq!(check_against_baseline(&[row("ntt", 40.0)], &baseline), 1);
+        // A measured row the baseline does not hold.
+        let extra = [row("ntt", 40.0), row("intt", 40.0), row("poly_mul", 40.0)];
+        assert_eq!(check_against_baseline(&extra, &baseline), 1);
+        // Zero overlap fails on every row of both sides.
+        assert_eq!(check_against_baseline(&[row("poly_mul", 40.0)], &baseline), 3);
+    }
 }

@@ -6,10 +6,9 @@
 //! exactly that workload — per tower: 4 forward NTTs, 4 Hadamard products,
 //! 1 pointwise addition, 3 inverse NTTs — optionally across multiple
 //! threads, reproducing Fig. 6's thread-scaling series. The dependency
-//! structure exposes at most `4 × towers` unit-level parallel units
-//! (Fig. 6's diminishing returns); workers beyond that now sink into
-//! the transforms themselves through the degree-gated threaded
-//! butterfly schedules of [`cofhee_poly::threaded`].
+//! structure exposes at most `4 × towers` parallel units — whole
+//! transforms, never butterflies within one — so thread counts past
+//! that plateau (Fig. 6's diminishing returns).
 //!
 //! The final `t/q` rounding of Eq. 4 does not commute with per-tower RNS
 //! arithmetic; production libraries add base-extension machinery (BEHZ)
@@ -20,7 +19,7 @@
 use std::sync::Arc;
 
 use cofhee_arith::{primes, Barrett64, ModRing};
-use cofhee_poly::{ntt::NttTables, HarveyNtt, ThreadPolicy, TwiddleCache};
+use cofhee_poly::{ntt::NttTables, HarveyNtt, TwiddleCache};
 use rand::Rng;
 
 use crate::error::{BfvError, Result};
@@ -97,10 +96,6 @@ impl TowerEvaluator {
         let plan = primes::tower_plan(total_log_q, word_bits);
         let mut towers = Vec::with_capacity(plan.len());
         let mut by_size: std::collections::HashMap<u32, Vec<u128>> = Default::default();
-        for &bits in &plan {
-            let entry = by_size.entry(bits).or_default();
-            entry.clear();
-        }
         let mut counts: std::collections::HashMap<u32, usize> = Default::default();
         for &bits in &plan {
             *counts.entry(bits).or_default() += 1;
@@ -177,11 +172,10 @@ impl TowerEvaluator {
     /// worker threads.
     ///
     /// Parallel units per phase: `4·towers` forward NTTs, `towers` tensor
-    /// combinations, `3·towers` inverse NTTs. Thread counts beyond the
-    /// unit count used to hit a hard ceiling (the diminishing returns of
-    /// Fig. 6); leftover workers now sink into the transforms themselves
-    /// via [`HarveyNtt::forward_inplace_threaded`] — still gated by
-    /// degree, so small towers never over-spawn.
+    /// combinations, `3·towers` inverse NTTs. A unit is one whole
+    /// transform on one thread, so the forward phase stops scaling at
+    /// `4·towers` threads and the inverse phase at `3·towers`: counts
+    /// past those plateau, the diminishing returns of Fig. 6.
     ///
     /// # Errors
     ///
@@ -196,10 +190,7 @@ impl TowerEvaluator {
         self.check(b)?;
         let k = self.towers.len();
 
-        // Phase 1: forward NTTs (4 per tower). Workers left over after
-        // the unit-level split thread the butterflies within each unit
-        // (a no-op below the degree gate — `effective` returns 1).
-        let inner_fwd = ThreadPolicy::exact(threads.div_ceil(4 * k).max(1));
+        // Phase 1: forward NTTs (4 per tower).
         let mut transformed: Vec<(usize, Vec<u64>)> = Vec::with_capacity(4 * k);
         for i in 0..k {
             transformed.push((i, a.towers[i][0].clone()));
@@ -208,10 +199,7 @@ impl TowerEvaluator {
             transformed.push((i, b.towers[i][1].clone()));
         }
         self.run_parallel(&mut transformed, threads, |tower, data| {
-            self.towers[tower]
-                .plan
-                .forward_inplace_threaded(data, &inner_fwd)
-                .expect("lengths validated");
+            self.towers[tower].plan.forward_inplace(data).expect("lengths validated");
         });
 
         // Phase 2: tensor combination (pointwise) per tower.
@@ -235,13 +223,9 @@ impl TowerEvaluator {
             parts.push((i, t2));
         }
 
-        // Phase 3: inverse NTTs (3 per tower), same two-level split.
-        let inner_inv = ThreadPolicy::exact(threads.div_ceil(3 * k).max(1));
+        // Phase 3: inverse NTTs (3 per tower).
         self.run_parallel(&mut parts, threads, |tower, data| {
-            self.towers[tower]
-                .plan
-                .inverse_inplace_threaded(data, &inner_inv)
-                .expect("lengths validated");
+            self.towers[tower].plan.inverse_inplace(data).expect("lengths validated");
         });
 
         let mut towers = Vec::with_capacity(k);

@@ -75,7 +75,6 @@ use cofhee_poly::cache::TwiddleCache;
 use cofhee_poly::lazy::HarveyNtt;
 use cofhee_poly::pointwise;
 use cofhee_poly::pool::{BufferPool, PoolStats};
-use cofhee_poly::ThreadPolicy;
 use cofhee_sim::{ChipConfig, OpReport, Slot, Spi, Uart};
 
 use crate::device::{CommStats, Device, Link};
@@ -418,9 +417,6 @@ struct CpuState<R: LazyRing> {
     /// buffer here and [`CpuState::free`] returns handles to it, so a
     /// warmed steady-state loop allocates nothing.
     scratch: BufferPool<R::Elem>,
-    /// Worker budget for the threaded kernels (degree-gated inside
-    /// [`ThreadPolicy::effective`], so small transforms never spawn).
-    policy: ThreadPolicy,
 }
 
 impl<R: LazyRing> CpuState<R> {
@@ -432,7 +428,6 @@ impl<R: LazyRing> CpuState<R> {
             plan,
             pool: HashMap::new(),
             scratch: BufferPool::new(n),
-            policy: ThreadPolicy::auto(),
         }
     }
 
@@ -485,9 +480,9 @@ impl<R: LazyRing> CpuState<R> {
         let mut v = self.scratch.take();
         v.copy_from_slice(&self.pool[&src.0]);
         if forward {
-            self.plan.forward_inplace_threaded(&mut v, &self.policy)?;
+            self.plan.forward_inplace(&mut v)?;
         } else {
-            self.plan.inverse_inplace_threaded(&mut v, &self.policy)?;
+            self.plan.inverse_inplace(&mut v)?;
         }
         Ok(self.insert(v))
     }
@@ -519,13 +514,7 @@ impl<R: LazyRing> CpuState<R> {
         self.check(b)?;
         let mut out = self.scratch.take();
         let mut tmp = self.scratch.take();
-        self.plan.poly_mul_into_threaded(
-            &self.pool[&a.0],
-            &self.pool[&b.0],
-            &mut out,
-            &mut tmp,
-            &self.policy,
-        )?;
+        self.plan.poly_mul_into(&self.pool[&a.0], &self.pool[&b.0], &mut out, &mut tmp)?;
         self.scratch.put(tmp);
         Ok(self.insert(out))
     }
@@ -534,12 +523,7 @@ impl<R: LazyRing> CpuState<R> {
         self.check(x)?;
         self.check(y)?;
         let mut out = self.scratch.take();
-        self.plan.hadamard_intt_into_threaded(
-            &self.pool[&x.0],
-            &self.pool[&y.0],
-            &mut out,
-            &self.policy,
-        )?;
+        self.plan.hadamard_intt_into(&self.pool[&x.0], &self.pool[&y.0], &mut out)?;
         Ok(self.insert(out))
     }
 }
@@ -619,18 +603,6 @@ impl CpuBackend {
     /// Butterfly count of one length-`n` transform.
     fn transform_butterflies(&self) -> u64 {
         (self.n as u64 / 2) * self.n.trailing_zeros() as u64
-    }
-
-    /// Sets the worker budget for the threaded kernels. The default is
-    /// [`ThreadPolicy::auto`]; [`ThreadPolicy::effective`] still gates
-    /// by degree, so small transforms never spawn regardless.
-    pub fn set_thread_policy(&mut self, policy: ThreadPolicy) {
-        with_engine!(self, st => st.policy = policy);
-    }
-
-    /// The current worker budget.
-    pub fn thread_policy(&self) -> ThreadPolicy {
-        with_engine_ref!(self, st => st.policy)
     }
 
     /// Live pool entries (leak checks in tests).

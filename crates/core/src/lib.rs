@@ -79,9 +79,9 @@ pub use stream::{
 // backend consumers need not depend on `cofhee_sim` directly.
 pub use cofhee_sim::OpReport;
 
-// Pool/threading types surfaced through [`PolyBackend::pool_stats`] and
-// [`CpuBackend::set_thread_policy`], re-exported for the same reason.
-pub use cofhee_poly::{PoolStats, ThreadPolicy};
+// Pool counters surfaced through [`PolyBackend::pool_stats`],
+// re-exported for the same reason.
+pub use cofhee_poly::PoolStats;
 
 // Tracing types surfaced through [`PolyBackend::set_trace`],
 // re-exported so backend consumers need not depend on `cofhee_obs`

@@ -13,11 +13,9 @@
 //!   [`cofhee_core::PoolStats`]-tracked buffer pool — two rounds, not
 //!   one, because the pool only learns the high-water buffer count
 //!   after a complete first pass).
-//! * Degree stays below the `2^12` threading gate and the policy is
-//!   pinned to [`ThreadPolicy::single`], so no scoped threads spawn:
-//!   thread stacks are OS allocations the counter cannot see, and the
-//!   zero-alloc contract is a statement about the *sequential* hot
-//!   path (see `docs/PERFORMANCE.md`).
+//! * [`CpuBackend`] is checked at a small degree and at `n = 2^13`,
+//!   the degree the end-to-end benchmark runs: its kernels never spawn
+//!   threads, so the claim holds at every degree.
 //! * Everything runs inside ONE `#[test]` so no concurrent libtest
 //!   thread pollutes the process-global counter.
 //!
@@ -29,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cofhee_arith::primes::ntt_prime;
-use cofhee_core::{ChipBackend, CpuBackend, PolyBackend, ThreadPolicy};
+use cofhee_core::{ChipBackend, CpuBackend, PolyBackend};
 use cofhee_sim::ChipConfig;
 
 /// Counts allocation events; forwards everything to [`System`].
@@ -62,6 +60,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const N: usize = 256;
+/// The paper-scale degree of the `*_n13` benchmark workloads.
+const N_PAPER: usize = 1 << 13;
 const STEADY_ITERS: usize = 32;
 
 fn allocations() -> u64 {
@@ -116,24 +116,29 @@ fn assert_zero_alloc_steady_state(be: &mut dyn PolyBackend, a: &[u128], b: &[u12
 
 #[test]
 fn warmed_backends_run_allocation_free() {
-    let a: Vec<u128> = (0..N as u128).collect();
-    let b: Vec<u128> = (0..N as u128).map(|i| i * 3 + 1).collect();
+    let operands = |n: usize| -> (Vec<u128>, Vec<u128>) {
+        ((0..n as u128).collect(), (0..n as u128).map(|i| i * 3 + 1).collect())
+    };
 
-    // CpuBackend, narrow (Barrett64) engine.
-    let q55 = ntt_prime(55, N).unwrap();
-    let mut cpu = CpuBackend::new(q55, N).unwrap();
-    cpu.set_thread_policy(ThreadPolicy::single());
-    assert_zero_alloc_steady_state(&mut cpu, &a, &b, "cpu/narrow");
+    for n in [N, N_PAPER] {
+        let (a, b) = operands(n);
 
-    // CpuBackend, wide (Barrett128) engine — the chip-native width.
-    let q109 = ntt_prime(109, N).unwrap();
-    let mut cpu = CpuBackend::new(q109, N).unwrap();
-    cpu.set_thread_policy(ThreadPolicy::single());
-    assert_zero_alloc_steady_state(&mut cpu, &a, &b, "cpu/wide");
+        // CpuBackend, narrow (Barrett64) engine.
+        let q55 = ntt_prime(55, n).unwrap();
+        let mut cpu = CpuBackend::new(q55, n).unwrap();
+        assert_zero_alloc_steady_state(&mut cpu, &a, &b, &format!("cpu/narrow n={n}"));
+
+        // CpuBackend, wide (Barrett128) engine — the chip-native width.
+        let q109 = ntt_prime(109, n).unwrap();
+        let mut cpu = CpuBackend::new(q109, n).unwrap();
+        assert_zero_alloc_steady_state(&mut cpu, &a, &b, &format!("cpu/wide n={n}"));
+    }
 
     // ChipBackend staging: compute ops legitimately allocate (bank
     // downloads produce fresh host mirrors), but the upload/free mirror
     // traffic the farm front-end hammers must recycle.
+    let (a, _) = operands(N);
+    let q109 = ntt_prime(109, N).unwrap();
     let mut chip = ChipBackend::connect(ChipConfig::silicon(), q109, N).unwrap();
     let h = chip.upload(&a).unwrap();
     chip.free(h);

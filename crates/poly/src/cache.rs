@@ -19,12 +19,10 @@
 //! miss, one table build). The lock guards only *plan acquisition*,
 //! which happens at bring-up; the hot path holds plans by `Arc` and
 //! never touches the cache again, so transforms — including the
-//! scoped-thread schedules of [`crate::threaded`], whose workers all
-//! read one interned plan concurrently — run lock-free. A poisoned
-//! lock is recovered, not propagated: an interned plan is immutable,
-//! so a panic elsewhere cannot leave it half-written. The batch APIs
-//! ([`HarveyNtt::ntt_many`](crate::HarveyNtt::ntt_many) and friends)
-//! amortize even the acquisition: one lookup serves a whole batch.
+//! per-limb threads of a parallel stream dispatch, which all read
+//! interned plans concurrently — run lock-free. A poisoned lock is
+//! recovered, not propagated: an interned plan is immutable, so a
+//! panic elsewhere cannot leave it half-written.
 //!
 //! # Example
 //!

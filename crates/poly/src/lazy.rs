@@ -119,26 +119,7 @@ impl<R: LazyRing> HarveyNtt<R> {
         &self.strict
     }
 
-    /// The forward Shoup twiddle table `ψ^{brv(i)}` (crate-internal:
-    /// the threaded schedule indexes sub-ranges of it directly).
-    #[inline]
-    pub(crate) fn fwd_twiddles(&self) -> &[ShoupMul<R::Elem>] {
-        &self.fwd
-    }
-
-    /// The inverse Shoup twiddle table `ψ^{-brv(i)}`.
-    #[inline]
-    pub(crate) fn inv_twiddles(&self) -> &[ShoupMul<R::Elem>] {
-        &self.inv
-    }
-
-    /// The prepared `n⁻¹` Shoup pair.
-    #[inline]
-    pub(crate) fn n_inv_pair(&self) -> &ShoupMul<R::Elem> {
-        &self.n_inv
-    }
-
-    pub(crate) fn check_len(&self, len: usize) -> Result<()> {
+    fn check_len(&self, len: usize) -> Result<()> {
         if len != self.n {
             return Err(PolyError::LengthMismatch { expected: self.n, found: len });
         }
@@ -151,7 +132,7 @@ impl<R: LazyRing> HarveyNtt<R> {
     /// side lazily (Harvey's lemma absorbs the unfolded `[0, 4q)`
     /// operand), and emits both outputs uncorrected. Output range
     /// `[0, 4q)`; no canonical correction anywhere.
-    pub(crate) fn forward_stages(&self, a: &mut [R::Elem]) {
+    fn forward_stages(&self, a: &mut [R::Elem]) {
         let ring = &self.ring;
         let n = self.n;
         let mut t = n;
@@ -176,7 +157,7 @@ impl<R: LazyRing> HarveyNtt<R> {
     /// The `log n` Gentleman–Sande stages, redundant in and out. The
     /// subtract side feeds `u − v + 2q` into the Shoup multiply
     /// uncorrected — Harvey's lemma absorbs the `[0, 4q)` operand.
-    pub(crate) fn inverse_stages(&self, a: &mut [R::Elem]) {
+    fn inverse_stages(&self, a: &mut [R::Elem]) {
         let ring = &self.ring;
         let mut t = 1;
         let mut m = self.n;
@@ -198,14 +179,14 @@ impl<R: LazyRing> HarveyNtt<R> {
 
     /// The single final correction pass after the forward stages:
     /// `[0, 4q) → [0, q)`.
-    pub(crate) fn correct(&self, a: &mut [R::Elem]) {
+    fn correct(&self, a: &mut [R::Elem]) {
         for x in a.iter_mut() {
             *x = self.ring.reduce_once(self.ring.fold_2q(*x));
         }
     }
 
     /// The `n⁻¹` normalization fused with the final correction.
-    pub(crate) fn scale_n_inv(&self, a: &mut [R::Elem]) {
+    fn scale_n_inv(&self, a: &mut [R::Elem]) {
         for x in a.iter_mut() {
             *x = self.ring.reduce_once(self.ring.mul_lazy(*x, &self.n_inv));
         }
@@ -270,7 +251,7 @@ impl<R: LazyRing> HarveyNtt<R> {
     /// the inverse stages + `n⁻¹` correction leave the canonical
     /// product in `at`. `bt` is consumed as scratch (left in NTT
     /// domain, redundant range).
-    pub(crate) fn poly_mul_core(&self, at: &mut [R::Elem], bt: &mut [R::Elem]) {
+    fn poly_mul_core(&self, at: &mut [R::Elem], bt: &mut [R::Elem]) {
         let ring = &self.ring;
         self.forward_stages(at);
         self.forward_stages(bt);

@@ -13,11 +13,6 @@
 //!   (`[0, 4q)` forward, `[0, 2q)` inverse) with a single final
 //!   correction, and fused `intt ∘ hadamard` / Algorithm 2 passes.
 //!   Bit-exact with [`ntt`], which remains the strict oracle.
-//! * [`threaded`] — the multi-threaded tier above [`lazy`]:
-//!   scoped-thread butterfly schedules ([`ThreadPolicy`]-gated, radix-4
-//!   fused head stages, independent sub-transforms) plus the
-//!   `ntt_many`/`poly_mul_many` batch APIs that amortize plan lookup
-//!   and spawn cost across per-limb fan-outs. Bit-exact with [`lazy`].
 //! * [`pool`] — [`BufferPool`]: bounded recycling of fixed-width
 //!   scratch vectors so warmed steady-state traffic performs zero heap
 //!   allocation (proved by a counting-allocator harness in
@@ -70,11 +65,9 @@ pub mod naive;
 pub mod ntt;
 pub mod pointwise;
 pub mod pool;
-pub mod threaded;
 
 pub use cache::{TwiddleCache, TwiddleCacheStats};
 pub use error::{PolyError, Result};
 pub use lazy::HarveyNtt;
 pub use polynomial::{Domain, PolyRing, Polynomial};
 pub use pool::{BufferPool, PoolStats};
-pub use threaded::ThreadPolicy;

@@ -110,24 +110,35 @@ proptest! {
     }
 }
 
-/// Deterministic full-scale spot check at the paper's `n = 2^13`
-/// evaluation point (too big for the proptest sweep, exactly the size
-/// the ≥2x acceptance criterion is measured at).
+/// Deterministic fixed-seed checks at the degrees the benchmark and the
+/// chip run (`n = 2^12`, `2^13`, and the native maximum `2^14`) — too
+/// big for the proptest sweep — on the 55-bit word ring and the
+/// chip-native 109-bit ring.
 #[test]
 fn lazy_matches_strict_at_chip_scale() {
-    let n = 1 << 13;
-    let q = ntt_prime(109, n).unwrap();
-    let ring = Barrett128::new(q).unwrap();
-    let mut state = 0x1234_5678_9abc_def0u128;
-    let mut rand_poly = || -> Vec<u128> {
+    fn rand_poly(q: u128, n: usize, state: &mut u128) -> Vec<u128> {
         (0..n)
             .map(|_| {
-                state = state.wrapping_mul(0x5851f42d4c957f2d).wrapping_add(0x14057b7ef767814f);
-                state % q
+                *state = state.wrapping_mul(0x5851f42d4c957f2d).wrapping_add(0x14057b7ef767814f);
+                *state % q
             })
             .collect()
-    };
-    let a = rand_poly();
-    let b = rand_poly();
-    check_parity(&ring, n, &a, &b);
+    }
+    let mut state = 0x1234_5678_9abc_def0u128;
+    for log_n in [12, 13, 14] {
+        let n = 1 << log_n;
+
+        let q = ntt_prime(109, n).unwrap();
+        let ring = Barrett128::new(q).unwrap();
+        let a = rand_poly(q, n, &mut state);
+        let b = rand_poly(q, n, &mut state);
+        check_parity(&ring, n, &a, &b);
+
+        let q = ntt_prime(55, n).unwrap();
+        let ring = Barrett64::new(q as u64).unwrap();
+        let narrow = |p: Vec<u128>| -> Vec<u64> { p.into_iter().map(|c| c as u64).collect() };
+        let a = narrow(rand_poly(q, n, &mut state));
+        let b = narrow(rand_poly(q, n, &mut state));
+        check_parity(&ring, n, &a, &b);
+    }
 }
