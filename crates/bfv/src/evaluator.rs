@@ -26,30 +26,28 @@
 //!
 //! # Streamed execution
 //!
-//! The heavy operations record their dataflow into [`OpStream`]s and
-//! execute each stream in **one submit** instead of one round trip per
-//! op: [`Evaluator::multiply`] records one tensor stream per CRT
-//! computation prime and fans the independent limbs out across threads
-//! ([`StreamExecutor::run_parallel`]), and [`Evaluator::relinearize`]
-//! records the key-switch *inner products* (per-digit NTT → Hadamard →
-//! accumulate → two iNTTs) as a stream on the mod-q backend. On the
-//! chip backend each stream flows through the simulated 32-deep command
-//! FIFO in depth-sized batches with interrupt-driven drains, with
-//! upload/download DMA overlapped against PE compute; the accumulated
-//! serial-vs-overlapped telemetry is queryable via
-//! [`Evaluator::backend_stream_report`]. The single-op paths
-//! (`add`/`sub`/`neg`/...) keep the plain synchronous calls — a
-//! degenerate one-op stream buys nothing there.
+//! Every operation here is *record → run → finish*: the stream builders
+//! of the `jobs` module record the dataflow into [`OpStream`]s (the same
+//! builders a farm scheduler calls for borrowed dies), the evaluator's
+//! [`LimbEngine`] compiles them at the evaluator's [`OptLevel`] and
+//! executes each stream in **one submit**, and the `jobs` finishers
+//! rebuild the ciphertext. The linear ops and the key switch are one
+//! mod-q stream each; [`Evaluator::multiply`] is one tensor stream per
+//! CRT computation prime, the independent limbs fanned out across
+//! threads. On the chip backend each stream flows through the simulated
+//! 32-deep command FIFO in depth-sized batches with interrupt-driven
+//! drains, with upload/download DMA overlapped against PE compute; the
+//! accumulated serial-vs-overlapped telemetry of every op is queryable
+//! via [`Evaluator::backend_stream_report`].
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use cofhee_core::{
-    BackendFactory, CommStats, CpuBackendFactory, OpReport, OpStream, PolyBackend, PolyHandle,
-    PoolStats, StreamExecutor, StreamJob, StreamReport,
+    BackendFactory, CommStats, CpuBackendFactory, KeySwitchKeys, OpReport, OpStream, PolyBackend,
+    PolyHandle, PoolStats, StreamReport,
 };
-use cofhee_opt::{OptLevel, OptStats, PassRunner};
+use cofhee_opt::{LimbEngine, OptLevel};
 use cofhee_poly::{Domain, Polynomial};
 
 use crate::ciphertext::Ciphertext;
@@ -57,10 +55,6 @@ use crate::error::{BfvError, Result};
 use crate::keys::RelinKey;
 use crate::params::BfvParams;
 use crate::plaintext::Plaintext;
-
-/// A shared, lockable backend (the evaluator is `Clone` + `Sync`; clones
-/// share the backend and its telemetry).
-type SharedBackend = Arc<Mutex<Box<dyn PolyBackend>>>;
 
 /// NTT-domain `(k0, k1)` handle pairs for one relin key, resident on the
 /// mod-q backend (see `Evaluator::relin_key_handles`).
@@ -71,71 +65,16 @@ type RelinNttCache = Arc<Mutex<HashMap<u64, Vec<(PolyHandle, PolyHandle)>>>>;
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     params: BfvParams,
-    /// Backend family label (from the factory that built the backends).
-    backend_name: &'static str,
-    /// The mod-q backend running every linear ciphertext operation.
-    q_backend: SharedBackend,
-    /// The computation-basis primes of the exact tensor.
-    pub(crate) mult_primes: Vec<u128>,
-    /// One backend per computation prime (the per-prime NTT machinery).
-    mult_backends: Vec<SharedBackend>,
-    /// Accumulated stream-execution telemetry (serial vs overlapped)
-    /// across every submit this evaluator (and its clones) issued.
-    stream_totals: Arc<Mutex<StreamReport>>,
+    /// Backend 0 serves the ciphertext modulus `q` (linear ops, key
+    /// switch); backend `1 + i` serves CRT computation prime `i` of the
+    /// exact tensor. Clones share the engine and its telemetry.
+    engine: LimbEngine,
     /// NTT-domain relin-key polynomials, resident on the mod-q backend
     /// and keyed by [`RelinKey::tag`] — transformed once per key, then
     /// referenced by every key-switch stream (the inference-server
     /// pattern: invariant key material never pays rework). Handles live
     /// for the evaluator's lifetime.
     relin_ntt_cache: RelinNttCache,
-    /// Stream-compiler level applied to every recorded stream before
-    /// submit (`O0` — execute exactly as recorded — by default).
-    opt_level: OptLevel,
-}
-
-fn lock(be: &SharedBackend) -> std::sync::MutexGuard<'_, Box<dyn PolyBackend>> {
-    be.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Uploads both operands, applies a binary op, downloads, and frees —
-/// including on the failure path, so errors never leak pool entries into
-/// the long-lived shared backend.
-fn binary_through(
-    be: &mut dyn PolyBackend,
-    a: &[u128],
-    b: &[u128],
-    op: impl FnOnce(&mut dyn PolyBackend, PolyHandle, PolyHandle) -> cofhee_core::Result<PolyHandle>,
-) -> cofhee_core::Result<Vec<u128>> {
-    let ha = be.upload(a)?;
-    let hb = match be.upload(b) {
-        Ok(h) => h,
-        Err(e) => {
-            be.free(ha);
-            return Err(e);
-        }
-    };
-    let hr = op(be, ha, hb);
-    be.free(ha);
-    be.free(hb);
-    let hr = hr?;
-    let out = be.download(hr);
-    be.free(hr);
-    out
-}
-
-/// The unary analogue of [`binary_through`].
-fn unary_through(
-    be: &mut dyn PolyBackend,
-    a: &[u128],
-    op: impl FnOnce(&mut dyn PolyBackend, PolyHandle) -> cofhee_core::Result<PolyHandle>,
-) -> cofhee_core::Result<Vec<u128>> {
-    let ha = be.upload(a)?;
-    let hr = op(be, ha);
-    be.free(ha);
-    let hr = hr?;
-    let out = be.download(hr);
-    be.free(hr);
-    out
 }
 
 impl Evaluator {
@@ -174,22 +113,12 @@ impl Evaluator {
     ///
     /// Propagates backend bring-up failures.
     pub fn with_backend(params: &BfvParams, factory: &dyn BackendFactory) -> Result<Self> {
-        let n = params.n();
-        let q_backend = factory.make(params.q(), n)?;
-        let mult_primes: Vec<u128> = params.mult_basis().moduli().to_vec();
-        let mut mult_backends = Vec::with_capacity(mult_primes.len());
-        for &p in &mult_primes {
-            mult_backends.push(Arc::new(Mutex::new(factory.make(p, n)?)));
-        }
+        let mut moduli = vec![params.q()];
+        moduli.extend_from_slice(params.mult_basis().moduli());
         Ok(Self {
             params: params.clone(),
-            backend_name: factory.name(),
-            q_backend: Arc::new(Mutex::new(q_backend)),
-            mult_primes,
-            mult_backends,
-            stream_totals: Arc::new(Mutex::new(StreamReport::default())),
+            engine: LimbEngine::new(factory, &moduli, params.n())?,
             relin_ntt_cache: Arc::new(Mutex::new(HashMap::new())),
-            opt_level: OptLevel::O0,
         })
     }
 
@@ -200,29 +129,13 @@ impl Evaluator {
     /// level is bit-exact: optimized streams decrypt identically.
     #[must_use]
     pub fn with_opt_level(mut self, level: OptLevel) -> Self {
-        self.opt_level = level;
+        self.engine = self.engine.with_opt_level(level);
         self
-    }
-
-    /// Sets the stream-compiler level for subsequent operations.
-    pub fn set_opt_level(&mut self, level: OptLevel) {
-        self.opt_level = level;
     }
 
     /// The stream-compiler level currently applied before submits.
     pub fn opt_level(&self) -> OptLevel {
-        self.opt_level
-    }
-
-    /// Rewrites `stream` under the evaluator's [`OptLevel`], folding the
-    /// optimizer counters into `totals`. At `O0` this is the identity.
-    fn compile_stream(&self, stream: OpStream, totals: &mut OptStats) -> Result<OpStream> {
-        if self.opt_level == OptLevel::O0 {
-            return Ok(stream);
-        }
-        let (opt, stats) = PassRunner::for_level(self.opt_level).optimize(&stream)?;
-        totals.merge(&stats);
-        Ok(opt)
+        self.engine.opt_level()
     }
 
     /// The parameter set this evaluator serves.
@@ -233,7 +146,7 @@ impl Evaluator {
     /// The backend family executing the polynomial ops ("cpu",
     /// "cofhee-chip", ...).
     pub fn backend_name(&self) -> &'static str {
-        self.backend_name
+        self.engine.backend_name()
     }
 
     /// Cumulative execution telemetry across every backend this
@@ -241,11 +154,7 @@ impl Evaluator {
     /// backends): measured op counts on all backends, real cycles on the
     /// chip.
     pub fn backend_report(&self) -> OpReport {
-        let mut total = lock(&self.q_backend).report();
-        for be in &self.mult_backends {
-            total.absorb(&lock(be).report());
-        }
-        total
+        self.engine.report()
     }
 
     /// Cumulative scratch-pool telemetry across all backends (the
@@ -255,45 +164,28 @@ impl Evaluator {
     /// (the zero-alloc steady state proved by `cofhee_core`'s
     /// counting-allocator harness).
     pub fn backend_pool_stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for be in std::iter::once(&self.q_backend).chain(&self.mult_backends) {
-            total.absorb(&lock(be).pool_stats());
-        }
-        total
+        self.engine.pool_stats()
     }
 
     /// Cumulative host-communication accounting across all backends
     /// (zero on the CPU path; bring-up plus staged transfers on the
     /// chip).
     pub fn backend_comm_stats(&self) -> CommStats {
-        let mut total = CommStats::default();
-        for be in std::iter::once(&self.q_backend).chain(&self.mult_backends) {
-            total.merge(&lock(be).comm_stats());
-        }
-        total
+        self.engine.comm_stats()
     }
 
-    /// Accumulated stream-execution telemetry across every
-    /// [`Evaluator::multiply`] / [`Evaluator::relinearize`] submit this
-    /// evaluator issued: commands, FIFO batches, drain interrupts, and
+    /// Accumulated stream-execution telemetry across every operation
+    /// this evaluator ran: commands, FIFO batches, drain interrupts, and
     /// the serial-vs-overlapped cycle and latency totals (equal on the
     /// CPU reference; overlapped strictly tighter on the chip whenever
     /// DMA hid behind compute).
     pub fn backend_stream_report(&self) -> StreamReport {
-        *self.stream_totals.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn absorb_stream(&self, report: &StreamReport) {
-        self.stream_totals.lock().unwrap_or_else(std::sync::PoisonError::into_inner).absorb(report);
+        self.engine.stream_report()
     }
 
     /// Clears accumulated telemetry on every backend.
     pub fn reset_backend_telemetry(&self) {
-        for be in std::iter::once(&self.q_backend).chain(&self.mult_backends) {
-            lock(be).reset_telemetry();
-        }
-        *self.stream_totals.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-            StreamReport::default();
+        self.engine.reset();
     }
 
     pub(crate) fn check_ct(&self, ct: &Ciphertext) -> Result<()> {
@@ -319,28 +211,10 @@ impl Evaluator {
         )?)
     }
 
-    /// Runs one pointwise op componentwise over two (padded) ciphertexts
-    /// on the mod-q backend.
-    fn linear_componentwise(
-        &self,
-        a: &Ciphertext,
-        b: &Ciphertext,
-        op: fn(&mut dyn PolyBackend, PolyHandle, PolyHandle) -> cofhee_core::Result<PolyHandle>,
-    ) -> Result<Ciphertext> {
-        self.check_ct(a)?;
-        self.check_ct(b)?;
-        let len = a.len().max(b.len());
-        let zero = vec![0u128; self.params.n()];
-        let mut be = lock(&self.q_backend);
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            let pa = a.polys().get(i).map(|p| p.to_u128_vec()).unwrap_or_else(|| zero.clone());
-            let pb = b.polys().get(i).map(|p| p.to_u128_vec()).unwrap_or_else(|| zero.clone());
-            let v = binary_through(be.as_mut(), &pa, &pb, op)?;
-            out.push(self.poly_from(v)?);
-        }
-        drop(be);
-        Ciphertext::new(out)
+    /// Executes one recorded mod-`q` stream and rewraps its outputs.
+    fn run_mod_q(&self, stream: OpStream) -> Result<Ciphertext> {
+        let outputs = self.engine.run(0, vec![stream])?.pop().expect("one stream, one outcome");
+        self.ciphertext_from_outputs(outputs)
     }
 
     /// Homomorphic addition (`ct + ct`); mixed sizes are padded.
@@ -349,7 +223,7 @@ impl Evaluator {
     ///
     /// Returns [`BfvError::ParamsMismatch`] for foreign ciphertexts.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        self.linear_componentwise(a, b, |be, x, y| be.pointwise_add(x, y))
+        self.run_mod_q(self.add_stream(a, b)?)
     }
 
     /// Homomorphic subtraction.
@@ -358,7 +232,7 @@ impl Evaluator {
     ///
     /// Returns [`BfvError::ParamsMismatch`] for foreign ciphertexts.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        self.linear_componentwise(a, b, |be, x, y| be.pointwise_sub(x, y))
+        self.run_mod_q(self.sub_stream(a, b)?)
     }
 
     /// Homomorphic negation (CMODMUL by `q − 1`).
@@ -367,17 +241,7 @@ impl Evaluator {
     ///
     /// Returns [`BfvError::ParamsMismatch`] for foreign ciphertexts.
     pub fn neg(&self, a: &Ciphertext) -> Result<Ciphertext> {
-        self.check_ct(a)?;
-        let minus_one = self.params.q() - 1;
-        let mut be = lock(&self.q_backend);
-        let mut out = Vec::with_capacity(a.len());
-        for p in a.polys() {
-            let v =
-                unary_through(be.as_mut(), &p.to_u128_vec(), |b, h| b.scalar_mul(h, minus_one))?;
-            out.push(self.poly_from(v)?);
-        }
-        drop(be);
-        Ciphertext::new(out)
+        self.run_mod_q(self.neg_stream(a)?)
     }
 
     /// Plaintext addition (`ct + pt`): adds `Δ·m` to the first component.
@@ -387,18 +251,7 @@ impl Evaluator {
     /// Returns [`BfvError::ParamsMismatch`] / [`BfvError::InvalidParams`]
     /// for mismatched operands.
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext> {
-        self.check_ct(a)?;
-        let delta = self.params.delta();
-        // Host-side lift of Δ·m; the backend reduces mod q on upload.
-        let dm: Vec<u128> = pt.coeffs().iter().map(|&m| delta.wrapping_mul(m as u128)).collect();
-        let mut polys = a.polys().to_vec();
-        let mut be = lock(&self.q_backend);
-        let v = binary_through(be.as_mut(), &polys[0].to_u128_vec(), &dm, |b, x, y| {
-            b.pointwise_add(x, y)
-        })?;
-        drop(be);
-        polys[0] = self.poly_from(v)?;
-        Ciphertext::new(polys)
+        self.run_mod_q(self.add_plain_stream(a, pt)?)
     }
 
     /// Plaintext multiplication (`ct · pt`): multiplies every component by
@@ -409,133 +262,7 @@ impl Evaluator {
     ///
     /// Returns mismatch errors for foreign operands.
     pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext> {
-        self.check_ct(a)?;
-        let lifted: Vec<u128> = pt.coeffs().iter().map(|&m| m as u128).collect();
-        let mut be = lock(&self.q_backend);
-        let hm = be.upload(&lifted)?;
-        // The plaintext stays resident across components; free it even
-        // when a component fails.
-        let mut out = Vec::with_capacity(a.len());
-        let mut run = || -> Result<()> {
-            for p in a.polys() {
-                let v = unary_through(be.as_mut(), &p.to_u128_vec(), |b, hp| b.poly_mul(hp, hm))?;
-                out.push(self.poly_from(v)?);
-            }
-            Ok(())
-        };
-        let result = run();
-        be.free(hm);
-        drop(be);
-        result?;
-        Ciphertext::new(out)
-    }
-
-    /// Lifts a ciphertext polynomial to centered residues modulo
-    /// computation prime `i`.
-    pub(crate) fn lift_centered(
-        &self,
-        poly: &Polynomial<cofhee_arith::Barrett128>,
-        i: usize,
-    ) -> Vec<u128> {
-        let q = self.params.q();
-        let p = self.mult_primes[i];
-        let q_mod_p = q % p;
-        poly.coeffs()
-            .iter()
-            .map(|&c| {
-                let mut r = c % p;
-                if c > q / 2 {
-                    // centered value is c - q (negative): r ← r - q (mod p)
-                    r = (r + p - q_mod_p) % p;
-                }
-                r
-            })
-            .collect()
-    }
-
-    /// Records the per-prime unscaled tensor as a stream: 4 forward
-    /// NTTs, then — per the fused hot path — the outer tensor
-    /// components as single `intt ∘ hadamard` nodes and the middle
-    /// component as two Hadamards accumulated *in the NTT domain*
-    /// before its inverse transform. Same dataflow as the paper's
-    /// Algorithm 3 modulo the final scaling, with the three tensor
-    /// components marked as outputs.
-    pub(crate) fn tensor_stream(
-        &self,
-        i: usize,
-        a: &Ciphertext,
-        b: &Ciphertext,
-    ) -> Result<OpStream> {
-        let mut st = OpStream::new(self.params.n());
-        self.record_tensor(&mut st, i, a, b)?;
-        Ok(st)
-    }
-
-    /// Records one product's limb-`i` tensor into `st` (see
-    /// [`Evaluator::tensor_stream`]); [`Evaluator::multiply_many`]
-    /// appends several products into the same stream.
-    fn record_tensor(
-        &self,
-        st: &mut OpStream,
-        i: usize,
-        a: &Ciphertext,
-        b: &Ciphertext,
-    ) -> Result<()> {
-        let mut ntts = Vec::with_capacity(4);
-        for p in [&a.polys()[0], &a.polys()[1], &b.polys()[0], &b.polys()[1]] {
-            let up = st.upload(self.lift_centered(p, i))?;
-            ntts.push(st.ntt(up)?);
-        }
-        let (a0, a1, b0, b1) = (ntts[0], ntts[1], ntts[2], ntts[3]);
-        let r0 = st.hadamard_intt(a0, b0)?;
-        let x01 = st.hadamard(a0, b1)?;
-        let x10 = st.hadamard(a1, b0)?;
-        let t1 = st.pointwise_add(x01, x10)?;
-        let r1 = st.intt(t1)?;
-        let r2 = st.hadamard_intt(a1, b1)?;
-        for r in [r0, r1, r2] {
-            st.output(r)?;
-        }
-        Ok(())
-    }
-
-    /// Compiles the per-limb streams at the evaluator's [`OptLevel`],
-    /// fans them out across threads (one backend per limb), absorbs the
-    /// group's stream telemetry (overlapped wall clock = slowest limb),
-    /// and returns each limb's downloaded outputs in order.
-    fn run_tensor_streams(&self, streams: Vec<OpStream>) -> Result<Vec<Vec<Vec<u128>>>> {
-        let mut opt_totals = OptStats::default();
-        let streams = streams
-            .into_iter()
-            .map(|st| self.compile_stream(st, &mut opt_totals))
-            .collect::<Result<Vec<_>>>()?;
-        let mut guards: Vec<_> = self.mult_backends.iter().map(lock).collect();
-        let jobs: Vec<StreamJob<'_>> = guards
-            .iter_mut()
-            .zip(&streams)
-            .map(|(g, stream)| StreamJob { backend: (**g).as_mut(), stream })
-            .collect();
-        let outcomes = StreamExecutor::run_parallel(jobs)?;
-        drop(guards);
-
-        // The limbs ran concurrently (one thread, one backend each): the
-        // group's overlapped wall clock is the slowest limb, not the
-        // sum. Serial totals do sum — the baseline really is one limb
-        // after another, one op at a time.
-        let mut limbs = Vec::with_capacity(streams.len());
-        let mut group = StreamReport::default();
-        let (mut wall_cycles, mut wall_seconds) = (0u64, 0.0f64);
-        for outcome in outcomes {
-            wall_cycles = wall_cycles.max(outcome.report.overlapped_cycles);
-            wall_seconds = wall_seconds.max(outcome.report.overlapped_seconds);
-            group.absorb(&outcome.report);
-            limbs.push(outcome.outputs);
-        }
-        group.overlapped_cycles = wall_cycles;
-        group.overlapped_seconds = wall_seconds;
-        opt_totals.stamp(&mut group);
-        self.absorb_stream(&group);
-        Ok(limbs)
+        self.run_mod_q(self.mul_plain_stream(a, pt)?)
     }
 
     /// Exact ciphertext multiplication: Eq. 4 with integer tensor and
@@ -551,55 +278,8 @@ impl Evaluator {
     /// Returns [`BfvError::WrongCiphertextSize`] unless both inputs have
     /// exactly two components, and mismatch errors for foreign operands.
     pub fn multiply(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        let limbs = self.run_tensor_streams(self.tensor_streams(a, b)?)?;
+        let limbs = self.engine.run(1, self.tensor_streams(a, b)?)?;
         self.tensor_combine(&limbs)
-    }
-
-    /// Batched exact multiplication: records **all** pairs' tensors into
-    /// one stream per CRT computation prime, so one submit per limb
-    /// covers the whole batch. Each product is recorded naively — a
-    /// ciphertext appearing in several pairs re-uploads and re-transforms
-    /// per product — which is exactly the redundancy the `O1` stream
-    /// compiler removes: CSE merges the shared operands' NTTs, transfer
-    /// hoisting merges their uploads. At `O0` this is purely the
-    /// batching win (fewer submits); results equal pairwise
-    /// [`Evaluator::multiply`] bit-for-bit at every level.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BfvError::WrongCiphertextSize`] unless every operand has
-    /// exactly two components, and mismatch errors for foreign operands.
-    pub fn multiply_many(&self, pairs: &[(&Ciphertext, &Ciphertext)]) -> Result<Vec<Ciphertext>> {
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
-        for &(a, b) in pairs {
-            self.check_ct(a)?;
-            self.check_ct(b)?;
-            for ct in [a, b] {
-                if ct.len() != 2 {
-                    return Err(BfvError::WrongCiphertextSize { expected: 2, found: ct.len() });
-                }
-            }
-        }
-        let mut streams = Vec::with_capacity(self.mult_primes.len());
-        for i in 0..self.mult_primes.len() {
-            let mut st = OpStream::new(self.params.n());
-            for &(a, b) in pairs {
-                self.record_tensor(&mut st, i, a, b)?;
-            }
-            streams.push(st);
-        }
-        let per_limb = self.run_tensor_streams(streams)?;
-        // Each limb produced 3 outputs per pair, in pair order.
-        let mut cursors: Vec<_> = per_limb.into_iter().map(Vec::into_iter).collect();
-        let mut results = Vec::with_capacity(pairs.len());
-        for _ in pairs {
-            let limbs: Vec<Vec<Vec<u128>>> =
-                cursors.iter_mut().map(|it| it.by_ref().take(3).collect()).collect();
-            results.push(self.tensor_combine(&limbs)?);
-        }
-        Ok(results)
     }
 
     /// NTT-domain relin-key handles on the mod-q backend, transformed on
@@ -612,35 +292,28 @@ impl Evaluator {
     ) -> Result<Vec<(PolyHandle, PolyHandle)>> {
         let mut cache =
             self.relin_ntt_cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        match cache.entry(rlk.tag) {
-            Entry::Occupied(e) => Ok(e.get().clone()),
-            Entry::Vacant(slot) => {
-                let mut handles = Vec::with_capacity(rlk.parts.len());
-                let transform = |be: &mut dyn PolyBackend,
-                                 poly: &Polynomial<cofhee_arith::Barrett128>|
-                 -> cofhee_core::Result<PolyHandle> {
-                    let raw = be.upload(&poly.to_u128_vec())?;
-                    let f = be.ntt(raw);
-                    be.free(raw);
-                    f
-                };
-                let mut run = || -> cofhee_core::Result<()> {
-                    for (k0, k1) in &rlk.parts {
-                        handles.push((transform(be, k0)?, transform(be, k1)?));
-                    }
-                    Ok(())
-                };
-                if let Err(e) = run() {
+        if let Some(handles) = cache.get(&rlk.tag) {
+            return Ok(handles.clone());
+        }
+        let mut forms = Vec::with_capacity(2 * rlk.parts.len());
+        for poly in rlk.parts.iter().flat_map(|(k0, k1)| [k0, k1]) {
+            let form = be.upload(&poly.to_u128_vec()).and_then(|raw| {
+                let form = be.ntt(raw);
+                be.free(raw);
+                form
+            });
+            match form {
+                Ok(h) => forms.push(h),
+                Err(e) => {
                     // Failed mid-transform: release the partial set.
-                    for (f0, f1) in handles {
-                        be.free(f0);
-                        be.free(f1);
-                    }
+                    forms.into_iter().for_each(|h| be.free(h));
                     return Err(e.into());
                 }
-                Ok(slot.insert(handles).clone())
             }
         }
+        let handles: Vec<_> = forms.chunks(2).map(|pair| (pair[0], pair[1])).collect();
+        cache.insert(rlk.tag, handles.clone());
+        Ok(handles)
     }
 
     /// Relinearization: folds the third component of a ciphertext product
@@ -654,51 +327,21 @@ impl Evaluator {
     /// both relin-key polynomials, accumulating additions in the NTT
     /// domain, and two final inverse NTTs — are recorded as one
     /// [`OpStream`] on the mod-q backend and execute in a single batched
-    /// submit. The key polynomials themselves are invariant, so they are
-    /// transformed **once** per [`RelinKey`] and kept resident on the
-    /// backend in NTT form; every stream references the cached handles
-    /// instead of re-transforming them.
+    /// submit. The evaluator owns that backend, so the invariant key
+    /// polynomials are transformed **once** per [`RelinKey`] and kept
+    /// resident on it in NTT form; every stream references the cached
+    /// handles instead of re-transforming them (a borrowed backend gets
+    /// the self-contained [`Evaluator::relin_stream`] instead).
     ///
     /// # Errors
     ///
     /// Returns [`BfvError::WrongCiphertextSize`] unless the input has
-    /// three components.
+    /// three components, and [`BfvError::ParamsMismatch`] for a foreign
+    /// ciphertext or a key generated under other parameters.
     pub fn relinearize(&self, ct: &Ciphertext, rlk: &RelinKey) -> Result<Ciphertext> {
-        self.check_ct(ct)?;
-        if ct.len() != 3 {
-            return Err(BfvError::WrongCiphertextSize { expected: 3, found: ct.len() });
-        }
-        let n = self.params.n();
-        let digits = cofhee_core::digit_decompose(
-            &ct.polys()[2].to_u128_vec(),
-            rlk.base_bits,
-            rlk.parts.len(),
-        );
-        let base: Vec<Vec<u128>> = ct.polys()[..2].iter().map(|c| c.to_u128_vec()).collect();
-
-        let mut be = lock(&self.q_backend);
-        let key_handles = self.relin_key_handles(be.as_mut(), rlk)?;
-
-        // Record the whole key-switch dataflow, then submit once.
-        let mut st = OpStream::new(n);
-        cofhee_core::record_key_switch(
-            &mut st,
-            &digits,
-            cofhee_core::KeySwitchKeys::Resident(&key_handles),
-            &base,
-        )?;
-
-        let mut opt_totals = OptStats::default();
-        let st = self.compile_stream(st, &mut opt_totals)?;
-        let outcome = be.execute_stream(&st)?;
-        drop(be);
-        let mut report = outcome.report;
-        opt_totals.stamp(&mut report);
-        self.absorb_stream(&report);
-        let mut outputs = outcome.outputs.into_iter();
-        let c0 = self.poly_from(outputs.next().expect("two outputs marked"))?;
-        let c1 = self.poly_from(outputs.next().expect("two outputs marked"))?;
-        Ciphertext::new(vec![c0, c1])
+        self.check_rlk(rlk)?;
+        let handles = self.engine.with_backend(0, |be| self.relin_key_handles(be, rlk))?;
+        self.run_mod_q(self.key_switch_stream(ct, rlk, KeySwitchKeys::Resident(&handles))?)
     }
 
     /// Convenience: multiply then relinearize — both phases streamed
@@ -950,43 +593,6 @@ mod tests {
             // fuse into HadamardAdd nodes.
             assert!(r.ops_fused > 0, "{level}: accumulate patterns fuse");
         }
-    }
-
-    #[test]
-    fn multiply_many_matches_pairwise_multiply_at_every_level() {
-        let mut f = setup(32, 16);
-        let a = f.enc.encrypt(&pt_of(&f, &[3]), &mut f.rng).unwrap();
-        let b = f.enc.encrypt(&pt_of(&f, &[5]), &mut f.rng).unwrap();
-        let c = f.enc.encrypt(&pt_of(&f, &[7]), &mut f.rng).unwrap();
-        // `a` is shared across the pairs: the redundancy O1 removes.
-        let pairs = [(&a, &b), (&a, &c), (&b, &c)];
-        let expected: Vec<_> = pairs.iter().map(|&(x, y)| f.eval.multiply(x, y).unwrap()).collect();
-
-        for level in [cofhee_opt::OptLevel::O0, cofhee_opt::OptLevel::O1, cofhee_opt::OptLevel::O2]
-        {
-            let ev = Evaluator::new(&f.params).unwrap().with_opt_level(level);
-            let got = ev.multiply_many(&pairs).unwrap();
-            assert_eq!(got.len(), pairs.len());
-            for (g, e) in got.iter().zip(&expected) {
-                for (p, d) in g.polys().iter().zip(e.polys()) {
-                    assert_eq!(p.coeffs(), d.coeffs(), "batched {level} must equal pairwise");
-                }
-            }
-            let r = ev.backend_stream_report();
-            let limbs = f.params.mult_basis().moduli().len() as u64;
-            assert_eq!(r.batches, limbs, "one submit per limb for the whole batch");
-            if level >= cofhee_opt::OptLevel::O1 {
-                // Shared operands' duplicate uploads and NTTs dedup via
-                // CSE and fall to DCE: 2 duplicated ciphertexts × 2
-                // components × (upload + NTT) per limb, at least.
-                assert!(r.ops_eliminated > 0, "shared operands dedup at {level}");
-            }
-        }
-        assert!(f.eval.multiply_many(&[]).unwrap().is_empty());
-        let mut ev = Evaluator::new(&f.params).unwrap();
-        ev.set_opt_level(cofhee_opt::OptLevel::O1);
-        let prod3 = ev.multiply(&a, &b).unwrap();
-        assert!(ev.multiply_many(&[(&prod3, &a)]).is_err(), "3-component operands are rejected");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Evaluator jobs over **borrowed** backends: the stream builders and
-//! host-side finishers a multi-chip scheduler composes.
+//! The stream builders and host-side finishers every BFV operation is
+//! made of.
 //!
-//! [`Evaluator`]'s own methods (`add`, `multiply`, `relinearize`, ...)
-//! execute on the backends the evaluator brought up for itself. A farm
-//! of simulated CoFHEE dies owns its *own* per-chip, per-modulus
-//! backends and decides placement per stream — so the job layer splits
-//! every homomorphic operation into two halves:
+//! [`Evaluator`]'s own methods (`add`, `multiply`, ...) run these very
+//! builders and finishers around the backends the evaluator brought up
+//! for itself. A farm of simulated CoFHEE dies owns its *own* per-chip,
+//! per-modulus backends and decides placement per stream, so it calls
+//! the same two halves around its own execution:
 //!
 //! 1. **Record** — a pure function of the ciphertexts producing one or
 //!    more [`OpStream`]s (no backend involved). The caller executes
@@ -19,27 +19,32 @@
 //!    with CKKS rescale-relinearize) to record the key-switch inner
 //!    products as a self-contained mod-`q` stream — the relin-key
 //!    polynomials travel *inside* the stream, so it runs on any
-//!    borrowed backend with no resident key cache.
+//!    borrowed backend ([`Evaluator::relinearize`] instead references
+//!    keys it keeps resident on the backend it owns).
 //! 2. **Finish** — host-side reconstruction from the stream outputs:
 //!    [`Evaluator::ciphertext_from_outputs`] rewraps downloaded
 //!    components, and [`Evaluator::tensor_combine`] performs the CRT
 //!    base extension and `⌊t·x/q⌉` rounding of Eq. 4 over the per-limb
 //!    tensor outputs — exactly the work the paper keeps on the host.
 //!
-//! The streams are the same ones the evaluator's own `multiply` path
-//! submits, so a job executed through borrowed backends is bit-identical
-//! to the evaluator executing it directly — on any backend, under any
-//! placement. That invariance is what makes farm results independent of
+//! One recording, two executors: a job run through borrowed backends is
+//! bit-identical to the evaluator running it directly, on any backend
+//! under any placement — which is what makes farm results independent of
 //! scheduling policy and chip count.
 
-use cofhee_arith::U256;
-use cofhee_core::{KeySwitchKeys, OpStream};
+use cofhee_arith::{Barrett128, U256};
+use cofhee_core::{KeySwitchKeys, OpStream, StreamHandle};
+use cofhee_poly::Polynomial;
 
 use crate::ciphertext::Ciphertext;
 use crate::error::{BfvError, Result};
 use crate::evaluator::Evaluator;
 use crate::keys::RelinKey;
 use crate::plaintext::Plaintext;
+
+/// A recorded binary pointwise op (`OpStream::pointwise_add` / `_sub`).
+type PointwiseOp =
+    fn(&mut OpStream, StreamHandle, StreamHandle) -> cofhee_core::Result<StreamHandle>;
 
 impl Evaluator {
     /// Records componentwise homomorphic addition (`ct + ct`, mixed
@@ -50,6 +55,21 @@ impl Evaluator {
     ///
     /// Returns [`BfvError::ParamsMismatch`] for foreign ciphertexts.
     pub fn add_stream(&self, a: &Ciphertext, b: &Ciphertext) -> Result<OpStream> {
+        self.pointwise_stream(a, b, OpStream::pointwise_add)
+    }
+
+    /// Records componentwise subtraction (`a − b`), padded like
+    /// [`Evaluator::add_stream`].
+    pub(crate) fn sub_stream(&self, a: &Ciphertext, b: &Ciphertext) -> Result<OpStream> {
+        self.pointwise_stream(a, b, OpStream::pointwise_sub)
+    }
+
+    fn pointwise_stream(
+        &self,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        op: PointwiseOp,
+    ) -> Result<OpStream> {
         self.check_ct(a)?;
         self.check_ct(b)?;
         let n = self.params().n();
@@ -61,8 +81,21 @@ impl Evaluator {
             let pb = b.polys().get(i).map(|p| p.to_u128_vec()).unwrap_or_else(|| zero.clone());
             let ha = st.upload(pa)?;
             let hb = st.upload(pb)?;
-            let sum = st.pointwise_add(ha, hb)?;
-            st.output(sum)?;
+            let r = op(&mut st, ha, hb)?;
+            st.output(r)?;
+        }
+        Ok(st)
+    }
+
+    /// Records negation: one CMODMUL by `q − 1` per component.
+    pub(crate) fn neg_stream(&self, a: &Ciphertext) -> Result<OpStream> {
+        self.check_ct(a)?;
+        let minus_one = self.params().q() - 1;
+        let mut st = OpStream::new(self.params().n());
+        for p in a.polys() {
+            let hp = st.upload(p.to_u128_vec())?;
+            let r = st.scalar_mul(hp, minus_one)?;
+            st.output(r)?;
         }
         Ok(st)
     }
@@ -128,15 +161,59 @@ impl Evaluator {
     /// Returns [`BfvError::WrongCiphertextSize`] unless both inputs have
     /// exactly two components, and mismatch errors for foreign operands.
     pub fn tensor_streams(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Vec<OpStream>> {
-        self.check_ct(a)?;
-        self.check_ct(b)?;
-        if a.len() != 2 {
-            return Err(BfvError::WrongCiphertextSize { expected: 2, found: a.len() });
+        for ct in [a, b] {
+            self.check_ct(ct)?;
+            if ct.len() != 2 {
+                return Err(BfvError::WrongCiphertextSize { expected: 2, found: ct.len() });
+            }
         }
-        if b.len() != 2 {
-            return Err(BfvError::WrongCiphertextSize { expected: 2, found: b.len() });
+        (0..self.params().mult_basis().len()).map(|i| self.tensor_stream(i, a, b)).collect()
+    }
+
+    /// Lifts a ciphertext polynomial to centered residues modulo
+    /// computation prime `i`.
+    fn lift_centered(&self, poly: &Polynomial<Barrett128>, i: usize) -> Vec<u128> {
+        let q = self.params().q();
+        let p = self.params().mult_basis().moduli()[i];
+        let q_mod_p = q % p;
+        poly.coeffs()
+            .iter()
+            .map(|&c| {
+                let mut r = c % p;
+                if c > q / 2 {
+                    // centered value is c - q (negative): r ← r - q (mod p)
+                    r = (r + p - q_mod_p) % p;
+                }
+                r
+            })
+            .collect()
+    }
+
+    /// Records the per-prime unscaled tensor as a stream: 4 forward
+    /// NTTs, then — per the fused hot path — the outer tensor
+    /// components as single `intt ∘ hadamard` nodes and the middle
+    /// component as two Hadamards accumulated *in the NTT domain*
+    /// before its inverse transform. Same dataflow as the paper's
+    /// Algorithm 3 modulo the final scaling, with the three tensor
+    /// components marked as outputs.
+    fn tensor_stream(&self, i: usize, a: &Ciphertext, b: &Ciphertext) -> Result<OpStream> {
+        let mut st = OpStream::new(self.params().n());
+        let mut ntts = Vec::with_capacity(4);
+        for p in [&a.polys()[0], &a.polys()[1], &b.polys()[0], &b.polys()[1]] {
+            let up = st.upload(self.lift_centered(p, i))?;
+            ntts.push(st.ntt(up)?);
         }
-        (0..self.mult_primes.len()).map(|i| self.tensor_stream(i, a, b)).collect()
+        let (a0, a1, b0, b1) = (ntts[0], ntts[1], ntts[2], ntts[3]);
+        let r0 = st.hadamard_intt(a0, b0)?;
+        let x01 = st.hadamard(a0, b1)?;
+        let x10 = st.hadamard(a1, b0)?;
+        let t1 = st.pointwise_add(x01, x10)?;
+        let r1 = st.intt(t1)?;
+        let r2 = st.hadamard_intt(a1, b1)?;
+        for r in [r0, r1, r2] {
+            st.output(r)?;
+        }
+        Ok(st)
     }
 
     /// Finishes an exact multiplication from per-limb tensor outputs:
@@ -151,7 +228,7 @@ impl Evaluator {
     /// match the computation basis or the outputs are malformed.
     pub fn tensor_combine(&self, limbs: &[Vec<Vec<u128>>]) -> Result<Ciphertext> {
         let n = self.params().n();
-        let k = self.mult_primes.len();
+        let k = self.params().mult_basis().len();
         if limbs.len() != k {
             return Err(BfvError::InvalidParams {
                 reason: format!("tensor_combine needs {k} limbs, got {}", limbs.len()),
@@ -196,6 +273,48 @@ impl Evaluator {
         Ciphertext::new(out_polys)
     }
 
+    /// Refuses a key generated under another parameter set: a foreign
+    /// ring would fold `c₂` onto garbage and too few digits would drop
+    /// its high bits, both silently.
+    pub(crate) fn check_rlk(&self, rlk: &RelinKey) -> Result<()> {
+        let params = self.params();
+        let digits = params.log_q().div_ceil(rlk.base_bits) as usize;
+        let same_ring = rlk
+            .parts
+            .iter()
+            .flat_map(|(k0, k1)| [k0, k1])
+            .all(|k| k.context().n() == params.n() && k.context().modulus() == params.q());
+        if rlk.digit_count() == digits && same_ring {
+            Ok(())
+        } else {
+            Err(BfvError::ParamsMismatch)
+        }
+    }
+
+    /// Records the key switch of `ct`'s third component onto `(c₀, c₁)`
+    /// against `keys` — the polynomials of an already checked `rlk`,
+    /// inline or resident — after decomposing it into digits host-side.
+    pub(crate) fn key_switch_stream(
+        &self,
+        ct: &Ciphertext,
+        rlk: &RelinKey,
+        keys: KeySwitchKeys<'_>,
+    ) -> Result<OpStream> {
+        self.check_ct(ct)?;
+        if ct.len() != 3 {
+            return Err(BfvError::WrongCiphertextSize { expected: 3, found: ct.len() });
+        }
+        let digits = cofhee_core::digit_decompose(
+            &ct.polys()[2].to_u128_vec(),
+            rlk.base_bits,
+            rlk.parts.len(),
+        );
+        let base: Vec<Vec<u128>> = ct.polys()[..2].iter().map(|c| c.to_u128_vec()).collect();
+        let mut st = OpStream::new(self.params().n());
+        cofhee_core::record_key_switch(&mut st, &digits, keys, &base)?;
+        Ok(st)
+    }
+
     /// Records relinearization as one self-contained mod-`q` stream: per
     /// digit of the host-side decomposition, the digit polynomial *and
     /// both relin-key polynomials* are uploaded and NTT-transformed
@@ -211,25 +330,13 @@ impl Evaluator {
     /// # Errors
     ///
     /// Returns [`BfvError::WrongCiphertextSize`] unless the input has
-    /// three components.
+    /// three components, and [`BfvError::ParamsMismatch`] for a foreign
+    /// ciphertext or a key generated under other parameters.
     pub fn relin_stream(&self, ct: &Ciphertext, rlk: &RelinKey) -> Result<OpStream> {
-        self.check_ct(ct)?;
-        if ct.len() != 3 {
-            return Err(BfvError::WrongCiphertextSize { expected: 3, found: ct.len() });
-        }
-        let n = self.params().n();
-        let digits = cofhee_core::digit_decompose(
-            &ct.polys()[2].to_u128_vec(),
-            rlk.base_bits,
-            rlk.parts.len(),
-        );
+        self.check_rlk(rlk)?;
         let keys: Vec<(Vec<u128>, Vec<u128>)> =
             rlk.parts.iter().map(|(k0, k1)| (k0.to_u128_vec(), k1.to_u128_vec())).collect();
-        let base: Vec<Vec<u128>> = ct.polys()[..2].iter().map(|c| c.to_u128_vec()).collect();
-
-        let mut st = OpStream::new(n);
-        cofhee_core::record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), &base)?;
-        Ok(st)
+        self.key_switch_stream(ct, rlk, KeySwitchKeys::Inline(&keys))
     }
 
     /// Rewraps downloaded stream outputs (canonical residues in
@@ -261,6 +368,7 @@ mod tests {
     use cofhee_core::{CpuBackend, PolyBackend};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     struct Fixture {
         params: BfvParams,
@@ -299,6 +407,14 @@ mod tests {
         be.execute_stream(st).unwrap().outputs
     }
 
+    /// Asserts `ct`'s components equal `oracle` coefficient for coefficient.
+    fn assert_components(ct: &Ciphertext, oracle: &[Polynomial<Barrett128>], what: &str) {
+        assert_eq!(ct.len(), oracle.len(), "{what}: component count");
+        for (p, o) in ct.polys().iter().zip(oracle) {
+            assert_eq!(p.coeffs(), o.coeffs(), "{what}");
+        }
+    }
+
     #[test]
     fn add_stream_matches_the_evaluator_path() {
         let mut f = setup(21);
@@ -306,33 +422,47 @@ mod tests {
         let b = f.enc.encrypt(&pt_of(&f, &[10, 20]), &mut f.rng).unwrap();
         let st = f.eval.add_stream(&a, &b).unwrap();
         let ct = f.eval.ciphertext_from_outputs(run_on_borrowed(&f, &st)).unwrap();
-        let direct = f.eval.add(&a, &b).unwrap();
-        for (p, d) in ct.polys().iter().zip(direct.polys()) {
-            assert_eq!(p.coeffs(), d.coeffs(), "borrowed-backend add is bit-identical");
-        }
+        // The oracle is the polynomial layer, not another stream.
+        let oracle: Vec<_> =
+            a.polys().iter().zip(b.polys()).map(|(x, y)| x.add(y).unwrap()).collect();
+        assert_components(&ct, &oracle, "borrowed-backend add");
+        assert_components(&f.eval.add(&a, &b).unwrap(), &oracle, "evaluator add");
         assert_eq!(&f.dec.decrypt(&ct).unwrap().coeffs()[..2], &[13, 24]);
+
+        let oracle: Vec<_> =
+            a.polys().iter().zip(b.polys()).map(|(x, y)| x.sub(y).unwrap()).collect();
+        assert_components(&f.eval.sub(&a, &b).unwrap(), &oracle, "evaluator sub");
+        let oracle: Vec<_> = a.polys().iter().map(Polynomial::neg).collect();
+        assert_components(&f.eval.neg(&a).unwrap(), &oracle, "evaluator neg");
     }
 
     #[test]
     fn plain_op_streams_match_the_evaluator_paths() {
         let mut f = setup(22);
         let a = f.enc.encrypt(&pt_of(&f, &[7]), &mut f.rng).unwrap();
+        let ring = Arc::clone(f.params.poly_ring());
+        let lift = |pt: &Plaintext, scale: u128| {
+            let v: Vec<u128> = pt.coeffs().iter().map(|&m| scale * m as u128).collect();
+            Polynomial::from_values(Arc::clone(&ring), &v).unwrap()
+        };
 
-        let st = f.eval.add_plain_stream(&a, &pt_of(&f, &[30])).unwrap();
+        let pt = pt_of(&f, &[30]);
+        let st = f.eval.add_plain_stream(&a, &pt).unwrap();
         let sum = f.eval.ciphertext_from_outputs(run_on_borrowed(&f, &st)).unwrap();
         assert_eq!(f.dec.decrypt(&sum).unwrap().coeffs()[0], 37);
-        let direct = f.eval.add_plain(&a, &pt_of(&f, &[30])).unwrap();
-        for (p, d) in sum.polys().iter().zip(direct.polys()) {
-            assert_eq!(p.coeffs(), d.coeffs());
-        }
+        let dm = lift(&pt, f.params.delta());
+        let oracle = vec![a.polys()[0].add(&dm).unwrap(), a.polys()[1].clone()];
+        assert_components(&sum, &oracle, "borrowed-backend add_plain");
+        assert_components(&f.eval.add_plain(&a, &pt).unwrap(), &oracle, "evaluator add_plain");
 
-        let st = f.eval.mul_plain_stream(&a, &pt_of(&f, &[6])).unwrap();
+        let pt = pt_of(&f, &[6]);
+        let st = f.eval.mul_plain_stream(&a, &pt).unwrap();
         let prod = f.eval.ciphertext_from_outputs(run_on_borrowed(&f, &st)).unwrap();
         assert_eq!(f.dec.decrypt(&prod).unwrap().coeffs()[0], 42);
-        let direct = f.eval.mul_plain(&a, &pt_of(&f, &[6])).unwrap();
-        for (p, d) in prod.polys().iter().zip(direct.polys()) {
-            assert_eq!(p.coeffs(), d.coeffs());
-        }
+        let m = lift(&pt, 1);
+        let oracle: Vec<_> = a.polys().iter().map(|p| p.negacyclic_mul(&m).unwrap()).collect();
+        assert_components(&prod, &oracle, "borrowed-backend mul_plain");
+        assert_components(&f.eval.mul_plain(&a, &pt).unwrap(), &oracle, "evaluator mul_plain");
     }
 
     #[test]
@@ -374,6 +504,33 @@ mod tests {
             assert_eq!(p.coeffs(), d.coeffs(), "standalone key switch is bit-identical");
         }
         assert_eq!(f.dec.decrypt(&ct).unwrap().coeffs()[0], 156);
+    }
+
+    #[test]
+    fn foreign_and_short_relin_keys_fail_typed() {
+        let mut f = setup(26);
+        let a = f.enc.encrypt(&pt_of(&f, &[12]), &mut f.rng).unwrap();
+        let prod3 = f.eval.multiply(&a, &a).unwrap();
+        // Same n, same digit count (4 × 16 bits), another 59-bit q.
+        let n = f.params.n();
+        let q = cofhee_arith::primes::ntt_prime(59, n).unwrap();
+        let other = BfvParams::new(n, f.params.t(), q).unwrap();
+        let foreign = KeyGenerator::new(&other, &mut f.rng).relin_key(16, &mut f.rng).unwrap();
+        assert_eq!(foreign.digit_count(), f.rlk.digit_count());
+        // The right ring, one digit short: c₂'s top 12 bits would vanish.
+        let mut short = f.rlk.clone();
+        short.parts.pop();
+        for (what, key) in [("foreign-q", &foreign), ("short", &short)] {
+            assert!(
+                matches!(f.eval.relinearize(&prod3, key), Err(BfvError::ParamsMismatch)),
+                "{what} key on relinearize"
+            );
+            assert!(
+                matches!(f.eval.relin_stream(&prod3, key), Err(BfvError::ParamsMismatch)),
+                "{what} key on relin_stream"
+            );
+        }
+        assert_eq!(f.eval.relinearize(&prod3, &f.rlk).unwrap().len(), 2);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The CKKS evaluator: approximate homomorphic arithmetic where every
-//! ring operation dispatches through the [`PolyBackend`]/[`OpStream`]
+//! ring operation dispatches through the
+//! [`PolyBackend`](cofhee_core::PolyBackend)/[`OpStream`]
 //! machinery — one backend per chain prime, one stream per active limb.
 //!
 //! The shape mirrors `cofhee_bfv::Evaluator`, with the CRT roles swapped:
 //! BFV brings up extra computation primes only inside `multiply`, while
 //! CKKS *lives* in RNS — a ciphertext at level ℓ is `ℓ+1` independent
 //! mod-`qⱼ` polynomials, so **every** operation fans one stream per limb
-//! across the per-prime backends ([`StreamExecutor::run_parallel`], one
-//! thread and one backend each). The limb streams are recorded by the
+//! across the per-prime backends of its [`LimbEngine`] (one thread and
+//! one backend each). The limb streams are recorded by the
 //! builders in the `streams` module (also the farm's job layer) and are
 //! identical on every backend and at every [`OptLevel`]: the stream
 //! compiler's CSE/fusion/transfer-hoist passes and the O2 partitioner
@@ -34,42 +35,23 @@
 //!   [`cofhee_core::record_key_switch`] builder — one self-contained
 //!   stream per limb, key material inline.
 
-use std::sync::{Arc, Mutex};
-
-use cofhee_core::{
-    BackendFactory, CommStats, CpuBackendFactory, OpReport, OpStream, PolyBackend, PoolStats,
-    StreamExecutor, StreamJob, StreamReport,
-};
-use cofhee_opt::{OptLevel, OptStats, PassRunner};
+use cofhee_core::{BackendFactory, CpuBackendFactory, OpReport, OpStream, PoolStats, StreamReport};
+use cofhee_opt::{LimbEngine, OptLevel};
 
 use crate::ciphertext::{scales_match, CkksCiphertext, CkksPlaintext};
 use crate::error::{CkksError, Result};
 use crate::keys::CkksRelinKey;
-use crate::params::CkksParams;
-
-/// A shared, lockable backend (the evaluator is `Clone` + `Sync`; clones
-/// share the backends and their telemetry).
-type SharedBackend = Arc<Mutex<Box<dyn PolyBackend>>>;
+use crate::params::{CkksParams, Level};
 
 /// Evaluates approximate homomorphic operations for one parameter set on
 /// a pluggable execution backend.
 #[derive(Debug, Clone)]
 pub struct CkksEvaluator {
     pub(crate) params: CkksParams,
-    /// Backend family label (from the factory that built the backends).
-    backend_name: &'static str,
-    /// One backend per chain prime, base prime first.
-    limb_backends: Vec<SharedBackend>,
-    /// Accumulated stream-execution telemetry (serial vs overlapped)
-    /// across every submit this evaluator (and its clones) issued.
-    stream_totals: Arc<Mutex<StreamReport>>,
-    /// Stream-compiler level applied to every recorded stream before
-    /// submit (`O0` — execute exactly as recorded — by default).
-    opt_level: OptLevel,
-}
-
-fn lock(be: &SharedBackend) -> std::sync::MutexGuard<'_, Box<dyn PolyBackend>> {
-    be.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// One backend per chain prime, base prime first; the limb-`j`
+    /// stream of every operation runs on backend `j`. Clones share the
+    /// engine and its telemetry.
+    engine: LimbEngine,
 }
 
 impl CkksEvaluator {
@@ -92,37 +74,22 @@ impl CkksEvaluator {
     ///
     /// Propagates backend bring-up failures.
     pub fn with_backend(params: &CkksParams, factory: &dyn BackendFactory) -> Result<Self> {
-        let n = params.n();
-        let mut limb_backends = Vec::with_capacity(params.moduli().len());
-        for &q in params.moduli() {
-            limb_backends.push(Arc::new(Mutex::new(factory.make(q, n)?)));
-        }
-        Ok(Self {
-            params: params.clone(),
-            backend_name: factory.name(),
-            limb_backends,
-            stream_totals: Arc::new(Mutex::new(StreamReport::default())),
-            opt_level: OptLevel::O0,
-        })
+        let engine = LimbEngine::new(factory, params.moduli(), params.n())?;
+        Ok(Self { params: params.clone(), engine })
     }
 
     /// Builder-style: the same evaluator with the stream compiler set to
     /// `level`. Every level is bit-exact, as for BFV.
     #[must_use]
     pub fn with_opt_level(mut self, level: OptLevel) -> Self {
-        self.opt_level = level;
+        self.engine = self.engine.with_opt_level(level);
         self
-    }
-
-    /// Sets the stream-compiler level for subsequent operations.
-    pub fn set_opt_level(&mut self, level: OptLevel) {
-        self.opt_level = level;
     }
 
     /// The stream-compiler level currently applied before submits.
     #[must_use]
     pub fn opt_level(&self) -> OptLevel {
-        self.opt_level
+        self.engine.opt_level()
     }
 
     /// The parameter set this evaluator serves.
@@ -135,17 +102,13 @@ impl CkksEvaluator {
     /// "cofhee-chip", ...).
     #[must_use]
     pub fn backend_name(&self) -> &'static str {
-        self.backend_name
+        self.engine.backend_name()
     }
 
     /// Cumulative execution telemetry across every limb backend.
     #[must_use]
     pub fn backend_report(&self) -> OpReport {
-        let mut total = OpReport::default();
-        for be in &self.limb_backends {
-            total.absorb(&lock(be).report());
-        }
-        total
+        self.engine.report()
     }
 
     /// Cumulative scratch-pool telemetry across all limb backends: once
@@ -155,22 +118,7 @@ impl CkksEvaluator {
     /// counting-allocator harness).
     #[must_use]
     pub fn backend_pool_stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for be in &self.limb_backends {
-            total.absorb(&lock(be).pool_stats());
-        }
-        total
-    }
-
-    /// Cumulative host-communication accounting across all limb
-    /// backends (zero on the CPU path).
-    #[must_use]
-    pub fn backend_comm_stats(&self) -> CommStats {
-        let mut total = CommStats::default();
-        for be in &self.limb_backends {
-            total.merge(&lock(be).comm_stats());
-        }
-        total
+        self.engine.pool_stats()
     }
 
     /// Accumulated stream-execution telemetry across every submit this
@@ -178,70 +126,18 @@ impl CkksEvaluator {
     /// wall clock = slowest limb).
     #[must_use]
     pub fn backend_stream_report(&self) -> StreamReport {
-        *self.stream_totals.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.engine.stream_report()
     }
 
     /// Clears accumulated telemetry on every backend.
     pub fn reset_backend_telemetry(&self) {
-        for be in &self.limb_backends {
-            lock(be).reset_telemetry();
-        }
-        *self.stream_totals.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-            StreamReport::default();
+        self.engine.reset();
     }
 
-    /// Rewrites `stream` under the evaluator's [`OptLevel`], folding the
-    /// optimizer counters into `totals`. At `O0` this is the identity.
-    pub(crate) fn compile_stream(
-        &self,
-        stream: OpStream,
-        totals: &mut OptStats,
-    ) -> Result<OpStream> {
-        if self.opt_level == OptLevel::O0 {
-            return Ok(stream);
-        }
-        let (opt, stats) = PassRunner::for_level(self.opt_level).optimize(&stream)?;
-        totals.merge(&stats);
-        Ok(opt)
-    }
-
-    fn absorb_stream(&self, report: &StreamReport) {
-        self.stream_totals.lock().unwrap_or_else(std::sync::PoisonError::into_inner).absorb(report);
-    }
-
-    /// Compiles per-limb streams at the evaluator's [`OptLevel`], fans
-    /// them out across threads (stream `j` on the limb-`j` backend),
-    /// absorbs the group's telemetry (overlapped wall clock = slowest
-    /// limb), and returns each limb's downloaded outputs in order.
-    pub(crate) fn run_limb_streams(&self, streams: Vec<OpStream>) -> Result<Vec<Vec<Vec<u128>>>> {
-        let mut opt_totals = OptStats::default();
-        let streams = streams
-            .into_iter()
-            .map(|st| self.compile_stream(st, &mut opt_totals))
-            .collect::<Result<Vec<_>>>()?;
-        let mut guards: Vec<_> = self.limb_backends[..streams.len()].iter().map(lock).collect();
-        let jobs: Vec<StreamJob<'_>> = guards
-            .iter_mut()
-            .zip(&streams)
-            .map(|(g, stream)| StreamJob { backend: (**g).as_mut(), stream })
-            .collect();
-        let outcomes = StreamExecutor::run_parallel(jobs)?;
-        drop(guards);
-
-        let mut limbs = Vec::with_capacity(streams.len());
-        let mut group = StreamReport::default();
-        let (mut wall_cycles, mut wall_seconds) = (0u64, 0.0f64);
-        for outcome in outcomes {
-            wall_cycles = wall_cycles.max(outcome.report.overlapped_cycles);
-            wall_seconds = wall_seconds.max(outcome.report.overlapped_seconds);
-            group.absorb(&outcome.report);
-            limbs.push(outcome.outputs);
-        }
-        group.overlapped_cycles = wall_cycles;
-        group.overlapped_seconds = wall_seconds;
-        opt_totals.stamp(&mut group);
-        self.absorb_stream(&group);
-        Ok(limbs)
+    /// Executes per-limb streams (stream `j` on the limb-`j` backend)
+    /// and reassembles the ciphertext they computed.
+    fn run(&self, streams: Vec<OpStream>, level: Level, scale: f64) -> Result<CkksCiphertext> {
+        self.ciphertext_from_limb_outputs(self.engine.run(0, streams)?, level, scale)
     }
 
     /// Slot-wise homomorphic addition (same level, same scale).
@@ -250,8 +146,7 @@ impl CkksEvaluator {
     ///
     /// Level/scale mismatches and backend failures.
     pub fn add(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<CkksCiphertext> {
-        let limbs = self.run_limb_streams(self.add_streams(a, b)?)?;
-        self.ciphertext_from_limb_outputs(limbs, a.level(), a.scale())
+        self.run(self.add_streams(a, b)?, a.level(), a.scale())
     }
 
     /// Slot-wise homomorphic subtraction (same level, same scale).
@@ -260,8 +155,7 @@ impl CkksEvaluator {
     ///
     /// Level/scale mismatches and backend failures.
     pub fn sub(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<CkksCiphertext> {
-        let limbs = self.run_limb_streams(self.sub_streams(a, b)?)?;
-        self.ciphertext_from_limb_outputs(limbs, a.level(), a.scale())
+        self.run(self.sub_streams(a, b)?, a.level(), a.scale())
     }
 
     /// Adds an encoded plaintext onto the first component (matching
@@ -271,8 +165,7 @@ impl CkksEvaluator {
     ///
     /// Level/scale mismatches and backend failures.
     pub fn add_plain(&self, a: &CkksCiphertext, pt: &CkksPlaintext) -> Result<CkksCiphertext> {
-        let limbs = self.run_limb_streams(self.add_plain_streams(a, pt)?)?;
-        self.ciphertext_from_limb_outputs(limbs, a.level(), a.scale())
+        self.run(self.add_plain_streams(a, pt)?, a.level(), a.scale())
     }
 
     /// Multiplies by an encoded plaintext (matching level); the result
@@ -283,8 +176,7 @@ impl CkksEvaluator {
     ///
     /// Level mismatches and backend failures.
     pub fn mul_plain(&self, a: &CkksCiphertext, pt: &CkksPlaintext) -> Result<CkksCiphertext> {
-        let limbs = self.run_limb_streams(self.mul_plain_streams(a, pt)?)?;
-        self.ciphertext_from_limb_outputs(limbs, a.level(), a.scale() * pt.scale())
+        self.run(self.mul_plain_streams(a, pt)?, a.level(), a.scale() * pt.scale())
     }
 
     /// Approximate ciphertext multiplication: the 2×2 tensor per limb,
@@ -296,8 +188,7 @@ impl CkksEvaluator {
     /// Returns [`CkksError::WrongCiphertextSize`] unless both operands
     /// have two components, plus level-mismatch and backend failures.
     pub fn multiply(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<CkksCiphertext> {
-        let limbs = self.run_limb_streams(self.tensor_streams(a, b)?)?;
-        self.ciphertext_from_limb_outputs(limbs, a.level(), a.scale() * b.scale())
+        self.run(self.tensor_streams(a, b)?, a.level(), a.scale() * b.scale())
     }
 
     /// Folds the cubic component back onto two via digit-decomposition
@@ -308,8 +199,7 @@ impl CkksEvaluator {
     /// Returns [`CkksError::WrongCiphertextSize`] unless the input has
     /// three components, plus backend failures.
     pub fn relinearize(&self, ct: &CkksCiphertext, rlk: &CkksRelinKey) -> Result<CkksCiphertext> {
-        let limbs = self.run_limb_streams(self.relin_streams(ct, rlk)?)?;
-        self.ciphertext_from_limb_outputs(limbs, ct.level(), ct.scale())
+        self.run(self.relin_streams(ct, rlk)?, ct.level(), ct.scale())
     }
 
     /// Drops the top chain prime: divides the ciphertext (and its scale)
@@ -322,9 +212,7 @@ impl CkksEvaluator {
     pub fn rescale(&self, ct: &CkksCiphertext) -> Result<CkksCiphertext> {
         let streams = self.rescale_streams(ct)?;
         let level = ct.level().lower().ok_or(CkksError::LevelExhausted)?;
-        let scale = self.rescaled_scale(ct)?;
-        let limbs = self.run_limb_streams(streams)?;
-        self.ciphertext_from_limb_outputs(limbs, level, scale)
+        self.run(streams, level, self.rescaled_scale(ct)?)
     }
 
     /// The scale a rescale of `ct` would land on (`scale / q_ℓ`).

@@ -476,29 +476,12 @@ impl Scheduler {
     ) -> Result<(JobResult, u64, u64, usize)> {
         let (params, ev, rlk) = session.bfv(job.session)?;
         let (q, n) = (params.q(), params.n());
-        match &job.kind {
-            JobKind::Add(a, b) => {
-                let st = ev.add_stream(a, b)?;
-                let (outs, finish, service) = self.run_stream(q, n, st, job.arrival)?;
-                self.trace_phase(job.session, "compute", job.arrival, finish);
-                Ok((JobResult::Bfv(ev.ciphertext_from_outputs(outs)?), finish, service, 1))
-            }
-            JobKind::AddPlain(a, pt) => {
-                let st = ev.add_plain_stream(a, pt)?;
-                let (outs, finish, service) = self.run_stream(q, n, st, job.arrival)?;
-                self.trace_phase(job.session, "compute", job.arrival, finish);
-                Ok((JobResult::Bfv(ev.ciphertext_from_outputs(outs)?), finish, service, 1))
-            }
-            JobKind::MulPlain(a, pt) => {
-                let st = ev.mul_plain_stream(a, pt)?;
-                let (outs, finish, service) = self.run_stream(q, n, st, job.arrival)?;
-                self.trace_phase(job.session, "compute", job.arrival, finish);
-                Ok((JobResult::Bfv(ev.ciphertext_from_outputs(outs)?), finish, service, 1))
-            }
+        let st = match &job.kind {
+            JobKind::Add(a, b) => ev.add_stream(a, b)?,
+            JobKind::AddPlain(a, pt) => ev.add_plain_stream(a, pt)?,
+            JobKind::MulPlain(a, pt) => ev.mul_plain_stream(a, pt)?,
             JobKind::MulRelin(a, b) => {
                 let rlk = rlk.ok_or(FarmError::MissingRelinKey { id: job.session.raw() })?;
-                // Phase 1: the per-CRT-limb tensor streams, independent
-                // and all ready at arrival — the farm's parallelism.
                 let streams = ev.tensor_streams(a, b)?;
                 let stream_count = streams.len();
                 let primes = params.mult_basis().moduli().to_vec();
@@ -521,10 +504,14 @@ impl Scheduler {
                 self.trace_phase(job.session, "relin", tensor_done, finish);
                 let ct = ev.ciphertext_from_outputs(outs)?;
                 let service = tensor_service.saturating_add(relin_service);
-                Ok((JobResult::Bfv(ct), finish, service, stream_count + 1))
+                return Ok((JobResult::Bfv(ct), finish, service, stream_count + 1));
             }
             _ => unreachable!("non-BFV kinds dispatch to run_ckks_job"),
-        }
+        };
+        // The single-phase kinds: one mod-q stream, ready at arrival.
+        let (outs, finish, service) = self.run_stream(q, n, st, job.arrival)?;
+        self.trace_phase(job.session, "compute", job.arrival, finish);
+        Ok((JobResult::Bfv(ev.ciphertext_from_outputs(outs)?), finish, service, 1))
     }
 
     /// The CKKS job kinds: every operation fans one stream per active
@@ -541,30 +528,10 @@ impl Scheduler {
     ) -> Result<(JobResult, u64, u64, usize)> {
         let (params, ev, rlk) = session.ckks(job.session)?;
         let n = params.n();
-        match &job.kind {
-            JobKind::CkksAdd(a, b) => {
-                let streams = ev.add_streams(a, b).map_err(FarmError::Ckks)?;
-                let moduli = params.moduli_at(a.level()).to_vec();
-                let count = streams.len();
-                let (limbs, finish, service) =
-                    self.run_limb_batch(&moduli, n, streams, job.arrival)?;
-                self.trace_phase(job.session, "compute", job.arrival, finish);
-                let ct = ev
-                    .ciphertext_from_limb_outputs(limbs, a.level(), a.scale())
-                    .map_err(FarmError::Ckks)?;
-                Ok((JobResult::Ckks(ct), finish, service, count))
-            }
+        let (a, streams, scale) = match &job.kind {
+            JobKind::CkksAdd(a, b) => (a, ev.add_streams(a, b), a.scale()),
             JobKind::CkksMulPlain(a, pt) => {
-                let streams = ev.mul_plain_streams(a, pt).map_err(FarmError::Ckks)?;
-                let moduli = params.moduli_at(a.level()).to_vec();
-                let count = streams.len();
-                let (limbs, finish, service) =
-                    self.run_limb_batch(&moduli, n, streams, job.arrival)?;
-                self.trace_phase(job.session, "compute", job.arrival, finish);
-                let ct = ev
-                    .ciphertext_from_limb_outputs(limbs, a.level(), a.scale() * pt.scale())
-                    .map_err(FarmError::Ckks)?;
-                Ok((JobResult::Ckks(ct), finish, service, count))
+                (a, ev.mul_plain_streams(a, pt), a.scale() * pt.scale())
             }
             JobKind::CkksMulRelin(a, b) => {
                 let rlk = rlk.ok_or(FarmError::MissingRelinKey { id: job.session.raw() })?;
@@ -604,10 +571,20 @@ impl Scheduler {
                     .map_err(FarmError::Ckks)?;
                 let service =
                     tensor_service.saturating_add(relin_service).saturating_add(rescale_service);
-                Ok((JobResult::Ckks(ct), finish, service, count))
+                return Ok((JobResult::Ckks(ct), finish, service, count));
             }
             _ => unreachable!("BFV kinds dispatch to run_bfv_job"),
-        }
+        };
+        // The single-phase kinds: one stream per active limb, all ready
+        // at arrival, landing at the operand's level.
+        let streams = streams.map_err(FarmError::Ckks)?;
+        let moduli = params.moduli_at(a.level()).to_vec();
+        let count = streams.len();
+        let (limbs, finish, service) = self.run_limb_batch(&moduli, n, streams, job.arrival)?;
+        self.trace_phase(job.session, "compute", job.arrival, finish);
+        let ct =
+            ev.ciphertext_from_limb_outputs(limbs, a.level(), scale).map_err(FarmError::Ckks)?;
+        Ok((JobResult::Ckks(ct), finish, service, count))
     }
 
     /// [`Scheduler::run`] with the stream compiler set to `level` first
@@ -823,6 +800,37 @@ mod tests {
             .run(vec![Job { session: id, kind: JobKind::MulRelin(a.clone(), a), arrival: 0 }])
             .unwrap_err();
         assert!(matches!(err, FarmError::MissingRelinKey { id: 0 }));
+    }
+
+    #[test]
+    fn mul_relin_under_another_parameter_sets_key_is_a_typed_error() {
+        let mut t = tenant(37);
+        let a = encrypt(&mut t, 3);
+        let n = t.params.n();
+        // A 59-bit q keeps the digit count (foreign ring only); a 40-bit
+        // q also yields one digit too few.
+        for bits in [59, 40] {
+            let q = cofhee_arith::primes::ntt_prime(bits, n).unwrap();
+            let other = BfvParams::new(n, t.params.t(), q).unwrap();
+            let rlk = KeyGenerator::new(&other, &mut t.rng).relin_key(16, &mut t.rng).unwrap();
+            let farm = ChipFarm::new(1, ChipBackendFactory::silicon()).unwrap();
+            let mut s = Scheduler::new(farm, Box::new(WorkStealing));
+            // The handle is valid: the session opens under the tenant's
+            // own parameters, only the key material is foreign.
+            let id = s.open_session(Session::new("mixed-up", &t.params, rlk).unwrap());
+            let err = s
+                .run(vec![Job {
+                    session: id,
+                    kind: JobKind::MulRelin(a.clone(), a.clone()),
+                    arrival: 0,
+                }])
+                .unwrap_err();
+            assert!(
+                matches!(err, FarmError::Bfv(cofhee_bfv::BfvError::ParamsMismatch)),
+                "{bits}-bit key: {err}"
+            );
+            assert_eq!(s.report().jobs, 0, "a refused job leaves no outcome");
+        }
     }
 
     #[test]

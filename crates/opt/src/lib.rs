@@ -35,7 +35,9 @@
 //!
 //! The consumer-facing knob is [`OptLevel`]: `O0` executes streams as
 //! recorded, `O1` applies the rewrite pipeline, `O2` adds partitioning
-//! across dies where a farm is available.
+//! across dies where a farm is available. The scheme evaluators hold it
+//! inside a [`LimbEngine`] — one backend per modulus plus the level —
+//! which compiles, fans out and accounts every stream they record.
 //!
 //! # Example
 //!
@@ -66,6 +68,7 @@
 mod cost;
 mod cse;
 mod dce;
+mod engine;
 mod fuse;
 mod hoist;
 mod partition;
@@ -74,6 +77,7 @@ mod pass;
 pub use cost::{node_cost, stream_cost};
 pub use cse::Cse;
 pub use dce::Dce;
+pub use engine::LimbEngine;
 pub use fuse::Fuse;
 pub use hoist::TransferHoist;
 pub use partition::{execute_partitioned, PartitionPlan, Partitioner};

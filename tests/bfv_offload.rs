@@ -12,9 +12,10 @@
 //! are bit-identical.
 
 use cofhee::bfv::{
-    BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext,
+    BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext, RelinKey,
 };
 use cofhee::core::{BackendFactory, ChipBackendFactory, CpuBackendFactory};
+use cofhee::opt::OptLevel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,6 +23,7 @@ struct Fixture {
     params: BfvParams,
     enc: Encryptor,
     dec: Decryptor,
+    rlk: RelinKey,
     rng: StdRng,
 }
 
@@ -35,6 +37,7 @@ fn fixture(n: usize, seed: u64) -> Fixture {
     Fixture {
         enc: Encryptor::new(&params, pk),
         dec: Decryptor::new(&params, kg.secret_key().clone()),
+        rlk: kg.relin_key(16, &mut rng).unwrap(),
         params,
         rng,
     }
@@ -94,19 +97,43 @@ fn cpu_and_chip_evaluators_agree_bit_exactly() {
     let ct_a = encrypt(&mut f, 3);
     let ct_b = encrypt(&mut f, 4);
 
+    // Every direct op is record → compile → run → finish, so each also
+    // has to agree at every stream-compiler level on both backends.
+    let mut compiled = Vec::new();
+    for backend in backends {
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let eval = Evaluator::with_backend(&f.params, backend).unwrap().with_opt_level(level);
+            compiled.push((format!("{} at {level}", backend.name()), eval));
+        }
+    }
+
     type EvalOp<'a> = Box<dyn Fn(&Evaluator) -> Ciphertext + 'a>;
-    let ops: [(&str, EvalOp<'_>); 4] = [
-        ("add", Box::new(|e: &Evaluator| e.add(&ct_a, &ct_b).unwrap())),
-        ("sub", Box::new(|e: &Evaluator| e.sub(&ct_a, &ct_b).unwrap())),
-        ("mul_plain", {
-            let pt = Plaintext::constant(&f.params, 7).unwrap();
-            let ct = ct_a.clone();
-            Box::new(move |e: &Evaluator| e.mul_plain(&ct, &pt).unwrap())
-        }),
-        ("multiply", Box::new(|e: &Evaluator| e.multiply(&ct_a, &ct_b).unwrap())),
+    let pt = Plaintext::constant(&f.params, 7).unwrap();
+    // (name, submits one mod-q stream, op)
+    let ops: [(&str, bool, EvalOp<'_>); 7] = [
+        ("add", true, Box::new(|e: &Evaluator| e.add(&ct_a, &ct_b).unwrap())),
+        ("sub", true, Box::new(|e: &Evaluator| e.sub(&ct_a, &ct_b).unwrap())),
+        ("neg", true, Box::new(|e: &Evaluator| e.neg(&ct_a).unwrap())),
+        ("add_plain", true, Box::new(|e: &Evaluator| e.add_plain(&ct_a, &pt).unwrap())),
+        ("mul_plain", true, Box::new(|e: &Evaluator| e.mul_plain(&ct_a, &pt).unwrap())),
+        ("multiply", false, Box::new(|e: &Evaluator| e.multiply(&ct_a, &ct_b).unwrap())),
+        (
+            "multiply_relin",
+            false,
+            Box::new(|e: &Evaluator| e.multiply_relin(&ct_a, &ct_b, &f.rlk).unwrap()),
+        ),
     ];
-    for (name, op) in &ops {
+    for (name, linear, op) in &ops {
         assert_eq!(op(&cpu), op(&chip), "{name} must be bit-identical across backends");
+        let reference = op(&cpu);
+        for (label, eval) in &compiled {
+            let before = eval.backend_stream_report().batches;
+            assert_eq!(op(eval), reference, "{name} on {label}");
+            if *linear {
+                let submitted = eval.backend_stream_report().batches - before;
+                assert_eq!(submitted, 1, "{name} on {label} is one stream submit");
+            }
+        }
     }
 
     let prod = chip.multiply(&ct_a, &ct_b).unwrap();
