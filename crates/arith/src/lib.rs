@@ -22,7 +22,8 @@
 //! * [`rns`] — the Residue Number System (Section II-D): tower
 //!   decomposition and CRT reconstruction.
 //! * [`signed`] — centered signed representatives and round-to-nearest
-//!   division, the decoder primitives shared by BFV and CKKS.
+//!   division, the decoder primitives shared by BFV and CKKS, and
+//!   [`signed::ScaleRound`], the exact `⌊t·x/q⌉` for a fixed `(t, q)`.
 //!
 //! # Examples
 //!

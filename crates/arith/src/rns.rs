@@ -9,11 +9,18 @@
 //! (two 109-bit towers for 218 bits) — the architectural argument of
 //! Section III-C.
 
-use crate::barrett::Barrett128;
+use crate::barrett::{Barrett128, Barrett64, MAX_BARRETT64_BITS};
 use crate::error::{ArithError, Result};
 use crate::primes;
 use crate::ring::ModRing;
+use crate::shoup::{LazyRing, ShoupMul};
 use crate::u256::U256;
+
+/// Most limbs the word-level Garner path takes: its mixed-radix digits
+/// live in a stack array of this size, and the last digit's inner sum —
+/// 15 products below `(2^62)²` — still fits the `u128` it accumulates in
+/// unreduced.
+const MAX_WORD_LIMBS: usize = 16;
 
 /// An RNS basis: pairwise-coprime prime moduli whose product covers the
 /// wide modulus `Q = Π qᵢ`.
@@ -42,6 +49,21 @@ pub struct RnsBasis {
     product: U256,
     /// Garner constants: `(q₁·…·qᵢ₋₁)^{-1} mod qᵢ` for `i ≥ 1`.
     garner_inv: Vec<u128>,
+    /// The same constants on machine words, present when every modulus is
+    /// below `2^62` and there are at most [`MAX_WORD_LIMBS`] of them —
+    /// every basis the BFV and CKKS layers build.
+    word: Option<Vec<WordLimb>>,
+}
+
+/// Garner constants of one limb `pᵢ < 2^62` for the word-level path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct WordLimb {
+    ring: Barrett64,
+    /// `(p₀·…·p_{j−1}) mod pᵢ` for each `j < i` (the weight of mixed-radix
+    /// digit `j`; `1` for `j = 0`).
+    weights: Vec<u64>,
+    /// `(p₀·…·p_{i−1})^{-1} mod pᵢ` with its Shoup quotient.
+    inv: ShoupMul<u64>,
 }
 
 impl RnsBasis {
@@ -80,7 +102,25 @@ impl RnsBasis {
             }
             garner_inv.push(ring.inv(prefix)?);
         }
-        Ok(Self { moduli, rings, product, garner_inv })
+        let narrow =
+            moduli.len() <= MAX_WORD_LIMBS && moduli.iter().all(|&q| q >> MAX_BARRETT64_BITS == 0);
+        let word = if narrow {
+            let mut limbs = Vec::with_capacity(moduli.len());
+            for (i, &q) in moduli.iter().enumerate() {
+                let ring = Barrett64::new(q as u64)?;
+                let mut prefix = 1u64;
+                let mut weights = Vec::with_capacity(i);
+                for &p in &moduli[..i] {
+                    weights.push(prefix);
+                    prefix = ring.mul(prefix, ring.from_u128(p));
+                }
+                limbs.push(WordLimb { ring, weights, inv: ring.shoup(garner_inv[i] as u64) });
+            }
+            Some(limbs)
+        } else {
+            None
+        };
+        Ok(Self { moduli, rings, product, garner_inv, word })
     }
 
     /// Builds a basis of NTT-friendly primes covering `total_bits` bits
@@ -153,9 +193,16 @@ impl RnsBasis {
 
     /// Reconstructs the value in `[0, Q)` from its residues.
     ///
-    /// Uses Garner's mixed-radix algorithm — per-modulus arithmetic plus a
-    /// handful of 256-bit multiply-adds, no wide divisions — because this
-    /// sits on the critical path of exact BFV ciphertext multiplication.
+    /// Garner's mixed-radix algorithm — per-modulus arithmetic plus a
+    /// Horner sum in 256 bits, no wide divisions and no heap allocation —
+    /// because this sits on the critical path of exact BFV ciphertext
+    /// multiplication. Which arithmetic runs is fixed by the moduli when
+    /// the basis is built: if all of them are below `2^62` (and there are
+    /// at most 16), the digits are computed on 64-bit words with
+    /// [`Barrett64`], sums of products accumulated unreduced in a `u128`
+    /// and the inverse applied by a Shoup multiplication; a basis with a
+    /// wider modulus (the chip's 109 + 109-bit plan) runs the same
+    /// recurrence on [`Barrett128`].
     ///
     /// # Errors
     ///
@@ -171,6 +218,16 @@ impl RnsBasis {
                 return Err(ArithError::OperandOutOfRange { value: r, modulus: q });
             }
         }
+        let x = match &self.word {
+            Some(limbs) => compose_words(limbs, residues),
+            None => self.compose_wide(residues),
+        };
+        debug_assert!(x < self.product);
+        Ok(x)
+    }
+
+    /// Garner on [`Barrett128`], for validated residues of any basis.
+    fn compose_wide(&self, residues: &[u128]) -> U256 {
         // Mixed-radix digits: v_i = (r_i − (v₁ + p₁(v₂ + p₂(…)))) ·
         // (p₁…p_{i−1})^{-1}  (mod p_i).
         let k = self.moduli.len();
@@ -195,8 +252,7 @@ impl RnsBasis {
                 .wrapping_mul(U256::from_u128(self.moduli[i]))
                 .wrapping_add(U256::from_u128(digits[i]));
         }
-        debug_assert!(x < self.product);
-        Ok(x)
+        x
     }
 
     /// Centered reconstruction: values in `[Q/2, Q)` map to negatives,
@@ -216,6 +272,28 @@ impl RnsBasis {
             Ok((v, false))
         }
     }
+}
+
+/// Garner on machine words, for validated residues of a basis whose
+/// moduli are all below `2^62`.
+fn compose_words(limbs: &[WordLimb], residues: &[u128]) -> U256 {
+    // Mixed-radix digits: vᵢ = (rᵢ − Σ_{j<i} vⱼ·(p₀…p_{j−1})) ·
+    // (p₀…p_{i−1})^{-1}  (mod pᵢ). Every product is below 2^124 and there
+    // are fewer than MAX_WORD_LIMBS of them, so the sum needs one
+    // reduction, not one per term.
+    let mut digits = [0u64; MAX_WORD_LIMBS];
+    for (i, limb) in limbs.iter().enumerate() {
+        let acc: u128 =
+            limb.weights.iter().zip(&digits).map(|(&w, &v)| w as u128 * v as u128).sum();
+        let diff = limb.ring.sub(residues[i] as u64, limb.ring.reduce_u128(acc));
+        digits[i] = limb.ring.mul_shoup(diff, limb.inv.value, limb.inv.quotient);
+    }
+    // x = v₀ + p₀·(v₁ + p₁·(v₂ + …)), exact in 256 bits.
+    let mut x = U256::ZERO;
+    for (limb, &v) in limbs.iter().zip(&digits[..limbs.len()]).rev() {
+        x = x.mul_add_u64(limb.ring.q(), v);
+    }
+    x
 }
 
 /// Remainder of a 256-bit value modulo a 128-bit modulus.
@@ -272,6 +350,47 @@ mod tests {
         assert!(basis.compose(&[1]).is_err());
         let q0 = basis.moduli()[0];
         assert!(basis.compose(&[q0, 0]).is_err());
+    }
+
+    #[test]
+    fn word_and_wide_garner_agree() {
+        // Every residue pattern must leave both recurrences on one value:
+        // BFV's paper-scale computation basis (5 limbs, 236 bits), the
+        // widest word limbs, and a CKKS-shaped 43 + 33 + 33-bit chain.
+        let chain = [
+            primes::ntt_primes(43, 1 << 13, 1).unwrap(),
+            primes::ntt_primes(33, 1 << 13, 2).unwrap(),
+        ];
+        for moduli in [
+            RnsBasis::for_total_bits(236, 64, 1 << 13).unwrap().moduli,
+            primes::ntt_primes(61, 1 << 13, 4).unwrap(),
+            chain.concat(),
+        ] {
+            let basis = RnsBasis::new(moduli).unwrap();
+            let limbs = basis.word.as_ref().expect("all moduli are below 2^62");
+            let mut state = 0x9e37_79b9_7f4a_7c15_u128;
+            for _ in 0..2000 {
+                let residues: Vec<u128> = basis
+                    .moduli()
+                    .iter()
+                    .map(|&p| {
+                        state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(0x1405_7b7e);
+                        (state >> 32) % p
+                    })
+                    .collect();
+                assert_eq!(compose_words(limbs, &residues), basis.compose_wide(&residues));
+            }
+        }
+        // A 109-bit limb, or more limbs than the digit array holds, stays wide.
+        assert!(RnsBasis::for_total_bits(218, 128, 1 << 13).unwrap().word.is_none());
+        let tiny = [3u128, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61];
+        let many = RnsBasis::new(tiny.to_vec()).unwrap();
+        assert!(many.word.is_none());
+        assert_eq!(
+            many.compose(&many.decompose_u128(123_456_789)).unwrap().to_u128(),
+            Some(123_456_789)
+        );
+        assert!(RnsBasis::new(tiny[..16].to_vec()).unwrap().word.is_some());
     }
 
     #[test]

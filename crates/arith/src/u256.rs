@@ -225,6 +225,20 @@ impl U256 {
         }
     }
 
+    /// `self · m + a` modulo `2^256`, four word multiplications — the
+    /// Horner step of a mixed-radix reconstruction.
+    #[inline]
+    pub(crate) fn mul_add_u64(self, m: u64, a: u64) -> Self {
+        let mut out = [0u64; 4];
+        let mut carry = a;
+        for (o, &l) in out.iter_mut().zip(&self.limbs) {
+            let t = l as u128 * m as u128 + carry as u128;
+            *o = t as u64;
+            carry = (t >> 64) as u64;
+        }
+        Self { limbs: out }
+    }
+
     /// Wrapping left shift; shifts of 256 or more produce zero.
     #[allow(clippy::should_implement_trait)] // u32 shift amount, unlike ops::Shl<Self>
     pub fn shl(self, shift: u32) -> Self {
@@ -266,31 +280,21 @@ impl U256 {
 
     /// Quotient and remainder of a division.
     ///
-    /// Uses binary long division; intended for setup paths (Barrett
-    /// constants, CRT reconstruction), not inner loops.
+    /// Knuth's Algorithm D over 64-bit limbs (TAOCP vol. 2, §4.3.1): one
+    /// 128-by-64-bit division, one multiply-subtract over the divisor's
+    /// limbs and a rare add-back per quotient *limb* — at most four
+    /// rounds, and a single pass of word divisions when the divisor fits
+    /// one limb. Cheap enough for per-coefficient use (CRT rounding, BFV
+    /// decryption), not only for set-up constants.
     ///
     /// # Panics
     ///
     /// Panics if `divisor` is zero.
     pub fn div_rem(self, divisor: Self) -> (Self, Self) {
         assert!(!divisor.is_zero(), "division by zero");
-        if self < divisor {
-            return (Self::ZERO, self);
-        }
-        let mut quotient = Self::ZERO;
-        let mut remainder = Self::ZERO;
-        let top = self.bits();
-        for i in (0..top).rev() {
-            remainder = remainder.shl(1);
-            if self.bit(i) {
-                remainder.limbs[0] |= 1;
-            }
-            if remainder >= divisor {
-                remainder = remainder.wrapping_sub(divisor);
-                quotient.limbs[(i / 64) as usize] |= 1 << (i % 64);
-            }
-        }
-        (quotient, remainder)
+        let [n0, n1, n2, n3] = self.limbs;
+        let (q, r) = div_limbs([n0, n1, n2, n3, 0, 0, 0, 0], divisor.limbs);
+        (Self { limbs: [q[0], q[1], q[2], q[3]] }, Self { limbs: r })
     }
 
     /// Remainder of a division (see [`U256::div_rem`]).
@@ -309,7 +313,8 @@ impl U256 {
     ///
     /// This is the workhorse behind Barrett constant generation
     /// (`µ = ⌊2^k / q⌋` with `k` up to 256) and CRT reconstruction of
-    /// double-width products.
+    /// double-width products. Same Algorithm D core as [`U256::div_rem`],
+    /// run over the eight numerator limbs: at most eight rounds.
     ///
     /// # Panics
     ///
@@ -318,24 +323,104 @@ impl U256 {
     pub fn div_rem_wide(low: Self, high: Self, divisor: Self) -> (Self, Self) {
         assert!(!divisor.is_zero(), "division by zero");
         assert!(high < divisor, "quotient overflow in wide division");
-        let mut quotient = Self::ZERO;
-        let mut remainder = high;
-        for i in (0..256u32).rev() {
-            let carry_out = remainder.bit(255);
-            remainder = remainder.shl(1);
-            if low.bit(i) {
-                remainder.limbs[0] |= 1;
-            }
-            // `high < divisor` keeps the running remainder below `2·divisor`,
-            // so a single conditional subtract restores the invariant even
-            // when the shift carried out of bit 255.
-            if carry_out || remainder >= divisor {
-                remainder = remainder.wrapping_sub(divisor);
-                quotient.limbs[(i / 64) as usize] |= 1 << (i % 64);
+        let ([l0, l1, l2, l3], [h0, h1, h2, h3]) = (low.limbs, high.limbs);
+        let (q, r) = div_limbs([l0, l1, l2, l3, h0, h1, h2, h3], divisor.limbs);
+        debug_assert_eq!(q[4..], [0; 4], "high < divisor bounds the quotient");
+        (Self { limbs: [q[0], q[1], q[2], q[3]] }, Self { limbs: r })
+    }
+}
+
+/// Knuth's Algorithm D on little-endian 64-bit limbs: the 512-bit `num`
+/// divided by the nonzero 256-bit `den`, as `(quotient, remainder)`.
+/// Step names follow TAOCP vol. 2, §4.3.1.
+fn div_limbs(num: [u64; 8], den: [u64; 4]) -> ([u64; 8], [u64; 4]) {
+    let n = 4 - den.iter().rev().take_while(|&&l| l == 0).count();
+    let m = 8 - num.iter().rev().take_while(|&&l| l == 0).count();
+    debug_assert!(n > 0, "callers reject a zero divisor");
+    let mut quot = [0u64; 8];
+    if m < n {
+        return (quot, [num[0], num[1], num[2], num[3]]);
+    }
+    if n == 1 {
+        // Single-limb divisor: schoolbook short division, one word
+        // division per numerator limb.
+        let d = den[0] as u128;
+        let mut rem = 0u128;
+        for i in (0..m).rev() {
+            let cur = (rem << 64) | num[i] as u128;
+            quot[i] = (cur / d) as u64;
+            rem = cur % d;
+        }
+        return (quot, [rem as u64, 0, 0, 0]);
+    }
+    // D1: normalise so the divisor's top limb has its high bit set, which
+    // is what keeps the two-limb quotient estimate within 2 of the truth.
+    let shift = den[n - 1].leading_zeros();
+    let mut v = [0u64; 4];
+    let mut u = [0u64; 9];
+    if shift == 0 {
+        v = den;
+        u[..8].copy_from_slice(&num);
+    } else {
+        for i in (1..n).rev() {
+            v[i] = (den[i] << shift) | (den[i - 1] >> (64 - shift));
+        }
+        v[0] = den[0] << shift;
+        u[m] = num[m - 1] >> (64 - shift);
+        for i in (1..m).rev() {
+            u[i] = (num[i] << shift) | (num[i - 1] >> (64 - shift));
+        }
+        u[0] = num[0] << shift;
+    }
+    let (v_top, v_next) = (v[n - 1] as u128, v[n - 2] as u128);
+    // D2/D7: one quotient limb per round, most significant first.
+    for j in (0..=m - n).rev() {
+        // D3: estimate from the top two numerator limbs, refined against
+        // the divisor's second limb; afterwards qhat is exact or 1 over.
+        let top = ((u[j + n] as u128) << 64) | u[j + n - 1] as u128;
+        let mut qhat = top / v_top;
+        let mut rhat = top % v_top;
+        while qhat >> 64 != 0 || qhat * v_next > ((rhat << 64) | u[j + n - 2] as u128) {
+            qhat -= 1;
+            rhat += v_top;
+            if rhat >> 64 != 0 {
+                break;
             }
         }
-        (quotient, remainder)
+        // D4: u[j..=j+n] -= qhat · v.
+        let mut carry = 0u64;
+        let mut borrow = false;
+        for i in 0..n {
+            let p = qhat * v[i] as u128 + carry as u128;
+            carry = (p >> 64) as u64;
+            let (d, b1) = u[j + i].overflowing_sub(p as u64);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            u[j + i] = d;
+            borrow = b1 | b2;
+        }
+        let (d, b1) = u[j + n].overflowing_sub(carry);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        u[j + n] = d;
+        // D5/D6: the estimate was 1 over (probability ≈ 2/2^64 on random
+        // data): add the divisor back and drop the carry out of the top.
+        if b1 | b2 {
+            qhat -= 1;
+            let mut carry = 0u64;
+            for i in 0..n {
+                let s = u[j + i] as u128 + v[i] as u128 + carry as u128;
+                u[j + i] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            u[j + n] = u[j + n].wrapping_add(carry);
+        }
+        quot[j] = qhat as u64;
     }
+    // D8: the remainder is the low n limbs of u, denormalised.
+    let mut rem = [0u64; 4];
+    for i in 0..n {
+        rem[i] = if shift == 0 { u[i] } else { (u[i] >> shift) | (u[i + 1] << (64 - shift)) };
+    }
+    (quot, rem)
 }
 
 impl PartialOrd for U256 {

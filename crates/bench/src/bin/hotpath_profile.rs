@@ -7,6 +7,13 @@
 //! towers and the chip-native Barrett128), comparing the strict
 //! per-butterfly-reduction kernels (`cofhee_poly::ntt`, the oracle)
 //! against the Harvey lazy-reduction rewrite (`cofhee_poly::lazy`).
+//! A `crt_scale_round` row per paper-scale BFV basis (log q = 109) does
+//! the same for the host half of ciphertext multiplication: ns per
+//! coefficient of CRT reconstruction plus Eq. 4's `⌊t·x/q⌉ mod q`, by the
+//! generic public route (`compose_centered`, `widening_mul`,
+//! `round_div_u256`, `rem`: a 256-bit division each) against
+//! `Evaluator::tensor_combine` (word-level Garner and the precomputed
+//! `ScaleRound`).
 //! Every measured pair is also checked bit-exact before it is timed.
 //!
 //! ```sh
@@ -34,7 +41,10 @@
 
 use std::fmt::Write as _;
 
-use cofhee_arith::{primes::ntt_prime, Barrett128, Barrett64, LazyRing, ModRing};
+use cofhee_arith::{
+    primes::ntt_prime, signed::round_div_u256, Barrett128, Barrett64, LazyRing, ModRing, U256,
+};
+use cofhee_bfv::{BfvParams, Evaluator};
 use cofhee_poly::{ntt, pointwise, HarveyNtt};
 
 /// Allowed relative regression of `lazy_ns / strict_ns` vs baseline.
@@ -218,6 +228,83 @@ fn measure<R: LazyRing>(
     Ok(())
 }
 
+/// The host CRT finisher by the generic public route: per coefficient,
+/// `compose_centered`, then `⌊t·|x|/q⌉ mod q` through `round_div_u256`
+/// and `rem`, sign re-applied. Returns the `3n` coefficients in order.
+fn generic_crt_scale_round(
+    params: &BfvParams,
+    limbs: &[Vec<Vec<u128>>],
+) -> Result<Vec<u128>, Box<dyn std::error::Error>> {
+    let basis = params.mult_basis();
+    let (q, t) = (params.q(), U256::from_u128(params.t() as u128));
+    let mut residues = vec![0u128; basis.len()];
+    let mut out = Vec::with_capacity(3 * params.n());
+    for part in 0..3 {
+        for j in 0..params.n() {
+            for (r, limb) in residues.iter_mut().zip(limbs) {
+                *r = limb[part][j];
+            }
+            let (mag, neg) = basis.compose_centered(&residues)?;
+            let num = mag.checked_mul(t).ok_or("t·|x| exceeds 256 bits")?;
+            let r = round_div_u256(num, U256::from_u128(q)).rem(U256::from_u128(q)).low_u128();
+            out.push(if neg && r != 0 { q - r } else { r });
+        }
+    }
+    Ok(out)
+}
+
+/// Measures the `crt_scale_round` row at one degree of the paper's
+/// 109-bit parameter set: `strict` is the generic route, `lazy` is
+/// `Evaluator::tensor_combine`, both in ns per coefficient, equal bit for
+/// bit before either is timed.
+fn measure_crt(
+    log_n: u32,
+    reps: usize,
+    out: &mut Vec<Record>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let n = 1usize << log_n;
+    let params = BfvParams::new(n, ntt_prime(20, n)? as u64, ntt_prime(109, n)?)?;
+    let eval = Evaluator::new(&params)?;
+    let limbs: Vec<Vec<Vec<u128>>> = params
+        .mult_basis()
+        .moduli()
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| {
+            let ring = Barrett128::new(p)?;
+            let seed = 0xc47 + 8 * i as u128 + log_n as u128;
+            Ok((0..3).map(|part| rand_poly(&ring, n, seed << 2 | part)).collect())
+        })
+        .collect::<Result<_, cofhee_arith::ArithError>>()?;
+
+    let combined = eval.tensor_combine(&limbs)?;
+    let fast: Vec<u128> = combined.polys().iter().flat_map(|p| p.coeffs().to_vec()).collect();
+    assert_eq!(
+        fast,
+        generic_crt_scale_round(&params, &limbs)?,
+        "bfv_q109 2^{log_n}: tensor_combine != generic CRT scale-and-round"
+    );
+
+    let (generic_ns, fast_ns) = time_pair(
+        reps,
+        || {
+            let _ = generic_crt_scale_round(&params, &limbs).unwrap();
+        },
+        || {
+            let _ = eval.tensor_combine(&limbs).unwrap();
+        },
+    );
+    let per_coeff = (3 * n) as f64;
+    out.push(Record {
+        ring: "bfv_q109".into(),
+        log_n,
+        op: "crt_scale_round".into(),
+        strict_ns: generic_ns / per_coeff,
+        lazy_ns: fast_ns / per_coeff,
+    });
+    Ok(())
+}
+
 fn render_json(mode: &str, records: &[Record]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
@@ -356,9 +443,17 @@ fn check_against_baseline(records: &[Record], baseline: &[Record]) -> usize {
     failures
 }
 
-/// One full sweep: both rings at every degree.
-fn collect(log_ns: &[u32], reps: usize) -> Result<Vec<Record>, Box<dyn std::error::Error>> {
+/// One full sweep: both rings at every degree of `log_ns`, and the host
+/// CRT row at every degree of `crt_log_ns`.
+fn collect(
+    log_ns: &[u32],
+    crt_log_ns: &[u32],
+    reps: usize,
+) -> Result<Vec<Record>, Box<dyn std::error::Error>> {
     let mut records = Vec::new();
+    for &log_n in crt_log_ns {
+        measure_crt(log_n, reps, &mut records)?;
+    }
     for &log_n in log_ns {
         let n = 1usize << log_n;
         let q64 = ntt_prime(55, n)? as u64;
@@ -395,13 +490,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the --check gate needs best-of to converge well below the
     // regression budget's noise floor.
     let log_ns: &[u32] = if smoke { &[11, 12] } else { &[10, 11, 12, 13, 14] };
+    // The host CRT row runs at the paper's two degrees (smoke: its own).
+    let crt_log_ns: &[u32] = if smoke { log_ns } else { &[12, 13] };
     let reps = cofhee_bench::sized(12, 40);
 
     println!("Hot-path profile: strict vs Harvey lazy-reduction kernels ({mode} mode)");
     println!("(best of {reps} reps per point; both kernels verified bit-exact before timing)\n");
 
     let baseline = if check { Some(load_baseline()?) } else { None };
-    let mut records = collect(log_ns, reps)?;
+    let mut records = collect(log_ns, crt_log_ns, reps)?;
     if let Some(baseline) = &baseline {
         // Noise rejection: a genuine kernel regression survives a
         // re-measurement; a scheduling hiccup on a shared host does
@@ -410,7 +507,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if !any_regressed(&records, baseline) {
                 break;
             }
-            let fresh = collect(log_ns, reps)?;
+            let fresh = collect(log_ns, crt_log_ns, reps)?;
             merge_best_ratio(&mut records, &fresh);
         }
     }

@@ -110,25 +110,16 @@ impl Decryptor {
     pub fn decrypt(&self, ct: &Ciphertext) -> Result<Plaintext> {
         let v = self.decryption_poly(ct)?;
         let ring = self.params.poly_ring().ring();
-        let q = self.params.q();
-        let t = self.params.t();
-        let coeffs: Vec<u64> = v
+        let round = self.params.decrypt_round();
+        // m = ⌊t·v/q⌉ mod t on the centered representative.
+        let coeffs = v
             .coeffs()
             .iter()
             .map(|&c| {
-                // m = ⌊t·v/q⌉ on the centered representative.
                 let (mag, neg) = sampling::elem_to_centered(ring, c);
-                let (num, hi) = U256::from_u128(mag).widening_mul(U256::from_u128(t as u128));
-                debug_assert!(hi.is_zero());
-                let rounded = cofhee_arith::signed::round_div_u256(num, U256::from_u128(q));
-                let m = rounded.rem(U256::from_u128(t as u128)).low_u128() as u64;
-                if neg && m != 0 {
-                    t - m
-                } else {
-                    m
-                }
+                Ok(round.apply(U256::from_u128(mag), neg)? as u64)
             })
-            .collect();
+            .collect::<Result<Vec<u64>>>()?;
         Plaintext::new(&self.params, coeffs)
     }
 

@@ -26,13 +26,17 @@
 //!    components, and [`Evaluator::tensor_combine`] performs the CRT
 //!    base extension and `⌊t·x/q⌉` rounding of Eq. 4 over the per-limb
 //!    tensor outputs — exactly the work the paper keeps on the host.
+//!    It is exact and word-level: Garner on 64-bit words
+//!    ([`RnsBasis::compose`](cofhee_arith::rns::RnsBasis::compose)) and
+//!    the precomputed [`ScaleRound`](cofhee_arith::signed::ScaleRound) of
+//!    the parameter set, no division and no allocation per coefficient.
 //!
 //! One recording, two executors: a job run through borrowed backends is
 //! bit-identical to the evaluator running it directly, on any backend
 //! under any placement — which is what makes farm results independent of
 //! scheduling policy and chip count.
 
-use cofhee_arith::{Barrett128, U256};
+use cofhee_arith::Barrett128;
 use cofhee_core::{KeySwitchKeys, OpStream, StreamHandle};
 use cofhee_poly::Polynomial;
 
@@ -218,14 +222,29 @@ impl Evaluator {
 
     /// Finishes an exact multiplication from per-limb tensor outputs:
     /// CRT-reconstructs each integer coefficient across the computation
-    /// basis, centers it, and applies the `⌊t·x/q⌉` rounding of Eq. 4 —
-    /// the host-side half the paper never offloads. `limbs[i]` must be
-    /// the three outputs of [`Evaluator::tensor_streams`] stream `i`.
+    /// basis, centers it, and applies the `⌊t·x/q⌉ mod q` rounding of
+    /// Eq. 4 — the host-side half the paper never offloads. `limbs[i]`
+    /// must be the three outputs of [`Evaluator::tensor_streams`] stream
+    /// `i`.
+    ///
+    /// Per coefficient this is one gather, one
+    /// [`compose_centered`](cofhee_arith::rns::RnsBasis::compose_centered)
+    /// and one [`ScaleRound::apply`](cofhee_arith::signed::ScaleRound::apply)
+    /// — bit for bit `round_div_u256(t·|x|, q).rem(q)` with the sign
+    /// re-applied, from multiplications by constants fixed in
+    /// [`BfvParams::new`](crate::BfvParams::new). Heap allocations are the
+    /// three output vectors and one residue scratch, whatever `n` is.
     ///
     /// # Errors
     ///
     /// Returns [`BfvError::InvalidParams`] when the limb set does not
-    /// match the computation basis or the outputs are malformed.
+    /// match the computation basis or the outputs are malformed, and
+    /// [`BfvError::Arith`] for an unreduced residue
+    /// ([`OperandOutOfRange`](cofhee_arith::ArithError::OperandOutOfRange))
+    /// or a coefficient whose `t·|x|` does not fit 256 bits
+    /// ([`Overflow`](cofhee_arith::ArithError::Overflow)) — residues no
+    /// honest tensor produces, since `|x| ≤ n·q²/2`, but the computation
+    /// basis itself reaches past that bound.
     pub fn tensor_combine(&self, limbs: &[Vec<Vec<u128>>]) -> Result<Ciphertext> {
         let n = self.params().n();
         let k = self.params().mult_basis().len();
@@ -242,31 +261,17 @@ impl Evaluator {
             }
         }
         let basis = self.params().mult_basis();
-        let q = self.params().q();
-        let t = self.params().t() as u128;
+        let round = self.params().tensor_round();
+        let mut residues = vec![0u128; k];
         let mut out_polys = Vec::with_capacity(3);
         for part in 0..3 {
             let mut coeffs = Vec::with_capacity(n);
-            let mut residues = vec![0u128; k];
             for j in 0..n {
                 for (r, limb) in residues.iter_mut().zip(limbs) {
                     *r = limb[part][j];
                 }
                 let (mag, neg) = basis.compose_centered(&residues)?;
-                // y = ⌊t·mag / q⌉ — parameters guarantee t·mag fits 256
-                // bits (see BfvParams validation).
-                let (num, hi) = mag.widening_mul(U256::from_u128(t));
-                debug_assert!(hi.is_zero());
-                let _ = hi;
-                let y = cofhee_arith::signed::round_div_u256(num, U256::from_u128(q));
-                let r = y.rem(U256::from_u128(q)).low_u128();
-                coeffs.push(if neg && r != 0 {
-                    q - r
-                } else if neg {
-                    0
-                } else {
-                    r
-                });
+                coeffs.push(round.apply(mag, neg)?);
             }
             out_polys.push(self.poly_from(coeffs)?);
         }

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use cofhee_arith::{primes, rns::RnsBasis, Barrett128};
+use cofhee_arith::{primes, rns::RnsBasis, signed::ScaleRound, Barrett128};
 use cofhee_poly::PolyRing;
 
 use crate::error::{BfvError, Result};
@@ -37,9 +37,21 @@ pub struct BfvParams {
     poly_ring: Arc<PolyRing<Barrett128>>,
     /// Δ = ⌊q/t⌋, the plaintext scaling factor of Eq. 2.
     delta: u128,
+    /// The host-side CRT and rounding constants, shared by clones like
+    /// the ring context.
+    crt: Arc<CrtTables>,
+}
+
+/// What the host half of multiplication and decryption precomputes.
+#[derive(Debug)]
+struct CrtTables {
     /// NTT-friendly computation primes whose product exceeds `n·q²·2`,
     /// used for the exact tensor in ciphertext multiplication.
     mult_basis: RnsBasis,
+    /// Eq. 4's `⌊t·x/q⌉ mod q`, applied to every tensor coefficient.
+    tensor_round: ScaleRound,
+    /// Decryption's `⌊t·v/q⌉ mod t`.
+    decrypt_round: ScaleRound,
 }
 
 impl BfvParams {
@@ -97,7 +109,12 @@ impl BfvParams {
         let mult_basis =
             RnsBasis::for_total_bits((count as u32) * 59, 64, n).map_err(BfvError::from)?;
         debug_assert!(mult_basis.total_bits() >= needed_bits);
-        Ok(Self { n, t, q, poly_ring, delta: q / t as u128, mult_basis })
+        let crt = Arc::new(CrtTables {
+            mult_basis,
+            tensor_round: ScaleRound::new(t as u128, q, q)?,
+            decrypt_round: ScaleRound::new(t as u128, q, t as u128)?,
+        });
+        Ok(Self { n, t, q, poly_ring, delta: q / t as u128, crt })
     }
 
     /// The paper's `(n, log q) = (2^12, 109)` evaluation point with a
@@ -177,7 +194,19 @@ impl BfvParams {
     /// The exact-tensor computation basis.
     #[inline]
     pub fn mult_basis(&self) -> &RnsBasis {
-        &self.mult_basis
+        &self.crt.mult_basis
+    }
+
+    /// The exact scale-and-round finishing a tensor coefficient.
+    #[inline]
+    pub(crate) fn tensor_round(&self) -> &ScaleRound {
+        &self.crt.tensor_round
+    }
+
+    /// The exact scale-and-round decrypting a coefficient.
+    #[inline]
+    pub(crate) fn decrypt_round(&self) -> &ScaleRound {
+        &self.crt.decrypt_round
     }
 
     /// Structural equality of parameter sets (same `n`, `t`, `q`).
