@@ -1,6 +1,7 @@
-//! Intra-repo markdown link checker: fails CI when docs rot.
+//! Repository consistency checks: fails CI when docs rot or a second
+//! transform kernel creeps into production code.
 //!
-//! Scans every `*.md` at the repository root plus `docs/*.md` for
+//! **Links.** Scans every `*.md` at the repository root plus `docs/*.md` for
 //! inline links and images (`](target)`) and verifies that each
 //! **relative** target resolves to a real file or directory, after
 //! stripping any `#fragment`. External schemes (`http://`, `https://`,
@@ -13,12 +14,22 @@
 //! CommonMark subset these docs use. Reference-style links (`[x]: url`)
 //! are not used in this repo and are not checked.
 //!
+//! **One kernel.** Production code runs exactly one NTT implementation,
+//! `cofhee_poly::HarveyNtt`. The strict kernels (`ntt::forward_inplace`,
+//! `ntt::inverse_inplace`, `ntt::negacyclic_mul`) are its no-headroom
+//! fallback and the tests' bit-exactness oracle, so every `*.rs` under
+//! `crates/*/src` is scanned for a call to one of them outside a
+//! `#[cfg(test)]` item. Exempt: `crates/poly/src/ntt.rs` (the
+//! definitions), `crates/poly/src/lazy.rs` (the fallback), and
+//! `crates/bench` (the strict-vs-lazy ratio gate and the §VIII-A
+//! ablation measure the strict kernels on purpose).
+//!
 //! ```sh
 //! cargo run --release -p cofhee_bench --bin docs_check
 //! ```
 //!
-//! Exit status 0 when every link resolves; 1 with one line per broken
-//! link otherwise.
+//! Exit status 0 when every link resolves and no stray call is found;
+//! 1 with one line per finding otherwise.
 
 use std::path::{Path, PathBuf};
 
@@ -80,10 +91,83 @@ fn is_relative(target: &str) -> bool {
         || target.starts_with("mailto:"))
 }
 
-fn main() {
-    let root = repo_root();
+/// The strict transform kernels, as production code would name them.
+const STRICT_KERNELS: [&str; 3] =
+    ["ntt::forward_inplace", "ntt::inverse_inplace", "ntt::negacyclic_mul"];
+
+/// Files under `crates/` allowed to call [`STRICT_KERNELS`] in
+/// production code (prefixes, relative to the repository root).
+const STRICT_KERNEL_ALLOWED: [&str; 3] =
+    ["crates/poly/src/ntt.rs", "crates/poly/src/lazy.rs", "crates/bench/"];
+
+/// Lines of one Rust source that name a strict kernel outside comments
+/// and outside `#[cfg(test)]` items. Relies on rustfmt (enforced in CI):
+/// an item closes with a `}` — or, brace-less, ends in `;` — at the
+/// indentation its attribute opened at.
+fn strict_kernel_calls(src: &str) -> Vec<(usize, &'static str)> {
+    let mut out = Vec::new();
+    let mut lines = src.lines().enumerate();
+    while let Some((lineno, line)) = lines.next() {
+        let code = line.trim_start();
+        if code.starts_with("//") {
+            continue;
+        }
+        if code.starts_with("#[cfg(test)]") {
+            let indent = line.len() - code.len();
+            for (_, l) in lines.by_ref() {
+                let body = l.trim_start();
+                if l.len() - body.len() == indent && (body.starts_with('}') || body.ends_with(';'))
+                {
+                    break;
+                }
+            }
+            continue;
+        }
+        out.extend(STRICT_KERNELS.iter().filter(|k| code.contains(**k)).map(|k| (lineno + 1, *k)));
+    }
+    out
+}
+
+/// Every `*.rs` below `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for path in entries.flatten().map(|e| e.path()) {
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Prints one line per stray strict-kernel call; returns how many.
+fn check_one_kernel(root: &Path) -> usize {
+    let mut files = Vec::new();
+    let Ok(crates) = std::fs::read_dir(root.join("crates")) else { return 0 };
+    for krate in crates.flatten() {
+        rust_sources(&krate.path().join("src"), &mut files);
+    }
+    files.sort();
+    let mut stray = 0usize;
+    for file in &files {
+        let rel = file.strip_prefix(root).unwrap_or(file).to_string_lossy();
+        if STRICT_KERNEL_ALLOWED.iter().any(|p| rel.starts_with(p)) {
+            continue;
+        }
+        let src = std::fs::read_to_string(file).expect("listed file is readable");
+        for (line, kernel) in strict_kernel_calls(&src) {
+            stray += 1;
+            println!("strict kernel outside tests: {rel}:{line}: {kernel}");
+        }
+    }
+    println!("docs_check: {} sources, {stray} strict-kernel calls outside tests", files.len());
+    stray
+}
+
+/// Prints one line per broken relative link; returns how many.
+fn check_links(root: &Path) -> usize {
     let mut files: Vec<PathBuf> = Vec::new();
-    for dir in [root.clone(), root.join("docs")] {
+    for dir in [root.to_path_buf(), root.join("docs")] {
         let Ok(entries) = std::fs::read_dir(&dir) else { continue };
         for entry in entries.flatten() {
             let path = entry.path();
@@ -107,14 +191,49 @@ fn main() {
             let path_part = target.split('#').next().unwrap_or("");
             if !base.join(path_part).exists() {
                 broken += 1;
-                let rel = file.strip_prefix(&root).unwrap_or(file);
+                let rel = file.strip_prefix(root).unwrap_or(file);
                 println!("broken link: {}:{line}: ]({target})", rel.display());
             }
         }
     }
 
     println!("docs_check: {} files, {checked} relative links, {broken} broken", files.len());
-    if broken > 0 {
+    broken
+}
+
+fn main() {
+    let root = repo_root();
+    if check_links(&root) + check_one_kernel(&root) > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::strict_kernel_calls;
+
+    #[test]
+    fn scan_skips_comments_and_test_items_only() {
+        let src = "\
+//! Docs may say ntt::forward_inplace.
+fn a() {
+    #[cfg(test)]
+    fn probe() {
+        ntt::inverse_inplace();
+    }
+    ntt::negacyclic_mul();
+}
+#[cfg(test)]
+use x::ntt::forward_inplace;
+fn b() { cofhee_poly::ntt::forward_inplace(); }
+#[cfg(test)]
+mod tests {
+    fn t() { ntt::forward_inplace(); }
+}
+";
+        assert_eq!(
+            strict_kernel_calls(src),
+            vec![(7, "ntt::negacyclic_mul"), (11, "ntt::forward_inplace")]
+        );
     }
 }

@@ -199,7 +199,7 @@ impl Evaluator {
 
     /// Rebuilds a component polynomial from backend residues. Downloads
     /// are canonical `[0, q)` values already, so this wraps them without
-    /// a second reduction pass.
+    /// a second reduction pass (`from_elems` checks that they are).
     pub(crate) fn poly_from(
         &self,
         values: Vec<u128>,

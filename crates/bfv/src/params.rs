@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use cofhee_arith::{primes, rns::RnsBasis, signed::ScaleRound, Barrett128};
-use cofhee_poly::PolyRing;
+use cofhee_poly::{PolyRing, TwiddleCache};
 
 use crate::error::{BfvError, Result};
 
@@ -100,8 +100,9 @@ impl BfvParams {
                 ),
             });
         }
-        let ring = Barrett128::new(q)?;
-        let poly_ring = Arc::new(PolyRing::new(ring, n)?);
+        // The interned plan: the backends an evaluator brings up for
+        // these parameters find the same tables under the same key.
+        let poly_ring = Arc::new(PolyRing::from_plan(TwiddleCache::barrett128(q, n)?));
         // Computation basis for the exact tensor: product must exceed
         // 2·n·q² (sign headroom included).
         let needed_bits = 1 + n.trailing_zeros() + 2 * q_bits + 2;

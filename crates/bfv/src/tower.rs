@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use cofhee_arith::{primes, Barrett64, ModRing};
-use cofhee_poly::{ntt::NttTables, HarveyNtt, TwiddleCache};
+use cofhee_poly::{HarveyNtt, TwiddleCache};
 use rand::Rng;
 
 use crate::error::{BfvError, Result};
@@ -43,11 +43,6 @@ impl Tower {
     /// The tower's ring engine.
     pub fn ring(&self) -> &Barrett64 {
         &self.ring
-    }
-
-    /// The tower's strict twiddle tables (reference/oracle view).
-    pub fn tables(&self) -> &NttTables<Barrett64> {
-        self.plan.tables()
     }
 
     /// The tower's lazy-reduction transform plan.

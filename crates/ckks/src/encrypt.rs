@@ -9,12 +9,11 @@
 //! value out of the chain and divides by the carried scale — the
 //! approximation error *is* the RLWE noise, that is the CKKS trade.
 
-use cofhee_bfv::sampling;
 use rand::Rng;
 
 use crate::ciphertext::{CkksCiphertext, CkksPlaintext, RnsPoly};
 use crate::error::{CkksError, Result};
-use crate::keys::{CkksKeyGenerator, CkksPublicKey, CkksSecretKey};
+use crate::keys::{lift_limb, sample_signed, CkksPublicKey, CkksSecretKey, SignedDist};
 use crate::params::CkksParams;
 
 /// Encrypts encoded plaintexts under a public key.
@@ -41,21 +40,20 @@ impl CkksEncryptor {
         pt: &CkksPlaintext,
         rng: &mut G,
     ) -> Result<CkksCiphertext> {
-        let kg = CkksKeyGenerator::new(&self.params);
         // One signed sample each, shared across limbs (consistency).
-        let u = kg.sample_signed_public(rng, true);
-        let e1 = kg.sample_signed_public(rng, false);
-        let e2 = kg.sample_signed_public(rng, false);
+        let u = sample_signed(&self.params, rng, SignedDist::Ternary);
+        let e1 = sample_signed(&self.params, rng, SignedDist::Cbd);
+        let e2 = sample_signed(&self.params, rng, SignedDist::Cbd);
         let limbs = pt.level().limbs();
         let mut c0: RnsPoly = Vec::with_capacity(limbs);
         let mut c1: RnsPoly = Vec::with_capacity(limbs);
         for j in 0..limbs {
             let ctx = self.params.ring(j).clone();
             let (p0, p1) = &self.pk.parts[j];
-            let uj = lift(&self.params, j, &u)?;
+            let uj = lift_limb(&self.params, j, &u)?;
             let m = cofhee_poly::Polynomial::from_values(ctx.clone(), &pt.limbs()[j])?;
-            let c0j = p0.negacyclic_mul(&uj)?.add(&lift(&self.params, j, &e1)?)?.add(&m)?;
-            let c1j = p1.negacyclic_mul(&uj)?.add(&lift(&self.params, j, &e2)?)?;
+            let c0j = p0.negacyclic_mul(&uj)?.add(&lift_limb(&self.params, j, &e1)?)?.add(&m)?;
+            let c1j = p1.negacyclic_mul(&uj)?.add(&lift_limb(&self.params, j, &e2)?)?;
             c0.push(c0j.to_u128_vec());
             c1.push(c1j.to_u128_vec());
         }
@@ -103,18 +101,6 @@ impl CkksDecryptor {
         }
         CkksPlaintext::new(&self.params, out, ct.level(), ct.scale())
     }
-}
-
-/// Represents one shared signed polynomial in limb `j`'s ring.
-fn lift(
-    params: &CkksParams,
-    j: usize,
-    signed: &[i64],
-) -> Result<cofhee_poly::Polynomial<cofhee_arith::Barrett128>> {
-    let ctx = params.ring(j).clone();
-    let coeffs =
-        signed.iter().map(|&v| sampling::signed_to_elem(ctx.ring(), v)).collect::<Vec<_>>();
-    Ok(cofhee_poly::Polynomial::from_elems(ctx, coeffs, cofhee_poly::Domain::Coefficient)?)
 }
 
 #[cfg(test)]

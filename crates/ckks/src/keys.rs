@@ -104,8 +104,8 @@ impl CkksKeyGenerator {
     /// Propagates polynomial-arithmetic failures (none for validated
     /// parameter sets).
     pub fn secret_key<G: Rng + ?Sized>(&self, rng: &mut G) -> Result<CkksSecretKey> {
-        let signed = self.sample_signed(rng, SignedDist::Ternary);
-        let s = self.lift_signed(&signed)?;
+        let signed = sample_signed(&self.params, rng, SignedDist::Ternary);
+        let s = lift_signed(&self.params, &signed)?;
         let s_sq =
             s.iter().map(|p| p.negacyclic_mul(p)).collect::<cofhee_poly::Result<Vec<_>>>()?;
         Ok(CkksSecretKey { s, s_sq })
@@ -121,7 +121,7 @@ impl CkksKeyGenerator {
         sk: &CkksSecretKey,
         rng: &mut G,
     ) -> Result<CkksPublicKey> {
-        let e = self.lift_signed(&self.sample_signed(rng, SignedDist::Cbd))?;
+        let e = lift_signed(&self.params, &sample_signed(&self.params, rng, SignedDist::Cbd))?;
         let mut parts = Vec::with_capacity(self.limbs());
         for (j, e_j) in e.iter().enumerate() {
             let a = self.uniform(j, rng)?;
@@ -147,7 +147,7 @@ impl CkksKeyGenerator {
         let digits = self.params.digits_at(self.params.top_level());
         let mut parts = Vec::with_capacity(digits);
         for i in 0..digits {
-            let e = self.lift_signed(&self.sample_signed(rng, SignedDist::Cbd))?;
+            let e = lift_signed(&self.params, &sample_signed(&self.params, rng, SignedDist::Cbd))?;
             let mut digit = Vec::with_capacity(self.limbs());
             for (j, e_j) in e.iter().enumerate() {
                 let ring = *self.params.ring(j).ring();
@@ -174,52 +174,6 @@ impl CkksKeyGenerator {
         self.params.moduli().len()
     }
 
-    /// Crate-internal: one shared signed sample for the encryptor
-    /// (`ternary` selects the secret distribution, else CBD noise).
-    pub(crate) fn sample_signed_public<G: Rng + ?Sized>(
-        &self,
-        rng: &mut G,
-        ternary: bool,
-    ) -> Vec<i64> {
-        self.sample_signed(rng, if ternary { SignedDist::Ternary } else { SignedDist::Cbd })
-    }
-
-    /// Samples one small signed polynomial, shared across limbs.
-    fn sample_signed<G: Rng + ?Sized>(&self, rng: &mut G, dist: SignedDist) -> Vec<i64> {
-        // Sample in the base limb's ring, recover the exact signed value
-        // (magnitudes ≤ 20 ≪ q₀/2), and reuse it for every limb.
-        let ring = self.params.ring(0).ring();
-        let elems = match dist {
-            SignedDist::Ternary => sampling::ternary(ring, self.params.n(), rng),
-            SignedDist::Cbd => sampling::error_poly(ring, self.params.n(), rng),
-        };
-        elems
-            .into_iter()
-            .map(|e| {
-                let (mag, neg) = sampling::elem_to_centered(ring, e);
-                if neg {
-                    -(mag as i64)
-                } else {
-                    mag as i64
-                }
-            })
-            .collect()
-    }
-
-    /// Represents one signed integer polynomial in every limb's ring.
-    fn lift_signed(&self, signed: &[i64]) -> Result<LimbPolys> {
-        (0..self.limbs())
-            .map(|j| {
-                let ctx = self.params.ring(j).clone();
-                let coeffs = signed
-                    .iter()
-                    .map(|&v| sampling::signed_to_elem(ctx.ring(), v))
-                    .collect::<Vec<_>>();
-                Ok(Polynomial::from_elems(ctx, coeffs, Domain::Coefficient)?)
-            })
-            .collect()
-    }
-
     fn uniform<G: Rng + ?Sized>(&self, j: usize, rng: &mut G) -> Result<Polynomial<Barrett128>> {
         let ctx = self.params.ring(j).clone();
         let coeffs = sampling::uniform(ctx.ring(), self.params.n(), rng);
@@ -227,9 +181,54 @@ impl CkksKeyGenerator {
     }
 }
 
-enum SignedDist {
+/// The two small signed distributions of RLWE key material.
+pub(crate) enum SignedDist {
+    /// The ternary secret distribution.
     Ternary,
+    /// Centered-binomial noise.
     Cbd,
+}
+
+/// Samples one small signed polynomial, shared across limbs.
+pub(crate) fn sample_signed<G: Rng + ?Sized>(
+    params: &CkksParams,
+    rng: &mut G,
+    dist: SignedDist,
+) -> Vec<i64> {
+    // Sample in the base limb's ring, recover the exact signed value
+    // (magnitudes ≤ 20 ≪ q₀/2), and reuse it for every limb.
+    let ring = params.ring(0).ring();
+    let elems = match dist {
+        SignedDist::Ternary => sampling::ternary(ring, params.n(), rng),
+        SignedDist::Cbd => sampling::error_poly(ring, params.n(), rng),
+    };
+    elems
+        .into_iter()
+        .map(|e| {
+            let (mag, neg) = sampling::elem_to_centered(ring, e);
+            if neg {
+                -(mag as i64)
+            } else {
+                mag as i64
+            }
+        })
+        .collect()
+}
+
+/// Represents one signed integer polynomial in limb `j`'s ring.
+pub(crate) fn lift_limb(
+    params: &CkksParams,
+    j: usize,
+    signed: &[i64],
+) -> Result<Polynomial<Barrett128>> {
+    let ctx = params.ring(j).clone();
+    let coeffs = signed.iter().map(|&v| sampling::signed_to_elem(ctx.ring(), v)).collect();
+    Ok(Polynomial::from_elems(ctx, coeffs, Domain::Coefficient)?)
+}
+
+/// Represents one signed integer polynomial in every limb's ring.
+fn lift_signed(params: &CkksParams, signed: &[i64]) -> Result<LimbPolys> {
+    (0..params.moduli().len()).map(|j| lift_limb(params, j, signed)).collect()
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use cofhee_arith::{primes, rns::RnsBasis, Barrett128};
-use cofhee_poly::PolyRing;
+use cofhee_poly::{PolyRing, TwiddleCache};
 
 use crate::error::{CkksError, Result};
 
@@ -145,7 +145,7 @@ impl CkksParams {
         }
         let rings = moduli
             .iter()
-            .map(|&q| Ok(Arc::new(PolyRing::new(Barrett128::new(q)?, n)?)))
+            .map(|&q| Ok(Arc::new(PolyRing::from_plan(TwiddleCache::barrett128(q, n)?))))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self { n, moduli, scale, base_bits, rings, bases })
     }

@@ -41,13 +41,6 @@ pub fn bitrev_permute<T>(data: &mut [T]) {
     }
 }
 
-/// Returns a copy of the slice in bit-reversed order (MEMCPYR semantics).
-pub fn bitrev_copy<T: Clone>(data: &[T]) -> Vec<T> {
-    let mut out = data.to_vec();
-    bitrev_permute(&mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,15 +71,6 @@ mod tests {
         let mut two = [1u8, 2];
         bitrev_permute(&mut two);
         assert_eq!(two, [1, 2]);
-    }
-
-    #[test]
-    fn copy_matches_permute() {
-        let data: Vec<u16> = (0..16).collect();
-        let copied = bitrev_copy(&data);
-        let mut permuted = data.clone();
-        bitrev_permute(&mut permuted);
-        assert_eq!(copied, permuted);
     }
 
     #[test]

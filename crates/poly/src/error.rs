@@ -36,6 +36,13 @@ pub enum PolyError {
         /// Number provided.
         found: usize,
     },
+    /// An element handed over as already reduced was not in `[0, q)`.
+    NonCanonical {
+        /// Index of the first offending element.
+        index: usize,
+        /// The modulus it should have been below.
+        modulus: u128,
+    },
     /// An error bubbled up from the arithmetic substrate.
     Arith(ArithError),
 }
@@ -54,6 +61,9 @@ impl fmt::Display for PolyError {
             }
             Self::LengthMismatch { expected, found } => {
                 write!(f, "coefficient length mismatch: expected {expected}, found {found}")
+            }
+            Self::NonCanonical { index, modulus } => {
+                write!(f, "element {index} is not reduced modulo {modulus}")
             }
             Self::Arith(e) => write!(f, "arithmetic error: {e}"),
         }

@@ -6,7 +6,10 @@
 //! semantics — and the wrong software hot path: the canonical
 //! correction is pure overhead until the very last stage.
 //!
-//! [`HarveyNtt`] is the optimized rewrite the host actually runs:
+//! [`HarveyNtt`] is the one transform kernel production host code runs
+//! — the evaluators' limb engine, the simulator's functional fast path,
+//! and (through [`crate::PolyRing`]) every key generator, encryptor and
+//! decryptor:
 //!
 //! * **Lazy reduction** — coefficients live in a redundant range
 //!   across all `log n` stages instead of being canonically reduced
@@ -49,9 +52,9 @@ use crate::ntt::{self, NttTables};
 /// Precomputed lazy-reduction transform plan for one `(q, n)` pair.
 ///
 /// Holds the Shoup-paired twiddle tables for both directions, the
-/// prepared `n⁻¹`, and the strict [`NttTables`] (kept both as the
-/// no-headroom fallback and for consumers that still need the
-/// reference tables).
+/// prepared `n⁻¹`, and the strict [`NttTables`] — the no-headroom
+/// fallback's operands and the twiddle-SRAM image the simulator loads
+/// and checks its banks against.
 #[derive(Debug, Clone)]
 pub struct HarveyNtt<R: LazyRing> {
     ring: R,
@@ -64,7 +67,7 @@ pub struct HarveyNtt<R: LazyRing> {
     inv: Vec<ShoupMul<R::Elem>>,
     /// `n⁻¹ mod q`, prepared.
     n_inv: ShoupMul<R::Elem>,
-    /// The strict reference tables (fallback + oracle).
+    /// The strict tables (fallback + oracle + twiddle-SRAM image).
     strict: NttTables<R>,
 }
 
@@ -76,12 +79,6 @@ impl<R: LazyRing> HarveyNtt<R> {
     /// Propagates root-finding failures (`q ≢ 1 (mod 2n)`).
     pub fn new(ring: &R, n: usize) -> Result<Self> {
         let strict = NttTables::new(ring, n)?;
-        Ok(Self::from_tables(ring, strict))
-    }
-
-    /// Builds the plan from existing strict tables (no root re-search).
-    pub fn from_tables(ring: &R, strict: NttTables<R>) -> Self {
-        let n = strict.n();
         let lazy = ring.lazy_capable();
         let (fwd, inv, n_inv) = if lazy {
             (
@@ -92,7 +89,7 @@ impl<R: LazyRing> HarveyNtt<R> {
         } else {
             (Vec::new(), Vec::new(), ShoupMul::default())
         };
-        Self { ring: ring.clone(), n, lazy, fwd, inv, n_inv, strict }
+        Ok(Self { ring: ring.clone(), n, lazy, fwd, inv, n_inv, strict })
     }
 
     /// The ring engine the plan was built for.

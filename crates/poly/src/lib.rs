@@ -4,49 +4,64 @@
 //! `Z_q[x]/(x^n + 1)` that RLWE-based FHE (and therefore the entire CoFHEE
 //! chip) computes in.
 //!
-//! * [`ntt`] — the Number Theoretic Transform: the paper's Algorithm 1
-//!   (iterative Cooley–Tukey, sequential twiddle consumption), the
-//!   Gentleman–Sande inverse, the merged negacyclic path the chip
-//!   executes, and the explicit Algorithm 2 reference path.
-//! * [`lazy`] — the Harvey lazy-reduction hot path ([`HarveyNtt`]):
-//!   Shoup-paired twiddles, redundant coefficients across stages
-//!   (`[0, 4q)` forward, `[0, 2q)` inverse) with a single final
-//!   correction, and fused `intt ∘ hadamard` / Algorithm 2 passes.
-//!   Bit-exact with [`ntt`], which remains the strict oracle.
-//! * [`pool`] — [`BufferPool`]: bounded recycling of fixed-width
-//!   scratch vectors so warmed steady-state traffic performs zero heap
-//!   allocation (proved by a counting-allocator harness in
+//! One transform kernel runs in production; everything else here is
+//! labelled with the role it is kept for:
+//!
+//! * [`lazy`] — **hot**: the Harvey lazy-reduction kernel
+//!   ([`HarveyNtt`]): Shoup-paired twiddles, redundant coefficients
+//!   across stages (`[0, 4q)` forward, `[0, 2q)` inverse) with a single
+//!   final correction, and fused `intt ∘ hadamard` / Algorithm 2 passes.
+//!   Backends, the simulator's functional fast path and [`Polynomial`]
+//!   all run on it.
+//! * [`Polynomial`] / [`PolyRing`] — **hot**: owned values with domain
+//!   tracking; a `PolyRing` is an `Arc<HarveyNtt>`, nothing more.
+//! * [`cache`] — **hot**: the process-wide [`TwiddleCache`] interning
+//!   one transform plan per `(modulus, degree)` pair, shared by
+//!   parameter sets, backends, evaluators, and every die of a farm.
+//! * [`pool`] — **hot**: [`BufferPool`], bounded recycling of
+//!   fixed-width scratch vectors so warmed steady-state traffic performs
+//!   zero heap allocation (proved by a counting-allocator harness in
 //!   `cofhee_core`).
-//! * [`cache`] — the process-wide [`TwiddleCache`] interning one
-//!   transform plan per `(modulus, degree)` pair, shared by backends,
-//!   evaluators, and every die of a farm.
-//! * [`naive`] — `O(n²)` schoolbook multiplication: the correctness oracle
-//!   and the complexity baseline the paper motivates against.
-//! * [`pointwise`] — the PMOD*/CMODMUL/PMUL command semantics of Table I.
-//! * [`bitrev`] — bit-reversal permutation (the MEMCPYR command).
-//! * [`Polynomial`] / [`PolyRing`] — owned values with domain tracking.
-//! * [`golden`] — the pre-silicon verification vector generator
-//!   (Section III-J of the paper).
+//! * [`pointwise`] — **hot**: the PMOD*/CMODMUL command semantics of
+//!   Table I.
+//! * [`ntt`] — **fallback + oracle**: the strict merged transform, the
+//!   paper's Algorithm 1 (iterative Cooley–Tukey, sequential twiddle
+//!   consumption) and its Gentleman–Sande inverse with canonical
+//!   per-butterfly reduction — the simulator's command semantics.
+//!   [`HarveyNtt`] falls back to it for `q ≥ 2^126` and is tested
+//!   bit-exact against it; [`ntt::NttTables`] is the twiddle-SRAM image
+//!   the simulator loads. No other production code calls it.
+//! * [`naive`] — **oracle**: `O(n²)` schoolbook multiplication,
+//!   independent of every root and table, which [`ntt`] is pinned to;
+//!   also the complexity baseline the paper motivates against.
+//! * [`golden`] — **pre-silicon vectors**: the verification vector
+//!   generator of Section III-J.
+//! * [`bitrev`] — bit-reversal indexing (table build order, the
+//!   MEMCPYR command).
+//!
+//! The Barrett-vs-Montgomery **ablation** (§VIII-A) is not a module
+//! here: it is `cofhee_arith`'s Montgomery engines driven through the
+//! strict [`ntt`] kernels (generic over any `ModRing`) by `cofhee_bench`.
 //!
 //! # Examples
 //!
 //! Multiply two polynomials the way CoFHEE does — 2 NTTs, a Hadamard pass,
-//! one inverse NTT — and check against the naive oracle:
+//! one inverse NTT — on the hot kernel, and check against both oracles:
 //!
 //! ```
 //! use cofhee_arith::{primes::ntt_prime, Barrett64};
-//! use cofhee_poly::{naive, ntt, ntt::NttTables};
+//! use cofhee_poly::{naive, ntt, HarveyNtt};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let n = 256;
 //! let q = ntt_prime(55, n)? as u64;
 //! let ring = Barrett64::new(q)?;
-//! let tables = NttTables::new(&ring, n)?;
+//! let plan = HarveyNtt::new(&ring, n)?;
 //! let a: Vec<u64> = (0..n as u64).collect();
 //! let b: Vec<u64> = (0..n as u64).map(|i| i * 7 + 1).collect();
-//! let fast = ntt::negacyclic_mul(&ring, &a, &b, &tables)?;
-//! let slow = naive::negacyclic_mul(&ring, &a, &b)?;
-//! assert_eq!(fast, slow);
+//! let fast = plan.poly_mul(&a, &b)?;
+//! assert_eq!(fast, ntt::negacyclic_mul(&ring, &a, &b, plan.tables())?);
+//! assert_eq!(fast, naive::negacyclic_mul(&ring, &a, &b)?);
 //! # Ok(())
 //! # }
 //! ```

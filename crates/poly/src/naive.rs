@@ -2,8 +2,9 @@
 //!
 //! The paper motivates NTT hardware by the quadratic cost of naive
 //! polynomial multiplication (Section II-C). This module is that naive
-//! algorithm: the correctness oracle for every NTT path and the slow
-//! baseline in the `O(n²)` vs `O(n log n)` benches.
+//! algorithm: the **independent oracle** (no roots, no tables, no
+//! butterflies) the strict [`crate::ntt`] kernels are pinned to, and the
+//! slow baseline in the `O(n²)` vs `O(n log n)` benches.
 
 use cofhee_arith::ModRing;
 
@@ -39,45 +40,10 @@ pub fn negacyclic_mul<R: ModRing>(ring: &R, a: &[R::Elem], b: &[R::Elem]) -> Res
     Ok(c)
 }
 
-/// Naive cyclic multiplication in `Z_q[x]/(x^n − 1)` (plain convolution).
-///
-/// # Errors
-///
-/// Returns [`PolyError::DegreeMismatch`] when operand lengths differ.
-#[allow(clippy::needless_range_loop)] // i + j drives the wraparound index k
-pub fn cyclic_mul<R: ModRing>(ring: &R, a: &[R::Elem], b: &[R::Elem]) -> Result<Vec<R::Elem>> {
-    if a.len() != b.len() {
-        return Err(PolyError::DegreeMismatch { left: a.len(), right: b.len() });
-    }
-    let n = a.len();
-    let mut c = vec![ring.zero(); n];
-    for i in 0..n {
-        for j in 0..n {
-            let prod = ring.mul(a[i], b[j]);
-            let k = (i + j) % n;
-            c[k] = ring.add(c[k], prod);
-        }
-    }
-    Ok(c)
-}
-
-/// Direct evaluation of the negacyclic transform from its definition —
-/// `X[j] = Σ_i a_i ψ^{(2j+1)·i}` — used by golden-model tests.
-pub fn negacyclic_dft<R: ModRing>(ring: &R, a: &[R::Elem], psi: R::Elem) -> Vec<R::Elem> {
-    let n = a.len();
-    (0..n)
-        .map(|j| {
-            let point = ring.pow(psi, (2 * j + 1) as u128);
-            // Horner evaluation at ψ^{2j+1}.
-            a.iter().rev().fold(ring.zero(), |acc, &c| ring.add(ring.mul(acc, point), c))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cofhee_arith::{roots::RootSet, Barrett64, ModRing};
+    use cofhee_arith::Barrett64;
 
     const Q: u64 = 12289; // 12289 = 3·2^12 + 1, the classic NTT prime
 
@@ -92,15 +58,6 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_wraps_without_sign() {
-        let ring = Barrett64::new(Q).unwrap();
-        let a = vec![0, 1, 0, 0];
-        let b = vec![0, 0, 0, 1];
-        let c = cyclic_mul(&ring, &a, &b).unwrap();
-        assert_eq!(c, vec![1, 0, 0, 0]);
-    }
-
-    #[test]
     fn constant_multiplication() {
         let ring = Barrett64::new(Q).unwrap();
         let a = vec![3, 5, 7, 11];
@@ -112,35 +69,5 @@ mod tests {
     fn rejects_mismatched_lengths() {
         let ring = Barrett64::new(Q).unwrap();
         assert!(negacyclic_mul(&ring, &[1, 2], &[1]).is_err());
-        assert!(cyclic_mul(&ring, &[1], &[1, 2]).is_err());
-    }
-
-    #[test]
-    fn dft_of_delta_is_all_ones() {
-        let ring = Barrett64::new(Q).unwrap();
-        let n = 8;
-        let roots = RootSet::new(&ring, n).unwrap();
-        let mut delta = vec![0u64; n];
-        delta[0] = 1;
-        let spectrum = negacyclic_dft(&ring, &delta, roots.psi);
-        assert!(spectrum.iter().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn dft_is_multiplicative_on_products() {
-        // DFT(a·b)[j] = DFT(a)[j]·DFT(b)[j] — the convolution theorem at
-        // the definition level.
-        let ring = Barrett64::new(Q).unwrap();
-        let n = 8;
-        let roots = RootSet::new(&ring, n).unwrap();
-        let a: Vec<u64> = (1..=n as u64).collect();
-        let b: Vec<u64> = (0..n as u64).map(|i| i * i + 3).collect();
-        let ab = negacyclic_mul(&ring, &a, &b).unwrap();
-        let fa = negacyclic_dft(&ring, &a, roots.psi);
-        let fb = negacyclic_dft(&ring, &b, roots.psi);
-        let fab = negacyclic_dft(&ring, &ab, roots.psi);
-        for j in 0..n {
-            assert_eq!(fab[j], ring.mul(fa[j], fb[j]), "j = {j}");
-        }
     }
 }

@@ -7,17 +7,20 @@
 //! produces ("the state machine also handles the incrementation of
 //! addresses for both operands and twiddle factors", Section III-B).
 //!
-//! Two equivalent paths are provided:
+//! [`forward_inplace`] / [`inverse_inplace`] are the merged negacyclic
+//! transform: powers of the `2n`-th root `ψ` are folded into the twiddle
+//! table, so polynomial multiplication needs no separate pre/post scaling
+//! passes. This matches the chip's measured cycle counts (Table V shows
+//! no standalone `ψ`-scaling pass) and its reuse of one twiddle table for
+//! both directions (Section VIII-B).
 //!
-//! * [`forward_inplace`] / [`inverse_inplace`] — the merged negacyclic
-//!   transform: powers of the `2n`-th root `ψ` are folded into the twiddle
-//!   table, so polynomial multiplication needs no separate pre/post scaling
-//!   passes. This matches the chip's measured cycle counts (Table V shows
-//!   no standalone `ψ`-scaling pass) and its reuse of one twiddle table for
-//!   both directions (Section VIII-B).
-//! * [`cyclic_forward`] / [`cyclic_inverse`] plus explicit `ψ` scaling —
-//!   Algorithm 2 of the paper verbatim, used as the independently-derived
-//!   reference the merged path is tested against.
+//! These are the *strict* kernels — every butterfly lands canonical
+//! `[0, q)` outputs, the simulator's command semantics. Their role is
+//! **fallback + bit-exactness oracle**: production host arithmetic runs
+//! [`crate::lazy::HarveyNtt`], which calls in here only for moduli
+//! without lazy headroom (`q ≥ 2^126`) and is pinned to these kernels
+//! bit for bit by `tests/lazy_parity.rs`; they in turn are pinned to the
+//! independent schoolbook [`crate::naive::negacyclic_mul`].
 //!
 //! The paper's Algorithm 1 pseudocode has minor index-bookkeeping quirks
 //! (its block loop runs `j < n/2` with stride `i`, standing for block
@@ -26,7 +29,7 @@
 
 use cofhee_arith::{roots::RootSet, ModRing};
 
-use crate::bitrev::{bit_reverse, bitrev_permute};
+use crate::bitrev::bitrev_permute;
 use crate::error::Result;
 
 /// Precomputed twiddle-factor tables for degree-`n` transforms.
@@ -42,14 +45,6 @@ pub struct NttTables<R: ModRing> {
     /// `ψ^{-brv(i)}`, the merged inverse table.
     inv_psis: Vec<R::Elem>,
     inv_psis_aux: Vec<R::Elem>,
-    /// Natural-order `ω^i` (cyclic reference path).
-    omega_pows: Vec<R::Elem>,
-    /// Natural-order `ω^{-i}`.
-    omega_inv_pows: Vec<R::Elem>,
-    /// Natural-order `ψ^i` (explicit negacyclic scaling).
-    psi_pows: Vec<R::Elem>,
-    /// Natural-order `ψ^{-i}`.
-    psi_inv_pows: Vec<R::Elem>,
     /// `n^{-1} mod q` and its prepared form.
     n_inv: R::Elem,
     n_inv_aux: R::Elem,
@@ -70,17 +65,15 @@ impl<R: ModRing> NttTables<R> {
     /// Builds tables from an existing [`RootSet`].
     pub fn from_roots(ring: &R, roots: &RootSet<R>) -> Self {
         let n = roots.n;
-        let bits = n.trailing_zeros();
-        let psi_pows = RootSet::powers(ring, roots.psi, n);
-        let psi_inv_pows = RootSet::powers(ring, roots.psi_inv, n);
-        let omega_pows = RootSet::powers(ring, roots.omega, n);
-        let omega_inv_pows = RootSet::powers(ring, roots.omega_inv, n);
-        let mut psis = vec![ring.zero(); n];
-        let mut inv_psis = vec![ring.zero(); n];
-        for i in 0..n {
-            psis[i] = psi_pows[bit_reverse(i, bits)];
-            inv_psis[i] = psi_inv_pows[bit_reverse(i, bits)];
-        }
+        // The tables keep only the bit-reversed order the kernels
+        // consume sequentially.
+        let bitrev_powers = |root: R::Elem| -> Vec<R::Elem> {
+            let mut pows = RootSet::powers(ring, root, n);
+            bitrev_permute(&mut pows);
+            pows
+        };
+        let psis = bitrev_powers(roots.psi);
+        let inv_psis = bitrev_powers(roots.psi_inv);
         let psis_aux = psis.iter().map(|&w| ring.prepare(w)).collect();
         let inv_psis_aux = inv_psis.iter().map(|&w| ring.prepare(w)).collect();
         Self {
@@ -89,10 +82,6 @@ impl<R: ModRing> NttTables<R> {
             psis_aux,
             inv_psis,
             inv_psis_aux,
-            omega_pows,
-            omega_inv_pows,
-            psi_pows,
-            psi_inv_pows,
             n_inv: roots.n_inv,
             n_inv_aux: ring.prepare(roots.n_inv),
         }
@@ -121,18 +110,6 @@ impl<R: ModRing> NttTables<R> {
     #[inline]
     pub fn inverse_twiddles(&self) -> &[R::Elem] {
         &self.inv_psis
-    }
-
-    /// Natural-order powers of `ψ` (explicit-scaling reference path).
-    #[inline]
-    pub fn psi_powers(&self) -> &[R::Elem] {
-        &self.psi_pows
-    }
-
-    /// Natural-order powers of `ψ^{-1}`.
-    #[inline]
-    pub fn psi_inv_powers(&self) -> &[R::Elem] {
-        &self.psi_inv_pows
     }
 }
 
@@ -225,99 +202,6 @@ pub fn inverse_inplace<R: ModRing>(
     Ok(())
 }
 
-/// Cyclic (plain) forward NTT with `ω` twiddles, natural order in and out.
-///
-/// The reference building block for the explicit-scaling path of the
-/// paper's Algorithm 2. Not used by the chip model (which merges `ψ` into
-/// the twiddles), but kept as an independently-derived oracle.
-///
-/// # Errors
-///
-/// Returns [`PolyError::LengthMismatch`](crate::PolyError) on length
-/// mismatch.
-pub fn cyclic_forward<R: ModRing>(
-    ring: &R,
-    a: &mut [R::Elem],
-    tables: &NttTables<R>,
-) -> Result<()> {
-    check_len(tables, a.len())?;
-    cyclic_transform(ring, a, &tables.omega_pows);
-    Ok(())
-}
-
-/// Cyclic inverse NTT with `ω^{-1}` twiddles and `n^{-1}` scaling.
-///
-/// # Errors
-///
-/// Returns [`PolyError::LengthMismatch`](crate::PolyError) on length
-/// mismatch.
-pub fn cyclic_inverse<R: ModRing>(
-    ring: &R,
-    a: &mut [R::Elem],
-    tables: &NttTables<R>,
-) -> Result<()> {
-    check_len(tables, a.len())?;
-    cyclic_transform(ring, a, &tables.omega_inv_pows);
-    for x in a.iter_mut() {
-        *x = ring.mul_prepared(*x, tables.n_inv, tables.n_inv_aux);
-    }
-    Ok(())
-}
-
-/// Textbook iterative Cooley–Tukey cyclic NTT (bit-reverse, then DIT with
-/// increasing stride); twiddles passed as natural-order root powers.
-fn cyclic_transform<R: ModRing>(ring: &R, a: &mut [R::Elem], root_pows: &[R::Elem]) {
-    let n = a.len();
-    bitrev_permute(a);
-    let mut len = 2;
-    while len <= n {
-        let step = n / len;
-        let mut start = 0;
-        while start < n {
-            for k in 0..len / 2 {
-                let w = root_pows[k * step];
-                let u = a[start + k];
-                let v = ring.mul(a[start + k + len / 2], w);
-                a[start + k] = ring.add(u, v);
-                a[start + k + len / 2] = ring.sub(u, v);
-            }
-            start += len;
-        }
-        len *= 2;
-    }
-}
-
-/// Polynomial multiplication via the explicit negacyclic path — the
-/// paper's Algorithm 2 verbatim: scale by `ψ^i`, cyclic NTT, Hadamard,
-/// inverse cyclic NTT, scale by `ψ^{-i}`.
-///
-/// # Errors
-///
-/// Returns [`PolyError::LengthMismatch`](crate::PolyError) if operand
-/// lengths differ from the tables' degree.
-pub fn negacyclic_mul_explicit<R: ModRing>(
-    ring: &R,
-    a: &[R::Elem],
-    b: &[R::Elem],
-    tables: &NttTables<R>,
-) -> Result<Vec<R::Elem>> {
-    check_len(tables, a.len())?;
-    check_len(tables, b.len())?;
-    let scale = |src: &[R::Elem]| -> Vec<R::Elem> {
-        src.iter().enumerate().map(|(i, &x)| ring.mul(x, tables.psi_pows[i])).collect()
-    };
-    let mut at = scale(a);
-    let mut bt = scale(b);
-    cyclic_forward(ring, &mut at, tables)?;
-    cyclic_forward(ring, &mut bt, tables)?;
-    let mut y: Vec<R::Elem> = at.iter().zip(&bt).map(|(&x, &w)| ring.mul(x, w)).collect();
-    cyclic_inverse(ring, &mut y, tables)?;
-    for (i, x) in y.iter_mut().enumerate() {
-        *x = ring.mul(*x, tables.psi_inv_pows[i]);
-    }
-    Ok(y)
-}
-
 /// Polynomial multiplication via the merged path the chip executes:
 /// 2 forward NTTs, one Hadamard pass, one inverse NTT.
 ///
@@ -395,31 +279,6 @@ mod tests {
             assert_ne!(a, original, "transform must change the data (n={n})");
             inverse_inplace(&ring, &mut a, &tables).unwrap();
             assert_eq!(a, original, "round trip failed for n = {n}");
-        }
-    }
-
-    #[test]
-    fn cyclic_round_trip() {
-        let ring = ring64();
-        let n = 64;
-        let tables = NttTables::new(&ring, n).unwrap();
-        let original = rand_poly(&ring, n, 7);
-        let mut a = original.clone();
-        cyclic_forward(&ring, &mut a, &tables).unwrap();
-        cyclic_inverse(&ring, &mut a, &tables).unwrap();
-        assert_eq!(a, original);
-    }
-
-    #[test]
-    fn merged_equals_explicit_algorithm2() {
-        let ring = ring64();
-        for n in [4usize, 16, 64, 256] {
-            let tables = NttTables::new(&ring, n).unwrap();
-            let a = rand_poly(&ring, n, 1);
-            let b = rand_poly(&ring, n, 2);
-            let merged = negacyclic_mul(&ring, &a, &b, &tables).unwrap();
-            let explicit = negacyclic_mul_explicit(&ring, &a, &b, &tables).unwrap();
-            assert_eq!(merged, explicit, "paths disagree at n = {n}");
         }
     }
 

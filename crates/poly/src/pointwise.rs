@@ -10,11 +10,9 @@
 //! | `PMODADD` | [`add_assign`] |
 //! | `PMODSUB` | [`sub_assign`] |
 //! | `PMODMUL` | [`mul_assign`] (Hadamard product) |
-//! | `PMODSQR` | [`sqr_assign`] |
 //! | `CMODMUL` | [`scalar_mul_assign`] |
-//! | `PMUL`    | [`widening_mul`] (non-modular pointwise multiply) |
 
-use cofhee_arith::{ModRing, U256};
+use cofhee_arith::ModRing;
 
 use crate::error::{PolyError, Result};
 
@@ -64,13 +62,6 @@ pub fn mul_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Res
     Ok(())
 }
 
-/// `a[i] = a[i]² (mod q)` — the `PMODSQR` command.
-pub fn sqr_assign<R: ModRing>(ring: &R, a: &mut [R::Elem]) {
-    for x in a.iter_mut() {
-        *x = ring.sqr(*x);
-    }
-}
-
 /// `a[i] *= c (mod q)` — the `CMODMUL` command (constant multiplication,
 /// e.g. the `n⁻¹` pass closing an inverse NTT).
 pub fn scalar_mul_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], c: R::Elem) {
@@ -85,27 +76,6 @@ pub fn neg_assign<R: ModRing>(ring: &R, a: &mut [R::Elem]) {
     for x in a.iter_mut() {
         *x = ring.neg(*x);
     }
-}
-
-/// Non-modular pointwise multiplication — the `PMUL` command, which
-/// returns full double-width products (the PE's multiplier output before
-/// the Barrett reduction stages).
-///
-/// # Errors
-///
-/// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
-pub fn widening_mul<R: ModRing>(ring: &R, a: &[R::Elem], b: &[R::Elem]) -> Result<Vec<U256>> {
-    check_same_len(a.len(), b.len())?;
-    Ok(a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let (lo, hi) =
-                U256::from_u128(ring.to_u128(x)).widening_mul(U256::from_u128(ring.to_u128(y)));
-            debug_assert!(hi.is_zero());
-            let _ = hi;
-            lo
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -140,17 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn sqr_matches_self_mul() {
-        let r = ring();
-        let mut a = vec![7u64, Q - 3, 12345];
-        let mut b = a.clone();
-        let copy = a.clone();
-        sqr_assign(&r, &mut a);
-        mul_assign(&r, &mut b, &copy).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn scalar_mul_applies_constant() {
         let r = ring();
         let mut a = vec![1u64, 2, 3];
@@ -169,22 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn widening_mul_keeps_full_product() {
-        let r = Barrett64::new((1 << 61) - 1).unwrap(); // large odd modulus
-        let a = vec![(1u64 << 60) + 5];
-        let b = vec![(1u64 << 60) + 7];
-        let wide = widening_mul(&r, &a, &b).unwrap();
-        let expect = U256::from_u128((a[0] as u128) * (b[0] as u128));
-        assert_eq!(wide[0], expect);
-    }
-
-    #[test]
     fn length_mismatches_error() {
         let r = ring();
         let mut a = vec![1u64, 2];
         assert!(add_assign(&r, &mut a, &[1]).is_err());
         assert!(sub_assign(&r, &mut a, &[1, 2, 3]).is_err());
         assert!(mul_assign(&r, &mut a, &[]).is_err());
-        assert!(widening_mul(&r, &a, &[1]).is_err());
     }
 }

@@ -8,11 +8,11 @@
 
 use std::sync::Arc;
 
-use cofhee_arith::{roots::RootSet, ModRing};
+use cofhee_arith::LazyRing;
 use rand::Rng;
 
 use crate::error::{PolyError, Result};
-use crate::ntt::{self, NttTables};
+use crate::lazy::HarveyNtt;
 use crate::pointwise;
 
 /// The representation domain of a polynomial's data.
@@ -33,9 +33,12 @@ impl Domain {
     }
 }
 
-/// A shared ring context: the modulus engine, degree, roots and twiddle
-/// tables — everything a host loads into CoFHEE's configuration registers
-/// and twiddle SRAM before issuing commands.
+/// A shared ring context: the modulus engine and degree plus the
+/// [`HarveyNtt`] transform plan for them — everything a host loads into
+/// CoFHEE's configuration registers and twiddle SRAM before issuing
+/// commands. The plan is held by `Arc`, so a context built with
+/// [`PolyRing::from_plan`] on a [`crate::TwiddleCache`] plan shares one
+/// table set with every backend serving the same `(q, n)`.
 ///
 /// # Examples
 ///
@@ -51,65 +54,60 @@ impl Domain {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct PolyRing<R: ModRing> {
-    ring: R,
-    n: usize,
-    roots: RootSet<R>,
-    tables: NttTables<R>,
+pub struct PolyRing<R: LazyRing> {
+    plan: Arc<HarveyNtt<R>>,
 }
 
-impl<R: ModRing> PolyRing<R> {
-    /// Builds the context for degree `n` (a power of two ≥ 2).
+impl<R: LazyRing> PolyRing<R> {
+    /// Builds the context, with a private plan, for degree `n` (a power
+    /// of two ≥ 2).
     ///
     /// # Errors
     ///
     /// Propagates root-finding failures, e.g. when `q ≢ 1 (mod 2n)`.
     pub fn new(ring: R, n: usize) -> Result<Self> {
-        let roots = RootSet::new(&ring, n)?;
-        let tables = NttTables::from_roots(&ring, &roots);
-        Ok(Self { ring, n, roots, tables })
+        Ok(Self::from_plan(Arc::new(HarveyNtt::new(&ring, n)?)))
+    }
+
+    /// The context of an existing (typically interned) plan's `(q, n)`.
+    pub fn from_plan(plan: Arc<HarveyNtt<R>>) -> Self {
+        Self { plan }
     }
 
     /// The coefficient ring engine.
     #[inline]
     pub fn ring(&self) -> &R {
-        &self.ring
+        self.plan.ring()
     }
 
     /// The polynomial degree.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.plan.n()
     }
 
     /// The coefficient modulus.
     #[inline]
     pub fn modulus(&self) -> u128 {
-        self.ring.modulus()
+        self.ring().modulus()
     }
 
-    /// The root set (ψ, ω, inverses, n⁻¹).
+    /// The transform plan every [`Polynomial`] of this ring runs on.
     #[inline]
-    pub fn roots(&self) -> &RootSet<R> {
-        &self.roots
-    }
-
-    /// The precomputed twiddle tables.
-    #[inline]
-    pub fn tables(&self) -> &NttTables<R> {
-        &self.tables
+    pub fn plan(&self) -> &Arc<HarveyNtt<R>> {
+        &self.plan
     }
 }
 
 /// An owned polynomial bound to a shared [`PolyRing`].
 #[derive(Debug, Clone)]
-pub struct Polynomial<R: ModRing> {
+pub struct Polynomial<R: LazyRing> {
     ctx: Arc<PolyRing<R>>,
     coeffs: Vec<R::Elem>,
     domain: Domain,
 }
 
-impl<R: ModRing> PartialEq for Polynomial<R> {
+impl<R: LazyRing> PartialEq for Polynomial<R> {
     fn eq(&self, other: &Self) -> bool {
         self.ctx.modulus() == other.ctx.modulus()
             && self.ctx.n() == other.ctx.n()
@@ -118,9 +116,9 @@ impl<R: ModRing> PartialEq for Polynomial<R> {
     }
 }
 
-impl<R: ModRing> Eq for Polynomial<R> {}
+impl<R: LazyRing> Eq for Polynomial<R> {}
 
-impl<R: ModRing> Polynomial<R> {
+impl<R: LazyRing> Polynomial<R> {
     /// The zero polynomial in the coefficient domain.
     pub fn zero(ctx: Arc<PolyRing<R>>) -> Self {
         let n = ctx.n();
@@ -141,14 +139,22 @@ impl<R: ModRing> Polynomial<R> {
         Ok(Self { ctx, coeffs, domain: Domain::Coefficient })
     }
 
-    /// Wraps already-reduced elements in the given domain.
+    /// Wraps canonical elements in the given domain without reducing
+    /// them ([`Polynomial::from_values`] is the reducing constructor).
+    /// The lazy kernels take operands on trust — their `[0, 2q)` range
+    /// contract is a `debug_assert!` — so this is where it is enforced.
     ///
     /// # Errors
     ///
-    /// Returns [`PolyError::LengthMismatch`] if `coeffs.len() != n`.
+    /// Returns [`PolyError::LengthMismatch`] if `coeffs.len() != n`, and
+    /// [`PolyError::NonCanonical`] if any element is `≥ q`.
     pub fn from_elems(ctx: Arc<PolyRing<R>>, coeffs: Vec<R::Elem>, domain: Domain) -> Result<Self> {
         if coeffs.len() != ctx.n() {
             return Err(PolyError::LengthMismatch { expected: ctx.n(), found: coeffs.len() });
+        }
+        let q = ctx.modulus();
+        if let Some(index) = coeffs.iter().position(|&c| ctx.ring().to_u128(c) >= q) {
+            return Err(PolyError::NonCanonical { index, modulus: q });
         }
         Ok(Self { ctx, coeffs, domain })
     }
@@ -227,7 +233,7 @@ impl<R: ModRing> Polynomial<R> {
     /// Returns [`PolyError::DomainMismatch`] if already in NTT form.
     pub fn into_ntt(mut self) -> Result<Self> {
         self.expect_domain(Domain::Coefficient)?;
-        ntt::forward_inplace(self.ctx.ring(), &mut self.coeffs, self.ctx.tables())?;
+        self.ctx.plan().forward_inplace(&mut self.coeffs)?;
         self.domain = Domain::Ntt;
         Ok(self)
     }
@@ -239,7 +245,7 @@ impl<R: ModRing> Polynomial<R> {
     /// Returns [`PolyError::DomainMismatch`] if already in coefficient form.
     pub fn into_coeff(mut self) -> Result<Self> {
         self.expect_domain(Domain::Ntt)?;
-        ntt::inverse_inplace(self.ctx.ring(), &mut self.coeffs, self.ctx.tables())?;
+        self.ctx.plan().inverse_inplace(&mut self.coeffs)?;
         self.domain = Domain::Coefficient;
         Ok(self)
     }
@@ -296,7 +302,8 @@ impl<R: ModRing> Polynomial<R> {
     }
 
     /// Full negacyclic product of two coefficient-domain polynomials via
-    /// the merged NTT path (2 NTTs + Hadamard + iNTT — the chip's PolyMul).
+    /// the plan's fused Algorithm 2 (2 NTTs + Hadamard + iNTT — the chip's
+    /// PolyMul).
     ///
     /// # Errors
     ///
@@ -305,8 +312,7 @@ impl<R: ModRing> Polynomial<R> {
     pub fn negacyclic_mul(&self, other: &Self) -> Result<Self> {
         self.expect_domain(Domain::Coefficient)?;
         self.check_compatible(other)?;
-        let coeffs =
-            ntt::negacyclic_mul(self.ctx.ring(), &self.coeffs, &other.coeffs, self.ctx.tables())?;
+        let coeffs = self.ctx.plan().poly_mul(&self.coeffs, &other.coeffs)?;
         Ok(Self { ctx: Arc::clone(&self.ctx), coeffs, domain: Domain::Coefficient })
     }
 }
@@ -341,6 +347,29 @@ mod tests {
         let p = Polynomial::from_values(Arc::clone(&c), &[u128::MAX, 0, 1, Q as u128]).unwrap();
         assert_eq!(p.to_u128_vec(), vec![u128::MAX % Q as u128, 0, 1, 0]);
         assert!(Polynomial::from_values(c, &[1, 2]).is_err());
+    }
+
+    #[test]
+    fn from_elems_refuses_non_canonical_elements_in_both_domains() {
+        use cofhee_arith::{primes::ntt_prime, Barrett128};
+        let n = 8;
+        let q = ntt_prime(109, n).unwrap();
+        let c = Arc::new(PolyRing::new(Barrett128::new(q).unwrap(), n).unwrap());
+        for domain in [Domain::Coefficient, Domain::Ntt] {
+            for bad in [q, q + 1, u128::MAX] {
+                let mut elems = vec![0u128; n];
+                elems[5] = bad;
+                assert_eq!(
+                    Polynomial::from_elems(Arc::clone(&c), elems, domain),
+                    Err(PolyError::NonCanonical { index: 5, modulus: q }),
+                    "{bad} must be refused ({domain:?})"
+                );
+            }
+            let canonical = vec![q - 1, 0, 1, q / 2, q - 1, 2, 3, q - 2];
+            let p = Polynomial::from_elems(Arc::clone(&c), canonical.clone(), domain).unwrap();
+            assert_eq!(p.coeffs(), &canonical[..]);
+            assert_eq!(p.domain(), domain);
+        }
     }
 
     #[test]

@@ -90,16 +90,6 @@ proptest! {
     }
 
     #[test]
-    fn explicit_and_merged_paths_agree(a in poly_strategy(32), b in poly_strategy(32)) {
-        let r = ring();
-        let tables = NttTables::new(&r, 32).unwrap();
-        prop_assert_eq!(
-            ntt::negacyclic_mul(&r, &a, &b, &tables).unwrap(),
-            ntt::negacyclic_mul_explicit(&r, &a, &b, &tables).unwrap()
-        );
-    }
-
-    #[test]
     fn bitrev_is_involution(mut a in poly_strategy(128)) {
         let orig = a.clone();
         bitrev::bitrev_permute(&mut a);
