@@ -6,9 +6,14 @@
 //! the 2×2 tensor, relinearization, rescale) in isolation on the
 //! simulated silicon at `O0`, reporting serial vs overlapped cycles,
 //! DMA traffic, the share of serial time the command/DMA overlap hides,
-//! and the CPU-backend wall time for the same recorded streams. The run
-//! *asserts* the headline of every CKKS profiling study: the
-//! key-switch (relinearization) dominates the tensor product.
+//! and the CPU-backend wall time for the same recorded streams.
+//! Relinearization gets two rows: the evaluator's own path, whose key
+//! is resident on its dies in NTT form, and the self-contained
+//! `relin_streams` a farm ships to borrowed dies with the key inline —
+//! same bits, `2 · digits` more transforms per limb. The run *asserts*
+//! the headline of every CKKS profiling study: the key switch
+//! (relinearization), even with its key resident, dominates the tensor
+//! product.
 //!
 //! Part 2 runs the fused multiply→relin→rescale pipeline at `O0` and
 //! `O1`, asserting bit-identical limb residues and that the stream
@@ -23,12 +28,30 @@ use cofhee_ckks::{
     CkksCiphertext, CkksDecryptor, CkksEncoder, CkksEncryptor, CkksError, CkksEvaluator,
     CkksKeyGenerator, CkksParams,
 };
-use cofhee_core::{ChipBackendFactory, CpuBackendFactory};
-use cofhee_opt::OptLevel;
+use cofhee_core::{BackendFactory, ChipBackendFactory, CpuBackendFactory, OpReport, StreamReport};
+use cofhee_opt::{LimbEngine, OptLevel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 type Primitive<'a> = (&'a str, Box<dyn Fn(&CkksEvaluator) -> Result<CkksCiphertext, CkksError>>);
+
+/// One table row from a run's stream and op telemetry.
+fn print_row(name: &str, n: usize, sr: &StreamReport, ops: &OpReport, cpu_s: f64) {
+    let hidden =
+        100.0 * (sr.serial_cycles - sr.overlapped_cycles) as f64 / sr.serial_cycles.max(1) as f64;
+    let per_transform = (n as u64 / 2) * u64::from(n.trailing_zeros());
+    println!(
+        "{name:<20} | {:>5} | {:>12} {:>12} {:>6.1}% | {:>9} {:>9} | {:>9.1} {:>11.1}",
+        ops.butterflies / per_transform,
+        sr.serial_cycles,
+        sr.overlapped_cycles,
+        hidden,
+        sr.uploaded_bytes,
+        sr.downloaded_bytes,
+        sr.overlapped_seconds * 1e6,
+        cpu_s * 1e6,
+    );
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let log_n = cofhee_bench::sized(10u32, 6);
@@ -63,8 +86,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         params.top_level().limbs()
     );
     println!(
-        "{:<18} | {:>12} {:>12} {:>7} | {:>9} {:>9} | {:>9} {:>11}",
+        "{:<20} | {:>5} | {:>12} {:>12} {:>7} | {:>9} {:>9} | {:>9} {:>11}",
         "primitive",
+        "NTTs",
         "serial cc",
         "overlap cc",
         "hidden",
@@ -122,20 +146,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sr = chip.backend_stream_report();
         let (cpu_out, cpu_s) = cofhee_bench::time_best(reps, || op(&cpu).expect("cpu op"));
         assert_eq!(chip_out.components(), cpu_out.components(), "{name}: chip diverged from CPU");
-        let hidden = 100.0 * (sr.serial_cycles - sr.overlapped_cycles) as f64
-            / sr.serial_cycles.max(1) as f64;
-        println!(
-            "{name:<18} | {:>12} {:>12} {:>6.1}% | {:>9} {:>9} | {:>9.1} {:>11.1}",
-            sr.serial_cycles,
-            sr.overlapped_cycles,
-            hidden,
-            sr.uploaded_bytes,
-            sr.downloaded_bytes,
-            sr.overlapped_seconds * 1e6,
-            cpu_s * 1e6,
-        );
+        print_row(name, n, &sr, &chip.backend_report(), cpu_s);
         serial_by_name.push((*name, sr.serial_cycles));
     }
+
+    // The same key switch as a farm ships it: self-contained streams,
+    // key inline, on dies that hold nothing of the session.
+    let borrowed = |factory: &dyn BackendFactory| LimbEngine::new(factory, params.moduli(), n);
+    let (dies, cores) = (borrowed(&ChipBackendFactory::silicon())?, borrowed(&CpuBackendFactory)?);
+    let inline = |engine: &LimbEngine| {
+        engine.run(0, chip.relin_streams(&tensor, &rlk).expect("record")).expect("run")
+    };
+    let outs = inline(&dies);
+    let (_, cpu_s) = cofhee_bench::time_best(reps, || inline(&cores));
+    let shipped = chip.ciphertext_from_limb_outputs(outs, tensor.level(), tensor.scale())?;
+    assert_eq!(shipped.components(), relinned.components(), "inline key diverged from resident");
+    let inline_sr = dies.stream_report();
+    print_row("relinearize (inline)", n, &inline_sr, &dies.report(), cpu_s);
 
     // The profiling headline: digit-decomposition key switching costs
     // more than the tensor product it cleans up after.
@@ -148,8 +175,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "relinearization ({relin_cc} cc) must dominate the tensor product ({mult_cc} cc)"
     );
     println!(
-        "\nrelin/tensor cycle ratio: {:.2}x (key switching dominates, as in every CKKS profile)\n",
-        relin_cc as f64 / mult_cc as f64
+        "\nrelin/tensor cycle ratio: {:.2}x with the key resident, {:.2}x inline \
+         (key switching dominates, as in every CKKS profile)\n",
+        relin_cc as f64 / mult_cc as f64,
+        inline_sr.serial_cycles as f64 / mult_cc as f64
     );
 
     // Part 2: the fused pipeline under the stream compiler.

@@ -39,13 +39,18 @@
 //! drains, with upload/download DMA overlapped against PE compute; the
 //! accumulated serial-vs-overlapped telemetry of every op is queryable
 //! via [`Evaluator::backend_stream_report`].
+//!
+//! The one thing that outlives a stream is the relinearization key: the
+//! engine — not this evaluator — owns its NTT-form copy on the mod-q
+//! backend ([`LimbEngine::resident_keys`], the set CKKS uses too),
+//! transformed on a key's first use and released when the key is
+//! dropped.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cofhee_core::{
-    BackendFactory, CommStats, CpuBackendFactory, KeySwitchKeys, OpReport, OpStream, PolyBackend,
-    PolyHandle, PoolStats, StreamReport,
+    BackendFactory, CommStats, CpuBackendFactory, KeySwitchKeys, OpReport, OpStream, PoolStats,
+    StreamReport,
 };
 use cofhee_opt::{LimbEngine, OptLevel};
 use cofhee_poly::{Domain, Polynomial};
@@ -56,10 +61,6 @@ use crate::keys::RelinKey;
 use crate::params::BfvParams;
 use crate::plaintext::Plaintext;
 
-/// NTT-domain `(k0, k1)` handle pairs for one relin key, resident on the
-/// mod-q backend (see `Evaluator::relin_key_handles`).
-type RelinNttCache = Arc<Mutex<HashMap<u64, Vec<(PolyHandle, PolyHandle)>>>>;
-
 /// Evaluates homomorphic operations for one parameter set on a pluggable
 /// execution backend.
 #[derive(Debug, Clone)]
@@ -67,14 +68,9 @@ pub struct Evaluator {
     params: BfvParams,
     /// Backend 0 serves the ciphertext modulus `q` (linear ops, key
     /// switch); backend `1 + i` serves CRT computation prime `i` of the
-    /// exact tensor. Clones share the engine and its telemetry.
+    /// exact tensor. Clones share the engine, its telemetry and the
+    /// relin keys it keeps resident on backend 0 in NTT form.
     engine: LimbEngine,
-    /// NTT-domain relin-key polynomials, resident on the mod-q backend
-    /// and keyed by [`RelinKey::tag`] — transformed once per key, then
-    /// referenced by every key-switch stream (the inference-server
-    /// pattern: invariant key material never pays rework). Handles live
-    /// for the evaluator's lifetime.
-    relin_ntt_cache: RelinNttCache,
 }
 
 impl Evaluator {
@@ -115,11 +111,7 @@ impl Evaluator {
     pub fn with_backend(params: &BfvParams, factory: &dyn BackendFactory) -> Result<Self> {
         let mut moduli = vec![params.q()];
         moduli.extend_from_slice(params.mult_basis().moduli());
-        Ok(Self {
-            params: params.clone(),
-            engine: LimbEngine::new(factory, &moduli, params.n())?,
-            relin_ntt_cache: Arc::new(Mutex::new(HashMap::new())),
-        })
+        Ok(Self { params: params.clone(), engine: LimbEngine::new(factory, &moduli, params.n())? })
     }
 
     /// Builder-style: the same evaluator with the stream compiler set to
@@ -282,40 +274,6 @@ impl Evaluator {
         self.tensor_combine(&limbs)
     }
 
-    /// NTT-domain relin-key handles on the mod-q backend, transformed on
-    /// first use of each [`RelinKey`] and resident thereafter (keyed by
-    /// the key's process-unique tag; the caller holds the backend lock).
-    fn relin_key_handles(
-        &self,
-        be: &mut dyn PolyBackend,
-        rlk: &RelinKey,
-    ) -> Result<Vec<(PolyHandle, PolyHandle)>> {
-        let mut cache =
-            self.relin_ntt_cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(handles) = cache.get(&rlk.tag) {
-            return Ok(handles.clone());
-        }
-        let mut forms = Vec::with_capacity(2 * rlk.parts.len());
-        for poly in rlk.parts.iter().flat_map(|(k0, k1)| [k0, k1]) {
-            let form = be.upload(&poly.to_u128_vec()).and_then(|raw| {
-                let form = be.ntt(raw);
-                be.free(raw);
-                form
-            });
-            match form {
-                Ok(h) => forms.push(h),
-                Err(e) => {
-                    // Failed mid-transform: release the partial set.
-                    forms.into_iter().for_each(|h| be.free(h));
-                    return Err(e.into());
-                }
-            }
-        }
-        let handles: Vec<_> = forms.chunks(2).map(|pair| (pair[0], pair[1])).collect();
-        cache.insert(rlk.tag, handles.clone());
-        Ok(handles)
-    }
-
     /// Relinearization: folds the third component of a ciphertext product
     /// back onto two components using digit-decomposition key switching.
     ///
@@ -328,8 +286,9 @@ impl Evaluator {
     /// domain, and two final inverse NTTs — are recorded as one
     /// [`OpStream`] on the mod-q backend and execute in a single batched
     /// submit. The evaluator owns that backend, so the invariant key
-    /// polynomials are transformed **once** per [`RelinKey`] and kept
-    /// resident on it in NTT form; every stream references the cached
+    /// polynomials are transformed **once** per [`RelinKey`] by
+    /// [`LimbEngine::resident_keys`] and stay resident on it in NTT form
+    /// for as long as the key lives; every stream references those
     /// handles instead of re-transforming them (a borrowed backend gets
     /// the self-contained [`Evaluator::relin_stream`] instead).
     ///
@@ -340,8 +299,9 @@ impl Evaluator {
     /// ciphertext or a key generated under other parameters.
     pub fn relinearize(&self, ct: &Ciphertext, rlk: &RelinKey) -> Result<Ciphertext> {
         self.check_rlk(rlk)?;
-        let handles = self.engine.with_backend(0, |be| self.relin_key_handles(be, rlk))?;
-        self.run_mod_q(self.key_switch_stream(ct, rlk, KeySwitchKeys::Resident(&handles))?)
+        let raw = rlk.parts.iter().map(|(k0, k1)| (k0.coeffs(), k1.coeffs())).collect();
+        let handles = self.engine.resident_keys(&rlk.id, 0, &[raw])?;
+        self.run_mod_q(self.key_switch_stream(ct, rlk, KeySwitchKeys::Resident(&handles[0]))?)
     }
 
     /// Convenience: multiply then relinearize — both phases streamed

@@ -20,7 +20,9 @@
 //!    products as a self-contained mod-`q` stream — the relin-key
 //!    polynomials travel *inside* the stream, so it runs on any
 //!    borrowed backend ([`Evaluator::relinearize`] instead references
-//!    keys it keeps resident on the backend it owns).
+//!    the NTT-form keys the evaluator's
+//!    [`LimbEngine`](cofhee_opt::LimbEngine) keeps resident on the
+//!    backend it owns — the residency set CKKS uses too).
 //! 2. **Finish** — host-side reconstruction from the stream outputs:
 //!    [`Evaluator::ciphertext_from_outputs`] rewraps downloaded
 //!    components, and [`Evaluator::tensor_combine`] performs the CRT

@@ -1,9 +1,9 @@
 //! BFV key material: secret, public and relinearization keys.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cofhee_arith::{Barrett128, ModRing};
+use cofhee_opt::KeyId;
 use cofhee_poly::{Domain, Polynomial};
 use rand::Rng;
 
@@ -46,14 +46,11 @@ pub struct RelinKey {
     pub(crate) base_bits: u32,
     /// For digit `i`: `(−(aᵢ·s + eᵢ) + Tⁱ·s², aᵢ)`.
     pub(crate) parts: Vec<(Polynomial<Barrett128>, Polynomial<Barrett128>)>,
-    /// Process-unique identity (clones share it — same key material),
-    /// letting evaluators cache per-key derived data such as the
-    /// NTT-domain transforms of the key polynomials.
-    pub(crate) tag: u64,
+    /// Shared by clones (same key material): what the evaluator's
+    /// [`LimbEngine`](cofhee_opt::LimbEngine) keys the NTT-form resident
+    /// copy on, and whose last drop releases that copy.
+    pub(crate) id: KeyId,
 }
-
-/// Process-global relin-key identity allocator (see [`RelinKey::tag`]).
-static NEXT_RELIN_TAG: AtomicU64 = AtomicU64::new(0);
 
 impl RelinKey {
     /// The decomposition base exponent (digits are `base_bits` wide).
@@ -141,7 +138,7 @@ impl KeyGenerator {
             parts.push((k0, a));
             t_pow = ring.mul(t_pow, base);
         }
-        Ok(RelinKey { base_bits, parts, tag: NEXT_RELIN_TAG.fetch_add(1, Ordering::Relaxed) })
+        Ok(RelinKey { base_bits, parts, id: KeyId::default() })
     }
 }
 

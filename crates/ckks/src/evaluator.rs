@@ -32,10 +32,16 @@
 //!   component is CRT-composed host-side (the chain fits the chip's
 //!   128-bit native width by parameter validation), digit-decomposed,
 //!   and folded back via the scheme-neutral
-//!   [`cofhee_core::record_key_switch`] builder — one self-contained
-//!   stream per limb, key material inline.
+//!   [`cofhee_core::record_key_switch`] builder — one stream per limb,
+//!   against the relinearization key the engine keeps resident on the
+//!   limb backends in NTT form (`digits + 2` transforms per limb; the
+//!   `2 · digits` key transforms happen once per key). The
+//!   self-contained inline form for borrowed backends is
+//!   [`CkksEvaluator::relin_streams`], bit for bit the same result.
 
-use cofhee_core::{BackendFactory, CpuBackendFactory, OpReport, OpStream, PoolStats, StreamReport};
+use cofhee_core::{
+    BackendFactory, CpuBackendFactory, KeySwitchKeys, OpReport, OpStream, PoolStats, StreamReport,
+};
 use cofhee_opt::{LimbEngine, OptLevel};
 
 use crate::ciphertext::{scales_match, CkksCiphertext, CkksPlaintext};
@@ -192,14 +198,28 @@ impl CkksEvaluator {
     }
 
     /// Folds the cubic component back onto two via digit-decomposition
-    /// key switching (one self-contained stream per limb).
+    /// key switching, one stream per limb. The evaluator owns its
+    /// backends, so the key is transformed **once** — the whole key, on
+    /// first use, by [`LimbEngine::resident_keys`] — and stays resident
+    /// on them in NTT form for as long as it lives; every stream
+    /// references those handles (a borrowed backend gets the
+    /// self-contained [`CkksEvaluator::relin_streams`] instead, the same
+    /// bits).
     ///
     /// # Errors
     ///
     /// Returns [`CkksError::WrongCiphertextSize`] unless the input has
-    /// three components, plus backend failures.
+    /// three components, [`CkksError::ParamsMismatch`] for a key made
+    /// under other parameters, plus backend failures.
     pub fn relinearize(&self, ct: &CkksCiphertext, rlk: &CkksRelinKey) -> Result<CkksCiphertext> {
-        self.run(self.relin_streams(ct, rlk)?, ct.level(), ct.scale())
+        self.check_rlk(rlk)?;
+        let raw: Vec<Vec<_>> = (0..self.params.moduli().len())
+            .map(|j| rlk.limb_parts(j).iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect())
+            .collect();
+        let handles = self.engine.resident_keys(&rlk.id, 0, &raw)?;
+        let streams = self
+            .key_switch_streams(ct, |j, digits| KeySwitchKeys::Resident(&handles[j][..digits]))?;
+        self.run(streams, ct.level(), ct.scale())
     }
 
     /// Drops the top chain prime: divides the ciphertext (and its scale)

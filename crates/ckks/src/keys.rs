@@ -8,19 +8,20 @@
 //! independently per limb, which by CRT **is** a uniform sample modulo
 //! the chain product. Sampling reuses the scheme-agnostic helpers from
 //! `cofhee_bfv::sampling` (generic over [`cofhee_arith::ModRing`]).
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//!
+//! The relinearization key records the ring degree and chain it was
+//! made for (the evaluator refuses any other) and carries a shared
+//! [`KeyId`]: the identity an evaluator's engine keys the key's
+//! NTT-form resident copy on, and releases it by.
 
 use cofhee_arith::{Barrett128, ModRing};
 use cofhee_bfv::sampling;
+use cofhee_opt::KeyId;
 use cofhee_poly::{Domain, Polynomial};
 use rand::Rng;
 
 use crate::error::Result;
 use crate::params::CkksParams;
-
-/// Process-global relin-key tags (see [`CkksRelinKey::tag`]).
-static NEXT_RELIN_TAG: AtomicU64 = AtomicU64::new(1);
 
 /// One small signed polynomial represented in every limb's ring.
 pub(crate) type LimbPolys = Vec<Polynomial<Barrett128>>;
@@ -41,18 +42,25 @@ pub struct CkksPublicKey {
     pub(crate) parts: Vec<(Polynomial<Barrett128>, Polynomial<Barrett128>)>,
 }
 
-/// The relinearization key: per digit `i` of the base-`2^w`
-/// decomposition, per limb `j`, the pair
-/// `(k0 = −(a·s + e) + Tⁱ·s², k1 = a)` as raw residue vectors — the form
-/// [`cofhee_core::KeySwitchKeys::Inline`] takes, so key-switch streams
-/// stay self-contained and run on any borrowed backend.
+/// The relinearization key: per limb `j`, per digit `i` of the
+/// base-`2^w` decomposition, the pair
+/// `(k0 = −(a·s + e) + Tⁱ·s², k1 = a)` as raw residue vectors. Stored
+/// limb-major, so a limb's key set is borrowed as is: by
+/// [`cofhee_core::KeySwitchKeys::Inline`] for the self-contained streams
+/// a borrowed backend runs, and by the evaluator's
+/// [`LimbEngine`](cofhee_opt::LimbEngine) the one time it makes the key
+/// resident in NTT form on the backends it owns.
 #[derive(Debug, Clone)]
 pub struct CkksRelinKey {
     pub(crate) base_bits: u32,
-    /// `parts[digit][limb] = (k0 residues, k1 residues)`.
+    /// Ring degree and chain primes the residues were generated under.
+    pub(crate) n: usize,
+    pub(crate) moduli: Vec<u128>,
+    /// `parts[limb][digit] = (k0 residues, k1 residues)`.
     pub(crate) parts: Vec<Vec<(Vec<u128>, Vec<u128>)>>,
-    /// Process-unique identity for backend-resident caching.
-    pub(crate) tag: u64,
+    /// Shared by clones (same key material): what the resident copy is
+    /// keyed on, and whose last drop releases it.
+    pub(crate) id: KeyId,
 }
 
 impl CkksRelinKey {
@@ -66,21 +74,18 @@ impl CkksRelinKey {
     /// levels use a prefix).
     #[must_use]
     pub fn digit_count(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Process-unique identity, for caching NTT-transformed key
-    /// material on a backend.
-    #[must_use]
-    pub fn tag(&self) -> u64 {
-        self.tag
+        self.parts[0].len()
     }
 
     /// The `(k0, k1)` residue pairs of limb `j`, one per digit — the
     /// inline key set a limb-`j` key-switch stream carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `j` is not a limb of the chain the key was made for.
     #[must_use]
-    pub fn limb_parts(&self, j: usize) -> Vec<(Vec<u128>, Vec<u128>)> {
-        self.parts.iter().map(|digit| digit[j].clone()).collect()
+    pub fn limb_parts(&self, j: usize) -> &[(Vec<u128>, Vec<u128>)] {
+        &self.parts[j]
     }
 }
 
@@ -145,10 +150,11 @@ impl CkksKeyGenerator {
     ) -> Result<CkksRelinKey> {
         let w = self.params.base_bits();
         let digits = self.params.digits_at(self.params.top_level());
-        let mut parts = Vec::with_capacity(digits);
+        let mut parts: Vec<_> = (0..self.limbs()).map(|_| Vec::with_capacity(digits)).collect();
+        // Digit-major draws (the RNG order keys have always had), stored
+        // limb-major.
         for i in 0..digits {
             let e = lift_signed(&self.params, &sample_signed(&self.params, rng, SignedDist::Cbd))?;
-            let mut digit = Vec::with_capacity(self.limbs());
             for (j, e_j) in e.iter().enumerate() {
                 let ring = *self.params.ring(j).ring();
                 let a = self.uniform(j, rng)?;
@@ -159,14 +165,15 @@ impl CkksKeyGenerator {
                     .add(e_j)?
                     .neg()
                     .add(&sk.s_sq[j].scalar_mul(t_pow))?;
-                digit.push((k0.to_u128_vec(), a.to_u128_vec()));
+                parts[j].push((k0.to_u128_vec(), a.to_u128_vec()));
             }
-            parts.push(digit);
         }
         Ok(CkksRelinKey {
             base_bits: w,
+            n: self.params.n(),
+            moduli: self.params.moduli().to_vec(),
             parts,
-            tag: NEXT_RELIN_TAG.fetch_add(1, Ordering::Relaxed),
+            id: KeyId::default(),
         })
     }
 
@@ -268,9 +275,8 @@ mod tests {
         let rlk = kg.relin_key(&sk, &mut rng).unwrap();
         assert_eq!(rlk.digit_count(), p.digits_at(p.top_level()));
         assert_eq!(rlk.base_bits(), p.base_bits());
-        assert_eq!(rlk.limb_parts(0).len(), rlk.digit_count());
-        // Tags are process-unique.
-        let rlk2 = kg.relin_key(&sk, &mut rng).unwrap();
-        assert_ne!(rlk.tag(), rlk2.tag());
+        for j in 0..p.moduli().len() {
+            assert_eq!(rlk.limb_parts(j).len(), rlk.digit_count());
+        }
     }
 }

@@ -26,7 +26,13 @@
 //!   per-limb [`cofhee_core::OpStream`]s (one backend per chain prime)
 //!   so the PR 7 stream-compiler passes and the chip farm scheduler
 //!   apply to CKKS unchanged. Relinearization reuses the scheme-neutral
-//!   [`cofhee_core::record_key_switch`] builder shared with BFV.
+//!   [`cofhee_core::record_key_switch`] builder shared with BFV, in both
+//!   of its key forms: [`CkksEvaluator::relinearize`] references the
+//!   NTT-form key its [`cofhee_opt::LimbEngine`] keeps resident on the
+//!   backends the evaluator owns (transformed once per
+//!   [`CkksRelinKey`], held for the key's lifetime), and
+//!   [`CkksEvaluator::relin_streams`] records the same key switch
+//!   self-contained, key inline, for dies a farm borrows.
 //!
 //! Everything is numerically exact modulo each chain prime and
 //! bit-identical across backends and [`cofhee_opt::OptLevel`]s; the

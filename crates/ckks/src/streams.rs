@@ -7,7 +7,12 @@
 //! from the downloaded outputs with
 //! [`CkksEvaluator::ciphertext_from_limb_outputs`]. The direct
 //! `CkksEvaluator` methods use exactly the same builders, so local and
-//! farm execution are bit-identical by construction.
+//! farm execution are bit-identical by construction. The one builder
+//! with two forms is the key switch: `key_switch_streams` records it
+//! against whichever [`KeySwitchKeys`] it is handed — inline for
+//! [`CkksEvaluator::relin_streams`] (self-contained, any borrowed
+//! backend), resident NTT-form handles for
+//! [`CkksEvaluator::relinearize`] (the evaluator's own backends).
 //!
 //! All builders return one stream per active limb: stream `j` runs on
 //! the limb-`j` backend (modulus `qⱼ`) — except rescale, which returns
@@ -178,27 +183,58 @@ impl CkksEvaluator {
         Ok(streams)
     }
 
-    /// Records relinearization: CRT-composes the cubic component out of
-    /// the chain host-side (the validated chain fits the chip's 128-bit
-    /// native coefficient width), digit-decomposes it, and records one
-    /// self-contained key-switch stream per limb via the scheme-neutral
-    /// [`cofhee_core::record_key_switch`] builder, key material inline.
+    /// Records relinearization as one self-contained key-switch stream
+    /// per limb, key material inline: limb `j`'s stream uploads and
+    /// transforms both key polynomials of every digit itself, so a
+    /// scheduler can run it on any borrowed mod-`qⱼ` backend.
+    /// [`CkksEvaluator::relinearize`] records the same dataflow against
+    /// the NTT-form key resident on the backends the evaluator owns.
     ///
     /// # Errors
     ///
     /// Returns [`CkksError::WrongCiphertextSize`] unless the input has
-    /// three components, [`CkksError::ParamsMismatch`] if the key is too
-    /// short for the level, plus recording failures.
+    /// three components, [`CkksError::ParamsMismatch`] for a key made
+    /// for another ring degree, chain or digit width, plus recording
+    /// failures.
     pub fn relin_streams(&self, ct: &CkksCiphertext, rlk: &CkksRelinKey) -> Result<Vec<OpStream>> {
+        self.check_rlk(rlk)?;
+        self.key_switch_streams(ct, |j, digits| KeySwitchKeys::Inline(&rlk.limb_parts(j)[..digits]))
+    }
+
+    /// Refuses a key generated under another parameter set: residues of
+    /// a foreign chain would be reduced on upload and fold `c₂` onto
+    /// garbage, and a shorter chain has no residues for the top limbs.
+    pub(crate) fn check_rlk(&self, rlk: &CkksRelinKey) -> Result<()> {
+        let params = &self.params;
+        if rlk.n == params.n()
+            && rlk.moduli == params.moduli()
+            && rlk.base_bits() == params.base_bits()
+            && rlk.digit_count() >= params.digits_at(params.top_level())
+        {
+            Ok(())
+        } else {
+            Err(CkksError::ParamsMismatch)
+        }
+    }
+
+    /// Records the key switch of `ct`'s cubic component onto its first
+    /// two, one stream per limb: CRT-composes `c₂` out of the chain
+    /// host-side (the validated chain fits the chip's 128-bit native
+    /// coefficient width), digit-decomposes it, and hands each limb to
+    /// the scheme-neutral [`cofhee_core::record_key_switch`] builder with
+    /// `keys(j, digits)` — limb `j`'s first `digits` pairs of an
+    /// already checked key, inline or resident.
+    pub(crate) fn key_switch_streams<'k>(
+        &self,
+        ct: &CkksCiphertext,
+        keys: impl Fn(usize, usize) -> KeySwitchKeys<'k>,
+    ) -> Result<Vec<OpStream>> {
         self.check_ct(ct)?;
         if ct.len() != 3 {
             return Err(CkksError::WrongCiphertextSize { expected: 3, found: ct.len() });
         }
         let level = ct.level();
         let digits = self.params.digits_at(level);
-        if rlk.digit_count() < digits || rlk.base_bits() != self.params.base_bits() {
-            return Err(CkksError::ParamsMismatch);
-        }
         let n = self.params.n();
         let basis = self.params.basis_at(level);
         // Host: compose c2 into its canonical chain representative.
@@ -213,16 +249,14 @@ impl CkksEvaluator {
             // Validated: the chain product fits 127 bits.
             composed.push(wide.to_u128().expect("chain product fits native width"));
         }
-        let digit_vecs = digit_decompose(&composed, rlk.base_bits(), digits);
+        let digit_vecs = digit_decompose(&composed, self.params.base_bits(), digits);
         let mut streams = Vec::with_capacity(level.limbs());
         for j in 0..level.limbs() {
             let mut st = OpStream::new(n);
-            let mut keys = rlk.limb_parts(j);
-            keys.truncate(digits);
             // Key residues live mod the full-chain limb rings, which are
             // the same rings at every level — no rebasing needed.
             let base = [ct.components()[0][j].clone(), ct.components()[1][j].clone()];
-            record_key_switch(&mut st, &digit_vecs, KeySwitchKeys::Inline(&keys), &base)?;
+            record_key_switch(&mut st, &digit_vecs, keys(j, digits), &base)?;
             streams.push(st);
         }
         Ok(streams)

@@ -1,16 +1,26 @@
 //! The limb engine: the one place a scheme evaluator's recorded streams
-//! are compiled, fanned out across per-modulus backends, and accounted.
+//! are compiled, fanned out across per-modulus backends, and accounted —
+//! and the one place its key-switch keys are kept resident on those
+//! backends in NTT form.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use cofhee_core::{
-    BackendFactory, CommStats, OpReport, OpStream, PolyBackend, PoolStats, Result, StreamExecutor,
-    StreamJob, StreamReport,
+    BackendFactory, CommStats, OpReport, OpStream, PolyBackend, PolyHandle, PoolStats, Result,
+    StreamExecutor, StreamJob, StreamReport,
 };
 
 use crate::{OptLevel, OptStats, PassRunner};
 
 type SharedBackend = Arc<Mutex<Box<dyn PolyBackend>>>;
+
+/// Uploads `raw` and returns its forward transform, the raw form freed.
+fn ntt_form(be: &mut dyn PolyBackend, raw: &[u128]) -> Result<PolyHandle> {
+    let up = be.upload(raw)?;
+    let form = be.ntt(up);
+    be.free(up);
+    form
+}
 
 /// Poison-tolerant: a backend is valid between any two calls, so a panic
 /// in another holder leaves nothing half-updated to protect.
@@ -18,16 +28,37 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The identity of one key-switch key, carried inside `RelinKey` and
+/// `CkksRelinKey`. Clones of a key share it; a freshly generated key
+/// gets a new one (`KeyId::default()`). [`LimbEngine::resident_keys`]
+/// watches it weakly, so a key's resident form lives exactly as long as
+/// some clone of the key does and two live keys never alias.
+#[derive(Debug, Clone, Default)]
+pub struct KeyId(Arc<()>);
+
+/// NTT-domain `(k0, k1)` handle pairs, `[limb][digit]`.
+type KeyHandles = Vec<Vec<(PolyHandle, PolyHandle)>>;
+
+/// One key's resident form: limb `j` lives on backend `first + j`.
+#[derive(Debug)]
+struct ResidentKey {
+    key: Weak<()>,
+    first: usize,
+    handles: KeyHandles,
+}
+
 /// One backend per modulus, the [`OptLevel`] applied before every submit,
-/// and the stream telemetry of everything submitted — what
+/// the stream telemetry of everything submitted, and the key-switch keys
+/// resident on those backends in NTT form — what
 /// `cofhee_bfv::Evaluator` (over `[q, p₀ … p_k]`) and
 /// `cofhee_ckks::CkksEvaluator` (over the chain primes) both execute on.
-/// Clones share the backends and the telemetry.
+/// Clones share the backends, the telemetry and the resident keys.
 #[derive(Debug, Clone)]
 pub struct LimbEngine {
     backend_name: &'static str,
     backends: Vec<SharedBackend>,
     stream_totals: Arc<Mutex<StreamReport>>,
+    resident: Arc<Mutex<Vec<ResidentKey>>>,
     opt_level: OptLevel,
 }
 
@@ -47,6 +78,7 @@ impl LimbEngine {
             backend_name: factory.name(),
             backends,
             stream_totals: Arc::default(),
+            resident: Arc::default(),
             opt_level: OptLevel::O0,
         })
     }
@@ -120,14 +152,80 @@ impl LimbEngine {
         Ok(limbs)
     }
 
-    /// Runs `f` with exclusive access to backend `i` — for material that
-    /// stays resident across streams (BFV's NTT-form relin keys).
+    /// The NTT-domain handles of a key-switch key on this engine's
+    /// backends, for [`KeySwitchKeys::Resident`](cofhee_core::KeySwitchKeys):
+    /// `handles[j][i]` is digit `i`'s `(k0, k1)` pair on backend
+    /// `first + j`.
+    ///
+    /// The first call for a `key` uploads each polynomial of
+    /// `limbs[j][i]` (raw residues mod backend `first + j`'s modulus),
+    /// transforms it and frees the raw form — the only time the key is
+    /// transformed; every later call, from this engine or a clone, returns
+    /// the same handles and ignores `limbs`. The buffers held are
+    /// `2 · digits` per limb until the last clone of the key is dropped:
+    /// each call first frees the handles of dropped keys back to their
+    /// backends' pools. [`LimbEngine::reset`] clears telemetry only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates upload and transform failures; the handles made so far
+    /// are freed and nothing stays resident for `key`.
     ///
     /// # Panics
     ///
-    /// Panics when `i` is not a backend index.
-    pub fn with_backend<R>(&self, i: usize, f: impl FnOnce(&mut dyn PolyBackend) -> R) -> R {
-        f(lock(&self.backends[i]).as_mut())
+    /// Panics when `first + limbs.len()` exceeds the backend count.
+    pub fn resident_keys(
+        &self,
+        key: &KeyId,
+        first: usize,
+        limbs: &[Vec<(&[u128], &[u128])>],
+    ) -> Result<KeyHandles> {
+        let mut set = lock(&self.resident);
+        set.retain(|entry| {
+            let live = entry.key.strong_count() > 0;
+            if !live {
+                self.release(entry);
+            }
+            live
+        });
+        if let Some(entry) = set.iter().find(|e| e.key.as_ptr() == Arc::as_ptr(&key.0)) {
+            return Ok(entry.handles.clone());
+        }
+        let mut entry = ResidentKey { key: Arc::downgrade(&key.0), first, handles: Vec::new() };
+        for (be, pairs) in self.backends[first..first + limbs.len()].iter().zip(limbs) {
+            let mut be = lock(be);
+            let mut forms = Vec::with_capacity(pairs.len());
+            let done: Result<()> = pairs.iter().try_for_each(|&(k0, k1)| {
+                let f0 = ntt_form(be.as_mut(), k0)?;
+                let f1 = ntt_form(be.as_mut(), k1).map_err(|e| {
+                    be.free(f0);
+                    e
+                })?;
+                forms.push((f0, f1));
+                Ok(())
+            });
+            drop(be);
+            entry.handles.push(forms);
+            if let Err(e) = done {
+                // Failed mid-transform: release the partial set.
+                self.release(&entry);
+                return Err(e);
+            }
+        }
+        let handles = entry.handles.clone();
+        set.push(entry);
+        Ok(handles)
+    }
+
+    /// Frees every handle of `entry` on the backend that issued it.
+    fn release(&self, entry: &ResidentKey) {
+        for (be, pairs) in self.backends[entry.first..].iter().zip(&entry.handles) {
+            let mut be = lock(be);
+            for &(f0, f1) in pairs {
+                be.free(f0);
+                be.free(f1);
+            }
+        }
     }
 
     /// Folds `add` over every backend, in modulus order.
@@ -165,7 +263,8 @@ impl LimbEngine {
         *lock(&self.stream_totals)
     }
 
-    /// Clears the telemetry of every backend and the stream totals.
+    /// Clears the telemetry of every backend and the stream totals;
+    /// resident keys stay resident.
     pub fn reset(&self) {
         for be in &self.backends {
             lock(be).reset_telemetry();
@@ -213,8 +312,114 @@ mod tests {
         let group = engine.stream_report();
         assert_eq!(group.serial_cycles, alone[0].0 + alone[1].0);
         assert_eq!(group.overlapped_cycles, alone[0].1.max(alone[1].1));
-        assert_eq!(engine.with_backend(0, |be| be.report()).cycles, 0);
+        assert_eq!(lock(&engine.backends[0]).report().cycles, 0);
         assert!(engine.report().cycles > 0 && engine.comm_stats().bytes > 0);
+    }
+
+    const LIMBS: usize = 2;
+    const DIGITS: usize = 3;
+
+    /// `LIMBS × DIGITS` raw `(k0, k1)` pairs, distinct per `salt`.
+    fn raw_key(salt: u128) -> Vec<Vec<(Vec<u128>, Vec<u128>)>> {
+        (0..LIMBS as u128)
+            .map(|j| {
+                (0..DIGITS as u128)
+                    .map(|i| (poly(salt + 10 * j + i), poly(salt + 10 * j + i + 5)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn make_resident(
+        engine: &LimbEngine,
+        key: &KeyId,
+        raw: &[Vec<(Vec<u128>, Vec<u128>)>],
+    ) -> Result<KeyHandles> {
+        let limbs: Vec<Vec<_>> =
+            raw.iter().map(|l| l.iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect()).collect();
+        engine.resident_keys(key, 1, &limbs)
+    }
+
+    /// Downloads limb 0's resident polynomial `h` through a stream on
+    /// the backend it lives on (limb `j` is on backend `1 + j`).
+    fn read_back(engine: &LimbEngine, h: PolyHandle) -> Result<Vec<u128>> {
+        let mut st = OpStream::new(N);
+        let input = st.input(h);
+        let coeffs = st.intt(input)?;
+        st.output(coeffs)?;
+        Ok(engine.run(1, vec![st])?.remove(0).remove(0))
+    }
+
+    fn transforms(engine: &LimbEngine) -> u64 {
+        engine.report().butterflies / ((N as u64 / 2) * u64::from(N.trailing_zeros()))
+    }
+
+    #[test]
+    fn a_key_is_transformed_once_and_shared_with_clones_across_resets() {
+        for factory in [&CpuBackendFactory as &dyn BackendFactory, &ChipBackendFactory::silicon()] {
+            let engine = LimbEngine::new(factory, &[q(), q(), q()], N).unwrap();
+            let (key, raw) = (KeyId::default(), raw_key(100));
+            let handles = make_resident(&engine, &key, &raw).unwrap();
+            assert_eq!((handles.len(), handles[0].len()), (LIMBS, DIGITS));
+            assert_eq!(transforms(&engine), (2 * DIGITS * LIMBS) as u64);
+            // NTT form of exactly the polynomial that was handed in.
+            assert_eq!(read_back(&engine, handles[0][2].1).unwrap(), raw[0][2].1);
+            engine.reset();
+            // Clones of the engine and of the key find the same handles;
+            // the raw form is not looked at again.
+            let again = engine.clone().resident_keys(&key.clone(), 1, &[]).unwrap();
+            assert_eq!(again, handles);
+            assert_eq!(transforms(&engine), 0, "no second transform, reset or not");
+            // A second live key gets handles of its own.
+            let other = KeyId::default();
+            let theirs = make_resident(&engine, &other, &raw_key(200)).unwrap();
+            assert!(theirs.iter().flatten().all(|p| !handles.iter().flatten().any(|h| h == p)));
+            assert_eq!(read_back(&engine, handles[0][2].1).unwrap(), raw[0][2].1);
+        }
+    }
+
+    #[test]
+    fn a_dropped_keys_handles_are_freed_when_the_set_is_next_consulted() {
+        for factory in [&CpuBackendFactory as &dyn BackendFactory, &ChipBackendFactory::silicon()] {
+            let engine = LimbEngine::new(factory, &[q(), q(), q()], N).unwrap();
+            let mut key = KeyId::default();
+            let mut handles = make_resident(&engine, &key, &raw_key(0)).unwrap();
+            for round in 1..=8 {
+                let stale = handles[0][0].0;
+                assert!(read_back(&engine, stale).is_ok(), "live while its key lives");
+                key = KeyId::default(); // the previous key dies here
+                handles = make_resident(&engine, &key, &raw_key(round)).unwrap();
+                assert!(
+                    matches!(
+                        read_back(&engine, stale),
+                        Err(cofhee_core::CoreError::BadHandle { .. })
+                    ),
+                    "{}: round {round} left the dropped key's handles live",
+                    engine.backend_name()
+                );
+            }
+            if engine.backend_name() == "cpu" {
+                // Every CPU buffer is a pool take and every free a put.
+                let pool = engine.pool_stats();
+                assert_eq!(pool.hits + pool.misses - pool.recycled, (2 * DIGITS * LIMBS) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_transform_leaves_nothing_resident() {
+        let engine = LimbEngine::new(&CpuBackendFactory, &[q(), q(), q()], N).unwrap();
+        let key = KeyId::default();
+        let mut broken = raw_key(7);
+        broken[1][1].1.pop(); // the 10th of 12 polynomials is short
+        assert!(make_resident(&engine, &key, &broken).is_err());
+        let pool = engine.pool_stats();
+        assert_eq!(pool.hits + pool.misses, pool.recycled, "the partial set was freed");
+        // The key is not half-resident: the next call starts over.
+        engine.reset();
+        let handles = make_resident(&engine, &key, &raw_key(7)).unwrap();
+        assert_eq!(transforms(&engine), (2 * DIGITS * LIMBS) as u64);
+        assert_eq!(read_back(&engine, handles[0][1].1).unwrap(), raw_key(7)[0][1].1);
     }
 
     #[test]

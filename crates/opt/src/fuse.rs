@@ -22,7 +22,10 @@ enum Rewrite {
 ///   every tensor limb; the CPU backend executes it through the fused
 ///   Harvey kernel (one pass fewer over memory).
 /// * `hadamard(x, y) + acc` → `hadamard_add(x, y, acc)` — the tensor
-///   middle term's accumulate pattern.
+///   middle term's and the key switch's accumulate pattern. When both
+///   operands are sole-use products the **later-recorded** one folds —
+///   the one adjacent to the add — so no product moves behind the
+///   uploads and transforms recorded between the two.
 ///
 /// On the chip both fused nodes issue exactly the commands of their
 /// unfused expansions, so fusion is cycle-neutral there and pays off in
@@ -64,15 +67,19 @@ impl Pass for Fuse {
                     }
                 }
                 StreamOp::PointwiseAdd(p, q) => {
-                    // Fuse one side; a sole-use product on either
-                    // operand qualifies, first operand preferred.
-                    if let Some((x, y)) = foldable(p) {
-                        claimed[p.index()] = true;
-                        rewrite[i] = Some(Rewrite::HadamardAdd(x, y, *q));
-                        fused += 1;
-                    } else if let Some((x, y)) = foldable(q) {
-                        claimed[q.index()] = true;
-                        rewrite[i] = Some(Rewrite::HadamardAdd(x, y, *p));
+                    // Fuse one side. When a sole-use product sits on
+                    // both, fold the later-recorded one: the folded
+                    // product is emitted at this add, so folding the
+                    // earlier one would move it behind everything
+                    // recorded in between (a key switch's next digit:
+                    // uploads and transforms the chip then serializes
+                    // in front of a product it could have overlapped).
+                    let (late, early) = if p.index() > q.index() { (p, q) } else { (q, p) };
+                    let (product, acc) =
+                        if foldable(late).is_some() { (late, early) } else { (early, late) };
+                    if let Some((x, y)) = foldable(product) {
+                        claimed[product.index()] = true;
+                        rewrite[i] = Some(Rewrite::HadamardAdd(x, y, *acc));
                         fused += 1;
                     }
                 }
@@ -130,6 +137,34 @@ mod tests {
         assert_eq!(opt.len(), st.len() - 2);
         assert!(opt.nodes().iter().any(|n| matches!(n, StreamOp::HadamardIntt(..))));
         assert!(opt.nodes().iter().any(|n| matches!(n, StreamOp::HadamardAdd(..))));
+    }
+
+    #[test]
+    fn key_switch_accumulators_fold_the_later_product() {
+        use cofhee_core::{record_key_switch, KeySwitchKeys};
+        const DIGITS: usize = 3;
+        let digits: Vec<_> = (0..DIGITS as u128).map(|d| poly(10 + d)).collect();
+        let keys: Vec<_> = (0..DIGITS as u128).map(|d| (poly(20 + d), poly(30 + d))).collect();
+        let mut st = OpStream::new(N);
+        record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), &[poly(1), poly(2)])
+            .unwrap();
+
+        let truth = run(&st);
+        let (opt, stats) = Fuse.run(&st).unwrap();
+        assert_eq!(run(&opt), truth);
+        assert_eq!(stats.fused, 2 * (DIGITS as u64 - 1), "every accumulate fuses");
+        // Digit 0's two products are both operands of digit 1's adds;
+        // they must stay where they were recorded, ahead of digit 1's
+        // first upload, and each later product folds in place.
+        let kinds = crate::testutil::shape(&opt);
+        let at = |prefix: &str| -> Vec<usize> {
+            (0..kinds.len()).filter(|&i| kinds[i].starts_with(prefix)).collect()
+        };
+        let plain = at("Hadamard[");
+        assert_eq!(plain.len(), 2, "only digit 0 keeps plain products: {kinds:?}");
+        // Uploads in record order: d0, k00, k01, then d1.
+        let digit1_upload = at("Upload")[3];
+        assert!(plain.iter().all(|&i| i < digit1_upload), "{kinds:?}");
     }
 
     #[test]

@@ -77,7 +77,7 @@ mod pass;
 pub use cost::{node_cost, stream_cost};
 pub use cse::Cse;
 pub use dce::Dce;
-pub use engine::LimbEngine;
+pub use engine::{KeyId, LimbEngine};
 pub use fuse::Fuse;
 pub use hoist::TransferHoist;
 pub use partition::{execute_partitioned, PartitionPlan, Partitioner};
