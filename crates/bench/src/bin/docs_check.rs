@@ -19,7 +19,8 @@
 //! `ntt::inverse_inplace`, `ntt::negacyclic_mul`) are its no-headroom
 //! fallback and the tests' bit-exactness oracle, so every `*.rs` under
 //! `crates/*/src` is scanned for a call to one of them outside a
-//! `#[cfg(test)]` item. Exempt: `crates/poly/src/ntt.rs` (the
+//! `#[cfg(test)]` item (a file that opens with `#![cfg(test)]` is one
+//! such item as a whole). Exempt: `crates/poly/src/ntt.rs` (the
 //! definitions), `crates/poly/src/lazy.rs` (the fallback), and
 //! `crates/bench` (the strict-vs-lazy ratio gate and the §VIII-A
 //! ablation measure the strict kernels on purpose).
@@ -101,11 +102,16 @@ const STRICT_KERNEL_ALLOWED: [&str; 3] =
     ["crates/poly/src/ntt.rs", "crates/poly/src/lazy.rs", "crates/bench/"];
 
 /// Lines of one Rust source that name a strict kernel outside comments
-/// and outside `#[cfg(test)]` items. Relies on rustfmt (enforced in CI):
-/// an item closes with a `}` — or, brace-less, ends in `;` — at the
+/// and outside `#[cfg(test)]` items — none in a module file that gates
+/// itself with `#![cfg(test)]`. Relies on rustfmt (enforced in CI): an
+/// item closes with a `}` — or, brace-less, ends in `;` — at the
 /// indentation its attribute opened at.
 fn strict_kernel_calls(src: &str) -> Vec<(usize, &'static str)> {
     let mut out = Vec::new();
+    let first_code = src.lines().find(|l| !l.is_empty() && !l.starts_with("//"));
+    if first_code == Some("#![cfg(test)]") {
+        return out;
+    }
     let mut lines = src.lines().enumerate();
     while let Some((lineno, line)) = lines.next() {
         let code = line.trim_start();
@@ -235,5 +241,9 @@ mod tests {
             strict_kernel_calls(src),
             vec![(7, "ntt::negacyclic_mul"), (11, "ntt::forward_inplace")]
         );
+        // A module file gated as a whole is one test item.
+        let gated = format!("//! A test module.\n\n#![cfg(test)]\n{src}");
+        assert_eq!(strict_kernel_calls(&gated), vec![]);
+        assert_eq!(strict_kernel_calls(&format!("fn a() {{}}\n{gated}")).len(), 2);
     }
 }

@@ -311,11 +311,14 @@ impl Evaluator {
         if ct.len() != 3 {
             return Err(BfvError::WrongCiphertextSize { expected: 3, found: ct.len() });
         }
-        let digits = cofhee_core::digit_decompose(
+        let digits: Vec<_> = cofhee_core::digit_decompose(
             &ct.polys()[2].to_u128_vec(),
             rlk.base_bits,
             rlk.parts.len(),
-        );
+        )
+        .into_iter()
+        .map(std::sync::Arc::new)
+        .collect();
         let base: Vec<Vec<u128>> = ct.polys()[..2].iter().map(|c| c.to_u128_vec()).collect();
         let mut st = OpStream::new(self.params().n());
         cofhee_core::record_key_switch(&mut st, &digits, keys, &base)?;

@@ -105,7 +105,7 @@ impl TowerEvaluator {
             let q = by_size
                 .get_mut(&bits)
                 .and_then(|v| v.pop())
-                .ok_or(BfvError::InvalidParams { reason: "tower plan exhausted".into() })?;
+                .ok_or_else(|| BfvError::InvalidParams { reason: "tower plan exhausted".into() })?;
             let plan = TwiddleCache::barrett64(q as u64, n)?;
             towers.push(Tower { ring: *plan.ring(), plan });
         }

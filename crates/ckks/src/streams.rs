@@ -249,7 +249,12 @@ impl CkksEvaluator {
             // Validated: the chain product fits 127 bits.
             composed.push(wide.to_u128().expect("chain product fits native width"));
         }
-        let digit_vecs = digit_decompose(&composed, self.params.base_bits(), digits);
+        // One shared payload per digit: every limb's stream uploads the
+        // same vector, none of them copies it.
+        let digit_vecs: Vec<_> = digit_decompose(&composed, self.params.base_bits(), digits)
+            .into_iter()
+            .map(std::sync::Arc::new)
+            .collect();
         let mut streams = Vec::with_capacity(level.limbs());
         for j in 0..level.limbs() {
             let mut st = OpStream::new(n);

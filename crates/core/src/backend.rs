@@ -590,12 +590,12 @@ impl CpuBackend {
     ///
     /// Root-finding failures (`q` not NTT-friendly for degree `n`).
     pub fn new(q: u128, n: usize) -> Result<Self> {
-        // Barrett64 supports moduli up to 62 bits; anything wider runs
-        // on the 128-bit native-width engine.
-        let engine = if q < (1u128 << 62) {
-            CpuEngine::Narrow(CpuState::new(TwiddleCache::barrett64(q as u64, n)?))
-        } else {
-            CpuEngine::Wide(CpuState::new(TwiddleCache::barrett128(q, n)?))
+        // Word-sized moduli (a Barrett64 ring exists) run on the 64-bit
+        // engine, anything wider on the 128-bit native-width one — the
+        // rule the simulator's functional kernel shares.
+        let engine = match TwiddleCache::narrow(q, n)? {
+            Some(plan) => CpuEngine::Narrow(CpuState::new(plan)),
+            None => CpuEngine::Wide(CpuState::new(TwiddleCache::barrett128(q, n)?)),
         };
         Ok(Self { engine, n, q, report: OpReport::default() })
     }
@@ -731,9 +731,10 @@ pub struct ChipBackend {
     pub(crate) report: OpReport,
     /// Recycled host-mirror stock: uploads take staged buffers here and
     /// frees return them, mirroring [`CpuBackend`]'s zero-alloc steady
-    /// state on the staging side. Stream execution stages
-    /// `StreamOp::Input` mirrors through it too.
-    pub(crate) scratch: BufferPool<u128>,
+    /// state on the staging side. (Stream execution needs no staging:
+    /// it reduces payloads and resident mirrors straight into the
+    /// simulated banks.)
+    scratch: BufferPool<u128>,
     comm_base: CommStats,
     /// Tracing destination for stream execution; [`TraceContext::disabled`]
     /// until a farm (or test) installs a recording sink.

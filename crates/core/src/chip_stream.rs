@@ -23,12 +23,18 @@
 //! * **DMA-overlapped transfers.** Each host upload and each marked
 //!   output is shadowed by an in-FIFO `MEMCPY` over the same slot: the
 //!   DMA transaction that streams the polynomial between the link
-//!   interface and the bank. It is functionally idempotent (the
-//!   backdoor write already placed the data) but occupies the DMA
-//!   engine and the bank for the cycles the real transfer takes, which
-//!   is exactly what lets the chip model hide transfers behind PE
+//!   interface and the bank. It copies nothing (the backdoor write
+//!   already reduced the data into the bank, and the simulator moves no
+//!   word for `src == dst`) but it is bounds-checked and occupies the
+//!   DMA engine and the bank for the cycles the real transfer takes,
+//!   which is exactly what lets the chip model hide transfers behind PE
 //!   compute — and what makes the overlapped wall clock come in under
 //!   the serial sum.
+//!
+//! On the host a polynomial is therefore copied once on the way in
+//! (reduced from the stream's shared payload, or from a resident
+//! mirror, straight into its bank) and once on the way out (the
+//! download); everything between runs in place on the simulated SRAM.
 //!
 //! The returned [`StreamReport`] prices the same command list both
 //! ways: `serial_*` as if every command and transfer ran strictly
@@ -265,25 +271,29 @@ impl<'a> Scheduler<'a> {
         self.be.device.submit(cmd)
     }
 
-    /// The link-side DMA transaction over `slot`: functionally
-    /// idempotent, but it occupies the DMA engine and the bank for the
-    /// cycles the real transfer takes, so the overlap model sees it.
+    /// The link-side DMA transaction over `slot`: it moves no data, but
+    /// it occupies the DMA engine and the bank for the cycles the real
+    /// transfer takes, so the overlap model sees it.
     fn submit_dma_touch(&mut self, slot: Slot) -> Result<()> {
         self.submit(Command::memcpy(slot, slot, self.n))
     }
 
-    /// Hosts a value: backdoor write plus the shadowing DMA command.
-    fn host_upload(&mut self, node: usize, data: &[u128]) -> Result<()> {
+    /// Allocates the slot the host write of `node`'s value lands in.
+    fn host_slot(&mut self, node: usize) -> Result<Slot> {
         let si = self.alloc(false, &[], true)?;
         let slot = self.slots[si].slot;
         self.last_upload_bank = Some(slot.bank);
-        self.be.device.upload(slot, data)?;
+        self.residence[node] = Some(si);
+        Ok(slot)
+    }
+
+    /// Accounts the backdoor write that just filled `slot` and queues
+    /// the DMA command shadowing it.
+    fn host_uploaded(&mut self, slot: Slot) -> Result<()> {
         let poly_bytes = self.n as u64 * 16;
         self.wire_in += self.be.device.link_transfer_seconds(poly_bytes);
         self.report.uploaded_bytes += poly_bytes;
-        self.submit_dma_touch(slot)?;
-        self.residence[node] = Some(si);
-        Ok(())
+        self.submit_dma_touch(slot)
     }
 
     /// Slot of an operand node (produced earlier by construction).
@@ -308,19 +318,19 @@ impl<'a> Scheduler<'a> {
     fn issue(&mut self, i: usize, op: &StreamOp, is_output: bool) -> Result<()> {
         match op {
             StreamOp::Upload(v) => {
-                self.host_upload(i, v)?;
+                let slot = self.host_slot(i)?;
+                self.be.device.upload(slot, v)?;
+                self.host_uploaded(slot)?;
             }
             StreamOp::Input(h) => {
-                // Stage the host mirror through the recycled scratch
-                // stock instead of cloning it — warmed streams that
-                // reference resident handles (cached relin keys) add no
-                // heap traffic.
-                let mut data = self.be.scratch.take();
-                data.copy_from_slice(
-                    self.be.pool.get(&h.id()).ok_or(CoreError::BadHandle { id: h.id() })?,
-                );
-                self.host_upload(i, &data)?;
-                self.be.scratch.put(data);
+                // The resident mirror (a cached relin key, say) is
+                // reduced into the bank from where it lies.
+                let slot = self.host_slot(i)?;
+                let be = &mut *self.be;
+                let mirror =
+                    be.pool.get(&h.id()).ok_or_else(|| CoreError::BadHandle { id: h.id() })?;
+                be.device.upload(slot, mirror)?;
+                self.host_uploaded(slot)?;
             }
             StreamOp::Ntt(s) | StreamOp::Intt(s) => {
                 let src = self.operand(*s);
@@ -496,10 +506,14 @@ pub(crate) fn execute(be: &mut ChipBackend, stream: &OpStream) -> Result<StreamO
     if stream.is_empty() {
         return Ok(StreamOutcome { outputs: Vec::new(), report: StreamReport::default() });
     }
+    // The chip logs every executed command; nothing reads that log
+    // across a stream, so a die that serves streams for days must not
+    // keep it.
+    let history_mark = be.device.chip().history().len();
     let mut sched = Scheduler::new(be, stream);
     let result = sched.run(stream);
     let report = sched.report;
-    match result {
+    let outcome = match result {
         Ok(outputs) => Ok(StreamOutcome { outputs, report }),
         Err(e) => {
             // Never leave half a batch queued behind for a later,
@@ -510,7 +524,9 @@ pub(crate) fn execute(be: &mut ChipBackend, stream: &OpStream) -> Result<StreamO
             }
             Err(e)
         }
-    }
+    };
+    be.device.chip_mut().truncate_history(history_mark);
+    outcome
 }
 
 #[cfg(test)]
@@ -619,6 +635,34 @@ mod tests {
         let after = chip.report();
         assert!(after.cycles > 0, "drained batches land in the OpReport ledger");
         assert!(after.butterflies > 0 && after.mults > 0);
+    }
+
+    #[test]
+    fn streams_leave_the_chips_command_history_where_they_found_it() {
+        // A die that serves streams for days must not grow by a history
+        // entry per command.
+        let st = deep_stream(40);
+        let mut chip = ChipBackend::connect(ChipConfig::silicon(), q(), N).unwrap();
+        let mark = chip.device().chip().history().len();
+        let before = chip.report();
+        let mut commands = 0;
+        while commands < 10_000 {
+            commands += chip.execute_stream(&st).unwrap().report.commands;
+            assert_eq!(chip.device().chip().history().len(), mark);
+        }
+        assert!(chip.report().cycles > before.cycles, "the ledger still counts every command");
+
+        // A failing stream (more live values than the 768 slots) closes
+        // its window too.
+        let mut st = OpStream::new(N);
+        let ups: Vec<_> = (0..800).map(|s| st.upload(poly(s)).unwrap()).collect();
+        let mut acc = ups[0];
+        for &h in &ups[1..] {
+            acc = st.pointwise_add(acc, h).unwrap();
+        }
+        st.output(acc).unwrap();
+        assert!(matches!(chip.execute_stream(&st), Err(CoreError::SlotsExhausted { .. })));
+        assert_eq!(chip.device().chip().history().len(), mark);
     }
 
     #[test]

@@ -204,15 +204,17 @@ impl Device {
         Ok(())
     }
 
-    /// Uploads a polynomial over the host link.
+    /// Uploads a polynomial over the host link, reducing each
+    /// coefficient mod `q` straight into the bank.
     ///
     /// # Errors
     ///
     /// Length and bounds failures.
     pub fn upload(&mut self, slot: Slot, coeffs: &[u128]) -> Result<()> {
         self.check_len(coeffs.len())?;
-        let reduced: Vec<u128> = coeffs.iter().map(|&c| self.ring.from_u128(c)).collect();
-        self.chip.write_polynomial(slot, &reduced)?;
+        for (word, &c) in self.chip.polynomial_mut(slot, coeffs.len())?.iter_mut().zip(coeffs) {
+            *word = self.ring.from_u128(c);
+        }
         self.account_bytes(coeffs.len() as u64 * 16);
         Ok(())
     }

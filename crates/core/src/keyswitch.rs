@@ -18,6 +18,8 @@
 //! on the executing backend (the inference-server pattern: invariant keys
 //! transformed once, then shared by every stream).
 
+use std::sync::Arc;
+
 use crate::backend::PolyHandle;
 use crate::error::Result;
 use crate::stream::{OpStream, StreamHandle};
@@ -49,7 +51,9 @@ impl KeySwitchKeys<'_> {
 /// folded components as outputs.
 ///
 /// `digits[i]` is the `i`-th digit polynomial of the decomposed
-/// component (length `st.n()` canonical residues); `keys` supplies the
+/// component (length `st.n()` canonical residues), as a shared payload:
+/// a caller recording one stream per RNS limb hands every stream the
+/// same digits and nothing is copied; `keys` supplies the
 /// matching `(k0, k1)` pair per digit; `base` holds the two ciphertext
 /// components the folded accumulators are added onto. Per digit the
 /// builder records: upload + forward NTT of the digit polynomial, the two
@@ -65,7 +69,7 @@ impl KeySwitchKeys<'_> {
 /// components, and propagates recording failures (wrong vector lengths).
 pub fn record_key_switch(
     st: &mut OpStream,
-    digits: &[Vec<u128>],
+    digits: &[Arc<Vec<u128>>],
     keys: KeySwitchKeys<'_>,
     base: &[Vec<u128>],
 ) -> Result<()> {
@@ -81,7 +85,7 @@ pub fn record_key_switch(
     let mut accs: [Option<StreamHandle>; 2] = [None, None];
     for (i, digit) in digits.iter().enumerate() {
         let fd = {
-            let d = st.upload(digit.clone())?;
+            let d = st.upload_shared(Arc::clone(digit))?;
             st.ntt(d)?
         };
         let pair: [KeyOperand; 2] = match keys {
@@ -161,8 +165,9 @@ mod tests {
 
     #[test]
     fn inline_and_resident_forms_agree() {
-        let digits: Vec<Vec<u128>> =
-            (0..3).map(|d| (0..N as u128).map(|j| (j * 7 + d + 1) % Q).collect()).collect();
+        let digits: Vec<Arc<Vec<u128>>> = (0..3)
+            .map(|d| Arc::new((0..N as u128).map(|j| (j * 7 + d + 1) % Q).collect()))
+            .collect();
         let keys: Vec<(Vec<u128>, Vec<u128>)> = (0..3)
             .map(|d| {
                 let k0 = (0..N as u128).map(|j| (j * 31 + d * 5 + 2) % Q).collect();
@@ -205,7 +210,7 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_shapes() {
-        let digits = vec![vec![0u128; N]];
+        let digits = vec![Arc::new(vec![0u128; N])];
         let keys: Vec<(Vec<u128>, Vec<u128>)> = vec![];
         let base = vec![vec![0u128; N]; 2];
         let mut st = OpStream::new(N);

@@ -50,6 +50,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// An error built inside `ok_or(…)` is built — `String` and all — every
+// time the value is *present*; these crates sit on per-command paths.
+#![warn(clippy::or_fun_call)]
 
 mod backend;
 mod chip_stream;

@@ -59,6 +59,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::backend::{PolyBackend, PolyHandle};
 use crate::error::{CoreError, Result};
@@ -100,8 +101,12 @@ static NEXT_STREAM_TAG: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamOp {
     /// Host data entering the stream (reduced mod `q` on ingest, like
-    /// [`PolyBackend::upload`]).
-    Upload(Vec<u128>),
+    /// [`PolyBackend::upload`]). The payload is shared, never copied:
+    /// recording moves the caller's vector behind the pointer, the
+    /// stream compiler's rewrites and clones of the stream clone the
+    /// pointer, and executors read through it. One payload may enter
+    /// any number of streams ([`OpStream::upload_shared`]).
+    Upload(Arc<Vec<u128>>),
     /// A polynomial already resident on the executing backend. The
     /// handle is borrowed: stream execution never frees it.
     Input(PolyHandle),
@@ -212,12 +217,25 @@ impl OpStream {
 
     /// Records a host upload (data is reduced mod `q` at execution).
     /// Takes ownership — operands built for the stream (CRT lifts,
-    /// digit decompositions) move in without a second copy.
+    /// digit decompositions) move behind the payload pointer without
+    /// being copied, at record time or ever after.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadOperandLength`] if `coeffs.len() != n`.
     pub fn upload(&mut self, coeffs: Vec<u128>) -> Result<StreamHandle> {
+        self.upload_shared(Arc::new(coeffs))
+    }
+
+    /// Records a host upload of an already shared payload — one vector
+    /// entering several streams (the digits of a key switch, once per
+    /// RNS limb) or re-emitted by a stream rewrite costs a pointer
+    /// clone each time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BadOperandLength`] if `coeffs.len() != n`.
+    pub fn upload_shared(&mut self, coeffs: Arc<Vec<u128>>) -> Result<StreamHandle> {
         if coeffs.len() != self.n {
             return Err(CoreError::BadOperandLength { expected: self.n, found: coeffs.len() });
         }

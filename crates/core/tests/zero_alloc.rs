@@ -16,6 +16,11 @@
 //! * [`CpuBackend`] is checked at a small degree and at `n = 2^13`,
 //!   the degree the end-to-end benchmark runs: its kernels never spawn
 //!   threads, so the claim holds at every degree.
+//! * A warmed [`ChipBackend::execute_stream`] is held to a ledger too:
+//!   the simulated die computes in place in its SRAM, so a stream costs
+//!   its output vectors plus the scheduler's own few bookkeeping vectors
+//!   — the same count at every degree and for either modulus width,
+//!   nothing per coefficient and nothing per command.
 //! * Everything runs inside ONE `#[test]` so no concurrent libtest
 //!   thread pollutes the process-global counter.
 //!
@@ -27,7 +32,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cofhee_arith::primes::ntt_prime;
-use cofhee_core::{ChipBackend, CpuBackend, PolyBackend};
+use cofhee_core::{ChipBackend, CpuBackend, OpStream, PolyBackend};
 use cofhee_sim::ChipConfig;
 
 /// Counts allocation events; forwards everything to [`System`].
@@ -114,6 +119,49 @@ fn assert_zero_alloc_steady_state(be: &mut dyn PolyBackend, a: &[u128], b: &[u12
     );
 }
 
+/// `ct · pt` as `cofhee_bfv` records it: the plaintext uploaded once, one
+/// Algorithm 2 PolyMul per ciphertext component.
+fn mul_plain_shaped(n: usize) -> OpStream {
+    let mut st = OpStream::new(n);
+    let pt = st.upload((0..n as u128).map(|i| i % 5).collect()).unwrap();
+    for c in 0..2u128 {
+        let ct = st.upload((0..n as u128).map(|i| i * 977 + c).collect()).unwrap();
+        let prod = st.poly_mul(ct, pt).unwrap();
+        st.output(prod).unwrap();
+    }
+    st
+}
+
+/// `ct + ct`: four uploads, one PMODADD per component.
+fn ct_add_shaped(n: usize) -> OpStream {
+    let mut st = OpStream::new(n);
+    for c in 0..2u128 {
+        let a = st.upload((0..n as u128).map(|i| i * 31 + c).collect()).unwrap();
+        let b = st.upload((0..n as u128).map(|i| i * 17 + c).collect()).unwrap();
+        let sum = st.pointwise_add(a, b).unwrap();
+        st.output(sum).unwrap();
+    }
+    st
+}
+
+/// What one stream execution may allocate beyond its output vectors: the
+/// scheduler's seven per-stream vectors (bank list, slot table,
+/// residence, use counts, output marks, batch records, the output list).
+/// Per stream — not per command, not per coefficient.
+const STREAM_BOOKKEEPING_ALLOCS: u64 = 7;
+
+/// Allocations of one warmed `execute_stream`, outputs included.
+fn warmed_stream_allocations(chip: &mut ChipBackend, stream: &OpStream) -> u64 {
+    for _ in 0..2 {
+        chip.execute_stream(stream).unwrap();
+    }
+    let before = allocations();
+    let outcome = chip.execute_stream(stream).unwrap();
+    let delta = allocations() - before;
+    assert_eq!(outcome.outputs.len(), stream.outputs().len());
+    delta
+}
+
 #[test]
 fn warmed_backends_run_allocation_free() {
     let operands = |n: usize| -> (Vec<u128>, Vec<u128>) {
@@ -155,4 +203,29 @@ fn warmed_backends_run_allocation_free() {
     assert_eq!(delta, 0, "chip staging: warmed upload/free performed {delta} allocations");
     assert_eq!(stats.misses, warm.misses, "chip staging: pool missed after warm-up");
     assert!(stats.hits > warm.hits, "chip staging: traffic did not exercise the pool");
+
+    // ChipBackend streams, on the simulator's word-width kernel (47 bits)
+    // and on its 128-bit arithmetic (109 bits).
+    for (shape, build) in
+        [("ct * pt", mul_plain_shaped as fn(usize) -> OpStream), ("ct + ct", ct_add_shaped)]
+    {
+        for bits in [47u32, 109] {
+            let per_degree = [1usize << 10, 1 << 12].map(|n| {
+                let stream = build(n);
+                let q = ntt_prime(bits, n).unwrap();
+                let mut chip = ChipBackend::connect(ChipConfig::silicon(), q, n).unwrap();
+                let delta = warmed_stream_allocations(&mut chip, &stream);
+                let outputs = stream.outputs().len() as u64;
+                assert!(
+                    delta <= outputs + STREAM_BOOKKEEPING_ALLOCS,
+                    "{shape}, {bits}-bit q, n={n}: {delta} allocations for {outputs} outputs"
+                );
+                delta
+            });
+            assert_eq!(
+                per_degree[0], per_degree[1],
+                "{shape}, {bits}-bit q: allocations grew with the degree"
+            );
+        }
+    }
 }

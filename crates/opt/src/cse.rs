@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use cofhee_core::{OpStream, PolyHandle, Result, StreamHandle, StreamOp};
 
-use crate::pass::{emit_mapped, Pass, PassStats};
+use crate::pass::{emit_mapped, Pass, PassStats, PayloadClasses};
 
 /// The value-numbering key of one compute node: opcode plus the value
 /// classes of its operands (sorted where the op commutes — `a ⊙ b` and
@@ -50,7 +50,10 @@ fn sorted(a: usize, b: usize) -> (usize, usize) {
 /// * **Consumer redirection** — consumers of a deduplicated value are
 ///   rewired to the representative, which leaves the duplicate
 ///   producers (including identical-payload uploads) dead for
-///   [`Dce`](crate::Dce) to sweep.
+///   [`Dce`](crate::Dce) to sweep. Upload payloads are one value when
+///   they hold the same words — found by pointer identity, else by a
+///   sampled key plus a full comparison, never by hashing 64 KiB per
+///   operand (`PayloadClasses` in `pass.rs`).
 ///
 /// Dedup can extend a representative's live range (its last consumer
 /// moves later), which trades SRAM slot pressure for eliminated
@@ -70,7 +73,7 @@ impl Pass for Cse {
         // the same value (fully resolved — class reps are their own
         // class).
         let mut vclass: Vec<usize> = (0..nodes.len()).collect();
-        let mut uploads: HashMap<&[u128], usize> = HashMap::new();
+        let mut uploads = PayloadClasses::default();
         let mut inputs: HashMap<PolyHandle, usize> = HashMap::new();
         let mut exprs: HashMap<Key, usize> = HashMap::new();
 
@@ -93,7 +96,7 @@ impl Pass for Cse {
                     // consumers dedup, but the duplicate upload itself
                     // is left for DCE/transfer-hoist to account — it
                     // dies once redirection strips its consumers.
-                    (*uploads.entry(data.as_slice()).or_insert(i), true)
+                    (uploads.class(i, data), true)
                 }
                 StreamOp::Input(h) => {
                     let rep = *inputs.entry(*h).or_insert(i);

@@ -143,7 +143,8 @@ mod tests {
     fn key_switch_accumulators_fold_the_later_product() {
         use cofhee_core::{record_key_switch, KeySwitchKeys};
         const DIGITS: usize = 3;
-        let digits: Vec<_> = (0..DIGITS as u128).map(|d| poly(10 + d)).collect();
+        let digits: Vec<_> =
+            (0..DIGITS as u128).map(|d| std::sync::Arc::new(poly(10 + d))).collect();
         let keys: Vec<_> = (0..DIGITS as u128).map(|d| (poly(20 + d), poly(30 + d))).collect();
         let mut st = OpStream::new(N);
         record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), &[poly(1), poly(2)])

@@ -1,20 +1,21 @@
 //! Transfer hoisting: merge redundant uploads, sink the survivors to
 //! first use.
 
-use std::collections::HashMap;
-
 use cofhee_core::{OpStream, Result, StreamHandle, StreamOp};
 
-use crate::pass::{emit_mapped, Pass, PassStats};
+use crate::pass::{emit_mapped, Pass, PassStats, PayloadClasses};
 
 /// Transfer hoisting over the stream's host uploads.
 ///
 /// Two rewrites, both pure transfer-schedule moves:
 ///
 /// * **Merge** — uploads carrying identical coefficient vectors
-///   collapse to the first occurrence. Each merge removes a real DMA
-///   command *and* the polynomial's wire bytes — a strict win on every
-///   link.
+///   collapse to the first occurrence (identical by content: the same
+///   shared payload, or equal words — `PayloadClasses` in `pass.rs`
+///   finds both without hashing whole operands). Each merge removes a
+///   real DMA command *and* the polynomial's wire bytes — a strict win
+///   on every link. Survivors are re-recorded by pointer: the rewritten
+///   stream shares its payloads with the recorded one.
 /// * **Sink** — surviving uploads move to just before their first
 ///   consumer. A head-of-stream upload burst has no compute to hide
 ///   behind and pins SRAM slots (host writes need clean `Free` slots)
@@ -36,12 +37,12 @@ impl Pass for TransferHoist {
     fn run(&self, stream: &OpStream) -> Result<(OpStream, PassStats)> {
         let nodes = stream.nodes();
         // Merge: representative (first) upload per distinct payload.
-        let mut payloads: HashMap<&[u128], usize> = HashMap::new();
+        let mut payloads = PayloadClasses::default();
         let mut rep: Vec<usize> = (0..nodes.len()).collect();
         let mut hoisted = 0u64;
         for (i, op) in nodes.iter().enumerate() {
             if let StreamOp::Upload(data) = op {
-                let r = *payloads.entry(data.as_slice()).or_insert(i);
+                let r = payloads.class(i, data);
                 rep[i] = r;
                 if r != i {
                     hoisted += 1;

@@ -1,6 +1,9 @@
 //! The [`Pass`] trait and the [`PassRunner`] pipeline, plus the shared
 //! rebuild machinery every rewrite pass emits through.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use cofhee_core::{CoreError, OpStream, Result, SharedSink, StreamHandle, StreamOp, StreamReport};
 use cofhee_obs::{TraceEvent, Track};
 
@@ -162,12 +165,11 @@ impl PassRunner {
         trace: Option<(&SharedSink, u64)>,
     ) -> Result<(OpStream, OptStats)> {
         let before = stream_cost(stream);
-        let mut current = stream.clone();
+        let mut rewritten: Option<OpStream> = None;
         let mut total = PassStats::default();
         for pass in &self.passes {
-            let (next, stats) = pass.run(&current)?;
+            let (current, stats) = pass.run(rewritten.as_ref().unwrap_or(stream))?;
             total.merge(&stats);
-            current = next;
             if let Some((sink, at)) = trace {
                 if sink.enabled() {
                     sink.record(
@@ -179,7 +181,10 @@ impl PassRunner {
                     );
                 }
             }
+            rewritten = Some(current);
         }
+        // No pass ran (`O0`): the stream as recorded, payloads shared.
+        let current = rewritten.unwrap_or_else(|| stream.clone());
         let stats = OptStats {
             ops_in: stream.len() as u64,
             ops_out: current.len() as u64,
@@ -194,7 +199,8 @@ impl PassRunner {
 
 /// Re-records `op` into `dst` with operands remapped through `map`
 /// (old node index → new handle). The shared emission primitive every
-/// pass rebuilds streams with.
+/// pass rebuilds streams with; an upload's payload is re-recorded by
+/// pointer, never copied.
 pub(crate) fn emit_mapped(
     dst: &mut OpStream,
     op: &StreamOp,
@@ -204,7 +210,7 @@ pub(crate) fn emit_mapped(
         map[h.index()].ok_or(CoreError::BadHandle { id: h.index() as u64 })
     };
     match op {
-        StreamOp::Upload(v) => dst.upload(v.clone()),
+        StreamOp::Upload(v) => dst.upload_shared(Arc::clone(v)),
         StreamOp::Input(h) => Ok(dst.input(*h)),
         StreamOp::Ntt(a) => dst.ntt(m(a)?),
         StreamOp::Intt(a) => dst.intt(m(a)?),
@@ -215,6 +221,52 @@ pub(crate) fn emit_mapped(
         StreamOp::PointwiseSub(a, b) => dst.pointwise_sub(m(a)?, m(b)?),
         StreamOp::ScalarMul(a, c) => dst.scalar_mul(m(a)?, *c),
         StreamOp::PolyMul(a, b) => dst.poly_mul(m(a)?, m(b)?),
+    }
+}
+
+/// A shared upload payload, as [`StreamOp::Upload`] holds it.
+type Payload = Arc<Vec<u128>>;
+
+/// How many evenly spaced words of a payload key its
+/// [`PayloadClasses`] bucket.
+const PAYLOAD_SAMPLES: usize = 8;
+type PayloadSample = [u128; PAYLOAD_SAMPLES];
+
+/// Upload payloads grouped by content — what [`Cse`] and
+/// [`TransferHoist`] merge duplicate uploads by.
+///
+/// Two payloads are one class exactly when they hold the same words.
+/// Finding that out does not read them in full: a payload is filed under
+/// its [`PayloadSample`], and only payloads filed
+/// together are compared — by pointer first (the same shared payload
+/// recorded twice), then word for word. Distinct operands all but never
+/// agree on the sample, so a pass reads a few words per upload instead
+/// of hashing every one; payloads that do agree on it are still told
+/// apart by the full comparison. Only lookups touch the map, so the
+/// classes do not depend on its iteration order.
+#[derive(Default)]
+pub(crate) struct PayloadClasses<'a> {
+    buckets: HashMap<PayloadSample, Vec<(usize, &'a Payload)>>,
+}
+
+impl<'a> PayloadClasses<'a> {
+    /// The class of the payload uploaded by node `i`: the index of the
+    /// first node seen with equal contents (`i` itself when it is new).
+    pub(crate) fn class(&mut self, i: usize, data: &'a Payload) -> usize {
+        let sample: PayloadSample = std::array::from_fn(|k| {
+            data.get(k * data.len() / PAYLOAD_SAMPLES).copied().unwrap_or_default()
+        });
+        let bucket = self.buckets.entry(sample).or_default();
+        match bucket
+            .iter()
+            .find(|(_, seen)| Arc::ptr_eq(seen, data) || seen.as_slice() == data.as_slice())
+        {
+            Some(&(rep, _)) => rep,
+            None => {
+                bucket.push((i, data));
+                i
+            }
+        }
     }
 }
 
@@ -283,6 +335,85 @@ mod tests {
         assert!(stats.estimated_cycles_saved > 0);
         assert_eq!(stats.ops_in, st.len() as u64);
         assert_eq!(stats.ops_out, opt.len() as u64);
+    }
+
+    /// A 3-digit inline key switch. With `duplicates`, the three digits
+    /// and the first base component all carry one polynomial: digit 1 is
+    /// digit 0's very payload, digit 2 and the base equal copies of it.
+    fn key_switchish(duplicates: bool) -> OpStream {
+        use cofhee_core::{record_key_switch, KeySwitchKeys};
+        let digit = |d: u128| Arc::new(poly(if duplicates { 10 } else { 10 + d }));
+        let first = digit(0);
+        let digits = [Arc::clone(&first), if duplicates { first } else { digit(1) }, digit(2)];
+        let keys: Vec<_> = (0..3u128).map(|d| (poly(20 + d), poly(30 + d))).collect();
+        let base = [poly(if duplicates { 10 } else { 1 }), poly(2)];
+        let mut st = OpStream::new(N);
+        record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), &base).unwrap();
+        st
+    }
+
+    fn payloads(stream: &OpStream) -> Vec<&Arc<Vec<u128>>> {
+        stream
+            .nodes()
+            .iter()
+            .filter_map(|op| match op {
+                StreamOp::Upload(data) => Some(data),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn o1_merges_what_it_always_merged_and_copies_no_payload() {
+        // The counters are the ones this pipeline produced while payloads
+        // were hashed in full and deep-copied by every pass.
+        let stats = |ops_in, ops_out, ops_eliminated, ops_fused, uploads_hoisted, saved| OptStats {
+            ops_in,
+            ops_out,
+            ops_eliminated,
+            ops_fused,
+            uploads_hoisted,
+            estimated_cycles_saved: saved,
+        };
+        for (st, expect, uploads_out) in [
+            (tensorish(), stats(15, 10, 3, 2, 2, 192), 3),
+            (key_switchish(false), stats(34, 30, 0, 4, 0, 0), 11),
+            (key_switchish(true), stats(34, 25, 5, 4, 0, 336), 8),
+        ] {
+            let truth = run(&st);
+            let (opt, got) = PassRunner::o1().optimize(&st).unwrap();
+            assert_eq!(got, expect);
+            assert_eq!(run(&opt), truth);
+            let recorded = payloads(&st);
+            let surviving = payloads(&opt);
+            assert_eq!(surviving.len(), uploads_out);
+            for data in surviving {
+                assert!(
+                    recorded.iter().any(|r| Arc::ptr_eq(r, data)),
+                    "a surviving upload must share its payload with the recorded stream"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn payloads_that_agree_on_every_sampled_word_are_still_told_apart() {
+        let a = poly(1);
+        let mut b = a.clone();
+        let unsampled = 1;
+        assert!((0..PAYLOAD_SAMPLES).all(|k| k * N / PAYLOAD_SAMPLES != unsampled));
+        b[unsampled] ^= 1;
+        let mut st = OpStream::new(N);
+        let ha = st.upload(a).unwrap();
+        let hb = st.upload(b).unwrap();
+        let diff = st.pointwise_sub(ha, hb).unwrap();
+        st.output(diff).unwrap();
+        let truth = run(&st);
+        assert!(truth[0].iter().any(|&c| c != 0));
+        let (opt, stats) = PassRunner::o1().optimize(&st).unwrap();
+        assert_eq!(run(&opt), truth);
+        assert_eq!(payloads(&opt).len(), 2, "distinct payloads must both survive");
+        assert_eq!(stats.ops_eliminated + stats.uploads_hoisted, 0);
     }
 
     #[test]

@@ -106,6 +106,23 @@ impl TwiddleCache {
         Ok(plan)
     }
 
+    /// The word-width plan for `(q, n)` when `q` is word-sized, `None`
+    /// when it needs the native width — the one rule by which every
+    /// host engine (`CpuBackend`, the simulator's functional kernel)
+    /// picks the width it computes at. Word-sized means exactly that a
+    /// [`Barrett64`] ring can be built for `q`, and is decided by
+    /// building it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates root-finding failures for a word-sized `q`.
+    pub fn narrow(q: u128, n: usize) -> Result<Option<Arc<HarveyNtt<Barrett64>>>> {
+        match u64::try_from(q).ok().filter(|&q| Barrett64::new(q).is_ok()) {
+            Some(q) => Self::barrett64(q, n).map(Some),
+            None => Ok(None),
+        }
+    }
+
     /// The shared plan for a native-width (up to 128-bit) modulus,
     /// building (and interning) it on first request.
     ///

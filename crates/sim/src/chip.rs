@@ -15,6 +15,7 @@
 //!    commands through the memory-mapped COMMANDFIFO port.
 
 use cofhee_arith::{ModRing, U256};
+use cofhee_poly::cache::TwiddleCache;
 
 use crate::cm0::{Cm0, Cm0Bus, Halt};
 use crate::cmdfifo::CommandFifo;
@@ -27,16 +28,20 @@ use crate::mem::{BankId, BankRoles, Memory, Slot};
 use crate::pe::ProcessingElement;
 use crate::power::PowerModel;
 
+/// The banks one command names: source, destination, and the optional
+/// second source and twiddle table.
+type CommandBanks = [Option<BankId>; 4];
+
 /// One engine's in-flight transaction: which banks it holds, until when.
 #[derive(Debug, Clone, Default)]
 struct EngineState {
-    banks: Vec<BankId>,
+    banks: CommandBanks,
     free_at: u64,
 }
 
 impl EngineState {
-    fn conflicts_with(&self, banks: &[BankId], at: u64) -> bool {
-        at < self.free_at && banks.iter().any(|b| self.banks.contains(b))
+    fn conflicts_with(&self, banks: &CommandBanks, at: u64) -> bool {
+        at < self.free_at && banks.iter().flatten().any(|b| self.banks.contains(&Some(*b)))
     }
 }
 
@@ -151,9 +156,18 @@ impl Chip {
         &self.ledger
     }
 
-    /// Per-command execution history.
+    /// Per-command execution history. It grows by one entry per
+    /// executed command; a long-lived driver that only ever reads a
+    /// window of it closes the window with
+    /// [`Chip::truncate_history`].
     pub fn history(&self) -> &[(Opcode, OpReport)] {
         &self.history
+    }
+
+    /// Forgets every history entry past the first `len` (the ledger and
+    /// the clock are untouched).
+    pub fn truncate_history(&mut self, len: usize) {
+        self.history.truncate(len);
     }
 
     /// The power model in force.
@@ -240,6 +254,13 @@ impl Chip {
     /// tables, so later bank overwrites fall back to the faithful
     /// per-butterfly loop.
     ///
+    /// When `q` is word-sized — by [`TwiddleCache::narrow`], the rule
+    /// every host engine picks its width by — the interned `Barrett64`
+    /// plan is installed beside it, and the MDMC computes at that width
+    /// whenever a command's operands are canonical residues. Simulated
+    /// cycles, power and PE activity are the 128-bit silicon's either
+    /// way.
+    ///
     /// # Errors
     ///
     /// Propagates capacity failures.
@@ -249,6 +270,9 @@ impl Chip {
     ) -> Result<(Slot, Slot)> {
         let slots = self.load_tables(plan.ring(), plan.tables())?;
         self.mdmc.set_ntt_plan(Some(std::sync::Arc::clone(plan)));
+        if let Ok(Some(narrow)) = TwiddleCache::narrow(plan.ring().q(), plan.n()) {
+            self.mdmc.set_narrow_plan(narrow);
+        }
         Ok(slots)
     }
 
@@ -262,6 +286,16 @@ impl Chip {
         self.mem.write_slice(slot, coeffs)
     }
 
+    /// Borrows `n` words of a bank for the host to write in place — an
+    /// upload that reduces as it writes needs no staging vector.
+    ///
+    /// # Errors
+    ///
+    /// Bounds failures.
+    pub fn polynomial_mut(&mut self, slot: Slot, n: usize) -> Result<&mut [u128]> {
+        self.mem.slice_mut(slot, n)
+    }
+
     /// Reads polynomial coefficients back from a bank.
     ///
     /// # Errors
@@ -271,15 +305,8 @@ impl Chip {
         self.mem.read_slice(slot, n)
     }
 
-    fn banks_of(cmd: &Command) -> Vec<BankId> {
-        let mut banks = vec![cmd.x.bank, cmd.dst.bank];
-        if let Some(y) = cmd.y {
-            banks.push(y.bank);
-        }
-        if let Some(t) = cmd.twiddle {
-            banks.push(t.bank);
-        }
-        banks
+    fn banks_of(cmd: &Command) -> CommandBanks {
+        [Some(cmd.x.bank), Some(cmd.dst.bank), cmd.y.map(|y| y.bank), cmd.twiddle.map(|t| t.bank)]
     }
 
     fn record(&mut self, op: Opcode, report: OpReport) {
@@ -490,6 +517,8 @@ impl Cm0Bus for ChipBus<'_> {
         self.chip.bus_write_u32(address, value)
     }
 }
+
+mod fast_vs_faithful;
 
 #[cfg(test)]
 mod tests {

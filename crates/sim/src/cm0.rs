@@ -175,8 +175,9 @@ impl Cm0 {
     pub fn step<B: Cm0Bus + ?Sized>(&mut self, bus: &mut B) -> Result<Option<Halt>> {
         let pc = self.regs[PC];
         let idx = (pc / 2) as usize;
-        let op =
-            *self.imem.get(idx).ok_or(SimError::UndefinedInstruction { pc, opcode: 0xFFFF })?;
+        let Some(&op) = self.imem.get(idx) else {
+            return Err(SimError::UndefinedInstruction { pc, opcode: 0xFFFF });
+        };
         self.regs[PC] = pc.wrapping_add(2);
         self.cycles += 1;
 

@@ -59,6 +59,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// An error built inside `ok_or(…)` is built — `String` and all — every
+// time the value is *present*; these crates sit on per-command paths.
+#![warn(clippy::or_fun_call)]
 
 mod chip;
 pub mod cm0;

@@ -25,14 +25,51 @@
 //! With the silicon configuration this reproduces Table V exactly for NTT
 //! (24,841 / 53,535 cycles) and iNTT (29,468 / 62,770), and PolyMul to
 //! within 1 cycle in 83,777 (see the tests and EXPERIMENTS.md).
+//!
+//! # Functional model
+//!
+//! Cycles, phases, memory traffic and PE activity are computed
+//! analytically from the command and the banks it names; *what* a
+//! command computes is a separate, host-only matter, and it is done the
+//! way the die does it — in place on the banks:
+//!
+//! * Every range a command names is bounds-checked before the first
+//!   word is written, so a failing command leaves memory untouched.
+//! * Streamed passes run one loop from borrowed source slices into the
+//!   borrowed destination ([`Memory::split`]); only when the destination
+//!   shares a bank with a source are the sources staged first, in a
+//!   buffer the MDMC reuses. `MEMCPY` is a `memmove`; the `src == dst`
+//!   DMA touch a driver queues to occupy the DMA engine moves nothing.
+//! * NTT/iNTT take the plan-backed path when a plan is installed *and*
+//!   the twiddle bank — compared on the borrowed slice, per command —
+//!   still holds the plan's canonical table: the source is moved into
+//!   the destination range and transformed there. Any other twiddle
+//!   contents (golden vectors, `load_ring` bring-up, reprogrammed
+//!   registers) run the faithful per-butterfly PE loop, which stays the
+//!   reference, as does `MEMCPYR`.
+//! * The arithmetic is as wide as the modulus. For a word-sized `q` the
+//!   chip also installs the `Barrett64` plan; transforms and the
+//!   multiplying passes then narrow their sources into a reusable
+//!   scratch, compute at 64 bits and widen into the destination. A
+//!   source word `≥ q` (SRAM written through the backdoor is not
+//!   reduced) sends that command down the 128-bit path instead, so
+//!   non-canonical contents behave exactly as they do without the
+//!   narrow kernel.
+//!
+//! PE activity is booked in bulk with the totals the per-element calls
+//! produce, so none of this is visible in any simulated number.
 
+use std::sync::Arc;
+
+use cofhee_arith::{Barrett128, Barrett64, ModRing};
 use cofhee_poly::bitrev::bit_reverse;
+use cofhee_poly::HarveyNtt;
 
 use crate::commands::{Command, Opcode};
 use crate::config::ChipConfig;
 use crate::error::{Result, SimError};
 use crate::gpcfg::GpCfg;
-use crate::mem::Memory;
+use crate::mem::{Memory, Slot};
 use crate::pe::{PeActivity, ProcessingElement};
 
 /// Cycles spent in each activity phase — the power model's input.
@@ -135,33 +172,90 @@ impl OpReport {
     }
 }
 
+/// The word-width functional kernel for a word-sized modulus: the
+/// interned `Barrett64` plan plus the scratch the narrowed operands of
+/// one command live in.
+#[derive(Debug, Clone)]
+struct NarrowKernel {
+    plan: Arc<HarveyNtt<Barrett64>>,
+    a: Vec<u64>,
+    b: Vec<u64>,
+}
+
+/// Narrows `src` into `buf`; `false` when some word is not a canonical
+/// residue below `q` (the buffer is then meaningless).
+fn narrow(q: u64, buf: &mut Vec<u64>, src: &[u128]) -> bool {
+    buf.clear();
+    let mut canonical = true;
+    buf.extend(src.iter().map(|&w| {
+        canonical &= w < u128::from(q);
+        w as u64
+    }));
+    canonical
+}
+
+fn widen(dst: &mut [u128], src: &[u64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = u128::from(s);
+    }
+}
+
 /// The MDMC engine.
 #[derive(Debug, Clone)]
 pub struct Mdmc {
     config: ChipConfig,
     /// Shared lazy transform plan for the currently loaded `(q, n)`,
-    /// installed at table-load time (see `Chip::load_tables`). Used
-    /// only as the *functional* fast path of NTT commands, and only
-    /// after verifying per command that the twiddle bank still holds
-    /// the plan's canonical tables — so no per-command global-cache
-    /// lock, and bank overwrites (golden vectors, custom tables) fall
-    /// back to the faithful per-butterfly loop.
-    ntt_plan: Option<std::sync::Arc<cofhee_poly::HarveyNtt<cofhee_arith::Barrett128>>>,
+    /// installed at table-load time (see `Chip::load_plan`). Used only
+    /// as the *functional* fast path of NTT commands, and only after
+    /// verifying per command that the twiddle bank still holds the
+    /// plan's canonical tables — so no per-command global-cache lock,
+    /// and bank overwrites (golden vectors, custom tables) fall back to
+    /// the faithful per-butterfly loop.
+    ntt_plan: Option<Arc<HarveyNtt<Barrett128>>>,
+    /// The same plan at word width, when `q` is word-sized.
+    narrow: Option<NarrowKernel>,
+    /// Staging for the sources of a pass whose destination shares a
+    /// bank with one of them.
+    staged: [Vec<u128>; 2],
 }
 
 impl Mdmc {
     /// Builds an MDMC for the given chip configuration.
     pub fn new(config: ChipConfig) -> Self {
-        Self { config, ntt_plan: None }
+        Self { config, ntt_plan: None, narrow: None, staged: [Vec::new(), Vec::new()] }
     }
 
     /// Installs (or clears) the shared lazy plan for the loaded
     /// parameters — the chip does this when it programs twiddle banks.
-    pub fn set_ntt_plan(
-        &mut self,
-        plan: Option<std::sync::Arc<cofhee_poly::HarveyNtt<cofhee_arith::Barrett128>>>,
-    ) {
+    /// Any word-width plan is cleared with it.
+    pub fn set_ntt_plan(&mut self, plan: Option<Arc<HarveyNtt<Barrett128>>>) {
         self.ntt_plan = plan;
+        self.narrow = None;
+    }
+
+    /// Installs the word-width plan beside the wide one — but only if
+    /// its forward and inverse tables and `n⁻¹` equal the wide plan's
+    /// word for word. That is checked here, once; afterwards the
+    /// per-command check of the twiddle bank against the wide plan
+    /// vouches for both.
+    pub fn set_narrow_plan(&mut self, plan: Arc<HarveyNtt<Barrett64>>) {
+        let same = |narrow: &[u64], wide: &[u128]| {
+            narrow.len() == wide.len() && narrow.iter().zip(wide).all(|(&x, &y)| u128::from(x) == y)
+        };
+        let agrees = self.ntt_plan.as_ref().is_some_and(|wide| {
+            let (nt, wt) = (plan.tables(), wide.tables());
+            u128::from(plan.ring().q()) == wide.ring().q()
+                && same(nt.forward_twiddles(), wt.forward_twiddles())
+                && same(nt.inverse_twiddles(), wt.inverse_twiddles())
+                && u128::from(nt.n_inv()) == wt.n_inv()
+        });
+        self.narrow = agrees.then(|| NarrowKernel { plan, a: Vec::new(), b: Vec::new() });
+    }
+
+    /// Whether the word-width kernel is installed.
+    #[cfg(test)]
+    pub(crate) fn computes_narrow(&self) -> bool {
+        self.narrow.is_some()
     }
 
     /// The configuration in force.
@@ -217,11 +311,11 @@ impl Mdmc {
     ///
     /// # Errors
     ///
-    /// Propagates configuration, bounds and conflict errors; the memory
-    /// state is unspecified only if an error is returned mid-write (the
-    /// silicon offers no stronger guarantee).
+    /// Propagates configuration, bounds and conflict errors. Every range
+    /// the command names is checked before anything is written, so a
+    /// failing command leaves memory untouched.
     pub fn execute(
-        &self,
+        &mut self,
         cmd: &Command,
         mem: &mut Memory,
         pe: &mut ProcessingElement,
@@ -249,16 +343,18 @@ impl Mdmc {
         Ok(n)
     }
 
-    fn load_modulus(&self, pe: &mut ProcessingElement, gpcfg: &GpCfg) -> Result<()> {
+    /// Loads the `Q` register's modulus into the PE if it is not the one
+    /// loaded already, and returns the ring — fetched once per command.
+    fn load_modulus(&self, pe: &mut ProcessingElement, gpcfg: &GpCfg) -> Result<Barrett128> {
         let q = gpcfg.q();
         if pe.modulus() != Some(q) {
             pe.load_modulus(q)?;
         }
-        Ok(())
+        pe.ring().copied()
     }
 
     fn exec_ntt(
-        &self,
+        &mut self,
         cmd: &Command,
         mem: &mut Memory,
         pe: &mut ProcessingElement,
@@ -267,7 +363,7 @@ impl Mdmc {
     ) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
         self.load_modulus(pe, gpcfg)?;
-        let twiddle = cmd.twiddle.ok_or(SimError::BadConfiguration {
+        let twiddle = cmd.twiddle.ok_or_else(|| SimError::BadConfiguration {
             reason: "NTT requires a twiddle operand".into(),
         })?;
         if twiddle.bank == cmd.x.bank || twiddle.bank == cmd.dst.bank {
@@ -275,8 +371,12 @@ impl Mdmc {
             // different memories (Section III-G2).
             return Err(SimError::PortConflict { bank: mem.bank(twiddle.bank)?.name() });
         }
-        let mut data = mem.read_slice(cmd.x, n)?;
-        let tw = mem.read_slice(twiddle, n)?;
+        // Every range is checked before the first write, in the order
+        // their errors have always been reported: source, twiddles,
+        // destination.
+        mem.slice(cmd.x, n)?;
+        let tw = mem.slice(twiddle, n)?;
+        mem.slice(cmd.dst, n)?;
         let ii = self.ntt_ii(mem, cmd, n)?;
 
         let stages = n.trailing_zeros() as u64;
@@ -294,16 +394,15 @@ impl Mdmc {
         report.phases.overhead = stage_overhead;
 
         // Host-side fast path: when the twiddle bank holds exactly the
-        // canonical merged tables for the loaded (q, n) — the normal
-        // bring-up via `Chip::load_ring`/`load_tables` installs the
-        // plan — the functional result is computed through the shared
-        // Harvey lazy plan (bit-exact with the per-butterfly loop; see
-        // `cofhee_poly::lazy`), and the PE activity the loop would
-        // have issued is bulk-recorded so the power model is
-        // unchanged. Custom twiddle contents (golden vectors, partial
-        // tables, reprogrammed registers) take the faithful
-        // per-element PE loop below. Cycle accounting is analytic
-        // either way.
+        // canonical merged tables for the loaded (q, n) — the bring-up
+        // via `Chip::load_plan` installs the plan — the functional
+        // result is computed through the shared Harvey lazy plan
+        // (bit-exact with the per-butterfly loop; see
+        // `cofhee_poly::lazy`), and the PE activity the loop would have
+        // issued is bulk-recorded so the power model is unchanged.
+        // Custom twiddle contents (golden vectors, partial tables,
+        // reprogrammed registers) take the faithful per-element PE loop
+        // below. Cycle accounting is analytic either way.
         let b = report.butterflies;
         let fast = self.ntt_plan.as_ref().filter(|p| {
             p.is_lazy()
@@ -316,21 +415,44 @@ impl Mdmc {
                 }
         });
 
-        if inverse {
-            if let Some(plan) = &fast {
-                plan.inverse_inplace(&mut data).map_err(|e| SimError::BadConfiguration {
-                    reason: format!("lazy iNTT plan rejected operands: {e}"),
-                })?;
-                // The GS loop issues one add, sub and mult per
-                // butterfly (no fused-butterfly datapath) plus the n⁻¹
-                // scaling mults.
-                pe.record_activity(PeActivity {
-                    mults: b + n as u64,
-                    adds: b,
-                    subs: b,
-                    butterflies: 0,
-                });
+        if let Some(plan) = fast {
+            let rejected = |e| SimError::BadConfiguration {
+                reason: format!("lazy NTT plan rejected operands: {e}"),
+            };
+            // Word-sized modulus and canonical source words: the same
+            // transform on the 64-bit plan, through the scratch.
+            let mut narrowed = false;
+            if let Some(k) = &mut self.narrow {
+                if narrow(k.plan.ring().q(), &mut k.a, mem.slice(cmd.x, n)?) {
+                    if inverse {
+                        k.plan.inverse_inplace(&mut k.a).map_err(rejected)?;
+                    } else {
+                        k.plan.forward_inplace(&mut k.a).map_err(rejected)?;
+                    }
+                    widen(mem.slice_mut(cmd.dst, n)?, &k.a);
+                    narrowed = true;
+                }
+            }
+            if !narrowed {
+                mem.memmove(cmd.x, cmd.dst, n)?;
+                let data = mem.slice_mut(cmd.dst, n)?;
+                if inverse {
+                    plan.inverse_inplace(data).map_err(rejected)?;
+                } else {
+                    plan.forward_inplace(data).map_err(rejected)?;
+                }
+            }
+            // The GS loop issues one add, sub and mult per butterfly (no
+            // fused-butterfly datapath) plus the n⁻¹ scaling mults; the
+            // CT loop issues fused butterflies.
+            pe.record_activity(if inverse {
+                PeActivity { mults: b + n as u64, adds: b, subs: b, butterflies: 0 }
             } else {
+                PeActivity { mults: b, adds: b, subs: b, butterflies: b }
+            });
+        } else {
+            let mut data = mem.read_slice(cmd.x, n)?;
+            if inverse {
                 // Gentleman–Sande stages, then the n⁻¹ scaling pass.
                 let mut t = 1;
                 let mut m = n;
@@ -355,21 +477,6 @@ impl Mdmc {
                 for x in data.iter_mut() {
                     *x = pe.mod_mul(*x, n_inv)?;
                 }
-            }
-            let pass_ii = 1; // scaling reads/writes through one dual-port bank
-            report.cycles += self.pass_cycles(n, pass_ii);
-            report.mults += n as u64;
-            report.mem_reads += n as u64;
-            report.mem_writes += n as u64;
-            report.phases.gs_butterfly = stage_active;
-            report.phases.scale_pass = n as u64;
-            report.phases.overhead += report.cycles - stage_active - stage_overhead - n as u64;
-        } else {
-            if let Some(plan) = &fast {
-                plan.forward_inplace(&mut data).map_err(|e| SimError::BadConfiguration {
-                    reason: format!("lazy NTT plan rejected operands: {e}"),
-                })?;
-                pe.record_activity(PeActivity { mults: b, adds: b, subs: b, butterflies: b });
             } else {
                 // Cooley–Tukey stages with sequential twiddle
                 // consumption.
@@ -389,43 +496,132 @@ impl Mdmc {
                     m *= 2;
                 }
             }
+            mem.write_slice(cmd.dst, &data)?;
+        }
+
+        if inverse {
+            let pass_ii = 1; // scaling reads/writes through one dual-port bank
+            report.cycles += self.pass_cycles(n, pass_ii);
+            report.mults += n as u64;
+            report.mem_reads += n as u64;
+            report.mem_writes += n as u64;
+            report.phases.gs_butterfly = stage_active;
+            report.phases.scale_pass = n as u64;
+            report.phases.overhead += report.cycles - stage_active - stage_overhead - n as u64;
+        } else {
             report.cycles += self.config.cmd_trigger as u64;
             report.phases.ct_butterfly = stage_active;
             report.phases.overhead += self.config.cmd_trigger as u64;
         }
         debug_assert_eq!(report.phases.total(), report.cycles);
-        mem.write_slice(cmd.dst, &data)?;
         Ok(report)
     }
 
+    /// One streamed pass `dst[j] = f(x[j], y[j])` over `n` words, from
+    /// the source banks straight into the destination.
+    fn pass(
+        &mut self,
+        mem: &mut Memory,
+        cmd: &Command,
+        y: Slot,
+        n: usize,
+        f: impl Fn(u128, u128) -> u128,
+    ) -> Result<()> {
+        let run = |out: &mut [u128], a: &[u128], b: &[u128]| {
+            for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                *o = f(a, b);
+            }
+        };
+        if let Some((out, [a, b])) = mem.split(cmd.dst, [cmd.x, y], n)? {
+            run(out, a, b);
+            return Ok(());
+        }
+        // The destination shares a bank with a source (ranges checked
+        // by `split` above): stage the sources, then write.
+        let [a, b] = &mut self.staged;
+        a.clear();
+        a.extend_from_slice(mem.slice(cmd.x, n)?);
+        b.clear();
+        b.extend_from_slice(mem.slice(y, n)?);
+        run(mem.slice_mut(cmd.dst, n)?, a, b);
+        Ok(())
+    }
+
+    /// A multiplying pass — `x[j]·y[j]`, or `x[j]·c` when `c` is given —
+    /// modulo the PE's modulus `q`, on the word-width kernel when one is
+    /// installed for `q`; otherwise, and whenever an operand is not a
+    /// canonical residue, on the 128-bit PE arithmetic.
+    fn mul_pass(
+        &mut self,
+        mem: &mut Memory,
+        cmd: &Command,
+        y: Slot,
+        c: Option<u128>,
+        ring: &Barrett128,
+        n: usize,
+    ) -> Result<()> {
+        if let Some(k) = self.narrow.as_mut().filter(|k| u128::from(k.plan.ring().q()) == ring.q())
+        {
+            let ring = *k.plan.ring();
+            let canonical = narrow(ring.q(), &mut k.a, mem.slice(cmd.x, n)?)
+                && match c {
+                    Some(c) => c < u128::from(ring.q()),
+                    None => narrow(ring.q(), &mut k.b, mem.slice(y, n)?),
+                };
+            if canonical {
+                let out = mem.slice_mut(cmd.dst, n)?;
+                match c {
+                    Some(c) => {
+                        for (o, &a) in out.iter_mut().zip(&k.a) {
+                            *o = u128::from(ring.mul(a, c as u64));
+                        }
+                    }
+                    None => {
+                        for ((o, &a), &b) in out.iter_mut().zip(&k.a).zip(&k.b) {
+                            *o = u128::from(ring.mul(a, b));
+                        }
+                    }
+                }
+                return Ok(());
+            }
+        }
+        match c {
+            Some(c) => self.pass(mem, cmd, y, n, |a, _| ring.mul(a, c)),
+            None => self.pass(mem, cmd, y, n, |a, b| ring.mul(a, b)),
+        }
+    }
+
     fn exec_two_input(
-        &self,
+        &mut self,
         cmd: &Command,
         mem: &mut Memory,
         pe: &mut ProcessingElement,
         gpcfg: &GpCfg,
     ) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
-        self.load_modulus(pe, gpcfg)?;
-        let y_slot = cmd.y.ok_or(SimError::BadConfiguration {
+        let ring = self.load_modulus(pe, gpcfg)?;
+        let y = cmd.y.ok_or_else(|| SimError::BadConfiguration {
             reason: format!("{} requires a second operand", cmd.op.mnemonic()),
         })?;
-        let a = mem.read_slice(cmd.x, n)?;
-        let b = mem.read_slice(y_slot, n)?;
-        let mut out = Vec::with_capacity(n);
-        for j in 0..n {
-            let v = match cmd.op {
-                Opcode::PModAdd => pe.mod_add(a[j], b[j])?,
-                Opcode::PModSub => pe.mod_sub(a[j], b[j])?,
-                Opcode::PModMul => pe.mod_mul(a[j], b[j])?,
-                // PMUL bypasses the reduction stages: the low 128 bits of
-                // the raw product leave the multiplier array.
-                Opcode::PMul => a[j].wrapping_mul(b[j]),
-                _ => unreachable!("dispatcher guarantees a two-input opcode"),
-            };
-            out.push(v);
+        let issued = n as u64;
+        match cmd.op {
+            Opcode::PModAdd => {
+                self.pass(mem, cmd, y, n, |a, b| ring.add(a, b))?;
+                pe.record_activity(PeActivity { adds: issued, ..PeActivity::default() });
+            }
+            Opcode::PModSub => {
+                self.pass(mem, cmd, y, n, |a, b| ring.sub(a, b))?;
+                pe.record_activity(PeActivity { subs: issued, ..PeActivity::default() });
+            }
+            Opcode::PModMul => {
+                self.mul_pass(mem, cmd, y, None, &ring, n)?;
+                pe.record_activity(PeActivity { mults: issued, ..PeActivity::default() });
+            }
+            // PMUL bypasses the reduction stages: the low 128 bits of
+            // the raw product leave the multiplier array.
+            Opcode::PMul => self.pass(mem, cmd, y, n, |a, b| a.wrapping_mul(b))?,
+            _ => unreachable!("dispatcher guarantees a two-input opcode"),
         }
-        mem.write_slice(cmd.dst, &out)?;
         let ii = self.pass_ii(mem, cmd)?;
         let mut report = OpReport {
             cycles: self.pass_cycles(n, ii),
@@ -453,20 +649,16 @@ impl Mdmc {
     }
 
     fn exec_sqr(
-        &self,
+        &mut self,
         cmd: &Command,
         mem: &mut Memory,
         pe: &mut ProcessingElement,
         gpcfg: &GpCfg,
     ) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
-        self.load_modulus(pe, gpcfg)?;
-        let a = mem.read_slice(cmd.x, n)?;
-        let mut out = Vec::with_capacity(n);
-        for &v in &a {
-            out.push(pe.mod_mul(v, v)?);
-        }
-        mem.write_slice(cmd.dst, &out)?;
+        let ring = self.load_modulus(pe, gpcfg)?;
+        self.mul_pass(mem, cmd, cmd.x, None, &ring, n)?;
+        pe.record_activity(PeActivity { mults: n as u64, ..PeActivity::default() });
         let cycles = self.pass_cycles(n, 1);
         Ok(OpReport {
             cycles,
@@ -483,23 +675,19 @@ impl Mdmc {
     }
 
     fn exec_cmodmul(
-        &self,
+        &mut self,
         cmd: &Command,
         mem: &mut Memory,
         pe: &mut ProcessingElement,
         gpcfg: &GpCfg,
     ) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
-        self.load_modulus(pe, gpcfg)?;
-        let c = cmd
-            .constant
-            .ok_or(SimError::BadConfiguration { reason: "CMODMUL requires a constant".into() })?;
-        let a = mem.read_slice(cmd.x, n)?;
-        let mut out = Vec::with_capacity(n);
-        for &v in &a {
-            out.push(pe.mod_mul(v, c)?);
-        }
-        mem.write_slice(cmd.dst, &out)?;
+        let ring = self.load_modulus(pe, gpcfg)?;
+        let c = cmd.constant.ok_or_else(|| SimError::BadConfiguration {
+            reason: "CMODMUL requires a constant".into(),
+        })?;
+        self.mul_pass(mem, cmd, cmd.x, Some(c), &ring, n)?;
+        pe.record_activity(PeActivity { mults: n as u64, ..PeActivity::default() });
         let cycles = self.pass_cycles(n, 1);
         Ok(OpReport {
             cycles,
@@ -516,26 +704,28 @@ impl Mdmc {
     }
 
     fn exec_memcpy(&self, cmd: &Command, mem: &mut Memory) -> Result<OpReport> {
-        let len = cmd.len.ok_or(SimError::BadConfiguration {
+        let len = cmd.len.ok_or_else(|| SimError::BadConfiguration {
             reason: "memory operations require a length".into(),
         })?;
-        let data = mem.read_slice(cmd.x, len)?;
-        let out = if cmd.op == Opcode::MemCpyR {
+        if cmd.op == Opcode::MemCpyR {
+            let data = mem.read_slice(cmd.x, len)?;
             if !len.is_power_of_two() {
                 return Err(SimError::BadConfiguration {
                     reason: format!("MEMCPYR length {len} must be a power of two"),
                 });
             }
             let bits = len.trailing_zeros();
-            let mut o = vec![0u128; len];
+            let mut out = vec![0u128; len];
             for (i, &v) in data.iter().enumerate() {
-                o[bit_reverse(i, bits)] = v;
+                out[bit_reverse(i, bits)] = v;
             }
-            o
+            mem.write_slice(cmd.dst, &out)?;
         } else {
-            data
-        };
-        mem.write_slice(cmd.dst, &out)?;
+            // Plain MEMCPY is a memmove; the `src == dst` touch a driver
+            // queues to occupy the DMA engine is checked and moves
+            // nothing.
+            mem.memmove(cmd.x, cmd.dst, len)?;
+        }
         Ok(OpReport {
             cycles: len as u64 + self.config.dma_setup as u64,
             mem_reads: len as u64,

@@ -11,6 +11,19 @@
 //! Following the paper, each dual-port bank is "managed by assigning
 //! different base addresses to each port, treating them as two distinct
 //! address spaces at the bus level".
+//!
+//! # Borrowed access
+//!
+//! On the die an operand is written into a bank once and then only
+//! streamed. The host model keeps to that: [`Memory::slice`] /
+//! [`Memory::slice_mut`] lend a checked range of a bank,
+//! [`Memory::split`] lends a destination range mutably *beside*
+//! read-only source ranges in other banks, and [`Memory::memmove`]
+//! moves words between slots (overlap included) without a staging
+//! buffer. Every one of them checks all of its ranges before it touches
+//! a word, so a failing access leaves memory as it was. The copying
+//! [`Memory::read_slice`] / [`Memory::write_slice`] remain for the host
+//! side of the link and for the MDMC's reference loops.
 
 use crate::error::{Result, SimError};
 
@@ -132,7 +145,10 @@ impl Memory {
 
     /// The bank metadata.
     pub fn bank(&self, id: BankId) -> Result<&Bank> {
-        self.banks.get(id.0).ok_or(SimError::UnmappedAddress { address: 0 })
+        match self.banks.get(id.0) {
+            Some(bank) => Ok(bank),
+            None => Err(SimError::UnmappedAddress { address: 0 }),
+        }
     }
 
     /// Designated bank roles for the MDMC's standard schedule: two
@@ -153,13 +169,7 @@ impl Memory {
     ///
     /// Returns [`SimError::OutOfBounds`] past the bank end.
     pub fn read_word(&self, slot: Slot, index: usize) -> Result<u128> {
-        let bank = self.bank(slot.bank)?;
-        let w = slot.offset + index;
-        bank.words.get(w).copied().ok_or(SimError::OutOfBounds {
-            bank: bank.name,
-            word: w,
-            capacity: bank.words.len(),
-        })
+        Ok(self.slice(Slot::new(slot.bank, slot.offset.saturating_add(index)), 1)?[0])
     }
 
     /// Writes one word.
@@ -168,28 +178,14 @@ impl Memory {
     ///
     /// Returns [`SimError::OutOfBounds`] past the bank end.
     pub fn write_word(&mut self, slot: Slot, index: usize, value: u128) -> Result<()> {
-        let (name, cap);
-        {
-            let bank = self.bank(slot.bank)?;
-            name = bank.name;
-            cap = bank.words.len();
-        }
-        let w = slot.offset + index;
-        if w >= cap {
-            return Err(SimError::OutOfBounds { bank: name, word: w, capacity: cap });
-        }
-        self.banks[slot.bank.0].words[w] = value;
+        self.slice_mut(Slot::new(slot.bank, slot.offset.saturating_add(index)), 1)?[0] = value;
         Ok(())
     }
 
-    /// Reads `len` consecutive words.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::OutOfBounds`] if the range exceeds the bank.
-    pub fn read_slice(&self, slot: Slot, len: usize) -> Result<Vec<u128>> {
+    /// Checks that `len` words starting at `slot` lie inside its bank.
+    fn span(&self, slot: Slot, len: usize) -> Result<std::ops::Range<usize>> {
         let bank = self.bank(slot.bank)?;
-        let end = slot.offset + len;
+        let end = slot.offset.saturating_add(len);
         if end > bank.words.len() {
             return Err(SimError::OutOfBounds {
                 bank: bank.name,
@@ -197,7 +193,92 @@ impl Memory {
                 capacity: bank.words.len(),
             });
         }
-        Ok(bank.words[slot.offset..end].to_vec())
+        Ok(slot.offset..end)
+    }
+
+    /// Borrows `len` consecutive words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] if the range exceeds the bank.
+    pub fn slice(&self, slot: Slot, len: usize) -> Result<&[u128]> {
+        let span = self.span(slot, len)?;
+        Ok(&self.banks[slot.bank.0].words[span])
+    }
+
+    /// Borrows `len` consecutive words mutably.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] if the range exceeds the bank.
+    pub fn slice_mut(&mut self, slot: Slot, len: usize) -> Result<&mut [u128]> {
+        let span = self.span(slot, len)?;
+        Ok(&mut self.banks[slot.bank.0].words[span])
+    }
+
+    /// Borrows `len` words at `dst` mutably beside `len` words at each of
+    /// `srcs` read-only — the operand fetch and write-back of one
+    /// streamed pass, with nothing copied. Returns `None` when a source
+    /// shares `dst`'s bank: one bank cannot be lent out both ways, so the
+    /// caller stages those sources instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] for the first range that exceeds
+    /// its bank — sources in order, then the destination — before
+    /// anything is lent.
+    #[allow(clippy::type_complexity)] // (destination, sources): an alias would only rename it
+    pub fn split<const K: usize>(
+        &mut self,
+        dst: Slot,
+        srcs: [Slot; K],
+        len: usize,
+    ) -> Result<Option<(&mut [u128], [&[u128]; K])>> {
+        for &src in &srcs {
+            self.span(src, len)?;
+        }
+        let dst_span = self.span(dst, len)?;
+        if srcs.iter().any(|src| src.bank == dst.bank) {
+            return Ok(None);
+        }
+        let (below, rest) = self.banks.split_at_mut(dst.bank.0);
+        let (this, above) = rest.split_first_mut().expect("dst's bank index was just checked");
+        let (below, above): (&[Bank], &[Bank]) = (below, above);
+        let views = srcs.map(|src| {
+            let bank = match src.bank.0.checked_sub(dst.bank.0 + 1) {
+                Some(i) => &above[i],
+                None => &below[src.bank.0],
+            };
+            &bank.words[src.offset..src.offset + len]
+        });
+        Ok(Some((&mut this.words[dst_span], views)))
+    }
+
+    /// Moves `len` words from `src` to `dst`; the ranges may overlap
+    /// (`memmove` semantics) and `src == dst` moves nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] if either range exceeds its bank
+    /// (source checked first); nothing is written in that case.
+    pub fn memmove(&mut self, src: Slot, dst: Slot, len: usize) -> Result<()> {
+        match self.split(dst, [src], len)? {
+            Some((out, [data])) => out.copy_from_slice(data),
+            None if src.offset == dst.offset => {}
+            None => {
+                self.banks[dst.bank.0].words.copy_within(src.offset..src.offset + len, dst.offset)
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads `len` consecutive words into a fresh vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] if the range exceeds the bank.
+    pub fn read_slice(&self, slot: Slot, len: usize) -> Result<Vec<u128>> {
+        Ok(self.slice(slot, len)?.to_vec())
     }
 
     /// Writes a slice of words.
@@ -206,17 +287,7 @@ impl Memory {
     ///
     /// Returns [`SimError::OutOfBounds`] if the range exceeds the bank.
     pub fn write_slice(&mut self, slot: Slot, data: &[u128]) -> Result<()> {
-        let (name, cap);
-        {
-            let bank = self.bank(slot.bank)?;
-            name = bank.name;
-            cap = bank.words.len();
-        }
-        let end = slot.offset + data.len();
-        if end > cap {
-            return Err(SimError::OutOfBounds { bank: name, word: end - 1, capacity: cap });
-        }
-        self.banks[slot.bank.0].words[slot.offset..end].copy_from_slice(data);
+        self.slice_mut(slot, data.len())?.copy_from_slice(data);
         Ok(())
     }
 
@@ -315,6 +386,50 @@ mod tests {
         assert!(m.write_word(slot, 0, 1).is_ok());
         assert!(m.write_word(slot, 1, 1).is_err());
         assert!(m.read_slice(Slot::new(BankId(0), 0), cap + 1).is_err());
+    }
+
+    #[test]
+    fn split_lends_a_destination_beside_sources_in_other_banks() {
+        let mut m = memory();
+        let (below, dst, above) =
+            (Slot::new(BankId(0), 8), Slot::new(BankId(3), 16), Slot::new(BankId(7), 0));
+        m.write_slice(below, &[1, 2, 3]).unwrap();
+        m.write_slice(above, &[10, 20, 30]).unwrap();
+        let (out, [a, b, c]) = m.split(dst, [below, above, below], 3).unwrap().unwrap();
+        assert_eq!((a, b, c), (&[1, 2, 3][..], &[10, 20, 30][..], &[1, 2, 3][..]));
+        for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+            *o = a + b;
+        }
+        assert_eq!(m.slice(dst, 3).unwrap(), &[11, 22, 33]);
+        // One bank cannot be lent out both ways, whatever the ranges.
+        assert!(m.split(dst, [below, Slot::new(BankId(3), 100)], 3).unwrap().is_none());
+        // Ranges are checked, sources first, before anything is lent.
+        let cap = m.bank(BankId(0)).unwrap().capacity();
+        let past = |bank| Slot::new(BankId(bank), cap - 2);
+        let err = |bank: &'static str| SimError::OutOfBounds { bank, word: cap, capacity: cap };
+        assert_eq!(m.split(past(3), [past(0), above], 3).unwrap_err(), err("DP0"));
+        assert_eq!(m.split(past(3), [below, above], 3).unwrap_err(), err("SP0"));
+        assert!(m.split(Slot::new(BankId(8), 0), [below], 1).is_err(), "no such bank");
+    }
+
+    #[test]
+    fn memmove_copes_with_overlap_and_checks_before_writing() {
+        let mut m = memory();
+        let data: Vec<u128> = (1..=8).collect();
+        let at = |offset| Slot::new(BankId(4), offset);
+        m.write_slice(at(0), &data).unwrap();
+        m.memmove(at(0), at(3), 8).unwrap(); // forward overlap
+        assert_eq!(m.read_slice(at(3), 8).unwrap(), data);
+        m.memmove(at(3), at(1), 8).unwrap(); // backward overlap
+        assert_eq!(m.read_slice(at(1), 8).unwrap(), data);
+        m.memmove(at(1), at(1), 8).unwrap(); // the DMA touch
+        m.memmove(at(1), Slot::new(BankId(2), 5), 8).unwrap(); // across banks
+        assert_eq!(m.read_slice(Slot::new(BankId(2), 5), 8).unwrap(), data);
+        let cap = m.bank(BankId(4)).unwrap().capacity();
+        assert!(m.memmove(at(1), at(cap - 4), 8).is_err());
+        assert!(m.memmove(at(cap - 4), at(1), 8).is_err());
+        assert!(m.memmove(at(cap - 4), at(cap - 4), 8).is_err(), "the touch is checked too");
+        assert_eq!(m.read_slice(at(1), 8).unwrap(), data, "a failed move writes nothing");
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! The functional arithmetic delegates to
 //! [`Barrett128`](cofhee_arith::Barrett128) — the same reduction the RTL
 //! implements — while activity counters feed the power model.
+//!
+//! The per-element methods ([`ProcessingElement::mod_mul`],
+//! [`ProcessingElement::butterfly`], …) are the reference datapath: the
+//! MDMC's faithful per-butterfly loop issues them one by one. Its
+//! streamed passes and plan-backed transforms instead fetch the loaded
+//! ring once per command, run one loop over borrowed bank slices, and
+//! book the same totals through [`ProcessingElement::record_activity`].
 
 use cofhee_arith::{Barrett128, ModRing};
 
@@ -74,8 +81,13 @@ impl ProcessingElement {
         self.ring.as_ref().map(|r| r.q())
     }
 
-    fn ring(&self) -> Result<&Barrett128> {
-        self.ring.as_ref().ok_or(SimError::BadConfiguration {
+    /// The loaded ring engine.
+    ///
+    /// # Errors
+    ///
+    /// Fails when no modulus is loaded.
+    pub(crate) fn ring(&self) -> Result<&Barrett128> {
+        self.ring.as_ref().ok_or_else(|| SimError::BadConfiguration {
             reason: "modulus not loaded (write Q/BARRETTCTL registers first)".into(),
         })
     }

@@ -1,6 +1,9 @@
 //! Property tests: `CpuBackend` and `ChipBackend` are bit-identical for
-//! every `PolyBackend` operation, across random polynomials and both the
-//! silicon and a custom `ChipConfig`.
+//! every `PolyBackend` operation, across random polynomials, both the
+//! silicon and a custom `ChipConfig`, and three modulus widths: 47 and
+//! 60 bits, where both backends compute on `Barrett64` (the simulator
+//! narrows canonical operands), and 109 bits, where both compute on
+//! `Barrett128` in the simulated SRAM in place.
 //!
 //! This is the contract the unified execution API stands on: an
 //! accelerator backend may account cycles and wire traffic however its
@@ -17,8 +20,11 @@ use proptest::prelude::*;
 
 const N: usize = 64;
 
-fn modulus() -> u128 {
-    ntt_prime(60, N).unwrap()
+/// Modulus widths the properties draw from.
+const WIDTHS: [u32; 3] = [47, 60, 109];
+
+fn modulus(width: usize) -> u128 {
+    ntt_prime(WIDTHS[width], N).unwrap()
 }
 
 /// A deliberately non-silicon microarchitecture: different multiplier
@@ -43,8 +49,8 @@ fn config_for(custom: bool) -> ChipConfig {
     }
 }
 
-fn backends(custom: bool) -> (CpuBackend, ChipBackend) {
-    let q = modulus();
+fn backends(custom: bool, width: usize) -> (CpuBackend, ChipBackend) {
+    let q = modulus(width);
     (CpuBackend::new(q, N).unwrap(), ChipBackend::connect(config_for(custom), q, N).unwrap())
 }
 
@@ -78,8 +84,9 @@ proptest! {
         c in any::<u128>(),
         op in 0usize..7,
         custom in any::<bool>(),
+        width in 0usize..WIDTHS.len(),
     ) {
-        let (mut cpu, mut chip) = backends(custom);
+        let (mut cpu, mut chip) = backends(custom, width);
         let on_cpu = apply(&mut cpu, op, &a, &b, c);
         let on_chip = apply(&mut chip, op, &a, &b, c);
         prop_assert_eq!(on_cpu, on_chip);
@@ -89,10 +96,11 @@ proptest! {
     fn upload_reduces_and_round_trips(
         a in pvec(any::<u128>(), N),
         custom in any::<bool>(),
+        width in 0usize..WIDTHS.len(),
     ) {
-        let q = modulus();
+        let q = modulus(width);
         let reduced: Vec<u128> = a.iter().map(|&x| x % q).collect();
-        let (mut cpu, mut chip) = backends(custom);
+        let (mut cpu, mut chip) = backends(custom, width);
         for be in [&mut cpu as &mut dyn PolyBackend, &mut chip as &mut dyn PolyBackend] {
             let h = be.upload(&a).unwrap();
             prop_assert_eq!(be.download(h).unwrap(), reduced.clone());
@@ -104,10 +112,11 @@ proptest! {
     fn transform_round_trip_is_identity(
         a in pvec(any::<u128>(), N),
         custom in any::<bool>(),
+        width in 0usize..WIDTHS.len(),
     ) {
-        let q = modulus();
+        let q = modulus(width);
         let reduced: Vec<u128> = a.iter().map(|&x| x % q).collect();
-        let (mut cpu, mut chip) = backends(custom);
+        let (mut cpu, mut chip) = backends(custom, width);
         for be in [&mut cpu as &mut dyn PolyBackend, &mut chip as &mut dyn PolyBackend] {
             let h = be.upload(&a).unwrap();
             let f = be.ntt(h).unwrap();
@@ -121,13 +130,14 @@ proptest! {
         a in pvec(any::<u128>(), N),
         b in pvec(any::<u128>(), N),
         custom in any::<bool>(),
+        width in 0usize..WIDTHS.len(),
     ) {
-        let q = modulus();
+        let q = modulus(width);
         let ring = cofhee::arith::Barrett128::new(q).unwrap();
         let ar: Vec<u128> = a.iter().map(|&x| x % q).collect();
         let br: Vec<u128> = b.iter().map(|&x| x % q).collect();
         let oracle = naive::negacyclic_mul(&ring, &ar, &br).unwrap();
-        let (mut cpu, mut chip) = backends(custom);
+        let (mut cpu, mut chip) = backends(custom, width);
         for be in [&mut cpu as &mut dyn PolyBackend, &mut chip as &mut dyn PolyBackend] {
             let ha = be.upload(&a).unwrap();
             let hb = be.upload(&b).unwrap();
@@ -140,7 +150,7 @@ proptest! {
 #[test]
 fn chip_telemetry_differs_by_config_but_values_do_not() {
     // Cycle accounting is microarchitectural; results are mathematics.
-    let q = modulus();
+    let q = modulus(1);
     let a: Vec<u128> = (0..N as u128).map(|i| (i * 131 + 17) % q).collect();
     let mut silicon = ChipBackend::connect(ChipConfig::silicon(), q, N).unwrap();
     let mut custom = ChipBackend::connect(custom_config(), q, N).unwrap();

@@ -24,6 +24,17 @@ fn modulus() -> u128 {
     ntt_prime(60, N).unwrap()
 }
 
+/// The chip cases also stream at the chip's native 109 bits: at 60 the
+/// simulator computes on its word-width kernel, at 109 on the 128-bit
+/// arithmetic in place in the simulated SRAM.
+fn chip_modulus(wide: bool) -> u128 {
+    if wide {
+        ntt_prime(109, N).unwrap()
+    } else {
+        modulus()
+    }
+}
+
 /// A non-silicon microarchitecture: timing shifts, values must not.
 fn custom_config() -> ChipConfig {
     ChipConfig {
@@ -109,8 +120,9 @@ proptest! {
         inputs in pvec(pvec(any::<u128>(), N), 3),
         steps in pvec((any::<usize>(), any::<usize>(), any::<usize>(), any::<u128>()), 12),
         custom in any::<bool>(),
+        wide in any::<bool>(),
     ) {
-        let q = modulus();
+        let q = chip_modulus(wide);
         let config = if custom { custom_config() } else { ChipConfig::silicon() };
         let (stream, _) = record(&inputs, &steps);
 
@@ -143,8 +155,9 @@ proptest! {
     fn optimized_streams_are_bit_identical_to_recorded(
         inputs in pvec(pvec(any::<u128>(), N), 3),
         steps in pvec((any::<usize>(), any::<usize>(), any::<usize>(), any::<u128>()), 16),
+        wide in any::<bool>(),
     ) {
-        let q = modulus();
+        let q = chip_modulus(wide);
         let (stream, _) = record(&inputs, &steps);
 
         let mut cpu = CpuBackend::new(q, N).unwrap();
@@ -177,8 +190,9 @@ proptest! {
         inputs in pvec(pvec(any::<u128>(), N), 3),
         steps in pvec((any::<usize>(), any::<usize>(), any::<usize>(), any::<u128>()), 28),
         parts in 2usize..5,
+        wide in any::<bool>(),
     ) {
-        let q = modulus();
+        let q = chip_modulus(wide);
         let (stream, _) = record(&inputs, &steps);
 
         let mut cpu = CpuBackend::new(q, N).unwrap();
