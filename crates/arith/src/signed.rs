@@ -52,15 +52,14 @@ pub fn centered_i64(q: u128, v: u128) -> Option<i64> {
 #[inline]
 #[must_use]
 pub fn to_residue(q: u128, v: i64) -> u128 {
-    if v >= 0 {
-        (v as u128) % q
+    // Every sampled coefficient (|v| ≤ 20) is below `q` already; only a
+    // magnitude that is not pays the 128-bit division.
+    let mag = u128::from(v.unsigned_abs());
+    let m = if mag < q { mag } else { mag % q };
+    if v >= 0 || m == 0 {
+        m
     } else {
-        let m = (v.unsigned_abs() as u128) % q;
-        if m == 0 {
-            0
-        } else {
-            q - m
-        }
+        q - m
     }
 }
 
@@ -256,6 +255,29 @@ mod tests {
     fn centered_i64_rejects_oversized_magnitudes() {
         let q = u128::MAX - 158; // a wide odd modulus stand-in
         assert_eq!(centered_i64(q, q / 2), None);
+    }
+
+    #[test]
+    fn to_residue_matches_the_dividing_form_at_every_boundary() {
+        // What `to_residue` was before small magnitudes skipped the `%`.
+        let dividing = |q: u128, v: i64| {
+            let m = u128::from(v.unsigned_abs()) % q;
+            if v >= 0 || m == 0 {
+                m
+            } else {
+                q - m
+            }
+        };
+        for q in [7u128, (1 << 43) - 87, (1 << 109) - 31] {
+            let around_q = [q - 1, q, q + 1].into_iter().filter_map(|m| i64::try_from(m).ok());
+            let cases = [0, 1, i64::MAX].into_iter().chain(around_q).flat_map(|v| [v, -v]);
+            for v in cases.chain([i64::MIN]) {
+                assert_eq!(to_residue(q, v), dividing(q, v), "q = {q}, v = {v}");
+                assert!(to_residue(q, v) < q);
+            }
+        }
+        assert_eq!(to_residue(7, -1), 6);
+        assert_eq!(to_residue(7, i64::MIN), 7 - (1u128 << 63) % 7);
     }
 
     #[test]

@@ -1,8 +1,22 @@
-//! Encryption and decryption (Eqs. 2–3 of the paper).
+//! Encryption and decryption (Eqs. 2–3 of the paper), run as command
+//! streams.
+//!
+//! `c₁ = kp₁·u + e₁ + Δm`, `c₂ = kp₂·u + e₂` and `v = c₁ + c₂·s (+ c₃·s²)`
+//! are PolyMul and PMODADD — the Table I command set — so they are
+//! recorded with [`cofhee_core::record_encrypt`] /
+//! [`cofhee_core::record_decrypt`] and run on a mod-`q` CPU
+//! [`LimbEngine`] the encryptor or decryptor owns: brought up by its
+//! first operation (the constructors stay infallible), with its key pair
+//! — `(kp₁, kp₂)` or `(s, s²)` — resident on it in NTT form from then
+//! on. An encryption is three transforms and a decryption two or three,
+//! none of them of a key. The samplers, the `Δ·m` lift and the
+//! `⌊t·v/q⌉` rounding stay host-side.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use cofhee_arith::{Barrett128, ModRing, U256};
+use cofhee_arith::{ModRing, U256};
+use cofhee_core::{record_decrypt, record_encrypt, OpStream};
+use cofhee_opt::{KeyId, LimbEngine};
 use cofhee_poly::{Domain, Polynomial};
 use rand::Rng;
 
@@ -16,17 +30,21 @@ use crate::sampling;
 /// Encrypts plaintexts under a public key.
 ///
 /// Implements Eqs. 2–3: `c₁ = kp₁·u + e₁ + Δm`, `c₂ = kp₂·u + e₂`, with
-/// ternary `u` and centered-binomial `e₁, e₂`.
+/// ternary `u` and centered-binomial `e₁, e₂`. Clones share the engine
+/// and the resident key (as evaluator clones do).
 #[derive(Debug, Clone)]
 pub struct Encryptor {
     params: BfvParams,
     pk: PublicKey,
+    /// What the engine keys the resident `(kp₁, kp₂)` on.
+    key: KeyId,
+    engine: Arc<OnceLock<LimbEngine>>,
 }
 
 impl Encryptor {
     /// Creates an encryptor for the given key.
     pub fn new(params: &BfvParams, pk: PublicKey) -> Self {
-        Self { params: params.clone(), pk }
+        Self { params: params.clone(), pk, key: KeyId::default(), engine: Arc::default() }
     }
 
     /// Encrypts a plaintext.
@@ -34,86 +52,76 @@ impl Encryptor {
     /// # Errors
     ///
     /// Returns [`BfvError::InvalidParams`] if the plaintext does not match
-    /// the parameter set.
+    /// the parameter set, and propagates engine bring-up failures (none
+    /// for validated parameter sets).
     pub fn encrypt<G: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut G) -> Result<Ciphertext> {
         if pt.modulus() != self.params.t() || pt.coeffs().len() != self.params.n() {
             return Err(BfvError::InvalidParams {
                 reason: "plaintext does not match the encryptor's parameters".into(),
             });
         }
-        let ctx = Arc::clone(self.params.poly_ring());
-        let ring = *ctx.ring();
-        let n = self.params.n();
-        let u = Polynomial::from_elems(
-            Arc::clone(&ctx),
-            sampling::ternary(&ring, n, rng),
-            Domain::Coefficient,
-        )?;
-        let e1 = Polynomial::from_elems(
-            Arc::clone(&ctx),
-            sampling::error_poly(&ring, n, rng),
-            Domain::Coefficient,
-        )?;
-        let e2 = Polynomial::from_elems(
-            Arc::clone(&ctx),
-            sampling::error_poly(&ring, n, rng),
-            Domain::Coefficient,
-        )?;
-        // Δ·m lifted into R_q.
+        let ctx = self.params.poly_ring();
+        let (ring, n) = (ctx.ring(), self.params.n());
+        let u = sampling::ternary(ring, n, rng);
+        let e1 = sampling::error_poly(ring, n, rng);
+        let e2 = sampling::error_poly(ring, n, rng);
+        // Δ·m lifted into R_q: m < t and Δ = ⌊q/t⌋ keep Δ·m < q (the
+        // upload reduces defensively anyway).
         let delta = self.params.delta();
-        let dm: Vec<u128> = pt
-            .coeffs()
-            .iter()
-            .map(|&m| {
-                // m < t and Δ = ⌊q/t⌋ keep Δ·m < q: no reduction needed,
-                // but from_values reduces defensively anyway.
-                delta.wrapping_mul(m as u128)
-            })
-            .collect();
-        let dm = Polynomial::from_values(Arc::clone(&ctx), &dm)?;
-        let c0 = self.pk.p0.negacyclic_mul(&u)?.add(&e1)?.add(&dm)?;
-        let c1 = self.pk.p1.negacyclic_mul(&u)?.add(&e2)?;
-        Ciphertext::new(vec![c0, c1])
+        let dm = pt.coeffs().iter().map(|&m| delta.wrapping_mul(m as u128)).collect();
+
+        let engine = LimbEngine::client(&self.engine, &[self.params.q()], n)?;
+        let key = engine.resident_pair(&self.key, [(self.pk.p0.coeffs(), self.pk.p1.coeffs())])?;
+        let mut st = OpStream::new(n);
+        record_encrypt(&mut st, key[0], u, [e1, e2], dm)?;
+        let polys = engine
+            .run_one(0, st)?
+            .into_iter()
+            .map(|c| Polynomial::from_elems(Arc::clone(ctx), c, Domain::Coefficient))
+            .collect::<cofhee_poly::Result<_>>()?;
+        Ciphertext::new(polys)
     }
 }
 
 /// Decrypts ciphertexts with the secret key and measures noise budgets.
+/// Clones share the engine and the resident key (as evaluator clones
+/// do).
 #[derive(Debug, Clone)]
 pub struct Decryptor {
     params: BfvParams,
     sk: SecretKey,
+    /// What the engine keys the resident `(s, s²)` on.
+    key: KeyId,
+    engine: Arc<OnceLock<LimbEngine>>,
 }
 
 impl Decryptor {
     /// Creates a decryptor.
     pub fn new(params: &BfvParams, sk: SecretKey) -> Self {
-        Self { params: params.clone(), sk }
+        Self { params: params.clone(), sk, key: KeyId::default(), engine: Arc::default() }
     }
 
-    /// Evaluates the decryption polynomial `v = c₁ + c₂·s (+ c₃·s²)`.
-    fn decryption_poly(&self, ct: &Ciphertext) -> Result<Polynomial<Barrett128>> {
-        let polys = ct.polys();
-        let mut v = polys[0].add(&polys[1].negacyclic_mul(&self.sk.s)?)?;
-        if let Some(c2) = polys.get(2) {
-            let s_sq = self.sk.s.negacyclic_mul(&self.sk.s)?;
-            v = v.add(&c2.negacyclic_mul(&s_sq)?)?;
+    /// Evaluates the decryption polynomial `v = c₁ + c₂·s (+ c₃·s²)`:
+    /// one stream, refused before anything is uploaded when `ct` lives in
+    /// another ring.
+    fn decryption_poly(&self, ct: &Ciphertext) -> Result<Vec<u128>> {
+        let (n, q, polys) = (self.params.n(), self.params.q(), ct.polys());
+        if polys.iter().any(|p| p.context().n() != n || p.context().modulus() != q) {
+            return Err(BfvError::ParamsMismatch);
         }
-        Ok(v)
+        let engine = LimbEngine::client(&self.engine, &[q], n)?;
+        let key = engine.resident_pair(&self.key, [(self.sk.s.coeffs(), self.sk.s_sq.coeffs())])?;
+        let mut st = OpStream::new(n);
+        let cubic = polys.get(2).map(Polynomial::to_u128_vec);
+        record_decrypt(&mut st, key[0], polys[0].to_u128_vec(), polys[1].to_u128_vec(), cubic)?;
+        Ok(engine.run_one(0, st)?.pop().expect("the stream marks one output"))
     }
 
-    /// Decrypts a ciphertext (2- or 3-component).
-    ///
-    /// # Errors
-    ///
-    /// Propagates polynomial-arithmetic failures (none for well-formed
-    /// ciphertexts of this parameter set).
-    pub fn decrypt(&self, ct: &Ciphertext) -> Result<Plaintext> {
-        let v = self.decryption_poly(ct)?;
+    /// `m = ⌊t·v/q⌉ mod t` on the centered representative of `v`.
+    fn round(&self, v: &[u128]) -> Result<Plaintext> {
         let ring = self.params.poly_ring().ring();
         let round = self.params.decrypt_round();
-        // m = ⌊t·v/q⌉ mod t on the centered representative.
         let coeffs = v
-            .coeffs()
             .iter()
             .map(|&c| {
                 let (mag, neg) = sampling::elem_to_centered(ring, c);
@@ -123,20 +131,31 @@ impl Decryptor {
         Plaintext::new(&self.params, coeffs)
     }
 
+    /// Decrypts a ciphertext (2- or 3-component).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BfvError::ParamsMismatch`] for a ciphertext of another
+    /// ring and propagates engine bring-up failures (none for validated
+    /// parameter sets).
+    pub fn decrypt(&self, ct: &Ciphertext) -> Result<Plaintext> {
+        self.round(&self.decryption_poly(ct)?)
+    }
+
     /// The remaining invariant-noise budget in bits: `log₂(q / (2·t·‖e‖))`,
     /// minimized over coefficients. Decryption is correct while positive.
     ///
     /// # Errors
     ///
-    /// Propagates polynomial-arithmetic failures.
+    /// As [`Decryptor::decrypt`].
     pub fn noise_budget(&self, ct: &Ciphertext) -> Result<f64> {
         let v = self.decryption_poly(ct)?;
-        let m = self.decrypt(ct)?;
+        let m = self.round(&v)?;
         let ring = self.params.poly_ring().ring();
         let q = self.params.q();
         let delta = self.params.delta();
         let mut worst: u128 = 0;
-        for (&vc, &mc) in v.coeffs().iter().zip(m.coeffs()) {
+        for (&vc, &mc) in v.iter().zip(m.coeffs()) {
             let noise = ring.sub(vc, ring.from_u128(delta.wrapping_mul(mc as u128)));
             let (mag, _) = sampling::elem_to_centered(ring, noise);
             worst = worst.max(mag);
@@ -162,6 +181,80 @@ mod tests {
         let enc = Encryptor::new(&params, pk);
         let dec = Decryptor::new(&params, kg.secret_key().clone());
         (params, enc, dec, rng)
+    }
+
+    /// Forward/inverse transforms the object's engine has retired.
+    fn transforms(engine: &OnceLock<LimbEngine>, n: usize) -> u64 {
+        let per_transform = (n as u64 / 2) * u64::from(n.trailing_zeros());
+        engine.get().expect("brought up").report().butterflies / per_transform
+    }
+
+    /// Pool buffers the object's engine has out: every buffer is a pool
+    /// take and every free a put (the `key_residency` ledger).
+    fn live_buffers(engine: &OnceLock<LimbEngine>) -> u64 {
+        let pool = engine.get().expect("brought up").pool_stats();
+        pool.hits + pool.misses - pool.recycled
+    }
+
+    #[test]
+    fn noise_budget_evaluates_the_decryption_polynomial_once() {
+        let (params, enc, dec, mut rng) = setup(64, 6);
+        let ct = enc.encrypt(&Plaintext::constant(&params, 3).unwrap(), &mut rng).unwrap();
+        let cubic = crate::Evaluator::new(&params).unwrap().multiply(&ct, &ct).unwrap();
+        dec.decrypt(&ct).unwrap(); // brings the engine up, `(s, s²)` resident
+        let engine = dec.engine.get().unwrap();
+        assert_eq!(transforms(&dec.engine, 64), 2 + 2, "the key pair, then ntt(c1) + one inverse");
+        // ntt(c1) + one inverse, where two evaluations by self-contained
+        // products ran 6; ntt(c1), ntt(c2) + one inverse, where they ran
+        // 18 (`s²` recomputed both times).
+        for (ct, want) in [(&ct, 2), (&cubic, 3)] {
+            engine.reset();
+            assert!(dec.noise_budget(ct).unwrap() > 0.0);
+            assert_eq!(transforms(&dec.engine, 64), want, "{} components", ct.len());
+            engine.reset();
+            dec.decrypt(ct).unwrap();
+            assert_eq!(transforms(&dec.engine, 64), want, "{} components", ct.len());
+        }
+        assert_eq!(live_buffers(&dec.engine), 2, "(s, s²) and nothing else");
+    }
+
+    #[test]
+    fn a_warmed_encryptor_takes_no_new_buffers_and_holds_only_its_key() {
+        let (params, enc, dec, mut rng) = setup(64, 7);
+        let pt = Plaintext::constant(&params, 9).unwrap();
+        for _ in 0..2 {
+            enc.encrypt(&pt, &mut rng).unwrap();
+        }
+        let engine = enc.engine.get().unwrap();
+        let warm = engine.pool_stats();
+        // A clone shares the engine and the resident key.
+        let clone = enc.clone();
+        for round in 0..8 {
+            engine.reset();
+            let ct = if round % 2 == 0 { &enc } else { &clone }.encrypt(&pt, &mut rng).unwrap();
+            assert_eq!(transforms(&enc.engine, 64), 3, "ntt(u) and one inverse per component");
+            assert_eq!(live_buffers(&enc.engine), 2, "(kp₁, kp₂) between calls");
+            assert_eq!(dec.decrypt(&ct).unwrap(), pt);
+        }
+        assert_eq!(engine.pool_stats().misses, warm.misses, "the pool was warm");
+    }
+
+    #[test]
+    fn a_foreign_ciphertext_is_refused_before_anything_is_uploaded() {
+        let (params, enc, dec, mut rng) = setup(32, 8);
+        let ct = enc.encrypt(&Plaintext::constant(&params, 1).unwrap(), &mut rng).unwrap();
+        dec.decrypt(&ct).unwrap();
+        let engine = dec.engine.get().unwrap();
+        let (report, pool) = (engine.report(), engine.pool_stats());
+        let (other, their_enc, _, _) = setup(64, 8);
+        let foreign = their_enc.encrypt(&Plaintext::constant(&other, 1).unwrap(), &mut rng);
+        assert_eq!(dec.decrypt(&foreign.unwrap()), Err(BfvError::ParamsMismatch));
+        assert_eq!((engine.report(), engine.pool_stats()), (report, pool));
+        // An unused decryptor refuses without bringing an engine up.
+        let idle = Decryptor::new(&params, dec.sk.clone());
+        let foreign = their_enc.encrypt(&Plaintext::constant(&other, 1).unwrap(), &mut rng);
+        assert_eq!(idle.noise_budget(&foreign.unwrap()), Err(BfvError::ParamsMismatch));
+        assert!(idle.engine.get().is_none());
     }
 
     #[test]

@@ -205,8 +205,7 @@ impl Evaluator {
 
     /// Executes one recorded mod-`q` stream and rewraps its outputs.
     fn run_mod_q(&self, stream: OpStream) -> Result<Ciphertext> {
-        let outputs = self.engine.run(0, vec![stream])?.pop().expect("one stream, one outcome");
-        self.ciphertext_from_outputs(outputs)
+        self.ciphertext_from_outputs(self.engine.run_one(0, stream)?)
     }
 
     /// Homomorphic addition (`ct + ct`); mixed sizes are padded.

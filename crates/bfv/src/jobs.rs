@@ -319,9 +319,9 @@ impl Evaluator {
         .into_iter()
         .map(std::sync::Arc::new)
         .collect();
-        let base: Vec<Vec<u128>> = ct.polys()[..2].iter().map(|c| c.to_u128_vec()).collect();
+        let base = [ct.polys()[0].to_u128_vec(), ct.polys()[1].to_u128_vec()];
         let mut st = OpStream::new(self.params().n());
-        cofhee_core::record_key_switch(&mut st, &digits, keys, &base)?;
+        cofhee_core::record_key_switch(&mut st, &digits, keys, base)?;
         Ok(st)
     }
 

@@ -11,10 +11,13 @@ use crate::error::Result;
 use crate::params::BfvParams;
 use crate::sampling;
 
-/// The ternary secret key `s`.
+/// The ternary secret key `s`, with `s²` beside it: what the relin key
+/// encodes and what a three-component decryption multiplies by, computed
+/// once with the key.
 #[derive(Debug, Clone)]
 pub struct SecretKey {
     pub(crate) s: Polynomial<Barrett128>,
+    pub(crate) s_sq: Polynomial<Barrett128>,
 }
 
 impl SecretKey {
@@ -78,7 +81,8 @@ impl KeyGenerator {
         let s = sampling::ternary(ctx.ring(), params.n(), rng);
         let s = Polynomial::from_elems(ctx, s, Domain::Coefficient)
             .expect("sampler emits exactly n coefficients");
-        Self { params: params.clone(), sk: SecretKey { s } }
+        let s_sq = s.negacyclic_mul(&s).expect("one ring, coefficient domain");
+        Self { params: params.clone(), sk: SecretKey { s, s_sq } }
     }
 
     /// The generated secret key.
@@ -119,7 +123,6 @@ impl KeyGenerator {
         let ring = *ctx.ring();
         let n = self.params.n();
         let digits = self.params.log_q().div_ceil(base_bits) as usize;
-        let s_sq = self.sk.s.negacyclic_mul(&self.sk.s)?;
         let mut parts = Vec::with_capacity(digits);
         let mut t_pow = ring.one(); // T^i mod q
         let base = ring.from_u128(1u128 << base_bits.min(127));
@@ -134,7 +137,11 @@ impl KeyGenerator {
                 sampling::error_poly(&ring, n, rng),
                 Domain::Coefficient,
             )?;
-            let k0 = a.negacyclic_mul(&self.sk.s)?.add(&e)?.neg().add(&s_sq.scalar_mul(t_pow))?;
+            let k0 = a
+                .negacyclic_mul(&self.sk.s)?
+                .add(&e)?
+                .neg()
+                .add(&self.sk.s_sq.scalar_mul(t_pow))?;
             parts.push((k0, a));
             t_pow = ring.mul(t_pow, base);
         }
@@ -194,6 +201,7 @@ mod tests {
         let ring = p.poly_ring().ring();
         let s = &kg.secret_key().s;
         let s_sq = s.negacyclic_mul(s).unwrap();
+        assert_eq!(s_sq, kg.secret_key().s_sq);
         let mut t_pow = ring.one();
         for (k0, a) in &rlk.parts {
             let lhs = k0

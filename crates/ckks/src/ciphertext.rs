@@ -136,6 +136,17 @@ impl CkksCiphertext {
     }
 }
 
+/// The shape rule for values that arrive from outside an operation:
+/// [`CkksError::ParamsMismatch`] unless every polynomial is `level`'s
+/// limb count of degree-`n` residues on this chain. Checked before
+/// anything is recorded or uploaded.
+pub(crate) fn check_shape(params: &CkksParams, level: Level, polys: &[RnsPoly]) -> Result<()> {
+    polys
+        .iter()
+        .try_for_each(|poly| check_rns_poly(params, poly, level, "operand"))
+        .map_err(|_| CkksError::ParamsMismatch)
+}
+
 fn check_rns_poly(params: &CkksParams, poly: &RnsPoly, level: Level, what: &str) -> Result<()> {
     if level > params.top_level() {
         return Err(CkksError::InvalidParams {

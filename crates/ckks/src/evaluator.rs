@@ -44,7 +44,7 @@ use cofhee_core::{
 };
 use cofhee_opt::{LimbEngine, OptLevel};
 
-use crate::ciphertext::{scales_match, CkksCiphertext, CkksPlaintext};
+use crate::ciphertext::{check_shape, scales_match, CkksCiphertext, CkksPlaintext};
 use crate::error::{CkksError, Result};
 use crate::keys::CkksRelinKey;
 use crate::params::{CkksParams, Level};
@@ -267,15 +267,7 @@ impl CkksEvaluator {
 
     /// Shape/level validation shared by the stream builders.
     pub(crate) fn check_ct(&self, ct: &CkksCiphertext) -> Result<()> {
-        if ct.level() > self.params.top_level() {
-            return Err(CkksError::ParamsMismatch);
-        }
-        for c in ct.components() {
-            if c.len() != ct.level().limbs() || c.iter().any(|l| l.len() != self.params.n()) {
-                return Err(CkksError::ParamsMismatch);
-            }
-        }
-        Ok(())
+        check_shape(&self.params, ct.level(), ct.components())
     }
 
     /// Level + scale agreement for binary ciphertext ops.

@@ -1,5 +1,7 @@
 //! CKKS key material: secret/public keys and the relinearization key,
-//! all carried per RNS limb of the modulus chain.
+//! all carried per RNS limb of the modulus chain as raw residue vectors —
+//! the one host-side representation of a CKKS polynomial, the form
+//! ciphertexts have and backends upload.
 //!
 //! The small signed polynomials (ternary secret, CBD errors) are sampled
 //! *once* as integers and mapped into every limb's ring — that is what
@@ -7,39 +9,47 @@
 //! integer polynomial. The public uniform polynomials are sampled
 //! independently per limb, which by CRT **is** a uniform sample modulo
 //! the chain product. Sampling reuses the scheme-agnostic helpers from
-//! `cofhee_bfv::sampling` (generic over [`cofhee_arith::ModRing`]).
+//! `cofhee_bfv::sampling` (generic over [`cofhee_arith::ModRing`]) and
+//! stays host-side; every draw of a key is made before anything is
+//! computed, in the order keys have always had.
+//!
+//! The products are recorded as streams — `s² = intt(ŝ ⊙ ŝ)`,
+//! `p0 = (a·s + e)·(q − 1)`, and the relinearization key as one stream
+//! per limb that transforms `s` once and emits every digit — and run on
+//! a CPU [`LimbEngine`] over the chain that the generator brings up on
+//! first use, so a word-sized chain prime is computed at word width.
 //!
 //! The relinearization key records the ring degree and chain it was
 //! made for (the evaluator refuses any other) and carries a shared
 //! [`KeyId`]: the identity an evaluator's engine keys the key's
 //! NTT-form resident copy on, and releases it by.
 
-use cofhee_arith::{Barrett128, ModRing};
+use std::sync::{Arc, OnceLock};
+
+use cofhee_arith::{signed, ModRing};
 use cofhee_bfv::sampling;
-use cofhee_opt::KeyId;
-use cofhee_poly::{Domain, Polynomial};
+use cofhee_core::{OpStream, StreamHandle};
+use cofhee_opt::{KeyId, LimbEngine};
 use rand::Rng;
 
+use crate::ciphertext::RnsPoly;
 use crate::error::Result;
 use crate::params::CkksParams;
 
-/// One small signed polynomial represented in every limb's ring.
-pub(crate) type LimbPolys = Vec<Polynomial<Barrett128>>;
-
-/// The ternary secret key `s`, with `s` and `s²` resident per limb.
+/// The ternary secret key `s`, with `s` and `s²` per limb.
 #[derive(Debug, Clone)]
 pub struct CkksSecretKey {
     /// `s` per limb.
-    pub(crate) s: LimbPolys,
+    pub(crate) s: RnsPoly,
     /// `s²` per limb (precomputed for 3-component decryption).
-    pub(crate) s_sq: LimbPolys,
+    pub(crate) s_sq: RnsPoly,
 }
 
 /// The public encryption key: `(p0, p1) = (−(a·s + e), a)` per limb.
 #[derive(Debug, Clone)]
 pub struct CkksPublicKey {
     /// `(p0ⱼ, p1ⱼ)` for each chain limb `j`.
-    pub(crate) parts: Vec<(Polynomial<Barrett128>, Polynomial<Barrett128>)>,
+    pub(crate) parts: Vec<(Vec<u128>, Vec<u128>)>,
 }
 
 /// The relinearization key: per limb `j`, per digit `i` of the
@@ -48,7 +58,7 @@ pub struct CkksPublicKey {
 /// limb-major, so a limb's key set is borrowed as is: by
 /// [`cofhee_core::KeySwitchKeys::Inline`] for the self-contained streams
 /// a borrowed backend runs, and by the evaluator's
-/// [`LimbEngine`](cofhee_opt::LimbEngine) the one time it makes the key
+/// [`LimbEngine`] the one time it makes the key
 /// resident in NTT form on the backends it owns.
 #[derive(Debug, Clone)]
 pub struct CkksRelinKey {
@@ -93,26 +103,35 @@ impl CkksRelinKey {
 #[derive(Debug)]
 pub struct CkksKeyGenerator {
     params: CkksParams,
+    /// One CPU backend per chain prime, brought up by the first key.
+    engine: OnceLock<LimbEngine>,
 }
 
 impl CkksKeyGenerator {
     /// Builds a generator for `params`.
     #[must_use]
     pub fn new(params: &CkksParams) -> Self {
-        Self { params: params.clone() }
+        Self { params: params.clone(), engine: OnceLock::new() }
     }
 
     /// Samples a ternary secret key.
     ///
     /// # Errors
     ///
-    /// Propagates polynomial-arithmetic failures (none for validated
-    /// parameter sets).
+    /// Propagates engine bring-up and execution failures (none for
+    /// validated parameter sets).
     pub fn secret_key<G: Rng + ?Sized>(&self, rng: &mut G) -> Result<CkksSecretKey> {
         let signed = sample_signed(&self.params, rng, SignedDist::Ternary);
-        let s = lift_signed(&self.params, &signed)?;
-        let s_sq =
-            s.iter().map(|p| p.negacyclic_mul(p)).collect::<cofhee_poly::Result<Vec<_>>>()?;
+        let s: RnsPoly = (0..self.limbs()).map(|j| lift_limb(&self.params, j, &signed)).collect();
+        let engine = self.engine()?;
+        let mut s_sq = Vec::with_capacity(s.len());
+        for (j, s_j) in s.iter().enumerate() {
+            let mut st = OpStream::new(self.params.n());
+            let fs = upload_ntt(&mut st, s_j.clone())?;
+            let square = st.hadamard_intt(fs, fs)?;
+            st.output(square)?;
+            s_sq.push(engine.run_one(j, st)?.pop().expect("the stream marks one output"));
+        }
         Ok(CkksSecretKey { s, s_sq })
     }
 
@@ -120,18 +139,23 @@ impl CkksKeyGenerator {
     ///
     /// # Errors
     ///
-    /// Propagates polynomial-arithmetic failures.
+    /// Propagates engine bring-up and execution failures.
     pub fn public_key<G: Rng + ?Sized>(
         &self,
         sk: &CkksSecretKey,
         rng: &mut G,
     ) -> Result<CkksPublicKey> {
-        let e = lift_signed(&self.params, &sample_signed(&self.params, rng, SignedDist::Cbd))?;
-        let mut parts = Vec::with_capacity(self.limbs());
-        for (j, e_j) in e.iter().enumerate() {
-            let a = self.uniform(j, rng)?;
-            let p0 = a.negacyclic_mul(&sk.s[j])?.add(e_j)?.neg();
-            parts.push((p0, a));
+        let e = sample_signed(&self.params, rng, SignedDist::Cbd);
+        let a: Vec<_> = (0..self.limbs()).map(|j| Arc::new(self.uniform(j, rng))).collect();
+        let engine = self.engine()?;
+        let mut parts = Vec::with_capacity(a.len());
+        for (j, a_j) in a.into_iter().enumerate() {
+            let mut st = OpStream::new(self.params.n());
+            let fs = upload_ntt(&mut st, sk.s[j].clone())?;
+            let p0 = self.neg_rlwe_sample(&mut st, j, fs, &a_j, &e)?;
+            st.output(p0)?;
+            let p0 = engine.run_one(j, st)?.pop().expect("the stream marks one output");
+            parts.push((p0, unshare(a_j)));
         }
         Ok(CkksPublicKey { parts })
     }
@@ -142,7 +166,7 @@ impl CkksKeyGenerator {
     ///
     /// # Errors
     ///
-    /// Propagates polynomial-arithmetic failures.
+    /// Propagates engine bring-up and execution failures.
     pub fn relin_key<G: Rng + ?Sized>(
         &self,
         sk: &CkksSecretKey,
@@ -150,23 +174,36 @@ impl CkksKeyGenerator {
     ) -> Result<CkksRelinKey> {
         let w = self.params.base_bits();
         let digits = self.params.digits_at(self.params.top_level());
-        let mut parts: Vec<_> = (0..self.limbs()).map(|_| Vec::with_capacity(digits)).collect();
-        // Digit-major draws (the RNG order keys have always had), stored
-        // limb-major.
-        for i in 0..digits {
-            let e = lift_signed(&self.params, &sample_signed(&self.params, rng, SignedDist::Cbd))?;
-            for (j, e_j) in e.iter().enumerate() {
-                let ring = *self.params.ring(j).ring();
-                let a = self.uniform(j, rng)?;
+        // Digit-major draws (the RNG order keys have always had: per
+        // digit one signed `e`, then one uniform `a` per limb), kept
+        // limb-major like the key.
+        let mut e = Vec::with_capacity(digits);
+        let mut a = vec![Vec::with_capacity(digits); self.limbs()];
+        for _ in 0..digits {
+            e.push(sample_signed(&self.params, rng, SignedDist::Cbd));
+            for (j, a_j) in a.iter_mut().enumerate() {
+                a_j.push(Arc::new(self.uniform(j, rng)));
+            }
+        }
+        let engine = self.engine()?;
+        let mut parts = Vec::with_capacity(a.len());
+        for (j, a_j) in a.into_iter().enumerate() {
+            // One stream per limb: `s` transformed once, every digit's
+            // `k0ᵢ = −(aᵢ·s + eᵢ) + Tⁱ·s²` an output.
+            let ring = self.params.ring(j);
+            let mut st = OpStream::new(self.params.n());
+            let fs = upload_ntt(&mut st, sk.s[j].clone())?;
+            let s_sq = st.upload(sk.s_sq[j].clone())?;
+            for (i, (a_ij, e_i)) in a_j.iter().zip(&e).enumerate() {
+                let masked = self.neg_rlwe_sample(&mut st, j, fs, a_ij, e_i)?;
                 // Tⁱ mod qⱼ via repeated squaring on 2^w.
                 let t_pow = ring.pow(ring.from_u128(1u128 << w), i as u128);
-                let k0 = a
-                    .negacyclic_mul(&sk.s[j])?
-                    .add(e_j)?
-                    .neg()
-                    .add(&sk.s_sq[j].scalar_mul(t_pow))?;
-                parts[j].push((k0.to_u128_vec(), a.to_u128_vec()));
+                let shifted = st.scalar_mul(s_sq, ring.to_u128(t_pow))?;
+                let k0 = st.pointwise_add(masked, shifted)?;
+                st.output(k0)?;
             }
+            let k0 = engine.run_one(j, st)?;
+            parts.push(k0.into_iter().zip(a_j.into_iter().map(unshare)).collect());
         }
         Ok(CkksRelinKey {
             base_bits: w,
@@ -181,11 +218,46 @@ impl CkksKeyGenerator {
         self.params.moduli().len()
     }
 
-    fn uniform<G: Rng + ?Sized>(&self, j: usize, rng: &mut G) -> Result<Polynomial<Barrett128>> {
-        let ctx = self.params.ring(j).clone();
-        let coeffs = sampling::uniform(ctx.ring(), self.params.n(), rng);
-        Ok(Polynomial::from_elems(ctx, coeffs, Domain::Coefficient)?)
+    fn engine(&self) -> Result<&LimbEngine> {
+        Ok(LimbEngine::client(&self.engine, self.params.moduli(), self.params.n())?)
     }
+
+    fn uniform<G: Rng + ?Sized>(&self, j: usize, rng: &mut G) -> Vec<u128> {
+        sampling::uniform(self.params.ring(j), self.params.n(), rng)
+    }
+
+    /// Records `−(a·s + e)` in limb `j` against `fs = ntt(s)`:
+    /// `scalar_mul(q − 1)` is negation, bit for bit. The payload of `a`
+    /// is shared with the stream, not copied.
+    fn neg_rlwe_sample(
+        &self,
+        st: &mut OpStream,
+        j: usize,
+        fs: StreamHandle,
+        a: &Arc<Vec<u128>>,
+        e: &[i64],
+    ) -> Result<StreamHandle> {
+        let fa = {
+            let a = st.upload_shared(Arc::clone(a))?;
+            st.ntt(a)?
+        };
+        let product = st.hadamard_intt(fa, fs)?;
+        let e = st.upload(lift_limb(&self.params, j, e))?;
+        let sum = st.pointwise_add(product, e)?;
+        Ok(st.scalar_mul(sum, self.params.moduli()[j] - 1)?)
+    }
+}
+
+/// Records `ntt(upload(coeffs))`.
+fn upload_ntt(st: &mut OpStream, coeffs: Vec<u128>) -> Result<StreamHandle> {
+    let raw = st.upload(coeffs)?;
+    Ok(st.ntt(raw)?)
+}
+
+/// Takes a payload back once the stream that shared it has run (and been
+/// dropped): no copy unless someone else still holds it.
+fn unshare(payload: Arc<Vec<u128>>) -> Vec<u128> {
+    Arc::try_unwrap(payload).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// The two small signed distributions of RLWE key material.
@@ -204,7 +276,7 @@ pub(crate) fn sample_signed<G: Rng + ?Sized>(
 ) -> Vec<i64> {
     // Sample in the base limb's ring, recover the exact signed value
     // (magnitudes ≤ 20 ≪ q₀/2), and reuse it for every limb.
-    let ring = params.ring(0).ring();
+    let ring = params.ring(0);
     let elems = match dist {
         SignedDist::Ternary => sampling::ternary(ring, params.n(), rng),
         SignedDist::Cbd => sampling::error_poly(ring, params.n(), rng),
@@ -222,20 +294,10 @@ pub(crate) fn sample_signed<G: Rng + ?Sized>(
         .collect()
 }
 
-/// Represents one signed integer polynomial in limb `j`'s ring.
-pub(crate) fn lift_limb(
-    params: &CkksParams,
-    j: usize,
-    signed: &[i64],
-) -> Result<Polynomial<Barrett128>> {
-    let ctx = params.ring(j).clone();
-    let coeffs = signed.iter().map(|&v| sampling::signed_to_elem(ctx.ring(), v)).collect();
-    Ok(Polynomial::from_elems(ctx, coeffs, Domain::Coefficient)?)
-}
-
-/// Represents one signed integer polynomial in every limb's ring.
-fn lift_signed(params: &CkksParams, signed: &[i64]) -> Result<LimbPolys> {
-    (0..params.moduli().len()).map(|j| lift_limb(params, j, signed)).collect()
+/// One signed integer polynomial as residues of limb `j`.
+pub(crate) fn lift_limb(params: &CkksParams, j: usize, signed: &[i64]) -> Vec<u128> {
+    let q = params.moduli()[j];
+    signed.iter().map(|&v| signed::to_residue(q, v)).collect()
 }
 
 #[cfg(test)]
@@ -257,10 +319,8 @@ mod tests {
         // Every limb must carry the same signed polynomial.
         for j in 1..p.moduli().len() {
             for k in 0..p.n() {
-                let r0 = p.ring(0).ring();
-                let rj = p.ring(j).ring();
-                let (m0, n0) = sampling::elem_to_centered(r0, sk.s[0].coeffs()[k]);
-                let (mj, nj) = sampling::elem_to_centered(rj, sk.s[j].coeffs()[k]);
+                let (m0, n0) = sampling::elem_to_centered(p.ring(0), sk.s[0][k]);
+                let (mj, nj) = sampling::elem_to_centered(p.ring(j), sk.s[j][k]);
                 assert_eq!((m0, n0 && m0 != 0), (mj, nj && mj != 0));
             }
         }
@@ -277,6 +337,78 @@ mod tests {
         assert_eq!(rlk.base_bits(), p.base_bits());
         for j in 0..p.moduli().len() {
             assert_eq!(rlk.limb_parts(j).len(), rlk.digit_count());
+        }
+    }
+    /// FNV-1a over the little-endian bytes of each word.
+    fn fnv<'a>(words: impl IntoIterator<Item = &'a u128>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn every_key_is_bit_for_bit_what_the_polynomial_path_generated() {
+        // `[s, s², pk, rlk]` digests computed at the commit before key
+        // generation became streams (every limb on the wide ring),
+        // for the test chain at n = 2^8 and the benchmark's 43/33/33-bit
+        // chain at n = 2^13.
+        let paper = {
+            let n = 1 << 13;
+            let mut moduli = vec![cofhee_arith::primes::ntt_prime(43, n).unwrap()];
+            moduli.extend(cofhee_arith::primes::ntt_primes(33, n, 2).unwrap());
+            CkksParams::new(n, moduli, (1u64 << 33) as f64, 18).unwrap()
+        };
+        let pinned = [
+            (
+                CkksParams::insecure_testing(1 << 8).unwrap(),
+                0xcc55,
+                [
+                    0x4f85_6e5a_0676_f0a8,
+                    0xb794_01f2_ef8d_9147,
+                    0xba2e_7ef9_60e0_e757,
+                    0x0ebd_9c09_0dd1_7652,
+                ],
+            ),
+            (
+                paper,
+                2023,
+                [
+                    0xa610_61ee_e32e_0461,
+                    0xa43d_24b3_17bb_c055,
+                    0x590f_49e4_a7c0_cada,
+                    0x3aa3_365b_b3bf_f713,
+                ],
+            ),
+        ];
+        for (p, seed, want) in pinned {
+            let kg = CkksKeyGenerator::new(&p);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sk = kg.secret_key(&mut rng).unwrap();
+            let pk = kg.public_key(&sk, &mut rng).unwrap();
+            let rlk = kg.relin_key(&sk, &mut rng).unwrap();
+            let pairs = |parts: &[(Vec<u128>, Vec<u128>)]| {
+                fnv(parts.iter().flat_map(|(k0, k1)| k0.iter().chain(k1)))
+            };
+            let got = [
+                fnv(sk.s.iter().flatten()),
+                fnv(sk.s_sq.iter().flatten()),
+                pairs(&pk.parts),
+                pairs(&rlk.parts.concat()),
+            ];
+            assert_eq!(got, want, "n = {}: {got:#x?}", p.n());
+            // One stream per limb and key, `s` transformed once in each:
+            // `ntt(s)` + an inverse for `s²`; `ntt(s)`, `ntt(a)` + an
+            // inverse for `p0`; `ntt(s)` + per digit `ntt(a)` and an
+            // inverse for the relin key (three transforms per product,
+            // 3 + 3 + 3·digits, before).
+            let digits = rlk.digit_count() as u64;
+            let per_transform = (p.n() as u64 / 2) * u64::from(p.n().trailing_zeros());
+            let retired = kg.engine.get().unwrap().report().butterflies / per_transform;
+            assert_eq!(retired, (2 + 3 + 1 + 2 * digits) * p.moduli().len() as u64);
         }
     }
 }

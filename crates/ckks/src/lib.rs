@@ -15,13 +15,21 @@
 //!
 //! * [`params`] — RNS modulus chains and [`Level`] tracking; every
 //!   level is a prefix of one prime chain, validated to fit the chip's
-//!   128-bit native coefficient width.
+//!   128-bit native coefficient width. A parameter set holds no
+//!   transform plan: every polynomial product of this crate, the client
+//!   side included, runs on a backend brought up for `(qⱼ, n)`.
 //! * [`encoding`] — the canonical-embedding encoder/decoder (host-side
 //!   complex FFT over `f64`, scaling factor Δ, precision accounting).
 //! * [`ciphertext`] — RNS-limb plaintexts/ciphertexts carrying level
 //!   and scale.
 //! * [`keys`] / [`encrypt`] — RLWE key material and encryption, limbs
-//!   kept consistent by sampling small signed polynomials once.
+//!   kept consistent by sampling small signed polynomials once. Keys are
+//!   raw residue vectors like ciphertexts; key generation, encryption
+//!   and decryption record their products as per-limb streams and run
+//!   them on a CPU [`cofhee_opt::LimbEngine`] each object brings up on
+//!   first use (an encryptor's and a decryptor's key pair resident on it
+//!   in NTT form), so a word-sized chain prime is computed at word
+//!   width from key generation to decryption.
 //! * [`evaluator`] / `streams` — the evaluator: every primitive records
 //!   per-limb [`cofhee_core::OpStream`]s (one backend per chain prime)
 //!   so the PR 7 stream-compiler passes and the chip farm scheduler

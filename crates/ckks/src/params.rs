@@ -7,7 +7,10 @@
 //! chain is the multiplication budget. Each limb is an independent mod-`qⱼ`
 //! polynomial, which is exactly what the CoFHEE op set computes: every
 //! limb dispatches to a `PolyBackend` brought up for `(qⱼ, n)`, the same
-//! way the BFV evaluator fans its CRT computation primes out.
+//! way the BFV evaluator fans its CRT computation primes out. That holds
+//! for the client side too (key generation, encryption, decryption), so
+//! a parameter set builds no transform plan of its own: it carries the
+//! chain, the per-level CRT bases and one scalar ring per limb.
 //!
 //! One CoFHEE-specific constraint: relinearization CRT-composes the cubic
 //! component on the host before digit decomposition, and the host-side
@@ -15,10 +18,7 @@
 //! chain product must fit 127 bits. The simulated evaluation points stay
 //! comfortably inside that (the paper's own widest modulus is 109 bits).
 
-use std::sync::Arc;
-
 use cofhee_arith::{primes, rns::RnsBasis, Barrett128};
-use cofhee_poly::{PolyRing, TwiddleCache};
 
 use crate::error::{CkksError, Result};
 
@@ -72,8 +72,11 @@ pub struct CkksParams {
     scale: f64,
     /// Digit width `w` of the relinearization key decomposition.
     base_bits: u32,
-    /// One polynomial ring context per limb (host-side key gen/decrypt).
-    rings: Vec<Arc<PolyRing<Barrett128>>>,
+    /// The scalar ring of each limb: what the samplers, `Tⁱ mod qⱼ` and
+    /// `q_ℓ⁻¹ mod qⱼ` need. No transform plan lives here — every
+    /// polynomial product, client side included, runs on a backend
+    /// brought up for `(qⱼ, n)` at the limb's own width.
+    rings: Vec<Barrett128>,
     /// `bases[ℓ]` spans `moduli[..= ℓ]` — the CRT basis active at level ℓ.
     bases: Vec<RnsBasis>,
 }
@@ -143,10 +146,7 @@ impl CkksParams {
                 ),
             });
         }
-        let rings = moduli
-            .iter()
-            .map(|&q| Ok(Arc::new(PolyRing::from_plan(TwiddleCache::barrett128(q, n)?))))
-            .collect::<Result<Vec<_>>>()?;
+        let rings = moduli.iter().map(|&q| Ok(Barrett128::new(q)?)).collect::<Result<_>>()?;
         Ok(Self { n, moduli, scale, base_bits, rings, bases })
     }
 
@@ -212,9 +212,9 @@ impl CkksParams {
         Level(self.moduli.len() - 1)
     }
 
-    /// The polynomial ring context of limb `j`.
+    /// The scalar ring `Z_{qⱼ}` of limb `j`.
     #[must_use]
-    pub fn ring(&self, j: usize) -> &Arc<PolyRing<Barrett128>> {
+    pub fn ring(&self, j: usize) -> &Barrett128 {
         &self.rings[j]
     }
 

@@ -261,7 +261,7 @@ impl CkksEvaluator {
             // Key residues live mod the full-chain limb rings, which are
             // the same rings at every level — no rebasing needed.
             let base = [ct.components()[0][j].clone(), ct.components()[1][j].clone()];
-            record_key_switch(&mut st, &digit_vecs, keys(j, digits), &base)?;
+            record_key_switch(&mut st, &digit_vecs, keys(j, digits), base)?;
             streams.push(st);
         }
         Ok(streams)
@@ -293,7 +293,7 @@ impl CkksEvaluator {
             .collect();
         let mut streams = Vec::with_capacity(top);
         for j in 0..top {
-            let ring = *self.params.ring(j).ring();
+            let ring = self.params.ring(j);
             let q_j = ring.modulus();
             let inv = ring.to_u128(ring.inv(ring.from_u128(q_top))?);
             let mut st = OpStream::new(n);
@@ -342,7 +342,12 @@ impl CkksEvaluator {
         if limbs.iter().any(|l| l.len() != comps) {
             return Err(CkksError::ParamsMismatch);
         }
-        let components = (0..comps).map(|i| limbs.iter().map(|l| l[i].clone()).collect()).collect();
+        // Transpose by moving each limb's outputs out, component by
+        // component.
+        let mut limbs: Vec<_> = limbs.into_iter().map(Vec::into_iter).collect();
+        let components = (0..comps)
+            .map(|_| limbs.iter_mut().map(|l| l.next().expect("shape checked above")).collect())
+            .collect();
         CkksCiphertext::new(&self.params, components, level, scale)
     }
 

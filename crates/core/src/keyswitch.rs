@@ -55,7 +55,8 @@ impl KeySwitchKeys<'_> {
 /// a caller recording one stream per RNS limb hands every stream the
 /// same digits and nothing is copied; `keys` supplies the
 /// matching `(k0, k1)` pair per digit; `base` holds the two ciphertext
-/// components the folded accumulators are added onto. Per digit the
+/// components the folded accumulators are added onto, moved into the
+/// stream's uploads. Per digit the
 /// builder records: upload + forward NTT of the digit polynomial, the two
 /// Hadamard products (keys inline-transformed or referenced resident),
 /// and NTT-domain accumulation; then per base component an inverse NTT
@@ -65,22 +66,19 @@ impl KeySwitchKeys<'_> {
 /// # Errors
 ///
 /// Returns [`crate::CoreError::BadOperandLength`] if `digits` and `keys`
-/// disagree on the digit count or `base` does not hold exactly two
-/// components, and propagates recording failures (wrong vector lengths).
+/// disagree on the digit count, and propagates recording failures (wrong
+/// vector lengths).
 pub fn record_key_switch(
     st: &mut OpStream,
     digits: &[Arc<Vec<u128>>],
     keys: KeySwitchKeys<'_>,
-    base: &[Vec<u128>],
+    base: [Vec<u128>; 2],
 ) -> Result<()> {
     if digits.is_empty() || digits.len() != keys.digits() {
         return Err(crate::CoreError::BadOperandLength {
             expected: keys.digits(),
             found: digits.len(),
         });
-    }
-    if base.len() != 2 {
-        return Err(crate::CoreError::BadOperandLength { expected: 2, found: base.len() });
     }
     let mut accs: [Option<StreamHandle>; 2] = [None, None];
     for (i, digit) in digits.iter().enumerate() {
@@ -116,7 +114,7 @@ pub fn record_key_switch(
     for (acc, c) in accs.into_iter().zip(base) {
         let acc = acc.expect("digit count checked non-zero above");
         let folded = st.intt(acc)?;
-        let b = st.upload(c.clone())?;
+        let b = st.upload(c)?;
         let out = st.pointwise_add(b, folded)?;
         st.output(out)?;
     }
@@ -175,11 +173,11 @@ mod tests {
                 (k0, k1)
             })
             .collect();
-        let base: Vec<Vec<u128>> =
-            (0..2).map(|c| (0..N as u128).map(|j| (j + c * 100) % Q).collect()).collect();
+        let base = [0, 1].map(|c| (0..N as u128).map(|j| (j + c * 100) % Q).collect::<Vec<_>>());
 
         let mut st_inline = OpStream::new(N);
-        record_key_switch(&mut st_inline, &digits, KeySwitchKeys::Inline(&keys), &base).unwrap();
+        record_key_switch(&mut st_inline, &digits, KeySwitchKeys::Inline(&keys), base.clone())
+            .unwrap();
         let mut be = CpuBackend::new(Q, N).unwrap();
         let inline_out = be.execute_stream(&st_inline).unwrap().outputs;
 
@@ -201,7 +199,7 @@ mod tests {
             handles.push((f0, f1));
         }
         let mut st_res = OpStream::new(N);
-        record_key_switch(&mut st_res, &digits, KeySwitchKeys::Resident(&handles), &base).unwrap();
+        record_key_switch(&mut st_res, &digits, KeySwitchKeys::Resident(&handles), base).unwrap();
         let resident_out = be.execute_stream(&st_res).unwrap().outputs;
 
         assert_eq!(inline_out, resident_out);
@@ -212,13 +210,8 @@ mod tests {
     fn rejects_mismatched_shapes() {
         let digits = vec![Arc::new(vec![0u128; N])];
         let keys: Vec<(Vec<u128>, Vec<u128>)> = vec![];
-        let base = vec![vec![0u128; N]; 2];
+        let base = [vec![0u128; N], vec![0u128; N]];
         let mut st = OpStream::new(N);
-        assert!(record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), &base).is_err());
-        let keys = vec![(vec![1u128; N], vec![2u128; N])];
-        let mut st = OpStream::new(N);
-        assert!(
-            record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), &base[..1]).is_err()
-        );
+        assert!(record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), base).is_err());
     }
 }

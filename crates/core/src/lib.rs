@@ -28,6 +28,9 @@
 //!   and overlapped.
 //! * [`record_key_switch`] — the scheme-neutral digit-decomposition
 //!   key-switch stream builder shared by BFV and CKKS relinearization.
+//! * [`record_encrypt`] / [`record_decrypt`] — the client side of both
+//!   schemes as streams: one limb of an RLWE encryption or decryption
+//!   against a key pair resident on the backend in NTT form.
 //!
 //! # Examples
 //!
@@ -61,6 +64,7 @@ mod error;
 mod keyswitch;
 mod modes;
 mod ops;
+mod rlwe;
 mod rns;
 mod stream;
 
@@ -73,6 +77,7 @@ pub use error::{CoreError, Result};
 pub use keyswitch::{digit_decompose, record_key_switch, KeySwitchKeys};
 pub use modes::{standard_links, ExecutionMode, ModeOutcome};
 pub use ops::{CiphertextMulOutcome, PolyMulOutcome};
+pub use rlwe::{record_decrypt, record_encrypt};
 pub use rns::{RnsDevice, RnsMulOutcome};
 pub use stream::{
     OpStream, StreamExecutor, StreamHandle, StreamJob, StreamOp, StreamOutcome, StreamReport,

@@ -1,0 +1,181 @@
+//! Scheme-neutral client-side stream builders: RLWE encryption and
+//! decryption of one mod-`q` limb.
+//!
+//! Eqs. 2–3 of the paper — `c₁ = kp₁·u + e₁ + Δm`, `c₂ = kp₂·u + e₂`,
+//! `v = c₁ + c₂·s` — are PolyMul and PMODADD, the Table I command set,
+//! and BFV and CKKS share them verbatim per limb: BFV records one stream
+//! over `q`, CKKS one per active chain prime. What differs is host-side
+//! and stays there (the samplers, `Δ·m` against an already scaled
+//! encoding, the signed lifts, the rounding after decryption). The key
+//! pair enters as [`crate::StreamOp::Input`]: NTT-domain handles resident
+//! on the executing backend, transformed once per key rather than once
+//! per message.
+
+use crate::backend::PolyHandle;
+use crate::error::Result;
+use crate::stream::OpStream;
+
+/// Records one limb of an RLWE encryption and marks `(c0, c1)` as the
+/// outputs: `fu = ntt(u)`, `c0 = intt(p0̂ ⊙ fu) + e1 + m`,
+/// `c1 = intt(p1̂ ⊙ fu) + e2` — three transforms, the mask `u`
+/// transformed once for both components.
+///
+/// `key` is the public key `(p0̂, p1̂)` in NTT form on the backend the
+/// stream will run on; `u`, `noise = [e1, e2]` and the message `m` are
+/// residues mod that backend's modulus, moved into the stream's uploads.
+///
+/// # Errors
+///
+/// Propagates recording failures (wrong vector lengths).
+pub fn record_encrypt(
+    st: &mut OpStream,
+    key: (PolyHandle, PolyHandle),
+    u: Vec<u128>,
+    noise: [Vec<u128>; 2],
+    m: Vec<u128>,
+) -> Result<()> {
+    let fu = {
+        let u = st.upload(u)?;
+        st.ntt(u)?
+    };
+    let [e1, e2] = noise;
+    let mut components = Vec::with_capacity(2);
+    for (key, noise) in [(key.0, e1), (key.1, e2)] {
+        let key = st.input(key);
+        let masked = st.hadamard_intt(key, fu)?;
+        let noise = st.upload(noise)?;
+        components.push(st.pointwise_add(masked, noise)?);
+    }
+    let m = st.upload(m)?;
+    let c0 = st.pointwise_add(components[0], m)?;
+    st.output(c0)?;
+    st.output(components[1])?;
+    Ok(())
+}
+
+/// Records one limb of the decryption polynomial and marks it as the
+/// output: `v = c0 + intt(ntt(c1) ⊙ ŝ)`, and for a three-component
+/// ciphertext `v = c0 + intt(ntt(c1) ⊙ ŝ + ntt(c2) ⊙ ŝ²)` — the cubic
+/// term accumulates in the NTT domain, so either shape runs one inverse
+/// transform.
+///
+/// `key` is `(ŝ, ŝ²)` in NTT form on the backend the stream will run on
+/// (`ŝ²` is not referenced without a `c2`).
+///
+/// # Errors
+///
+/// Propagates recording failures (wrong vector lengths).
+pub fn record_decrypt(
+    st: &mut OpStream,
+    key: (PolyHandle, PolyHandle),
+    c0: Vec<u128>,
+    c1: Vec<u128>,
+    c2: Option<Vec<u128>>,
+) -> Result<()> {
+    let f1 = {
+        let c1 = st.upload(c1)?;
+        st.ntt(c1)?
+    };
+    let s = st.input(key.0);
+    let folded = match c2 {
+        None => st.hadamard_intt(f1, s)?,
+        Some(c2) => {
+            let f2 = {
+                let c2 = st.upload(c2)?;
+                st.ntt(c2)?
+            };
+            let s_sq = st.input(key.1);
+            let linear = st.hadamard(f1, s)?;
+            let sum = st.hadamard_add(f2, s_sq, linear)?;
+            st.intt(sum)?
+        }
+    };
+    let c0 = st.upload(c0)?;
+    let v = st.pointwise_add(c0, folded)?;
+    st.output(v)?;
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{CpuBackend, PolyBackend};
+
+    const Q: u128 = 65537; // NTT-friendly for n = 8
+    const N: usize = 8;
+
+    fn poly(seed: u128) -> Vec<u128> {
+        (0..N as u128).map(|j| (j * j * 31 + seed * 977 + 5) % Q).collect()
+    }
+
+    fn ntt_form(be: &mut CpuBackend, raw: &[u128]) -> PolyHandle {
+        let up = be.upload(raw).unwrap();
+        let form = be.ntt(up).unwrap();
+        be.free(up);
+        form
+    }
+
+    /// `a·b + Σ addends` through the synchronous op set.
+    fn mul_add(be: &mut CpuBackend, a: &[u128], b: &[u128], addends: &[&[u128]]) -> Vec<u128> {
+        let (ha, hb) = (be.upload(a).unwrap(), be.upload(b).unwrap());
+        let mut acc = be.poly_mul(ha, hb).unwrap();
+        for x in addends {
+            let hx = be.upload(x).unwrap();
+            acc = be.pointwise_add(acc, hx).unwrap();
+        }
+        be.download(acc).unwrap()
+    }
+
+    fn transforms(be: &CpuBackend) -> u64 {
+        be.report().butterflies / ((N as u64 / 2) * u64::from(N.trailing_zeros()))
+    }
+
+    #[test]
+    fn encrypt_stream_is_eq_2_and_3_in_three_transforms() {
+        let (p0, p1, u, e1, e2, m) = (poly(1), poly(2), poly(3), poly(4), poly(5), poly(6));
+        let mut be = CpuBackend::new(Q, N).unwrap();
+        let key = (ntt_form(&mut be, &p0), ntt_form(&mut be, &p1));
+        be.reset_telemetry();
+        let mut st = OpStream::new(N);
+        record_encrypt(&mut st, key, u.clone(), [e1.clone(), e2.clone()], m.clone()).unwrap();
+        let got = be.execute_stream(&st).unwrap().outputs;
+        assert_eq!(transforms(&be), 3);
+        let mut oracle = CpuBackend::new(Q, N).unwrap();
+        assert_eq!(got[0], mul_add(&mut oracle, &p0, &u, &[&e1, &m]));
+        assert_eq!(got[1], mul_add(&mut oracle, &p1, &u, &[&e2]));
+        assert_eq!(be.pool_len(), 2, "only the resident key stays on the backend");
+    }
+
+    #[test]
+    fn decrypt_stream_folds_two_or_three_components_with_one_inverse() {
+        let (s, c0, c1, c2) = (poly(7), poly(8), poly(9), poly(10));
+        let mut oracle = CpuBackend::new(Q, N).unwrap();
+        let s_sq = mul_add(&mut oracle, &s, &s, &[]);
+        let mut be = CpuBackend::new(Q, N).unwrap();
+        let key = (ntt_form(&mut be, &s), ntt_form(&mut be, &s_sq));
+        for (cubic, want_transforms) in [(None, 2), (Some(c2.clone()), 3)] {
+            be.reset_telemetry();
+            let mut st = OpStream::new(N);
+            record_decrypt(&mut st, key, c0.clone(), c1.clone(), cubic.clone()).unwrap();
+            let got = be.execute_stream(&st).unwrap().outputs;
+            assert_eq!(transforms(&be), want_transforms);
+            let linear = mul_add(&mut oracle, &c1, &s, &[&c0]);
+            let want = match &cubic {
+                None => linear,
+                Some(c2) => mul_add(&mut oracle, c2, &s_sq, &[&linear]),
+            };
+            assert_eq!(got, [want]);
+        }
+    }
+
+    #[test]
+    fn a_short_operand_is_refused_at_record_time() {
+        let mut be = CpuBackend::new(Q, N).unwrap();
+        let key = (ntt_form(&mut be, &poly(1)), ntt_form(&mut be, &poly(2)));
+        let short = vec![0u128; N - 1];
+        let mut st = OpStream::new(N);
+        assert!(record_encrypt(&mut st, key, short.clone(), [poly(3), poly(4)], poly(5)).is_err());
+        let mut st = OpStream::new(N);
+        assert!(record_decrypt(&mut st, key, poly(3), poly(4), Some(short)).is_err());
+    }
+}

@@ -462,8 +462,14 @@ pub struct StreamOutcome {
 
 /// The degenerate synchronous replay — [`PolyBackend::execute_stream`]'s
 /// provided default. Every node runs through the one-op-at-a-time calls
-/// in record order; intermediate handles are freed on success *and*
-/// failure so errors never leak pool entries.
+/// in record order, and a handle goes back to the backend right after
+/// its last consumer ran — the rule `chip_stream`'s slot allocator
+/// follows — so what the backend holds at any moment is the stream's
+/// live set, not its node count: a node nothing reads is released at
+/// once, a handle one node names twice is released once, outputs live to
+/// their download, and [`StreamOp::Input`] handles are borrowed and never
+/// freed. Success *and* failure leave nothing behind: the closing sweep
+/// frees the outputs, or whatever was live when a node failed.
 pub(crate) fn replay_sync<B: PolyBackend + ?Sized>(
     be: &mut B,
     stream: &OpStream,
@@ -473,55 +479,60 @@ pub(crate) fn replay_sync<B: PolyBackend + ?Sized>(
     }
     let report_before = be.report();
     let comm_before = be.comm_stats();
-    let mut vals: Vec<Option<PolyHandle>> = vec![None; stream.len()];
-    let mut owned: Vec<PolyHandle> = Vec::with_capacity(stream.len());
+    let nodes = stream.nodes();
+    let owned = |i: usize| !matches!(nodes[i], StreamOp::Input(_));
+    // Uses each node still has ahead of it; an output marking is one
+    // that only the download consumes.
+    let mut uses = stream.use_counts();
+    let mut vals: Vec<Option<PolyHandle>> = vec![None; nodes.len()];
     let mut comm_mid = comm_before;
-    let result = {
-        let mut run = |be: &mut B, owned: &mut Vec<PolyHandle>| -> Result<Vec<Vec<u128>>> {
-            let get = |vals: &[Option<PolyHandle>], h: StreamHandle| {
-                vals[h.index].expect("operands precede their consumers by construction")
-            };
-            for (i, op) in stream.nodes().iter().enumerate() {
-                let h = match op {
-                    StreamOp::Input(h) => *h, // borrowed: not freed below
-                    StreamOp::Upload(v) => be.upload(v)?,
-                    StreamOp::Ntt(s) => be.ntt(get(&vals, *s))?,
-                    StreamOp::Intt(s) => be.intt(get(&vals, *s))?,
-                    StreamOp::Hadamard(x, y) => be.hadamard(get(&vals, *x), get(&vals, *y))?,
-                    StreamOp::HadamardIntt(x, y) => {
-                        be.hadamard_intt(get(&vals, *x), get(&vals, *y))?
-                    }
-                    StreamOp::HadamardAdd(x, y, acc) => {
-                        // No fused synchronous call: compose product +
-                        // accumulate, freeing the temporary with the
-                        // rest of the stream's intermediates.
-                        let prod = be.hadamard(get(&vals, *x), get(&vals, *y))?;
-                        owned.push(prod);
-                        be.pointwise_add(prod, get(&vals, *acc))?
-                    }
-                    StreamOp::PointwiseAdd(x, y) => {
-                        be.pointwise_add(get(&vals, *x), get(&vals, *y))?
-                    }
-                    StreamOp::PointwiseSub(x, y) => {
-                        be.pointwise_sub(get(&vals, *x), get(&vals, *y))?
-                    }
-                    StreamOp::ScalarMul(x, c) => be.scalar_mul(get(&vals, *x), *c)?,
-                    StreamOp::PolyMul(a, b) => be.poly_mul(get(&vals, *a), get(&vals, *b))?,
-                };
-                if !matches!(op, StreamOp::Input(_)) {
-                    owned.push(h);
-                }
-                vals[i] = Some(h);
-            }
-            // Split the wire accounting at the upload/download boundary
-            // so each direction is attributed correctly.
-            comm_mid = be.comm_stats();
-            stream.outputs().iter().map(|s| be.download(get(&vals, *s))).collect()
+    let result = (|| -> Result<Vec<Vec<u128>>> {
+        let get = |vals: &[Option<PolyHandle>], h: StreamHandle| {
+            vals[h.index].expect("operands precede their consumers and outlive them")
         };
-        run(be, &mut owned)
-    };
-    for h in owned {
-        be.free(h);
+        for (i, op) in nodes.iter().enumerate() {
+            let h = match op {
+                StreamOp::Input(h) => *h,
+                StreamOp::Upload(v) => be.upload(v)?,
+                StreamOp::Ntt(s) => be.ntt(get(&vals, *s))?,
+                StreamOp::Intt(s) => be.intt(get(&vals, *s))?,
+                StreamOp::Hadamard(x, y) => be.hadamard(get(&vals, *x), get(&vals, *y))?,
+                StreamOp::HadamardIntt(x, y) => be.hadamard_intt(get(&vals, *x), get(&vals, *y))?,
+                StreamOp::HadamardAdd(x, y, acc) => {
+                    // No fused synchronous call: compose product +
+                    // accumulate, the temporary freed either way.
+                    let prod = be.hadamard(get(&vals, *x), get(&vals, *y))?;
+                    let sum = be.pointwise_add(prod, get(&vals, *acc));
+                    be.free(prod);
+                    sum?
+                }
+                StreamOp::PointwiseAdd(x, y) => be.pointwise_add(get(&vals, *x), get(&vals, *y))?,
+                StreamOp::PointwiseSub(x, y) => be.pointwise_sub(get(&vals, *x), get(&vals, *y))?,
+                StreamOp::ScalarMul(x, c) => be.scalar_mul(get(&vals, *x), *c)?,
+                StreamOp::PolyMul(a, b) => be.poly_mul(get(&vals, *a), get(&vals, *b))?,
+            };
+            vals[i] = Some(h);
+            // This node was one use of each operand (two of one it
+            // names twice) and is itself dead when nothing reads it.
+            let operands = op.deps().into_iter().flatten().map(|dep| (dep.index, 1));
+            for (j, used) in operands.chain([(i, 0)]) {
+                uses[j] -= used;
+                if uses[j] == 0 && owned(j) {
+                    if let Some(dead) = vals[j].take() {
+                        be.free(dead);
+                    }
+                }
+            }
+        }
+        // Split the wire accounting at the upload/download boundary so
+        // each direction is attributed correctly.
+        comm_mid = be.comm_stats();
+        stream.outputs().iter().map(|s| be.download(get(&vals, *s))).collect()
+    })();
+    for (i, live) in vals.into_iter().enumerate() {
+        if let (Some(h), true) = (live, owned(i)) {
+            be.free(h);
+        }
     }
     let outputs = result?;
     let report_after = be.report();
@@ -608,6 +619,7 @@ impl StreamExecutor {
 mod tests {
     use super::*;
     use crate::backend::{ChipBackend, CpuBackend};
+    use crate::OpReport;
     use cofhee_arith::primes::ntt_prime;
     use cofhee_sim::ChipConfig;
 
@@ -712,6 +724,141 @@ mod tests {
         let before = be.pool_len();
         let _ = be.execute_stream(&sample_stream()).unwrap();
         assert_eq!(be.pool_len(), before, "all stream temporaries are freed");
+    }
+
+    /// Buffers a stream holds at once: on a fresh backend a pool miss
+    /// means every buffer made so far is live, so the misses of one run
+    /// are its peak live set — and, all of them parked afterwards, the
+    /// pool's high-water.
+    fn live_set(be: &mut CpuBackend, stream: &OpStream) -> u64 {
+        let before = be.pool_stats();
+        assert_eq!((before.misses, before.resident), (0, 0), "a fresh backend");
+        be.execute_stream(stream).unwrap();
+        let after = be.pool_stats();
+        assert_eq!(after.hits + after.misses, after.recycled, "each buffer went back once");
+        assert_eq!(after.high_water, after.misses);
+        after.misses
+    }
+
+    #[test]
+    fn a_key_switch_holds_its_live_set_not_its_node_count() {
+        use crate::keyswitch::{record_key_switch, KeySwitchKeys};
+        const DIGITS: usize = 7;
+        let mut be = CpuBackend::new(q(), N).unwrap();
+        // The key resident in NTT form, as the evaluators hold it.
+        let mut form = |seed: u128| {
+            let raw = be.upload(&poly(seed)).unwrap();
+            let form = be.ntt(raw).unwrap();
+            be.free(raw);
+            form
+        };
+        let keys: Vec<_> =
+            (0..DIGITS as u128).map(|d| (form(100 + 2 * d), form(101 + 2 * d))).collect();
+        let digits: Vec<_> = (0..DIGITS as u128).map(|d| Arc::new(poly(10 + d))).collect();
+        let mut st = OpStream::new(N);
+        record_key_switch(&mut st, &digits, KeySwitchKeys::Resident(&keys), [poly(1), poly(2)])
+            .unwrap();
+        let owned = st.nodes().iter().filter(|op| !matches!(op, StreamOp::Input(_))).count();
+        assert_eq!((st.len(), owned), (60, 46), "one buffer per owned node, held to the end");
+
+        // Same telemetry as holding everything to the end gave…
+        be.reset_telemetry();
+        let warm = be.pool_stats();
+        assert_eq!(warm.hits + warm.misses - warm.recycled, 2 * DIGITS as u64, "the key");
+        let outcome = be.execute_stream(&st).unwrap();
+        let transform = (N as u64 / 2) * u64::from(N.trailing_zeros());
+        let (n, d) = (N as u64, DIGITS as u64);
+        assert_eq!(
+            be.report(),
+            OpReport {
+                butterflies: (d + 2) * transform,
+                mults: (2 * d + 2) * n,
+                addsubs: (2 * (d - 1) + 2) * n,
+                ..OpReport::default()
+            }
+        );
+        assert_eq!(
+            outcome.report,
+            StreamReport { commands: 62, batches: 1, ..StreamReport::default() }
+        );
+        // …from 5 buffers where 46 were held: a digit's transform, both
+        // accumulators, a product and the sum about to replace one.
+        let after = be.pool_stats();
+        assert_eq!(after.hits + after.misses - warm.hits - warm.misses, 46, "a take per node");
+        assert_eq!(after.high_water, 5, "all parked again, and never more than that");
+        assert_eq!(be.pool_len(), 2 * DIGITS, "only the key stays");
+        // The outputs are the inline recording's on a backend of its own.
+        let inline: Vec<_> =
+            (0..DIGITS as u128).map(|d| (poly(100 + 2 * d), poly(101 + 2 * d))).collect();
+        let mut st = OpStream::new(N);
+        record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&inline), [poly(1), poly(2)])
+            .unwrap();
+        let mut other = CpuBackend::new(q(), N).unwrap();
+        assert_eq!(other.execute_stream(&st).unwrap().outputs, outcome.outputs);
+    }
+
+    #[test]
+    fn an_output_that_is_also_a_later_operand_survives_to_the_download() {
+        let mut st = OpStream::new(N);
+        let a = st.upload(poly(1)).unwrap();
+        let fa = st.ntt(a).unwrap();
+        st.output(fa).unwrap(); // marked before its consumers run
+        let sq = st.hadamard_intt(fa, fa).unwrap();
+        let twice = st.pointwise_add(sq, sq).unwrap();
+        st.output(twice).unwrap();
+        st.output(fa).unwrap(); // and marked twice
+        let mut be = CpuBackend::new(q(), N).unwrap();
+        let outcome = be.execute_stream(&st).unwrap();
+        let mut sync = CpuBackend::new(q(), N).unwrap();
+        let ha = sync.upload(&poly(1)).unwrap();
+        let hfa = sync.ntt(ha).unwrap();
+        assert_eq!(outcome.outputs[0], sync.download(hfa).unwrap());
+        assert_eq!(outcome.outputs[2], outcome.outputs[0]);
+        assert_eq!(be.pool_len(), 0);
+    }
+
+    #[test]
+    fn operands_go_back_after_their_last_consumer_and_only_once() {
+        // `hadamard_intt(f, f)` names `f` twice and frees it once; `_dead`
+        // is read by nothing and goes back before the next node runs.
+        let mut st = OpStream::new(N);
+        let a = st.upload(poly(1)).unwrap();
+        let f = st.ntt(a).unwrap();
+        let _dead = st.scalar_mul(f, 3).unwrap();
+        let sq = st.hadamard_intt(f, f).unwrap();
+        let x = st.scalar_mul(sq, 5).unwrap();
+        let y = st.scalar_mul(x, 7).unwrap();
+        st.output(y).unwrap();
+        // Never more than an operand and its result: 2 buffers for 6
+        // owned nodes.
+        assert_eq!(live_set(&mut CpuBackend::new(q(), N).unwrap(), &st), 2);
+        // The tensor-shaped sample stream: 9 owned nodes, 6 at once.
+        assert_eq!(live_set(&mut CpuBackend::new(q(), N).unwrap(), &sample_stream()), 6);
+    }
+
+    #[test]
+    fn a_stream_failing_mid_way_leaves_the_pool_where_it_started() {
+        let mut be = CpuBackend::new(q(), N).unwrap();
+        let resident = be.upload(&poly(3)).unwrap();
+        let gone = be.upload(&poly(4)).unwrap();
+        be.free(gone);
+        let before = be.pool_len();
+        // Fails at node 5 (a freed input) with an output, a live operand
+        // and a `HadamardAdd` product in flight.
+        let mut st = OpStream::new(N);
+        let a = st.upload(poly(1)).unwrap();
+        let fa = st.ntt(a).unwrap();
+        st.output(fa).unwrap();
+        let r = st.input(resident);
+        let prod = st.hadamard(fa, r).unwrap();
+        let bad = st.input(gone);
+        let sum = st.hadamard_add(fa, bad, prod).unwrap();
+        st.output(sum).unwrap();
+        assert!(matches!(be.execute_stream(&st), Err(CoreError::BadHandle { .. })));
+        assert_eq!(be.pool_len(), before, "nothing of the failed stream is left");
+        let stats = be.pool_stats();
+        assert_eq!(stats.hits + stats.misses - stats.recycled, 1, "only the resident input");
+        assert_eq!(be.download(resident).unwrap(), poly(3), "which is still valid");
     }
 
     #[test]

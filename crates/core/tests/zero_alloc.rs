@@ -21,6 +21,11 @@
 //!   its output vectors plus the scheduler's own few bookkeeping vectors
 //!   — the same count at every degree and for either modulus width,
 //!   nothing per coefficient and nothing per command.
+//! * A warmed [`CpuBackend::execute_stream`] has a ledger as well: the
+//!   replay frees each handle after its last consumer, so a
+//!   key-switch-shaped stream of 46 buffer-producing nodes runs out of
+//!   the 5 pool buffers of its live set and allocates its outputs plus
+//!   the replay's three bookkeeping vectors.
 //! * Everything runs inside ONE `#[test]` so no concurrent libtest
 //!   thread pollutes the process-global counter.
 //!
@@ -32,7 +37,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cofhee_arith::primes::ntt_prime;
-use cofhee_core::{ChipBackend, CpuBackend, OpStream, PolyBackend};
+use cofhee_core::{
+    record_key_switch, ChipBackend, CpuBackend, KeySwitchKeys, OpStream, PolyBackend, PolyHandle,
+};
 use cofhee_sim::ChipConfig;
 
 /// Counts allocation events; forwards everything to [`System`].
@@ -144,6 +151,26 @@ fn ct_add_shaped(n: usize) -> OpStream {
     st
 }
 
+/// A relinearization as the evaluators record it: 7 digits against a key
+/// already resident in NTT form (`keys`), folded onto two components —
+/// 60 nodes, 46 of them producing a buffer.
+fn key_switch_shaped(n: usize, keys: &[(PolyHandle, PolyHandle)]) -> OpStream {
+    let poly = |seed: u128| (0..n as u128).map(|i| i * 131 + seed).collect::<Vec<_>>();
+    let digits: Vec<_> = (0..keys.len() as u128).map(|d| std::sync::Arc::new(poly(d))).collect();
+    let mut st = OpStream::new(n);
+    record_key_switch(&mut st, &digits, KeySwitchKeys::Resident(keys), [poly(50), poly(51)])
+        .unwrap();
+    st
+}
+
+/// What a warmed CPU stream replay allocates beyond its output vectors:
+/// the use counts it frees by, the node → handle table and the output
+/// list. Per stream — not per node, not per coefficient.
+const CPU_REPLAY_BOOKKEEPING_ALLOCS: u64 = 3;
+/// Pool buffers a 7-digit resident key switch holds at once (a digit's
+/// transform, both accumulators, a product, the sum replacing one).
+const KEY_SWITCH_LIVE_SET: u64 = 5;
+
 /// What one stream execution may allocate beyond its output vectors: the
 /// scheduler's seven per-stream vectors (bank list, slot table,
 /// residence, use counts, output marks, batch records, the output list).
@@ -180,6 +207,44 @@ fn warmed_backends_run_allocation_free() {
         let q109 = ntt_prime(109, n).unwrap();
         let mut cpu = CpuBackend::new(q109, n).unwrap();
         assert_zero_alloc_steady_state(&mut cpu, &a, &b, &format!("cpu/wide n={n}"));
+    }
+
+    // CpuBackend streams: a warmed key switch replays out of its live
+    // set, at either width and at every degree.
+    for n in [N, N_PAPER] {
+        for bits in [55u32, 109] {
+            let mut cpu = CpuBackend::new(ntt_prime(bits, n).unwrap(), n).unwrap();
+            let keys: Vec<_> = (0..7u128)
+                .map(|d| {
+                    let mut form = |seed: u128| {
+                        let raw: Vec<u128> = (0..n as u128).map(|i| i * 37 + seed).collect();
+                        let up = cpu.upload(&raw).unwrap();
+                        let form = cpu.ntt(up).unwrap();
+                        cpu.free(up);
+                        form
+                    };
+                    (form(2 * d), form(2 * d + 1))
+                })
+                .collect();
+            let stream = key_switch_shaped(n, &keys);
+            for _ in 0..2 {
+                cpu.execute_stream(&stream).unwrap();
+            }
+            let warm = cpu.pool_stats();
+            let before = allocations();
+            let outcome = cpu.execute_stream(&stream).unwrap();
+            let delta = allocations() - before;
+            let stats = cpu.pool_stats();
+            let label = format!("cpu key switch, {bits}-bit q, n={n}");
+            assert_eq!(
+                delta,
+                outcome.outputs.len() as u64 + CPU_REPLAY_BOOKKEEPING_ALLOCS,
+                "{label}: allocations of one warmed replay"
+            );
+            assert_eq!(stats.misses, warm.misses, "{label}: pool missed after warm-up");
+            assert_eq!(stats.hits - warm.hits, 46, "{label}: a pool take per producing node");
+            assert_eq!(stats.high_water, KEY_SWITCH_LIVE_SET, "{label}: pool high-water");
+        }
     }
 
     // ChipBackend staging: compute ops legitimately allocate (bank

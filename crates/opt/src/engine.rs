@@ -1,13 +1,16 @@
 //! The limb engine: the one place a scheme evaluator's recorded streams
 //! are compiled, fanned out across per-modulus backends, and accounted —
 //! and the one place its key-switch keys are kept resident on those
-//! backends in NTT form.
+//! backends in NTT form. The client side of both schemes (encryptors,
+//! decryptors, the CKKS key generator) runs on one as well: a CPU engine
+//! each object brings up on first use ([`LimbEngine::client`]) with its
+//! own key pair resident ([`LimbEngine::resident_pair`]).
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use cofhee_core::{
-    BackendFactory, CommStats, OpReport, OpStream, PolyBackend, PolyHandle, PoolStats, Result,
-    StreamExecutor, StreamJob, StreamReport,
+    BackendFactory, CommStats, CpuBackendFactory, OpReport, OpStream, PolyBackend, PolyHandle,
+    PoolStats, Result, StreamExecutor, StreamJob, StreamReport,
 };
 
 use crate::{OptLevel, OptStats, PassRunner};
@@ -83,6 +86,44 @@ impl LimbEngine {
         })
     }
 
+    /// The CPU engine a client-side object owns, brought up over `moduli`
+    /// the first time the object computes: constructors stay infallible
+    /// and a bring-up failure surfaces, typed, from the operation that
+    /// needed the engine. Word-sized moduli get the 64-bit kernels (the
+    /// CPU backend's own rule), so an RNS limb is computed at its own
+    /// width. A client op is one short stream per limb, run one after
+    /// another on the calling thread — a one-stream [`LimbEngine::run`]
+    /// never spawns.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend bring-up failures; `cell` stays empty.
+    pub fn client<'a>(cell: &'a OnceLock<Self>, moduli: &[u128], n: usize) -> Result<&'a Self> {
+        if let Some(engine) = cell.get() {
+            return Ok(engine);
+        }
+        let engine = Self::new(&CpuBackendFactory, moduli, n)?;
+        // Two first uses may race: the loser's engine is dropped unused.
+        Ok(cell.get_or_init(|| engine))
+    }
+
+    /// [`LimbEngine::resident_keys`] for a key that is one `(k0, k1)`
+    /// pair per limb — an encryptor's `(p0, p1)`, a decryptor's
+    /// `(s, s²)`: `pairs[j]` is made resident on backend `j` and the
+    /// NTT-form handle pair of each limb comes back.
+    ///
+    /// # Errors
+    ///
+    /// As [`LimbEngine::resident_keys`].
+    pub fn resident_pair<'k>(
+        &self,
+        key: &KeyId,
+        pairs: impl IntoIterator<Item = (&'k [u128], &'k [u128])>,
+    ) -> Result<Vec<(PolyHandle, PolyHandle)>> {
+        let limbs: Vec<_> = pairs.into_iter().map(|pair| vec![pair]).collect();
+        Ok(self.resident_keys(key, 0, &limbs)?.into_iter().map(|digits| digits[0]).collect())
+    }
+
     /// The same engine with the stream compiler set to `level`.
     #[must_use]
     pub fn with_opt_level(mut self, level: OptLevel) -> Self {
@@ -150,6 +191,16 @@ impl LimbEngine {
         opt_totals.stamp(&mut group);
         lock(&self.stream_totals).absorb(&group);
         Ok(limbs)
+    }
+
+    /// [`LimbEngine::run`] for one stream on backend `j`, on the calling
+    /// thread: the stream's downloaded outputs.
+    ///
+    /// # Errors
+    ///
+    /// As [`LimbEngine::run`].
+    pub fn run_one(&self, j: usize, stream: OpStream) -> Result<Vec<Vec<u128>>> {
+        Ok(self.run(j, vec![stream])?.pop().expect("one stream, one outcome"))
     }
 
     /// The NTT-domain handles of a key-switch key on this engine's

@@ -147,7 +147,7 @@ mod tests {
             (0..DIGITS as u128).map(|d| std::sync::Arc::new(poly(10 + d))).collect();
         let keys: Vec<_> = (0..DIGITS as u128).map(|d| (poly(20 + d), poly(30 + d))).collect();
         let mut st = OpStream::new(N);
-        record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), &[poly(1), poly(2)])
+        record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), [poly(1), poly(2)])
             .unwrap();
 
         let truth = run(&st);

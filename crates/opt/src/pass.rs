@@ -348,7 +348,7 @@ mod tests {
         let keys: Vec<_> = (0..3u128).map(|d| (poly(20 + d), poly(30 + d))).collect();
         let base = [poly(if duplicates { 10 } else { 1 }), poly(2)];
         let mut st = OpStream::new(N);
-        record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), &base).unwrap();
+        record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), base).unwrap();
         st
     }
 

@@ -1,4 +1,7 @@
-//! A parameter set and the backends built for it share one table set.
+//! A parameter set and the backends built for it share one table set —
+//! and a CKKS process, whose parameter set holds no plan at all, builds
+//! one word-width plan per chain prime however many evaluators and
+//! client objects it brings up, and no wide one.
 //!
 //! Alone in its test binary on purpose: it reads the process-global
 //! `TwiddleCache` counters, which concurrent tests would move.
@@ -7,7 +10,12 @@ use std::sync::Arc;
 
 use cofhee::arith::primes;
 use cofhee::bfv::{BfvParams, Evaluator};
+use cofhee::ckks::{
+    CkksDecryptor, CkksEncoder, CkksEncryptor, CkksEvaluator, CkksKeyGenerator, CkksParams,
+};
 use cofhee::poly::TwiddleCache;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn params_and_evaluator_share_one_interned_wide_plan() {
@@ -26,4 +34,29 @@ fn params_and_evaluator_share_one_interned_wide_plan() {
 
     let interned = TwiddleCache::barrett128(q, n).unwrap();
     assert!(Arc::ptr_eq(params.poly_ring().plan(), &interned));
+
+    // CKKS, the benchmark's 43/33/33-bit chain: the parameter set builds
+    // no plan and looks none up.
+    let before = TwiddleCache::stats();
+    let mut moduli = vec![primes::ntt_prime(43, n).unwrap()];
+    moduli.extend(primes::ntt_primes(33, n, 2).unwrap());
+    let params = CkksParams::new(n, moduli, (1u64 << 33) as f64, 18).unwrap();
+    assert_eq!(TwiddleCache::stats(), before, "CkksParams::new leaves the cache alone");
+
+    // An evaluator and every client object, each used: four engines over
+    // the chain, all on the same three word-width plans.
+    let mut rng = StdRng::seed_from_u64(5);
+    let evaluator = CkksEvaluator::new(&params).unwrap();
+    let kg = CkksKeyGenerator::new(&params);
+    let sk = kg.secret_key(&mut rng).unwrap();
+    let enc = CkksEncryptor::new(&params, kg.public_key(&sk, &mut rng).unwrap());
+    let rlk = kg.relin_key(&sk, &mut rng).unwrap();
+    let dec = CkksDecryptor::new(&params, sk);
+    let ct = enc.encrypt(&CkksEncoder::new(&params).encode(&[1.5]).unwrap(), &mut rng).unwrap();
+    let product = evaluator.multiply_relin_rescale(&ct, &ct, &rlk).unwrap();
+    dec.decrypt(&product).unwrap();
+    let after = TwiddleCache::stats();
+    assert_eq!(after.entries64, before.entries64 + 3, "one narrow plan per chain prime");
+    assert_eq!(after.entries128, before.entries128, "and no wide one");
+    assert_eq!(after.misses, before.misses + 3, "built once, by whoever came first");
 }
