@@ -1,11 +1,12 @@
-//! CPU-vs-chip comparison through the unified `PolyBackend` API: one
-//! driver loop, two execution targets, per-op cycles and latency.
+//! CPU-vs-chip comparison through the `PolyBackend` API: one driver
+//! loop, two execution targets, per-op cycles and latency.
 //!
 //! Complements the Table V path (`table5_performance`, which drives the
-//! `Device` directly): here every operation goes through the same
-//! backend abstraction the BFV evaluator uses, so the numbers cover the
-//! full staged pipeline (upload → command → download) a host actually
-//! pays.
+//! `Device` directly and reads the bare command): here every row is a
+//! one-node stream over two operands the backend already stores — the
+//! way the evaluators reach a backend — so the chip column is what a
+//! host actually pays for the op: operand transfers in, the command,
+//! the result transfer out, overlapped as the FIFO schedule allows.
 //!
 //! ```sh
 //! cargo run --release -p cofhee_bench --bin backend_compare            # n = 2^12
@@ -13,21 +14,37 @@
 //! ```
 
 use cofhee_arith::primes::ntt_prime;
-use cofhee_core::{ChipBackend, CpuBackend, PolyBackend, PolyHandle};
+use cofhee_core::{ChipBackend, CpuBackend, OpStream, PolyBackend, StreamHandle};
 use cofhee_sim::ChipConfig;
 
-/// The op set of the unified API, as (label, runner) pairs.
-type OpRunner = fn(&mut dyn PolyBackend, PolyHandle, PolyHandle) -> PolyHandle;
+/// One compute node over the two stored operands.
+type Record = fn(&mut OpStream, StreamHandle, StreamHandle) -> cofhee_core::Result<StreamHandle>;
 
-const OPS: [(&str, OpRunner); 7] = [
-    ("NTT", |be, a, _| be.ntt(a).unwrap()),
-    ("iNTT", |be, a, _| be.intt(a).unwrap()),
-    ("Hadamard", |be, a, b| be.hadamard(a, b).unwrap()),
-    ("PMODADD", |be, a, b| be.pointwise_add(a, b).unwrap()),
-    ("PMODSUB", |be, a, b| be.pointwise_sub(a, b).unwrap()),
-    ("CMODMUL", |be, a, _| be.scalar_mul(a, 0x1234_5678).unwrap()),
-    ("PolyMul", |be, a, b| be.poly_mul(a, b).unwrap()),
+/// The seven Table I / Algorithm 2 rows, as (label, recorder) pairs.
+const OPS: [(&str, Record); 7] = [
+    ("NTT", |st, a, _| st.ntt(a)),
+    ("iNTT", |st, a, _| st.intt(a)),
+    ("Hadamard", |st, a, b| st.hadamard(a, b)),
+    ("PMODADD", |st, a, b| st.pointwise_add(a, b)),
+    ("PMODSUB", |st, a, b| st.pointwise_sub(a, b)),
+    ("CMODMUL", |st, a, _| st.scalar_mul(a, 0x1234_5678)),
+    ("PolyMul", |st, a, b| st.poly_mul(a, b)),
 ];
+
+/// Stores `a` and `b` on `be` and records `op` over them as a one-node
+/// stream with its result marked for download.
+fn one_node(
+    be: &mut dyn PolyBackend,
+    a: &[u128],
+    b: &[u128],
+    op: Record,
+) -> cofhee_core::Result<OpStream> {
+    let mut st = OpStream::new(be.n());
+    let (ha, hb) = (st.input(be.upload(a)?), st.input(be.upload(b)?));
+    let node = op(&mut st, ha, hb)?;
+    st.output(node)?;
+    Ok(st)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let log_n = cofhee_bench::sized(12u32, 8);
@@ -40,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cpu = CpuBackend::new(q, n)?;
     let mut chip = ChipBackend::connect(config, q, n)?;
 
-    println!("Backend comparison via the unified PolyBackend API");
+    println!("Backend comparison via the PolyBackend API, one-node streams");
     println!("(n = 2^{log_n}, log q = 109, chip = simulated silicon at 250 MHz)\n");
     println!(
         "{:<9} | {:>12} {:>10} | {:>12} | {:>9}",
@@ -50,29 +67,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a: Vec<u128> = (0..n as u128).map(|i| i.wrapping_mul(0x9e3779b9) % q).collect();
     let b: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 7) % q).collect();
 
-    for (label, run) in OPS {
-        // Chip: cycle-accurate, measured as the cumulative-report delta.
-        let ha = chip.upload(&a)?;
-        let hb = chip.upload(&b)?;
-        let before = chip.report().cycles;
-        let hr = run(&mut chip, ha, hb);
-        let cycles = chip.report().cycles - before;
-        for h in [ha, hb, hr] {
-            chip.free(h);
-        }
+    for (label, op) in OPS {
+        // Chip: cycle-accurate, the stream's overlapped wall clock.
+        let stream = one_node(&mut chip, &a, &b, op)?;
+        let on_chip = chip.execute_stream(&stream)?;
+        let cycles = on_chip.report.overlapped_cycles;
         let chip_us = cycles as f64 / freq * 1e6;
 
-        // CPU: wall-clock through the same API (best of `reps`); each
-        // rep frees its result so the pool stays flat across reps.
-        let ha = cpu.upload(&a)?;
-        let hb = cpu.upload(&b)?;
-        let (_, cpu_s) = cofhee_bench::time_best(reps, || {
-            let hr = run(&mut cpu, ha, hb);
-            cpu.free(hr);
-        });
-        for h in [ha, hb] {
-            cpu.free(h);
-        }
+        // CPU: wall-clock through the same API (best of `reps`).
+        let stream = one_node(&mut cpu, &a, &b, op)?;
+        let (on_cpu, cpu_s) = cofhee_bench::time_best(reps, || cpu.execute_stream(&stream));
+        assert_eq!(on_cpu?.outputs, on_chip.outputs, "{label}: backends disagree");
         let cpu_us = cpu_s * 1e6;
 
         println!(
@@ -88,9 +93,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  {} cycles, {} butterflies, {} mults, {} add/subs",
         report.cycles, report.butterflies, report.mults, report.addsubs
     );
-    println!("  host link: {} bytes staged (backdoor link: 0.0 s wire time)", comm.bytes);
+    println!("  host link: {} bytes moved (backdoor link: 0.0 s wire time)", comm.bytes);
     println!(
-        "\n(cycles here include each op's staged upload/download choreography; \
+        "\n(cycles here include each op's operand and result transfers; \
          the bare-command Table V path lives in table5_performance)"
     );
     Ok(())

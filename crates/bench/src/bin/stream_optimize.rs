@@ -184,7 +184,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let jobs: Vec<Job> = (0..6)
             .map(|_| Job { session: id, kind: JobKind::MulRelin(a.clone(), b.clone()), arrival: 0 })
             .collect();
-        let outcomes = sched.run_with_opt(jobs, level)?;
+        sched.set_opt_level(level);
+        let outcomes = sched.run(jobs)?;
         let coeffs: Vec<u64> = outcomes
             .iter()
             .map(|o| dec.decrypt(o.result.expect_bfv()).unwrap().coeffs()[0])

@@ -150,7 +150,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = ReplaySpec::closed(divisor, 77).offered(gap);
     let jobs = mixed_workload_jobs(bfv, ckks, &Workload::cryptonets(), &spec, &tenants.inputs)?;
     let job_count = jobs.len() as u64;
-    sched.run_with_opt(jobs, OptLevel::O1)?;
+    sched.set_opt_level(OptLevel::O1);
+    sched.run(jobs)?;
     let farm_report = sched.report();
     let farm_events = farm_sink.take();
     println!(

@@ -1,32 +1,37 @@
-//! The unified polynomial-backend execution API.
+//! The polynomial-backend execution API: a store and one executor.
 //!
 //! The paper's whole architecture is a division of labor: CoFHEE
 //! accelerates the *mod-q polynomial operations* (NTT/iNTT, Hadamard,
 //! pointwise add/sub, constant multiplication — Table I), while the host
 //! keeps the high-level BFV primitives that need arbitrary-precision
 //! arithmetic (the Eq. 4 `t/q` rounding via base extension, and key
-//! switching, which Section III-C defers to software). [`PolyBackend`]
-//! captures exactly that offloadable op set behind one object-safe trait,
-//! so "same computation, N execution targets" becomes a constructor
-//! argument:
+//! switching, which Section III-C defers to software). The offloadable
+//! op set is the [`StreamOp`] vocabulary; a [`PolyBackend`] is what runs
+//! it — a polynomial store (`upload` / `download` / `free`), one executor
+//! ([`PolyBackend::execute_stream`], the preloaded command FIFO of
+//! Section III-I: per-command triggering is "slow as there are delays
+//! imposed by the communication interface") and telemetry — behind one
+//! object-safe trait, so "same computation, N execution targets" becomes
+//! a constructor argument:
 //!
-//! * [`CpuBackend`] — wraps the `cofhee_poly` NTT engines directly
-//!   (Barrett64 towers for word-sized moduli, Barrett128 for the chip's
-//!   native width). Zero-cost reference semantics: no simulated cycles,
-//!   no wire traffic; the telemetry [`OpReport`] still counts
-//!   butterflies / multiplies / add-subs so op accounting stays
-//!   backend-independent.
+//! * [`CpuBackend`] — replays a stream on the shared `cofhee_poly`
+//!   Harvey plans (Barrett64 for word-sized moduli, Barrett128 for the
+//!   chip's native width), the engine width chosen once per stream.
+//!   Zero-cost reference semantics: no simulated cycles, no wire
+//!   traffic; the telemetry [`OpReport`] still counts butterflies /
+//!   multiplies / add-subs so op accounting stays backend-independent.
 //! * [`ChipBackend`] — wraps a [`Device`] (the simulated ASIC behind a
-//!   [`Link`]). Every operation is staged through the standard bank plan
-//!   and executed cycle-accurately; upload/download traffic accrues to
-//!   [`CommStats`] and command latencies accumulate in the cumulative
-//!   [`OpReport`].
+//!   [`Link`]). A stream is scheduled through the 32-deep command FIFO
+//!   and executed cycle-accurately (see the `chip_stream` module);
+//!   transfer traffic accrues to [`CommStats`] and command latencies
+//!   accumulate in the cumulative [`OpReport`].
 //!
-//! Polynomials live behind opaque [`PolyHandle`]s. For `CpuBackend` a
-//! handle is an entry in a host-side pool; for `ChipBackend` handles are
-//! host-resident mirrors that the backend stages into the dual-port
-//! compute banks on demand (the slot choreography of Section III-F is
-//! managed internally — callers never juggle [`cofhee_sim::Slot`]s).
+//! Stored polynomials live behind opaque [`PolyHandle`]s and enter a
+//! stream as [`StreamOp::Input`]. For `CpuBackend` a handle is an entry
+//! in a host-side pool; for `ChipBackend` handles are host-resident
+//! mirrors that the stream scheduler reduces into the SRAM banks on
+//! demand (the slot choreography of Section III-F is managed internally
+//! — callers never juggle [`cofhee_sim::Slot`]s).
 //!
 //! [`BackendFactory`] builds backends for arbitrary `(q, n)` pairs; a
 //! multi-modulus consumer (the BFV evaluator's CRT tensor, an RNS tower
@@ -38,7 +43,7 @@
 //! The one-line backend swap:
 //!
 //! ```
-//! use cofhee_core::{ChipBackend, CpuBackend, PolyBackend};
+//! use cofhee_core::{ChipBackend, CpuBackend, OpStream, PolyBackend};
 //! use cofhee_sim::ChipConfig;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,11 +57,13 @@
 //! )?);
 //!
 //! let a: Vec<u128> = (0..n as u128).collect();
+//! let mut stream = OpStream::new(n);
+//! let h = stream.upload(a.clone())?;
+//! let f = stream.ntt(h)?;
+//! let inv = stream.intt(f)?;
+//! stream.output(inv)?;
 //! for backend in [&mut cpu, &mut chip] {
-//!     let h = backend.upload(&a)?;
-//!     let f = backend.ntt(h)?;
-//!     let inv = backend.intt(f)?;
-//!     assert_eq!(backend.download(inv)?, a);
+//!     assert_eq!(backend.execute_stream(&stream)?.outputs[0], a);
 //! }
 //! assert!(chip.report().cycles > 0, "chip is cycle-accurate");
 //! assert_eq!(cpu.report().cycles, 0, "CPU is a zero-cost reference");
@@ -73,13 +80,14 @@ use cofhee_arith::{Barrett128, Barrett64, LazyRing, ModRing};
 use cofhee_obs::TraceContext;
 use cofhee_poly::cache::TwiddleCache;
 use cofhee_poly::lazy::HarveyNtt;
+use cofhee_poly::ntt::butterfly_count;
 use cofhee_poly::pointwise;
 use cofhee_poly::pool::{BufferPool, PoolStats};
-use cofhee_sim::{ChipConfig, OpReport, Slot, Spi, Uart};
+use cofhee_sim::{ChipConfig, OpReport, Spi, Uart};
 
 use crate::device::{CommStats, Device, Link};
 use crate::error::{CoreError, Result};
-use crate::stream::{self, OpStream, StreamOutcome};
+use crate::stream::{OpStream, StreamHandle, StreamOp, StreamOutcome, StreamReport};
 
 /// Opaque handle to a backend-resident polynomial.
 ///
@@ -106,22 +114,28 @@ fn fresh_handle_id() -> u64 {
     NEXT_HANDLE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The mod-q polynomial operation set the paper offloads to CoFHEE.
+/// What runs the mod-q polynomial operation set the paper offloads to
+/// CoFHEE: a polynomial store, one stream executor and telemetry.
 ///
-/// All operands are degree-`n` polynomials over `Z_q` held behind
-/// [`PolyHandle`]s; every operation allocates and returns a fresh handle
-/// (operands are never clobbered — the schedule-level bank reuse of
-/// Algorithm 3 is an implementation detail of [`ChipBackend`]).
+/// All operands are degree-`n` polynomials over `Z_q`. The store holds
+/// them behind [`PolyHandle`]s across streams (a key kept resident in
+/// NTT form, say); computation is recorded as an [`OpStream`] over the
+/// [`StreamOp`] vocabulary and submitted whole through
+/// [`PolyBackend::execute_stream`] — there is no per-operation call.
+/// Stored operands are never clobbered: a stream borrows them as
+/// [`StreamOp::Input`] and every node produces a fresh value (the
+/// schedule-level bank reuse of Algorithm 3 is an implementation detail
+/// of [`ChipBackend`]).
 ///
-/// **What stays host-side, and why.** The trait deliberately covers only
+/// **What stays host-side, and why.** The op set deliberately covers only
 /// single-modulus ring operations. BFV's `⌊t·x/q⌉` rounding in Eq. 4
 /// requires the *integer* tensor (a CRT base extension across moduli),
 /// and key switching requires digit decomposition of full-width
 /// coefficients — both need cross-modulus carries the Table I command
 /// set cannot express, which is exactly why the paper leaves them to the
 /// host (Section III-C defers key switching to future silicon). A
-/// consumer implements those by composing per-modulus `PolyBackend`
-/// calls with host-side reconstruction, as `cofhee_bfv::Evaluator` does.
+/// consumer implements those by composing per-modulus streams with
+/// host-side reconstruction, as `cofhee_bfv::Evaluator` does.
 pub trait PolyBackend: fmt::Debug + Send {
     /// Human-readable backend label (for reports and benches).
     fn name(&self) -> &'static str;
@@ -150,76 +164,6 @@ pub trait PolyBackend: fmt::Debug + Send {
     /// Releases a handle (freeing unknown handles is a no-op).
     fn free(&mut self, h: PolyHandle);
 
-    /// Forward negacyclic NTT.
-    ///
-    /// # Errors
-    ///
-    /// Bad handles or execution failures.
-    fn ntt(&mut self, src: PolyHandle) -> Result<PolyHandle>;
-
-    /// Inverse negacyclic NTT.
-    ///
-    /// # Errors
-    ///
-    /// Bad handles or execution failures.
-    fn intt(&mut self, src: PolyHandle) -> Result<PolyHandle>;
-
-    /// Hadamard (pointwise) product `x ∘ y` (PMODMUL).
-    ///
-    /// # Errors
-    ///
-    /// Bad handles or execution failures.
-    fn hadamard(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle>;
-
-    /// Pointwise addition `x + y` (PMODADD).
-    ///
-    /// # Errors
-    ///
-    /// Bad handles or execution failures.
-    fn pointwise_add(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle>;
-
-    /// Pointwise subtraction `x − y` (PMODSUB).
-    ///
-    /// # Errors
-    ///
-    /// Bad handles or execution failures.
-    fn pointwise_sub(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle>;
-
-    /// Constant multiplication `c·x` (CMODMUL); `c` is reduced mod `q`.
-    ///
-    /// # Errors
-    ///
-    /// Bad handles or execution failures.
-    fn scalar_mul(&mut self, x: PolyHandle, c: u128) -> Result<PolyHandle>;
-
-    /// Full negacyclic polynomial product (Algorithm 2: 2 NTTs, one
-    /// Hadamard pass, one iNTT).
-    ///
-    /// # Errors
-    ///
-    /// Bad handles or execution failures.
-    fn poly_mul(&mut self, a: PolyHandle, b: PolyHandle) -> Result<PolyHandle>;
-
-    /// Fused `intt ∘ hadamard`: the pointwise product of two NTT-domain
-    /// polynomials returned in the coefficient domain — the tail of
-    /// every tensor limb and key-switch inner product.
-    ///
-    /// The provided default composes [`PolyBackend::hadamard`] and
-    /// [`PolyBackend::intt`] (freeing the intermediate), so every
-    /// backend is bit-identical by construction; [`CpuBackend`]
-    /// overrides it with the single-pass Harvey kernel that skips the
-    /// intermediate allocation and canonical correction.
-    ///
-    /// # Errors
-    ///
-    /// Bad handles or execution failures.
-    fn hadamard_intt(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle> {
-        let prod = self.hadamard(x, y)?;
-        let out = self.intt(prod);
-        self.free(prod);
-        out
-    }
-
     /// Cumulative execution telemetry since bring-up (or the last
     /// [`PolyBackend::reset_telemetry`]): cycles are real for
     /// [`ChipBackend`] and zero for [`CpuBackend`]; the op counters
@@ -237,25 +181,25 @@ pub trait PolyBackend: fmt::Debug + Send {
 
     /// Executes a recorded [`OpStream`] in one submit, returning the
     /// marked outputs and the serial-vs-overlapped telemetry of
-    /// [`StreamOutcome`].
+    /// [`StreamOutcome`] — the one way a backend computes.
     ///
-    /// The provided default replays the stream through the synchronous
-    /// op set in record order — the degenerate one-op-at-a-time
-    /// schedule, bit-identical to issuing the calls by hand (its
-    /// `serial` and `overlapped` totals coincide). Accelerator backends
-    /// override it to exploit the recording: [`ChipBackend`] schedules
-    /// the whole stream through the simulated 32-deep command FIFO in
-    /// depth-sized batches with interrupt-driven drains, keeps
-    /// intermediates resident in the SRAM banks, and overlaps
-    /// upload/download DMA with PE compute.
+    /// [`CpuBackend`] replays the stream in record order on its Harvey
+    /// plan (no modeled timing: `serial` and `overlapped` totals are
+    /// zero); [`ChipBackend`] schedules it through the simulated 32-deep
+    /// command FIFO in depth-sized batches with interrupt-driven drains,
+    /// keeps intermediates resident in the SRAM banks, and overlaps
+    /// upload/download DMA with PE compute. Either way the backend holds
+    /// a stream's live set, not its node count, [`StreamOp::Input`]
+    /// handles are borrowed, and nothing of the stream stays behind on
+    /// success or failure.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::DegreeMismatch`] when the stream's degree
-    /// differs from the backend's, and propagates execution failures.
-    fn execute_stream(&mut self, stream: &OpStream) -> Result<StreamOutcome> {
-        stream::replay_sync(self, stream)
-    }
+    /// differs from the backend's, [`CoreError::BadHandle`] for an
+    /// `Input` the backend does not hold, and propagates execution
+    /// failures.
+    fn execute_stream(&mut self, stream: &OpStream) -> Result<StreamOutcome>;
 
     /// Installs the tracing context used by subsequent
     /// [`PolyBackend::execute_stream`] calls: which sink to record
@@ -270,9 +214,9 @@ pub trait PolyBackend: fmt::Debug + Send {
     /// interrupt instants while executing streams.
     fn set_trace(&mut self, _ctx: TraceContext) {}
 
-    /// Scratch-buffer recycling counters (see
+    /// Buffer recycling counters (see
     /// [`cofhee_poly::pool::PoolStats`]): in steady state the hit rate
-    /// is 1.0 and the backend performs zero heap allocation per op.
+    /// is 1.0 and a stream allocates nothing per node.
     ///
     /// The provided default reports empty counters for backends
     /// without a pool; [`CpuBackend`] and [`ChipBackend`] override it.
@@ -412,11 +356,37 @@ struct CpuState<R: LazyRing> {
     ring: R,
     plan: Arc<HarveyNtt<R>>,
     n: usize,
+    /// The store: polynomials held behind a [`PolyHandle`].
     pool: HashMap<u64, Vec<R::Elem>>,
-    /// Recycled scratch stock: every op takes its output (and scratch)
-    /// buffer here and [`CpuState::free`] returns handles to it, so a
-    /// warmed steady-state loop allocates nothing.
+    /// Recycled buffer stock: stored polynomials and a replay's values
+    /// are taken here and go back when freed, so a warmed backend
+    /// allocates nothing per node.
     scratch: BufferPool<R::Elem>,
+}
+
+/// One stream value during a replay.
+enum Val<E> {
+    /// A buffer the replay took from the stock and gives back after the
+    /// value's last consumer.
+    Owned(Vec<E>),
+    /// A stored polynomial ([`StreamOp::Input`]), borrowed by pool id.
+    Stored(u64),
+}
+
+/// The coefficients of operand `h`: an earlier node's buffer, or the
+/// stored polynomial an `Input` names.
+fn operand<'a, E>(
+    pool: &'a HashMap<u64, Vec<E>>,
+    vals: &'a [Option<Val<E>>],
+    h: &StreamHandle,
+) -> Result<&'a [E]> {
+    match vals[h.index].as_ref().expect("operands precede their consumers and outlive them") {
+        Val::Owned(v) => Ok(v),
+        Val::Stored(id) => match pool.get(id) {
+            Some(v) => Ok(v),
+            None => Err(CoreError::BadHandle { id: *id }),
+        },
+    }
 }
 
 impl<R: LazyRing> CpuState<R> {
@@ -431,34 +401,14 @@ impl<R: LazyRing> CpuState<R> {
         }
     }
 
-    fn insert(&mut self, v: Vec<R::Elem>) -> PolyHandle {
-        let id = fresh_handle_id();
-        self.pool.insert(id, v);
-        PolyHandle(id)
-    }
-
-    /// Validates a handle without touching the scratch pool (ops
-    /// validate *before* taking buffers so the error path leaks
-    /// nothing).
-    fn check(&self, h: PolyHandle) -> Result<()> {
-        if self.pool.contains_key(&h.0) {
-            Ok(())
-        } else {
-            Err(CoreError::BadHandle { id: h.0 })
-        }
-    }
-
-    fn get(&self, h: PolyHandle) -> Result<&Vec<R::Elem>> {
-        self.pool.get(&h.0).ok_or(CoreError::BadHandle { id: h.0 })
-    }
-
     fn free(&mut self, h: PolyHandle) {
         if let Some(v) = self.pool.remove(&h.0) {
             self.scratch.put(v);
         }
     }
 
-    fn upload(&mut self, coeffs: &[u128]) -> Result<PolyHandle> {
+    /// `coeffs` reduced into a buffer from the stock.
+    fn reduced(&mut self, coeffs: &[u128]) -> Result<Vec<R::Elem>> {
         if coeffs.len() != self.n {
             return Err(CoreError::BadOperandLength { expected: self.n, found: coeffs.len() });
         }
@@ -466,73 +416,165 @@ impl<R: LazyRing> CpuState<R> {
         for (dst, &c) in v.iter_mut().zip(coeffs) {
             *dst = self.ring.from_u128(c);
         }
-        Ok(self.insert(v))
+        Ok(v)
+    }
+
+    fn upload(&mut self, coeffs: &[u128]) -> Result<PolyHandle> {
+        let v = self.reduced(coeffs)?;
+        let id = fresh_handle_id();
+        self.pool.insert(id, v);
+        Ok(PolyHandle(id))
+    }
+
+    /// The one deliberately allocating step: a download crosses the
+    /// backend boundary into caller-owned memory.
+    fn canonical(&self, v: &[R::Elem]) -> Vec<u128> {
+        v.iter().map(|&c| self.ring.to_u128(c)).collect()
     }
 
     fn download(&self, h: PolyHandle) -> Result<Vec<u128>> {
-        // The one deliberately allocating op: downloads cross the
-        // backend boundary into caller-owned memory.
-        Ok(self.get(h)?.iter().map(|&c| self.ring.to_u128(c)).collect())
-    }
-
-    fn transform(&mut self, src: PolyHandle, forward: bool) -> Result<PolyHandle> {
-        self.check(src)?;
-        let mut v = self.scratch.take();
-        v.copy_from_slice(&self.pool[&src.0]);
-        if forward {
-            self.plan.forward_inplace(&mut v)?;
-        } else {
-            self.plan.inverse_inplace(&mut v)?;
+        match self.pool.get(&h.0) {
+            Some(v) => Ok(self.canonical(v)),
+            None => Err(CoreError::BadHandle { id: h.0 }),
         }
-        Ok(self.insert(v))
     }
 
-    fn pointwise(&mut self, x: PolyHandle, y: PolyHandle, op: PointwiseOp) -> Result<PolyHandle> {
-        self.check(x)?;
-        self.check(y)?;
-        let mut a = self.scratch.take();
-        a.copy_from_slice(&self.pool[&x.0]);
-        match op {
-            PointwiseOp::Mul => pointwise::mul_assign(&self.ring, &mut a, &self.pool[&y.0])?,
-            PointwiseOp::Add => pointwise::add_assign(&self.ring, &mut a, &self.pool[&y.0])?,
-            PointwiseOp::Sub => pointwise::sub_assign(&self.ring, &mut a, &self.pool[&y.0])?,
+    /// The stream replay at this engine's width: every node runs in
+    /// record order into one buffer from the stock, and the buffer goes
+    /// back right after its value's last consumer ran — the rule
+    /// `chip_stream`'s slot allocator follows — so what the backend holds
+    /// at any moment is the stream's live set, not its node count: a node
+    /// nothing reads is released at once, a value one node names twice is
+    /// released once, outputs live to their download, and
+    /// [`StreamOp::Input`] polynomials are borrowed and never freed. The
+    /// replay's values never enter the store — no handle is minted for
+    /// them. Success *and* failure leave nothing behind: the closing
+    /// sweep gives back the outputs, or whatever was live when a node
+    /// failed. Each node's retired arithmetic lands in `report` as it
+    /// completes.
+    fn replay(&mut self, stream: &OpStream, report: &mut OpReport) -> Result<Vec<Vec<u128>>> {
+        let nodes = stream.nodes();
+        // Uses each node still has ahead of it; an output marking is one
+        // that only the download consumes.
+        let mut uses = stream.use_counts();
+        let mut vals: Vec<Option<Val<R::Elem>>> = Vec::new();
+        vals.resize_with(nodes.len(), || None);
+        let result = (|| -> Result<Vec<Vec<u128>>> {
+            for (i, op) in nodes.iter().enumerate() {
+                vals[i] = Some(self.node(&vals, op, report)?);
+                // This node was one use of each operand (two of one it
+                // names twice) and is itself dead when nothing reads it.
+                let operands = op.deps().into_iter().flatten().map(|dep| (dep.index, 1));
+                for (j, used) in operands.chain([(i, 0)]) {
+                    uses[j] -= used;
+                    if uses[j] == 0 {
+                        if let Some(Val::Owned(dead)) = vals[j].take() {
+                            self.scratch.put(dead);
+                        }
+                    }
+                }
+            }
+            // Sized up front: one allocation however many outputs.
+            let mut outputs = Vec::with_capacity(stream.outputs().len());
+            for s in stream.outputs() {
+                outputs.push(self.canonical(operand(&self.pool, &vals, s)?));
+            }
+            Ok(outputs)
+        })();
+        for val in vals.into_iter().flatten() {
+            if let Val::Owned(v) = val {
+                self.scratch.put(v);
+            }
         }
-        Ok(self.insert(a))
+        result
     }
 
-    fn scalar_mul(&mut self, x: PolyHandle, c: u128) -> Result<PolyHandle> {
-        self.check(x)?;
-        let mut a = self.scratch.take();
-        a.copy_from_slice(&self.pool[&x.0]);
-        let c = self.ring.from_u128(c);
-        pointwise::scalar_mul_assign(&self.ring, &mut a, c);
-        Ok(self.insert(a))
+    /// One node: its value — in a buffer from the stock unless it is an
+    /// `Input` — and its retired arithmetic added to `report`. Operands
+    /// are resolved *before* the buffer is taken, so a bad handle leaves
+    /// the stock where it was.
+    fn node(
+        &mut self,
+        vals: &[Option<Val<R::Elem>>],
+        op: &StreamOp,
+        report: &mut OpReport,
+    ) -> Result<Val<R::Elem>> {
+        let (ring, plan) = (&self.ring, &self.plan);
+        let arg = |h: &StreamHandle| operand(&self.pool, vals, h);
+        let mut copy_of = |src: &[R::Elem]| {
+            let mut v = self.scratch.take();
+            v.copy_from_slice(src);
+            v
+        };
+        // The value, and what it retired: transforms, multiply passes (an
+        // inverse's `n⁻¹` scaling is one), add-sub passes.
+        let (v, transforms, mul_passes, addsub_passes) = match op {
+            StreamOp::Input(h) => return Ok(Val::Stored(h.id())),
+            StreamOp::Upload(coeffs) => (self.reduced(coeffs)?, 0, 0, 0),
+            StreamOp::Ntt(s) => {
+                let mut v = copy_of(arg(s)?);
+                plan.forward_inplace(&mut v)?;
+                (v, 1, 0, 0)
+            }
+            StreamOp::Intt(s) => {
+                let mut v = copy_of(arg(s)?);
+                plan.inverse_inplace(&mut v)?;
+                (v, 1, 1, 0)
+            }
+            StreamOp::Hadamard(x, y) => {
+                let (x, y) = (arg(x)?, arg(y)?);
+                let mut v = copy_of(x);
+                pointwise::mul_assign(ring, &mut v, y)?;
+                (v, 0, 1, 0)
+            }
+            // The single-pass Harvey kernel: the product feeds the
+            // inverse stages directly, no canonical correction between.
+            StreamOp::HadamardIntt(x, y) => {
+                let (x, y) = (arg(x)?, arg(y)?);
+                let mut v = self.scratch.take();
+                plan.hadamard_intt_into(x, y, &mut v)?;
+                (v, 1, 2, 0)
+            }
+            // Accumulated into the product's own buffer.
+            StreamOp::HadamardAdd(x, y, acc) => {
+                let (x, y, acc) = (arg(x)?, arg(y)?, arg(acc)?);
+                let mut v = copy_of(x);
+                pointwise::mul_assign(ring, &mut v, y)?;
+                pointwise::add_assign(ring, &mut v, acc)?;
+                (v, 0, 1, 1)
+            }
+            StreamOp::PointwiseAdd(x, y) => {
+                let (x, y) = (arg(x)?, arg(y)?);
+                let mut v = copy_of(x);
+                pointwise::add_assign(ring, &mut v, y)?;
+                (v, 0, 0, 1)
+            }
+            StreamOp::PointwiseSub(x, y) => {
+                let (x, y) = (arg(x)?, arg(y)?);
+                let mut v = copy_of(x);
+                pointwise::sub_assign(ring, &mut v, y)?;
+                (v, 0, 0, 1)
+            }
+            StreamOp::ScalarMul(x, c) => {
+                let mut v = copy_of(arg(x)?);
+                pointwise::scalar_mul_assign(ring, &mut v, ring.from_u128(*c));
+                (v, 0, 1, 0)
+            }
+            // Algorithm 2: two forward transforms, the Hadamard pass, one
+            // inverse; the scratch goes straight back.
+            StreamOp::PolyMul(a, b) => {
+                let (a, b) = (arg(a)?, arg(b)?);
+                let (mut v, mut tmp) = (self.scratch.take(), self.scratch.take());
+                plan.poly_mul_into(a, b, &mut v, &mut tmp)?;
+                self.scratch.put(tmp);
+                (v, 3, 2, 0)
+            }
+        };
+        report.butterflies += transforms * butterfly_count(self.n);
+        report.mults += mul_passes * self.n as u64;
+        report.addsubs += addsub_passes * self.n as u64;
+        Ok(Val::Owned(v))
     }
-
-    fn poly_mul(&mut self, a: PolyHandle, b: PolyHandle) -> Result<PolyHandle> {
-        self.check(a)?;
-        self.check(b)?;
-        let mut out = self.scratch.take();
-        let mut tmp = self.scratch.take();
-        self.plan.poly_mul_into(&self.pool[&a.0], &self.pool[&b.0], &mut out, &mut tmp)?;
-        self.scratch.put(tmp);
-        Ok(self.insert(out))
-    }
-
-    fn hadamard_intt(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle> {
-        self.check(x)?;
-        self.check(y)?;
-        let mut out = self.scratch.take();
-        self.plan.hadamard_intt_into(&self.pool[&x.0], &self.pool[&y.0], &mut out)?;
-        Ok(self.insert(out))
-    }
-}
-
-#[derive(Clone, Copy)]
-enum PointwiseOp {
-    Mul,
-    Add,
-    Sub,
 }
 
 #[derive(Debug)]
@@ -553,18 +595,8 @@ macro_rules! with_engine {
     };
 }
 
-/// Read-only variant of [`with_engine!`].
-macro_rules! with_engine_ref {
-    ($self:expr, $st:ident => $body:expr) => {
-        match &$self.engine {
-            CpuEngine::Narrow($st) => $body,
-            CpuEngine::Wide($st) => $body,
-        }
-    };
-}
-
-/// Software execution of the [`PolyBackend`] op set on the host CPU —
-/// the reference semantics every accelerator backend must match
+/// Software execution of recorded streams on the host CPU — the
+/// reference semantics every accelerator backend must match
 /// bit-for-bit.
 ///
 /// Telemetry: `cycles` stays zero (there is no modeled latency — wall
@@ -600,15 +632,12 @@ impl CpuBackend {
         Ok(Self { engine, n, q, report: OpReport::default() })
     }
 
-    /// Butterfly count of one length-`n` transform.
-    fn transform_butterflies(&self) -> u64 {
-        (self.n as u64 / 2) * self.n.trailing_zeros() as u64
-    }
-
-    /// Live pool entries (leak checks in tests).
+    /// Buffers out of the stock: the stored polynomials, plus whatever
+    /// a replay failed to give back (leak checks in tests).
     #[cfg(test)]
-    pub(crate) fn pool_len(&self) -> usize {
-        with_engine_ref!(self, st => st.pool.len())
+    pub(crate) fn buffers_out(&self) -> u64 {
+        let stock = self.pool_stats();
+        stock.hits + stock.misses - stock.recycled
     }
 }
 
@@ -637,61 +666,23 @@ impl PolyBackend for CpuBackend {
         with_engine!(self, st => st.free(h));
     }
 
-    fn ntt(&mut self, src: PolyHandle) -> Result<PolyHandle> {
-        let out = with_engine!(self, st => st.transform(src, true))?;
-        self.report.butterflies += self.transform_butterflies();
-        Ok(out)
-    }
-
-    fn intt(&mut self, src: PolyHandle) -> Result<PolyHandle> {
-        let out = with_engine!(self, st => st.transform(src, false))?;
-        self.report.butterflies += self.transform_butterflies();
-        // The n⁻¹ normalization pass.
-        self.report.mults += self.n as u64;
-        Ok(out)
-    }
-
-    fn hadamard(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle> {
-        let out = with_engine!(self, st => st.pointwise(x, y, PointwiseOp::Mul))?;
-        self.report.mults += self.n as u64;
-        Ok(out)
-    }
-
-    fn pointwise_add(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle> {
-        let out = with_engine!(self, st => st.pointwise(x, y, PointwiseOp::Add))?;
-        self.report.addsubs += self.n as u64;
-        Ok(out)
-    }
-
-    fn pointwise_sub(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle> {
-        let out = with_engine!(self, st => st.pointwise(x, y, PointwiseOp::Sub))?;
-        self.report.addsubs += self.n as u64;
-        Ok(out)
-    }
-
-    fn scalar_mul(&mut self, x: PolyHandle, c: u128) -> Result<PolyHandle> {
-        let out = with_engine!(self, st => st.scalar_mul(x, c))?;
-        self.report.mults += self.n as u64;
-        Ok(out)
-    }
-
-    fn poly_mul(&mut self, a: PolyHandle, b: PolyHandle) -> Result<PolyHandle> {
-        let out = with_engine!(self, st => st.poly_mul(a, b))?;
-        self.report.butterflies += 3 * self.transform_butterflies();
-        self.report.mults += 2 * self.n as u64; // Hadamard + n⁻¹ passes
-        Ok(out)
-    }
-
-    /// The single-pass Harvey kernel: the NTT-domain product feeds the
-    /// inverse stages directly, with no intermediate pool entry or
-    /// canonical correction. Op accounting matches the default
-    /// composed path exactly (one Hadamard pass, one transform, one
-    /// `n⁻¹` pass).
-    fn hadamard_intt(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle> {
-        let out = with_engine!(self, st => st.hadamard_intt(x, y))?;
-        self.report.butterflies += self.transform_butterflies();
-        self.report.mults += 2 * self.n as u64;
-        Ok(out)
+    /// Replays the stream on the engine the modulus selected — matched
+    /// here, once per stream, not per node. There is no modeled timing:
+    /// the report carries the command count and one batch, its cycle,
+    /// second and byte totals stay zero.
+    fn execute_stream(&mut self, stream: &OpStream) -> Result<StreamOutcome> {
+        if stream.n() != self.n {
+            return Err(CoreError::DegreeMismatch { device: self.n, requested: stream.n() });
+        }
+        let outputs = with_engine!(self, st => st.replay(stream, &mut self.report))?;
+        Ok(StreamOutcome {
+            outputs,
+            report: StreamReport {
+                commands: stream.len() as u64 + stream.outputs().len() as u64,
+                batches: 1,
+                ..StreamReport::default()
+            },
+        })
     }
 
     fn report(&self) -> OpReport {
@@ -707,7 +698,10 @@ impl PolyBackend for CpuBackend {
     }
 
     fn pool_stats(&self) -> PoolStats {
-        with_engine_ref!(self, st => st.scratch.stats())
+        match &self.engine {
+            CpuEngine::Narrow(st) => st.scratch.stats(),
+            CpuEngine::Wide(st) => st.scratch.stats(),
+        }
     }
 }
 
@@ -715,15 +709,17 @@ impl PolyBackend for CpuBackend {
 // Chip backend
 // ---------------------------------------------------------------------
 
-/// Cycle-accurate execution of the [`PolyBackend`] op set on the
-/// simulated CoFHEE ASIC.
+/// Cycle-accurate execution of recorded streams on the simulated CoFHEE
+/// ASIC.
 ///
-/// Handles are host-resident mirrors; each operation stages its operands
-/// into the dual-port compute banks of the standard [`crate::BankPlan`],
-/// executes the Table I command (or the Algorithm 2 schedule for
-/// [`PolyBackend::poly_mul`]), and reads the result back. Wire traffic
-/// accrues to [`CommStats`] per the configured [`Link`]; command
-/// latencies accumulate in the cumulative [`OpReport`].
+/// Handles are host-resident mirrors: `upload` / `download` / `free`
+/// never touch the die. A stream reduces its [`StreamOp::Input`] mirrors
+/// and upload payloads straight into the SRAM banks of the standard
+/// [`crate::BankPlan`], runs the Table I commands (the Algorithm 2
+/// schedule for [`StreamOp::PolyMul`]) through the command FIFO, and
+/// reads only the marked outputs back. Wire traffic accrues to
+/// [`CommStats`] per the configured [`Link`]; command latencies
+/// accumulate in the cumulative [`OpReport`].
 #[derive(Debug)]
 pub struct ChipBackend {
     pub(crate) device: Device,
@@ -786,56 +782,6 @@ impl ChipBackend {
     pub fn into_device(self) -> Device {
         self.device
     }
-
-    fn insert(&mut self, v: Vec<u128>) -> PolyHandle {
-        let id = fresh_handle_id();
-        self.pool.insert(id, v);
-        PolyHandle(id)
-    }
-
-    fn compute_slots(&self) -> (Slot, Slot, Slot) {
-        let plan = self.device.bank_plan();
-        (Slot::new(plan.d0, 0), Slot::new(plan.d1, 0), Slot::new(plan.d2, 0))
-    }
-
-    fn get(&self, h: PolyHandle) -> Result<&Vec<u128>> {
-        self.pool.get(&h.0).ok_or(CoreError::BadHandle { id: h.0 })
-    }
-
-    /// Stages `src` into `d0`, runs one single-source command, downloads
-    /// the destination bank.
-    fn run_unary(
-        &mut self,
-        src: PolyHandle,
-        op: impl FnOnce(&mut Device, Slot, Slot) -> Result<OpReport>,
-    ) -> Result<PolyHandle> {
-        let (d0, d1, _) = self.compute_slots();
-        let v = self.pool.get(&src.0).ok_or(CoreError::BadHandle { id: src.0 })?;
-        self.device.upload(d0, v)?;
-        let r = op(&mut self.device, d0, d1)?;
-        self.report.absorb(&r);
-        let out = self.device.download(d1)?;
-        Ok(self.insert(out))
-    }
-
-    /// Stages `x`/`y` into `d0`/`d1`, runs one two-source command into
-    /// `d2`, downloads it.
-    fn run_binary(
-        &mut self,
-        x: PolyHandle,
-        y: PolyHandle,
-        op: impl FnOnce(&mut Device, Slot, Slot, Slot) -> Result<OpReport>,
-    ) -> Result<PolyHandle> {
-        let (d0, d1, d2) = self.compute_slots();
-        let vx = self.pool.get(&x.0).ok_or(CoreError::BadHandle { id: x.0 })?;
-        self.device.upload(d0, vx)?;
-        let vy = self.pool.get(&y.0).ok_or(CoreError::BadHandle { id: y.0 })?;
-        self.device.upload(d1, vy)?;
-        let r = op(&mut self.device, d0, d1, d2)?;
-        self.report.absorb(&r);
-        let out = self.device.download(d2)?;
-        Ok(self.insert(out))
-    }
 }
 
 impl PolyBackend for ChipBackend {
@@ -863,57 +809,19 @@ impl PolyBackend for ChipBackend {
         for (dst, &c) in v.iter_mut().zip(coeffs) {
             *dst = ring.from_u128(c);
         }
-        Ok(self.insert(v))
+        let id = fresh_handle_id();
+        self.pool.insert(id, v);
+        Ok(PolyHandle(id))
     }
 
     fn download(&mut self, h: PolyHandle) -> Result<Vec<u128>> {
-        Ok(self.get(h)?.clone())
+        self.pool.get(&h.0).cloned().ok_or(CoreError::BadHandle { id: h.0 })
     }
 
     fn free(&mut self, h: PolyHandle) {
         if let Some(v) = self.pool.remove(&h.0) {
             self.scratch.put(v);
         }
-    }
-
-    fn ntt(&mut self, src: PolyHandle) -> Result<PolyHandle> {
-        self.run_unary(src, |d, s, t| d.ntt(s, t))
-    }
-
-    fn intt(&mut self, src: PolyHandle) -> Result<PolyHandle> {
-        self.run_unary(src, |d, s, t| d.intt(s, t))
-    }
-
-    fn hadamard(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle> {
-        self.run_binary(x, y, |d, a, b, t| d.hadamard(a, b, t))
-    }
-
-    fn pointwise_add(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle> {
-        self.run_binary(x, y, |d, a, b, t| d.pointwise_add(a, b, t))
-    }
-
-    fn pointwise_sub(&mut self, x: PolyHandle, y: PolyHandle) -> Result<PolyHandle> {
-        self.run_binary(x, y, |d, a, b, t| d.pointwise_sub(a, b, t))
-    }
-
-    fn scalar_mul(&mut self, x: PolyHandle, c: u128) -> Result<PolyHandle> {
-        let (d0, _, d2) = self.compute_slots();
-        let v = self.pool.get(&x.0).ok_or(CoreError::BadHandle { id: x.0 })?;
-        self.device.upload(d0, v)?;
-        let c = self.device.ring().from_u128(c);
-        let r = self.device.scalar_mul(d0, c, d2)?;
-        self.report.absorb(&r);
-        let out = self.device.download(d2)?;
-        Ok(self.insert(out))
-    }
-
-    fn poly_mul(&mut self, a: PolyHandle, b: PolyHandle) -> Result<PolyHandle> {
-        // Algorithm 2 through the device's bank-choreographed schedule.
-        let va = self.pool.get(&a.0).ok_or(CoreError::BadHandle { id: a.0 })?;
-        let vb = self.pool.get(&b.0).ok_or(CoreError::BadHandle { id: b.0 })?;
-        let out = self.device.poly_mul(va, vb)?;
-        self.report.absorb(&out.report);
-        Ok(self.insert(out.result))
     }
 
     fn report(&self) -> OpReport {
@@ -953,7 +861,7 @@ impl PolyBackend for ChipBackend {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cofhee_arith::primes::ntt_prime;
     use cofhee_poly::naive;
@@ -980,6 +888,45 @@ mod tests {
             .collect()
     }
 
+    /// `raw` resident on `be` in NTT form — a one-transform stream whose
+    /// output is uploaded back, as `cofhee_opt::LimbEngine` brings a key
+    /// up.
+    pub(crate) fn ntt_form(be: &mut dyn PolyBackend, raw: &[u128]) -> PolyHandle {
+        let mut st = OpStream::new(raw.len());
+        let up = st.upload(raw.to_vec()).unwrap();
+        let form = st.ntt(up).unwrap();
+        st.output(form).unwrap();
+        let out = be.execute_stream(&st).unwrap().outputs;
+        be.upload(&out[0]).unwrap()
+    }
+
+    /// Every compute kind of the [`StreamOp`] vocabulary once, each
+    /// result an output, in this order: `ntt(a)`, `intt(ntt(a))`,
+    /// `a ∘ b`, `intt(ntt(a) ∘ ntt(b))`, `a ∘ b + a`, `a + b`, `a − b`,
+    /// `12345·a`, `a·b`.
+    fn every_op(a: &[u128], b: &[u128]) -> OpStream {
+        let mut st = OpStream::new(a.len());
+        let ha = st.upload(a.to_vec()).unwrap();
+        let hb = st.upload(b.to_vec()).unwrap();
+        let fa = st.ntt(ha).unwrap();
+        let fb = st.ntt(hb).unwrap();
+        let outputs = [
+            fa,
+            st.intt(fa).unwrap(),
+            st.hadamard(ha, hb).unwrap(),
+            st.hadamard_intt(fa, fb).unwrap(),
+            st.hadamard_add(ha, hb, ha).unwrap(),
+            st.pointwise_add(ha, hb).unwrap(),
+            st.pointwise_sub(ha, hb).unwrap(),
+            st.scalar_mul(ha, 12345).unwrap(),
+            st.poly_mul(ha, hb).unwrap(),
+        ];
+        for h in outputs {
+            st.output(h).unwrap();
+        }
+        st
+    }
+
     #[test]
     fn upload_download_round_trips_on_both() {
         let (mut cpu, mut chip) = both();
@@ -996,54 +943,63 @@ mod tests {
     fn every_op_is_bit_identical_across_backends() {
         let (mut cpu, mut chip) = both();
         let (a, b) = (poly(2), poly(3));
-        let run = |be: &mut dyn PolyBackend| -> Vec<Vec<u128>> {
-            let ha = be.upload(&a).unwrap();
-            let hb = be.upload(&b).unwrap();
-            let fa = be.ntt(ha).unwrap();
-            let ia = be.intt(fa).unwrap();
-            let had = be.hadamard(ha, hb).unwrap();
-            let sum = be.pointwise_add(ha, hb).unwrap();
-            let diff = be.pointwise_sub(ha, hb).unwrap();
-            let scaled = be.scalar_mul(ha, 12345).unwrap();
-            let prod = be.poly_mul(ha, hb).unwrap();
-            [fa, ia, had, sum, diff, scaled, prod]
-                .into_iter()
-                .map(|h| be.download(h).unwrap())
-                .collect()
-        };
-        let c = run(&mut cpu);
-        let s = run(&mut chip);
+        let st = every_op(&a, &b);
+        let c = cpu.execute_stream(&st).unwrap().outputs;
+        let s = chip.execute_stream(&st).unwrap().outputs;
         assert_eq!(c, s, "CPU and chip must agree bit-for-bit");
-        // iNTT(NTT(a)) = a, and PolyMul matches the naive oracle.
+        // iNTT(NTT(a)) = a; both product forms match the naive oracle,
+        // and the pointwise kinds the ring's own arithmetic.
         assert_eq!(c[1], a);
         let ring = Barrett128::new(q()).unwrap();
-        assert_eq!(c[6], naive::negacyclic_mul(&ring, &a, &b).unwrap());
+        let product = naive::negacyclic_mul(&ring, &a, &b).unwrap();
+        assert_eq!((&c[3], &c[8]), (&product, &product));
+        let zip = |f: &dyn Fn(u128, u128) -> u128| -> Vec<u128> {
+            a.iter().zip(&b).map(|(&x, &y)| f(x, y)).collect()
+        };
+        assert_eq!(c[2], zip(&|x, y| ring.mul(x, y)));
+        assert_eq!(c[4], zip(&|x, y| ring.add(ring.mul(x, y), x)));
+        assert_eq!(c[5], zip(&|x, y| ring.add(x, y)));
+        assert_eq!(c[6], zip(&|x, y| ring.sub(x, y)));
+        assert_eq!(c[7], zip(&|x, _| ring.mul(x, 12345)));
     }
 
     #[test]
     fn telemetry_accumulates_and_resets() {
         let (mut cpu, mut chip) = both();
+        let st = every_op(&poly(4), &poly(5));
+        let outcome = cpu.execute_stream(&st).unwrap();
+        // Seven transforms (two NTTs, an iNTT, the fused iNTT, PolyMul's
+        // three), eight multiply passes (iNTT 1, Hadamard 1, fused 2,
+        // multiply-accumulate 1, scalar 1, PolyMul 2), three add-subs.
+        let (n, transform) = (N as u64, butterfly_count(N));
+        let once = OpReport {
+            butterflies: 7 * transform,
+            mults: 8 * n,
+            addsubs: 3 * n,
+            ..OpReport::default()
+        };
+        assert_eq!(cpu.report(), once);
+        // No modeled timing, no wire: the CPU reference is zero-cost.
+        assert_eq!(
+            outcome.report,
+            StreamReport { commands: 12 + 9, batches: 1, ..StreamReport::default() }
+        );
+        assert_eq!(cpu.comm_stats(), CommStats::default());
+        cpu.execute_stream(&st).unwrap();
+        assert_eq!(cpu.report().butterflies, 2 * once.butterflies, "cumulative");
+
+        // The chip is cycle-accurate and its transfers are accounted.
+        let on_chip = chip.execute_stream(&st).unwrap().report;
+        let r = chip.report();
+        assert!(r.butterflies > 0 && r.mults > 0 && r.cycles > 0);
+        assert_eq!(r.cycles, on_chip.overlapped_cycles);
+        assert!(chip.comm_stats().bytes > 0, "transfer traffic is accounted");
+
         for be in [&mut cpu as &mut dyn PolyBackend, &mut chip as &mut dyn PolyBackend] {
-            let ha = be.upload(&poly(4)).unwrap();
-            let hb = be.upload(&poly(5)).unwrap();
-            let _ = be.poly_mul(ha, hb).unwrap();
-            let r = be.report();
-            assert!(r.butterflies > 0, "{} counts butterflies", be.name());
-            assert!(r.mults > 0, "{} counts mults", be.name());
             be.reset_telemetry();
             assert_eq!(be.report(), OpReport::default());
+            assert_eq!(be.comm_stats(), CommStats::default());
         }
-        // Cycle accounting differs by design: the chip is cycle-accurate,
-        // the CPU reference is zero-cost.
-        let ha = chip.upload(&poly(6)).unwrap();
-        let hf = chip.ntt(ha).unwrap();
-        assert!(chip.report().cycles > 0);
-        assert!(chip.comm_stats().bytes > 0, "staging traffic is accounted");
-        let _ = hf;
-        let ha = cpu.upload(&poly(6)).unwrap();
-        let _ = cpu.ntt(ha).unwrap();
-        assert_eq!(cpu.report().cycles, 0);
-        assert_eq!(cpu.comm_stats(), CommStats::default());
     }
 
     #[test]
@@ -1059,34 +1015,35 @@ mod tests {
         assert_eq!(chip.name(), "cofhee-chip");
     }
 
+    /// Brings both backends up at a `bits`-wide modulus, checks which
+    /// engine the CPU picked, and runs every op kind on both.
+    fn agree_at(bits: u32, narrow: bool) {
+        let n = 1 << 6;
+        let q = ntt_prime(bits, n).unwrap();
+        let mut cpu = CpuBackend::new(q, n).unwrap();
+        assert_eq!(matches!(cpu.engine, CpuEngine::Narrow(_)), narrow, "{bits}-bit q");
+        let mut chip = ChipBackend::connect(ChipConfig::silicon(), q, n).unwrap();
+        let a: Vec<u128> = (0..n as u128).map(|i| (i * 977 + 3) * (q / 1009)).collect();
+        let b: Vec<u128> = (0..n as u128).map(|i| q - 1 - i * 3).collect();
+        let st = every_op(&a, &b);
+        assert_eq!(
+            cpu.execute_stream(&st).unwrap().outputs,
+            chip.execute_stream(&st).unwrap().outputs,
+            "{bits}-bit q"
+        );
+    }
+
     #[test]
     fn wide_moduli_use_the_native_engine() {
-        let n = 1 << 6;
-        let q109 = ntt_prime(109, n).unwrap();
-        let mut cpu = CpuBackend::new(q109, n).unwrap();
-        let mut chip = ChipBackend::connect(ChipConfig::silicon(), q109, n).unwrap();
-        let v: Vec<u128> = (0..n as u128).map(|i| i * 977 + 3).collect();
-        let hc = cpu.upload(&v).unwrap();
-        let hs = chip.upload(&v).unwrap();
-        let fc = cpu.ntt(hc).unwrap();
-        let fs = chip.ntt(hs).unwrap();
-        assert_eq!(cpu.download(fc).unwrap(), chip.download(fs).unwrap());
+        agree_at(60, true);
+        agree_at(109, false);
     }
 
     #[test]
     fn moduli_between_62_and_64_bits_fall_back_to_the_wide_engine() {
         // Barrett64 caps at 62 bits; a 63-bit NTT prime must bring up
         // on the 128-bit engine instead of failing.
-        let n = 1 << 6;
-        let q63 = ntt_prime(63, n).unwrap();
-        let mut cpu = CpuBackend::new(q63, n).unwrap();
-        let mut chip = ChipBackend::connect(ChipConfig::silicon(), q63, n).unwrap();
-        let v: Vec<u128> = (0..n as u128).map(|i| i * 3 + 1).collect();
-        let hc = cpu.upload(&v).unwrap();
-        let hs = chip.upload(&v).unwrap();
-        let fc = cpu.ntt(hc).unwrap();
-        let fs = chip.ntt(hs).unwrap();
-        assert_eq!(cpu.download(fc).unwrap(), chip.download(fs).unwrap());
+        agree_at(63, false);
     }
 
     #[test]
@@ -1094,8 +1051,28 @@ mod tests {
         let (mut cpu, mut chip) = both();
         let on_cpu = cpu.upload(&poly(9)).unwrap();
         let on_chip = chip.upload(&poly(9)).unwrap();
-        assert!(matches!(chip.ntt(on_cpu), Err(CoreError::BadHandle { .. })));
-        assert!(matches!(cpu.ntt(on_chip), Err(CoreError::BadHandle { .. })));
+        let through = |be: &mut dyn PolyBackend, foreign: PolyHandle| {
+            let before = be.pool_stats();
+            let mut st = OpStream::new(N);
+            let a = st.upload(poly(1)).unwrap();
+            let fa = st.ntt(a).unwrap();
+            let theirs = st.input(foreign);
+            let prod = st.hadamard(fa, theirs).unwrap();
+            st.output(prod).unwrap();
+            assert!(matches!(be.execute_stream(&st), Err(CoreError::BadHandle { .. })));
+            let after = be.pool_stats();
+            assert_eq!(
+                after.hits + after.misses - after.recycled,
+                before.hits + before.misses - before.recycled,
+                "{}: the failed stream left a buffer out",
+                be.name()
+            );
+        };
+        through(&mut chip, on_cpu);
+        through(&mut cpu, on_chip);
+        assert_eq!(cpu.buffers_out(), 1, "only its own upload");
+        assert_eq!(cpu.download(on_cpu).unwrap(), poly(9));
+        assert_eq!(chip.download(on_chip).unwrap(), poly(9));
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! FIFO-batched stream execution on the simulated chip — the
-//! [`ChipBackend`](crate::ChipBackend) override of
+//! FIFO-batched stream execution on the simulated chip —
+//! [`ChipBackend`](crate::ChipBackend)'s
 //! [`PolyBackend::execute_stream`](crate::PolyBackend::execute_stream).
 //!
-//! The synchronous chip path pays one full round trip per operation:
-//! stage operands into the compute banks, trigger one command, read the
+//! Triggering one command at a time pays one full round trip per
+//! operation: stage operands into the compute banks, trigger, read the
 //! result back. This module schedules a whole recorded [`OpStream`]
 //! instead, the way the paper's host actually drives the silicon
 //! (Section III-I mode 2 + Section III-B):
@@ -589,7 +589,7 @@ mod tests {
         );
         assert!(outcome.report.commands > cofhee_sim::FIFO_DEPTH as u64);
 
-        // Bit-exact against the degenerate synchronous replay.
+        // Bit-exact against the CPU replay.
         let mut cpu = CpuBackend::new(q, N).unwrap();
         assert_eq!(outcome.outputs, cpu.execute_stream(&st).unwrap().outputs);
     }
@@ -667,8 +667,8 @@ mod tests {
 
     #[test]
     fn resident_values_never_cross_the_wire_mid_stream() {
-        // A chain of 8 dependent ops: the sync path would stage every
-        // intermediate over the link; the stream only moves the two
+        // A chain of 8 dependent ops: one command at a time would stage
+        // every intermediate over the link; the stream only moves the two
         // operands in and one result out (plus command words).
         let q = q();
         let mut st = OpStream::new(N);

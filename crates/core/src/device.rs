@@ -268,24 +268,6 @@ impl Device {
         Ok(self.chip.execute_now(Command::pmodadd(x, y, dst))?)
     }
 
-    /// Pointwise subtraction (`dst ← x − y`).
-    ///
-    /// # Errors
-    ///
-    /// Chip execution failures.
-    pub fn pointwise_sub(&mut self, x: Slot, y: Slot, dst: Slot) -> Result<OpReport> {
-        Ok(self.chip.execute_now(Command::pmodsub(x, y, dst))?)
-    }
-
-    /// Constant multiplication (`dst ← c·x`).
-    ///
-    /// # Errors
-    ///
-    /// Chip execution failures.
-    pub fn scalar_mul(&mut self, x: Slot, c: u128, dst: Slot) -> Result<OpReport> {
-        Ok(self.chip.execute_now(Command::cmodmul(x, c, dst))?)
-    }
-
     // ---- command-FIFO path (execution mode 2, with wire accounting) ----
 
     /// The host link this device was brought up over.

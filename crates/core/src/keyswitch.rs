@@ -145,6 +145,7 @@ pub fn digit_decompose(coeffs: &[u128], base_bits: u32, digits: usize) -> Vec<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::ntt_form;
     use crate::backend::{CpuBackend, PolyBackend};
 
     const Q: u128 = 65537; // NTT-friendly for n = 8
@@ -182,22 +183,8 @@ mod tests {
         let inline_out = be.execute_stream(&st_inline).unwrap().outputs;
 
         // Resident form: pre-transform keys on the backend, reference them.
-        let mut handles = Vec::new();
-        for (k0, k1) in &keys {
-            let f0 = {
-                let raw = be.upload(k0).unwrap();
-                let f = be.ntt(raw).unwrap();
-                be.free(raw);
-                f
-            };
-            let f1 = {
-                let raw = be.upload(k1).unwrap();
-                let f = be.ntt(raw).unwrap();
-                be.free(raw);
-                f
-            };
-            handles.push((f0, f1));
-        }
+        let handles: Vec<_> =
+            keys.iter().map(|(k0, k1)| (ntt_form(&mut be, k0), ntt_form(&mut be, k1))).collect();
         let mut st_res = OpStream::new(N);
         record_key_switch(&mut st_res, &digits, KeySwitchKeys::Resident(&handles), base).unwrap();
         let resident_out = be.execute_stream(&st_res).unwrap().outputs;

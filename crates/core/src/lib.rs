@@ -15,17 +15,20 @@
 //!   (the 218-bit point runs as two sequential 109-bit towers).
 //! * [`ExecutionMode`] — the three command-delivery modes of
 //!   Section III-I, with measured host-side overheads.
-//! * [`PolyBackend`] — the unified execution API over the mod-q op set
-//!   the paper offloads, with [`CpuBackend`] (software reference) and
-//!   [`ChipBackend`] (cycle-accurate simulated silicon) as pluggable,
-//!   bit-identical implementations selected by constructor argument.
-//! * [`OpStream`] / [`StreamExecutor`] — the asynchronous half of the
-//!   execution API: record a dependency-tracked batch of backend
-//!   operations, then execute it in one submit — through the chip's
+//! * [`OpStream`] — the mod-q op set the paper offloads, as a recorded,
+//!   dependency-tracked batch over the [`StreamOp`] vocabulary. Nothing
+//!   executes at record time.
+//! * [`PolyBackend`] — what runs a stream: a polynomial store
+//!   (`upload` / `download` / `free`), one executor
+//!   ([`PolyBackend::execute_stream`]) and telemetry, with [`CpuBackend`]
+//!   (software reference, replaying on the Harvey plan of the modulus
+//!   width) and [`ChipBackend`] (cycle-accurate simulated silicon: the
 //!   32-deep command FIFO with interrupt-driven drains and
-//!   DMA-overlapped transfers, or fanned out across threads one stream
-//!   per CRT limb. [`StreamReport`] prices every submit both serially
-//!   and overlapped.
+//!   DMA-overlapped transfers) as pluggable, bit-identical
+//!   implementations selected by constructor argument. There is no
+//!   per-operation call. [`StreamReport`] prices every submit both
+//!   serially and overlapped; [`StreamExecutor`] fans independent
+//!   streams out across threads, one per CRT limb.
 //! * [`record_key_switch`] — the scheme-neutral digit-decomposition
 //!   key-switch stream builder shared by BFV and CKKS relinearization.
 //! * [`record_encrypt`] / [`record_decrypt`] — the client side of both

@@ -99,7 +99,10 @@ pub fn record_decrypt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::ntt_form;
     use crate::backend::{CpuBackend, PolyBackend};
+    use cofhee_arith::{Barrett128, ModRing};
+    use cofhee_poly::naive;
 
     const Q: u128 = 65537; // NTT-friendly for n = 8
     const N: usize = 8;
@@ -108,22 +111,17 @@ mod tests {
         (0..N as u128).map(|j| (j * j * 31 + seed * 977 + 5) % Q).collect()
     }
 
-    fn ntt_form(be: &mut CpuBackend, raw: &[u128]) -> PolyHandle {
-        let up = be.upload(raw).unwrap();
-        let form = be.ntt(up).unwrap();
-        be.free(up);
-        form
-    }
-
-    /// `a·b + Σ addends` through the synchronous op set.
-    fn mul_add(be: &mut CpuBackend, a: &[u128], b: &[u128], addends: &[&[u128]]) -> Vec<u128> {
-        let (ha, hb) = (be.upload(a).unwrap(), be.upload(b).unwrap());
-        let mut acc = be.poly_mul(ha, hb).unwrap();
+    /// `a·b + Σ addends` by the schoolbook product: no transform, no
+    /// backend.
+    fn mul_add(a: &[u128], b: &[u128], addends: &[&[u128]]) -> Vec<u128> {
+        let ring = Barrett128::new(Q).unwrap();
+        let mut acc = naive::negacyclic_mul(&ring, a, b).unwrap();
         for x in addends {
-            let hx = be.upload(x).unwrap();
-            acc = be.pointwise_add(acc, hx).unwrap();
+            for (c, &xi) in acc.iter_mut().zip(*x) {
+                *c = ring.add(*c, xi);
+            }
         }
-        be.download(acc).unwrap()
+        acc
     }
 
     fn transforms(be: &CpuBackend) -> u64 {
@@ -140,17 +138,15 @@ mod tests {
         record_encrypt(&mut st, key, u.clone(), [e1.clone(), e2.clone()], m.clone()).unwrap();
         let got = be.execute_stream(&st).unwrap().outputs;
         assert_eq!(transforms(&be), 3);
-        let mut oracle = CpuBackend::new(Q, N).unwrap();
-        assert_eq!(got[0], mul_add(&mut oracle, &p0, &u, &[&e1, &m]));
-        assert_eq!(got[1], mul_add(&mut oracle, &p1, &u, &[&e2]));
-        assert_eq!(be.pool_len(), 2, "only the resident key stays on the backend");
+        assert_eq!(got[0], mul_add(&p0, &u, &[&e1, &m]));
+        assert_eq!(got[1], mul_add(&p1, &u, &[&e2]));
+        assert_eq!(be.buffers_out(), 2, "only the resident key stays on the backend");
     }
 
     #[test]
     fn decrypt_stream_folds_two_or_three_components_with_one_inverse() {
         let (s, c0, c1, c2) = (poly(7), poly(8), poly(9), poly(10));
-        let mut oracle = CpuBackend::new(Q, N).unwrap();
-        let s_sq = mul_add(&mut oracle, &s, &s, &[]);
+        let s_sq = mul_add(&s, &s, &[]);
         let mut be = CpuBackend::new(Q, N).unwrap();
         let key = (ntt_form(&mut be, &s), ntt_form(&mut be, &s_sq));
         for (cubic, want_transforms) in [(None, 2), (Some(c2.clone()), 3)] {
@@ -159,10 +155,10 @@ mod tests {
             record_decrypt(&mut st, key, c0.clone(), c1.clone(), cubic.clone()).unwrap();
             let got = be.execute_stream(&st).unwrap().outputs;
             assert_eq!(transforms(&be), want_transforms);
-            let linear = mul_add(&mut oracle, &c1, &s, &[&c0]);
+            let linear = mul_add(&c1, &s, &[&c0]);
             let want = match &cubic {
                 None => linear,
-                Some(c2) => mul_add(&mut oracle, c2, &s_sq, &[&linear]),
+                Some(c2) => mul_add(c2, &s_sq, &[&linear]),
             };
             assert_eq!(got, [want]);
         }

@@ -1,14 +1,14 @@
-//! The asynchronous `OpStream` execution API.
+//! The `OpStream` execution API: record, then submit once.
 //!
-//! The synchronous [`PolyBackend`] calls of the unified execution API
-//! pay one full host round trip per operation: upload operands, trigger,
-//! download the result. That is exactly the pattern the paper's
-//! architecture is built to avoid — CoFHEE has a 32-deep command FIFO
-//! with a drain interrupt (Section III-I, mode 2) and a DMA engine that
-//! moves polynomials concurrently with PE compute (Section III-B), and
-//! FHE workloads expose two more layers of latent parallelism on top:
-//! deep per-ciphertext dependency chains that tolerate queueing, and
-//! embarrassingly parallel CRT/RNS limbs.
+//! One full host round trip per operation — upload operands, trigger,
+//! download the result — is exactly the pattern the paper's architecture
+//! is built to avoid: CoFHEE has a 32-deep command FIFO with a drain
+//! interrupt (Section III-I, mode 2) and a DMA engine that moves
+//! polynomials concurrently with PE compute (Section III-B), and FHE
+//! workloads expose two more layers of latent parallelism on top: deep
+//! per-ciphertext dependency chains that tolerate queueing, and
+//! embarrassingly parallel CRT/RNS limbs. So a recorded stream is the
+//! only way a [`PolyBackend`] computes.
 //!
 //! This module is the recording half of that design:
 //!
@@ -17,22 +17,23 @@
 //!   [`StreamHandle`] naming its (future) result; operands are earlier
 //!   handles, so the node list is a topologically ordered DAG by
 //!   construction. Nothing executes at record time.
-//! * [`PolyBackend::execute_stream`] — the execution half. The provided
-//!   default replays the stream through the synchronous op set (any
-//!   backend gets streams for free, as a degenerate one-op-at-a-time
-//!   schedule); `ChipBackend` overrides it to schedule the whole stream
-//!   through the simulated command FIFO in depth-sized batches with
-//!   interrupt-driven drains and DMA-overlapped transfers.
+//! * [`PolyBackend::execute_stream`] — the execution half, one per
+//!   backend: `CpuBackend` replays the nodes in record order on its
+//!   Harvey plan, freeing by liveness (the replay lives beside its
+//!   kernels in the `backend` module); `ChipBackend` schedules the whole
+//!   stream through the simulated command FIFO in depth-sized batches
+//!   with interrupt-driven drains and DMA-overlapped transfers (the
+//!   `chip_stream` module).
 //! * [`StreamExecutor`] — dispatch of *independent* streams (one per
 //!   CRT computation prime, one per RNS tower) across OS threads with
 //!   `std::thread::scope`, each on its own backend.
 //!
 //! Every execution path returns a [`StreamOutcome`]: the downloaded
 //! output polynomials plus a [`StreamReport`] carrying both the
-//! *serial* totals (what the same work costs one-op-at-a-time) and the
-//! *overlapped* totals (what the batched, DMA-overlapped schedule
+//! *serial* totals (what the same work costs one-command-at-a-time) and
+//! the *overlapped* totals (what the batched, DMA-overlapped schedule
 //! actually took) — the serial-vs-overlapped comparison is the whole
-//! point of the redesign.
+//! point of the design.
 //!
 //! # Example
 //!
@@ -151,10 +152,10 @@ impl StreamOp {
     }
 }
 
-/// A recorded, dependency-tracked batch of [`PolyBackend`] operations.
+/// A recorded, dependency-tracked batch of polynomial operations.
 ///
-/// Record with the `upload`/`ntt`/`hadamard`/... methods (mirroring the
-/// synchronous op set), mark results to fetch with
+/// Record with the `upload`/`ntt`/`hadamard`/... methods (one per
+/// [`StreamOp`] kind), mark results to fetch with
 /// [`OpStream::output`], then execute the whole batch in one submit via
 /// [`PolyBackend::execute_stream`] or [`StreamExecutor`].
 #[derive(Debug, Clone)]
@@ -385,7 +386,7 @@ impl OpStream {
 /// comparison the asynchronous API exists to expose.
 ///
 /// *Serial* totals price the recorded work executed one command at a
-/// time with no engine concurrency (the synchronous mode-1 path);
+/// time with no engine concurrency (the mode-1 path);
 /// *overlapped* totals are what the batched schedule actually took,
 /// with DMA transfers hidden behind PE compute and the host link
 /// streaming the next batch while the chip drains the current one.
@@ -395,8 +396,8 @@ impl OpStream {
 pub struct StreamReport {
     /// Backend commands issued (chip: FIFO commands, DMA included).
     pub commands: u64,
-    /// FIFO-drain batches the stream was split into (1 on the sync
-    /// replay path).
+    /// FIFO-drain batches the stream was split into (1 on the CPU
+    /// replay).
     pub batches: u64,
     /// Drain interrupts observed while executing.
     pub interrupts: u64,
@@ -460,102 +461,6 @@ pub struct StreamOutcome {
     pub report: StreamReport,
 }
 
-/// The degenerate synchronous replay — [`PolyBackend::execute_stream`]'s
-/// provided default. Every node runs through the one-op-at-a-time calls
-/// in record order, and a handle goes back to the backend right after
-/// its last consumer ran — the rule `chip_stream`'s slot allocator
-/// follows — so what the backend holds at any moment is the stream's
-/// live set, not its node count: a node nothing reads is released at
-/// once, a handle one node names twice is released once, outputs live to
-/// their download, and [`StreamOp::Input`] handles are borrowed and never
-/// freed. Success *and* failure leave nothing behind: the closing sweep
-/// frees the outputs, or whatever was live when a node failed.
-pub(crate) fn replay_sync<B: PolyBackend + ?Sized>(
-    be: &mut B,
-    stream: &OpStream,
-) -> Result<StreamOutcome> {
-    if stream.n() != be.n() {
-        return Err(CoreError::DegreeMismatch { device: be.n(), requested: stream.n() });
-    }
-    let report_before = be.report();
-    let comm_before = be.comm_stats();
-    let nodes = stream.nodes();
-    let owned = |i: usize| !matches!(nodes[i], StreamOp::Input(_));
-    // Uses each node still has ahead of it; an output marking is one
-    // that only the download consumes.
-    let mut uses = stream.use_counts();
-    let mut vals: Vec<Option<PolyHandle>> = vec![None; nodes.len()];
-    let mut comm_mid = comm_before;
-    let result = (|| -> Result<Vec<Vec<u128>>> {
-        let get = |vals: &[Option<PolyHandle>], h: StreamHandle| {
-            vals[h.index].expect("operands precede their consumers and outlive them")
-        };
-        for (i, op) in nodes.iter().enumerate() {
-            let h = match op {
-                StreamOp::Input(h) => *h,
-                StreamOp::Upload(v) => be.upload(v)?,
-                StreamOp::Ntt(s) => be.ntt(get(&vals, *s))?,
-                StreamOp::Intt(s) => be.intt(get(&vals, *s))?,
-                StreamOp::Hadamard(x, y) => be.hadamard(get(&vals, *x), get(&vals, *y))?,
-                StreamOp::HadamardIntt(x, y) => be.hadamard_intt(get(&vals, *x), get(&vals, *y))?,
-                StreamOp::HadamardAdd(x, y, acc) => {
-                    // No fused synchronous call: compose product +
-                    // accumulate, the temporary freed either way.
-                    let prod = be.hadamard(get(&vals, *x), get(&vals, *y))?;
-                    let sum = be.pointwise_add(prod, get(&vals, *acc));
-                    be.free(prod);
-                    sum?
-                }
-                StreamOp::PointwiseAdd(x, y) => be.pointwise_add(get(&vals, *x), get(&vals, *y))?,
-                StreamOp::PointwiseSub(x, y) => be.pointwise_sub(get(&vals, *x), get(&vals, *y))?,
-                StreamOp::ScalarMul(x, c) => be.scalar_mul(get(&vals, *x), *c)?,
-                StreamOp::PolyMul(a, b) => be.poly_mul(get(&vals, *a), get(&vals, *b))?,
-            };
-            vals[i] = Some(h);
-            // This node was one use of each operand (two of one it
-            // names twice) and is itself dead when nothing reads it.
-            let operands = op.deps().into_iter().flatten().map(|dep| (dep.index, 1));
-            for (j, used) in operands.chain([(i, 0)]) {
-                uses[j] -= used;
-                if uses[j] == 0 && owned(j) {
-                    if let Some(dead) = vals[j].take() {
-                        be.free(dead);
-                    }
-                }
-            }
-        }
-        // Split the wire accounting at the upload/download boundary so
-        // each direction is attributed correctly.
-        comm_mid = be.comm_stats();
-        stream.outputs().iter().map(|s| be.download(get(&vals, *s))).collect()
-    })();
-    for (i, live) in vals.into_iter().enumerate() {
-        if let (Some(h), true) = (live, owned(i)) {
-            be.free(h);
-        }
-    }
-    let outputs = result?;
-    let report_after = be.report();
-    let comm_after = be.comm_stats();
-    let cycles = report_after.cycles - report_before.cycles;
-    let seconds = comm_after.seconds - comm_before.seconds;
-    Ok(StreamOutcome {
-        outputs,
-        report: StreamReport {
-            commands: stream.len() as u64 + stream.outputs().len() as u64,
-            batches: 1,
-            interrupts: 0,
-            serial_cycles: cycles,
-            overlapped_cycles: cycles,
-            serial_seconds: seconds,
-            overlapped_seconds: seconds,
-            uploaded_bytes: comm_mid.bytes.saturating_sub(comm_before.bytes),
-            downloaded_bytes: comm_after.bytes.saturating_sub(comm_mid.bytes),
-            ..StreamReport::default()
-        },
-    })
-}
-
 /// One unit of parallel stream work: a stream and the backend to run it
 /// on. Jobs are independent by construction (each owns exclusive access
 /// to its backend for the duration), which is what makes the per-limb
@@ -568,23 +473,12 @@ pub struct StreamJob<'a> {
     pub stream: &'a OpStream,
 }
 
-/// Dispatches recorded streams onto backends — one stream on one
-/// backend, or independent per-limb streams fanned out across OS
-/// threads.
+/// Dispatches independent recorded streams onto their backends, fanned
+/// out across OS threads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamExecutor;
 
 impl StreamExecutor {
-    /// Executes one stream on one backend (delegates to
-    /// [`PolyBackend::execute_stream`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution failures.
-    pub fn run(backend: &mut dyn PolyBackend, stream: &OpStream) -> Result<StreamOutcome> {
-        backend.execute_stream(stream)
-    }
-
     /// Executes independent streams concurrently, one scoped thread per
     /// job — the CRT-limb fan-out of a multi-modulus consumer (each
     /// computation prime gets its own backend and its own stream, so the
@@ -618,6 +512,7 @@ impl StreamExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::ntt_form;
     use crate::backend::{ChipBackend, CpuBackend};
     use crate::OpReport;
     use cofhee_arith::primes::ntt_prime;
@@ -690,40 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn sync_replay_matches_direct_calls_on_cpu() {
-        let q = q();
-        let mut be = CpuBackend::new(q, N).unwrap();
-        let outcome = be.execute_stream(&sample_stream()).unwrap();
-        assert_eq!(outcome.outputs.len(), 3);
-
-        // The same ops through the synchronous API.
-        let (a, b) = (poly(1), poly(2));
-        let mut sync = CpuBackend::new(q, N).unwrap();
-        let ha = sync.upload(&a).unwrap();
-        let hb = sync.upload(&b).unwrap();
-        let fa = sync.ntt(ha).unwrap();
-        let fb = sync.ntt(hb).unwrap();
-        let prod = sync.hadamard(fa, fb).unwrap();
-        let back = sync.intt(prod).unwrap();
-        let sum = sync.pointwise_add(ha, hb).unwrap();
-        let scaled = sync.scalar_mul(sum, 7).unwrap();
-        let pm = sync.poly_mul(ha, hb).unwrap();
-        assert_eq!(outcome.outputs[0], sync.download(back).unwrap());
-        assert_eq!(outcome.outputs[1], sync.download(scaled).unwrap());
-        assert_eq!(outcome.outputs[2], sync.download(pm).unwrap());
-
-        // Telemetry parity: the replay retires the same op counts.
-        assert_eq!(be.report(), sync.report());
-        assert_eq!(outcome.report.batches, 1);
-        assert_eq!(outcome.report.serial_cycles, outcome.report.overlapped_cycles);
-    }
-
-    #[test]
     fn replay_does_not_leak_pool_entries() {
         let mut be = CpuBackend::new(q(), N).unwrap();
-        let before = be.pool_len();
+        let before = be.buffers_out();
         let _ = be.execute_stream(&sample_stream()).unwrap();
-        assert_eq!(be.pool_len(), before, "all stream temporaries are freed");
+        assert_eq!(be.buffers_out(), before, "all stream temporaries are freed");
     }
 
     /// Buffers a stream holds at once: on a fresh backend a pool miss
@@ -746,12 +612,7 @@ mod tests {
         const DIGITS: usize = 7;
         let mut be = CpuBackend::new(q(), N).unwrap();
         // The key resident in NTT form, as the evaluators hold it.
-        let mut form = |seed: u128| {
-            let raw = be.upload(&poly(seed)).unwrap();
-            let form = be.ntt(raw).unwrap();
-            be.free(raw);
-            form
-        };
+        let mut form = |seed: u128| ntt_form(&mut be, &poly(seed));
         let keys: Vec<_> =
             (0..DIGITS as u128).map(|d| (form(100 + 2 * d), form(101 + 2 * d))).collect();
         let digits: Vec<_> = (0..DIGITS as u128).map(|d| Arc::new(poly(10 + d))).collect();
@@ -786,7 +647,7 @@ mod tests {
         let after = be.pool_stats();
         assert_eq!(after.hits + after.misses - warm.hits - warm.misses, 46, "a take per node");
         assert_eq!(after.high_water, 5, "all parked again, and never more than that");
-        assert_eq!(be.pool_len(), 2 * DIGITS, "only the key stays");
+        assert_eq!(be.buffers_out(), 2 * DIGITS as u64, "only the key stays");
         // The outputs are the inline recording's on a backend of its own.
         let inline: Vec<_> =
             (0..DIGITS as u128).map(|d| (poly(100 + 2 * d), poly(101 + 2 * d))).collect();
@@ -809,12 +670,10 @@ mod tests {
         st.output(fa).unwrap(); // and marked twice
         let mut be = CpuBackend::new(q(), N).unwrap();
         let outcome = be.execute_stream(&st).unwrap();
-        let mut sync = CpuBackend::new(q(), N).unwrap();
-        let ha = sync.upload(&poly(1)).unwrap();
-        let hfa = sync.ntt(ha).unwrap();
-        assert_eq!(outcome.outputs[0], sync.download(hfa).unwrap());
+        let resident = ntt_form(&mut be, &poly(1));
+        assert_eq!(outcome.outputs[0], be.download(resident).unwrap());
         assert_eq!(outcome.outputs[2], outcome.outputs[0]);
-        assert_eq!(be.pool_len(), 0);
+        assert_eq!(be.buffers_out(), 1, "only the comparison copy");
     }
 
     #[test]
@@ -842,9 +701,9 @@ mod tests {
         let resident = be.upload(&poly(3)).unwrap();
         let gone = be.upload(&poly(4)).unwrap();
         be.free(gone);
-        let before = be.pool_len();
-        // Fails at node 5 (a freed input) with an output, a live operand
-        // and a `HadamardAdd` product in flight.
+        let before = be.buffers_out();
+        // Fails at node 5 (a freed input) with an output and a live
+        // operand in flight.
         let mut st = OpStream::new(N);
         let a = st.upload(poly(1)).unwrap();
         let fa = st.ntt(a).unwrap();
@@ -855,9 +714,7 @@ mod tests {
         let sum = st.hadamard_add(fa, bad, prod).unwrap();
         st.output(sum).unwrap();
         assert!(matches!(be.execute_stream(&st), Err(CoreError::BadHandle { .. })));
-        assert_eq!(be.pool_len(), before, "nothing of the failed stream is left");
-        let stats = be.pool_stats();
-        assert_eq!(stats.hits + stats.misses - stats.recycled, 1, "only the resident input");
+        assert_eq!((before, be.buffers_out()), (1, 1), "only the resident input is out");
         assert_eq!(be.download(resident).unwrap(), poly(3), "which is still valid");
     }
 
@@ -961,7 +818,7 @@ mod tests {
         let mut cpu2 = CpuBackend::new(q, N).unwrap();
         let unfused_cpu = cpu2.execute_stream(&reference).unwrap();
         assert_eq!(fused_cpu.outputs, unfused_cpu.outputs);
-        assert_eq!(cpu.pool_len(), 0, "the fused temporary is freed");
+        assert_eq!(cpu.buffers_out(), 0, "the fused temporary is freed");
 
         let mut chip = ChipBackend::connect(ChipConfig::silicon(), q, N).unwrap();
         let fused_chip = chip.execute_stream(&st).unwrap();

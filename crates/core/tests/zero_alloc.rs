@@ -1,40 +1,45 @@
 //! The allocation-counting harness behind the zero-alloc claim: a
 //! counting `#[global_allocator]` proves — not asserts — that a warmed
-//! [`CpuBackend`] runs the entire non-download op set with **zero**
-//! heap allocations, and that [`ChipBackend`] staging (upload/free)
-//! does the same.
+//! [`CpuBackend`] replays a stream of every op kind allocating **only**
+//! its output vectors and three bookkeeping vectors, every buffer served
+//! from the pool, and that [`ChipBackend`] staging (upload/free)
+//! allocates nothing at all.
 //!
 //! Methodology:
 //!
 //! * The wrapper counts every `alloc`/`alloc_zeroed`/`realloc`; the
-//!   steady-state window is the delta across `STEADY_ITERS` full
-//!   iterations after two warm-up iterations (warm-up populates the
-//!   twiddle cache, grows the handle map to capacity, and stocks the
+//!   steady-state window is the delta across `STEADY_ITERS` executions
+//!   after two warm-up executions (warm-up populates the twiddle cache,
+//!   grows the handle map to capacity, and stocks the
 //!   [`cofhee_core::PoolStats`]-tracked buffer pool — two rounds, not
 //!   one, because the pool only learns the high-water buffer count
 //!   after a complete first pass).
 //! * [`CpuBackend`] is checked at a small degree and at `n = 2^13`,
-//!   the degree the end-to-end benchmark runs: its kernels never spawn
-//!   threads, so the claim holds at every degree.
+//!   the degree the end-to-end benchmark runs, on both engine widths:
+//!   its kernels never spawn threads, so the ledger — the outputs (a
+//!   download crosses the backend boundary into caller-owned memory)
+//!   plus the replay's use counts, node → handle table and output list —
+//!   holds at every degree. Nothing per node, nothing per coefficient.
+//! * The replay frees each handle after its last consumer, so a
+//!   key-switch-shaped stream of 46 buffer-producing nodes runs out of
+//!   the 5 pool buffers of its live set, on the same ledger.
 //! * A warmed [`ChipBackend::execute_stream`] is held to a ledger too:
 //!   the simulated die computes in place in its SRAM, so a stream costs
 //!   its output vectors plus the scheduler's own few bookkeeping vectors
 //!   — the same count at every degree and for either modulus width,
 //!   nothing per coefficient and nothing per command.
-//! * A warmed [`CpuBackend::execute_stream`] has a ledger as well: the
-//!   replay frees each handle after its last consumer, so a
-//!   key-switch-shaped stream of 46 buffer-producing nodes runs out of
-//!   the 5 pool buffers of its live set and allocates its outputs plus
-//!   the replay's three bookkeeping vectors.
-//! * Everything runs inside ONE `#[test]` so no concurrent libtest
-//!   thread pollutes the process-global counter.
+//! * The counter is per thread: the backends under test never spawn, so
+//!   the test thread's count is the whole ledger, and what the libtest
+//!   harness allocates on its own threads while a window is open (it
+//!   did, now and then, when the counter was process-global) is not in
+//!   it.
 //!
 //! `cofhee_core` itself forbids `unsafe_code`; this harness is a
 //! separate crate root and needs `unsafe` only for the `GlobalAlloc`
 //! shim around [`System`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use cofhee_arith::primes::ntt_prime;
 use cofhee_core::{
@@ -42,24 +47,33 @@ use cofhee_core::{
 };
 use cofhee_sim::ChipConfig;
 
-/// Counts allocation events; forwards everything to [`System`].
+/// Counts the allocation events of the calling thread; forwards
+/// everything to [`System`].
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Const-initialized and without a destructor, so touching it from
+    /// inside the allocator neither allocates nor outlives the thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -76,54 +90,97 @@ const N: usize = 256;
 const N_PAPER: usize = 1 << 13;
 const STEADY_ITERS: usize = 32;
 
+/// Allocation events of this thread so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// One steady-state traffic iteration: the full non-download op set
-/// (`download` is the one documented allocating op — it crosses the
-/// backend boundary into caller-owned memory) with every produced
-/// handle freed back to the pool.
-fn steady_iteration(be: &mut dyn PolyBackend, a: &[u128], b: &[u128]) {
-    let ha = be.upload(a).unwrap();
-    let hb = be.upload(b).unwrap();
-    let fa = be.ntt(ha).unwrap();
-    let fb = be.ntt(hb).unwrap();
-    let had = be.hadamard(fa, fb).unwrap();
-    let back = be.intt(had).unwrap();
-    let fused = be.hadamard_intt(fa, fb).unwrap();
-    let sum = be.pointwise_add(ha, hb).unwrap();
-    let diff = be.pointwise_sub(ha, hb).unwrap();
-    let scaled = be.scalar_mul(ha, 12345).unwrap();
-    let prod = be.poly_mul(ha, hb).unwrap();
-    for h in [ha, hb, fa, fb, had, back, fused, sum, diff, scaled, prod] {
-        be.free(h);
+/// The full mix: every op kind of the `StreamOp` vocabulary once, every
+/// result that nothing else reads an output. Twelve buffer-producing
+/// nodes, seven outputs.
+fn full_mix(a: &[u128], b: &[u128]) -> OpStream {
+    let mut st = OpStream::new(a.len());
+    let ha = st.upload(a.to_vec()).unwrap();
+    let hb = st.upload(b.to_vec()).unwrap();
+    let fa = st.ntt(ha).unwrap();
+    let fb = st.ntt(hb).unwrap();
+    let had = st.hadamard(fa, fb).unwrap();
+    let outputs = [
+        st.intt(had).unwrap(),
+        st.hadamard_intt(fa, fb).unwrap(),
+        st.hadamard_add(fa, fb, had).unwrap(),
+        st.pointwise_add(ha, hb).unwrap(),
+        st.pointwise_sub(ha, hb).unwrap(),
+        st.scalar_mul(ha, 12345).unwrap(),
+        st.poly_mul(ha, hb).unwrap(),
+    ];
+    for h in outputs {
+        st.output(h).unwrap();
     }
+    st
 }
 
-/// Warms a backend, then asserts the steady-state window allocates
-/// nothing and the buffer pool served every request from stock.
-fn assert_zero_alloc_steady_state(be: &mut dyn PolyBackend, a: &[u128], b: &[u128], label: &str) {
-    steady_iteration(be, a, b);
-    steady_iteration(be, a, b);
+/// Pool takes of one [`full_mix`] replay: one per buffer-producing node,
+/// plus `PolyMul`'s transform scratch, taken and put straight back.
+const FULL_MIX_POOL_TAKES: u64 = 12 + 1;
+/// Pool buffers a [`full_mix`] replay holds at once, reached inside its
+/// last node: both uploads, six outputs, `PolyMul`'s result and scratch.
+const FULL_MIX_LIVE_SET: u64 = 10;
 
-    let warm = be.pool_stats();
+/// What a warmed CPU stream replay allocates beyond its output vectors:
+/// the use counts it frees by, the node → handle table and the output
+/// list. Per stream — not per node, not per coefficient.
+const CPU_REPLAY_BOOKKEEPING_ALLOCS: u64 = 3;
+
+/// Warms a backend on `stream`, then holds `STEADY_ITERS` replays to the
+/// ledger: allocations are the outputs plus the bookkeeping vectors, the
+/// buffer pool serves every one of `takes` requests per replay from
+/// stock, and never holds more than `live_set` buffers.
+fn assert_cpu_replay_ledger(
+    cpu: &mut CpuBackend,
+    stream: &OpStream,
+    takes: u64,
+    live_set: u64,
+    label: &str,
+) {
+    for _ in 0..2 {
+        cpu.execute_stream(stream).unwrap();
+    }
+    let warm = cpu.pool_stats();
     let before = allocations();
     for _ in 0..STEADY_ITERS {
-        steady_iteration(be, a, b);
+        let outcome = cpu.execute_stream(stream).unwrap();
+        assert_eq!(outcome.outputs.len(), stream.outputs().len());
     }
     let delta = allocations() - before;
-    let stats = be.pool_stats();
-
-    assert_eq!(delta, 0, "{label}: warmed steady state performed {delta} heap allocations");
+    let stats = cpu.pool_stats();
+    let per_replay = stream.outputs().len() as u64 + CPU_REPLAY_BOOKKEEPING_ALLOCS;
+    assert_eq!(
+        delta,
+        STEADY_ITERS as u64 * per_replay,
+        "{label}: allocations of {STEADY_ITERS} warmed replays"
+    );
     assert_eq!(
         stats.misses, warm.misses,
         "{label}: buffer pool missed after warm-up (allocations hid behind the pool)"
     );
-    assert!(
-        stats.hits > warm.hits,
-        "{label}: steady-state traffic did not exercise the buffer pool"
+    assert_eq!(
+        stats.hits - warm.hits,
+        STEADY_ITERS as u64 * takes,
+        "{label}: pool takes per replay"
     );
+    assert_eq!(stats.high_water, live_set, "{label}: pool high-water");
+}
+
+/// `raw` resident on `cpu` in NTT form: a one-transform stream whose
+/// output is uploaded back, as `cofhee_opt::LimbEngine` brings a key up.
+fn ntt_form(cpu: &mut CpuBackend, raw: Vec<u128>) -> PolyHandle {
+    let mut st = OpStream::new(raw.len());
+    let up = st.upload(raw).unwrap();
+    let form = st.ntt(up).unwrap();
+    st.output(form).unwrap();
+    let out = cpu.execute_stream(&st).unwrap().outputs;
+    cpu.upload(&out[0]).unwrap()
 }
 
 /// `ct · pt` as `cofhee_bfv` records it: the plaintext uploaded once, one
@@ -163,10 +220,6 @@ fn key_switch_shaped(n: usize, keys: &[(PolyHandle, PolyHandle)]) -> OpStream {
     st
 }
 
-/// What a warmed CPU stream replay allocates beyond its output vectors:
-/// the use counts it frees by, the node → handle table and the output
-/// list. Per stream — not per node, not per coefficient.
-const CPU_REPLAY_BOOKKEEPING_ALLOCS: u64 = 3;
 /// Pool buffers a 7-digit resident key switch holds at once (a digit's
 /// transform, both accumulators, a product, the sum replacing one).
 const KEY_SWITCH_LIVE_SET: u64 = 5;
@@ -195,61 +248,34 @@ fn warmed_backends_run_allocation_free() {
         ((0..n as u128).collect(), (0..n as u128).map(|i| i * 3 + 1).collect())
     };
 
+    // CpuBackend streams, at either width and at every degree: the full
+    // mix of op kinds, then a key switch against resident keys, which
+    // replays out of its live set.
     for n in [N, N_PAPER] {
         let (a, b) = operands(n);
-
-        // CpuBackend, narrow (Barrett64) engine.
-        let q55 = ntt_prime(55, n).unwrap();
-        let mut cpu = CpuBackend::new(q55, n).unwrap();
-        assert_zero_alloc_steady_state(&mut cpu, &a, &b, &format!("cpu/narrow n={n}"));
-
-        // CpuBackend, wide (Barrett128) engine — the chip-native width.
-        let q109 = ntt_prime(109, n).unwrap();
-        let mut cpu = CpuBackend::new(q109, n).unwrap();
-        assert_zero_alloc_steady_state(&mut cpu, &a, &b, &format!("cpu/wide n={n}"));
-    }
-
-    // CpuBackend streams: a warmed key switch replays out of its live
-    // set, at either width and at every degree.
-    for n in [N, N_PAPER] {
         for bits in [55u32, 109] {
             let mut cpu = CpuBackend::new(ntt_prime(bits, n).unwrap(), n).unwrap();
-            let keys: Vec<_> = (0..7u128)
-                .map(|d| {
-                    let mut form = |seed: u128| {
-                        let raw: Vec<u128> = (0..n as u128).map(|i| i * 37 + seed).collect();
-                        let up = cpu.upload(&raw).unwrap();
-                        let form = cpu.ntt(up).unwrap();
-                        cpu.free(up);
-                        form
-                    };
-                    (form(2 * d), form(2 * d + 1))
-                })
-                .collect();
-            let stream = key_switch_shaped(n, &keys);
-            for _ in 0..2 {
-                cpu.execute_stream(&stream).unwrap();
-            }
-            let warm = cpu.pool_stats();
-            let before = allocations();
-            let outcome = cpu.execute_stream(&stream).unwrap();
-            let delta = allocations() - before;
-            let stats = cpu.pool_stats();
-            let label = format!("cpu key switch, {bits}-bit q, n={n}");
-            assert_eq!(
-                delta,
-                outcome.outputs.len() as u64 + CPU_REPLAY_BOOKKEEPING_ALLOCS,
-                "{label}: allocations of one warmed replay"
+            let label = format!("cpu full mix, {bits}-bit q, n={n}");
+            assert_cpu_replay_ledger(
+                &mut cpu,
+                &full_mix(&a, &b),
+                FULL_MIX_POOL_TAKES,
+                FULL_MIX_LIVE_SET,
+                &label,
             );
-            assert_eq!(stats.misses, warm.misses, "{label}: pool missed after warm-up");
-            assert_eq!(stats.hits - warm.hits, 46, "{label}: a pool take per producing node");
-            assert_eq!(stats.high_water, KEY_SWITCH_LIVE_SET, "{label}: pool high-water");
+
+            let mut cpu = CpuBackend::new(ntt_prime(bits, n).unwrap(), n).unwrap();
+            let mut form =
+                |seed: u128| ntt_form(&mut cpu, (0..n as u128).map(|i| i * 37 + seed).collect());
+            let keys: Vec<_> = (0..7u128).map(|d| (form(2 * d), form(2 * d + 1))).collect();
+            let label = format!("cpu key switch, {bits}-bit q, n={n}");
+            let stream = key_switch_shaped(n, &keys);
+            assert_cpu_replay_ledger(&mut cpu, &stream, 46, KEY_SWITCH_LIVE_SET, &label);
         }
     }
 
-    // ChipBackend staging: compute ops legitimately allocate (bank
-    // downloads produce fresh host mirrors), but the upload/free mirror
-    // traffic the farm front-end hammers must recycle.
+    // ChipBackend staging: the upload/free mirror traffic resident keys
+    // and the farm front-end put on the store must recycle.
     let (a, _) = operands(N);
     let q109 = ntt_prime(109, N).unwrap();
     let mut chip = ChipBackend::connect(ChipConfig::silicon(), q109, N).unwrap();

@@ -587,17 +587,6 @@ impl Scheduler {
         Ok((JobResult::Ckks(ct), finish, service, count))
     }
 
-    /// [`Scheduler::run`] with the stream compiler set to `level` first
-    /// (the level persists for subsequent calls).
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::run`].
-    pub fn run_with_opt(&mut self, jobs: Vec<Job>, level: OptLevel) -> Result<Vec<JobOutcome>> {
-        self.set_opt_level(level);
-        self.run(jobs)
-    }
-
     /// Runs a batch of jobs to completion in arrival order (submission
     /// order breaks ties), returning per-job outcomes in that order.
     ///
@@ -902,7 +891,8 @@ mod tests {
 
         for level in [OptLevel::O1, OptLevel::O2] {
             let (mut s, id) = sched(4, Box::new(WorkStealing), &t);
-            let outcomes = s.run_with_opt(jobs(id), level).unwrap();
+            s.set_opt_level(level);
+            let outcomes = s.run(jobs(id)).unwrap();
             assert_eq!(s.opt_level(), level);
             for (p, d) in outcomes[0]
                 .result

@@ -17,12 +17,16 @@ use crate::{OptLevel, OptStats, PassRunner};
 
 type SharedBackend = Arc<Mutex<Box<dyn PolyBackend>>>;
 
-/// Uploads `raw` and returns its forward transform, the raw form freed.
+/// Makes `raw` resident on `be` in NTT form: a one-transform stream whose
+/// output is uploaded back as the handle. Submitted to the backend
+/// directly — a key's bring-up is not part of any engine's stream totals.
 fn ntt_form(be: &mut dyn PolyBackend, raw: &[u128]) -> Result<PolyHandle> {
-    let up = be.upload(raw)?;
-    let form = be.ntt(up);
-    be.free(up);
-    form
+    let mut st = OpStream::new(be.n());
+    let up = st.upload(raw.to_vec())?;
+    let form = st.ntt(up)?;
+    st.output(form)?;
+    let out = be.execute_stream(&st)?.outputs;
+    be.upload(&out[0])
 }
 
 /// Poison-tolerant: a backend is valid between any two calls, so a panic
@@ -427,6 +431,91 @@ mod tests {
             assert!(theirs.iter().flatten().all(|p| !handles.iter().flatten().any(|h| h == p)));
             assert_eq!(read_back(&engine, handles[0][2].1).unwrap(), raw[0][2].1);
         }
+    }
+
+    /// A `CpuBackend` that counts the streams submitted to it. The trait
+    /// has one method that computes, so the wrapper sees all the work a
+    /// backend is given.
+    #[derive(Debug)]
+    struct Counting(cofhee_core::CpuBackend, Arc<Mutex<u64>>);
+
+    impl PolyBackend for Counting {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn modulus(&self) -> u128 {
+            self.0.modulus()
+        }
+        fn upload(&mut self, coeffs: &[u128]) -> Result<PolyHandle> {
+            self.0.upload(coeffs)
+        }
+        fn download(&mut self, h: PolyHandle) -> Result<Vec<u128>> {
+            self.0.download(h)
+        }
+        fn free(&mut self, h: PolyHandle) {
+            self.0.free(h);
+        }
+        fn execute_stream(&mut self, stream: &OpStream) -> Result<cofhee_core::StreamOutcome> {
+            *lock(&self.1) += 1;
+            self.0.execute_stream(stream)
+        }
+        fn report(&self) -> OpReport {
+            self.0.report()
+        }
+        fn comm_stats(&self) -> CommStats {
+            self.0.comm_stats()
+        }
+        fn reset_telemetry(&mut self) {
+            self.0.reset_telemetry();
+        }
+    }
+
+    /// Makes [`Counting`] backends; `streams()` reads their counters in
+    /// the order they were made.
+    #[derive(Debug, Default)]
+    struct CountingFactory(Mutex<Vec<Arc<Mutex<u64>>>>);
+
+    impl CountingFactory {
+        fn streams(&self) -> Vec<u64> {
+            lock(&self.0).iter().map(|count| *lock(count)).collect()
+        }
+    }
+
+    impl BackendFactory for CountingFactory {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn make(&self, q: u128, n: usize) -> Result<Box<dyn PolyBackend>> {
+            let count = Arc::new(Mutex::new(0));
+            lock(&self.0).push(count.clone());
+            Ok(Box::new(Counting(cofhee_core::CpuBackend::new(q, n)?, count)))
+        }
+    }
+
+    #[test]
+    fn a_run_is_one_stream_per_limb_and_a_key_one_per_polynomial_once() {
+        let factory = CountingFactory::default();
+        let engine = LimbEngine::new(&factory, &[q(), q(), q()], N).unwrap();
+        assert_eq!(factory.streams(), [0, 0, 0], "bring-up computes nothing");
+        engine.run(0, vec![stream(1), stream(2), stream(3)]).unwrap();
+        assert_eq!(factory.streams(), [1, 1, 1]);
+        engine.run_one(2, stream(4)).unwrap();
+        assert_eq!(factory.streams(), [1, 1, 2]);
+        // A key's first use: one transform stream per polynomial, on the
+        // backend of its limb (limb `j` on backend `1 + j`)…
+        let (key, raw) = (KeyId::default(), raw_key(100));
+        let handles = make_resident(&engine, &key, &raw).unwrap();
+        let per_limb = 2 * DIGITS as u64;
+        assert_eq!(factory.streams(), [1, 1 + per_limb, 2 + per_limb]);
+        // …outside the engine's own stream totals…
+        assert_eq!(engine.stream_report().commands, 4 * stream(1).len() as u64 + 4 * 2);
+        // …and every later call, from a clone or for a key clone, none.
+        assert_eq!(engine.clone().resident_keys(&key.clone(), 1, &[]).unwrap(), handles);
+        assert_eq!(make_resident(&engine, &key, &raw).unwrap(), handles);
+        assert_eq!(factory.streams(), [1, 1 + per_limb, 2 + per_limb]);
     }
 
     #[test]

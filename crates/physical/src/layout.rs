@@ -1,9 +1,7 @@
 //! Layout, floorplan and clock-tree statistics — Tables IV and IX.
 
-use serde::Serialize;
-
 /// Table IV: the physical layout parameters after place and route.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayoutParams {
     /// Initial standard-cell utilization (fraction).
     pub initial_utilization: f64,
@@ -71,7 +69,7 @@ impl Default for LayoutParams {
 }
 
 /// Table IX: design and clock-tree statistics.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClockTreeStats {
     /// Die width, µm.
     pub width_um: f64,

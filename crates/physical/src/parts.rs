@@ -7,10 +7,8 @@
 //! Section VIII-A scalability estimates (adding three PEs costs
 //! ≈1.9 mm²).
 
-use serde::Serialize;
-
 /// One synthesized block: area and critical-path delay.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Part {
     /// Block name as printed in Table VIII.
     pub name: &'static str,
@@ -21,7 +19,7 @@ pub struct Part {
 }
 
 /// The Table VIII catalogue.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartCatalogue {
     parts: Vec<Part>,
 }

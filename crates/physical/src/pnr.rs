@@ -1,9 +1,7 @@
 //! Place-and-route progression statistics — Tables III, VI and VII.
 
-use serde::Serialize;
-
 /// A PnR stage snapshot (one column of Table III).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PnrStage {
     /// Stage name (Initial / Place / CTS / Route).
     pub stage: &'static str,
@@ -26,7 +24,7 @@ pub struct PnrStage {
 }
 
 /// The Table III progression.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PnrStats {
     stages: Vec<PnrStage>,
 }
@@ -101,7 +99,7 @@ impl Default for PnrStats {
 }
 
 /// One via layer's redundancy statistics (Table VII).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViaLayer {
     /// Layer name.
     pub layer: &'static str,
@@ -131,7 +129,7 @@ pub fn via_stats() -> Vec<ViaLayer> {
 }
 
 /// One EDA flow stage (Table VI).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowStage {
     /// What the stage does.
     pub stage: &'static str,

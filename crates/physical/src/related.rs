@@ -15,13 +15,11 @@
 //! The headline ratios — 6.3× vs F1, 1.39× vs CraterLake, 46.19× vs BTS,
 //! 4.72× vs ARK — come out of [`ComparisonTable::speedups`].
 
-use serde::Serialize;
-
 use crate::parts::PartCatalogue;
 use crate::scaling::TechScaling;
 
 /// Implementation style of a related design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Platform {
     /// Fabricated or synthesized ASIC.
     Asic,
@@ -30,7 +28,7 @@ pub enum Platform {
 }
 
 /// One row of Table XI.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelatedDesign {
     /// Design name.
     pub name: &'static str,
@@ -71,7 +69,7 @@ impl RelatedDesign {
 }
 
 /// The full Table XI.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonTable {
     /// CoFHEE's row.
     pub cofhee: RelatedDesign,

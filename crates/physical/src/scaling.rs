@@ -7,10 +7,8 @@
 //! technology library … The results indicate that the scaling factor
 //! reduces the area by 16.7× and the critical path by 3.7×."
 
-use serde::Serialize;
-
 /// A technology node scaling relation (from a reference synthesis).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechScaling {
     /// Source node label.
     pub from_node: &'static str,

@@ -30,7 +30,6 @@ use cofhee_ckks::{CkksCiphertext, CkksParams, CkksRelinKey};
 use cofhee_core::SharedSink;
 use cofhee_farm::{Job, JobKind, Scheduler, Session, SessionId};
 use cofhee_obs::{null_sink, CycleHistogram, MetricsRegistry, TraceEvent, Track};
-use cofhee_opt::OptLevel;
 
 use crate::admission::{AdmissionPolicy, QueueView};
 use crate::error::{AdmitError, DenyReason, QuotaKind, Result, ServiceError};
@@ -132,20 +131,12 @@ pub struct GatewayConfig {
     /// More slots than dies keeps every die's FIFO fed; the default
     /// from [`GatewayConfig::for_chips`] is 2× the die count.
     pub farm_slots: usize,
-    /// Stream-compiler level applied to requests that do not choose
-    /// their own via [`Gateway::submit_opt`]. `O0` by default; every
-    /// level is bit-exact, so this only trades compile work for cycles.
-    pub opt_level: OptLevel,
 }
 
 impl GatewayConfig {
     /// The default configuration for a farm of `chips` dies.
     pub fn for_chips(chips: usize) -> Self {
-        Self {
-            default_quotas: QuotaConfig::default(),
-            farm_slots: (2 * chips).max(1),
-            opt_level: OptLevel::O0,
-        }
+        Self { default_quotas: QuotaConfig::default(), farm_slots: (2 * chips).max(1) }
     }
 }
 
@@ -154,7 +145,6 @@ impl GatewayConfig {
 struct Queued {
     ticket: Ticket,
     request: Request,
-    opt_level: OptLevel,
 }
 
 /// A dispatched request whose virtual finish time has not been reached.
@@ -229,7 +219,6 @@ pub struct Gateway {
     next_ticket: u64,
     farm_slots: usize,
     default_quotas: QuotaConfig,
-    default_opt_level: OptLevel,
     fault: Option<ServiceError>,
     /// Completed-request latency / queue-wait / service cycles as
     /// streaming histograms (same summary type the farm reports).
@@ -256,7 +245,6 @@ impl Gateway {
             next_ticket: 0,
             farm_slots: config.farm_slots.max(1),
             default_quotas: config.default_quotas,
-            default_opt_level: config.opt_level,
             fault: None,
             latency_samples: CycleHistogram::new(),
             queue_samples: CycleHistogram::new(),
@@ -430,23 +418,6 @@ impl Gateway {
         self.submit_at(tenant, request, self.now)
     }
 
-    /// Submits a request at the current clock with an explicit
-    /// stream-compiler level for this request only (overriding
-    /// [`GatewayConfig::opt_level`]). Results are bit-identical at every
-    /// level — the level only changes how many cycles the farm spends.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`AdmitError`]s, as [`Gateway::submit`].
-    pub fn submit_opt(
-        &mut self,
-        tenant: TenantId,
-        request: Request,
-        level: OptLevel,
-    ) -> core::result::Result<Ticket, AdmitError> {
-        self.submit_opt_at(tenant, request, level, self.now)
-    }
-
     /// Submits a request arriving at virtual cycle `at` (clamped to the
     /// clock — time never runs backwards). The event loop advances to
     /// `at` first, so the admission decision sees exactly the queue and
@@ -460,22 +431,6 @@ impl Gateway {
         &mut self,
         tenant: TenantId,
         request: Request,
-        at: u64,
-    ) -> core::result::Result<Ticket, AdmitError> {
-        self.submit_opt_at(tenant, request, self.default_opt_level, at)
-    }
-
-    /// [`Gateway::submit_opt`] at virtual cycle `at` (clamped to the
-    /// clock).
-    ///
-    /// # Errors
-    ///
-    /// Typed [`AdmitError`]s, as [`Gateway::submit`].
-    pub fn submit_opt_at(
-        &mut self,
-        tenant: TenantId,
-        request: Request,
-        level: OptLevel,
         at: u64,
     ) -> core::result::Result<Ticket, AdmitError> {
         self.advance_to(at.max(self.now));
@@ -546,7 +501,7 @@ impl Gateway {
         self.next_ticket += 1;
         self.tickets.insert(ticket.id(), ticket);
         let t = &mut self.tenants[tenant.raw() as usize];
-        t.queue.push_back(Queued { ticket, request, opt_level: level });
+        t.queue.push_back(Queued { ticket, request });
         t.in_flight += 1;
         t.stats.admitted += 1;
         t.stats.peak_queue = t.stats.peak_queue.max(t.queue.len() as u64);
@@ -667,7 +622,7 @@ impl Gateway {
             );
             self.trace.record(TraceEvent::span(track, "queue", queued.ticket.arrival(), self.now));
         }
-        match self.sched.run_with_opt(vec![job], queued.opt_level) {
+        match self.sched.run(vec![job]) {
             Ok(mut outcomes) => {
                 let o = outcomes.pop().expect("one job in, one outcome out");
                 self.registry.materialize(queued.ticket.result(), o.result.into(), o.finish);

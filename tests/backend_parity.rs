@@ -1,6 +1,7 @@
 //! Property tests: `CpuBackend` and `ChipBackend` are bit-identical for
-//! every `PolyBackend` operation, across random polynomials, both the
-//! silicon and a custom `ChipConfig`, and three modulus widths: 47 and
+//! every `StreamOp` compute kind — each run as a one-node stream over
+//! operands the backend already stores — across random polynomials,
+//! both the silicon and a custom `ChipConfig`, and three modulus widths: 47 and
 //! 60 bits, where both backends compute on `Barrett64` (the simulator
 //! narrows canonical operands), and 109 bits, where both compute on
 //! `Barrett128` in the simulated SRAM in place.
@@ -12,7 +13,7 @@
 //! discipline (Section III-J), promoted to a machine-checked property.
 
 use cofhee::arith::primes::ntt_prime;
-use cofhee::core::{ChipBackend, CpuBackend, PolyBackend};
+use cofhee::core::{ChipBackend, CpuBackend, OpStream, PolyBackend, StreamHandle};
 use cofhee::poly::naive;
 use cofhee::sim::ChipConfig;
 use proptest::collection::vec as pvec;
@@ -54,24 +55,48 @@ fn backends(custom: bool, width: usize) -> (CpuBackend, ChipBackend) {
     (CpuBackend::new(q, N).unwrap(), ChipBackend::connect(config_for(custom), q, N).unwrap())
 }
 
-/// Applies one op on a backend and returns the downloaded result.
+/// Number of compute kinds in the `StreamOp` vocabulary.
+const KINDS: usize = 9;
+
+/// Stores `a` and `b` on the backend, runs compute kind `op` over them as
+/// a one-node stream, and returns the stream's output.
 fn apply(be: &mut dyn PolyBackend, op: usize, a: &[u128], b: &[u128], c: u128) -> Vec<u128> {
-    let ha = be.upload(a).unwrap();
-    let hb = be.upload(b).unwrap();
-    let hr = match op {
-        0 => be.ntt(ha).unwrap(),
-        1 => be.intt(ha).unwrap(),
-        2 => be.hadamard(ha, hb).unwrap(),
-        3 => be.pointwise_add(ha, hb).unwrap(),
-        4 => be.pointwise_sub(ha, hb).unwrap(),
-        5 => be.scalar_mul(ha, c).unwrap(),
-        _ => be.poly_mul(ha, hb).unwrap(),
-    };
-    let out = be.download(hr).unwrap();
-    for h in [ha, hb, hr] {
+    let stored = [be.upload(a).unwrap(), be.upload(b).unwrap()];
+    let mut st = OpStream::new(N);
+    let [ha, hb] = stored.map(|h| st.input(h));
+    let node = match op {
+        0 => st.ntt(ha),
+        1 => st.intt(ha),
+        2 => st.hadamard(ha, hb),
+        3 => st.pointwise_add(ha, hb),
+        4 => st.pointwise_sub(ha, hb),
+        5 => st.scalar_mul(ha, c),
+        6 => st.hadamard_intt(ha, hb),
+        7 => st.hadamard_add(ha, hb, hb),
+        _ => st.poly_mul(ha, hb),
+    }
+    .unwrap();
+    st.output(node).unwrap();
+    let out = be.execute_stream(&st).unwrap().outputs.remove(0);
+    // Inputs are borrowed: still there, still what was stored.
+    let q = be.modulus();
+    assert_eq!(be.download(stored[0]).unwrap(), a.iter().map(|&x| x % q).collect::<Vec<_>>());
+    for h in stored {
         be.free(h);
     }
     out
+}
+
+/// `op` over freshly uploaded `operands`, as a stream of its own.
+fn stream_of(
+    operands: &[&[u128]],
+    op: impl FnOnce(&mut OpStream, &[StreamHandle]) -> StreamHandle,
+) -> OpStream {
+    let mut st = OpStream::new(N);
+    let ups: Vec<_> = operands.iter().map(|p| st.upload(p.to_vec()).unwrap()).collect();
+    let out = op(&mut st, &ups);
+    st.output(out).unwrap();
+    st
 }
 
 proptest! {
@@ -82,7 +107,7 @@ proptest! {
         a in pvec(any::<u128>(), N),
         b in pvec(any::<u128>(), N),
         c in any::<u128>(),
-        op in 0usize..7,
+        op in 0usize..KINDS,
         custom in any::<bool>(),
         width in 0usize..WIDTHS.len(),
     ) {
@@ -118,10 +143,11 @@ proptest! {
         let reduced: Vec<u128> = a.iter().map(|&x| x % q).collect();
         let (mut cpu, mut chip) = backends(custom, width);
         for be in [&mut cpu as &mut dyn PolyBackend, &mut chip as &mut dyn PolyBackend] {
-            let h = be.upload(&a).unwrap();
-            let f = be.ntt(h).unwrap();
-            let r = be.intt(f).unwrap();
-            prop_assert_eq!(be.download(r).unwrap(), reduced.clone());
+            let st = stream_of(&[&a], |st, ups| {
+                let f = st.ntt(ups[0]).unwrap();
+                st.intt(f).unwrap()
+            });
+            prop_assert_eq!(&be.execute_stream(&st).unwrap().outputs[0], &reduced);
         }
     }
 
@@ -139,10 +165,8 @@ proptest! {
         let oracle = naive::negacyclic_mul(&ring, &ar, &br).unwrap();
         let (mut cpu, mut chip) = backends(custom, width);
         for be in [&mut cpu as &mut dyn PolyBackend, &mut chip as &mut dyn PolyBackend] {
-            let ha = be.upload(&a).unwrap();
-            let hb = be.upload(&b).unwrap();
-            let hp = be.poly_mul(ha, hb).unwrap();
-            prop_assert_eq!(be.download(hp).unwrap(), oracle.clone());
+            let st = stream_of(&[&a, &b], |st, ups| st.poly_mul(ups[0], ups[1]).unwrap());
+            prop_assert_eq!(&be.execute_stream(&st).unwrap().outputs[0], &oracle);
         }
     }
 }
@@ -154,11 +178,11 @@ fn chip_telemetry_differs_by_config_but_values_do_not() {
     let a: Vec<u128> = (0..N as u128).map(|i| (i * 131 + 17) % q).collect();
     let mut silicon = ChipBackend::connect(ChipConfig::silicon(), q, N).unwrap();
     let mut custom = ChipBackend::connect(custom_config(), q, N).unwrap();
-    let hs = silicon.upload(&a).unwrap();
-    let hc = custom.upload(&a).unwrap();
-    let fs = silicon.ntt(hs).unwrap();
-    let fc = custom.ntt(hc).unwrap();
-    assert_eq!(silicon.download(fs).unwrap(), custom.download(fc).unwrap());
+    let st = stream_of(&[&a], |st, ups| st.ntt(ups[0]).unwrap());
+    assert_eq!(
+        silicon.execute_stream(&st).unwrap().outputs,
+        custom.execute_stream(&st).unwrap().outputs
+    );
     assert_ne!(
         silicon.report().cycles,
         custom.report().cycles,

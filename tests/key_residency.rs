@@ -52,9 +52,8 @@ fn factories() -> [(&'static str, Box<dyn BackendFactory>); 2] {
 /// Buffers the CPU backends have handed out and not got back: every
 /// buffer there is taken from the pool (a hit or a miss) and every free
 /// returns one (recycled; a return past the cap would be dropped
-/// uncounted and read as a leak, not hide one). The chip's direct ops
-/// allocate their results in the device download, outside this ledger —
-/// `cofhee_opt`'s engine tests show the frees there by handle.
+/// uncounted and read as a leak, not hide one). `cofhee_opt`'s engine
+/// tests show the frees on chip backends by handle.
 fn live_buffers(pool: PoolStats) -> u64 {
     pool.hits + pool.misses - pool.recycled
 }

@@ -7,8 +7,9 @@
 use cofhee::bfv::{BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext, RelinKey};
 use cofhee::core::ChipBackendFactory;
 use cofhee::farm::{ChipFarm, Scheduler, WorkStealing};
+use cofhee::opt::OptLevel;
 use cofhee::service::{
-    CtHandle, Gateway, GatewayConfig, OptLevel, QuotaConfig, Request, TenantFair, TenantId,
+    CtHandle, Gateway, GatewayConfig, QuotaConfig, Request, TenantFair, TenantId,
 };
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -136,8 +137,14 @@ fn run_script(
 /// Builds a 1-die gateway with one registered tenant and two uploaded
 /// constants (3 and 4).
 fn one_die(f: &mut Fixture) -> (Gateway, TenantId, CtHandle, CtHandle) {
+    one_die_at(f, OptLevel::O0)
+}
+
+/// [`one_die`] over a scheduler set to `level`.
+fn one_die_at(f: &mut Fixture, level: OptLevel) -> (Gateway, TenantId, CtHandle, CtHandle) {
     let farm = ChipFarm::new(1, ChipBackendFactory::silicon()).unwrap();
-    let sched = Scheduler::new(farm, Box::new(WorkStealing));
+    let mut sched = Scheduler::new(farm, Box::new(WorkStealing));
+    sched.set_opt_level(level);
     let mut gw = Gateway::new(sched, Box::new(TenantFair::default()), GatewayConfig::for_chips(1));
     let alice = gw.register_tenant("alice", &f.params, Some(f.rlk.clone())).unwrap();
     let mut put = |v: u64, f: &mut Fixture| {
@@ -197,21 +204,24 @@ fn evicting_an_operand_cascades_cancellation_through_dependents() {
     assert_eq!(f.dec.decrypt(gw.result(&t1).unwrap()).unwrap().coeffs()[0], 6);
 }
 
-/// Per-request opt levels ride through the gateway: an O1 `MulRelin`
-/// decrypts exactly like the O0 default, and the optimizer counters it
-/// produces surface in the rendered service report.
+/// One stream-compiler level, set in one place: a gateway runs at its
+/// scheduler's. Over a scheduler at `O1` it returns the `O0` ciphertext
+/// bit for bit, and the rewrites surface in the rendered service report.
 #[test]
-fn per_request_opt_levels_are_bit_exact_and_surface_in_telemetry() {
-    let mut f = fixture();
-    let (mut gw, alice, x, y) = one_die(&mut f);
-    let base = gw.submit(alice, Request::MulRelin(x, y)).unwrap();
-    let opt = gw.submit_opt(alice, Request::MulRelin(x, y), OptLevel::O1).unwrap();
-    gw.drain().unwrap();
-    let a = f.dec.decrypt(gw.result(&base).unwrap()).unwrap();
-    let b = f.dec.decrypt(gw.result(&opt).unwrap()).unwrap();
-    assert_eq!(a.coeffs(), b.coeffs());
-    assert_eq!(a.coeffs()[0], 12);
-    let report = gw.report();
+fn a_gateway_runs_at_its_schedulers_opt_level_bit_for_bit() {
+    let run = |level: OptLevel| {
+        let mut f = fixture();
+        let (mut gw, alice, x, y) = one_die_at(&mut f, level);
+        let ticket = gw.submit(alice, Request::MulRelin(x, y)).unwrap();
+        gw.drain().unwrap();
+        let ct = gw.result(&ticket).unwrap().clone();
+        assert_eq!(f.dec.decrypt(&ct).unwrap().coeffs()[0], 12);
+        (ct, gw.report())
+    };
+    let (recorded, base) = run(OptLevel::O0);
+    let (optimized, report) = run(OptLevel::O1);
+    assert_eq!(optimized, recorded);
+    assert_eq!(base.farm.stream_totals.ops_fused, 0, "O0 executes as recorded");
     assert!(report.farm.stream_totals.ops_fused > 0, "O1 fuses the key-switch accumulates");
     assert!(report.render().contains("optimizer:"));
 }

@@ -1,19 +1,25 @@
-//! Property tests: any recorded `OpStream`, executed via
-//! `StreamExecutor`, is bit-identical to executing the same operations
-//! synchronously through the one-op-at-a-time `PolyBackend` calls — on
-//! both the CPU reference and the simulated chip, across random
-//! programs and both the silicon and a custom microarchitecture.
+//! Property tests: any recorded `OpStream`, executed by either backend,
+//! is bit-identical to an oracle that is not the code under test — a
+//! test-local interpreter of the recorded nodes over the strict kernels
+//! (`cofhee_poly::ntt`, the role `cofhee_poly` documents as "fallback +
+//! oracle") and `Barrett128` scalar arithmetic. It shares no code with
+//! the Harvey plan `CpuBackend` replays on, nor with the chip's FIFO
+//! scheduler — across random programs, 60- and 109-bit moduli, and both
+//! the silicon and a custom microarchitecture.
 //!
-//! This is the contract the asynchronous API stands on: batching,
-//! FIFO scheduling, bank allocation, DMA overlap and per-limb thread
-//! dispatch may rearrange *when* and *where* work happens, but never
-//! *what* it computes.
+//! This is the contract the stream API stands on: liveness-driven
+//! freeing, lazy reduction, batching, FIFO scheduling, bank allocation,
+//! DMA overlap and per-limb thread dispatch may rearrange *when* and
+//! *where* work happens, but never *what* it computes.
 
 use cofhee::arith::primes::ntt_prime;
+use cofhee::arith::{Barrett128, ModRing};
 use cofhee::core::{
     ChipBackend, CpuBackend, OpStream, PolyBackend, StreamExecutor, StreamHandle, StreamJob,
+    StreamOp,
 };
 use cofhee::opt::{execute_partitioned, optimize, OptLevel, Partitioner};
+use cofhee::poly::ntt::{forward_inplace, inverse_inplace, NttTables};
 use cofhee::sim::ChipConfig;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -47,19 +53,21 @@ fn custom_config() -> ChipConfig {
     }
 }
 
-/// One random program step: (op selector, operand picks, constant).
+/// One random program step: (op selector, operand picks, constant —
+/// which doubles as the accumulator pick of a multiply-accumulate).
 type Step = (usize, usize, usize, u128);
 
 /// Records the random program as a stream; every step's operands are
-/// earlier results, so arbitrary `Step` lists form valid DAGs.
-fn record(inputs: &[Vec<u128>], steps: &[Step]) -> (OpStream, Vec<StreamHandle>) {
+/// earlier results, so arbitrary `Step` lists form valid DAGs over all
+/// nine compute kinds.
+fn record(inputs: &[Vec<u128>], steps: &[Step]) -> OpStream {
     let mut st = OpStream::new(N);
     let mut handles: Vec<StreamHandle> =
         inputs.iter().map(|p| st.upload(p.clone()).unwrap()).collect();
     for &(kind, x, y, c) in steps {
         let hx = handles[x % handles.len()];
         let hy = handles[y % handles.len()];
-        let h = match kind % 8 {
+        let h = match kind % 9 {
             0 => st.ntt(hx),
             1 => st.intt(hx),
             2 => st.hadamard(hx, hy),
@@ -67,6 +75,7 @@ fn record(inputs: &[Vec<u128>], steps: &[Step]) -> (OpStream, Vec<StreamHandle>)
             4 => st.pointwise_sub(hx, hy),
             5 => st.scalar_mul(hx, c),
             6 => st.hadamard_intt(hx, hy),
+            7 => st.hadamard_add(hx, hy, handles[c as usize % handles.len()]),
             _ => st.poly_mul(hx, hy),
         }
         .unwrap();
@@ -78,45 +87,59 @@ fn record(inputs: &[Vec<u128>], steps: &[Step]) -> (OpStream, Vec<StreamHandle>)
     for h in picks {
         st.output(h).unwrap();
     }
-    (st, handles)
+    st
 }
 
-/// Ground truth: the same program through the synchronous calls.
-fn run_sync(be: &mut dyn PolyBackend, inputs: &[Vec<u128>], steps: &[Step]) -> Vec<Vec<u128>> {
-    let mut handles = Vec::new();
-    for p in inputs {
-        handles.push(be.upload(p).unwrap());
-    }
-    for &(kind, x, y, c) in steps {
-        let hx = handles[x % handles.len()];
-        let hy = handles[y % handles.len()];
-        let h = match kind % 8 {
-            0 => be.ntt(hx).unwrap(),
-            1 => be.intt(hx).unwrap(),
-            2 => be.hadamard(hx, hy).unwrap(),
-            3 => be.pointwise_add(hx, hy).unwrap(),
-            4 => be.pointwise_sub(hx, hy).unwrap(),
-            5 => be.scalar_mul(hx, c).unwrap(),
-            6 => be.hadamard_intt(hx, hy).unwrap(),
-            _ => be.poly_mul(hx, hy).unwrap(),
+/// Ground truth: the recorded nodes interpreted one by one over the
+/// strict kernels, every value kept canonical.
+fn oracle(q: u128, stream: &OpStream) -> Vec<Vec<u128>> {
+    let ring = Barrett128::new(q).unwrap();
+    let tables = NttTables::new(&ring, N).unwrap();
+    let forward = |mut v: Vec<u128>| {
+        forward_inplace(&ring, &mut v, &tables).unwrap();
+        v
+    };
+    let inverse = |mut v: Vec<u128>| {
+        inverse_inplace(&ring, &mut v, &tables).unwrap();
+        v
+    };
+    let zip = |x: &[u128], y: &[u128], f: &dyn Fn(u128, u128) -> u128| -> Vec<u128> {
+        x.iter().zip(y).map(|(&a, &b)| f(a, b)).collect()
+    };
+    let (add, sub, mul) = (|a, b| ring.add(a, b), |a, b| ring.sub(a, b), |a, b| ring.mul(a, b));
+    let mut vals: Vec<Vec<u128>> = Vec::with_capacity(stream.len());
+    for op in stream.nodes() {
+        let at = |h: &StreamHandle| &vals[h.index()];
+        let v = match op {
+            StreamOp::Upload(p) => p.iter().map(|&c| ring.from_u128(c)).collect(),
+            StreamOp::Input(_) => unreachable!("the random programs hold nothing resident"),
+            StreamOp::Ntt(x) => forward(at(x).clone()),
+            StreamOp::Intt(x) => inverse(at(x).clone()),
+            StreamOp::Hadamard(x, y) => zip(at(x), at(y), &mul),
+            StreamOp::HadamardIntt(x, y) => inverse(zip(at(x), at(y), &mul)),
+            StreamOp::HadamardAdd(x, y, acc) => zip(&zip(at(x), at(y), &mul), at(acc), &add),
+            StreamOp::PointwiseAdd(x, y) => zip(at(x), at(y), &add),
+            StreamOp::PointwiseSub(x, y) => zip(at(x), at(y), &sub),
+            StreamOp::ScalarMul(x, c) => {
+                let c = ring.from_u128(*c);
+                at(x).iter().map(|&a| ring.mul(a, c)).collect()
+            }
+            StreamOp::PolyMul(a, b) => {
+                inverse(zip(&forward(at(a).clone()), &forward(at(b).clone()), &mul))
+            }
         };
-        handles.push(h);
+        vals.push(v);
     }
-    let picks = [handles[0], handles[handles.len() / 2], *handles.last().unwrap()];
-    let out = picks.iter().map(|&h| be.download(h).unwrap()).collect();
-    for h in handles {
-        be.free(h);
-    }
-    out
+    stream.outputs().iter().map(|h| vals[h.index()].clone()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    // The satellite contract: stream execution ≡ synchronous execution,
-    // on both backends, for arbitrary recorded programs.
+    // Stream execution ≡ the strict-kernel oracle, on both backends, for
+    // arbitrary recorded programs.
     #[test]
-    fn any_stream_is_bit_identical_to_sync_execution(
+    fn any_stream_is_bit_identical_to_the_strict_kernel_oracle(
         inputs in pvec(pvec(any::<u128>(), N), 3),
         steps in pvec((any::<usize>(), any::<usize>(), any::<usize>(), any::<u128>()), 12),
         custom in any::<bool>(),
@@ -124,27 +147,18 @@ proptest! {
     ) {
         let q = chip_modulus(wide);
         let config = if custom { custom_config() } else { ChipConfig::silicon() };
-        let (stream, _) = record(&inputs, &steps);
+        let stream = record(&inputs, &steps);
+        let truth = oracle(q, &stream);
 
-        // Ground truth: synchronous one-op-at-a-time execution.
-        let mut sync_cpu = CpuBackend::new(q, N).unwrap();
-        let truth = run_sync(&mut sync_cpu, &inputs, &steps);
-
-        // Streamed on the CPU reference (degenerate replay path).
+        // The CPU replay: the Harvey plan at the modulus width, lazy
+        // reduction, buffers recycled by liveness.
         let mut cpu = CpuBackend::new(q, N).unwrap();
-        let on_cpu = StreamExecutor::run(&mut cpu, &stream).unwrap();
-        prop_assert_eq!(&on_cpu.outputs, &truth);
+        prop_assert_eq!(&cpu.execute_stream(&stream).unwrap().outputs, &truth);
 
-        // Streamed on the chip: FIFO batches, bank allocation, DMA
-        // overlap — values must still match exactly.
+        // The chip: FIFO batches, bank allocation, DMA overlap — values
+        // must still match exactly.
         let mut chip = ChipBackend::connect(config, q, N).unwrap();
-        let on_chip = StreamExecutor::run(&mut chip, &stream).unwrap();
-        prop_assert_eq!(&on_chip.outputs, &truth);
-
-        // And the chip's synchronous path agrees too.
-        let mut sync_chip =
-            ChipBackend::connect(ChipConfig::silicon(), q, N).unwrap();
-        prop_assert_eq!(run_sync(&mut sync_chip, &inputs, &steps), truth);
+        prop_assert_eq!(&chip.execute_stream(&stream).unwrap().outputs, &truth);
     }
 
     // The stream-compiler contract: at every opt level the optimized
@@ -158,10 +172,10 @@ proptest! {
         wide in any::<bool>(),
     ) {
         let q = chip_modulus(wide);
-        let (stream, _) = record(&inputs, &steps);
+        let stream = record(&inputs, &steps);
 
         let mut cpu = CpuBackend::new(q, N).unwrap();
-        let truth = StreamExecutor::run(&mut cpu, &stream).unwrap().outputs;
+        let truth = cpu.execute_stream(&stream).unwrap().outputs;
 
         for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
             let (opt, stats) = optimize(&stream, level).unwrap();
@@ -173,11 +187,11 @@ proptest! {
             }
 
             let mut cpu = CpuBackend::new(q, N).unwrap();
-            let on_cpu = StreamExecutor::run(&mut cpu, &opt).unwrap();
+            let on_cpu = cpu.execute_stream(&opt).unwrap();
             prop_assert!(on_cpu.outputs == truth, "{level} on cpu diverged");
 
             let mut chip = ChipBackend::connect(ChipConfig::silicon(), q, N).unwrap();
-            let on_chip = StreamExecutor::run(&mut chip, &opt).unwrap();
+            let on_chip = chip.execute_stream(&opt).unwrap();
             prop_assert!(on_chip.outputs == truth, "{level} on chip diverged");
         }
     }
@@ -193,16 +207,16 @@ proptest! {
         wide in any::<bool>(),
     ) {
         let q = chip_modulus(wide);
-        let (stream, _) = record(&inputs, &steps);
+        let stream = record(&inputs, &steps);
 
         let mut cpu = CpuBackend::new(q, N).unwrap();
-        let truth = StreamExecutor::run(&mut cpu, &stream).unwrap().outputs;
+        let truth = cpu.execute_stream(&stream).unwrap().outputs;
 
         // Force splitting even for short random programs.
         let plan = Partitioner { max_parts: parts, min_nodes: 4 }.partition(&stream);
         let outputs = execute_partitioned(&stream, &plan, |_, part_stream, _| {
             let mut chip = ChipBackend::connect(ChipConfig::silicon(), q, N).unwrap();
-            Ok(StreamExecutor::run(&mut chip, part_stream)?.outputs)
+            Ok(chip.execute_stream(part_stream)?.outputs)
         })
         .unwrap();
         prop_assert_eq!(outputs, truth);
@@ -216,7 +230,7 @@ proptest! {
         steps in pvec((any::<usize>(), any::<usize>(), any::<usize>(), any::<u128>()), 6),
     ) {
         let limb_bits = [59u32, 60, 61];
-        let (stream, _) = record(&inputs, &steps);
+        let stream = record(&inputs, &steps);
         let mut backends: Vec<CpuBackend> = limb_bits
             .iter()
             .map(|&bits| CpuBackend::new(ntt_prime(bits, N).unwrap(), N).unwrap())
@@ -228,7 +242,7 @@ proptest! {
         let fanned = StreamExecutor::run_parallel(jobs).unwrap();
         for (i, &bits) in limb_bits.iter().enumerate() {
             let mut seq = CpuBackend::new(ntt_prime(bits, N).unwrap(), N).unwrap();
-            let expect = StreamExecutor::run(&mut seq, &stream).unwrap();
+            let expect = seq.execute_stream(&stream).unwrap();
             prop_assert_eq!(&fanned[i].outputs, &expect.outputs);
         }
     }
