@@ -24,6 +24,8 @@
 //! * per-die drain-span durations sum **exactly** to the die's
 //!   `ChipStats::busy_cycles` — the trace reconciles with the farm
 //!   report cycle for cycle;
+//! * `farm.dma.key_bytes + farm.dma.operand_bytes` of either section
+//!   is its `stream_totals.uploaded_bytes` less the command words;
 //! * every completed gateway request shows the full
 //!   admit → queue → materialize chain.
 
@@ -235,6 +237,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             c.chip
         );
         println!("  die {}: {} drain cycles == busy_cycles (exact)", c.chip, drained);
+    }
+
+    // ── Gate 2b: the DMA split reconciles with the stream totals ──
+    // Key-switch key uploads and operand uploads are counted apart on
+    // the host; together they are what the dies accounted as uploaded,
+    // less the command words.
+    for (section, m, totals) in [
+        ("farm", sched.metrics(), farm_report.stream_totals),
+        ("service", gw.metrics(), service_report.farm.stream_totals),
+    ] {
+        let (key, operand) = (m.counter("farm.dma.key_bytes"), m.counter("farm.dma.operand_bytes"));
+        let command_bytes = totals.commands * cofhee_sim::COMMAND_WORDS as u64 * 4;
+        assert!(key > 0, "{section}: the section relinearizes");
+        assert_eq!(
+            key + operand,
+            totals.uploaded_bytes - command_bytes,
+            "{section}: key + operand DMA must be the uploaded bytes less command words"
+        );
+        println!("  {section}: {key} key + {operand} operand upload bytes reconcile (exact)");
     }
 
     // ── Gate 3: every scheduled job has a complete phase chain ──

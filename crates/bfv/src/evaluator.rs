@@ -41,10 +41,10 @@
 //! via [`Evaluator::backend_stream_report`].
 //!
 //! The one thing that outlives a stream is the relinearization key: the
-//! engine — not this evaluator — owns its NTT-form copy on the mod-q
-//! backend ([`LimbEngine::resident_keys`], the set CKKS uses too),
-//! transformed on a key's first use and released when the key is
-//! dropped.
+//! engine — not this evaluator — owns its copy on the mod-q backend
+//! ([`LimbEngine::resident_keys`], the set CKKS uses too), uploaded on a
+//! key's first use as the key stores it (NTT form, transformed once at
+//! key generation) and released when the key is dropped.
 
 use std::sync::Arc;
 
@@ -284,12 +284,13 @@ impl Evaluator {
     /// both relin-key polynomials, accumulating additions in the NTT
     /// domain, and two final inverse NTTs — are recorded as one
     /// [`OpStream`] on the mod-q backend and execute in a single batched
-    /// submit. The evaluator owns that backend, so the invariant key
-    /// polynomials are transformed **once** per [`RelinKey`] by
-    /// [`LimbEngine::resident_keys`] and stay resident on it in NTT form
-    /// for as long as the key lives; every stream references those
-    /// handles instead of re-transforming them (a borrowed backend gets
-    /// the self-contained [`Evaluator::relin_stream`] instead).
+    /// submit: `digits + 2` transforms. The key is stored in NTT form, so
+    /// nothing here transforms it; the evaluator owns that backend, so
+    /// [`LimbEngine::resident_keys`] uploads the key **once** per
+    /// [`RelinKey`] and it stays resident for as long as the key lives —
+    /// every stream references those handles (a borrowed backend gets the
+    /// self-contained [`Evaluator::relin_stream`] instead, the same
+    /// dataflow with the key uploaded in-stream).
     ///
     /// # Errors
     ///
@@ -298,8 +299,8 @@ impl Evaluator {
     /// ciphertext or a key generated under other parameters.
     pub fn relinearize(&self, ct: &Ciphertext, rlk: &RelinKey) -> Result<Ciphertext> {
         self.check_rlk(rlk)?;
-        let raw = rlk.parts.iter().map(|(k0, k1)| (k0.coeffs(), k1.coeffs())).collect();
-        let handles = self.engine.resident_keys(&rlk.id, 0, &[raw])?;
+        let stored = rlk.parts.iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect();
+        let handles = self.engine.resident_keys(&rlk.id, 0, &[stored])?;
         self.run_mod_q(self.key_switch_stream(ct, rlk, KeySwitchKeys::Resident(&handles[0]))?)
     }
 

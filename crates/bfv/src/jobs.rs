@@ -18,9 +18,10 @@
 //!    scheme-neutral [`cofhee_core::record_key_switch`] builder (shared
 //!    with CKKS rescale-relinearize) to record the key-switch inner
 //!    products as a self-contained mod-`q` stream — the relin-key
-//!    polynomials travel *inside* the stream, so it runs on any
-//!    borrowed backend ([`Evaluator::relinearize`] instead references
-//!    the NTT-form keys the evaluator's
+//!    polynomials travel *inside* the stream as the key stores them
+//!    (NTT form, shared payloads: nothing is transformed or copied), so
+//!    it runs on any borrowed backend ([`Evaluator::relinearize`]
+//!    instead references the copy the evaluator's
 //!    [`LimbEngine`](cofhee_opt::LimbEngine) keeps resident on the
 //!    backend it owns — the residency set CKKS uses too).
 //! 2. **Finish** — host-side reconstruction from the stream outputs:
@@ -133,9 +134,11 @@ impl Evaluator {
         Ok(st)
     }
 
-    /// Records plaintext multiplication (`ct · pt`: one Algorithm 2
-    /// PolyMul per component against the lifted plaintext, uploaded
-    /// once) as one mod-`q` stream; outputs are the result components.
+    /// Records plaintext multiplication (`ct · pt`: the lifted plaintext
+    /// uploaded and transformed once, then per component a forward NTT
+    /// and a fused Hadamard + inverse — Algorithm 2 with the shared
+    /// operand's transform hoisted) as one mod-`q` stream; outputs are
+    /// the result components.
     ///
     /// # Errors
     ///
@@ -146,9 +149,11 @@ impl Evaluator {
         let lifted: Vec<u128> = pt.coeffs().iter().map(|&m| m as u128).collect();
         let mut st = OpStream::new(n);
         let hm = st.upload(lifted)?;
+        let fm = st.ntt(hm)?;
         for p in a.polys() {
             let hp = st.upload(p.to_u128_vec())?;
-            let prod = st.poly_mul(hp, hm)?;
+            let fp = st.ntt(hp)?;
+            let prod = st.hadamard_intt(fp, fm)?;
             st.output(prod)?;
         }
         Ok(st)
@@ -286,12 +291,7 @@ impl Evaluator {
     pub(crate) fn check_rlk(&self, rlk: &RelinKey) -> Result<()> {
         let params = self.params();
         let digits = params.log_q().div_ceil(rlk.base_bits) as usize;
-        let same_ring = rlk
-            .parts
-            .iter()
-            .flat_map(|(k0, k1)| [k0, k1])
-            .all(|k| k.context().n() == params.n() && k.context().modulus() == params.q());
-        if rlk.digit_count() == digits && same_ring {
+        if rlk.digit_count() == digits && rlk.n == params.n() && rlk.q == params.q() {
             Ok(())
         } else {
             Err(BfvError::ParamsMismatch)
@@ -326,15 +326,16 @@ impl Evaluator {
     }
 
     /// Records relinearization as one self-contained mod-`q` stream: per
-    /// digit of the host-side decomposition, the digit polynomial *and
-    /// both relin-key polynomials* are uploaded and NTT-transformed
-    /// in-stream, Hadamard products accumulate in the NTT domain, and
-    /// the two folded components come back through inverse NTTs added
-    /// onto the base ciphertext. Unlike [`Evaluator::relinearize`]
-    /// (which keeps key material resident on the evaluator's own
-    /// backend), this stream carries everything it needs, so a scheduler
-    /// can run it on any borrowed mod-`q` backend. Outputs are the two
-    /// relinearized components — finish with
+    /// digit of the host-side decomposition, the digit polynomial is
+    /// uploaded and NTT-transformed in-stream and both relin-key
+    /// polynomials are uploaded as the key stores them — already in NTT
+    /// form, shared with the key, not copied — Hadamard products
+    /// accumulate in the NTT domain, and the two folded components come
+    /// back through inverse NTTs added onto the base ciphertext:
+    /// `digits + 2` transforms, what [`Evaluator::relinearize`] runs
+    /// against its resident copy. This stream carries everything it
+    /// needs, so a scheduler can run it on any borrowed mod-`q` backend.
+    /// Outputs are the two relinearized components — finish with
     /// [`Evaluator::ciphertext_from_outputs`].
     ///
     /// # Errors
@@ -344,9 +345,7 @@ impl Evaluator {
     /// ciphertext or a key generated under other parameters.
     pub fn relin_stream(&self, ct: &Ciphertext, rlk: &RelinKey) -> Result<OpStream> {
         self.check_rlk(rlk)?;
-        let keys: Vec<(Vec<u128>, Vec<u128>)> =
-            rlk.parts.iter().map(|(k0, k1)| (k0.to_u128_vec(), k1.to_u128_vec())).collect();
-        self.key_switch_stream(ct, rlk, KeySwitchKeys::Inline(&keys))
+        self.key_switch_stream(ct, rlk, KeySwitchKeys::Inline(&rlk.parts))
     }
 
     /// Rewraps downloaded stream outputs (canonical residues in

@@ -3,11 +3,12 @@
 use std::sync::Arc;
 
 use cofhee_arith::{Barrett128, ModRing};
+use cofhee_core::KeyPair;
 use cofhee_opt::KeyId;
 use cofhee_poly::{Domain, Polynomial};
 use rand::Rng;
 
-use crate::error::Result;
+use crate::error::{BfvError, Result};
 use crate::params::BfvParams;
 use crate::sampling;
 
@@ -40,6 +41,12 @@ pub struct PublicKey {
 /// A relinearization key: digit-decomposition key-switching material for
 /// folding the `c₃` component of a ciphertext product back onto `(c₁, c₂)`.
 ///
+/// The key is **stored in NTT form** — each polynomial transformed once,
+/// when the key is generated — as shared payloads: a key switch
+/// multiplies the transformed digits against it as it lies, so no
+/// execution route (the evaluator's resident copy, a farm's or a
+/// gateway's self-contained stream) transforms or copies it again.
+///
 /// The paper highlights (Section III-C) that CoFHEE's 128-bit coefficient
 /// choice was made partly so key switching stays efficient — fewer, wider
 /// digits.
@@ -47,11 +54,16 @@ pub struct PublicKey {
 pub struct RelinKey {
     /// Decomposition base `T = 2^base_bits`.
     pub(crate) base_bits: u32,
-    /// For digit `i`: `(−(aᵢ·s + eᵢ) + Tⁱ·s², aᵢ)`.
-    pub(crate) parts: Vec<(Polynomial<Barrett128>, Polynomial<Barrett128>)>,
+    /// Ring degree and modulus the key was generated under (an evaluator
+    /// refuses any other).
+    pub(crate) n: usize,
+    pub(crate) q: u128,
+    /// For digit `i`: the forward transforms of
+    /// `(−(aᵢ·s + eᵢ) + Tⁱ·s², aᵢ)`, canonical residues mod `q`.
+    pub(crate) parts: Vec<KeyPair>,
     /// Shared by clones (same key material): what the evaluator's
-    /// [`LimbEngine`](cofhee_opt::LimbEngine) keys the NTT-form resident
-    /// copy on, and whose last drop releases that copy.
+    /// [`LimbEngine`](cofhee_opt::LimbEngine) keys the resident copy on,
+    /// and whose last drop releases that copy.
     pub(crate) id: KeyId,
 }
 
@@ -64,6 +76,11 @@ impl RelinKey {
     /// Number of digits `⌈log₂ q / base_bits⌉`.
     pub fn digit_count(&self) -> usize {
         self.parts.len()
+    }
+
+    /// The stored `(k0, k1)` pairs, one per digit, in NTT form.
+    pub fn parts(&self) -> &[KeyPair] {
+        &self.parts
     }
 }
 
@@ -113,39 +130,50 @@ impl KeyGenerator {
         Ok(PublicKey { p0, p1: a })
     }
 
-    /// Derives a relinearization key with digits of `base_bits` bits.
+    /// Derives a relinearization key with digits of `base_bits` bits,
+    /// stored in NTT form: `s`, `s²` and each digit's `a` and `e` are
+    /// transformed once and `k0 = −(â ⊙ ŝ + ê) + Tⁱ·ŝ²` is formed there —
+    /// bit for bit the forward transform of the coefficient-domain key.
     ///
     /// # Errors
     ///
-    /// Propagates polynomial-arithmetic failures (none in practice).
+    /// Returns [`BfvError::InvalidParams`] unless `1 ≤ base_bits ≤ 63`
+    /// (a zero-width digit never terminates the decomposition and a
+    /// digit wider than a word overflows it), and propagates
+    /// polynomial-arithmetic failures (none in practice).
     pub fn relin_key<G: Rng + ?Sized>(&self, base_bits: u32, rng: &mut G) -> Result<RelinKey> {
+        if !(1..=63).contains(&base_bits) {
+            return Err(BfvError::InvalidParams {
+                reason: format!("relin digit width must be 1..=63 bits, got {base_bits}"),
+            });
+        }
         let ctx = Arc::clone(self.params.poly_ring());
         let ring = *ctx.ring();
         let n = self.params.n();
         let digits = self.params.log_q().div_ceil(base_bits) as usize;
+        let fs = self.sk.s.clone().into_ntt()?;
+        let fs_sq = self.sk.s_sq.clone().into_ntt()?;
         let mut parts = Vec::with_capacity(digits);
         let mut t_pow = ring.one(); // T^i mod q
-        let base = ring.from_u128(1u128 << base_bits.min(127));
+        let base = ring.from_u128(1u128 << base_bits);
         for _ in 0..digits {
-            let a = Polynomial::from_elems(
+            let fa = Polynomial::from_elems(
                 Arc::clone(&ctx),
                 sampling::uniform(&ring, n, rng),
                 Domain::Coefficient,
-            )?;
-            let e = Polynomial::from_elems(
+            )?
+            .into_ntt()?;
+            let fe = Polynomial::from_elems(
                 Arc::clone(&ctx),
                 sampling::error_poly(&ring, n, rng),
                 Domain::Coefficient,
-            )?;
-            let k0 = a
-                .negacyclic_mul(&self.sk.s)?
-                .add(&e)?
-                .neg()
-                .add(&self.sk.s_sq.scalar_mul(t_pow))?;
-            parts.push((k0, a));
+            )?
+            .into_ntt()?;
+            let k0 = fa.hadamard(&fs)?.add(&fe)?.neg().add(&fs_sq.scalar_mul(t_pow))?;
+            parts.push((Arc::new(k0.to_u128_vec()), Arc::new(fa.to_u128_vec())));
             t_pow = ring.mul(t_pow, base);
         }
-        Ok(RelinKey { base_bits, parts, id: KeyId::default() })
+        Ok(RelinKey { base_bits, n, q: self.params.q(), parts, id: KeyId::default() })
     }
 }
 
@@ -193,7 +221,8 @@ mod tests {
 
     #[test]
     fn relin_key_parts_encode_s_squared() {
-        // parts[i].0 + parts[i].1·s − T^i·s² must be small (= -e_i).
+        // Out of the stored NTT form, parts[i].0 + parts[i].1·s − T^i·s²
+        // must be small (= -e_i).
         let p = BfvParams::insecure_testing(16).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let kg = KeyGenerator::new(&p, &mut rng);
@@ -202,10 +231,16 @@ mod tests {
         let s = &kg.secret_key().s;
         let s_sq = s.negacyclic_mul(s).unwrap();
         assert_eq!(s_sq, kg.secret_key().s_sq);
+        let raw = |stored: &[u128]| {
+            Polynomial::from_elems(Arc::clone(p.poly_ring()), stored.to_vec(), Domain::Ntt)
+                .unwrap()
+                .into_coeff()
+                .unwrap()
+        };
         let mut t_pow = ring.one();
-        for (k0, a) in &rlk.parts {
-            let lhs = k0
-                .add(&a.negacyclic_mul(s).unwrap())
+        for (k0, a) in rlk.parts() {
+            let lhs = raw(k0)
+                .add(&raw(a).negacyclic_mul(s).unwrap())
                 .unwrap()
                 .sub(&s_sq.scalar_mul(t_pow))
                 .unwrap();
@@ -215,5 +250,25 @@ mod tests {
             }
             t_pow = ring.mul(t_pow, ring.from_u128(1 << 20));
         }
+    }
+
+    #[test]
+    fn relin_digit_width_is_checked_at_both_ends() {
+        let p = BfvParams::insecure_testing(16).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let kg = KeyGenerator::new(&p, &mut rng);
+        for bad in [0, 64, 127, 128, 200] {
+            assert!(
+                matches!(kg.relin_key(bad, &mut rng), Err(BfvError::InvalidParams { .. })),
+                "base_bits = {bad}"
+            );
+        }
+        // A refusal draws nothing: the next key is the one this seed makes.
+        let mut replay = StdRng::seed_from_u64(5);
+        let twin = KeyGenerator::new(&p, &mut replay).relin_key(1, &mut replay).unwrap();
+        let narrow = kg.relin_key(1, &mut rng).unwrap();
+        assert_eq!(narrow.parts(), twin.parts());
+        assert_eq!(narrow.digit_count() as u32, p.log_q());
+        assert_eq!(kg.relin_key(63, &mut rng).unwrap().digit_count(), 1);
     }
 }

@@ -17,7 +17,8 @@
 //! Per primitive:
 //!
 //! * `add`/`sub`/`add_plain` — pointwise limb streams.
-//! * `mul_plain` — one Algorithm 2 `poly_mul` per component per limb.
+//! * `mul_plain` — per limb, `ntt(pt)` once, then `ntt(cᵢ)` and a fused
+//!   Hadamard + inverse per component.
 //! * `multiply` — the 2×2 tensor per limb (4 NTTs, fused
 //!   Hadamard+iNTT outer components, NTT-domain middle accumulate),
 //!   exactly the dataflow of the BFV tensor stream but **without** the
@@ -33,11 +34,13 @@
 //!   128-bit native width by parameter validation), digit-decomposed,
 //!   and folded back via the scheme-neutral
 //!   [`cofhee_core::record_key_switch`] builder — one stream per limb,
-//!   against the relinearization key the engine keeps resident on the
-//!   limb backends in NTT form (`digits + 2` transforms per limb; the
-//!   `2 · digits` key transforms happen once per key). The
-//!   self-contained inline form for borrowed backends is
-//!   [`CkksEvaluator::relin_streams`], bit for bit the same result.
+//!   `digits + 2` transforms each, against the relinearization key the
+//!   engine keeps resident on the limb backends. The key is stored in
+//!   NTT form (transformed once, at key generation), so making it
+//!   resident is an upload. The self-contained inline form for borrowed
+//!   backends is [`CkksEvaluator::relin_streams`]: the same dataflow
+//!   with the stored key uploaded in-stream, bit for bit the same
+//!   result.
 
 use cofhee_core::{
     BackendFactory, CpuBackendFactory, KeySwitchKeys, OpReport, OpStream, PoolStats, StreamReport,
@@ -198,13 +201,13 @@ impl CkksEvaluator {
     }
 
     /// Folds the cubic component back onto two via digit-decomposition
-    /// key switching, one stream per limb. The evaluator owns its
-    /// backends, so the key is transformed **once** — the whole key, on
-    /// first use, by [`LimbEngine::resident_keys`] — and stays resident
-    /// on them in NTT form for as long as it lives; every stream
-    /// references those handles (a borrowed backend gets the
-    /// self-contained [`CkksEvaluator::relin_streams`] instead, the same
-    /// bits).
+    /// key switching, one stream per limb. The key is stored in NTT
+    /// form, so nothing here transforms it; the evaluator owns its
+    /// backends, so the key is uploaded to them **once** — the whole key,
+    /// on first use, by [`LimbEngine::resident_keys`] — and stays
+    /// resident for as long as it lives; every stream references those
+    /// handles (a borrowed backend gets the self-contained
+    /// [`CkksEvaluator::relin_streams`] instead, the same bits).
     ///
     /// # Errors
     ///
@@ -213,10 +216,10 @@ impl CkksEvaluator {
     /// under other parameters, plus backend failures.
     pub fn relinearize(&self, ct: &CkksCiphertext, rlk: &CkksRelinKey) -> Result<CkksCiphertext> {
         self.check_rlk(rlk)?;
-        let raw: Vec<Vec<_>> = (0..self.params.moduli().len())
+        let stored: Vec<Vec<_>> = (0..self.params.moduli().len())
             .map(|j| rlk.limb_parts(j).iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect())
             .collect();
-        let handles = self.engine.resident_keys(&rlk.id, 0, &raw)?;
+        let handles = self.engine.resident_keys(&rlk.id, 0, &stored)?;
         let streams = self
             .key_switch_streams(ct, |j, digits| KeySwitchKeys::Resident(&handles[j][..digits]))?;
         self.run(streams, ct.level(), ct.scale())

@@ -1,7 +1,10 @@
 //! CKKS key material: secret/public keys and the relinearization key,
-//! all carried per RNS limb of the modulus chain as raw residue vectors —
+//! all carried per RNS limb of the modulus chain as residue vectors —
 //! the one host-side representation of a CKKS polynomial, the form
-//! ciphertexts have and backends upload.
+//! ciphertexts have and backends upload. The secret and public keys are
+//! raw (coefficient-domain) residues; the relinearization key is stored
+//! in **NTT form**, the form every key switch consumes it in, so it is
+//! transformed exactly once — here, as it is generated.
 //!
 //! The small signed polynomials (ternary secret, CBD errors) are sampled
 //! *once* as integers and mapped into every limb's ring — that is what
@@ -15,20 +18,21 @@
 //!
 //! The products are recorded as streams — `s² = intt(ŝ ⊙ ŝ)`,
 //! `p0 = (a·s + e)·(q − 1)`, and the relinearization key as one stream
-//! per limb that transforms `s` once and emits every digit — and run on
-//! a CPU [`LimbEngine`] over the chain that the generator brings up on
-//! first use, so a word-sized chain prime is computed at word width.
+//! per limb that transforms `s` and `s²` once and emits every digit in
+//! the NTT domain — and run on a CPU [`LimbEngine`] over the chain that
+//! the generator brings up on first use, so a word-sized chain prime is
+//! computed at word width.
 //!
 //! The relinearization key records the ring degree and chain it was
 //! made for (the evaluator refuses any other) and carries a shared
 //! [`KeyId`]: the identity an evaluator's engine keys the key's
-//! NTT-form resident copy on, and releases it by.
+//! resident copy on, and releases it by.
 
 use std::sync::{Arc, OnceLock};
 
 use cofhee_arith::{signed, ModRing};
 use cofhee_bfv::sampling;
-use cofhee_core::{OpStream, StreamHandle};
+use cofhee_core::{KeyPair, OpStream, StreamHandle};
 use cofhee_opt::{KeyId, LimbEngine};
 use rand::Rng;
 
@@ -54,20 +58,21 @@ pub struct CkksPublicKey {
 
 /// The relinearization key: per limb `j`, per digit `i` of the
 /// base-`2^w` decomposition, the pair
-/// `(k0 = −(a·s + e) + Tⁱ·s², k1 = a)` as raw residue vectors. Stored
-/// limb-major, so a limb's key set is borrowed as is: by
-/// [`cofhee_core::KeySwitchKeys::Inline`] for the self-contained streams
-/// a borrowed backend runs, and by the evaluator's
-/// [`LimbEngine`] the one time it makes the key
-/// resident in NTT form on the backends it owns.
+/// `(k0 = −(a·s + e) + Tⁱ·s², k1 = a)`, **stored in NTT form** as shared
+/// payloads. Stored limb-major, so a limb's key set is borrowed as is:
+/// by [`cofhee_core::KeySwitchKeys::Inline`] for the self-contained
+/// streams a borrowed backend runs (uploaded as they lie, not copied),
+/// and by the evaluator's [`LimbEngine`] the one time it uploads the key
+/// to the backends it owns. Nothing transforms the key after it is made.
 #[derive(Debug, Clone)]
 pub struct CkksRelinKey {
     pub(crate) base_bits: u32,
     /// Ring degree and chain primes the residues were generated under.
     pub(crate) n: usize,
     pub(crate) moduli: Vec<u128>,
-    /// `parts[limb][digit] = (k0 residues, k1 residues)`.
-    pub(crate) parts: Vec<Vec<(Vec<u128>, Vec<u128>)>>,
+    /// `parts[limb][digit] = (k0, k1)`, each the forward transform mod
+    /// that limb's prime.
+    pub(crate) parts: Vec<Vec<KeyPair>>,
     /// Shared by clones (same key material): what the resident copy is
     /// keyed on, and whose last drop releases it.
     pub(crate) id: KeyId,
@@ -87,14 +92,14 @@ impl CkksRelinKey {
         self.parts[0].len()
     }
 
-    /// The `(k0, k1)` residue pairs of limb `j`, one per digit — the
-    /// inline key set a limb-`j` key-switch stream carries.
+    /// The stored NTT-form `(k0, k1)` pairs of limb `j`, one per digit —
+    /// the inline key set a limb-`j` key-switch stream carries.
     ///
     /// # Panics
     ///
     /// Panics when `j` is not a limb of the chain the key was made for.
     #[must_use]
-    pub fn limb_parts(&self, j: usize) -> &[(Vec<u128>, Vec<u128>)] {
+    pub fn limb_parts(&self, j: usize) -> &[KeyPair] {
         &self.parts[j]
     }
 }
@@ -152,7 +157,16 @@ impl CkksKeyGenerator {
         for (j, a_j) in a.into_iter().enumerate() {
             let mut st = OpStream::new(self.params.n());
             let fs = upload_ntt(&mut st, sk.s[j].clone())?;
-            let p0 = self.neg_rlwe_sample(&mut st, j, fs, &a_j, &e)?;
+            // The payload of `a` is shared with the stream, not copied.
+            let fa = {
+                let a = st.upload_shared(Arc::clone(&a_j))?;
+                st.ntt(a)?
+            };
+            let product = st.hadamard_intt(fa, fs)?;
+            let e = st.upload(lift_limb(&self.params, j, &e))?;
+            let sum = st.pointwise_add(product, e)?;
+            // `scalar_mul(q − 1)` is negation, bit for bit.
+            let p0 = st.scalar_mul(sum, self.params.moduli()[j] - 1)?;
             st.output(p0)?;
             let p0 = engine.run_one(j, st)?.pop().expect("the stream marks one output");
             parts.push((p0, unshare(a_j)));
@@ -162,7 +176,7 @@ impl CkksKeyGenerator {
 
     /// Derives the relinearization key at the parameter set's digit
     /// width: digit `i` encodes `Tⁱ·s²` (`T = 2^w`) under fresh
-    /// randomness, represented in every limb.
+    /// randomness, represented in every limb and stored in NTT form.
     ///
     /// # Errors
     ///
@@ -182,28 +196,36 @@ impl CkksKeyGenerator {
         for _ in 0..digits {
             e.push(sample_signed(&self.params, rng, SignedDist::Cbd));
             for (j, a_j) in a.iter_mut().enumerate() {
-                a_j.push(Arc::new(self.uniform(j, rng)));
+                a_j.push(self.uniform(j, rng));
             }
         }
         let engine = self.engine()?;
         let mut parts = Vec::with_capacity(a.len());
         for (j, a_j) in a.into_iter().enumerate() {
-            // One stream per limb: `s` transformed once, every digit's
-            // `k0ᵢ = −(aᵢ·s + eᵢ) + Tⁱ·s²` an output.
+            // One stream per limb, all of it in the NTT domain (the
+            // transform is linear, so this is bit for bit the transform
+            // of the coefficient-domain key): `s` and `s²` transformed
+            // once, then per digit `k̂0ᵢ = −(âᵢ ⊙ ŝ + êᵢ) + Tⁱ·ŝ²` and
+            // `k̂1ᵢ = âᵢ`, both outputs.
             let ring = self.params.ring(j);
             let mut st = OpStream::new(self.params.n());
             let fs = upload_ntt(&mut st, sk.s[j].clone())?;
-            let s_sq = st.upload(sk.s_sq[j].clone())?;
-            for (i, (a_ij, e_i)) in a_j.iter().zip(&e).enumerate() {
-                let masked = self.neg_rlwe_sample(&mut st, j, fs, a_ij, e_i)?;
+            let fs_sq = upload_ntt(&mut st, sk.s_sq[j].clone())?;
+            for (i, (a_ij, e_i)) in a_j.into_iter().zip(&e).enumerate() {
+                let fa = upload_ntt(&mut st, a_ij)?;
+                let fe = upload_ntt(&mut st, lift_limb(&self.params, j, e_i))?;
+                let product = st.hadamard(fa, fs)?;
+                let sum = st.pointwise_add(product, fe)?;
+                let masked = st.scalar_mul(sum, ring.modulus() - 1)?;
                 // Tⁱ mod qⱼ via repeated squaring on 2^w.
                 let t_pow = ring.pow(ring.from_u128(1u128 << w), i as u128);
-                let shifted = st.scalar_mul(s_sq, ring.to_u128(t_pow))?;
+                let shifted = st.scalar_mul(fs_sq, ring.to_u128(t_pow))?;
                 let k0 = st.pointwise_add(masked, shifted)?;
                 st.output(k0)?;
+                st.output(fa)?;
             }
-            let k0 = engine.run_one(j, st)?;
-            parts.push(k0.into_iter().zip(a_j.into_iter().map(unshare)).collect());
+            let mut stored = engine.run_one(j, st)?.into_iter().map(Arc::new);
+            parts.push(std::iter::from_fn(|| Some((stored.next()?, stored.next()?))).collect());
         }
         Ok(CkksRelinKey {
             base_bits: w,
@@ -224,27 +246,6 @@ impl CkksKeyGenerator {
 
     fn uniform<G: Rng + ?Sized>(&self, j: usize, rng: &mut G) -> Vec<u128> {
         sampling::uniform(self.params.ring(j), self.params.n(), rng)
-    }
-
-    /// Records `−(a·s + e)` in limb `j` against `fs = ntt(s)`:
-    /// `scalar_mul(q − 1)` is negation, bit for bit. The payload of `a`
-    /// is shared with the stream, not copied.
-    fn neg_rlwe_sample(
-        &self,
-        st: &mut OpStream,
-        j: usize,
-        fs: StreamHandle,
-        a: &Arc<Vec<u128>>,
-        e: &[i64],
-    ) -> Result<StreamHandle> {
-        let fa = {
-            let a = st.upload_shared(Arc::clone(a))?;
-            st.ntt(a)?
-        };
-        let product = st.hadamard_intt(fa, fs)?;
-        let e = st.upload(lift_limb(&self.params, j, e))?;
-        let sum = st.pointwise_add(product, e)?;
-        Ok(st.scalar_mul(sum, self.params.moduli()[j] - 1)?)
     }
 }
 
@@ -390,25 +391,33 @@ mod tests {
             let sk = kg.secret_key(&mut rng).unwrap();
             let pk = kg.public_key(&sk, &mut rng).unwrap();
             let rlk = kg.relin_key(&sk, &mut rng).unwrap();
-            let pairs = |parts: &[(Vec<u128>, Vec<u128>)]| {
-                fnv(parts.iter().flat_map(|(k0, k1)| k0.iter().chain(k1)))
-            };
+            // The relin key is stored in NTT form; its pinned digest is
+            // of the raw key, recovered with the strict inverse kernel.
+            let mut raw_rlk = Vec::new();
+            for j in 0..p.moduli().len() {
+                let tables = cofhee_poly::ntt::NttTables::new(p.ring(j), p.n()).unwrap();
+                for stored in rlk.limb_parts(j).iter().flat_map(|(k0, k1)| [k0, k1]) {
+                    let mut raw = stored.to_vec();
+                    cofhee_poly::ntt::inverse_inplace(p.ring(j), &mut raw, &tables).unwrap();
+                    raw_rlk.extend(raw);
+                }
+            }
             let got = [
                 fnv(sk.s.iter().flatten()),
                 fnv(sk.s_sq.iter().flatten()),
-                pairs(&pk.parts),
-                pairs(&rlk.parts.concat()),
+                fnv(pk.parts.iter().flat_map(|(p0, p1)| p0.iter().chain(p1))),
+                fnv(&raw_rlk),
             ];
             assert_eq!(got, want, "n = {}: {got:#x?}", p.n());
             // One stream per limb and key, `s` transformed once in each:
             // `ntt(s)` + an inverse for `s²`; `ntt(s)`, `ntt(a)` + an
-            // inverse for `p0`; `ntt(s)` + per digit `ntt(a)` and an
-            // inverse for the relin key (three transforms per product,
-            // 3 + 3 + 3·digits, before).
+            // inverse for `p0`; `ntt(s)`, `ntt(s²)` + per digit `ntt(a)`
+            // and `ntt(e)` for the relin key, which never leaves the NTT
+            // domain.
             let digits = rlk.digit_count() as u64;
             let per_transform = (p.n() as u64 / 2) * u64::from(p.n().trailing_zeros());
             let retired = kg.engine.get().unwrap().report().butterflies / per_transform;
-            assert_eq!(retired, (2 + 3 + 1 + 2 * digits) * p.moduli().len() as u64);
+            assert_eq!(retired, (2 + 3 + 2 + 2 * digits) * p.moduli().len() as u64);
         }
     }
 }

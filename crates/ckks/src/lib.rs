@@ -24,7 +24,8 @@
 //!   and scale.
 //! * [`keys`] / [`encrypt`] — RLWE key material and encryption, limbs
 //!   kept consistent by sampling small signed polynomials once. Keys are
-//!   raw residue vectors like ciphertexts; key generation, encryption
+//!   residue vectors like ciphertexts (raw, but for the relinearization
+//!   key's NTT form); key generation, encryption
 //!   and decryption record their products as per-limb streams and run
 //!   them on a CPU [`cofhee_opt::LimbEngine`] each object brings up on
 //!   first use (an encryptor's and a decryptor's key pair resident on it
@@ -35,12 +36,14 @@
 //!   so the PR 7 stream-compiler passes and the chip farm scheduler
 //!   apply to CKKS unchanged. Relinearization reuses the scheme-neutral
 //!   [`cofhee_core::record_key_switch`] builder shared with BFV, in both
-//!   of its key forms: [`CkksEvaluator::relinearize`] references the
-//!   NTT-form key its [`cofhee_opt::LimbEngine`] keeps resident on the
-//!   backends the evaluator owns (transformed once per
-//!   [`CkksRelinKey`], held for the key's lifetime), and
+//!   of its key forms. A [`CkksRelinKey`] is stored in NTT form —
+//!   transformed once, as it is generated — so
+//!   [`CkksEvaluator::relinearize`] references the copy its
+//!   [`cofhee_opt::LimbEngine`] uploaded to the backends the evaluator
+//!   owns (held for the key's lifetime), and
 //!   [`CkksEvaluator::relin_streams`] records the same key switch
-//!   self-contained, key inline, for dies a farm borrows.
+//!   self-contained, the stored key uploaded in-stream, for dies a farm
+//!   borrows: `digits + 2` transforms per limb on either route.
 //!
 //! Everything is numerically exact modulo each chain prime and
 //! bit-identical across backends and [`cofhee_opt::OptLevel`]s; the

@@ -9,10 +9,12 @@
 //! `CkksEvaluator` methods use exactly the same builders, so local and
 //! farm execution are bit-identical by construction. The one builder
 //! with two forms is the key switch: `key_switch_streams` records it
-//! against whichever [`KeySwitchKeys`] it is handed — inline for
+//! against whichever [`KeySwitchKeys`] it is handed — the key's stored
+//! NTT-form payloads uploaded inline for
 //! [`CkksEvaluator::relin_streams`] (self-contained, any borrowed
-//! backend), resident NTT-form handles for
-//! [`CkksEvaluator::relinearize`] (the evaluator's own backends).
+//! backend), handles to the same payloads resident for
+//! [`CkksEvaluator::relinearize`] (the evaluator's own backends): one
+//! dataflow, `digits + 2` transforms per limb either way.
 //!
 //! All builders return one stream per active limb: stream `j` runs on
 //! the limb-`j` backend (modulus `qⱼ`) — except rescale, which returns
@@ -109,8 +111,10 @@ impl CkksEvaluator {
         Ok(streams)
     }
 
-    /// Records plaintext multiplication: one Algorithm 2 `poly_mul` per
-    /// component per limb (the plaintext uploads once per limb stream).
+    /// Records plaintext multiplication: per limb the plaintext is
+    /// uploaded and transformed once, then each component takes a forward
+    /// NTT and a fused Hadamard + inverse (Algorithm 2 with the shared
+    /// operand's transform hoisted).
     ///
     /// # Errors
     ///
@@ -127,9 +131,11 @@ impl CkksEvaluator {
         for j in 0..a.level().limbs() {
             let mut st = OpStream::new(n);
             let hp = st.upload(pt.limbs()[j].clone())?;
+            let fp = st.ntt(hp)?;
             for c in a.components() {
                 let hc = st.upload(c[j].clone())?;
-                let h = st.poly_mul(hc, hp)?;
+                let fc = st.ntt(hc)?;
+                let h = st.hadamard_intt(fc, fp)?;
                 st.output(h)?;
             }
             streams.push(st);
@@ -184,11 +190,12 @@ impl CkksEvaluator {
     }
 
     /// Records relinearization as one self-contained key-switch stream
-    /// per limb, key material inline: limb `j`'s stream uploads and
-    /// transforms both key polynomials of every digit itself, so a
+    /// per limb, key material inline: limb `j`'s stream uploads both key
+    /// polynomials of every digit as the key stores them — in NTT form,
+    /// shared with the key, neither transformed nor copied — so a
     /// scheduler can run it on any borrowed mod-`qⱼ` backend.
     /// [`CkksEvaluator::relinearize`] records the same dataflow against
-    /// the NTT-form key resident on the backends the evaluator owns.
+    /// the copy resident on the backends the evaluator owns.
     ///
     /// # Errors
     ///

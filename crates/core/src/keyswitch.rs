@@ -12,11 +12,14 @@
 //!
 //! This module is that stream's single home. `cofhee_bfv` records it once
 //! per relinearization over the mod-`q` backend; `cofhee_ckks` records it
-//! once per RNS limb of the modulus chain. The key material can either
-//! travel *inline* (self-contained streams a scheduler may run on any
-//! borrowed backend) or reference NTT-domain handles already *resident*
-//! on the executing backend (the inference-server pattern: invariant keys
-//! transformed once, then shared by every stream).
+//! once per RNS limb of the modulus chain. A key-switch key is *stored*
+//! in NTT form — transformed once, when it is generated — so no stream
+//! transforms it: the key material either travels *inline* (the stored
+//! payloads uploaded in-stream: self-contained streams a scheduler may
+//! run on any borrowed backend) or references handles already *resident*
+//! on the executing backend (the inference-server pattern: invariant
+//! keys uploaded once, then shared by every stream). Either way a key
+//! switch is `digits + 2` transforms.
 
 use std::sync::Arc;
 
@@ -24,14 +27,19 @@ use crate::backend::PolyHandle;
 use crate::error::Result;
 use crate::stream::{OpStream, StreamHandle};
 
-/// Where the switching-key polynomials come from when the stream records.
+/// One digit's `(k0, k1)` switching-key pair as a key stores it: in NTT
+/// form, behind shared pointers a stream uploads without copying.
+pub type KeyPair = (Arc<Vec<u128>>, Arc<Vec<u128>>);
+
+/// Where the NTT-form switching-key polynomials come from when the
+/// stream records.
 #[derive(Debug, Clone, Copy)]
 pub enum KeySwitchKeys<'a> {
-    /// Raw coefficient vectors uploaded and NTT-transformed in-stream:
-    /// one `(k0, k1)` pair per digit. The stream is self-contained and
-    /// runs on any backend for the right modulus.
-    Inline(&'a [(Vec<u128>, Vec<u128>)]),
-    /// NTT-domain handles already resident on the backend that will
+    /// NTT-form payloads uploaded in-stream, shared with the key that
+    /// stores them: one `(k0, k1)` pair per digit. The stream is
+    /// self-contained and runs on any backend for the right modulus.
+    Inline(&'a [KeyPair]),
+    /// NTT-form handles already resident on the backend that will
     /// execute the stream: one `(k0, k1)` pair per digit.
     Resident(&'a [(PolyHandle, PolyHandle)]),
 }
@@ -58,10 +66,10 @@ impl KeySwitchKeys<'_> {
 /// components the folded accumulators are added onto, moved into the
 /// stream's uploads. Per digit the
 /// builder records: upload + forward NTT of the digit polynomial, the two
-/// Hadamard products (keys inline-transformed or referenced resident),
-/// and NTT-domain accumulation; then per base component an inverse NTT
-/// and a pointwise add, marked as the stream's outputs in component
-/// order.
+/// Hadamard products against the key pair (uploaded inline or referenced
+/// resident — NTT form either way, no key coefficient copied), and
+/// NTT-domain accumulation; then per base component an inverse NTT and a
+/// pointwise add, marked as the stream's outputs in component order.
 ///
 /// # Errors
 ///
@@ -86,23 +94,10 @@ pub fn record_key_switch(
             let d = st.upload_shared(Arc::clone(digit))?;
             st.ntt(d)?
         };
-        let pair: [KeyOperand; 2] = match keys {
-            KeySwitchKeys::Inline(parts) => {
-                let (k0, k1) = &parts[i];
-                [KeyOperand::Raw(k0), KeyOperand::Raw(k1)]
-            }
-            KeySwitchKeys::Resident(parts) => {
-                let (f0, f1) = parts[i];
-                [KeyOperand::Ntt(f0), KeyOperand::Ntt(f1)]
-            }
-        };
-        for (key, acc) in pair.into_iter().zip(accs.iter_mut()) {
-            let fk = match key {
-                KeyOperand::Raw(coeffs) => {
-                    let raw = st.upload(coeffs.to_vec())?;
-                    st.ntt(raw)?
-                }
-                KeyOperand::Ntt(handle) => st.input(handle),
+        for (c, acc) in accs.iter_mut().enumerate() {
+            let fk = match keys {
+                KeySwitchKeys::Inline(k) => st.upload_shared(Arc::clone([&k[i].0, &k[i].1][c]))?,
+                KeySwitchKeys::Resident(k) => st.input([k[i].0, k[i].1][c]),
             };
             let prod = st.hadamard(fd, fk)?;
             *acc = Some(match acc.take() {
@@ -119,12 +114,6 @@ pub fn record_key_switch(
         st.output(out)?;
     }
     Ok(())
-}
-
-/// One switching-key polynomial, in whichever form the caller holds it.
-enum KeyOperand<'a> {
-    Raw(&'a [u128]),
-    Ntt(PolyHandle),
 }
 
 /// Unsigned base-`2^w` digit decomposition of one coefficient vector:
@@ -167,36 +156,62 @@ mod tests {
         let digits: Vec<Arc<Vec<u128>>> = (0..3)
             .map(|d| Arc::new((0..N as u128).map(|j| (j * 7 + d + 1) % Q).collect()))
             .collect();
-        let keys: Vec<(Vec<u128>, Vec<u128>)> = (0..3)
+        let mut be = CpuBackend::new(Q, N).unwrap();
+        // A key as it is stored: the forward transform of each raw
+        // polynomial, made once.
+        let keys: Vec<KeyPair> = (0..3)
             .map(|d| {
-                let k0 = (0..N as u128).map(|j| (j * 31 + d * 5 + 2) % Q).collect();
-                let k1 = (0..N as u128).map(|j| (j * 13 + d * 11 + 9) % Q).collect();
-                (k0, k1)
+                let k0: Vec<u128> = (0..N as u128).map(|j| (j * 31 + d * 5 + 2) % Q).collect();
+                let k1: Vec<u128> = (0..N as u128).map(|j| (j * 13 + d * 11 + 9) % Q).collect();
+                let mut stored = |raw: &[u128]| {
+                    let form = ntt_form(&mut be, raw);
+                    let coeffs = be.download(form).unwrap();
+                    be.free(form);
+                    Arc::new(coeffs)
+                };
+                (stored(&k0), stored(&k1))
             })
             .collect();
         let base = [0, 1].map(|c| (0..N as u128).map(|j| (j + c * 100) % Q).collect::<Vec<_>>());
+        be.reset_telemetry();
 
         let mut st_inline = OpStream::new(N);
         record_key_switch(&mut st_inline, &digits, KeySwitchKeys::Inline(&keys), base.clone())
             .unwrap();
-        let mut be = CpuBackend::new(Q, N).unwrap();
         let inline_out = be.execute_stream(&st_inline).unwrap().outputs;
+        // No transform of a key: one per digit and the two inverses.
+        assert_eq!(be.report().butterflies, (3 + 2) * cofhee_poly::ntt::butterfly_count(N));
+        let uploads = |st: &OpStream| {
+            st.nodes().iter().filter(|op| matches!(op, crate::StreamOp::Upload(_))).count()
+        };
+        assert_eq!(uploads(&st_inline), 3 + 2 * 3 + 2);
+        assert!(keys
+            .iter()
+            .all(|(k0, k1)| Arc::strong_count(k0) == 2 && Arc::strong_count(k1) == 2));
 
-        // Resident form: pre-transform keys on the backend, reference them.
+        // Resident form: the same stored payloads uploaded once, referenced.
         let handles: Vec<_> =
-            keys.iter().map(|(k0, k1)| (ntt_form(&mut be, k0), ntt_form(&mut be, k1))).collect();
+            keys.iter().map(|(k0, k1)| (be.upload(k0).unwrap(), be.upload(k1).unwrap())).collect();
         let mut st_res = OpStream::new(N);
         record_key_switch(&mut st_res, &digits, KeySwitchKeys::Resident(&handles), base).unwrap();
         let resident_out = be.execute_stream(&st_res).unwrap().outputs;
 
         assert_eq!(inline_out, resident_out);
         assert_eq!(inline_out.len(), 2);
+        // One dataflow: the two recordings differ in the key operands only.
+        assert_eq!(st_inline.len(), st_res.len());
+        for (a, b) in st_inline.nodes().iter().zip(st_res.nodes()) {
+            match (a, b) {
+                (crate::StreamOp::Upload(_), crate::StreamOp::Input(_)) => {}
+                _ => assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b)),
+            }
+        }
     }
 
     #[test]
     fn rejects_mismatched_shapes() {
         let digits = vec![Arc::new(vec![0u128; N])];
-        let keys: Vec<(Vec<u128>, Vec<u128>)> = vec![];
+        let keys: Vec<KeyPair> = vec![];
         let base = [vec![0u128; N], vec![0u128; N]];
         let mut st = OpStream::new(N);
         assert!(record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), base).is_err());

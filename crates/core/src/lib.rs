@@ -77,7 +77,7 @@ pub use backend::{
 };
 pub use device::{BankPlan, CommStats, Device, Link};
 pub use error::{CoreError, Result};
-pub use keyswitch::{digit_decompose, record_key_switch, KeySwitchKeys};
+pub use keyswitch::{digit_decompose, record_key_switch, KeyPair, KeySwitchKeys};
 pub use modes::{standard_links, ExecutionMode, ModeOutcome};
 pub use ops::{CiphertextMulOutcome, PolyMulOutcome};
 pub use rlwe::{record_decrypt, record_encrypt};

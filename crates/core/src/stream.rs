@@ -649,8 +649,8 @@ mod tests {
         assert_eq!(after.high_water, 5, "all parked again, and never more than that");
         assert_eq!(be.buffers_out(), 2 * DIGITS as u64, "only the key stays");
         // The outputs are the inline recording's on a backend of its own.
-        let inline: Vec<_> =
-            (0..DIGITS as u128).map(|d| (poly(100 + 2 * d), poly(101 + 2 * d))).collect();
+        let mut stored = |h| Arc::new(be.download(h).unwrap());
+        let inline: Vec<_> = keys.iter().map(|&(k0, k1)| (stored(k0), stored(k1))).collect();
         let mut st = OpStream::new(N);
         record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&inline), [poly(1), poly(2)])
             .unwrap();

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cofhee_core::{
-    BackendFactory, ChipBackendFactory, OpStream, PolyBackend, PoolStats, SharedSink,
+    BackendFactory, ChipBackendFactory, OpReport, OpStream, PolyBackend, PoolStats, SharedSink,
     StreamOutcome, TraceContext,
 };
 use cofhee_obs::null_sink;
@@ -231,6 +231,18 @@ impl ChipFarm {
         for die in &self.dies {
             for be in die.backends.values() {
                 total.absorb(&be.pool_stats());
+            }
+        }
+        total
+    }
+
+    /// Farm-wide execution telemetry: the [`OpReport`] of every backend
+    /// on every die, summed — the arithmetic the dies retired.
+    pub fn op_report(&self) -> OpReport {
+        let mut total = OpReport::default();
+        for die in &self.dies {
+            for be in die.backends.values() {
+                total.absorb(&be.report());
             }
         }
         total

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use cofhee_bfv::{Ciphertext, Plaintext};
 use cofhee_ckks::{CkksCiphertext, CkksPlaintext};
-use cofhee_core::{OpStream, SharedSink, StreamReport};
+use cofhee_core::{OpStream, SharedSink, StreamOp, StreamReport};
 use cofhee_obs::{null_sink, CycleHistogram, MetricsRegistry, TraceEvent, Track};
 use cofhee_opt::{execute_partitioned, OptLevel, PartitionPlan, Partitioner, PassRunner};
 use cofhee_poly::TwiddleCache;
@@ -15,6 +15,12 @@ use crate::farm::{ChipFarm, ExecutedStream};
 use crate::policy::PlacementPolicy;
 use crate::session::{Session, SessionId};
 use crate::telemetry::{FarmReport, LatencyPercentiles};
+
+/// Bytes one polynomial of degree `n` occupies on the host link: a die
+/// stores a coefficient as one 128-bit word.
+fn poly_bytes(n: usize) -> u64 {
+    n as u64 * 16
+}
 
 /// Per-limb stream outputs: `outputs[limb][output][coefficient]`.
 type LimbOutputs = Vec<Vec<Vec<u128>>>;
@@ -215,6 +221,11 @@ pub struct Scheduler {
     trace: SharedSink,
     jobs_done: u64,
     stream_totals: StreamReport,
+    /// Polynomial bytes the executed streams uploaded to dies (every
+    /// `Upload` node), and the part of them that was key-switch key
+    /// material (`2 · digits` polynomials per key-switch stream).
+    upload_bytes: u64,
+    key_bytes: u64,
     /// Stream-compiler level applied to every stream before placement
     /// (`O0` by default). At `O2`, streams long enough to split are
     /// partitioned across the farm's dies (see [`Partitioner`]).
@@ -235,6 +246,8 @@ impl Scheduler {
             trace: null_sink(),
             jobs_done: 0,
             stream_totals: StreamReport::default(),
+            upload_bytes: 0,
+            key_bytes: 0,
             opt_level: OptLevel::O0,
         }
     }
@@ -322,6 +335,8 @@ impl Scheduler {
         }
         let run = self.farm.execute(chip, q, n, stream, ready)?;
         self.stream_totals.absorb(&run.outcome.report);
+        let uploads = stream.nodes().iter().filter(|op| matches!(op, StreamOp::Upload(_))).count();
+        self.upload_bytes = self.upload_bytes.saturating_add(uploads as u64 * poly_bytes(n));
         Ok(run)
     }
 
@@ -500,6 +515,7 @@ impl Scheduler {
                 // split across dies.
                 let rst = ev.relin_stream(&prod3, rlk)?;
                 let (outs, finish, relin_service) = self.run_stream(q, n, rst, tensor_done)?;
+                self.key_bytes += 2 * rlk.digit_count() as u64 * poly_bytes(n);
                 self.trace_phase(job.session, "tensor", job.arrival, tensor_done);
                 self.trace_phase(job.session, "relin", tensor_done, finish);
                 let ct = ev.ciphertext_from_outputs(outs)?;
@@ -550,8 +566,10 @@ impl Scheduler {
                 // the cubic component between the phases).
                 let streams = ev.relin_streams(&prod3, rlk).map_err(FarmError::Ckks)?;
                 count += streams.len();
+                let key_polys = 2 * params.digits_at(level) * level.limbs();
                 let (limbs, relin_done, relin_service) =
                     self.run_limb_batch(&moduli, n, streams, tensor_done)?;
+                self.key_bytes += key_polys as u64 * poly_bytes(n);
                 let relin = ev
                     .ciphertext_from_limb_outputs(limbs, level, prod3.scale())
                     .map_err(FarmError::Ckks)?;
@@ -653,15 +671,31 @@ impl Scheduler {
     /// has run: farm-level counters, per-die busy/queue-depth series,
     /// the three latency histograms, the process-wide twiddle-cache
     /// counters (the chip's NTT constant store — farm workloads should
-    /// hit it far more often than they miss), and the farm-wide
-    /// staging-pool recycling counters under `farm.pool.*`.
+    /// hit it far more often than they miss), the farm-wide
+    /// staging-pool recycling counters under `farm.pool.*`, and what a
+    /// key switch leaves on the link and on the dies: the polynomial
+    /// uploads split into `farm.dma.key_bytes` (key-switch key material)
+    /// and `farm.dma.operand_bytes` (everything else) — together
+    /// `stream_totals.uploaded_bytes` less the command words —
+    /// `farm.ops.butterflies` (the transforms the dies retired) and
+    /// `farm.placement.imbalance` (busiest die over mean die busy
+    /// cycles, in thousandths: 1000 is a perfectly even farm).
     ///
     /// Built on demand — the hot path never touches a string-keyed map.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         m.counter_add("farm.jobs", self.jobs_done);
         m.gauge_set("farm.makespan_cycles", self.farm.makespan().min(i64::MAX as u64) as i64);
-        for c in self.farm.chip_stats() {
+        let chips = self.farm.chip_stats();
+        let busy = chips.iter().fold(0u128, |acc, c| acc + u128::from(c.busy_cycles));
+        let peak = chips.iter().map(|c| u128::from(c.busy_cycles)).max().unwrap_or(0);
+        if let Some(imbalance) = (peak * 1000 * chips.len() as u128).checked_div(busy) {
+            m.gauge_set("farm.placement.imbalance", imbalance.min(i64::MAX as u128) as i64);
+        }
+        m.counter_add("farm.dma.key_bytes", self.key_bytes);
+        m.counter_add("farm.dma.operand_bytes", self.upload_bytes.saturating_sub(self.key_bytes));
+        m.counter_add("farm.ops.butterflies", self.farm.op_report().butterflies);
+        for c in chips {
             m.counter_add(&format!("farm.die{}.streams", c.chip), c.streams);
             m.counter_add(&format!("farm.die{}.busy_cycles", c.chip), c.busy_cycles);
             m.gauge_set(&format!("farm.die{}.queue_depth_max", c.chip), c.max_queue_depth as i64);
@@ -1151,6 +1185,27 @@ mod tests {
         // counters stay zero here — the keys must exist regardless).
         assert!(m.iter().any(|(k, _)| k == "farm.pool.hits"), "pool counters must be exported");
         assert!(m.gauge("farm.pool.resident").is_some());
+        // What the one key switch left on the link: its key apart from
+        // every operand, together the uploads less their command words —
+        // and on the dies: `digits + 2` transforms after the tensor's
+        // (4 forward + 3 inverse on each of its limbs).
+        let (n, digits) = (t.params.n(), t.rlk.digit_count() as u64);
+        let totals = s.report().stream_totals;
+        let command_bytes = totals.commands * cofhee_sim::COMMAND_WORDS as u64 * 4;
+        let key = m.counter("farm.dma.key_bytes");
+        assert_eq!(key, 2 * digits * poly_bytes(n));
+        assert_eq!(
+            key + m.counter("farm.dma.operand_bytes"),
+            totals.uploaded_bytes - command_bytes
+        );
+        let tensor = 7 * t.params.mult_basis().len() as u64;
+        assert_eq!(
+            m.counter("farm.ops.butterflies"),
+            (tensor + digits + 2) * cofhee_poly::ntt::butterfly_count(n)
+        );
+        let imbalance = m.gauge("farm.placement.imbalance").expect("dies were busy");
+        let peak = chips.iter().map(|c| c.busy_cycles).max().unwrap();
+        assert_eq!(imbalance as u64, peak * 1000 * chips.len() as u64 / busy);
     }
 
     #[test]

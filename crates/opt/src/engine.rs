@@ -1,10 +1,13 @@
 //! The limb engine: the one place a scheme evaluator's recorded streams
 //! are compiled, fanned out across per-modulus backends, and accounted —
 //! and the one place its key-switch keys are kept resident on those
-//! backends in NTT form. The client side of both schemes (encryptors,
-//! decryptors, the CKKS key generator) runs on one as well: a CPU engine
-//! each object brings up on first use ([`LimbEngine::client`]) with its
-//! own key pair resident ([`LimbEngine::resident_pair`]).
+//! backends. A key-switch key is stored in NTT form (transformed once,
+//! when it is generated), so making it resident is an upload and the
+//! engine never submits a stream for it. The client side of both schemes
+//! (encryptors, decryptors, the CKKS key generator) runs on one as well:
+//! a CPU engine each object brings up on first use
+//! ([`LimbEngine::client`]) with its own raw key pair transformed onto
+//! it ([`LimbEngine::resident_pair`]).
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
@@ -17,9 +20,13 @@ use crate::{OptLevel, OptStats, PassRunner};
 
 type SharedBackend = Arc<Mutex<Box<dyn PolyBackend>>>;
 
+/// How one polynomial of a key becomes a handle on its backend.
+type MakeResident = fn(&mut dyn PolyBackend, &[u128]) -> Result<PolyHandle>;
+
 /// Makes `raw` resident on `be` in NTT form: a one-transform stream whose
 /// output is uploaded back as the handle. Submitted to the backend
-/// directly — a key's bring-up is not part of any engine's stream totals.
+/// directly — a client pair's bring-up is not part of any engine's
+/// stream totals.
 fn ntt_form(be: &mut dyn PolyBackend, raw: &[u128]) -> Result<PolyHandle> {
     let mut st = OpStream::new(be.n());
     let up = st.upload(raw.to_vec())?;
@@ -37,13 +44,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The identity of one key-switch key, carried inside `RelinKey` and
 /// `CkksRelinKey`. Clones of a key share it; a freshly generated key
-/// gets a new one (`KeyId::default()`). [`LimbEngine::resident_keys`]
+/// gets a new one (`KeyId::default()`). The engine's residency set
 /// watches it weakly, so a key's resident form lives exactly as long as
 /// some clone of the key does and two live keys never alias.
 #[derive(Debug, Clone, Default)]
 pub struct KeyId(Arc<()>);
 
-/// NTT-domain `(k0, k1)` handle pairs, `[limb][digit]`.
+/// NTT-form `(k0, k1)` handle pairs, `[limb][digit]`.
 type KeyHandles = Vec<Vec<(PolyHandle, PolyHandle)>>;
 
 /// One key's resident form: limb `j` lives on backend `first + j`.
@@ -56,7 +63,7 @@ struct ResidentKey {
 
 /// One backend per modulus, the [`OptLevel`] applied before every submit,
 /// the stream telemetry of everything submitted, and the key-switch keys
-/// resident on those backends in NTT form — what
+/// resident on those backends — what
 /// `cofhee_bfv::Evaluator` (over `[q, p₀ … p_k]`) and
 /// `cofhee_ckks::CkksEvaluator` (over the chain primes) both execute on.
 /// Clones share the backends, the telemetry and the resident keys.
@@ -111,21 +118,24 @@ impl LimbEngine {
         Ok(cell.get_or_init(|| engine))
     }
 
-    /// [`LimbEngine::resident_keys`] for a key that is one `(k0, k1)`
-    /// pair per limb — an encryptor's `(p0, p1)`, a decryptor's
-    /// `(s, s²)`: `pairs[j]` is made resident on backend `j` and the
-    /// NTT-form handle pair of each limb comes back.
+    /// Makes a client key that is one raw `(k0, k1)` pair per limb — an
+    /// encryptor's `(p0, p1)`, a decryptor's `(s, s²)` — resident in NTT
+    /// form: `pairs[j]` is transformed on backend `j`, once, and the
+    /// handle pair of each limb comes back. Lifetime and sharing are
+    /// [`LimbEngine::resident_keys`]'s.
     ///
     /// # Errors
     ///
-    /// As [`LimbEngine::resident_keys`].
+    /// Propagates upload and transform failures; nothing stays resident
+    /// for `key`.
     pub fn resident_pair<'k>(
         &self,
         key: &KeyId,
         pairs: impl IntoIterator<Item = (&'k [u128], &'k [u128])>,
     ) -> Result<Vec<(PolyHandle, PolyHandle)>> {
         let limbs: Vec<_> = pairs.into_iter().map(|pair| vec![pair]).collect();
-        Ok(self.resident_keys(key, 0, &limbs)?.into_iter().map(|digits| digits[0]).collect())
+        let handles = self.resident(key, 0, &limbs, ntt_form)?;
+        Ok(handles.into_iter().map(|digits| digits[0]).collect())
     }
 
     /// The same engine with the stream compiler set to `level`.
@@ -207,24 +217,25 @@ impl LimbEngine {
         Ok(self.run(j, vec![stream])?.pop().expect("one stream, one outcome"))
     }
 
-    /// The NTT-domain handles of a key-switch key on this engine's
-    /// backends, for [`KeySwitchKeys::Resident`](cofhee_core::KeySwitchKeys):
+    /// The handles of a key-switch key on this engine's backends, for
+    /// [`KeySwitchKeys::Resident`](cofhee_core::KeySwitchKeys):
     /// `handles[j][i]` is digit `i`'s `(k0, k1)` pair on backend
     /// `first + j`.
     ///
     /// The first call for a `key` uploads each polynomial of
-    /// `limbs[j][i]` (raw residues mod backend `first + j`'s modulus),
-    /// transforms it and frees the raw form — the only time the key is
-    /// transformed; every later call, from this engine or a clone, returns
-    /// the same handles and ignores `limbs`. The buffers held are
-    /// `2 · digits` per limb until the last clone of the key is dropped:
-    /// each call first frees the handles of dropped keys back to their
-    /// backends' pools. [`LimbEngine::reset`] clears telemetry only.
+    /// `limbs[j][i]` — the key's stored NTT form, residues mod backend
+    /// `first + j`'s modulus — and nothing else: no stream is submitted
+    /// for a key-switch key, by this call or any later one. Every later
+    /// call, from this engine or a clone, returns the same handles and
+    /// ignores `limbs`. The buffers held are `2 · digits` per limb until
+    /// the last clone of the key is dropped: each call first frees the
+    /// handles of dropped keys back to their backends' pools.
+    /// [`LimbEngine::reset`] clears telemetry only.
     ///
     /// # Errors
     ///
-    /// Propagates upload and transform failures; the handles made so far
-    /// are freed and nothing stays resident for `key`.
+    /// Propagates upload failures; the handles made so far are freed and
+    /// nothing stays resident for `key`.
     ///
     /// # Panics
     ///
@@ -234,6 +245,18 @@ impl LimbEngine {
         key: &KeyId,
         first: usize,
         limbs: &[Vec<(&[u128], &[u128])>],
+    ) -> Result<KeyHandles> {
+        self.resident(key, first, limbs, |be, form| be.upload(form))
+    }
+
+    /// The residency set behind [`LimbEngine::resident_keys`] (`make` =
+    /// upload) and [`LimbEngine::resident_pair`] (`make` = transform).
+    fn resident(
+        &self,
+        key: &KeyId,
+        first: usize,
+        limbs: &[Vec<(&[u128], &[u128])>],
+        make: MakeResident,
     ) -> Result<KeyHandles> {
         let mut set = lock(&self.resident);
         set.retain(|entry| {
@@ -251,8 +274,8 @@ impl LimbEngine {
             let mut be = lock(be);
             let mut forms = Vec::with_capacity(pairs.len());
             let done: Result<()> = pairs.iter().try_for_each(|&(k0, k1)| {
-                let f0 = ntt_form(be.as_mut(), k0)?;
-                let f1 = ntt_form(be.as_mut(), k1).map_err(|e| {
+                let f0 = make(be.as_mut(), k0)?;
+                let f1 = make(be.as_mut(), k1).map_err(|e| {
                     be.free(f0);
                     e
                 })?;
@@ -262,7 +285,7 @@ impl LimbEngine {
             drop(be);
             entry.handles.push(forms);
             if let Err(e) = done {
-                // Failed mid-transform: release the partial set.
+                // Failed part-way: release the partial set.
                 self.release(&entry);
                 return Err(e);
             }
@@ -374,8 +397,9 @@ mod tests {
     const LIMBS: usize = 2;
     const DIGITS: usize = 3;
 
-    /// `LIMBS × DIGITS` raw `(k0, k1)` pairs, distinct per `salt`.
-    fn raw_key(salt: u128) -> Vec<Vec<(Vec<u128>, Vec<u128>)>> {
+    /// `LIMBS × DIGITS` stored `(k0, k1)` pairs, distinct per `salt` —
+    /// whatever the vectors hold is the key's NTT form.
+    fn stored_key(salt: u128) -> Vec<Vec<(Vec<u128>, Vec<u128>)>> {
         (0..LIMBS as u128)
             .map(|j| {
                 (0..DIGITS as u128)
@@ -388,10 +412,10 @@ mod tests {
     fn make_resident(
         engine: &LimbEngine,
         key: &KeyId,
-        raw: &[Vec<(Vec<u128>, Vec<u128>)>],
+        stored: &[Vec<(Vec<u128>, Vec<u128>)>],
     ) -> Result<KeyHandles> {
         let limbs: Vec<Vec<_>> =
-            raw.iter().map(|l| l.iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect()).collect();
+            stored.iter().map(|l| l.iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect()).collect();
         engine.resident_keys(key, 1, &limbs)
     }
 
@@ -400,8 +424,7 @@ mod tests {
     fn read_back(engine: &LimbEngine, h: PolyHandle) -> Result<Vec<u128>> {
         let mut st = OpStream::new(N);
         let input = st.input(h);
-        let coeffs = st.intt(input)?;
-        st.output(coeffs)?;
+        st.output(input)?;
         Ok(engine.run(1, vec![st])?.remove(0).remove(0))
     }
 
@@ -410,34 +433,37 @@ mod tests {
     }
 
     #[test]
-    fn a_key_is_transformed_once_and_shared_with_clones_across_resets() {
+    fn a_key_is_uploaded_as_stored_and_shared_with_clones_across_resets() {
         for factory in [&CpuBackendFactory as &dyn BackendFactory, &ChipBackendFactory::silicon()] {
             let engine = LimbEngine::new(factory, &[q(), q(), q()], N).unwrap();
-            let (key, raw) = (KeyId::default(), raw_key(100));
-            let handles = make_resident(&engine, &key, &raw).unwrap();
+            let (key, stored) = (KeyId::default(), stored_key(100));
+            let handles = make_resident(&engine, &key, &stored).unwrap();
             assert_eq!((handles.len(), handles[0].len()), (LIMBS, DIGITS));
-            assert_eq!(transforms(&engine), (2 * DIGITS * LIMBS) as u64);
-            // NTT form of exactly the polynomial that was handed in.
-            assert_eq!(read_back(&engine, handles[0][2].1).unwrap(), raw[0][2].1);
+            assert_eq!(engine.report(), OpReport::default(), "an upload computes nothing");
+            // Exactly the polynomial that was handed in, untransformed.
+            assert_eq!(read_back(&engine, handles[0][2].1).unwrap(), stored[0][2].1);
             engine.reset();
             // Clones of the engine and of the key find the same handles;
-            // the raw form is not looked at again.
+            // the stored form is not looked at again.
             let again = engine.clone().resident_keys(&key.clone(), 1, &[]).unwrap();
             assert_eq!(again, handles);
-            assert_eq!(transforms(&engine), 0, "no second transform, reset or not");
             // A second live key gets handles of its own.
             let other = KeyId::default();
-            let theirs = make_resident(&engine, &other, &raw_key(200)).unwrap();
+            let theirs = make_resident(&engine, &other, &stored_key(200)).unwrap();
             assert!(theirs.iter().flatten().all(|p| !handles.iter().flatten().any(|h| h == p)));
-            assert_eq!(read_back(&engine, handles[0][2].1).unwrap(), raw[0][2].1);
+            assert_eq!(read_back(&engine, handles[0][2].1).unwrap(), stored[0][2].1);
+            assert_eq!(transforms(&engine), 0, "no key is ever transformed here");
         }
     }
 
-    /// A `CpuBackend` that counts the streams submitted to it. The trait
-    /// has one method that computes, so the wrapper sees all the work a
-    /// backend is given.
+    /// `(streams submitted, polynomials uploaded to the store)`.
+    type Counts = Arc<Mutex<(u64, u64)>>;
+
+    /// A `CpuBackend` that counts the streams submitted to it and the
+    /// polynomials uploaded to its store. The trait has one method that
+    /// computes, so the wrapper sees all the work a backend is given.
     #[derive(Debug)]
-    struct Counting(cofhee_core::CpuBackend, Arc<Mutex<u64>>);
+    struct Counting(cofhee_core::CpuBackend, Counts);
 
     impl PolyBackend for Counting {
         fn name(&self) -> &'static str {
@@ -450,6 +476,7 @@ mod tests {
             self.0.modulus()
         }
         fn upload(&mut self, coeffs: &[u128]) -> Result<PolyHandle> {
+            lock(&self.1).1 += 1;
             self.0.upload(coeffs)
         }
         fn download(&mut self, h: PolyHandle) -> Result<Vec<u128>> {
@@ -459,7 +486,7 @@ mod tests {
             self.0.free(h);
         }
         fn execute_stream(&mut self, stream: &OpStream) -> Result<cofhee_core::StreamOutcome> {
-            *lock(&self.1) += 1;
+            lock(&self.1).0 += 1;
             self.0.execute_stream(stream)
         }
         fn report(&self) -> OpReport {
@@ -473,14 +500,17 @@ mod tests {
         }
     }
 
-    /// Makes [`Counting`] backends; `streams()` reads their counters in
-    /// the order they were made.
+    /// Makes [`Counting`] backends; `streams()` and `uploads()` read
+    /// their counters in the order they were made.
     #[derive(Debug, Default)]
-    struct CountingFactory(Mutex<Vec<Arc<Mutex<u64>>>>);
+    struct CountingFactory(Mutex<Vec<Counts>>);
 
     impl CountingFactory {
         fn streams(&self) -> Vec<u64> {
-            lock(&self.0).iter().map(|count| *lock(count)).collect()
+            lock(&self.0).iter().map(|count| lock(count).0).collect()
+        }
+        fn uploads(&self) -> Vec<u64> {
+            lock(&self.0).iter().map(|count| lock(count).1).collect()
         }
     }
 
@@ -489,14 +519,14 @@ mod tests {
             "counting"
         }
         fn make(&self, q: u128, n: usize) -> Result<Box<dyn PolyBackend>> {
-            let count = Arc::new(Mutex::new(0));
+            let count = Counts::default();
             lock(&self.0).push(count.clone());
             Ok(Box::new(Counting(cofhee_core::CpuBackend::new(q, n)?, count)))
         }
     }
 
     #[test]
-    fn a_run_is_one_stream_per_limb_and_a_key_one_per_polynomial_once() {
+    fn a_run_is_one_stream_per_limb_and_a_key_is_uploads_only_once() {
         let factory = CountingFactory::default();
         let engine = LimbEngine::new(&factory, &[q(), q(), q()], N).unwrap();
         assert_eq!(factory.streams(), [0, 0, 0], "bring-up computes nothing");
@@ -504,18 +534,19 @@ mod tests {
         assert_eq!(factory.streams(), [1, 1, 1]);
         engine.run_one(2, stream(4)).unwrap();
         assert_eq!(factory.streams(), [1, 1, 2]);
-        // A key's first use: one transform stream per polynomial, on the
-        // backend of its limb (limb `j` on backend `1 + j`)…
-        let (key, raw) = (KeyId::default(), raw_key(100));
-        let handles = make_resident(&engine, &key, &raw).unwrap();
+        // A key's first use: one upload per polynomial, on the backend of
+        // its limb (limb `j` on backend `1 + j`), and no stream…
+        let (key, stored) = (KeyId::default(), stored_key(100));
+        let handles = make_resident(&engine, &key, &stored).unwrap();
         let per_limb = 2 * DIGITS as u64;
-        assert_eq!(factory.streams(), [1, 1 + per_limb, 2 + per_limb]);
-        // …outside the engine's own stream totals…
+        assert_eq!(factory.uploads(), [0, per_limb, per_limb]);
+        assert_eq!(factory.streams(), [1, 1, 2]);
         assert_eq!(engine.stream_report().commands, 4 * stream(1).len() as u64 + 4 * 2);
-        // …and every later call, from a clone or for a key clone, none.
+        // …and every later call, from a clone or for a key clone, neither.
         assert_eq!(engine.clone().resident_keys(&key.clone(), 1, &[]).unwrap(), handles);
-        assert_eq!(make_resident(&engine, &key, &raw).unwrap(), handles);
-        assert_eq!(factory.streams(), [1, 1 + per_limb, 2 + per_limb]);
+        assert_eq!(make_resident(&engine, &key, &stored).unwrap(), handles);
+        assert_eq!(factory.uploads(), [0, per_limb, per_limb]);
+        assert_eq!(factory.streams(), [1, 1, 2]);
     }
 
     #[test]
@@ -523,12 +554,12 @@ mod tests {
         for factory in [&CpuBackendFactory as &dyn BackendFactory, &ChipBackendFactory::silicon()] {
             let engine = LimbEngine::new(factory, &[q(), q(), q()], N).unwrap();
             let mut key = KeyId::default();
-            let mut handles = make_resident(&engine, &key, &raw_key(0)).unwrap();
+            let mut handles = make_resident(&engine, &key, &stored_key(0)).unwrap();
             for round in 1..=8 {
                 let stale = handles[0][0].0;
                 assert!(read_back(&engine, stale).is_ok(), "live while its key lives");
                 key = KeyId::default(); // the previous key dies here
-                handles = make_resident(&engine, &key, &raw_key(round)).unwrap();
+                handles = make_resident(&engine, &key, &stored_key(round)).unwrap();
                 assert!(
                     matches!(
                         read_back(&engine, stale),
@@ -548,18 +579,32 @@ mod tests {
 
     #[test]
     fn a_failed_transform_leaves_nothing_resident() {
+        // The residency set is one routine under both entry points; the
+        // client pair's is the one whose bring-up computes.
         let engine = LimbEngine::new(&CpuBackendFactory, &[q(), q(), q()], N).unwrap();
         let key = KeyId::default();
-        let mut broken = raw_key(7);
-        broken[1][1].1.pop(); // the 10th of 12 polynomials is short
-        assert!(make_resident(&engine, &key, &broken).is_err());
+        let raw = [(poly(1), poly(2)), (poly(3), poly(4)), (poly(5), poly(6))];
+        let mut broken = raw.clone();
+        broken[2].0.pop(); // the 5th of 6 polynomials is short
+        fn limbs(pairs: &[(Vec<u128>, Vec<u128>)]) -> Vec<(&[u128], &[u128])> {
+            pairs.iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect()
+        }
+        assert!(engine.resident_pair(&key, limbs(&broken)).is_err());
         let pool = engine.pool_stats();
         assert_eq!(pool.hits + pool.misses, pool.recycled, "the partial set was freed");
         // The key is not half-resident: the next call starts over.
         engine.reset();
-        let handles = make_resident(&engine, &key, &raw_key(7)).unwrap();
-        assert_eq!(transforms(&engine), (2 * DIGITS * LIMBS) as u64);
-        assert_eq!(read_back(&engine, handles[0][1].1).unwrap(), raw_key(7)[0][1].1);
+        let handles = engine.resident_pair(&key, limbs(&raw)).unwrap();
+        assert_eq!(engine.resident_pair(&key.clone(), limbs(&raw)).unwrap(), handles);
+        assert_eq!(transforms(&engine), 6, "one transform per polynomial, once per key");
+        let pool = engine.pool_stats();
+        assert_eq!(pool.hits + pool.misses - pool.recycled, 6, "one buffer per polynomial");
+        // NTT form of exactly the polynomial that was handed in.
+        let mut st = OpStream::new(N);
+        let input = st.input(handles[1].0);
+        let coeffs = st.intt(input).unwrap();
+        st.output(coeffs).unwrap();
+        assert_eq!(engine.run_one(1, st).unwrap()[0], raw[1].0);
     }
 
     #[test]

@@ -142,10 +142,11 @@ mod tests {
     #[test]
     fn key_switch_accumulators_fold_the_later_product() {
         use cofhee_core::{record_key_switch, KeySwitchKeys};
+        use std::sync::Arc;
         const DIGITS: usize = 3;
-        let digits: Vec<_> =
-            (0..DIGITS as u128).map(|d| std::sync::Arc::new(poly(10 + d))).collect();
-        let keys: Vec<_> = (0..DIGITS as u128).map(|d| (poly(20 + d), poly(30 + d))).collect();
+        let digits: Vec<_> = (0..DIGITS as u128).map(|d| Arc::new(poly(10 + d))).collect();
+        let keys: Vec<_> =
+            (0..DIGITS as u128).map(|d| (Arc::new(poly(20 + d)), Arc::new(poly(30 + d)))).collect();
         let mut st = OpStream::new(N);
         record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), [poly(1), poly(2)])
             .unwrap();

@@ -14,7 +14,9 @@
 //! strict kernels by the same check — on which Eqs. 2–3 and the key
 //! formulas are evaluated with `Polynomial`, the draws replayed from a
 //! second generator on the same seed in the order the samplers have
-//! always made them. Every key, ciphertext and plaintext must match.
+//! always made them. Every key, ciphertext and plaintext must match — a
+//! relinearization key, which both schemes store in NTT form, through the
+//! strict inverse kernel on the oracle's tables.
 
 use std::sync::Arc;
 
@@ -87,6 +89,14 @@ fn cbd(ctx: &Ring, rng: &mut StdRng) -> Poly {
     elems(ctx, sampling::error_poly(ctx.ring(), ctx.n(), rng))
 }
 
+/// The raw polynomial behind a stored NTT-form key polynomial: the strict
+/// inverse kernel on the oracle's own tables.
+fn strict_inverse(ctx: &Ring, stored: &[u128]) -> Vec<u128> {
+    let mut raw = stored.to_vec();
+    ntt::inverse_inplace(ctx.ring(), &mut raw, ctx.plan().tables()).unwrap();
+    raw
+}
+
 /// `v = c0 + c1·s (+ c2·s²)`.
 fn decryption_poly(c: &[Poly], s: &Poly, s_sq: &Poly) -> Poly {
     let v = c[0].add(&c[1].negacyclic_mul(s).unwrap()).unwrap();
@@ -141,6 +151,20 @@ fn bfv_streams_match_the_formulas(params: &BfvParams, seed: u64) {
         assert_eq!(dec.decrypt(ct).unwrap().coeffs(), &want[..], "{} components", ct.len());
         let budget = (q as f64).log2() - 1.0 - ((worst + 1) as f64).log2() - (t as f64).log2();
         assert_eq!(dec.noise_budget(ct).unwrap(), budget.max(0.0), "{} components", ct.len());
+    }
+
+    // The relinearization key is made and stored in the NTT domain; out
+    // of it, it is the coefficient-domain formula digit by digit.
+    let rlk = kg.relin_key(16, &mut rng).unwrap();
+    let ring = ctx.ring();
+    let mut t_pow = ring.one();
+    for (i, (k0, k1)) in rlk.parts().iter().enumerate() {
+        let a = uniform(&ctx, &mut replay);
+        let masked = a.negacyclic_mul(&s).unwrap().add(&cbd(&ctx, &mut replay)).unwrap().neg();
+        let want0 = masked.add(&s_sq.scalar_mul(t_pow)).unwrap();
+        assert_eq!(strict_inverse(&ctx, k0), want0.coeffs(), "relin k0, digit {i}, q = {q}");
+        assert_eq!(strict_inverse(&ctx, k1), a.coeffs(), "relin k1, digit {i}, q = {q}");
+        t_pow = ring.mul(t_pow, ring.from_u128(1 << 16));
     }
 }
 
@@ -265,8 +289,9 @@ fn ckks_streams_match_the_formulas(params: &CkksParams, seed: u64) {
     for (j, digits) in oracle.rlk.iter().enumerate() {
         assert_eq!(rlk.limb_parts(j).len(), digits.len());
         for (i, ((k0, k1), (want0, want1))) in rlk.limb_parts(j).iter().zip(digits).enumerate() {
-            assert_eq!(k0, &want0.to_u128_vec(), "relin k0, limb {j} digit {i}");
-            assert_eq!(k1, &want1.to_u128_vec(), "relin k1, limb {j} digit {i}");
+            let ring = &oracle.rings[j];
+            assert_eq!(strict_inverse(ring, k0), want0.coeffs(), "relin k0, limb {j} digit {i}");
+            assert_eq!(strict_inverse(ring, k1), want1.coeffs(), "relin k1, limb {j} digit {i}");
         }
     }
 

@@ -3,18 +3,23 @@
 //! client object owns (CKKS limbs at their own word width), and every
 //! bit they produce is the bit the `Polynomial` path produced before —
 //! the digests below were computed on that path, at the commit before
-//! the streams, and are written in as constants. The oracle half (the
+//! the streams, and are written in as constants. A relinearization key
+//! is stored in NTT form now; its digest is still the parent's, over the
+//! raw key, which this file recovers with the strict inverse kernel —
+//! same key, same draws. The oracle half (the
 //! same results against the formulas evaluated with `Polynomial`) is
 //! `client_parity.rs`; engine-side properties that need the objects'
 //! private engines (transform counts, pool residency, nothing uploaded
 //! on a refusal) are unit tests beside the code.
 
-use cofhee::arith::primes;
+use cofhee::arith::{primes, Barrett128};
 use cofhee::bfv::{BfvError, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext};
 use cofhee::ckks::{
     CkksCiphertext, CkksDecryptor, CkksEncoder, CkksEncryptor, CkksError, CkksEvaluator,
     CkksKeyGenerator, CkksParams, CkksPlaintext,
 };
+use cofhee::core::KeyPair;
+use cofhee::poly::ntt::{self, NttTables};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,13 +34,31 @@ fn fnv(words: impl IntoIterator<Item = u128>) -> u64 {
     h
 }
 
+/// The raw polynomials behind stored NTT-form `(k0, k1)` pairs, word by
+/// word in key order: the strict inverse kernel, not the one that made
+/// the key.
+fn raw_key_words(
+    ring: &Barrett128,
+    tables: &NttTables<Barrett128>,
+    pairs: &[KeyPair],
+) -> Vec<u128> {
+    let mut words = Vec::new();
+    for stored in pairs.iter().flat_map(|(k0, k1)| [k0, k1]) {
+        let mut raw = stored.to_vec();
+        ntt::inverse_inplace(ring, &mut raw, tables).unwrap();
+        words.extend(raw);
+    }
+    words
+}
+
 fn fnv_ckks(ct: &CkksCiphertext) -> u64 {
     fnv(ct.components().iter().flatten().flatten().copied())
 }
 
 /// `[sk, encrypt, decrypt, 3-component decrypt, noise budget bits of the
-/// 2- and of the 3-component ciphertext]` at a fixed seed.
-fn bfv_digests(params: &BfvParams, seed: u64) -> [u64; 6] {
+/// 2- and of the 3-component ciphertext, relin key (base 2^16, drawn
+/// last)]` at a fixed seed.
+fn bfv_digests(params: &BfvParams, seed: u64) -> [u64; 7] {
     let mut rng = StdRng::seed_from_u64(seed);
     let kg = KeyGenerator::new(params, &mut rng);
     let enc = Encryptor::new(params, kg.public_key(&mut rng).unwrap());
@@ -46,6 +69,8 @@ fn bfv_digests(params: &BfvParams, seed: u64) -> [u64; 6] {
     let cubic = Evaluator::new(params).unwrap().multiply(&ct, &ct).unwrap();
     assert_eq!((ct.len(), cubic.len()), (2, 3));
     let plain = |pt: Plaintext| fnv(pt.coeffs().iter().map(|&c| u128::from(c)));
+    let rlk = kg.relin_key(16, &mut rng).unwrap();
+    let ring = params.poly_ring();
     [
         fnv(kg.secret_key().poly().coeffs().iter().copied()),
         fnv(ct.polys().iter().flat_map(|p| p.coeffs().iter().copied())),
@@ -53,6 +78,7 @@ fn bfv_digests(params: &BfvParams, seed: u64) -> [u64; 6] {
         plain(dec.decrypt(&cubic).unwrap()),
         dec.noise_budget(&ct).unwrap().to_bits(),
         dec.noise_budget(&cubic).unwrap().to_bits(),
+        fnv(raw_key_words(ring.ring(), ring.plan().tables(), rlk.parts())),
     ]
 }
 
@@ -75,9 +101,10 @@ fn ckks_digests(params: &CkksParams, seed: u64) -> [u64; 6] {
     let ct_below = enc.encrypt(&below, &mut rng).unwrap();
     assert_eq!((ct.len(), cubic.len(), ct_below.level()), (2, 3, lower));
     let plain = |pt: CkksPlaintext| fnv(pt.limbs().iter().flatten().copied());
-    let key_words = (0..params.moduli().len())
-        .flat_map(|j| rlk.limb_parts(j))
-        .flat_map(|(k0, k1)| k0.iter().chain(k1).copied());
+    let key_words = (0..params.moduli().len()).flat_map(|j| {
+        let tables = NttTables::new(params.ring(j), params.n()).unwrap();
+        raw_key_words(params.ring(j), &tables, rlk.limb_parts(j))
+    });
     [
         fnv(key_words),
         fnv_ckks(&ct),
@@ -97,8 +124,9 @@ fn ckks_109(n: usize) -> CkksParams {
 }
 
 /// Computed at the parent commit (client path on `Polynomial`, CKKS limbs
-/// on `Barrett128`): `[n = 2^8, the paper's n = 2^13]`.
-const PARENT_BFV: [[u64; 6]; 2] = [
+/// on `Barrett128`; the relin-key digests at the last commit that stored
+/// the key raw): `[n = 2^8, the paper's n = 2^13]`.
+const PARENT_BFV: [[u64; 7]; 2] = [
     [
         0x5c1f_cc5c_6ac9_5d54,
         0x1887_4855_e304_28bc,
@@ -106,6 +134,7 @@ const PARENT_BFV: [[u64; 6]; 2] = [
         0xdb5f_e162_af05_8520,
         0x4041_ebe0_7f63_968e,
         0x4014_c526_0657_e570,
+        0xea17_767c_3499_c0a2,
     ],
     [
         0xabb0_4fe7_c140_5b6b,
@@ -114,6 +143,7 @@ const PARENT_BFV: [[u64; 6]; 2] = [
         0x49f5_b0c8_fc28_42d6,
         0x4053_6aec_57e5_792b,
         0x4042_2999_759e_1530,
+        0xffd8_73ac_1fc9_2d59,
     ],
 ];
 const PARENT_CKKS: [[u64; 6]; 2] = [

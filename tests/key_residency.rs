@@ -1,23 +1,32 @@
-//! Key-switch key residency: an evaluator transforms a relinearization
-//! key once, keeps it on the backends it owns in NTT form for exactly as
-//! long as the key lives, and computes the same bits as the
-//! self-contained inline streams a farm ships to borrowed dies.
+//! Key-switch keys are stored in NTT form: a relinearization key is
+//! transformed once, as it is generated, and no execution route
+//! transforms it again — the evaluator uploads it to the backends it
+//! owns for exactly as long as the key lives, a farm or a gateway ships
+//! it inside self-contained streams, and all of them run `digits + 2`
+//! transforms per limb and compute the same bits.
 //!
-//! Both schemes share one mechanism (`LimbEngine::resident_keys`), so the
-//! lifetime and cycle properties are checked for BFV and CKKS alike; the
-//! parity, transform-count and foreign-key checks are CKKS's (BFV's live
-//! in `bfv_offload.rs` and `cofhee_bfv::jobs`).
+//! Both schemes share one mechanism (`LimbEngine::resident_keys`, one
+//! `record_key_switch`), so the lifetime, count and cycle properties are
+//! checked for BFV and CKKS alike; BFV's short-digit refusal needs a key
+//! only `cofhee_bfv` can build and lives in `cofhee_bfv::jobs`.
 
-use cofhee::bfv::{BfvParams, Encryptor, Evaluator, KeyGenerator, Plaintext};
+use cofhee::arith::primes::ntt_prime;
+use cofhee::bfv::{
+    BfvError, BfvParams, Ciphertext, Encryptor, Evaluator, KeyGenerator, Plaintext, RelinKey,
+};
 use cofhee::ckks::{
     CkksCiphertext, CkksEncoder, CkksEncryptor, CkksError, CkksEvaluator, CkksKeyGenerator,
     CkksParams, CkksRelinKey, CkksSecretKey,
 };
 use cofhee::core::{
-    BackendFactory, ChipBackendFactory, CpuBackendFactory, PoolStats, StreamReport,
+    BackendFactory, ChipBackendFactory, CpuBackendFactory, OpStream, PoolStats, StreamReport,
 };
-use cofhee::farm::{ChipFarm, FarmError, Job, JobKind, Scheduler, Session, WorkStealing};
+use cofhee::farm::{
+    ChipFarm, FarmError, Job, JobKind, RoundRobin, Scheduler, Session, WorkStealing,
+};
 use cofhee::opt::{LimbEngine, OptLevel};
+use cofhee::poly::ntt;
+use cofhee::service::{Gateway, GatewayConfig, Request, TenantFair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,6 +52,23 @@ fn ckks(params: CkksParams, seed: u64) -> Ckks {
     let a = enc.encrypt(&encoder.encode(&[1.5, -0.25]).unwrap(), &mut rng).unwrap();
     let b = enc.encrypt(&encoder.encode(&[0.5, 2.0]).unwrap(), &mut rng).unwrap();
     Ckks { params, kg, sk, rlk, a, b, rng }
+}
+
+struct Bfv {
+    params: BfvParams,
+    rlk: RelinKey,
+    a: Ciphertext,
+    b: Ciphertext,
+}
+
+fn bfv(params: BfvParams, seed: u64) -> Bfv {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let kg = KeyGenerator::new(&params, &mut rng);
+    let enc = Encryptor::new(&params, kg.public_key(&mut rng).unwrap());
+    let rlk = kg.relin_key(16, &mut rng).unwrap();
+    let a = enc.encrypt(&Plaintext::constant(&params, 3).unwrap(), &mut rng).unwrap();
+    let b = enc.encrypt(&Plaintext::constant(&params, 5).unwrap(), &mut rng).unwrap();
+    Bfv { params, rlk, a, b }
 }
 
 fn factories() -> [(&'static str, Box<dyn BackendFactory>); 2] {
@@ -97,11 +123,14 @@ fn resident_relinearize_equals_inline_streams_at_every_level() {
 }
 
 #[test]
-fn the_key_is_transformed_once_per_engine_and_clones_share_it() {
+fn an_evaluators_key_switch_is_digits_plus_two_transforms_from_the_first_use() {
     let f = ckks(CkksParams::insecure_testing(N).unwrap(), 2);
     let limbs = f.params.moduli().len() as u64;
     let digits = f.params.digits_at(f.params.top_level()) as u64;
+    let g = bfv(BfvParams::insecure_testing(N).unwrap(), 2);
     for (name, factory) in &factories() {
+        // CKKS. Per limb: `digits` digit NTTs and 2 iNTTs — and nothing
+        // for the key, first use or not, clone or not.
         let ev = CkksEvaluator::with_backend(&f.params, factory.as_ref()).unwrap();
         let cubic = ev.multiply(&f.a, &f.b).unwrap();
         let count = |who: &CkksEvaluator, key: &CkksRelinKey| {
@@ -109,15 +138,154 @@ fn the_key_is_transformed_once_per_engine_and_clones_share_it() {
             who.relinearize(&cubic, key).unwrap();
             transforms(ev.backend_report().butterflies)
         };
-        // Per limb: `digits` digit NTTs and 2 iNTTs always; the 2·digits
-        // key NTTs on the first call only — telemetry resets keep it.
-        assert_eq!(count(&ev, &f.rlk), (3 * digits + 2) * limbs, "{name}: first use");
+        assert_eq!(count(&ev, &f.rlk), (digits + 2) * limbs, "{name}: first use");
         assert_eq!(count(&ev, &f.rlk), (digits + 2) * limbs, "{name}: resident");
         assert_eq!(count(&ev.clone(), &f.rlk.clone()), (digits + 2) * limbs, "{name}: clones");
-        // Another evaluator owns other backends and transforms its own.
+        // Another evaluator owns other backends and uploads its own copy.
         let other = CkksEvaluator::with_backend(&f.params, factory.as_ref()).unwrap();
         other.relinearize(&cubic, &f.rlk).unwrap();
-        assert_eq!(transforms(other.backend_report().butterflies), (3 * digits + 2) * limbs);
+        assert_eq!(transforms(other.backend_report().butterflies), (digits + 2) * limbs);
+
+        // BFV, one mod-q stream.
+        let ev = Evaluator::with_backend(&g.params, factory.as_ref()).unwrap();
+        let cubic = ev.multiply(&g.a, &g.b).unwrap();
+        for what in ["first use", "resident"] {
+            ev.reset_backend_telemetry();
+            ev.relinearize(&cubic, &g.rlk).unwrap();
+            let resident = ev.backend_stream_report();
+            assert_eq!(
+                transforms(ev.backend_report().butterflies),
+                g.rlk.digit_count() as u64 + 2,
+                "{name} bfv: {what}"
+            );
+            // The stream a farm ships is the same stream: on a borrowed
+            // backend it costs what the resident one does, cycle for cycle.
+            let borrowed = LimbEngine::new(factory.as_ref(), &[g.params.q()], N).unwrap();
+            borrowed.run_one(0, ev.relin_stream(&cubic, &g.rlk).unwrap()).unwrap();
+            assert_eq!(borrowed.report().butterflies, ev.backend_report().butterflies);
+            assert_eq!(borrowed.stream_report(), resident, "{name} bfv: shipped vs {what}");
+        }
+    }
+}
+
+/// Transforms behind one BFV and one CKKS `MulRelin`: the tensor's four
+/// forward and three inverse per limb, `digits + 2` per key-switch limb,
+/// none for the rescale.
+fn mul_relin_transforms(g: &Bfv, f: &Ckks) -> u64 {
+    let bfv = 7 * g.params.mult_basis().len() + g.rlk.digit_count() + 2;
+    let limbs = f.params.moduli().len();
+    let ckks = (7 + f.params.digits_at(f.params.top_level()) + 2) * limbs;
+    (bfv + ckks) as u64
+}
+
+#[test]
+fn a_farm_key_switch_is_digits_plus_two_transforms_and_the_evaluators_bits() {
+    let g = bfv(BfvParams::insecure_testing(N).unwrap(), 11);
+    let f = ckks(CkksParams::insecure_testing(N).unwrap(), 11);
+    let want_bfv = Evaluator::new(&g.params).unwrap().multiply_relin(&g.a, &g.b, &g.rlk).unwrap();
+    let want_ckks =
+        CkksEvaluator::new(&f.params).unwrap().multiply_relin_rescale(&f.a, &f.b, &f.rlk).unwrap();
+    for dies in [1, 4] {
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            for policy in [0, 1] {
+                let farm = ChipFarm::new(dies, ChipBackendFactory::silicon()).unwrap();
+                let mut s = match policy {
+                    0 => Scheduler::new(farm, Box::new(WorkStealing)),
+                    _ => Scheduler::new(farm, Box::new(RoundRobin::default())),
+                };
+                s.set_opt_level(level);
+                let exact = s.open_session(Session::new("e", &g.params, g.rlk.clone()).unwrap());
+                let approx =
+                    s.open_session(Session::new_ckks("a", &f.params, f.rlk.clone()).unwrap());
+                let done = s
+                    .run(vec![
+                        Job {
+                            session: exact,
+                            kind: JobKind::MulRelin(g.a.clone(), g.b.clone()),
+                            arrival: 0,
+                        },
+                        Job {
+                            session: approx,
+                            kind: JobKind::CkksMulRelin(f.a.clone(), f.b.clone()),
+                            arrival: 0,
+                        },
+                    ])
+                    .unwrap();
+                let what = format!("{dies} dies, {level}, policy {policy}");
+                assert_eq!(done[0].result.expect_bfv().polys(), want_bfv.polys(), "{what}");
+                assert_eq!(
+                    done[1].result.expect_ckks().components(),
+                    want_ckks.components(),
+                    "{what}"
+                );
+                let m = s.metrics();
+                assert_eq!(
+                    transforms(m.counter("farm.ops.butterflies")),
+                    mul_relin_transforms(&g, &f),
+                    "{what}"
+                );
+                // The key is what a key switch uploads most of.
+                let key_polys =
+                    2 * g.rlk.digit_count() + 2 * f.rlk.digit_count() * f.params.moduli().len();
+                assert_eq!(m.counter("farm.dma.key_bytes"), (key_polys * N * 16) as u64, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_gateway_key_switch_is_digits_plus_two_transforms_and_the_evaluators_bits() {
+    let g = bfv(BfvParams::insecure_testing(N).unwrap(), 12);
+    let f = ckks(CkksParams::insecure_testing(N).unwrap(), 12);
+    let farm = ChipFarm::new(2, ChipBackendFactory::silicon()).unwrap();
+    let sched = Scheduler::new(farm, Box::new(WorkStealing));
+    let mut gw = Gateway::new(sched, Box::new(TenantFair::default()), GatewayConfig::for_chips(2));
+    let exact = gw.register_tenant("exact", &g.params, Some(g.rlk.clone())).unwrap();
+    let approx = gw.register_ckks_tenant("approx", &f.params, Some(f.rlk.clone())).unwrap();
+    let (a, b) = (
+        gw.put_ciphertext(exact, g.a.clone()).unwrap(),
+        gw.put_ciphertext(exact, g.b.clone()).unwrap(),
+    );
+    let (x, y) = (
+        gw.put_ckks_ciphertext(approx, f.a.clone()).unwrap(),
+        gw.put_ckks_ciphertext(approx, f.b.clone()).unwrap(),
+    );
+    let t_bfv = gw.submit(exact, Request::MulRelin(a, b)).unwrap();
+    let t_ckks = gw.submit(approx, Request::CkksMulRelin(x, y)).unwrap();
+    gw.drain().unwrap();
+    let want = Evaluator::new(&g.params).unwrap().multiply_relin(&g.a, &g.b, &g.rlk).unwrap();
+    assert_eq!(gw.result(&t_bfv).unwrap().polys(), want.polys());
+    let want =
+        CkksEvaluator::new(&f.params).unwrap().multiply_relin_rescale(&f.a, &f.b, &f.rlk).unwrap();
+    assert_eq!(gw.result_ckks(&t_ckks).unwrap().components(), want.components());
+    assert_eq!(
+        transforms(gw.metrics().counter("farm.ops.butterflies")),
+        mul_relin_transforms(&g, &f)
+    );
+}
+
+#[test]
+fn the_stored_form_is_an_ntt_nodes_output_over_the_raw_key_on_both_backends() {
+    for bits in [47, 60, 109] {
+        let q = ntt_prime(bits, N).unwrap();
+        let g = bfv(BfvParams::new(N, 257, q).unwrap(), 13);
+        let ring = g.params.poly_ring();
+        for (name, factory) in &factories() {
+            let mut be = factory.make(q, N).unwrap();
+            for (i, stored) in g.rlk.parts().iter().flat_map(|(k0, k1)| [k0, k1]).enumerate() {
+                // The raw key polynomial, by the strict inverse kernel…
+                let mut raw = stored.to_vec();
+                ntt::inverse_inplace(ring.ring(), &mut raw, ring.plan().tables()).unwrap();
+                assert_ne!(&raw, &**stored);
+                // …transforms, on the backend, to exactly what is stored.
+                let mut st = OpStream::new(N);
+                let up = st.upload(raw).unwrap();
+                let form = st.ntt(up).unwrap();
+                st.output(form).unwrap();
+                let out = be.execute_stream(&st).unwrap().outputs;
+                assert_eq!(&out[0], &**stored, "{name}, {bits}-bit q, polynomial {i}");
+            }
+        }
     }
 }
 
@@ -231,6 +399,40 @@ fn a_foreign_relin_key_is_refused_by_the_farm() {
         assert!(matches!(err, FarmError::Ckks(CkksError::ParamsMismatch)), "{what}: {err}");
         assert_eq!(s.report().jobs, 0, "{what}: a refused job leaves no outcome");
     }
+}
+
+#[test]
+fn a_foreign_bfv_relin_key_is_refused_before_anything_is_uploaded() {
+    let home = bfv(BfvParams::insecure_testing(N).unwrap(), 14);
+    let other_degree = bfv(BfvParams::insecure_testing(2 * N).unwrap(), 14).rlk;
+    let other_modulus =
+        bfv(BfvParams::new(N, home.params.t(), ntt_prime(59, N).unwrap()).unwrap(), 14).rlk;
+    assert_eq!(other_modulus.digit_count(), home.rlk.digit_count());
+    for (name, factory) in &factories() {
+        let ev = Evaluator::with_backend(&home.params, factory.as_ref()).unwrap();
+        let cubic = ev.multiply(&home.a, &home.b).unwrap();
+        ev.reset_backend_telemetry();
+        let held = live_buffers(ev.backend_pool_stats());
+        for (what, key) in [("degree", &other_degree), ("modulus", &other_modulus)] {
+            let resident = ev.relinearize(&cubic, key).map(|_| ());
+            assert_eq!(resident, Err(BfvError::ParamsMismatch), "{name}, foreign {what}");
+            let shipped = ev.relin_stream(&cubic, key).map(|_| ());
+            assert_eq!(shipped, Err(BfvError::ParamsMismatch), "{name}, foreign {what}");
+        }
+        assert_eq!(ev.backend_comm_stats().bytes, 0, "{name}: nothing crossed the link");
+        assert_eq!(live_buffers(ev.backend_pool_stats()), held, "{name}: nothing was stored");
+        assert_eq!(ev.relinearize(&cubic, &home.rlk).unwrap().len(), 2);
+    }
+    // A farm refuses it the same way, and the job leaves no outcome.
+    let farm = ChipFarm::new(1, ChipBackendFactory::silicon()).unwrap();
+    let mut s = Scheduler::new(farm, Box::new(WorkStealing));
+    let id = s.open_session(Session::new("mixed-up", &home.params, other_modulus).unwrap());
+    let err = s
+        .run(vec![Job { session: id, kind: JobKind::MulRelin(home.a, home.b), arrival: 0 }])
+        .unwrap_err();
+    assert!(matches!(err, FarmError::Bfv(BfvError::ParamsMismatch)), "{err}");
+    assert_eq!(s.report().jobs, 0);
+    assert_eq!(s.metrics().counter("farm.dma.key_bytes"), 0);
 }
 
 #[test]
