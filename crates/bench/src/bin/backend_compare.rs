@@ -3,8 +3,9 @@
 //!
 //! Complements the Table V path (`table5_performance`, which drives the
 //! `Device` directly and reads the bare command): here every row is a
-//! one-node stream over two operands the backend already stores — the
-//! way the evaluators reach a backend — so the chip column is what a
+//! one-node stream (PolyMul: Algorithm 2's three — NTT, NTT, Hadamard +
+//! iNTT) over two operands the backend already stores — the way the
+//! evaluators reach a backend — so the chip column is what a
 //! host actually pays for the op: operand transfers in, the command,
 //! the result transfer out, overlapped as the FIFO schedule allows.
 //!
@@ -17,7 +18,7 @@ use cofhee_arith::primes::ntt_prime;
 use cofhee_core::{ChipBackend, CpuBackend, OpStream, PolyBackend, StreamHandle};
 use cofhee_sim::ChipConfig;
 
-/// One compute node over the two stored operands.
+/// One row's computation over the two stored operands.
 type Record = fn(&mut OpStream, StreamHandle, StreamHandle) -> cofhee_core::Result<StreamHandle>;
 
 /// The seven Table I / Algorithm 2 rows, as (label, recorder) pairs.
@@ -28,11 +29,14 @@ const OPS: [(&str, Record); 7] = [
     ("PMODADD", |st, a, b| st.pointwise_add(a, b)),
     ("PMODSUB", |st, a, b| st.pointwise_sub(a, b)),
     ("CMODMUL", |st, a, _| st.scalar_mul(a, 0x1234_5678)),
-    ("PolyMul", |st, a, b| st.poly_mul(a, b)),
+    ("PolyMul", |st, a, b| {
+        let (fa, fb) = (st.ntt(a)?, st.ntt(b)?);
+        st.hadamard_intt(fa, fb)
+    }),
 ];
 
-/// Stores `a` and `b` on `be` and records `op` over them as a one-node
-/// stream with its result marked for download.
+/// Stores `a` and `b` on `be` and records `op` over them as a stream
+/// with its result marked for download.
 fn one_node(
     be: &mut dyn PolyBackend,
     a: &[u128],
@@ -57,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cpu = CpuBackend::new(q, n)?;
     let mut chip = ChipBackend::connect(config, q, n)?;
 
-    println!("Backend comparison via the PolyBackend API, one-node streams");
+    println!("Backend comparison via the PolyBackend API, one stream per op");
     println!("(n = 2^{log_n}, log q = 109, chip = simulated silicon at 250 MHz)\n");
     println!(
         "{:<9} | {:>12} {:>10} | {:>12} | {:>9}",

@@ -195,10 +195,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Part 2: the fused pipeline under the stream compiler.
     println!("multiply+relin+rescale under the stream compiler:");
-    println!(
-        "{:<6} | {:>12} {:>12} | {:>4} {:>5} {:>6}",
-        "level", "serial cc", "overlap cc", "elim", "fused", "hoist"
-    );
+    println!("{:<6} | {:>12} {:>12} | {:>4}", "level", "serial cc", "overlap cc", "elim");
     let mut baseline: Option<(CkksCiphertext, u64)> = None;
     for level in [OptLevel::O0, OptLevel::O1] {
         let ev = CkksEvaluator::with_backend(&params, &ChipBackendFactory::silicon())?
@@ -207,12 +204,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sr = ev.backend_stream_report();
         let lv = format!("{level}");
         println!(
-            "{lv:<6} | {:>12} {:>12} | {:>4} {:>5} {:>6}",
-            sr.serial_cycles,
-            sr.overlapped_cycles,
-            sr.ops_eliminated,
-            sr.ops_fused,
-            sr.uploads_hoisted
+            "{lv:<6} | {:>12} {:>12} | {:>4}",
+            sr.serial_cycles, sr.overlapped_cycles, sr.ops_eliminated
         );
         match &baseline {
             None => baseline = Some((prod, sr.overlapped_cycles)),

@@ -285,7 +285,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gw_events.iter().any(|e| e.track == Track::Gateway && e.name == "cancel"),
         "the eviction cascade must land on the gateway track"
     );
-    // The O1 replay traced its compiler passes.
+    // The O1 replay traced its compiler's rewrites.
     assert!(
         farm_events.iter().any(|e| e.track == Track::Compiler),
         "O1 compilation must emit compiler-track events"

@@ -201,10 +201,10 @@ impl Evaluator {
     }
 
     /// Records the per-prime unscaled tensor as a stream: 4 forward
-    /// NTTs, then — per the fused hot path — the outer tensor
-    /// components as single `intt ∘ hadamard` nodes and the middle
-    /// component as two Hadamards accumulated *in the NTT domain*
-    /// before its inverse transform. Same dataflow as the paper's
+    /// NTTs, then the outer tensor components as single
+    /// `intt ∘ hadamard` nodes and the middle component as a Hadamard
+    /// plus a multiply-accumulate *in the NTT domain* before its inverse
+    /// transform — the node list `cofhee_ckks` records per limb. Same dataflow as the paper's
     /// Algorithm 3 modulo the final scaling, with the three tensor
     /// components marked as outputs.
     fn tensor_stream(&self, i: usize, a: &Ciphertext, b: &Ciphertext) -> Result<OpStream> {
@@ -217,8 +217,7 @@ impl Evaluator {
         let (a0, a1, b0, b1) = (ntts[0], ntts[1], ntts[2], ntts[3]);
         let r0 = st.hadamard_intt(a0, b0)?;
         let x01 = st.hadamard(a0, b1)?;
-        let x10 = st.hadamard(a1, b0)?;
-        let t1 = st.pointwise_add(x01, x10)?;
+        let t1 = st.hadamard_add(a1, b0, x01)?;
         let r1 = st.intt(t1)?;
         let r2 = st.hadamard_intt(a1, b1)?;
         for r in [r0, r1, r2] {

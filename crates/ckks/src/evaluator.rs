@@ -11,8 +11,8 @@
 //! one backend each). The limb streams are recorded by the
 //! builders in the `streams` module (also the farm's job layer) and are
 //! identical on every backend and at every [`OptLevel`]: the stream
-//! compiler's CSE/fusion/transfer-hoist passes and the O2 partitioner
-//! apply unchanged, which is the point of reusing the op set.
+//! compiler's value numbering and dead-node sweep apply unchanged,
+//! which is the point of reusing the op set.
 //!
 //! Per primitive:
 //!

@@ -560,15 +560,6 @@ impl<R: LazyRing> CpuState<R> {
                 pointwise::scalar_mul_assign(ring, &mut v, ring.from_u128(*c));
                 (v, 0, 1, 0)
             }
-            // Algorithm 2: two forward transforms, the Hadamard pass, one
-            // inverse; the scratch goes straight back.
-            StreamOp::PolyMul(a, b) => {
-                let (a, b) = (arg(a)?, arg(b)?);
-                let (mut v, mut tmp) = (self.scratch.take(), self.scratch.take());
-                plan.poly_mul_into(a, b, &mut v, &mut tmp)?;
-                self.scratch.put(tmp);
-                (v, 3, 2, 0)
-            }
         };
         report.butterflies += transforms * butterfly_count(self.n);
         report.mults += mul_passes * self.n as u64;
@@ -715,9 +706,8 @@ impl PolyBackend for CpuBackend {
 /// Handles are host-resident mirrors: `upload` / `download` / `free`
 /// never touch the die. A stream reduces its [`StreamOp::Input`] mirrors
 /// and upload payloads straight into the SRAM banks of the standard
-/// [`crate::BankPlan`], runs the Table I commands (the Algorithm 2
-/// schedule for [`StreamOp::PolyMul`]) through the command FIFO, and
-/// reads only the marked outputs back. Wire traffic accrues to
+/// [`crate::BankPlan`], runs the Table I commands through the command
+/// FIFO, and reads only the marked outputs back. Wire traffic accrues to
 /// [`CommStats`] per the configured [`Link`]; command latencies
 /// accumulate in the cumulative [`OpReport`].
 #[derive(Debug)]
@@ -903,7 +893,7 @@ pub(crate) mod tests {
     /// Every compute kind of the [`StreamOp`] vocabulary once, each
     /// result an output, in this order: `ntt(a)`, `intt(ntt(a))`,
     /// `a ∘ b`, `intt(ntt(a) ∘ ntt(b))`, `a ∘ b + a`, `a + b`, `a − b`,
-    /// `12345·a`, `a·b`.
+    /// `12345·a`.
     fn every_op(a: &[u128], b: &[u128]) -> OpStream {
         let mut st = OpStream::new(a.len());
         let ha = st.upload(a.to_vec()).unwrap();
@@ -919,7 +909,6 @@ pub(crate) mod tests {
             st.pointwise_add(ha, hb).unwrap(),
             st.pointwise_sub(ha, hb).unwrap(),
             st.scalar_mul(ha, 12345).unwrap(),
-            st.poly_mul(ha, hb).unwrap(),
         ];
         for h in outputs {
             st.output(h).unwrap();
@@ -947,12 +936,11 @@ pub(crate) mod tests {
         let c = cpu.execute_stream(&st).unwrap().outputs;
         let s = chip.execute_stream(&st).unwrap().outputs;
         assert_eq!(c, s, "CPU and chip must agree bit-for-bit");
-        // iNTT(NTT(a)) = a; both product forms match the naive oracle,
+        // iNTT(NTT(a)) = a; the fused product matches the naive oracle,
         // and the pointwise kinds the ring's own arithmetic.
         assert_eq!(c[1], a);
         let ring = Barrett128::new(q()).unwrap();
-        let product = naive::negacyclic_mul(&ring, &a, &b).unwrap();
-        assert_eq!((&c[3], &c[8]), (&product, &product));
+        assert_eq!(c[3], naive::negacyclic_mul(&ring, &a, &b).unwrap());
         let zip = |f: &dyn Fn(u128, u128) -> u128| -> Vec<u128> {
             a.iter().zip(&b).map(|(&x, &y)| f(x, y)).collect()
         };
@@ -968,13 +956,13 @@ pub(crate) mod tests {
         let (mut cpu, mut chip) = both();
         let st = every_op(&poly(4), &poly(5));
         let outcome = cpu.execute_stream(&st).unwrap();
-        // Seven transforms (two NTTs, an iNTT, the fused iNTT, PolyMul's
-        // three), eight multiply passes (iNTT 1, Hadamard 1, fused 2,
-        // multiply-accumulate 1, scalar 1, PolyMul 2), three add-subs.
+        // Four transforms (two NTTs, an iNTT, the fused iNTT), six
+        // multiply passes (iNTT 1, Hadamard 1, fused 2, multiply-accumulate
+        // 1, scalar 1), three add-subs.
         let (n, transform) = (N as u64, butterfly_count(N));
         let once = OpReport {
-            butterflies: 7 * transform,
-            mults: 8 * n,
+            butterflies: 4 * transform,
+            mults: 6 * n,
             addsubs: 3 * n,
             ..OpReport::default()
         };
@@ -982,7 +970,7 @@ pub(crate) mod tests {
         // No modeled timing, no wire: the CPU reference is zero-cost.
         assert_eq!(
             outcome.report,
-            StreamReport { commands: 12 + 9, batches: 1, ..StreamReport::default() }
+            StreamReport { commands: 11 + 8, batches: 1, ..StreamReport::default() }
         );
         assert_eq!(cpu.comm_stats(), CommStats::default());
         cpu.execute_stream(&st).unwrap();

@@ -381,9 +381,9 @@ impl<'a> Scheduler<'a> {
             StreamOp::HadamardAdd(x, y, acc) => {
                 // No fused command on the chip either: PMODMUL into a
                 // temporary reclaimed in-queue, then PMODADD — the same
-                // two commands the unfused recording would issue, so
-                // fusing is cycle-neutral here and pays off in slot
-                // pressure and recorded-node count only.
+                // two commands a `hadamard` + `pointwise_add` recording
+                // issues, so the node is cycle-neutral here and pays off
+                // in slot pressure and recorded-node count only.
                 let (sx, sy) = (self.operand(*x), self.operand(*y));
                 let prod_i = self.alloc(true, &[], false)?;
                 let prod = self.slots[prod_i].slot;
@@ -406,29 +406,6 @@ impl<'a> Scheduler<'a> {
                 self.submit(Command::cmodmul(src, c, dst))?;
                 self.release(*x);
                 self.residence[i] = Some(dst_i);
-            }
-            StreamOp::PolyMul(a, b) => {
-                // Algorithm 2 inline: NTT, NTT, Hadamard, iNTT, with the
-                // forward transforms' temporaries reclaimed in-queue.
-                let (sa, sb) = (self.operand(*a), self.operand(*b));
-                let fa_i = self.alloc(true, &[sa.bank], false)?;
-                let fa = self.slots[fa_i].slot;
-                self.submit(Command::ntt(sa, self.be.device.forward_twiddles(), fa))?;
-                let fb_i = self.alloc(true, &[sb.bank], false)?;
-                let fb = self.slots[fb_i].slot;
-                self.submit(Command::ntt(sb, self.be.device.forward_twiddles(), fb))?;
-                self.release(*a);
-                self.release(*b);
-                let prod_i = self.alloc(true, &[], false)?;
-                let prod = self.slots[prod_i].slot;
-                self.submit(Command::pmodmul(fa, fb, prod))?;
-                self.slots[fa_i].state = SlotState::PendingDrain;
-                self.slots[fb_i].state = SlotState::PendingDrain;
-                let out_i = self.alloc(true, &[prod.bank], false)?;
-                let out = self.slots[out_i].slot;
-                self.submit(Command::intt(prod, self.be.device.inverse_twiddles(), out))?;
-                self.slots[prod_i].state = SlotState::PendingDrain;
-                self.residence[i] = Some(out_i);
             }
         }
         // Marked outputs get their readout DMA queued right behind the

@@ -65,10 +65,11 @@ impl KeySwitchKeys<'_> {
 /// matching `(k0, k1)` pair per digit; `base` holds the two ciphertext
 /// components the folded accumulators are added onto, moved into the
 /// stream's uploads. Per digit the
-/// builder records: upload + forward NTT of the digit polynomial, the two
-/// Hadamard products against the key pair (uploaded inline or referenced
-/// resident — NTT form either way, no key coefficient copied), and
-/// NTT-domain accumulation; then per base component an inverse NTT and a
+/// builder records: upload + forward NTT of the digit polynomial and the
+/// two products against the key pair (uploaded inline or referenced
+/// resident — NTT form either way, no key coefficient copied), the first
+/// digit's as a Hadamard and every later one as a multiply-accumulate
+/// onto the running sum; then per base component an inverse NTT and a
 /// pointwise add, marked as the stream's outputs in component order.
 ///
 /// # Errors
@@ -99,10 +100,9 @@ pub fn record_key_switch(
                 KeySwitchKeys::Inline(k) => st.upload_shared(Arc::clone([&k[i].0, &k[i].1][c]))?,
                 KeySwitchKeys::Resident(k) => st.input([k[i].0, k[i].1][c]),
             };
-            let prod = st.hadamard(fd, fk)?;
             *acc = Some(match acc.take() {
-                None => prod,
-                Some(sum) => st.pointwise_add(sum, prod)?,
+                None => st.hadamard(fd, fk)?,
+                Some(sum) => st.hadamard_add(fd, fk, sum)?,
             });
         }
     }

@@ -83,8 +83,8 @@ pub struct StreamHandle {
 
 impl StreamHandle {
     /// The node position this handle names within its issuing stream —
-    /// the index into [`OpStream::nodes`]. Stream rewriters (the
-    /// `cofhee_opt` passes) key their node maps by it.
+    /// the index into [`OpStream::nodes`]. Stream rewriters
+    /// (`cofhee_opt`'s `cse` and `dce`) key their node maps by it.
     pub fn index(&self) -> usize {
         self.index
     }
@@ -118,11 +118,14 @@ pub enum StreamOp {
     /// Hadamard (pointwise) product.
     Hadamard(StreamHandle, StreamHandle),
     /// Fused `intt ∘ hadamard`: NTT-domain product returned in the
-    /// coefficient domain (the tail of every tensor limb).
+    /// coefficient domain (the tail of every tensor limb). Host
+    /// notation the builders record themselves: the CPU replay runs it
+    /// as one kernel, the chip expands it to PMODMUL + iNTT of Table I.
     HadamardIntt(StreamHandle, StreamHandle),
     /// Fused multiply-accumulate `acc + x ⊙ y`, all in the NTT domain —
-    /// the middle term of the Eq. 4 tensor (`a0⊙b1 + a1⊙b0`) as one
-    /// node. Operand order: `(x, y, acc)`.
+    /// the middle term of the Eq. 4 tensor (`a0⊙b1 + a1⊙b0`) and every
+    /// key-switch accumulate as one node; PMODMUL + PMODADD on the
+    /// chip. Operand order: `(x, y, acc)`.
     HadamardAdd(StreamHandle, StreamHandle, StreamHandle),
     /// Pointwise addition.
     PointwiseAdd(StreamHandle, StreamHandle),
@@ -130,8 +133,6 @@ pub enum StreamOp {
     PointwiseSub(StreamHandle, StreamHandle),
     /// Constant multiplication.
     ScalarMul(StreamHandle, u128),
-    /// Full negacyclic product (Algorithm 2 schedule).
-    PolyMul(StreamHandle, StreamHandle),
 }
 
 impl StreamOp {
@@ -145,8 +146,7 @@ impl StreamOp {
             StreamOp::Hadamard(a, b)
             | StreamOp::HadamardIntt(a, b)
             | StreamOp::PointwiseAdd(a, b)
-            | StreamOp::PointwiseSub(a, b)
-            | StreamOp::PolyMul(a, b) => [Some(a), Some(b), None],
+            | StreamOp::PointwiseSub(a, b) => [Some(a), Some(b), None],
             StreamOp::HadamardAdd(a, b, acc) => [Some(a), Some(b), Some(acc)],
         }
     }
@@ -343,17 +343,6 @@ impl OpStream {
         Ok(self.push(StreamOp::ScalarMul(x, c)))
     }
 
-    /// Records a full negacyclic product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BadHandle`] for foreign handles.
-    pub fn poly_mul(&mut self, a: StreamHandle, b: StreamHandle) -> Result<StreamHandle> {
-        self.check(a)?;
-        self.check(b)?;
-        Ok(self.push(StreamOp::PolyMul(a, b)))
-    }
-
     /// Marks a node's result for download; execution returns marked
     /// results in marking order. Returns the output's index.
     ///
@@ -416,13 +405,12 @@ pub struct StreamReport {
     pub downloaded_bytes: u64,
     /// Nodes removed by the stream compiler (dead-op elimination and
     /// common-subexpression / NTT-form dedup). Zero on unoptimized
-    /// submits; stamped by the `cofhee_opt` pass pipeline.
+    /// submits; stamped by `cofhee_opt::optimize`.
     pub ops_eliminated: u64,
-    /// Node pairs fused into `HadamardIntt` / `HadamardAdd` nodes by
-    /// the stream compiler.
+    /// Always 0: builders record the fused nodes themselves. Kept only
+    /// because `bench/e2e` reads the field; the next `benchmark` PR
+    /// drops its `opt.ops_fused` catalog row and this field together.
     pub ops_fused: u64,
-    /// Host uploads merged or sunk to first use by transfer hoisting.
-    pub uploads_hoisted: u64,
 }
 
 impl StreamReport {
@@ -447,7 +435,6 @@ impl StreamReport {
         self.downloaded_bytes = self.downloaded_bytes.saturating_add(other.downloaded_bytes);
         self.ops_eliminated = self.ops_eliminated.saturating_add(other.ops_eliminated);
         self.ops_fused = self.ops_fused.saturating_add(other.ops_fused);
-        self.uploads_hoisted = self.uploads_hoisted.saturating_add(other.uploads_hoisted);
     }
 }
 
@@ -546,7 +533,7 @@ mod tests {
         let back = st.intt(prod).unwrap();
         let sum = st.pointwise_add(a, b).unwrap();
         let scaled = st.scalar_mul(sum, 7).unwrap();
-        let pm = st.poly_mul(a, b).unwrap();
+        let pm = st.hadamard_intt(fa, fb).unwrap();
         for h in [back, scaled, pm] {
             st.output(h).unwrap();
         }
@@ -575,10 +562,10 @@ mod tests {
     fn use_counts_track_fanout_and_outputs() {
         let st = sample_stream();
         let uses = st.use_counts();
-        // Uploads a and b each feed an NTT, the pointwise add, and the
-        // PolyMul.
-        assert_eq!(uses[0], 3);
-        assert_eq!(uses[1], 3);
+        // Uploads a and b each feed an NTT and the pointwise add; each
+        // transform feeds the Hadamard and the fused product.
+        assert_eq!((uses[0], uses[1]), (2, 2));
+        assert_eq!((uses[2], uses[3]), (2, 2));
         // Outputs carry a use even with no consumers.
         let pm = st.outputs()[2];
         assert_eq!(uses[pm.index], 1);
@@ -620,7 +607,7 @@ mod tests {
         record_key_switch(&mut st, &digits, KeySwitchKeys::Resident(&keys), [poly(1), poly(2)])
             .unwrap();
         let owned = st.nodes().iter().filter(|op| !matches!(op, StreamOp::Input(_))).count();
-        assert_eq!((st.len(), owned), (60, 46), "one buffer per owned node, held to the end");
+        assert_eq!((st.len(), owned), (48, 34), "one buffer per owned node, held to the end");
 
         // Same telemetry as holding everything to the end gave…
         be.reset_telemetry();
@@ -640,13 +627,13 @@ mod tests {
         );
         assert_eq!(
             outcome.report,
-            StreamReport { commands: 62, batches: 1, ..StreamReport::default() }
+            StreamReport { commands: 50, batches: 1, ..StreamReport::default() }
         );
-        // …from 5 buffers where 46 were held: a digit's transform, both
-        // accumulators, a product and the sum about to replace one.
+        // …from 4 buffers where 34 were held: a digit's transform, both
+        // accumulators and the multiply-accumulate about to replace one.
         let after = be.pool_stats();
-        assert_eq!(after.hits + after.misses - warm.hits - warm.misses, 46, "a take per node");
-        assert_eq!(after.high_water, 5, "all parked again, and never more than that");
+        assert_eq!(after.hits + after.misses - warm.hits - warm.misses, 34, "a take per node");
+        assert_eq!(after.high_water, 4, "all parked again, and never more than that");
         assert_eq!(be.buffers_out(), 2 * DIGITS as u64, "only the key stays");
         // The outputs are the inline recording's on a backend of its own.
         let mut stored = |h| Arc::new(be.download(h).unwrap());
@@ -755,7 +742,8 @@ mod tests {
                 let mut st = OpStream::new(N);
                 let a = st.upload(poly(4)).unwrap();
                 let b = st.upload(poly(5)).unwrap();
-                let pm = st.poly_mul(a, b).unwrap();
+                let (fa, fb) = (st.ntt(a).unwrap(), st.ntt(b).unwrap());
+                let pm = st.hadamard_intt(fa, fb).unwrap();
                 st.output(pm).unwrap();
                 st
             })
@@ -843,8 +831,7 @@ mod tests {
             uploaded_bytes: 64,
             downloaded_bytes: 32,
             ops_eliminated: 3,
-            ops_fused: 2,
-            uploads_hoisted: 1,
+            ..StreamReport::default()
         };
         a.absorb(&a.clone());
         assert_eq!(a.commands, 2);
@@ -853,8 +840,6 @@ mod tests {
         assert!((a.serial_seconds - 2.0).abs() < 1e-12);
         assert_eq!(a.uploaded_bytes, 128);
         assert_eq!(a.ops_eliminated, 6);
-        assert_eq!(a.ops_fused, 4);
-        assert_eq!(a.uploads_hoisted, 2);
     }
 
     #[test]

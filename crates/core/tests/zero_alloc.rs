@@ -21,8 +21,8 @@
 //!   plus the replay's use counts, node → handle table and output list —
 //!   holds at every degree. Nothing per node, nothing per coefficient.
 //! * The replay frees each handle after its last consumer, so a
-//!   key-switch-shaped stream of 46 buffer-producing nodes runs out of
-//!   the 5 pool buffers of its live set, on the same ledger.
+//!   key-switch-shaped stream of 34 buffer-producing nodes runs out of
+//!   the 4 pool buffers of its live set, on the same ledger.
 //! * A warmed [`ChipBackend::execute_stream`] is held to a ledger too:
 //!   the simulated die computes in place in its SRAM, so a stream costs
 //!   its output vectors plus the scheduler's own few bookkeeping vectors
@@ -96,8 +96,8 @@ fn allocations() -> u64 {
 }
 
 /// The full mix: every op kind of the `StreamOp` vocabulary once, every
-/// result that nothing else reads an output. Twelve buffer-producing
-/// nodes, seven outputs.
+/// result that nothing else reads an output. Eleven buffer-producing
+/// nodes, six outputs.
 fn full_mix(a: &[u128], b: &[u128]) -> OpStream {
     let mut st = OpStream::new(a.len());
     let ha = st.upload(a.to_vec()).unwrap();
@@ -112,7 +112,6 @@ fn full_mix(a: &[u128], b: &[u128]) -> OpStream {
         st.pointwise_add(ha, hb).unwrap(),
         st.pointwise_sub(ha, hb).unwrap(),
         st.scalar_mul(ha, 12345).unwrap(),
-        st.poly_mul(ha, hb).unwrap(),
     ];
     for h in outputs {
         st.output(h).unwrap();
@@ -120,12 +119,11 @@ fn full_mix(a: &[u128], b: &[u128]) -> OpStream {
     st
 }
 
-/// Pool takes of one [`full_mix`] replay: one per buffer-producing node,
-/// plus `PolyMul`'s transform scratch, taken and put straight back.
-const FULL_MIX_POOL_TAKES: u64 = 12 + 1;
-/// Pool buffers a [`full_mix`] replay holds at once, reached inside its
-/// last node: both uploads, six outputs, `PolyMul`'s result and scratch.
-const FULL_MIX_LIVE_SET: u64 = 10;
+/// Pool takes of one [`full_mix`] replay: one per buffer-producing node.
+const FULL_MIX_POOL_TAKES: u64 = 11;
+/// Pool buffers a [`full_mix`] replay holds at once, reached at its last
+/// node: both uploads and the six outputs.
+const FULL_MIX_LIVE_SET: u64 = 8;
 
 /// What a warmed CPU stream replay allocates beyond its output vectors:
 /// the use counts it frees by, the node → handle table and the output
@@ -183,14 +181,17 @@ fn ntt_form(cpu: &mut CpuBackend, raw: Vec<u128>) -> PolyHandle {
     cpu.upload(&out[0]).unwrap()
 }
 
-/// `ct · pt` as `cofhee_bfv` records it: the plaintext uploaded once, one
-/// Algorithm 2 PolyMul per ciphertext component.
+/// `ct · pt` as `cofhee_bfv` records it: the plaintext uploaded and
+/// transformed once, a transform and a fused Hadamard + inverse per
+/// ciphertext component.
 fn mul_plain_shaped(n: usize) -> OpStream {
     let mut st = OpStream::new(n);
     let pt = st.upload((0..n as u128).map(|i| i % 5).collect()).unwrap();
+    let fpt = st.ntt(pt).unwrap();
     for c in 0..2u128 {
         let ct = st.upload((0..n as u128).map(|i| i * 977 + c).collect()).unwrap();
-        let prod = st.poly_mul(ct, pt).unwrap();
+        let fct = st.ntt(ct).unwrap();
+        let prod = st.hadamard_intt(fct, fpt).unwrap();
         st.output(prod).unwrap();
     }
     st
@@ -210,7 +211,7 @@ fn ct_add_shaped(n: usize) -> OpStream {
 
 /// A relinearization as the evaluators record it: 7 digits against a key
 /// already resident in NTT form (`keys`), folded onto two components —
-/// 60 nodes, 46 of them producing a buffer.
+/// 48 nodes, 34 of them producing a buffer.
 fn key_switch_shaped(n: usize, keys: &[(PolyHandle, PolyHandle)]) -> OpStream {
     let poly = |seed: u128| (0..n as u128).map(|i| i * 131 + seed).collect::<Vec<_>>();
     let digits: Vec<_> = (0..keys.len() as u128).map(|d| std::sync::Arc::new(poly(d))).collect();
@@ -221,8 +222,8 @@ fn key_switch_shaped(n: usize, keys: &[(PolyHandle, PolyHandle)]) -> OpStream {
 }
 
 /// Pool buffers a 7-digit resident key switch holds at once (a digit's
-/// transform, both accumulators, a product, the sum replacing one).
-const KEY_SWITCH_LIVE_SET: u64 = 5;
+/// transform, both accumulators, the multiply-accumulate replacing one).
+const KEY_SWITCH_LIVE_SET: u64 = 4;
 
 /// What one stream execution may allocate beyond its output vectors: the
 /// scheduler's seven per-stream vectors (bank list, slot table,
@@ -270,7 +271,7 @@ fn warmed_backends_run_allocation_free() {
             let keys: Vec<_> = (0..7u128).map(|d| (form(2 * d), form(2 * d + 1))).collect();
             let label = format!("cpu key switch, {bits}-bit q, n={n}");
             let stream = key_switch_shaped(n, &keys);
-            assert_cpu_replay_ledger(&mut cpu, &stream, 46, KEY_SWITCH_LIVE_SET, &label);
+            assert_cpu_replay_ledger(&mut cpu, &stream, 34, KEY_SWITCH_LIVE_SET, &label);
         }
     }
 

@@ -275,7 +275,8 @@ mod tests {
         let mut st = OpStream::new(N);
         let a = st.upload((0..N as u128).map(|i| (i * 31 + seed) % q).collect()).unwrap();
         let b = st.upload((0..N as u128).map(|i| (i * 17 + seed) % q).collect()).unwrap();
-        let p = st.poly_mul(a, b).unwrap();
+        let (fa, fb) = (st.ntt(a).unwrap(), st.ntt(b).unwrap());
+        let p = st.hadamard_intt(fa, fb).unwrap();
         st.output(p).unwrap();
         st
     }

@@ -7,7 +7,7 @@ use cofhee_bfv::{Ciphertext, Plaintext};
 use cofhee_ckks::{CkksCiphertext, CkksPlaintext};
 use cofhee_core::{OpStream, SharedSink, StreamOp, StreamReport};
 use cofhee_obs::{null_sink, CycleHistogram, MetricsRegistry, TraceEvent, Track};
-use cofhee_opt::{execute_partitioned, OptLevel, PartitionPlan, Partitioner, PassRunner};
+use cofhee_opt::{optimize_traced, OptLevel};
 use cofhee_poly::TwiddleCache;
 
 use crate::error::{FarmError, Result};
@@ -227,8 +227,7 @@ pub struct Scheduler {
     upload_bytes: u64,
     key_bytes: u64,
     /// Stream-compiler level applied to every stream before placement
-    /// (`O0` by default). At `O2`, streams long enough to split are
-    /// partitioned across the farm's dies (see [`Partitioner`]).
+    /// (`O0` by default).
     opt_level: OptLevel,
 }
 
@@ -340,27 +339,6 @@ impl Scheduler {
         Ok(run)
     }
 
-    /// Rewrites `stream` under the scheduler's [`OptLevel`], folding the
-    /// optimizer counters into the farm's stream telemetry. Identity at
-    /// `O0`. With a trace sink installed, each effective pass lands as a
-    /// compiler-track instant at `ready` (the stream's virtual ready
-    /// time) carrying its op-delta counters.
-    fn compile(&mut self, stream: OpStream, ready: u64) -> Result<OpStream> {
-        if self.opt_level == OptLevel::O0 {
-            return Ok(stream);
-        }
-        let runner = PassRunner::for_level(self.opt_level);
-        let (opt, stats) = if self.trace.enabled() {
-            runner.optimize_traced(&stream, &self.trace, ready)?
-        } else {
-            runner.optimize(&stream)?
-        };
-        let mut delta = StreamReport::default();
-        stats.stamp(&mut delta);
-        self.stream_totals.absorb(&delta);
-        Ok(opt)
-    }
-
     /// Emits a phase span on the in-flight job's per-job track (the job
     /// traces under sequence number `jobs_done`, bumped only after the
     /// job completes).
@@ -371,78 +349,26 @@ impl Scheduler {
         }
     }
 
-    /// Compiles and executes one stream: placed whole at `O0`/`O1`, and
-    /// at `O2` split across the farm's dies when long enough (see
-    /// [`Partitioner`]). Returns `(outputs, finish, service_cycles)`
-    /// where service is the critical-path execution time.
+    /// Compiles one stream at the scheduler's [`OptLevel`] (as recorded
+    /// at `O0`) and executes it, placed whole on one die. What the
+    /// compiler eliminated joins the farm's stream telemetry; with a
+    /// trace sink installed, each rewrite lands as a compiler-track
+    /// instant at `ready`, the stream's virtual ready time. Returns
+    /// `(outputs, finish, service_cycles)`.
     fn run_stream(
         &mut self,
         q: u128,
         n: usize,
-        stream: OpStream,
+        mut stream: OpStream,
         ready: u64,
     ) -> Result<(Vec<Vec<u128>>, u64, u64)> {
-        let stream = self.compile(stream, ready)?;
-        if self.opt_level >= OptLevel::O2 {
-            let plan = Partitioner::new(self.farm.chips()).partition(&stream);
-            if plan.parts() > 1 {
-                return self.run_partitioned_stream(q, n, &stream, &plan, ready);
-            }
+        if self.opt_level != OptLevel::O0 {
+            let (opt, stats) = optimize_traced(&stream, self.opt_level, &self.trace, ready)?;
+            self.stream_totals.ops_eliminated += stats.ops_eliminated;
+            stream = opt;
         }
         let run = self.place_and_run(q, n, &stream, ready)?;
         Ok((run.outcome.outputs, run.finish, run.finish - run.start))
-    }
-
-    /// Executes a pre-partitioned stream as a per-die job DAG: each part
-    /// becomes ready once the parts it imports from have finished, is
-    /// placed through the policy like any other stream, and cut values
-    /// travel through the host (export from the producer die, re-upload
-    /// on the consumer die) — bit-exact by construction. Returns
-    /// `(outputs, finish, service_cycles)` with outputs in the original
-    /// stream's marking order and service the DAG's critical path.
-    ///
-    /// This is the public entry for callers that partitioned a stream
-    /// themselves (e.g. with [`Partitioner`] at a custom granularity);
-    /// [`Scheduler::run`] at `O2` routes long streams here automatically.
-    ///
-    /// # Errors
-    ///
-    /// Chip faults (tagged with the die) and malformed-plan rebuild
-    /// errors.
-    pub fn run_partitioned_stream(
-        &mut self,
-        q: u128,
-        n: usize,
-        stream: &OpStream,
-        plan: &PartitionPlan,
-        ready: u64,
-    ) -> Result<(Vec<Vec<u128>>, u64, u64)> {
-        let mut finishes: Vec<u64> = Vec::with_capacity(plan.parts());
-        let mut paths: Vec<u64> = Vec::with_capacity(plan.parts());
-        let mut failure: Option<FarmError> = None;
-        let result = execute_partitioned(stream, plan, |part, part_stream, imports| {
-            let part_ready = imports.iter().fold(ready, |acc, &p| acc.max(finishes[p]));
-            match self.place_and_run(q, n, part_stream, part_ready) {
-                Ok(run) => {
-                    let chain = imports.iter().map(|&p| paths[p]).max().unwrap_or(0);
-                    finishes.push(run.finish);
-                    paths.push(chain.saturating_add(run.finish - run.start));
-                    Ok(run.outcome.outputs)
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    Err(cofhee_core::CoreError::BadHandle { id: part as u64 })
-                }
-            }
-        });
-        match result {
-            Ok(outputs) => Ok((
-                outputs,
-                finishes.iter().copied().max().unwrap_or(ready),
-                paths.iter().copied().max().unwrap_or(0),
-            )),
-            Err(e) => Err(failure.take().unwrap_or(FarmError::Backend { chip: None, source: e })),
-        }
     }
 
     /// Runs a batch of per-limb streams that are all ready at `ready`
@@ -510,9 +436,6 @@ impl Scheduler {
                 // cycle-accounted: the host works off-die).
                 let prod3 = ev.tensor_combine(&limbs)?;
                 // Phase 2: the key switch, ready once every limb is in.
-                // The relin stream is self-contained (no resident-pool
-                // inputs), so at `O2` it is the stream long enough to
-                // split across dies.
                 let rst = ev.relin_stream(&prod3, rlk)?;
                 let (outs, finish, relin_service) = self.run_stream(q, n, rst, tensor_done)?;
                 self.key_bytes += 2 * rlk.digit_count() as u64 * poly_bytes(n);
@@ -910,78 +833,36 @@ mod tests {
     }
 
     #[test]
-    fn opt_levels_preserve_results_and_o2_partitions_the_key_switch() {
+    fn opt_levels_preserve_results_and_o1_drops_the_repeated_operand() {
         let mut t = tenant(37);
         let a = encrypt(&mut t, 6);
-        let b = encrypt(&mut t, 7);
+        // `a · a`: the one shape `O1` has something to drop.
         let jobs = |id: SessionId| {
-            vec![Job { session: id, kind: JobKind::MulRelin(a.clone(), b.clone()), arrival: 0 }]
+            vec![Job { session: id, kind: JobKind::MulRelin(a.clone(), a.clone()), arrival: 0 }]
         };
 
         let (mut s0, id0) = sched(4, Box::new(WorkStealing), &t);
         let baseline = s0.run(jobs(id0)).unwrap();
         assert_eq!(s0.opt_level(), OptLevel::O0);
-        let base_streams = s0.report().streams;
+        assert_eq!(s0.report().stream_totals.ops_eliminated, 0, "O0 executes as recorded");
 
-        for level in [OptLevel::O1, OptLevel::O2] {
-            let (mut s, id) = sched(4, Box::new(WorkStealing), &t);
-            s.set_opt_level(level);
-            let outcomes = s.run(jobs(id)).unwrap();
-            assert_eq!(s.opt_level(), level);
-            for (p, d) in outcomes[0]
-                .result
-                .expect_bfv()
-                .polys()
-                .iter()
-                .zip(baseline[0].result.expect_bfv().polys())
-            {
-                assert_eq!(p.coeffs(), d.coeffs(), "{level} must be bit-exact");
-            }
-            assert_eq!(t.dec.decrypt(outcomes[0].result.expect_bfv()).unwrap().coeffs()[0], 42);
-            let report = s.report();
-            assert!(report.stream_totals.ops_fused > 0, "{level}: rewrites are reported");
-            if level == OptLevel::O2 {
-                // The self-contained key-switch stream split into per-die
-                // parts: more streams hit the farm than at O0.
-                assert!(
-                    report.streams > base_streams,
-                    "O2 must partition: {} !> {base_streams}",
-                    report.streams
-                );
-            }
+        let (mut s, id) = sched(4, Box::new(WorkStealing), &t);
+        s.set_opt_level(OptLevel::O1);
+        let outcomes = s.run(jobs(id)).unwrap();
+        assert_eq!(s.opt_level(), OptLevel::O1);
+        for (p, d) in outcomes[0]
+            .result
+            .expect_bfv()
+            .polys()
+            .iter()
+            .zip(baseline[0].result.expect_bfv().polys())
+        {
+            assert_eq!(p.coeffs(), d.coeffs(), "O1 must be bit-exact");
         }
-    }
-
-    #[test]
-    fn pre_partitioned_streams_run_as_a_dag() {
-        use cofhee_core::OpStream;
-        let t = tenant(38);
-        let (mut s, _) = sched(3, Box::new(RoundRobin::default()), &t);
-        let n = t.params.n();
-        let q = t.params.q();
-        // A long mod-q chain, partitioned by the caller.
-        let mut st = OpStream::new(n);
-        let x = st.upload(vec![3u128; n]).unwrap();
-        let mut acc = x;
-        for r in 0..12 {
-            let f = st.ntt(acc).unwrap();
-            let h = st.hadamard(f, f).unwrap();
-            let back = st.intt(h).unwrap();
-            acc = st.scalar_mul(back, 2 + r as u128).unwrap();
-        }
-        st.output(acc).unwrap();
-        let plan = cofhee_opt::Partitioner::new(3).partition(&st);
-        assert!(plan.parts() > 1);
-        let (outputs, finish, service) = s.run_partitioned_stream(q, n, &st, &plan, 0).unwrap();
-
-        // Ground truth: the unsplit stream on a fresh CPU backend.
-        let mut be = cofhee_core::CpuBackend::new(q, n).unwrap();
-        use cofhee_core::PolyBackend;
-        let truth = be.execute_stream(&st).unwrap().outputs;
-        assert_eq!(outputs, truth, "partitioned DAG execution is bit-exact");
-        assert!(finish > 0);
-        assert!(service > 0 && service <= finish, "service is the DAG critical path");
-        assert_eq!(s.report().streams, plan.parts() as u64);
+        assert_eq!(t.dec.decrypt(outcomes[0].result.expect_bfv()).unwrap().coeffs()[0], 36);
+        let report = s.report();
+        assert!(report.stream_totals.ops_eliminated > 0, "O1: rewrites are reported");
+        assert_eq!(report.streams, s0.report().streams, "every stream is placed whole");
     }
 
     #[test]

@@ -157,82 +157,7 @@ impl Session {
         }
     }
 
-    /// The session's BFV parameter set.
-    ///
-    /// # Panics
-    ///
-    /// Panics for CKKS sessions — check [`Session::scheme`] first, or
-    /// use the typed accessors the scheduler uses internally.
-    pub fn params(&self) -> &BfvParams {
-        match &self.backing {
-            Backing::Bfv { params, .. } => params,
-            Backing::Ckks { .. } => panic!("params(): CKKS session; use ckks_params()"),
-        }
-    }
-
-    /// The evaluator handle recording job streams and finishing them
-    /// host-side.
-    ///
-    /// # Panics
-    ///
-    /// Panics for CKKS sessions — check [`Session::scheme`] first.
-    pub fn evaluator(&self) -> &Evaluator {
-        match &self.backing {
-            Backing::Bfv { evaluator, .. } => evaluator,
-            Backing::Ckks { .. } => panic!("evaluator(): CKKS session; use ckks_evaluator()"),
-        }
-    }
-
-    /// The tenant's BFV relinearization key, when one was uploaded.
-    ///
-    /// # Panics
-    ///
-    /// Panics for CKKS sessions — check [`Session::scheme`] first.
-    pub fn relin_key(&self) -> Option<&RelinKey> {
-        match &self.backing {
-            Backing::Bfv { rlk, .. } => rlk.as_ref(),
-            Backing::Ckks { .. } => panic!("relin_key(): CKKS session; use ckks_relin_key()"),
-        }
-    }
-
-    /// The session's CKKS parameter set.
-    ///
-    /// # Panics
-    ///
-    /// Panics for BFV sessions — check [`Session::scheme`] first.
-    pub fn ckks_params(&self) -> &CkksParams {
-        match &self.backing {
-            Backing::Ckks { params, .. } => params,
-            Backing::Bfv { .. } => panic!("ckks_params(): BFV session; use params()"),
-        }
-    }
-
-    /// The CKKS evaluator handle recording job streams and finishing
-    /// them host-side.
-    ///
-    /// # Panics
-    ///
-    /// Panics for BFV sessions — check [`Session::scheme`] first.
-    pub fn ckks_evaluator(&self) -> &CkksEvaluator {
-        match &self.backing {
-            Backing::Ckks { evaluator, .. } => evaluator,
-            Backing::Bfv { .. } => panic!("ckks_evaluator(): BFV session; use evaluator()"),
-        }
-    }
-
-    /// The tenant's CKKS relinearization key, when one was uploaded.
-    ///
-    /// # Panics
-    ///
-    /// Panics for BFV sessions — check [`Session::scheme`] first.
-    pub fn ckks_relin_key(&self) -> Option<&CkksRelinKey> {
-        match &self.backing {
-            Backing::Ckks { rlk, .. } => rlk.as_ref(),
-            Backing::Bfv { .. } => panic!("ckks_relin_key(): BFV session; use relin_key()"),
-        }
-    }
-
-    /// Typed BFV access for the scheduler: errors instead of panicking.
+    /// The BFV half of the session; a CKKS session is a typed error.
     pub(crate) fn bfv(&self, id: SessionId) -> Result<(&BfvParams, &Evaluator, Option<&RelinKey>)> {
         match &self.backing {
             Backing::Bfv { params, evaluator, rlk } => Ok((params, evaluator, rlk.as_ref())),
@@ -240,7 +165,7 @@ impl Session {
         }
     }
 
-    /// Typed CKKS access for the scheduler: errors instead of panicking.
+    /// The CKKS half of the session; a BFV session is a typed error.
     pub(crate) fn ckks(
         &self,
         id: SessionId,
@@ -267,8 +192,10 @@ mod tests {
         let s = Session::new("acme", &params, rlk).unwrap();
         assert_eq!(s.tenant(), "acme");
         assert_eq!(s.scheme(), Scheme::Bfv);
-        assert_eq!(s.params().n(), 32);
-        assert!(s.relin_key().expect("uploaded").digit_count() > 0);
+        let (held, _, rlk) = s.bfv(SessionId::new(4)).unwrap();
+        assert_eq!(held.n(), 32);
+        assert!(rlk.expect("uploaded").digit_count() > 0);
+        assert!(matches!(s.ckks(SessionId::new(4)), Err(FarmError::SchemeMismatch { id: 4 })));
         assert_eq!(format!("{}", SessionId::new(4)), "session#4");
         assert_eq!(SessionId::new(4).raw(), 4);
     }
@@ -277,7 +204,7 @@ mod tests {
     fn sessions_without_relin_material_carry_none() {
         let params = BfvParams::insecure_testing(32).unwrap();
         let s = Session::without_relin("acme", &params).unwrap();
-        assert!(s.relin_key().is_none());
+        assert!(s.bfv(SessionId::new(0)).unwrap().2.is_none());
     }
 
     #[test]
@@ -289,19 +216,11 @@ mod tests {
         let rlk = kg.relin_key(&sk, &mut rng).unwrap();
         let s = Session::new_ckks("approx", &params, rlk).unwrap();
         assert_eq!(s.scheme(), Scheme::Ckks);
-        assert_eq!(s.ckks_params().n(), 32);
-        assert!(s.ckks_relin_key().is_some());
-        assert!(s.bfv(SessionId::new(0)).is_err());
-        assert!(s.ckks(SessionId::new(0)).is_ok());
+        assert!(matches!(s.bfv(SessionId::new(0)), Err(FarmError::SchemeMismatch { id: 0 })));
+        let (held, _, rlk) = s.ckks(SessionId::new(0)).unwrap();
+        assert_eq!(held.n(), 32);
+        assert!(rlk.is_some());
         let keyless = Session::ckks_without_relin("approx2", &params).unwrap();
-        assert!(keyless.ckks_relin_key().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "CKKS session")]
-    fn bfv_accessor_panics_on_ckks_session() {
-        let params = cofhee_ckks::CkksParams::insecure_testing(32).unwrap();
-        let s = Session::ckks_without_relin("approx", &params).unwrap();
-        let _ = s.params();
+        assert!(keyless.ckks(SessionId::new(1)).unwrap().2.is_none());
     }
 }

@@ -178,12 +178,9 @@ impl FarmReport {
             "queue p50/p95 = {}/{} cc | service p50/p95 = {}/{} cc\n",
             self.queue.p50, self.queue.p95, self.service.p50, self.service.p95,
         ));
-        let st = &self.stream_totals;
-        if st.ops_eliminated + st.ops_fused + st.uploads_hoisted > 0 {
-            out.push_str(&format!(
-                "optimizer: {} ops eliminated, {} fused, {} uploads hoisted\n",
-                st.ops_eliminated, st.ops_fused, st.uploads_hoisted,
-            ));
+        let eliminated = self.stream_totals.ops_eliminated;
+        if eliminated > 0 {
+            out.push_str(&format!("optimizer: {eliminated} ops eliminated\n"));
         }
         for c in &self.chips {
             out.push_str(&format!(

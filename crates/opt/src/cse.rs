@@ -2,32 +2,60 @@
 //! numbering.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cofhee_core::{OpStream, PolyHandle, Result, StreamHandle, StreamOp};
 
-use crate::pass::{emit_mapped, Pass, PassStats, PayloadClasses};
+use crate::pass::emit_mapped;
 
-/// The value-numbering key of one compute node: opcode plus the value
-/// classes of its operands (sorted where the op commutes — `a ⊙ b` and
-/// `b ⊙ a` are the same value).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Key {
-    Ntt(usize),
-    Intt(usize),
-    Hadamard(usize, usize),
-    HadamardIntt(usize, usize),
-    HadamardAdd(usize, usize, usize),
-    PointwiseAdd(usize, usize),
-    PointwiseSub(usize, usize),
-    ScalarMul(usize, u128),
-    PolyMul(usize, usize),
+/// The value-numbering key of one compute node: opcode, the value
+/// classes of its operands (the factors sorted where the op commutes —
+/// `a ⊙ b` and `b ⊙ a` are the same value) and its constant, if any.
+type Key = (std::mem::Discriminant<StreamOp>, [Option<usize>; 3], u128);
+
+/// A shared upload payload, as [`StreamOp::Upload`] holds it.
+type Payload = Arc<Vec<u128>>;
+
+/// How many evenly spaced words of a payload key its
+/// [`PayloadClasses`] bucket.
+pub(crate) const PAYLOAD_SAMPLES: usize = 8;
+type PayloadSample = [u128; PAYLOAD_SAMPLES];
+
+/// Upload payloads grouped by content — what [`cse`] merges duplicate
+/// uploads by.
+///
+/// Two payloads are one class exactly when they hold the same words.
+/// Finding that out does not read them in full: a payload is filed under
+/// its [`PayloadSample`], and only payloads filed
+/// together are compared — by pointer first (the same shared payload
+/// recorded twice), then word for word. Distinct operands all but never
+/// agree on the sample, so `cse` reads a few words per upload instead
+/// of hashing every one; payloads that do agree on it are still told
+/// apart by the full comparison. Only lookups touch the map, so the
+/// classes do not depend on its iteration order.
+#[derive(Default)]
+struct PayloadClasses<'a> {
+    buckets: HashMap<PayloadSample, Vec<(usize, &'a Payload)>>,
 }
 
-fn sorted(a: usize, b: usize) -> (usize, usize) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
+impl<'a> PayloadClasses<'a> {
+    /// The class of the payload uploaded by node `i`: the index of the
+    /// first node seen with equal contents (`i` itself when it is new).
+    fn class(&mut self, i: usize, data: &'a Payload) -> usize {
+        let sample: PayloadSample = std::array::from_fn(|k| {
+            data.get(k * data.len() / PAYLOAD_SAMPLES).copied().unwrap_or_default()
+        });
+        let bucket = self.buckets.entry(sample).or_default();
+        match bucket
+            .iter()
+            .find(|(_, seen)| Arc::ptr_eq(seen, data) || seen.as_slice() == data.as_slice())
+        {
+            Some(&(rep, _)) => rep,
+            None => {
+                bucket.push((i, data));
+                i
+            }
+        }
     }
 }
 
@@ -50,114 +78,96 @@ fn sorted(a: usize, b: usize) -> (usize, usize) {
 /// * **Consumer redirection** — consumers of a deduplicated value are
 ///   rewired to the representative, which leaves the duplicate
 ///   producers (including identical-payload uploads) dead for
-///   [`Dce`](crate::Dce) to sweep. Upload payloads are one value when
-///   they hold the same words — found by pointer identity, else by a
-///   sampled key plus a full comparison, never by hashing 64 KiB per
-///   operand (`PayloadClasses` in `pass.rs`).
+///   [`dce`](crate::dce) to sweep. Upload payloads are one value when
+///   they hold the same words (`PayloadClasses`).
 ///
 /// Dedup can extend a representative's live range (its last consumer
 /// moves later), which trades SRAM slot pressure for eliminated
-/// commands — the `stream_optimize` bench gates that trade by asserting
-/// optimized cycles ≤ recorded on every pass combination.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Cse;
+/// commands — `tests/opt_traffic.rs` gates that trade by asserting
+/// optimized cycles ≤ recorded on every row of its ledger.
+///
+/// Returns the rewritten stream and the number of nodes not re-recorded.
+///
+/// # Errors
+///
+/// Propagates recording errors from rebuilding (impossible for
+/// well-formed inputs; surfaced rather than panicking).
+pub fn cse(stream: &OpStream) -> Result<(OpStream, u64)> {
+    let nodes = stream.nodes();
+    // Value class per node: index of the earliest node computing
+    // the same value (fully resolved — class reps are their own
+    // class).
+    let mut vclass: Vec<usize> = (0..nodes.len()).collect();
+    let mut uploads = PayloadClasses::default();
+    let mut inputs: HashMap<PolyHandle, usize> = HashMap::new();
+    let mut exprs: HashMap<Key, usize> = HashMap::new();
 
-impl Pass for Cse {
-    fn name(&self) -> &'static str {
-        "cse"
-    }
+    let mut out = OpStream::new(stream.n());
+    // `map[i]`: the new handle node i's own emission produced.
+    // `resolved[i]`: the new handle consumers of node i's *value*
+    // should read — its class representative's emission.
+    let mut map: Vec<Option<StreamHandle>> = vec![None; nodes.len()];
+    let mut resolved: Vec<Option<StreamHandle>> = vec![None; nodes.len()];
+    let mut eliminated = 0u64;
 
-    fn run(&self, stream: &OpStream) -> Result<(OpStream, PassStats)> {
-        let nodes = stream.nodes();
-        // Value class per node: index of the earliest node computing
-        // the same value (fully resolved — class reps are their own
-        // class).
-        let mut vclass: Vec<usize> = (0..nodes.len()).collect();
-        let mut uploads = PayloadClasses::default();
-        let mut inputs: HashMap<PolyHandle, usize> = HashMap::new();
-        let mut exprs: HashMap<Key, usize> = HashMap::new();
-
-        let mut out = OpStream::new(stream.n());
-        // `map[i]`: the new handle node i's own emission produced.
-        // `resolved[i]`: the new handle consumers of node i's *value*
-        // should read — its class representative's emission.
-        let mut map: Vec<Option<StreamHandle>> = vec![None; nodes.len()];
-        let mut resolved: Vec<Option<StreamHandle>> = vec![None; nodes.len()];
-        let mut eliminated = 0u64;
-
-        for (i, op) in nodes.iter().enumerate() {
-            let v = |h: &StreamHandle| vclass[h.index()];
-            // `emit: false` nodes are value-numbered duplicates: they
-            // are not re-recorded, and their consumers follow the map
-            // to the representative's new handle.
-            let (class, emit) = match op {
-                StreamOp::Upload(data) => {
-                    // Identical payloads share a value class so their
-                    // consumers dedup, but the duplicate upload itself
-                    // is left for DCE/transfer-hoist to account — it
-                    // dies once redirection strips its consumers.
-                    (uploads.class(i, data), true)
-                }
-                StreamOp::Input(h) => {
-                    let rep = *inputs.entry(*h).or_insert(i);
-                    (rep, rep == i)
-                }
-                // The NTT-form cache: a round trip through the
-                // transform is the identity on canonical residues.
-                StreamOp::Ntt(a) if matches!(nodes[v(a)], StreamOp::Intt(_)) => match nodes[v(a)] {
-                    StreamOp::Intt(x) => (vclass[x.index()], false),
-                    _ => unreachable!(),
-                },
-                StreamOp::Intt(a) if matches!(nodes[v(a)], StreamOp::Ntt(_)) => match nodes[v(a)] {
-                    StreamOp::Ntt(x) => (vclass[x.index()], false),
-                    _ => unreachable!(),
-                },
-                _ => {
-                    let key = match op {
-                        StreamOp::Ntt(a) => Key::Ntt(v(a)),
-                        StreamOp::Intt(a) => Key::Intt(v(a)),
-                        StreamOp::Hadamard(a, b) => {
-                            let (x, y) = sorted(v(a), v(b));
-                            Key::Hadamard(x, y)
-                        }
-                        StreamOp::HadamardIntt(a, b) => {
-                            let (x, y) = sorted(v(a), v(b));
-                            Key::HadamardIntt(x, y)
-                        }
-                        StreamOp::HadamardAdd(a, b, acc) => {
-                            let (x, y) = sorted(v(a), v(b));
-                            Key::HadamardAdd(x, y, v(acc))
-                        }
-                        StreamOp::PointwiseAdd(a, b) => {
-                            let (x, y) = sorted(v(a), v(b));
-                            Key::PointwiseAdd(x, y)
-                        }
-                        StreamOp::PointwiseSub(a, b) => Key::PointwiseSub(v(a), v(b)),
-                        StreamOp::ScalarMul(a, c) => Key::ScalarMul(v(a), *c),
-                        StreamOp::PolyMul(a, b) => {
-                            let (x, y) = sorted(v(a), v(b));
-                            Key::PolyMul(x, y)
-                        }
-                        StreamOp::Upload(_) | StreamOp::Input(_) => unreachable!(),
-                    };
-                    let rep = *exprs.entry(key).or_insert(i);
-                    (rep, rep == i)
-                }
-            };
-            vclass[i] = class;
-            if emit {
-                map[i] = Some(emit_mapped(&mut out, op, &resolved)?);
-            } else {
-                eliminated += 1;
+    for (i, op) in nodes.iter().enumerate() {
+        let v = |h: &StreamHandle| vclass[h.index()];
+        // The NTT-form cache: a round trip through the transform is the
+        // identity on canonical residues.
+        let round_trip = match (op, op.deps()[0].map(|a| &nodes[v(&a)])) {
+            (StreamOp::Ntt(_), Some(StreamOp::Intt(x)))
+            | (StreamOp::Intt(_), Some(StreamOp::Ntt(x))) => Some(vclass[x.index()]),
+            _ => None,
+        };
+        // `emit: false` nodes are value-numbered duplicates: they
+        // are not re-recorded, and their consumers follow the map
+        // to the representative's new handle.
+        let (class, emit) = match (round_trip, op) {
+            (Some(class), _) => (class, false),
+            (None, StreamOp::Upload(data)) => {
+                // Identical payloads share a value class so their
+                // consumers dedup, but the duplicate upload itself
+                // is left for `dce` to account — it dies once
+                // redirection strips its consumers.
+                (uploads.class(i, data), true)
             }
-            // Consumers of node i's value read the class rep's result.
-            resolved[i] = map[class];
+            (None, StreamOp::Input(h)) => {
+                let rep = *inputs.entry(*h).or_insert(i);
+                (rep, rep == i)
+            }
+            (None, _) => {
+                let mut operands = op.deps().map(|dep| dep.map(|h| v(&h)));
+                // Both products are of the first two operands; a
+                // multiply-accumulate's third is the sum it adds onto.
+                let commutes = matches!(
+                    op,
+                    StreamOp::Hadamard(..)
+                        | StreamOp::HadamardIntt(..)
+                        | StreamOp::HadamardAdd(..)
+                        | StreamOp::PointwiseAdd(..)
+                );
+                if commutes {
+                    operands[..2].sort_unstable();
+                }
+                let constant = if let StreamOp::ScalarMul(_, c) = op { *c } else { 0 };
+                let key: Key = (std::mem::discriminant(op), operands, constant);
+                let rep = *exprs.entry(key).or_insert(i);
+                (rep, rep == i)
+            }
+        };
+        vclass[i] = class;
+        if emit {
+            map[i] = Some(emit_mapped(&mut out, op, &resolved)?);
+        } else {
+            eliminated += 1;
         }
-        for h in stream.outputs() {
-            out.output(resolved[h.index()].expect("class reps precede their members"))?;
-        }
-        Ok((out, PassStats { eliminated, ..PassStats::default() }))
+        // Consumers of node i's value read the class rep's result.
+        resolved[i] = map[class];
     }
+    for h in stream.outputs() {
+        out.output(resolved[h.index()].expect("class reps precede their members"))?;
+    }
+    Ok((out, eliminated))
 }
 
 #[cfg(test)]
@@ -178,10 +188,10 @@ mod tests {
         st.output(back).unwrap();
 
         let truth = run(&st);
-        let (opt, stats) = Cse.run(&st).unwrap();
+        let (opt, eliminated) = cse(&st).unwrap();
         assert_eq!(run(&opt), truth);
         // `back` and `f2` both collapse.
-        assert_eq!(stats.eliminated, 2);
+        assert_eq!(eliminated, 2);
         assert_eq!(opt.len(), st.len() - 2);
     }
 
@@ -199,9 +209,9 @@ mod tests {
         st.output(c).unwrap();
 
         let truth = run(&st);
-        let (opt, stats) = Cse.run(&st).unwrap();
+        let (opt, eliminated) = cse(&st).unwrap();
         assert_eq!(run(&opt), truth);
-        assert_eq!(stats.eliminated, 1, "the commuted product is the same value");
+        assert_eq!(eliminated, 1, "the commuted product is the same value");
     }
 
     #[test]
@@ -215,12 +225,12 @@ mod tests {
         st.output(h).unwrap();
 
         let truth = run(&st);
-        let (opt, stats) = Cse.run(&st).unwrap();
+        let (opt, eliminated) = cse(&st).unwrap();
         assert_eq!(run(&opt), truth);
-        assert_eq!(stats.eliminated, 1, "the second forward NTT dedups");
+        assert_eq!(eliminated, 1, "the second forward NTT dedups");
         // The duplicate upload is still recorded (dead) — DCE's job.
-        let (clean, dstats) = crate::Dce.run(&opt).unwrap();
-        assert_eq!(dstats.eliminated, 1, "the orphaned duplicate upload dies");
+        let (clean, dead) = crate::dce(&opt).unwrap();
+        assert_eq!(dead, 1, "the orphaned duplicate upload dies");
         assert_eq!(run(&clean), truth);
     }
 
@@ -234,8 +244,8 @@ mod tests {
         let i2 = st.input(resident);
         let s = st.pointwise_add(i1, i2).unwrap();
         st.output(s).unwrap();
-        let (opt, stats) = Cse.run(&st).unwrap();
-        assert_eq!(stats.eliminated, 1);
+        let (opt, eliminated) = cse(&st).unwrap();
+        assert_eq!(eliminated, 1);
         let got = be.execute_stream(&opt).unwrap().outputs;
         let q = crate::testutil::q();
         let expect: Vec<u128> = poly(5).iter().map(|&c| (2 * c) % q).collect();

@@ -3,7 +3,7 @@
 
 use cofhee_core::{OpStream, Result, StreamHandle};
 
-use crate::pass::{emit_mapped, Pass, PassStats};
+use crate::pass::emit_mapped;
 
 /// Dead-op elimination with [`OpStream::outputs`] as the root set.
 ///
@@ -11,41 +11,39 @@ use crate::pass::{emit_mapped, Pass, PassStats};
 /// still occupies a FIFO slot, an SRAM bank slot, and PE cycles — and
 /// dead *uploads* additionally pay their DMA transfer. Dropping them
 /// changes nothing observable: outputs, and their order, are preserved.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Dce;
-
-impl Pass for Dce {
-    fn name(&self) -> &'static str {
-        "dce"
+///
+/// Returns the rewritten stream and the number of nodes dropped.
+///
+/// # Errors
+///
+/// Propagates recording errors from rebuilding (impossible for
+/// well-formed inputs; surfaced rather than panicking).
+pub fn dce(stream: &OpStream) -> Result<(OpStream, u64)> {
+    let mut live = vec![false; stream.len()];
+    let mut work: Vec<usize> = stream.outputs().iter().map(StreamHandle::index).collect();
+    while let Some(i) = work.pop() {
+        if std::mem::replace(&mut live[i], true) {
+            continue;
+        }
+        for dep in stream.nodes()[i].deps().into_iter().flatten() {
+            work.push(dep.index());
+        }
     }
 
-    fn run(&self, stream: &OpStream) -> Result<(OpStream, PassStats)> {
-        let mut live = vec![false; stream.len()];
-        let mut work: Vec<usize> = stream.outputs().iter().map(StreamHandle::index).collect();
-        while let Some(i) = work.pop() {
-            if std::mem::replace(&mut live[i], true) {
-                continue;
-            }
-            for dep in stream.nodes()[i].deps().into_iter().flatten() {
-                work.push(dep.index());
-            }
+    let mut out = OpStream::new(stream.n());
+    let mut map: Vec<Option<StreamHandle>> = vec![None; stream.len()];
+    let mut eliminated = 0u64;
+    for (i, op) in stream.nodes().iter().enumerate() {
+        if live[i] {
+            map[i] = Some(emit_mapped(&mut out, op, &map)?);
+        } else {
+            eliminated += 1;
         }
-
-        let mut out = OpStream::new(stream.n());
-        let mut map: Vec<Option<StreamHandle>> = vec![None; stream.len()];
-        let mut eliminated = 0u64;
-        for (i, op) in stream.nodes().iter().enumerate() {
-            if live[i] {
-                map[i] = Some(emit_mapped(&mut out, op, &map)?);
-            } else {
-                eliminated += 1;
-            }
-        }
-        for h in stream.outputs() {
-            out.output(map[h.index()].expect("outputs are live roots"))?;
-        }
-        Ok((out, PassStats { eliminated, ..PassStats::default() }))
     }
+    for h in stream.outputs() {
+        out.output(map[h.index()].expect("outputs are live roots"))?;
+    }
+    Ok((out, eliminated))
 }
 
 #[cfg(test)]
@@ -66,10 +64,10 @@ mod tests {
         st.output(a).unwrap(); // an input marked directly stays live
 
         let truth = run(&st);
-        let (opt, stats) = Dce.run(&st).unwrap();
+        let (opt, eliminated) = dce(&st).unwrap();
         assert_eq!(run(&opt), truth);
         assert_eq!(opt.len(), 3);
-        assert_eq!(stats.eliminated, 3);
+        assert_eq!(eliminated, 3);
     }
 
     #[test]
@@ -78,8 +76,8 @@ mod tests {
         let a = st.upload(poly(4)).unwrap();
         let f = st.ntt(a).unwrap();
         st.output(f).unwrap();
-        let (opt, stats) = Dce.run(&st).unwrap();
+        let (opt, eliminated) = dce(&st).unwrap();
         assert_eq!(crate::testutil::shape(&opt), crate::testutil::shape(&st));
-        assert_eq!(stats.eliminated, 0);
+        assert_eq!(eliminated, 0);
     }
 }

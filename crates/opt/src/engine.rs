@@ -16,7 +16,7 @@ use cofhee_core::{
     PoolStats, Result, StreamExecutor, StreamJob, StreamReport,
 };
 
-use crate::{OptLevel, OptStats, PassRunner};
+use crate::{optimize, OptLevel};
 
 type SharedBackend = Arc<Mutex<Box<dyn PolyBackend>>>;
 
@@ -162,7 +162,8 @@ impl LimbEngine {
     /// per stream — and returns each stream's downloaded outputs. The
     /// group lands in [`LimbEngine::stream_report`] as one concurrent
     /// submit: serial totals sum (that baseline really is one limb after
-    /// another), overlapped is the slowest limb, `OptStats` stamped in.
+    /// another), overlapped is the slowest limb, and the nodes the
+    /// compiler eliminated are counted in.
     ///
     /// # Errors
     ///
@@ -172,12 +173,11 @@ impl LimbEngine {
     ///
     /// Panics when `first + streams.len()` exceeds the backend count.
     pub fn run(&self, first: usize, mut streams: Vec<OpStream>) -> Result<Vec<Vec<Vec<u128>>>> {
-        let mut opt_totals = OptStats::default();
+        let mut eliminated = 0u64;
         if self.opt_level != OptLevel::O0 {
-            let runner = PassRunner::for_level(self.opt_level);
             for st in &mut streams {
-                let (opt, stats) = runner.optimize(st)?;
-                opt_totals.merge(&stats);
+                let (opt, stats) = optimize(st, self.opt_level)?;
+                eliminated += stats.ops_eliminated;
                 *st = opt;
             }
         }
@@ -202,7 +202,7 @@ impl LimbEngine {
         }
         group.overlapped_cycles = wall_cycles;
         group.overlapped_seconds = wall_seconds;
-        opt_totals.stamp(&mut group);
+        group.ops_eliminated += eliminated;
         lock(&self.stream_totals).absorb(&group);
         Ok(limbs)
     }
@@ -613,13 +613,10 @@ mod tests {
         assert_eq!(base.opt_level(), OptLevel::O0);
         let recorded = base.run(0, vec![stream(7)]).unwrap();
         assert_eq!(base.stream_report().ops_eliminated, 0, "O0 executes as recorded");
-        for level in [OptLevel::O1, OptLevel::O2] {
-            let engine = base.clone().with_opt_level(level);
-            let before = engine.stream_report().ops_eliminated;
-            assert_eq!(engine.run(0, vec![stream(7)]).unwrap(), recorded, "{level}");
-            // Clones share one report: the base engine sees the rewrite.
-            assert!(base.stream_report().ops_eliminated > before, "{level} drops the round trip");
-        }
-        assert!(base.pool_stats().hits > 0, "three runs on one backend recycle buffers");
+        let engine = base.clone().with_opt_level(OptLevel::O1);
+        assert_eq!(engine.run(0, vec![stream(7)]).unwrap(), recorded);
+        // Clones share one report: the base engine sees the rewrite.
+        assert!(base.stream_report().ops_eliminated > 0, "O1 drops the round trip");
+        assert!(base.pool_stats().hits > 0, "two runs on one backend recycle buffers");
     }
 }

@@ -1,41 +1,31 @@
 //! # cofhee_opt — the stream compiler
 //!
-//! Recorded [`OpStream`]s execute exactly as recorded: every
-//! `multiply`/`relinearize` re-emits forward NTTs for operands already
-//! resident in NTT form, dead intermediates ride the command FIFO, and
-//! one large stream never splits across dies. This crate is a compiler
-//! over the recorded command list — a [`Pass`] trait and a
-//! [`PassRunner`] pipeline that rewrite a stream *before* submit:
+//! A recorded [`OpStream`](cofhee_core::OpStream) runs as recorded: the
+//! scheme builders write down the nodes the backends execute, fused ones
+//! included, and on distinct operands there is nothing left to rewrite.
+//! What a recording cannot know is that two of its operands are the same
+//! polynomial — `a · a`, `a + a`, several products sharing one
+//! ciphertext — and then it uploads and transforms that polynomial once
+//! per mention. The compiler is the two rewrites that find this, behind
+//! one function:
 //!
-//! * [`Cse`] — NTT-form caching / common-subexpression elimination. A
+//! * [`cse`] — NTT-form caching / common-subexpression elimination. A
 //!   value already transformed to the NTT domain is never
 //!   re-transformed (`intt(ntt(x)) → x`, `ntt(intt(x)) → x` — exact,
 //!   because resident values are canonical residues in `[0, q)`), and
 //!   identical subtrees dedup by value numbering.
-//! * [`Dce`] — dead-op elimination with the marked outputs as roots.
-//! * [`TransferHoist`] — redundant uploads of identical coefficient
-//!   vectors merge, and surviving uploads sink to just before their
-//!   first use so DMA transfers interleave with (and hide behind) PE
-//!   compute instead of bursting at the head of the stream.
-//! * [`Fuse`] — fusion into the fused nodes the backends already
-//!   execute: `intt ∘ hadamard` becomes
-//!   [`StreamOp::HadamardIntt`](cofhee_core::StreamOp::HadamardIntt)
-//!   and `hadamard + pointwise_add` (the tensor middle term) becomes
-//!   [`StreamOp::HadamardAdd`](cofhee_core::StreamOp::HadamardAdd).
-//! * [`Partitioner`] — splits one large stream into per-die sub-streams
-//!   along contiguous topological cuts chosen to minimize cut values
-//!   (min edge cuts = min inter-die transfers), feeding the farm
-//!   scheduler's pre-partitioned job path.
+//! * [`dce`] — dead-op elimination with the marked outputs as roots,
+//!   sweeping the duplicate producers `cse` left without consumers.
 //!
-//! Every pass preserves bit-exactness — the strict kernels remain the
-//! oracle, and `tests/stream_parity.rs` pins optimized ≡ recorded on
-//! both backends — and the whole pipeline is deterministic (no
-//! randomness, no iteration over unordered maps when emitting), so
-//! farm replay stays reproducible.
+//! Both preserve bit-exactness — the strict kernels remain the oracle,
+//! and `tests/stream_parity.rs` pins optimized ≡ recorded on both
+//! backends — and are deterministic (no randomness, no iteration over
+//! unordered maps when emitting), so farm replay stays reproducible.
+//! What they save, in die cycles, is pinned per builder stream in
+//! `tests/opt_traffic.rs`.
 //!
 //! The consumer-facing knob is [`OptLevel`]: `O0` executes streams as
-//! recorded, `O1` applies the rewrite pipeline, `O2` adds partitioning
-//! across dies where a farm is available. The scheme evaluators hold it
+//! recorded, `O1` runs [`optimize`] first. The scheme evaluators hold it
 //! inside a [`LimbEngine`] — one backend per modulus plus the level —
 //! which compiles, fans out and accounts every stream they record.
 //!
@@ -43,7 +33,7 @@
 //!
 //! ```
 //! use cofhee_core::OpStream;
-//! use cofhee_opt::{OptLevel, PassRunner};
+//! use cofhee_opt::{optimize, OptLevel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let n = 1 << 4;
@@ -55,7 +45,7 @@
 //! let _ = dead;
 //! st.output(back)?;
 //!
-//! let (opt, stats) = PassRunner::for_level(OptLevel::O1).optimize(&st)?;
+//! let (opt, stats) = optimize(&st, OptLevel::O1)?;
 //! assert!(opt.len() < st.len());
 //! assert!(stats.ops_eliminated > 0);
 //! # Ok(())
@@ -65,42 +55,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cost;
 mod cse;
 mod dce;
 mod engine;
-mod fuse;
-mod hoist;
-mod partition;
 mod pass;
 
-pub use cost::{node_cost, stream_cost};
-pub use cse::Cse;
-pub use dce::Dce;
+pub use cse::cse;
+pub use dce::dce;
 pub use engine::{KeyId, LimbEngine};
-pub use fuse::Fuse;
-pub use hoist::TransferHoist;
-pub use partition::{execute_partitioned, PartitionPlan, Partitioner};
-pub use pass::{OptStats, Pass, PassRunner, PassStats};
+pub use pass::{optimize, optimize_traced, OptStats};
 
-use cofhee_core::OpStream;
-
-/// How aggressively streams are rewritten before submit.
+/// Whether streams are compiled before submit.
 ///
-/// | Level | Pipeline |
-/// |-------|----------|
-/// | `O0`  | none — streams execute exactly as recorded |
-/// | `O1`  | rewrites: CSE/NTT-form cache → DCE → transfer hoist → fusion |
-/// | `O2`  | `O1` rewrites, plus partitioning across dies where a farm is available |
+/// | Level | What runs |
+/// |-------|-----------|
+/// | `O0`  | nothing — streams execute exactly as recorded |
+/// | `O1`  | [`optimize`]: value numbering ([`cse`]), then the dead-node sweep ([`dce`]) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum OptLevel {
     /// Execute streams exactly as recorded.
     #[default]
     O0,
-    /// Apply the rewrite pipeline (CSE, DCE, transfer hoisting, fusion).
+    /// Drop repeated and dead nodes first.
     O1,
-    /// `O1` plus cut-minimized partitioning across dies.
-    O2,
 }
 
 impl std::fmt::Display for OptLevel {
@@ -108,21 +85,8 @@ impl std::fmt::Display for OptLevel {
         f.write_str(match self {
             OptLevel::O0 => "O0",
             OptLevel::O1 => "O1",
-            OptLevel::O2 => "O2",
         })
     }
-}
-
-/// Rewrites `stream` at `level` — the one-call convenience over
-/// [`PassRunner::for_level`]. At `O0` the stream comes back unchanged
-/// (a clone) with empty stats.
-///
-/// # Errors
-///
-/// Propagates recording errors from rebuilding the stream (impossible
-/// for well-formed inputs; surfaced rather than panicking).
-pub fn optimize(stream: &OpStream, level: OptLevel) -> cofhee_core::Result<(OpStream, OptStats)> {
-    PassRunner::for_level(level).optimize(stream)
 }
 
 #[cfg(test)]
@@ -172,7 +136,6 @@ pub(crate) mod testutil {
                     StreamOp::PointwiseAdd(..) => "Add".to_string(),
                     StreamOp::PointwiseSub(..) => "Sub".to_string(),
                     StreamOp::ScalarMul(_, c) => format!("Scalar<{c}>"),
-                    StreamOp::PolyMul(..) => "PolyMul".to_string(),
                 };
                 format!("{kind}{deps:?}")
             })
@@ -183,12 +146,13 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cofhee_core::OpStream;
 
     #[test]
     fn levels_order_and_render() {
-        assert!(OptLevel::O0 < OptLevel::O1 && OptLevel::O1 < OptLevel::O2);
+        assert!(OptLevel::O0 < OptLevel::O1);
         assert_eq!(OptLevel::default(), OptLevel::O0);
-        assert_eq!(format!("{} {} {}", OptLevel::O0, OptLevel::O1, OptLevel::O2), "O0 O1 O2");
+        assert_eq!(format!("{} {}", OptLevel::O0, OptLevel::O1), "O0 O1");
     }
 
     #[test]
@@ -199,6 +163,6 @@ mod tests {
         st.output(f).unwrap();
         let (opt, stats) = optimize(&st, OptLevel::O0).unwrap();
         assert_eq!(opt.len(), st.len());
-        assert_eq!(stats.ops_eliminated + stats.ops_fused + stats.uploads_hoisted, 0);
+        assert_eq!(stats.ops_eliminated, 0);
     }
 }

@@ -237,81 +237,20 @@ impl<R: LazyRing> HarveyNtt<R> {
         if !self.lazy {
             return ntt::negacyclic_mul(&self.ring, a, b, &self.strict);
         }
+        let ring = &self.ring;
         let mut at = a.to_vec();
         let mut bt = b.to_vec();
-        self.poly_mul_core(&mut at, &mut bt);
-        Ok(at)
-    }
-
-    /// The fused Algorithm 2 body on borrowed buffers: both operands
-    /// are transformed in place, the Hadamard pass lands in `at`, and
-    /// the inverse stages + `n⁻¹` correction leave the canonical
-    /// product in `at`. `bt` is consumed as scratch (left in NTT
-    /// domain, redundant range).
-    fn poly_mul_core(&self, at: &mut [R::Elem], bt: &mut [R::Elem]) {
-        let ring = &self.ring;
-        self.forward_stages(at);
-        self.forward_stages(bt);
+        self.forward_stages(&mut at);
+        self.forward_stages(&mut bt);
         // Hadamard over redundant [0, 4q) operands: fold + correct
         // each, then the canonical product (already in [0, 2q)) feeds
         // the inverse stages directly.
         for (x, &y) in at.iter_mut().zip(bt.iter()) {
             *x = ring.mul(ring.reduce_once(ring.fold_2q(*x)), ring.reduce_once(ring.fold_2q(y)));
         }
-        self.inverse_stages(at);
-        self.scale_n_inv(at);
-    }
-
-    /// Allocation-free [`HarveyNtt::poly_mul`]: the product lands in
-    /// `out`, with `scratch` consumed as the second transform buffer.
-    /// Both buffers must already have length `n` — [`crate::pool`]
-    /// recycles exactly such buffers so steady-state callers never
-    /// touch the heap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::LengthMismatch`] if any slice is not
-    /// length `n`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cofhee_arith::Barrett64;
-    /// use cofhee_poly::HarveyNtt;
-    ///
-    /// # fn main() -> Result<(), cofhee_poly::PolyError> {
-    /// let ring = Barrett64::new(0x7e00001)?;
-    /// let plan = HarveyNtt::new(&ring, 8)?;
-    /// let a = vec![1u64; 8];
-    /// let b = vec![2u64; 8];
-    /// let mut out = vec![0u64; 8];
-    /// let mut scratch = vec![0u64; 8];
-    /// plan.poly_mul_into(&a, &b, &mut out, &mut scratch)?;
-    /// assert_eq!(out, plan.poly_mul(&a, &b)?);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn poly_mul_into(
-        &self,
-        a: &[R::Elem],
-        b: &[R::Elem],
-        out: &mut [R::Elem],
-        scratch: &mut [R::Elem],
-    ) -> Result<()> {
-        self.check_len(a.len())?;
-        self.check_len(b.len())?;
-        self.check_len(out.len())?;
-        self.check_len(scratch.len())?;
-        out.copy_from_slice(a);
-        scratch.copy_from_slice(b);
-        if !self.lazy {
-            ntt::forward_inplace(&self.ring, out, &self.strict)?;
-            ntt::forward_inplace(&self.ring, scratch, &self.strict)?;
-            crate::pointwise::mul_assign(&self.ring, out, scratch)?;
-            return ntt::inverse_inplace(&self.ring, out, &self.strict);
-        }
-        self.poly_mul_core(out, scratch);
-        Ok(())
+        self.inverse_stages(&mut at);
+        self.scale_n_inv(&mut at);
+        Ok(at)
     }
 
     /// Fused `intt ∘ hadamard`: pointwise product of two NTT-domain
@@ -531,9 +470,6 @@ mod tests {
         let a = rand_poly64(n, 41);
         let b = rand_poly64(n, 43);
         let mut out = vec![0u64; n];
-        let mut scratch = vec![0u64; n];
-        plan.poly_mul_into(&a, &b, &mut out, &mut scratch).unwrap();
-        assert_eq!(out, plan.poly_mul(&a, &b).unwrap());
         let mut fa = a.clone();
         let mut fb = b.clone();
         plan.forward_inplace(&mut fa).unwrap();
@@ -554,9 +490,6 @@ mod tests {
         let a = rand_poly(q, n, 19);
         let b = rand_poly(q, n, 29);
         let mut out = vec![0u128; n];
-        let mut scratch = vec![0u128; n];
-        plan.poly_mul_into(&a, &b, &mut out, &mut scratch).unwrap();
-        assert_eq!(out, plan.poly_mul(&a, &b).unwrap());
         let mut fa = a.clone();
         let mut fb = b.clone();
         plan.forward_inplace(&mut fa).unwrap();

@@ -173,12 +173,9 @@ impl ServiceReport {
             self.service.p50,
             self.service.p95,
         ));
-        let st = &self.farm.stream_totals;
-        if st.ops_eliminated + st.ops_fused + st.uploads_hoisted > 0 {
-            out.push_str(&format!(
-                "optimizer: {} ops eliminated, {} fused, {} uploads hoisted\n",
-                st.ops_eliminated, st.ops_fused, st.uploads_hoisted,
-            ));
+        let eliminated = self.farm.stream_totals.ops_eliminated;
+        if eliminated > 0 {
+            out.push_str(&format!("optimizer: {eliminated} ops eliminated\n"));
         }
         for (label, s) in &self.tenants {
             out.push_str(&format!(

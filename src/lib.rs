@@ -26,10 +26,9 @@
 //! * [`core`] — the device driver: Algorithm 2/3 schedules, execution
 //!   modes, RNS dispatch, host-link accounting, and the unified
 //!   `PolyBackend` execution API (pluggable CPU / chip backends).
-//! * [`opt`] — the stream compiler: an optimizing pass pipeline (DCE,
-//!   CSE, transfer hoisting, fusion) over recorded `OpStream`s, plus
-//!   the multi-die stream partitioner, behind the `O0`/`O1`/`O2`
-//!   opt-level dial.
+//! * [`opt`] — the stream compiler: value numbering and a dead-node
+//!   sweep over recorded `OpStream`s, behind the `O0`/`O1` opt-level
+//!   dial, and the `LimbEngine` both evaluators execute on.
 //! * [`apps`] — CryptoNets and logistic regression, as op-count models
 //!   and as functional encrypted demos.
 //! * [`farm`] — the multi-chip execution service: a pool of simulated

