@@ -161,6 +161,15 @@ pub fn ntt_primes(bits: u32, n: usize, count: usize) -> Result<Vec<u128>> {
 
 /// A tower plan: bit sizes of the RNS primes used to cover a wide modulus.
 ///
+/// This models the *paper's* decompositions — how SEAL on the CPU and
+/// CoFHEE split a ciphertext modulus into towers (Fig. 6) — and its
+/// 55-bit cap for word engines is that model's, not a limit of
+/// [`crate::Barrett64`], which takes primes up to 62 bits. The BFV
+/// evaluator's exact-tensor *computation basis* does not go through it:
+/// `BfvParams::new` takes the fewest 59-bit primes that cover `2·n·q²`
+/// straight from [`ntt_primes`] (four at the paper's points, where this
+/// plan over the same 236 bits gives five).
+///
 /// The paper's two evaluation points decompose as follows (Section VI-B):
 ///
 /// * `(n, log q) = (2^12, 109)`: SEAL splits into 54 + 55 bits (2 towers);

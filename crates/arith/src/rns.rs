@@ -186,6 +186,18 @@ impl RnsBasis {
         self.moduli.iter().map(|&q| x % q).collect()
     }
 
+    /// Limb `i`'s word-level Barrett engine — what a caller reducing a
+    /// whole vector modulo `qᵢ` hoists out of its loop
+    /// ([`Barrett64::reduce_u128`]: no division). `None` when the basis
+    /// has a modulus of 62 bits or more, or more than 16 of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not a limb of the basis.
+    pub fn word_ring(&self, i: usize) -> Option<Barrett64> {
+        self.word.as_ref().map(|limbs| limbs[i].ring)
+    }
+
     /// Decomposes a 256-bit value into its residues.
     pub fn decompose(&self, x: U256) -> Vec<u128> {
         self.moduli.iter().map(|&q| u256_rem_u128(x, q)).collect()
@@ -355,14 +367,16 @@ mod tests {
     #[test]
     fn word_and_wide_garner_agree() {
         // Every residue pattern must leave both recurrences on one value:
-        // BFV's paper-scale computation basis (5 limbs, 236 bits), the
-        // widest word limbs, and a CKKS-shaped 43 + 33 + 33-bit chain.
+        // the paper's CPU tower plan over 236 bits (5 limbs), BFV's
+        // paper-scale computation basis (4 × 59 bits), the widest word
+        // limbs, and a CKKS-shaped 43 + 33 + 33-bit chain.
         let chain = [
             primes::ntt_primes(43, 1 << 13, 1).unwrap(),
             primes::ntt_primes(33, 1 << 13, 2).unwrap(),
         ];
         for moduli in [
             RnsBasis::for_total_bits(236, 64, 1 << 13).unwrap().moduli,
+            primes::ntt_primes(59, 1 << 13, 4).unwrap(),
             primes::ntt_primes(61, 1 << 13, 4).unwrap(),
             chain.concat(),
         ] {

@@ -1,5 +1,6 @@
-//! Repository consistency checks: fails CI when docs rot or a second
-//! transform kernel creeps into production code.
+//! Repository consistency checks: fails CI when docs rot, a second
+//! transform kernel creeps into production code, or a second place
+//! starts creating threads.
 //!
 //! **Links.** Scans every `*.md` at the repository root plus `docs/*.md` for
 //! inline links and images (`](target)`) and verifies that each
@@ -24,6 +25,15 @@
 //! definitions), `crates/poly/src/lazy.rs` (the fallback), and
 //! `crates/bench` (the strict-vs-lazy ratio gate and the §VIII-A
 //! ablation measure the strict kernels on purpose).
+//!
+//! **One fan-out.** Library code creates threads in one function,
+//! `cofhee_core::fan_out` — its callers decide what a task is (a limb's
+//! stream, a wave node, a CRT chunk) but none of them spawns. The same
+//! scan therefore looks for `thread::scope` / `thread::spawn` outside
+//! `#[cfg(test)]` items and allows one hit in
+//! `crates/core/src/stream.rs` (the function) and any in
+//! `crates/bfv/src/tower.rs` (Fig. 6's CPU thread sweep, which *is* a
+//! thread-count experiment).
 //!
 //! ```sh
 //! cargo run --release -p cofhee_bench --bin docs_check
@@ -101,12 +111,24 @@ const STRICT_KERNELS: [&str; 3] =
 const STRICT_KERNEL_ALLOWED: [&str; 3] =
     ["crates/poly/src/ntt.rs", "crates/poly/src/lazy.rs", "crates/bench/"];
 
-/// Lines of one Rust source that name a strict kernel outside comments
+/// What creates a thread, as library code would name it.
+const THREAD_CALLS: [&str; 2] = ["thread::scope", "thread::spawn"];
+
+/// Files allowed to name [`THREAD_CALLS`] in production code, and how
+/// many times: `fan_out` itself, Fig. 6's thread sweep, and this file,
+/// which names them to look for them.
+const THREAD_CALLS_ALLOWED: [(&str, usize); 3] = [
+    ("crates/core/src/stream.rs", 1),
+    ("crates/bfv/src/tower.rs", usize::MAX),
+    ("crates/bench/src/bin/docs_check.rs", usize::MAX),
+];
+
+/// Lines of one Rust source that name one of `names` outside comments
 /// and outside `#[cfg(test)]` items — none in a module file that gates
 /// itself with `#![cfg(test)]`. Relies on rustfmt (enforced in CI): an
 /// item closes with a `}` — or, brace-less, ends in `;` — at the
 /// indentation its attribute opened at.
-fn strict_kernel_calls(src: &str) -> Vec<(usize, &'static str)> {
+fn calls_outside_tests(src: &str, names: &[&'static str]) -> Vec<(usize, &'static str)> {
     let mut out = Vec::new();
     let first_code = src.lines().find(|l| !l.is_empty() && !l.starts_with("//"));
     if first_code == Some("#![cfg(test)]") {
@@ -129,7 +151,7 @@ fn strict_kernel_calls(src: &str) -> Vec<(usize, &'static str)> {
             }
             continue;
         }
-        out.extend(STRICT_KERNELS.iter().filter(|k| code.contains(**k)).map(|k| (lineno + 1, *k)));
+        out.extend(names.iter().filter(|k| code.contains(**k)).map(|k| (lineno + 1, *k)));
     }
     out
 }
@@ -146,28 +168,37 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Prints one line per stray strict-kernel call; returns how many.
-fn check_one_kernel(root: &Path) -> usize {
+/// Prints one line per stray strict-kernel call and per thread created
+/// outside `fan_out`; returns how many.
+fn check_sources(root: &Path) -> usize {
     let mut files = Vec::new();
     let Ok(crates) = std::fs::read_dir(root.join("crates")) else { return 0 };
     for krate in crates.flatten() {
         rust_sources(&krate.path().join("src"), &mut files);
     }
     files.sort();
-    let mut stray = 0usize;
+    let (mut stray, mut spawns) = (0usize, 0usize);
     for file in &files {
         let rel = file.strip_prefix(root).unwrap_or(file).to_string_lossy();
-        if STRICT_KERNEL_ALLOWED.iter().any(|p| rel.starts_with(p)) {
-            continue;
-        }
         let src = std::fs::read_to_string(file).expect("listed file is readable");
-        for (line, kernel) in strict_kernel_calls(&src) {
-            stray += 1;
-            println!("strict kernel outside tests: {rel}:{line}: {kernel}");
+        if !STRICT_KERNEL_ALLOWED.iter().any(|p| rel.starts_with(p)) {
+            for (line, kernel) in calls_outside_tests(&src, &STRICT_KERNELS) {
+                stray += 1;
+                println!("strict kernel outside tests: {rel}:{line}: {kernel}");
+            }
+        }
+        let allowed = THREAD_CALLS_ALLOWED.iter().find(|(p, _)| rel == *p).map_or(0, |(_, n)| *n);
+        for (line, call) in calls_outside_tests(&src, &THREAD_CALLS).into_iter().skip(allowed) {
+            spawns += 1;
+            println!("thread created outside cofhee_core::fan_out: {rel}:{line}: {call}");
         }
     }
-    println!("docs_check: {} sources, {stray} strict-kernel calls outside tests", files.len());
-    stray
+    println!(
+        "docs_check: {} sources, {stray} strict-kernel calls outside tests, {spawns} threads \
+         created outside fan_out",
+        files.len()
+    );
+    stray + spawns
 }
 
 /// Prints one line per broken relative link; returns how many.
@@ -209,14 +240,18 @@ fn check_links(root: &Path) -> usize {
 
 fn main() {
     let root = repo_root();
-    if check_links(&root) + check_one_kernel(&root) > 0 {
+    if check_links(&root) + check_sources(&root) > 0 {
         std::process::exit(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::strict_kernel_calls;
+    use super::{calls_outside_tests, STRICT_KERNELS, THREAD_CALLS};
+
+    fn strict_kernel_calls(src: &str) -> Vec<(usize, &'static str)> {
+        calls_outside_tests(src, &STRICT_KERNELS)
+    }
 
     #[test]
     fn scan_skips_comments_and_test_items_only() {
@@ -245,5 +280,26 @@ mod tests {
         let gated = format!("//! A test module.\n\n#![cfg(test)]\n{src}");
         assert_eq!(strict_kernel_calls(&gated), vec![]);
         assert_eq!(strict_kernel_calls(&format!("fn a() {{}}\n{gated}")).len(), 2);
+    }
+
+    #[test]
+    fn scan_finds_threads_created_outside_tests() {
+        let src = "\
+/// Uses std::thread::scope.
+fn fan() {
+    std::thread::scope(|scope| {
+        scope.spawn(|| ());
+    });
+}
+fn stray() { std::thread::spawn(|| ()); }
+#[cfg(test)]
+mod tests {
+    fn t() { std::thread::spawn(|| ()); }
+}
+";
+        assert_eq!(
+            calls_outside_tests(src, &THREAD_CALLS),
+            vec![(3, "thread::scope"), (7, "thread::spawn")]
+        );
     }
 }

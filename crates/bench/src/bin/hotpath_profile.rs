@@ -13,7 +13,13 @@
 //! generic public route (`compose_centered`, `widening_mul`,
 //! `round_div_u256`, `rem`: a 256-bit division each) against
 //! `Evaluator::tensor_combine` (word-level Garner and the precomputed
-//! `ScaleRound`).
+//! `ScaleRound`). A `lift_centered` row beside it prices the other host
+//! loop of the multiply, the centered lift of the four operand
+//! polynomials onto every computation prime, in ns per lifted
+//! coefficient: two `u128 % u128` software divisions (the route the
+//! evaluator took before, kept here as the oracle) against what
+//! `Evaluator::tensor_streams` records now — one word-level Barrett
+//! reduction — so the division cannot come back unseen.
 //! Every measured pair is also checked bit-exact before it is timed.
 //!
 //! ```sh
@@ -44,8 +50,10 @@ use std::fmt::Write as _;
 use cofhee_arith::{
     primes::ntt_prime, signed::round_div_u256, Barrett128, Barrett64, LazyRing, ModRing, U256,
 };
-use cofhee_bfv::{BfvParams, Evaluator};
+use cofhee_bfv::{BfvParams, Ciphertext, Encryptor, Evaluator, KeyGenerator, Plaintext};
+use cofhee_core::StreamOp;
 use cofhee_poly::{ntt, pointwise, HarveyNtt};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Allowed relative regression of `lazy_ns / strict_ns` vs baseline.
 const REGRESSION_BUDGET: f64 = 0.25;
@@ -305,6 +313,73 @@ fn measure_crt(
     Ok(())
 }
 
+/// The centered lift by division: every polynomial of `a` and `b` onto
+/// every computation prime, `c mod p` and — for the negative half —
+/// `− q mod p` by `%`. One vector per (prime, polynomial), in the order
+/// `Evaluator::tensor_streams` uploads them.
+fn lift_by_division(params: &BfvParams, a: &Ciphertext, b: &Ciphertext) -> Vec<Vec<u128>> {
+    let q = params.q();
+    let mut lifted = Vec::new();
+    for &p in params.mult_basis().moduli() {
+        for poly in a.polys().iter().chain(b.polys()) {
+            let lift = |&c: &u128| if c > q / 2 { (c % p + p - q % p) % p } else { c % p };
+            lifted.push(poly.coeffs().iter().map(lift).collect());
+        }
+    }
+    lifted
+}
+
+/// Measures the `lift_centered` row at one degree of the 109-bit
+/// parameter set: `strict` is [`lift_by_division`], `lazy` is
+/// `Evaluator::tensor_streams` — the lifts plus the few dozen nodes it
+/// records around them — both in ns per lifted coefficient, the uploads
+/// equal bit for bit before either is timed.
+fn measure_lift(
+    log_n: u32,
+    reps: usize,
+    out: &mut Vec<Record>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let n = 1usize << log_n;
+    let params = BfvParams::new(n, ntt_prime(20, n)? as u64, ntt_prime(109, n)?)?;
+    let mut rng = StdRng::seed_from_u64(0x11f7 + u64::from(log_n));
+    let kg = KeyGenerator::new(&params, &mut rng);
+    let enc = Encryptor::new(&params, kg.public_key(&mut rng)?);
+    let a = enc.encrypt(&Plaintext::constant(&params, 3)?, &mut rng)?;
+    let b = enc.encrypt(&Plaintext::constant(&params, 5)?, &mut rng)?;
+    let eval = Evaluator::new(&params)?;
+
+    let uploads: Vec<Vec<u128>> = eval
+        .tensor_streams(&a, &b)?
+        .iter()
+        .flat_map(|st| st.nodes())
+        .filter_map(|op| match op {
+            StreamOp::Upload(coeffs) => Some(coeffs.to_vec()),
+            _ => None,
+        })
+        .collect();
+    let oracle = lift_by_division(&params, &a, &b);
+    assert_eq!(uploads, oracle, "bfv_q109 2^{log_n}: recorded lifts != lifts by division");
+
+    let (division_ns, recorded_ns) = time_pair(
+        reps,
+        || {
+            std::hint::black_box(lift_by_division(&params, &a, &b));
+        },
+        || {
+            std::hint::black_box(eval.tensor_streams(&a, &b).unwrap());
+        },
+    );
+    let per_coeff = (oracle.len() * n) as f64;
+    out.push(Record {
+        ring: "bfv_q109".into(),
+        log_n,
+        op: "lift_centered".into(),
+        strict_ns: division_ns / per_coeff,
+        lazy_ns: recorded_ns / per_coeff,
+    });
+    Ok(())
+}
+
 fn render_json(mode: &str, records: &[Record]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
@@ -443,8 +518,8 @@ fn check_against_baseline(records: &[Record], baseline: &[Record]) -> usize {
     failures
 }
 
-/// One full sweep: both rings at every degree of `log_ns`, and the host
-/// CRT row at every degree of `crt_log_ns`.
+/// One full sweep: both rings at every degree of `log_ns`, and the two
+/// host rows of the BFV multiply at every degree of `crt_log_ns`.
 fn collect(
     log_ns: &[u32],
     crt_log_ns: &[u32],
@@ -453,6 +528,7 @@ fn collect(
     let mut records = Vec::new();
     for &log_n in crt_log_ns {
         measure_crt(log_n, reps, &mut records)?;
+        measure_lift(log_n, reps, &mut records)?;
     }
     for &log_n in log_ns {
         let n = 1usize << log_n;

@@ -32,9 +32,13 @@
 //! [`LimbEngine`] compiles them at the evaluator's [`OptLevel`] and
 //! executes each stream in **one submit**, and the `jobs` finishers
 //! rebuild the ciphertext. The linear ops and the key switch are one
-//! mod-q stream each; [`Evaluator::multiply`] is one tensor stream per
-//! CRT computation prime, the independent limbs fanned out across
-//! threads. On the chip backend each stream flows through the simulated
+//! mod-q stream each, submitted alone and so replayed with every core
+//! ([`LimbEngine::run`]: a key switch's ready transforms and multiply
+//! passes run `cores` at a time); [`Evaluator::multiply`] is one tensor
+//! stream per CRT computation prime — the fewest 59-bit primes that
+//! cover `2·n·q²`, four at the paper's points — the independent limbs
+//! fanned out across threads, and its host CRT runs in one coefficient
+//! chunk per core. On the chip backend each stream flows through the simulated
 //! 32-deep command FIFO in depth-sized batches with interrupt-driven
 //! drains, with upload/download DMA overlapped against PE compute; the
 //! accumulated serial-vs-overlapped telemetry of every op is queryable
@@ -203,9 +207,13 @@ impl Evaluator {
         )?)
     }
 
-    /// Executes one recorded mod-`q` stream and rewraps its outputs.
+    /// Executes one recorded mod-`q` stream and rewraps its outputs. The
+    /// stream runs alone, so [`LimbEngine::run`] hands it every core: the
+    /// transforms and multiply passes of a key switch (or of `ct · pt`)
+    /// replay `cores` at a time.
     fn run_mod_q(&self, stream: OpStream) -> Result<Ciphertext> {
-        self.ciphertext_from_outputs(self.engine.run_one(0, stream)?)
+        let outputs = self.engine.run(0, vec![stream])?.pop().expect("one stream, one outcome");
+        self.ciphertext_from_outputs(outputs)
     }
 
     /// Homomorphic addition (`ct + ct`); mixed sizes are padded.
@@ -259,9 +267,9 @@ impl Evaluator {
     /// Exact ciphertext multiplication: Eq. 4 with integer tensor and
     /// `t/q` rounding. The unscaled tensor is recorded as one
     /// [`OpStream`] per CRT computation prime and the independent limbs
-    /// execute in parallel, one thread and one backend each, each limb
-    /// a single batched submit; the CRT reconstruction and rounding are
-    /// host-side. Returns a 3-component ciphertext; apply
+    /// execute in parallel, one backend each, each limb a single batched
+    /// submit; the CRT reconstruction and rounding are host-side, one
+    /// contiguous coefficient chunk per core. Returns a 3-component ciphertext; apply
     /// [`Evaluator::relinearize`] to shrink it.
     ///
     /// # Errors

@@ -39,7 +39,7 @@
 //! under any placement — which is what makes farm results independent of
 //! scheduling policy and chip count.
 
-use cofhee_arith::Barrett128;
+use cofhee_arith::{Barrett128, ModRing};
 use cofhee_core::{KeySwitchKeys, OpStream, StreamHandle};
 use cofhee_poly::Polynomial;
 
@@ -48,6 +48,18 @@ use crate::error::{BfvError, Result};
 use crate::evaluator::Evaluator;
 use crate::keys::RelinKey;
 use crate::plaintext::Plaintext;
+
+/// Fewest coefficients a chunk of the host CRT carries: below this a
+/// scoped spawn costs more than the chunk, so `n ≤ 2^10` never spawns.
+const MIN_CHUNK: usize = 1 << 10;
+
+/// One task of the chunked host CRT: where the chunk starts, its slice of
+/// each output component, and how it ended.
+struct Chunk<'a> {
+    start: usize,
+    parts: [&'a mut [u128]; 3],
+    done: cofhee_arith::Result<()>,
+}
 
 /// A recorded binary pointwise op (`OpStream::pointwise_add` / `_sub`).
 type PointwiseOp =
@@ -182,20 +194,22 @@ impl Evaluator {
     }
 
     /// Lifts a ciphertext polynomial to centered residues modulo
-    /// computation prime `i`.
+    /// computation prime `i` — one word-level Barrett reduction and one
+    /// conditional modular subtract per coefficient, no division.
     fn lift_centered(&self, poly: &Polynomial<Barrett128>, i: usize) -> Vec<u128> {
-        let q = self.params().q();
-        let p = self.params().mult_basis().moduli()[i];
-        let q_mod_p = q % p;
+        let ring = self
+            .params()
+            .mult_basis()
+            .word_ring(i)
+            .expect("BfvParams::new builds the computation basis from 59-bit primes");
+        let half = self.params().q() / 2;
+        let q_mod_p = ring.reduce_u128(self.params().q());
         poly.coeffs()
             .iter()
             .map(|&c| {
-                let mut r = c % p;
-                if c > q / 2 {
-                    // centered value is c - q (negative): r ← r - q (mod p)
-                    r = (r + p - q_mod_p) % p;
-                }
-                r
+                let r = ring.reduce_u128(c);
+                // Past q/2 the centered value is c − q: r ← r − q (mod p).
+                u128::from(if c > half { ring.sub(r, q_mod_p) } else { r })
             })
             .collect()
     }
@@ -238,8 +252,13 @@ impl Evaluator {
     /// and one [`ScaleRound::apply`](cofhee_arith::signed::ScaleRound::apply)
     /// — bit for bit `round_div_u256(t·|x|, q).rem(q)` with the sign
     /// re-applied, from multiplications by constants fixed in
-    /// [`BfvParams::new`](crate::BfvParams::new). Heap allocations are the
-    /// three output vectors and one residue scratch, whatever `n` is.
+    /// [`BfvParams::new`](crate::BfvParams::new). Coefficients are
+    /// independent, so the range is cut into one contiguous chunk per
+    /// available core — never under 1,024 coefficients, all three
+    /// components per chunk — and the chunks run through
+    /// [`fan_out`](cofhee_core::fan_out). Heap allocations are the three
+    /// output vectors, the chunk list and one residue scratch per chunk,
+    /// whatever `n` is.
     ///
     /// # Errors
     ///
@@ -250,8 +269,20 @@ impl Evaluator {
     /// or a coefficient whose `t·|x|` does not fit 256 bits
     /// ([`Overflow`](cofhee_arith::ArithError::Overflow)) — residues no
     /// honest tensor produces, since `|x| ≤ n·q²/2`, but the computation
-    /// basis itself reaches past that bound.
+    /// basis itself reaches past that bound. Of several bad coefficients
+    /// the one reported is the first of the lowest chunk.
     pub fn tensor_combine(&self, limbs: &[Vec<Vec<u128>>]) -> Result<Ciphertext> {
+        let chunks = (self.params().n() / MIN_CHUNK).clamp(1, cofhee_core::cores());
+        self.tensor_combine_chunked(limbs, chunks)
+    }
+
+    /// [`Evaluator::tensor_combine`] over `chunks` contiguous coefficient
+    /// ranges, one task each.
+    fn tensor_combine_chunked(
+        &self,
+        limbs: &[Vec<Vec<u128>>],
+        chunks: usize,
+    ) -> Result<Ciphertext> {
         let n = self.params().n();
         let k = self.params().mult_basis().len();
         if limbs.len() != k {
@@ -268,20 +299,31 @@ impl Evaluator {
         }
         let basis = self.params().mult_basis();
         let round = self.params().tensor_round();
-        let mut residues = vec![0u128; k];
-        let mut out_polys = Vec::with_capacity(3);
-        for part in 0..3 {
-            let mut coeffs = Vec::with_capacity(n);
-            for j in 0..n {
-                for (r, limb) in residues.iter_mut().zip(limbs) {
-                    *r = limb[part][j];
-                }
-                let (mag, neg) = basis.compose_centered(&residues)?;
-                coeffs.push(round.apply(mag, neg)?);
-            }
-            out_polys.push(self.poly_from(coeffs)?);
-        }
-        Ciphertext::new(out_polys)
+        let mut out = [vec![0u128; n], vec![0u128; n], vec![0u128; n]];
+        let len = n.div_ceil(chunks.max(1));
+        let [c0, c1, c2] = &mut out;
+        let parts = c0.chunks_mut(len).zip(c1.chunks_mut(len)).zip(c2.chunks_mut(len));
+        let mut tasks: Vec<_> = parts
+            .enumerate()
+            .map(|(c, ((p0, p1), p2))| Chunk { start: c * len, parts: [p0, p1, p2], done: Ok(()) })
+            .collect();
+        cofhee_core::fan_out(&mut tasks, |chunk| {
+            let mut residues = vec![0u128; k];
+            let start = chunk.start;
+            chunk.done = chunk.parts.iter_mut().enumerate().try_for_each(|(part, coeffs)| {
+                coeffs.iter_mut().enumerate().try_for_each(|(j, coeff)| {
+                    for (r, limb) in residues.iter_mut().zip(limbs) {
+                        *r = limb[part][start + j];
+                    }
+                    let (mag, neg) = basis.compose_centered(&residues)?;
+                    *coeff = round.apply(mag, neg)?;
+                    Ok(())
+                })
+            });
+        });
+        tasks.into_iter().try_for_each(|chunk| chunk.done)?;
+        let polys = out.into_iter().map(|coeffs| self.poly_from(coeffs)).collect::<Result<_>>()?;
+        Ciphertext::new(polys)
     }
 
     /// Refuses a key generated under another parameter set: a foreign
@@ -473,28 +515,63 @@ mod tests {
         assert_components(&f.eval.mul_plain(&a, &pt).unwrap(), &oracle, "evaluator mul_plain");
     }
 
+    /// The per-limb tensor outputs of `a ⊗ b`, each stream on a fresh
+    /// borrowed backend for its computation prime.
+    fn tensor_limbs(f: &Fixture, a: &Ciphertext, b: &Ciphertext) -> Vec<Vec<Vec<u128>>> {
+        let streams = f.eval.tensor_streams(a, b).unwrap();
+        let primes = f.params.mult_basis().moduli();
+        assert_eq!(streams.len(), primes.len());
+        streams
+            .iter()
+            .zip(primes)
+            .map(|(st, &p)| {
+                let mut be = CpuBackend::new(p, f.params.n()).unwrap();
+                be.execute_stream(st).unwrap().outputs
+            })
+            .collect()
+    }
+
     #[test]
     fn tensor_streams_plus_combine_equal_multiply() {
         let mut f = setup(23);
         let a = f.enc.encrypt(&pt_of(&f, &[9]), &mut f.rng).unwrap();
         let b = f.enc.encrypt(&pt_of(&f, &[11]), &mut f.rng).unwrap();
-        let streams = f.eval.tensor_streams(&a, &b).unwrap();
-        let primes = f.params.mult_basis().moduli().to_vec();
-        assert_eq!(streams.len(), primes.len());
-        let limbs: Vec<Vec<Vec<u128>>> = streams
-            .iter()
-            .zip(&primes)
-            .map(|(st, &p)| {
-                let mut be = CpuBackend::new(p, f.params.n()).unwrap();
-                be.execute_stream(st).unwrap().outputs
-            })
-            .collect();
+        let limbs = tensor_limbs(&f, &a, &b);
         let combined = f.eval.tensor_combine(&limbs).unwrap();
         let direct = f.eval.multiply(&a, &b).unwrap();
         for (p, d) in combined.polys().iter().zip(direct.polys()) {
             assert_eq!(p.coeffs(), d.coeffs(), "borrowed-backend tensor is bit-identical");
         }
         assert_eq!(f.dec.decrypt(&combined).unwrap().coeffs()[0], 99);
+    }
+
+    #[test]
+    fn every_chunk_count_combines_to_the_one_chunk_result() {
+        let mut f = setup(27);
+        let a = f.enc.encrypt(&pt_of(&f, &[5, 6]), &mut f.rng).unwrap();
+        let b = f.enc.encrypt(&pt_of(&f, &[7]), &mut f.rng).unwrap();
+        let mut limbs = tensor_limbs(&f, &a, &b);
+        let whole = f.eval.tensor_combine_chunked(&limbs, 1).unwrap();
+        assert_eq!(f.dec.decrypt(&whole).unwrap().coeffs()[..2], [35, 42]);
+        // n = 32: three, five, six and seven chunks do not divide it.
+        for chunks in 2..=8 {
+            let ct = f.eval.tensor_combine_chunked(&limbs, chunks).unwrap();
+            for (p, w) in ct.polys().iter().zip(whole.polys()) {
+                assert_eq!(p.coeffs(), w.coeffs(), "{chunks} chunks");
+            }
+        }
+        // An unreduced residue in the last chunk fails as it does in one.
+        let n = f.params.n();
+        limbs[0][2][n - 1] = f.params.mult_basis().moduli()[0];
+        for chunks in [1, 3, 8] {
+            assert!(
+                matches!(
+                    f.eval.tensor_combine_chunked(&limbs, chunks),
+                    Err(BfvError::Arith(cofhee_arith::ArithError::OperandOutOfRange { .. }))
+                ),
+                "{chunks} chunks"
+            );
+        }
     }
 
     #[test]

@@ -106,10 +106,16 @@ impl BfvParams {
         // Computation basis for the exact tensor: product must exceed
         // 2·n·q² (sign headroom included).
         let needed_bits = 1 + n.trailing_zeros() + 2 * q_bits + 2;
+        // The fewest word primes `Barrett64` takes (`p < 2^62`) that cover
+        // it — not `primes::tower_plan`, whose 55-bit cap models the
+        // paper's CPU towers and would spend a limb more.
         let count = needed_bits.div_ceil(59) as usize;
-        let mult_basis =
-            RnsBasis::for_total_bits((count as u32) * 59, 64, n).map_err(BfvError::from)?;
-        debug_assert!(mult_basis.total_bits() >= needed_bits);
+        let mult_basis = RnsBasis::new(primes::ntt_primes(59, n, count)?)?;
+        if mult_basis.total_bits() < needed_bits {
+            return Err(BfvError::InvalidParams {
+                reason: format!("no {count} 59-bit NTT primes cover {needed_bits} bits at n = {n}"),
+            });
+        }
         let crt = Arc::new(CrtTables {
             mult_basis,
             tensor_round: ScaleRound::new(t as u128, q, q)?,
@@ -236,6 +242,27 @@ mod tests {
         // The CPU baseline splits this into 2 towers; CoFHEE runs 1.
         assert_eq!(primes::tower_plan(p.log_q(), 64).len(), 2);
         assert_eq!(primes::tower_plan(p.log_q(), 128).len(), 1);
+    }
+
+    #[test]
+    fn the_computation_basis_is_the_fewest_word_primes_that_cover_the_tensor() {
+        let q_2_11 = primes::ntt_prime(109, 1 << 11).unwrap();
+        let t_2_11 = primes::ntt_prime(20, 1 << 11).unwrap() as u64;
+        for (params, limbs) in [
+            (BfvParams::paper_n12().unwrap(), 4),
+            (BfvParams::paper_n13_single_tower().unwrap(), 4),
+            (BfvParams::new(1 << 11, t_2_11, q_2_11).unwrap(), 4),
+            (BfvParams::insecure_testing(1 << 6).unwrap(), 3),
+        ] {
+            let basis = params.mult_basis();
+            let needed = 1 + params.n().trailing_zeros() + 2 * params.log_q() + 2;
+            assert_eq!(basis.len(), limbs, "n = {}", params.n());
+            assert!(basis.moduli().iter().all(|&p| p >> 62 == 0), "Barrett64 takes every limb");
+            assert!(basis.total_bits() >= needed);
+            // `ntt_primes` descends: dropping the last keeps the largest.
+            let fewer = RnsBasis::new(basis.moduli()[..limbs - 1].to_vec()).unwrap();
+            assert!(fewer.total_bits() < needed, "one prime fewer would not cover it");
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Allocation count of the host CRT finisher, by the same counting
 //! `#[global_allocator]` harness as `crates/core/tests/zero_alloc.rs`:
-//! [`Evaluator::tensor_combine`] allocates its three output vectors and
-//! its scratch — a count that does not depend on the degree — and
-//! `RnsBasis::compose` allocates nothing.
+//! `RnsBasis::compose` allocates nothing, and
+//! [`Evaluator::tensor_combine`] allocates its three output vectors,
+//! their container, the chunk list and one scratch per chunk — a count
+//! that depends on how many chunks the host's cores make it, not on the
+//! degree.
 //!
 //! Everything runs inside ONE `#[test]` so no concurrent libtest thread
-//! pollutes the process-global counter. `cofhee_bfv` forbids
-//! `unsafe_code`; this harness is a separate crate root and needs
-//! `unsafe` only for the `GlobalAlloc` shim around [`System`].
+//! pollutes the process-global counter (process-global on purpose: a
+//! chunk's scratch is allocated on the thread that runs the chunk).
+//! `cofhee_bfv` forbids `unsafe_code`; this harness is a separate crate
+//! root and needs `unsafe` only for the `GlobalAlloc` shim around
+//! [`System`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,10 +88,25 @@ fn count_at(n: usize) -> (u64, u64) {
 
 #[test]
 fn tensor_combine_allocates_independently_of_the_degree() {
+    // The core count is read once per process, from files: not part of
+    // any call's ledger.
+    let cores = cofhee_core::cores();
+    // One chunk (n = 2^10 is the smallest chunk there is): nothing is
+    // spawned, whatever the host.
     let (combine_10, compose_10) = count_at(1 << 10);
-    let (combine_12, compose_12) = count_at(1 << 12);
     assert_eq!(compose_10, 0, "RnsBasis::compose must not touch the heap");
-    assert_eq!(compose_12, 0, "RnsBasis::compose must not touch the heap");
-    assert_eq!(combine_10, combine_12, "tensor_combine allocations must not grow with n");
-    assert!(combine_12 <= 8, "three outputs, their container and the scratch: {combine_12}");
+    assert!(
+        combine_10 <= 8,
+        "three outputs, their container, the chunk list and one scratch: {combine_10}"
+    );
+    // Two degrees this host cuts into the same number of chunks — one per
+    // core: the same count, spawned threads and all.
+    let n = (cores << 10).next_power_of_two().max(1 << 11);
+    let (combine_n, compose_n) = count_at(n);
+    let (combine_2n, _) = count_at(2 * n);
+    assert_eq!(compose_n, 0, "RnsBasis::compose must not touch the heap");
+    assert_eq!(
+        combine_n, combine_2n,
+        "tensor_combine allocations must not grow with n ({cores} cores, n = {n})"
+    );
 }

@@ -1,10 +1,16 @@
 //! The host half of exact BFV multiplication — CRT reconstruction across
 //! the computation basis and Eq. 4's `⌊t·x/q⌉` — held to oracles that
 //! share none of its code: the generic 256-bit route on chosen signed
-//! values, and a schoolbook big-integer multiplication at `log q = 109`.
+//! values, a schoolbook big-integer multiplication at `log q = 109`, and
+//! the same tensor over another basis — the five ≈ 47-bit primes the
+//! evaluator computed over before its basis became the minimal four.
 
+use cofhee_arith::rns::RnsBasis;
 use cofhee_arith::{primes::ntt_prime, signed::round_div_u256, ArithError, U256};
-use cofhee_bfv::{BfvError, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext};
+use cofhee_bfv::{
+    BfvError, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext,
+};
+use cofhee_core::{CpuBackend, OpStream, PolyBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -191,4 +197,63 @@ fn multiply_at_log_q_109_matches_a_schoolbook_big_integer_oracle() {
         }
     }
     assert_eq!(dec.decrypt(&product).unwrap().coeffs(), &want[..]);
+}
+
+/// The unscaled tensor of `a ⊗ b` modulo `p`, on a CPU backend of its
+/// own: centered lifts by `%`, the three components as plain
+/// transform / Hadamard / add nodes.
+fn tensor_mod(p: u128, q: u128, a: &Ciphertext, b: &Ciphertext) -> Vec<Vec<u128>> {
+    let n = a.polys()[0].coeffs().len();
+    let mut st = OpStream::new(n);
+    let mut forms = Vec::new();
+    for poly in a.polys().iter().chain(b.polys()) {
+        let lifted =
+            poly.coeffs().iter().map(|&c| if c > q / 2 { (c % p + p - q % p) % p } else { c % p });
+        let up = st.upload(lifted.collect()).unwrap();
+        forms.push(st.ntt(up).unwrap());
+    }
+    let (a0, a1, b0, b1) = (forms[0], forms[1], forms[2], forms[3]);
+    let x01 = st.hadamard(a0, b1).unwrap();
+    let x10 = st.hadamard(a1, b0).unwrap();
+    let products =
+        [st.hadamard(a0, b0), st.pointwise_add(x01, x10), st.hadamard(a1, b1)].map(Result::unwrap);
+    for prod in products {
+        let back = st.intt(prod).unwrap();
+        st.output(back).unwrap();
+    }
+    CpuBackend::new(p, n).unwrap().execute_stream(&st).unwrap().outputs
+}
+
+/// The tensor is exact over any basis that covers `2·n·q²`: computed over
+/// the five-prime tower plan the evaluator used to take and finished by
+/// the generic route, it is `Evaluator::multiply`'s four-limb product
+/// coefficient for coefficient.
+#[test]
+fn multiply_over_four_limbs_equals_the_five_limb_tensor() {
+    let mut rng = StdRng::seed_from_u64(0x5_11b5);
+    for n in [1usize << 10, 1 << 12] {
+        let t = ntt_prime(20, n).unwrap() as u64;
+        let params = BfvParams::new(n, t, ntt_prime(109, n).unwrap()).unwrap();
+        let five = RnsBasis::for_total_bits(236, 64, n).unwrap();
+        assert_eq!((params.mult_basis().len(), five.len()), (4, 5));
+        let kg = KeyGenerator::new(&params, &mut rng);
+        let enc = Encryptor::new(&params, kg.public_key(&mut rng).unwrap());
+        let mut fresh = || {
+            let m = (0..n).map(|_| rng.gen_range(0..t)).collect();
+            enc.encrypt(&Plaintext::new(&params, m).unwrap(), &mut rng).unwrap()
+        };
+        let (a, b) = (fresh(), fresh());
+        let product = Evaluator::new(&params).unwrap().multiply(&a, &b).unwrap();
+
+        let limbs: Vec<_> =
+            five.moduli().iter().map(|&p| tensor_mod(p, params.q(), &a, &b)).collect();
+        for (part, poly) in product.polys().iter().enumerate() {
+            for (j, &got) in poly.coeffs().iter().enumerate() {
+                let residues: Vec<u128> = limbs.iter().map(|limb| limb[part][j]).collect();
+                let (mag, neg) = five.compose_centered(&residues).unwrap();
+                let want = scale_round_oracle(&params, mag, neg);
+                assert_eq!(got, want, "n = {n}, component {part}, coefficient {j}");
+            }
+        }
+    }
 }

@@ -87,7 +87,7 @@ use cofhee_sim::{ChipConfig, OpReport, Spi, Uart};
 
 use crate::device::{CommStats, Device, Link};
 use crate::error::{CoreError, Result};
-use crate::stream::{OpStream, StreamHandle, StreamOp, StreamOutcome, StreamReport};
+use crate::stream::{fan_out, OpStream, StreamHandle, StreamOp, StreamOutcome, StreamReport};
 
 /// Opaque handle to a backend-resident polynomial.
 ///
@@ -200,6 +200,20 @@ pub trait PolyBackend: fmt::Debug + Send {
     /// `Input` the backend does not hold, and propagates execution
     /// failures.
     fn execute_stream(&mut self, stream: &OpStream) -> Result<StreamOutcome>;
+
+    /// [`PolyBackend::execute_stream`] for a stream that has `lanes` host
+    /// threads to itself (`LimbEngine::run` hands each stream of a submit
+    /// `cores / streams`): same outputs, same telemetry. [`CpuBackend`]
+    /// replays up to `lanes` ready transform / multiply nodes at a time;
+    /// the provided default ignores the count — one simulated die
+    /// ([`ChipBackend`]) has nothing to spread over host threads.
+    ///
+    /// # Errors
+    ///
+    /// As [`PolyBackend::execute_stream`].
+    fn execute_stream_lanes(&mut self, stream: &OpStream, _lanes: usize) -> Result<StreamOutcome> {
+        self.execute_stream(stream)
+    }
 
     /// Installs the tracing context used by subsequent
     /// [`PolyBackend::execute_stream`] calls: which sink to record
@@ -362,6 +376,9 @@ struct CpuState<R: LazyRing> {
     /// are taken here and go back when freed, so a warmed backend
     /// allocates nothing per node.
     scratch: BufferPool<R::Elem>,
+    /// The wave a replay is gathering or running; empty between replays.
+    /// Kept here so that a warmed replay allocates nothing for it.
+    wave: Vec<Lane<R::Elem>>,
 }
 
 /// One stream value during a replay.
@@ -371,6 +388,14 @@ enum Val<E> {
     Owned(Vec<E>),
     /// A stored polynomial ([`StreamOp::Input`]), borrowed by pool id.
     Stored(u64),
+}
+
+/// One node of a wave: the buffer it computes into and how it ended.
+#[derive(Debug)]
+struct Lane<E> {
+    node: usize,
+    buf: Vec<E>,
+    failed: Option<CoreError>,
 }
 
 /// The coefficients of operand `h`: an earlier node's buffer, or the
@@ -389,6 +414,107 @@ fn operand<'a, E>(
     }
 }
 
+/// How far, in nodes per lane, a replay's walk runs past the oldest node
+/// it stepped over: enough for the next digit's transform of a key switch
+/// (six nodes on) to join the wave of the previous one.
+const AHEAD: usize = 4;
+
+/// What a node retires: transforms, multiply passes (an inverse's `n⁻¹`
+/// scaling is one) and add-sub passes. One that retires a transform or a
+/// multiply pass is what a wave is made of.
+fn retires(op: &StreamOp) -> (u64, u64, u64) {
+    match op {
+        StreamOp::Input(_) | StreamOp::Upload(_) => (0, 0, 0),
+        StreamOp::Ntt(_) => (1, 0, 0),
+        StreamOp::Intt(_) => (1, 1, 0),
+        StreamOp::Hadamard(..) | StreamOp::ScalarMul(..) => (0, 1, 0),
+        StreamOp::HadamardIntt(..) => (1, 2, 0),
+        StreamOp::HadamardAdd(..) => (0, 1, 1),
+        StreamOp::PointwiseAdd(..) | StreamOp::PointwiseSub(..) => (0, 0, 1),
+    }
+}
+
+/// `coeffs` reduced into `v`.
+fn reduce_into<R: LazyRing>(ring: &R, coeffs: &[u128], v: &mut [R::Elem]) -> Result<()> {
+    if coeffs.len() != v.len() {
+        return Err(CoreError::BadOperandLength { expected: v.len(), found: coeffs.len() });
+    }
+    for (dst, &c) in v.iter_mut().zip(coeffs) {
+        *dst = ring.from_u128(c);
+    }
+    Ok(())
+}
+
+/// Computes node `op` into `v`, a buffer from the stock. A pure function
+/// of the node's operands, which is what lets the nodes of a wave run at
+/// once.
+fn compute<R: LazyRing>(
+    plan: &HarveyNtt<R>,
+    pool: &HashMap<u64, Vec<R::Elem>>,
+    vals: &[Option<Val<R::Elem>>],
+    op: &StreamOp,
+    v: &mut [R::Elem],
+) -> Result<()> {
+    let ring = plan.ring();
+    let arg = |h: &StreamHandle| operand(pool, vals, h);
+    match op {
+        StreamOp::Input(_) => unreachable!("an input is borrowed, not computed"),
+        StreamOp::Upload(coeffs) => reduce_into(ring, coeffs, v)?,
+        StreamOp::Ntt(s) => {
+            v.copy_from_slice(arg(s)?);
+            plan.forward_inplace(v)?;
+        }
+        StreamOp::Intt(s) => {
+            v.copy_from_slice(arg(s)?);
+            plan.inverse_inplace(v)?;
+        }
+        StreamOp::Hadamard(x, y) => {
+            v.copy_from_slice(arg(x)?);
+            pointwise::mul_assign(ring, v, arg(y)?)?;
+        }
+        // The single-pass Harvey kernel: the product feeds the
+        // inverse stages directly, no canonical correction between.
+        StreamOp::HadamardIntt(x, y) => plan.hadamard_intt_into(arg(x)?, arg(y)?, v)?,
+        // Accumulated into the product's own buffer.
+        StreamOp::HadamardAdd(x, y, acc) => {
+            v.copy_from_slice(arg(x)?);
+            pointwise::mul_assign(ring, v, arg(y)?)?;
+            pointwise::add_assign(ring, v, arg(acc)?)?;
+        }
+        StreamOp::PointwiseAdd(x, y) => {
+            v.copy_from_slice(arg(x)?);
+            pointwise::add_assign(ring, v, arg(y)?)?;
+        }
+        StreamOp::PointwiseSub(x, y) => {
+            v.copy_from_slice(arg(x)?);
+            pointwise::sub_assign(ring, v, arg(y)?)?;
+        }
+        StreamOp::ScalarMul(x, c) => {
+            v.copy_from_slice(arg(x)?);
+            pointwise::scalar_mul_assign(ring, v, ring.from_u128(*c));
+        }
+    }
+    Ok(())
+}
+
+/// The state of one replay: what each node's value is and how many
+/// consumers it still has ahead of it.
+struct Replay<'s, E> {
+    nodes: &'s [StreamOp],
+    /// Uses each node still has ahead of it; an output marking is one
+    /// that only the download consumes.
+    uses: Vec<usize>,
+    vals: Vec<Option<Val<E>>>,
+}
+
+impl<E> Replay<'_, E> {
+    /// Whether every operand of node `i` has been computed (and, its
+    /// consumer still ahead, not given back).
+    fn ready(&self, i: usize) -> bool {
+        self.nodes[i].deps().into_iter().flatten().all(|dep| self.vals[dep.index].is_some())
+    }
+}
+
 impl<R: LazyRing> CpuState<R> {
     fn new(plan: Arc<HarveyNtt<R>>) -> Self {
         let n = plan.n();
@@ -398,6 +524,7 @@ impl<R: LazyRing> CpuState<R> {
             plan,
             pool: HashMap::new(),
             scratch: BufferPool::new(n),
+            wave: Vec::new(),
         }
     }
 
@@ -407,20 +534,12 @@ impl<R: LazyRing> CpuState<R> {
         }
     }
 
-    /// `coeffs` reduced into a buffer from the stock.
-    fn reduced(&mut self, coeffs: &[u128]) -> Result<Vec<R::Elem>> {
-        if coeffs.len() != self.n {
-            return Err(CoreError::BadOperandLength { expected: self.n, found: coeffs.len() });
-        }
-        let mut v = self.scratch.take();
-        for (dst, &c) in v.iter_mut().zip(coeffs) {
-            *dst = self.ring.from_u128(c);
-        }
-        Ok(v)
-    }
-
     fn upload(&mut self, coeffs: &[u128]) -> Result<PolyHandle> {
-        let v = self.reduced(coeffs)?;
+        let mut v = self.scratch.take();
+        if let Err(e) = reduce_into(&self.ring, coeffs, &mut v) {
+            self.scratch.put(v);
+            return Err(e);
+        }
         let id = fresh_handle_id();
         self.pool.insert(id, v);
         Ok(PolyHandle(id))
@@ -439,132 +558,177 @@ impl<R: LazyRing> CpuState<R> {
         }
     }
 
-    /// The stream replay at this engine's width: every node runs in
-    /// record order into one buffer from the stock, and the buffer goes
-    /// back right after its value's last consumer ran — the rule
-    /// `chip_stream`'s slot allocator follows — so what the backend holds
-    /// at any moment is the stream's live set, not its node count: a node
-    /// nothing reads is released at once, a value one node names twice is
-    /// released once, outputs live to their download, and
-    /// [`StreamOp::Input`] polynomials are borrowed and never freed. The
-    /// replay's values never enter the store — no handle is minted for
-    /// them. Success *and* failure leave nothing behind: the closing
-    /// sweep gives back the outputs, or whatever was live when a node
-    /// failed. Each node's retired arithmetic lands in `report` as it
-    /// completes.
-    fn replay(&mut self, stream: &OpStream, report: &mut OpReport) -> Result<Vec<Vec<u128>>> {
+    /// The stream replay at this engine's width: every node runs into
+    /// one buffer from the stock, and the buffer goes back right after
+    /// its value's last consumer ran — the rule `chip_stream`'s slot
+    /// allocator follows — so what the backend holds at any moment is the
+    /// stream's live set, not its node count: a node nothing reads is
+    /// released at once, a value one node names twice is released once,
+    /// outputs live to their download, and [`StreamOp::Input`]
+    /// polynomials are borrowed and never freed. The replay's values
+    /// never enter the store — no handle is minted for them. Success
+    /// *and* failure leave nothing behind: the closing sweep gives back
+    /// the outputs, or whatever was live — a gathered wave's buffers
+    /// included — when a node failed. Each node's retired arithmetic
+    /// lands in `report` as it completes.
+    ///
+    /// The order is record order, `lanes` nodes at a time
+    /// ([`CpuState::run_nodes`]); with one lane it is the in-order loop
+    /// node for node. A node is a pure function of its operands, so the
+    /// values are the same at every lane count.
+    fn replay(
+        &mut self,
+        stream: &OpStream,
+        lanes: usize,
+        report: &mut OpReport,
+    ) -> Result<Vec<Vec<u128>>> {
         let nodes = stream.nodes();
-        // Uses each node still has ahead of it; an output marking is one
-        // that only the download consumes.
-        let mut uses = stream.use_counts();
-        let mut vals: Vec<Option<Val<R::Elem>>> = Vec::new();
+        let mut vals = Vec::new();
         vals.resize_with(nodes.len(), || None);
-        let result = (|| -> Result<Vec<Vec<u128>>> {
-            for (i, op) in nodes.iter().enumerate() {
-                vals[i] = Some(self.node(&vals, op, report)?);
-                // This node was one use of each operand (two of one it
-                // names twice) and is itself dead when nothing reads it.
-                let operands = op.deps().into_iter().flatten().map(|dep| (dep.index, 1));
-                for (j, used) in operands.chain([(i, 0)]) {
-                    uses[j] -= used;
-                    if uses[j] == 0 {
-                        if let Some(Val::Owned(dead)) = vals[j].take() {
-                            self.scratch.put(dead);
-                        }
-                    }
-                }
-            }
+        let mut replay = Replay { nodes, uses: stream.use_counts(), vals };
+        let result = self.run_nodes(&mut replay, lanes.max(1), report).and_then(|()| {
             // Sized up front: one allocation however many outputs.
             let mut outputs = Vec::with_capacity(stream.outputs().len());
             for s in stream.outputs() {
-                outputs.push(self.canonical(operand(&self.pool, &vals, s)?));
+                outputs.push(self.canonical(operand(&self.pool, &replay.vals, s)?));
             }
             Ok(outputs)
-        })();
-        for val in vals.into_iter().flatten() {
-            if let Val::Owned(v) = val {
-                self.scratch.put(v);
-            }
+        });
+        let in_wave = self.wave.drain(..).map(|lane| lane.buf);
+        let live = replay.vals.into_iter().flatten().filter_map(|val| match val {
+            Val::Owned(v) => Some(v),
+            Val::Stored(_) => None,
+        });
+        for v in in_wave.chain(live) {
+            self.scratch.put(v);
         }
         result
     }
 
-    /// One node: its value — in a buffer from the stock unless it is an
-    /// `Input` — and its retired arithmetic added to `report`. Operands
-    /// are resolved *before* the buffer is taken, so a bad handle leaves
-    /// the stock where it was.
-    fn node(
+    /// The walk of [`CpuState::replay`]: up to `lanes` *ready* nodes that
+    /// retire a transform or a multiply pass (see [`retires`]) are
+    /// gathered into a wave and run through [`fan_out`], one per thread;
+    /// uploads, inputs and add-sub passes run on the calling thread as
+    /// the walk reaches them. A node whose operand is still in the wave
+    /// is stepped over and taken up, oldest first, once the wave has
+    /// retired; the walk never runs more than [`AHEAD`]` · lanes` nodes
+    /// past the oldest node it stepped over, so the replay holds at most
+    /// `(AHEAD + 1) · lanes` buffers beyond the in-order live set. With
+    /// one lane nothing is ever stepped over and every wave is one node,
+    /// run inline.
+    fn run_nodes(
         &mut self,
-        vals: &[Option<Val<R::Elem>>],
-        op: &StreamOp,
+        replay: &mut Replay<'_, R::Elem>,
+        lanes: usize,
         report: &mut OpReport,
-    ) -> Result<Val<R::Elem>> {
-        let (ring, plan) = (&self.ring, &self.plan);
-        let arg = |h: &StreamHandle| operand(&self.pool, vals, h);
-        let mut copy_of = |src: &[R::Elem]| {
-            let mut v = self.scratch.take();
-            v.copy_from_slice(src);
-            v
-        };
-        // The value, and what it retired: transforms, multiply passes (an
-        // inverse's `n⁻¹` scaling is one), add-sub passes.
-        let (v, transforms, mul_passes, addsub_passes) = match op {
-            StreamOp::Input(h) => return Ok(Val::Stored(h.id())),
-            StreamOp::Upload(coeffs) => (self.reduced(coeffs)?, 0, 0, 0),
-            StreamOp::Ntt(s) => {
-                let mut v = copy_of(arg(s)?);
-                plan.forward_inplace(&mut v)?;
-                (v, 1, 0, 0)
+    ) -> Result<()> {
+        let nodes = replay.nodes;
+        // Stepped-over nodes, oldest first. Never pushed at one lane.
+        let mut waiting: Vec<usize> = Vec::new();
+        let mut next = 0;
+        while next < nodes.len() || !waiting.is_empty() {
+            let mut w = 0;
+            while w < waiting.len() && self.wave.len() < lanes {
+                if replay.ready(waiting[w]) {
+                    self.start(replay, waiting.remove(w), report)?;
+                } else {
+                    w += 1;
+                }
             }
-            StreamOp::Intt(s) => {
-                let mut v = copy_of(arg(s)?);
-                plan.inverse_inplace(&mut v)?;
-                (v, 1, 1, 0)
+            let oldest = waiting.first().copied().unwrap_or(next);
+            while next < nodes.len() && self.wave.len() < lanes && next - oldest < AHEAD * lanes {
+                // A stored operand is looked up as the walk passes its
+                // consumer, so the failure reported is the first in
+                // record order whatever ran ahead of it.
+                for dep in nodes[next].deps().iter().flatten() {
+                    if replay.vals[dep.index].is_some() {
+                        operand(&self.pool, &replay.vals, dep)?;
+                    }
+                }
+                if replay.ready(next) {
+                    self.start(replay, next, report)?;
+                } else {
+                    waiting.push(next);
+                }
+                next += 1;
             }
-            StreamOp::Hadamard(x, y) => {
-                let (x, y) = (arg(x)?, arg(y)?);
-                let mut v = copy_of(x);
-                pointwise::mul_assign(ring, &mut v, y)?;
-                (v, 0, 1, 0)
+            self.run_wave(replay, report)?;
+        }
+        Ok(())
+    }
+
+    /// Starts ready node `i`: into the wave if it retires a transform or
+    /// a multiply pass, computed here and now otherwise.
+    fn start(
+        &mut self,
+        replay: &mut Replay<'_, R::Elem>,
+        i: usize,
+        report: &mut OpReport,
+    ) -> Result<()> {
+        let op = &replay.nodes[i];
+        if let StreamOp::Input(h) = op {
+            replay.vals[i] = Some(Val::Stored(h.id()));
+            self.retire(replay, i, report);
+            return Ok(());
+        }
+        let mut buf = self.scratch.take();
+        let (transforms, mul_passes, _) = retires(op);
+        if transforms + mul_passes > 0 {
+            self.wave.push(Lane { node: i, buf, failed: None });
+            return Ok(());
+        }
+        match compute(&self.plan, &self.pool, &replay.vals, op, &mut buf) {
+            Ok(()) => {
+                replay.vals[i] = Some(Val::Owned(buf));
+                self.retire(replay, i, report);
+                Ok(())
             }
-            // The single-pass Harvey kernel: the product feeds the
-            // inverse stages directly, no canonical correction between.
-            StreamOp::HadamardIntt(x, y) => {
-                let (x, y) = (arg(x)?, arg(y)?);
-                let mut v = self.scratch.take();
-                plan.hadamard_intt_into(x, y, &mut v)?;
-                (v, 1, 2, 0)
+            Err(e) => {
+                self.scratch.put(buf);
+                Err(e)
             }
-            // Accumulated into the product's own buffer.
-            StreamOp::HadamardAdd(x, y, acc) => {
-                let (x, y, acc) = (arg(x)?, arg(y)?, arg(acc)?);
-                let mut v = copy_of(x);
-                pointwise::mul_assign(ring, &mut v, y)?;
-                pointwise::add_assign(ring, &mut v, acc)?;
-                (v, 0, 1, 1)
-            }
-            StreamOp::PointwiseAdd(x, y) => {
-                let (x, y) = (arg(x)?, arg(y)?);
-                let mut v = copy_of(x);
-                pointwise::add_assign(ring, &mut v, y)?;
-                (v, 0, 0, 1)
-            }
-            StreamOp::PointwiseSub(x, y) => {
-                let (x, y) = (arg(x)?, arg(y)?);
-                let mut v = copy_of(x);
-                pointwise::sub_assign(ring, &mut v, y)?;
-                (v, 0, 0, 1)
-            }
-            StreamOp::ScalarMul(x, c) => {
-                let mut v = copy_of(arg(x)?);
-                pointwise::scalar_mul_assign(ring, &mut v, ring.from_u128(*c));
-                (v, 0, 1, 0)
-            }
-        };
+        }
+    }
+
+    /// Runs the gathered wave, one node per thread, and retires its nodes
+    /// in record order. A failed node leaves the whole wave where it is:
+    /// the replay's closing sweep gives every buffer back.
+    fn run_wave(&mut self, replay: &mut Replay<'_, R::Elem>, report: &mut OpReport) -> Result<()> {
+        let (plan, pool, vals) = (&*self.plan, &self.pool, &replay.vals);
+        fan_out(&mut self.wave, |lane| {
+            lane.failed = compute(plan, pool, vals, &replay.nodes[lane.node], &mut lane.buf).err();
+        });
+        if let Some(e) = self.wave.iter_mut().find_map(|lane| lane.failed.take()) {
+            return Err(e);
+        }
+        let mut wave = std::mem::take(&mut self.wave);
+        for lane in wave.drain(..) {
+            replay.vals[lane.node] = Some(Val::Owned(lane.buf));
+            self.retire(replay, lane.node, report);
+        }
+        self.wave = wave;
+        Ok(())
+    }
+
+    /// Books computed node `i`: its retired arithmetic, one use less of
+    /// each operand (two of one it names twice), and every buffer that
+    /// leaves dead — the node's own when nothing reads it — back to the
+    /// stock.
+    fn retire(&mut self, replay: &mut Replay<'_, R::Elem>, i: usize, report: &mut OpReport) {
+        let op = &replay.nodes[i];
+        let (transforms, mul_passes, addsub_passes) = retires(op);
         report.butterflies += transforms * butterfly_count(self.n);
         report.mults += mul_passes * self.n as u64;
         report.addsubs += addsub_passes * self.n as u64;
-        Ok(Val::Owned(v))
+        let operands = op.deps().into_iter().flatten().map(|dep| (dep.index, 1));
+        for (j, used) in operands.chain([(i, 0)]) {
+            replay.uses[j] -= used;
+            if replay.uses[j] == 0 {
+                if let Some(Val::Owned(dead)) = replay.vals[j].take() {
+                    self.scratch.put(dead);
+                }
+            }
+        }
     }
 }
 
@@ -657,15 +821,22 @@ impl PolyBackend for CpuBackend {
         with_engine!(self, st => st.free(h));
     }
 
+    /// The in-order replay: [`PolyBackend::execute_stream_lanes`] with
+    /// one lane, which never spawns.
+    fn execute_stream(&mut self, stream: &OpStream) -> Result<StreamOutcome> {
+        self.execute_stream_lanes(stream, 1)
+    }
+
     /// Replays the stream on the engine the modulus selected — matched
-    /// here, once per stream, not per node. There is no modeled timing:
+    /// here, once per stream, not per node — up to `lanes` ready
+    /// transform / multiply nodes at a time. There is no modeled timing:
     /// the report carries the command count and one batch, its cycle,
     /// second and byte totals stay zero.
-    fn execute_stream(&mut self, stream: &OpStream) -> Result<StreamOutcome> {
+    fn execute_stream_lanes(&mut self, stream: &OpStream, lanes: usize) -> Result<StreamOutcome> {
         if stream.n() != self.n {
             return Err(CoreError::DegreeMismatch { device: self.n, requested: stream.n() });
         }
-        let outputs = with_engine!(self, st => st.replay(stream, &mut self.report))?;
+        let outputs = with_engine!(self, st => st.replay(stream, lanes, &mut self.report))?;
         Ok(StreamOutcome {
             outputs,
             report: StreamReport {

@@ -28,7 +28,10 @@
 //!   implementations selected by constructor argument. There is no
 //!   per-operation call. [`StreamReport`] prices every submit both
 //!   serially and overlapped; [`StreamExecutor`] fans independent
-//!   streams out across threads, one per CRT limb.
+//!   streams out across threads, one per CRT limb, through [`fan_out`]
+//!   — the one function that creates threads, which a lone stream's
+//!   transform and multiply nodes ([`PolyBackend::execute_stream_lanes`])
+//!   and the BFV host CRT's coefficient chunks run through as well.
 //! * [`record_key_switch`] — the scheme-neutral digit-decomposition
 //!   key-switch stream builder shared by BFV and CKKS relinearization.
 //! * [`record_encrypt`] / [`record_decrypt`] — the client side of both
@@ -83,7 +86,8 @@ pub use ops::{CiphertextMulOutcome, PolyMulOutcome};
 pub use rlwe::{record_decrypt, record_encrypt};
 pub use rns::{RnsDevice, RnsMulOutcome};
 pub use stream::{
-    OpStream, StreamExecutor, StreamHandle, StreamJob, StreamOp, StreamOutcome, StreamReport,
+    cores, fan_out, OpStream, StreamExecutor, StreamHandle, StreamJob, StreamOp, StreamOutcome,
+    StreamReport,
 };
 
 // Telemetry types surfaced through the backend API, re-exported so

@@ -25,8 +25,9 @@
 //!   with interrupt-driven drains and DMA-overlapped transfers (the
 //!   `chip_stream` module).
 //! * [`StreamExecutor`] — dispatch of *independent* streams (one per
-//!   CRT computation prime, one per RNS tower) across OS threads with
-//!   `std::thread::scope`, each on its own backend.
+//!   CRT computation prime, one per RNS tower) across OS threads, each
+//!   on its own backend, through [`fan_out`] — the one function here
+//!   that creates threads.
 //!
 //! Every execution path returns a [`StreamOutcome`]: the downloaded
 //! output polynomials plus a [`StreamReport`] carrying both the
@@ -60,7 +61,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::backend::{PolyBackend, PolyHandle};
 use crate::error::{CoreError, Result};
@@ -460,39 +461,65 @@ pub struct StreamJob<'a> {
     pub stream: &'a OpStream,
 }
 
+/// Host cores this process may run on — the one input every parallel
+/// split is sized by (`LimbEngine::run`'s lanes, the chunk count of the
+/// BFV host CRT). Read once: the query opens files on Linux.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Runs `run` on every task, one scoped thread each with the calling
+/// thread taking the first; a task keeps its result in its own slot, so
+/// results are in task order. A one-task list runs inline — nothing is
+/// spawned and nothing allocated.
+///
+/// The one function in this workspace's library code that creates
+/// threads (Fig. 6's CPU thread sweep in `cofhee_bfv::tower` aside). Its
+/// callers choose what a task is: a limb's whole stream, one transform
+/// or multiply node of a stream that runs alone (the CPU replay's wave),
+/// a coefficient chunk of the BFV host CRT. No worker pool: three limbs
+/// time-sliced on two cores finish in 1.5 limb-times, two pinned workers
+/// would need 2.
+///
+/// # Panics
+///
+/// Panics when a task panicked, after every task has finished.
+pub fn fan_out<T: Send>(tasks: &mut [T], run: impl Fn(&mut T) + Sync) {
+    let Some((first, rest)) = tasks.split_first_mut() else { return };
+    if rest.is_empty() {
+        return run(first);
+    }
+    let run = &run;
+    std::thread::scope(|scope| {
+        for task in rest {
+            scope.spawn(move || run(task));
+        }
+        run(first);
+    });
+}
+
 /// Dispatches independent recorded streams onto their backends, fanned
 /// out across OS threads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamExecutor;
 
 impl StreamExecutor {
-    /// Executes independent streams concurrently, one scoped thread per
-    /// job — the CRT-limb fan-out of a multi-modulus consumer (each
-    /// computation prime gets its own backend and its own stream, so the
-    /// limbs never contend). Outcomes come back in job order.
+    /// Executes independent streams concurrently through [`fan_out`], one
+    /// task per job — the CRT-limb fan-out of a multi-modulus consumer
+    /// (each computation prime gets its own backend and its own stream,
+    /// so the limbs never contend). Outcomes come back in job order.
     ///
     /// # Errors
     ///
     /// Returns the first (job-order) failure after all jobs have
     /// finished; panics in a worker propagate.
     pub fn run_parallel(jobs: Vec<StreamJob<'_>>) -> Result<Vec<StreamOutcome>> {
-        if jobs.len() <= 1 {
-            return jobs.into_iter().map(|j| j.backend.execute_stream(j.stream)).collect();
-        }
-        let results: Vec<Result<StreamOutcome>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = jobs
-                .into_iter()
-                .map(|job| scope.spawn(move || job.backend.execute_stream(job.stream)))
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| match w.join() {
-                    Ok(r) => r,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
+        let mut tasks: Vec<_> = jobs.into_iter().map(|job| (job, None)).collect();
+        fan_out(&mut tasks, |(job, outcome)| {
+            *outcome = Some(job.backend.execute_stream(job.stream));
         });
-        results.into_iter().collect()
+        tasks.into_iter().map(|(_, outcome)| outcome.expect("fan_out ran every task")).collect()
     }
 }
 
@@ -703,6 +730,55 @@ mod tests {
         assert!(matches!(be.execute_stream(&st), Err(CoreError::BadHandle { .. })));
         assert_eq!((before, be.buffers_out()), (1, 1), "only the resident input is out");
         assert_eq!(be.download(resident).unwrap(), poly(3), "which is still valid");
+    }
+
+    #[test]
+    fn a_wave_fails_like_the_in_order_replay_and_gives_its_buffers_back() {
+        let mut be = CpuBackend::new(q(), N).unwrap();
+        let [first, second] = [5, 6].map(|seed| {
+            let h = be.upload(&poly(seed)).unwrap();
+            be.free(h);
+            h
+        });
+        // `prod` waits for the transform in the wave while the add behind
+        // it is ready and would run ahead: the failure reported is still
+        // the first in record order, with the wave's buffer taken.
+        let mut st = OpStream::new(N);
+        let a = st.upload(poly(1)).unwrap();
+        let fa = st.ntt(a).unwrap();
+        let gone = st.input(first);
+        let prod = st.hadamard(fa, gone).unwrap();
+        let also_gone = st.input(second);
+        let sum = st.pointwise_add(a, also_gone).unwrap();
+        st.output(prod).unwrap();
+        st.output(sum).unwrap();
+        for lanes in [1, 2, 3, 8] {
+            let err = be.execute_stream_lanes(&st, lanes).unwrap_err();
+            assert!(
+                matches!(err, CoreError::BadHandle { id } if id == first.id()),
+                "{lanes} lanes: {err}"
+            );
+            assert_eq!(be.buffers_out(), 0, "{lanes} lanes left a buffer out");
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_every_task_in_its_own_slot() {
+        let caller = std::thread::current().id();
+        for count in [0usize, 1, 2, 5] {
+            let mut tasks: Vec<(usize, Option<std::thread::ThreadId>)> =
+                (0..count).map(|i| (i, None)).collect();
+            fan_out(&mut tasks, |(i, ran_on)| {
+                *i *= 10;
+                *ran_on = Some(std::thread::current().id());
+            });
+            for (k, (i, ran_on)) in tasks.iter().enumerate() {
+                assert_eq!(*i, 10 * k, "results stay in task order");
+                // The calling thread takes the first task — so a one-task
+                // list spawns nothing — and only the first.
+                assert_eq!(*ran_on == Some(caller), k == 0, "task {k} of {count}");
+            }
+        }
     }
 
     #[test]

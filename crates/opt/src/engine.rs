@@ -12,8 +12,8 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use cofhee_core::{
-    BackendFactory, CommStats, CpuBackendFactory, OpReport, OpStream, PolyBackend, PolyHandle,
-    PoolStats, Result, StreamExecutor, StreamJob, StreamReport,
+    cores, fan_out, BackendFactory, CommStats, CpuBackendFactory, OpReport, OpStream, PolyBackend,
+    PolyHandle, PoolStats, Result, StreamReport,
 };
 
 use crate::{optimize, OptLevel};
@@ -103,8 +103,8 @@ impl LimbEngine {
     /// needed the engine. Word-sized moduli get the 64-bit kernels (the
     /// CPU backend's own rule), so an RNS limb is computed at its own
     /// width. A client op is one short stream per limb, run one after
-    /// another on the calling thread — a one-stream [`LimbEngine::run`]
-    /// never spawns.
+    /// another on the calling thread — [`LimbEngine::run_one`] never
+    /// spawns.
     ///
     /// # Errors
     ///
@@ -158,12 +158,16 @@ impl LimbEngine {
     }
 
     /// Rewrites each stream at the engine's [`OptLevel`] (as recorded at
-    /// `O0`), executes stream `j` on backend `first + j` — one thread
-    /// per stream — and returns each stream's downloaded outputs. The
-    /// group lands in [`LimbEngine::stream_report`] as one concurrent
-    /// submit: serial totals sum (that baseline really is one limb after
-    /// another), overlapped is the slowest limb, and the nodes the
-    /// compiler eliminated are counted in.
+    /// `O0`), executes stream `j` on backend `first + j` — through
+    /// [`fan_out`], one task per stream, each stream given
+    /// `lanes = max(1, cores / streams)` host threads of its own
+    /// ([`PolyBackend::execute_stream_lanes`]): a stream submitted alone
+    /// — a BFV key switch — has its ready transform / multiply nodes
+    /// replayed `cores` at a time. Returns each stream's downloaded
+    /// outputs. The group lands in [`LimbEngine::stream_report`] as one
+    /// concurrent submit: serial totals sum (that baseline really is one
+    /// limb after another), overlapped is the slowest limb, and the nodes
+    /// the compiler eliminated are counted in.
     ///
     /// # Errors
     ///
@@ -172,7 +176,31 @@ impl LimbEngine {
     /// # Panics
     ///
     /// Panics when `first + streams.len()` exceeds the backend count.
-    pub fn run(&self, first: usize, mut streams: Vec<OpStream>) -> Result<Vec<Vec<Vec<u128>>>> {
+    pub fn run(&self, first: usize, streams: Vec<OpStream>) -> Result<Vec<Vec<Vec<u128>>>> {
+        let lanes = (cores() / streams.len().max(1)).max(1);
+        self.submit(first, streams, lanes)
+    }
+
+    /// [`LimbEngine::run`] for one stream on backend `j`, on the calling
+    /// thread and no other — one lane, nothing spawned: the stream's
+    /// downloaded outputs. What the client ops and the linear evaluator
+    /// ops submit through: their streams are a fraction of a millisecond,
+    /// which a scoped spawn per wave would cost back.
+    ///
+    /// # Errors
+    ///
+    /// As [`LimbEngine::run`].
+    pub fn run_one(&self, j: usize, stream: OpStream) -> Result<Vec<Vec<u128>>> {
+        Ok(self.submit(j, vec![stream], 1)?.pop().expect("one stream, one outcome"))
+    }
+
+    /// One submit: stream `j` on backend `first + j` with `lanes` lanes.
+    fn submit(
+        &self,
+        first: usize,
+        mut streams: Vec<OpStream>,
+        lanes: usize,
+    ) -> Result<Vec<Vec<Vec<u128>>>> {
         let mut eliminated = 0u64;
         if self.opt_level != OptLevel::O0 {
             for st in &mut streams {
@@ -183,12 +211,18 @@ impl LimbEngine {
         }
         let mut guards: Vec<_> =
             self.backends[first..first + streams.len()].iter().map(|be| lock(be)).collect();
-        let jobs = guards
+        let mut tasks: Vec<_> = guards
             .iter_mut()
             .zip(&streams)
-            .map(|(g, stream)| StreamJob { backend: (**g).as_mut(), stream })
+            .map(|(g, stream)| ((**g).as_mut(), stream, None))
             .collect();
-        let outcomes = StreamExecutor::run_parallel(jobs)?;
+        fan_out(&mut tasks, |(backend, stream, outcome)| {
+            *outcome = Some(backend.execute_stream_lanes(stream, lanes));
+        });
+        let outcomes = tasks
+            .into_iter()
+            .map(|(_, _, outcome)| outcome.expect("fan_out ran every task"))
+            .collect::<Result<Vec<_>>>()?;
         drop(guards);
 
         let mut limbs = Vec::with_capacity(outcomes.len());
@@ -205,16 +239,6 @@ impl LimbEngine {
         group.ops_eliminated += eliminated;
         lock(&self.stream_totals).absorb(&group);
         Ok(limbs)
-    }
-
-    /// [`LimbEngine::run`] for one stream on backend `j`, on the calling
-    /// thread: the stream's downloaded outputs.
-    ///
-    /// # Errors
-    ///
-    /// As [`LimbEngine::run`].
-    pub fn run_one(&self, j: usize, stream: OpStream) -> Result<Vec<Vec<u128>>> {
-        Ok(self.run(j, vec![stream])?.pop().expect("one stream, one outcome"))
     }
 
     /// The handles of a key-switch key on this engine's backends, for
@@ -456,8 +480,9 @@ mod tests {
         }
     }
 
-    /// `(streams submitted, polynomials uploaded to the store)`.
-    type Counts = Arc<Mutex<(u64, u64)>>;
+    /// `(streams submitted, polynomials uploaded to the store, lanes the
+    /// last stream was given)`.
+    type Counts = Arc<Mutex<(u64, u64, usize)>>;
 
     /// A `CpuBackend` that counts the streams submitted to it and the
     /// polynomials uploaded to its store. The trait has one method that
@@ -486,8 +511,17 @@ mod tests {
             self.0.free(h);
         }
         fn execute_stream(&mut self, stream: &OpStream) -> Result<cofhee_core::StreamOutcome> {
-            lock(&self.1).0 += 1;
-            self.0.execute_stream(stream)
+            self.execute_stream_lanes(stream, 1)
+        }
+        fn execute_stream_lanes(
+            &mut self,
+            stream: &OpStream,
+            lanes: usize,
+        ) -> Result<cofhee_core::StreamOutcome> {
+            let mut counts = lock(&self.1);
+            counts.0 += 1;
+            counts.2 = lanes;
+            self.0.execute_stream_lanes(stream, lanes)
         }
         fn report(&self) -> OpReport {
             self.0.report()
@@ -512,6 +546,9 @@ mod tests {
         fn uploads(&self) -> Vec<u64> {
             lock(&self.0).iter().map(|count| lock(count).1).collect()
         }
+        fn lanes(&self) -> Vec<usize> {
+            lock(&self.0).iter().map(|count| lock(count).2).collect()
+        }
     }
 
     impl BackendFactory for CountingFactory {
@@ -532,21 +569,27 @@ mod tests {
         assert_eq!(factory.streams(), [0, 0, 0], "bring-up computes nothing");
         engine.run(0, vec![stream(1), stream(2), stream(3)]).unwrap();
         assert_eq!(factory.streams(), [1, 1, 1]);
+        // The cores are shared out among the streams of a submit…
+        assert_eq!(factory.lanes(), [(cores() / 3).max(1); 3]);
+        // …a stream submitted alone has them all, and `run_one` is one
+        // lane whatever the host.
+        engine.run(1, vec![stream(5)]).unwrap();
         engine.run_one(2, stream(4)).unwrap();
-        assert_eq!(factory.streams(), [1, 1, 2]);
+        assert_eq!(factory.lanes()[1..], [cores(), 1]);
+        assert_eq!(factory.streams(), [1, 2, 2]);
         // A key's first use: one upload per polynomial, on the backend of
         // its limb (limb `j` on backend `1 + j`), and no stream…
         let (key, stored) = (KeyId::default(), stored_key(100));
         let handles = make_resident(&engine, &key, &stored).unwrap();
         let per_limb = 2 * DIGITS as u64;
         assert_eq!(factory.uploads(), [0, per_limb, per_limb]);
-        assert_eq!(factory.streams(), [1, 1, 2]);
-        assert_eq!(engine.stream_report().commands, 4 * stream(1).len() as u64 + 4 * 2);
+        assert_eq!(factory.streams(), [1, 2, 2]);
+        assert_eq!(engine.stream_report().commands, 5 * stream(1).len() as u64 + 5 * 2);
         // …and every later call, from a clone or for a key clone, neither.
         assert_eq!(engine.clone().resident_keys(&key.clone(), 1, &[]).unwrap(), handles);
         assert_eq!(make_resident(&engine, &key, &stored).unwrap(), handles);
         assert_eq!(factory.uploads(), [0, per_limb, per_limb]);
-        assert_eq!(factory.streams(), [1, 1, 2]);
+        assert_eq!(factory.streams(), [1, 2, 2]);
     }
 
     #[test]

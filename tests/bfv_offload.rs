@@ -164,3 +164,53 @@ fn relinearization_after_chip_offload() {
     // One chip per modulus ran the tensor: telemetry saw all of them.
     assert!(eval.backend_report().cycles > 0);
 }
+
+/// FNV-1a over the little-endian bytes of each coefficient.
+fn fnv(ct: &Ciphertext) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for c in ct.polys().iter().flat_map(|p| p.coeffs()) {
+        for b in c.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `[multiply, multiply_relin]` of two fixed-seed ciphertexts (relin key
+/// at base 2^16, drawn after them), as digests.
+fn product_digests(params: &BfvParams, factory: &dyn BackendFactory) -> [u64; 2] {
+    let mut rng = StdRng::seed_from_u64(0x23);
+    let kg = KeyGenerator::new(params, &mut rng);
+    let enc = Encryptor::new(params, kg.public_key(&mut rng).unwrap());
+    let t = params.t();
+    let mut fresh = |mul: u64| {
+        let coeffs = (0..params.n() as u64).map(|i| (i * mul + 7) % t).collect();
+        enc.encrypt(&Plaintext::new(params, coeffs).unwrap(), &mut rng).unwrap()
+    };
+    let (a, b) = (fresh(991), fresh(577));
+    let rlk = kg.relin_key(16, &mut rng).unwrap();
+    let eval = Evaluator::with_backend(params, factory).unwrap();
+    [fnv(&eval.multiply(&a, &b).unwrap()), fnv(&eval.multiply_relin(&a, &b, &rlk).unwrap())]
+}
+
+/// The exact tensor runs over four word primes where it ran over five,
+/// the lift does not divide, the host CRT runs in chunks and the key
+/// switch in waves — and every bit of a product is the bit it was: the
+/// digests below were computed at the commit before all four (`3f596f8`)
+/// and are written in as constants.
+#[test]
+fn products_are_the_parents_bits_on_both_backends() {
+    let pinned = [
+        (BfvParams::paper_n12().unwrap(), [0xdb18_31e4_a6f0_0d20u64, 0xd0e6_56ed_959f_ecaa]),
+        (
+            BfvParams::paper_n13_single_tower().unwrap(),
+            [0x9c55_6391_f5eb_525d, 0x7a04_27c0_1a43_9667],
+        ),
+    ];
+    for (params, want) in pinned {
+        for factory in [&CpuBackendFactory as &dyn BackendFactory, &ChipBackendFactory::silicon()] {
+            let got = product_digests(&params, factory);
+            assert_eq!(got, want, "n = {} on {}: {got:#x?}", params.n(), factory.name());
+        }
+    }
+}

@@ -15,14 +15,15 @@
 use cofhee::arith::primes::ntt_prime;
 use cofhee::arith::{Barrett128, ModRing};
 use cofhee::core::{
-    ChipBackend, CpuBackend, OpStream, PolyBackend, StreamExecutor, StreamHandle, StreamJob,
-    StreamOp,
+    record_key_switch, ChipBackend, CpuBackend, KeyPair, KeySwitchKeys, OpStream, PolyBackend,
+    StreamExecutor, StreamHandle, StreamJob, StreamOp,
 };
 use cofhee::opt::{optimize, OptLevel};
 use cofhee::poly::ntt::{forward_inplace, inverse_inplace, NttTables};
 use cofhee::sim::ChipConfig;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const N: usize = 32;
 
@@ -215,6 +216,91 @@ proptest! {
             let expect = seq.execute_stream(&stream).unwrap();
             prop_assert_eq!(&fanned[i].outputs, &expect.outputs);
         }
+    }
+}
+
+/// Buffers out of a CPU backend's stock: what it stores, plus whatever a
+/// replay failed to give back.
+fn buffers_out(be: &CpuBackend) -> u64 {
+    let stock = be.pool_stats();
+    stock.hits + stock.misses - stock.recycled
+}
+
+/// Replays `build(backend)`'s stream on a fresh backend at each lane
+/// count and holds it to the one-lane replay: the same outputs and
+/// `OpReport`, every buffer back in the stock, and a peak live set (on a
+/// fresh backend every pool miss is one more buffer live at once) at
+/// most `5 · lanes` buffers above the one-lane figure — the wave, and the
+/// `4 · lanes` nodes the walk may run past the oldest one it stepped
+/// over. Then the same stream with a freed input
+/// consumed at its very end: the error is the in-order replay's and the
+/// stock is back where it started.
+fn assert_lanes_agree(q: u128, build: &dyn Fn(&mut CpuBackend) -> OpStream) {
+    let mut one_lane = None;
+    for lanes in [1usize, 2, 3, 8] {
+        let mut be = CpuBackend::new(q, N).unwrap();
+        let stream = build(&mut be);
+        let (stored, made) = (buffers_out(&be), be.pool_stats().misses);
+        let outputs = be.execute_stream_lanes(&stream, lanes).unwrap().outputs;
+        assert_eq!(buffers_out(&be), stored, "{lanes} lanes left a buffer out");
+        let peak = be.pool_stats().misses - made;
+        let (want, report, base) = one_lane.get_or_insert((outputs.clone(), be.report(), peak));
+        assert_eq!(&outputs, &*want, "{lanes} lanes changed a value");
+        assert_eq!(be.report(), *report, "{lanes} lanes changed the op counts");
+        assert!(peak <= *base + 5 * lanes as u64, "{lanes} lanes held {peak}, one lane {base}");
+        if lanes == 1 {
+            assert_eq!(outputs, be.execute_stream(&stream).unwrap().outputs);
+        }
+
+        let mut failing = stream.clone();
+        let gone = be.upload(&vec![1; N]).unwrap();
+        be.free(gone);
+        let (bad, last) = (failing.input(gone), failing.outputs()[0]);
+        let tail = failing.hadamard(last, bad).unwrap();
+        failing.output(tail).unwrap();
+        let err = be.execute_stream_lanes(&failing, lanes).unwrap_err();
+        assert_eq!(err.to_string(), be.execute_stream(&failing).unwrap_err().to_string());
+        assert_eq!(buffers_out(&be), stored, "{lanes} lanes left a buffer out on failure");
+    }
+}
+
+/// A lone stream replayed two, three or eight ready nodes at a time is
+/// the in-order replay: both key-switch forms here, the random programs
+/// in the property below.
+#[test]
+fn a_key_switch_replays_identically_at_every_lane_count() {
+    const DIGITS: u128 = 7;
+    let q = chip_modulus(true);
+    let poly = |seed: u128| -> Vec<u128> { (0..N as u128).map(|i| (i * 131 + seed) % q).collect() };
+    let digits: Vec<_> = (0..DIGITS).map(|d| Arc::new(poly(d))).collect();
+    let key: Vec<KeyPair> =
+        (0..DIGITS).map(|d| (Arc::new(poly(100 + d)), Arc::new(poly(200 + d)))).collect();
+    assert_lanes_agree(q, &|_| {
+        let mut st = OpStream::new(N);
+        record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&key), [poly(50), poly(51)])
+            .unwrap();
+        st
+    });
+    assert_lanes_agree(q, &|be| {
+        let resident: Vec<_> =
+            key.iter().map(|(k0, k1)| (be.upload(k0).unwrap(), be.upload(k1).unwrap())).collect();
+        let mut st = OpStream::new(N);
+        let keys = KeySwitchKeys::Resident(&resident);
+        record_key_switch(&mut st, &digits, keys, [poly(50), poly(51)]).unwrap();
+        st
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn any_stream_replays_identically_at_every_lane_count(
+        inputs in pvec(pvec(any::<u128>(), N), 3),
+        steps in pvec((any::<usize>(), any::<usize>(), any::<usize>(), any::<u128>()), 16),
+        wide in any::<bool>(),
+    ) {
+        assert_lanes_agree(chip_modulus(wide), &|_| record(&inputs, &steps));
     }
 }
 
