@@ -16,6 +16,7 @@
 
 use crate::error::{ArithError, Result};
 use crate::ring::{check_modulus, ModRing};
+use crate::shoup::{mulhi_u128, widening_mul_u128};
 use crate::u256::U256;
 
 /// Maximum bit size for [`Barrett64`] moduli.
@@ -81,9 +82,10 @@ impl Barrett64 {
     /// builds) costs more than the reduction itself.
     #[inline(always)]
     pub fn reduce_u128(&self, z: u128) -> u64 {
-        // t = floor(z * ratio / 2^128); r = z - t*q, then one conditional
-        // subtract (the classical bound gives r < 2q for this configuration
-        // because z < 2^128 <= q * (ratio + 1)).
+        // t = floor(z * ratio / 2^128), computed exactly below. With
+        // ratio > 2^128/q - 1 and z < 2^128, z * ratio / 2^128 lies in
+        // (z/q - 1, z/q], so t is floor(z / q) or one less: r = z - t*q
+        // is below 2q and one conditional subtract finishes.
         let z0 = z as u64;
         let z1 = (z >> 64) as u64;
         let (r0, r1) = self.ratio;
@@ -96,9 +98,9 @@ impl Barrett64 {
         let mid = p00_hi as u128 + (p01 as u64) as u128 + (p10 as u64) as u128;
         let t = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
 
-        let r = z.wrapping_sub(t.wrapping_mul(self.q as u128)) as u64;
-        // Up to two conditional subtracts cover the Barrett error bound.
-        let r = if r >= self.q { r - self.q } else { r };
+        let r = z.wrapping_sub(t.wrapping_mul(self.q as u128));
+        debug_assert!(r < 2 * self.q as u128);
+        let r = r as u64;
         if r >= self.q {
             r - self.q
         } else {
@@ -148,7 +150,11 @@ impl ModRing for Barrett64 {
 
     #[inline]
     fn from_u128(&self, value: u128) -> u64 {
-        self.reduce_u128(value)
+        if value < self.q as u128 {
+            value as u64
+        } else {
+            self.reduce_u128(value)
+        }
     }
 
     #[inline]
@@ -198,9 +204,11 @@ impl ModRing for Barrett64 {
 ///
 /// The constants mirror the chip's configuration registers: `k` is
 /// `BARRETTCTL1` and `µ = ⌊2^k/q⌋` is `BARRETTCTL2` (Table II of the
-/// paper). The reduction computes `t = (x·µ) >> k` with a 256×256→512-bit
-/// product, then at most two conditional subtracts — exactly the dataflow
-/// the 5-stage hardware pipeline implements.
+/// paper). [`Barrett128::reduce_u256`] computes `t = (x·µ) >> k` with a
+/// 256×256→512-bit product, then at most two conditional subtracts —
+/// exactly the dataflow the 5-stage hardware pipeline implements, and the
+/// oracle for [`ModRing::mul`], which reaches the same residue on `u128`
+/// halves whenever `q < 2^126`.
 ///
 /// # Examples
 ///
@@ -225,6 +233,22 @@ pub struct Barrett128 {
     k: u32,
     /// `µ = ⌊2^k / q⌋` (BARRETTCTL2).
     mu: U256,
+    /// The word-level product's constants; `None` for `q ≥ 2^126`.
+    aligned: Option<Aligned>,
+}
+
+/// [`Barrett128::mul`]'s view of a modulus `q < 2^126`: `Q = q·2^shift`
+/// has exactly 126 bits, and `(a·2^shift)·b mod Q = (a·b mod q)·2^shift`,
+/// so one operand shifted up front and the result shifted back make every
+/// shift inside the reduction a constant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Aligned {
+    /// `126 − ⌈log₂ q⌉`.
+    shift: u32,
+    /// `Q = q·2^shift`, in `(2^125, 2^126)`.
+    q: u128,
+    /// `⌊2^253 / Q⌋`, in `(2^127, 2^128)`.
+    mu: u128,
 }
 
 impl Barrett128 {
@@ -243,7 +267,12 @@ impl Barrett128 {
         } else {
             U256::ONE.shl(k).div_rem(U256::from_u128(q)).0
         };
-        Ok(Self { q, k, mu })
+        let aligned = (bits <= 126).then(|| {
+            let shift = 126 - bits;
+            let mu = U256::ONE.shl(253 - shift).div_rem(U256::from_u128(q)).0.low_u128();
+            Aligned { shift, q: q << shift, mu }
+        });
+        Ok(Self { q, k, mu, aligned })
     }
 
     /// The modulus.
@@ -345,13 +374,25 @@ impl ModRing for Barrett128 {
         }
     }
 
+    /// For `q < 2^126`, classical Barrett on `u128` halves over the
+    /// aligned modulus `Q` (see [`Aligned`]): with `x = (a·2^shift)·b <
+    /// 2^252`, the estimate `t = ⌊⌊x/2^124⌋·⌊2^253/Q⌋ / 2^129⌋` is
+    /// `⌊x/Q⌋` or one less (each floor costs under a half), so `x − t·Q <
+    /// 2Q < 2^128` is exact in the low half alone and one conditional
+    /// subtraction finishes. Wider moduli go through
+    /// [`Barrett128::reduce_u256`].
     #[inline(always)]
     fn mul(&self, a: u128, b: u128) -> u128 {
         debug_assert!(a < self.q && b < self.q);
-        let (lo, hi) = U256::from_u128(a).widening_mul(U256::from_u128(b));
-        debug_assert!(hi.is_zero());
-        let _ = hi;
-        self.reduce_u256(lo)
+        let Some(Aligned { shift, q, mu }) = self.aligned else {
+            return self.reduce_u256(U256::from_u128(a).widening_mul(U256::from_u128(b)).0);
+        };
+        let (lo, hi) = widening_mul_u128(a << shift, b);
+        let t = mulhi_u128((hi << 4) | (lo >> 124), mu) >> 1;
+        let r = lo.wrapping_sub(t.wrapping_mul(q));
+        debug_assert!(r < 2 * q);
+        // `r − Q` wraps above `r` exactly when `r < Q`.
+        r.wrapping_sub(q).min(r) >> shift
     }
 }
 

@@ -96,7 +96,8 @@ pub trait LazyRing: ModRing {
     /// folds operands back with [`LazyRing::fold_2q`] one stage later.
     fn add_raw(&self, a: Self::Elem, b: Self::Elem) -> Self::Elem;
 
-    /// One conditional subtraction of `2q`: folds `[0, 4q) → [0, 2q)`.
+    /// One conditional subtraction of `2q`, branch-free: folds
+    /// `[0, 4q) → [0, 2q)`.
     fn fold_2q(&self, a: Self::Elem) -> Self::Elem;
 
     /// Lazy subtraction: `a, b ∈ [0, 2q)` → `a − b` shifted into
@@ -120,18 +121,24 @@ fn mulhi_u64(a: u64, b: u64) -> u64 {
     (((a as u128) * (b as u128)) >> 64) as u64
 }
 
-/// High 128 bits of a full `128×128 → 256`-bit product, via four
-/// 64-bit partial products (the schoolbook high half — much cheaper
-/// than a full [`crate::U256`] widening multiply).
+/// The full `128×128 → 256`-bit product as `(low, high)` halves, via
+/// four 64-bit partial products (the schoolbook — much cheaper than a
+/// full [`crate::U256`] widening multiply).
 #[inline(always)]
-pub(crate) fn mulhi_u128(a: u128, b: u128) -> u128 {
+pub(crate) fn widening_mul_u128(a: u128, b: u128) -> (u128, u128) {
     let (a0, a1) = (a as u64 as u128, a >> 64);
     let (b0, b1) = (b as u64 as u128, b >> 64);
     let p00 = a0 * b0;
     let p01 = a0 * b1;
     let p10 = a1 * b0;
     let mid = (p00 >> 64) + (p01 as u64 as u128) + (p10 as u64 as u128);
-    a1 * b1 + (p01 >> 64) + (p10 >> 64) + (mid >> 64)
+    ((mid << 64) | (p00 as u64 as u128), a1 * b1 + (p01 >> 64) + (p10 >> 64) + (mid >> 64))
+}
+
+/// High 128 bits of a full `128×128 → 256`-bit product.
+#[inline(always)]
+pub(crate) fn mulhi_u128(a: u128, b: u128) -> u128 {
+    widening_mul_u128(a, b).1
 }
 
 impl LazyRing for Barrett64 {
@@ -191,12 +198,10 @@ impl LazyRing for Barrett64 {
     #[inline(always)]
     fn fold_2q(&self, a: u64) -> u64 {
         debug_assert!(a < 2 * self.two_q());
-        let q2 = self.two_q();
-        if a >= q2 {
-            a - q2
-        } else {
-            a
-        }
+        // `a − 2q` wraps above `a` exactly when `a < 2q`. A `min`, not an
+        // `if`: on the forward butterfly's critical path the `if` compiles
+        // to a jump that random coefficients mispredict.
+        a.wrapping_sub(self.two_q()).min(a)
     }
 
     #[inline(always)]
@@ -276,12 +281,8 @@ impl LazyRing for Barrett128 {
     #[inline(always)]
     fn fold_2q(&self, a: u128) -> u128 {
         debug_assert!(a < 2 * self.two_q());
-        let q2 = self.two_q();
-        if a >= q2 {
-            a - q2
-        } else {
-            a
-        }
+        // Branch-free, as on the word ring.
+        a.wrapping_sub(self.two_q()).min(a)
     }
 
     #[inline(always)]

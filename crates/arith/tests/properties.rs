@@ -148,6 +148,47 @@ proptest! {
         prop_assert_eq!(via_bar, via_mont);
     }
 
+    // Both arms of the wide product — word-level up to 126 bits, the
+    // 256-bit dataflow above — against `reduce_u256` and `U256` division.
+    #[test]
+    fn barrett128_mul_matches_reduce_u256_and_division_at_every_width(
+        raw_q in any::<u128>(),
+        (a, b) in (any::<u128>(), any::<u128>()),
+    ) {
+        for bits in [2u32, 17, 63, 64, 65, 109, 125, 126, 127, 128] {
+            // An odd modulus of exactly `bits` bits.
+            let q = (raw_q >> (128 - bits)) | 1 << (bits - 1) | 1;
+            let ring = Barrett128::new(q).unwrap();
+            for a in [a % q, 0, 1, q - 1] {
+                for b in [b % q, 0, 1, q - 1] {
+                    let wide = U256::from_u128(a).widening_mul(U256::from_u128(b)).0;
+                    let expect = wide.rem(U256::from_u128(q)).low_u128();
+                    prop_assert_eq!((a, b, q, ring.mul(a, b)), (a, b, q, expect));
+                    prop_assert_eq!(ring.reduce_u256(wide), expect);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn barrett64_from_u128_matches_remainder(
+        raw_q in any::<u64>(),
+        bits in 2u32..63,
+        multiple in any::<u128>(),
+    ) {
+        let q = (raw_q >> (64 - bits)) | 1 << (bits - 1) | 1;
+        let ring = Barrett64::new(q).unwrap();
+        let q = q as u128;
+        // The largest multiple of `q` in range and its neighbours: where
+        // the quotient estimate's one unit of slack is spent.
+        let top = u128::MAX - u128::MAX % q;
+        let below_a_multiple = multiple % top - multiple % q + (q - 1);
+        let edges = [0, q - 1, q, q + 1, (1 << 64) - 1, 1 << 64, top - 1, top, u128::MAX];
+        for value in edges.into_iter().chain([below_a_multiple]) {
+            prop_assert_eq!((value, q, ring.from_u128(value) as u128), (value, q, value % q));
+        }
+    }
+
     #[test]
     fn barrett64_agrees_with_montgomery64(a in any::<u64>(), b in any::<u64>()) {
         let bar = Barrett64::new(Q54).unwrap();

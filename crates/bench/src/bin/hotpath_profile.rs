@@ -7,6 +7,15 @@
 //! towers and the chip-native Barrett128), comparing the strict
 //! per-butterfly-reduction kernels (`cofhee_poly::ntt`, the oracle)
 //! against the Harvey lazy-reduction rewrite (`cofhee_poly::lazy`).
+//! Every kernel row cycles through eight pre-generated random
+//! polynomials, so a data-dependent branch in a loop costs here what it
+//! costs in production, where no coefficient vector comes by twice. Two
+//! rows per ring price the loops around the transforms: `mul`, one
+//! Hadamard pass in ns per element (the chip's 256-bit Barrett dataflow,
+//! `Barrett128::reduce_u256` of the `U256` product, against the ring's own
+//! `ModRing::mul`), and `upload`, one `Upload` node in ns per vector (every
+//! canonical word through the ring's unconditional reduction against
+//! `ModRing::from_u128`).
 //! A `crt_scale_round` row per paper-scale BFV basis (log q = 109) does
 //! the same for the host half of ciphertext multiplication: ns per
 //! coefficient of CRT reconstruction plus Eq. 4's `⌊t·x/q⌉ mod q`, by the
@@ -101,32 +110,44 @@ fn rand_poly<R: ModRing>(ring: &R, n: usize, seed: u128) -> Vec<R::Elem> {
         .collect()
 }
 
+/// How many pre-generated random inputs a kernel row cycles through.
+/// Timing one polynomial over and over lets the branch predictor learn
+/// its data-dependent branches, which production never does.
+const INPUTS: usize = 8;
+
 /// Times a strict/lazy kernel pair *interleaved*: one warm-up call
 /// each, then alternating reps, taking best-of for both. Interleaving
 /// means both kernels sample the same machine conditions (frequency
 /// scaling, noisy neighbors), which is what makes the `lazy/strict`
-/// ratio stable enough to gate on.
-fn time_pair(reps: usize, mut strict: impl FnMut(), mut lazy: impl FnMut()) -> (f64, f64) {
-    strict();
-    lazy();
+/// ratio stable enough to gate on. Each kernel is handed the rep number,
+/// to pick its input by.
+fn time_pair(
+    reps: usize,
+    mut strict: impl FnMut(usize),
+    mut lazy: impl FnMut(usize),
+) -> (f64, f64) {
+    strict(0);
+    lazy(0);
     let (mut best_s, mut best_l) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
+    for rep in 1..=reps {
         let t = std::time::Instant::now();
-        strict();
+        strict(rep);
         best_s = best_s.min(t.elapsed().as_secs_f64());
         let t = std::time::Instant::now();
-        lazy();
+        lazy(rep);
         best_l = best_l.min(t.elapsed().as_secs_f64());
     }
     (best_s * 1e9, best_l * 1e9)
 }
 
-/// Measures all four ops for one ring at one degree, verifying
+/// Measures all six ops for one ring at one degree, verifying
 /// bit-exactness of every lazy kernel against its strict counterpart
-/// before timing it.
+/// before timing it. `strict_reduce` is the ring's unconditional
+/// reduction of a 128-bit word, the strict side of `upload`.
 fn measure<R: LazyRing>(
     label: &str,
     ring: &R,
+    strict_reduce: impl Fn(u128) -> R::Elem,
     log_n: u32,
     reps: usize,
     out: &mut Vec<Record>,
@@ -134,57 +155,84 @@ fn measure<R: LazyRing>(
     let n = 1usize << log_n;
     let plan = HarveyNtt::new(ring, n)?;
     let tables = plan.tables();
-    let a = rand_poly(ring, n, 0xc0f + log_n as u128);
-    let b = rand_poly(ring, n, 0x4ee + log_n as u128);
-    let mut buf = a.clone();
-    let mut buf2 = a.clone();
+    let polys = |seed: u128| -> Vec<Vec<R::Elem>> {
+        (0..INPUTS as u128).map(|k| rand_poly(ring, n, seed + 64 * k + log_n as u128)).collect()
+    };
+    let (a, b) = (polys(0xc0f), polys(0x4ee));
+    let mut buf = a[0].clone();
+    let mut buf2 = a[0].clone();
 
     // NTT-domain operands for the fused intt∘hadamard.
-    let mut fa = a.clone();
-    ntt::forward_inplace(ring, &mut fa, tables)?;
-    let mut fb = b.clone();
-    ntt::forward_inplace(ring, &mut fb, tables)?;
+    let forward = |polys: &[Vec<R::Elem>]| -> Result<Vec<Vec<R::Elem>>, cofhee_poly::PolyError> {
+        let mut polys = polys.to_vec();
+        polys.iter_mut().try_for_each(|p| ntt::forward_inplace(ring, p, tables))?;
+        Ok(polys)
+    };
+    let (fa, fb) = (forward(&a)?, forward(&b)?);
+
+    // The same operands as canonical 128-bit words: what an `Upload`
+    // node carries, and what the 256-bit product route consumes.
+    let words = |polys: &[Vec<R::Elem>]| -> Vec<Vec<u128>> {
+        polys.iter().map(|p| p.iter().map(|&c| ring.to_u128(c)).collect()).collect()
+    };
+    let (wa, wb) = (words(&a), words(&b));
+    let wide = Barrett128::new(ring.modulus())?;
+    let mul_wide =
+        |x: u128, y: u128| wide.reduce_u256(U256::from_u128(x).widening_mul(U256::from_u128(y)).0);
+    let mut wbuf = wa[0].clone();
 
     // --- bit-exactness gates (never time a wrong kernel) ---
-    {
+    for k in 0..INPUTS {
+        let (a, b, fa, fb) = (&a[k], &b[k], &fa[k], &fb[k]);
         let mut lazy_f = a.clone();
         plan.forward_inplace(&mut lazy_f)?;
-        assert_eq!(lazy_f, fa, "{label} 2^{log_n}: lazy ntt != strict");
+        assert_eq!(&lazy_f, fa, "{label} 2^{log_n}: lazy ntt != strict");
         let mut lazy_i = fa.clone();
         plan.inverse_inplace(&mut lazy_i)?;
         let mut strict_i = fa.clone();
         ntt::inverse_inplace(ring, &mut strict_i, tables)?;
         assert_eq!(lazy_i, strict_i, "{label} 2^{log_n}: lazy intt != strict");
         assert_eq!(
-            plan.poly_mul(&a, &b)?,
-            ntt::negacyclic_mul(ring, &a, &b, tables)?,
+            plan.poly_mul(a, b)?,
+            ntt::negacyclic_mul(ring, a, b, tables)?,
             "{label} 2^{log_n}: lazy poly_mul != strict"
         );
         let mut unfused = fa.clone();
-        pointwise::mul_assign(ring, &mut unfused, &fb)?;
+        pointwise::mul_assign(ring, &mut unfused, fb)?;
         ntt::inverse_inplace(ring, &mut unfused, tables)?;
         assert_eq!(
-            plan.hadamard_intt(&fa, &fb)?,
+            plan.hadamard_intt(fa, fb)?,
             unfused,
             "{label} 2^{log_n}: fused intt∘hadamard != strict"
         );
+        for ((&x, &y), (&wx, &wy)) in a.iter().zip(b).zip(wa[k].iter().zip(&wb[k])) {
+            assert_eq!(
+                ring.to_u128(ring.mul(x, y)),
+                mul_wide(wx, wy),
+                "{label}: mul != reduce_u256"
+            );
+            assert_eq!(ring.from_u128(wx), x, "{label}: from_u128 moved a canonical value");
+            assert_eq!(strict_reduce(wx), x, "{label}: the reduction moved a canonical value");
+        }
     }
 
-    // --- timings (strict/lazy interleaved per op) ---
-    let mut push = |op: &str, (strict_ns, lazy_ns): (f64, f64)| {
+    // --- timings (strict/lazy interleaved per op, inputs rotating) ---
+    let mut push = |op: &str, per: usize, (strict_ns, lazy_ns): (f64, f64)| {
+        let (strict_ns, lazy_ns) = (strict_ns / per as f64, lazy_ns / per as f64);
         out.push(Record { ring: label.into(), log_n, op: op.into(), strict_ns, lazy_ns });
     };
 
     push(
         "ntt",
+        1,
         time_pair(
             reps,
-            || {
-                buf.copy_from_slice(&a);
+            |rep| {
+                buf.copy_from_slice(&a[rep % INPUTS]);
                 ntt::forward_inplace(ring, &mut buf, tables).unwrap();
             },
-            || {
-                buf2.copy_from_slice(&a);
+            |rep| {
+                buf2.copy_from_slice(&a[rep % INPUTS]);
                 plan.forward_inplace(&mut buf2).unwrap();
             },
         ),
@@ -192,14 +240,15 @@ fn measure<R: LazyRing>(
 
     push(
         "intt",
+        1,
         time_pair(
             reps,
-            || {
-                buf.copy_from_slice(&fa);
+            |rep| {
+                buf.copy_from_slice(&fa[rep % INPUTS]);
                 ntt::inverse_inplace(ring, &mut buf, tables).unwrap();
             },
-            || {
-                buf2.copy_from_slice(&fa);
+            |rep| {
+                buf2.copy_from_slice(&fa[rep % INPUTS]);
                 plan.inverse_inplace(&mut buf2).unwrap();
             },
         ),
@@ -207,28 +256,80 @@ fn measure<R: LazyRing>(
 
     push(
         "poly_mul",
+        1,
         time_pair(
             reps,
-            || {
-                let _ = ntt::negacyclic_mul(ring, &a, &b, tables).unwrap();
+            |rep| {
+                let k = rep % INPUTS;
+                let _ = ntt::negacyclic_mul(ring, &a[k], &b[k], tables).unwrap();
             },
-            || {
-                let _ = plan.poly_mul(&a, &b).unwrap();
+            |rep| {
+                let k = rep % INPUTS;
+                let _ = plan.poly_mul(&a[k], &b[k]).unwrap();
             },
         ),
     );
 
     push(
         "hadamard_intt",
+        1,
         time_pair(
             reps,
-            || {
-                let mut v = fa.clone();
-                pointwise::mul_assign(ring, &mut v, &fb).unwrap();
+            |rep| {
+                let k = rep % INPUTS;
+                let mut v = fa[k].clone();
+                pointwise::mul_assign(ring, &mut v, &fb[k]).unwrap();
                 ntt::inverse_inplace(ring, &mut v, tables).unwrap();
             },
-            || {
-                let _ = plan.hadamard_intt(&fa, &fb).unwrap();
+            |rep| {
+                let k = rep % INPUTS;
+                let _ = plan.hadamard_intt(&fa[k], &fb[k]).unwrap();
+            },
+        ),
+    );
+
+    // One Hadamard pass, ns per element: the chip's 256-bit Barrett
+    // dataflow run in software against the ring's own product.
+    push(
+        "mul",
+        n,
+        time_pair(
+            reps,
+            |rep| {
+                let k = rep % INPUTS;
+                for ((o, &x), &y) in wbuf.iter_mut().zip(&wa[k]).zip(&wb[k]) {
+                    *o = mul_wide(x, y);
+                }
+                std::hint::black_box(&mut wbuf);
+            },
+            |rep| {
+                let k = rep % INPUTS;
+                for ((o, &x), &y) in buf.iter_mut().zip(&a[k]).zip(&b[k]) {
+                    *o = ring.mul(x, y);
+                }
+                std::hint::black_box(&mut buf);
+            },
+        ),
+    );
+
+    // One `Upload` node, ns per vector: every word through the ring's
+    // reduction against `from_u128`, which may pass a canonical word on.
+    push(
+        "upload",
+        1,
+        time_pair(
+            reps,
+            |rep| {
+                for (o, &c) in buf.iter_mut().zip(&wa[rep % INPUTS]) {
+                    *o = strict_reduce(c);
+                }
+                std::hint::black_box(&mut buf);
+            },
+            |rep| {
+                for (o, &c) in buf2.iter_mut().zip(&wa[rep % INPUTS]) {
+                    *o = ring.from_u128(c);
+                }
+                std::hint::black_box(&mut buf2);
             },
         ),
     );
@@ -295,10 +396,10 @@ fn measure_crt(
 
     let (generic_ns, fast_ns) = time_pair(
         reps,
-        || {
+        |_| {
             let _ = generic_crt_scale_round(&params, &limbs).unwrap();
         },
-        || {
+        |_| {
             let _ = eval.tensor_combine(&limbs).unwrap();
         },
     );
@@ -362,10 +463,10 @@ fn measure_lift(
 
     let (division_ns, recorded_ns) = time_pair(
         reps,
-        || {
+        |_| {
             std::hint::black_box(lift_by_division(&params, &a, &b));
         },
-        || {
+        |_| {
             std::hint::black_box(eval.tensor_streams(&a, &b).unwrap());
         },
     );
@@ -534,10 +635,11 @@ fn collect(
         let n = 1usize << log_n;
         let q64 = ntt_prime(55, n)? as u64;
         let ring64 = Barrett64::new(q64)?;
-        measure("barrett64", &ring64, log_n, reps, &mut records)?;
+        measure("barrett64", &ring64, |c| ring64.reduce_u128(c), log_n, reps, &mut records)?;
         let q128 = ntt_prime(109, n)?;
         let ring128 = Barrett128::new(q128)?;
-        measure("barrett128", &ring128, log_n, reps, &mut records)?;
+        let reduce128 = |c| ring128.reduce_u256(U256::from_u128(c));
+        measure("barrett128", &ring128, reduce128, log_n, reps, &mut records)?;
     }
     Ok(records)
 }
@@ -594,7 +696,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for r in &records {
         println!(
-            "{:<11} {:>6} {:<14} | {:>12.0} {:>12.0} | {:>7.2}x",
+            "{:<11} {:>6} {:<14} | {:>12.1} {:>12.1} | {:>7.2}x",
             r.ring,
             1u64 << r.log_n,
             r.op,

@@ -14,23 +14,37 @@
 //! * **Lazy reduction** — coefficients live in a redundant range
 //!   across all `log n` stages instead of being canonically reduced
 //!   per butterfly: the forward transform runs Harvey's original
-//!   `[0, 4q)` formulation (one conditional fold per butterfly), the
-//!   inverse keeps `[0, 2q)`, and a *single* final correction pass
-//!   lands the canonical result. Each butterfly pays one Shoup
-//!   high-multiply ([`LazyRing::mul_lazy`]) and at most one
-//!   conditional subtraction. On the 128-bit native width this also
-//!   replaces the strict path's full 256-bit Barrett reduction per
-//!   butterfly with one 128×128 high product.
+//!   `[0, 4q)` formulation (one fold of `2q` per butterfly), the
+//!   inverse keeps `[0, 2q)`, and the canonical correction happens once,
+//!   inside the last pass. Each butterfly pays one Shoup high-multiply
+//!   ([`LazyRing::mul_lazy`]) and at most one conditional subtraction.
+//!   On the 128-bit native width this also replaces the strict path's
+//!   full Barrett reduction per butterfly with one 128×128 high product.
 //! * **Precomputed Shoup twiddles** — one [`ShoupMul`] pair per
 //!   twiddle, derived once at table-build time (and shared process-wide
 //!   through [`crate::cache::TwiddleCache`]).
-//! * **Branch- and bounds-check-free inner loops** — stages iterate
-//!   with `chunks_exact_mut` + `split_at_mut`, so the compiler proves
-//!   every access in range and the butterfly loop vectorizes cleanly.
+//! * **Two stages per pass** — a block's four quarters meet in
+//!   registers and go through stage `m` and stage `2m` before they are
+//!   stored, so the data crosses the memory system `⌈log n / 2⌉` times,
+//!   not `log n` (plus a radix-2 opening pass when `log n` is odd). The
+//!   same butterflies in the same order per word as one stage per pass:
+//!   `[0, 4q)` in and out of a forward pass, `[0, 2q)` of an inverse one.
+//!   The inverse's closing butterflies multiply by `n⁻¹` as well, so
+//!   neither direction has a separate correction or scaling sweep.
+//! * **Scalar, bounds-check-free, and no data-dependent branch in the
+//!   forward butterfly** — stages iterate with `chunks_exact_mut` +
+//!   `split_at_mut`, so the compiler proves every access in range. The
+//!   loops are scalar on purpose: the baseline x86-64 target has no
+//!   64-bit vector multiply or unsigned minimum, and where LLVM
+//!   vectorizes anyway the loop runs at half speed. The forward fold
+//!   ([`LazyRing::fold_2q`]) is a `min`, not an `if`: it sits on the
+//!   butterfly's critical path, where the compiler turns an `if` into a
+//!   jump that random coefficients mispredict every other time
+//!   (docs/PERFORMANCE.md § 1 has the numbers).
 //! * **Fused passes** — [`HarveyNtt::poly_mul`] runs the whole
-//!   Algorithm 2 schedule without intermediate canonical corrections,
-//!   and [`HarveyNtt::hadamard_intt`] fuses the NTT-domain product
-//!   into the inverse transform (the `intt ∘ hadamard` tail of every
+//!   Algorithm 2 schedule with no pass beyond its three transforms and
+//!   one product, and [`HarveyNtt::hadamard_intt`] fuses the NTT-domain
+//!   product into the inverse transform (the `intt ∘ hadamard` tail of every
 //!   tensor limb). NTT-domain accumulation stays pointwise via
 //!   [`HarveyNtt::add_inplace`] / [`HarveyNtt::sub_inplace`].
 //!
@@ -67,6 +81,8 @@ pub struct HarveyNtt<R: LazyRing> {
     inv: Vec<ShoupMul<R::Elem>>,
     /// `n⁻¹ mod q`, prepared.
     n_inv: ShoupMul<R::Elem>,
+    /// `ψ^{-brv(1)} · n⁻¹`: the last inverse stage's twiddle, scaled.
+    last_n_inv: ShoupMul<R::Elem>,
     /// The strict tables (fallback + oracle + twiddle-SRAM image).
     strict: NttTables<R>,
 }
@@ -80,16 +96,17 @@ impl<R: LazyRing> HarveyNtt<R> {
     pub fn new(ring: &R, n: usize) -> Result<Self> {
         let strict = NttTables::new(ring, n)?;
         let lazy = ring.lazy_capable();
-        let (fwd, inv, n_inv) = if lazy {
+        let (fwd, inv, n_inv, last_n_inv) = if lazy {
             (
                 strict.forward_twiddles().iter().map(|&w| ring.shoup(w)).collect(),
                 strict.inverse_twiddles().iter().map(|&w| ring.shoup(w)).collect(),
                 ring.shoup(strict.n_inv()),
+                ring.shoup(ring.mul(strict.inverse_twiddles()[1], strict.n_inv())),
             )
         } else {
-            (Vec::new(), Vec::new(), ShoupMul::default())
+            (Vec::new(), Vec::new(), ShoupMul::default(), ShoupMul::default())
         };
-        Ok(Self { ring: ring.clone(), n, lazy, fwd, inv, n_inv, strict })
+        Ok(Self { ring: ring.clone(), n, lazy, fwd, inv, n_inv, last_n_inv, strict })
     }
 
     /// The ring engine the plan was built for.
@@ -123,69 +140,104 @@ impl<R: LazyRing> HarveyNtt<R> {
         Ok(())
     }
 
-    /// The `log n` Cooley–Tukey stages in Harvey's original `[0, 4q)`
-    /// formulation: each butterfly folds only its add-side operand back
-    /// below `2q` (one conditional subtraction), multiplies the other
-    /// side lazily (Harvey's lemma absorbs the unfolded `[0, 4q)`
-    /// operand), and emits both outputs uncorrected. Output range
-    /// `[0, 4q)`; no canonical correction anywhere.
+    /// The forward transform, `[0, 4q)` in, canonical out: the `log n`
+    /// Cooley–Tukey stages in Harvey's original `[0, 4q)` formulation,
+    /// two stages per pass over the data (one radix-2 opening pass when
+    /// `log n` is odd), the canonical correction folded into the last.
     fn forward_stages(&self, a: &mut [R::Elem]) {
         let ring = &self.ring;
         let n = self.n;
-        let mut t = n;
+        let correct = |x| ring.reduce_once(ring.fold_2q(x));
+        if n == 2 {
+            let (x, y) = ct_butterfly(ring, a[0], a[1], &self.fwd[1]);
+            (a[0], a[1]) = (correct(x), correct(y));
+            return;
+        }
         let mut m = 1;
-        while m < n {
-            t /= 2;
-            // Twiddles fwd[m..2m], one per block, consumed sequentially
-            // (the MDMC's `idx++` access pattern).
-            for (block, w) in a.chunks_exact_mut(2 * t).zip(&self.fwd[m..2 * m]) {
-                let (lo, hi) = block.split_at_mut(t);
-                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let u = ring.fold_2q(*x);
-                    let v = ring.mul_lazy(*y, w);
-                    *x = ring.add_raw(u, v);
-                    *y = ring.sub_raw(u, v);
+        if n.trailing_zeros() % 2 == 1 {
+            // Two butterflies an iteration, over quarters as every later
+            // pass walks them: the plain loop over halves is the one shape
+            // here LLVM auto-vectorizes, into SSE2's emulated 64-bit
+            // multiply and minimum, at twice the scalar cost.
+            let w = &self.fwd[1];
+            for [x0, x1, x2, x3] in quarters(a) {
+                (*x0, *x2) = ct_butterfly(ring, *x0, *x2, w);
+                (*x1, *x3) = ct_butterfly(ring, *x1, *x3, w);
+            }
+            m = 2;
+        }
+        // Stage `m` (twiddles fwd[m..2m], one per block, consumed
+        // sequentially — the MDMC's `idx++` access pattern) and stage
+        // `2m` (two per block) in one pass: a block's four quarters meet
+        // in registers, so the data crosses the memory system once per
+        // two stages.
+        while 4 * m < n {
+            let twiddles = self.fwd[m..2 * m].iter().zip(self.fwd[2 * m..4 * m].chunks_exact(2));
+            for (block, (w1, w23)) in a.chunks_exact_mut(n / m).zip(twiddles) {
+                for [x0, x1, x2, x3] in quarters(block) {
+                    [*x0, *x1, *x2, *x3] =
+                        butterfly4(ring, [*x0, *x1, *x2, *x3], w1, &w23[0], &w23[1]);
                 }
             }
-            m *= 2;
+            m *= 4;
+        }
+        // The last two stages: blocks of four adjacent words, each with
+        // its own three twiddles, corrected `[0, 4q) → [0, q)` on the way
+        // out.
+        let twiddles = self.fwd[m..2 * m].iter().zip(self.fwd[2 * m..4 * m].chunks_exact(2));
+        for (block, (w1, w23)) in a.chunks_exact_mut(4).zip(twiddles) {
+            let x =
+                butterfly4(ring, [block[0], block[1], block[2], block[3]], w1, &w23[0], &w23[1]);
+            block.iter_mut().zip(x).for_each(|(dst, x)| *dst = correct(x));
         }
     }
 
-    /// The `log n` Gentleman–Sande stages, redundant in and out. The
-    /// subtract side feeds `u − v + 2q` into the Shoup multiply
-    /// uncorrected — Harvey's lemma absorbs the `[0, 4q)` operand.
+    /// The inverse transform with its `n⁻¹` scaling, `[0, 2q)` in,
+    /// canonical out: the `log n` Gentleman–Sande stages two per pass
+    /// (one radix-2 opening pass when `log n` is odd); the closing
+    /// butterflies multiply both sides — by `n⁻¹` and by the last twiddle
+    /// times `n⁻¹` — and correct, so no scaling pass follows.
     fn inverse_stages(&self, a: &mut [R::Elem]) {
         let ring = &self.ring;
+        let n = self.n;
+        let close = |u: R::Elem, v: R::Elem| {
+            (
+                ring.reduce_once(ring.mul_lazy(ring.add_raw(u, v), &self.n_inv)),
+                ring.reduce_once(ring.mul_lazy(ring.sub_raw(u, v), &self.last_n_inv)),
+            )
+        };
+        if n == 2 {
+            (a[0], a[1]) = close(a[0], a[1]);
+            return;
+        }
         let mut t = 1;
-        let mut m = self.n;
-        while m > 1 {
-            let h = m / 2;
-            for (block, w) in a.chunks_exact_mut(2 * t).zip(&self.inv[h..2 * h]) {
-                let (lo, hi) = block.split_at_mut(t);
-                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let u = *x;
-                    let v = *y;
-                    *x = ring.add_lazy(u, v);
-                    *y = ring.mul_lazy(ring.sub_raw(u, v), w);
+        if n.trailing_zeros() % 2 == 1 {
+            for (pair, w) in a.chunks_exact_mut(2).zip(&self.inv[n / 2..]) {
+                (pair[0], pair[1]) = gs_butterfly(ring, pair[0], pair[1], w);
+            }
+            t = 2;
+        }
+        // Stage `t` (two twiddles per block of `4t`) and stage `2t` (one)
+        // in one pass, the mirror image of the forward pairing.
+        while 4 * t < n {
+            let h = n / (4 * t);
+            let twiddles = self.inv[2 * h..4 * h].chunks_exact(2).zip(&self.inv[h..2 * h]);
+            for (block, (w01, w2)) in a.chunks_exact_mut(4 * t).zip(twiddles) {
+                for [x0, x1, x2, x3] in quarters(block) {
+                    let (a0, a1) = gs_butterfly(ring, *x0, *x1, &w01[0]);
+                    let (a2, a3) = gs_butterfly(ring, *x2, *x3, &w01[1]);
+                    (*x0, *x2) = gs_butterfly(ring, a0, a2, w2);
+                    (*x1, *x3) = gs_butterfly(ring, a1, a3, w2);
                 }
             }
-            t *= 2;
-            m = h;
+            t *= 4;
         }
-    }
-
-    /// The single final correction pass after the forward stages:
-    /// `[0, 4q) → [0, q)`.
-    fn correct(&self, a: &mut [R::Elem]) {
-        for x in a.iter_mut() {
-            *x = self.ring.reduce_once(self.ring.fold_2q(*x));
-        }
-    }
-
-    /// The `n⁻¹` normalization fused with the final correction.
-    fn scale_n_inv(&self, a: &mut [R::Elem]) {
-        for x in a.iter_mut() {
-            *x = self.ring.reduce_once(self.ring.mul_lazy(*x, &self.n_inv));
+        // The last two stages: the whole array is one block.
+        for [x0, x1, x2, x3] in quarters(a) {
+            let (a0, a1) = gs_butterfly(ring, *x0, *x1, &self.inv[2]);
+            let (a2, a3) = gs_butterfly(ring, *x2, *x3, &self.inv[3]);
+            (*x0, *x2) = close(a0, a2);
+            (*x1, *x3) = close(a1, a3);
         }
     }
 
@@ -201,7 +253,6 @@ impl<R: LazyRing> HarveyNtt<R> {
             return ntt::forward_inplace(&self.ring, a, &self.strict);
         }
         self.forward_stages(a);
-        self.correct(a);
         Ok(())
     }
 
@@ -217,15 +268,13 @@ impl<R: LazyRing> HarveyNtt<R> {
             return ntt::inverse_inplace(&self.ring, a, &self.strict);
         }
         self.inverse_stages(a);
-        self.scale_n_inv(a);
         Ok(())
     }
 
-    /// Full negacyclic product (Algorithm 2: 2 NTTs, Hadamard, iNTT)
-    /// with **no** intermediate canonical corrections — the forward
-    /// transforms stay redundant straight into the Hadamard pass, and
-    /// only the closing `n⁻¹` pass corrects. Bit-exact with
-    /// [`ntt::negacyclic_mul`].
+    /// Full negacyclic product (Algorithm 2: 2 NTTs, Hadamard, iNTT) in
+    /// four passes' worth of kernels: each transform corrects or scales
+    /// inside its own last pass, so nothing sweeps the data between them.
+    /// Bit-exact with [`ntt::negacyclic_mul`].
     ///
     /// # Errors
     ///
@@ -242,14 +291,12 @@ impl<R: LazyRing> HarveyNtt<R> {
         let mut bt = b.to_vec();
         self.forward_stages(&mut at);
         self.forward_stages(&mut bt);
-        // Hadamard over redundant [0, 4q) operands: fold + correct
-        // each, then the canonical product (already in [0, 2q)) feeds
-        // the inverse stages directly.
+        // The canonical product (already in [0, 2q)) feeds the inverse
+        // stages directly.
         for (x, &y) in at.iter_mut().zip(bt.iter()) {
-            *x = ring.mul(ring.reduce_once(ring.fold_2q(*x)), ring.reduce_once(ring.fold_2q(y)));
+            *x = ring.mul(*x, y);
         }
         self.inverse_stages(&mut at);
-        self.scale_n_inv(&mut at);
         Ok(at)
     }
 
@@ -271,7 +318,6 @@ impl<R: LazyRing> HarveyNtt<R> {
             ntt::inverse_inplace(ring, &mut out, &self.strict)?;
         } else {
             self.inverse_stages(&mut out);
-            self.scale_n_inv(&mut out);
         }
         Ok(out)
     }
@@ -321,7 +367,6 @@ impl<R: LazyRing> HarveyNtt<R> {
             return ntt::inverse_inplace(ring, out, &self.strict);
         }
         self.inverse_stages(out);
-        self.scale_n_inv(out);
         Ok(())
     }
 
@@ -345,6 +390,64 @@ impl<R: LazyRing> HarveyNtt<R> {
     pub fn sub_inplace(&self, a: &mut [R::Elem], b: &[R::Elem]) -> Result<()> {
         crate::pointwise::sub_assign(&self.ring, a, b)
     }
+}
+
+/// The four quarters of `block`, walked in step.
+#[inline(always)]
+fn quarters<E>(block: &mut [E]) -> impl Iterator<Item = [&mut E; 4]> {
+    let (lo, hi) = block.split_at_mut(block.len() / 2);
+    let (x0, x1) = lo.split_at_mut(lo.len() / 2);
+    let (x2, x3) = hi.split_at_mut(hi.len() / 2);
+    x0.iter_mut().zip(x1).zip(x2).zip(x3).map(|(((x0, x1), x2), x3)| [x0, x1, x2, x3])
+}
+
+/// One Cooley–Tukey butterfly on `[0, 4q)` operands: folds only its
+/// add-side operand back below `2q`, multiplies the other side lazily
+/// (Harvey's lemma absorbs the unfolded `[0, 4q)` operand), and emits
+/// both outputs uncorrected, in `[0, 4q)` again.
+#[inline(always)]
+fn ct_butterfly<R: LazyRing>(
+    ring: &R,
+    x: R::Elem,
+    y: R::Elem,
+    w: &ShoupMul<R::Elem>,
+) -> (R::Elem, R::Elem) {
+    let u = ring.fold_2q(x);
+    let v = ring.mul_lazy(y, w);
+    (ring.add_raw(u, v), ring.sub_raw(u, v))
+}
+
+/// One Gentleman–Sande butterfly, `[0, 2q)` in and out. The subtract
+/// side feeds `u − v + 2q` into the Shoup multiply uncorrected — Harvey's
+/// lemma absorbs the `[0, 4q)` operand.
+#[inline(always)]
+fn gs_butterfly<R: LazyRing>(
+    ring: &R,
+    u: R::Elem,
+    v: R::Elem,
+    w: &ShoupMul<R::Elem>,
+) -> (R::Elem, R::Elem) {
+    (ring.add_lazy(u, v), ring.mul_lazy(ring.sub_raw(u, v), w))
+}
+
+/// Two Cooley–Tukey stages on the four quarters of one block: `w1`
+/// pairs quarter 0 with 2 and 1 with 3, then `w2` pairs 0 with 1 and
+/// `w3` pairs 2 with 3. The same four butterflies the two stages would
+/// run a pass apart, so `[0, 4q)` in and out and the same words bit for
+/// bit.
+#[inline(always)]
+fn butterfly4<R: LazyRing>(
+    ring: &R,
+    x: [R::Elem; 4],
+    w1: &ShoupMul<R::Elem>,
+    w2: &ShoupMul<R::Elem>,
+    w3: &ShoupMul<R::Elem>,
+) -> [R::Elem; 4] {
+    let (a0, a2) = ct_butterfly(ring, x[0], x[2], w1);
+    let (a1, a3) = ct_butterfly(ring, x[1], x[3], w1);
+    let (b0, b1) = ct_butterfly(ring, a0, a1, w2);
+    let (b2, b3) = ct_butterfly(ring, a2, a3, w3);
+    [b0, b1, b2, b3]
 }
 
 #[cfg(test)]

@@ -13,8 +13,11 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
 /// The degree sweep: small enough to keep the suite fast, wide enough
-/// to hit every loop shape (single-pair stages through deep stages).
-const DEGREES: [usize; 6] = [2, 8, 32, 64, 256, 1024];
+/// to enter the pass structure every way — the lone butterfly (2), the
+/// closing pass alone (4), the opening radix-2 pass straight into it
+/// (8), one and more two-stage passes between them, at even and odd
+/// `log n`.
+const DEGREES: [usize; 10] = [2, 4, 8, 16, 32, 64, 128, 256, 1024, 2048];
 
 fn degree_strategy() -> impl Strategy<Value = usize> {
     (0..DEGREES.len()).prop_map(|i| DEGREES[i])
@@ -60,8 +63,8 @@ proptest! {
     #[test]
     fn lazy_matches_strict_on_barrett64(
         n in degree_strategy(),
-        seed_a in pvec(any::<u64>(), 1024),
-        seed_b in pvec(any::<u64>(), 1024),
+        seed_a in pvec(any::<u64>(), 2048),
+        seed_b in pvec(any::<u64>(), 2048),
     ) {
         // 55-bit word prime (the SEAL-tower width); q ≡ 1 mod 2^14
         // serves every degree in the sweep.
@@ -75,8 +78,8 @@ proptest! {
     #[test]
     fn lazy_matches_strict_on_barrett128(
         n in degree_strategy(),
-        seed_a in pvec(any::<u128>(), 1024),
-        seed_b in pvec(any::<u128>(), 1024),
+        seed_a in pvec(any::<u128>(), 2048),
+        seed_b in pvec(any::<u128>(), 2048),
     ) {
         // The chip-native 109-bit width.
         let q = ntt_prime(109, 1 << 14).unwrap();
@@ -107,6 +110,28 @@ proptest! {
         let a: Vec<u64> = seed_a.iter().map(|&c| top(c)).collect();
         let b: Vec<u64> = seed_b.iter().map(|&c| top(c)).collect();
         check_parity(&ring, n, &a, &b);
+    }
+}
+
+/// All-`q − 1` and all-zero operands — the values that sit on the `2q` /
+/// `4q` edges of the redundant ranges after every stage — at the widest
+/// lazy-capable primes of both rings, at every degree of the sweep.
+#[test]
+fn lazy_matches_strict_on_range_edges() {
+    for n in DEGREES {
+        for bits in [61, 62] {
+            let q = ntt_prime(bits, n).unwrap() as u64;
+            let ring = Barrett64::new(q).unwrap();
+            let (top, zero) = (vec![q - 1; n], vec![0; n]);
+            check_parity(&ring, n, &top, &top);
+            check_parity(&ring, n, &zero, &top);
+        }
+        let q = ntt_prime(125, n).unwrap();
+        let ring = Barrett128::new(q).unwrap();
+        assert!(ring.lazy_capable());
+        let (top, zero) = (vec![q - 1; n], vec![0; n]);
+        check_parity(&ring, n, &top, &top);
+        check_parity(&ring, n, &zero, &top);
     }
 }
 
