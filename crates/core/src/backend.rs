@@ -85,6 +85,7 @@ use cofhee_poly::pointwise;
 use cofhee_poly::pool::{BufferPool, PoolStats};
 use cofhee_sim::{ChipConfig, OpReport, Spi, Uart};
 
+use crate::chip_stream::DieProgram;
 use crate::device::{CommStats, Device, Link};
 use crate::error::{CoreError, Result};
 use crate::stream::{fan_out, OpStream, StreamHandle, StreamOp, StreamOutcome, StreamReport};
@@ -899,6 +900,8 @@ pub struct ChipBackend {
     /// End cycle of the last DMA segment emitted on this die's link
     /// track, kept across streams so link segments never regress.
     pub(crate) trace_dma_tail: u64,
+    /// The program buffer [`PolyBackend::execute_stream`] prices into.
+    program: DieProgram,
 }
 
 impl ChipBackend {
@@ -931,6 +934,7 @@ impl ChipBackend {
             comm_base: CommStats::default(),
             trace: TraceContext::disabled(),
             trace_dma_tail: 0,
+            program: DieProgram::default(),
         }
     }
 
@@ -1007,9 +1011,18 @@ impl PolyBackend for ChipBackend {
     /// interrupt-driven drains, intermediates stay resident in the SRAM
     /// banks, and upload/download DMA overlaps PE compute — see
     /// [`StreamOutcome`]'s serial-vs-overlapped totals and the
-    /// `chip_stream` module docs for the schedule.
+    /// `chip_stream` module docs for the schedule. It is
+    /// [`ChipBackend::price`], then [`ChipBackend::apply`].
     fn execute_stream(&mut self, stream: &OpStream) -> Result<StreamOutcome> {
-        crate::chip_stream::execute(self, stream)
+        let mut program = std::mem::take(&mut self.program);
+        let outcome = self.price(stream, &mut program).and_then(|report| {
+            let mut outputs: Vec<Vec<u128>> =
+                stream.outputs().iter().map(|_| Vec::with_capacity(stream.n())).collect();
+            self.apply(stream, &program, &mut outputs)?;
+            Ok(StreamOutcome { outputs, report })
+        });
+        self.program = program;
+        outcome
     }
 
     fn set_trace(&mut self, ctx: TraceContext) {

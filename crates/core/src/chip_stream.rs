@@ -1,6 +1,8 @@
 //! FIFO-batched stream execution on the simulated chip —
 //! [`ChipBackend`](crate::ChipBackend)'s
-//! [`PolyBackend::execute_stream`](crate::PolyBackend::execute_stream).
+//! [`PolyBackend::execute_stream`](crate::PolyBackend::execute_stream),
+//! which is [`ChipBackend::price`](crate::ChipBackend::price) and then
+//! [`ChipBackend::apply`](crate::ChipBackend::apply) (last section).
 //!
 //! Triggering one command at a time pays one full round trip per
 //! operation: stage operands into the compute banks, trigger, read the
@@ -17,7 +19,7 @@
 //!   reuse needs no drain; only fresh host writes must wait for one.
 //! * **Depth-sized batches with interrupt-driven drain.** Commands are
 //!   pushed through the 32-deep command FIFO; when it fills (or the
-//!   stream ends) the host drains it in one `drain_fifo` and observes
+//!   stream ends) the host drains it in one go and observes
 //!   the drain interrupt — one interrupt per batch instead of one
 //!   round trip per command.
 //! * **DMA-overlapped transfers.** Each host upload and each marked
@@ -43,6 +45,23 @@
 //! pipelined against compute across batches (the link streams batch
 //! `b+1` while the chip drains batch `b`; downloads ride after the
 //! final drain).
+//!
+//! # Price, then apply
+//!
+//! **Price.** The schedule above runs on the die's timing alone: slot
+//! allocation, FIFO batches, drains (`Chip::price_fifo`), trace spans and
+//! the [`StreamReport`] — every check and every simulated number — with
+//! no coefficient computed. A command's cycles depend on `n`, its banks
+//! and the configuration, never on data, so nothing is lost. What the
+//! schedule issued is recorded as a [`DieProgram`], in the order the die
+//! sees the effects: a host write when it is issued, commands when their
+//! batch drains, the downloads after the last drain.
+//!
+//! **Apply.** The program runs straight through — writes, commands
+//! (`Chip::apply`), reads into the caller's output buffers — with no
+//! scheduling and no timing. A farm prices on its scheduler thread, where
+//! placement needs the cost, and applies the programs of all its dies at
+//! once on host threads.
 
 use cofhee_arith::ModRing;
 use cofhee_obs::{TraceEvent, Track};
@@ -50,7 +69,28 @@ use cofhee_sim::{BankId, Command, Slot, COMMAND_WORDS, FIFO_DEPTH};
 
 use crate::backend::ChipBackend;
 use crate::error::{CoreError, Result};
-use crate::stream::{OpStream, StreamHandle, StreamOp, StreamOutcome, StreamReport};
+use crate::stream::{OpStream, StreamHandle, StreamOp, StreamReport};
+
+/// One thing the host does to the die.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Writes the payload of node `node` — an upload, or the resident
+    /// mirror an input names — reduced, into `slot`.
+    Write { slot: Slot, node: usize },
+    /// Applies a command its drain priced.
+    Command(Command),
+    /// Reads the next marked output back from `slot`.
+    Read(Slot),
+}
+
+/// What pricing a stream issued to the die, for
+/// [`ChipBackend::apply`](crate::ChipBackend::apply) to run: host writes,
+/// commands and reads, in the order the die sees their effects. Opaque;
+/// one program buffer can be priced into again and again.
+#[derive(Debug, Default)]
+pub struct DieProgram {
+    steps: Vec<Step>,
+}
 
 /// Occupancy of one schedulable polynomial slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +127,8 @@ struct Batch {
 /// The per-stream scheduler state.
 struct Scheduler<'a> {
     be: &'a mut ChipBackend,
+    /// What the die has been issued so far.
+    program: &'a mut Vec<Step>,
     n: usize,
     slots: Vec<PlanSlot>,
     /// Node index → slot housing its value.
@@ -109,7 +151,7 @@ struct Scheduler<'a> {
 }
 
 impl<'a> Scheduler<'a> {
-    fn new(be: &'a mut ChipBackend, stream: &OpStream) -> Self {
+    fn new(be: &'a mut ChipBackend, stream: &OpStream, program: &'a mut Vec<Step>) -> Self {
         let n = stream.n();
         let plan = be.device.bank_plan();
         let per_bank = be.device.chip().config().bank_words / n;
@@ -125,6 +167,7 @@ impl<'a> Scheduler<'a> {
         }
         Self {
             be,
+            program,
             n,
             slots,
             residence: vec![None; stream.len()],
@@ -235,10 +278,12 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Drains the FIFO: one batch, one drain interrupt, pending slots
-    /// reclaimed. A drain with nothing queued only reclaims slots.
+    /// reclaimed, the batch's commands appended to the program. A drain
+    /// with nothing queued only reclaims slots.
     fn drain(&mut self) -> Result<()> {
         if self.be.device.fifo_space() < FIFO_DEPTH {
-            let drained = self.be.device.drain_fifo()?;
+            let program = &mut *self.program;
+            let drained = self.be.device.price_fifo(|cmd| program.push(Step::Command(cmd)))?;
             if drained.executed > 0 {
                 self.report.batches += 1;
                 self.report.serial_cycles += drained.serial_cycles;
@@ -287,9 +332,10 @@ impl<'a> Scheduler<'a> {
         Ok(slot)
     }
 
-    /// Accounts the backdoor write that just filled `slot` and queues
-    /// the DMA command shadowing it.
-    fn host_uploaded(&mut self, slot: Slot) -> Result<()> {
+    /// Records the backdoor write of `node`'s payload into `slot`,
+    /// accounts its wire time and queues the DMA command shadowing it.
+    fn host_uploaded(&mut self, node: usize, slot: Slot) -> Result<()> {
+        self.program.push(Step::Write { slot, node });
         let poly_bytes = self.n as u64 * 16;
         self.wire_in += self.be.device.link_transfer_seconds(poly_bytes);
         self.report.uploaded_bytes += poly_bytes;
@@ -319,8 +365,8 @@ impl<'a> Scheduler<'a> {
         match op {
             StreamOp::Upload(v) => {
                 let slot = self.host_slot(i)?;
-                self.be.device.upload(slot, v)?;
-                self.host_uploaded(slot)?;
+                self.be.device.price_transfer(slot, v.len())?;
+                self.host_uploaded(i, slot)?;
             }
             StreamOp::Input(h) => {
                 // The resident mirror (a cached relin key, say) is
@@ -329,8 +375,8 @@ impl<'a> Scheduler<'a> {
                 let be = &mut *self.be;
                 let mirror =
                     be.pool.get(&h.id()).ok_or_else(|| CoreError::BadHandle { id: h.id() })?;
-                be.device.upload(slot, mirror)?;
-                self.host_uploaded(slot)?;
+                be.device.price_transfer(slot, mirror.len())?;
+                self.host_uploaded(i, slot)?;
             }
             StreamOp::Ntt(s) | StreamOp::Intt(s) => {
                 let src = self.operand(*s);
@@ -425,7 +471,7 @@ impl<'a> Scheduler<'a> {
         Ok(())
     }
 
-    fn run(&mut self, stream: &OpStream) -> Result<Vec<Vec<u128>>> {
+    fn run(&mut self, stream: &OpStream) -> Result<()> {
         let is_output: Vec<bool> = {
             let mut v = vec![false; stream.len()];
             for out in stream.outputs() {
@@ -438,18 +484,18 @@ impl<'a> Scheduler<'a> {
         }
         self.drain()?;
 
-        // Everything has executed; read the marked outputs back.
+        // Everything has drained; read the marked outputs back.
         let poly_bytes = self.n as u64 * 16;
-        let mut outputs = Vec::with_capacity(stream.outputs().len());
         for out in stream.outputs() {
-            let si = self.residence[out.index].expect("outputs were produced");
-            outputs.push(self.be.device.download(self.slots[si].slot)?);
+            let slot = self.slots[self.residence[out.index].expect("outputs were produced")].slot;
+            self.be.device.price_transfer(slot, self.n)?;
+            self.program.push(Step::Read(slot));
             self.report.downloaded_bytes += poly_bytes;
             self.release(*out);
         }
         self.trace_readout();
         self.finish_timing();
-        Ok(outputs)
+        Ok(())
     }
 
     /// Seconds totals from the batch records: serial pays every
@@ -474,36 +520,96 @@ impl<'a> Scheduler<'a> {
     }
 }
 
-/// Executes a recorded stream on the chip backend (see the module docs
-/// for the schedule).
-pub(crate) fn execute(be: &mut ChipBackend, stream: &OpStream) -> Result<StreamOutcome> {
-    if stream.n() != be.device.n() {
-        return Err(CoreError::DegreeMismatch { device: be.device.n(), requested: stream.n() });
-    }
-    if stream.is_empty() {
-        return Ok(StreamOutcome { outputs: Vec::new(), report: StreamReport::default() });
-    }
-    // The chip logs every executed command; nothing reads that log
-    // across a stream, so a die that serves streams for days must not
-    // keep it.
-    let history_mark = be.device.chip().history().len();
-    let mut sched = Scheduler::new(be, stream);
-    let result = sched.run(stream);
-    let report = sched.report;
-    let outcome = match result {
-        Ok(outputs) => Ok(StreamOutcome { outputs, report }),
-        Err(e) => {
-            // Never leave half a batch queued behind for a later,
-            // unrelated drain; the flushed commands really execute, so
-            // their cycles still belong in the cumulative ledger.
-            if let Ok(flushed) = be.device.drain_fifo() {
-                be.report.absorb(&flushed.report);
-            }
-            Err(e)
+impl ChipBackend {
+    /// The first half of
+    /// [`PolyBackend::execute_stream`](crate::PolyBackend::execute_stream): schedules
+    /// `stream` through the command FIFO on the die's timing alone —
+    /// every check, the cycle ledger, the trace, the wire accounting and
+    /// the returned [`StreamReport`], nothing computed — and records
+    /// what it issued into `program` (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// Those of `execute_stream`: a stream that prices
+    /// cleanly applies cleanly. A stream that fails to price is not
+    /// applied.
+    pub fn price(&mut self, stream: &OpStream, program: &mut DieProgram) -> Result<StreamReport> {
+        program.steps.clear();
+        if stream.n() != self.device.n() {
+            return Err(CoreError::DegreeMismatch {
+                device: self.device.n(),
+                requested: stream.n(),
+            });
         }
-    };
-    be.device.chip_mut().truncate_history(history_mark);
-    outcome
+        if stream.is_empty() {
+            return Ok(StreamReport::default());
+        }
+        // The chip logs every priced command; nothing reads that log
+        // across a stream, so a die that serves streams for days must
+        // not keep it.
+        let history_mark = self.device.chip().history().len();
+        let mut sched = Scheduler::new(self, stream, &mut program.steps);
+        let result = sched.run(stream);
+        let report = sched.report;
+        if result.is_err() {
+            // Never leave half a batch queued behind for a later,
+            // unrelated drain; the flushed commands were issued, so their
+            // cycles still belong in the cumulative ledger.
+            if let Ok(flushed) = self.device.price_fifo(|_| {}) {
+                self.report.absorb(&flushed.report);
+            }
+        }
+        self.device.chip_mut().truncate_history(history_mark);
+        result.map(|()| report)
+    }
+
+    /// The second half: runs the `program` [`ChipBackend::price`]
+    /// recorded for `stream` on the die — host writes, commands and
+    /// reads in the order they were issued, no timing — replacing each
+    /// of `outputs`, one buffer per marked output, with its polynomial
+    /// (in place when the buffer has room for `n` words). Programs of
+    /// one backend apply in the order they were priced; nothing else
+    /// may touch the die between.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadOperandLength`] when `outputs` is not one buffer
+    /// per marked output; [`CoreError::BadHandle`] for an input freed
+    /// since pricing.
+    pub fn apply(
+        &mut self,
+        stream: &OpStream,
+        program: &DieProgram,
+        outputs: &mut [Vec<u128>],
+    ) -> Result<()> {
+        let marked = stream.outputs().len();
+        if outputs.len() != marked {
+            return Err(CoreError::BadOperandLength { expected: marked, found: outputs.len() });
+        }
+        let mut reads = outputs.iter_mut();
+        for step in &program.steps {
+            match *step {
+                Step::Write { slot, node } => {
+                    let coeffs = match &stream.nodes()[node] {
+                        StreamOp::Upload(v) => v.as_slice(),
+                        StreamOp::Input(h) => self
+                            .pool
+                            .get(&h.id())
+                            .ok_or_else(|| CoreError::BadHandle { id: h.id() })?,
+                        _ => unreachable!("the host writes only uploads and inputs"),
+                    };
+                    self.device.write(slot, coeffs)?;
+                }
+                Step::Command(cmd) => self.device.chip_mut().apply(&cmd)?,
+                Step::Read(slot) => {
+                    let out = reads.next().expect("one read per marked output");
+                    out.clear();
+                    out.extend_from_slice(self.device.chip().memory().slice(slot, stream.n())?);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

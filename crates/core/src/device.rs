@@ -211,12 +211,8 @@ impl Device {
     ///
     /// Length and bounds failures.
     pub fn upload(&mut self, slot: Slot, coeffs: &[u128]) -> Result<()> {
-        self.check_len(coeffs.len())?;
-        for (word, &c) in self.chip.polynomial_mut(slot, coeffs.len())?.iter_mut().zip(coeffs) {
-            *word = self.ring.from_u128(c);
-        }
-        self.account_bytes(coeffs.len() as u64 * 16);
-        Ok(())
+        self.price_transfer(slot, coeffs.len())?;
+        self.write(slot, coeffs)
     }
 
     /// Downloads a polynomial over the host link.
@@ -225,9 +221,26 @@ impl Device {
     ///
     /// Bounds failures.
     pub fn download(&mut self, slot: Slot) -> Result<Vec<u128>> {
-        let data = self.chip.read_polynomial(slot, self.n)?;
-        self.account_bytes(self.n as u64 * 16);
-        Ok(data)
+        self.price_transfer(slot, self.n)?;
+        Ok(self.chip.read_polynomial(slot, self.n)?)
+    }
+
+    /// The timing half of a transfer of `len` words at `slot`: the
+    /// length and bounds checks and the wire accounting, no data moved.
+    pub(crate) fn price_transfer(&mut self, slot: Slot, len: usize) -> Result<()> {
+        self.check_len(len)?;
+        self.chip.memory().slice(slot, len)?;
+        self.account_bytes(len as u64 * 16);
+        Ok(())
+    }
+
+    /// The data half of an upload: `coeffs` reduced mod `q` into the
+    /// bank, no wire time.
+    pub(crate) fn write(&mut self, slot: Slot, coeffs: &[u128]) -> Result<()> {
+        for (word, &c) in self.chip.polynomial_mut(slot, coeffs.len())?.iter_mut().zip(coeffs) {
+            *word = self.ring.from_u128(c);
+        }
+        Ok(())
     }
 
     // ---- single-command wrappers (Table I, resolved against the plan) --
@@ -300,15 +313,16 @@ impl Device {
         self.chip.fifo_space()
     }
 
-    /// Drains the FIFO with overlap accounting ([`Chip::drain_fifo`]):
-    /// the returned report carries both wall-clock and serial cycle
-    /// totals for the drained batch.
+    /// Drains the FIFO on timing alone ([`Chip::price_fifo`]): the
+    /// returned report carries both wall-clock and serial cycle totals
+    /// for the drained batch, and every drained command is handed to
+    /// `priced`, in drain order, for the caller to apply.
     ///
     /// # Errors
     ///
-    /// Propagates execution failures.
-    pub fn drain_fifo(&mut self) -> Result<DrainReport> {
-        Ok(self.chip.drain_fifo()?)
+    /// Propagates pricing failures.
+    pub fn price_fifo(&mut self, priced: impl FnMut(Command)) -> Result<DrainReport> {
+        Ok(self.chip.price_fifo(priced)?)
     }
 
     /// Reads and clears the chip's drain interrupt (see

@@ -78,6 +78,7 @@ pub use backend::{
     BackendFactory, ChipBackend, ChipBackendFactory, CpuBackend, CpuBackendFactory, PolyBackend,
     PolyHandle,
 };
+pub use chip_stream::DieProgram;
 pub use device::{BankPlan, CommStats, Device, Link};
 pub use error::{CoreError, Result};
 pub use keyswitch::{digit_decompose, record_key_switch, KeyPair, KeySwitchKeys};

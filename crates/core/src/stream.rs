@@ -478,9 +478,10 @@ pub fn cores() -> usize {
 /// threads (Fig. 6's CPU thread sweep in `cofhee_bfv::tower` aside). Its
 /// callers choose what a task is: a limb's whole stream, one transform
 /// or multiply node of a stream that runs alone (the CPU replay's wave),
-/// a coefficient chunk of the BFV host CRT. No worker pool: three limbs
-/// time-sliced on two cores finish in 1.5 limb-times, two pinned workers
-/// would need 2.
+/// a coefficient chunk of the BFV host CRT, or one die backend's priced
+/// programs at a farm flush (`cofhee_farm::ChipFarm::flush`). No worker
+/// pool: three limbs time-sliced on two cores finish in 1.5 limb-times,
+/// two pinned workers would need 2.
 ///
 /// # Panics
 ///

@@ -4,14 +4,45 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cofhee_core::{
-    BackendFactory, ChipBackendFactory, OpReport, OpStream, PolyBackend, PoolStats, SharedSink,
-    StreamOutcome, TraceContext,
+    fan_out, ChipBackend, ChipBackendFactory, CoreError, DieProgram, OpReport, OpStream,
+    PolyBackend, PoolStats, SharedSink, StreamReport, TraceContext,
 };
 use cofhee_obs::null_sink;
 
 use crate::error::{FarmError, Result};
 use crate::policy::DieStatus;
 use crate::telemetry::ChipStats;
+
+/// A placed stream: priced, its die's clock advanced, its arithmetic not
+/// yet run.
+#[derive(Debug)]
+struct Waiting {
+    /// Position among the streams placed since the last flush.
+    index: usize,
+    stream: OpStream,
+    program: DieProgram,
+    /// Filled by the flush. Allocated at placement, on the scheduler
+    /// thread, so the flush's threads allocate nothing.
+    outputs: Vec<Vec<u128>>,
+    failed: Option<CoreError>,
+}
+
+/// A die's backend for one `(modulus, degree)` pair, and the streams
+/// placed on it whose arithmetic waits for the next flush.
+#[derive(Debug)]
+struct Backend {
+    chip: ChipBackend,
+    waiting: Vec<Waiting>,
+}
+
+impl Backend {
+    /// Applies every waiting program, in placement order.
+    fn apply_waiting(&mut self) {
+        for w in &mut self.waiting {
+            w.failed = self.chip.apply(&w.stream, &w.program, &mut w.outputs).err();
+        }
+    }
+}
 
 /// One simulated CoFHEE die.
 ///
@@ -23,7 +54,7 @@ use crate::telemetry::ChipStats;
 /// is reconstructed from.
 #[derive(Debug)]
 struct Die {
-    backends: HashMap<(u128, usize), Box<dyn PolyBackend>>,
+    backends: HashMap<(u128, usize), Backend>,
     /// Virtual cycle at which everything assigned so far has finished.
     clock: u64,
     /// Cycles spent computing (the utilization numerator).
@@ -77,21 +108,24 @@ impl Die {
     }
 }
 
-/// What executing one stream on a die produced, in values and in
-/// virtual time.
-#[derive(Debug)]
-pub struct ExecutedStream {
-    /// Die the stream ran on.
+/// Where and when a placed stream runs on the farm's virtual clock, and
+/// what it costs.
+#[derive(Debug, Clone, Copy)]
+pub struct Placement {
+    /// Die the stream runs on.
     pub chip: usize,
     /// Virtual cycle the stream became ready (its dependencies met).
     pub ready: u64,
-    /// Virtual cycle the die actually started it (≥ ready when queued
-    /// behind earlier streams).
+    /// Virtual cycle the die starts it (≥ ready when queued behind
+    /// earlier streams).
     pub start: u64,
-    /// Virtual cycle it finished: `start + overlapped_cycles`.
+    /// Virtual cycle it finishes: `start + overlapped_cycles`.
     pub finish: u64,
-    /// The stream's outputs and serial-vs-overlapped telemetry.
-    pub outcome: StreamOutcome,
+    /// The stream's serial-vs-overlapped telemetry, priced at placement.
+    pub report: StreamReport,
+    /// Position among the streams placed since the last
+    /// [`ChipFarm::flush`] — where the flush returns its outputs.
+    pub index: usize,
 }
 
 /// A pool of simulated CoFHEE dies sharing one deterministic
@@ -104,12 +138,17 @@ pub struct ExecutedStream {
 /// may move streams freely without changing values *or* per-stream
 /// costs, only queueing.
 ///
-/// Time is virtual: executing a stream runs the cycle-accurate
-/// simulation immediately (producing real outputs and a real
-/// [`StreamOutcome`]) and then advances the chosen die's clock by the
-/// stream's *overlapped* wall-clock cycles, starting no earlier than
-/// the stream's ready time. Wall-clock host time never enters the
-/// model, so a run's telemetry is a pure function of the job list.
+/// Time is virtual, and a die's clock runs ahead of its arithmetic:
+/// [`ChipFarm::place`] prices the stream on the chosen die
+/// ([`ChipBackend::price`]: the cycle-accurate schedule, every check and
+/// every simulated number, no coefficient computed), advances the die's
+/// clock by the stream's *overlapped* wall-clock cycles, starting no
+/// earlier than its ready time, and leaves the stream's arithmetic
+/// waiting on the die. [`ChipFarm::flush`] runs the waiting arithmetic
+/// of every die at once, one host thread per backend with work
+/// ([`fan_out`]). Wall-clock host time never enters the model, so a
+/// run's telemetry is a pure function of the job list — whichever
+/// thread computed what.
 #[derive(Debug)]
 pub struct ChipFarm {
     factory: ChipBackendFactory,
@@ -119,6 +158,8 @@ pub struct ChipFarm {
     /// [`cofhee_obs::NullSink`] by default, so untraced farms skip all
     /// instrumentation.
     trace: SharedSink,
+    /// Streams placed since the last flush.
+    placed: usize,
 }
 
 impl ChipFarm {
@@ -131,12 +172,13 @@ impl ChipFarm {
         if chips == 0 {
             return Err(FarmError::EmptyFarm);
         }
-        Ok(Self { factory, dies: (0..chips).map(|_| Die::new()).collect(), trace: null_sink() })
+        let dies = (0..chips).map(|_| Die::new()).collect();
+        Ok(Self { factory, dies, trace: null_sink(), placed: 0 })
     }
 
-    /// Installs a trace sink: every subsequent stream execution emits
-    /// its per-die drain spans, DMA segments, and interrupt instants
-    /// into it, stamped on the farm's virtual timeline.
+    /// Installs a trace sink: every subsequent placement emits its
+    /// stream's per-die drain spans, DMA segments, and interrupt
+    /// instants into it, stamped on the farm's virtual timeline.
     pub fn set_trace_sink(&mut self, sink: SharedSink) {
         self.trace = sink;
     }
@@ -176,50 +218,103 @@ impl ChipFarm {
             .collect()
     }
 
-    /// Executes `stream` on die `chip`'s backend for `(q, n)`, bringing
-    /// the backend up on first use, and advances the die's virtual
-    /// clock by the stream's overlapped cycles.
+    /// Places `stream` on die `chip`'s backend for `(q, n)`, bringing
+    /// the backend up on first use: prices it there, advances the die's
+    /// virtual clock by its overlapped cycles, and leaves its arithmetic
+    /// waiting for the next [`ChipFarm::flush`].
     ///
     /// # Errors
     ///
     /// Returns [`FarmError::UnknownChip`] for out-of-range die indices
     /// (e.g. a buggy custom [`PlacementPolicy`](crate::PlacementPolicy))
-    /// and bring-up/execution failures tagged with the die index.
-    pub fn execute(
+    /// and bring-up/pricing failures — slots, bounds, ports — tagged
+    /// with the die index. A failed placement moves no clock and leaves
+    /// nothing waiting.
+    pub fn place(
         &mut self,
         chip: usize,
         q: u128,
         n: usize,
-        stream: &OpStream,
+        stream: OpStream,
         ready: u64,
-    ) -> Result<ExecutedStream> {
+    ) -> Result<Placement> {
         let chips = self.dies.len();
         let factory = &self.factory;
         let die = self.dies.get_mut(chip).ok_or(FarmError::UnknownChip { chip, chips })?;
         let backend = match die.backends.entry((q, n)) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(factory.make(q, n).map_err(|e| FarmError::on_chip(chip, e))?)
+                let (config, link) = (factory.config().clone(), factory.link().clone());
+                let chip_backend = ChipBackend::connect_via(config, q, n, link)
+                    .map_err(|e| FarmError::on_chip(chip, e))?;
+                slot.insert(Backend { chip: chip_backend, waiting: Vec::new() })
             }
         };
         let start = ready.max(die.clock);
-        if self.trace.enabled() {
-            backend.set_trace(TraceContext::new(Arc::clone(&self.trace), chip, start));
-        }
-        let outcome = backend.execute_stream(stream).map_err(|e| FarmError::on_chip(chip, e))?;
-        let cost = outcome.report.overlapped_cycles;
+        // The sink in force now, a disabled one included: a die must
+        // never write into a sink that has since been replaced.
+        backend.chip.set_trace(TraceContext::new(Arc::clone(&self.trace), chip, start));
+        let mut program = DieProgram::default();
+        let report =
+            backend.chip.price(&stream, &mut program).map_err(|e| FarmError::on_chip(chip, e))?;
+        let outputs = stream.outputs().iter().map(|_| Vec::with_capacity(n)).collect();
+        let index = self.placed;
+        backend.waiting.push(Waiting { index, stream, program, outputs, failed: None });
+        self.placed += 1;
+        let cost = report.overlapped_cycles;
         let finish = start.saturating_add(cost);
         die.clock = finish;
         die.busy = die.busy.saturating_add(cost);
         die.streams += 1;
         die.finishes.push(finish);
         die.readies.push(ready);
-        Ok(ExecutedStream { chip, ready, start, finish, outcome })
+        Ok(Placement { chip, ready, start, finish, report, index })
+    }
+
+    /// Runs the arithmetic of every stream placed since the last flush:
+    /// one [`fan_out`] task per die backend with waiting work, each
+    /// applying its programs in placement order. Returns every placed
+    /// stream's outputs, indexed by [`Placement::index`].
+    ///
+    /// # Errors
+    ///
+    /// The failure of the earliest-placed stream that failed, tagged
+    /// with its die. Nothing is left waiting either way.
+    pub fn flush(&mut self) -> Result<Vec<Vec<Vec<u128>>>> {
+        let mut tasks: Vec<&mut Backend> = self
+            .dies
+            .iter_mut()
+            .flat_map(|die| die.backends.values_mut())
+            .filter(|be| !be.waiting.is_empty())
+            .collect();
+        fan_out(&mut tasks, |be| be.apply_waiting());
+        let mut outputs = vec![Vec::new(); std::mem::take(&mut self.placed)];
+        let mut first_failure: Option<(usize, FarmError)> = None;
+        for (chip, die) in self.dies.iter_mut().enumerate() {
+            for w in die.backends.values_mut().flat_map(|be| be.waiting.drain(..)) {
+                match w.failed {
+                    None => outputs[w.index] = w.outputs,
+                    Some(e) if first_failure.as_ref().map_or(true, |(at, _)| w.index < *at) => {
+                        first_failure = Some((w.index, FarmError::on_chip(chip, e)));
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        match first_failure {
+            Some((_, e)) => Err(e),
+            None => Ok(outputs),
+        }
     }
 
     /// The farm-wide makespan: the virtual cycle the last die drains.
     pub fn makespan(&self) -> u64 {
         self.dies.iter().map(|d| d.clock).max().unwrap_or(0)
+    }
+
+    /// Every die backend.
+    fn backends(&self) -> impl Iterator<Item = &ChipBackend> {
+        self.dies.iter().flat_map(|die| die.backends.values().map(|be| &be.chip))
     }
 
     /// Farm-wide scratch-pool telemetry: the staging-buffer recycling
@@ -228,10 +323,8 @@ impl ChipFarm {
     /// die's recycled stock (see `cofhee_poly::pool`).
     pub fn pool_stats(&self) -> PoolStats {
         let mut total = PoolStats::default();
-        for die in &self.dies {
-            for be in die.backends.values() {
-                total.absorb(&be.pool_stats());
-            }
+        for be in self.backends() {
+            total.absorb(&be.pool_stats());
         }
         total
     }
@@ -240,10 +333,8 @@ impl ChipFarm {
     /// on every die, summed — the arithmetic the dies retired.
     pub fn op_report(&self) -> OpReport {
         let mut total = OpReport::default();
-        for die in &self.dies {
-            for be in die.backends.values() {
-                total.absorb(&be.report());
-            }
+        for be in self.backends() {
+            total.absorb(&be.report());
         }
         total
     }
@@ -293,9 +384,8 @@ mod tests {
     fn out_of_range_die_indices_are_typed_errors() {
         let q = ntt_prime(60, N).unwrap();
         let mut farm = ChipFarm::new(2, ChipBackendFactory::silicon()).unwrap();
-        let st = stream(1, q);
         assert!(matches!(
-            farm.execute(2, q, N, &st, 0),
+            farm.place(2, q, N, stream(1, q), 0),
             Err(FarmError::UnknownChip { chip: 2, chips: 2 })
         ));
     }
@@ -305,18 +395,19 @@ mod tests {
         let q = ntt_prime(60, N).unwrap();
         let mut farm = ChipFarm::new(2, ChipBackendFactory::silicon()).unwrap();
         let st = stream(1, q);
-        let first = farm.execute(0, q, N, &st, 0).unwrap();
+        let first = farm.place(0, q, N, st.clone(), 0).unwrap();
         assert_eq!(first.start, 0);
         assert!(first.finish > 0, "chip streams cost real cycles");
-        assert_eq!(first.finish - first.start, first.outcome.report.overlapped_cycles);
+        assert_eq!(first.finish - first.start, first.report.overlapped_cycles);
 
         // Same die: the second stream queues behind the first.
-        let second = farm.execute(0, q, N, &st, 0).unwrap();
+        let second = farm.place(0, q, N, st.clone(), 0).unwrap();
         assert_eq!(second.start, first.finish);
         // Other die: starts immediately.
-        let elsewhere = farm.execute(1, q, N, &st, 0).unwrap();
+        let elsewhere = farm.place(1, q, N, st, 0).unwrap();
         assert_eq!(elsewhere.start, 0);
         assert_eq!(farm.makespan(), second.finish);
+        assert_eq!([first.index, second.index, elsewhere.index], [0, 1, 2]);
 
         let stats = farm.chip_stats();
         assert_eq!(stats[0].streams, 2);
@@ -326,16 +417,64 @@ mod tests {
     }
 
     #[test]
+    fn a_flush_returns_every_placed_streams_outputs_in_placement_order() {
+        let q = ntt_prime(60, N).unwrap();
+        let mut farm = ChipFarm::new(3, ChipBackendFactory::silicon()).unwrap();
+        let streams: Vec<OpStream> = (0..7).map(|seed| stream(seed, q)).collect();
+        for (i, st) in streams.iter().enumerate() {
+            farm.place(i % 3, q, N, st.clone(), 0).unwrap();
+        }
+        let outputs = farm.flush().unwrap();
+        let mut cpu = cofhee_core::CpuBackend::new(q, N).unwrap();
+        let expect: Vec<_> =
+            streams.iter().map(|st| cpu.execute_stream(st).unwrap().outputs).collect();
+        assert_eq!(outputs, expect);
+        // Nothing is left waiting; the next flush starts a new count.
+        assert!(farm.flush().unwrap().is_empty());
+        assert_eq!(farm.place(2, q, N, stream(9, q), 0).unwrap().index, 0);
+    }
+
+    #[test]
+    fn a_stream_that_exhausts_a_dies_slots_fails_typed_at_placement() {
+        use cofhee_core::CoreError;
+        let q = ntt_prime(60, N).unwrap();
+        let mut farm = ChipFarm::new(2, ChipBackendFactory::silicon()).unwrap();
+        let good = farm.place(1, q, N, stream(1, q), 0).unwrap();
+        let before = farm.chip_stats();
+        // More live values than the banks hold slots (6 banks × 256).
+        let mut st = OpStream::new(N);
+        let ups: Vec<_> = (0..1600).map(|s| st.upload(vec![s; N]).unwrap()).collect();
+        let mut acc = ups[0];
+        for &h in &ups[1..] {
+            acc = st.pointwise_add(acc, h).unwrap();
+        }
+        st.output(acc).unwrap();
+        for chip in [0, 1] {
+            assert!(matches!(
+                farm.place(chip, q, N, st.clone(), 0),
+                Err(FarmError::Backend { chip: Some(c), source: CoreError::SlotsExhausted { .. } })
+                    if c == chip
+            ));
+        }
+        assert_eq!(farm.chip_stats(), before, "no die clock moved");
+        // Nothing was left waiting: the flush returns the one good stream.
+        let mut cpu = cofhee_core::CpuBackend::new(q, N).unwrap();
+        assert_eq!(good.index, 0);
+        assert_eq!(farm.flush().unwrap(), [cpu.execute_stream(&stream(1, q)).unwrap().outputs]);
+    }
+
+    #[test]
     fn identical_dies_cost_identical_cycles() {
         let q = ntt_prime(60, N).unwrap();
         let mut farm = ChipFarm::new(3, ChipBackendFactory::silicon()).unwrap();
         let st = stream(7, q);
-        let runs: Vec<ExecutedStream> =
-            (0..3).map(|c| farm.execute(c, q, N, &st, 0).unwrap()).collect();
-        for r in &runs[1..] {
-            assert_eq!(r.outcome.outputs, runs[0].outcome.outputs, "values placement-free");
+        let runs: Vec<Placement> =
+            (0..3).map(|c| farm.place(c, q, N, st.clone(), 0).unwrap()).collect();
+        let outputs = farm.flush().unwrap();
+        for (r, out) in runs[1..].iter().zip(&outputs[1..]) {
+            assert_eq!(out, &outputs[0], "values placement-free");
             assert_eq!(
-                r.outcome.report.overlapped_cycles, runs[0].outcome.report.overlapped_cycles,
+                r.report.overlapped_cycles, runs[0].report.overlapped_cycles,
                 "costs placement-free"
             );
         }
@@ -355,7 +494,7 @@ mod tests {
         let f = st.ntt(a).unwrap();
         st.output(f).unwrap();
         for chip in 0..4 {
-            farm.execute(chip, q, n, &st, 0).unwrap();
+            farm.place(chip, q, n, st.clone(), 0).unwrap();
         }
         assert!(TwiddleCache::contains(q, n), "first bring-up interned the tables");
         // A whole second farm for the same parameters re-derives
@@ -366,7 +505,7 @@ mod tests {
         let resident = TwiddleCache::barrett128(q, n).unwrap();
         let mut second = ChipFarm::new(4, ChipBackendFactory::silicon()).unwrap();
         for chip in 0..4 {
-            second.execute(chip, q, n, &st, 0).unwrap();
+            second.place(chip, q, n, st.clone(), 0).unwrap();
         }
         let after = TwiddleCache::barrett128(q, n).unwrap();
         assert!(std::sync::Arc::ptr_eq(&resident, &after), "second farm reused the plan");
@@ -376,8 +515,7 @@ mod tests {
     fn statuses_reflect_backlog() {
         let q = ntt_prime(60, N).unwrap();
         let mut farm = ChipFarm::new(2, ChipBackendFactory::silicon()).unwrap();
-        let st = stream(3, q);
-        let run = farm.execute(0, q, N, &st, 0).unwrap();
+        let run = farm.place(0, q, N, stream(3, q), 0).unwrap();
         let at_zero = farm.statuses(0);
         assert_eq!(at_zero[0].pending, 1);
         assert_eq!(at_zero[1].pending, 0);

@@ -12,7 +12,9 @@
 //! * [`ChipFarm`] — N identical simulated dies, each brought up from
 //!   one [`ChipBackendFactory`](cofhee_core::ChipBackendFactory) (its
 //!   own UART/SPI link instance, per-modulus backends on demand) under
-//!   a deterministic virtual-time cycle clock.
+//!   a deterministic virtual-time cycle clock: a stream is priced where
+//!   it is placed, and a flush computes every die's placed streams at
+//!   once on the host's cores.
 //! * [`Session`] — a tenant's standing state: BFV parameters,
 //!   relinearization key, and the evaluator handle that records job
 //!   streams and finishes them host-side.
@@ -95,7 +97,7 @@ mod session;
 mod telemetry;
 
 pub use error::{FarmError, Result};
-pub use farm::{ChipFarm, ExecutedStream};
+pub use farm::{ChipFarm, Placement};
 pub use policy::{DieStatus, PlacementPolicy, RoundRobin, ShortestQueue, WorkStealing};
 pub use replay::{mixed_workload_jobs, workload_jobs, ReplayInputs, ReplaySpec};
 pub use scheduler::{Job, JobKind, JobOutcome, JobResult, Scheduler};

@@ -1,17 +1,18 @@
 //! The session-aware job scheduler: whole homomorphic operations in,
 //! per-limb streams placed across dies, finished ciphertexts out.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use cofhee_bfv::{Ciphertext, Plaintext};
-use cofhee_ckks::{CkksCiphertext, CkksPlaintext};
+use cofhee_ckks::{CkksCiphertext, CkksPlaintext, Level};
 use cofhee_core::{OpStream, SharedSink, StreamOp, StreamReport};
 use cofhee_obs::{null_sink, CycleHistogram, MetricsRegistry, TraceEvent, Track};
 use cofhee_opt::{optimize_traced, OptLevel};
 use cofhee_poly::TwiddleCache;
 
 use crate::error::{FarmError, Result};
-use crate::farm::{ChipFarm, ExecutedStream};
+use crate::farm::{ChipFarm, Placement};
 use crate::policy::PlacementPolicy;
 use crate::session::{Session, SessionId};
 use crate::telemetry::{FarmReport, LatencyPercentiles};
@@ -24,6 +25,73 @@ fn poly_bytes(n: usize) -> u64 {
 
 /// Per-limb stream outputs: `outputs[limb][output][coefficient]`.
 type LimbOutputs = Vec<Vec<Vec<u128>>>;
+
+/// Upload payload bytes the streams waiting on the dies may hold before
+/// the scheduler flushes between two jobs. A waiting stream keeps its
+/// payloads alive, so this bounds what deferring the dies' arithmetic
+/// adds to host memory — a constant, whatever the job list — while a
+/// flush still carries a few dozen cheap jobs for the host's cores.
+const MAX_WAITING_UPLOAD_BYTES: u64 = 4 << 20;
+
+/// How a job's result is built from its last phase's outputs.
+#[derive(Debug, Clone, Copy)]
+enum Finish {
+    /// One mod-`q` stream's outputs are the ciphertext.
+    Bfv,
+    /// One stream per limb, landing at this level and scale.
+    Ckks(Level, f64),
+}
+
+/// A job with every phase placed, its outcome known but for the result,
+/// which waits on the outputs of its last phase.
+#[derive(Debug)]
+struct Pending {
+    index: usize,
+    id: SessionId,
+    session: Arc<Session>,
+    arrival: u64,
+    finish: u64,
+    service_cycles: u64,
+    streams: usize,
+    /// The last phase's streams, by [`Placement::index`].
+    outputs: Range<usize>,
+    result: Finish,
+}
+
+impl Pending {
+    /// The job's outcome, built from the outputs of a flush.
+    fn complete(self, outputs: &mut [Vec<Vec<u128>>]) -> Result<JobOutcome> {
+        let mut limbs: LimbOutputs =
+            outputs[self.outputs.clone()].iter_mut().map(std::mem::take).collect();
+        let result = match self.result {
+            Finish::Bfv => {
+                let (_, ev, _) = self.session.bfv(self.id)?;
+                let outs = limbs.pop().expect("a BFV job's last phase is one stream");
+                JobResult::Bfv(ev.ciphertext_from_outputs(outs)?)
+            }
+            Finish::Ckks(level, scale) => {
+                let (_, ev, _) = self.session.ckks(self.id)?;
+                let ct = ev.ciphertext_from_limb_outputs(limbs, level, scale);
+                JobResult::Ckks(ct.map_err(FarmError::Ckks)?)
+            }
+        };
+        Ok(JobOutcome {
+            index: self.index,
+            session: self.id,
+            result,
+            arrival: self.arrival,
+            finish: self.finish,
+            latency: self.finish.saturating_sub(self.arrival),
+            service_cycles: self.service_cycles,
+            streams: self.streams,
+        })
+    }
+}
+
+/// What placing a job's phases yields: its last phase's streams, the
+/// job's finish and critical-path service cycles, its stream count, and
+/// how its result is built.
+type Placed = (Range<usize>, u64, u64, usize, Finish);
 
 /// One homomorphic operation submitted to the farm.
 #[derive(Debug, Clone)]
@@ -167,6 +235,17 @@ pub struct JobOutcome {
 /// regardless of chip count or policy (only the *timing* telemetry
 /// responds to placement).
 ///
+/// The dies' arithmetic runs on host threads, and nothing a policy, a
+/// report or a trace sees depends on that. Recording, pricing and
+/// placement run on the calling thread, in arrival order, and every
+/// simulated number, metric and trace event comes from pricing
+/// ([`ChipFarm::place`]); the arithmetic waits on the dies until the
+/// scheduler flushes ([`ChipFarm::flush`]) — where a job's next phase
+/// needs its outputs (BFV tensor → CRT, CKKS tensor → compose, relin →
+/// rescale lift), when the waiting upload payloads reach a fixed bound,
+/// and before [`Scheduler::run`] returns. Host CRT, compose and result
+/// assembly run on the calling thread too.
+///
 /// # Example
 ///
 /// ```
@@ -229,6 +308,13 @@ pub struct Scheduler {
     /// Stream-compiler level applied to every stream before placement
     /// (`O0` by default).
     opt_level: OptLevel,
+    /// Jobs placed whole whose results wait on the dies, in arrival
+    /// order.
+    pending: Vec<Pending>,
+    /// Jobs a flush completed that `run` has not handed back yet.
+    finished: Vec<JobOutcome>,
+    /// Upload payload bytes of the streams waiting on the dies.
+    waiting_bytes: u64,
 }
 
 impl Scheduler {
@@ -248,6 +334,9 @@ impl Scheduler {
             upload_bytes: 0,
             key_bytes: 0,
             opt_level: OptLevel::O0,
+            pending: Vec::new(),
+            finished: Vec::new(),
+            waiting_bytes: 0,
         }
     }
 
@@ -310,20 +399,27 @@ impl Scheduler {
         &self.farm
     }
 
-    /// Places one ready stream via the policy and executes it.
-    fn place_and_run(
-        &mut self,
-        q: u128,
-        n: usize,
-        stream: &cofhee_core::OpStream,
-        ready: u64,
-    ) -> Result<ExecutedStream> {
+    /// Compiles one stream at the scheduler's [`OptLevel`] (as recorded
+    /// at `O0`) and places it whole on the die the policy picks, where
+    /// it is priced. What the compiler eliminated joins the farm's
+    /// stream telemetry; with a trace sink installed, each rewrite lands
+    /// as a compiler-track instant at `ready`, the stream's virtual
+    /// ready time.
+    fn place(&mut self, q: u128, n: usize, mut stream: OpStream, ready: u64) -> Result<Placement> {
+        if self.opt_level != OptLevel::O0 {
+            let (opt, stats) = optimize_traced(&stream, self.opt_level, &self.trace, ready)?;
+            self.stream_totals.ops_eliminated += stats.ops_eliminated;
+            stream = opt;
+        }
         let statuses = self.farm.statuses(ready);
         let chip = self.policy.place(&statuses, ready);
+        let Some(status) = statuses.get(chip) else {
+            return Err(FarmError::UnknownChip { chip, chips: statuses.len() });
+        };
+        let depth = status.pending as u64;
         if self.queue_depth_peaks.len() < statuses.len() {
             self.queue_depth_peaks.resize(statuses.len(), 0);
         }
-        let depth = statuses[chip].pending as u64;
         self.queue_depth_peaks[chip] = self.queue_depth_peaks[chip].max(depth);
         if self.trace.enabled() {
             self.trace.record(
@@ -332,11 +428,57 @@ impl Scheduler {
                     .arg("ops", stream.len() as u64),
             );
         }
-        let run = self.farm.execute(chip, q, n, stream, ready)?;
-        self.stream_totals.absorb(&run.outcome.report);
         let uploads = stream.nodes().iter().filter(|op| matches!(op, StreamOp::Upload(_))).count();
-        self.upload_bytes = self.upload_bytes.saturating_add(uploads as u64 * poly_bytes(n));
-        Ok(run)
+        let placed = self.farm.place(chip, q, n, stream, ready)?;
+        self.stream_totals.absorb(&placed.report);
+        let bytes = uploads as u64 * poly_bytes(n);
+        self.upload_bytes = self.upload_bytes.saturating_add(bytes);
+        self.waiting_bytes = self.waiting_bytes.saturating_add(bytes);
+        Ok(placed)
+    }
+
+    /// Places a batch of per-limb streams that are all ready at `ready`
+    /// (the CKKS fan-out: stream `j` carries modulus `moduli[j]`).
+    /// Returns the batch's placement indices, its finish, and the
+    /// critical-path service (the widest limb).
+    fn place_limbs(
+        &mut self,
+        moduli: &[u128],
+        n: usize,
+        streams: Vec<OpStream>,
+        ready: u64,
+    ) -> Result<(Range<usize>, u64, u64)> {
+        let mut indices = 0..0;
+        let (mut finish, mut service) = (ready, 0u64);
+        for (stream, &q) in streams.into_iter().zip(moduli) {
+            let p = self.place(q, n, stream, ready)?;
+            if indices.is_empty() {
+                indices.start = p.index;
+            }
+            indices.end = p.index + 1;
+            finish = finish.max(p.finish);
+            service = service.max(p.finish - p.start);
+        }
+        Ok((indices, finish, service))
+    }
+
+    /// Runs every waiting stream's arithmetic on the dies and completes
+    /// the jobs that waited on it. Returns the outputs of the streams
+    /// placed since the last flush, by [`Placement::index`] — those the
+    /// completed jobs took left empty.
+    fn flush(&mut self) -> Result<Vec<Vec<Vec<u128>>>> {
+        self.waiting_bytes = 0;
+        let pending = std::mem::take(&mut self.pending);
+        let mut outputs = self.farm.flush()?;
+        for job in pending {
+            self.finished.push(job.complete(&mut outputs)?);
+        }
+        Ok(outputs)
+    }
+
+    /// The outputs of a phase's streams (the last ones placed): a flush.
+    fn phase_outputs(&mut self, streams: Range<usize>) -> Result<LimbOutputs> {
+        Ok(self.flush()?.drain(streams).collect())
     }
 
     /// Emits a phase span on the in-flight job's per-job track (the job
@@ -349,72 +491,53 @@ impl Scheduler {
         }
     }
 
-    /// Compiles one stream at the scheduler's [`OptLevel`] (as recorded
-    /// at `O0`) and executes it, placed whole on one die. What the
-    /// compiler eliminated joins the farm's stream telemetry; with a
-    /// trace sink installed, each rewrite lands as a compiler-track
-    /// instant at `ready`, the stream's virtual ready time. Returns
-    /// `(outputs, finish, service_cycles)`.
-    fn run_stream(
-        &mut self,
-        q: u128,
-        n: usize,
-        mut stream: OpStream,
-        ready: u64,
-    ) -> Result<(Vec<Vec<u128>>, u64, u64)> {
-        if self.opt_level != OptLevel::O0 {
-            let (opt, stats) = optimize_traced(&stream, self.opt_level, &self.trace, ready)?;
-            self.stream_totals.ops_eliminated += stats.ops_eliminated;
-            stream = opt;
-        }
-        let run = self.place_and_run(q, n, &stream, ready)?;
-        Ok((run.outcome.outputs, run.finish, run.finish - run.start))
-    }
-
-    /// Runs a batch of per-limb streams that are all ready at `ready`
-    /// (the CKKS fan-out: stream `j` carries modulus `moduli[j]`).
-    /// Returns the per-limb outputs, the batch finish, and the
-    /// critical-path service (the widest limb).
-    fn run_limb_batch(
-        &mut self,
-        moduli: &[u128],
-        n: usize,
-        streams: Vec<OpStream>,
-        ready: u64,
-    ) -> Result<(LimbOutputs, u64, u64)> {
-        let mut limbs = Vec::with_capacity(streams.len());
-        let (mut finish, mut service) = (ready, 0u64);
-        for (stream, &q) in streams.into_iter().zip(moduli) {
-            let (outs, f, s) = self.run_stream(q, n, stream, ready)?;
-            finish = finish.max(f);
-            service = service.max(s);
-            limbs.push(outs);
-        }
-        Ok((limbs, finish, service))
-    }
-
-    /// Executes one job, returning its result, finish time, critical-
-    /// path service cycles, and stream count.
-    fn run_job(&mut self, job: &Job) -> Result<(JobResult, u64, u64, usize)> {
+    /// Places every phase of one job, flushing where a phase needs the
+    /// previous one's outputs, and records its telemetry; its result
+    /// waits on the dies.
+    fn run_job(&mut self, index: usize, job: &Job) -> Result<()> {
         let session = self.session_handle(job.session)?;
-        match &job.kind {
+        let (outputs, finish, service_cycles, streams, result) = match &job.kind {
             JobKind::Add(..)
             | JobKind::AddPlain(..)
             | JobKind::MulPlain(..)
-            | JobKind::MulRelin(..) => self.run_bfv_job(&session, job),
+            | JobKind::MulRelin(..) => self.run_bfv_job(&session, job)?,
             JobKind::CkksAdd(..) | JobKind::CkksMulPlain(..) | JobKind::CkksMulRelin(..) => {
-                self.run_ckks_job(&session, job)
+                self.run_ckks_job(&session, job)?
             }
+        };
+        let latency = finish.saturating_sub(job.arrival);
+        if self.trace.enabled() {
+            // The enclosing job span: same track as the phase spans
+            // (they tile it exactly), longest duration at the same
+            // start, so it sorts — and nests — as their parent.
+            let track = Track::Job { tenant: job.session.raw(), seq: self.jobs_done };
+            self.trace.record(
+                TraceEvent::span(track, job.kind.name(), job.arrival, finish)
+                    .arg("streams", streams as u64)
+                    .arg("service_cycles", service_cycles),
+            );
         }
+        self.latencies.record(latency);
+        self.queue_cycles.record(latency.saturating_sub(service_cycles));
+        self.service_cycles.record(service_cycles);
+        self.jobs_done += 1;
+        self.pending.push(Pending {
+            index,
+            id: job.session,
+            session,
+            arrival: job.arrival,
+            finish,
+            service_cycles,
+            streams,
+            outputs,
+            result,
+        });
+        Ok(())
     }
 
     /// The BFV job kinds (exact arithmetic, single modulus `q` outside
     /// the multiply's extension basis).
-    fn run_bfv_job(
-        &mut self,
-        session: &Session,
-        job: &Job,
-    ) -> Result<(JobResult, u64, u64, usize)> {
+    fn run_bfv_job(&mut self, session: &Session, job: &Job) -> Result<Placed> {
         let (params, ev, rlk) = session.bfv(job.session)?;
         let (q, n) = (params.q(), params.n());
         let st = match &job.kind {
@@ -430,27 +553,27 @@ impl Scheduler {
                 // and all ready at arrival — the farm's parallelism.
                 // Critical-path service: the widest tensor limb plus the
                 // key switch — what the job would cost on an idle farm.
-                let (limbs, tensor_done, tensor_service) =
-                    self.run_limb_batch(&primes, n, streams, job.arrival)?;
+                let (tensor, tensor_done, tensor_service) =
+                    self.place_limbs(&primes, n, streams, job.arrival)?;
                 // Host-side CRT reconstruction + Eq. 4 rounding (not
                 // cycle-accounted: the host works off-die).
+                let limbs = self.phase_outputs(tensor)?;
                 let prod3 = ev.tensor_combine(&limbs)?;
                 // Phase 2: the key switch, ready once every limb is in.
-                let rst = ev.relin_stream(&prod3, rlk)?;
-                let (outs, finish, relin_service) = self.run_stream(q, n, rst, tensor_done)?;
+                let relin = self.place(q, n, ev.relin_stream(&prod3, rlk)?, tensor_done)?;
                 self.key_bytes += 2 * rlk.digit_count() as u64 * poly_bytes(n);
                 self.trace_phase(job.session, "tensor", job.arrival, tensor_done);
-                self.trace_phase(job.session, "relin", tensor_done, finish);
-                let ct = ev.ciphertext_from_outputs(outs)?;
-                let service = tensor_service.saturating_add(relin_service);
-                return Ok((JobResult::Bfv(ct), finish, service, stream_count + 1));
+                self.trace_phase(job.session, "relin", tensor_done, relin.finish);
+                let service = tensor_service.saturating_add(relin.finish - relin.start);
+                let outputs = relin.index..relin.index + 1;
+                return Ok((outputs, relin.finish, service, stream_count + 1, Finish::Bfv));
             }
             _ => unreachable!("non-BFV kinds dispatch to run_ckks_job"),
         };
         // The single-phase kinds: one mod-q stream, ready at arrival.
-        let (outs, finish, service) = self.run_stream(q, n, st, job.arrival)?;
-        self.trace_phase(job.session, "compute", job.arrival, finish);
-        Ok((JobResult::Bfv(ev.ciphertext_from_outputs(outs)?), finish, service, 1))
+        let p = self.place(q, n, st, job.arrival)?;
+        self.trace_phase(job.session, "compute", job.arrival, p.finish);
+        Ok((p.index..p.index + 1, p.finish, p.finish - p.start, 1, Finish::Bfv))
     }
 
     /// The CKKS job kinds: every operation fans one stream per active
@@ -460,11 +583,7 @@ impl Scheduler {
     /// switch lands — with host-side CRT work (compose, digit
     /// decomposition, centered lifts) between phases, off-die and not
     /// cycle-accounted, exactly like BFV's `tensor_combine`.
-    fn run_ckks_job(
-        &mut self,
-        session: &Session,
-        job: &Job,
-    ) -> Result<(JobResult, u64, u64, usize)> {
+    fn run_ckks_job(&mut self, session: &Session, job: &Job) -> Result<Placed> {
         let (params, ev, rlk) = session.ckks(job.session)?;
         let n = params.n();
         let (a, streams, scale) = match &job.kind {
@@ -479,8 +598,9 @@ impl Scheduler {
                 // Phase 1: per-limb tensor streams, all ready at arrival.
                 let streams = ev.tensor_streams(a, b).map_err(FarmError::Ckks)?;
                 let mut count = streams.len();
-                let (limbs, tensor_done, tensor_service) =
-                    self.run_limb_batch(&moduli, n, streams, job.arrival)?;
+                let (tensor, tensor_done, tensor_service) =
+                    self.place_limbs(&moduli, n, streams, job.arrival)?;
+                let limbs = self.phase_outputs(tensor)?;
                 let prod3 = ev
                     .ciphertext_from_limb_outputs(limbs, level, a.scale() * b.scale())
                     .map_err(FarmError::Ckks)?;
@@ -490,9 +610,10 @@ impl Scheduler {
                 let streams = ev.relin_streams(&prod3, rlk).map_err(FarmError::Ckks)?;
                 count += streams.len();
                 let key_polys = 2 * params.digits_at(level) * level.limbs();
-                let (limbs, relin_done, relin_service) =
-                    self.run_limb_batch(&moduli, n, streams, tensor_done)?;
+                let (relin, relin_done, relin_service) =
+                    self.place_limbs(&moduli, n, streams, tensor_done)?;
                 self.key_bytes += key_polys as u64 * poly_bytes(n);
+                let limbs = self.phase_outputs(relin)?;
                 let relin = ev
                     .ciphertext_from_limb_outputs(limbs, level, prod3.scale())
                     .map_err(FarmError::Ckks)?;
@@ -502,17 +623,14 @@ impl Scheduler {
                 count += streams.len();
                 let scale = ev.rescaled_scale(&relin).map_err(FarmError::Ckks)?;
                 let lower = level.lower().expect("rescale_streams guards the chain bottom");
-                let (limbs, finish, rescale_service) =
-                    self.run_limb_batch(&moduli[..lower.limbs()], n, streams, relin_done)?;
+                let (rescale, finish, rescale_service) =
+                    self.place_limbs(&moduli[..lower.limbs()], n, streams, relin_done)?;
                 self.trace_phase(job.session, "tensor", job.arrival, tensor_done);
                 self.trace_phase(job.session, "relin", tensor_done, relin_done);
                 self.trace_phase(job.session, "rescale", relin_done, finish);
-                let ct = ev
-                    .ciphertext_from_limb_outputs(limbs, lower, scale)
-                    .map_err(FarmError::Ckks)?;
                 let service =
                     tensor_service.saturating_add(relin_service).saturating_add(rescale_service);
-                return Ok((JobResult::Ckks(ct), finish, service, count));
+                return Ok((rescale, finish, service, count, Finish::Ckks(lower, scale)));
             }
             _ => unreachable!("BFV kinds dispatch to run_bfv_job"),
         };
@@ -521,11 +639,9 @@ impl Scheduler {
         let streams = streams.map_err(FarmError::Ckks)?;
         let moduli = params.moduli_at(a.level()).to_vec();
         let count = streams.len();
-        let (limbs, finish, service) = self.run_limb_batch(&moduli, n, streams, job.arrival)?;
+        let (limbs, finish, service) = self.place_limbs(&moduli, n, streams, job.arrival)?;
         self.trace_phase(job.session, "compute", job.arrival, finish);
-        let ct =
-            ev.ciphertext_from_limb_outputs(limbs, a.level(), scale).map_err(FarmError::Ckks)?;
-        Ok((JobResult::Ckks(ct), finish, service, count))
+        Ok((limbs, finish, service, count, Finish::Ckks(a.level(), scale)))
     }
 
     /// Runs a batch of jobs to completion in arrival order (submission
@@ -534,41 +650,22 @@ impl Scheduler {
     /// # Errors
     ///
     /// Unknown sessions, recording failures, chip faults (tagged with
-    /// the die index).
+    /// the die index) — the earliest in placement order: a job that
+    /// fails to place is reported only once every stream placed before
+    /// it has run.
     pub fn run(&mut self, jobs: Vec<Job>) -> Result<Vec<JobOutcome>> {
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         order.sort_by_key(|&i| (jobs[i].arrival, i));
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        for &ji in &order {
-            let job = &jobs[ji];
-            let (result, finish, service_cycles, streams) = self.run_job(job)?;
-            let latency = finish.saturating_sub(job.arrival);
-            if self.trace.enabled() {
-                // The enclosing job span: same track as the phase spans
-                // (they tile it exactly), longest duration at the same
-                // start, so it sorts — and nests — as their parent.
-                let track = Track::Job { tenant: job.session.raw(), seq: self.jobs_done };
-                self.trace.record(
-                    TraceEvent::span(track, job.kind.name(), job.arrival, finish)
-                        .arg("streams", streams as u64)
-                        .arg("service_cycles", service_cycles),
-                );
+        let placed = order.iter().try_for_each(|&ji| {
+            self.run_job(ji, &jobs[ji])?;
+            if self.waiting_bytes >= MAX_WAITING_UPLOAD_BYTES {
+                self.flush()?;
             }
-            self.latencies.record(latency);
-            self.queue_cycles.record(latency.saturating_sub(service_cycles));
-            self.service_cycles.record(service_cycles);
-            self.jobs_done += 1;
-            outcomes.push(JobOutcome {
-                index: ji,
-                session: job.session,
-                result,
-                arrival: job.arrival,
-                finish,
-                latency,
-                service_cycles,
-                streams,
-            });
-        }
+            Ok(())
+        });
+        let flushed = self.flush();
+        let outcomes = std::mem::take(&mut self.finished);
+        flushed.and(placed)?;
         Ok(outcomes)
     }
 
@@ -1087,6 +1184,62 @@ mod tests {
         let imbalance = m.gauge("farm.placement.imbalance").expect("dies were busy");
         let peak = chips.iter().map(|c| c.busy_cycles).max().unwrap();
         assert_eq!(imbalance as u64, peak * 1000 * chips.len() as u64 / busy);
+    }
+
+    #[test]
+    fn a_replaced_trace_sink_receives_nothing_more() {
+        use cofhee_obs::MemorySink;
+        let mut t = tenant(45);
+        let (mut s, id) = sched(2, Box::new(WorkStealing), &t);
+        let a = encrypt(&mut t, 3);
+        let jobs = |n: u64| {
+            (0..n)
+                .map(|i| Job { session: id, kind: JobKind::Add(a.clone(), a.clone()), arrival: i })
+                .collect::<Vec<_>>()
+        };
+        let sink = MemorySink::shared();
+        s.set_trace_sink(sink.clone());
+        s.run(jobs(4)).unwrap();
+        let recorded = sink.len();
+        assert!(recorded > 0);
+        // Both dies have a backend holding the first sink by now.
+        assert!(s.report().chips.iter().all(|c| c.streams > 0));
+        s.set_trace_sink(null_sink());
+        s.run(jobs(4)).unwrap();
+        assert_eq!(sink.len(), recorded, "a die kept writing into the replaced sink");
+    }
+
+    #[test]
+    fn a_job_that_fails_to_place_leaves_no_outcome_and_moves_no_clock() {
+        /// Places on die 0 until its budget runs out, then on a die that
+        /// does not exist.
+        #[derive(Debug)]
+        struct Budget(usize);
+        impl PlacementPolicy for Budget {
+            fn name(&self) -> &'static str {
+                "budget"
+            }
+            fn place(&mut self, dies: &[crate::DieStatus], _ready: u64) -> usize {
+                self.0 = self.0.saturating_sub(1);
+                if self.0 == 0 {
+                    dies.len()
+                } else {
+                    0
+                }
+            }
+        }
+        let mut t = tenant(46);
+        let (mut s, id) = sched(2, Box::new(Budget(3)), &t);
+        let a = encrypt(&mut t, 4);
+        let add = |arrival| Job { session: id, kind: JobKind::Add(a.clone(), a.clone()), arrival };
+        let sum = s.run(vec![add(0), add(1)]).unwrap();
+        assert_eq!(t.dec.decrypt(sum[1].result.expect_bfv()).unwrap().coeffs()[0], 8);
+        let before = s.report();
+        let err = s.run(vec![add(2)]).unwrap_err();
+        assert!(matches!(err, FarmError::UnknownChip { chip: 2, chips: 2 }), "{err}");
+        let after = s.report();
+        assert_eq!(after.jobs, before.jobs, "a job that failed to place leaves no outcome");
+        assert_eq!(after.chips, before.chips, "no die clock moved");
     }
 
     #[test]

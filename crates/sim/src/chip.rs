@@ -5,7 +5,10 @@
 //! timelines. It exposes the three execution modes of Section III-I:
 //!
 //! 1. **Direct register writes** — [`Chip::execute_now`], one command at
-//!    a time (host-link latency is accounted by the driver layer).
+//!    a time (host-link latency is accounted by the driver layer). It is
+//!    [`Chip::price`] (every check, the report, the engine clocks) then
+//!    [`Chip::apply`] (the effect on the banks), which a driver may also
+//!    call apart: [`Chip::price_fifo`] drains the FIFO on timing alone.
 //! 2. **Command FIFO** — [`Chip::submit`] + [`Chip::run_until_idle`]:
 //!    compute commands run sequentially on the MDMC while memory
 //!    commands dispatch to the DMA engine and overlap, exactly the
@@ -270,6 +273,7 @@ impl Chip {
     ) -> Result<(Slot, Slot)> {
         let slots = self.load_tables(plan.ring(), plan.tables())?;
         self.mdmc.set_ntt_plan(Some(std::sync::Arc::clone(plan)));
+        self.mdmc.pin_twiddles([slots.0, slots.1], &self.mem);
         if let Ok(Some(narrow)) = TwiddleCache::narrow(plan.ring().q(), plan.n()) {
             self.mdmc.set_narrow_plan(narrow);
         }
@@ -314,16 +318,19 @@ impl Chip {
         self.history.push((op, report));
     }
 
-    /// Executes one command immediately (execution mode 1: direct
-    /// register trigger). The command runs on the appropriate engine;
-    /// time advances past any in-flight conflicting work.
+    /// Prices one command — the timing half of [`Chip::execute_now`]:
+    /// every check the command makes, its [`OpReport`], the engine
+    /// timelines, the ledger and the history, with memory untouched.
+    /// [`Chip::apply`] computes it; a driver may apply it later, as long
+    /// as it applies the commands it priced in the order it priced them.
     ///
     /// # Errors
     ///
-    /// Propagates MDMC execution failures.
-    pub fn execute_now(&mut self, cmd: Command) -> Result<OpReport> {
+    /// The MDMC's configuration, bounds and port errors; a failing
+    /// command moves no clock and books nothing.
+    pub fn price(&mut self, cmd: Command) -> Result<OpReport> {
         let banks = Self::banks_of(&cmd);
-        let report = self.mdmc.execute(&cmd, &mut self.mem, &mut self.pe, &self.gpcfg)?;
+        let report = self.mdmc.price(&cmd, &self.mem, &mut self.pe, &self.gpcfg)?;
         if cmd.op.is_memory_op() {
             let mut start = self.now.max(self.dma.free_at);
             if self.compute.conflicts_with(&banks, start) {
@@ -338,6 +345,31 @@ impl Chip {
             self.compute = EngineState { banks, free_at: start + report.cycles };
         }
         self.record(cmd.op, report);
+        Ok(report)
+    }
+
+    /// Applies one command's effect on the banks — the functional half
+    /// of [`Chip::execute_now`], with no timing.
+    ///
+    /// # Errors
+    ///
+    /// The errors [`Chip::price`] reports for the same command; a
+    /// priced command applies cleanly.
+    pub fn apply(&mut self, cmd: &Command) -> Result<()> {
+        self.mdmc.apply(cmd, &mut self.mem, &mut self.pe, &self.gpcfg)
+    }
+
+    /// Executes one command immediately (execution mode 1: direct
+    /// register trigger): [`Chip::price`], then [`Chip::apply`]. The
+    /// command runs on the appropriate engine; time advances past any
+    /// in-flight conflicting work.
+    ///
+    /// # Errors
+    ///
+    /// Propagates MDMC execution failures.
+    pub fn execute_now(&mut self, cmd: Command) -> Result<OpReport> {
+        let report = self.price(cmd)?;
+        self.apply(&cmd)?;
         Ok(report)
     }
 
@@ -379,12 +411,39 @@ impl Chip {
     /// Propagates execution failures; already-executed commands keep
     /// their effects.
     pub fn drain_fifo(&mut self) -> Result<DrainReport> {
+        self.drain(Self::execute_now)
+    }
+
+    /// [`Chip::drain_fifo`] in timing-only mode: every command is
+    /// priced ([`Chip::price`]) and handed to `priced` in drain order
+    /// instead of computed — the same [`DrainReport`], ledger, history,
+    /// clock and interrupt, with memory untouched. Applying the handed
+    /// commands in that order leaves the banks as the drain would have.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pricing failures; the commands priced before the
+    /// failing one have been handed over.
+    pub fn price_fifo(&mut self, mut priced: impl FnMut(Command)) -> Result<DrainReport> {
+        self.drain(|chip, cmd| {
+            let report = chip.price(cmd)?;
+            priced(cmd);
+            Ok(report)
+        })
+    }
+
+    /// Pops every queued command through `run`, then closes the drain:
+    /// wall clock spanning both engines, the drain interrupt.
+    fn drain(
+        &mut self,
+        mut run: impl FnMut(&mut Self, Command) -> Result<OpReport>,
+    ) -> Result<DrainReport> {
         let start = self.elapsed_cycles();
         let executed_before = self.fifo.executed();
         let mut aggregate = OpReport::default();
         let mut serial_cycles = 0;
         while let Some(cmd) = self.fifo.pop() {
-            let report = self.execute_now(cmd)?;
+            let report = run(self, cmd)?;
             serial_cycles += report.cycles;
             aggregate.absorb(&report);
         }
@@ -519,6 +578,7 @@ impl Cm0Bus for ChipBus<'_> {
 }
 
 mod fast_vs_faithful;
+mod price_vs_execute;
 
 #[cfg(test)]
 mod tests {

@@ -19,14 +19,14 @@ use crate::pe::PeActivity;
 
 /// Everything a command can change, word for word.
 #[derive(Debug, PartialEq)]
-struct State {
-    banks: Vec<Vec<u128>>,
+pub(super) struct State {
+    pub(super) banks: Vec<Vec<u128>>,
     ledger: OpReport,
     elapsed: u64,
     activity: PeActivity,
 }
 
-fn state(chip: &Chip) -> State {
+pub(super) fn state(chip: &Chip) -> State {
     let words = chip.config.bank_words;
     State {
         banks: (0..chip.mem.bank_count())
@@ -39,7 +39,7 @@ fn state(chip: &Chip) -> State {
 }
 
 /// The fast chip, the faithful chip, and the twiddle slots both use.
-fn pair(q: u128, n: usize) -> ([Chip; 2], Slot, Slot) {
+pub(super) fn pair(q: u128, n: usize) -> ([Chip; 2], Slot, Slot) {
     let plan = TwiddleCache::barrett128(q, n).unwrap();
     let mut fast = Chip::silicon().unwrap();
     let slots = fast.load_plan(&plan).unwrap();
@@ -100,7 +100,7 @@ fn reference(
 /// Runs `program` on every chip and checks each command's outcome and the
 /// state it leaves against the first chip's — and, for the commands that
 /// have one, against the per-element [`reference`].
-fn in_lockstep(chips: &mut [Chip], program: &[Command]) {
+pub(super) fn in_lockstep(chips: &mut [Chip], program: &[Command]) {
     let (q, n) = (chips[0].gpcfg.q(), chips[0].gpcfg.n());
     for (step, cmd) in program.iter().enumerate() {
         let before = state(&chips[0]);
@@ -173,7 +173,7 @@ fn program(n: usize, fwd: Slot, inv: Slot, c: u128) -> Vec<Command> {
 }
 
 /// Fills two slots of every data bank with canonical residues.
-fn seed_banks(chips: &mut [Chip], q: u128, n: usize) {
+pub(super) fn seed_banks(chips: &mut [Chip], q: u128, n: usize) {
     for (i, bank) in [0usize, 1, 2, 5, 6, 7].into_iter().enumerate() {
         for k in 0..2 {
             let poly = residues(q, n, (2 * i + k) as u128 + 7);
@@ -247,6 +247,64 @@ fn an_overwritten_twiddle_bank_falls_back_to_the_faithful_loop() {
         ntt::forward_inplace(&ring, &mut expect, &custom).unwrap();
         assert_eq!(chips[0].read_polynomial(mid, n).unwrap(), expect, "{bits}-bit q");
         assert_eq!(chips[0].read_polynomial(back, n).unwrap(), poly, "{bits}-bit q");
+    }
+}
+
+/// Every path that writes a bank moves its write generation, so a
+/// twiddle bank written any way at all — by the host, over the bus, or
+/// as a command's destination — ends the plan-backed path for the
+/// transforms that read it: they compute what the faithful chip
+/// computes with the table as it now is.
+#[test]
+fn every_write_to_a_twiddle_bank_falls_back_to_the_faithful_loop() {
+    let n = 1 << 6;
+    let s = |bank: usize, k: usize| Slot::new(BankId(bank), k * n);
+    // Table word 1, one less: still a residue, no longer the plan's.
+    let lowered = |chip: &Chip, table: Slot| chip.mem.read_word(table, 1).unwrap() - 1;
+    type Write = fn(&mut Chip, Slot, Slot, u128);
+    let direct: [(&str, Write); 3] = [
+        ("write_slice", |chip, fwd, _, word| {
+            chip.write_polynomial(Slot::new(fwd.bank, fwd.offset + 1), &[word]).unwrap();
+        }),
+        ("slice_mut", |chip, fwd, _, word| chip.polynomial_mut(fwd, 2).unwrap()[1] = word),
+        ("bus", |chip, fwd, _, word| {
+            let base = chip.mem.bank(fwd.bank).unwrap().base_a() + 16 * (fwd.offset as u32 + 1);
+            for lane in 0..4u32 {
+                chip.bus_write_u32(base + 4 * lane, (word >> (32 * lane)) as u32).unwrap();
+            }
+        }),
+    ];
+    for bits in [47u32, 109] {
+        let q = ntt_prime(bits, n).unwrap();
+        let (_, fwd, inv) = pair(q, n);
+        let transforms =
+            [Command::ntt(s(0, 0), fwd, s(1, 0)), Command::intt(s(1, 0), inv, s(2, 0))];
+        let commands = [
+            ("memmove across banks", Command::memcpy(s(5, 0), fwd, n)),
+            ("memmove within the bank", Command::memcpy(Slot::new(fwd.bank, 1), fwd, n)),
+            ("split", Command::pmodadd(s(0, 0), s(1, 0), fwd)),
+            ("split, multiplying", Command::pmodmul(s(0, 0), s(1, 0), fwd)),
+            ("staged", Command::pmodadd(fwd, s(1, 0), fwd)),
+            ("transform destination", Command::ntt(s(0, 0), fwd, inv)),
+        ];
+        for (path, write) in direct {
+            let (mut chips, _, _) = pair(q, n);
+            seed_banks(&mut chips, q, n);
+            for chip in chips.iter_mut() {
+                let word = lowered(chip, fwd);
+                write(chip, fwd, inv, word);
+            }
+            assert_eq!(state(&chips[0]), state(&chips[1]), "{path}");
+            in_lockstep(&mut chips, &transforms);
+        }
+        for (path, cmd) in commands {
+            let (mut chips, _, _) = pair(q, n);
+            seed_banks(&mut chips, q, n);
+            let before = chips[0].mem.read_slice(cmd.dst, n).unwrap();
+            in_lockstep(&mut chips, &[cmd]);
+            assert_ne!(chips[0].mem.read_slice(cmd.dst, n).unwrap(), before, "{path}");
+            in_lockstep(&mut chips, &transforms);
+        }
     }
 }
 

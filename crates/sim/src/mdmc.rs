@@ -26,12 +26,26 @@
 //! (24,841 / 53,535 cycles) and iNTT (29,468 / 62,770), and PolyMul to
 //! within 1 cycle in 83,777 (see the tests and EXPERIMENTS.md).
 //!
-//! # Functional model
+//! # Price and apply
 //!
-//! Cycles, phases, memory traffic and PE activity are computed
-//! analytically from the command and the banks it names; *what* a
-//! command computes is a separate, host-only matter, and it is done the
-//! way the die does it — in place on the banks:
+//! A command has two halves, and [`Mdmc::execute`] is the one followed by
+//! the other:
+//!
+//! * [`Mdmc::price`] — everything that depends on the command, the
+//!   configuration registers and the bank geometry, never on the data:
+//!   every check the command makes (registers, operands, ports, the
+//!   bounds of every range it names), the [`OpReport`] (cycles, phases,
+//!   memory traffic) and the PE activity it issues, booked in bulk. It
+//!   reads no word and writes none.
+//! * [`Mdmc::apply`] — *what* the command computes, a host-only matter
+//!   done the way the die does it, in place on the banks, with no
+//!   timing.
+//!
+//! A driver that knows its commands price cleanly can therefore run the
+//! die's clock ahead of its arithmetic (`Chip::price_fifo`) and apply the
+//! commands later, in the same order, on another thread.
+//!
+//! # Functional model
 //!
 //! * Every range a command names is bounds-checked before the first
 //!   word is written, so a failing command leaves memory untouched.
@@ -41,12 +55,13 @@
 //!   buffer the MDMC reuses. `MEMCPY` is a `memmove`; the `src == dst`
 //!   DMA touch a driver queues to occupy the DMA engine moves nothing.
 //! * NTT/iNTT take the plan-backed path when a plan is installed *and*
-//!   the twiddle bank — compared on the borrowed slice, per command —
-//!   still holds the plan's canonical table: the source is moved into
-//!   the destination range and transformed there. Any other twiddle
-//!   contents (golden vectors, `load_ring` bring-up, reprogrammed
-//!   registers) run the faithful per-butterfly PE loop, which stays the
-//!   reference, as does `MEMCPYR`.
+//!   the command names the twiddle table `Chip::load_plan` wrote for it,
+//!   in a bank whose write generation has not moved since: the source is
+//!   moved into the destination range and transformed there. Any other
+//!   twiddle contents (golden vectors, `load_ring` bring-up, a bank
+//!   written since, reprogrammed registers) run the faithful
+//!   per-butterfly loop on the PE's ring, which stays the reference, as
+//!   does `MEMCPYR`.
 //! * The arithmetic is as wide as the modulus. For a word-sized `q` the
 //!   chip also installs the `Barrett64` plan; transforms and the
 //!   multiplying passes then narrow their sources into a reusable
@@ -56,8 +71,7 @@
 //!   non-canonical contents behave exactly as they do without the
 //!   narrow kernel.
 //!
-//! PE activity is booked in bulk with the totals the per-element calls
-//! produce, so none of this is visible in any simulated number.
+//! None of this is visible in any simulated number: those are the price.
 
 use std::sync::Arc;
 
@@ -200,18 +214,65 @@ fn widen(dst: &mut [u128], src: &[u64]) {
     }
 }
 
+/// The twiddle tables `Chip::load_plan` wrote for the installed plan:
+/// forward and inverse slot, and each bank's write generation right
+/// after the write.
+#[derive(Debug, Clone, Copy)]
+struct Pins {
+    slots: [Slot; 2],
+    generations: [Option<u64>; 2],
+}
+
+impl Pins {
+    /// Whether `twiddle` names the pinned forward (inverse) table in a
+    /// bank nobody has written since.
+    fn hold(&self, twiddle: Slot, inverse: bool, mem: &Memory) -> bool {
+        let i = usize::from(inverse);
+        twiddle == self.slots[i] && mem.generation(twiddle.bank) == self.generations[i]
+    }
+}
+
+/// The twiddle slot of a transform command.
+fn twiddle_of(cmd: &Command) -> Result<Slot> {
+    cmd.twiddle.ok_or_else(|| SimError::BadConfiguration {
+        reason: "NTT requires a twiddle operand".into(),
+    })
+}
+
+/// The second source of a two-input pass.
+fn second_of(cmd: &Command) -> Result<Slot> {
+    cmd.y.ok_or_else(|| SimError::BadConfiguration {
+        reason: format!("{} requires a second operand", cmd.op.mnemonic()),
+    })
+}
+
+/// The constant of `CMODMUL`.
+fn constant_of(cmd: &Command) -> Result<u128> {
+    cmd.constant
+        .ok_or_else(|| SimError::BadConfiguration { reason: "CMODMUL requires a constant".into() })
+}
+
+/// The word count of a DMA command.
+fn length_of(cmd: &Command) -> Result<usize> {
+    cmd.len.ok_or_else(|| SimError::BadConfiguration {
+        reason: "memory operations require a length".into(),
+    })
+}
+
 /// The MDMC engine.
 #[derive(Debug, Clone)]
 pub struct Mdmc {
     config: ChipConfig,
     /// Shared lazy transform plan for the currently loaded `(q, n)`,
     /// installed at table-load time (see `Chip::load_plan`). Used only
-    /// as the *functional* fast path of NTT commands, and only after
-    /// verifying per command that the twiddle bank still holds the
-    /// plan's canonical tables — so no per-command global-cache lock,
-    /// and bank overwrites (golden vectors, custom tables) fall back to
-    /// the faithful per-butterfly loop.
+    /// as the *functional* fast path of NTT commands, and only while the
+    /// twiddle banks still hold what `load_plan` wrote — so no
+    /// per-command global-cache lock, and bank overwrites (golden
+    /// vectors, custom tables) fall back to the faithful per-butterfly
+    /// loop.
     ntt_plan: Option<Arc<HarveyNtt<Barrett128>>>,
+    /// Where the plan's tables were written, and the banks' generations.
+    pins: Option<Pins>,
     /// The same plan at word width, when `q` is word-sized.
     narrow: Option<NarrowKernel>,
     /// Staging for the sources of a pass whose destination shares a
@@ -222,22 +283,33 @@ pub struct Mdmc {
 impl Mdmc {
     /// Builds an MDMC for the given chip configuration.
     pub fn new(config: ChipConfig) -> Self {
-        Self { config, ntt_plan: None, narrow: None, staged: [Vec::new(), Vec::new()] }
+        Self { config, ntt_plan: None, pins: None, narrow: None, staged: [Vec::new(), Vec::new()] }
     }
 
     /// Installs (or clears) the shared lazy plan for the loaded
     /// parameters — the chip does this when it programs twiddle banks.
-    /// Any word-width plan is cleared with it.
+    /// Any word-width plan is cleared with it, and so are the pinned
+    /// twiddle banks unless the plan is the one already installed.
     pub fn set_ntt_plan(&mut self, plan: Option<Arc<HarveyNtt<Barrett128>>>) {
+        let same = matches!((&self.ntt_plan, &plan), (Some(a), Some(b)) if Arc::ptr_eq(a, b));
+        if !same {
+            self.pins = None;
+        }
         self.ntt_plan = plan;
         self.narrow = None;
     }
 
+    /// Records that the installed plan's forward and inverse tables now
+    /// sit at `slots`: until either bank is written again, a transform
+    /// naming them takes the plan-backed path.
+    pub(crate) fn pin_twiddles(&mut self, slots: [Slot; 2], mem: &Memory) {
+        self.pins = Some(Pins { slots, generations: slots.map(|s| mem.generation(s.bank)) });
+    }
+
     /// Installs the word-width plan beside the wide one — but only if
     /// its forward and inverse tables and `n⁻¹` equal the wide plan's
-    /// word for word. That is checked here, once; afterwards the
-    /// per-command check of the twiddle bank against the wide plan
-    /// vouches for both.
+    /// word for word. That is checked here, once; afterwards the pinned
+    /// twiddle banks vouch for both.
     pub fn set_narrow_plan(&mut self, plan: Arc<HarveyNtt<Barrett64>>) {
         let same = |narrow: &[u64], wide: &[u128]| {
             narrow.len() == wide.len() && narrow.iter().zip(wide).all(|(&x, &y)| u128::from(x) == y)
@@ -306,8 +378,7 @@ impl Mdmc {
         stages * (per_pe * ii + self.config.stage_overhead as u64)
     }
 
-    /// Executes one command: functional effect on memory plus the cycle
-    /// and activity report.
+    /// Executes one command: [`Mdmc::price`], then [`Mdmc::apply`].
     ///
     /// # Errors
     ///
@@ -321,15 +392,70 @@ impl Mdmc {
         pe: &mut ProcessingElement,
         gpcfg: &GpCfg,
     ) -> Result<OpReport> {
+        let report = self.price(cmd, mem, pe, gpcfg)?;
+        self.apply(cmd, mem, pe, gpcfg)?;
+        Ok(report)
+    }
+
+    /// Prices one command — the cycle and activity report, and every
+    /// check its execution makes — reading and writing no word. Books
+    /// the PE activity the command issues.
+    ///
+    /// # Errors
+    ///
+    /// Configuration, bounds and conflict errors, exactly those (and in
+    /// the order) [`Mdmc::execute`] reports.
+    pub fn price(
+        &self,
+        cmd: &Command,
+        mem: &Memory,
+        pe: &mut ProcessingElement,
+        gpcfg: &GpCfg,
+    ) -> Result<OpReport> {
         match cmd.op {
-            Opcode::Ntt => self.exec_ntt(cmd, mem, pe, gpcfg, false),
-            Opcode::Intt => self.exec_ntt(cmd, mem, pe, gpcfg, true),
+            Opcode::Ntt => self.price_ntt(cmd, mem, pe, gpcfg, false),
+            Opcode::Intt => self.price_ntt(cmd, mem, pe, gpcfg, true),
             Opcode::PModAdd | Opcode::PModSub | Opcode::PModMul | Opcode::PMul => {
-                self.exec_two_input(cmd, mem, pe, gpcfg)
+                self.price_two_input(cmd, mem, pe, gpcfg)
             }
-            Opcode::PModSqr => self.exec_sqr(cmd, mem, pe, gpcfg),
-            Opcode::CModMul => self.exec_cmodmul(cmd, mem, pe, gpcfg),
-            Opcode::MemCpy | Opcode::MemCpyR => self.exec_memcpy(cmd, mem),
+            Opcode::PModSqr => self.price_one_input(cmd, mem, pe, gpcfg, false),
+            Opcode::CModMul => self.price_one_input(cmd, mem, pe, gpcfg, true),
+            Opcode::MemCpy | Opcode::MemCpyR => self.price_memcpy(cmd, mem),
+        }
+    }
+
+    /// Applies one command's functional effect to memory, with no
+    /// timing and no PE activity — what [`Mdmc::price`] priced.
+    ///
+    /// # Errors
+    ///
+    /// The errors [`Mdmc::price`] reports for the same command; a
+    /// command that priced cleanly against these registers and banks
+    /// applies cleanly.
+    pub fn apply(
+        &mut self,
+        cmd: &Command,
+        mem: &mut Memory,
+        pe: &mut ProcessingElement,
+        gpcfg: &GpCfg,
+    ) -> Result<()> {
+        if matches!(cmd.op, Opcode::MemCpy | Opcode::MemCpyR) {
+            return Self::apply_memcpy(cmd, mem);
+        }
+        let n = self.operand_n(gpcfg)?;
+        let ring = self.load_modulus(pe, gpcfg)?;
+        match cmd.op {
+            Opcode::Ntt => self.apply_ntt(cmd, mem, &ring, gpcfg, n, false),
+            Opcode::Intt => self.apply_ntt(cmd, mem, &ring, gpcfg, n, true),
+            Opcode::PModAdd => self.pass(mem, cmd, second_of(cmd)?, n, |a, b| ring.add(a, b)),
+            Opcode::PModSub => self.pass(mem, cmd, second_of(cmd)?, n, |a, b| ring.sub(a, b)),
+            Opcode::PModMul => self.mul_pass(mem, cmd, second_of(cmd)?, None, &ring, n),
+            // PMUL bypasses the reduction stages: the low 128 bits of
+            // the raw product leave the multiplier array.
+            Opcode::PMul => self.pass(mem, cmd, second_of(cmd)?, n, |a, b| a.wrapping_mul(b)),
+            Opcode::PModSqr => self.mul_pass(mem, cmd, cmd.x, None, &ring, n),
+            Opcode::CModMul => self.mul_pass(mem, cmd, cmd.x, Some(constant_of(cmd)?), &ring, n),
+            Opcode::MemCpy | Opcode::MemCpyR => unreachable!("DMA commands returned above"),
         }
     }
 
@@ -353,29 +479,26 @@ impl Mdmc {
         pe.ring().copied()
     }
 
-    fn exec_ntt(
-        &mut self,
+    fn price_ntt(
+        &self,
         cmd: &Command,
-        mem: &mut Memory,
+        mem: &Memory,
         pe: &mut ProcessingElement,
         gpcfg: &GpCfg,
         inverse: bool,
     ) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
         self.load_modulus(pe, gpcfg)?;
-        let twiddle = cmd.twiddle.ok_or_else(|| SimError::BadConfiguration {
-            reason: "NTT requires a twiddle operand".into(),
-        })?;
+        let twiddle = twiddle_of(cmd)?;
         if twiddle.bank == cmd.x.bank || twiddle.bank == cmd.dst.bank {
             // Operands and twiddles are fetched in the same cycle from
             // different memories (Section III-G2).
             return Err(SimError::PortConflict { bank: mem.bank(twiddle.bank)?.name() });
         }
-        // Every range is checked before the first write, in the order
-        // their errors have always been reported: source, twiddles,
-        // destination.
+        // Every range is checked, in the order their errors have always
+        // been reported: source, twiddles, destination.
         mem.slice(cmd.x, n)?;
-        let tw = mem.slice(twiddle, n)?;
+        mem.slice(twiddle, n)?;
         mem.slice(cmd.dst, n)?;
         let ii = self.ntt_ii(mem, cmd, n)?;
 
@@ -383,121 +506,24 @@ impl Mdmc {
         let per_pe = (n as u64 / 2).div_ceil(self.config.pe_count as u64);
         let stage_active = stages * per_pe * ii;
         let stage_overhead = stages * self.config.stage_overhead as u64;
+        let b = (n as u64 / 2) * stages;
         let mut report = OpReport {
             cycles: self.stage_cycles(n, ii),
-            butterflies: (n as u64 / 2) * stages,
+            butterflies: b,
             // Each butterfly reads 2 operands + 1 twiddle, writes 2.
-            mem_reads: 3 * (n as u64 / 2) * stages,
-            mem_writes: 2 * (n as u64 / 2) * stages,
+            mem_reads: 3 * b,
+            mem_writes: 2 * b,
             ..OpReport::default()
         };
         report.phases.overhead = stage_overhead;
-
-        // Host-side fast path: when the twiddle bank holds exactly the
-        // canonical merged tables for the loaded (q, n) — the bring-up
-        // via `Chip::load_plan` installs the plan — the functional
-        // result is computed through the shared Harvey lazy plan
-        // (bit-exact with the per-butterfly loop; see
-        // `cofhee_poly::lazy`), and the PE activity the loop would have
-        // issued is bulk-recorded so the power model is unchanged.
-        // Custom twiddle contents (golden vectors, partial tables,
-        // reprogrammed registers) take the faithful per-element PE loop
-        // below. Cycle accounting is analytic either way.
-        let b = report.butterflies;
-        let fast = self.ntt_plan.as_ref().filter(|p| {
-            p.is_lazy()
-                && p.n() == n
-                && p.ring().q() == gpcfg.q()
-                && if inverse {
-                    tw == p.tables().inverse_twiddles() && gpcfg.inv_polydeg() == p.tables().n_inv()
-                } else {
-                    tw == p.tables().forward_twiddles()
-                }
-        });
-
-        if let Some(plan) = fast {
-            let rejected = |e| SimError::BadConfiguration {
-                reason: format!("lazy NTT plan rejected operands: {e}"),
-            };
-            // Word-sized modulus and canonical source words: the same
-            // transform on the 64-bit plan, through the scratch.
-            let mut narrowed = false;
-            if let Some(k) = &mut self.narrow {
-                if narrow(k.plan.ring().q(), &mut k.a, mem.slice(cmd.x, n)?) {
-                    if inverse {
-                        k.plan.inverse_inplace(&mut k.a).map_err(rejected)?;
-                    } else {
-                        k.plan.forward_inplace(&mut k.a).map_err(rejected)?;
-                    }
-                    widen(mem.slice_mut(cmd.dst, n)?, &k.a);
-                    narrowed = true;
-                }
-            }
-            if !narrowed {
-                mem.memmove(cmd.x, cmd.dst, n)?;
-                let data = mem.slice_mut(cmd.dst, n)?;
-                if inverse {
-                    plan.inverse_inplace(data).map_err(rejected)?;
-                } else {
-                    plan.forward_inplace(data).map_err(rejected)?;
-                }
-            }
-            // The GS loop issues one add, sub and mult per butterfly (no
-            // fused-butterfly datapath) plus the n⁻¹ scaling mults; the
-            // CT loop issues fused butterflies.
-            pe.record_activity(if inverse {
-                PeActivity { mults: b + n as u64, adds: b, subs: b, butterflies: 0 }
-            } else {
-                PeActivity { mults: b, adds: b, subs: b, butterflies: b }
-            });
+        // The GS loop issues one add, sub and mult per butterfly (no
+        // fused-butterfly datapath) plus the n⁻¹ scaling mults; the CT
+        // loop issues fused butterflies.
+        pe.record_activity(if inverse {
+            PeActivity { mults: b + n as u64, adds: b, subs: b, butterflies: 0 }
         } else {
-            let mut data = mem.read_slice(cmd.x, n)?;
-            if inverse {
-                // Gentleman–Sande stages, then the n⁻¹ scaling pass.
-                let mut t = 1;
-                let mut m = n;
-                while m > 1 {
-                    let h = m / 2;
-                    let mut j1 = 0;
-                    for i in 0..h {
-                        let w = tw[h + i];
-                        for j in j1..j1 + t {
-                            let u = data[j];
-                            let v = data[j + t];
-                            data[j] = pe.mod_add(u, v)?;
-                            let diff = pe.mod_sub(u, v)?;
-                            data[j + t] = pe.mod_mul(diff, w)?;
-                        }
-                        j1 += 2 * t;
-                    }
-                    t *= 2;
-                    m = h;
-                }
-                let n_inv = gpcfg.inv_polydeg();
-                for x in data.iter_mut() {
-                    *x = pe.mod_mul(*x, n_inv)?;
-                }
-            } else {
-                // Cooley–Tukey stages with sequential twiddle
-                // consumption.
-                let mut t = n;
-                let mut m = 1;
-                while m < n {
-                    t /= 2;
-                    for i in 0..m {
-                        let w = tw[m + i];
-                        let j1 = 2 * i * t;
-                        for j in j1..j1 + t {
-                            let (hi, lo) = pe.butterfly(data[j], data[j + t], w)?;
-                            data[j] = hi;
-                            data[j + t] = lo;
-                        }
-                    }
-                    m *= 2;
-                }
-            }
-            mem.write_slice(cmd.dst, &data)?;
-        }
+            PeActivity { mults: b, adds: b, subs: b, butterflies: b }
+        });
 
         if inverse {
             let pass_ii = 1; // scaling reads/writes through one dual-port bank
@@ -515,6 +541,105 @@ impl Mdmc {
         }
         debug_assert_eq!(report.phases.total(), report.cycles);
         Ok(report)
+    }
+
+    fn apply_ntt(
+        &mut self,
+        cmd: &Command,
+        mem: &mut Memory,
+        ring: &Barrett128,
+        gpcfg: &GpCfg,
+        n: usize,
+        inverse: bool,
+    ) -> Result<()> {
+        let twiddle = twiddle_of(cmd)?;
+        // Host-side fast path: when the command names the canonical
+        // table `Chip::load_plan` wrote for the loaded (q, n), and its
+        // bank has not been written since, the functional result is
+        // computed through the shared Harvey lazy plan (bit-exact with
+        // the per-butterfly loop; see `cofhee_poly::lazy`). Custom
+        // twiddle contents (golden vectors, partial tables, reprogrammed
+        // registers) take the faithful per-element loop below.
+        let pins = self.pins;
+        let fast = self.ntt_plan.as_ref().filter(|p| {
+            p.is_lazy()
+                && p.n() == n
+                && p.ring().q() == gpcfg.q()
+                && pins.is_some_and(|pins| pins.hold(twiddle, inverse, mem))
+                && (!inverse || gpcfg.inv_polydeg() == p.tables().n_inv())
+        });
+
+        let Some(plan) = fast else {
+            let mut data = mem.read_slice(cmd.x, n)?;
+            let tw = mem.slice(twiddle, n)?;
+            if inverse {
+                // Gentleman–Sande stages, then the n⁻¹ scaling pass.
+                let mut t = 1;
+                let mut m = n;
+                while m > 1 {
+                    let h = m / 2;
+                    let mut j1 = 0;
+                    for i in 0..h {
+                        let w = tw[h + i];
+                        for j in j1..j1 + t {
+                            let u = data[j];
+                            let v = data[j + t];
+                            data[j] = ring.add(u, v);
+                            data[j + t] = ring.mul(ring.sub(u, v), w);
+                        }
+                        j1 += 2 * t;
+                    }
+                    t *= 2;
+                    m = h;
+                }
+                let n_inv = gpcfg.inv_polydeg();
+                for x in data.iter_mut() {
+                    *x = ring.mul(*x, n_inv);
+                }
+            } else {
+                // Cooley–Tukey stages with sequential twiddle
+                // consumption: the PE's butterfly, (u + w·v, u − w·v).
+                let mut t = n;
+                let mut m = 1;
+                while m < n {
+                    t /= 2;
+                    for i in 0..m {
+                        let w = tw[m + i];
+                        let j1 = 2 * i * t;
+                        for j in j1..j1 + t {
+                            let wv = ring.mul(w, data[j + t]);
+                            (data[j], data[j + t]) = (ring.add(data[j], wv), ring.sub(data[j], wv));
+                        }
+                    }
+                    m *= 2;
+                }
+            }
+            return mem.write_slice(cmd.dst, &data);
+        };
+
+        let rejected = |e| SimError::BadConfiguration {
+            reason: format!("lazy NTT plan rejected operands: {e}"),
+        };
+        // Word-sized modulus and canonical source words: the same
+        // transform on the 64-bit plan, through the scratch.
+        if let Some(k) = &mut self.narrow {
+            if narrow(k.plan.ring().q(), &mut k.a, mem.slice(cmd.x, n)?) {
+                if inverse {
+                    k.plan.inverse_inplace(&mut k.a).map_err(rejected)?;
+                } else {
+                    k.plan.forward_inplace(&mut k.a).map_err(rejected)?;
+                }
+                widen(mem.slice_mut(cmd.dst, n)?, &k.a);
+                return Ok(());
+            }
+        }
+        mem.memmove(cmd.x, cmd.dst, n)?;
+        let data = mem.slice_mut(cmd.dst, n)?;
+        if inverse {
+            plan.inverse_inplace(data).map_err(rejected)
+        } else {
+            plan.forward_inplace(data).map_err(rejected)
+        }
     }
 
     /// One streamed pass `dst[j] = f(x[j], y[j])` over `n` words, from
@@ -591,37 +716,27 @@ impl Mdmc {
         }
     }
 
-    fn exec_two_input(
-        &mut self,
+    fn price_two_input(
+        &self,
         cmd: &Command,
-        mem: &mut Memory,
+        mem: &Memory,
         pe: &mut ProcessingElement,
         gpcfg: &GpCfg,
     ) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
-        let ring = self.load_modulus(pe, gpcfg)?;
-        let y = cmd.y.ok_or_else(|| SimError::BadConfiguration {
-            reason: format!("{} requires a second operand", cmd.op.mnemonic()),
-        })?;
-        let issued = n as u64;
-        match cmd.op {
-            Opcode::PModAdd => {
-                self.pass(mem, cmd, y, n, |a, b| ring.add(a, b))?;
-                pe.record_activity(PeActivity { adds: issued, ..PeActivity::default() });
-            }
-            Opcode::PModSub => {
-                self.pass(mem, cmd, y, n, |a, b| ring.sub(a, b))?;
-                pe.record_activity(PeActivity { subs: issued, ..PeActivity::default() });
-            }
-            Opcode::PModMul => {
-                self.mul_pass(mem, cmd, y, None, &ring, n)?;
-                pe.record_activity(PeActivity { mults: issued, ..PeActivity::default() });
-            }
-            // PMUL bypasses the reduction stages: the low 128 bits of
-            // the raw product leave the multiplier array.
-            Opcode::PMul => self.pass(mem, cmd, y, n, |a, b| a.wrapping_mul(b))?,
-            _ => unreachable!("dispatcher guarantees a two-input opcode"),
+        self.load_modulus(pe, gpcfg)?;
+        let y = second_of(cmd)?;
+        // Sources in order, then the destination: what the pass checks.
+        for slot in [cmd.x, y, cmd.dst] {
+            mem.slice(slot, n)?;
         }
+        let issued = n as u64;
+        pe.record_activity(match cmd.op {
+            Opcode::PModAdd => PeActivity { adds: issued, ..PeActivity::default() },
+            Opcode::PModSub => PeActivity { subs: issued, ..PeActivity::default() },
+            Opcode::PModMul => PeActivity { mults: issued, ..PeActivity::default() },
+            _ => PeActivity::default(),
+        });
         let ii = self.pass_ii(mem, cmd)?;
         let mut report = OpReport {
             cycles: self.pass_cycles(n, ii),
@@ -648,84 +763,51 @@ impl Mdmc {
         Ok(report)
     }
 
-    fn exec_sqr(
-        &mut self,
+    /// `PMODSQR`, or `CMODMUL` when `scaling`: one source, one multiply
+    /// pass.
+    fn price_one_input(
+        &self,
         cmd: &Command,
-        mem: &mut Memory,
+        mem: &Memory,
         pe: &mut ProcessingElement,
         gpcfg: &GpCfg,
+        scaling: bool,
     ) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
-        let ring = self.load_modulus(pe, gpcfg)?;
-        self.mul_pass(mem, cmd, cmd.x, None, &ring, n)?;
-        pe.record_activity(PeActivity { mults: n as u64, ..PeActivity::default() });
-        let cycles = self.pass_cycles(n, 1);
-        Ok(OpReport {
-            cycles,
-            mults: n as u64,
-            mem_reads: n as u64,
-            mem_writes: n as u64,
-            phases: PhaseCycles {
-                hadamard_pass: n as u64,
-                overhead: cycles - n as u64,
-                ..PhaseCycles::default()
-            },
-            ..OpReport::default()
-        })
-    }
-
-    fn exec_cmodmul(
-        &mut self,
-        cmd: &Command,
-        mem: &mut Memory,
-        pe: &mut ProcessingElement,
-        gpcfg: &GpCfg,
-    ) -> Result<OpReport> {
-        let n = self.operand_n(gpcfg)?;
-        let ring = self.load_modulus(pe, gpcfg)?;
-        let c = cmd.constant.ok_or_else(|| SimError::BadConfiguration {
-            reason: "CMODMUL requires a constant".into(),
-        })?;
-        self.mul_pass(mem, cmd, cmd.x, Some(c), &ring, n)?;
-        pe.record_activity(PeActivity { mults: n as u64, ..PeActivity::default() });
-        let cycles = self.pass_cycles(n, 1);
-        Ok(OpReport {
-            cycles,
-            mults: n as u64,
-            mem_reads: n as u64,
-            mem_writes: n as u64,
-            phases: PhaseCycles {
-                scale_pass: n as u64,
-                overhead: cycles - n as u64,
-                ..PhaseCycles::default()
-            },
-            ..OpReport::default()
-        })
-    }
-
-    fn exec_memcpy(&self, cmd: &Command, mem: &mut Memory) -> Result<OpReport> {
-        let len = cmd.len.ok_or_else(|| SimError::BadConfiguration {
-            reason: "memory operations require a length".into(),
-        })?;
-        if cmd.op == Opcode::MemCpyR {
-            let data = mem.read_slice(cmd.x, len)?;
-            if !len.is_power_of_two() {
-                return Err(SimError::BadConfiguration {
-                    reason: format!("MEMCPYR length {len} must be a power of two"),
-                });
-            }
-            let bits = len.trailing_zeros();
-            let mut out = vec![0u128; len];
-            for (i, &v) in data.iter().enumerate() {
-                out[bit_reverse(i, bits)] = v;
-            }
-            mem.write_slice(cmd.dst, &out)?;
-        } else {
-            // Plain MEMCPY is a memmove; the `src == dst` touch a driver
-            // queues to occupy the DMA engine is checked and moves
-            // nothing.
-            mem.memmove(cmd.x, cmd.dst, len)?;
+        self.load_modulus(pe, gpcfg)?;
+        if scaling {
+            constant_of(cmd)?;
         }
+        mem.slice(cmd.x, n)?;
+        mem.slice(cmd.dst, n)?;
+        pe.record_activity(PeActivity { mults: n as u64, ..PeActivity::default() });
+        let cycles = self.pass_cycles(n, 1);
+        let active = n as u64;
+        let mut phases = PhaseCycles { overhead: cycles - active, ..PhaseCycles::default() };
+        if scaling {
+            phases.scale_pass = active;
+        } else {
+            phases.hadamard_pass = active;
+        }
+        Ok(OpReport {
+            cycles,
+            mults: n as u64,
+            mem_reads: n as u64,
+            mem_writes: n as u64,
+            phases,
+            ..OpReport::default()
+        })
+    }
+
+    fn price_memcpy(&self, cmd: &Command, mem: &Memory) -> Result<OpReport> {
+        let len = length_of(cmd)?;
+        mem.slice(cmd.x, len)?;
+        if cmd.op == Opcode::MemCpyR && !len.is_power_of_two() {
+            return Err(SimError::BadConfiguration {
+                reason: format!("MEMCPYR length {len} must be a power of two"),
+            });
+        }
+        mem.slice(cmd.dst, len)?;
         Ok(OpReport {
             cycles: len as u64 + self.config.dma_setup as u64,
             mem_reads: len as u64,
@@ -738,6 +820,27 @@ impl Mdmc {
             },
             ..OpReport::default()
         })
+    }
+
+    fn apply_memcpy(cmd: &Command, mem: &mut Memory) -> Result<()> {
+        let len = length_of(cmd)?;
+        if cmd.op == Opcode::MemCpy {
+            // A memmove; the `src == dst` touch a driver queues to occupy
+            // the DMA engine is checked and moves nothing.
+            return mem.memmove(cmd.x, cmd.dst, len);
+        }
+        let data = mem.read_slice(cmd.x, len)?;
+        if !len.is_power_of_two() {
+            return Err(SimError::BadConfiguration {
+                reason: format!("MEMCPYR length {len} must be a power of two"),
+            });
+        }
+        let bits = len.trailing_zeros();
+        let mut out = vec![0u128; len];
+        for (i, &v) in data.iter().enumerate() {
+            out[bit_reverse(i, bits)] = v;
+        }
+        mem.write_slice(cmd.dst, &out)
     }
 }
 

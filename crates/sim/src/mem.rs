@@ -24,6 +24,12 @@
 //! a word, so a failing access leaves memory as it was. The copying
 //! [`Memory::read_slice`] / [`Memory::write_slice`] remain for the host
 //! side of the link and for the MDMC's reference loops.
+//!
+//! Every bank counts the times it has been lent out for writing — its
+//! *write generation*. Every mutable path (`slice_mut` and what is built
+//! on it: `write_slice`, `write_word`, the bus; `split`'s destination;
+//! `memmove`) bumps it, so an unchanged generation proves the bank holds
+//! what it held when the generation was read.
 
 use crate::error::{Result, SimError};
 
@@ -57,6 +63,8 @@ pub struct Bank {
     base_a: u32,
     /// Bus base address of port B (dual-port banks only).
     base_b: Option<u32>,
+    /// Times the bank has been lent out for writing.
+    generation: u64,
 }
 
 impl Bank {
@@ -114,6 +122,7 @@ impl Memory {
                 dual_port: true,
                 base_a: DP_A_BASE + (i as u32) * BANK_SPAN,
                 base_b: Some(DP_B_BASE + (i as u32) * BANK_SPAN),
+                generation: 0,
             });
         }
         for i in 0..single {
@@ -123,6 +132,7 @@ impl Memory {
                 dual_port: false,
                 base_a: SP_BASE + (i as u32) * BANK_SPAN,
                 base_b: None,
+                generation: 0,
             });
         }
         Self { banks, dual_count: dual }
@@ -161,6 +171,12 @@ impl Memory {
             prefetch: BankId(2.min(self.dual_count.saturating_sub(1))),
             twiddle: BankId(self.dual_count),
         }
+    }
+
+    /// The write generation of bank `id` (see the module docs), `None`
+    /// for a bank that does not exist.
+    pub(crate) fn generation(&self, id: BankId) -> Option<u64> {
+        self.banks.get(id.0).map(|bank| bank.generation)
     }
 
     /// Reads one word.
@@ -213,7 +229,9 @@ impl Memory {
     /// Returns [`SimError::OutOfBounds`] if the range exceeds the bank.
     pub fn slice_mut(&mut self, slot: Slot, len: usize) -> Result<&mut [u128]> {
         let span = self.span(slot, len)?;
-        Ok(&mut self.banks[slot.bank.0].words[span])
+        let bank = &mut self.banks[slot.bank.0];
+        bank.generation += 1;
+        Ok(&mut bank.words[span])
     }
 
     /// Borrows `len` words at `dst` mutably beside `len` words at each of
@@ -243,6 +261,7 @@ impl Memory {
         }
         let (below, rest) = self.banks.split_at_mut(dst.bank.0);
         let (this, above) = rest.split_first_mut().expect("dst's bank index was just checked");
+        this.generation += 1;
         let (below, above): (&[Bank], &[Bank]) = (below, above);
         let views = srcs.map(|src| {
             let bank = match src.bank.0.checked_sub(dst.bank.0 + 1) {
@@ -266,7 +285,9 @@ impl Memory {
             Some((out, [data])) => out.copy_from_slice(data),
             None if src.offset == dst.offset => {}
             None => {
-                self.banks[dst.bank.0].words.copy_within(src.offset..src.offset + len, dst.offset)
+                let bank = &mut self.banks[dst.bank.0];
+                bank.generation += 1;
+                bank.words.copy_within(src.offset..src.offset + len, dst.offset);
             }
         }
         Ok(())
@@ -430,6 +451,38 @@ mod tests {
         assert!(m.memmove(at(cap - 4), at(1), 8).is_err());
         assert!(m.memmove(at(cap - 4), at(cap - 4), 8).is_err(), "the touch is checked too");
         assert_eq!(m.read_slice(at(1), 8).unwrap(), data, "a failed move writes nothing");
+    }
+
+    #[test]
+    fn every_write_path_moves_the_bank_generation_and_nothing_else_does() {
+        let mut m = memory();
+        let (t, other) = (Slot::new(BankId(3), 0), Slot::new(BankId(5), 0));
+        let mut last = m.generation(t.bank).unwrap();
+        let mut moved = |m: &Memory| {
+            let now = m.generation(t.bank).unwrap();
+            std::mem::replace(&mut last, now) != now
+        };
+        m.slice(t, 4).unwrap();
+        m.read_slice(t, 4).unwrap();
+        m.split(other, [t], 4).unwrap();
+        m.memmove(t, other, 4).unwrap();
+        m.memmove(t, t, 4).unwrap(); // the DMA touch moves no word
+        let cap = m.bank(t.bank).unwrap().capacity();
+        assert!(m.write_slice(Slot::new(t.bank, cap), &[1]).is_err());
+        assert!(!moved(&m), "reads, a source role, the touch and a failed write");
+        m.write_slice(t, &[1, 2]).unwrap();
+        assert!(moved(&m), "write_slice");
+        m.write_word(t, 1, 3).unwrap();
+        assert!(moved(&m), "write_word");
+        m.slice_mut(t, 1).unwrap();
+        assert!(moved(&m), "slice_mut");
+        m.split(t, [other], 4).unwrap();
+        assert!(moved(&m), "split's destination");
+        m.memmove(other, t, 4).unwrap();
+        assert!(moved(&m), "memmove across banks");
+        m.memmove(Slot::new(t.bank, 1), t, 4).unwrap();
+        assert!(moved(&m), "memmove within the bank");
+        assert_eq!(m.generation(BankId(8)), None);
     }
 
     #[test]

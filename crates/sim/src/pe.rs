@@ -12,11 +12,12 @@
 //! implements — while activity counters feed the power model.
 //!
 //! The per-element methods ([`ProcessingElement::mod_mul`],
-//! [`ProcessingElement::butterfly`], …) are the reference datapath: the
-//! MDMC's faithful per-butterfly loop issues them one by one. Its
-//! streamed passes and plan-backed transforms instead fetch the loaded
-//! ring once per command, run one loop over borrowed bank slices, and
-//! book the same totals through [`ProcessingElement::record_activity`].
+//! [`ProcessingElement::butterfly`], …) are the reference datapath, one
+//! operation and one activity count at a time. The MDMC books a
+//! command's totals through [`ProcessingElement::record_activity`] when
+//! it prices the command, and computes it — faithful per-butterfly loop,
+//! streamed pass or plan-backed transform — on the loaded ring, fetched
+//! once per command.
 
 use cofhee_arith::{Barrett128, ModRing};
 
@@ -156,9 +157,9 @@ impl ProcessingElement {
         Ok((r.add(u, m), r.sub(u, m)))
     }
 
-    /// Bulk-records activity for a batch of operations executed by an
-    /// optimized functional path (bit-exact with issuing them one by
-    /// one through [`ProcessingElement::butterfly`] and friends) — the
+    /// Bulk-records the activity of a batch of operations — a priced
+    /// command's — with the totals issuing them one by one through
+    /// [`ProcessingElement::butterfly`] and friends would count, so the
     /// power model sees identical totals either way.
     pub fn record_activity(&mut self, delta: PeActivity) {
         self.activity.mults += delta.mults;

@@ -13,6 +13,7 @@ use cofhee::farm::{
     ChipFarm, ChipStats, FarmReport, Job, JobKind, LatencyPercentiles, PlacementPolicy, RoundRobin,
     Scheduler, Session, ShortestQueue, WorkStealing,
 };
+use cofhee::opt::OptLevel;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -256,6 +257,138 @@ fn mixed_scheme_replays_are_bit_identical_across_runs_and_farm_sizes() {
     assert_eq!(m1a, m1b, "and cycle-identical");
     let (v3, _) = run(3);
     assert_eq!(v1a, v3, "farm size must never change mixed-scheme values");
+}
+
+/// FNV-1a, 64-bit, over byte strings fed in order.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn text(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+        self.bytes(&[0]);
+    }
+
+    fn words(&mut self, words: &[u128]) {
+        for w in words {
+            self.bytes(&w.to_le_bytes());
+        }
+    }
+}
+
+/// Everything a farm run shows its caller, folded into one number: every
+/// `JobOutcome` field (ciphertext coefficients, level and scale bits
+/// included), the `FarmReport`, the `Scheduler::metrics()` snapshot less
+/// the process-wide twiddle-cache counters (other tests move them), and
+/// the full `MemorySink` event list in recording order.
+fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -> u64 {
+    use cofhee::ckks::{CkksEncoder, CkksEncryptor, CkksKeyGenerator, CkksParams};
+    use cofhee::farm::JobResult;
+    use cofhee::obs::MemorySink;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let f = fixture();
+    let ckks_params = CkksParams::insecure_testing(N).unwrap();
+    let encoder = CkksEncoder::new(&ckks_params);
+    let mut rng = StdRng::seed_from_u64(2525);
+    let kg = CkksKeyGenerator::new(&ckks_params);
+    let sk = kg.secret_key(&mut rng).unwrap();
+    let ckks_rlk = kg.relin_key(&sk, &mut rng).unwrap();
+    let enc = CkksEncryptor::new(&ckks_params, kg.public_key(&sk, &mut rng).unwrap());
+    let cx = enc.encrypt(&encoder.encode(&[1.5, -0.25]).unwrap(), &mut rng).unwrap();
+    let cy = enc.encrypt(&encoder.encode(&[0.5, 2.0]).unwrap(), &mut rng).unwrap();
+    let cp = encoder.encode(&[3.0, -1.0]).unwrap();
+
+    let farm = ChipFarm::new(chips, ChipBackendFactory::silicon()).unwrap();
+    let mut sched = Scheduler::new(farm, policy);
+    sched.set_opt_level(level);
+    let sink = MemorySink::shared();
+    sched.set_trace_sink(sink.clone());
+    let bfv = sched.open_session(Session::new("exact", &f.params, f.rlk.clone()).unwrap());
+    let ckks = sched.open_session(Session::new_ckks("approx", &ckks_params, ckks_rlk).unwrap());
+    let (ct, pt) = (&f.cts, &f.pts);
+    let kinds = vec![
+        (bfv, JobKind::MulRelin(ct[0].clone(), ct[1].clone()), 0),
+        (ckks, JobKind::CkksMulRelin(cx.clone(), cy.clone()), 0),
+        (bfv, JobKind::Add(ct[1].clone(), ct[2].clone()), 0),
+        (ckks, JobKind::CkksAdd(cx.clone(), cy.clone()), 500),
+        (bfv, JobKind::MulPlain(ct[2].clone(), pt[0].clone()), 500),
+        (bfv, JobKind::AddPlain(ct[0].clone(), pt[1].clone()), 20_000),
+        (ckks, JobKind::CkksMulPlain(cy.clone(), cp.clone()), 20_000),
+        (bfv, JobKind::MulRelin(ct[2].clone(), ct[2].clone()), 40_000),
+        (ckks, JobKind::CkksMulRelin(cy, cx), 40_000),
+        (bfv, JobKind::Add(ct[0].clone(), ct[0].clone()), 3_000_000),
+    ];
+    let jobs = kinds.into_iter().map(|(session, kind, arrival)| Job { session, kind, arrival });
+    let outcomes = sched.run(jobs.collect()).unwrap();
+
+    let mut h = Fnv::new();
+    for o in &outcomes {
+        let fields = [o.index as u64, o.session.raw(), o.arrival, o.finish, o.latency];
+        h.text(&format!("{fields:?} {} {}", o.service_cycles, o.streams));
+        match &o.result {
+            JobResult::Bfv(ct) => {
+                for p in ct.polys() {
+                    h.words(&p.to_u128_vec());
+                }
+            }
+            JobResult::Ckks(ct) => {
+                h.text(&format!("{:?} {:x}", ct.level(), ct.scale().to_bits()));
+                for limb in ct.components().iter().flatten() {
+                    h.words(limb);
+                }
+            }
+        }
+    }
+    h.text(&format!("{:?}", sched.report()));
+    for (name, value) in sched.metrics().iter() {
+        if !name.starts_with("twiddle_cache.") {
+            h.text(&format!("{name}={value:?}"));
+        }
+    }
+    for event in sink.events() {
+        h.text(&format!("{event:?}"));
+    }
+    h.0
+}
+
+/// The farm's whole observable output, pinned to digests recorded at
+/// commit 86297dd, before the chip driver was split into pricing and
+/// applying: the dies computing on host threads must not move one
+/// ciphertext word, report field, metric or trace event.
+#[test]
+fn a_fixed_mixed_job_list_reproduces_the_parent_pinned_digests() {
+    let mut got = Vec::new();
+    for chips in [1usize, 4] {
+        for sq in [false, true] {
+            for level in [OptLevel::O0, OptLevel::O1] {
+                let policy: Box<dyn PlacementPolicy> =
+                    if sq { Box::new(ShortestQueue) } else { Box::new(WorkStealing) };
+                got.push(format!("{:016x}", run_digest(chips, policy, level)));
+            }
+        }
+    }
+    let pinned = [
+        "745214fa494afbef",
+        "97402e2be66b500b",
+        "c3c74d3031c02d96",
+        "09683494f31d93c8",
+        "e84b1947d9eb4105",
+        "6910c1a94af1525d",
+        "e17d5b7dde2f83b8",
+        "25f3cc24d1aa52e0",
+    ];
+    assert_eq!(got, pinned, "1/4 dies × WorkStealing/ShortestQueue × O0/O1");
 }
 
 /// Multi-chip farms must never do *more* total stream work than one
