@@ -375,7 +375,7 @@ impl ModRing for Barrett128 {
     }
 
     /// For `q < 2^126`, classical Barrett on `u128` halves over the
-    /// aligned modulus `Q` (see [`Aligned`]): with `x = (a·2^shift)·b <
+    /// aligned modulus `Q` (see `Aligned`): with `x = (a·2^shift)·b <
     /// 2^252`, the estimate `t = ⌊⌊x/2^124⌋·⌊2^253/Q⌋ / 2^129⌋` is
     /// `⌊x/Q⌋` or one less (each floor costs under a half), so `x − t·Q <
     /// 2Q < 2^128` is exact in the low half alone and one conditional

@@ -454,7 +454,7 @@ fn measure_lift(
         .iter()
         .flat_map(|st| st.nodes())
         .filter_map(|op| match op {
-            StreamOp::Upload(coeffs) => Some(coeffs.to_vec()),
+            StreamOp::Upload(coeffs) => coeffs.words().ok().map(<[u128]>::to_vec),
             _ => None,
         })
         .collect();

@@ -309,7 +309,9 @@ impl Evaluator {
         self.check_rlk(rlk)?;
         let stored = rlk.parts.iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect();
         let handles = self.engine.resident_keys(&rlk.id, 0, &[stored])?;
-        self.run_mod_q(self.key_switch_stream(ct, rlk, KeySwitchKeys::Resident(&handles[0]))?)
+        let (stream, fill) = self.record_key_switch(rlk, KeySwitchKeys::Resident(&handles[0]))?;
+        self.fill_relin(fill, ct)?;
+        self.run_mod_q(stream)
     }
 
     /// Convenience: multiply then relinearize — both phases streamed

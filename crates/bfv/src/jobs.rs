@@ -23,7 +23,12 @@
 //!    it runs on any borrowed backend ([`Evaluator::relinearize`]
 //!    instead references the copy the evaluator's
 //!    [`LimbEngine`](cofhee_opt::LimbEngine) keeps resident on the
-//!    backend it owns — the residency set CKKS uses too).
+//!    backend it owns — the residency set CKKS uses too). Its
+//!    host-computed operands (`c₂`'s digits, `c₀`, `c₁`) are deferred
+//!    uploads: [`Evaluator::relin_stream_deferred`] records the stream
+//!    before the product exists, so a scheduler prices it with the
+//!    tensor, and [`Evaluator::fill_relin`] fills it once the product is
+//!    in; `relin_stream` is the two at once.
 //! 2. **Finish** — host-side reconstruction from the stream outputs:
 //!    [`Evaluator::ciphertext_from_outputs`] rewraps downloaded
 //!    components, and [`Evaluator::tensor_combine`] performs the CRT
@@ -40,7 +45,7 @@
 //! scheduling policy and chip count.
 
 use cofhee_arith::{Barrett128, ModRing};
-use cofhee_core::{KeySwitchKeys, OpStream, StreamHandle};
+use cofhee_core::{Filler, KeySwitchKeys, OpStream, Payload, StreamHandle};
 use cofhee_poly::Polynomial;
 
 use crate::ciphertext::Ciphertext;
@@ -59,6 +64,17 @@ struct Chunk<'a> {
     start: usize,
     parts: [&'a mut [u128]; 3],
     done: cofhee_arith::Result<()>,
+}
+
+/// What a relinearization recorded by
+/// [`Evaluator::relin_stream_deferred`] waits for: the digits of the
+/// product's third component and its first two components, filled by
+/// [`Evaluator::fill_relin`].
+#[derive(Debug)]
+pub struct RelinFill {
+    base_bits: u32,
+    digits: Vec<Filler>,
+    base: [Filler; 2],
 }
 
 /// A recorded binary pointwise op (`OpStream::pointwise_add` / `_sub`).
@@ -339,31 +355,22 @@ impl Evaluator {
         }
     }
 
-    /// Records the key switch of `ct`'s third component onto `(c₀, c₁)`
-    /// against `keys` — the polynomials of an already checked `rlk`,
-    /// inline or resident — after decomposing it into digits host-side.
-    pub(crate) fn key_switch_stream(
+    /// Records the key switch of a product's third component onto its
+    /// first two against `keys` — the polynomials of an already checked
+    /// `rlk`, inline or resident — before the product exists: the digits
+    /// and both base components are deferred uploads.
+    pub(crate) fn record_key_switch(
         &self,
-        ct: &Ciphertext,
         rlk: &RelinKey,
         keys: KeySwitchKeys<'_>,
-    ) -> Result<OpStream> {
-        self.check_ct(ct)?;
-        if ct.len() != 3 {
-            return Err(BfvError::WrongCiphertextSize { expected: 3, found: ct.len() });
-        }
-        let digits: Vec<_> = cofhee_core::digit_decompose(
-            &ct.polys()[2].to_u128_vec(),
-            rlk.base_bits,
-            rlk.parts.len(),
-        )
-        .into_iter()
-        .map(std::sync::Arc::new)
-        .collect();
-        let base = [ct.polys()[0].to_u128_vec(), ct.polys()[1].to_u128_vec()];
-        let mut st = OpStream::new(self.params().n());
-        cofhee_core::record_key_switch(&mut st, &digits, keys, base)?;
-        Ok(st)
+    ) -> Result<(OpStream, RelinFill)> {
+        let n = self.params().n();
+        let (digits, digit_fills): (Vec<_>, Vec<_>) =
+            (0..rlk.parts.len()).map(|_| Payload::deferred(n)).unzip();
+        let [(c0, f0), (c1, f1)] = [(); 2].map(|()| Payload::deferred(n));
+        let mut st = OpStream::new(n);
+        cofhee_core::record_key_switch(&mut st, &digits, keys, [c0, c1])?;
+        Ok((st, RelinFill { base_bits: rlk.base_bits, digits: digit_fills, base: [f0, f1] }))
     }
 
     /// Records relinearization as one self-contained mod-`q` stream: per
@@ -379,14 +386,61 @@ impl Evaluator {
     /// Outputs are the two relinearized components — finish with
     /// [`Evaluator::ciphertext_from_outputs`].
     ///
+    /// This is [`Evaluator::relin_stream_deferred`] filled at once from
+    /// `ct`.
+    ///
     /// # Errors
     ///
     /// Returns [`BfvError::WrongCiphertextSize`] unless the input has
     /// three components, and [`BfvError::ParamsMismatch`] for a foreign
     /// ciphertext or a key generated under other parameters.
     pub fn relin_stream(&self, ct: &Ciphertext, rlk: &RelinKey) -> Result<OpStream> {
+        let (stream, fill) = self.relin_stream_deferred(rlk)?;
+        self.fill_relin(fill, ct)?;
+        Ok(stream)
+    }
+
+    /// [`Evaluator::relin_stream`] recorded before the product it
+    /// relinearizes exists: the host-computed operands (the digits of
+    /// `c₂`, `c₀`, `c₁`) are deferred uploads. A scheduler places and
+    /// prices the stream, which reads only their length, and fills them
+    /// with [`Evaluator::fill_relin`] once the product is in.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BfvError::ParamsMismatch`] for a key generated under
+    /// other parameters.
+    pub fn relin_stream_deferred(&self, rlk: &RelinKey) -> Result<(OpStream, RelinFill)> {
         self.check_rlk(rlk)?;
-        self.key_switch_stream(ct, rlk, KeySwitchKeys::Inline(&rlk.parts))
+        self.record_key_switch(rlk, KeySwitchKeys::Inline(&rlk.parts))
+    }
+
+    /// Fills a recorded relinearization from the 3-component product
+    /// `ct`: decomposes `c₂` into digits host-side and hands over `c₀`
+    /// and `c₁`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BfvError::WrongCiphertextSize`] unless `ct` has three
+    /// components, and [`BfvError::ParamsMismatch`] for a foreign one.
+    pub fn fill_relin(&self, fill: RelinFill, ct: &Ciphertext) -> Result<()> {
+        self.check_ct(ct)?;
+        if ct.len() != 3 {
+            return Err(BfvError::WrongCiphertextSize { expected: 3, found: ct.len() });
+        }
+        let polys = ct.polys();
+        let digits = cofhee_core::digit_decompose(
+            &polys[2].to_u128_vec(),
+            fill.base_bits,
+            fill.digits.len(),
+        );
+        for (filler, digit) in fill.digits.into_iter().zip(digits) {
+            filler.fill(digit)?;
+        }
+        for (filler, c) in fill.base.into_iter().zip(polys) {
+            filler.fill(c.to_u128_vec())?;
+        }
+        Ok(())
     }
 
     /// Rewraps downloaded stream outputs (canonical residues in

@@ -220,8 +220,11 @@ impl CkksEvaluator {
             .map(|j| rlk.limb_parts(j).iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect())
             .collect();
         let handles = self.engine.resident_keys(&rlk.id, 0, &stored)?;
-        let streams = self
-            .key_switch_streams(ct, |j, digits| KeySwitchKeys::Resident(&handles[j][..digits]))?;
+        self.check_ct(ct)?;
+        let (streams, fill) = self.key_switch_streams(ct.level(), |j, digits| {
+            KeySwitchKeys::Resident(&handles[j][..digits])
+        })?;
+        self.fill_relin(fill, ct)?;
         self.run(streams, ct.level(), ct.scale())
     }
 
@@ -244,11 +247,22 @@ impl CkksEvaluator {
     ///
     /// Returns [`CkksError::LevelExhausted`] at the chain bottom.
     pub fn rescaled_scale(&self, ct: &CkksCiphertext) -> Result<f64> {
-        if ct.level().lower().is_none() {
+        self.rescaled_scale_at(ct.level(), ct.scale())
+    }
+
+    /// The scale a rescale of a ciphertext at `level` and `scale` would
+    /// land on (`scale / q_ℓ`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkksError::LevelExhausted`] at the chain bottom and
+    /// [`CkksError::ParamsMismatch`] above the chain top.
+    pub fn rescaled_scale_at(&self, level: Level, scale: f64) -> Result<f64> {
+        if level.lower().is_none() {
             return Err(CkksError::LevelExhausted);
         }
-        let q_top = self.params.moduli()[ct.level().index()];
-        Ok(ct.scale() / q_top as f64)
+        let q_top = self.params.moduli().get(level.index()).ok_or(CkksError::ParamsMismatch)?;
+        Ok(scale / *q_top as f64)
     }
 
     /// Convenience: multiply, relinearize, rescale — the full

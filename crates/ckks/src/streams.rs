@@ -16,19 +16,50 @@
 //! [`CkksEvaluator::relinearize`] (the evaluator's own backends): one
 //! dataflow, `digits + 2` transforms per limb either way.
 //!
+//! The key switch and the rescale upload what the host computes from
+//! the ciphertext they transform — `c₂`'s composed digits and the base
+//! limbs, the remaining limbs and the lifted subtrahend — as deferred
+//! uploads: `relin_streams_deferred` / `rescale_streams_deferred` record
+//! the streams from the ciphertext's level alone, so a scheduler prices a
+//! whole multiply before its product exists, and
+//! [`CkksEvaluator::fill_relin`] / [`CkksEvaluator::fill_rescale`] fill
+//! them once it does. `relin_streams` / `rescale_streams` are the two at
+//! once, as is [`CkksEvaluator::relinearize`] against its resident key.
+//!
 //! All builders return one stream per active limb: stream `j` runs on
 //! the limb-`j` backend (modulus `qⱼ`) — except rescale, which returns
 //! one stream per *remaining* limb, the dropped top prime's workload
 //! having been folded host-side into the lifted subtrahend.
 
 use cofhee_arith::{signed, ModRing};
-use cofhee_core::{digit_decompose, record_key_switch, KeySwitchKeys, OpStream};
+use cofhee_core::{digit_decompose, record_key_switch, Filler, KeySwitchKeys, OpStream, Payload};
 
 use crate::ciphertext::{CkksCiphertext, CkksPlaintext};
 use crate::error::{CkksError, Result};
 use crate::evaluator::CkksEvaluator;
 use crate::keys::CkksRelinKey;
 use crate::params::Level;
+
+/// What relinearization streams recorded by
+/// [`CkksEvaluator::relin_streams_deferred`] wait for: the digits of the
+/// product's composed third component, shared by every limb, and each
+/// limb's `c₀`, `c₁` — filled by [`CkksEvaluator::fill_relin`].
+#[derive(Debug)]
+pub struct CkksRelinFill {
+    level: Level,
+    digits: Vec<Filler>,
+    base: Vec<[Filler; 2]>,
+}
+
+/// What rescale streams recorded by
+/// [`CkksEvaluator::rescale_streams_deferred`] wait for: per remaining
+/// limb and component, the component's limb and its lifted subtrahend —
+/// filled by [`CkksEvaluator::fill_rescale`].
+#[derive(Debug)]
+pub struct CkksRescaleFill {
+    level: Level,
+    limbs: Vec<Vec<[Filler; 2]>>,
+}
 
 impl CkksEvaluator {
     /// Records slot-wise addition: per limb, upload both components and
@@ -205,7 +236,32 @@ impl CkksEvaluator {
     /// failures.
     pub fn relin_streams(&self, ct: &CkksCiphertext, rlk: &CkksRelinKey) -> Result<Vec<OpStream>> {
         self.check_rlk(rlk)?;
-        self.key_switch_streams(ct, |j, digits| KeySwitchKeys::Inline(&rlk.limb_parts(j)[..digits]))
+        self.check_ct(ct)?;
+        let (streams, fill) = self.relin_streams_deferred(ct.level(), rlk)?;
+        self.fill_relin(fill, ct)?;
+        Ok(streams)
+    }
+
+    /// [`CkksEvaluator::relin_streams`] recorded for a product at `level`
+    /// before it exists: the host-computed operands (the digits of the
+    /// composed `c₂`, and each limb's `c₀`, `c₁`) are deferred uploads. A
+    /// scheduler places and prices the streams, which read only their
+    /// length, and fills them with [`CkksEvaluator::fill_relin`] once the
+    /// product is in.
+    ///
+    /// # Errors
+    ///
+    /// [`CkksError::ParamsMismatch`] for a key made under other
+    /// parameters or a level above the chain top.
+    pub fn relin_streams_deferred(
+        &self,
+        level: Level,
+        rlk: &CkksRelinKey,
+    ) -> Result<(Vec<OpStream>, CkksRelinFill)> {
+        self.check_rlk(rlk)?;
+        self.key_switch_streams(level, |j, digits| {
+            KeySwitchKeys::Inline(&rlk.limb_parts(j)[..digits])
+        })
     }
 
     /// Refuses a key generated under another parameter set: residues of
@@ -224,24 +280,61 @@ impl CkksEvaluator {
         }
     }
 
-    /// Records the key switch of `ct`'s cubic component onto its first
-    /// two, one stream per limb: CRT-composes `c₂` out of the chain
-    /// host-side (the validated chain fits the chip's 128-bit native
-    /// coefficient width), digit-decomposes it, and hands each limb to
-    /// the scheme-neutral [`cofhee_core::record_key_switch`] builder with
-    /// `keys(j, digits)` — limb `j`'s first `digits` pairs of an
-    /// already checked key, inline or resident.
+    /// Records the key switch of a level-`level` product's cubic
+    /// component onto its first two, one stream per limb, before the
+    /// product exists: each limb hands the scheme-neutral
+    /// [`cofhee_core::record_key_switch`] builder the same deferred
+    /// digits, its own deferred `c₀` and `c₁` limbs, and `keys(j, digits)`
+    /// — limb `j`'s first `digits` pairs of an already checked key, inline
+    /// or resident.
     pub(crate) fn key_switch_streams<'k>(
         &self,
-        ct: &CkksCiphertext,
+        level: Level,
         keys: impl Fn(usize, usize) -> KeySwitchKeys<'k>,
-    ) -> Result<Vec<OpStream>> {
+    ) -> Result<(Vec<OpStream>, CkksRelinFill)> {
+        if level > self.params.top_level() {
+            return Err(CkksError::ParamsMismatch);
+        }
+        let digits = self.params.digits_at(level);
+        let n = self.params.n();
+        // One shared payload per digit: every limb's stream uploads the
+        // same slot, none of them copies it.
+        let (digit_payloads, digit_fills): (Vec<_>, Vec<_>) =
+            (0..digits).map(|_| Payload::deferred(n)).unzip();
+        let mut streams = Vec::with_capacity(level.limbs());
+        let mut base = Vec::with_capacity(level.limbs());
+        for j in 0..level.limbs() {
+            let mut st = OpStream::new(n);
+            let [(c0, f0), (c1, f1)] = [(); 2].map(|()| Payload::deferred(n));
+            // Key residues live mod the full-chain limb rings, which are
+            // the same rings at every level — no rebasing needed.
+            record_key_switch(&mut st, &digit_payloads, keys(j, digits), [c0, c1])?;
+            streams.push(st);
+            base.push([f0, f1]);
+        }
+        Ok((streams, CkksRelinFill { level, digits: digit_fills, base }))
+    }
+
+    /// Fills recorded relinearization streams from the 3-component
+    /// product `ct`: CRT-composes `c₂` out of the chain host-side (the
+    /// validated chain fits the chip's 128-bit native coefficient
+    /// width), digit-decomposes it, and hands over each limb of `c₀` and
+    /// `c₁`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkksError::WrongCiphertextSize`] unless `ct` has three
+    /// components, [`CkksError::LevelMismatch`] unless it sits at the
+    /// level the streams were recorded for, and shape mismatches.
+    pub fn fill_relin(&self, fill: CkksRelinFill, ct: &CkksCiphertext) -> Result<()> {
         self.check_ct(ct)?;
         if ct.len() != 3 {
             return Err(CkksError::WrongCiphertextSize { expected: 3, found: ct.len() });
         }
         let level = ct.level();
-        let digits = self.params.digits_at(level);
+        if level != fill.level {
+            return Err(CkksError::LevelMismatch { a: fill.level.index(), b: level.index() });
+        }
         let n = self.params.n();
         let basis = self.params.basis_at(level);
         // Host: compose c2 into its canonical chain representative.
@@ -256,22 +349,15 @@ impl CkksEvaluator {
             // Validated: the chain product fits 127 bits.
             composed.push(wide.to_u128().expect("chain product fits native width"));
         }
-        // One shared payload per digit: every limb's stream uploads the
-        // same vector, none of them copies it.
-        let digit_vecs: Vec<_> = digit_decompose(&composed, self.params.base_bits(), digits)
-            .into_iter()
-            .map(std::sync::Arc::new)
-            .collect();
-        let mut streams = Vec::with_capacity(level.limbs());
-        for j in 0..level.limbs() {
-            let mut st = OpStream::new(n);
-            // Key residues live mod the full-chain limb rings, which are
-            // the same rings at every level — no rebasing needed.
-            let base = [ct.components()[0][j].clone(), ct.components()[1][j].clone()];
-            record_key_switch(&mut st, &digit_vecs, keys(j, digits), base)?;
-            streams.push(st);
+        let digits = digit_decompose(&composed, self.params.base_bits(), fill.digits.len());
+        for (filler, digit) in fill.digits.into_iter().zip(digits) {
+            filler.fill(digit)?;
         }
-        Ok(streams)
+        for (j, [f0, f1]) in fill.base.into_iter().enumerate() {
+            f0.fill(ct.components()[0][j].clone())?;
+            f1.fill(ct.components()[1][j].clone())?;
+        }
+        Ok(())
     }
 
     /// Records the rescale `⌊ct/q_ℓ⌉`: the dropped top limb's centered
@@ -280,16 +366,83 @@ impl CkksEvaluator {
     /// `pointwise_sub` + `scalar_mul` per component. Returns one stream
     /// per **remaining** limb (`level.limbs() − 1`).
     ///
+    /// This is [`CkksEvaluator::rescale_streams_deferred`] filled at once
+    /// from `ct`.
+    ///
     /// # Errors
     ///
     /// Returns [`CkksError::LevelExhausted`] at the chain bottom, plus
     /// recording failures.
     pub fn rescale_streams(&self, ct: &CkksCiphertext) -> Result<Vec<OpStream>> {
         self.check_ct(ct)?;
-        if ct.level().lower().is_none() {
+        let (streams, fill) = self.rescale_streams_deferred(ct.level(), ct.len())?;
+        self.fill_rescale(fill, ct)?;
+        Ok(streams)
+    }
+
+    /// [`CkksEvaluator::rescale_streams`] recorded for a `components`-
+    /// component ciphertext at `level` before it exists: each remaining
+    /// limb of each component and its lifted subtrahend are deferred
+    /// uploads, filled by [`CkksEvaluator::fill_rescale`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkksError::LevelExhausted`] at the chain bottom and
+    /// [`CkksError::ParamsMismatch`] above the chain top.
+    pub fn rescale_streams_deferred(
+        &self,
+        level: Level,
+        components: usize,
+    ) -> Result<(Vec<OpStream>, CkksRescaleFill)> {
+        if level > self.params.top_level() {
+            return Err(CkksError::ParamsMismatch);
+        }
+        if level.lower().is_none() {
             return Err(CkksError::LevelExhausted);
         }
+        let top = level.index();
         let n = self.params.n();
+        let q_top = self.params.moduli()[top];
+        let mut streams = Vec::with_capacity(top);
+        let mut limbs = Vec::with_capacity(top);
+        for j in 0..top {
+            let ring = self.params.ring(j);
+            let inv = ring.to_u128(ring.inv(ring.from_u128(q_top))?);
+            let mut st = OpStream::new(n);
+            let mut fills = Vec::with_capacity(components);
+            for _ in 0..components {
+                let [(c, fc), (lift, fl)] = [(); 2].map(|()| Payload::deferred(n));
+                let hc = st.upload_shared(c)?;
+                let hl = st.upload_shared(lift)?;
+                let d = st.pointwise_sub(hc, hl)?;
+                let r = st.scalar_mul(d, inv)?;
+                st.output(r)?;
+                fills.push([fc, fl]);
+            }
+            streams.push(st);
+            limbs.push(fills);
+        }
+        Ok((streams, CkksRescaleFill { level, limbs }))
+    }
+
+    /// Fills recorded rescale streams from `ct`: lifts each component's
+    /// centered top limb into every remaining limb host-side and hands
+    /// over the remaining limbs.
+    ///
+    /// # Errors
+    ///
+    /// [`CkksError::LevelMismatch`] unless `ct` sits at the level the
+    /// streams were recorded for, [`CkksError::WrongCiphertextSize`]
+    /// unless it has as many components, and shape mismatches.
+    pub fn fill_rescale(&self, fill: CkksRescaleFill, ct: &CkksCiphertext) -> Result<()> {
+        self.check_ct(ct)?;
+        if ct.level() != fill.level {
+            return Err(CkksError::LevelMismatch { a: fill.level.index(), b: ct.level().index() });
+        }
+        let components = fill.limbs.first().map_or(ct.len(), Vec::len);
+        if ct.len() != components {
+            return Err(CkksError::WrongCiphertextSize { expected: components, found: ct.len() });
+        }
         let top = ct.level().index();
         let q_top = self.params.moduli()[top];
         // Host: centered representative of each component's top limb.
@@ -298,14 +451,10 @@ impl CkksEvaluator {
             .iter()
             .map(|c| c[top].iter().map(|&v| signed::centered(q_top, v)).collect())
             .collect();
-        let mut streams = Vec::with_capacity(top);
-        for j in 0..top {
-            let ring = self.params.ring(j);
-            let q_j = ring.modulus();
-            let inv = ring.to_u128(ring.inv(ring.from_u128(q_top))?);
-            let mut st = OpStream::new(n);
-            for (c, lift) in ct.components().iter().zip(&lifted) {
-                let hc = st.upload(c[j].clone())?;
+        for (j, fills) in fill.limbs.into_iter().enumerate() {
+            let q_j = self.params.ring(j).modulus();
+            for ((c, lift), [fc, fl]) in ct.components().iter().zip(&lifted).zip(fills) {
+                fc.fill(c[j].clone())?;
                 let sub: Vec<u128> = lift
                     .iter()
                     .map(|&(mag, neg)| {
@@ -317,14 +466,10 @@ impl CkksEvaluator {
                         }
                     })
                     .collect();
-                let hl = st.upload(sub)?;
-                let d = st.pointwise_sub(hc, hl)?;
-                let r = st.scalar_mul(d, inv)?;
-                st.output(r)?;
+                fl.fill(sub)?;
             }
-            streams.push(st);
         }
-        Ok(streams)
+        Ok(())
     }
 
     /// Reassembles a ciphertext from per-limb stream outputs

@@ -460,7 +460,7 @@ fn compute<R: LazyRing>(
     let arg = |h: &StreamHandle| operand(pool, vals, h);
     match op {
         StreamOp::Input(_) => unreachable!("an input is borrowed, not computed"),
-        StreamOp::Upload(coeffs) => reduce_into(ring, coeffs, v)?,
+        StreamOp::Upload(coeffs) => reduce_into(ring, coeffs.words()?, v)?,
         StreamOp::Ntt(s) => {
             v.copy_from_slice(arg(s)?);
             plan.forward_inplace(v)?;

@@ -575,7 +575,8 @@ impl ChipBackend {
     ///
     /// [`CoreError::BadOperandLength`] when `outputs` is not one buffer
     /// per marked output; [`CoreError::BadHandle`] for an input freed
-    /// since pricing.
+    /// since pricing; [`CoreError::UnfilledUpload`] for a deferred upload
+    /// still empty (pricing read only its length).
     pub fn apply(
         &mut self,
         stream: &OpStream,
@@ -591,7 +592,7 @@ impl ChipBackend {
             match *step {
                 Step::Write { slot, node } => {
                     let coeffs = match &stream.nodes()[node] {
-                        StreamOp::Upload(v) => v.as_slice(),
+                        StreamOp::Upload(v) => v.words()?,
                         StreamOp::Input(h) => self
                             .pool
                             .get(&h.id())

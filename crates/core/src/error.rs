@@ -42,6 +42,8 @@ pub enum CoreError {
         /// On-chip polynomial slots available to the scheduler.
         slots: usize,
     },
+    /// A stream ran before one of its deferred uploads was filled.
+    UnfilledUpload,
     /// Error from the chip simulator.
     Sim(SimError),
     /// Error from the polynomial layer.
@@ -72,6 +74,7 @@ impl fmt::Display for CoreError {
                      split the stream or reduce n"
                 )
             }
+            Self::UnfilledUpload => write!(f, "a deferred upload ran before it was filled"),
             Self::Sim(e) => write!(f, "chip error: {e}"),
             Self::Poly(e) => write!(f, "polynomial error: {e}"),
             Self::Arith(e) => write!(f, "arithmetic error: {e}"),

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use crate::backend::PolyHandle;
 use crate::error::Result;
-use crate::stream::{OpStream, StreamHandle};
+use crate::stream::{OpStream, Payload, StreamHandle};
 
 /// One digit's `(k0, k1)` switching-key pair as a key stores it: in NTT
 /// form, behind shared pointers a stream uploads without copying.
@@ -64,7 +64,9 @@ impl KeySwitchKeys<'_> {
 /// same digits and nothing is copied; `keys` supplies the
 /// matching `(k0, k1)` pair per digit; `base` holds the two ciphertext
 /// components the folded accumulators are added onto, moved into the
-/// stream's uploads. Per digit the
+/// stream's uploads. Digits and base may be deferred
+/// ([`Payload::deferred`]): the stream is then recorded before the
+/// component it switches exists. Per digit the
 /// builder records: upload + forward NTT of the digit polynomial and the
 /// two products against the key pair (uploaded inline or referenced
 /// resident — NTT form either way, no key coefficient copied), the first
@@ -79,9 +81,9 @@ impl KeySwitchKeys<'_> {
 /// vector lengths).
 pub fn record_key_switch(
     st: &mut OpStream,
-    digits: &[Arc<Vec<u128>>],
+    digits: &[impl Clone + Into<Payload>],
     keys: KeySwitchKeys<'_>,
-    base: [Vec<u128>; 2],
+    base: [impl Into<Payload>; 2],
 ) -> Result<()> {
     if digits.is_empty() || digits.len() != keys.digits() {
         return Err(crate::CoreError::BadOperandLength {
@@ -92,7 +94,7 @@ pub fn record_key_switch(
     let mut accs: [Option<StreamHandle>; 2] = [None, None];
     for (i, digit) in digits.iter().enumerate() {
         let fd = {
-            let d = st.upload_shared(Arc::clone(digit))?;
+            let d = st.upload_shared(digit.clone())?;
             st.ntt(d)?
         };
         for (c, acc) in accs.iter_mut().enumerate() {
@@ -109,7 +111,7 @@ pub fn record_key_switch(
     for (acc, c) in accs.into_iter().zip(base) {
         let acc = acc.expect("digit count checked non-zero above");
         let folded = st.intt(acc)?;
-        let b = st.upload(c)?;
+        let b = st.upload_shared(c)?;
         let out = st.pointwise_add(b, folded)?;
         st.output(out)?;
     }

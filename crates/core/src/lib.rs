@@ -87,8 +87,8 @@ pub use ops::{CiphertextMulOutcome, PolyMulOutcome};
 pub use rlwe::{record_decrypt, record_encrypt};
 pub use rns::{RnsDevice, RnsMulOutcome};
 pub use stream::{
-    cores, fan_out, OpStream, StreamExecutor, StreamHandle, StreamJob, StreamOp, StreamOutcome,
-    StreamReport,
+    cores, fan_out, Filler, OpStream, Payload, StreamExecutor, StreamHandle, StreamJob, StreamOp,
+    StreamOutcome, StreamReport,
 };
 
 // Telemetry types surfaced through the backend API, re-exported so

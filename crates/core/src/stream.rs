@@ -94,6 +94,121 @@ impl StreamHandle {
 /// Process-global stream-tag allocator (see [`StreamHandle`]).
 static NEXT_STREAM_TAG: AtomicU64 = AtomicU64::new(0);
 
+/// The words a [`StreamOp::Upload`] writes, shared and never copied.
+///
+/// Most payloads are in hand when the upload is recorded. A *deferred*
+/// one ([`Payload::deferred`]) is a slot of known length whose words a
+/// host step computes later — after the stream has been recorded, placed
+/// and priced, which read only the length. Running a stream whose
+/// deferred payload is still empty fails with
+/// [`CoreError::UnfilledUpload`] on every backend. Two payloads are equal
+/// when they hold the same words; a deferred one is equal only to itself.
+#[derive(Debug, Clone)]
+pub struct Payload(Words);
+
+#[derive(Debug, Clone)]
+enum Words {
+    Ready(Arc<Vec<u128>>),
+    Deferred { len: usize, slot: Arc<OnceLock<Vec<u128>>> },
+}
+
+impl Payload {
+    /// A deferred payload of `len` words, and the one [`Filler`] that
+    /// provides them.
+    #[must_use]
+    pub fn deferred(len: usize) -> (Self, Filler) {
+        let slot = Arc::new(OnceLock::new());
+        (Self(Words::Deferred { len, slot: Arc::clone(&slot) }), Filler { len, slot })
+    }
+
+    /// Number of words, filled or not.
+    pub(crate) fn len(&self) -> usize {
+        match &self.0 {
+            Words::Ready(words) => words.len(),
+            Words::Deferred { len, .. } => *len,
+        }
+    }
+
+    /// The words.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnfilledUpload`] for a deferred payload not filled yet.
+    pub fn words(&self) -> Result<&[u128]> {
+        match &self.0 {
+            Words::Ready(words) => Ok(words),
+            Words::Deferred { slot, .. } => {
+                slot.get().map(Vec::as_slice).ok_or(CoreError::UnfilledUpload)
+            }
+        }
+    }
+
+    /// Whether the words come from a [`Filler`].
+    #[must_use]
+    pub fn is_deferred(&self) -> bool {
+        matches!(self.0, Words::Deferred { .. })
+    }
+
+    /// Whether both name one shared vector or one deferred slot.
+    #[must_use]
+    pub fn same(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Words::Ready(a), Words::Ready(b)) => Arc::ptr_eq(a, b),
+            (Words::Deferred { slot: a, .. }, Words::Deferred { slot: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Words::Ready(a), Words::Ready(b)) => a == b,
+            _ => self.same(other),
+        }
+    }
+}
+
+impl Eq for Payload {}
+
+impl From<Arc<Vec<u128>>> for Payload {
+    fn from(words: Arc<Vec<u128>>) -> Self {
+        Self(Words::Ready(words))
+    }
+}
+
+impl From<Vec<u128>> for Payload {
+    fn from(words: Vec<u128>) -> Self {
+        Self(Words::Ready(Arc::new(words)))
+    }
+}
+
+/// The one right to fill a deferred [`Payload`]: consumed by the fill,
+/// so a payload is filled at most once.
+#[derive(Debug)]
+pub struct Filler {
+    len: usize,
+    slot: Arc<OnceLock<Vec<u128>>>,
+}
+
+impl Filler {
+    /// Moves `words` into the payload.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadOperandLength`] unless `words` has the payload's
+    /// length; the payload then stays empty.
+    pub fn fill(self, words: Vec<u128>) -> Result<()> {
+        if words.len() != self.len {
+            return Err(CoreError::BadOperandLength { expected: self.len, found: words.len() });
+        }
+        // The filler is the slot's only writer and is consumed here, so
+        // the slot is still empty.
+        let _ = self.slot.set(words);
+        Ok(())
+    }
+}
+
 /// One recorded operation node.
 ///
 /// Operand handles always point at earlier nodes, so a stream's node
@@ -107,8 +222,9 @@ pub enum StreamOp {
     /// recording moves the caller's vector behind the pointer, the
     /// stream compiler's rewrites and clones of the stream clone the
     /// pointer, and executors read through it. One payload may enter
-    /// any number of streams ([`OpStream::upload_shared`]).
-    Upload(Arc<Vec<u128>>),
+    /// any number of streams ([`OpStream::upload_shared`]), and may be
+    /// deferred: filled after the stream was recorded.
+    Upload(Payload),
     /// A polynomial already resident on the executing backend. The
     /// handle is borrowed: stream execution never frees it.
     Input(PolyHandle),
@@ -226,18 +342,20 @@ impl OpStream {
     ///
     /// Returns [`CoreError::BadOperandLength`] if `coeffs.len() != n`.
     pub fn upload(&mut self, coeffs: Vec<u128>) -> Result<StreamHandle> {
-        self.upload_shared(Arc::new(coeffs))
+        self.upload_shared(coeffs)
     }
 
     /// Records a host upload of an already shared payload — one vector
     /// entering several streams (the digits of a key switch, once per
     /// RNS limb) or re-emitted by a stream rewrite costs a pointer
-    /// clone each time.
+    /// clone each time — or of a deferred one, filled later.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadOperandLength`] if `coeffs.len() != n`.
-    pub fn upload_shared(&mut self, coeffs: Arc<Vec<u128>>) -> Result<StreamHandle> {
+    /// Returns [`CoreError::BadOperandLength`] if the payload does not
+    /// hold `n` words.
+    pub fn upload_shared(&mut self, coeffs: impl Into<Payload>) -> Result<StreamHandle> {
+        let coeffs = coeffs.into();
         if coeffs.len() != self.n {
             return Err(CoreError::BadOperandLength { expected: self.n, found: coeffs.len() });
         }
@@ -478,8 +596,9 @@ pub fn cores() -> usize {
 /// threads (Fig. 6's CPU thread sweep in `cofhee_bfv::tower` aside). Its
 /// callers choose what a task is: a limb's whole stream, one transform
 /// or multiply node of a stream that runs alone (the CPU replay's wave),
-/// a coefficient chunk of the BFV host CRT, or one die backend's priced
-/// programs at a farm flush (`cofhee_farm::ChipFarm::flush`). No worker
+/// a coefficient chunk of the BFV host CRT, or one host core's share of
+/// a farm flush's wave (`cofhee_farm::ChipFarm::flush`: each task takes
+/// whole die backends, costliest first, until none is left). No worker
 /// pool: three limbs time-sliced on two cores finish in 1.5 limb-times,
 /// two pinned workers would need 2.
 ///
@@ -838,6 +957,50 @@ mod tests {
             let expect = reference.execute_stream(&streams[i]).unwrap();
             assert_eq!(outcomes[i].outputs, expect.outputs, "limb {i}");
         }
+    }
+
+    #[test]
+    fn a_deferred_upload_runs_once_filled_and_is_a_typed_error_before() {
+        use crate::DieProgram;
+        let deferred_stream = |payload: Payload| {
+            let mut st = OpStream::new(N);
+            let a = st.upload_shared(payload).unwrap();
+            let b = st.upload(poly(2)).unwrap();
+            let (fa, fb) = (st.ntt(a).unwrap(), st.ntt(b).unwrap());
+            let p = st.hadamard_intt(fa, fb).unwrap();
+            st.output(p).unwrap();
+            st
+        };
+        let (payload, filler) = Payload::deferred(N);
+        let st = deferred_stream(payload);
+        let mut cpu = CpuBackend::new(q(), N).unwrap();
+        assert!(matches!(cpu.execute_stream(&st), Err(CoreError::UnfilledUpload)));
+        assert_eq!(cpu.buffers_out(), 0, "the failed replay gave its buffers back");
+        // The chip prices it from the length alone, and refuses to apply.
+        let mut chip = ChipBackend::connect(ChipConfig::silicon(), q(), N).unwrap();
+        let mut program = DieProgram::default();
+        let priced = chip.price(&st, &mut program).unwrap();
+        let mut outputs = vec![Vec::new()];
+        let unfilled = chip.apply(&st, &program, &mut outputs);
+        assert!(matches!(unfilled, Err(CoreError::UnfilledUpload)));
+
+        filler.fill(poly(1)).unwrap();
+        chip.apply(&st, &program, &mut outputs).unwrap();
+        let eager = deferred_stream(Payload::from(poly(1)));
+        let mut fresh = ChipBackend::connect(ChipConfig::silicon(), q(), N).unwrap();
+        let reference = fresh.execute_stream(&eager).unwrap();
+        assert_eq!(priced, reference.report, "the price does not depend on the words");
+        assert_eq!(outputs, reference.outputs);
+        assert_eq!(cpu.execute_stream(&st).unwrap().outputs, reference.outputs);
+
+        // A fill of the wrong length is refused and leaves the payload empty.
+        let (payload, filler) = Payload::deferred(N);
+        assert!(matches!(
+            filler.fill(vec![0; N - 1]),
+            Err(CoreError::BadOperandLength { expected: N, found }) if found == N - 1
+        ));
+        assert!(matches!(payload.words(), Err(CoreError::UnfilledUpload)));
+        assert_eq!((payload.len(), payload.is_deferred()), (N, true));
     }
 
     #[test]

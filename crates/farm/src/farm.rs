@@ -1,11 +1,11 @@
 //! The die pool: N simulated CoFHEE chips under one virtual-time clock.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use cofhee_core::{
-    fan_out, ChipBackend, ChipBackendFactory, CoreError, DieProgram, OpReport, OpStream,
-    PolyBackend, PoolStats, SharedSink, StreamReport, TraceContext,
+    cores, fan_out, ChipBackend, ChipBackendFactory, CoreError, DieProgram, OpReport, OpStream,
+    PolyBackend, PoolStats, SharedSink, StreamOp, StreamReport, TraceContext,
 };
 use cofhee_obs::null_sink;
 
@@ -24,7 +24,25 @@ struct Waiting {
     /// Filled by the flush. Allocated at placement, on the scheduler
     /// thread, so the flush's threads allocate nothing.
     outputs: Vec<Vec<u128>>,
-    failed: Option<CoreError>,
+    /// How the program's apply ended; `None` until a wave has run it.
+    applied: Option<std::result::Result<(), CoreError>>,
+    /// What applying the program costs the host, in word-sized die
+    /// cycles: its priced overlapped cycles, four times over on a ring
+    /// wider than 64 bits (the simulator's `Barrett128` kernels run at
+    /// about a quarter of the `Barrett64` ones).
+    cost: u64,
+}
+
+impl Waiting {
+    /// Whether a wave may run the program: every upload it writes has
+    /// its words.
+    fn ready(&self) -> bool {
+        self.applied.is_none()
+            && self.stream.nodes().iter().all(|op| match op {
+                StreamOp::Upload(payload) => payload.words().is_ok(),
+                _ => true,
+            })
+    }
 }
 
 /// A die's backend for one `(modulus, degree)` pair, and the streams
@@ -36,10 +54,20 @@ struct Backend {
 }
 
 impl Backend {
-    /// Applies every waiting program, in placement order.
-    fn apply_waiting(&mut self) {
+    /// What the wave about to run costs this backend's host thread.
+    fn ready_cost(&self) -> u64 {
+        self.waiting.iter().filter(|w| w.ready()).map(|w| w.cost).sum()
+    }
+
+    /// Applies every ready waiting program, in placement order. Programs
+    /// of one backend may apply out of placement order across waves: a
+    /// farm stream uploads every operand it reads (it has no `Input`
+    /// node), so no program reads what another left on the die.
+    fn apply_ready(&mut self) {
         for w in &mut self.waiting {
-            w.failed = self.chip.apply(&w.stream, &w.program, &mut w.outputs).err();
+            if w.ready() {
+                w.applied = Some(self.chip.apply(&w.stream, &w.program, &mut w.outputs));
+            }
         }
     }
 }
@@ -123,8 +151,8 @@ pub struct Placement {
     pub finish: u64,
     /// The stream's serial-vs-overlapped telemetry, priced at placement.
     pub report: StreamReport,
-    /// Position among the streams placed since the last
-    /// [`ChipFarm::flush`] — where the flush returns its outputs.
+    /// Position among the streams placed since the last flush — where
+    /// the flush returns its outputs.
     pub index: usize,
 }
 
@@ -144,11 +172,12 @@ pub struct Placement {
 /// every simulated number, no coefficient computed), advances the die's
 /// clock by the stream's *overlapped* wall-clock cycles, starting no
 /// earlier than its ready time, and leaves the stream's arithmetic
-/// waiting on the die. [`ChipFarm::flush`] runs the waiting arithmetic
-/// of every die at once, one host thread per backend with work
-/// ([`fan_out`]). Wall-clock host time never enters the model, so a
-/// run's telemetry is a pure function of the job list — whichever
-/// thread computed what.
+/// waiting on the die. A flush
+/// ([`Scheduler::flush`](crate::Scheduler::flush)) runs the waiting
+/// arithmetic of every die on the host's cores ([`fan_out`]), in waves
+/// that wait for the host steps filling a job's later phases. Wall-clock
+/// host time never enters the model, so a run's telemetry is a pure
+/// function of the job list — whichever thread computed what.
 #[derive(Debug)]
 pub struct ChipFarm {
     factory: ChipBackendFactory,
@@ -221,7 +250,7 @@ impl ChipFarm {
     /// Places `stream` on die `chip`'s backend for `(q, n)`, bringing
     /// the backend up on first use: prices it there, advances the die's
     /// virtual clock by its overlapped cycles, and leaves its arithmetic
-    /// waiting for the next [`ChipFarm::flush`].
+    /// waiting for the next flush.
     ///
     /// # Errors
     ///
@@ -259,7 +288,9 @@ impl ChipFarm {
             backend.chip.price(&stream, &mut program).map_err(|e| FarmError::on_chip(chip, e))?;
         let outputs = stream.outputs().iter().map(|_| Vec::with_capacity(n)).collect();
         let index = self.placed;
-        backend.waiting.push(Waiting { index, stream, program, outputs, failed: None });
+        let host_cost = report.overlapped_cycles << if q >> 64 == 0 { 0 } else { 2 };
+        let applied = None;
+        backend.waiting.push(Waiting { index, stream, program, outputs, applied, cost: host_cost });
         self.placed += 1;
         let cost = report.overlapped_cycles;
         let finish = start.saturating_add(cost);
@@ -271,35 +302,67 @@ impl ChipFarm {
         Ok(Placement { chip, ready, start, finish, report, index })
     }
 
-    /// Runs the arithmetic of every stream placed since the last flush:
-    /// one [`fan_out`] task per die backend with waiting work, each
-    /// applying its programs in placement order. Returns every placed
-    /// stream's outputs, indexed by [`Placement::index`].
+    /// Runs the arithmetic of every stream placed since the last flush,
+    /// in waves. A wave applies every waiting program whose deferred
+    /// uploads are filled, each backend's in placement order, on one
+    /// [`fan_out`] task per host core: each task takes the costliest
+    /// backend with such work no task has taken yet, until none is left.
+    /// Then `fill` runs with every output so far, indexed by
+    /// [`Placement::index`] — the host steps that wave completed, which
+    /// fill the deferred uploads of the next — and returns whether it
+    /// filled any; if it did, the next wave runs. Returns every placed
+    /// stream's outputs; a stream whose uploads were never filled (its
+    /// job failed) is dropped unrun, with empty outputs.
     ///
     /// # Errors
     ///
     /// The failure of the earliest-placed stream that failed, tagged
     /// with its die. Nothing is left waiting either way.
-    pub fn flush(&mut self) -> Result<Vec<Vec<Vec<u128>>>> {
-        let mut tasks: Vec<&mut Backend> = self
-            .dies
-            .iter_mut()
-            .flat_map(|die| die.backends.values_mut())
-            .filter(|be| !be.waiting.is_empty())
-            .collect();
-        fan_out(&mut tasks, |be| be.apply_waiting());
+    pub(crate) fn flush(
+        &mut self,
+        mut fill: impl FnMut(&mut [Vec<Vec<u128>>]) -> bool,
+    ) -> Result<Vec<Vec<Vec<u128>>>> {
         let mut outputs = vec![Vec::new(); std::mem::take(&mut self.placed)];
         let mut first_failure: Option<(usize, FarmError)> = None;
-        for (chip, die) in self.dies.iter_mut().enumerate() {
-            for w in die.backends.values_mut().flat_map(|be| be.waiting.drain(..)) {
-                match w.failed {
-                    None => outputs[w.index] = w.outputs,
-                    Some(e) if first_failure.as_ref().map_or(true, |(at, _)| w.index < *at) => {
-                        first_failure = Some((w.index, FarmError::on_chip(chip, e)));
-                    }
-                    Some(_) => {}
+        loop {
+            let mut ready: Vec<(u64, &mut Backend)> = self
+                .dies
+                .iter_mut()
+                .flat_map(|die| die.backends.values_mut())
+                .filter(|be| be.waiting.iter().any(Waiting::ready))
+                .map(|be| (be.ready_cost(), be))
+                .collect();
+            ready.sort_by_key(|(cost, _)| std::cmp::Reverse(*cost));
+            let mut workers = vec![(); cores().min(ready.len())];
+            let queue = Mutex::new(ready.into_iter().map(|(_, be)| be));
+            fan_out(&mut workers, |()| loop {
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some(be) = next else { break };
+                be.apply_ready();
+            });
+            for (chip, die) in self.dies.iter_mut().enumerate() {
+                for be in die.backends.values_mut() {
+                    be.waiting.retain_mut(|w| match w.applied.take() {
+                        None => true,
+                        Some(Ok(())) => {
+                            outputs[w.index] = std::mem::take(&mut w.outputs);
+                            false
+                        }
+                        Some(Err(e)) => {
+                            if first_failure.as_ref().map_or(true, |(at, _)| w.index < *at) {
+                                first_failure = Some((w.index, FarmError::on_chip(chip, e)));
+                            }
+                            false
+                        }
+                    });
                 }
             }
+            if !fill(&mut outputs) {
+                break;
+            }
+        }
+        for be in self.dies.iter_mut().flat_map(|die| die.backends.values_mut()) {
+            be.waiting.clear();
         }
         match first_failure {
             Some((_, e)) => Err(e),
@@ -424,13 +487,13 @@ mod tests {
         for (i, st) in streams.iter().enumerate() {
             farm.place(i % 3, q, N, st.clone(), 0).unwrap();
         }
-        let outputs = farm.flush().unwrap();
+        let outputs = farm.flush(|_| false).unwrap();
         let mut cpu = cofhee_core::CpuBackend::new(q, N).unwrap();
         let expect: Vec<_> =
             streams.iter().map(|st| cpu.execute_stream(st).unwrap().outputs).collect();
         assert_eq!(outputs, expect);
         // Nothing is left waiting; the next flush starts a new count.
-        assert!(farm.flush().unwrap().is_empty());
+        assert!(farm.flush(|_| false).unwrap().is_empty());
         assert_eq!(farm.place(2, q, N, stream(9, q), 0).unwrap().index, 0);
     }
 
@@ -460,7 +523,10 @@ mod tests {
         // Nothing was left waiting: the flush returns the one good stream.
         let mut cpu = cofhee_core::CpuBackend::new(q, N).unwrap();
         assert_eq!(good.index, 0);
-        assert_eq!(farm.flush().unwrap(), [cpu.execute_stream(&stream(1, q)).unwrap().outputs]);
+        assert_eq!(
+            farm.flush(|_| false).unwrap(),
+            [cpu.execute_stream(&stream(1, q)).unwrap().outputs]
+        );
     }
 
     #[test]
@@ -470,7 +536,7 @@ mod tests {
         let st = stream(7, q);
         let runs: Vec<Placement> =
             (0..3).map(|c| farm.place(c, q, N, st.clone(), 0).unwrap()).collect();
-        let outputs = farm.flush().unwrap();
+        let outputs = farm.flush(|_| false).unwrap();
         for (r, out) in runs[1..].iter().zip(&outputs[1..]) {
             assert_eq!(out, &outputs[0], "values placement-free");
             assert_eq!(

@@ -13,8 +13,9 @@
 //!   one [`ChipBackendFactory`](cofhee_core::ChipBackendFactory) (its
 //!   own UART/SPI link instance, per-modulus backends on demand) under
 //!   a deterministic virtual-time cycle clock: a stream is priced where
-//!   it is placed, and a flush computes every die's placed streams at
-//!   once on the host's cores.
+//!   it is placed, and a flush computes every die's placed streams on
+//!   the host's cores, in waves that wait for the host steps between a
+//!   job's phases.
 //! * [`Session`] — a tenant's standing state: BFV parameters,
 //!   relinearization key, and the evaluator handle that records job
 //!   streams and finishes them host-side.
@@ -100,6 +101,6 @@ pub use error::{FarmError, Result};
 pub use farm::{ChipFarm, Placement};
 pub use policy::{DieStatus, PlacementPolicy, RoundRobin, ShortestQueue, WorkStealing};
 pub use replay::{mixed_workload_jobs, workload_jobs, ReplayInputs, ReplaySpec};
-pub use scheduler::{Job, JobKind, JobOutcome, JobResult, Scheduler};
+pub use scheduler::{Job, JobKind, JobOutcome, JobResult, PricedJob, Scheduler};
 pub use session::{Scheme, Session, SessionId};
-pub use telemetry::{latency_percentiles, ChipStats, FarmReport, LatencyPercentiles};
+pub use telemetry::{ChipStats, FarmReport, LatencyPercentiles};

@@ -1,11 +1,12 @@
 //! The session-aware job scheduler: whole homomorphic operations in,
 //! per-limb streams placed across dies, finished ciphertexts out.
 
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
-use cofhee_bfv::{Ciphertext, Plaintext};
-use cofhee_ckks::{CkksCiphertext, CkksPlaintext, Level};
+use cofhee_bfv::{Ciphertext, Plaintext, RelinFill};
+use cofhee_ckks::{CkksCiphertext, CkksPlaintext, CkksRelinFill, CkksRescaleFill, Level};
 use cofhee_core::{OpStream, SharedSink, StreamOp, StreamReport};
 use cofhee_obs::{null_sink, CycleHistogram, MetricsRegistry, TraceEvent, Track};
 use cofhee_opt::{optimize_traced, OptLevel};
@@ -28,9 +29,10 @@ type LimbOutputs = Vec<Vec<Vec<u128>>>;
 
 /// Upload payload bytes the streams waiting on the dies may hold before
 /// the scheduler flushes between two jobs. A waiting stream keeps its
-/// payloads alive, so this bounds what deferring the dies' arithmetic
-/// adds to host memory — a constant, whatever the job list — while a
-/// flush still carries a few dozen cheap jobs for the host's cores.
+/// payloads alive, deferred ones included once filled, so this bounds
+/// what deferring the dies' arithmetic adds to host memory — a constant,
+/// whatever the job list — while a flush still carries a few dozen cheap
+/// jobs for the host's cores.
 const MAX_WAITING_UPLOAD_BYTES: u64 = 4 << 20;
 
 /// How a job's result is built from its last phase's outputs.
@@ -42,25 +44,77 @@ enum Finish {
     Ckks(Level, f64),
 }
 
+/// The host work between two phases of one job, not cycle-accounted
+/// (the host works off-die): it reads the outputs of one phase and fills
+/// the deferred uploads of the next.
+#[derive(Debug)]
+enum HostStep {
+    /// BFV: CRT reconstruction and the Eq. 4 rounding of the tensor
+    /// limbs, then the key switch's digits and base.
+    Relin { tensor: Range<usize>, fill: RelinFill },
+    /// CKKS: the tensor limbs as the product at `level` and `scale`,
+    /// then the key switch's composed digits and base.
+    CkksRelin { tensor: Range<usize>, level: Level, scale: f64, fill: CkksRelinFill },
+    /// CKKS: the key switch's limbs, then the rescale's limbs and lifted
+    /// subtrahends.
+    CkksRescale { relin: Range<usize>, level: Level, scale: f64, fill: CkksRescaleFill },
+}
+
+impl HostStep {
+    /// The streams, by [`Placement::index`], whose outputs the step reads.
+    fn inputs(&self) -> Range<usize> {
+        match self {
+            Self::Relin { tensor, .. } | Self::CkksRelin { tensor, .. } => tensor.clone(),
+            Self::CkksRescale { relin, .. } => relin.clone(),
+        }
+    }
+
+    /// Runs the step on `limbs`, the outputs of its input streams.
+    fn run(self, session: &Session, id: SessionId, limbs: LimbOutputs) -> Result<()> {
+        match self {
+            Self::Relin { fill, .. } => {
+                let (_, ev, _) = session.bfv(id)?;
+                ev.fill_relin(fill, &ev.tensor_combine(&limbs)?)?;
+            }
+            Self::CkksRelin { level, scale, fill, .. } => {
+                let (_, ev, _) = session.ckks(id)?;
+                ev.fill_relin(fill, &ev.ciphertext_from_limb_outputs(limbs, level, scale)?)?;
+            }
+            Self::CkksRescale { level, scale, fill, .. } => {
+                let (_, ev, _) = session.ckks(id)?;
+                ev.fill_rescale(fill, &ev.ciphertext_from_limb_outputs(limbs, level, scale)?)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A job with every phase placed, its outcome known but for the result,
-/// which waits on the outputs of its last phase.
+/// which waits on the dies.
 #[derive(Debug)]
 struct Pending {
-    index: usize,
+    key: usize,
     id: SessionId,
     session: Arc<Session>,
     arrival: u64,
     finish: u64,
     service_cycles: u64,
     streams: usize,
+    /// The host steps still to run, one after each wave of the flush.
+    steps: VecDeque<HostStep>,
     /// The last phase's streams, by [`Placement::index`].
     outputs: Range<usize>,
     result: Finish,
+    /// Why a host step failed, which leaves the later phases unrun.
+    failed: Option<FarmError>,
 }
 
 impl Pending {
     /// The job's outcome, built from the outputs of a flush.
     fn complete(self, outputs: &mut [Vec<Vec<u128>>]) -> Result<JobOutcome> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
         let mut limbs: LimbOutputs =
             outputs[self.outputs.clone()].iter_mut().map(std::mem::take).collect();
         let result = match self.result {
@@ -71,12 +125,11 @@ impl Pending {
             }
             Finish::Ckks(level, scale) => {
                 let (_, ev, _) = self.session.ckks(self.id)?;
-                let ct = ev.ciphertext_from_limb_outputs(limbs, level, scale);
-                JobResult::Ckks(ct.map_err(FarmError::Ckks)?)
+                JobResult::Ckks(ev.ciphertext_from_limb_outputs(limbs, level, scale)?)
             }
         };
         Ok(JobOutcome {
-            index: self.index,
+            index: self.key,
             session: self.id,
             result,
             arrival: self.arrival,
@@ -88,10 +141,61 @@ impl Pending {
     }
 }
 
-/// What placing a job's phases yields: its last phase's streams, the
-/// job's finish and critical-path service cycles, its stream count, and
-/// how its result is built.
-type Placed = (Range<usize>, u64, u64, usize, Finish);
+/// Runs the next host step of every job in `pending` that has one, in
+/// placement order, on the `outputs` the last wave completed. Returns
+/// whether any ran.
+///
+/// The steps run on the calling thread: the BFV CRT spreads its
+/// coefficients over the host's cores itself, and a step allocates the
+/// uploads it fills, which host threads of their own would take from heap
+/// arenas of their own.
+fn run_host_steps(pending: &mut [Pending], outputs: &mut [Vec<Vec<u128>>]) -> bool {
+    let mut ran = false;
+    for job in pending {
+        let Some(step) = job.steps.pop_front() else { continue };
+        ran = true;
+        let limbs = outputs[step.inputs()].iter_mut().map(std::mem::take).collect();
+        if let Err(e) = step.run(&job.session, job.id, limbs) {
+            job.failed = Some(e);
+            job.steps.clear();
+        }
+    }
+    ran
+}
+
+/// One placed phase of a job: its streams, by [`Placement::index`], when
+/// the last of them finishes, its critical-path service (the widest
+/// stream) and the bytes of the polynomials its streams hand back.
+struct Phase {
+    streams: Range<usize>,
+    finish: u64,
+    service: u64,
+    output_bytes: u64,
+}
+
+/// What placing every phase of a job yields.
+struct Placed {
+    /// The last phase, whose outputs are the result.
+    last: Phase,
+    /// The job's critical-path service cycles.
+    service: u64,
+    streams: usize,
+    steps: VecDeque<HostStep>,
+    result: Finish,
+}
+
+/// A job placed in virtual time whose result the farm has not computed
+/// yet: what [`Scheduler::place_job`] knows once every phase is priced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PricedJob {
+    /// Virtual cycle the last of the job's streams finishes.
+    pub finish: u64,
+    /// Critical-path service cycles, as [`JobOutcome::service_cycles`].
+    pub service_cycles: u64,
+    /// Bytes the result will hold, one 128-bit word per coefficient of
+    /// each of its polynomials.
+    pub result_bytes: u64,
+}
 
 /// One homomorphic operation submitted to the farm.
 #[derive(Debug, Clone)]
@@ -202,8 +306,9 @@ pub struct Job {
 /// What one completed job hands back.
 #[derive(Debug)]
 pub struct JobOutcome {
-    /// Index of the job in the list handed to [`Scheduler::run`] (the
-    /// outcome vector itself is in arrival order).
+    /// The caller's key for the job: its index in the list handed to
+    /// [`Scheduler::run`] (the outcome vector itself is in arrival
+    /// order), or the key handed to [`Scheduler::place_job`].
     pub index: usize,
     /// The owning session.
     pub session: SessionId,
@@ -239,12 +344,19 @@ pub struct JobOutcome {
 /// report or a trace sees depends on that. Recording, pricing and
 /// placement run on the calling thread, in arrival order, and every
 /// simulated number, metric and trace event comes from pricing
-/// ([`ChipFarm::place`]); the arithmetic waits on the dies until the
-/// scheduler flushes ([`ChipFarm::flush`]) — where a job's next phase
-/// needs its outputs (BFV tensor → CRT, CKKS tensor → compose, relin →
-/// rescale lift), when the waiting upload payloads reach a fixed bound,
-/// and before [`Scheduler::run`] returns. Host CRT, compose and result
-/// assembly run on the calling thread too.
+/// ([`ChipFarm::place`]). A job's later phases are recorded and priced
+/// from their shape alone, before the host has computed their operands:
+/// those are deferred uploads ([`cofhee_core::Payload::deferred`]), so
+/// every phase of a job is placed in one straight line
+/// ([`Scheduler::place_job`]). The arithmetic waits on the dies until a
+/// flush ([`Scheduler::flush`]), which runs in waves: each wave applies
+/// every program whose uploads are filled, then every job's host step
+/// (BFV's CRT reconstruction and rounding, CKKS's compose and digit
+/// decomposition or its rescale lift) runs on the calling thread and
+/// fills the next phase's uploads. The scheduler flushes only when the
+/// waiting upload payloads reach a fixed bound and before
+/// [`Scheduler::run`] returns; a front-end that places jobs one by one
+/// flushes when it needs a result.
 ///
 /// # Example
 ///
@@ -308,11 +420,9 @@ pub struct Scheduler {
     /// Stream-compiler level applied to every stream before placement
     /// (`O0` by default).
     opt_level: OptLevel,
-    /// Jobs placed whole whose results wait on the dies, in arrival
+    /// Jobs placed whole whose results wait on the dies, in placement
     /// order.
     pending: Vec<Pending>,
-    /// Jobs a flush completed that `run` has not handed back yet.
-    finished: Vec<JobOutcome>,
     /// Upload payload bytes of the streams waiting on the dies.
     waiting_bytes: u64,
 }
@@ -335,7 +445,6 @@ impl Scheduler {
             key_bytes: 0,
             opt_level: OptLevel::O0,
             pending: Vec::new(),
-            finished: Vec::new(),
             waiting_bytes: 0,
         }
     }
@@ -437,53 +546,55 @@ impl Scheduler {
         Ok(placed)
     }
 
-    /// Places a batch of per-limb streams that are all ready at `ready`
-    /// (the CKKS fan-out: stream `j` carries modulus `moduli[j]`).
-    /// Returns the batch's placement indices, its finish, and the
-    /// critical-path service (the widest limb).
+    /// Places one phase: per-limb streams that are all ready at `ready`
+    /// (stream `j` carries modulus `moduli[j]`).
     fn place_limbs(
         &mut self,
         moduli: &[u128],
         n: usize,
         streams: Vec<OpStream>,
         ready: u64,
-    ) -> Result<(Range<usize>, u64, u64)> {
-        let mut indices = 0..0;
-        let (mut finish, mut service) = (ready, 0u64);
+    ) -> Result<Phase> {
+        let polys: usize = streams.iter().map(|st| st.outputs().len()).sum();
+        let output_bytes = polys as u64 * poly_bytes(n);
+        let mut phase = Phase { streams: 0..0, finish: ready, service: 0, output_bytes };
         for (stream, &q) in streams.into_iter().zip(moduli) {
             let p = self.place(q, n, stream, ready)?;
-            if indices.is_empty() {
-                indices.start = p.index;
+            if phase.streams.is_empty() {
+                phase.streams.start = p.index;
             }
-            indices.end = p.index + 1;
-            finish = finish.max(p.finish);
-            service = service.max(p.finish - p.start);
+            phase.streams.end = p.index + 1;
+            phase.finish = phase.finish.max(p.finish);
+            phase.service = phase.service.max(p.finish - p.start);
         }
-        Ok((indices, finish, service))
+        Ok(phase)
     }
 
-    /// Runs every waiting stream's arithmetic on the dies and completes
-    /// the jobs that waited on it. Returns the outputs of the streams
-    /// placed since the last flush, by [`Placement::index`] — those the
-    /// completed jobs took left empty.
-    fn flush(&mut self) -> Result<Vec<Vec<Vec<u128>>>> {
+    /// Computes every job placed since the last flush and hands back the
+    /// outcome of each, in placement order.
+    ///
+    /// The dies' arithmetic runs in waves: the
+    /// first applies every job's first phase; between waves each job's
+    /// host step — BFV's CRT reconstruction and rounding, CKKS's
+    /// composition and digit decomposition, or its rescale lift — runs
+    /// in placement order and fills the uploads its next phase was
+    /// priced without. A flush is at most three waves (the CKKS
+    /// multiply).
+    ///
+    /// # Errors
+    ///
+    /// The earliest-placed stream's chip fault, else the first failed
+    /// host step in placement order. Every job placed is gone either way.
+    pub fn flush(&mut self) -> Result<Vec<JobOutcome>> {
         self.waiting_bytes = 0;
-        let pending = std::mem::take(&mut self.pending);
-        let mut outputs = self.farm.flush()?;
-        for job in pending {
-            self.finished.push(job.complete(&mut outputs)?);
-        }
-        Ok(outputs)
-    }
-
-    /// The outputs of a phase's streams (the last ones placed): a flush.
-    fn phase_outputs(&mut self, streams: Range<usize>) -> Result<LimbOutputs> {
-        Ok(self.flush()?.drain(streams).collect())
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut outputs = self.farm.flush(|outputs| run_host_steps(&mut pending, outputs))?;
+        pending.into_iter().map(|job| job.complete(&mut outputs)).collect()
     }
 
     /// Emits a phase span on the in-flight job's per-job track (the job
     /// traces under sequence number `jobs_done`, bumped only after the
-    /// job completes).
+    /// job is placed).
     fn trace_phase(&self, session: SessionId, name: &'static str, start: u64, end: u64) {
         if self.trace.enabled() {
             let track = Track::Job { tenant: session.raw(), seq: self.jobs_done };
@@ -491,20 +602,29 @@ impl Scheduler {
         }
     }
 
-    /// Places every phase of one job, flushing where a phase needs the
-    /// previous one's outputs, and records its telemetry; its result
-    /// waits on the dies.
-    fn run_job(&mut self, index: usize, job: &Job) -> Result<()> {
+    /// Places every phase of one job in virtual time and records its
+    /// telemetry, leaving its arithmetic and host steps to the next
+    /// flush. Returns what the job costs, and — when its uploads brought
+    /// the streams waiting on the dies to 4 MiB, which flushes here — the
+    /// outcomes of that flush, this job's included. `key` comes back as
+    /// the outcome's [`JobOutcome::index`].
+    ///
+    /// # Errors
+    ///
+    /// Unknown sessions, recording failures and pricing faults of this
+    /// job (which leave no outcome), and the errors of a flush.
+    pub fn place_job(&mut self, key: usize, job: &Job) -> Result<(PricedJob, Vec<JobOutcome>)> {
         let session = self.session_handle(job.session)?;
-        let (outputs, finish, service_cycles, streams, result) = match &job.kind {
+        let Placed { last, service, streams, steps, result } = match &job.kind {
             JobKind::Add(..)
             | JobKind::AddPlain(..)
             | JobKind::MulPlain(..)
-            | JobKind::MulRelin(..) => self.run_bfv_job(&session, job)?,
+            | JobKind::MulRelin(..) => self.place_bfv_job(&session, job)?,
             JobKind::CkksAdd(..) | JobKind::CkksMulPlain(..) | JobKind::CkksMulRelin(..) => {
-                self.run_ckks_job(&session, job)?
+                self.place_ckks_job(&session, job)?
             }
         };
+        let finish = last.finish;
         let latency = finish.saturating_sub(job.arrival);
         if self.trace.enabled() {
             // The enclosing job span: same track as the phase spans
@@ -514,30 +634,35 @@ impl Scheduler {
             self.trace.record(
                 TraceEvent::span(track, job.kind.name(), job.arrival, finish)
                     .arg("streams", streams as u64)
-                    .arg("service_cycles", service_cycles),
+                    .arg("service_cycles", service),
             );
         }
         self.latencies.record(latency);
-        self.queue_cycles.record(latency.saturating_sub(service_cycles));
-        self.service_cycles.record(service_cycles);
+        self.queue_cycles.record(latency.saturating_sub(service));
+        self.service_cycles.record(service);
         self.jobs_done += 1;
+        let priced = PricedJob { finish, service_cycles: service, result_bytes: last.output_bytes };
         self.pending.push(Pending {
-            index,
+            key,
             id: job.session,
             session,
             arrival: job.arrival,
             finish,
-            service_cycles,
+            service_cycles: service,
             streams,
-            outputs,
+            steps,
+            outputs: last.streams,
             result,
+            failed: None,
         });
-        Ok(())
+        let flushed =
+            if self.waiting_bytes >= MAX_WAITING_UPLOAD_BYTES { self.flush()? } else { Vec::new() };
+        Ok((priced, flushed))
     }
 
     /// The BFV job kinds (exact arithmetic, single modulus `q` outside
     /// the multiply's extension basis).
-    fn run_bfv_job(&mut self, session: &Session, job: &Job) -> Result<Placed> {
+    fn place_bfv_job(&mut self, session: &Session, job: &Job) -> Result<Placed> {
         let (params, ev, rlk) = session.bfv(job.session)?;
         let (q, n) = (params.q(), params.n());
         let st = match &job.kind {
@@ -547,33 +672,37 @@ impl Scheduler {
             JobKind::MulRelin(a, b) => {
                 let rlk = rlk.ok_or(FarmError::MissingRelinKey { id: job.session.raw() })?;
                 let streams = ev.tensor_streams(a, b)?;
-                let stream_count = streams.len();
+                let count = streams.len();
                 let primes = params.mult_basis().moduli().to_vec();
                 // Phase 1: the per-CRT-limb tensor streams, independent
                 // and all ready at arrival — the farm's parallelism.
+                let tensor = self.place_limbs(&primes, n, streams, job.arrival)?;
+                // Phase 2: the key switch, ready once every limb is in.
+                // Its operands come out of the host CRT reconstruction +
+                // Eq. 4 rounding of the tensor, which the flush runs
+                // between the two phases.
+                let (relin, fill) = ev.relin_stream_deferred(rlk)?;
+                let relin = self.place_limbs(&[q], n, vec![relin], tensor.finish)?;
+                self.key_bytes += 2 * rlk.digit_count() as u64 * poly_bytes(n);
+                self.trace_phase(job.session, "tensor", job.arrival, tensor.finish);
+                self.trace_phase(job.session, "relin", tensor.finish, relin.finish);
                 // Critical-path service: the widest tensor limb plus the
                 // key switch — what the job would cost on an idle farm.
-                let (tensor, tensor_done, tensor_service) =
-                    self.place_limbs(&primes, n, streams, job.arrival)?;
-                // Host-side CRT reconstruction + Eq. 4 rounding (not
-                // cycle-accounted: the host works off-die).
-                let limbs = self.phase_outputs(tensor)?;
-                let prod3 = ev.tensor_combine(&limbs)?;
-                // Phase 2: the key switch, ready once every limb is in.
-                let relin = self.place(q, n, ev.relin_stream(&prod3, rlk)?, tensor_done)?;
-                self.key_bytes += 2 * rlk.digit_count() as u64 * poly_bytes(n);
-                self.trace_phase(job.session, "tensor", job.arrival, tensor_done);
-                self.trace_phase(job.session, "relin", tensor_done, relin.finish);
-                let service = tensor_service.saturating_add(relin.finish - relin.start);
-                let outputs = relin.index..relin.index + 1;
-                return Ok((outputs, relin.finish, service, stream_count + 1, Finish::Bfv));
+                return Ok(Placed {
+                    service: tensor.service.saturating_add(relin.service),
+                    streams: count + 1,
+                    steps: VecDeque::from([HostStep::Relin { tensor: tensor.streams, fill }]),
+                    result: Finish::Bfv,
+                    last: relin,
+                });
             }
-            _ => unreachable!("non-BFV kinds dispatch to run_ckks_job"),
+            _ => unreachable!("non-BFV kinds dispatch to place_ckks_job"),
         };
         // The single-phase kinds: one mod-q stream, ready at arrival.
-        let p = self.place(q, n, st, job.arrival)?;
-        self.trace_phase(job.session, "compute", job.arrival, p.finish);
-        Ok((p.index..p.index + 1, p.finish, p.finish - p.start, 1, Finish::Bfv))
+        let last = self.place_limbs(&[q], n, vec![st], job.arrival)?;
+        self.trace_phase(job.session, "compute", job.arrival, last.finish);
+        let (service, steps) = (last.service, VecDeque::new());
+        Ok(Placed { last, service, streams: 1, steps, result: Finish::Bfv })
     }
 
     /// The CKKS job kinds: every operation fans one stream per active
@@ -583,7 +712,7 @@ impl Scheduler {
     /// switch lands — with host-side CRT work (compose, digit
     /// decomposition, centered lifts) between phases, off-die and not
     /// cycle-accounted, exactly like BFV's `tensor_combine`.
-    fn run_ckks_job(&mut self, session: &Session, job: &Job) -> Result<Placed> {
+    fn place_ckks_job(&mut self, session: &Session, job: &Job) -> Result<Placed> {
         let (params, ev, rlk) = session.ckks(job.session)?;
         let n = params.n();
         let (a, streams, scale) = match &job.kind {
@@ -596,56 +725,60 @@ impl Scheduler {
                 let level = a.level();
                 let moduli = params.moduli_at(level).to_vec();
                 // Phase 1: per-limb tensor streams, all ready at arrival.
-                let streams = ev.tensor_streams(a, b).map_err(FarmError::Ckks)?;
+                let streams = ev.tensor_streams(a, b)?;
                 let mut count = streams.len();
-                let (tensor, tensor_done, tensor_service) =
-                    self.place_limbs(&moduli, n, streams, job.arrival)?;
-                let limbs = self.phase_outputs(tensor)?;
-                let prod3 = ev
-                    .ciphertext_from_limb_outputs(limbs, level, a.scale() * b.scale())
-                    .map_err(FarmError::Ckks)?;
+                let tensor = self.place_limbs(&moduli, n, streams, job.arrival)?;
+                let scale = a.scale() * b.scale();
                 // Phase 2: the digit-decomposition key switch, ready
                 // once every tensor limb is in (the host CRT-composes
                 // the cubic component between the phases).
-                let streams = ev.relin_streams(&prod3, rlk).map_err(FarmError::Ckks)?;
+                let (streams, relin_fill) = ev.relin_streams_deferred(level, rlk)?;
                 count += streams.len();
                 let key_polys = 2 * params.digits_at(level) * level.limbs();
-                let (relin, relin_done, relin_service) =
-                    self.place_limbs(&moduli, n, streams, tensor_done)?;
+                let relin = self.place_limbs(&moduli, n, streams, tensor.finish)?;
                 self.key_bytes += key_polys as u64 * poly_bytes(n);
-                let limbs = self.phase_outputs(relin)?;
-                let relin = ev
-                    .ciphertext_from_limb_outputs(limbs, level, prod3.scale())
-                    .map_err(FarmError::Ckks)?;
                 // Phase 3: the modulus-chain drop, one stream per
                 // remaining limb, ready once the key switch lands.
-                let streams = ev.rescale_streams(&relin).map_err(FarmError::Ckks)?;
+                let (streams, rescale_fill) = ev.rescale_streams_deferred(level, 2)?;
                 count += streams.len();
-                let scale = ev.rescaled_scale(&relin).map_err(FarmError::Ckks)?;
-                let lower = level.lower().expect("rescale_streams guards the chain bottom");
-                let (rescale, finish, rescale_service) =
-                    self.place_limbs(&moduli[..lower.limbs()], n, streams, relin_done)?;
-                self.trace_phase(job.session, "tensor", job.arrival, tensor_done);
-                self.trace_phase(job.session, "relin", tensor_done, relin_done);
-                self.trace_phase(job.session, "rescale", relin_done, finish);
+                let rescaled = ev.rescaled_scale_at(level, scale)?;
+                let lower =
+                    level.lower().expect("rescale_streams_deferred guards the chain bottom");
+                let rescale =
+                    self.place_limbs(&moduli[..lower.limbs()], n, streams, relin.finish)?;
+                self.trace_phase(job.session, "tensor", job.arrival, tensor.finish);
+                self.trace_phase(job.session, "relin", tensor.finish, relin.finish);
+                self.trace_phase(job.session, "rescale", relin.finish, rescale.finish);
                 let service =
-                    tensor_service.saturating_add(relin_service).saturating_add(rescale_service);
-                return Ok((rescale, finish, service, count, Finish::Ckks(lower, scale)));
+                    tensor.service.saturating_add(relin.service).saturating_add(rescale.service);
+                let steps = VecDeque::from([
+                    HostStep::CkksRelin { tensor: tensor.streams, level, scale, fill: relin_fill },
+                    HostStep::CkksRescale {
+                        relin: relin.streams,
+                        level,
+                        scale,
+                        fill: rescale_fill,
+                    },
+                ]);
+                let result = Finish::Ckks(lower, rescaled);
+                return Ok(Placed { last: rescale, service, streams: count, steps, result });
             }
-            _ => unreachable!("BFV kinds dispatch to run_bfv_job"),
+            _ => unreachable!("BFV kinds dispatch to place_bfv_job"),
         };
         // The single-phase kinds: one stream per active limb, all ready
         // at arrival, landing at the operand's level.
-        let streams = streams.map_err(FarmError::Ckks)?;
+        let streams = streams?;
         let moduli = params.moduli_at(a.level()).to_vec();
         let count = streams.len();
-        let (limbs, finish, service) = self.place_limbs(&moduli, n, streams, job.arrival)?;
-        self.trace_phase(job.session, "compute", job.arrival, finish);
-        Ok((limbs, finish, service, count, Finish::Ckks(a.level(), scale)))
+        let last = self.place_limbs(&moduli, n, streams, job.arrival)?;
+        self.trace_phase(job.session, "compute", job.arrival, last.finish);
+        let (service, steps) = (last.service, VecDeque::new());
+        Ok(Placed { last, service, streams: count, steps, result: Finish::Ckks(a.level(), scale) })
     }
 
     /// Runs a batch of jobs to completion in arrival order (submission
-    /// order breaks ties), returning per-job outcomes in that order.
+    /// order breaks ties), returning per-job outcomes in that order:
+    /// [`Scheduler::place_job`] for each, then [`Scheduler::flush`].
     ///
     /// # Errors
     ///
@@ -656,16 +789,13 @@ impl Scheduler {
     pub fn run(&mut self, jobs: Vec<Job>) -> Result<Vec<JobOutcome>> {
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         order.sort_by_key(|&i| (jobs[i].arrival, i));
-        let placed = order.iter().try_for_each(|&ji| {
-            self.run_job(ji, &jobs[ji])?;
-            if self.waiting_bytes >= MAX_WAITING_UPLOAD_BYTES {
-                self.flush()?;
-            }
+        let mut outcomes = Vec::new();
+        let placed = order.iter().try_for_each(|&i| -> Result<()> {
+            outcomes.extend(self.place_job(i, &jobs[i])?.1);
             Ok(())
         });
-        let flushed = self.flush();
-        let outcomes = std::mem::take(&mut self.finished);
-        flushed.and(placed)?;
+        outcomes.extend(self.flush()?);
+        placed?;
         Ok(outcomes)
     }
 
@@ -905,6 +1035,61 @@ mod tests {
                 Some(r) => assert_eq!(&values, r, "{chips}-chip farm diverged"),
             }
         }
+    }
+
+    /// On one die every job shares its backends, so the flush applies a
+    /// later-placed program before an earlier-placed one: the add and
+    /// the plain product (wave 1) run on the `q` backend ahead of the
+    /// key switch placed there before them (wave 2), and the CKKS add
+    /// (wave 1) on the limb backends ahead of the rescale (wave 3). A
+    /// farm program uploads every operand it reads, so that order
+    /// changes no word: each job computes what it computes alone.
+    #[test]
+    fn programs_applied_out_of_placement_order_across_waves_compute_what_each_job_does_alone() {
+        let mut t = tenant(48);
+        let mut c = ckks_tenant(49);
+        let (a, b) = (encrypt(&mut t, 6), encrypt(&mut t, 7));
+        let (ca, cb) = (ckks_encrypt(&mut c, &[1.5, 2.0]), ckks_encrypt(&mut c, &[0.5, -1.0]));
+        let pt = Plaintext::constant(&t.params, 3).unwrap();
+        let kinds = [
+            JobKind::MulRelin(a.clone(), b.clone()),
+            JobKind::CkksMulRelin(ca.clone(), cb.clone()),
+            JobKind::Add(a.clone(), b.clone()),
+            JobKind::CkksAdd(ca, cb),
+            JobKind::MulPlain(a, pt),
+        ];
+        let farm = || {
+            let mut s = Scheduler::new(
+                ChipFarm::new(1, ChipBackendFactory::silicon()).unwrap(),
+                Box::new(WorkStealing),
+            );
+            let bfv = s.open_session(Session::new("exact", &t.params, t.rlk.clone()).unwrap());
+            let ckks =
+                s.open_session(Session::new_ckks("approx", &c.params, c.rlk.clone()).unwrap());
+            (s, bfv, ckks)
+        };
+        let job = |kind: &JobKind, bfv, ckks, arrival| {
+            let session = if kind.name().starts_with("ckks:") { ckks } else { bfv };
+            Job { session, kind: kind.clone(), arrival }
+        };
+        let words = |o: &JobOutcome| -> Vec<Vec<u128>> {
+            match &o.result {
+                JobResult::Bfv(ct) => ct.polys().iter().map(|p| p.to_u128_vec()).collect(),
+                JobResult::Ckks(ct) => ct.components().iter().flatten().cloned().collect(),
+            }
+        };
+        let (mut together, bfv, ckks) = farm();
+        let jobs = kinds.iter().enumerate().map(|(i, k)| job(k, bfv, ckks, i as u64)).collect();
+        let batch = together.run(jobs).unwrap();
+        assert_eq!(together.farm().chips(), 1);
+        for (i, (kind, o)) in kinds.iter().zip(&batch).enumerate() {
+            let (mut alone, bfv, ckks) = farm();
+            let single = alone.run(vec![job(kind, bfv, ckks, i as u64)]).unwrap();
+            assert_eq!(words(&single[0]), words(o), "{}", kind.name());
+        }
+        assert_eq!(t.dec.decrypt(batch[0].result.expect_bfv()).unwrap().coeffs()[0], 42);
+        let prod = ckks_decode(&c, batch[1].result.expect_ckks(), 2);
+        assert!((prod[0] - 0.75).abs() < 1e-3 && (prod[1] + 2.0).abs() < 1e-3, "{prod:?}");
     }
 
     #[test]

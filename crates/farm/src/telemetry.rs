@@ -37,12 +37,11 @@ impl ChipStats {
 
 /// Job-latency percentiles in simulated cycles.
 ///
-/// Production reports come from [`LatencyPercentiles::from_histogram`]
-/// over a [`CycleHistogram`] — O(1) memory, mergeable, never
-/// over-reporting (each quantile is the lower bound of its log₂
-/// sub-bucket, at most ~6.25% under the exact nearest-rank value).
-/// [`latency_percentiles`] keeps the exact clone-and-sort path as the
-/// test oracle.
+/// Reports come from [`LatencyPercentiles::from_histogram`] over a
+/// [`CycleHistogram`] — O(1) memory, mergeable, never over-reporting
+/// (each quantile is the lower bound of its log₂ sub-bucket, at most
+/// ~6.25% under the exact nearest-rank value, which this module's tests
+/// hold it to with an exact clone-and-sort oracle).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyPercentiles {
     /// Median.
@@ -78,9 +77,9 @@ impl LatencyPercentiles {
 }
 
 /// Exact nearest-rank percentiles over a latency sample (sorted
-/// internally). O(n log n) per call — kept as the oracle the histogram
-/// path is tested against, and for small one-shot samples.
-pub fn latency_percentiles(latencies: &[u64]) -> LatencyPercentiles {
+/// internally): the oracle the histogram path is tested against.
+#[cfg(test)]
+fn latency_percentiles(latencies: &[u64]) -> LatencyPercentiles {
     if latencies.is_empty() {
         return LatencyPercentiles::default();
     }

@@ -2,9 +2,8 @@
 //! numbering.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use cofhee_core::{OpStream, PolyHandle, Result, StreamHandle, StreamOp};
+use cofhee_core::{OpStream, Payload, PolyHandle, Result, StreamHandle, StreamOp};
 
 use crate::pass::emit_mapped;
 
@@ -12,9 +11,6 @@ use crate::pass::emit_mapped;
 /// classes of its operands (the factors sorted where the op commutes —
 /// `a ⊙ b` and `b ⊙ a` are the same value) and its constant, if any.
 type Key = (std::mem::Discriminant<StreamOp>, [Option<usize>; 3], u128);
-
-/// A shared upload payload, as [`StreamOp::Upload`] holds it.
-type Payload = Arc<Vec<u128>>;
 
 /// How many evenly spaced words of a payload key its
 /// [`PayloadClasses`] bucket.
@@ -24,35 +20,42 @@ type PayloadSample = [u128; PAYLOAD_SAMPLES];
 /// Upload payloads grouped by content — what [`cse`] merges duplicate
 /// uploads by.
 ///
-/// Two payloads are one class exactly when they hold the same words.
-/// Finding that out does not read them in full: a payload is filed under
-/// its [`PayloadSample`], and only payloads filed
+/// Two payloads in hand are one class exactly when they hold the same
+/// words. Finding that out does not read them in full: a payload is filed
+/// under its [`PayloadSample`], and only payloads filed
 /// together are compared — by pointer first (the same shared payload
 /// recorded twice), then word for word. Distinct operands all but never
 /// agree on the sample, so `cse` reads a few words per upload instead
 /// of hashing every one; payloads that do agree on it are still told
 /// apart by the full comparison. Only lookups touch the map, so the
 /// classes do not depend on its iteration order.
+///
+/// A deferred payload has no words to compare when the stream is
+/// compiled, filled or not: it is one class with the uploads of the very
+/// same slot and with nothing else.
 #[derive(Default)]
 struct PayloadClasses<'a> {
     buckets: HashMap<PayloadSample, Vec<(usize, &'a Payload)>>,
+    deferred: Vec<(usize, &'a Payload)>,
 }
 
 impl<'a> PayloadClasses<'a> {
     /// The class of the payload uploaded by node `i`: the index of the
     /// first node seen with equal contents (`i` itself when it is new).
     fn class(&mut self, i: usize, data: &'a Payload) -> usize {
-        let sample: PayloadSample = std::array::from_fn(|k| {
-            data.get(k * data.len() / PAYLOAD_SAMPLES).copied().unwrap_or_default()
-        });
-        let bucket = self.buckets.entry(sample).or_default();
-        match bucket
-            .iter()
-            .find(|(_, seen)| Arc::ptr_eq(seen, data) || seen.as_slice() == data.as_slice())
-        {
+        let candidates = match data.words() {
+            Ok(words) if !data.is_deferred() => {
+                let sample: PayloadSample = std::array::from_fn(|k| {
+                    words.get(k * words.len() / PAYLOAD_SAMPLES).copied().unwrap_or_default()
+                });
+                self.buckets.entry(sample).or_default()
+            }
+            _ => &mut self.deferred,
+        };
+        match candidates.iter().find(|(_, seen)| *seen == data) {
             Some(&(rep, _)) => rep,
             None => {
-                bucket.push((i, data));
+                candidates.push((i, data));
                 i
             }
         }
@@ -79,7 +82,8 @@ impl<'a> PayloadClasses<'a> {
 ///   rewired to the representative, which leaves the duplicate
 ///   producers (including identical-payload uploads) dead for
 ///   [`dce`](crate::dce) to sweep. Upload payloads are one value when
-///   they hold the same words (`PayloadClasses`).
+///   they hold the same words, deferred ones only when they are the same
+///   slot (`PayloadClasses`).
 ///
 /// Dedup can extend a representative's live range (its last consumer
 /// moves later), which trades SRAM slot pressure for eliminated
@@ -232,6 +236,36 @@ mod tests {
         let (clean, dead) = crate::dce(&opt).unwrap();
         assert_eq!(dead, 1, "the orphaned duplicate upload dies");
         assert_eq!(run(&clean), truth);
+    }
+
+    #[test]
+    fn deferred_uploads_are_one_value_only_when_they_are_one_slot() {
+        let (payload, filler) = Payload::deferred(N);
+        let (twin, twin_filler) = Payload::deferred(N);
+        let mut st = OpStream::new(N);
+        let a = st.upload_shared(payload.clone()).unwrap();
+        let again = st.upload_shared(payload).unwrap(); // the same slot
+        let b = st.upload_shared(twin).unwrap(); // another slot, equal words
+        let (fa, fa2, fb) = (st.ntt(a).unwrap(), st.ntt(again).unwrap(), st.ntt(b).unwrap());
+        let sq = st.hadamard(fa, fa2).unwrap();
+        let sum = st.hadamard_add(fa, fb, sq).unwrap();
+        let c = st.intt(sum).unwrap();
+        st.output(c).unwrap();
+        filler.fill(poly(3)).unwrap();
+        twin_filler.fill(poly(3)).unwrap();
+
+        let (opt, eliminated) = cse(&st).unwrap();
+        assert_eq!(eliminated, 1, "only the second transform of the same slot");
+        assert_eq!(run(&opt), run(&st));
+        // In hand, the same three payloads are one value.
+        let mut eager = OpStream::new(N);
+        let ups: Vec<_> = (0..3).map(|_| eager.upload(poly(3)).unwrap()).collect();
+        let fs: Vec<_> = ups.into_iter().map(|u| eager.ntt(u).unwrap()).collect();
+        let sq = eager.hadamard(fs[0], fs[1]).unwrap();
+        let sum = eager.hadamard_add(fs[0], fs[2], sq).unwrap();
+        let c = eager.intt(sum).unwrap();
+        eager.output(c).unwrap();
+        assert_eq!(cse(&eager).unwrap().1, 2);
     }
 
     #[test]

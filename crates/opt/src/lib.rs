@@ -126,7 +126,9 @@ pub(crate) mod testutil {
             .map(|op| {
                 let deps: Vec<usize> = op.deps().into_iter().flatten().map(|h| h.index()).collect();
                 let kind = match op {
-                    StreamOp::Upload(v) => format!("Upload<{}>", v.iter().sum::<u128>()),
+                    StreamOp::Upload(v) => {
+                        format!("Upload<{}>", v.words().unwrap().iter().sum::<u128>())
+                    }
                     StreamOp::Input(_) => "Input".to_string(),
                     StreamOp::Ntt(_) => "Ntt".to_string(),
                     StreamOp::Intt(_) => "Intt".to_string(),

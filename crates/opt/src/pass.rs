@@ -2,8 +2,6 @@
 //! counters, and the emission primitive both rewrites rebuild streams
 //! through.
 
-use std::sync::Arc;
-
 use cofhee_core::{CoreError, OpStream, Result, SharedSink, StreamHandle, StreamOp};
 use cofhee_obs::{TraceEvent, Track};
 
@@ -92,7 +90,7 @@ pub(crate) fn emit_mapped(
         map[h.index()].ok_or(CoreError::BadHandle { id: h.index() as u64 })
     };
     match op {
-        StreamOp::Upload(v) => dst.upload_shared(Arc::clone(v)),
+        StreamOp::Upload(v) => dst.upload_shared(v.clone()),
         StreamOp::Input(h) => Ok(dst.input(*h)),
         StreamOp::Ntt(a) => dst.ntt(m(a)?),
         StreamOp::Intt(a) => dst.intt(m(a)?),
@@ -107,8 +105,11 @@ pub(crate) fn emit_mapped(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::testutil::{poly, run, shape, N};
+    use cofhee_core::Payload;
 
     /// A tensor limb recorded carelessly: `b0` re-uploads `a0`'s
     /// payload, and one node is read by nothing.
@@ -162,7 +163,7 @@ mod tests {
         st
     }
 
-    fn payloads(stream: &OpStream) -> Vec<&Arc<Vec<u128>>> {
+    fn payloads(stream: &OpStream) -> Vec<&Payload> {
         stream
             .nodes()
             .iter()
@@ -193,7 +194,7 @@ mod tests {
             assert_eq!(surviving.len(), uploads_out);
             for data in surviving {
                 assert!(
-                    recorded.iter().any(|r| Arc::ptr_eq(r, data)),
+                    recorded.iter().any(|r| r.same(data)),
                     "a surviving upload must share its payload with the recorded stream"
                 );
             }

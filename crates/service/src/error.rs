@@ -161,7 +161,8 @@ pub enum ServiceError {
         ticket: u64,
     },
     /// The handle's producing request has not finished at the current
-    /// virtual cycle — drain further before downloading.
+    /// virtual cycle, or the farm has not computed it yet — drain
+    /// before downloading.
     ResultPending {
         /// The not-yet-materialized handle.
         handle: CtHandle,

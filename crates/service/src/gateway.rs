@@ -15,20 +15,25 @@
 //!
 //! Submissions carry an arrival cycle ([`Gateway::submit_at`]; plain
 //! `submit` uses the current clock). Each submission first advances the
-//! event loop to its arrival: finished jobs complete (freeing slots and
-//! materializing results), freed slots drain queued requests through
+//! event loop to its arrival: finished jobs complete (freeing slots),
+//! freed slots drain queued requests through
 //! the [`AdmissionPolicy`], and only then is the new request judged —
 //! so admission decisions always reflect the farm state a real online
 //! service would see. The whole loop is deterministic: same
 //! registration order, same submissions, same policy → same tickets,
 //! same rejects, same telemetry.
+//!
+//! The loop needs only a dispatched job's *priced* finish and service
+//! cycles to advance: the ciphertext is computed at the farm's next
+//! flush, which a dispatch reading a pending result, the scheduler's
+//! upload bound, or [`Gateway::drain`] triggers.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use cofhee_bfv::{BfvParams, Ciphertext, Plaintext, RelinKey};
 use cofhee_ckks::{CkksCiphertext, CkksParams, CkksRelinKey};
 use cofhee_core::SharedSink;
-use cofhee_farm::{Job, JobKind, Scheduler, Session, SessionId};
+use cofhee_farm::{Job, JobKind, JobOutcome, Scheduler, Session, SessionId};
 use cofhee_obs::{null_sink, CycleHistogram, MetricsRegistry, TraceEvent, Track};
 
 use crate::admission::{AdmissionPolicy, QueueView};
@@ -547,10 +552,10 @@ impl Gateway {
         Ok(())
     }
 
-    /// Whether every operand of `request` has materialized by the
-    /// current clock.
+    /// Whether every operand of `request` has finished by the current
+    /// clock — whether or not the farm has computed it yet.
     fn operands_ready(&self, request: &Request) -> bool {
-        request.operands().iter().all(|&h| self.registry.ready_ciphertext(h, self.now).is_some())
+        request.operands().iter().all(|&h| self.registry.finished_by(h, self.now))
     }
 
     /// Drains queued requests into free farm slots via the policy.
@@ -583,12 +588,26 @@ impl Gateway {
         }
     }
 
-    /// Runs one request on the farm and records its virtual finish.
+    /// Places one request on the farm and records its virtual finish;
+    /// its result stays pending on the farm until a flush computes it.
+    /// An operand still pending there is computed first: a flush.
     fn dispatch(&mut self, queued: Queued) {
+        let now = self.now;
+        if queued
+            .request
+            .operands()
+            .iter()
+            .any(|&h| self.registry.ready_ciphertext(h, now).is_none())
+        {
+            self.collect();
+            if self.fault.is_some() {
+                return;
+            }
+        }
         let session = self.tenants[queued.ticket.tenant().raw() as usize].session;
         let ct = |h: CtHandle| {
             self.registry
-                .ready_ciphertext(h, self.now)
+                .ready_ciphertext(h, now)
                 .expect("dispatch only fires with ready operands")
                 .as_bfv()
                 .expect("validation pinned operand schemes")
@@ -596,7 +615,7 @@ impl Gateway {
         };
         let ckks = |h: CtHandle| {
             self.registry
-                .ready_ciphertext(h, self.now)
+                .ready_ciphertext(h, now)
                 .expect("dispatch only fires with ready operands")
                 .as_ckks()
                 .expect("validation pinned operand schemes")
@@ -610,35 +629,55 @@ impl Gateway {
             Request::CkksAdd(a, b) => JobKind::CkksAdd(ckks(*a), ckks(*b)),
             Request::CkksMulRelin(a, b) => JobKind::CkksMulRelin(ckks(*a), ckks(*b)),
         };
-        let job = Job { session, kind, arrival: self.now };
-        // The scheduler traces this job under its pre-run `jobs_done`
-        // sequence number — stamping the same (tenant, seq) track here
-        // puts the gateway-side chain on the job's own timeline.
+        let job = Job { session, kind, arrival: now };
+        // The scheduler traces this job under its pre-placement
+        // `jobs_done` sequence number — stamping the same (tenant, seq)
+        // track here puts the gateway-side chain on the job's own
+        // timeline.
         let track = Track::Job { tenant: session.raw(), seq: self.sched.jobs_done() };
         if self.trace.enabled() {
             self.trace.record(
                 TraceEvent::instant(track, "admit", queued.ticket.arrival())
                     .arg("ticket", queued.ticket.id()),
             );
-            self.trace.record(TraceEvent::span(track, "queue", queued.ticket.arrival(), self.now));
+            self.trace.record(TraceEvent::span(track, "queue", queued.ticket.arrival(), now));
         }
-        match self.sched.run(vec![job]) {
-            Ok(mut outcomes) => {
-                let o = outcomes.pop().expect("one job in, one outcome out");
-                self.registry.materialize(queued.ticket.result(), o.result.into(), o.finish);
+        match self.sched.place_job(queued.ticket.id() as usize, &job) {
+            Ok((priced, flushed)) => {
+                let result = queued.ticket.result();
+                self.registry.materialize(result, priced.result_bytes, priced.finish);
                 if self.trace.enabled() {
                     self.trace.record(
-                        TraceEvent::instant(track, "materialize", o.finish)
+                        TraceEvent::instant(track, "materialize", priced.finish)
                             .arg("ticket", queued.ticket.id()),
                     );
                 }
                 self.inflight.push(Inflight {
                     ticket: queued.ticket,
-                    finish: o.finish,
-                    service_cycles: o.service_cycles,
+                    finish: priced.finish,
+                    service_cycles: priced.service_cycles,
                 });
+                self.store(flushed);
             }
             Err(e) => self.fault = Some(e.into()),
+        }
+    }
+
+    /// Flushes the farm: computes every placed request.
+    fn collect(&mut self) {
+        match self.sched.flush() {
+            Ok(outcomes) => self.store(outcomes),
+            Err(e) => self.fault = Some(e.into()),
+        }
+    }
+
+    /// Stores each computed result under its handle, or discards it when
+    /// the handle was evicted meanwhile.
+    fn store(&mut self, outcomes: Vec<JobOutcome>) {
+        for o in outcomes {
+            if let Some(ticket) = self.tickets.get(&(o.index as u64)) {
+                self.registry.fill(ticket.result(), o.result.into());
+            }
         }
     }
 
@@ -681,7 +720,8 @@ impl Gateway {
     }
 
     /// Runs the event loop until every admitted request has completed,
-    /// advancing the clock past the last finish.
+    /// advancing the clock past the last finish, then computes every
+    /// result still pending on the farm.
     ///
     /// # Errors
     ///
@@ -697,26 +737,32 @@ impl Gateway {
                 return Err(e);
             }
             if !self.complete_next(u64::MAX) {
-                return Ok(());
+                break;
             }
         }
+        self.collect();
+        self.fault.take().map_or(Ok(()), Err)
     }
 
-    /// The BFV ciphertext behind `handle`, if `tenant` may read it and
-    /// it has materialized by the current clock.
+    /// The BFV ciphertext behind `handle`, if `tenant` may read it, its
+    /// producing request has finished by the current clock and the farm
+    /// has computed it. A result is computed at the first flush after
+    /// its dispatch: when a later dispatch reads a result still pending,
+    /// when the waiting uploads reach the scheduler's bound, and in
+    /// [`Gateway::drain`].
     ///
     /// # Errors
     ///
-    /// ACL violations reject as validation errors; materialized-but-
-    /// not-yet-finished results return [`ServiceError::ResultPending`];
-    /// CKKS entries return [`ServiceError::WrongScheme`] (use
-    /// [`Gateway::download_ckks`]).
+    /// ACL violations reject as validation errors; a result not finished
+    /// by the current clock, or finished but not computed yet, returns
+    /// [`ServiceError::ResultPending`]; CKKS entries return
+    /// [`ServiceError::WrongScheme`] (use [`Gateway::download_ckks`]).
     pub fn download(&self, tenant: TenantId, handle: CtHandle) -> Result<&Ciphertext> {
         self.download_stored(tenant, handle)?.as_bfv().ok_or(ServiceError::WrongScheme { handle })
     }
 
-    /// The CKKS ciphertext behind `handle`, if `tenant` may read it and
-    /// it has materialized by the current clock.
+    /// The CKKS ciphertext behind `handle`, on the terms of
+    /// [`Gateway::download`].
     ///
     /// # Errors
     ///
@@ -743,9 +789,10 @@ impl Gateway {
     /// # Errors
     ///
     /// [`ServiceError::UnknownTicket`] for tickets this gateway never
-    /// issued; [`ServiceError::ResultPending`] before the drain reaches
-    /// the request's finish cycle; [`ServiceError::WrongScheme`] for
-    /// CKKS requests (use [`Gateway::result_ckks`]).
+    /// issued; [`ServiceError::ResultPending`] before the clock reaches
+    /// the request's finish cycle or the farm has computed it (see
+    /// [`Gateway::download`]); [`ServiceError::WrongScheme`] for CKKS
+    /// requests (use [`Gateway::result_ckks`]).
     pub fn result(&self, ticket: &Ticket) -> Result<&Ciphertext> {
         match self.tickets.get(&ticket.id()) {
             Some(stored) if stored == ticket => self.download(ticket.tenant(), ticket.result()),
@@ -979,6 +1026,28 @@ mod tests {
         assert!(report.goodput_ops_per_sec() > 0.0);
         // Ciphertexts never round-tripped: 2 uploads + 4 results.
         assert_eq!(gw.registry().len(), 6);
+    }
+
+    #[test]
+    fn a_result_finished_in_virtual_time_is_pending_until_a_flush_computes_it() {
+        let mut c = client(76);
+        let mut gw = gateway(1, Box::new(TenantFair::default()));
+        let alice = gw.register_tenant("alice", &c.params, Some(c.rlk.clone())).unwrap();
+        let x = gw.put_ciphertext(alice, encrypt(&mut c, 3)).unwrap();
+        let sum = gw.submit(alice, Request::Add(x, x)).unwrap();
+        // Long past the sum's finish, a request that does not read it
+        // leaves it priced but uncomputed.
+        let pt = Plaintext::constant(&c.params, 2).unwrap();
+        let later = gw.submit_at(alice, Request::MulPlain(x, pt), 50_000_000).unwrap();
+        assert!(gw.registry().is_ready(sum.result()), "materialized at dispatch");
+        assert!(matches!(gw.result(&sum), Err(ServiceError::ResultPending { .. })));
+        // A request that reads it flushes the farm first.
+        let chained = gw.submit_at(alice, Request::MulRelin(sum.result(), x), 100_000_000).unwrap();
+        assert_eq!(c.dec.decrypt(gw.result(&sum).unwrap()).unwrap().coeffs()[0], 6);
+        assert_eq!(c.dec.decrypt(gw.result(&later).unwrap()).unwrap().coeffs()[0], 6);
+        assert!(matches!(gw.result(&chained), Err(ServiceError::ResultPending { .. })));
+        gw.drain().unwrap();
+        assert_eq!(c.dec.decrypt(gw.result(&chained).unwrap()).unwrap().coeffs()[0], 18);
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //! * **Farm** (FHEOS server) — the existing
 //!   [`Scheduler`](cofhee_farm::Scheduler) over N simulated dies;
 //!   everything stays on the deterministic virtual clock, so a fixed
-//!   submission sequence replays bit- and cycle-identically.
+//!   submission sequence replays bit- and cycle-identically. A dispatch
+//!   only places and prices its request; the result stays pending on
+//!   the farm until a dispatch that reads it, or [`Gateway::drain`],
+//!   flushes the farm.
 //!
 //! # Example
 //!

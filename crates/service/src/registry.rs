@@ -83,10 +83,12 @@ pub enum Visibility {
 
 #[derive(Debug)]
 enum EntryState {
-    /// Reserved at admission; the producing job has not finished.
+    /// Reserved at admission; the producing job has not been placed.
     Pending,
-    /// Materialized: readable from `ready_at` onwards.
-    Ready { ct: StoredCiphertext, ready_at: u64 },
+    /// Materialized: the producing job finishes at `ready_at` in virtual
+    /// time, and is readable from then on once the farm has computed
+    /// `ct`.
+    Ready { ct: Option<StoredCiphertext>, ready_at: u64 },
 }
 
 #[derive(Debug)]
@@ -141,7 +143,8 @@ impl CiphertextRegistry {
         self.entries.contains_key(&handle.raw())
     }
 
-    /// Whether `handle` has materialized (its producing job finished).
+    /// Whether `handle` has materialized: uploaded, or its producing job
+    /// placed on the farm.
     pub fn is_ready(&self, handle: CtHandle) -> bool {
         matches!(self.entries.get(&handle.raw()).map(|e| &e.state), Some(EntryState::Ready { .. }))
     }
@@ -180,7 +183,7 @@ impl CiphertextRegistry {
                 q,
                 n,
                 bytes,
-                state: EntryState::Ready { ct, ready_at: 0 },
+                state: EntryState::Ready { ct: Some(ct), ready_at: 0 },
             },
         );
         *self.bytes_by_tenant.entry(owner).or_insert(0) += bytes;
@@ -208,30 +211,40 @@ impl CiphertextRegistry {
         handle
     }
 
-    /// Fills a reserved handle with its result, readable from
-    /// `ready_at` onwards.
+    /// Materializes a reserved handle: its producing job, placed on the
+    /// farm, finishes at `ready_at` with a result of `bytes`, which the
+    /// farm computes later ([`Self::fill`]).
     ///
     /// Eviction legitimately races with completion — the owner may drop
     /// a reserved result handle while its producing request is still
-    /// queued or in flight — so a missing entry discards the result
-    /// instead of panicking.
+    /// queued or in flight — so a missing entry is ignored instead of
+    /// panicking.
     ///
     /// The reservation was an estimate (CKKS multiplies rescale, so
     /// their results carry one limb fewer than the worst case the
     /// admission charged); the charge is re-trued to the materialized
-    /// size here, so byte accounting always reflects what is actually
-    /// stored.
-    pub(crate) fn materialize(&mut self, handle: CtHandle, ct: StoredCiphertext, ready_at: u64) {
+    /// size here, so byte accounting always reflects what is stored.
+    pub(crate) fn materialize(&mut self, handle: CtHandle, bytes: u64, ready_at: u64) {
         let Some(entry) = self.entries.get_mut(&handle.raw()) else {
             return;
         };
         debug_assert!(matches!(entry.state, EntryState::Pending), "materialize twice");
-        let actual = ct.bytes(entry.n);
         let reserved = entry.bytes;
-        entry.bytes = actual;
+        entry.bytes = bytes;
         let used = self.bytes_by_tenant.entry(entry.owner).or_insert(0);
-        *used = used.saturating_sub(reserved).saturating_add(actual);
-        entry.state = EntryState::Ready { ct, ready_at };
+        *used = used.saturating_sub(reserved).saturating_add(bytes);
+        entry.state = EntryState::Ready { ct: None, ready_at };
+    }
+
+    /// Stores the computed result of a materialized handle; a result
+    /// whose handle was evicted meanwhile is discarded.
+    pub(crate) fn fill(&mut self, handle: CtHandle, result: StoredCiphertext) {
+        if let Some(Entry { state: EntryState::Ready { ct, .. }, .. }) =
+            self.entries.get_mut(&handle.raw())
+        {
+            debug_assert!(ct.is_none(), "fill twice");
+            *ct = Some(result);
+        }
     }
 
     /// Validates that `reader` may use `handle` as an operand: it must
@@ -256,10 +269,19 @@ impl CiphertextRegistry {
         self.entries.get(&handle.raw()).map(|e| (e.q, e.n))
     }
 
-    /// The materialized ciphertext, if `handle` is ready by cycle `at`.
+    /// Whether `handle` has materialized and its producing job finished
+    /// by cycle `at` — computed or not.
+    pub(crate) fn finished_by(&self, handle: CtHandle, at: u64) -> bool {
+        matches!(
+            self.entries.get(&handle.raw()).map(|e| &e.state),
+            Some(EntryState::Ready { ready_at, .. }) if *ready_at <= at
+        )
+    }
+
+    /// The ciphertext, if `handle` is ready by cycle `at` and computed.
     pub(crate) fn ready_ciphertext(&self, handle: CtHandle, at: u64) -> Option<&StoredCiphertext> {
         match self.entries.get(&handle.raw()).map(|e| &e.state) {
-            Some(EntryState::Ready { ct, ready_at }) if *ready_at <= at => Some(ct),
+            Some(EntryState::Ready { ct, ready_at }) if *ready_at <= at => ct.as_ref(),
             _ => None,
         }
     }
@@ -375,8 +397,12 @@ mod tests {
         assert!(!reg.is_ready(r));
         assert!(reg.ready_ciphertext(r, u64::MAX).is_none());
 
-        reg.materialize(r, StoredCiphertext::Bfv(ct(&params, 6, &mut rng)), 500);
+        reg.materialize(r, per_ct, 500);
         assert!(reg.is_ready(r));
+        assert!(!reg.finished_by(r, 499), "not ready before its finish cycle");
+        assert!(reg.finished_by(r, 500));
+        assert!(reg.ready_ciphertext(r, 500).is_none(), "not computed yet");
+        reg.fill(r, StoredCiphertext::Bfv(ct(&params, 6, &mut rng)));
         assert!(reg.ready_ciphertext(r, 499).is_none(), "not ready before its finish cycle");
         assert!(reg.ready_ciphertext(r, 500).is_some());
 

@@ -111,7 +111,7 @@ fn oracle(q: u128, stream: &OpStream) -> Vec<Vec<u128>> {
     for op in stream.nodes() {
         let at = |h: &StreamHandle| &vals[h.index()];
         let v = match op {
-            StreamOp::Upload(p) => p.iter().map(|&c| ring.from_u128(c)).collect(),
+            StreamOp::Upload(p) => p.words().unwrap().iter().map(|&c| ring.from_u128(c)).collect(),
             StreamOp::Input(_) => unreachable!("the random programs hold nothing resident"),
             StreamOp::Ntt(x) => forward(at(x).clone()),
             StreamOp::Intt(x) => inverse(at(x).clone()),
