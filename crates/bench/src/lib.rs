@@ -15,11 +15,6 @@
 //! | `fig4_adpll_lock` | ADPLL lock transient (Fig. 4 dynamics) |
 //! | `ablation_scaling` | Section VIII-A scalability + multiplier ablations |
 //!
-//! Criterion microbenches (`cargo bench -p cofhee_bench`) cover the
-//! software substrate: NTT engines (Barrett vs Montgomery, 64 vs 128
-//! bit), naive-vs-NTT crossover, BFV tower multiplication with thread
-//! scaling, and simulator command throughput.
-//!
 //! Every report binary accepts `--smoke`: a reduced-size run (smaller
 //! polynomial degrees, shorter sweeps, fewer timing repetitions) that
 //! exercises the whole table/figure pipeline in well under a second.

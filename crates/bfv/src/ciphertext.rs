@@ -47,12 +47,6 @@ impl Ciphertext {
     pub fn polys(&self) -> &[Polynomial<Barrett128>] {
         &self.polys
     }
-
-    /// Consumes the ciphertext, returning its components.
-    #[inline]
-    pub fn into_polys(self) -> Vec<Polynomial<Barrett128>> {
-        self.polys
-    }
 }
 
 #[cfg(test)]

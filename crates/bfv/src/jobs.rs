@@ -1,34 +1,27 @@
-//! The stream builders and host-side finishers every BFV operation is
-//! made of.
+//! The stream builders, host-side finishers and job plans every BFV
+//! operation is made of.
 //!
 //! [`Evaluator`]'s own methods (`add`, `multiply`, ...) run these very
 //! builders and finishers around the backends the evaluator brought up
 //! for itself. A farm of simulated CoFHEE dies owns its *own* per-chip,
-//! per-modulus backends and decides placement per stream, so it calls
-//! the same two halves around its own execution:
+//! per-modulus backends and decides placement per stream, so it takes a
+//! job as a [`JobPlan`] of the same streams and finishers:
 //!
 //! 1. **Record** — a pure function of the ciphertexts producing one or
-//!    more [`OpStream`]s (no backend involved). The caller executes
-//!    each stream on whatever backend it placed it on:
+//!    more [`OpStream`]s (no backend involved):
 //!    [`Evaluator::add_stream`], [`Evaluator::add_plain_stream`],
 //!    [`Evaluator::mul_plain_stream`] record a single mod-`q` stream;
 //!    [`Evaluator::tensor_streams`] records one stream per CRT
 //!    computation prime (the per-limb decomposition of the exact Eq. 4
-//!    tensor); [`Evaluator::relin_stream`] delegates to the
-//!    scheme-neutral [`cofhee_core::record_key_switch`] builder (shared
-//!    with CKKS rescale-relinearize) to record the key-switch inner
-//!    products as a self-contained mod-`q` stream — the relin-key
-//!    polynomials travel *inside* the stream as the key stores them
-//!    (NTT form, shared payloads: nothing is transformed or copied), so
-//!    it runs on any borrowed backend ([`Evaluator::relinearize`]
-//!    instead references the copy the evaluator's
-//!    [`LimbEngine`](cofhee_opt::LimbEngine) keeps resident on the
-//!    backend it owns — the residency set CKKS uses too). Its
-//!    host-computed operands (`c₂`'s digits, `c₀`, `c₁`) are deferred
-//!    uploads: [`Evaluator::relin_stream_deferred`] records the stream
-//!    before the product exists, so a scheduler prices it with the
-//!    tensor, and [`Evaluator::fill_relin`] fills it once the product is
-//!    in; `relin_stream` is the two at once.
+//!    tensor, [`cofhee_core::record_tensor`] over centered lifts);
+//!    [`Evaluator::relin_stream`] records the key-switch inner products
+//!    with the scheme-neutral [`cofhee_core::record_key_switch`] as a
+//!    self-contained mod-`q` stream — the relin-key polynomials travel
+//!    *inside* the stream as the key stores them (NTT form, shared
+//!    payloads: nothing is transformed or copied), so it runs on any
+//!    borrowed backend ([`Evaluator::relinearize`] instead references
+//!    the copy the evaluator's [`LimbEngine`](cofhee_opt::LimbEngine)
+//!    keeps resident on the backend it owns).
 //! 2. **Finish** — host-side reconstruction from the stream outputs:
 //!    [`Evaluator::ciphertext_from_outputs`] rewraps downloaded
 //!    components, and [`Evaluator::tensor_combine`] performs the CRT
@@ -38,14 +31,22 @@
 //!    ([`RnsBasis::compose`](cofhee_arith::rns::RnsBasis::compose)) and
 //!    the precomputed [`ScaleRound`](cofhee_arith::signed::ScaleRound) of
 //!    the parameter set, no division and no allocation per coefficient.
+//! 3. **Plan** — [`Evaluator::stream_plan`] makes one mod-`q` stream a
+//!    one-phase plan; [`Evaluator::mul_relin_plan`] lowers a multiply to
+//!    the tensor limbs, then the key switch, with the host CRT between
+//!    them. The key switch's host-computed operands (`c₂`'s digits, `c₀`,
+//!    `c₁`) are deferred uploads, filled by that host step, so the whole
+//!    job is recorded — and can be priced — before the product exists.
 //!
 //! One recording, two executors: a job run through borrowed backends is
 //! bit-identical to the evaluator running it directly, on any backend
 //! under any placement — which is what makes farm results independent of
 //! scheduling policy and chip count.
 
+use std::sync::Arc;
+
 use cofhee_arith::{Barrett128, ModRing};
-use cofhee_core::{Filler, KeySwitchKeys, OpStream, Payload, StreamHandle};
+use cofhee_core::{Filler, JobPlan, KeySwitchKeys, OpStream, Payload, PlanPhase, StreamHandle};
 use cofhee_poly::Polynomial;
 
 use crate::ciphertext::Ciphertext;
@@ -66,12 +67,9 @@ struct Chunk<'a> {
     done: cofhee_arith::Result<()>,
 }
 
-/// What a relinearization recorded by
-/// [`Evaluator::relin_stream_deferred`] waits for: the digits of the
-/// product's third component and its first two components, filled by
-/// [`Evaluator::fill_relin`].
-#[derive(Debug)]
-pub struct RelinFill {
+/// What a recorded key switch waits for: the digits of the product's
+/// third component and its first two components.
+pub(crate) struct RelinFill {
     base_bits: u32,
     digits: Vec<Filler>,
     base: [Filler; 2],
@@ -173,18 +171,9 @@ impl Evaluator {
     /// Returns [`BfvError::ParamsMismatch`] for foreign ciphertexts.
     pub fn mul_plain_stream(&self, a: &Ciphertext, pt: &Plaintext) -> Result<OpStream> {
         self.check_ct(a)?;
-        let n = self.params().n();
         let lifted: Vec<u128> = pt.coeffs().iter().map(|&m| m as u128).collect();
-        let mut st = OpStream::new(n);
-        let hm = st.upload(lifted)?;
-        let fm = st.ntt(hm)?;
-        for p in a.polys() {
-            let hp = st.upload(p.to_u128_vec())?;
-            let fp = st.ntt(hp)?;
-            let prod = st.hadamard_intt(fp, fm)?;
-            st.output(prod)?;
-        }
-        Ok(st)
+        let components = a.polys().iter().map(Polynomial::to_u128_vec);
+        Ok(cofhee_core::record_mul_plain(self.params().n(), lifted, components)?)
     }
 
     /// Records the unscaled Eq. 4 tensor as one [`OpStream`] per CRT
@@ -230,30 +219,14 @@ impl Evaluator {
             .collect()
     }
 
-    /// Records the per-prime unscaled tensor as a stream: 4 forward
-    /// NTTs, then the outer tensor components as single
-    /// `intt ∘ hadamard` nodes and the middle component as a Hadamard
-    /// plus a multiply-accumulate *in the NTT domain* before its inverse
-    /// transform — the node list `cofhee_ckks` records per limb. Same dataflow as the paper's
-    /// Algorithm 3 modulo the final scaling, with the three tensor
+    /// Records the per-prime unscaled tensor as a stream: the centered
+    /// lifts of both operands modulo computation prime `i`, through the
+    /// 2×2 tensor dataflow CKKS records per limb too. Same dataflow as the
+    /// paper's Algorithm 3 modulo the final scaling, with the three tensor
     /// components marked as outputs.
     fn tensor_stream(&self, i: usize, a: &Ciphertext, b: &Ciphertext) -> Result<OpStream> {
-        let mut st = OpStream::new(self.params().n());
-        let mut ntts = Vec::with_capacity(4);
-        for p in [&a.polys()[0], &a.polys()[1], &b.polys()[0], &b.polys()[1]] {
-            let up = st.upload(self.lift_centered(p, i))?;
-            ntts.push(st.ntt(up)?);
-        }
-        let (a0, a1, b0, b1) = (ntts[0], ntts[1], ntts[2], ntts[3]);
-        let r0 = st.hadamard_intt(a0, b0)?;
-        let x01 = st.hadamard(a0, b1)?;
-        let t1 = st.hadamard_add(a1, b0, x01)?;
-        let r1 = st.intt(t1)?;
-        let r2 = st.hadamard_intt(a1, b1)?;
-        for r in [r0, r1, r2] {
-            st.output(r)?;
-        }
-        Ok(st)
+        let lift = |ct: &Ciphertext| [0, 1].map(|c| self.lift_centered(&ct.polys()[c], i));
+        Ok(cofhee_core::record_tensor(self.params().n(), lift(a), lift(b))?)
     }
 
     /// Finishes an exact multiplication from per-limb tensor outputs:
@@ -358,7 +331,8 @@ impl Evaluator {
     /// Records the key switch of a product's third component onto its
     /// first two against `keys` — the polynomials of an already checked
     /// `rlk`, inline or resident — before the product exists: the digits
-    /// and both base components are deferred uploads.
+    /// and both base components are deferred uploads, filled by
+    /// `fill_relin`.
     pub(crate) fn record_key_switch(
         &self,
         rlk: &RelinKey,
@@ -386,44 +360,22 @@ impl Evaluator {
     /// Outputs are the two relinearized components — finish with
     /// [`Evaluator::ciphertext_from_outputs`].
     ///
-    /// This is [`Evaluator::relin_stream_deferred`] filled at once from
-    /// `ct`.
-    ///
     /// # Errors
     ///
     /// Returns [`BfvError::WrongCiphertextSize`] unless the input has
     /// three components, and [`BfvError::ParamsMismatch`] for a foreign
     /// ciphertext or a key generated under other parameters.
     pub fn relin_stream(&self, ct: &Ciphertext, rlk: &RelinKey) -> Result<OpStream> {
-        let (stream, fill) = self.relin_stream_deferred(rlk)?;
+        self.check_rlk(rlk)?;
+        let (stream, fill) = self.record_key_switch(rlk, KeySwitchKeys::Inline(&rlk.parts))?;
         self.fill_relin(fill, ct)?;
         Ok(stream)
     }
 
-    /// [`Evaluator::relin_stream`] recorded before the product it
-    /// relinearizes exists: the host-computed operands (the digits of
-    /// `c₂`, `c₀`, `c₁`) are deferred uploads. A scheduler places and
-    /// prices the stream, which reads only their length, and fills them
-    /// with [`Evaluator::fill_relin`] once the product is in.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BfvError::ParamsMismatch`] for a key generated under
-    /// other parameters.
-    pub fn relin_stream_deferred(&self, rlk: &RelinKey) -> Result<(OpStream, RelinFill)> {
-        self.check_rlk(rlk)?;
-        self.record_key_switch(rlk, KeySwitchKeys::Inline(&rlk.parts))
-    }
-
-    /// Fills a recorded relinearization from the 3-component product
-    /// `ct`: decomposes `c₂` into digits host-side and hands over `c₀`
-    /// and `c₁`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BfvError::WrongCiphertextSize`] unless `ct` has three
-    /// components, and [`BfvError::ParamsMismatch`] for a foreign one.
-    pub fn fill_relin(&self, fill: RelinFill, ct: &Ciphertext) -> Result<()> {
+    /// Fills a recorded key switch from the 3-component product `ct`:
+    /// decomposes `c₂` into digits host-side and hands over `c₀` and
+    /// `c₁`.
+    pub(crate) fn fill_relin(&self, fill: RelinFill, ct: &Ciphertext) -> Result<()> {
         self.check_ct(ct)?;
         if ct.len() != 3 {
             return Err(BfvError::WrongCiphertextSize { expected: 3, found: ct.len() });
@@ -441,6 +393,61 @@ impl Evaluator {
             filler.fill(c.to_u128_vec())?;
         }
         Ok(())
+    }
+
+    /// Lowers one mod-`q` stream of this evaluator (an
+    /// [`Evaluator::add_stream`]-family recording) to a one-phase plan
+    /// whose outputs are the ciphertext.
+    pub fn stream_plan(self: &Arc<Self>, stream: OpStream) -> JobPlan<Ciphertext, BfvError> {
+        let ev = Arc::clone(self);
+        JobPlan {
+            phases: vec![self.mod_q_phase("compute", stream, 0)],
+            steps: Vec::new(),
+            finish: Box::new(move |limbs| ev.ciphertext_from_limb(limbs)),
+        }
+    }
+
+    /// Lowers `a · b` relinearized under `rlk` to a two-phase plan: the
+    /// tensor limbs, one stream per computation prime, then the key
+    /// switch, one mod-`q` stream with the key inline. Between them the
+    /// host runs [`Evaluator::tensor_combine`] and decomposes `c₂`,
+    /// filling the uploads the key switch was recorded without.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::tensor_streams`], and [`BfvError::ParamsMismatch`]
+    /// for a key generated under other parameters.
+    pub fn mul_relin_plan(
+        self: &Arc<Self>,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        rlk: &RelinKey,
+    ) -> Result<JobPlan<Ciphertext, BfvError>> {
+        let tensor = self.tensor_streams(a, b)?;
+        self.check_rlk(rlk)?;
+        let (relin, fill) = self.record_key_switch(rlk, KeySwitchKeys::Inline(&rlk.parts))?;
+        let moduli = self.params().mult_basis().moduli().to_vec();
+        let (step, ev) = (Arc::clone(self), Arc::clone(self));
+        Ok(JobPlan {
+            phases: vec![
+                PlanPhase { name: "tensor", moduli, streams: tensor, key_polys: 0 },
+                self.mod_q_phase("relin", relin, 2 * rlk.digit_count()),
+            ],
+            steps: vec![Box::new(move |limbs| {
+                step.fill_relin(fill, &step.tensor_combine(&limbs)?)
+            })],
+            finish: Box::new(move |limbs| ev.ciphertext_from_limb(limbs)),
+        })
+    }
+
+    /// A phase of one mod-`q` stream.
+    fn mod_q_phase(&self, name: &'static str, stream: OpStream, key_polys: usize) -> PlanPhase {
+        PlanPhase { name, moduli: vec![self.params().q()], streams: vec![stream], key_polys }
+    }
+
+    /// The ciphertext a one-stream phase computed.
+    fn ciphertext_from_limb(&self, limbs: Vec<Vec<Vec<u128>>>) -> Result<Ciphertext> {
+        self.ciphertext_from_outputs(limbs.into_iter().next().unwrap_or_default())
     }
 
     /// Rewraps downloaded stream outputs (canonical residues in

@@ -71,7 +71,6 @@ pub use ciphertext::Ciphertext;
 pub use encrypt::{Decryptor, Encryptor};
 pub use error::{BfvError, Result};
 pub use evaluator::Evaluator;
-pub use jobs::RelinFill;
 pub use keys::{KeyGenerator, PublicKey, RelinKey, SecretKey};
 pub use params::{BfvParams, MAX_FUNCTIONAL_LOG_Q};
 pub use plaintext::{BatchEncoder, Plaintext};

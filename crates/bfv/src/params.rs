@@ -215,11 +215,6 @@ impl BfvParams {
     pub(crate) fn decrypt_round(&self) -> &ScaleRound {
         &self.crt.decrypt_round
     }
-
-    /// Structural equality of parameter sets (same `n`, `t`, `q`).
-    pub fn matches(&self, other: &Self) -> bool {
-        self.n == other.n && self.t == other.t && self.q == other.q
-    }
 }
 
 #[cfg(test)]
@@ -277,14 +272,5 @@ mod tests {
         // t too large relative to q.
         let q = primes::ntt_prime(60, 1 << 6).unwrap();
         assert!(BfvParams::new(1 << 6, (q >> 2) as u64, q).is_err());
-    }
-
-    #[test]
-    fn matches_detects_compatibility() {
-        let a = BfvParams::insecure_testing(1 << 6).unwrap();
-        let b = BfvParams::insecure_testing(1 << 6).unwrap();
-        let c = BfvParams::insecure_testing(1 << 7).unwrap();
-        assert!(a.matches(&b));
-        assert!(!a.matches(&c));
     }
 }

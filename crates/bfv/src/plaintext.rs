@@ -119,12 +119,6 @@ impl BatchEncoder {
         Ok(Self { plan, n, t })
     }
 
-    /// Number of slots (= `n`).
-    #[inline]
-    pub fn slot_count(&self) -> usize {
-        self.n
-    }
-
     /// Packs slot values into a plaintext polynomial (inverse NTT over `t`).
     ///
     /// # Errors

@@ -59,13 +59,6 @@ impl CkksEncoder {
         self.params.slots()
     }
 
-    /// Worst-case absolute slot error introduced by one encode∘decode
-    /// round trip at scale Δ: `n / (2Δ)`.
-    #[must_use]
-    pub fn roundtrip_error_bound(&self, scale: f64) -> f64 {
-        self.params.n() as f64 / (2.0 * scale)
-    }
-
     /// Encodes up to `n/2` reals at the default scale Δ and the chain's
     /// top level.
     ///
@@ -251,7 +244,8 @@ mod tests {
         let pt = enc.encode(&values).unwrap();
         assert_eq!(pt.level(), p.top_level());
         let back = enc.decode(&pt).unwrap();
-        let bound = enc.roundtrip_error_bound(p.scale());
+        // Worst-case slot error of one round trip at scale Δ: n / (2Δ).
+        let bound = p.n() as f64 / (2.0 * p.scale());
         for (a, b) in back.iter().zip(&values) {
             assert!((a - b).abs() <= bound, "{a} vs {b} (bound {bound:e})");
         }

@@ -251,13 +251,9 @@ impl CkksEvaluator {
     }
 
     /// The scale a rescale of a ciphertext at `level` and `scale` would
-    /// land on (`scale / q_ℓ`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::LevelExhausted`] at the chain bottom and
+    /// land on: [`CkksError::LevelExhausted`] at the chain bottom,
     /// [`CkksError::ParamsMismatch`] above the chain top.
-    pub fn rescaled_scale_at(&self, level: Level, scale: f64) -> Result<f64> {
+    pub(crate) fn rescaled_scale_at(&self, level: Level, scale: f64) -> Result<f64> {
         if level.lower().is_none() {
             return Err(CkksError::LevelExhausted);
         }

@@ -69,4 +69,3 @@ pub use error::{CkksError, Result};
 pub use evaluator::CkksEvaluator;
 pub use keys::{CkksKeyGenerator, CkksPublicKey, CkksRelinKey, CkksSecretKey};
 pub use params::{CkksParams, Level};
-pub use streams::{CkksRelinFill, CkksRescaleFill};

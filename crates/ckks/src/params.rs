@@ -231,15 +231,6 @@ impl CkksParams {
         let bits = self.basis_at(level).product().bits();
         bits.div_ceil(self.base_bits) as usize
     }
-
-    /// Structural equality of parameter sets (same `n`, chain, Δ, `w`).
-    #[must_use]
-    pub fn matches(&self, other: &Self) -> bool {
-        self.n == other.n
-            && self.moduli == other.moduli
-            && self.scale == other.scale
-            && self.base_bits == other.base_bits
-    }
 }
 
 #[cfg(test)]

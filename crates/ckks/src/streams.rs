@@ -1,13 +1,13 @@
 //! Pure stream builders: record each CKKS primitive as per-limb
-//! [`OpStream`]s, without executing anything.
+//! [`OpStream`]s, without executing anything — and the job plans a farm
+//! runs them as.
 //!
-//! This is the CKKS analogue of `cofhee_bfv::jobs` — the farm's job
-//! layer calls these builders to record streams on the host, ships them
-//! to whichever chip the scheduler picked, and reassembles ciphertexts
-//! from the downloaded outputs with
-//! [`CkksEvaluator::ciphertext_from_limb_outputs`]. The direct
-//! `CkksEvaluator` methods use exactly the same builders, so local and
-//! farm execution are bit-identical by construction. The one builder
+//! This is the CKKS analogue of `cofhee_bfv::jobs`. The direct
+//! `CkksEvaluator` methods run exactly these builders on their own
+//! backends, and a farm takes a job as a [`JobPlan`] of the same streams
+//! and finishers, so local and farm execution are bit-identical by
+//! construction. The 2×2 tensor and `ct · pt` are the scheme-neutral
+//! recorders of `cofhee_core` over one limb's residues. The one builder
 //! with two forms is the key switch: `key_switch_streams` records it
 //! against whichever [`KeySwitchKeys`] it is handed — the key's stored
 //! NTT-form payloads uploaded inline for
@@ -19,20 +19,26 @@
 //! The key switch and the rescale upload what the host computes from
 //! the ciphertext they transform — `c₂`'s composed digits and the base
 //! limbs, the remaining limbs and the lifted subtrahend — as deferred
-//! uploads: `relin_streams_deferred` / `rescale_streams_deferred` record
-//! the streams from the ciphertext's level alone, so a scheduler prices a
-//! whole multiply before its product exists, and
-//! [`CkksEvaluator::fill_relin`] / [`CkksEvaluator::fill_rescale`] fill
-//! them once it does. `relin_streams` / `rescale_streams` are the two at
-//! once, as is [`CkksEvaluator::relinearize`] against its resident key.
+//! uploads, recorded from the ciphertext's level alone and filled once
+//! it exists. [`CkksEvaluator::mul_relin_rescale_plan`] therefore records
+//! a whole multiply — tensor, key switch, rescale — before its product
+//! exists, with those fills as the host steps between the phases;
+//! `relin_streams` / `rescale_streams` record and fill at once.
+//! [`CkksEvaluator::limb_plan`] makes any other operation's limb streams
+//! a one-phase plan.
 //!
 //! All builders return one stream per active limb: stream `j` runs on
 //! the limb-`j` backend (modulus `qⱼ`) — except rescale, which returns
 //! one stream per *remaining* limb, the dropped top prime's workload
 //! having been folded host-side into the lifted subtrahend.
 
+use std::sync::Arc;
+
 use cofhee_arith::{signed, ModRing};
-use cofhee_core::{digit_decompose, record_key_switch, Filler, KeySwitchKeys, OpStream, Payload};
+use cofhee_core::{
+    digit_decompose, record_key_switch, Filler, JobPlan, KeySwitchKeys, OpStream, Payload,
+    PlanPhase,
+};
 
 use crate::ciphertext::{CkksCiphertext, CkksPlaintext};
 use crate::error::{CkksError, Result};
@@ -40,26 +46,17 @@ use crate::evaluator::CkksEvaluator;
 use crate::keys::CkksRelinKey;
 use crate::params::Level;
 
-/// What relinearization streams recorded by
-/// [`CkksEvaluator::relin_streams_deferred`] wait for: the digits of the
+/// What recorded key-switch streams wait for: the digits of the
 /// product's composed third component, shared by every limb, and each
-/// limb's `c₀`, `c₁` — filled by [`CkksEvaluator::fill_relin`].
-#[derive(Debug)]
-pub struct CkksRelinFill {
-    level: Level,
+/// limb's `c₀`, `c₁`.
+pub(crate) struct CkksRelinFill {
     digits: Vec<Filler>,
     base: Vec<[Filler; 2]>,
 }
 
-/// What rescale streams recorded by
-/// [`CkksEvaluator::rescale_streams_deferred`] wait for: per remaining
-/// limb and component, the component's limb and its lifted subtrahend —
-/// filled by [`CkksEvaluator::fill_rescale`].
-#[derive(Debug)]
-pub struct CkksRescaleFill {
-    level: Level,
-    limbs: Vec<Vec<[Filler; 2]>>,
-}
+/// What recorded rescale streams wait for: per remaining limb and
+/// component, the component's limb and its lifted subtrahend.
+struct CkksRescaleFill(Vec<Vec<[Filler; 2]>>);
 
 impl CkksEvaluator {
     /// Records slot-wise addition: per limb, upload both components and
@@ -158,20 +155,12 @@ impl CkksEvaluator {
         self.check_ct(a)?;
         self.check_plain(a.level(), pt)?;
         let n = self.params.n();
-        let mut streams = Vec::with_capacity(a.level().limbs());
-        for j in 0..a.level().limbs() {
-            let mut st = OpStream::new(n);
-            let hp = st.upload(pt.limbs()[j].clone())?;
-            let fp = st.ntt(hp)?;
-            for c in a.components() {
-                let hc = st.upload(c[j].clone())?;
-                let fc = st.ntt(hc)?;
-                let h = st.hadamard_intt(fc, fp)?;
-                st.output(h)?;
-            }
-            streams.push(st);
-        }
-        Ok(streams)
+        (0..a.level().limbs())
+            .map(|j| {
+                let components = a.components().iter().map(|c| c[j].clone());
+                Ok(cofhee_core::record_mul_plain(n, pt.limbs()[j].clone(), components)?)
+            })
+            .collect()
     }
 
     /// Records the 2×2 ciphertext tensor per limb: four uploads + NTTs,
@@ -192,32 +181,11 @@ impl CkksEvaluator {
                 return Err(CkksError::WrongCiphertextSize { expected: 2, found: ct.len() });
             }
         }
+        let limb = |ct: &CkksCiphertext, j: usize| [0, 1].map(|c| ct.components()[c][j].clone());
         let n = self.params.n();
-        let mut streams = Vec::with_capacity(a.level().limbs());
-        for j in 0..a.level().limbs() {
-            let mut st = OpStream::new(n);
-            let ua0 = st.upload(a.components()[0][j].clone())?;
-            let a0 = st.ntt(ua0)?;
-            let ua1 = st.upload(a.components()[1][j].clone())?;
-            let a1 = st.ntt(ua1)?;
-            let ub0 = st.upload(b.components()[0][j].clone())?;
-            let b0 = st.ntt(ub0)?;
-            let ub1 = st.upload(b.components()[1][j].clone())?;
-            let b1 = st.ntt(ub1)?;
-            // d0 = a0·b0 (fused Hadamard + iNTT).
-            let d0 = st.hadamard_intt(a0, b0)?;
-            // d1 = a0·b1 + a1·b0, accumulated in the NTT domain.
-            let m0 = st.hadamard(a0, b1)?;
-            let m1 = st.hadamard_add(a1, b0, m0)?;
-            let d1 = st.intt(m1)?;
-            // d2 = a1·b1.
-            let d2 = st.hadamard_intt(a1, b1)?;
-            st.output(d0)?;
-            st.output(d1)?;
-            st.output(d2)?;
-            streams.push(st);
-        }
-        Ok(streams)
+        (0..a.level().limbs())
+            .map(|j| Ok(cofhee_core::record_tensor(n, limb(a, j), limb(b, j))?))
+            .collect()
     }
 
     /// Records relinearization as one self-contained key-switch stream
@@ -237,31 +205,11 @@ impl CkksEvaluator {
     pub fn relin_streams(&self, ct: &CkksCiphertext, rlk: &CkksRelinKey) -> Result<Vec<OpStream>> {
         self.check_rlk(rlk)?;
         self.check_ct(ct)?;
-        let (streams, fill) = self.relin_streams_deferred(ct.level(), rlk)?;
+        let (streams, fill) = self.key_switch_streams(ct.level(), |j, digits| {
+            KeySwitchKeys::Inline(&rlk.limb_parts(j)[..digits])
+        })?;
         self.fill_relin(fill, ct)?;
         Ok(streams)
-    }
-
-    /// [`CkksEvaluator::relin_streams`] recorded for a product at `level`
-    /// before it exists: the host-computed operands (the digits of the
-    /// composed `c₂`, and each limb's `c₀`, `c₁`) are deferred uploads. A
-    /// scheduler places and prices the streams, which read only their
-    /// length, and fills them with [`CkksEvaluator::fill_relin`] once the
-    /// product is in.
-    ///
-    /// # Errors
-    ///
-    /// [`CkksError::ParamsMismatch`] for a key made under other
-    /// parameters or a level above the chain top.
-    pub fn relin_streams_deferred(
-        &self,
-        level: Level,
-        rlk: &CkksRelinKey,
-    ) -> Result<(Vec<OpStream>, CkksRelinFill)> {
-        self.check_rlk(rlk)?;
-        self.key_switch_streams(level, |j, digits| {
-            KeySwitchKeys::Inline(&rlk.limb_parts(j)[..digits])
-        })
     }
 
     /// Refuses a key generated under another parameter set: residues of
@@ -312,29 +260,20 @@ impl CkksEvaluator {
             streams.push(st);
             base.push([f0, f1]);
         }
-        Ok((streams, CkksRelinFill { level, digits: digit_fills, base }))
+        Ok((streams, CkksRelinFill { digits: digit_fills, base }))
     }
 
-    /// Fills recorded relinearization streams from the 3-component
-    /// product `ct`: CRT-composes `c₂` out of the chain host-side (the
-    /// validated chain fits the chip's 128-bit native coefficient
-    /// width), digit-decomposes it, and hands over each limb of `c₀` and
-    /// `c₁`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::WrongCiphertextSize`] unless `ct` has three
-    /// components, [`CkksError::LevelMismatch`] unless it sits at the
-    /// level the streams were recorded for, and shape mismatches.
-    pub fn fill_relin(&self, fill: CkksRelinFill, ct: &CkksCiphertext) -> Result<()> {
+    /// Fills recorded key-switch streams from the 3-component product
+    /// `ct`: CRT-composes `c₂` out of the chain host-side (the validated
+    /// chain fits the chip's 128-bit native coefficient width),
+    /// digit-decomposes it, and hands over each limb of `c₀` and `c₁`.
+    /// `ct` must sit at the level the streams were recorded for.
+    pub(crate) fn fill_relin(&self, fill: CkksRelinFill, ct: &CkksCiphertext) -> Result<()> {
         self.check_ct(ct)?;
         if ct.len() != 3 {
             return Err(CkksError::WrongCiphertextSize { expected: 3, found: ct.len() });
         }
         let level = ct.level();
-        if level != fill.level {
-            return Err(CkksError::LevelMismatch { a: fill.level.index(), b: level.index() });
-        }
         let n = self.params.n();
         let basis = self.params.basis_at(level);
         // Host: compose c2 into its canonical chain representative.
@@ -366,30 +305,23 @@ impl CkksEvaluator {
     /// `pointwise_sub` + `scalar_mul` per component. Returns one stream
     /// per **remaining** limb (`level.limbs() − 1`).
     ///
-    /// This is [`CkksEvaluator::rescale_streams_deferred`] filled at once
-    /// from `ct`.
-    ///
     /// # Errors
     ///
     /// Returns [`CkksError::LevelExhausted`] at the chain bottom, plus
     /// recording failures.
     pub fn rescale_streams(&self, ct: &CkksCiphertext) -> Result<Vec<OpStream>> {
         self.check_ct(ct)?;
-        let (streams, fill) = self.rescale_streams_deferred(ct.level(), ct.len())?;
+        let (streams, fill) = self.record_rescale(ct.level(), ct.len())?;
         self.fill_rescale(fill, ct)?;
         Ok(streams)
     }
 
-    /// [`CkksEvaluator::rescale_streams`] recorded for a `components`-
-    /// component ciphertext at `level` before it exists: each remaining
-    /// limb of each component and its lifted subtrahend are deferred
-    /// uploads, filled by [`CkksEvaluator::fill_rescale`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::LevelExhausted`] at the chain bottom and
+    /// Records the rescale of a `components`-component ciphertext at
+    /// `level` before it exists: each remaining limb of each component
+    /// and its lifted subtrahend are deferred uploads, filled by
+    /// `fill_rescale`. [`CkksError::LevelExhausted`] at the chain bottom,
     /// [`CkksError::ParamsMismatch`] above the chain top.
-    pub fn rescale_streams_deferred(
+    fn record_rescale(
         &self,
         level: Level,
         components: usize,
@@ -422,27 +354,15 @@ impl CkksEvaluator {
             streams.push(st);
             limbs.push(fills);
         }
-        Ok((streams, CkksRescaleFill { level, limbs }))
+        Ok((streams, CkksRescaleFill(limbs)))
     }
 
     /// Fills recorded rescale streams from `ct`: lifts each component's
     /// centered top limb into every remaining limb host-side and hands
-    /// over the remaining limbs.
-    ///
-    /// # Errors
-    ///
-    /// [`CkksError::LevelMismatch`] unless `ct` sits at the level the
-    /// streams were recorded for, [`CkksError::WrongCiphertextSize`]
-    /// unless it has as many components, and shape mismatches.
-    pub fn fill_rescale(&self, fill: CkksRescaleFill, ct: &CkksCiphertext) -> Result<()> {
+    /// over the remaining limbs. `ct` must sit at the level, and have the
+    /// components, the streams were recorded for.
+    fn fill_rescale(&self, fill: CkksRescaleFill, ct: &CkksCiphertext) -> Result<()> {
         self.check_ct(ct)?;
-        if ct.level() != fill.level {
-            return Err(CkksError::LevelMismatch { a: fill.level.index(), b: ct.level().index() });
-        }
-        let components = fill.limbs.first().map_or(ct.len(), Vec::len);
-        if ct.len() != components {
-            return Err(CkksError::WrongCiphertextSize { expected: components, found: ct.len() });
-        }
         let top = ct.level().index();
         let q_top = self.params.moduli()[top];
         // Host: centered representative of each component's top limb.
@@ -451,7 +371,7 @@ impl CkksEvaluator {
             .iter()
             .map(|c| c[top].iter().map(|&v| signed::centered(q_top, v)).collect())
             .collect();
-        for (j, fills) in fill.limbs.into_iter().enumerate() {
+        for (j, fills) in fill.0.into_iter().enumerate() {
             let q_j = self.params.ring(j).modulus();
             for ((c, lift), [fc, fl]) in ct.components().iter().zip(&lifted).zip(fills) {
                 fc.fill(c[j].clone())?;
@@ -470,6 +390,83 @@ impl CkksEvaluator {
             }
         }
         Ok(())
+    }
+
+    /// Lowers an operation's limb streams (stream `j` under chain prime
+    /// `qⱼ`) to a one-phase plan whose result lands at `level` and
+    /// `scale`.
+    pub fn limb_plan(
+        self: &Arc<Self>,
+        streams: Vec<OpStream>,
+        level: Level,
+        scale: f64,
+    ) -> JobPlan<CkksCiphertext, CkksError> {
+        let ev = Arc::clone(self);
+        JobPlan {
+            phases: vec![self.limb_phase("compute", level, streams, 0)],
+            steps: Vec::new(),
+            finish: Box::new(move |limbs| ev.ciphertext_from_limb_outputs(limbs, level, scale)),
+        }
+    }
+
+    /// Lowers `a · b` relinearized under `rlk` and rescaled to a
+    /// three-phase plan: the tensor limbs; the key switch, its key
+    /// inline, once the host has composed and decomposed the product's
+    /// cubic component; the rescale, once the host has lifted the key
+    /// switch's top limb. The result lands one level down at ≈ Δ.
+    ///
+    /// # Errors
+    ///
+    /// As [`CkksEvaluator::tensor_streams`], [`CkksError::ParamsMismatch`]
+    /// for a key made under other parameters, and
+    /// [`CkksError::LevelExhausted`] for operands at the chain bottom.
+    pub fn mul_relin_rescale_plan(
+        self: &Arc<Self>,
+        a: &CkksCiphertext,
+        b: &CkksCiphertext,
+        rlk: &CkksRelinKey,
+    ) -> Result<JobPlan<CkksCiphertext, CkksError>> {
+        let (level, scale) = (a.level(), a.scale() * b.scale());
+        let tensor = self.tensor_streams(a, b)?;
+        self.check_rlk(rlk)?;
+        let (relin, relin_fill) = self.key_switch_streams(level, |j, digits| {
+            KeySwitchKeys::Inline(&rlk.limb_parts(j)[..digits])
+        })?;
+        let (rescale, rescale_fill) = self.record_rescale(level, 2)?;
+        let rescaled = self.rescaled_scale_at(level, scale)?;
+        let lower = level.lower().ok_or(CkksError::LevelExhausted)?;
+        let key_polys = 2 * self.params.digits_at(level) * level.limbs();
+        let [relin_step, rescale_step, ev] = [(); 3].map(|()| Arc::clone(self));
+        Ok(JobPlan {
+            phases: vec![
+                self.limb_phase("tensor", level, tensor, 0),
+                self.limb_phase("relin", level, relin, key_polys),
+                self.limb_phase("rescale", lower, rescale, 0),
+            ],
+            steps: vec![
+                Box::new(move |limbs| {
+                    let product = relin_step.ciphertext_from_limb_outputs(limbs, level, scale)?;
+                    relin_step.fill_relin(relin_fill, &product)
+                }),
+                Box::new(move |limbs| {
+                    let relin = rescale_step.ciphertext_from_limb_outputs(limbs, level, scale)?;
+                    rescale_step.fill_rescale(rescale_fill, &relin)
+                }),
+            ],
+            finish: Box::new(move |limbs| ev.ciphertext_from_limb_outputs(limbs, lower, rescaled)),
+        })
+    }
+
+    /// A phase of one stream per limb of `level`.
+    fn limb_phase(
+        &self,
+        name: &'static str,
+        level: Level,
+        streams: Vec<OpStream>,
+        key_polys: usize,
+    ) -> PlanPhase {
+        let moduli = self.params.moduli_at(level).to_vec();
+        PlanPhase { name, moduli, streams, key_polys }
     }
 
     /// Reassembles a ciphertext from per-limb stream outputs

@@ -942,11 +942,6 @@ impl ChipBackend {
     pub fn device(&self) -> &Device {
         &self.device
     }
-
-    /// Consumes the backend, returning the device.
-    pub fn into_device(self) -> Device {
-        self.device
-    }
 }
 
 impl PolyBackend for ChipBackend {

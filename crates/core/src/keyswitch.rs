@@ -1,18 +1,19 @@
-//! Scheme-neutral digit-decomposition key-switch stream builder.
+//! Scheme-neutral stream recorders: the dataflows BFV and CKKS share
+//! node for node, each handed one limb's operand words (BFV its
+//! centered lifts, CKKS the limb's residues) — the 2×2 ciphertext
+//! tensor ([`record_tensor`]), the ciphertext × plaintext product
+//! ([`record_mul_plain`]) and the key switch ([`record_key_switch`]).
 //!
-//! Key switching is the one FHE primitive BFV and CKKS share verbatim at
-//! the dataflow level: a host-side digit decomposition of one polynomial,
+//! A key switch is a host-side digit decomposition of one polynomial,
 //! then per digit a forward NTT, Hadamard products against the two
 //! switching-key polynomials, NTT-domain accumulation, and finally two
 //! inverse NTTs folded onto the base ciphertext components. The paper
 //! defers key switching to future silicon (Section III-C) precisely
 //! because the *decomposition* needs full-width coefficient access the
 //! Table I command set cannot express — but the inner products map onto
-//! the existing op set, and both schemes record the identical stream.
-//!
-//! This module is that stream's single home. `cofhee_bfv` records it once
-//! per relinearization over the mod-`q` backend; `cofhee_ckks` records it
-//! once per RNS limb of the modulus chain. A key-switch key is *stored*
+//! the existing op set. `cofhee_bfv` records it once per
+//! relinearization over the mod-`q` backend; `cofhee_ckks` once per RNS
+//! limb of the modulus chain. A key-switch key is *stored*
 //! in NTT form — transformed once, when it is generated — so no stream
 //! transforms it: the key material either travels *inline* (the stored
 //! payloads uploaded in-stream: self-contained streams a scheduler may
@@ -46,8 +47,7 @@ pub enum KeySwitchKeys<'a> {
 
 impl KeySwitchKeys<'_> {
     /// Number of digit pairs the key carries.
-    #[must_use]
-    pub fn digits(&self) -> usize {
+    fn digits(&self) -> usize {
         match self {
             KeySwitchKeys::Inline(parts) => parts.len(),
             KeySwitchKeys::Resident(parts) => parts.len(),
@@ -116,6 +116,62 @@ pub fn record_key_switch(
         st.output(out)?;
     }
     Ok(())
+}
+
+/// Records the 2×2 tensor of `a = (a₀, a₁)` and `b = (b₀, b₁)`, one
+/// limb's words each, as one stream over degree-`n` polynomials: upload +
+/// forward NTT of each operand in turn, the outer components as single
+/// `intt ∘ hadamard` nodes and the middle one as a Hadamard plus a
+/// multiply-accumulate *in the NTT domain* before its inverse — the
+/// paper's Algorithm 3 without the final scaling. The three tensor
+/// components `(a₀b₀, a₀b₁ + a₁b₀, a₁b₁)` are the outputs, in order.
+///
+/// # Errors
+///
+/// [`crate::CoreError::BadOperandLength`] for an operand not of `n` words.
+pub fn record_tensor<P: Into<Payload>>(n: usize, a: [P; 2], b: [P; 2]) -> Result<OpStream> {
+    let mut st = OpStream::new(n);
+    let mut ntt = |words: P| -> Result<StreamHandle> {
+        let up = st.upload_shared(words)?;
+        st.ntt(up)
+    };
+    let ([a0, a1], [b0, b1]) = (a, b);
+    let (a0, a1, b0, b1) = (ntt(a0)?, ntt(a1)?, ntt(b0)?, ntt(b1)?);
+    let r0 = st.hadamard_intt(a0, b0)?;
+    let x01 = st.hadamard(a0, b1)?;
+    let t1 = st.hadamard_add(a1, b0, x01)?;
+    let r1 = st.intt(t1)?;
+    let r2 = st.hadamard_intt(a1, b1)?;
+    for r in [r0, r1, r2] {
+        st.output(r)?;
+    }
+    Ok(st)
+}
+
+/// Records the product of each of `components` with the plaintext `pt`,
+/// one limb's words each, as one stream over degree-`n` polynomials: the
+/// plaintext uploaded and transformed once, then per component a forward
+/// NTT and a fused Hadamard + inverse — Algorithm 2 with the shared
+/// operand's transform hoisted. The products are the outputs, in order.
+///
+/// # Errors
+///
+/// [`crate::CoreError::BadOperandLength`] for an operand not of `n` words.
+pub fn record_mul_plain<P: Into<Payload>>(
+    n: usize,
+    pt: P,
+    components: impl IntoIterator<Item = P>,
+) -> Result<OpStream> {
+    let mut st = OpStream::new(n);
+    let hm = st.upload_shared(pt)?;
+    let fm = st.ntt(hm)?;
+    for words in components {
+        let hc = st.upload_shared(words)?;
+        let fc = st.ntt(hc)?;
+        let prod = st.hadamard_intt(fc, fm)?;
+        st.output(prod)?;
+    }
+    Ok(st)
 }
 
 /// Unsigned base-`2^w` digit decomposition of one coefficient vector:

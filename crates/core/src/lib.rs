@@ -32,8 +32,10 @@
 //!   — the one function that creates threads, which a lone stream's
 //!   transform and multiply nodes ([`PolyBackend::execute_stream_lanes`])
 //!   and the BFV host CRT's coefficient chunks run through as well.
-//! * [`record_key_switch`] — the scheme-neutral digit-decomposition
-//!   key-switch stream builder shared by BFV and CKKS relinearization.
+//! * [`record_key_switch`], [`record_tensor`], [`record_mul_plain`] —
+//!   the scheme-neutral recorders of the dataflows BFV and CKKS share.
+//! * [`JobPlan`] — a job as phases of limb streams with host steps
+//!   between them, which both schemes lower every job kind to.
 //! * [`record_encrypt`] / [`record_decrypt`] — the client side of both
 //!   schemes as streams: one limb of an RLWE encryption or decryption
 //!   against a key pair resident on the backend in NTT form.
@@ -70,6 +72,7 @@ mod error;
 mod keyswitch;
 mod modes;
 mod ops;
+mod plan;
 mod rlwe;
 mod rns;
 mod stream;
@@ -81,9 +84,12 @@ pub use backend::{
 pub use chip_stream::DieProgram;
 pub use device::{BankPlan, CommStats, Device, Link};
 pub use error::{CoreError, Result};
-pub use keyswitch::{digit_decompose, record_key_switch, KeyPair, KeySwitchKeys};
+pub use keyswitch::{
+    digit_decompose, record_key_switch, record_mul_plain, record_tensor, KeyPair, KeySwitchKeys,
+};
 pub use modes::{standard_links, ExecutionMode, ModeOutcome};
 pub use ops::{CiphertextMulOutcome, PolyMulOutcome};
+pub use plan::{JobPlan, PlanPhase};
 pub use rlwe::{record_decrypt, record_encrypt};
 pub use rns::{RnsDevice, RnsMulOutcome};
 pub use stream::{

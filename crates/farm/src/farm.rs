@@ -212,11 +212,6 @@ impl ChipFarm {
         self.trace = sink;
     }
 
-    /// The installed trace sink (the null sink unless one was set).
-    pub fn trace_sink(&self) -> &SharedSink {
-        &self.trace
-    }
-
     /// Number of dies in the pool.
     pub fn chips(&self) -> usize {
         self.dies.len()

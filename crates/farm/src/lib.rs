@@ -16,15 +16,17 @@
 //!   it is placed, and a flush computes every die's placed streams on
 //!   the host's cores, in waves that wait for the host steps between a
 //!   job's phases.
-//! * [`Session`] — a tenant's standing state: BFV parameters,
-//!   relinearization key, and the evaluator handle that records job
-//!   streams and finishes them host-side.
-//! * [`Scheduler`] — accepts whole homomorphic jobs ([`JobKind`]:
-//!   ct+ct add, ct±pt ops, ct·ct multiply+relinearize), decomposes them
-//!   into the per-CRT-limb `OpStream`s of the asynchronous execution
-//!   API, and places each stream on a die via a pluggable
-//!   [`PlacementPolicy`] ([`RoundRobin`], [`ShortestQueue`],
-//!   [`WorkStealing`]).
+//! * [`Session`] — a tenant's standing state under one scheme, BFV or
+//!   CKKS: its relinearization key and the evaluator that lowers each
+//!   job to a [`JobPlan`](cofhee_core::JobPlan) — phases of per-limb
+//!   `OpStream`s with the host steps between them and the finisher of
+//!   its ciphertext.
+//! * [`Scheduler`] — accepts whole homomorphic jobs ([`JobKind`]: BFV
+//!   ct+ct add, ct+pt add, ct·pt and ct·ct multiply + relinearize; CKKS
+//!   add, ct·pt and ct·ct multiply + relinearize + rescale) and places
+//!   every plan the same way: each phase's streams on dies via a
+//!   pluggable [`PlacementPolicy`] ([`RoundRobin`], [`ShortestQueue`],
+//!   [`WorkStealing`]), each phase ready when the one before it is done.
 //! * [`FarmReport`] — aggregate telemetry: per-chip utilization and
 //!   peak queue depth, job-latency percentiles (p50/p95/p99 in
 //!   simulated cycles), and throughput in ops/sec at the configured
@@ -102,5 +104,5 @@ pub use farm::{ChipFarm, Placement};
 pub use policy::{DieStatus, PlacementPolicy, RoundRobin, ShortestQueue, WorkStealing};
 pub use replay::{mixed_workload_jobs, workload_jobs, ReplayInputs, ReplaySpec};
 pub use scheduler::{Job, JobKind, JobOutcome, JobResult, PricedJob, Scheduler};
-pub use session::{Scheme, Session, SessionId};
+pub use session::{Session, SessionId};
 pub use telemetry::{ChipStats, FarmReport, LatencyPercentiles};

@@ -5,9 +5,9 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
-use cofhee_bfv::{Ciphertext, Plaintext, RelinFill};
-use cofhee_ckks::{CkksCiphertext, CkksPlaintext, CkksRelinFill, CkksRescaleFill, Level};
-use cofhee_core::{OpStream, SharedSink, StreamOp, StreamReport};
+use cofhee_bfv::{Ciphertext, Plaintext};
+use cofhee_ckks::{CkksCiphertext, CkksPlaintext};
+use cofhee_core::{JobPlan, OpStream, PlanPhase, SharedSink, StreamOp, StreamReport};
 use cofhee_obs::{null_sink, CycleHistogram, MetricsRegistry, TraceEvent, Track};
 use cofhee_opt::{optimize_traced, OptLevel};
 use cofhee_poly::TwiddleCache;
@@ -24,9 +24,6 @@ fn poly_bytes(n: usize) -> u64 {
     n as u64 * 16
 }
 
-/// Per-limb stream outputs: `outputs[limb][output][coefficient]`.
-type LimbOutputs = Vec<Vec<Vec<u128>>>;
-
 /// Upload payload bytes the streams waiting on the dies may hold before
 /// the scheduler flushes between two jobs. A waiting stream keeps its
 /// payloads alive, deferred ones included once filled, so this bounds
@@ -35,58 +32,10 @@ type LimbOutputs = Vec<Vec<Vec<u128>>>;
 /// jobs for the host's cores.
 const MAX_WAITING_UPLOAD_BYTES: u64 = 4 << 20;
 
-/// How a job's result is built from its last phase's outputs.
-#[derive(Debug, Clone, Copy)]
-enum Finish {
-    /// One mod-`q` stream's outputs are the ciphertext.
-    Bfv,
-    /// One stream per limb, landing at this level and scale.
-    Ckks(Level, f64),
-}
-
-/// The host work between two phases of one job, not cycle-accounted
-/// (the host works off-die): it reads the outputs of one phase and fills
-/// the deferred uploads of the next.
-#[derive(Debug)]
-enum HostStep {
-    /// BFV: CRT reconstruction and the Eq. 4 rounding of the tensor
-    /// limbs, then the key switch's digits and base.
-    Relin { tensor: Range<usize>, fill: RelinFill },
-    /// CKKS: the tensor limbs as the product at `level` and `scale`,
-    /// then the key switch's composed digits and base.
-    CkksRelin { tensor: Range<usize>, level: Level, scale: f64, fill: CkksRelinFill },
-    /// CKKS: the key switch's limbs, then the rescale's limbs and lifted
-    /// subtrahends.
-    CkksRescale { relin: Range<usize>, level: Level, scale: f64, fill: CkksRescaleFill },
-}
-
-impl HostStep {
-    /// The streams, by [`Placement::index`], whose outputs the step reads.
-    fn inputs(&self) -> Range<usize> {
-        match self {
-            Self::Relin { tensor, .. } | Self::CkksRelin { tensor, .. } => tensor.clone(),
-            Self::CkksRescale { relin, .. } => relin.clone(),
-        }
-    }
-
-    /// Runs the step on `limbs`, the outputs of its input streams.
-    fn run(self, session: &Session, id: SessionId, limbs: LimbOutputs) -> Result<()> {
-        match self {
-            Self::Relin { fill, .. } => {
-                let (_, ev, _) = session.bfv(id)?;
-                ev.fill_relin(fill, &ev.tensor_combine(&limbs)?)?;
-            }
-            Self::CkksRelin { level, scale, fill, .. } => {
-                let (_, ev, _) = session.ckks(id)?;
-                ev.fill_relin(fill, &ev.ciphertext_from_limb_outputs(limbs, level, scale)?)?;
-            }
-            Self::CkksRescale { level, scale, fill, .. } => {
-                let (_, ev, _) = session.ckks(id)?;
-                ev.fill_rescale(fill, &ev.ciphertext_from_limb_outputs(limbs, level, scale)?)?;
-            }
-        }
-        Ok(())
-    }
+/// Moves the outputs of the streams in `range`, by [`Placement::index`],
+/// out of a flush's outputs.
+fn take(outputs: &mut [Vec<Vec<u128>>], range: Range<usize>) -> Vec<Vec<Vec<u128>>> {
+    outputs[range].iter_mut().map(std::mem::take).collect()
 }
 
 /// A job with every phase placed, its outcome known but for the result,
@@ -95,43 +44,50 @@ impl HostStep {
 struct Pending {
     key: usize,
     id: SessionId,
-    session: Arc<Session>,
     arrival: u64,
     finish: u64,
     service_cycles: u64,
     streams: usize,
-    /// The host steps still to run, one after each wave of the flush.
-    steps: VecDeque<HostStep>,
-    /// The last phase's streams, by [`Placement::index`].
-    outputs: Range<usize>,
-    result: Finish,
+    /// The streams of each phase not yet read, by [`Placement::index`].
+    phases: VecDeque<Range<usize>>,
+    /// The host steps still to run, one after each wave of the flush,
+    /// and the finisher (its phases are placed).
+    plan: JobPlan<JobResult, FarmError>,
     /// Why a host step failed, which leaves the later phases unrun.
     failed: Option<FarmError>,
 }
 
 impl Pending {
+    /// Runs the job's next host step, if it has one, on the outputs of
+    /// the phase before it. Returns whether one ran.
+    ///
+    /// The steps run on the calling thread: the BFV CRT spreads its
+    /// coefficients over the host's cores itself, and a step allocates
+    /// the uploads it fills, which host threads of their own would take
+    /// from heap arenas of their own.
+    fn step(&mut self, outputs: &mut [Vec<Vec<u128>>]) -> bool {
+        if self.plan.steps.is_empty() {
+            return false;
+        }
+        let step = self.plan.steps.remove(0);
+        let inputs = self.phases.pop_front().expect("a step reads the phase before it");
+        if let Err(e) = step(take(outputs, inputs)) {
+            self.failed = Some(e);
+            self.plan.steps.clear();
+        }
+        true
+    }
+
     /// The job's outcome, built from the outputs of a flush.
-    fn complete(self, outputs: &mut [Vec<Vec<u128>>]) -> Result<JobOutcome> {
+    fn complete(mut self, outputs: &mut [Vec<Vec<u128>>]) -> Result<JobOutcome> {
         if let Some(e) = self.failed {
             return Err(e);
         }
-        let mut limbs: LimbOutputs =
-            outputs[self.outputs.clone()].iter_mut().map(std::mem::take).collect();
-        let result = match self.result {
-            Finish::Bfv => {
-                let (_, ev, _) = self.session.bfv(self.id)?;
-                let outs = limbs.pop().expect("a BFV job's last phase is one stream");
-                JobResult::Bfv(ev.ciphertext_from_outputs(outs)?)
-            }
-            Finish::Ckks(level, scale) => {
-                let (_, ev, _) = self.session.ckks(self.id)?;
-                JobResult::Ckks(ev.ciphertext_from_limb_outputs(limbs, level, scale)?)
-            }
-        };
+        let last = self.phases.pop_back().expect("a plan has a phase");
         Ok(JobOutcome {
             index: self.key,
             session: self.id,
-            result,
+            result: (self.plan.finish)(take(outputs, last))?,
             arrival: self.arrival,
             finish: self.finish,
             latency: self.finish.saturating_sub(self.arrival),
@@ -139,28 +95,6 @@ impl Pending {
             streams: self.streams,
         })
     }
-}
-
-/// Runs the next host step of every job in `pending` that has one, in
-/// placement order, on the `outputs` the last wave completed. Returns
-/// whether any ran.
-///
-/// The steps run on the calling thread: the BFV CRT spreads its
-/// coefficients over the host's cores itself, and a step allocates the
-/// uploads it fills, which host threads of their own would take from heap
-/// arenas of their own.
-fn run_host_steps(pending: &mut [Pending], outputs: &mut [Vec<Vec<u128>>]) -> bool {
-    let mut ran = false;
-    for job in pending {
-        let Some(step) = job.steps.pop_front() else { continue };
-        ran = true;
-        let limbs = outputs[step.inputs()].iter_mut().map(std::mem::take).collect();
-        if let Err(e) = step.run(&job.session, job.id, limbs) {
-            job.failed = Some(e);
-            job.steps.clear();
-        }
-    }
-    ran
 }
 
 /// One placed phase of a job: its streams, by [`Placement::index`], when
@@ -171,17 +105,6 @@ struct Phase {
     finish: u64,
     service: u64,
     output_bytes: u64,
-}
-
-/// What placing every phase of a job yields.
-struct Placed {
-    /// The last phase, whose outputs are the result.
-    last: Phase,
-    /// The job's critical-path service cycles.
-    service: u64,
-    streams: usize,
-    steps: VecDeque<HostStep>,
-    result: Finish,
 }
 
 /// A job placed in virtual time whose result the farm has not computed
@@ -340,23 +263,28 @@ pub struct JobOutcome {
 /// regardless of chip count or policy (only the *timing* telemetry
 /// responds to placement).
 ///
+/// Every job kind is placed the same way. Its session lowers it to a
+/// [`JobPlan`]: phases of per-limb streams, the host steps between them
+/// (BFV's CRT reconstruction and rounding, CKKS's compose and digit
+/// decomposition or its rescale lift) and a finisher. A plan is recorded
+/// whole before anything is placed, so a job refused while recording
+/// leaves no die time. The later phases are recorded and priced from
+/// their shape alone, before the host has computed their operands: those
+/// are deferred uploads ([`cofhee_core::Payload::deferred`]), so
+/// [`Scheduler::place_job`] places every phase in one loop, each ready
+/// when the phase before it finishes.
+///
 /// The dies' arithmetic runs on host threads, and nothing a policy, a
 /// report or a trace sees depends on that. Recording, pricing and
 /// placement run on the calling thread, in arrival order, and every
 /// simulated number, metric and trace event comes from pricing
-/// ([`ChipFarm::place`]). A job's later phases are recorded and priced
-/// from their shape alone, before the host has computed their operands:
-/// those are deferred uploads ([`cofhee_core::Payload::deferred`]), so
-/// every phase of a job is placed in one straight line
-/// ([`Scheduler::place_job`]). The arithmetic waits on the dies until a
+/// ([`ChipFarm::place`]). The arithmetic waits on the dies until a
 /// flush ([`Scheduler::flush`]), which runs in waves: each wave applies
-/// every program whose uploads are filled, then every job's host step
-/// (BFV's CRT reconstruction and rounding, CKKS's compose and digit
-/// decomposition or its rescale lift) runs on the calling thread and
-/// fills the next phase's uploads. The scheduler flushes only when the
-/// waiting upload payloads reach a fixed bound and before
-/// [`Scheduler::run`] returns; a front-end that places jobs one by one
-/// flushes when it needs a result.
+/// every program whose uploads are filled, then every job's next host
+/// step runs on the calling thread and fills the next phase's uploads.
+/// The scheduler flushes only when the waiting upload payloads reach a
+/// fixed bound and before [`Scheduler::run`] returns; a front-end that
+/// places jobs one by one flushes when it needs a result.
 ///
 /// # Example
 ///
@@ -397,7 +325,7 @@ pub struct JobOutcome {
 pub struct Scheduler {
     farm: ChipFarm,
     policy: Box<dyn PlacementPolicy>,
-    sessions: Vec<std::sync::Arc<Session>>,
+    sessions: Vec<Session>,
     /// Per-job latency / queue-wait / critical-path-service cycles,
     /// kept as mergeable log₂ histograms so million-job replays stay
     /// O(1) memory (the exact nearest-rank path survives as the test
@@ -478,7 +406,7 @@ impl Scheduler {
 
     /// Registers a tenant session; ids are sequential in open order.
     pub fn open_session(&mut self, session: Session) -> SessionId {
-        self.sessions.push(std::sync::Arc::new(session));
+        self.sessions.push(session);
         SessionId::new(self.sessions.len() as u64 - 1)
     }
 
@@ -488,19 +416,7 @@ impl Scheduler {
     ///
     /// Returns [`FarmError::UnknownSession`] for ids never issued.
     pub fn session(&self, id: SessionId) -> Result<&Session> {
-        self.sessions
-            .get(id.raw() as usize)
-            .map(|s| s.as_ref())
-            .ok_or(FarmError::UnknownSession { id: id.raw() })
-    }
-
-    /// The shared handle of an open session (cheap to keep across a
-    /// mutable use of the scheduler).
-    fn session_handle(&self, id: SessionId) -> Result<std::sync::Arc<Session>> {
-        self.sessions
-            .get(id.raw() as usize)
-            .cloned()
-            .ok_or(FarmError::UnknownSession { id: id.raw() })
+        self.sessions.get(id.raw() as usize).ok_or(FarmError::UnknownSession { id: id.raw() })
     }
 
     /// The underlying farm (inspection).
@@ -514,7 +430,7 @@ impl Scheduler {
     /// stream telemetry; with a trace sink installed, each rewrite lands
     /// as a compiler-track instant at `ready`, the stream's virtual
     /// ready time.
-    fn place(&mut self, q: u128, n: usize, mut stream: OpStream, ready: u64) -> Result<Placement> {
+    fn place(&mut self, q: u128, mut stream: OpStream, ready: u64) -> Result<Placement> {
         if self.opt_level != OptLevel::O0 {
             let (opt, stats) = optimize_traced(&stream, self.opt_level, &self.trace, ready)?;
             self.stream_totals.ops_eliminated += stats.ops_eliminated;
@@ -537,6 +453,7 @@ impl Scheduler {
                     .arg("ops", stream.len() as u64),
             );
         }
+        let n = stream.n();
         let uploads = stream.nodes().iter().filter(|op| matches!(op, StreamOp::Upload(_))).count();
         let placed = self.farm.place(chip, q, n, stream, ready)?;
         self.stream_totals.absorb(&placed.report);
@@ -546,40 +463,34 @@ impl Scheduler {
         Ok(placed)
     }
 
-    /// Places one phase: per-limb streams that are all ready at `ready`
-    /// (stream `j` carries modulus `moduli[j]`).
-    fn place_limbs(
-        &mut self,
-        moduli: &[u128],
-        n: usize,
-        streams: Vec<OpStream>,
-        ready: u64,
-    ) -> Result<Phase> {
-        let polys: usize = streams.iter().map(|st| st.outputs().len()).sum();
+    /// Places one phase of a plan: per-limb streams that are all ready at
+    /// `ready`, and the key material they upload.
+    fn place_phase(&mut self, phase: PlanPhase, ready: u64) -> Result<Phase> {
+        let n = phase.streams.first().map_or(0, OpStream::n);
+        let polys: usize = phase.streams.iter().map(|st| st.outputs().len()).sum();
         let output_bytes = polys as u64 * poly_bytes(n);
-        let mut phase = Phase { streams: 0..0, finish: ready, service: 0, output_bytes };
-        for (stream, &q) in streams.into_iter().zip(moduli) {
-            let p = self.place(q, n, stream, ready)?;
-            if phase.streams.is_empty() {
-                phase.streams.start = p.index;
+        let mut placed = Phase { streams: 0..0, finish: ready, service: 0, output_bytes };
+        for (stream, q) in phase.streams.into_iter().zip(phase.moduli) {
+            let p = self.place(q, stream, ready)?;
+            if placed.streams.is_empty() {
+                placed.streams.start = p.index;
             }
-            phase.streams.end = p.index + 1;
-            phase.finish = phase.finish.max(p.finish);
-            phase.service = phase.service.max(p.finish - p.start);
+            placed.streams.end = p.index + 1;
+            placed.finish = placed.finish.max(p.finish);
+            placed.service = placed.service.max(p.finish - p.start);
         }
-        Ok(phase)
+        self.key_bytes += phase.key_polys as u64 * poly_bytes(n);
+        Ok(placed)
     }
 
     /// Computes every job placed since the last flush and hands back the
     /// outcome of each, in placement order.
     ///
-    /// The dies' arithmetic runs in waves: the
-    /// first applies every job's first phase; between waves each job's
-    /// host step — BFV's CRT reconstruction and rounding, CKKS's
-    /// composition and digit decomposition, or its rescale lift — runs
-    /// in placement order and fills the uploads its next phase was
-    /// priced without. A flush is at most three waves (the CKKS
-    /// multiply).
+    /// The dies' arithmetic runs in waves: the first applies every job's
+    /// first phase; between waves each job's next host step runs, in
+    /// placement order, and fills the uploads its next phase was priced
+    /// without. A flush has as many waves as its longest plan has phases
+    /// (three, the CKKS multiply).
     ///
     /// # Errors
     ///
@@ -588,18 +499,11 @@ impl Scheduler {
     pub fn flush(&mut self) -> Result<Vec<JobOutcome>> {
         self.waiting_bytes = 0;
         let mut pending = std::mem::take(&mut self.pending);
-        let mut outputs = self.farm.flush(|outputs| run_host_steps(&mut pending, outputs))?;
+        // Between waves, every job's next host step, in placement order.
+        let mut outputs = self
+            .farm
+            .flush(|outputs| pending.iter_mut().fold(false, |ran, job| job.step(outputs) | ran))?;
         pending.into_iter().map(|job| job.complete(&mut outputs)).collect()
-    }
-
-    /// Emits a phase span on the in-flight job's per-job track (the job
-    /// traces under sequence number `jobs_done`, bumped only after the
-    /// job is placed).
-    fn trace_phase(&self, session: SessionId, name: &'static str, start: u64, end: u64) {
-        if self.trace.enabled() {
-            let track = Track::Job { tenant: session.raw(), seq: self.jobs_done };
-            self.trace.record(TraceEvent::span(track, name, start, end));
-        }
     }
 
     /// Places every phase of one job in virtual time and records its
@@ -611,169 +515,63 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// Unknown sessions, recording failures and pricing faults of this
-    /// job (which leave no outcome), and the errors of a flush.
+    /// Unknown sessions and recording failures of this job (which leave
+    /// no trace on the farm), its pricing faults (which leave no
+    /// outcome), and the errors of a flush.
     pub fn place_job(&mut self, key: usize, job: &Job) -> Result<(PricedJob, Vec<JobOutcome>)> {
-        let session = self.session_handle(job.session)?;
-        let Placed { last, service, streams, steps, result } = match &job.kind {
-            JobKind::Add(..)
-            | JobKind::AddPlain(..)
-            | JobKind::MulPlain(..)
-            | JobKind::MulRelin(..) => self.place_bfv_job(&session, job)?,
-            JobKind::CkksAdd(..) | JobKind::CkksMulPlain(..) | JobKind::CkksMulRelin(..) => {
-                self.place_ckks_job(&session, job)?
+        let mut plan = self.session(job.session)?.plan(job.session, &job.kind)?;
+        let (mut finish, mut service, mut result_bytes) = (job.arrival, 0u64, 0);
+        let mut streams = 0;
+        let mut phases = VecDeque::with_capacity(plan.phases.len());
+        // Phase spans, traced once the whole job is placed.
+        let mut spans = Vec::new();
+        for phase in std::mem::take(&mut plan.phases) {
+            let (name, ready) = (phase.name, finish);
+            streams += phase.streams.len();
+            let placed = self.place_phase(phase, ready)?;
+            // Critical-path service: every phase's widest stream — what
+            // the job would cost on an idle farm.
+            service = service.saturating_add(placed.service);
+            (finish, result_bytes) = (placed.finish, placed.output_bytes);
+            if self.trace.enabled() {
+                spans.push((name, ready, finish));
             }
-        };
-        let finish = last.finish;
-        let latency = finish.saturating_sub(job.arrival);
+            phases.push_back(placed.streams);
+        }
         if self.trace.enabled() {
-            // The enclosing job span: same track as the phase spans
-            // (they tile it exactly), longest duration at the same
-            // start, so it sorts — and nests — as their parent.
+            // The phase spans tile the job span; the job span has the
+            // longest duration at the same start, so it sorts — and
+            // nests — as their parent.
             let track = Track::Job { tenant: job.session.raw(), seq: self.jobs_done };
+            for (name, start, end) in spans {
+                self.trace.record(TraceEvent::span(track, name, start, end));
+            }
             self.trace.record(
                 TraceEvent::span(track, job.kind.name(), job.arrival, finish)
                     .arg("streams", streams as u64)
                     .arg("service_cycles", service),
             );
         }
+        let latency = finish.saturating_sub(job.arrival);
         self.latencies.record(latency);
         self.queue_cycles.record(latency.saturating_sub(service));
         self.service_cycles.record(service);
         self.jobs_done += 1;
-        let priced = PricedJob { finish, service_cycles: service, result_bytes: last.output_bytes };
+        let priced = PricedJob { finish, service_cycles: service, result_bytes };
         self.pending.push(Pending {
             key,
             id: job.session,
-            session,
             arrival: job.arrival,
             finish,
             service_cycles: service,
             streams,
-            steps,
-            outputs: last.streams,
-            result,
+            phases,
+            plan,
             failed: None,
         });
         let flushed =
             if self.waiting_bytes >= MAX_WAITING_UPLOAD_BYTES { self.flush()? } else { Vec::new() };
         Ok((priced, flushed))
-    }
-
-    /// The BFV job kinds (exact arithmetic, single modulus `q` outside
-    /// the multiply's extension basis).
-    fn place_bfv_job(&mut self, session: &Session, job: &Job) -> Result<Placed> {
-        let (params, ev, rlk) = session.bfv(job.session)?;
-        let (q, n) = (params.q(), params.n());
-        let st = match &job.kind {
-            JobKind::Add(a, b) => ev.add_stream(a, b)?,
-            JobKind::AddPlain(a, pt) => ev.add_plain_stream(a, pt)?,
-            JobKind::MulPlain(a, pt) => ev.mul_plain_stream(a, pt)?,
-            JobKind::MulRelin(a, b) => {
-                let rlk = rlk.ok_or(FarmError::MissingRelinKey { id: job.session.raw() })?;
-                let streams = ev.tensor_streams(a, b)?;
-                let count = streams.len();
-                let primes = params.mult_basis().moduli().to_vec();
-                // Phase 1: the per-CRT-limb tensor streams, independent
-                // and all ready at arrival — the farm's parallelism.
-                let tensor = self.place_limbs(&primes, n, streams, job.arrival)?;
-                // Phase 2: the key switch, ready once every limb is in.
-                // Its operands come out of the host CRT reconstruction +
-                // Eq. 4 rounding of the tensor, which the flush runs
-                // between the two phases.
-                let (relin, fill) = ev.relin_stream_deferred(rlk)?;
-                let relin = self.place_limbs(&[q], n, vec![relin], tensor.finish)?;
-                self.key_bytes += 2 * rlk.digit_count() as u64 * poly_bytes(n);
-                self.trace_phase(job.session, "tensor", job.arrival, tensor.finish);
-                self.trace_phase(job.session, "relin", tensor.finish, relin.finish);
-                // Critical-path service: the widest tensor limb plus the
-                // key switch — what the job would cost on an idle farm.
-                return Ok(Placed {
-                    service: tensor.service.saturating_add(relin.service),
-                    streams: count + 1,
-                    steps: VecDeque::from([HostStep::Relin { tensor: tensor.streams, fill }]),
-                    result: Finish::Bfv,
-                    last: relin,
-                });
-            }
-            _ => unreachable!("non-BFV kinds dispatch to place_ckks_job"),
-        };
-        // The single-phase kinds: one mod-q stream, ready at arrival.
-        let last = self.place_limbs(&[q], n, vec![st], job.arrival)?;
-        self.trace_phase(job.session, "compute", job.arrival, last.finish);
-        let (service, steps) = (last.service, VecDeque::new());
-        Ok(Placed { last, service, streams: 1, steps, result: Finish::Bfv })
-    }
-
-    /// The CKKS job kinds: every operation fans one stream per active
-    /// RNS limb (stream `j` under chain prime `qⱼ`), and the multiply
-    /// pipeline chains three limb batches — tensor at arrival,
-    /// key-switch once every tensor limb is in, rescale once the key
-    /// switch lands — with host-side CRT work (compose, digit
-    /// decomposition, centered lifts) between phases, off-die and not
-    /// cycle-accounted, exactly like BFV's `tensor_combine`.
-    fn place_ckks_job(&mut self, session: &Session, job: &Job) -> Result<Placed> {
-        let (params, ev, rlk) = session.ckks(job.session)?;
-        let n = params.n();
-        let (a, streams, scale) = match &job.kind {
-            JobKind::CkksAdd(a, b) => (a, ev.add_streams(a, b), a.scale()),
-            JobKind::CkksMulPlain(a, pt) => {
-                (a, ev.mul_plain_streams(a, pt), a.scale() * pt.scale())
-            }
-            JobKind::CkksMulRelin(a, b) => {
-                let rlk = rlk.ok_or(FarmError::MissingRelinKey { id: job.session.raw() })?;
-                let level = a.level();
-                let moduli = params.moduli_at(level).to_vec();
-                // Phase 1: per-limb tensor streams, all ready at arrival.
-                let streams = ev.tensor_streams(a, b)?;
-                let mut count = streams.len();
-                let tensor = self.place_limbs(&moduli, n, streams, job.arrival)?;
-                let scale = a.scale() * b.scale();
-                // Phase 2: the digit-decomposition key switch, ready
-                // once every tensor limb is in (the host CRT-composes
-                // the cubic component between the phases).
-                let (streams, relin_fill) = ev.relin_streams_deferred(level, rlk)?;
-                count += streams.len();
-                let key_polys = 2 * params.digits_at(level) * level.limbs();
-                let relin = self.place_limbs(&moduli, n, streams, tensor.finish)?;
-                self.key_bytes += key_polys as u64 * poly_bytes(n);
-                // Phase 3: the modulus-chain drop, one stream per
-                // remaining limb, ready once the key switch lands.
-                let (streams, rescale_fill) = ev.rescale_streams_deferred(level, 2)?;
-                count += streams.len();
-                let rescaled = ev.rescaled_scale_at(level, scale)?;
-                let lower =
-                    level.lower().expect("rescale_streams_deferred guards the chain bottom");
-                let rescale =
-                    self.place_limbs(&moduli[..lower.limbs()], n, streams, relin.finish)?;
-                self.trace_phase(job.session, "tensor", job.arrival, tensor.finish);
-                self.trace_phase(job.session, "relin", tensor.finish, relin.finish);
-                self.trace_phase(job.session, "rescale", relin.finish, rescale.finish);
-                let service =
-                    tensor.service.saturating_add(relin.service).saturating_add(rescale.service);
-                let steps = VecDeque::from([
-                    HostStep::CkksRelin { tensor: tensor.streams, level, scale, fill: relin_fill },
-                    HostStep::CkksRescale {
-                        relin: relin.streams,
-                        level,
-                        scale,
-                        fill: rescale_fill,
-                    },
-                ]);
-                let result = Finish::Ckks(lower, rescaled);
-                return Ok(Placed { last: rescale, service, streams: count, steps, result });
-            }
-            _ => unreachable!("BFV kinds dispatch to place_bfv_job"),
-        };
-        // The single-phase kinds: one stream per active limb, all ready
-        // at arrival, landing at the operand's level.
-        let streams = streams?;
-        let moduli = params.moduli_at(a.level()).to_vec();
-        let count = streams.len();
-        let last = self.place_limbs(&moduli, n, streams, job.arrival)?;
-        self.trace_phase(job.session, "compute", job.arrival, last.finish);
-        let (service, steps) = (last.service, VecDeque::new());
-        Ok(Placed { last, service, streams: count, steps, result: Finish::Ckks(a.level(), scale) })
     }
 
     /// Runs a batch of jobs to completion in arrival order (submission
@@ -879,6 +677,7 @@ mod tests {
     use super::*;
     use crate::policy::{RoundRobin, ShortestQueue, WorkStealing};
     use cofhee_bfv::{BfvParams, Decryptor, Encryptor, KeyGenerator};
+    use cofhee_ckks::Level;
     use cofhee_core::ChipBackendFactory;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -991,6 +790,7 @@ mod tests {
             // The handle is valid: the session opens under the tenant's
             // own parameters, only the key material is foreign.
             let id = s.open_session(Session::new("mixed-up", &t.params, rlk).unwrap());
+            let before = s.report();
             let err = s
                 .run(vec![Job {
                     session: id,
@@ -1002,7 +802,13 @@ mod tests {
                 matches!(err, FarmError::Bfv(cofhee_bfv::BfvError::ParamsMismatch)),
                 "{bits}-bit key: {err}"
             );
-            assert_eq!(s.report().jobs, 0, "a refused job leaves no outcome");
+            let after = s.report();
+            assert_eq!(after.jobs, 0, "a refused job leaves no outcome");
+            assert_eq!(
+                (after.chips, after.streams),
+                (before.chips, before.streams),
+                "nor die time"
+            );
         }
     }
 
@@ -1280,6 +1086,22 @@ mod tests {
             .run(vec![Job { session: bfv_id, kind: JobKind::CkksAdd(a.clone(), a), arrival: 0 }])
             .unwrap_err();
         assert!(matches!(err, FarmError::SchemeMismatch { id: 1 }));
+        // A multiply at the chain bottom has no level to rescale to: the
+        // plan is refused whole, before its tensor or key switch is placed.
+        let keyed = s.open_session(Session::new_ckks("approx", &t.params, t.rlk.clone()).unwrap());
+        let pt = t.encoder.encode_at(&[1.0], Level::new(0), t.params.scale()).unwrap();
+        let bottom = t.enc.encrypt(&pt, &mut t.rng).unwrap();
+        let before = s.report();
+        let err = s
+            .run(vec![Job {
+                session: keyed,
+                kind: JobKind::CkksMulRelin(bottom.clone(), bottom),
+                arrival: 0,
+            }])
+            .unwrap_err();
+        assert!(matches!(err, FarmError::Ckks(cofhee_ckks::CkksError::LevelExhausted)), "{err}");
+        let after = s.report();
+        assert_eq!((after.chips, after.streams), (before.chips, before.streams));
     }
 
     #[test]
