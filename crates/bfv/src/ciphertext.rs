@@ -3,10 +3,11 @@
 //! A fresh ciphertext is a pair `(c₁, c₂)` of polynomials in
 //! `Z_q[x]/(x^n+1)` (Eqs. 2–3 of the paper). Ciphertext multiplication
 //! produces a triple (Eq. 4) until relinearization folds it back to a
-//! pair.
+//! pair. Each component is a [`Limb`]: `n` canonical residues mod `q`,
+//! shared — by clones of the ciphertext and by every stream that uploads
+//! it.
 
-use cofhee_arith::Barrett128;
-use cofhee_poly::Polynomial;
+use cofhee_core::Limb;
 
 use crate::error::{BfvError, Result};
 
@@ -14,7 +15,7 @@ use crate::error::{BfvError, Result};
 /// unrelinearized multiplication.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
-    polys: Vec<Polynomial<Barrett128>>,
+    polys: Vec<Limb>,
 }
 
 impl Ciphertext {
@@ -23,7 +24,7 @@ impl Ciphertext {
     /// # Errors
     ///
     /// Returns [`BfvError::WrongCiphertextSize`] for any other count.
-    pub fn new(polys: Vec<Polynomial<Barrett128>>) -> Result<Self> {
+    pub fn new(polys: Vec<Limb>) -> Result<Self> {
         if polys.len() != 2 && polys.len() != 3 {
             return Err(BfvError::WrongCiphertextSize { expected: 2, found: polys.len() });
         }
@@ -44,7 +45,7 @@ impl Ciphertext {
 
     /// The component polynomials.
     #[inline]
-    pub fn polys(&self) -> &[Polynomial<Barrett128>] {
+    pub fn polys(&self) -> &[Limb] {
         &self.polys
     }
 }
@@ -53,12 +54,11 @@ impl Ciphertext {
 mod tests {
     use super::*;
     use crate::params::BfvParams;
-    use std::sync::Arc;
 
     #[test]
     fn size_is_validated() {
         let p = BfvParams::insecure_testing(16).unwrap();
-        let z = Polynomial::zero(Arc::clone(p.poly_ring()));
+        let z = Limb::new(p.q(), vec![0; p.n()]).unwrap();
         assert!(Ciphertext::new(vec![z.clone()]).is_err());
         assert!(Ciphertext::new(vec![z.clone(), z.clone()]).is_ok());
         assert!(Ciphertext::new(vec![z.clone(), z.clone(), z.clone()]).is_ok());

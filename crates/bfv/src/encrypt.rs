@@ -15,9 +15,8 @@
 use std::sync::{Arc, OnceLock};
 
 use cofhee_arith::{ModRing, U256};
-use cofhee_core::{record_decrypt, record_encrypt, OpStream};
+use cofhee_core::{record_decrypt, record_encrypt, Limb, OpStream};
 use cofhee_opt::{KeyId, LimbEngine};
-use cofhee_poly::{Domain, Polynomial};
 use rand::Rng;
 
 use crate::ciphertext::Ciphertext;
@@ -60,25 +59,24 @@ impl Encryptor {
                 reason: "plaintext does not match the encryptor's parameters".into(),
             });
         }
-        let ctx = self.params.poly_ring();
-        let (ring, n) = (ctx.ring(), self.params.n());
+        let (ring, q, n) = (self.params.ring(), self.params.q(), self.params.n());
         let u = sampling::ternary(ring, n, rng);
         let e1 = sampling::error_poly(ring, n, rng);
         let e2 = sampling::error_poly(ring, n, rng);
         // Δ·m lifted into R_q: m < t and Δ = ⌊q/t⌋ keep Δ·m < q (the
         // upload reduces defensively anyway).
         let delta = self.params.delta();
-        let dm = pt.coeffs().iter().map(|&m| delta.wrapping_mul(m as u128)).collect();
+        let dm: Vec<u128> = pt.coeffs().iter().map(|&m| delta.wrapping_mul(m as u128)).collect();
 
-        let engine = LimbEngine::client(&self.engine, &[self.params.q()], n)?;
+        let engine = LimbEngine::client(&self.engine, &[q], n)?;
         let key = engine.resident_pair(&self.key, [(self.pk.p0.coeffs(), self.pk.p1.coeffs())])?;
         let mut st = OpStream::new(n);
         record_encrypt(&mut st, key[0], u, [e1, e2], dm)?;
         let polys = engine
             .run_one(0, st)?
             .into_iter()
-            .map(|c| Polynomial::from_elems(Arc::clone(ctx), c, Domain::Coefficient))
-            .collect::<cofhee_poly::Result<_>>()?;
+            .map(|c| Ok(Limb::new(q, c)?))
+            .collect::<Result<_>>()?;
         Ciphertext::new(polys)
     }
 }
@@ -106,20 +104,19 @@ impl Decryptor {
     /// another ring.
     fn decryption_poly(&self, ct: &Ciphertext) -> Result<Vec<u128>> {
         let (n, q, polys) = (self.params.n(), self.params.q(), ct.polys());
-        if polys.iter().any(|p| p.context().n() != n || p.context().modulus() != q) {
+        if polys.iter().any(|p| !p.is_in(q, n)) {
             return Err(BfvError::ParamsMismatch);
         }
         let engine = LimbEngine::client(&self.engine, &[q], n)?;
         let key = engine.resident_pair(&self.key, [(self.sk.s.coeffs(), self.sk.s_sq.coeffs())])?;
         let mut st = OpStream::new(n);
-        let cubic = polys.get(2).map(Polynomial::to_u128_vec);
-        record_decrypt(&mut st, key[0], polys[0].to_u128_vec(), polys[1].to_u128_vec(), cubic)?;
+        record_decrypt(&mut st, key[0], &polys[0], &polys[1], polys.get(2))?;
         Ok(engine.run_one(0, st)?.pop().expect("the stream marks one output"))
     }
 
     /// `m = ⌊t·v/q⌉ mod t` on the centered representative of `v`.
     fn round(&self, v: &[u128]) -> Result<Plaintext> {
-        let ring = self.params.poly_ring().ring();
+        let ring = self.params.ring();
         let round = self.params.decrypt_round();
         let coeffs = v
             .iter()
@@ -151,7 +148,7 @@ impl Decryptor {
     pub fn noise_budget(&self, ct: &Ciphertext) -> Result<f64> {
         let v = self.decryption_poly(ct)?;
         let m = self.round(&v)?;
-        let ring = self.params.poly_ring().ring();
+        let ring = self.params.ring();
         let q = self.params.q();
         let delta = self.params.delta();
         let mut worst: u128 = 0;

@@ -50,14 +50,11 @@
 //! key's first use as the key stores it (NTT form, transformed once at
 //! key generation) and released when the key is dropped.
 
-use std::sync::Arc;
-
 use cofhee_core::{
-    BackendFactory, CommStats, CpuBackendFactory, KeySwitchKeys, OpReport, OpStream, PoolStats,
-    StreamReport,
+    BackendFactory, CommStats, CoreError, CpuBackendFactory, KeySwitchKeys, Limb, OpReport,
+    OpStream, PoolStats, StreamReport,
 };
 use cofhee_opt::{LimbEngine, OptLevel};
-use cofhee_poly::{Domain, Polynomial};
 
 use crate::ciphertext::Ciphertext;
 use crate::error::{BfvError, Result};
@@ -184,27 +181,25 @@ impl Evaluator {
         self.engine.reset();
     }
 
+    /// Refuses a ciphertext whose components are not degree-`n`
+    /// polynomials mod this evaluator's `q`.
     pub(crate) fn check_ct(&self, ct: &Ciphertext) -> Result<()> {
-        for p in ct.polys() {
-            if p.context().n() != self.params.n() || p.context().modulus() != self.params.q() {
-                return Err(BfvError::ParamsMismatch);
-            }
+        let (q, n) = (self.params.q(), self.params.n());
+        if ct.polys().iter().all(|p| p.is_in(q, n)) {
+            Ok(())
+        } else {
+            Err(BfvError::ParamsMismatch)
         }
-        Ok(())
     }
 
-    /// Rebuilds a component polynomial from backend residues. Downloads
-    /// are canonical `[0, q)` values already, so this wraps them without
-    /// a second reduction pass (`from_elems` checks that they are).
-    pub(crate) fn poly_from(
-        &self,
-        values: Vec<u128>,
-    ) -> Result<Polynomial<cofhee_arith::Barrett128>> {
-        Ok(Polynomial::from_elems(
-            Arc::clone(self.params.poly_ring()),
-            values,
-            Domain::Coefficient,
-        )?)
+    /// Wraps a component computed on a backend or by the host CRT: `n`
+    /// residues, canonical mod `q` (which [`Limb::new`] checks).
+    pub(crate) fn limb(&self, values: Vec<u128>) -> Result<Limb> {
+        let n = self.params.n();
+        if values.len() != n {
+            return Err(CoreError::BadOperandLength { expected: n, found: values.len() }.into());
+        }
+        Ok(Limb::new(self.params.q(), values)?)
     }
 
     /// Executes one recorded mod-`q` stream and rewraps its outputs. The

@@ -45,9 +45,10 @@
 
 use std::sync::Arc;
 
-use cofhee_arith::{Barrett128, ModRing};
-use cofhee_core::{Filler, JobPlan, KeySwitchKeys, OpStream, Payload, PlanPhase, StreamHandle};
-use cofhee_poly::Polynomial;
+use cofhee_arith::ModRing;
+use cofhee_core::{
+    Filler, JobPlan, KeySwitchKeys, Limb, OpStream, Payload, PlanPhase, StreamHandle,
+};
 
 use crate::ciphertext::Ciphertext;
 use crate::error::{BfvError, Result};
@@ -107,13 +108,13 @@ impl Evaluator {
         self.check_ct(b)?;
         let n = self.params().n();
         let len = a.len().max(b.len());
-        let zero = vec![0u128; n];
+        let zero = Payload::from(vec![0u128; n]);
+        let component =
+            |ct: &Ciphertext, i| ct.polys().get(i).map_or_else(|| zero.clone(), Payload::from);
         let mut st = OpStream::new(n);
         for i in 0..len {
-            let pa = a.polys().get(i).map(|p| p.to_u128_vec()).unwrap_or_else(|| zero.clone());
-            let pb = b.polys().get(i).map(|p| p.to_u128_vec()).unwrap_or_else(|| zero.clone());
-            let ha = st.upload(pa)?;
-            let hb = st.upload(pb)?;
+            let ha = st.upload_shared(component(a, i))?;
+            let hb = st.upload_shared(component(b, i))?;
             let r = op(&mut st, ha, hb)?;
             st.output(r)?;
         }
@@ -126,7 +127,7 @@ impl Evaluator {
         let minus_one = self.params().q() - 1;
         let mut st = OpStream::new(self.params().n());
         for p in a.polys() {
-            let hp = st.upload(p.to_u128_vec())?;
+            let hp = st.upload_shared(p)?;
             let r = st.scalar_mul(hp, minus_one)?;
             st.output(r)?;
         }
@@ -146,11 +147,12 @@ impl Evaluator {
         let n = self.params().n();
         let delta = self.params().delta();
         let dm: Vec<u128> = pt.coeffs().iter().map(|&m| delta.wrapping_mul(m as u128)).collect();
+        let dm = Payload::from(dm);
         let mut st = OpStream::new(n);
         for (i, p) in a.polys().iter().enumerate() {
-            let hp = st.upload(p.to_u128_vec())?;
+            let hp = st.upload_shared(p)?;
             let out = if i == 0 {
-                let hm = st.upload(dm.clone())?;
+                let hm = st.upload_shared(dm.clone())?;
                 st.pointwise_add(hp, hm)?
             } else {
                 hp
@@ -172,8 +174,7 @@ impl Evaluator {
     pub fn mul_plain_stream(&self, a: &Ciphertext, pt: &Plaintext) -> Result<OpStream> {
         self.check_ct(a)?;
         let lifted: Vec<u128> = pt.coeffs().iter().map(|&m| m as u128).collect();
-        let components = a.polys().iter().map(Polynomial::to_u128_vec);
-        Ok(cofhee_core::record_mul_plain(self.params().n(), lifted, components)?)
+        Ok(cofhee_core::record_mul_plain(self.params().n(), lifted, a.polys())?)
     }
 
     /// Records the unscaled Eq. 4 tensor as one [`OpStream`] per CRT
@@ -201,7 +202,7 @@ impl Evaluator {
     /// Lifts a ciphertext polynomial to centered residues modulo
     /// computation prime `i` — one word-level Barrett reduction and one
     /// conditional modular subtract per coefficient, no division.
-    fn lift_centered(&self, poly: &Polynomial<Barrett128>, i: usize) -> Vec<u128> {
+    fn lift_centered(&self, poly: &Limb, i: usize) -> Vec<u128> {
         let ring = self
             .params()
             .mult_basis()
@@ -209,8 +210,7 @@ impl Evaluator {
             .expect("BfvParams::new builds the computation basis from 59-bit primes");
         let half = self.params().q() / 2;
         let q_mod_p = ring.reduce_u128(self.params().q());
-        poly.coeffs()
-            .iter()
+        poly.iter()
             .map(|&c| {
                 let r = ring.reduce_u128(c);
                 // Past q/2 the centered value is c − q: r ← r − q (mod p).
@@ -311,7 +311,7 @@ impl Evaluator {
             });
         });
         tasks.into_iter().try_for_each(|chunk| chunk.done)?;
-        let polys = out.into_iter().map(|coeffs| self.poly_from(coeffs)).collect::<Result<_>>()?;
+        let polys = out.into_iter().map(|coeffs| self.limb(coeffs)).collect::<Result<_>>()?;
         Ciphertext::new(polys)
     }
 
@@ -320,8 +320,10 @@ impl Evaluator {
     /// its high bits, both silently.
     pub(crate) fn check_rlk(&self, rlk: &RelinKey) -> Result<()> {
         let params = self.params();
+        let (q, n) = (params.q(), params.n());
         let digits = params.log_q().div_ceil(rlk.base_bits) as usize;
-        if rlk.digit_count() == digits && rlk.n == params.n() && rlk.q == params.q() {
+        let in_ring = rlk.parts.iter().all(|(k0, k1)| k0.is_in(q, n) && k1.is_in(q, n));
+        if rlk.digit_count() == digits && in_ring {
             Ok(())
         } else {
             Err(BfvError::ParamsMismatch)
@@ -381,16 +383,12 @@ impl Evaluator {
             return Err(BfvError::WrongCiphertextSize { expected: 3, found: ct.len() });
         }
         let polys = ct.polys();
-        let digits = cofhee_core::digit_decompose(
-            &polys[2].to_u128_vec(),
-            fill.base_bits,
-            fill.digits.len(),
-        );
+        let digits = cofhee_core::digit_decompose(&polys[2], fill.base_bits, fill.digits.len());
         for (filler, digit) in fill.digits.into_iter().zip(digits) {
             filler.fill(digit)?;
         }
         for (filler, c) in fill.base.into_iter().zip(polys) {
-            filler.fill(c.to_u128_vec())?;
+            filler.fill(c.clone())?;
         }
         Ok(())
     }
@@ -458,14 +456,15 @@ impl Evaluator {
     /// # Errors
     ///
     /// Returns [`BfvError::InvalidParams`] for empty output sets and
-    /// polynomial-layer errors for wrong lengths.
+    /// [`BfvError::Backend`] for outputs of the wrong length or not
+    /// reduced mod `q`.
     pub fn ciphertext_from_outputs(&self, outputs: Vec<Vec<u128>>) -> Result<Ciphertext> {
         if outputs.is_empty() {
             return Err(BfvError::InvalidParams {
                 reason: "a ciphertext needs at least one component output".into(),
             });
         }
-        let polys = outputs.into_iter().map(|v| self.poly_from(v)).collect::<Result<Vec<_>>>()?;
+        let polys = outputs.into_iter().map(|v| self.limb(v)).collect::<Result<Vec<_>>>()?;
         Ciphertext::new(polys)
     }
 }
@@ -476,10 +475,11 @@ mod tests {
     use crate::encrypt::{Decryptor, Encryptor};
     use crate::keys::KeyGenerator;
     use crate::params::BfvParams;
+    use cofhee_arith::Barrett128;
     use cofhee_core::{CpuBackend, PolyBackend};
+    use cofhee_poly::{naive, pointwise};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     struct Fixture {
         params: BfvParams,
@@ -519,11 +519,29 @@ mod tests {
     }
 
     /// Asserts `ct`'s components equal `oracle` coefficient for coefficient.
-    fn assert_components(ct: &Ciphertext, oracle: &[Polynomial<Barrett128>], what: &str) {
+    fn assert_components(ct: &Ciphertext, oracle: &[Vec<u128>], what: &str) {
         assert_eq!(ct.len(), oracle.len(), "{what}: component count");
         for (p, o) in ct.polys().iter().zip(oracle) {
-            assert_eq!(p.coeffs(), o.coeffs(), "{what}");
+            assert_eq!(p.coeffs(), &o[..], "{what}");
         }
+    }
+
+    /// `x ∘ y` mod `q` by a pointwise kernel, componentwise.
+    fn pointwise_oracle(
+        f: &Fixture,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        op: fn(&Barrett128, &mut [u128], &[u128]) -> cofhee_poly::Result<()>,
+    ) -> Vec<Vec<u128>> {
+        let ring = Barrett128::new(f.params.q()).unwrap();
+        let pairs = a.polys().iter().zip(b.polys());
+        pairs
+            .map(|(x, y)| {
+                let mut out = x.to_u128_vec();
+                op(&ring, &mut out, y).unwrap();
+                out
+            })
+            .collect()
     }
 
     #[test]
@@ -533,17 +551,17 @@ mod tests {
         let b = f.enc.encrypt(&pt_of(&f, &[10, 20]), &mut f.rng).unwrap();
         let st = f.eval.add_stream(&a, &b).unwrap();
         let ct = f.eval.ciphertext_from_outputs(run_on_borrowed(&f, &st)).unwrap();
-        // The oracle is the polynomial layer, not another stream.
-        let oracle: Vec<_> =
-            a.polys().iter().zip(b.polys()).map(|(x, y)| x.add(y).unwrap()).collect();
+        // The oracle is the pointwise kernels, not another stream.
+        let oracle = pointwise_oracle(&f, &a, &b, pointwise::add_assign);
         assert_components(&ct, &oracle, "borrowed-backend add");
         assert_components(&f.eval.add(&a, &b).unwrap(), &oracle, "evaluator add");
         assert_eq!(&f.dec.decrypt(&ct).unwrap().coeffs()[..2], &[13, 24]);
 
-        let oracle: Vec<_> =
-            a.polys().iter().zip(b.polys()).map(|(x, y)| x.sub(y).unwrap()).collect();
+        let oracle = pointwise_oracle(&f, &a, &b, pointwise::sub_assign);
         assert_components(&f.eval.sub(&a, &b).unwrap(), &oracle, "evaluator sub");
-        let oracle: Vec<_> = a.polys().iter().map(Polynomial::neg).collect();
+        let q = f.params.q();
+        let oracle: Vec<Vec<u128>> =
+            a.polys().iter().map(|p| p.iter().map(|&c| (q - c) % q).collect()).collect();
         assert_components(&f.eval.neg(&a).unwrap(), &oracle, "evaluator neg");
     }
 
@@ -551,18 +569,18 @@ mod tests {
     fn plain_op_streams_match_the_evaluator_paths() {
         let mut f = setup(22);
         let a = f.enc.encrypt(&pt_of(&f, &[7]), &mut f.rng).unwrap();
-        let ring = Arc::clone(f.params.poly_ring());
-        let lift = |pt: &Plaintext, scale: u128| {
-            let v: Vec<u128> = pt.coeffs().iter().map(|&m| scale * m as u128).collect();
-            Polynomial::from_values(Arc::clone(&ring), &v).unwrap()
+        let ring = Barrett128::new(f.params.q()).unwrap();
+        let lift = |pt: &Plaintext, scale: u128| -> Vec<u128> {
+            pt.coeffs().iter().map(|&m| ring.from_u128(scale * m as u128)).collect()
         };
 
         let pt = pt_of(&f, &[30]);
         let st = f.eval.add_plain_stream(&a, &pt).unwrap();
         let sum = f.eval.ciphertext_from_outputs(run_on_borrowed(&f, &st)).unwrap();
         assert_eq!(f.dec.decrypt(&sum).unwrap().coeffs()[0], 37);
-        let dm = lift(&pt, f.params.delta());
-        let oracle = vec![a.polys()[0].add(&dm).unwrap(), a.polys()[1].clone()];
+        let mut c0 = a.polys()[0].to_u128_vec();
+        pointwise::add_assign(&ring, &mut c0, &lift(&pt, f.params.delta())).unwrap();
+        let oracle = vec![c0, a.polys()[1].to_u128_vec()];
         assert_components(&sum, &oracle, "borrowed-backend add_plain");
         assert_components(&f.eval.add_plain(&a, &pt).unwrap(), &oracle, "evaluator add_plain");
 
@@ -571,7 +589,8 @@ mod tests {
         let prod = f.eval.ciphertext_from_outputs(run_on_borrowed(&f, &st)).unwrap();
         assert_eq!(f.dec.decrypt(&prod).unwrap().coeffs()[0], 42);
         let m = lift(&pt, 1);
-        let oracle: Vec<_> = a.polys().iter().map(|p| p.negacyclic_mul(&m).unwrap()).collect();
+        let oracle: Vec<_> =
+            a.polys().iter().map(|p| naive::negacyclic_mul(&ring, p, &m).unwrap()).collect();
         assert_components(&prod, &oracle, "borrowed-backend mul_plain");
         assert_components(&f.eval.mul_plain(&a, &pt).unwrap(), &oracle, "evaluator mul_plain");
     }
@@ -677,6 +696,42 @@ mod tests {
             );
         }
         assert_eq!(f.eval.relinearize(&prod3, &f.rlk).unwrap().len(), 2);
+    }
+
+    /// Where the words of each of `st`'s uploads live, in record order.
+    fn uploads(st: &OpStream) -> Vec<*const u128> {
+        let words = |op: &cofhee_core::StreamOp| match op {
+            cofhee_core::StreamOp::Upload(payload) => Some(payload.words().unwrap().as_ptr()),
+            _ => None,
+        };
+        st.nodes().iter().filter_map(words).collect()
+    }
+
+    #[test]
+    fn recording_uploads_every_operand_by_pointer() {
+        let mut f = setup(28);
+        let a = f.enc.encrypt(&pt_of(&f, &[3]), &mut f.rng).unwrap();
+        let b = f.enc.encrypt(&pt_of(&f, &[4]), &mut f.rng).unwrap();
+        let prod = f.eval.multiply(&a, &b).unwrap();
+        let pt = pt_of(&f, &[5]);
+        let at = |ct: &Ciphertext| ct.polys().iter().map(|p| p.coeffs().as_ptr()).collect();
+        let (pa, pb, pp): (Vec<_>, Vec<_>, Vec<_>) = (at(&a), at(&b), at(&prod));
+
+        let both = vec![pa[0], pb[0], pa[1], pb[1]];
+        assert_eq!(uploads(&f.eval.add_stream(&a, &b).unwrap()), both, "add");
+        assert_eq!(uploads(&f.eval.sub_stream(&a, &b).unwrap()), both, "sub");
+        assert_eq!(uploads(&f.eval.neg_stream(&a).unwrap()), pa, "neg");
+        let plain_sum = uploads(&f.eval.add_plain_stream(&a, &pt).unwrap());
+        assert_eq!([plain_sum[0], plain_sum[2]], [pa[0], pa[1]], "add_plain");
+        let plain_product = uploads(&f.eval.mul_plain_stream(&a, &pt).unwrap());
+        assert_eq!(plain_product[1..], pa, "mul_plain");
+        // The key switch: each key polynomial as the key stores it, and
+        // the product's first two components as the fill hands them over.
+        let relin = uploads(&f.eval.relin_stream(&prod, &f.rlk).unwrap());
+        assert_eq!(relin[relin.len() - 2..], pp[..2], "relin fill");
+        for (k0, k1) in f.rlk.parts() {
+            assert!(relin.contains(&k0.as_ptr()) && relin.contains(&k1.as_ptr()), "relin key");
+        }
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! BFV key material: secret, public and relinearization keys.
+//!
+//! Every key polynomial is a [`Limb`] mod `q`. The samplers run
+//! host-side, in the order keys have always drawn them; the products —
+//! `s²`, the public key's `−(a·s + e)`, the relinearization key made in
+//! the NTT domain — are the scheme-neutral key-generation streams of
+//! `cofhee_core`, run on a CPU [`LimbEngine`] over `q` that the generator
+//! brings up with the secret key.
 
-use std::sync::Arc;
-
-use cofhee_arith::{Barrett128, ModRing};
-use cofhee_core::KeyPair;
-use cofhee_opt::KeyId;
-use cofhee_poly::{Domain, Polynomial};
+use cofhee_arith::ModRing;
+use cofhee_core::{
+    record_public_key, record_relin_key, record_square, CpuBackendFactory, KeyPair, Limb, OpStream,
+};
+use cofhee_opt::{KeyId, LimbEngine};
 use rand::Rng;
 
 use crate::error::{BfvError, Result};
@@ -17,14 +23,14 @@ use crate::sampling;
 /// once with the key.
 #[derive(Debug, Clone)]
 pub struct SecretKey {
-    pub(crate) s: Polynomial<Barrett128>,
-    pub(crate) s_sq: Polynomial<Barrett128>,
+    pub(crate) s: Limb,
+    pub(crate) s_sq: Limb,
 }
 
 impl SecretKey {
     /// The secret polynomial (exposed for noise-analysis tooling; treat as
     /// sensitive).
-    pub fn poly(&self) -> &Polynomial<Barrett128> {
+    pub fn poly(&self) -> &Limb {
         &self.s
     }
 }
@@ -33,19 +39,20 @@ impl SecretKey {
 #[derive(Debug, Clone)]
 pub struct PublicKey {
     /// `kp₁ = −(a·s + e)`.
-    pub(crate) p0: Polynomial<Barrett128>,
+    pub(crate) p0: Limb,
     /// `kp₂ = a`.
-    pub(crate) p1: Polynomial<Barrett128>,
+    pub(crate) p1: Limb,
 }
 
 /// A relinearization key: digit-decomposition key-switching material for
 /// folding the `c₃` component of a ciphertext product back onto `(c₁, c₂)`.
 ///
 /// The key is **stored in NTT form** — each polynomial transformed once,
-/// when the key is generated — as shared payloads: a key switch
-/// multiplies the transformed digits against it as it lies, so no
-/// execution route (the evaluator's resident copy, a farm's or a
-/// gateway's self-contained stream) transforms or copies it again.
+/// when the key is generated — as shared limbs: a key switch multiplies
+/// the transformed digits against it as it lies, so no execution route
+/// (the evaluator's resident copy, a farm's or a gateway's self-contained
+/// stream) transforms or copies it again. Each limb carries the modulus
+/// it was generated under, which an evaluator checks.
 ///
 /// The paper highlights (Section III-C) that CoFHEE's 128-bit coefficient
 /// choice was made partly so key switching stays efficient — fewer, wider
@@ -54,16 +61,12 @@ pub struct PublicKey {
 pub struct RelinKey {
     /// Decomposition base `T = 2^base_bits`.
     pub(crate) base_bits: u32,
-    /// Ring degree and modulus the key was generated under (an evaluator
-    /// refuses any other).
-    pub(crate) n: usize,
-    pub(crate) q: u128,
     /// For digit `i`: the forward transforms of
-    /// `(−(aᵢ·s + eᵢ) + Tⁱ·s², aᵢ)`, canonical residues mod `q`.
+    /// `(−(aᵢ·s + eᵢ) + Tⁱ·s², aᵢ)`.
     pub(crate) parts: Vec<KeyPair>,
     /// Shared by clones (same key material): what the evaluator's
-    /// [`LimbEngine`](cofhee_opt::LimbEngine) keys the resident copy on,
-    /// and whose last drop releases that copy.
+    /// [`LimbEngine`] keys the resident copy on, and whose last drop
+    /// releases that copy.
     pub(crate) id: KeyId,
 }
 
@@ -89,17 +92,27 @@ impl RelinKey {
 pub struct KeyGenerator {
     params: BfvParams,
     sk: SecretKey,
+    /// One CPU backend for `q`: every product of a key runs on it.
+    engine: LimbEngine,
 }
 
 impl KeyGenerator {
-    /// Samples a fresh ternary secret key.
+    /// Samples a fresh ternary secret key and computes `s²` on the
+    /// generator's engine.
     pub fn new<G: Rng + ?Sized>(params: &BfvParams, rng: &mut G) -> Self {
-        let ctx = Arc::clone(params.poly_ring());
-        let s = sampling::ternary(ctx.ring(), params.n(), rng);
-        let s = Polynomial::from_elems(ctx, s, Domain::Coefficient)
-            .expect("sampler emits exactly n coefficients");
-        let s_sq = s.negacyclic_mul(&s).expect("one ring, coefficient domain");
-        Self { params: params.clone(), sk: SecretKey { s, s_sq } }
+        let (q, n) = (params.q(), params.n());
+        let s = sampling::ternary(params.ring(), n, rng);
+        let square = || -> Result<(LimbEngine, SecretKey)> {
+            let engine = LimbEngine::new(&CpuBackendFactory, &[q], n)?;
+            let s = Limb::new(q, s)?;
+            let mut st = OpStream::new(n);
+            record_square(&mut st, &s)?;
+            let s_sq = run(&engine, q, st)?.remove(0);
+            Ok((engine, SecretKey { s, s_sq }))
+        };
+        let (engine, sk) =
+            square().expect("BfvParams::new admits only a prime q ≡ 1 (mod 2n) a backend serves");
+        Self { params: params.clone(), sk, engine }
     }
 
     /// The generated secret key.
@@ -111,77 +124,80 @@ impl KeyGenerator {
     ///
     /// # Errors
     ///
-    /// Propagates polynomial-arithmetic failures (none in practice: all
-    /// operands share this generator's ring).
+    /// Propagates stream failures (none in practice: every operand is
+    /// `n` residues mod this generator's `q`).
     pub fn public_key<G: Rng + ?Sized>(&self, rng: &mut G) -> Result<PublicKey> {
-        let ctx = Arc::clone(self.params.poly_ring());
-        let n = self.params.n();
-        let a = Polynomial::from_elems(
-            Arc::clone(&ctx),
-            sampling::uniform(ctx.ring(), n, rng),
-            Domain::Coefficient,
-        )?;
-        let e = Polynomial::from_elems(
-            Arc::clone(&ctx),
-            sampling::error_poly(ctx.ring(), n, rng),
-            Domain::Coefficient,
-        )?;
-        let p0 = a.negacyclic_mul(&self.sk.s)?.add(&e)?.neg();
-        Ok(PublicKey { p0, p1: a })
+        let (q, n, ring) = (self.params.q(), self.params.n(), self.params.ring());
+        let a = Limb::new(q, sampling::uniform(ring, n, rng))?;
+        let e = sampling::error_poly(ring, n, rng);
+        let mut st = OpStream::new(n);
+        record_public_key(&mut st, q, &self.sk.s, &a, e)?;
+        Ok(PublicKey { p0: run(&self.engine, q, st)?.remove(0), p1: a })
     }
 
     /// Derives a relinearization key with digits of `base_bits` bits,
-    /// stored in NTT form: `s`, `s²` and each digit's `a` and `e` are
-    /// transformed once and `k0 = −(â ⊙ ŝ + ê) + Tⁱ·ŝ²` is formed there —
-    /// bit for bit the forward transform of the coefficient-domain key.
+    /// stored in NTT form: one stream transforms `s`, `s²` and each
+    /// digit's `a` and `e` once and forms `k0 = −(â ⊙ ŝ + ê) + Tⁱ·ŝ²`
+    /// there — bit for bit the forward transform of the
+    /// coefficient-domain key.
     ///
     /// # Errors
     ///
     /// Returns [`BfvError::InvalidParams`] unless `1 ≤ base_bits ≤ 63`
     /// (a zero-width digit never terminates the decomposition and a
-    /// digit wider than a word overflows it), and propagates
-    /// polynomial-arithmetic failures (none in practice).
+    /// digit wider than a word overflows it), and propagates stream
+    /// failures (none in practice).
     pub fn relin_key<G: Rng + ?Sized>(&self, base_bits: u32, rng: &mut G) -> Result<RelinKey> {
         if !(1..=63).contains(&base_bits) {
             return Err(BfvError::InvalidParams {
                 reason: format!("relin digit width must be 1..=63 bits, got {base_bits}"),
             });
         }
-        let ctx = Arc::clone(self.params.poly_ring());
-        let ring = *ctx.ring();
-        let n = self.params.n();
+        let (q, n, ring) = (self.params.q(), self.params.n(), self.params.ring());
         let digits = self.params.log_q().div_ceil(base_bits) as usize;
-        let fs = self.sk.s.clone().into_ntt()?;
-        let fs_sq = self.sk.s_sq.clone().into_ntt()?;
-        let mut parts = Vec::with_capacity(digits);
-        let mut t_pow = ring.one(); // T^i mod q
         let base = ring.from_u128(1u128 << base_bits);
+        let mut t_pow = ring.one(); // T^i mod q
+        let mut draws = Vec::with_capacity(digits);
         for _ in 0..digits {
-            let fa = Polynomial::from_elems(
-                Arc::clone(&ctx),
-                sampling::uniform(&ring, n, rng),
-                Domain::Coefficient,
-            )?
-            .into_ntt()?;
-            let fe = Polynomial::from_elems(
-                Arc::clone(&ctx),
-                sampling::error_poly(&ring, n, rng),
-                Domain::Coefficient,
-            )?
-            .into_ntt()?;
-            let k0 = fa.hadamard(&fs)?.add(&fe)?.neg().add(&fs_sq.scalar_mul(t_pow))?;
-            parts.push((Arc::new(k0.to_u128_vec()), Arc::new(fa.to_u128_vec())));
+            let a = sampling::uniform(ring, n, rng);
+            let e = sampling::error_poly(ring, n, rng);
+            draws.push((a, e, ring.to_u128(t_pow)));
             t_pow = ring.mul(t_pow, base);
         }
-        Ok(RelinKey { base_bits, n, q: self.params.q(), parts, id: KeyId::default() })
+        let mut st = OpStream::new(n);
+        record_relin_key(&mut st, q, &self.sk.s, &self.sk.s_sq, draws)?;
+        let mut stored = run(&self.engine, q, st)?.into_iter();
+        let parts = std::iter::from_fn(|| Some((stored.next()?, stored.next()?))).collect();
+        Ok(RelinKey { base_bits, parts, id: KeyId::default() })
     }
+}
+
+/// Runs a key-generation stream on the generator's engine: its outputs,
+/// as limbs mod `q`.
+fn run(engine: &LimbEngine, q: u128, st: OpStream) -> Result<Vec<Limb>> {
+    engine.run_one(0, st)?.into_iter().map(|words| Ok(Limb::new(q, words)?)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cofhee_poly::{naive, ntt};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `a + b·c` mod `q` by the schoolbook product.
+    fn mul_add(params: &BfvParams, a: &[u128], b: &[u128], c: &[u128]) -> Vec<u128> {
+        let ring = params.ring();
+        let product = naive::negacyclic_mul(ring, b, c).unwrap();
+        a.iter().zip(product).map(|(&x, y)| ring.add(x, y)).collect()
+    }
+
+    fn assert_small(params: &BfvParams, coeffs: &[u128], what: &str) {
+        for &c in coeffs {
+            let (mag, _) = sampling::elem_to_centered(params.ring(), c);
+            assert!(mag <= 20, "{what} noise too large: {mag}");
+        }
+    }
 
     #[test]
     fn secret_key_is_ternary() {
@@ -189,6 +205,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let kg = KeyGenerator::new(&p, &mut rng);
         let q = p.q();
+        assert_eq!(kg.secret_key().poly().modulus(), q);
         for &c in kg.secret_key().poly().coeffs() {
             assert!(c == 0 || c == 1 || c == q - 1);
         }
@@ -201,12 +218,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let kg = KeyGenerator::new(&p, &mut rng);
         let pk = kg.public_key(&mut rng).unwrap();
-        let lhs = pk.p0.add(&pk.p1.negacyclic_mul(&kg.secret_key().s).unwrap()).unwrap();
-        let ring = p.poly_ring().ring();
-        for &c in lhs.coeffs() {
-            let (mag, _) = sampling::elem_to_centered(ring, c);
-            assert!(mag <= 20, "pk noise too large: {mag}");
-        }
+        assert_small(&p, &mul_add(&p, &pk.p0, &pk.p1, &kg.secret_key().s), "pk");
     }
 
     #[test]
@@ -227,27 +239,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let kg = KeyGenerator::new(&p, &mut rng);
         let rlk = kg.relin_key(20, &mut rng).unwrap();
-        let ring = p.poly_ring().ring();
+        let ring = p.ring();
         let s = &kg.secret_key().s;
-        let s_sq = s.negacyclic_mul(s).unwrap();
-        assert_eq!(s_sq, kg.secret_key().s_sq);
+        let s_sq = naive::negacyclic_mul(ring, s, s).unwrap();
+        assert_eq!(s_sq, kg.secret_key().s_sq.coeffs());
+        let tables = ntt::NttTables::new(ring, p.n()).unwrap();
         let raw = |stored: &[u128]| {
-            Polynomial::from_elems(Arc::clone(p.poly_ring()), stored.to_vec(), Domain::Ntt)
-                .unwrap()
-                .into_coeff()
-                .unwrap()
+            let mut raw = stored.to_vec();
+            ntt::inverse_inplace(ring, &mut raw, &tables).unwrap();
+            raw
         };
         let mut t_pow = ring.one();
         for (k0, a) in rlk.parts() {
-            let lhs = raw(k0)
-                .add(&raw(a).negacyclic_mul(s).unwrap())
-                .unwrap()
-                .sub(&s_sq.scalar_mul(t_pow))
-                .unwrap();
-            for &c in lhs.coeffs() {
-                let (mag, _) = sampling::elem_to_centered(ring, c);
-                assert!(mag <= 20, "relin noise too large: {mag}");
-            }
+            let shifted: Vec<u128> = s_sq.iter().map(|&c| ring.mul(c, t_pow)).collect();
+            let masked = mul_add(&p, &raw(k0), &raw(a), s);
+            let lhs: Vec<u128> =
+                masked.iter().zip(&shifted).map(|(&x, &y)| ring.sub(x, y)).collect();
+            assert_small(&p, &lhs, "relin");
             t_pow = ring.mul(t_pow, ring.from_u128(1 << 20));
         }
     }

@@ -17,7 +17,6 @@
 use std::sync::Arc;
 
 use cofhee_arith::{primes, rns::RnsBasis, signed::ScaleRound, Barrett128};
-use cofhee_poly::{PolyRing, TwiddleCache};
 
 use crate::error::{BfvError, Result};
 
@@ -34,11 +33,14 @@ pub struct BfvParams {
     n: usize,
     t: u64,
     q: u128,
-    poly_ring: Arc<PolyRing<Barrett128>>,
+    /// The scalar ring mod `q`: what the samplers, the decryption's
+    /// centering and `Tⁱ mod q` need. No transform plan lives here —
+    /// every polynomial product, key generation included, runs on a
+    /// backend brought up for `(q, n)`.
+    ring: Barrett128,
     /// Δ = ⌊q/t⌋, the plaintext scaling factor of Eq. 2.
     delta: u128,
-    /// The host-side CRT and rounding constants, shared by clones like
-    /// the ring context.
+    /// The host-side CRT and rounding constants, shared by clones.
     crt: Arc<CrtTables>,
 }
 
@@ -100,9 +102,7 @@ impl BfvParams {
                 ),
             });
         }
-        // The interned plan: the backends an evaluator brings up for
-        // these parameters find the same tables under the same key.
-        let poly_ring = Arc::new(PolyRing::from_plan(TwiddleCache::barrett128(q, n)?));
+        let ring = Barrett128::new(q)?;
         // Computation basis for the exact tensor: product must exceed
         // 2·n·q² (sign headroom included).
         let needed_bits = 1 + n.trailing_zeros() + 2 * q_bits + 2;
@@ -121,7 +121,7 @@ impl BfvParams {
             tensor_round: ScaleRound::new(t as u128, q, q)?,
             decrypt_round: ScaleRound::new(t as u128, q, t as u128)?,
         });
-        Ok(Self { n, t, q, poly_ring, delta: q / t as u128, crt })
+        Ok(Self { n, t, q, ring, delta: q / t as u128, crt })
     }
 
     /// The paper's `(n, log q) = (2^12, 109)` evaluation point with a
@@ -192,10 +192,10 @@ impl BfvParams {
         self.delta
     }
 
-    /// The shared polynomial ring context.
+    /// The scalar ring mod `q`.
     #[inline]
-    pub fn poly_ring(&self) -> &Arc<PolyRing<Barrett128>> {
-        &self.poly_ring
+    pub(crate) fn ring(&self) -> &Barrett128 {
+        &self.ring
     }
 
     /// The exact-tensor computation basis.

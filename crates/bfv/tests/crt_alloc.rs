@@ -1,8 +1,9 @@
 //! Allocation count of the host CRT finisher, by the same counting
 //! `#[global_allocator]` harness as `crates/core/tests/zero_alloc.rs`:
 //! `RnsBasis::compose` allocates nothing, and
-//! [`Evaluator::tensor_combine`] allocates its three output vectors,
-//! their container, the chunk list and one scratch per chunk — a count
+//! [`Evaluator::tensor_combine`] allocates its three output vectors, the
+//! shared pointer each is wrapped in as a `Limb`, their container, the
+//! chunk list and one scratch per chunk — a count
 //! that depends on how many chunks the host's cores make it, not on the
 //! degree.
 //!
@@ -96,8 +97,9 @@ fn tensor_combine_allocates_independently_of_the_degree() {
     let (combine_10, compose_10) = count_at(1 << 10);
     assert_eq!(compose_10, 0, "RnsBasis::compose must not touch the heap");
     assert!(
-        combine_10 <= 8,
-        "three outputs, their container, the chunk list and one scratch: {combine_10}"
+        combine_10 <= 11,
+        "three outputs and their pointers, their container, the chunk list and one scratch: \
+         {combine_10}"
     );
     // Two degrees this host cuts into the same number of chunks — one per
     // core: the same count, spawned threads and all.

@@ -1,19 +1,22 @@
 //! CKKS ciphertexts and plaintexts in RNS limb form.
 //!
-//! Components are stored as raw canonical residue vectors, one `Vec<u128>`
-//! per active chain limb — the exact form the `PolyBackend` upload path
-//! takes and the stream builders record, so the evaluator never converts
-//! between host and backend representations on the hot path. Every value
-//! carries its [`Level`] (which chain prefix the limbs span) and its
-//! scaling factor (the Δ-power the encoded reals are multiplied by);
-//! both are checked, not trusted, at each operation.
+//! Components are stored as one [`Limb`] per active chain prime — `n`
+//! canonical residues and the prime they are reduced by, behind a shared
+//! pointer — the exact form the stream builders upload, by pointer, so
+//! the evaluator never converts or copies between host and backend
+//! representations on the hot path. Every value carries its [`Level`]
+//! (which chain prefix the limbs span) and its scaling factor (the
+//! Δ-power the encoded reals are multiplied by); both, and each limb's
+//! prime, are checked, not trusted, at each operation.
+
+use cofhee_core::Limb;
 
 use crate::error::{CkksError, Result};
 use crate::params::{CkksParams, Level};
 
 /// One ring element in RNS form: `limbs[j]` holds the `n` canonical
 /// residues modulo chain prime `j`.
-pub type RnsPoly = Vec<Vec<u128>>;
+pub type RnsPoly = Vec<Limb>;
 
 /// Relative slack allowed when comparing scaling factors: rescaling by a
 /// prime near Δ never lands exactly on Δ, so equality is approximate by
@@ -138,8 +141,8 @@ impl CkksCiphertext {
 
 /// The shape rule for values that arrive from outside an operation:
 /// [`CkksError::ParamsMismatch`] unless every polynomial is `level`'s
-/// limb count of degree-`n` residues on this chain. Checked before
-/// anything is recorded or uploaded.
+/// limb count of degree-`n` residues modulo this chain's primes. Checked
+/// before anything is recorded or uploaded.
 pub(crate) fn check_shape(params: &CkksParams, level: Level, polys: &[RnsPoly]) -> Result<()> {
     polys
         .iter()
@@ -162,7 +165,10 @@ fn check_rns_poly(params: &CkksParams, poly: &RnsPoly, level: Level, what: &str)
             ),
         });
     }
-    for (j, limb) in poly.iter().enumerate() {
+    for (j, (limb, &q)) in poly.iter().zip(params.moduli()).enumerate() {
+        if limb.modulus() != q {
+            return Err(CkksError::ParamsMismatch);
+        }
         if limb.len() != params.n() {
             return Err(CkksError::InvalidParams {
                 reason: format!(
@@ -184,24 +190,35 @@ mod tests {
         CkksParams::insecure_testing(64).unwrap()
     }
 
+    /// The zero polynomial at the chain top, `n` residues per prime.
+    fn zero(p: &CkksParams, n: usize) -> RnsPoly {
+        p.moduli().iter().map(|&q| Limb::new(q, vec![0; n]).unwrap()).collect()
+    }
+
     #[test]
     fn validates_limb_shape() {
         let p = params();
         let level = p.top_level();
-        let good: RnsPoly = vec![vec![0u128; p.n()]; level.limbs()];
+        let good = zero(&p, p.n());
         assert!(CkksPlaintext::new(&p, good.clone(), level, p.scale()).is_ok());
         // Wrong limb count for the level.
         assert!(CkksPlaintext::new(&p, good[..2].to_vec(), level, p.scale()).is_err());
         // Wrong degree.
-        let bad = vec![vec![0u128; 8]; level.limbs()];
-        assert!(CkksPlaintext::new(&p, bad, level, p.scale()).is_err());
+        assert!(CkksPlaintext::new(&p, zero(&p, 8), level, p.scale()).is_err());
+        // Limbs in the wrong order: each residue vector under another prime.
+        let mut swapped = good;
+        swapped.swap(0, 1);
+        assert_eq!(
+            CkksPlaintext::new(&p, swapped, level, p.scale()),
+            Err(CkksError::ParamsMismatch)
+        );
     }
 
     #[test]
     fn ciphertext_needs_two_or_three_components() {
         let p = params();
         let level = p.top_level();
-        let limb: RnsPoly = vec![vec![0u128; p.n()]; level.limbs()];
+        let limb = zero(&p, p.n());
         assert!(CkksCiphertext::new(&p, vec![limb.clone()], level, p.scale()).is_err());
         assert!(CkksCiphertext::new(&p, vec![limb.clone(); 2], level, p.scale()).is_ok());
         assert!(CkksCiphertext::new(&p, vec![limb.clone(); 3], level, p.scale()).is_ok());

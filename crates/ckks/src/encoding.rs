@@ -26,6 +26,7 @@
 //! f64 error is orders of magnitude below that.
 
 use cofhee_arith::signed;
+use cofhee_core::Limb;
 
 use crate::ciphertext::CkksPlaintext;
 use crate::error::{CkksError, Result};
@@ -120,8 +121,8 @@ impl CkksEncoder {
             .params
             .moduli_at(level)
             .iter()
-            .map(|&q| coeffs.iter().map(|&m| signed::to_residue(q, m)).collect())
-            .collect();
+            .map(|&q| Ok(Limb::new(q, coeffs.iter().map(|&m| signed::to_residue(q, m)).collect())?))
+            .collect::<Result<_>>()?;
         CkksPlaintext::new(&self.params, limbs, level, scale)
     }
 
@@ -279,12 +280,14 @@ mod tests {
         let b: Vec<f64> = (0..p.slots()).map(|i| 2.0 - i as f64 * 0.05).collect();
         let pa = enc.encode(&a).unwrap();
         let pb = enc.encode(&b).unwrap();
-        let sum_limbs: Vec<Vec<u128>> = pa
+        let sum_limbs = pa
             .limbs()
             .iter()
             .zip(pb.limbs())
             .zip(p.moduli())
-            .map(|((la, lb), &q)| la.iter().zip(lb).map(|(&x, &y)| (x + y) % q).collect())
+            .map(|((la, lb), &q)| {
+                Limb::new(q, la.iter().zip(lb).map(|(&x, &y)| (x + y) % q).collect()).unwrap()
+            })
             .collect();
         let sum = CkksPlaintext::new(&p, sum_limbs, pa.level(), pa.scale()).unwrap();
         let back = enc.decode(&sum).unwrap();

@@ -22,7 +22,7 @@
 
 use std::sync::OnceLock;
 
-use cofhee_core::{record_decrypt, record_encrypt, OpStream};
+use cofhee_core::{record_decrypt, record_encrypt, Limb, OpStream};
 use cofhee_opt::{KeyId, LimbEngine};
 use rand::Rng;
 
@@ -76,11 +76,11 @@ impl CkksEncryptor {
         for (j, m) in pt.limbs().iter().enumerate() {
             let lift = |signed: &[i64]| lift_limb(&self.params, j, signed);
             let mut st = OpStream::new(n);
-            record_encrypt(&mut st, keys[j], lift(&u), [lift(&e1), lift(&e2)], m.clone())?;
+            record_encrypt(&mut st, keys[j], lift(&u), [lift(&e1), lift(&e2)], m)?;
             let [c0_j, c1_j]: [Vec<u128>; 2] =
                 engine.run_one(j, st)?.try_into().expect("record_encrypt marks (c0, c1)");
-            c0.push(c0_j);
-            c1.push(c1_j);
+            c0.push(Limb::new(m.modulus(), c0_j)?);
+            c1.push(Limb::new(m.modulus(), c1_j)?);
         }
         CkksCiphertext::new(&self.params, vec![c0, c1], pt.level(), pt.scale())
     }
@@ -121,12 +121,13 @@ impl CkksDecryptor {
         let pairs = self.sk.s.iter().zip(&self.sk.s_sq).map(|(s, s_sq)| (&s[..], &s_sq[..]));
         let keys = engine.resident_pair(&self.key, pairs)?;
         let mut out: RnsPoly = Vec::with_capacity(ct.level().limbs());
-        for j in 0..ct.level().limbs() {
-            let limb = |c: &RnsPoly| c[j].clone();
+        for (j, &q) in self.params.moduli_at(ct.level()).iter().enumerate() {
             let mut st = OpStream::new(n);
-            let cubic = components.get(2).map(limb);
-            record_decrypt(&mut st, keys[j], limb(&components[0]), limb(&components[1]), cubic)?;
-            out.extend(engine.run_one(j, st)?);
+            let cubic = components.get(2).map(|c| &c[j]);
+            record_decrypt(&mut st, keys[j], &components[0][j], &components[1][j], cubic)?;
+            for v in engine.run_one(j, st)? {
+                out.push(Limb::new(q, v)?);
+            }
         }
         CkksPlaintext::new(&self.params, out, ct.level(), ct.scale())
     }

@@ -16,23 +16,24 @@
 //! stays host-side; every draw of a key is made before anything is
 //! computed, in the order keys have always had.
 //!
-//! The products are recorded as streams — `s² = intt(ŝ ⊙ ŝ)`,
-//! `p0 = (a·s + e)·(q − 1)`, and the relinearization key as one stream
-//! per limb that transforms `s` and `s²` once and emits every digit in
-//! the NTT domain — and run on a CPU [`LimbEngine`] over the chain that
-//! the generator brings up on first use, so a word-sized chain prime is
-//! computed at word width.
+//! The products are the scheme-neutral key-generation streams of
+//! `cofhee_core` — `s²`, `p0 = −(a·s + e)`, and the relinearization key
+//! as one stream per limb that transforms `s` and `s²` once and emits
+//! every digit in the NTT domain — run on a CPU [`LimbEngine`] over the
+//! chain that the generator brings up on first use, so a word-sized
+//! chain prime is computed at word width.
 //!
-//! The relinearization key records the ring degree and chain it was
-//! made for (the evaluator refuses any other) and carries a shared
-//! [`KeyId`]: the identity an evaluator's engine keys the key's
-//! resident copy on, and releases it by.
+//! Every key polynomial is a [`Limb`] of its chain prime: the
+//! relinearization key's limbs are what the evaluator checks a key
+//! against, and the key carries a shared [`KeyId`]: the identity an
+//! evaluator's engine keys the key's resident copy on, and releases it
+//! by.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use cofhee_arith::{signed, ModRing};
 use cofhee_bfv::sampling;
-use cofhee_core::{KeyPair, OpStream, StreamHandle};
+use cofhee_core::{record_public_key, record_relin_key, record_square, KeyPair, Limb, OpStream};
 use cofhee_opt::{KeyId, LimbEngine};
 use rand::Rng;
 
@@ -53,13 +54,13 @@ pub struct CkksSecretKey {
 #[derive(Debug, Clone)]
 pub struct CkksPublicKey {
     /// `(p0ⱼ, p1ⱼ)` for each chain limb `j`.
-    pub(crate) parts: Vec<(Vec<u128>, Vec<u128>)>,
+    pub(crate) parts: Vec<KeyPair>,
 }
 
 /// The relinearization key: per limb `j`, per digit `i` of the
 /// base-`2^w` decomposition, the pair
 /// `(k0 = −(a·s + e) + Tⁱ·s², k1 = a)`, **stored in NTT form** as shared
-/// payloads. Stored limb-major, so a limb's key set is borrowed as is:
+/// limbs. Stored limb-major, so a limb's key set is borrowed as is:
 /// by [`cofhee_core::KeySwitchKeys::Inline`] for the self-contained
 /// streams a borrowed backend runs (uploaded as they lie, not copied),
 /// and by the evaluator's [`LimbEngine`] the one time it uploads the key
@@ -67,9 +68,6 @@ pub struct CkksPublicKey {
 #[derive(Debug, Clone)]
 pub struct CkksRelinKey {
     pub(crate) base_bits: u32,
-    /// Ring degree and chain primes the residues were generated under.
-    pub(crate) n: usize,
-    pub(crate) moduli: Vec<u128>,
     /// `parts[limb][digit] = (k0, k1)`, each the forward transform mod
     /// that limb's prime.
     pub(crate) parts: Vec<Vec<KeyPair>>,
@@ -127,15 +125,13 @@ impl CkksKeyGenerator {
     /// validated parameter sets).
     pub fn secret_key<G: Rng + ?Sized>(&self, rng: &mut G) -> Result<CkksSecretKey> {
         let signed = sample_signed(&self.params, rng, SignedDist::Ternary);
-        let s: RnsPoly = (0..self.limbs()).map(|j| lift_limb(&self.params, j, &signed)).collect();
-        let engine = self.engine()?;
-        let mut s_sq = Vec::with_capacity(s.len());
-        for (j, s_j) in s.iter().enumerate() {
+        let (mut s, mut s_sq) = (Vec::new(), Vec::new());
+        for j in 0..self.limbs() {
+            let s_j = Limb::new(self.params.moduli()[j], lift_limb(&self.params, j, &signed))?;
             let mut st = OpStream::new(self.params.n());
-            let fs = upload_ntt(&mut st, s_j.clone())?;
-            let square = st.hadamard_intt(fs, fs)?;
-            st.output(square)?;
-            s_sq.push(engine.run_one(j, st)?.pop().expect("the stream marks one output"));
+            record_square(&mut st, &s_j)?;
+            s_sq.push(self.run(j, st)?.remove(0));
+            s.push(s_j);
         }
         Ok(CkksSecretKey { s, s_sq })
     }
@@ -151,25 +147,13 @@ impl CkksKeyGenerator {
         rng: &mut G,
     ) -> Result<CkksPublicKey> {
         let e = sample_signed(&self.params, rng, SignedDist::Cbd);
-        let a: Vec<_> = (0..self.limbs()).map(|j| Arc::new(self.uniform(j, rng))).collect();
-        let engine = self.engine()?;
+        let a = (0..self.limbs()).map(|j| self.uniform(j, rng)).collect::<Result<Vec<_>>>()?;
         let mut parts = Vec::with_capacity(a.len());
         for (j, a_j) in a.into_iter().enumerate() {
+            let (q, e_j) = (self.params.moduli()[j], lift_limb(&self.params, j, &e));
             let mut st = OpStream::new(self.params.n());
-            let fs = upload_ntt(&mut st, sk.s[j].clone())?;
-            // The payload of `a` is shared with the stream, not copied.
-            let fa = {
-                let a = st.upload_shared(Arc::clone(&a_j))?;
-                st.ntt(a)?
-            };
-            let product = st.hadamard_intt(fa, fs)?;
-            let e = st.upload(lift_limb(&self.params, j, &e))?;
-            let sum = st.pointwise_add(product, e)?;
-            // `scalar_mul(q − 1)` is negation, bit for bit.
-            let p0 = st.scalar_mul(sum, self.params.moduli()[j] - 1)?;
-            st.output(p0)?;
-            let p0 = engine.run_one(j, st)?.pop().expect("the stream marks one output");
-            parts.push((p0, unshare(a_j)));
+            record_public_key(&mut st, q, &sk.s[j], &a_j, e_j)?;
+            parts.push((self.run(j, st)?.remove(0), a_j));
         }
         Ok(CkksPublicKey { parts })
     }
@@ -196,69 +180,43 @@ impl CkksKeyGenerator {
         for _ in 0..digits {
             e.push(sample_signed(&self.params, rng, SignedDist::Cbd));
             for (j, a_j) in a.iter_mut().enumerate() {
-                a_j.push(self.uniform(j, rng));
+                a_j.push(sampling::uniform(self.params.ring(j), self.params.n(), rng));
             }
         }
-        let engine = self.engine()?;
         let mut parts = Vec::with_capacity(a.len());
         for (j, a_j) in a.into_iter().enumerate() {
-            // One stream per limb, all of it in the NTT domain (the
-            // transform is linear, so this is bit for bit the transform
-            // of the coefficient-domain key): `s` and `s²` transformed
-            // once, then per digit `k̂0ᵢ = −(âᵢ ⊙ ŝ + êᵢ) + Tⁱ·ŝ²` and
-            // `k̂1ᵢ = âᵢ`, both outputs.
             let ring = self.params.ring(j);
+            // Tⁱ mod qⱼ via repeated squaring on 2^w.
+            let t_pow = |i: usize| ring.to_u128(ring.pow(ring.from_u128(1u128 << w), i as u128));
+            let draws = a_j
+                .into_iter()
+                .zip(&e)
+                .enumerate()
+                .map(|(i, (a, e))| (a, lift_limb(&self.params, j, e), t_pow(i)));
             let mut st = OpStream::new(self.params.n());
-            let fs = upload_ntt(&mut st, sk.s[j].clone())?;
-            let fs_sq = upload_ntt(&mut st, sk.s_sq[j].clone())?;
-            for (i, (a_ij, e_i)) in a_j.into_iter().zip(&e).enumerate() {
-                let fa = upload_ntt(&mut st, a_ij)?;
-                let fe = upload_ntt(&mut st, lift_limb(&self.params, j, e_i))?;
-                let product = st.hadamard(fa, fs)?;
-                let sum = st.pointwise_add(product, fe)?;
-                let masked = st.scalar_mul(sum, ring.modulus() - 1)?;
-                // Tⁱ mod qⱼ via repeated squaring on 2^w.
-                let t_pow = ring.pow(ring.from_u128(1u128 << w), i as u128);
-                let shifted = st.scalar_mul(fs_sq, ring.to_u128(t_pow))?;
-                let k0 = st.pointwise_add(masked, shifted)?;
-                st.output(k0)?;
-                st.output(fa)?;
-            }
-            let mut stored = engine.run_one(j, st)?.into_iter().map(Arc::new);
+            record_relin_key(&mut st, ring.modulus(), &sk.s[j], &sk.s_sq[j], draws)?;
+            let mut stored = self.run(j, st)?.into_iter();
             parts.push(std::iter::from_fn(|| Some((stored.next()?, stored.next()?))).collect());
         }
-        Ok(CkksRelinKey {
-            base_bits: w,
-            n: self.params.n(),
-            moduli: self.params.moduli().to_vec(),
-            parts,
-            id: KeyId::default(),
-        })
+        Ok(CkksRelinKey { base_bits: w, parts, id: KeyId::default() })
     }
 
     fn limbs(&self) -> usize {
         self.params.moduli().len()
     }
 
-    fn engine(&self) -> Result<&LimbEngine> {
-        Ok(LimbEngine::client(&self.engine, self.params.moduli(), self.params.n())?)
+    /// Runs a limb-`j` key-generation stream: its outputs, as limbs of
+    /// chain prime `j`.
+    fn run(&self, j: usize, st: OpStream) -> Result<Vec<Limb>> {
+        let engine = LimbEngine::client(&self.engine, self.params.moduli(), self.params.n())?;
+        let q = self.params.moduli()[j];
+        engine.run_one(j, st)?.into_iter().map(|words| Ok(Limb::new(q, words)?)).collect()
     }
 
-    fn uniform<G: Rng + ?Sized>(&self, j: usize, rng: &mut G) -> Vec<u128> {
-        sampling::uniform(self.params.ring(j), self.params.n(), rng)
+    fn uniform<G: Rng + ?Sized>(&self, j: usize, rng: &mut G) -> Result<Limb> {
+        let q = self.params.moduli()[j];
+        Ok(Limb::new(q, sampling::uniform(self.params.ring(j), self.params.n(), rng))?)
     }
-}
-
-/// Records `ntt(upload(coeffs))`.
-fn upload_ntt(st: &mut OpStream, coeffs: Vec<u128>) -> Result<StreamHandle> {
-    let raw = st.upload(coeffs)?;
-    Ok(st.ntt(raw)?)
-}
-
-/// Takes a payload back once the stream that shared it has run (and been
-/// dropped): no copy unless someone else still holds it.
-fn unshare(payload: Arc<Vec<u128>>) -> Vec<u128> {
-    Arc::try_unwrap(payload).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// The two small signed distributions of RLWE key material.

@@ -36,11 +36,11 @@ use std::sync::Arc;
 
 use cofhee_arith::{signed, ModRing};
 use cofhee_core::{
-    digit_decompose, record_key_switch, Filler, JobPlan, KeySwitchKeys, OpStream, Payload,
+    digit_decompose, record_key_switch, Filler, JobPlan, KeySwitchKeys, Limb, OpStream, Payload,
     PlanPhase,
 };
 
-use crate::ciphertext::{CkksCiphertext, CkksPlaintext};
+use crate::ciphertext::{check_shape, CkksCiphertext, CkksPlaintext};
 use crate::error::{CkksError, Result};
 use crate::evaluator::CkksEvaluator;
 use crate::keys::CkksRelinKey;
@@ -88,15 +88,17 @@ impl CkksEvaluator {
         self.check_aligned(a, b)?;
         let n = self.params.n();
         let comps = a.len().max(b.len());
-        let zero = vec![0u128; n];
+        // Zero is zero modulo every prime: one payload serves each limb.
+        let zero = Payload::from(vec![0u128; n]);
         let mut streams = Vec::with_capacity(a.level().limbs());
         for j in 0..a.level().limbs() {
+            let limb = |ct: &CkksCiphertext, i: usize| {
+                ct.components().get(i).map_or_else(|| zero.clone(), |c| Payload::from(&c[j]))
+            };
             let mut st = OpStream::new(n);
             for i in 0..comps {
-                let ca = a.components().get(i).map_or(zero.as_slice(), |c| c[j].as_slice());
-                let cb = b.components().get(i).map_or(zero.as_slice(), |c| c[j].as_slice());
-                let ha = st.upload(ca.to_vec())?;
-                let hb = st.upload(cb.to_vec())?;
+                let ha = st.upload_shared(limb(a, i))?;
+                let hb = st.upload_shared(limb(b, i))?;
                 let h =
                     if subtract { st.pointwise_sub(ha, hb)? } else { st.pointwise_add(ha, hb)? };
                 st.output(h)?;
@@ -126,12 +128,12 @@ impl CkksEvaluator {
         let mut streams = Vec::with_capacity(a.level().limbs());
         for j in 0..a.level().limbs() {
             let mut st = OpStream::new(n);
-            let hc = st.upload(a.components()[0][j].clone())?;
-            let hp = st.upload(pt.limbs()[j].clone())?;
+            let hc = st.upload_shared(&a.components()[0][j])?;
+            let hp = st.upload_shared(&pt.limbs()[j])?;
             let h = st.pointwise_add(hc, hp)?;
             st.output(h)?;
             for c in &a.components()[1..] {
-                let hi = st.upload(c[j].clone())?;
+                let hi = st.upload_shared(&c[j])?;
                 st.output(hi)?;
             }
             streams.push(st);
@@ -157,8 +159,8 @@ impl CkksEvaluator {
         let n = self.params.n();
         (0..a.level().limbs())
             .map(|j| {
-                let components = a.components().iter().map(|c| c[j].clone());
-                Ok(cofhee_core::record_mul_plain(n, pt.limbs()[j].clone(), components)?)
+                let components = a.components().iter().map(|c| &c[j]);
+                Ok(cofhee_core::record_mul_plain(n, &pt.limbs()[j], components)?)
             })
             .collect()
     }
@@ -181,7 +183,9 @@ impl CkksEvaluator {
                 return Err(CkksError::WrongCiphertextSize { expected: 2, found: ct.len() });
             }
         }
-        let limb = |ct: &CkksCiphertext, j: usize| [0, 1].map(|c| ct.components()[c][j].clone());
+        fn limb(ct: &CkksCiphertext, j: usize) -> [&Limb; 2] {
+            [0, 1].map(|c| &ct.components()[c][j])
+        }
         let n = self.params.n();
         (0..a.level().limbs())
             .map(|j| Ok(cofhee_core::record_tensor(n, limb(a, j), limb(b, j))?))
@@ -217,8 +221,13 @@ impl CkksEvaluator {
     /// garbage, and a shorter chain has no residues for the top limbs.
     pub(crate) fn check_rlk(&self, rlk: &CkksRelinKey) -> Result<()> {
         let params = &self.params;
-        if rlk.n == params.n()
-            && rlk.moduli == params.moduli()
+        let n = params.n();
+        let on_chain =
+            rlk.parts.len() == params.moduli().len()
+                && rlk.parts.iter().zip(params.moduli()).all(|(pairs, &q)| {
+                    pairs.iter().all(|(k0, k1)| k0.is_in(q, n) && k1.is_in(q, n))
+                });
+        if on_chain
             && rlk.base_bits() == params.base_bits()
             && rlk.digit_count() >= params.digits_at(params.top_level())
         {
@@ -492,11 +501,15 @@ impl CkksEvaluator {
             return Err(CkksError::ParamsMismatch);
         }
         // Transpose by moving each limb's outputs out, component by
-        // component.
+        // component, each under its limb's prime.
+        let moduli = self.params.moduli_at(level);
         let mut limbs: Vec<_> = limbs.into_iter().map(Vec::into_iter).collect();
         let components = (0..comps)
-            .map(|_| limbs.iter_mut().map(|l| l.next().expect("shape checked above")).collect())
-            .collect();
+            .map(|_| {
+                let outputs = limbs.iter_mut().map(|l| l.next().expect("shape checked above"));
+                outputs.zip(moduli).map(|(words, &q)| Ok(Limb::new(q, words)?)).collect()
+            })
+            .collect::<Result<_>>()?;
         CkksCiphertext::new(&self.params, components, level, scale)
     }
 
@@ -504,11 +517,73 @@ impl CkksEvaluator {
         if pt.level() != level {
             return Err(CkksError::LevelMismatch { a: level.index(), b: pt.level().index() });
         }
-        if pt.limbs().len() != level.limbs()
-            || pt.limbs().iter().any(|l| l.len() != self.params.n())
-        {
-            return Err(CkksError::ParamsMismatch);
+        check_shape(&self.params, level, std::slice::from_ref(pt.limbs()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encoding::CkksEncoder;
+    use crate::encrypt::CkksEncryptor;
+    use crate::keys::CkksKeyGenerator;
+    use crate::params::CkksParams;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Where the words of each of `st`'s uploads live, in record order.
+    fn uploads(st: &OpStream) -> Vec<*const u128> {
+        let words = |op: &cofhee_core::StreamOp| match op {
+            cofhee_core::StreamOp::Upload(payload) => Some(payload.words().unwrap().as_ptr()),
+            _ => None,
+        };
+        st.nodes().iter().filter_map(words).collect()
+    }
+
+    /// Where limb `j` of each component lives.
+    fn at(ct: &CkksCiphertext, j: usize) -> Vec<*const u128> {
+        ct.components().iter().map(|c| c[j].as_ptr()).collect()
+    }
+
+    #[test]
+    fn recording_uploads_every_operand_by_pointer() {
+        let params = CkksParams::insecure_testing(64).unwrap();
+        let mut rng = StdRng::seed_from_u64(30);
+        let kg = CkksKeyGenerator::new(&params);
+        let sk = kg.secret_key(&mut rng).unwrap();
+        let enc = CkksEncryptor::new(&params, kg.public_key(&sk, &mut rng).unwrap());
+        let rlk = kg.relin_key(&sk, &mut rng).unwrap();
+        let encoder = CkksEncoder::new(&params);
+        let pt = encoder.encode(&[0.5, -1.5]).unwrap();
+        let a = enc.encrypt(&pt, &mut rng).unwrap();
+        let b = enc.encrypt(&encoder.encode(&[2.0]).unwrap(), &mut rng).unwrap();
+        let ev = CkksEvaluator::new(&params).unwrap();
+        let prod = ev.multiply(&a, &b).unwrap();
+        let relin = ev.relinearize(&prod, &rlk).unwrap();
+
+        let add = ev.add_streams(&a, &b).unwrap();
+        let mul_plain = ev.mul_plain_streams(&a, &pt).unwrap();
+        let tensor = ev.tensor_streams(&a, &b).unwrap();
+        let key_switch = ev.relin_streams(&prod, &rlk).unwrap();
+        let rescale = ev.rescale_streams(&relin).unwrap();
+        for j in 0..a.level().limbs() {
+            let (pa, pb) = (at(&a, j), at(&b, j));
+            assert_eq!(uploads(&add[j]), [pa[0], pb[0], pa[1], pb[1]], "add, limb {j}");
+            let plain = [pt.limbs()[j].as_ptr(), pa[0], pa[1]];
+            assert_eq!(uploads(&mul_plain[j]), plain, "mul_plain, limb {j}");
+            assert_eq!(uploads(&tensor[j]), [pa[0], pa[1], pb[0], pb[1]], "tensor, limb {j}");
+            // The key polynomials as the key stores them, and the
+            // product's first two components as the fill hands them over.
+            let switched = uploads(&key_switch[j]);
+            assert_eq!(switched[switched.len() - 2..], at(&prod, j)[..2], "relin fill, limb {j}");
+            for (k0, k1) in rlk.limb_parts(j) {
+                assert!(switched.contains(&k0.as_ptr()) && switched.contains(&k1.as_ptr()));
+            }
+            if j < rescale.len() {
+                // Per component: its limb, then the lifted subtrahend.
+                let kept = uploads(&rescale[j]);
+                assert_eq!([kept[0], kept[2]], at(&relin, j)[..], "rescale fill, limb {j}");
+            }
         }
-        Ok(())
     }
 }

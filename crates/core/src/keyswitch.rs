@@ -22,15 +22,15 @@
 //! keys uploaded once, then shared by every stream). Either way a key
 //! switch is `digits + 2` transforms.
 
-use std::sync::Arc;
-
 use crate::backend::PolyHandle;
 use crate::error::Result;
+use crate::limb::Limb;
 use crate::stream::{OpStream, Payload, StreamHandle};
 
-/// One digit's `(k0, k1)` switching-key pair as a key stores it: in NTT
-/// form, behind shared pointers a stream uploads without copying.
-pub type KeyPair = (Arc<Vec<u128>>, Arc<Vec<u128>>);
+/// Two polynomials a key keeps together as [`Limb`]s, which a stream
+/// uploads without copying: one digit's `(k0, k1)` switching-key pair in
+/// NTT form, or a client key pair — `(p0, p1)`, `(s, s²)` — raw.
+pub type KeyPair = (Limb, Limb);
 
 /// Where the NTT-form switching-key polynomials come from when the
 /// stream records.
@@ -99,7 +99,7 @@ pub fn record_key_switch(
         };
         for (c, acc) in accs.iter_mut().enumerate() {
             let fk = match keys {
-                KeySwitchKeys::Inline(k) => st.upload_shared(Arc::clone([&k[i].0, &k[i].1][c]))?,
+                KeySwitchKeys::Inline(k) => st.upload_shared([&k[i].0, &k[i].1][c])?,
                 KeySwitchKeys::Resident(k) => st.input([k[i].0, k[i].1][c]),
             };
             *acc = Some(match acc.take() {
@@ -157,10 +157,10 @@ pub fn record_tensor<P: Into<Payload>>(n: usize, a: [P; 2], b: [P; 2]) -> Result
 /// # Errors
 ///
 /// [`crate::CoreError::BadOperandLength`] for an operand not of `n` words.
-pub fn record_mul_plain<P: Into<Payload>>(
+pub fn record_mul_plain(
     n: usize,
-    pt: P,
-    components: impl IntoIterator<Item = P>,
+    pt: impl Into<Payload>,
+    components: impl IntoIterator<Item = impl Into<Payload>>,
 ) -> Result<OpStream> {
     let mut st = OpStream::new(n);
     let hm = st.upload_shared(pt)?;
@@ -211,8 +211,8 @@ mod tests {
 
     #[test]
     fn inline_and_resident_forms_agree() {
-        let digits: Vec<Arc<Vec<u128>>> = (0..3)
-            .map(|d| Arc::new((0..N as u128).map(|j| (j * 7 + d + 1) % Q).collect()))
+        let digits: Vec<Limb> = (0..3)
+            .map(|d| Limb::new(Q, (0..N as u128).map(|j| (j * 7 + d + 1) % Q).collect()).unwrap())
             .collect();
         let mut be = CpuBackend::new(Q, N).unwrap();
         // A key as it is stored: the forward transform of each raw
@@ -225,7 +225,7 @@ mod tests {
                     let form = ntt_form(&mut be, raw);
                     let coeffs = be.download(form).unwrap();
                     be.free(form);
-                    Arc::new(coeffs)
+                    Limb::new(Q, coeffs).unwrap()
                 };
                 (stored(&k0), stored(&k1))
             })
@@ -243,9 +243,17 @@ mod tests {
             st.nodes().iter().filter(|op| matches!(op, crate::StreamOp::Upload(_))).count()
         };
         assert_eq!(uploads(&st_inline), 3 + 2 * 3 + 2);
-        assert!(keys
+        // The key words themselves, not copies of them.
+        let key_words: Vec<*const u128> = st_inline
+            .nodes()
             .iter()
-            .all(|(k0, k1)| Arc::strong_count(k0) == 2 && Arc::strong_count(k1) == 2));
+            .filter_map(|op| match op {
+                crate::StreamOp::Upload(p) => Some(p.words().unwrap().as_ptr()),
+                _ => None,
+            })
+            .filter(|ptr| keys.iter().any(|(k0, k1)| [k0.as_ptr(), k1.as_ptr()].contains(ptr)))
+            .collect();
+        assert_eq!(key_words.len(), 2 * 3);
 
         // Resident form: the same stored payloads uploaded once, referenced.
         let handles: Vec<_> =
@@ -268,7 +276,7 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_shapes() {
-        let digits = vec![Arc::new(vec![0u128; N])];
+        let digits = vec![Limb::new(Q, vec![0u128; N]).unwrap()];
         let keys: Vec<KeyPair> = vec![];
         let base = [vec![0u128; N], vec![0u128; N]];
         let mut st = OpStream::new(N);

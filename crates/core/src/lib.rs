@@ -18,6 +18,10 @@
 //! * [`OpStream`] — the mod-q op set the paper offloads, as a recorded,
 //!   dependency-tracked batch over the [`StreamOp`] vocabulary. Nothing
 //!   executes at record time.
+//! * [`Limb`] — the one polynomial the host holds: a modulus and its
+//!   canonical residues behind a shared pointer, uploaded into streams
+//!   without a copy. Every ciphertext, plaintext and key of both schemes
+//!   is made of them.
 //! * [`PolyBackend`] — what runs a stream: a polynomial store
 //!   (`upload` / `download` / `free`), one executor
 //!   ([`PolyBackend::execute_stream`]) and telemetry, with [`CpuBackend`]
@@ -38,7 +42,9 @@
 //!   between them, which both schemes lower every job kind to.
 //! * [`record_encrypt`] / [`record_decrypt`] — the client side of both
 //!   schemes as streams: one limb of an RLWE encryption or decryption
-//!   against a key pair resident on the backend in NTT form.
+//!   against a key pair resident on the backend in NTT form — and
+//!   [`record_square`], [`record_public_key`], [`record_relin_key`], the
+//!   products of key generation.
 //!
 //! # Examples
 //!
@@ -70,6 +76,7 @@ mod chip_stream;
 mod device;
 mod error;
 mod keyswitch;
+mod limb;
 mod modes;
 mod ops;
 mod plan;
@@ -87,10 +94,13 @@ pub use error::{CoreError, Result};
 pub use keyswitch::{
     digit_decompose, record_key_switch, record_mul_plain, record_tensor, KeyPair, KeySwitchKeys,
 };
+pub use limb::Limb;
 pub use modes::{standard_links, ExecutionMode, ModeOutcome};
 pub use ops::{CiphertextMulOutcome, PolyMulOutcome};
 pub use plan::{JobPlan, PlanPhase};
-pub use rlwe::{record_decrypt, record_encrypt};
+pub use rlwe::{
+    record_decrypt, record_encrypt, record_public_key, record_relin_key, record_square,
+};
 pub use rns::{RnsDevice, RnsMulOutcome};
 pub use stream::{
     cores, fan_out, Filler, OpStream, Payload, StreamExecutor, StreamHandle, StreamJob, StreamOp,

@@ -1,19 +1,99 @@
-//! Scheme-neutral client-side stream builders: RLWE encryption and
-//! decryption of one mod-`q` limb.
+//! Scheme-neutral client-side stream builders: RLWE key generation,
+//! encryption and decryption of one mod-`q` limb.
 //!
 //! Eqs. 2–3 of the paper — `c₁ = kp₁·u + e₁ + Δm`, `c₂ = kp₂·u + e₂`,
 //! `v = c₁ + c₂·s` — are PolyMul and PMODADD, the Table I command set,
 //! and BFV and CKKS share them verbatim per limb: BFV records one stream
-//! over `q`, CKKS one per active chain prime. What differs is host-side
-//! and stays there (the samplers, `Δ·m` against an already scaled
-//! encoding, the signed lifts, the rounding after decryption). The key
-//! pair enters as [`crate::StreamOp::Input`]: NTT-domain handles resident
-//! on the executing backend, transformed once per key rather than once
-//! per message.
+//! over `q`, CKKS one per active chain prime. So are the products of key
+//! generation — `s²`, the public key's `−(a·s + e)` and a relinearization
+//! key's digits, made in the NTT domain. What differs is host-side and
+//! stays there (the samplers, `Δ·m` against an already scaled encoding,
+//! the signed lifts, the rounding after decryption). Every operand is an
+//! upload by pointer: a [`Limb`](crate::Limb) of a key or ciphertext
+//! enters the stream without a copy, a freshly sampled vector moves in.
+//! The key pair of an encryption or decryption enters as
+//! [`crate::StreamOp::Input`]: NTT-domain handles resident on the
+//! executing backend, transformed once per key rather than once per
+//! message.
 
 use crate::backend::PolyHandle;
 use crate::error::Result;
-use crate::stream::OpStream;
+use crate::stream::{OpStream, Payload, StreamHandle};
+
+/// Records `ntt(upload(words))`.
+fn upload_ntt(st: &mut OpStream, words: impl Into<Payload>) -> Result<StreamHandle> {
+    let up = st.upload_shared(words)?;
+    st.ntt(up)
+}
+
+/// Records `s² = intt(ŝ ⊙ ŝ)` and marks it as the output: two transforms.
+///
+/// # Errors
+///
+/// Propagates recording failures (wrong vector lengths).
+pub fn record_square(st: &mut OpStream, s: impl Into<Payload>) -> Result<()> {
+    let fs = upload_ntt(st, s)?;
+    let square = st.hadamard_intt(fs, fs)?;
+    st.output(square)?;
+    Ok(())
+}
+
+/// Records the masked half of an RLWE public key over modulus `q` and
+/// marks it as the output: `p0 = −(a·s + e)`, the negation a CMODMUL by
+/// `q − 1` — three transforms. The other half is `a` itself.
+///
+/// # Errors
+///
+/// Propagates recording failures (wrong vector lengths).
+pub fn record_public_key(
+    st: &mut OpStream,
+    q: u128,
+    s: impl Into<Payload>,
+    a: impl Into<Payload>,
+    e: impl Into<Payload>,
+) -> Result<()> {
+    let fs = upload_ntt(st, s)?;
+    let fa = upload_ntt(st, a)?;
+    let product = st.hadamard_intt(fa, fs)?;
+    let e = st.upload_shared(e)?;
+    let sum = st.pointwise_add(product, e)?;
+    let p0 = st.scalar_mul(sum, q - 1)?;
+    st.output(p0)?;
+    Ok(())
+}
+
+/// Records one limb of a relinearization key over modulus `q`, all of it
+/// in the NTT domain: `s` and `s²` transformed once, then per digit
+/// `(aᵢ, eᵢ, Tⁱ mod q)` the outputs `k̂0ᵢ = −(âᵢ ⊙ ŝ + êᵢ) + Tⁱ·ŝ²` and
+/// `k̂1ᵢ = âᵢ`, in digit order — `2 + 2·digits` transforms. The transform
+/// is linear, so this is bit for bit the transform of the
+/// coefficient-domain key: the form every key switch consumes.
+///
+/// # Errors
+///
+/// Propagates recording failures (wrong vector lengths).
+pub fn record_relin_key<A: Into<Payload>, E: Into<Payload>>(
+    st: &mut OpStream,
+    q: u128,
+    s: impl Into<Payload>,
+    s_sq: impl Into<Payload>,
+    digits: impl IntoIterator<Item = (A, E, u128)>,
+) -> Result<()> {
+    let fs = upload_ntt(st, s)?;
+    let fs_sq = upload_ntt(st, s_sq)?;
+    for (a, e, t_pow) in digits {
+        let fa = upload_ntt(st, a)?;
+        let fe = upload_ntt(st, e)?;
+        let product = st.hadamard(fa, fs)?;
+        let sum = st.pointwise_add(product, fe)?;
+        let masked = st.scalar_mul(sum, q - 1)?;
+        let shifted = st.scalar_mul(fs_sq, t_pow)?;
+        let k0 = st.pointwise_add(masked, shifted)?;
+        st.output(k0)?;
+        st.output(fa)?;
+    }
+    Ok(())
+}
 
 /// Records one limb of an RLWE encryption and marks `(c0, c1)` as the
 /// outputs: `fu = ntt(u)`, `c0 = intt(p0̂ ⊙ fu) + e1 + m`,
@@ -22,7 +102,7 @@ use crate::stream::OpStream;
 ///
 /// `key` is the public key `(p0̂, p1̂)` in NTT form on the backend the
 /// stream will run on; `u`, `noise = [e1, e2]` and the message `m` are
-/// residues mod that backend's modulus, moved into the stream's uploads.
+/// residues mod that backend's modulus, uploaded by pointer.
 ///
 /// # Errors
 ///
@@ -30,23 +110,20 @@ use crate::stream::OpStream;
 pub fn record_encrypt(
     st: &mut OpStream,
     key: (PolyHandle, PolyHandle),
-    u: Vec<u128>,
-    noise: [Vec<u128>; 2],
-    m: Vec<u128>,
+    u: impl Into<Payload>,
+    noise: [impl Into<Payload>; 2],
+    m: impl Into<Payload>,
 ) -> Result<()> {
-    let fu = {
-        let u = st.upload(u)?;
-        st.ntt(u)?
-    };
+    let fu = upload_ntt(st, u)?;
     let [e1, e2] = noise;
     let mut components = Vec::with_capacity(2);
     for (key, noise) in [(key.0, e1), (key.1, e2)] {
         let key = st.input(key);
         let masked = st.hadamard_intt(key, fu)?;
-        let noise = st.upload(noise)?;
+        let noise = st.upload_shared(noise)?;
         components.push(st.pointwise_add(masked, noise)?);
     }
-    let m = st.upload(m)?;
+    let m = st.upload_shared(m)?;
     let c0 = st.pointwise_add(components[0], m)?;
     st.output(c0)?;
     st.output(components[1])?;
@@ -60,37 +137,32 @@ pub fn record_encrypt(
 /// transform.
 ///
 /// `key` is `(ŝ, ŝ²)` in NTT form on the backend the stream will run on
-/// (`ŝ²` is not referenced without a `c2`).
+/// (`ŝ²` is not referenced without a `c2`); the components are uploaded
+/// by pointer.
 ///
 /// # Errors
 ///
 /// Propagates recording failures (wrong vector lengths).
-pub fn record_decrypt(
+pub fn record_decrypt<P: Into<Payload>>(
     st: &mut OpStream,
     key: (PolyHandle, PolyHandle),
-    c0: Vec<u128>,
-    c1: Vec<u128>,
-    c2: Option<Vec<u128>>,
+    c0: P,
+    c1: P,
+    c2: Option<P>,
 ) -> Result<()> {
-    let f1 = {
-        let c1 = st.upload(c1)?;
-        st.ntt(c1)?
-    };
+    let f1 = upload_ntt(st, c1)?;
     let s = st.input(key.0);
     let folded = match c2 {
         None => st.hadamard_intt(f1, s)?,
         Some(c2) => {
-            let f2 = {
-                let c2 = st.upload(c2)?;
-                st.ntt(c2)?
-            };
+            let f2 = upload_ntt(st, c2)?;
             let s_sq = st.input(key.1);
             let linear = st.hadamard(f1, s)?;
             let sum = st.hadamard_add(f2, s_sq, linear)?;
             st.intt(sum)?
         }
     };
-    let c0 = st.upload(c0)?;
+    let c0 = st.upload_shared(c0)?;
     let v = st.pointwise_add(c0, folded)?;
     st.output(v)?;
     Ok(())

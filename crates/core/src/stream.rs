@@ -109,7 +109,7 @@ pub struct Payload(Words);
 #[derive(Debug, Clone)]
 enum Words {
     Ready(Arc<Vec<u128>>),
-    Deferred { len: usize, slot: Arc<OnceLock<Vec<u128>>> },
+    Deferred { len: usize, slot: Arc<OnceLock<Arc<Vec<u128>>>> },
 }
 
 impl Payload {
@@ -138,7 +138,7 @@ impl Payload {
         match &self.0 {
             Words::Ready(words) => Ok(words),
             Words::Deferred { slot, .. } => {
-                slot.get().map(Vec::as_slice).ok_or(CoreError::UnfilledUpload)
+                slot.get().map(|words| words.as_slice()).ok_or(CoreError::UnfilledUpload)
             }
         }
     }
@@ -188,17 +188,19 @@ impl From<Vec<u128>> for Payload {
 #[derive(Debug)]
 pub struct Filler {
     len: usize,
-    slot: Arc<OnceLock<Vec<u128>>>,
+    slot: Arc<OnceLock<Arc<Vec<u128>>>>,
 }
 
 impl Filler {
-    /// Moves `words` into the payload.
+    /// Moves `words` into the payload — a vector the host step computed,
+    /// or a [`Limb`](crate::Limb)'s shared words, which are not copied.
     ///
     /// # Errors
     ///
     /// [`CoreError::BadOperandLength`] unless `words` has the payload's
     /// length; the payload then stays empty.
-    pub fn fill(self, words: Vec<u128>) -> Result<()> {
+    pub fn fill(self, words: impl Into<Arc<Vec<u128>>>) -> Result<()> {
+        let words = words.into();
         if words.len() != self.len {
             return Err(CoreError::BadOperandLength { expected: self.len, found: words.len() });
         }
@@ -783,7 +785,7 @@ mod tests {
         assert_eq!(after.high_water, 4, "all parked again, and never more than that");
         assert_eq!(be.buffers_out(), 2 * DIGITS as u64, "only the key stays");
         // The outputs are the inline recording's on a backend of its own.
-        let mut stored = |h| Arc::new(be.download(h).unwrap());
+        let mut stored = |h| crate::Limb::new(q(), be.download(h).unwrap()).unwrap();
         let inline: Vec<_> = keys.iter().map(|&(k0, k1)| (stored(k0), stored(k1))).collect();
         let mut st = OpStream::new(N);
         record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&inline), [poly(1), poly(2)])

@@ -881,7 +881,9 @@ mod tests {
         let words = |o: &JobOutcome| -> Vec<Vec<u128>> {
             match &o.result {
                 JobResult::Bfv(ct) => ct.polys().iter().map(|p| p.to_u128_vec()).collect(),
-                JobResult::Ckks(ct) => ct.components().iter().flatten().cloned().collect(),
+                JobResult::Ckks(ct) => {
+                    ct.components().iter().flatten().map(|l| l.to_u128_vec()).collect()
+                }
             }
         };
         let (mut together, bfv, ckks) = farm();

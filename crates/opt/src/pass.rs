@@ -105,10 +105,8 @@ pub(crate) fn emit_mapped(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
-    use crate::testutil::{poly, run, shape, N};
+    use crate::testutil::{poly, q, run, shape, N};
     use cofhee_core::Payload;
 
     /// A tensor limb recorded carelessly: `b0` re-uploads `a0`'s
@@ -151,12 +149,12 @@ mod tests {
     /// and the first base component all carry one polynomial: digit 1 is
     /// digit 0's very payload, digit 2 and the base equal copies of it.
     fn key_switchish(duplicates: bool) -> OpStream {
-        use cofhee_core::{record_key_switch, KeySwitchKeys};
-        let digit = |d: u128| Arc::new(poly(if duplicates { 10 } else { 10 + d }));
+        use cofhee_core::{record_key_switch, KeySwitchKeys, Limb};
+        let limb = |seed: u128| Limb::new(q(), poly(seed)).unwrap();
+        let digit = |d: u128| limb(if duplicates { 10 } else { 10 + d });
         let first = digit(0);
-        let digits = [Arc::clone(&first), if duplicates { first } else { digit(1) }, digit(2)];
-        let keys: Vec<_> =
-            (0..3u128).map(|d| (Arc::new(poly(20 + d)), Arc::new(poly(30 + d)))).collect();
+        let digits = [first.clone(), if duplicates { first } else { digit(1) }, digit(2)];
+        let keys: Vec<_> = (0..3u128).map(|d| (limb(20 + d), limb(30 + d))).collect();
         let base = [poly(if duplicates { 10 } else { 1 }), poly(2)];
         let mut st = OpStream::new(N);
         record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), base).unwrap();

@@ -15,20 +15,6 @@ pub enum PolyError {
         /// Degree of the right operand.
         right: usize,
     },
-    /// Two polynomials belonged to rings with different moduli.
-    ModulusMismatch {
-        /// Modulus of the left operand.
-        left: u128,
-        /// Modulus of the right operand.
-        right: u128,
-    },
-    /// An operation required a specific domain (coefficient vs. NTT).
-    DomainMismatch {
-        /// The domain the operation required.
-        expected: &'static str,
-        /// The domain the polynomial was in.
-        found: &'static str,
-    },
     /// A coefficient buffer had the wrong length.
     LengthMismatch {
         /// Expected number of coefficients.
@@ -52,12 +38,6 @@ impl fmt::Display for PolyError {
         match self {
             Self::DegreeMismatch { left, right } => {
                 write!(f, "polynomial degree mismatch: {left} vs {right}")
-            }
-            Self::ModulusMismatch { left, right } => {
-                write!(f, "modulus mismatch: {left} vs {right}")
-            }
-            Self::DomainMismatch { expected, found } => {
-                write!(f, "domain mismatch: expected {expected}, found {found}")
             }
             Self::LengthMismatch { expected, found } => {
                 write!(f, "coefficient length mismatch: expected {expected}, found {found}")

@@ -6,10 +6,10 @@
 //! semantics — and the wrong software hot path: the canonical
 //! correction is pure overhead until the very last stage.
 //!
-//! [`HarveyNtt`] is the one transform kernel production host code runs
-//! — the evaluators' limb engine, the simulator's functional fast path,
-//! and (through [`crate::PolyRing`]) every key generator, encryptor and
-//! decryptor:
+//! [`HarveyNtt`] is the one transform kernel production host code runs:
+//! the CPU backend every limb engine replays its streams on — the
+//! evaluators', and the key generators', encryptors' and decryptors' of
+//! both schemes — and the simulator's functional fast path:
 //!
 //! * **Lazy reduction** — coefficients live in a redundant range
 //!   across all `log n` stages instead of being canonically reduced
@@ -45,8 +45,8 @@
 //!   Algorithm 2 schedule with no pass beyond its three transforms and
 //!   one product, and [`HarveyNtt::hadamard_intt`] fuses the NTT-domain
 //!   product into the inverse transform (the `intt ∘ hadamard` tail of every
-//!   tensor limb). NTT-domain accumulation stays pointwise via
-//!   [`HarveyNtt::add_inplace`] / [`HarveyNtt::sub_inplace`].
+//!   tensor limb). NTT-domain accumulation stays pointwise: the
+//!   [`pointwise`](crate::pointwise) kernels on the plan's ring.
 //!
 //! Every kernel is **bit-exact** with its strict counterpart (the
 //! strict kernels remain the proptest oracle — see
@@ -369,27 +369,6 @@ impl<R: LazyRing> HarveyNtt<R> {
         self.inverse_stages(out);
         Ok(())
     }
-
-    /// NTT-domain pointwise accumulation `a[i] += b[i]` (the transform
-    /// is linear, so staying in the evaluation domain is free).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::LengthMismatch`] on operand length
-    /// mismatch.
-    pub fn add_inplace(&self, a: &mut [R::Elem], b: &[R::Elem]) -> Result<()> {
-        crate::pointwise::add_assign(&self.ring, a, b)
-    }
-
-    /// NTT-domain pointwise subtraction `a[i] -= b[i]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::LengthMismatch`] on operand length
-    /// mismatch.
-    pub fn sub_inplace(&self, a: &mut [R::Elem], b: &[R::Elem]) -> Result<()> {
-        crate::pointwise::sub_assign(&self.ring, a, b)
-    }
 }
 
 /// The four quarters of `block`, walked in step.
@@ -620,8 +599,8 @@ mod tests {
         let a = rand_poly64(n, 9);
         let b = rand_poly64(n, 11);
         let mut acc = a.clone();
-        plan.add_inplace(&mut acc, &b).unwrap();
-        plan.sub_inplace(&mut acc, &b).unwrap();
+        crate::pointwise::add_assign(plan.ring(), &mut acc, &b).unwrap();
+        crate::pointwise::sub_assign(plan.ring(), &mut acc, &b).unwrap();
         assert_eq!(acc, a);
     }
 }

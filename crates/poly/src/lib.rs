@@ -11,10 +11,9 @@
 //!   ([`HarveyNtt`]): Shoup-paired twiddles, redundant coefficients
 //!   across stages (`[0, 4q)` forward, `[0, 2q)` inverse) with a single
 //!   final correction, and fused `intt ∘ hadamard` / Algorithm 2 passes.
-//!   Backends, the simulator's functional fast path and [`Polynomial`]
-//!   all run on it.
-//! * [`Polynomial`] / [`PolyRing`] — **hot**: owned values with domain
-//!   tracking; a `PolyRing` is an `Arc<HarveyNtt>`, nothing more.
+//!   The CPU backend and the simulator's functional fast path run on it;
+//!   the host's polynomials are plain residue vectors
+//!   (`cofhee_core::Limb`), computed on only by streams.
 //! * [`cache`] — **hot**: the process-wide [`TwiddleCache`] interning
 //!   one transform plan per `(modulus, degree)` pair, shared by
 //!   parameter sets, backends, evaluators, and every die of a farm.
@@ -70,7 +69,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod polynomial;
 
 pub mod bitrev;
 pub mod cache;
@@ -84,5 +82,4 @@ pub mod pool;
 pub use cache::{TwiddleCache, TwiddleCacheStats};
 pub use error::{PolyError, Result};
 pub use lazy::HarveyNtt;
-pub use polynomial::{Domain, PolyRing, Polynomial};
 pub use pool::{BufferPool, PoolStats};

@@ -1,16 +1,16 @@
 //! Client ops as command streams, pinned from outside: key generation,
 //! encryption and decryption of both schemes run on a `LimbEngine` the
 //! client object owns (CKKS limbs at their own word width), and every
-//! bit they produce is the bit the `Polynomial` path produced before —
-//! the digests below were computed on that path, at the commit before
-//! the streams, and are written in as constants. A relinearization key
-//! is stored in NTT form now; its digest is still the parent's, over the
-//! raw key, which this file recovers with the strict inverse kernel —
-//! same key, same draws. The oracle half (the
-//! same results against the formulas evaluated with `Polynomial`) is
-//! `client_parity.rs`; engine-side properties that need the objects'
-//! private engines (transform counts, pool residency, nothing uploaded
-//! on a refusal) are unit tests beside the code.
+//! bit they produce is the bit the host polynomial type produced before
+//! the streams — the digests below were computed on that path, at the
+//! commit before the streams, and are written in as constants. A
+//! relinearization key is stored in NTT form now; its digest is still the
+//! parent's, over the raw key, which this file recovers with the strict
+//! inverse kernel — same key, same draws. The oracle half (the same
+//! results against the formulas evaluated on plain vectors by the strict
+//! kernels) is `client_parity.rs`; engine-side properties that need the
+//! objects' private engines (transform counts, pool residency, nothing
+//! uploaded on a refusal) are unit tests beside the code.
 
 use cofhee::arith::{primes, Barrett128};
 use cofhee::bfv::{BfvError, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext};
@@ -70,7 +70,8 @@ fn bfv_digests(params: &BfvParams, seed: u64) -> [u64; 7] {
     assert_eq!((ct.len(), cubic.len()), (2, 3));
     let plain = |pt: Plaintext| fnv(pt.coeffs().iter().map(|&c| u128::from(c)));
     let rlk = kg.relin_key(16, &mut rng).unwrap();
-    let ring = params.poly_ring();
+    let ring = Barrett128::new(params.q()).unwrap();
+    let tables = NttTables::new(&ring, params.n()).unwrap();
     [
         fnv(kg.secret_key().poly().coeffs().iter().copied()),
         fnv(ct.polys().iter().flat_map(|p| p.coeffs().iter().copied())),
@@ -78,7 +79,7 @@ fn bfv_digests(params: &BfvParams, seed: u64) -> [u64; 7] {
         plain(dec.decrypt(&cubic).unwrap()),
         dec.noise_budget(&ct).unwrap().to_bits(),
         dec.noise_budget(&cubic).unwrap().to_bits(),
-        fnv(raw_key_words(ring.ring(), ring.plan().tables(), rlk.parts())),
+        fnv(raw_key_words(&ring, &tables, rlk.parts())),
     ]
 }
 
@@ -123,7 +124,7 @@ fn ckks_109(n: usize) -> CkksParams {
     CkksParams::new(n, moduli, (1u64 << 33) as f64, 18).unwrap()
 }
 
-/// Computed at the parent commit (client path on `Polynomial`, CKKS limbs
+/// Computed at the parent commit (client path on the host polynomial type, CKKS limbs
 /// on `Barrett128`; the relin-key digests at the last commit that stored
 /// the key raw): `[n = 2^8, the paper's n = 2^13]`.
 const PARENT_BFV: [[u64; 7]; 2] = [
@@ -211,6 +212,24 @@ fn foreign_operands_are_refused_with_typed_errors() {
     assert_eq!(enc.encrypt(&pt, &mut rng), Err(CkksError::ParamsMismatch));
     let ct = their_enc.encrypt(&pt, &mut rng).unwrap();
     assert_eq!(dec.decrypt(&ct), Err(CkksError::ParamsMismatch));
+    // Another chain of the same shape — primes of the same sizes, limb
+    // for limb — whose values look like this chain's: its primes are
+    // what tells them apart, for the encryptor, the decryptor and the
+    // evaluator alike.
+    let chain =
+        vec![primes::ntt_primes(50, 64, 2).unwrap()[1], primes::ntt_primes(33, 64, 3).unwrap()[2]];
+    assert!(chain.iter().all(|q| !home.moduli().contains(q)));
+    let same_shape = CkksParams::new(64, chain, scale, w).unwrap();
+    let (their_enc, _) = client(&same_shape, &mut rng);
+    let pt = CkksEncoder::new(&same_shape).encode(&[0.5, -1.25]).unwrap();
+    assert_eq!(enc.encrypt(&pt, &mut rng), Err(CkksError::ParamsMismatch));
+    let ct = their_enc.encrypt(&pt, &mut rng).unwrap();
+    assert_eq!(dec.decrypt(&ct), Err(CkksError::ParamsMismatch));
+    let ev = CkksEvaluator::new(&home).unwrap();
+    let mine = enc.encrypt(&CkksEncoder::new(&home).encode(&[2.0]).unwrap(), &mut rng).unwrap();
+    assert_eq!(ev.add(&mine, &ct), Err(CkksError::ParamsMismatch));
+    assert_eq!(ev.multiply(&ct, &ct), Err(CkksError::ParamsMismatch));
+    assert_eq!(ev.mul_plain(&mine, &pt), Err(CkksError::ParamsMismatch));
 
     // BFV: a ciphertext of another ring, a plaintext of another degree.
     let home = BfvParams::insecure_testing(32).unwrap();

@@ -8,7 +8,7 @@
 //! to the plaintext arithmetic it encodes.
 
 use cofhee::bfv::{BfvParams, Ciphertext, Decryptor, Encryptor, KeyGenerator, Plaintext};
-use cofhee::core::ChipBackendFactory;
+use cofhee::core::{ChipBackendFactory, Limb};
 use cofhee::farm::{
     ChipFarm, ChipStats, FarmReport, Job, JobKind, LatencyPercentiles, PlacementPolicy, RoundRobin,
     Scheduler, Session, ShortestQueue, WorkStealing,
@@ -239,12 +239,10 @@ fn mixed_scheme_replays_are_bit_identical_across_runs_and_farm_sizes() {
         let jobs = mixed_workload_jobs(bfv, ckks, &Workload::cryptonets(), &spec, &inputs).unwrap();
         assert!(jobs.iter().any(|j| j.kind.name().starts_with("ckks:")));
         let outcomes = sched.run(jobs).unwrap();
-        let values: Vec<Vec<Vec<Vec<u128>>>> = outcomes
+        let values: Vec<Vec<Vec<Limb>>> = outcomes
             .iter()
             .map(|o| match &o.result {
-                JobResult::Bfv(ct) => {
-                    vec![ct.polys().iter().map(|p| p.to_u128_vec()).collect()]
-                }
+                JobResult::Bfv(ct) => vec![ct.polys().to_vec()],
                 JobResult::Ckks(ct) => ct.components().to_vec(),
             })
             .collect();

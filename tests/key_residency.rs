@@ -10,7 +10,7 @@
 //! checked for BFV and CKKS alike; BFV's short-digit refusal needs a key
 //! only `cofhee_bfv` can build and lives in `cofhee_bfv::jobs`.
 
-use cofhee::arith::primes::ntt_prime;
+use cofhee::arith::{primes::ntt_prime, Barrett128};
 use cofhee::bfv::{
     BfvError, BfvParams, Ciphertext, Encryptor, Evaluator, KeyGenerator, Plaintext, RelinKey,
 };
@@ -25,7 +25,7 @@ use cofhee::farm::{
     ChipFarm, FarmError, Job, JobKind, RoundRobin, Scheduler, Session, WorkStealing,
 };
 use cofhee::opt::{LimbEngine, OptLevel};
-use cofhee::poly::ntt;
+use cofhee::poly::ntt::{self, NttTables};
 use cofhee::service::{Gateway, GatewayConfig, Request, TenantFair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -269,13 +269,14 @@ fn the_stored_form_is_an_ntt_nodes_output_over_the_raw_key_on_both_backends() {
     for bits in [47, 60, 109] {
         let q = ntt_prime(bits, N).unwrap();
         let g = bfv(BfvParams::new(N, 257, q).unwrap(), 13);
-        let ring = g.params.poly_ring();
+        let ring = Barrett128::new(q).unwrap();
+        let tables = NttTables::new(&ring, N).unwrap();
         for (name, factory) in &factories() {
             let mut be = factory.make(q, N).unwrap();
             for (i, stored) in g.rlk.parts().iter().flat_map(|(k0, k1)| [k0, k1]).enumerate() {
                 // The raw key polynomial, by the strict inverse kernel…
                 let mut raw = stored.to_vec();
-                ntt::inverse_inplace(ring.ring(), &mut raw, ring.plan().tables()).unwrap();
+                ntt::inverse_inplace(&ring, &mut raw, &tables).unwrap();
                 assert_ne!(&raw, &**stored);
                 // …transforms, on the backend, to exactly what is stored.
                 let mut st = OpStream::new(N);

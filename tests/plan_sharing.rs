@@ -1,15 +1,15 @@
-//! A parameter set and the backends built for it share one table set —
-//! and a CKKS process, whose parameter set holds no plan at all, builds
-//! one word-width plan per chain prime however many evaluators and
-//! client objects it brings up, and no wide one.
+//! Parameter sets hold no transform plan: the backends built for them
+//! share one interned table set per `(q, n)` — one wide plan for a BFV
+//! process at the paper's 109 bits, whether an evaluator or the key
+//! generator brings it up first, and one word-width plan per chain prime
+//! and no wide one for a CKKS process, however many evaluators and
+//! client objects it brings up.
 //!
 //! Alone in its test binary on purpose: it reads the process-global
 //! `TwiddleCache` counters, which concurrent tests would move.
 
-use std::sync::Arc;
-
 use cofhee::arith::primes;
-use cofhee::bfv::{BfvParams, Evaluator};
+use cofhee::bfv::{BfvParams, Evaluator, KeyGenerator};
 use cofhee::ckks::{
     CkksDecryptor, CkksEncoder, CkksEncryptor, CkksEvaluator, CkksKeyGenerator, CkksParams,
 };
@@ -19,21 +19,22 @@ use rand::SeedableRng;
 
 #[test]
 fn params_and_evaluator_share_one_interned_wide_plan() {
-    // The paper's 109-bit q: wider than a word, so the backend serves
-    // it on the same Barrett128 engine the parameter set's ring uses.
+    // The paper's 109-bit q: wider than a word, so every backend serves
+    // it on the Barrett128 engine.
     let n = 64;
     let q = primes::ntt_prime(109, n).unwrap();
+    let before = TwiddleCache::stats();
     let params = BfvParams::new(n, primes::ntt_prime(16, n).unwrap() as u64, q).unwrap();
-    let after_params = TwiddleCache::stats();
-    assert_eq!(after_params.entries128, 1);
+    assert_eq!(TwiddleCache::stats(), before, "BfvParams::new leaves the cache alone");
 
     let _evaluator = Evaluator::new(&params).unwrap();
     let after_evaluator = TwiddleCache::stats();
-    assert_eq!(after_evaluator.entries128, after_params.entries128, "no second wide plan");
-    assert!(after_evaluator.hits > after_params.hits, "the backend's lookup of (q, n) hit");
+    assert_eq!(after_evaluator.entries128, before.entries128 + 1, "one wide plan, for q");
 
-    let interned = TwiddleCache::barrett128(q, n).unwrap();
-    assert!(Arc::ptr_eq(params.poly_ring().plan(), &interned));
+    let _keys = KeyGenerator::new(&params, &mut StdRng::seed_from_u64(5));
+    let after_keys = TwiddleCache::stats();
+    assert_eq!(after_keys.entries128, after_evaluator.entries128, "no second wide plan");
+    assert!(after_keys.hits > after_evaluator.hits, "the key generator's lookup of (q, n) hit");
 
     // CKKS, the benchmark's 43/33/33-bit chain: the parameter set builds
     // no plan and looks none up.

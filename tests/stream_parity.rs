@@ -15,15 +15,14 @@
 use cofhee::arith::primes::ntt_prime;
 use cofhee::arith::{Barrett128, ModRing};
 use cofhee::core::{
-    record_key_switch, ChipBackend, CpuBackend, KeyPair, KeySwitchKeys, OpStream, PolyBackend,
-    StreamExecutor, StreamHandle, StreamJob, StreamOp,
+    record_key_switch, ChipBackend, CpuBackend, KeyPair, KeySwitchKeys, Limb, OpStream,
+    PolyBackend, StreamExecutor, StreamHandle, StreamJob, StreamOp,
 };
 use cofhee::opt::{optimize, OptLevel};
 use cofhee::poly::ntt::{forward_inplace, inverse_inplace, NttTables};
 use cofhee::sim::ChipConfig;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const N: usize = 32;
 
@@ -272,9 +271,9 @@ fn a_key_switch_replays_identically_at_every_lane_count() {
     const DIGITS: u128 = 7;
     let q = chip_modulus(true);
     let poly = |seed: u128| -> Vec<u128> { (0..N as u128).map(|i| (i * 131 + seed) % q).collect() };
-    let digits: Vec<_> = (0..DIGITS).map(|d| Arc::new(poly(d))).collect();
-    let key: Vec<KeyPair> =
-        (0..DIGITS).map(|d| (Arc::new(poly(100 + d)), Arc::new(poly(200 + d)))).collect();
+    let limb = |seed: u128| Limb::new(q, poly(seed)).unwrap();
+    let digits: Vec<_> = (0..DIGITS).map(limb).collect();
+    let key: Vec<KeyPair> = (0..DIGITS).map(|d| (limb(100 + d), limb(200 + d))).collect();
     assert_lanes_agree(q, &|_| {
         let mut st = OpStream::new(N);
         record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&key), [poly(50), poly(51)])
