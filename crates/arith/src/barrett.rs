@@ -23,7 +23,7 @@ use crate::u256::U256;
 ///
 /// Keeping `q < 2^62` guarantees `a + b` and the lazy products in the
 /// reduction never overflow their containers.
-pub const MAX_BARRETT64_BITS: u32 = 62;
+pub(crate) const MAX_BARRETT64_BITS: u32 = 62;
 
 /// Barrett engine for word-sized (≤ 62-bit) moduli.
 ///
@@ -114,7 +114,7 @@ impl Barrett64 {
     ///
     /// Panics in debug builds if `w` is not reduced.
     #[inline]
-    pub fn shoup_precompute(&self, w: u64) -> u64 {
+    pub(crate) fn shoup_precompute(&self, w: u64) -> u64 {
         debug_assert!(w < self.q);
         (((w as u128) << 64) / self.q as u128) as u64
     }
@@ -124,7 +124,7 @@ impl Barrett64 {
     /// This is the single-multiplication fast path hardware and optimized
     /// NTT software use for twiddle factors.
     #[inline(always)]
-    pub fn mul_shoup(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
+    pub(crate) fn mul_shoup(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
         let qhat = (((a as u128) * (w_shoup as u128)) >> 64) as u64;
         let r = a.wrapping_mul(w).wrapping_sub(qhat.wrapping_mul(self.q));
         if r >= self.q {

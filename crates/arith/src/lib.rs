@@ -59,7 +59,7 @@ pub mod rns;
 pub mod roots;
 pub mod signed;
 
-pub use barrett::{Barrett128, Barrett64, MAX_BARRETT64_BITS};
+pub use barrett::{Barrett128, Barrett64};
 pub use error::{ArithError, Result};
 pub use montgomery::{Montgomery128, Montgomery64};
 pub use ring::ModRing;

@@ -89,7 +89,7 @@ impl Montgomery64 {
 
     /// Montgomery reduction: computes `t·2^{-64} mod q` for `t < q·2^64`.
     #[inline]
-    pub fn redc(&self, t: u128) -> u64 {
+    fn redc(&self, t: u128) -> u64 {
         debug_assert!(t < (self.q as u128) << 64);
         let m = (t as u64).wrapping_mul(self.neg_qinv);
         let (sum, carry) = t.overflowing_add((m as u128) * (self.q as u128));
@@ -196,7 +196,7 @@ impl Montgomery128 {
     }
 
     /// Montgomery reduction: computes `t·2^{-128} mod q` for `t < q·2^128`.
-    pub fn redc(&self, t: U256) -> u128 {
+    fn redc(&self, t: U256) -> u128 {
         let m = t.low_u128().wrapping_mul(self.neg_qinv);
         let (mq, mq_hi) = U256::from_u128(m).widening_mul(U256::from_u128(self.q));
         debug_assert!(mq_hi.is_zero());

@@ -36,7 +36,11 @@ use crate::ring::ModRing;
 /// is plain data — tables of `ShoupMul` are the software image of a
 /// fixed-prime accelerator's twiddle SRAM plus its per-modulus
 /// configuration constants.
+///
+/// `repr(C)`: a table of word pairs is read as interleaved
+/// `value, quotient` words by `cofhee_poly`'s vector lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(C)]
 pub struct ShoupMul<E> {
     /// The canonical constant `w ∈ [0, q)`.
     pub value: E,

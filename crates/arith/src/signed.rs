@@ -33,22 +33,9 @@ pub fn centered(q: u128, v: u128) -> (u128, bool) {
     }
 }
 
-/// Centered representative of `v` modulo `q` as an `i64`, when it fits.
-///
-/// Returns `None` if the centered magnitude exceeds `i64::MAX` — callers
-/// decoding small scaled values (CKKS coefficients after rescaling, BFV
-/// noise terms) treat that as corruption rather than silently truncating.
-#[inline]
-#[must_use]
-pub fn centered_i64(q: u128, v: u128) -> Option<i64> {
-    let (mag, neg) = centered(q, v);
-    let mag = i64::try_from(mag).ok()?;
-    Some(if neg { -mag } else { mag })
-}
-
 /// Maps a signed integer into its canonical residue in `[0, q)`.
 ///
-/// The inverse of [`centered_i64`] for magnitudes below `q/2`.
+/// The inverse of [`centered`] for magnitudes below `q/2`.
 #[inline]
 #[must_use]
 pub fn to_residue(q: u128, v: i64) -> u128 {
@@ -61,17 +48,6 @@ pub fn to_residue(q: u128, v: i64) -> u128 {
     } else {
         q - m
     }
-}
-
-/// Round-to-nearest division `⌊num/den⌉` (ties round up).
-///
-/// # Panics
-///
-/// Panics if `den` is zero (standard division-by-zero semantics).
-#[inline]
-#[must_use]
-pub fn round_div(num: u128, den: u128) -> u128 {
-    (num + den / 2) / den
 }
 
 /// Round-to-nearest division `⌊num/den⌉` over 256-bit numerators (ties
@@ -91,16 +67,6 @@ pub fn round_div_u256(num: U256, den: U256) -> U256 {
     } else {
         quot
     }
-}
-
-/// Round-to-nearest division of a signed magnitude: `(|x|, sign) / den`,
-/// rounding the magnitude and keeping the sign (a zero result is
-/// normalized to positive).
-#[inline]
-#[must_use]
-pub fn round_div_centered(mag: U256, neg: bool, den: u128) -> (U256, bool) {
-    let q = round_div_u256(mag, U256::from_u128(den));
-    (q, neg && !q.is_zero())
 }
 
 /// The exact scale-and-round `x ↦ ⌊t·x/q⌉ mod m` on signed magnitudes, for
@@ -247,14 +213,8 @@ mod tests {
         let q = (1u128 << 61) - 1;
         for v in [-1_000_000i64, -3, -1, 0, 1, 2, 999_999_937] {
             let r = to_residue(q, v);
-            assert_eq!(centered_i64(q, r), Some(v));
+            assert_eq!(centered(q, r), (u128::from(v.unsigned_abs()), v < 0));
         }
-    }
-
-    #[test]
-    fn centered_i64_rejects_oversized_magnitudes() {
-        let q = u128::MAX - 158; // a wide odd modulus stand-in
-        assert_eq!(centered_i64(q, q / 2), None);
     }
 
     #[test]
@@ -290,10 +250,12 @@ mod tests {
 
     #[test]
     fn round_div_rounds_to_nearest() {
-        assert_eq!(round_div(10, 4), 3); // 2.5 → 3 (ties up)
-        assert_eq!(round_div(9, 4), 2); // 2.25 → 2
-        assert_eq!(round_div(11, 4), 3); // 2.75 → 3
-        assert_eq!(round_div(0, 7), 0);
+        let round_div =
+            |n: u128, d: u128| round_div_u256(U256::from_u128(n), U256::from_u128(d)).to_u128();
+        assert_eq!(round_div(10, 4), Some(3)); // 2.5 → 3 (ties up)
+        assert_eq!(round_div(9, 4), Some(2)); // 2.25 → 2
+        assert_eq!(round_div(11, 4), Some(3)); // 2.75 → 3
+        assert_eq!(round_div(0, 7), Some(0));
     }
 
     #[test]
@@ -301,7 +263,7 @@ mod tests {
         for (n, d) in [(10u128, 4u128), (9, 4), (11, 4), (u128::MAX / 3, 12345)] {
             assert_eq!(
                 round_div_u256(U256::from_u128(n), U256::from_u128(d)).to_u128(),
-                Some(round_div(n, d))
+                Some((n + d / 2) / d)
             );
         }
     }
@@ -358,16 +320,6 @@ mod tests {
         );
         assert!(ScaleRound::new(4, 1, 9).is_err());
         assert!(ScaleRound::new(4, 9, 0).is_err());
-    }
-
-    #[test]
-    fn round_div_centered_keeps_sign_and_normalizes_zero() {
-        let (q, neg) = round_div_centered(U256::from_u128(10), true, 4);
-        assert_eq!(q.to_u128(), Some(3));
-        assert!(neg);
-        let (z, zneg) = round_div_centered(U256::from_u128(1), true, 10);
-        assert!(z.is_zero());
-        assert!(!zneg, "a rounded-to-zero value has no sign");
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl U256 {
 
     /// Returns the high 128 bits.
     #[inline]
-    pub const fn high_u128(self) -> u128 {
+    pub(crate) const fn high_u128(self) -> u128 {
         (self.limbs[2] as u128) | ((self.limbs[3] as u128) << 64)
     }
 
@@ -131,7 +131,7 @@ impl U256 {
     /// Addition reporting overflow.
     #[inline]
     #[allow(clippy::needless_range_loop)] // carry chain is sequential by limb index
-    pub fn overflowing_add(self, rhs: Self) -> (Self, bool) {
+    pub(crate) fn overflowing_add(self, rhs: Self) -> (Self, bool) {
         let mut out = [0u64; 4];
         let mut carry = false;
         for i in 0..4 {
@@ -149,19 +149,10 @@ impl U256 {
         self.overflowing_add(rhs).0
     }
 
-    /// Checked addition; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, rhs: Self) -> Option<Self> {
-        match self.overflowing_add(rhs) {
-            (v, false) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Subtraction reporting borrow.
     #[inline]
     #[allow(clippy::needless_range_loop)] // borrow chain is sequential by limb index
-    pub fn overflowing_sub(self, rhs: Self) -> (Self, bool) {
+    pub(crate) fn overflowing_sub(self, rhs: Self) -> (Self, bool) {
         let mut out = [0u64; 4];
         let mut borrow = false;
         for i in 0..4 {
@@ -612,7 +603,6 @@ mod tests {
         assert_eq!(s.high_u128(), 1);
         let (_, overflow) = U256::MAX.overflowing_add(U256::ONE);
         assert!(overflow);
-        assert_eq!(U256::MAX.checked_add(U256::ONE), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Repository consistency checks: fails CI when docs rot, a second
-//! transform kernel creeps into production code, or a second place
-//! starts creating threads.
+//! transform kernel creeps into production code, a second place starts
+//! creating threads, or `unsafe` code appears outside the vector lanes.
 //!
 //! **Links.** Scans every `*.md` at the repository root plus `docs/*.md` for
 //! inline links and images (`](target)`) and verifies that each
@@ -24,7 +24,18 @@
 //! such item as a whole). Exempt: `crates/poly/src/ntt.rs` (the
 //! definitions), `crates/poly/src/lazy.rs` (the fallback), and
 //! `crates/bench` (the strict-vs-lazy ratio gate and the §VIII-A
-//! ablation measure the strict kernels on purpose).
+//! ablation measure the strict kernels on purpose). The AVX-512 IFMA
+//! lanes (`crates/poly/src/ifma.rs`) are not a second kernel: they belong
+//! to `HarveyNtt`, which decides once, when a plan is built, whether its
+//! transforms run there, and they are pinned bit for bit to its scalar
+//! stages and to the strict kernels.
+//!
+//! **One unsafe module.** Library code writes `unsafe` in one file, the
+//! vector lanes (`crates/poly/src/ifma.rs`): the other library crates
+//! forbid `unsafe_code` and `cofhee_poly` denies it outside that module,
+//! but the bench bins declare nothing. The scan looks for `unsafe {`,
+//! `unsafe fn`, `unsafe impl`, `unsafe trait` and `unsafe extern` in every
+//! line of code under `crates/*/src`, bins and test items included.
 //!
 //! **One fan-out.** Library code creates threads in one function,
 //! `cofhee_core::fan_out` — its callers decide what a task is (a limb's
@@ -111,6 +122,22 @@ const STRICT_KERNELS: [&str; 3] =
 const STRICT_KERNEL_ALLOWED: [&str; 3] =
     ["crates/poly/src/ntt.rs", "crates/poly/src/lazy.rs", "crates/bench/"];
 
+/// `unsafe` as code writes it — not the `unsafe_code` lint's name.
+const UNSAFE: [&str; 5] = ["unsafe {", "unsafe fn", "unsafe impl", "unsafe trait", "unsafe extern"];
+
+/// Files allowed to write [`UNSAFE`]: the vector lanes, and this file,
+/// which names it to look for it.
+const UNSAFE_ALLOWED: [&str; 2] = ["crates/poly/src/ifma.rs", "crates/bench/src/bin/docs_check.rs"];
+
+/// Lines of one Rust source that write `unsafe` code, outside comments.
+fn unsafe_lines(src: &str) -> Vec<usize> {
+    let writes = |line: &str| {
+        let code = line.trim_start();
+        !code.starts_with("//") && UNSAFE.iter().any(|u| code.contains(u))
+    };
+    src.lines().enumerate().filter(|(_, line)| writes(line)).map(|(i, _)| i + 1).collect()
+}
+
 /// What creates a thread, as library code would name it.
 const THREAD_CALLS: [&str; 2] = ["thread::scope", "thread::spawn"];
 
@@ -168,8 +195,9 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Prints one line per stray strict-kernel call and per thread created
-/// outside `fan_out`; returns how many.
+/// Prints one line per stray strict-kernel call, per thread created
+/// outside `fan_out` and per `unsafe` outside the vector lanes; returns
+/// how many.
 fn check_sources(root: &Path) -> usize {
     let mut files = Vec::new();
     let Ok(crates) = std::fs::read_dir(root.join("crates")) else { return 0 };
@@ -177,7 +205,7 @@ fn check_sources(root: &Path) -> usize {
         rust_sources(&krate.path().join("src"), &mut files);
     }
     files.sort();
-    let (mut stray, mut spawns) = (0usize, 0usize);
+    let (mut stray, mut spawns, mut unsafes) = (0usize, 0usize, 0usize);
     for file in &files {
         let rel = file.strip_prefix(root).unwrap_or(file).to_string_lossy();
         let src = std::fs::read_to_string(file).expect("listed file is readable");
@@ -192,13 +220,19 @@ fn check_sources(root: &Path) -> usize {
             spawns += 1;
             println!("thread created outside cofhee_core::fan_out: {rel}:{line}: {call}");
         }
+        if !UNSAFE_ALLOWED.contains(&rel.as_ref()) {
+            for line in unsafe_lines(&src) {
+                unsafes += 1;
+                println!("unsafe outside the vector lanes: {rel}:{line}");
+            }
+        }
     }
     println!(
         "docs_check: {} sources, {stray} strict-kernel calls outside tests, {spawns} threads \
-         created outside fan_out",
+         created outside fan_out, {unsafes} unsafe lines outside the vector lanes",
         files.len()
     );
-    stray + spawns
+    stray + spawns + unsafes
 }
 
 /// Prints one line per broken relative link; returns how many.
@@ -247,7 +281,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{calls_outside_tests, STRICT_KERNELS, THREAD_CALLS};
+    use super::{calls_outside_tests, unsafe_lines, STRICT_KERNELS, THREAD_CALLS};
 
     fn strict_kernel_calls(src: &str) -> Vec<(usize, &'static str)> {
         calls_outside_tests(src, &STRICT_KERNELS)
@@ -301,5 +335,22 @@ mod tests {
             calls_outside_tests(src, &THREAD_CALLS),
             vec![(3, "thread::scope"), (7, "thread::spawn")]
         );
+    }
+
+    #[test]
+    fn scan_finds_unsafe_code_but_not_the_lint_name() {
+        let src = "\
+#![forbid(unsafe_code)]
+// unsafe { in a comment }
+fn a() {
+    let x = unsafe { read() };
+}
+unsafe fn b() {}
+#[cfg(test)]
+mod tests {
+    unsafe impl Send for X {}
+}
+";
+        assert_eq!(unsafe_lines(src), vec![4, 6, 9]);
     }
 }

@@ -31,6 +31,16 @@
 //! reduction — so the division cannot come back unseen.
 //! Every measured pair is also checked bit-exact before it is timed.
 //!
+//! **Vector lanes** (ungated): for a 43-bit prime — a CKKS chain limb's
+//! width, below the `2^50` bound of `cofhee_poly`'s AVX-512 IFMA lanes —
+//! `ntt`, `intt`, `hadamard_intt` and `mul` at 2^12–2^14 (2^12 in smoke
+//! mode): the strict kernel (for `mul`, the scalar `ModRing::mul` loop)
+//! against the kernel the plan dispatches to, named in the `kernel` column
+//! (`avx512ifma` where the host has the feature, `scalar` elsewhere).
+//! These rows are in `BENCH_hotpath.json`'s `lanes` array, not in the
+//! `--check` gate: a baseline recorded on an IFMA host would read as a
+//! regression on a runner without it.
+//!
 //! ```sh
 //! cargo run --release -p cofhee_bench --bin hotpath_profile             # degrees 2^10–2^14
 //! cargo run --release -p cofhee_bench --bin hotpath_profile -- --smoke  # degrees 2^10–2^11
@@ -481,7 +491,130 @@ fn measure_lift(
     Ok(())
 }
 
-fn render_json(mode: &str, records: &[Record]) -> String {
+/// One ungated row of the vector lanes: the strict kernel against the
+/// one the plan dispatches to, ns per op.
+#[derive(Debug, Clone, PartialEq)]
+struct LaneRecord {
+    log_n: u32,
+    op: &'static str,
+    kernel: &'static str,
+    strict_ns: f64,
+    plan_ns: f64,
+}
+
+/// Measures the four lane rows at one degree on a 43-bit prime, every
+/// kernel checked bit-exact against the strict one before it is timed.
+fn measure_lanes(
+    log_n: u32,
+    reps: usize,
+    out: &mut Vec<LaneRecord>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let n = 1usize << log_n;
+    let ring = Barrett64::new(ntt_prime(43, n)? as u64)?;
+    let plan = HarveyNtt::new(&ring, n)?;
+    let tables = plan.tables();
+    let polys = |seed: u128| -> Vec<Vec<u64>> {
+        (0..INPUTS as u128).map(|k| rand_poly(&ring, n, seed + 64 * k + log_n as u128)).collect()
+    };
+    let (a, b) = (polys(0x1a4e), polys(0x2b5f));
+    let forward = |polys: &[Vec<u64>]| -> Result<Vec<Vec<u64>>, cofhee_poly::PolyError> {
+        let mut polys = polys.to_vec();
+        polys.iter_mut().try_for_each(|p| ntt::forward_inplace(&ring, p, tables))?;
+        Ok(polys)
+    };
+    let (fa, fb) = (forward(&a)?, forward(&b)?);
+    let scalar_mul = |out: &mut [u64], x: &[u64], y: &[u64]| {
+        out.iter_mut().zip(x.iter().zip(y)).for_each(|(o, (&x, &y))| *o = ring.mul(x, y));
+    };
+    let strict_hadamard_intt = |out: &mut [u64], k: usize| {
+        scalar_mul(out, &fa[k], &fb[k]);
+        ntt::inverse_inplace(&ring, out, tables).unwrap();
+    };
+    let (mut buf, mut buf2) = (a[0].clone(), a[0].clone());
+
+    for k in 0..INPUTS {
+        buf.copy_from_slice(&a[k]);
+        plan.forward_inplace(&mut buf)?;
+        assert_eq!(buf, fa[k], "q43 2^{log_n}: ntt != strict");
+        plan.inverse_inplace(&mut buf)?;
+        assert_eq!(buf, a[k], "q43 2^{log_n}: intt != strict");
+        strict_hadamard_intt(&mut buf, k);
+        assert_eq!(plan.hadamard_intt(&fa[k], &fb[k])?, buf, "q43 2^{log_n}: hadamard_intt");
+        scalar_mul(&mut buf, &a[k], &b[k]);
+        buf2.copy_from_slice(&a[k]);
+        pointwise::mul_assign(&ring, &mut buf2, &b[k])?;
+        assert_eq!(buf2, buf, "q43 2^{log_n}: mul != ModRing::mul");
+    }
+
+    let kernel = plan.kernel();
+    let mut push = |op, per: usize, (strict_ns, plan_ns): (f64, f64)| {
+        let (strict_ns, plan_ns) = (strict_ns / per as f64, plan_ns / per as f64);
+        out.push(LaneRecord { log_n, op, kernel, strict_ns, plan_ns });
+    };
+    push(
+        "ntt",
+        1,
+        time_pair(
+            reps,
+            |rep| {
+                buf.copy_from_slice(&a[rep % INPUTS]);
+                ntt::forward_inplace(&ring, &mut buf, tables).unwrap();
+            },
+            |rep| {
+                buf2.copy_from_slice(&a[rep % INPUTS]);
+                plan.forward_inplace(&mut buf2).unwrap();
+            },
+        ),
+    );
+    push(
+        "intt",
+        1,
+        time_pair(
+            reps,
+            |rep| {
+                buf.copy_from_slice(&fa[rep % INPUTS]);
+                ntt::inverse_inplace(&ring, &mut buf, tables).unwrap();
+            },
+            |rep| {
+                buf2.copy_from_slice(&fa[rep % INPUTS]);
+                plan.inverse_inplace(&mut buf2).unwrap();
+            },
+        ),
+    );
+    push(
+        "hadamard_intt",
+        1,
+        time_pair(
+            reps,
+            |rep| strict_hadamard_intt(&mut buf, rep % INPUTS),
+            |rep| {
+                let k = rep % INPUTS;
+                plan.hadamard_intt_into(&fa[k], &fb[k], &mut buf2).unwrap();
+            },
+        ),
+    );
+    push(
+        "mul",
+        n,
+        time_pair(
+            reps,
+            |rep| {
+                let k = rep % INPUTS;
+                scalar_mul(&mut buf, &a[k], &b[k]);
+                std::hint::black_box(&mut buf);
+            },
+            |rep| {
+                let k = rep % INPUTS;
+                buf2.copy_from_slice(&a[k]);
+                pointwise::mul_assign(&ring, &mut buf2, &b[k]).unwrap();
+                std::hint::black_box(&mut buf2);
+            },
+        ),
+    );
+    Ok(())
+}
+
+fn render_json(mode: &str, records: &[Record], lanes: &[LaneRecord]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"schema\": \"cofhee-hotpath-v1\",");
@@ -500,6 +633,25 @@ fn render_json(mode: &str, records: &[Record]) -> String {
             r.strict_ns,
             r.lazy_ns,
             r.speedup()
+        );
+    }
+    let _ = writeln!(s, "  ],");
+    // Ungated: no `lazy_ns_per_op` field, so `parse_records` skips these
+    // lines even in a baseline recorded from this file.
+    let _ = writeln!(s, "  \"lanes\": [");
+    for (i, r) in lanes.iter().enumerate() {
+        let comma = if i + 1 < lanes.len() { "," } else { "" };
+        let _ = writeln!(
+            s,
+            "    {{\"ring\": \"barrett64_q43\", \"log_n\": {}, \"op\": \"{}\", \
+             \"kernel\": \"{}\", \"strict_ns_per_op\": {:.1}, \"plan_ns_per_op\": {:.1}, \
+             \"speedup\": {:.3}}}{comma}",
+            r.log_n,
+            r.op,
+            r.kernel,
+            r.strict_ns,
+            r.plan_ns,
+            r.strict_ns / r.plan_ns
         );
     }
     let _ = writeln!(s, "  ]");
@@ -706,9 +858,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let json = render_json(mode, &records);
+    let mut lanes = Vec::new();
+    for &log_n in if smoke { &[12][..] } else { &[12, 13, 14] } {
+        measure_lanes(log_n, reps, &mut lanes)?;
+    }
+    println!("\nVector lanes, 43-bit prime (ungated; strict vs the kernel the plan dispatches to)");
+    println!(
+        "{:<6} {:<14} | {:>12} {:>12} | {:>8} | kernel",
+        "n", "op", "strict ns/op", "plan ns/op", "speedup"
+    );
+    for r in &lanes {
+        println!(
+            "{:<6} {:<14} | {:>12.1} {:>12.1} | {:>7.2}x | {}",
+            1u64 << r.log_n,
+            r.op,
+            r.strict_ns,
+            r.plan_ns,
+            r.strict_ns / r.plan_ns,
+            r.kernel
+        );
+    }
+
+    let json = render_json(mode, &records, &lanes);
     std::fs::write("BENCH_hotpath.json", &json)?;
-    println!("\nwrote BENCH_hotpath.json ({} records)", records.len());
+    println!("\nwrote BENCH_hotpath.json ({} records, {} lane rows)", records.len(), lanes.len());
 
     if !smoke {
         // The lazy tier's acceptance criterion, enforced where it is

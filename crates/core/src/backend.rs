@@ -476,11 +476,8 @@ fn compute<R: LazyRing>(
         // The single-pass Harvey kernel: the product feeds the
         // inverse stages directly, no canonical correction between.
         StreamOp::HadamardIntt(x, y) => plan.hadamard_intt_into(arg(x)?, arg(y)?, v)?,
-        // Accumulated into the product's own buffer.
         StreamOp::HadamardAdd(x, y, acc) => {
-            v.copy_from_slice(arg(x)?);
-            pointwise::mul_assign(ring, v, arg(y)?)?;
-            pointwise::add_assign(ring, v, arg(acc)?)?;
+            pointwise::mul_add_into(ring, v, arg(x)?, arg(y)?, arg(acc)?)?;
         }
         StreamOp::PointwiseAdd(x, y) => {
             v.copy_from_slice(arg(x)?);

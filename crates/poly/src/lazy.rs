@@ -41,12 +41,19 @@
 //!   butterfly's critical path, where the compiler turns an `if` into a
 //!   jump that random coefficients mispredict every other time
 //!   (docs/PERFORMANCE.md § 1 has the numbers).
+//! * **Vector lanes** — for a word modulus below `2^50` and `n ≥ 16`, on
+//!   a host that reports `avx512f` and `avx512ifma`, the same lazy
+//!   butterflies and the Hadamard products run eight to an instruction in
+//!   `crate::ifma` instead of the scalar stages: decided once, in
+//!   [`HarveyNtt::new`], and named by [`HarveyNtt::kernel`]. The scalar
+//!   stages stay the portable path and, with the strict kernels, the
+//!   oracle the lanes are pinned to bit for bit.
 //! * **Fused passes** — [`HarveyNtt::poly_mul`] runs the whole
 //!   Algorithm 2 schedule with no pass beyond its three transforms and
 //!   one product, and [`HarveyNtt::hadamard_intt`] fuses the NTT-domain
 //!   product into the inverse transform (the `intt ∘ hadamard` tail of every
 //!   tensor limb). NTT-domain accumulation stays pointwise: the
-//!   [`pointwise`](crate::pointwise) kernels on the plan's ring.
+//!   [`pointwise`] kernels on the plan's ring.
 //!
 //! Every kernel is **bit-exact** with its strict counterpart (the
 //! strict kernels remain the proptest oracle — see
@@ -61,7 +68,9 @@
 use cofhee_arith::{LazyRing, ShoupMul};
 
 use crate::error::{PolyError, Result};
+use crate::ifma::Lanes;
 use crate::ntt::{self, NttTables};
+use crate::pointwise;
 
 /// Precomputed lazy-reduction transform plan for one `(q, n)` pair.
 ///
@@ -85,6 +94,10 @@ pub struct HarveyNtt<R: LazyRing> {
     last_n_inv: ShoupMul<R::Elem>,
     /// The strict tables (fallback + oracle + twiddle-SRAM image).
     strict: NttTables<R>,
+    /// The vector lanes, for a word modulus below `2^50` and `n ≥ 16` on
+    /// a host that has them; the transforms run there instead of the
+    /// scalar stages.
+    lanes: Option<Lanes<R::Elem>>,
 }
 
 impl<R: LazyRing> HarveyNtt<R> {
@@ -106,7 +119,8 @@ impl<R: LazyRing> HarveyNtt<R> {
         } else {
             (Vec::new(), Vec::new(), ShoupMul::default(), ShoupMul::default())
         };
-        Ok(Self { ring: ring.clone(), n, lazy, fwd, inv, n_inv, last_n_inv, strict })
+        let lanes = if lazy { Lanes::new(ring.modulus(), n) } else { None };
+        Ok(Self { ring: ring.clone(), n, lazy, fwd, inv, n_inv, last_n_inv, strict, lanes })
     }
 
     /// The ring engine the plan was built for.
@@ -133,6 +147,17 @@ impl<R: LazyRing> HarveyNtt<R> {
         &self.strict
     }
 
+    /// The kernel the transforms run on: `"avx512ifma"` (the vector
+    /// lanes), `"scalar"` (the lazy stages) or `"strict"` (the
+    /// no-headroom fallback).
+    pub fn kernel(&self) -> &'static str {
+        match (self.lazy, self.lanes.is_some()) {
+            (_, true) => "avx512ifma",
+            (true, false) => "scalar",
+            (false, false) => "strict",
+        }
+    }
+
     fn check_len(&self, len: usize) -> Result<()> {
         if len != self.n {
             return Err(PolyError::LengthMismatch { expected: self.n, found: len });
@@ -144,7 +169,7 @@ impl<R: LazyRing> HarveyNtt<R> {
     /// Cooley–Tukey stages in Harvey's original `[0, 4q)` formulation,
     /// two stages per pass over the data (one radix-2 opening pass when
     /// `log n` is odd), the canonical correction folded into the last.
-    fn forward_stages(&self, a: &mut [R::Elem]) {
+    pub(crate) fn forward_stages(&self, a: &mut [R::Elem]) {
         let ring = &self.ring;
         let n = self.n;
         let correct = |x| ring.reduce_once(ring.fold_2q(x));
@@ -197,7 +222,7 @@ impl<R: LazyRing> HarveyNtt<R> {
     /// (one radix-2 opening pass when `log n` is odd); the closing
     /// butterflies multiply both sides — by `n⁻¹` and by the last twiddle
     /// times `n⁻¹` — and correct, so no scaling pass follows.
-    fn inverse_stages(&self, a: &mut [R::Elem]) {
+    pub(crate) fn inverse_stages(&self, a: &mut [R::Elem]) {
         let ring = &self.ring;
         let n = self.n;
         let close = |u: R::Elem, v: R::Elem| {
@@ -241,6 +266,22 @@ impl<R: LazyRing> HarveyNtt<R> {
         }
     }
 
+    /// The lazy forward transform on the lanes or the scalar stages.
+    fn forward_lazy(&self, a: &mut [R::Elem]) {
+        match &self.lanes {
+            Some(lanes) => lanes.forward(a, &self.fwd),
+            None => self.forward_stages(a),
+        }
+    }
+
+    /// The lazy inverse transform on the lanes or the scalar stages.
+    fn inverse_lazy(&self, a: &mut [R::Elem]) {
+        match &self.lanes {
+            Some(lanes) => lanes.inverse(a, &self.inv, &self.n_inv, &self.last_n_inv),
+            None => self.inverse_stages(a),
+        }
+    }
+
     /// Forward negacyclic NTT, in place — bit-exact with
     /// [`ntt::forward_inplace`].
     ///
@@ -252,7 +293,7 @@ impl<R: LazyRing> HarveyNtt<R> {
         if !self.lazy {
             return ntt::forward_inplace(&self.ring, a, &self.strict);
         }
-        self.forward_stages(a);
+        self.forward_lazy(a);
         Ok(())
     }
 
@@ -267,7 +308,7 @@ impl<R: LazyRing> HarveyNtt<R> {
         if !self.lazy {
             return ntt::inverse_inplace(&self.ring, a, &self.strict);
         }
-        self.inverse_stages(a);
+        self.inverse_lazy(a);
         Ok(())
     }
 
@@ -286,17 +327,14 @@ impl<R: LazyRing> HarveyNtt<R> {
         if !self.lazy {
             return ntt::negacyclic_mul(&self.ring, a, b, &self.strict);
         }
-        let ring = &self.ring;
         let mut at = a.to_vec();
         let mut bt = b.to_vec();
-        self.forward_stages(&mut at);
-        self.forward_stages(&mut bt);
+        self.forward_lazy(&mut at);
+        self.forward_lazy(&mut bt);
         // The canonical product (already in [0, 2q)) feeds the inverse
         // stages directly.
-        for (x, &y) in at.iter_mut().zip(bt.iter()) {
-            *x = ring.mul(*x, y);
-        }
-        self.inverse_stages(&mut at);
+        pointwise::mul_assign(&self.ring, &mut at, &bt)?;
+        self.inverse_lazy(&mut at);
         Ok(at)
     }
 
@@ -310,15 +348,8 @@ impl<R: LazyRing> HarveyNtt<R> {
     /// Returns [`PolyError::LengthMismatch`] on operand length
     /// mismatch.
     pub fn hadamard_intt(&self, x: &[R::Elem], y: &[R::Elem]) -> Result<Vec<R::Elem>> {
-        self.check_len(x.len())?;
-        self.check_len(y.len())?;
-        let ring = &self.ring;
-        let mut out: Vec<R::Elem> = x.iter().zip(y).map(|(&a, &b)| ring.mul(a, b)).collect();
-        if !self.lazy {
-            ntt::inverse_inplace(ring, &mut out, &self.strict)?;
-        } else {
-            self.inverse_stages(&mut out);
-        }
+        let mut out = vec![R::Elem::default(); self.n];
+        self.hadamard_intt_into(x, y, &mut out)?;
         Ok(out)
     }
 
@@ -360,20 +391,21 @@ impl<R: LazyRing> HarveyNtt<R> {
         self.check_len(y.len())?;
         self.check_len(out.len())?;
         let ring = &self.ring;
-        for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
-            *o = ring.mul(a, b);
+        match &self.lanes {
+            Some(lanes) => lanes.mul_into(out, x, y, None),
+            None => out.iter_mut().zip(x).zip(y).for_each(|((o, &a), &b)| *o = ring.mul(a, b)),
         }
         if !self.lazy {
             return ntt::inverse_inplace(ring, out, &self.strict);
         }
-        self.inverse_stages(out);
+        self.inverse_lazy(out);
         Ok(())
     }
 }
 
 /// The four quarters of `block`, walked in step.
 #[inline(always)]
-fn quarters<E>(block: &mut [E]) -> impl Iterator<Item = [&mut E; 4]> {
+pub(crate) fn quarters<E>(block: &mut [E]) -> impl Iterator<Item = [&mut E; 4]> {
     let (lo, hi) = block.split_at_mut(block.len() / 2);
     let (x0, x1) = lo.split_at_mut(lo.len() / 2);
     let (x2, x3) = hi.split_at_mut(hi.len() / 2);

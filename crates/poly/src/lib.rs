@@ -11,6 +11,9 @@
 //!   ([`HarveyNtt`]): Shoup-paired twiddles, redundant coefficients
 //!   across stages (`[0, 4q)` forward, `[0, 2q)` inverse) with a single
 //!   final correction, and fused `intt ∘ hadamard` / Algorithm 2 passes.
+//!   Below `q < 2^50` on an AVX-512 IFMA host its transforms and the
+//!   [`pointwise`] products run in eight 52-bit vector lanes, bit for bit
+//!   as the scalar stages — the one module with `unsafe` code.
 //!   The CPU backend and the simulator's functional fast path run on it;
 //!   the host's polynomials are plain residue vectors
 //!   (`cofhee_core::Limb`), computed on only by streams.
@@ -65,10 +68,12 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(missing_docs, clippy::undocumented_unsafe_blocks)]
 
 mod error;
+#[allow(unsafe_code)]
+mod ifma;
 
 pub mod bitrev;
 pub mod cache;

@@ -11,10 +11,17 @@
 //! | `PMODSUB` | [`sub_assign`] |
 //! | `PMODMUL` | [`mul_assign`] (Hadamard product) |
 //! | `CMODMUL` | [`scalar_mul_assign`] |
+//! | `PMODMUL` into `PMODADD` | [`mul_add_into`] |
+//!
+//! The multiplying commands take a [`LazyRing`], whose elements are plain
+//! residues: on a word modulus below `2^50` they run in the vector lanes
+//! of `crate::ifma` where the host has them, bit for bit as the scalar
+//! loops.
 
-use cofhee_arith::ModRing;
+use cofhee_arith::{LazyRing, ModRing};
 
 use crate::error::{PolyError, Result};
+use crate::ifma::Lanes;
 
 fn check_same_len(a: usize, b: usize) -> Result<()> {
     if a != b {
@@ -54,8 +61,12 @@ pub fn sub_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Res
 /// # Errors
 ///
 /// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
-pub fn mul_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Result<()> {
+pub fn mul_assign<R: LazyRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Result<()> {
     check_same_len(a.len(), b.len())?;
+    if let Some(lanes) = Lanes::new(ring.modulus(), a.len()) {
+        lanes.mul_assign(a, b);
+        return Ok(());
+    }
     for (x, &y) in a.iter_mut().zip(b) {
         *x = ring.mul(*x, y);
     }
@@ -64,11 +75,40 @@ pub fn mul_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Res
 
 /// `a[i] *= c (mod q)` — the `CMODMUL` command (constant multiplication,
 /// e.g. the `n⁻¹` pass closing an inverse NTT).
-pub fn scalar_mul_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], c: R::Elem) {
+pub fn scalar_mul_assign<R: LazyRing>(ring: &R, a: &mut [R::Elem], c: R::Elem) {
+    if let Some(lanes) = Lanes::new(ring.modulus(), a.len()) {
+        return lanes.scalar_mul(a, &ring.shoup(c));
+    }
     let aux = ring.prepare(c);
     for x in a.iter_mut() {
         *x = ring.mul_prepared(*x, c, aux);
     }
+}
+
+/// `out[i] = x[i]·y[i] + acc[i] (mod q)` — a `PMODMUL` whose product a
+/// `PMODADD` accumulates: one pass in the vector lanes, the two commands
+/// after a copy of `x` elsewhere.
+///
+/// # Errors
+///
+/// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
+pub fn mul_add_into<R: LazyRing>(
+    ring: &R,
+    out: &mut [R::Elem],
+    x: &[R::Elem],
+    y: &[R::Elem],
+    acc: &[R::Elem],
+) -> Result<()> {
+    for len in [x.len(), y.len(), acc.len()] {
+        check_same_len(out.len(), len)?;
+    }
+    if let Some(lanes) = Lanes::new(ring.modulus(), out.len()) {
+        lanes.mul_into(out, x, y, Some(acc));
+        return Ok(());
+    }
+    out.copy_from_slice(x);
+    mul_assign(ring, out, y)?;
+    add_assign(ring, out, acc)
 }
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ proptest! {
         // Bias operands toward q−1 to stress the redundant range.
         let top = |c: u64| {
             let q = q as u64;
-            if c % 3 == 0 { q - 1 - (c % 17) } else { c % q }
+            if c.is_multiple_of(3) { q - 1 - (c % 17) } else { c % q }
         };
         let a: Vec<u64> = seed_a.iter().map(|&c| top(c)).collect();
         let b: Vec<u64> = seed_b.iter().map(|&c| top(c)).collect();

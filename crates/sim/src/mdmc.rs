@@ -77,7 +77,7 @@ use std::sync::Arc;
 
 use cofhee_arith::{Barrett128, Barrett64, ModRing};
 use cofhee_poly::bitrev::bit_reverse;
-use cofhee_poly::HarveyNtt;
+use cofhee_poly::{pointwise, HarveyNtt};
 
 use crate::commands::{Command, Opcode};
 use crate::config::ChipConfig;
@@ -694,19 +694,13 @@ impl Mdmc {
                     None => narrow(ring.q(), &mut k.b, mem.slice(y, n)?),
                 };
             if canonical {
-                let out = mem.slice_mut(cmd.dst, n)?;
                 match c {
-                    Some(c) => {
-                        for (o, &a) in out.iter_mut().zip(&k.a) {
-                            *o = u128::from(ring.mul(a, c as u64));
-                        }
-                    }
-                    None => {
-                        for ((o, &a), &b) in out.iter_mut().zip(&k.a).zip(&k.b) {
-                            *o = u128::from(ring.mul(a, b));
-                        }
-                    }
+                    Some(c) => pointwise::scalar_mul_assign(&ring, &mut k.a, c as u64),
+                    None => pointwise::mul_assign(&ring, &mut k.a, &k.b).map_err(|e| {
+                        SimError::BadConfiguration { reason: format!("narrow multiply: {e}") }
+                    })?,
                 }
+                widen(mem.slice_mut(cmd.dst, n)?, &k.a);
                 return Ok(());
             }
         }
