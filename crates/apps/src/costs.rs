@@ -15,35 +15,11 @@
 //! work (Section III-C), so this mapping is ours and is documented here
 //! and in EXPERIMENTS.md.
 
-use cofhee_core::{CommStats, Device, OpReport, Result, RnsDevice, StreamReport};
+use cofhee_arith::rns::RnsBasis;
+use cofhee_core::{Device, Result};
 use cofhee_sim::ChipConfig;
 
 use crate::workloads::Workload;
-
-/// Measured (not modeled) operation accounting: the cumulative
-/// [`OpReport`] the evaluator's execution backends collected while
-/// running *actual* encrypted workloads — butterflies, pointwise
-/// multiplies and add/subs on every backend, plus real cycles when the
-/// backend is the simulated chip. This is the ground truth the modeled
-/// [`OpCosts`] compositions can be checked against.
-pub fn measured_op_report(eval: &cofhee_bfv::Evaluator) -> OpReport {
-    eval.backend_report()
-}
-
-/// Measured host-communication totals for the same evaluator (zero on
-/// the CPU backend; bring-up plus staged transfers on the chip).
-pub fn measured_comm_stats(eval: &cofhee_bfv::Evaluator) -> CommStats {
-    eval.backend_comm_stats()
-}
-
-/// Measured stream-execution telemetry for the same evaluator: FIFO
-/// batches, drain interrupts, and the serial-vs-overlapped cycle and
-/// latency totals the asynchronous `OpStream` submits accumulated
-/// (equal serial/overlapped on the CPU reference; overlapped strictly
-/// tighter on the chip whenever DMA hid behind compute).
-pub fn measured_stream_report(eval: &cofhee_bfv::Evaluator) -> StreamReport {
-    eval.backend_stream_report()
-}
 
 /// Seconds per primitive encrypted operation on one backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,13 +60,13 @@ pub const RELIN_DIGITS: u64 = 6;
 ///
 /// Device bring-up or execution failures.
 pub fn measure_cofhee(n: usize, total_log_q: u32) -> Result<OpCosts> {
-    let mut rns = RnsDevice::connect(ChipConfig::silicon(), total_log_q, n)?;
-    let towers = rns.tower_count() as f64;
+    let basis = RnsBasis::for_total_bits(total_log_q, 128, n)?;
+    let towers = basis.len() as f64;
     let freq = ChipConfig::silicon().freq_hz as f64;
 
     // Measure primitive latencies on the first tower (all towers have
     // identical microarchitectural cost).
-    let device: &mut Device = &mut rns.towers_mut()[0];
+    let mut device = Device::connect(ChipConfig::silicon(), basis.moduli()[0], n)?;
     let plan = device.bank_plan();
     let zero = vec![0u128; n];
     let d0 = cofhee_sim::Slot::new(plan.d0, 0);
@@ -195,7 +171,7 @@ mod tests {
         let scorer =
             LogisticScorer::with_backend(&params, vec![2, 5], 1, &ChipBackendFactory::silicon())
                 .unwrap();
-        assert_eq!(measured_op_report(scorer.evaluator()), OpReport::default());
+        assert_eq!(scorer.evaluator().backend_report(), cofhee_core::OpReport::default());
 
         let features = vec![vec![3, 4], vec![5, 6]];
         let cts = encrypt_features(&params, &enc, &features, &mut rng).unwrap();
@@ -204,11 +180,11 @@ mod tests {
         // Two ct·pt products (3 transforms each on the PolyMul schedule)
         // plus the accumulating additions, measured on real silicon
         // cycles — not the composed model.
-        let r = measured_op_report(scorer.evaluator());
+        let r = scorer.evaluator().backend_report();
         assert!(r.cycles > 0, "chip backend measures real cycles");
         assert!(r.butterflies >= 6 * (64 / 2) * 6, "PolyMul transforms retired");
         assert!(r.addsubs > 0, "accumulation adds retired");
-        assert!(measured_comm_stats(scorer.evaluator()).bytes > 0);
+        assert!(scorer.evaluator().backend_comm_stats().bytes > 0);
     }
 
     #[test]
@@ -233,7 +209,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        assert_eq!(measured_stream_report(net.evaluator()), StreamReport::default());
+        assert_eq!(net.evaluator().backend_stream_report(), cofhee_core::StreamReport::default());
 
         let features = vec![vec![1, 2], vec![3, 4]];
         let cts = encrypt_features(&params, &enc, &features, &mut rng).unwrap();
@@ -242,7 +218,7 @@ mod tests {
         // The square activation's multiply+relin ran as recorded streams
         // through the chip's command FIFO: batched, interrupt-drained,
         // and DMA-overlapped.
-        let r = measured_stream_report(net.evaluator());
+        let r = net.evaluator().backend_stream_report();
         assert!(r.batches > 0, "streams were submitted");
         assert_eq!(r.interrupts, r.batches, "one serviced interrupt per drain");
         assert!(

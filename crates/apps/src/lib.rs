@@ -24,10 +24,7 @@ pub mod demos;
 pub mod estimate;
 pub mod workloads;
 
-pub use costs::{
-    cpu_from_primitives, measure_cofhee, measured_comm_stats, measured_op_report,
-    measured_stream_report, OpCosts, RELIN_DIGITS,
-};
+pub use costs::{cpu_from_primitives, measure_cofhee, OpCosts, RELIN_DIGITS};
 pub use demos::{
     constant_plaintext, decrypt_slots, encrypt_features, encrypt_real_features, sigmoid_deg3,
     ApproxLogistic, LogisticScorer, SquareLayerNet,

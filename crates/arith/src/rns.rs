@@ -338,6 +338,21 @@ mod tests {
     }
 
     #[test]
+    fn paper_tower_counts() {
+        // The chip's 128-bit datapath holds a 109-bit modulus in one tower
+        // and a 218-bit modulus in two distinct 109-bit towers.
+        let b109 = RnsBasis::for_total_bits(109, 128, 1 << 10).unwrap();
+        assert_eq!(b109.len(), 1);
+        let b218 = RnsBasis::for_total_bits(218, 128, 1 << 10).unwrap();
+        assert_eq!(b218.len(), 2);
+        let moduli = b218.moduli();
+        assert_ne!(moduli[0], moduli[1]);
+        for &q in b109.moduli().iter().chain(moduli) {
+            assert_eq!(128 - q.leading_zeros(), 109);
+        }
+    }
+
+    #[test]
     fn compose_decompose_round_trip_u128() {
         let basis = basis_2x54();
         for x in [0u128, 1, 42, u64::MAX as u128, (1 << 100) + 12345] {

@@ -2,10 +2,13 @@
 //! relinearization) on the CPU baseline (1/4/16 threads) vs one CoFHEE
 //! instance, for (n, log q) ∈ {(2^12, 109), (2^13, 218)} — time for all
 //! towers (6a), power (6b), and the Section VI-B power-delay products.
+//! Exits non-zero if CoFHEE's compute time at a point is more than 1 %
+//! off the paper's.
 
+use cofhee_arith::rns::RnsBasis;
 use cofhee_bench::time_best;
 use cofhee_bfv::tower::TowerEvaluator;
-use cofhee_core::RnsDevice;
+use cofhee_core::{Device, ExecutionMode};
 use cofhee_sim::ChipConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("== (n, log q) = (2^{log_n}, {log_q}) ==");
 
         // ---- CPU baseline: per-tower Eq. 4, thread sweep (Fig. 6a) ----
-        let ev = TowerEvaluator::new(n, log_q, 64)?;
+        let ev = TowerEvaluator::new(n, log_q)?;
         let a = ev.random_ciphertext(&mut rng);
         let b = ev.random_ciphertext(&mut rng);
         let towers = ev.tower_count();
@@ -51,43 +54,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         println!("  paper SEAL 1 thread: {paper_cpu_ms:>6.2} ms (AMD Ryzen 7 5800h)");
 
-        // ---- CoFHEE: RNS towers on one chip (Fig. 6a) ----
-        let mut chip = RnsDevice::connect(ChipConfig::silicon(), log_q, n)?;
-        let operands: Vec<[Vec<u128>; 4]> = chip
-            .towers()
-            .iter()
-            .map(|d| {
-                let q = d.ring().q();
-                let mk = |seed: u128| -> Vec<u128> {
-                    let mut s = seed | 1;
-                    (0..n)
-                        .map(|_| {
-                            s = s.wrapping_mul(0x5851f42d4c957f2d).wrapping_add(11);
-                            s % q
-                        })
-                        .collect()
-                };
-                [mk(1), mk(2), mk(3), mk(4)]
-            })
-            .collect();
-        let out = chip.ciphertext_mul(&operands)?;
+        // ---- CoFHEE: the RNS towers one after the other on one chip (Fig. 6a) ----
+        let basis = RnsBasis::for_total_bits(log_q, 128, n)?;
+        let (mut compute_cycles, mut wall_cycles) = (0, 0);
+        let mut phases = cofhee_sim::PhaseCycles::default();
+        for &q in basis.moduli() {
+            let mk = |seed: u128| -> Vec<u128> {
+                let mut s = seed | 1;
+                (0..n)
+                    .map(|_| {
+                        s = s.wrapping_mul(0x5851f42d4c957f2d).wrapping_add(11);
+                        s % q
+                    })
+                    .collect()
+            };
+            let mut dev = Device::connect(ChipConfig::silicon(), q, n)?;
+            let operands = [mk(1), mk(2), mk(3), mk(4)];
+            let operands: Vec<&[u128]> = operands.iter().map(Vec::as_slice).collect();
+            let run =
+                dev.run(&dev.ciphertext_mul_schedule(), &operands, ExecutionMode::CommandFifo)?;
+            compute_cycles += run.compute_cycles;
+            wall_cycles += run.report.cycles;
+            phases.absorb(&run.report.phases);
+        }
         let freq = ChipConfig::silicon().freq_hz as f64;
-        let chip_ms = out.compute_cycles as f64 / freq * 1e3;
-        let wall_ms = out.wall_cycles as f64 / freq * 1e3;
+        let chip_ms = compute_cycles as f64 / freq * 1e3;
+        let wall_ms = wall_cycles as f64 / freq * 1e3;
         println!(
             "  CoFHEE ({} tower(s)): {chip_ms:>8.3} ms compute ({wall_ms:.3} ms with DMA staging)",
-            chip.tower_count()
+            basis.len()
         );
         println!(
             "  paper CoFHEE: {paper_chip_ms:>6.2} ms   ({})",
             cofhee_bench::pct_err(chip_ms, paper_chip_ms)
         );
+        assert!(
+            (chip_ms - paper_chip_ms).abs() < 0.01 * paper_chip_ms,
+            "CoFHEE compute time {chip_ms} ms is more than 1 % off the paper's {paper_chip_ms} ms"
+        );
 
         // ---- Power (Fig. 6b) ----
-        let mut phases = cofhee_sim::PhaseCycles::default();
-        for t in &out.towers {
-            phases.absorb(&t.report.phases);
-        }
         let model = cofhee_sim::PowerModel::silicon();
         let chip_mw = model.average_mw(&phases);
         println!("  CoFHEE power: {chip_mw:.1} mW (paper: {paper_chip_mw} mW)");

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  ct·ct+relin: {:>10.3e} s\n", cofhee.ct_ct_mul_relin_s);
 
     // ---- CPU per-op costs measured from cofhee-bfv on this machine ----
-    let ev = TowerEvaluator::new(n, log_q, 64)?;
+    let ev = TowerEvaluator::new(n, log_q)?;
     let towers = ev.tower_count() as u64;
     let ring = *ev.towers()[0].ring();
     let tables = NttTables::new(&ring, n)?;

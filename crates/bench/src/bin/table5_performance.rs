@@ -2,7 +2,7 @@
 //! (average/peak mW) for PolyMul, NTT and iNTT at n ∈ {2^12, 2^13}.
 
 use cofhee_arith::primes::ntt_prime;
-use cofhee_core::Device;
+use cofhee_core::{Device, ExecutionMode};
 use cofhee_sim::ChipConfig;
 
 /// Paper reference values: (op, log n, cycles, µs, avg mW, peak mW).
@@ -50,19 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ntt_report = dev.ntt(d0, d1)?;
         let intt_report = dev.intt(d1, d2)?;
         let b: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 7) % q).collect();
-        let polymul = dev.poly_mul(&poly, &b)?;
+        let polymul =
+            dev.run(&dev.poly_mul_schedule(), &[&poly, &b], ExecutionMode::CommandFifo)?;
 
         let rows = [
-            ("PolyMul", polymul.compute_cycles, {
-                // Aggregate phases of the 4 compute commands.
-                let mut p = cofhee_sim::PhaseCycles::default();
-                let h = dev.chip().history();
-                for (op, r) in &h[h.len() - 4..] {
-                    assert!(!op.is_memory_op());
-                    p.absorb(&r.phases);
-                }
-                p
-            }),
+            ("PolyMul", polymul.compute_cycles, polymul.report.phases),
             ("NTT", ntt_report.cycles, ntt_report.phases),
             ("iNTT", intt_report.cycles, intt_report.phases),
         ];

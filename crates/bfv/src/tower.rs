@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use cofhee_arith::{primes, Barrett64, ModRing};
+use cofhee_arith::{rns::RnsBasis, Barrett64, ModRing};
 use cofhee_poly::{HarveyNtt, TwiddleCache};
 use rand::Rng;
 
@@ -76,39 +76,24 @@ pub struct TowerEvaluator {
 }
 
 impl TowerEvaluator {
-    /// Builds towers covering `total_log_q` bits for degree `n`, split for
-    /// a `word_bits`-wide engine (64 for the CPU plan, 128 for CoFHEE's).
-    ///
-    /// `(2^12, 109, 64)` yields the 54+55 plan; `(2^13, 218, 64)` the
-    /// four-tower plan; `(2^13, 218, 128)` CoFHEE's two 109-bit towers
-    /// (represented here by their NTT work shape; the chip's native-width
-    /// arithmetic lives in the simulator).
+    /// Builds the CPU's towers covering `total_log_q` bits for degree
+    /// `n`: the 64-bit-word plan of [`RnsBasis::for_total_bits`], so
+    /// `(2^12, 109)` yields the 54+55 plan and `(2^13, 218)` the
+    /// four-tower plan.
     ///
     /// # Errors
     ///
     /// Propagates prime-search failures.
-    pub fn new(n: usize, total_log_q: u32, word_bits: u32) -> Result<Self> {
-        let plan = primes::tower_plan(total_log_q, word_bits);
-        let mut towers = Vec::with_capacity(plan.len());
-        let mut by_size: std::collections::HashMap<u32, Vec<u128>> = Default::default();
-        let mut counts: std::collections::HashMap<u32, usize> = Default::default();
-        for &bits in &plan {
-            *counts.entry(bits).or_default() += 1;
-        }
-        for (&bits, &count) in &counts {
-            // 64-bit engines cap at 62 bits; wider plans are represented by
-            // 62-bit towers (documented shape substitution for word_bits=128).
-            let eff_bits = bits.min(62);
-            by_size.insert(bits, primes::ntt_primes(eff_bits, n, count)?);
-        }
-        for &bits in &plan {
-            let q = by_size
-                .get_mut(&bits)
-                .and_then(|v| v.pop())
-                .ok_or_else(|| BfvError::InvalidParams { reason: "tower plan exhausted".into() })?;
-            let plan = TwiddleCache::barrett64(q as u64, n)?;
-            towers.push(Tower { ring: *plan.ring(), plan });
-        }
+    pub fn new(n: usize, total_log_q: u32) -> Result<Self> {
+        let basis = RnsBasis::for_total_bits(total_log_q, 64, n)?;
+        let towers = basis
+            .moduli()
+            .iter()
+            .map(|&q| {
+                let plan = TwiddleCache::barrett64(q as u64, n)?;
+                Ok(Tower { ring: *plan.ring(), plan })
+            })
+            .collect::<Result<_>>()?;
         Ok(Self { n, towers })
     }
 
@@ -123,7 +108,7 @@ impl TowerEvaluator {
     }
 
     /// Number of towers (the paper's 2 for 109 bits, 4 for 218 bits on
-    /// 64-bit words; 1 and 2 on CoFHEE's 128-bit words).
+    /// 64-bit words).
     pub fn tower_count(&self) -> usize {
         self.towers.len()
     }
@@ -270,17 +255,15 @@ mod tests {
 
     #[test]
     fn plans_match_paper_tower_counts() {
-        let cpu12 = TowerEvaluator::new(1 << 6, 109, 64).unwrap();
+        let cpu12 = TowerEvaluator::new(1 << 6, 109).unwrap();
         assert_eq!(cpu12.tower_count(), 2);
-        let cpu13 = TowerEvaluator::new(1 << 6, 218, 64).unwrap();
+        let cpu13 = TowerEvaluator::new(1 << 6, 218).unwrap();
         assert_eq!(cpu13.tower_count(), 4);
-        let chip13 = TowerEvaluator::new(1 << 6, 218, 128).unwrap();
-        assert_eq!(chip13.tower_count(), 2);
     }
 
     #[test]
     fn tower_product_matches_naive_tensor() {
-        let ev = TowerEvaluator::new(64, 109, 64).unwrap();
+        let ev = TowerEvaluator::new(64, 109).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let a = ev.random_ciphertext(&mut rng);
         let b = ev.random_ciphertext(&mut rng);
@@ -300,7 +283,7 @@ mod tests {
 
     #[test]
     fn threading_does_not_change_results() {
-        let ev = TowerEvaluator::new(128, 218, 64).unwrap();
+        let ev = TowerEvaluator::new(128, 218).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let a = ev.random_ciphertext(&mut rng);
         let b = ev.random_ciphertext(&mut rng);
@@ -313,8 +296,8 @@ mod tests {
 
     #[test]
     fn foreign_ciphertexts_are_rejected() {
-        let ev = TowerEvaluator::new(64, 109, 64).unwrap();
-        let other = TowerEvaluator::new(32, 109, 64).unwrap();
+        let ev = TowerEvaluator::new(64, 109).unwrap();
+        let other = TowerEvaluator::new(32, 109).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let a = ev.random_ciphertext(&mut rng);
         let b = other.random_ciphertext(&mut rng);

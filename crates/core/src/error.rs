@@ -24,11 +24,6 @@ pub enum CoreError {
         /// Provided length.
         found: usize,
     },
-    /// The modulus is too wide for a single tower and no RNS plan fits.
-    ModulusTooWide {
-        /// Requested modulus bits.
-        bits: u32,
-    },
     /// A backend was handed a foreign or already-freed polynomial handle.
     BadHandle {
         /// The offending handle id.
@@ -60,9 +55,6 @@ impl fmt::Display for CoreError {
             }
             Self::BadOperandLength { expected, found } => {
                 write!(f, "operand has {found} coefficients, expected {expected}")
-            }
-            Self::ModulusTooWide { bits } => {
-                write!(f, "modulus of {bits} bits exceeds the native width and RNS plans")
             }
             Self::BadHandle { id } => {
                 write!(f, "polynomial handle {id} is foreign to this backend or already freed")

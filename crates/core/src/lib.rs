@@ -7,14 +7,17 @@
 //! * [`Device`] — bring-up over a [`Link`] (UART/SPI/backdoor), register
 //!   programming, twiddle loading, polynomial upload/download with wire
 //!   accounting, and the Table I command wrappers.
-//! * Algorithm 2 ([`Device::poly_mul`]) and Algorithm 3
-//!   ([`Device::ciphertext_mul`]) as bank-choreographed schedules: every
-//!   NTT runs on a dual-port pair at II = 1 while DMA staging hides
-//!   behind compute where the banks allow (Section III-F).
-//! * [`RnsDevice`] — tower dispatch for moduli wider than 128 bits
+//! * [`Schedule`] — a chip program: the banks its operands are uploaded
+//!   to, a Table I command list, the banks its results are read from.
+//!   Algorithms 2 ([`Device::poly_mul_schedule`]) and 3
+//!   ([`Device::ciphertext_mul_schedule`]) are bank-choreographed
+//!   schedules: every NTT runs on a dual-port pair at II = 1 while DMA
+//!   staging hides behind compute where the banks allow (Section III-F).
+//!   [`Device::run`] delivers any schedule in each of Section III-I's
+//!   three [`ExecutionMode`]s and prices the command delivery on the
+//!   device's link. A modulus wider than 128 bits is one device per
+//!   tower of `cofhee_arith::rns::RnsBasis::for_total_bits(bits, 128, n)`
 //!   (the 218-bit point runs as two sequential 109-bit towers).
-//! * [`ExecutionMode`] — the three command-delivery modes of
-//!   Section III-I, with measured host-side overheads.
 //! * [`OpStream`] — the mod-q op set the paper offloads, as a recorded,
 //!   dependency-tracked batch over the [`StreamOp`] vocabulary. Nothing
 //!   executes at record time.
@@ -49,7 +52,7 @@
 //! # Examples
 //!
 //! ```
-//! use cofhee_core::Device;
+//! use cofhee_core::{Device, ExecutionMode};
 //! use cofhee_sim::ChipConfig;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -58,8 +61,8 @@
 //! let mut device = Device::connect(ChipConfig::silicon(), q, n)?;
 //! let a: Vec<u128> = (0..n as u128).collect();
 //! let b: Vec<u128> = (0..n as u128).map(|i| i + 7).collect();
-//! let product = device.poly_mul(&a, &b)?;
-//! assert_eq!(product.result.len(), n);
+//! let product = device.run(&device.poly_mul_schedule(), &[&a, &b], ExecutionMode::CommandFifo)?;
+//! assert_eq!(product.outputs[0].len(), n);
 //! println!("PolyMul took {} cycles", product.compute_cycles);
 //! # Ok(())
 //! # }
@@ -77,11 +80,9 @@ mod device;
 mod error;
 mod keyswitch;
 mod limb;
-mod modes;
-mod ops;
 mod plan;
 mod rlwe;
-mod rns;
+mod schedule;
 mod stream;
 
 pub use backend::{
@@ -95,13 +96,11 @@ pub use keyswitch::{
     digit_decompose, record_key_switch, record_mul_plain, record_tensor, KeyPair, KeySwitchKeys,
 };
 pub use limb::Limb;
-pub use modes::{standard_links, ExecutionMode, ModeOutcome};
-pub use ops::{CiphertextMulOutcome, PolyMulOutcome};
 pub use plan::{JobPlan, PlanPhase};
 pub use rlwe::{
     record_decrypt, record_encrypt, record_public_key, record_relin_key, record_square,
 };
-pub use rns::{RnsDevice, RnsMulOutcome};
+pub use schedule::{ExecutionMode, Run, Schedule};
 pub use stream::{
     cores, fan_out, Filler, OpStream, Payload, StreamExecutor, StreamHandle, StreamJob, StreamOp,
     StreamOutcome, StreamReport,

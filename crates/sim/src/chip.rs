@@ -17,7 +17,7 @@
 //! 3. **Cortex-M0** — [`Chip::run_program`]: a Thumb program sequences
 //!    commands through the memory-mapped COMMANDFIFO port.
 
-use cofhee_arith::{ModRing, U256};
+use cofhee_arith::ModRing;
 use cofhee_poly::cache::TwiddleCache;
 
 use crate::cm0::{Cm0, Cm0Bus, Halt};
@@ -501,11 +501,6 @@ impl Chip {
         self.power.average_mw(&report.phases)
     }
 
-    /// Peak power over a report window, in mW.
-    pub fn peak_power_mw(&self, report: &OpReport) -> f64 {
-        self.power.peak_mw(&report.phases)
-    }
-
     /// Bus write used by the CM0 and host bridges.
     fn bus_write_u32(&mut self, address: u32, value: u32) -> Result<()> {
         if (GPCFG_BASE..GPCFG_BASE + GPCFG_SPAN).contains(&address) {
@@ -554,11 +549,6 @@ impl Chip {
     /// Address-decode failures.
     pub fn read_register(&mut self, reg: Register) -> Result<u32> {
         self.bus_read_u32(GPCFG_BASE + reg.offset())
-    }
-
-    /// Barrett constants currently visible to the PE (for verification).
-    pub fn barrett_view(&self) -> (u32, U256) {
-        (self.gpcfg.barrett_k(), self.gpcfg.barrett_mu())
     }
 }
 
@@ -789,7 +779,7 @@ mod tests {
             .execute_now(Command::ntt(Slot::new(BankId(0), 0), fwd, Slot::new(BankId(1), 0)))
             .unwrap();
         let avg = chip.average_power_mw(&report);
-        let peak = chip.peak_power_mw(&report);
+        let peak = chip.power_model().peak_mw(&report.phases);
         // Table V: 24.5 avg / 30.4 peak.
         assert!((avg - 24.5).abs() < 1.3, "avg = {avg}");
         assert!((peak - 30.4).abs() < 1.0, "peak = {peak}");

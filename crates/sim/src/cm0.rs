@@ -112,29 +112,14 @@ impl Cm0 {
         }
     }
 
-    /// Replaces the program and resets the core.
-    pub fn load_program(&mut self, program: Vec<u16>) {
-        self.imem = program;
-        self.reset();
-    }
-
-    /// Resets registers, flags, cycle count, and the PC.
-    pub fn reset(&mut self) {
-        self.regs = [0; 16];
-        self.flag_n = false;
-        self.flag_z = false;
-        self.flag_c = false;
-        self.flag_v = false;
-        self.cycles = 0;
-    }
-
     /// General-purpose register read (for tests/diagnostics).
     pub fn reg(&self, i: usize) -> u32 {
         self.regs[i]
     }
 
     /// Cycles consumed so far.
-    pub fn cycles(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cycles(&self) -> u64 {
         self.cycles
     }
 
@@ -440,76 +425,15 @@ impl Asm {
         self.code.push(0b00100_000_0000_0000 | (rd << 8) | imm as u16);
     }
 
-    /// `CMP Rn, #imm8`.
-    pub fn cmp_imm(&mut self, rn: u16, imm: u8) {
-        self.code.push(0b00101_000_0000_0000 | (rn << 8) | imm as u16);
-    }
-
-    /// `ADDS Rd, #imm8`.
-    pub fn adds_imm(&mut self, rd: u16, imm: u8) {
-        self.code.push(0b00110_000_0000_0000 | (rd << 8) | imm as u16);
-    }
-
     /// `SUBS Rd, #imm8`.
     pub fn subs_imm(&mut self, rd: u16, imm: u8) {
         self.code.push(0b00111_000_0000_0000 | (rd << 8) | imm as u16);
-    }
-
-    /// `ADDS Rd, Rn, Rm`.
-    pub fn adds_reg(&mut self, rd: u16, rn: u16, rm: u16) {
-        self.code.push(0b0001100_000_000_000 | (rm << 6) | (rn << 3) | rd);
-    }
-
-    /// `SUBS Rd, Rn, Rm`.
-    pub fn subs_reg(&mut self, rd: u16, rn: u16, rm: u16) {
-        self.code.push(0b0001101_000_000_000 | (rm << 6) | (rn << 3) | rd);
-    }
-
-    /// `LSLS Rd, Rm, #imm5`.
-    pub fn lsls(&mut self, rd: u16, rm: u16, imm5: u16) {
-        self.code.push((imm5 << 6) | (rm << 3) | rd);
-    }
-
-    /// `LSRS Rd, Rm, #imm5`.
-    pub fn lsrs(&mut self, rd: u16, rm: u16, imm5: u16) {
-        self.code.push(0b00001_00000_000_000 | (imm5 << 6) | (rm << 3) | rd);
-    }
-
-    /// `ANDS Rd, Rm`.
-    pub fn ands(&mut self, rd: u16, rm: u16) {
-        self.code.push(0b010000_0000_000_000 | (rm << 3) | rd);
-    }
-
-    /// `ORRS Rd, Rm`.
-    pub fn orrs(&mut self, rd: u16, rm: u16) {
-        self.code.push(0b010000_1100_000_000 | (rm << 3) | rd);
-    }
-
-    /// `CMP Rd, Rm` (register).
-    pub fn cmp_reg(&mut self, rd: u16, rm: u16) {
-        self.code.push(0b010000_1010_000_000 | (rm << 3) | rd);
-    }
-
-    /// `MOV Rd, Rm`.
-    pub fn mov_reg(&mut self, rd: u16, rm: u16) {
-        let d_hi = (rd >> 3) & 1;
-        self.code.push(0b010001_10_0_0000_000 | (d_hi << 7) | ((rm & 0xF) << 3) | (rd & 7));
     }
 
     /// `LDR Rt, =constant` (literal pool).
     pub fn ldr_const(&mut self, rt: u16, constant: u32) {
         self.literals.push((self.code.len(), constant));
         self.code.push(0b01001_000_0000_0000 | (rt << 8)); // offset patched later
-    }
-
-    /// `LDR Rt, [Rn, #offset]` (word offset 0..124, multiple of 4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset` is misaligned or out of range.
-    pub fn ldr(&mut self, rt: u16, rn: u16, offset: u16) {
-        assert!(offset % 4 == 0 && offset < 128, "offset {offset} invalid");
-        self.code.push(0b01101_00000_000_000 | ((offset / 4) << 6) | (rn << 3) | rt);
     }
 
     /// `STR Rt, [Rn, #offset]`.
@@ -537,11 +461,6 @@ impl Asm {
     /// `NOP`.
     pub fn nop(&mut self) {
         self.code.push(0xBF00);
-    }
-
-    /// `WFI` — wait for interrupt.
-    pub fn wfi(&mut self) {
-        self.code.push(0xBF30);
     }
 
     /// `BKPT #0` — halt.
@@ -603,6 +522,66 @@ impl Asm {
             }
         }
         Ok(self.code)
+    }
+}
+
+/// The instructions only the tests assemble programs with.
+#[cfg(test)]
+impl Asm {
+    /// `ADDS Rd, #imm8`.
+    pub(crate) fn adds_imm(&mut self, rd: u16, imm: u8) {
+        self.code.push(0b00110_000_0000_0000 | (rd << 8) | imm as u16);
+    }
+
+    /// `SUBS Rd, Rn, Rm`.
+    pub(crate) fn subs_reg(&mut self, rd: u16, rn: u16, rm: u16) {
+        self.code.push(0b0001101_000_000_000 | (rm << 6) | (rn << 3) | rd);
+    }
+
+    /// `LSLS Rd, Rm, #imm5`.
+    pub(crate) fn lsls(&mut self, rd: u16, rm: u16, imm5: u16) {
+        self.code.push((imm5 << 6) | (rm << 3) | rd);
+    }
+
+    /// `LSRS Rd, Rm, #imm5`.
+    pub(crate) fn lsrs(&mut self, rd: u16, rm: u16, imm5: u16) {
+        self.code.push(0b00001_00000_000_000 | (imm5 << 6) | (rm << 3) | rd);
+    }
+
+    /// `ANDS Rd, Rm`.
+    pub(crate) fn ands(&mut self, rd: u16, rm: u16) {
+        self.code.push(0b010000_0000_000_000 | (rm << 3) | rd);
+    }
+
+    /// `ORRS Rd, Rm`.
+    pub(crate) fn orrs(&mut self, rd: u16, rm: u16) {
+        self.code.push(0b010000_1100_000_000 | (rm << 3) | rd);
+    }
+
+    /// `CMP Rd, Rm` (register).
+    pub(crate) fn cmp_reg(&mut self, rd: u16, rm: u16) {
+        self.code.push(0b010000_1010_000_000 | (rm << 3) | rd);
+    }
+
+    /// `MOV Rd, Rm`.
+    pub(crate) fn mov_reg(&mut self, rd: u16, rm: u16) {
+        let d_hi = (rd >> 3) & 1;
+        self.code.push(0b010001_10_0_0000_000 | (d_hi << 7) | ((rm & 0xF) << 3) | (rd & 7));
+    }
+
+    /// `LDR Rt, [Rn, #offset]` (word offset 0..124, multiple of 4).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is misaligned or out of range.
+    pub(crate) fn ldr(&mut self, rt: u16, rn: u16, offset: u16) {
+        assert!(offset % 4 == 0 && offset < 128, "offset {offset} invalid");
+        self.code.push(0b01101_00000_000_000 | ((offset / 4) << 6) | (rn << 3) | rt);
+    }
+
+    /// `WFI` — wait for interrupt.
+    pub(crate) fn wfi(&mut self) {
+        self.code.push(0xBF30);
     }
 }
 

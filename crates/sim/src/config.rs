@@ -127,11 +127,6 @@ impl ChipConfig {
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / self.freq_hz as f64
     }
-
-    /// Converts a cycle count to microseconds (Table V's unit).
-    pub fn cycles_to_micros(&self, cycles: u64) -> f64 {
-        self.cycles_to_seconds(cycles) * 1e6
-    }
 }
 
 impl Default for ChipConfig {
@@ -184,7 +179,7 @@ mod tests {
     fn cycle_time_conversion() {
         let c = ChipConfig::silicon();
         // 250 cycles at 250 MHz = 1 µs.
-        assert!((c.cycles_to_micros(250) - 1.0).abs() < 1e-12);
+        assert!((c.cycles_to_seconds(250) * 1e6 - 1.0).abs() < 1e-12);
     }
 
     #[test]

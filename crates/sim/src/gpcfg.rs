@@ -43,7 +43,8 @@ macro_rules! registers {
             }
 
             /// Width in bits (as listed in Table II).
-            pub fn bits(self) -> u32 {
+            #[cfg(test)]
+            pub(crate) fn bits(self) -> u32 {
                 self.words() * 32
             }
 
@@ -223,13 +224,9 @@ impl GpCfg {
     }
 
     /// The Barrett constant `µ` (BARRETTCTL2).
-    pub fn barrett_mu(&self) -> U256 {
+    #[cfg(test)]
+    pub(crate) fn barrett_mu(&self) -> U256 {
         self.read(Register::BARRETTCTL2)
-    }
-
-    /// The chip ID.
-    pub fn signature(&self) -> u32 {
-        SIGNATURE_VALUE
     }
 }
 

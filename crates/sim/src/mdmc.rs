@@ -177,13 +177,6 @@ impl OpReport {
         self.dma_words = self.dma_words.saturating_add(other.dma_words);
         self.phases.absorb(&other.phases);
     }
-
-    /// Alias for [`OpReport::absorb`] under the name aggregation call
-    /// sites expect (`a.merge(&b)`), so farm-level telemetry never
-    /// hand-rolls field-by-field sums.
-    pub fn merge(&mut self, other: &OpReport) {
-        self.absorb(other);
-    }
 }
 
 /// The word-width functional kernel for a word-sized modulus: the

@@ -69,7 +69,8 @@ pub struct Bank {
 
 impl Bank {
     /// Capacity in 128-bit words.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.words.len()
     }
 

@@ -104,7 +104,8 @@ impl ProcessingElement {
     }
 
     /// Pipeline depth of the butterfly datapath (multiply then add/sub).
-    pub fn butterfly_latency(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn butterfly_latency(&self) -> u32 {
         self.mult_latency + self.addsub_latency
     }
 
@@ -124,7 +125,8 @@ impl ProcessingElement {
     /// # Errors
     ///
     /// Fails when no modulus is loaded.
-    pub fn mod_add(&mut self, a: u128, b: u128) -> Result<u128> {
+    #[cfg(test)]
+    pub(crate) fn mod_add(&mut self, a: u128, b: u128) -> Result<u128> {
         let r = *self.ring()?;
         self.activity.adds += 1;
         Ok(r.add(a, b))
@@ -135,7 +137,8 @@ impl ProcessingElement {
     /// # Errors
     ///
     /// Fails when no modulus is loaded.
-    pub fn mod_sub(&mut self, a: u128, b: u128) -> Result<u128> {
+    #[cfg(test)]
+    pub(crate) fn mod_sub(&mut self, a: u128, b: u128) -> Result<u128> {
         let r = *self.ring()?;
         self.activity.subs += 1;
         Ok(r.sub(a, b))
@@ -174,7 +177,8 @@ impl ProcessingElement {
     }
 
     /// Clears the activity counters (start of a measurement window).
-    pub fn reset_activity(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_activity(&mut self) {
         self.activity = PeActivity::default();
     }
 }

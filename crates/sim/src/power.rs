@@ -93,14 +93,16 @@ impl PowerModel {
     }
 
     /// Energy of a window in microjoules at the given clock.
-    pub fn energy_uj(&self, phases: &PhaseCycles, freq_hz: u64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn energy_uj(&self, phases: &PhaseCycles, freq_hz: u64) -> f64 {
         let seconds = phases.total() as f64 / freq_hz as f64;
         self.average_mw(phases) * 1e-3 * seconds * 1e6
     }
 
     /// Power-delay product of a window in `W·ms` — the paper's Section
     /// VI-B efficiency metric.
-    pub fn power_delay_product_wms(&self, phases: &PhaseCycles, freq_hz: u64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn power_delay_product_wms(&self, phases: &PhaseCycles, freq_hz: u64) -> f64 {
         let ms = phases.total() as f64 / freq_hz as f64 * 1e3;
         self.average_mw(phases) * 1e-3 * ms
     }

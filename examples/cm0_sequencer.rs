@@ -11,58 +11,45 @@
 //! ```
 
 use cofhee::arith::{primes::ntt_prime, Barrett128};
-use cofhee::core::Device;
+use cofhee::core::{Device, ExecutionMode, Link};
 use cofhee::poly::ntt::{self, NttTables};
-use cofhee::sim::cm0::{Asm, Cm0};
-use cofhee::sim::{ChipConfig, Register, Slot, GPCFG_BASE};
+use cofhee::sim::{ChipConfig, Spi, COMMAND_WORDS};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1usize << 10;
     let q = ntt_prime(109, n)?;
-    let mut device = Device::connect(ChipConfig::silicon(), q, n)?;
-    let plan = device.bank_plan();
+    let link = Link::Spi(Spi::new(50_000_000));
+    let mut device = Device::connect_via(ChipConfig::silicon(), q, n, link)?;
 
-    // Inputs in place (A in d2, B in d0 — the Algorithm 2 layout).
     let a: Vec<u128> = (0..n as u128).map(|i| (i + 1) % q).collect();
     let b: Vec<u128> = (0..n as u128).map(|i| (i * 5 + 2) % q).collect();
-    device.upload(Slot::new(plan.d2, 0), &a)?;
-    device.upload(Slot::new(plan.d0, 0), &b)?;
 
-    // Assemble the sequencer program: each command is ten 32-bit words
-    // streamed into the COMMANDFIFO port.
-    let mut asm = Asm::new();
-    asm.ldr_const(0, GPCFG_BASE + Register::COMMANDFIFO.offset());
-    let mut words_written = 0;
-    for cmd in device.poly_mul_commands() {
-        for w in cmd.encode() {
-            asm.ldr_const(1, w);
-            asm.str(1, 0, 0);
-            words_written += 1;
-        }
-    }
-    asm.bkpt();
-    let program = asm.assemble()?;
+    // The sequencer program: each command is ten 32-bit words streamed
+    // into the COMMANDFIFO port.
+    let schedule = device.poly_mul_schedule();
     println!(
-        "CM0 program: {} halfwords, streaming {words_written} command words into the FIFO",
-        program.len()
+        "CM0 program: {} halfwords, streaming {} command words into the FIFO",
+        schedule.cm0_program()?.len(),
+        schedule.commands.len() * COMMAND_WORDS
     );
 
-    // Run the core against the chip's bus.
-    let mut cpu = Cm0::new(program);
-    let report = device.chip_mut().run_program(&mut cpu, 1_000_000)?;
+    // The host uploads A and B, preloads the program and starts the core
+    // against the chip's bus.
+    let run = device.run(&schedule, &[&a, &b], ExecutionMode::Cm0)?;
     println!(
-        "program halted after {} CPU cycles; chip executed {} butterflies in {} cycles",
-        cpu.cycles(),
-        report.butterflies,
-        report.cycles
+        "chip executed {} butterflies in {} cycles; the program and its start trigger took {:.1} µs \
+         on the {} link",
+        run.report.butterflies,
+        run.report.cycles,
+        run.command_overhead_s * 1e6,
+        device.link().name()
     );
 
     // Verify the product.
-    let result = device.download(Slot::new(plan.d1, 0))?;
     let ring = Barrett128::new(q)?;
     let tables = NttTables::new(&ring, n)?;
     let expect = ntt::negacyclic_mul(&ring, &a, &b, &tables)?;
-    assert_eq!(result, expect, "CM0-sequenced product must match the oracle");
+    assert_eq!(run.outputs, [expect], "CM0-sequenced product must match the oracle");
     println!("CM0-sequenced PolyMul verified against the software oracle ✓");
     Ok(())
 }

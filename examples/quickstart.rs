@@ -6,7 +6,7 @@
 //! ```
 
 use cofhee::arith::{primes::ntt_prime, Barrett128};
-use cofhee::core::Device;
+use cofhee::core::{Device, ExecutionMode};
 use cofhee::poly::ntt::{self, NttTables};
 use cofhee::sim::ChipConfig;
 
@@ -24,8 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a: Vec<u128> = (0..n as u128).map(|i| (i * i + 1) % q).collect();
     let b: Vec<u128> = (0..n as u128).map(|i| (7 * i + 3) % q).collect();
 
-    // Algorithm 2 on the chip: 2 NTTs, a Hadamard pass, 1 iNTT.
-    let outcome = device.poly_mul(&a, &b)?;
+    // Algorithm 2 on the chip: 2 NTTs, a Hadamard pass, 1 iNTT,
+    // delivered through the command FIFO.
+    let schedule = device.poly_mul_schedule();
+    let outcome = device.run(&schedule, &[&a, &b], ExecutionMode::CommandFifo)?;
     let us = outcome.compute_cycles as f64 / device.chip().config().freq_hz as f64 * 1e6;
     println!(
         "chip PolyMul: {} compute cycles = {us:.1} µs at 250 MHz (paper Table V: 179,045 cc)",
@@ -36,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ring = Barrett128::new(q)?;
     let tables = NttTables::new(&ring, n)?;
     let expected = ntt::negacyclic_mul(&ring, &a, &b, &tables)?;
-    assert_eq!(outcome.result, expected, "chip result must match the golden model");
+    assert_eq!(outcome.outputs, [expected], "chip result must match the golden model");
     println!("result verified against the O(n log n) software oracle ✓");
 
     // Power, from the calibrated activity model.

@@ -80,11 +80,11 @@ fn all_three_execution_modes_agree_and_rank_by_overhead() {
     let mut results = Vec::new();
     let mut overheads = Vec::new();
     for mode in [ExecutionMode::DirectRegister, ExecutionMode::CommandFifo, ExecutionMode::Cm0] {
-        let mut dev = Device::connect(ChipConfig::silicon(), q, n).unwrap();
+        let mut dev = Device::connect_via(ChipConfig::silicon(), q, n, link.clone()).unwrap();
         let a: Vec<u128> = (0..n as u128).map(|i| i + 1).collect();
         let b: Vec<u128> = (0..n as u128).map(|i| 2 * i + 3).collect();
-        let out = dev.poly_mul_with_mode(&a, &b, mode, &link).unwrap();
-        results.push(out.outcome.result);
+        let out = dev.run(&dev.poly_mul_schedule(), &[&a, &b], mode).unwrap();
+        results.push(out.outputs);
         overheads.push((mode, out.command_overhead_s));
     }
     assert_eq!(results[0], results[1], "direct == fifo");

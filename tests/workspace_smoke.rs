@@ -7,7 +7,7 @@ use cofhee::adpll::Adpll;
 use cofhee::apps::Workload;
 use cofhee::arith::{primes::ntt_prime, Barrett64, ModRing};
 use cofhee::bfv::{BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext};
-use cofhee::core::Device;
+use cofhee::core::{Device, ExecutionMode};
 use cofhee::physical::{ComparisonTable, PartCatalogue, TechScaling};
 use cofhee::poly::{naive, ntt, ntt::NttTables};
 use cofhee::sim::{BankId, Chip, ChipConfig, Command, Slot};
@@ -108,8 +108,9 @@ fn core_device_runs_algorithm2_polymul() {
     let mut device = Device::connect(ChipConfig::silicon(), q, n).unwrap();
     let a: Vec<u128> = (0..n as u128).collect();
     let b: Vec<u128> = (0..n as u128).map(|i| i + 7).collect();
-    let product = device.poly_mul(&a, &b).unwrap();
-    assert_eq!(product.result.len(), n);
+    let schedule = device.poly_mul_schedule();
+    let product = device.run(&schedule, &[&a, &b], ExecutionMode::CommandFifo).unwrap();
+    assert_eq!(product.outputs[0].len(), n);
     assert!(product.compute_cycles > 0);
 }
 
