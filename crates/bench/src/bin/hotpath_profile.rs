@@ -32,10 +32,12 @@
 //! Every measured pair is also checked bit-exact before it is timed.
 //!
 //! **Vector lanes** (ungated): for a 43-bit prime — a CKKS chain limb's
-//! width, below the `2^50` bound of `cofhee_poly`'s AVX-512 IFMA lanes —
-//! `ntt`, `intt`, `hadamard_intt` and `mul` at 2^12–2^14 (2^12 in smoke
-//! mode): the strict kernel (for `mul`, the scalar `ModRing::mul` loop)
-//! against the kernel the plan dispatches to, named in the `kernel` column
+//! width, below the `2^50` bound of `cofhee_poly`'s one-limb AVX-512 IFMA
+//! lanes — and for the paper's 109-bit prime on the 128-bit ring, below
+//! the `2^110` bound of the three-limb lanes, `ntt`, `intt`,
+//! `hadamard_intt` and `mul` at 2^12–2^14 (2^12 in smoke mode): the
+//! strict kernel (for `mul`, the scalar `ModRing::mul` loop) against the
+//! kernel the plan dispatches to, named in the `kernel` column
 //! (`avx512ifma` where the host has the feature, `scalar` elsewhere).
 //! These rows are in `BENCH_hotpath.json`'s `lanes` array, not in the
 //! `--check` gate: a baseline recorded on an IFMA host would read as a
@@ -495,6 +497,7 @@ fn measure_lift(
 /// one the plan dispatches to, ns per op.
 #[derive(Debug, Clone, PartialEq)]
 struct LaneRecord {
+    ring: &'static str,
     log_n: u32,
     op: &'static str,
     kernel: &'static str,
@@ -502,54 +505,55 @@ struct LaneRecord {
     plan_ns: f64,
 }
 
-/// Measures the four lane rows at one degree on a 43-bit prime, every
-/// kernel checked bit-exact against the strict one before it is timed.
-fn measure_lanes(
+/// Measures the four lane rows at one degree on `ring`, every kernel
+/// checked bit-exact against the strict one before it is timed.
+fn measure_lanes<R: LazyRing>(
+    label: &'static str,
+    ring: &R,
     log_n: u32,
     reps: usize,
     out: &mut Vec<LaneRecord>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let n = 1usize << log_n;
-    let ring = Barrett64::new(ntt_prime(43, n)? as u64)?;
-    let plan = HarveyNtt::new(&ring, n)?;
+    let plan = HarveyNtt::new(ring, n)?;
     let tables = plan.tables();
-    let polys = |seed: u128| -> Vec<Vec<u64>> {
-        (0..INPUTS as u128).map(|k| rand_poly(&ring, n, seed + 64 * k + log_n as u128)).collect()
+    let polys = |seed: u128| -> Vec<Vec<R::Elem>> {
+        (0..INPUTS as u128).map(|k| rand_poly(ring, n, seed + 64 * k + log_n as u128)).collect()
     };
     let (a, b) = (polys(0x1a4e), polys(0x2b5f));
-    let forward = |polys: &[Vec<u64>]| -> Result<Vec<Vec<u64>>, cofhee_poly::PolyError> {
+    let forward = |polys: &[Vec<R::Elem>]| -> Result<Vec<Vec<R::Elem>>, cofhee_poly::PolyError> {
         let mut polys = polys.to_vec();
-        polys.iter_mut().try_for_each(|p| ntt::forward_inplace(&ring, p, tables))?;
+        polys.iter_mut().try_for_each(|p| ntt::forward_inplace(ring, p, tables))?;
         Ok(polys)
     };
     let (fa, fb) = (forward(&a)?, forward(&b)?);
-    let scalar_mul = |out: &mut [u64], x: &[u64], y: &[u64]| {
+    let scalar_mul = |out: &mut [R::Elem], x: &[R::Elem], y: &[R::Elem]| {
         out.iter_mut().zip(x.iter().zip(y)).for_each(|(o, (&x, &y))| *o = ring.mul(x, y));
     };
-    let strict_hadamard_intt = |out: &mut [u64], k: usize| {
+    let strict_hadamard_intt = |out: &mut [R::Elem], k: usize| {
         scalar_mul(out, &fa[k], &fb[k]);
-        ntt::inverse_inplace(&ring, out, tables).unwrap();
+        ntt::inverse_inplace(ring, out, tables).unwrap();
     };
     let (mut buf, mut buf2) = (a[0].clone(), a[0].clone());
 
     for k in 0..INPUTS {
         buf.copy_from_slice(&a[k]);
         plan.forward_inplace(&mut buf)?;
-        assert_eq!(buf, fa[k], "q43 2^{log_n}: ntt != strict");
+        assert_eq!(buf, fa[k], "{label} 2^{log_n}: ntt != strict");
         plan.inverse_inplace(&mut buf)?;
-        assert_eq!(buf, a[k], "q43 2^{log_n}: intt != strict");
+        assert_eq!(buf, a[k], "{label} 2^{log_n}: intt != strict");
         strict_hadamard_intt(&mut buf, k);
-        assert_eq!(plan.hadamard_intt(&fa[k], &fb[k])?, buf, "q43 2^{log_n}: hadamard_intt");
+        assert_eq!(plan.hadamard_intt(&fa[k], &fb[k])?, buf, "{label} 2^{log_n}: hadamard_intt");
         scalar_mul(&mut buf, &a[k], &b[k]);
         buf2.copy_from_slice(&a[k]);
-        pointwise::mul_assign(&ring, &mut buf2, &b[k])?;
-        assert_eq!(buf2, buf, "q43 2^{log_n}: mul != ModRing::mul");
+        pointwise::mul_assign(ring, &mut buf2, &b[k])?;
+        assert_eq!(buf2, buf, "{label} 2^{log_n}: mul != ModRing::mul");
     }
 
     let kernel = plan.kernel();
     let mut push = |op, per: usize, (strict_ns, plan_ns): (f64, f64)| {
         let (strict_ns, plan_ns) = (strict_ns / per as f64, plan_ns / per as f64);
-        out.push(LaneRecord { log_n, op, kernel, strict_ns, plan_ns });
+        out.push(LaneRecord { ring: label, log_n, op, kernel, strict_ns, plan_ns });
     };
     push(
         "ntt",
@@ -558,7 +562,7 @@ fn measure_lanes(
             reps,
             |rep| {
                 buf.copy_from_slice(&a[rep % INPUTS]);
-                ntt::forward_inplace(&ring, &mut buf, tables).unwrap();
+                ntt::forward_inplace(ring, &mut buf, tables).unwrap();
             },
             |rep| {
                 buf2.copy_from_slice(&a[rep % INPUTS]);
@@ -573,7 +577,7 @@ fn measure_lanes(
             reps,
             |rep| {
                 buf.copy_from_slice(&fa[rep % INPUTS]);
-                ntt::inverse_inplace(&ring, &mut buf, tables).unwrap();
+                ntt::inverse_inplace(ring, &mut buf, tables).unwrap();
             },
             |rep| {
                 buf2.copy_from_slice(&fa[rep % INPUTS]);
@@ -606,7 +610,7 @@ fn measure_lanes(
             |rep| {
                 let k = rep % INPUTS;
                 buf2.copy_from_slice(&a[k]);
-                pointwise::mul_assign(&ring, &mut buf2, &b[k]).unwrap();
+                pointwise::mul_assign(ring, &mut buf2, &b[k]).unwrap();
                 std::hint::black_box(&mut buf2);
             },
         ),
@@ -643,9 +647,10 @@ fn render_json(mode: &str, records: &[Record], lanes: &[LaneRecord]) -> String {
         let comma = if i + 1 < lanes.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "    {{\"ring\": \"barrett64_q43\", \"log_n\": {}, \"op\": \"{}\", \
+            "    {{\"ring\": \"{}\", \"log_n\": {}, \"op\": \"{}\", \
              \"kernel\": \"{}\", \"strict_ns_per_op\": {:.1}, \"plan_ns_per_op\": {:.1}, \
              \"speedup\": {:.3}}}{comma}",
+            r.ring,
             r.log_n,
             r.op,
             r.kernel,
@@ -860,16 +865,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut lanes = Vec::new();
     for &log_n in if smoke { &[12][..] } else { &[12, 13, 14] } {
-        measure_lanes(log_n, reps, &mut lanes)?;
+        let n = 1 << log_n;
+        let q43 = Barrett64::new(ntt_prime(43, n)? as u64)?;
+        measure_lanes("barrett64_q43", &q43, log_n, reps, &mut lanes)?;
+        let q109 = Barrett128::new(ntt_prime(109, n)?)?;
+        measure_lanes("barrett128_q109", &q109, log_n, reps, &mut lanes)?;
     }
-    println!("\nVector lanes, 43-bit prime (ungated; strict vs the kernel the plan dispatches to)");
     println!(
-        "{:<6} {:<14} | {:>12} {:>12} | {:>8} | kernel",
-        "n", "op", "strict ns/op", "plan ns/op", "speedup"
+        "\nVector lanes, 43- and 109-bit primes (ungated; strict vs the kernel the plan dispatches to)"
+    );
+    println!(
+        "{:<15} {:<6} {:<14} | {:>12} {:>12} | {:>8} | kernel",
+        "ring", "n", "op", "strict ns/op", "plan ns/op", "speedup"
     );
     for r in &lanes {
         println!(
-            "{:<6} {:<14} | {:>12.1} {:>12.1} | {:>7.2}x | {}",
+            "{:<15} {:<6} {:<14} | {:>12.1} {:>12.1} | {:>7.2}x | {}",
+            r.ring,
             1u64 << r.log_n,
             r.op,
             r.strict_ns,

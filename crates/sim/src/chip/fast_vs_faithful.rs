@@ -393,3 +393,41 @@ fn non_canonical_words_compute_what_the_wide_path_computes() {
         );
     }
 }
+
+/// A plan-backed transform takes its source in the lazy range it is
+/// specified for — `[0, 4q)` forward, `[0, 2q)` inverse — and writes the
+/// canonical transform of the reduced words, as the strict kernels compute
+/// it: on the 109-bit ring that is the AVX-512 IFMA lanes where the host
+/// has them, the scalar stages elsewhere.
+#[test]
+fn a_wide_transform_takes_its_source_in_the_lazy_range() {
+    let n = 1 << 12;
+    let q = ntt_prime(109, n).unwrap();
+    let plan = TwiddleCache::barrett128(q, n).unwrap();
+    if plan.kernel() != "avx512ifma" {
+        println!("skipped: no avx512ifma (the scalar stages ran)");
+    }
+    let ([mut chip, _], fwd, inv) = pair(q, n);
+    let ring = Barrett128::new(q).unwrap();
+    let s = |bank: usize| Slot::new(BankId(bank), 0);
+    for (cmd, above, inverse) in
+        [(Command::ntt(s(0), fwd, s(1)), 3, false), (Command::intt(s(0), inv, s(1)), 1, true)]
+    {
+        let reduced = residues(q, n, 41 + above);
+        // Every multiple of `q` the range allows, the range's last word
+        // included.
+        let mut lazy: Vec<u128> =
+            reduced.iter().enumerate().map(|(i, &x)| x + (i as u128 % (above + 1)) * q).collect();
+        lazy[n - 1] = (above + 1) * q - 1;
+        let mut expect = reduced.clone();
+        expect[n - 1] = q - 1;
+        chip.write_polynomial(s(0), &lazy).unwrap();
+        chip.execute_now(cmd).unwrap();
+        if inverse {
+            ntt::inverse_inplace(&ring, &mut expect, plan.tables()).unwrap();
+        } else {
+            ntt::forward_inplace(&ring, &mut expect, plan.tables()).unwrap();
+        }
+        assert_eq!(chip.read_polynomial(s(1), n).unwrap(), expect, "{cmd:?}");
+    }
+}

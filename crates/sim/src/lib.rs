@@ -85,5 +85,5 @@ pub use gpcfg::{GpCfg, Register, GPCFG_BASE, GPCFG_SPAN, SIGNATURE_VALUE};
 pub use host_link::{offchip_round_trips, HostLink, Spi, Uart};
 pub use mdmc::{Mdmc, OpReport, PhaseCycles};
 pub use mem::{Bank, BankId, BankRoles, Memory, Slot};
-pub use pe::{PeActivity, PeMode, ProcessingElement};
+pub use pe::{PeActivity, ProcessingElement};
 pub use power::PowerModel;

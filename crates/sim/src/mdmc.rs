@@ -50,9 +50,11 @@
 //! * Every range a command names is bounds-checked before the first
 //!   word is written, so a failing command leaves memory untouched.
 //! * Streamed passes run one loop from borrowed source slices into the
-//!   borrowed destination ([`Memory::split`]); only when the destination
-//!   shares a bank with a source are the sources staged first, in a
-//!   buffer the MDMC reuses. `MEMCPY` is a `memmove`; the `src == dst`
+//!   borrowed destination ([`Memory::split`]). When the destination
+//!   shares a bank with a source, the first source is moved into it
+//!   (nothing moves when they are one slot) and the second folded in
+//!   there, staged first in a buffer the MDMC reuses only if it shares
+//!   the destination's bank too. `MEMCPY` is a `memmove`; the `src == dst`
 //!   DMA touch a driver queues to occupy the DMA engine moves nothing.
 //! * NTT/iNTT take the plan-backed path when a plan is installed *and*
 //!   the command names the twiddle table `Chip::load_plan` wrote for it,
@@ -268,15 +270,15 @@ pub struct Mdmc {
     pins: Option<Pins>,
     /// The same plan at word width, when `q` is word-sized.
     narrow: Option<NarrowKernel>,
-    /// Staging for the sources of a pass whose destination shares a
-    /// bank with one of them.
-    staged: [Vec<u128>; 2],
+    /// Staging for the second source of a pass whose destination shares
+    /// its bank.
+    staged: Vec<u128>,
 }
 
 impl Mdmc {
     /// Builds an MDMC for the given chip configuration.
     pub fn new(config: ChipConfig) -> Self {
-        Self { config, ntt_plan: None, pins: None, narrow: None, staged: [Vec::new(), Vec::new()] }
+        Self { config, ntt_plan: None, pins: None, narrow: None, staged: Vec::new() }
     }
 
     /// Installs (or clears) the shared lazy plan for the loaded
@@ -635,8 +637,7 @@ impl Mdmc {
         }
     }
 
-    /// One streamed pass `dst[j] = f(x[j], y[j])` over `n` words, from
-    /// the source banks straight into the destination.
+    /// One streamed pass `dst[j] = f(x[j], y[j])` over `n` words.
     fn pass(
         &mut self,
         mem: &mut Memory,
@@ -645,30 +646,56 @@ impl Mdmc {
         n: usize,
         f: impl Fn(u128, u128) -> u128,
     ) -> Result<()> {
-        let run = |out: &mut [u128], a: &[u128], b: &[u128]| {
-            for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
-                *o = f(a, b);
-            }
-        };
+        self.run(
+            mem,
+            cmd,
+            y,
+            n,
+            |out, a, b| {
+                out.iter_mut().zip(a).zip(b).for_each(|((o, &a), &b)| *o = f(a, b));
+                Ok(())
+            },
+            |out, b| {
+                out.iter_mut().zip(b).for_each(|(o, &b)| *o = f(*o, b));
+                Ok(())
+            },
+        )
+    }
+
+    /// `dst = x ∘ y` over `n` words: `fresh(out, x, y)` straight from
+    /// the source banks when the destination shares a bank with neither
+    /// source; otherwise `onto(out, y)` once the destination holds `x`
+    /// (nothing moves when `dst == x`), with `y` staged first only if it
+    /// shares the destination's bank.
+    fn run(
+        &mut self,
+        mem: &mut Memory,
+        cmd: &Command,
+        y: Slot,
+        n: usize,
+        fresh: impl FnOnce(&mut [u128], &[u128], &[u128]) -> Result<()>,
+        onto: impl FnOnce(&mut [u128], &[u128]) -> Result<()>,
+    ) -> Result<()> {
+        // Every range is checked here, before anything is written.
         if let Some((out, [a, b])) = mem.split(cmd.dst, [cmd.x, y], n)? {
-            run(out, a, b);
-            return Ok(());
+            return fresh(out, a, b);
         }
-        // The destination shares a bank with a source (ranges checked
-        // by `split` above): stage the sources, then write.
-        let [a, b] = &mut self.staged;
-        a.clear();
-        a.extend_from_slice(mem.slice(cmd.x, n)?);
-        b.clear();
-        b.extend_from_slice(mem.slice(y, n)?);
-        run(mem.slice_mut(cmd.dst, n)?, a, b);
-        Ok(())
+        if y.bank != cmd.dst.bank {
+            mem.memmove(cmd.x, cmd.dst, n)?;
+            let (out, [b]) = mem.split(cmd.dst, [y], n)?.expect("y lies in another bank");
+            return onto(out, b);
+        }
+        self.staged.clear();
+        self.staged.extend_from_slice(mem.slice(y, n)?);
+        mem.memmove(cmd.x, cmd.dst, n)?;
+        onto(mem.slice_mut(cmd.dst, n)?, &self.staged)
     }
 
     /// A multiplying pass — `x[j]·y[j]`, or `x[j]·c` when `c` is given —
-    /// modulo the PE's modulus `q`, on the word-width kernel when one is
-    /// installed for `q`; otherwise, and whenever an operand is not a
-    /// canonical residue, on the 128-bit PE arithmetic.
+    /// modulo the PE's modulus `q`: on the word-width kernel when one is
+    /// installed for `q`, else on the [`pointwise`] kernels at 128 bits;
+    /// whenever an operand is not a canonical residue, on the PE's
+    /// per-element arithmetic.
     fn mul_pass(
         &mut self,
         mem: &mut Memory,
@@ -678,6 +705,7 @@ impl Mdmc {
         ring: &Barrett128,
         n: usize,
     ) -> Result<()> {
+        let rejected = |e| SimError::BadConfiguration { reason: format!("multiplying pass: {e}") };
         if let Some(k) = self.narrow.as_mut().filter(|k| u128::from(k.plan.ring().q()) == ring.q())
         {
             let ring = *k.plan.ring();
@@ -689,15 +717,38 @@ impl Mdmc {
             if canonical {
                 match c {
                     Some(c) => pointwise::scalar_mul_assign(&ring, &mut k.a, c as u64),
-                    None => pointwise::mul_assign(&ring, &mut k.a, &k.b).map_err(|e| {
-                        SimError::BadConfiguration { reason: format!("narrow multiply: {e}") }
-                    })?,
+                    None => pointwise::mul_assign(&ring, &mut k.a, &k.b).map_err(rejected)?,
                 }
                 widen(mem.slice_mut(cmd.dst, n)?, &k.a);
                 return Ok(());
             }
         }
+        let q = ring.q();
+        let canonical = |words: &[u128]| words.iter().all(|&w| w < q);
+        let canonical = canonical(mem.slice(cmd.x, n)?)
+            && match c {
+                Some(c) => c < q,
+                None => canonical(mem.slice(y, n)?),
+            };
+        let mul =
+            |out: &mut [u128], b: &[u128]| pointwise::mul_assign(ring, out, b).map_err(rejected);
         match c {
+            Some(c) if canonical => {
+                mem.memmove(cmd.x, cmd.dst, n)?;
+                pointwise::scalar_mul_assign(ring, mem.slice_mut(cmd.dst, n)?, c);
+                Ok(())
+            }
+            None if canonical => self.run(
+                mem,
+                cmd,
+                y,
+                n,
+                |out, a, b| {
+                    out.copy_from_slice(a);
+                    mul(out, b)
+                },
+                mul,
+            ),
             Some(c) => self.pass(mem, cmd, y, n, |a, _| ring.mul(a, c)),
             None => self.pass(mem, cmd, y, n, |a, b| ring.mul(a, b)),
         }

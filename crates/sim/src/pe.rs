@@ -11,30 +11,19 @@
 //! [`Barrett128`](cofhee_arith::Barrett128) — the same reduction the RTL
 //! implements — while activity counters feed the power model.
 //!
-//! The per-element methods ([`ProcessingElement::mod_mul`],
-//! [`ProcessingElement::butterfly`], …) are the reference datapath, one
-//! operation and one activity count at a time. The MDMC books a
+//! The per-element methods (`mod_mul`, `butterfly`, …, built for the
+//! tests) are the reference datapath, one operation and one activity
+//! count at a time. The MDMC books a
 //! command's totals through [`ProcessingElement::record_activity`] when
 //! it prices the command, and computes it — faithful per-butterfly loop,
 //! streamed pass or plan-backed transform — on the loaded ring, fetched
 //! once per command.
 
-use cofhee_arith::{Barrett128, ModRing};
+use cofhee_arith::Barrett128;
+#[cfg(test)]
+use cofhee_arith::ModRing;
 
 use crate::error::{Result, SimError};
-
-/// The PE's operating mode, selected by the MDMC per Section III-E.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PeMode {
-    /// Modular multiplication (PMODMUL / CMODMUL / PMODSQR datapath).
-    ModMul,
-    /// Modular addition (PMODADD).
-    ModAdd,
-    /// Modular subtraction (PMODSUB).
-    ModSub,
-    /// Radix-2 butterfly: `(u, v, w) → (u + w·v, u − w·v)`.
-    Butterfly,
-}
 
 /// Running activity counts, consumed by the power estimator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -114,7 +103,8 @@ impl ProcessingElement {
     /// # Errors
     ///
     /// Fails when no modulus is loaded.
-    pub fn mod_mul(&mut self, a: u128, b: u128) -> Result<u128> {
+    #[cfg(test)]
+    pub(crate) fn mod_mul(&mut self, a: u128, b: u128) -> Result<u128> {
         let r = *self.ring()?;
         self.activity.mults += 1;
         Ok(r.mul(a, b))
@@ -150,7 +140,8 @@ impl ProcessingElement {
     /// # Errors
     ///
     /// Fails when no modulus is loaded.
-    pub fn butterfly(&mut self, u: u128, v: u128, w: u128) -> Result<(u128, u128)> {
+    #[cfg(test)]
+    pub(crate) fn butterfly(&mut self, u: u128, v: u128, w: u128) -> Result<(u128, u128)> {
         let r = *self.ring()?;
         self.activity.butterflies += 1;
         self.activity.mults += 1;
@@ -161,9 +152,9 @@ impl ProcessingElement {
     }
 
     /// Bulk-records the activity of a batch of operations — a priced
-    /// command's — with the totals issuing them one by one through
-    /// [`ProcessingElement::butterfly`] and friends would count, so the
-    /// power model sees identical totals either way.
+    /// command's — with the totals issuing them one by one through the
+    /// per-element methods would count, so the power model sees identical
+    /// totals either way.
     pub fn record_activity(&mut self, delta: PeActivity) {
         self.activity.mults += delta.mults;
         self.activity.adds += delta.adds;
