@@ -18,11 +18,11 @@
 //! Every report binary accepts `--smoke`: a reduced-size run (smaller
 //! polynomial degrees, shorter sweeps, fewer timing repetitions) that
 //! exercises the whole table/figure pipeline in well under a second.
-//! CI's `smoke` matrix runs ten binaries this way — `table5_performance`,
+//! CI's `smoke` matrix runs eleven binaries this way — `table5_performance`,
 //! `fig6_cpu_comparison`, `table10_apps`, `backend_compare`,
 //! `stream_overlap`, `farm_saturation`, `service_saturation`,
-//! `hotpath_profile`, `ckks_breakdown` and `trace_export` — so the
-//! reproduction path cannot silently rot.
+//! `hotpath_profile`, `ckks_breakdown`, `trace_export` and
+//! `ablation_scaling` — so the reproduction path cannot silently rot.
 
 #![forbid(unsafe_code)]
 

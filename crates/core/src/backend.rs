@@ -282,11 +282,10 @@ impl BackendFactory for CpuBackendFactory {
 ///
 /// ```
 /// use cofhee_core::{ChipBackendFactory, Link};
-/// use cofhee_sim::{ChipConfig, Spi};
 ///
-/// let over_spi =
-///     ChipBackendFactory::silicon().with_link(Link::Spi(Spi::new(50_000_000)));
-/// assert_eq!(over_spi.link_name(), "SPI");
+/// let over_spi = ChipBackendFactory::silicon_spi();
+/// assert!(matches!(over_spi.link(), Link::Spi(_)));
+/// assert_eq!(over_spi.link().name(), "SPI");
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChipBackendFactory {
@@ -305,14 +304,6 @@ impl ChipBackendFactory {
     /// the backdoor link.
     pub fn silicon() -> Self {
         Self::new(ChipConfig::silicon())
-    }
-
-    /// The same factory with every produced chip brought up over an
-    /// explicit host link (UART or SPI), so transfers cost wire time.
-    #[must_use]
-    pub fn with_link(mut self, link: Link) -> Self {
-        self.link = link;
-        self
     }
 
     /// The silicon configuration over its 50 MHz SPI interface — the
@@ -338,11 +329,6 @@ impl ChipBackendFactory {
     /// The host link every produced chip is brought up over.
     pub fn link(&self) -> &Link {
         &self.link
-    }
-
-    /// The configured link's human-readable name.
-    pub fn link_name(&self) -> &'static str {
-        self.link.name()
     }
 }
 
@@ -921,7 +907,7 @@ impl ChipBackend {
     }
 
     /// Wraps an already-connected [`Device`].
-    pub fn from_device(device: Device) -> Self {
+    fn from_device(device: Device) -> Self {
         let n = device.n();
         Self {
             device,

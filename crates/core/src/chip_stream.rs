@@ -544,10 +544,6 @@ impl ChipBackend {
         if stream.is_empty() {
             return Ok(StreamReport::default());
         }
-        // The chip logs every priced command; nothing reads that log
-        // across a stream, so a die that serves streams for days must
-        // not keep it.
-        let history_mark = self.device.chip().history().len();
         let mut sched = Scheduler::new(self, stream, &mut program.steps);
         let result = sched.run(stream);
         let report = sched.report;
@@ -559,7 +555,6 @@ impl ChipBackend {
                 self.report.absorb(&flushed.report);
             }
         }
-        self.device.chip_mut().truncate_history(history_mark);
         result.map(|()| report)
     }
 
@@ -722,31 +717,22 @@ mod tests {
     }
 
     #[test]
-    fn streams_leave_the_chips_command_history_where_they_found_it() {
-        // A die that serves streams for days must not grow by a history
-        // entry per command.
-        let st = deep_stream(40);
-        let mut chip = ChipBackend::connect(ChipConfig::silicon(), q(), N).unwrap();
-        let mark = chip.device().chip().history().len();
-        let before = chip.report();
-        let mut commands = 0;
-        while commands < 10_000 {
-            commands += chip.execute_stream(&st).unwrap().report.commands;
-            assert_eq!(chip.device().chip().history().len(), mark);
+    fn a_die_without_the_bank_plans_banks_is_refused_at_bring_up() {
+        // With two dual-port banks the prefetch bank is the second
+        // compute bank, so the slot list would hold its slots twice;
+        // with four single-port banks the third storage bank is missing.
+        for config in [
+            ChipConfig { dual_port_banks: 2, ..ChipConfig::silicon() },
+            ChipConfig { single_port_banks: 4, ..ChipConfig::silicon() },
+        ] {
+            assert!(
+                matches!(
+                    ChipBackend::connect(config.clone(), q(), N),
+                    Err(CoreError::Sim(cofhee_sim::SimError::BadConfiguration { .. }))
+                ),
+                "{config:?}"
+            );
         }
-        assert!(chip.report().cycles > before.cycles, "the ledger still counts every command");
-
-        // A failing stream (more live values than the 768 slots) closes
-        // its window too.
-        let mut st = OpStream::new(N);
-        let ups: Vec<_> = (0..800).map(|s| st.upload(poly(s)).unwrap()).collect();
-        let mut acc = ups[0];
-        for &h in &ups[1..] {
-            acc = st.pointwise_add(acc, h).unwrap();
-        }
-        st.output(acc).unwrap();
-        assert!(matches!(chip.execute_stream(&st), Err(CoreError::SlotsExhausted { .. })));
-        assert_eq!(chip.device().chip().history().len(), mark);
     }
 
     #[test]

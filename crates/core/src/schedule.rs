@@ -174,41 +174,41 @@ impl Device {
         let link = self.link().clone();
         let commands = &schedule.commands;
         let command_bytes = (COMMAND_WORDS * 4) as u64;
-        let history_start = self.chip().history().len();
         let chip = self.chip_mut();
-        let (report, command_overhead_s) = match mode {
+        let (report, compute_cycles, command_overhead_s) = match mode {
             ExecutionMode::DirectRegister => {
                 // Each command: write its words, then one 4-byte status
                 // read after completion.
                 let start = chip.elapsed_cycles();
-                let mut report = OpReport::default();
+                let (mut report, mut compute_cycles) = (OpReport::default(), 0);
                 for &cmd in commands {
-                    report.absorb(&chip.execute_now(cmd)?);
+                    let one = chip.execute_now(cmd)?;
+                    if !cmd.op.is_memory_op() {
+                        compute_cycles += one.cycles;
+                    }
+                    report.absorb(&one);
                 }
                 report.cycles = chip.elapsed_cycles() - start;
-                (report, commands.len() as f64 * link.transfer_seconds(command_bytes + 4))
+                let overhead = commands.len() as f64 * link.transfer_seconds(command_bytes + 4);
+                (report, compute_cycles, overhead)
             }
             ExecutionMode::CommandFifo => {
                 // One burst of command words up front, one interrupt.
                 for &cmd in commands {
                     chip.submit(cmd)?;
                 }
-                let report = chip.run_until_idle()?;
-                (report, link.transfer_seconds(command_bytes * commands.len() as u64 + 4))
+                let drained = chip.drain_fifo()?;
+                let overhead = link.transfer_seconds(command_bytes * commands.len() as u64 + 4);
+                (drained.report, drained.compute_cycles, overhead)
             }
             ExecutionMode::Cm0 => {
                 // Program upload once, then a single 4-byte start trigger.
                 let program = schedule.cm0_program()?;
                 let program_bytes = program.len() as u64 * 2;
-                let report = chip.run_program(&mut Cm0::new(program), 1_000_000)?;
-                (report, link.transfer_seconds(program_bytes + 4))
+                let drained = chip.run_program(&mut Cm0::new(program), 1_000_000)?;
+                (drained.report, drained.compute_cycles, link.transfer_seconds(program_bytes + 4))
             }
         };
-        let compute_cycles = self.chip().history()[history_start..]
-            .iter()
-            .filter(|(op, _)| !op.is_memory_op())
-            .map(|(_, r)| r.cycles)
-            .sum();
         let outputs =
             schedule.outputs.iter().map(|&slot| self.download(slot)).collect::<Result<_>>()?;
         Ok(Run { outputs, report, compute_cycles, command_overhead_s })

@@ -4,11 +4,10 @@
 //! evaluator up to the service gateway:
 //!
 //! 1. **Cycle-timeline tracer** ([`TraceSink`], [`TraceEvent`],
-//!    [`Track`]): spans and instants stamped with *virtual* die cycles
-//!    (plus optional host wall time), recorded into per-die and
-//!    per-job tracks. The default [`NullSink`] makes the disabled path
-//!    zero-perturbation — a property the workspace proptests enforce
-//!    bit-for-bit.
+//!    [`Track`]): spans and instants stamped with *virtual* die cycles,
+//!    recorded into per-die and per-job tracks. The default
+//!    [`NullSink`] makes the disabled path zero-perturbation — a
+//!    property the workspace proptests enforce bit-for-bit.
 //! 2. **Metrics registry** ([`MetricsRegistry`], [`CycleHistogram`]):
 //!    named counters, gauges, and log₂-bucketed saturating histograms
 //!    that merge like the stack's `OpReport`, so million-job replays

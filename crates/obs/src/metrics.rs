@@ -121,11 +121,6 @@ impl CycleHistogram {
         self.max
     }
 
-    /// Saturating sum of recorded values.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Mean of recorded values (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -195,7 +190,8 @@ impl MetricsRegistry {
     }
 
     /// Records one value into the named histogram, creating it empty.
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
+    #[cfg(test)]
+    fn histogram_record(&mut self, name: &str, value: u64) {
         match self
             .metrics
             .entry(name.to_string())
@@ -284,14 +280,10 @@ impl MetricsRegistry {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Whether the registry holds no metrics.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
     /// Merges another registry into this one: counters add, gauges take
     /// the other's value, histograms merge.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
+    #[cfg(test)]
+    fn merge(&mut self, other: &MetricsRegistry) {
         for (name, value) in &other.metrics {
             match value {
                 MetricValue::Counter(v) => self.counter_add(name, *v),

@@ -93,7 +93,8 @@ pub struct TraceEvent {
     /// Small numeric payload rendered into the Chrome `args` object.
     pub args: Vec<(&'static str, u64)>,
     /// Host wall-clock nanoseconds since the sink's epoch, if the sink
-    /// stamps host time (see [`MemorySink::with_host_time`]).
+    /// stamps host time (only the test-only host-time `MemorySink` does;
+    /// exporters render it as an argument, never on the timeline).
     pub wall_ns: Option<u64>,
 }
 
@@ -172,7 +173,8 @@ impl MemorySink {
     /// wall-clock nanoseconds since sink creation. Wall stamps are
     /// non-deterministic; exporters keep them out of the timeline and
     /// only surface them as event arguments.
-    pub fn with_host_time() -> Self {
+    #[cfg(test)]
+    fn with_host_time() -> Self {
         MemorySink { events: Mutex::new(Vec::new()), epoch: Some(Instant::now()) }
     }
 

@@ -1,8 +1,9 @@
 //! The top-level chip: Figure 1 of the paper wired together.
 //!
-//! One [`Chip`] owns the SRAM complement, the processing element, the
-//! MDMC, the command FIFO, the configuration registers, and the engine
-//! timelines. It exposes the three execution modes of Section III-I:
+//! One [`Chip`] owns the SRAM complement, the MDMC (which holds the
+//! processing element's ring), the command FIFO, the configuration
+//! registers, and the engine timelines. It exposes the three execution
+//! modes of Section III-I:
 //!
 //! 1. **Direct register writes** — [`Chip::execute_now`], one command at
 //!    a time (host-link latency is accounted by the driver layer). It is
@@ -22,13 +23,12 @@ use cofhee_poly::cache::TwiddleCache;
 
 use crate::cm0::{Cm0, Cm0Bus, Halt};
 use crate::cmdfifo::CommandFifo;
-use crate::commands::{Command, Opcode, COMMAND_WORDS};
+use crate::commands::{Command, COMMAND_WORDS};
 use crate::config::ChipConfig;
 use crate::error::{Result, SimError};
 use crate::gpcfg::{GpCfg, Register, GPCFG_BASE, GPCFG_SPAN};
 use crate::mdmc::{Mdmc, OpReport};
 use crate::mem::{BankId, BankRoles, Memory, Slot};
-use crate::pe::ProcessingElement;
 use crate::power::PowerModel;
 
 /// The banks one command names: source, destination, and the optional
@@ -57,7 +57,9 @@ impl EngineState {
 /// engine and hide behind compute where their banks are disjoint
 /// (Section III-B). `serial_cycles` is what the same command list would
 /// cost executed strictly one-after-another (the mode-1 per-op path);
-/// the difference is the cycles the DMA overlap bought.
+/// the difference is the cycles the DMA overlap bought. `compute_cycles`
+/// is the part of `serial_cycles` the MDMC spent (DMA commands excluded):
+/// the quantity the paper's Fig. 6 times correspond to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainReport {
     /// Aggregate execution statistics; `cycles` is wall-clock from drain
@@ -65,8 +67,21 @@ pub struct DrainReport {
     pub report: OpReport,
     /// Sum of the individual command latencies (no engine concurrency).
     pub serial_cycles: u64,
+    /// Sum of the compute commands' latencies.
+    pub compute_cycles: u64,
     /// Commands executed by this drain.
     pub executed: u64,
+}
+
+impl DrainReport {
+    /// Merges a later drain into this one: every count sums, and
+    /// `report.cycles` is then the sum of the drains' wall clocks.
+    fn absorb(&mut self, other: &DrainReport) {
+        self.report.absorb(&other.report);
+        self.serial_cycles += other.serial_cycles;
+        self.compute_cycles += other.compute_cycles;
+        self.executed += other.executed;
+    }
 }
 
 /// The CoFHEE chip model.
@@ -74,7 +89,6 @@ pub struct DrainReport {
 pub struct Chip {
     config: ChipConfig,
     mem: Memory,
-    pe: ProcessingElement,
     mdmc: Mdmc,
     gpcfg: GpCfg,
     fifo: CommandFifo,
@@ -83,8 +97,6 @@ pub struct Chip {
     compute: EngineState,
     dma: EngineState,
     host_irq: bool,
-    ledger: OpReport,
-    history: Vec<(Opcode, OpReport)>,
     /// Staging buffer for the word-serial COMMANDFIFO port.
     cmd_staging: Vec<u32>,
 }
@@ -99,7 +111,6 @@ impl Chip {
         config.validate()?;
         Ok(Self {
             mem: Memory::from_config(&config),
-            pe: ProcessingElement::new(config.mult_latency, config.addsub_latency),
             mdmc: Mdmc::new(config.clone()),
             gpcfg: GpCfg::new(),
             fifo: CommandFifo::new(),
@@ -108,8 +119,6 @@ impl Chip {
             compute: EngineState::default(),
             dma: EngineState::default(),
             host_irq: false,
-            ledger: OpReport::default(),
-            history: Vec::new(),
             cmd_staging: Vec::with_capacity(COMMAND_WORDS),
             config,
         })
@@ -154,25 +163,6 @@ impl Chip {
         self.config.cycles_to_seconds(self.elapsed_cycles())
     }
 
-    /// Cumulative execution statistics since power-up.
-    pub fn ledger(&self) -> &OpReport {
-        &self.ledger
-    }
-
-    /// Per-command execution history. It grows by one entry per
-    /// executed command; a long-lived driver that only ever reads a
-    /// window of it closes the window with
-    /// [`Chip::truncate_history`].
-    pub fn history(&self) -> &[(Opcode, OpReport)] {
-        &self.history
-    }
-
-    /// Forgets every history entry past the first `len` (the ledger and
-    /// the clock are untouched).
-    pub fn truncate_history(&mut self, len: usize) {
-        self.history.truncate(len);
-    }
-
     /// The power model in force.
     pub fn power_model(&self) -> &PowerModel {
         &self.power
@@ -189,14 +179,14 @@ impl Chip {
     /// # Errors
     ///
     /// Propagates modulus validation failures.
-    pub fn load_parameters(&mut self, q: u128, n: usize, n_inv: u128) -> Result<()> {
+    fn load_parameters(&mut self, q: u128, n: usize, n_inv: u128) -> Result<()> {
         if n > self.config.bank_words {
             return Err(SimError::LengthUnsupported { n, max: self.config.bank_words });
         }
         self.gpcfg.set_q(q);
         self.gpcfg.set_n(n);
         self.gpcfg.set_inv_polydeg(n_inv);
-        self.pe.load_modulus(q)?;
+        self.mdmc.load_modulus(q)?;
         // Raw register programming invalidates any previously installed
         // functional fast-path plan; `load_tables` re-installs one.
         self.mdmc.set_ntt_plan(None);
@@ -229,7 +219,7 @@ impl Chip {
     /// # Errors
     ///
     /// Propagates capacity failures.
-    pub fn load_tables<R: ModRing>(
+    fn load_tables<R: ModRing>(
         &mut self,
         ring: &R,
         tables: &cofhee_poly::ntt::NttTables<R>,
@@ -261,8 +251,7 @@ impl Chip {
     /// every host engine picks its width by — the interned `Barrett64`
     /// plan is installed beside it, and the MDMC computes at that width
     /// whenever a command's operands are canonical residues. Simulated
-    /// cycles, power and PE activity are the 128-bit silicon's either
-    /// way.
+    /// cycles and power are the 128-bit silicon's either way.
     ///
     /// # Errors
     ///
@@ -313,14 +302,9 @@ impl Chip {
         [Some(cmd.x.bank), Some(cmd.dst.bank), cmd.y.map(|y| y.bank), cmd.twiddle.map(|t| t.bank)]
     }
 
-    fn record(&mut self, op: Opcode, report: OpReport) {
-        self.ledger.absorb(&report);
-        self.history.push((op, report));
-    }
-
     /// Prices one command — the timing half of [`Chip::execute_now`]:
-    /// every check the command makes, its [`OpReport`], the engine
-    /// timelines, the ledger and the history, with memory untouched.
+    /// every check the command makes, its [`OpReport`] and the engine
+    /// timelines, with memory untouched.
     /// [`Chip::apply`] computes it; a driver may apply it later, as long
     /// as it applies the commands it priced in the order it priced them.
     ///
@@ -330,7 +314,7 @@ impl Chip {
     /// command moves no clock and books nothing.
     pub fn price(&mut self, cmd: Command) -> Result<OpReport> {
         let banks = Self::banks_of(&cmd);
-        let report = self.mdmc.price(&cmd, &self.mem, &mut self.pe, &self.gpcfg)?;
+        let report = self.mdmc.price(&cmd, &self.mem, &self.gpcfg)?;
         if cmd.op.is_memory_op() {
             let mut start = self.now.max(self.dma.free_at);
             if self.compute.conflicts_with(&banks, start) {
@@ -344,7 +328,6 @@ impl Chip {
             }
             self.compute = EngineState { banks, free_at: start + report.cycles };
         }
-        self.record(cmd.op, report);
         Ok(report)
     }
 
@@ -356,7 +339,7 @@ impl Chip {
     /// The errors [`Chip::price`] reports for the same command; a
     /// priced command applies cleanly.
     pub fn apply(&mut self, cmd: &Command) -> Result<()> {
-        self.mdmc.apply(cmd, &mut self.mem, &mut self.pe, &self.gpcfg)
+        self.mdmc.apply(cmd, &mut self.mem, &self.gpcfg)
     }
 
     /// Executes one command immediately (execution mode 1: direct
@@ -416,9 +399,9 @@ impl Chip {
 
     /// [`Chip::drain_fifo`] in timing-only mode: every command is
     /// priced ([`Chip::price`]) and handed to `priced` in drain order
-    /// instead of computed — the same [`DrainReport`], ledger, history,
-    /// clock and interrupt, with memory untouched. Applying the handed
-    /// commands in that order leaves the banks as the drain would have.
+    /// instead of computed — the same [`DrainReport`], clock and
+    /// interrupt, with memory untouched. Applying the handed commands in
+    /// that order leaves the banks as the drain would have.
     ///
     /// # Errors
     ///
@@ -441,10 +424,13 @@ impl Chip {
         let start = self.elapsed_cycles();
         let executed_before = self.fifo.executed();
         let mut aggregate = OpReport::default();
-        let mut serial_cycles = 0;
+        let (mut serial_cycles, mut compute_cycles) = (0, 0);
         while let Some(cmd) = self.fifo.pop() {
             let report = run(self, cmd)?;
             serial_cycles += report.cycles;
+            if !cmd.op.is_memory_op() {
+                compute_cycles += report.cycles;
+            }
             aggregate.absorb(&report);
         }
         // Wall clock spans both engines.
@@ -457,14 +443,15 @@ impl Chip {
         Ok(DrainReport {
             report: aggregate,
             serial_cycles,
+            compute_cycles,
             executed: self.fifo.executed() - executed_before,
         })
     }
 
     /// Runs a Cortex-M0 program that drives the chip through the
-    /// memory-mapped command port (execution mode 3). Returns the final
-    /// halt reason and the aggregate report of all work the program
-    /// issued.
+    /// memory-mapped command port (execution mode 3). Returns the drains
+    /// of all work the program issued, combined: `report.cycles` is the
+    /// wall clock from start to halt.
     ///
     /// On `WFI`, pending FIFO commands are drained (the completion
     /// interrupt then wakes the core, which continues).
@@ -472,27 +459,21 @@ impl Chip {
     /// # Errors
     ///
     /// CPU faults, timeout, or command-execution failures.
-    pub fn run_program(&mut self, cpu: &mut Cm0, budget: u64) -> Result<OpReport> {
+    pub fn run_program(&mut self, cpu: &mut Cm0, budget: u64) -> Result<DrainReport> {
         let start = self.elapsed_cycles();
-        let mut aggregate = OpReport::default();
+        let mut aggregate = DrainReport::default();
         loop {
             let halt = {
                 let mut bus = ChipBus { chip: self };
                 cpu.run(&mut bus, budget)?
             };
-            match halt {
-                Halt::Breakpoint => {
-                    aggregate.absorb(&self.run_until_idle()?);
-                    break;
-                }
-                Halt::WaitForInterrupt => {
-                    aggregate.absorb(&self.run_until_idle()?);
-                    // Interrupt delivered; the core resumes.
-                }
+            aggregate.absorb(&self.drain_fifo()?);
+            if halt == Halt::Breakpoint {
+                break;
             }
+            // WFI: interrupt delivered; the core resumes.
         }
-        let end = self.elapsed_cycles();
-        aggregate.cycles = end - start;
+        aggregate.report.cycles = self.elapsed_cycles() - start;
         Ok(aggregate)
     }
 
@@ -739,8 +720,10 @@ mod tests {
         }
         asm.bkpt();
         let mut cpu = Cm0::new(asm.assemble().unwrap());
-        let report = chip.run_program(&mut cpu, 10_000).unwrap();
-        assert!(report.addsubs == n as u64, "command executed via CM0");
+        let drained = chip.run_program(&mut cpu, 10_000).unwrap();
+        assert!(drained.report.addsubs == n as u64, "command executed via CM0");
+        assert_eq!(drained.executed, 1);
+        assert_eq!(drained.compute_cycles, drained.serial_cycles, "PMODADD is a compute command");
         let expect: Vec<u128> = a.iter().zip(&b).map(|(&x, &y)| ring.add(x, y)).collect();
         assert_eq!(chip.read_polynomial(Slot::new(BankId(2), 0), n).unwrap(), expect);
     }

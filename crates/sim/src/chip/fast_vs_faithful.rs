@@ -2,10 +2,10 @@
 //!
 //! A chip brought up with [`Chip::load_plan`] computes on the plan-backed,
 //! in-place paths — at word width when the modulus allows — while one
-//! brought up with [`Chip::load_ring`] runs the per-butterfly PE loop, the
-//! in-tree 128-bit reference. The same commands on both must leave the
-//! same words in every bank and the same numbers in every report, ledger,
-//! clock and PE activity counter: the fast paths are a host matter only.
+//! brought up with [`Chip::load_ring`] runs the per-butterfly loop on the
+//! `Q` register's ring, the in-tree 128-bit reference. The same commands
+//! on both must leave the same words in every bank and the same numbers
+//! in every report and clock: the fast paths are a host matter only.
 
 #![cfg(test)]
 
@@ -15,15 +15,13 @@ use cofhee_arith::{Barrett128, ModRing};
 use cofhee_poly::ntt::{self, NttTables};
 
 use super::*;
-use crate::pe::PeActivity;
+use crate::commands::Opcode;
 
 /// Everything a command can change, word for word.
 #[derive(Debug, PartialEq)]
 pub(super) struct State {
     pub(super) banks: Vec<Vec<u128>>,
-    ledger: OpReport,
     elapsed: u64,
-    activity: PeActivity,
 }
 
 pub(super) fn state(chip: &Chip) -> State {
@@ -32,9 +30,7 @@ pub(super) fn state(chip: &Chip) -> State {
         banks: (0..chip.mem.bank_count())
             .map(|b| chip.mem.read_slice(Slot::new(BankId(b), 0), words).unwrap())
             .collect(),
-        ledger: chip.ledger,
         elapsed: chip.elapsed_cycles(),
-        activity: chip.pe.activity(),
     }
 }
 
@@ -58,32 +54,26 @@ fn residues(q: u128, n: usize, seed: u128) -> Vec<u128> {
         .collect()
 }
 
-/// What a streamed pass or a DMA command must write, and the PE activity
-/// it must book, worked out one element at a time through the PE's
-/// per-element datapath from the banks as they were before the command.
-/// (Both chips run the same in-place code for these commands, so the
-/// reference is here. Transforms have theirs in the faithful chip.)
-fn reference(
-    cmd: &Command,
-    banks: &[Vec<u128>],
-    q: u128,
-    n: usize,
-) -> Option<(Vec<u128>, PeActivity)> {
-    let mut pe = ProcessingElement::new(5, 1);
-    pe.load_modulus(q).unwrap();
+/// What a streamed pass or a DMA command must write, worked out one
+/// element at a time on the loaded `Barrett128` from the banks as they
+/// were before the command. (Both chips run the same in-place code for
+/// these commands, so the reference is here. Transforms have theirs in
+/// the faithful chip.)
+fn reference(cmd: &Command, banks: &[Vec<u128>], q: u128, n: usize) -> Option<Vec<u128>> {
+    let ring = Barrett128::new(q).unwrap();
     let read = |slot: Slot, len: usize| &banks[slot.bank.0][slot.offset..slot.offset + len];
     let x = read(cmd.x, cmd.len.unwrap_or(n));
-    let mut binary = |f: &mut dyn FnMut(&mut ProcessingElement, u128, u128) -> u128| {
+    let binary = |f: &dyn Fn(u128, u128) -> u128| {
         let y = read(cmd.y.unwrap_or(cmd.x), n);
-        x.iter().zip(y).map(|(&a, &b)| f(&mut pe, a, b)).collect::<Vec<u128>>()
+        x.iter().zip(y).map(|(&a, &b)| f(a, b)).collect::<Vec<u128>>()
     };
     let out = match cmd.op {
         Opcode::Ntt | Opcode::Intt => return None,
-        Opcode::PModAdd => binary(&mut |pe, a, b| pe.mod_add(a, b).unwrap()),
-        Opcode::PModSub => binary(&mut |pe, a, b| pe.mod_sub(a, b).unwrap()),
-        Opcode::PModMul | Opcode::PModSqr => binary(&mut |pe, a, b| pe.mod_mul(a, b).unwrap()),
-        Opcode::PMul => binary(&mut |_, a, b| a.wrapping_mul(b)),
-        Opcode::CModMul => binary(&mut |pe, a, _| pe.mod_mul(a, cmd.constant.unwrap()).unwrap()),
+        Opcode::PModAdd => binary(&|a, b| ring.add(a, b)),
+        Opcode::PModSub => binary(&|a, b| ring.sub(a, b)),
+        Opcode::PModMul | Opcode::PModSqr => binary(&|a, b| ring.mul(a, b)),
+        Opcode::PMul => binary(&|a, b| a.wrapping_mul(b)),
+        Opcode::CModMul => binary(&|a, _| ring.mul(a, cmd.constant.unwrap())),
         Opcode::MemCpy => x.to_vec(),
         Opcode::MemCpyR => {
             let bits = x.len().trailing_zeros();
@@ -94,7 +84,7 @@ fn reference(
             out
         }
     };
-    Some((out, pe.activity()))
+    Some(out)
 }
 
 /// Runs `program` on every chip and checks each command's outcome and the
@@ -110,17 +100,10 @@ pub(super) fn in_lockstep(chips: &mut [Chip], program: &[Command]) {
             assert_eq!(outcomes[i], outcomes[0], "step {step}: {cmd:?}");
             assert_eq!(state(chip), after, "step {step}: {cmd:?}");
         }
-        if let Some((written, issued)) = reference(cmd, &before.banks, q, n) {
+        if let Some(written) = reference(cmd, &before.banks, q, n) {
             let mut expect = before.banks;
             expect[cmd.dst.bank.0][cmd.dst.offset..][..written.len()].copy_from_slice(&written);
             assert!(after.banks == expect, "step {step}: {cmd:?} wrote the wrong words");
-            let booked = PeActivity {
-                mults: after.activity.mults - before.activity.mults,
-                adds: after.activity.adds - before.activity.adds,
-                subs: after.activity.subs - before.activity.subs,
-                butterflies: after.activity.butterflies - before.activity.butterflies,
-            };
-            assert_eq!(booked, issued, "step {step}: {cmd:?}");
         }
     }
 }
@@ -196,8 +179,8 @@ fn every_opcode_and_aliasing_agrees_at_every_width() {
             seed_banks(&mut chips, q, n);
             in_lockstep(&mut chips, &program(n, fwd, inv, q - 12345));
 
-            // The same through the FIFO: per-command reports from the
-            // history, the drain's own report from `drain_fifo`.
+            // The same through the FIFO: the drain's report, its serial
+            // and compute tallies from `drain_fifo`.
             seed_banks(&mut chips, q, n);
             let drains: Vec<_> = chips
                 .iter_mut()
@@ -209,7 +192,6 @@ fn every_opcode_and_aliasing_agrees_at_every_width() {
                 })
                 .collect();
             assert_eq!(drains[0], drains[1], "{bits}-bit q, n = {n}");
-            assert_eq!(chips[0].history(), chips[1].history());
             assert_eq!(state(&chips[0]), state(&chips[1]), "{bits}-bit q, n = {n}");
         }
     }

@@ -5,15 +5,20 @@
 //!
 //! * 250 MHz clock, limited by SRAM read latency (~4 ns path) —
 //!   Sections III-A / III-D.
-//! * Modular multiply latency 5, add/sub latency 1, all at II = 1 —
-//!   Section III-E.
 //! * 3 dual-port + 5 single-port logical SRAMs; dual-port banks give the
 //!   NTT II = 1, single-port operation (n ≥ 2^14) gives II = 2 —
 //!   Sections III-A / III-C / V-A.
-//! * The per-stage pipeline turnaround (22 cycles) and the burst-16
-//!   streaming structure (gap 2, setup 20) are calibrated once against
-//!   Table V's measured latencies and never tuned per-experiment; with
-//!   them the model reproduces every Table V row to ≤ 0.02 %.
+//! * The PE (Section III-E) streams at II = 1. Its pipeline depth (a
+//!   5-stage Barrett multiplier, a 1-cycle adder and subtractor) has no
+//!   field of its own: the fill and drain are inside the per-stage
+//!   pipeline turnaround (22 cycles) and the pass setup, which, with the
+//!   burst-16 streaming structure (gap 2, setup 20), are calibrated once
+//!   against Table V's measured latencies and never tuned
+//!   per-experiment; with them the model reproduces every Table V row to
+//!   ≤ 0.02 %.
+//! * The bank plan needs at least 3 dual-port and 5 single-port banks
+//!   (compute ×3, twiddle ×2, storage ×3); [`ChipConfig::validate`]
+//!   refuses fewer.
 
 /// Microarchitectural and physical parameters of one CoFHEE instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,8 +27,6 @@ pub struct ChipConfig {
     pub freq_hz: u64,
     /// Largest polynomial degree that fits on chip with II = 1.
     pub max_onchip_n: usize,
-    /// Coefficient width in bits (native: 128).
-    pub coeff_bits: u32,
     /// Number of processing elements (silicon: 1; the Section VIII-A
     /// scalability discussion explores 2 and 4).
     pub pe_count: usize,
@@ -33,10 +36,6 @@ pub struct ChipConfig {
     pub single_port_banks: usize,
     /// Words per polynomial bank (must hold `max_onchip_n` coefficients).
     pub bank_words: usize,
-    /// Modular-multiplier pipeline latency in cycles (Barrett, 5 stages).
-    pub mult_latency: u32,
-    /// Adder/subtractor latency in cycles.
-    pub addsub_latency: u32,
     /// Pipeline fill/drain + address-generator turnaround per NTT stage.
     pub stage_overhead: u32,
     /// Streaming burst length for pointwise passes (words).
@@ -61,13 +60,10 @@ impl ChipConfig {
         Self {
             freq_hz: 250_000_000,
             max_onchip_n: 1 << 13,
-            coeff_bits: 128,
             pe_count: 1,
             dual_port_banks: 3,
             single_port_banks: 5,
             bank_words: 1 << 13,
-            mult_latency: 5,
-            addsub_latency: 1,
             stage_overhead: 22,
             stream_burst: 16,
             burst_gap: 2,
@@ -111,11 +107,16 @@ impl ChipConfig {
                 self.bank_words, self.max_onchip_n
             ));
         }
-        if self.pe_count == 0 || self.dual_port_banks < 2 {
-            return fail("need at least 1 PE and 2 dual-port banks".into());
+        if self.pe_count == 0 {
+            return fail("need at least 1 PE".into());
         }
-        if self.coeff_bits == 0 || self.coeff_bits > 128 {
-            return fail(format!("coefficient width {} out of range", self.coeff_bits));
+        // The bank plan every driver schedules against: three dual-port
+        // compute banks, then two twiddle and three storage banks.
+        if self.dual_port_banks < 3 || self.single_port_banks < 5 {
+            return fail(format!(
+                "{} dual-port and {} single-port banks: the bank plan needs at least 3 and 5",
+                self.dual_port_banks, self.single_port_banks
+            ));
         }
         if self.stream_burst == 0 {
             return fail("stream burst must be nonzero".into());
@@ -145,10 +146,8 @@ mod tests {
         c.validate().unwrap();
         assert_eq!(c.freq_hz, 250_000_000);
         assert_eq!(c.max_onchip_n, 1 << 13);
-        assert_eq!(c.coeff_bits, 128);
         assert_eq!(c.dual_port_banks, 3);
         assert_eq!(c.single_port_banks, 5);
-        assert_eq!(c.mult_latency, 5);
     }
 
     #[test]
@@ -171,7 +170,10 @@ mod tests {
         c.pe_count = 0;
         assert!(c.validate().is_err());
         let mut c = ChipConfig::silicon();
-        c.coeff_bits = 200;
+        c.dual_port_banks = 2;
+        assert!(c.validate().is_err());
+        let mut c = ChipConfig::silicon();
+        c.single_port_banks = 4;
         assert!(c.validate().is_err());
     }
 

@@ -29,10 +29,10 @@ pub trait HostLink {
         0.0
     }
 
-    /// Seconds to move one polynomial of `n` coefficients at
-    /// `coeff_bits` bits per coefficient.
-    fn polynomial_seconds(&self, n: usize, coeff_bits: u32) -> f64 {
-        self.transfer_seconds(n as u64 * coeff_bits.div_ceil(8) as u64)
+    /// Seconds to move one polynomial of `n` coefficients of `bits` bits
+    /// each.
+    fn polynomial_seconds(&self, n: usize, bits: u32) -> f64 {
+        self.transfer_seconds(n as u64 * bits.div_ceil(8) as u64)
     }
 }
 

@@ -6,20 +6,25 @@
 //!
 //! * [`Memory`] — the 3 dual-port + 5 single-port logical SRAM banks,
 //!   with per-port bus base addresses (Section III-A).
-//! * [`ProcessingElement`] — the pipelined Barrett multiplier (latency 5,
-//!   II = 1) with adder/subtractor and the radix-2 butterfly mode
-//!   (Section III-E).
-//! * [`Mdmc`] — the Multiplier Data Mover and Controller: command
-//!   execution, NTT stage sequencing, address generation, and the
-//!   calibrated cycle model that reproduces Table V (Section III-G2).
+//! * The MDMC — the Multiplier Data Mover and Controller: command
+//!   pricing and execution, NTT stage sequencing, address generation,
+//!   and the calibrated cycle model that reproduces Table V
+//!   (Section III-G2). It also stands for the processing element
+//!   (Section III-E: one pipelined Barrett multiplier with adder and
+//!   subtractor): the PE's arithmetic is the `Q` register's `Barrett128`
+//!   ring, which the MDMC holds, and its timing is [`ChipConfig`]'s
+//!   calibrated cycle constants. Each command's PE activity is counted
+//!   once, in its [`OpReport`].
 //! * [`Command`] / [`CommandFifo`] — the Table I instruction set and the
 //!   32-deep queue with drain interrupts (Section III-I).
-//! * [`GpCfg`] — the Table II configuration registers at `0x4002_0000`.
+//! * The Table II configuration registers at `0x4002_0000`
+//!   ([`Register`], read through [`Chip::gpcfg`]).
 //! * [`cm0`] — an ARMv6-M Thumb-subset Cortex-M0 with a structured
 //!   assembler: execution mode 3.
 //! * [`Uart`] / [`Spi`] — timed host links (Section III-H).
-//! * [`PowerModel`] — activity-based power estimation calibrated against
-//!   the silicon measurements (Section VI-A).
+//! * [`PowerModel`] — power estimation from a report's per-phase cycles
+//!   ([`PhaseCycles`]), calibrated against the silicon measurements
+//!   (Section VI-A).
 //! * [`Chip`] — the Figure 1 top level, wiring all of it together with
 //!   compute/DMA overlap semantics (Sections III-B, III-F).
 //!
@@ -73,7 +78,6 @@ mod gpcfg;
 mod host_link;
 mod mdmc;
 mod mem;
-mod pe;
 mod power;
 
 pub use chip::{Chip, DrainReport};
@@ -81,9 +85,8 @@ pub use cmdfifo::{CommandFifo, FIFO_DEPTH};
 pub use commands::{Command, Opcode, COMMAND_WORDS};
 pub use config::ChipConfig;
 pub use error::{Result, SimError};
-pub use gpcfg::{GpCfg, Register, GPCFG_BASE, GPCFG_SPAN, SIGNATURE_VALUE};
+pub use gpcfg::{Register, GPCFG_BASE, GPCFG_SPAN, SIGNATURE_VALUE};
 pub use host_link::{offchip_round_trips, HostLink, Spi, Uart};
-pub use mdmc::{Mdmc, OpReport, PhaseCycles};
+pub use mdmc::{OpReport, PhaseCycles};
 pub use mem::{Bank, BankId, BankRoles, Memory, Slot};
-pub use pe::{PeActivity, ProcessingElement};
 pub use power::PowerModel;

@@ -26,17 +26,33 @@
 //! (24,841 / 53,535 cycles) and iNTT (29,468 / 62,770), and PolyMul to
 //! within 1 cycle in 83,777 (see the tests and EXPERIMENTS.md).
 //!
+//! # The processing element
+//!
+//! The paper's PE (Section III-E) is one pipelined Barrett multiplier
+//! with a modular adder and subtractor. Here it is two things, and no
+//! object of its own:
+//!
+//! * its arithmetic, the `Barrett128` ring of the `Q` register, which
+//!   the MDMC holds and rebuilds only when `Q` changes;
+//! * its timing, the calibrated cycle constants of [`ChipConfig`]
+//!   (`stage_overhead`, `pass_setup`, the burst structure), which hold
+//!   the multiplier's pipeline fill and drain.
+//!
+//! What the PE does for one command is counted once, in that command's
+//! [`OpReport`] (`butterflies`, `mults`, `addsubs`); the power model
+//! reads its [`PhaseCycles`].
+//!
 //! # Price and apply
 //!
-//! A command has two halves, and [`Mdmc::execute`] is the one followed by
-//! the other:
+//! A command has two halves, and `Chip::execute_now` is the one followed
+//! by the other:
 //!
 //! * [`Mdmc::price`] — everything that depends on the command, the
 //!   configuration registers and the bank geometry, never on the data:
 //!   every check the command makes (registers, operands, ports, the
-//!   bounds of every range it names), the [`OpReport`] (cycles, phases,
-//!   memory traffic) and the PE activity it issues, booked in bulk. It
-//!   reads no word and writes none.
+//!   bounds of every range it names) and the [`OpReport`] (cycles,
+//!   phases, PE activity, memory traffic). It reads no word and writes
+//!   none.
 //! * [`Mdmc::apply`] — *what* the command computes, a host-only matter
 //!   done the way the die does it, in place on the banks, with no
 //!   timing.
@@ -62,8 +78,8 @@
 //!   moved into the destination range and transformed there. Any other
 //!   twiddle contents (golden vectors, `load_ring` bring-up, a bank
 //!   written since, reprogrammed registers) run the faithful
-//!   per-butterfly loop on the PE's ring, which stays the reference, as
-//!   does `MEMCPYR`.
+//!   per-butterfly loop on the `Q` register's ring, which stays the
+//!   reference, as does `MEMCPYR`.
 //! * The arithmetic is as wide as the modulus. For a word-sized `q` the
 //!   chip also installs the `Barrett64` plan; transforms and the
 //!   multiplying passes then narrow their sources into a reusable
@@ -86,7 +102,6 @@ use crate::config::ChipConfig;
 use crate::error::{Result, SimError};
 use crate::gpcfg::GpCfg;
 use crate::mem::{Memory, Slot};
-use crate::pe::{PeActivity, ProcessingElement};
 
 /// Cycles spent in each activity phase — the power model's input.
 ///
@@ -142,8 +157,9 @@ impl PhaseCycles {
     }
 }
 
-/// Execution statistics for one command — the input to the power model
-/// and the latency ledger.
+/// Execution statistics for one command — the latency ledger, and the
+/// PE activity it issues: `butterflies`, `mults` and `addsubs` are the
+/// one activity count (the power model reads `phases`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpReport {
     /// Total cycles the command occupied the MDMC (or DMA).
@@ -256,8 +272,11 @@ fn length_of(cmd: &Command) -> Result<usize> {
 
 /// The MDMC engine.
 #[derive(Debug, Clone)]
-pub struct Mdmc {
+pub(crate) struct Mdmc {
     config: ChipConfig,
+    /// The PE's modulus: the `Q` register's ring, rebuilt only when `Q`
+    /// changes.
+    ring: Option<Barrett128>,
     /// Shared lazy transform plan for the currently loaded `(q, n)`,
     /// installed at table-load time (see `Chip::load_plan`). Used only
     /// as the *functional* fast path of NTT commands, and only while the
@@ -278,7 +297,29 @@ pub struct Mdmc {
 impl Mdmc {
     /// Builds an MDMC for the given chip configuration.
     pub fn new(config: ChipConfig) -> Self {
-        Self { config, ntt_plan: None, pins: None, narrow: None, staged: Vec::new() }
+        Self { config, ring: None, ntt_plan: None, pins: None, narrow: None, staged: Vec::new() }
+    }
+
+    /// Loads `q` into the PE — the effect of writing the `Q`,
+    /// `BARRETTCTL1` and `BARRETTCTL2` registers.
+    ///
+    /// # Errors
+    ///
+    /// An arithmetic error for an invalid modulus.
+    pub fn load_modulus(&mut self, q: u128) -> Result<()> {
+        self.ring(q).map(drop)
+    }
+
+    /// The ring of modulus `q`, built only if it is not the one loaded.
+    fn ring(&mut self, q: u128) -> Result<Barrett128> {
+        match self.ring {
+            Some(ring) if ring.q() == q => Ok(ring),
+            _ => {
+                let ring = Barrett128::new(q)?;
+                self.ring = Some(ring);
+                Ok(ring)
+            }
+        }
     }
 
     /// Installs (or clears) the shared lazy plan for the loaded
@@ -325,11 +366,6 @@ impl Mdmc {
         self.narrow.is_some()
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ChipConfig {
-        &self.config
-    }
-
     /// Initiation interval for NTT butterflies given the operand banks.
     fn ntt_ii(&self, mem: &Memory, cmd: &Command, n: usize) -> Result<u64> {
         let src_dual = mem.bank(cmd.x.bank)?.is_dual_port();
@@ -373,72 +409,41 @@ impl Mdmc {
         stages * (per_pe * ii + self.config.stage_overhead as u64)
     }
 
-    /// Executes one command: [`Mdmc::price`], then [`Mdmc::apply`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, bounds and conflict errors. Every range
-    /// the command names is checked before anything is written, so a
-    /// failing command leaves memory untouched.
-    pub fn execute(
-        &mut self,
-        cmd: &Command,
-        mem: &mut Memory,
-        pe: &mut ProcessingElement,
-        gpcfg: &GpCfg,
-    ) -> Result<OpReport> {
-        let report = self.price(cmd, mem, pe, gpcfg)?;
-        self.apply(cmd, mem, pe, gpcfg)?;
-        Ok(report)
-    }
-
     /// Prices one command — the cycle and activity report, and every
-    /// check its execution makes — reading and writing no word. Books
-    /// the PE activity the command issues.
+    /// check its execution makes — reading and writing no word.
     ///
     /// # Errors
     ///
-    /// Configuration, bounds and conflict errors, exactly those (and in
-    /// the order) [`Mdmc::execute`] reports.
-    pub fn price(
-        &self,
-        cmd: &Command,
-        mem: &Memory,
-        pe: &mut ProcessingElement,
-        gpcfg: &GpCfg,
-    ) -> Result<OpReport> {
+    /// Configuration, bounds and conflict errors. Every range the
+    /// command names is checked, so a command that fails here is one
+    /// that would have left memory untouched.
+    pub fn price(&mut self, cmd: &Command, mem: &Memory, gpcfg: &GpCfg) -> Result<OpReport> {
         match cmd.op {
-            Opcode::Ntt => self.price_ntt(cmd, mem, pe, gpcfg, false),
-            Opcode::Intt => self.price_ntt(cmd, mem, pe, gpcfg, true),
+            Opcode::Ntt => self.price_ntt(cmd, mem, gpcfg, false),
+            Opcode::Intt => self.price_ntt(cmd, mem, gpcfg, true),
             Opcode::PModAdd | Opcode::PModSub | Opcode::PModMul | Opcode::PMul => {
-                self.price_two_input(cmd, mem, pe, gpcfg)
+                self.price_two_input(cmd, mem, gpcfg)
             }
-            Opcode::PModSqr => self.price_one_input(cmd, mem, pe, gpcfg, false),
-            Opcode::CModMul => self.price_one_input(cmd, mem, pe, gpcfg, true),
+            Opcode::PModSqr => self.price_one_input(cmd, mem, gpcfg, false),
+            Opcode::CModMul => self.price_one_input(cmd, mem, gpcfg, true),
             Opcode::MemCpy | Opcode::MemCpyR => self.price_memcpy(cmd, mem),
         }
     }
 
     /// Applies one command's functional effect to memory, with no
-    /// timing and no PE activity — what [`Mdmc::price`] priced.
+    /// timing — what [`Mdmc::price`] priced.
     ///
     /// # Errors
     ///
     /// The errors [`Mdmc::price`] reports for the same command; a
     /// command that priced cleanly against these registers and banks
     /// applies cleanly.
-    pub fn apply(
-        &mut self,
-        cmd: &Command,
-        mem: &mut Memory,
-        pe: &mut ProcessingElement,
-        gpcfg: &GpCfg,
-    ) -> Result<()> {
+    pub fn apply(&mut self, cmd: &Command, mem: &mut Memory, gpcfg: &GpCfg) -> Result<()> {
         if matches!(cmd.op, Opcode::MemCpy | Opcode::MemCpyR) {
             return Self::apply_memcpy(cmd, mem);
         }
         let n = self.operand_n(gpcfg)?;
-        let ring = self.load_modulus(pe, gpcfg)?;
+        let ring = self.ring(gpcfg.q())?;
         match cmd.op {
             Opcode::Ntt => self.apply_ntt(cmd, mem, &ring, gpcfg, n, false),
             Opcode::Intt => self.apply_ntt(cmd, mem, &ring, gpcfg, n, true),
@@ -464,26 +469,15 @@ impl Mdmc {
         Ok(n)
     }
 
-    /// Loads the `Q` register's modulus into the PE if it is not the one
-    /// loaded already, and returns the ring — fetched once per command.
-    fn load_modulus(&self, pe: &mut ProcessingElement, gpcfg: &GpCfg) -> Result<Barrett128> {
-        let q = gpcfg.q();
-        if pe.modulus() != Some(q) {
-            pe.load_modulus(q)?;
-        }
-        pe.ring().copied()
-    }
-
     fn price_ntt(
-        &self,
+        &mut self,
         cmd: &Command,
         mem: &Memory,
-        pe: &mut ProcessingElement,
         gpcfg: &GpCfg,
         inverse: bool,
     ) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
-        self.load_modulus(pe, gpcfg)?;
+        self.ring(gpcfg.q())?;
         let twiddle = twiddle_of(cmd)?;
         if twiddle.bank == cmd.x.bank || twiddle.bank == cmd.dst.bank {
             // Operands and twiddles are fetched in the same cycle from
@@ -511,14 +505,6 @@ impl Mdmc {
             ..OpReport::default()
         };
         report.phases.overhead = stage_overhead;
-        // The GS loop issues one add, sub and mult per butterfly (no
-        // fused-butterfly datapath) plus the n⁻¹ scaling mults; the CT
-        // loop issues fused butterflies.
-        pe.record_activity(if inverse {
-            PeActivity { mults: b + n as u64, adds: b, subs: b, butterflies: 0 }
-        } else {
-            PeActivity { mults: b, adds: b, subs: b, butterflies: b }
-        });
 
         if inverse {
             let pass_ii = 1; // scaling reads/writes through one dual-port bank
@@ -694,8 +680,8 @@ impl Mdmc {
     /// A multiplying pass — `x[j]·y[j]`, or `x[j]·c` when `c` is given —
     /// modulo the PE's modulus `q`: on the word-width kernel when one is
     /// installed for `q`, else on the [`pointwise`] kernels at 128 bits;
-    /// whenever an operand is not a canonical residue, on the PE's
-    /// per-element arithmetic.
+    /// whenever an operand is not a canonical residue, one element at a
+    /// time on `ring`.
     fn mul_pass(
         &mut self,
         mem: &mut Memory,
@@ -754,27 +740,14 @@ impl Mdmc {
         }
     }
 
-    fn price_two_input(
-        &self,
-        cmd: &Command,
-        mem: &Memory,
-        pe: &mut ProcessingElement,
-        gpcfg: &GpCfg,
-    ) -> Result<OpReport> {
+    fn price_two_input(&mut self, cmd: &Command, mem: &Memory, gpcfg: &GpCfg) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
-        self.load_modulus(pe, gpcfg)?;
+        self.ring(gpcfg.q())?;
         let y = second_of(cmd)?;
         // Sources in order, then the destination: what the pass checks.
         for slot in [cmd.x, y, cmd.dst] {
             mem.slice(slot, n)?;
         }
-        let issued = n as u64;
-        pe.record_activity(match cmd.op {
-            Opcode::PModAdd => PeActivity { adds: issued, ..PeActivity::default() },
-            Opcode::PModSub => PeActivity { subs: issued, ..PeActivity::default() },
-            Opcode::PModMul => PeActivity { mults: issued, ..PeActivity::default() },
-            _ => PeActivity::default(),
-        });
         let ii = self.pass_ii(mem, cmd)?;
         let mut report = OpReport {
             cycles: self.pass_cycles(n, ii),
@@ -804,21 +777,19 @@ impl Mdmc {
     /// `PMODSQR`, or `CMODMUL` when `scaling`: one source, one multiply
     /// pass.
     fn price_one_input(
-        &self,
+        &mut self,
         cmd: &Command,
         mem: &Memory,
-        pe: &mut ProcessingElement,
         gpcfg: &GpCfg,
         scaling: bool,
     ) -> Result<OpReport> {
         let n = self.operand_n(gpcfg)?;
-        self.load_modulus(pe, gpcfg)?;
+        self.ring(gpcfg.q())?;
         if scaling {
             constant_of(cmd)?;
         }
         mem.slice(cmd.x, n)?;
         mem.slice(cmd.dst, n)?;
-        pe.record_activity(PeActivity { mults: n as u64, ..PeActivity::default() });
         let cycles = self.pass_cycles(n, 1);
         let active = n as u64;
         let mut phases = PhaseCycles { overhead: cycles - active, ..PhaseCycles::default() };
@@ -894,7 +865,6 @@ mod tests {
     struct Rig {
         mdmc: Mdmc,
         mem: Memory,
-        pe: ProcessingElement,
         gpcfg: GpCfg,
         tables: NttTables<Barrett128>,
         ring: Barrett128,
@@ -908,7 +878,6 @@ mod tests {
     fn rig_with_q(n: usize, q: u128) -> Rig {
         let config = ChipConfig::silicon();
         let mem = Memory::from_config(&config);
-        let pe = ProcessingElement::new(config.mult_latency, config.addsub_latency);
         let mut gpcfg = GpCfg::new();
         let ring = Barrett128::new(q).unwrap();
         let roots = RootSet::new(&ring, n).unwrap();
@@ -916,7 +885,17 @@ mod tests {
         gpcfg.set_q(q);
         gpcfg.set_n(n);
         gpcfg.set_inv_polydeg(roots.n_inv);
-        Rig { mdmc: Mdmc::new(config), mem, pe, gpcfg, tables, ring, n }
+        Rig { mdmc: Mdmc::new(config), mem, gpcfg, tables, ring, n }
+    }
+
+    impl Rig {
+        /// Prices, then applies: `Chip::execute_now` without the engine
+        /// clocks.
+        fn execute(&mut self, cmd: &Command) -> Result<OpReport> {
+            let report = self.mdmc.price(cmd, &self.mem, &self.gpcfg)?;
+            self.mdmc.apply(cmd, &mut self.mem, &self.gpcfg)?;
+            Ok(report)
+        }
     }
 
     fn load_twiddles(r: &mut Rig, forward: bool) -> Slot {
@@ -960,7 +939,7 @@ mod tests {
             let poly = rand_poly(&r, 3);
             r.mem.write_slice(x, &poly).unwrap();
             let cmd = Command::ntt(x, tw, dst);
-            let rep = r.mdmc.execute(&cmd, &mut r.mem, &mut r.pe, &r.gpcfg).unwrap();
+            let rep = r.execute(&cmd).unwrap();
             assert_eq!(rep.cycles, expect, "NTT cycles for n = 2^{log_n}");
         }
     }
@@ -977,7 +956,7 @@ mod tests {
             let poly = rand_poly(&r, 5);
             r.mem.write_slice(x, &poly).unwrap();
             let cmd = Command::intt(x, tw, dst);
-            let rep = r.mdmc.execute(&cmd, &mut r.mem, &mut r.pe, &r.gpcfg).unwrap();
+            let rep = r.execute(&cmd).unwrap();
             assert_eq!(rep.cycles, expect, "iNTT cycles for n = 2^{log_n}");
         }
     }
@@ -994,13 +973,13 @@ mod tests {
         let poly = rand_poly(&r, 7);
         r.mem.write_slice(x, &poly).unwrap();
 
-        r.mdmc.execute(&Command::ntt(x, tw_f, mid), &mut r.mem, &mut r.pe, &r.gpcfg).unwrap();
+        r.execute(&Command::ntt(x, tw_f, mid)).unwrap();
         // Against the software golden model.
         let mut expect = poly.clone();
         ntt::forward_inplace(&r.ring, &mut expect, &r.tables).unwrap();
         assert_eq!(r.mem.read_slice(mid, n).unwrap(), expect);
 
-        r.mdmc.execute(&Command::intt(mid, tw_i, back), &mut r.mem, &mut r.pe, &r.gpcfg).unwrap();
+        r.execute(&Command::intt(mid, tw_i, back)).unwrap();
         assert_eq!(r.mem.read_slice(back, n).unwrap(), poly, "round trip");
     }
 
@@ -1012,15 +991,9 @@ mod tests {
         let poly = rand_poly(&r, 9);
         let x = Slot::new(BankId(0), 0);
         r.mem.write_slice(x, &poly).unwrap();
-        let dual = r
-            .mdmc
-            .execute(&Command::ntt(x, tw, Slot::new(BankId(1), 0)), &mut r.mem, &mut r.pe, &r.gpcfg)
-            .unwrap();
+        let dual = r.execute(&Command::ntt(x, tw, Slot::new(BankId(1), 0))).unwrap();
         r.mem.write_slice(x, &poly).unwrap();
-        let single = r
-            .mdmc
-            .execute(&Command::ntt(x, tw, Slot::new(BankId(4), 0)), &mut r.mem, &mut r.pe, &r.gpcfg)
-            .unwrap();
+        let single = r.execute(&Command::ntt(x, tw, Slot::new(BankId(4), 0))).unwrap();
         let stages = n.trailing_zeros() as u64;
         assert_eq!(single.cycles - dual.cycles, stages * (n as u64 / 2), "II 1 → 2");
     }
@@ -1033,10 +1006,7 @@ mod tests {
         // Twiddles in the same bank as the source: operand and twiddle
         // fetches would collide.
         let cmd = Command::ntt(x, Slot::new(BankId(0), n), Slot::new(BankId(1), 0));
-        assert!(matches!(
-            r.mdmc.execute(&cmd, &mut r.mem, &mut r.pe, &r.gpcfg),
-            Err(SimError::PortConflict { .. })
-        ));
+        assert!(matches!(r.execute(&cmd), Err(SimError::PortConflict { .. })));
     }
 
     #[test]
@@ -1071,7 +1041,7 @@ mod tests {
             (Command::pmodsqr(sa, dst), a.iter().map(|&x| r.ring.sqr(x)).collect()),
             (Command::cmodmul(sa, 12345, dst), a.iter().map(|&x| r.ring.mul(x, 12345)).collect()),
         ] {
-            r.mdmc.execute(&cmd, &mut r.mem, &mut r.pe, &r.gpcfg).unwrap();
+            r.execute(&cmd).unwrap();
             assert_eq!(r.mem.read_slice(dst, n).unwrap(), expect, "{} output", cmd.op.mnemonic());
         }
     }
@@ -1088,15 +1058,7 @@ mod tests {
         let sb = Slot::new(BankId(1), 0);
         r.mem.write_slice(sa, &a).unwrap();
         r.mem.write_slice(sb, &a).unwrap();
-        let rep = r
-            .mdmc
-            .execute(
-                &Command::pmodmul(sa, sb, Slot::new(BankId(2), 0)),
-                &mut r.mem,
-                &mut r.pe,
-                &r.gpcfg,
-            )
-            .unwrap();
+        let rep = r.execute(&Command::pmodmul(sa, sb, Slot::new(BankId(2), 0))).unwrap();
         let bursts = (n as u64).div_ceil(16);
         assert_eq!(rep.cycles, n as u64 + bursts * 2 + 20);
     }
@@ -1109,13 +1071,12 @@ mod tests {
         let src = Slot::new(BankId(3), 0);
         let dst = Slot::new(BankId(4), 0);
         r.mem.write_slice(src, &data).unwrap();
-        let rep =
-            r.mdmc.execute(&Command::memcpy(src, dst, n), &mut r.mem, &mut r.pe, &r.gpcfg).unwrap();
+        let rep = r.execute(&Command::memcpy(src, dst, n)).unwrap();
         assert_eq!(r.mem.read_slice(dst, n).unwrap(), data);
         assert_eq!(rep.cycles, n as u64 + 4);
         assert_eq!(rep.dma_words, n as u64);
 
-        r.mdmc.execute(&Command::memcpyr(src, dst, n), &mut r.mem, &mut r.pe, &r.gpcfg).unwrap();
+        r.execute(&Command::memcpyr(src, dst, n)).unwrap();
         let got = r.mem.read_slice(dst, n).unwrap();
         let bits = n.trailing_zeros();
         for i in 0..n {
@@ -1127,7 +1088,7 @@ mod tests {
     fn memcpyr_requires_power_of_two() {
         let mut r = rig(1 << 6);
         let cmd = Command::memcpyr(Slot::new(BankId(3), 0), Slot::new(BankId(4), 0), 48);
-        assert!(r.mdmc.execute(&cmd, &mut r.mem, &mut r.pe, &r.gpcfg).is_err());
+        assert!(r.execute(&cmd).is_err());
     }
 
     #[test]
@@ -1136,10 +1097,26 @@ mod tests {
         r.gpcfg.set_n(100); // not a power of two
         let tw = Slot::new(BankId(3), 0);
         let cmd = Command::ntt(Slot::new(BankId(0), 0), tw, Slot::new(BankId(1), 0));
-        assert!(matches!(
-            r.mdmc.execute(&cmd, &mut r.mem, &mut r.pe, &r.gpcfg),
-            Err(SimError::BadConfiguration { .. })
-        ));
+        assert!(matches!(r.execute(&cmd), Err(SimError::BadConfiguration { .. })));
+    }
+
+    #[test]
+    fn a_q_register_without_a_barrett_ring_is_rejected() {
+        // Unprogrammed (0) and even moduli have no Barrett ring: every
+        // modular command refuses to price, and loading one fails.
+        let mut r = rig(1 << 6);
+        let cmd = Command::pmodadd(
+            Slot::new(BankId(0), 0),
+            Slot::new(BankId(1), 0),
+            Slot::new(BankId(2), 0),
+        );
+        for q in [0, 1 << 64] {
+            r.gpcfg.set_q(q);
+            assert!(r.execute(&cmd).is_err(), "q = {q}");
+            assert!(r.mdmc.load_modulus(q).is_err(), "q = {q}");
+        }
+        r.gpcfg.set_q(Q109);
+        r.execute(&cmd).unwrap();
     }
 
     #[test]

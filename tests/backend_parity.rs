@@ -28,12 +28,11 @@ fn modulus(width: usize) -> u128 {
     ntt_prime(WIDTHS[width], N).unwrap()
 }
 
-/// A deliberately non-silicon microarchitecture: different multiplier
-/// depth, burst structure, and pass setup. Timing shifts; values must
-/// not.
+/// A deliberately non-silicon microarchitecture: different burst
+/// structure, pass setup and stage turnaround. Timing shifts; values
+/// must not.
 fn custom_config() -> ChipConfig {
     ChipConfig {
-        mult_latency: 7,
         stream_burst: 8,
         burst_gap: 3,
         pass_setup: 11,

@@ -44,7 +44,6 @@ fn chip_modulus(wide: bool) -> u128 {
 /// A non-silicon microarchitecture: timing shifts, values must not.
 fn custom_config() -> ChipConfig {
     ChipConfig {
-        mult_latency: 7,
         stream_burst: 8,
         burst_gap: 3,
         pass_setup: 11,
