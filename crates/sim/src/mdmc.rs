@@ -1101,22 +1101,29 @@ mod tests {
     }
 
     #[test]
-    fn a_q_register_without_a_barrett_ring_is_rejected() {
-        // Unprogrammed (0) and even moduli have no Barrett ring: every
-        // modular command refuses to price, and loading one fails.
+    fn requires_modulus_before_compute() {
+        // An unprogrammed Q register (0) has no Barrett ring: a modular
+        // command refuses to run until Q is set.
         let mut r = rig(1 << 6);
-        let cmd = Command::pmodadd(
-            Slot::new(BankId(0), 0),
-            Slot::new(BankId(1), 0),
-            Slot::new(BankId(2), 0),
-        );
-        for q in [0, 1 << 64] {
-            r.gpcfg.set_q(q);
-            assert!(r.execute(&cmd).is_err(), "q = {q}");
-            assert!(r.mdmc.load_modulus(q).is_err(), "q = {q}");
-        }
+        let cmd = pmodadd_cmd();
+        r.gpcfg.set_q(0);
+        assert!(r.execute(&cmd).is_err());
+        assert!(r.mdmc.load_modulus(0).is_err());
         r.gpcfg.set_q(Q109);
         r.execute(&cmd).unwrap();
+    }
+
+    #[test]
+    fn rejects_even_modulus() {
+        // An even modulus has no Barrett ring either.
+        let mut r = rig(1 << 6);
+        r.gpcfg.set_q(1 << 64);
+        assert!(r.execute(&pmodadd_cmd()).is_err());
+        assert!(r.mdmc.load_modulus(1 << 64).is_err());
+    }
+
+    fn pmodadd_cmd() -> Command {
+        Command::pmodadd(Slot::new(BankId(0), 0), Slot::new(BankId(1), 0), Slot::new(BankId(2), 0))
     }
 
     #[test]
