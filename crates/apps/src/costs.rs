@@ -1,12 +1,13 @@
 //! Per-operation cost models for the Table X estimates.
 //!
 //! A backend is summarized by the wall time of its three primitive
-//! encrypted operations. CoFHEE's costs are *measured from the simulator*
-//! (one run of each primitive, per RNS tower); CPU costs are measured
-//! from the `cofhee-bfv` tower evaluator by the bench harness, or taken
-//! from the paper's reference totals for comparison.
+//! encrypted operations, composed from one RNS tower's primitive latencies
+//! by [`OpCosts::compose`]. CoFHEE's primitives are *measured from the
+//! simulator*; the CPU's are timed by the `table10_apps` bench on the
+//! production CPU kernel (the tower's `HarveyNtt` plan and Hadamard
+//! pass), or the totals are taken from the paper's reference figures.
 //!
-//! The relinearization model on CoFHEE: key switching with `l` digits
+//! The relinearization model: key switching with `l` digits
 //! costs `l` forward NTTs (one per decomposed digit), `2l` Hadamard
 //! products (against the two relin-key polynomials, kept in NTT form),
 //! `2(l−1)` accumulating additions, and `2` inverse NTTs — all per tower.
@@ -35,6 +36,34 @@ pub struct OpCosts {
 }
 
 impl OpCosts {
+    /// Composes the per-op costs of `towers` RNS towers from one tower's
+    /// primitive latencies in seconds: a forward NTT, an inverse NTT, a
+    /// Hadamard pass and a pointwise-add pass. Per tower, `ct+ct` is two
+    /// add passes, `ct·pt` two Hadamard passes, and `ct·ct + relin` the
+    /// full Algorithm 3 (4 NTT + 4 Had + 1 add + 3 iNTT) plus the
+    /// key-switch schedule of the module docs.
+    pub fn compose(
+        backend: &'static str,
+        towers: usize,
+        t_ntt: f64,
+        t_intt: f64,
+        t_had: f64,
+        t_add: f64,
+    ) -> Self {
+        let towers = towers as f64;
+        let ct_add = 2.0 * t_add;
+        let ct_pt = 2.0 * t_had;
+        let ct_ct = 4.0 * t_ntt + 4.0 * t_had + t_add + 3.0 * t_intt;
+        let l = RELIN_DIGITS as f64;
+        let relin = l * t_ntt + 2.0 * l * t_had + 2.0 * (l - 1.0) * t_add + 2.0 * t_intt;
+        Self {
+            backend,
+            ct_ct_add_s: towers * ct_add,
+            ct_pt_mul_s: towers * ct_pt,
+            ct_ct_mul_relin_s: towers * (ct_ct + relin),
+        }
+    }
+
     /// Total runtime for a workload under this backend.
     pub fn total_seconds(&self, w: &Workload) -> f64 {
         w.ct_ct_add as f64 * self.ct_ct_add_s
@@ -47,21 +76,17 @@ impl OpCosts {
 /// 109-bit towers).
 pub const RELIN_DIGITS: u64 = 6;
 
-/// Measures CoFHEE per-op costs at `(n, log q)` from the simulator.
-///
-/// * `ct+ct`: two PMODADD passes (the two ciphertext polynomials) per
-///   tower.
-/// * `ct·pt`: two Hadamard passes per tower (weights pre-transformed and
-///   cached in NTT form, as an inference server would).
-/// * `ct·ct + relin`: the full Algorithm 3 (4 NTT + 4 Had + 1 add +
-///   3 iNTT) plus the key-switch schedule described in the module docs.
+/// Measures CoFHEE per-op costs at `(n, log q)` from the simulator: one
+/// run of each primitive on the first tower, composed by
+/// [`OpCosts::compose`]. `ct+ct`'s add passes are PMODADDs (the two
+/// ciphertext polynomials); `ct·pt`'s Hadamards take weights
+/// pre-transformed and cached in NTT form, as an inference server would.
 ///
 /// # Errors
 ///
 /// Device bring-up or execution failures.
 pub fn measure_cofhee(n: usize, total_log_q: u32) -> Result<OpCosts> {
     let basis = RnsBasis::for_total_bits(total_log_q, 128, n)?;
-    let towers = basis.len() as f64;
     let freq = ChipConfig::silicon().freq_hz as f64;
 
     // Measure primitive latencies on the first tower (all towers have
@@ -80,40 +105,7 @@ pub fn measure_cofhee(n: usize, total_log_q: u32) -> Result<OpCosts> {
     let t_had = device.hadamard(d0, d1, d2)?.cycles as f64 / freq;
     let t_add = device.pointwise_add(d0, d1, d2)?.cycles as f64 / freq;
 
-    // Compose per-tower operation costs from primitive latencies.
-    let ct_add = 2.0 * t_add;
-    let ct_pt = 2.0 * t_had;
-    let ct_ct = 4.0 * t_ntt + 4.0 * t_had + t_add + 3.0 * t_intt;
-    let l = RELIN_DIGITS as f64;
-    let relin = l * t_ntt + 2.0 * l * t_had + 2.0 * (l - 1.0) * t_add + 2.0 * t_intt;
-
-    Ok(OpCosts {
-        backend: "CoFHEE (simulated silicon)",
-        ct_ct_add_s: towers * ct_add,
-        ct_pt_mul_s: towers * ct_pt,
-        ct_ct_mul_relin_s: towers * (ct_ct + relin),
-    })
-}
-
-/// CPU per-op costs from measured primitive latencies (supplied by the
-/// bench harness after timing the `cofhee-bfv` tower evaluator).
-///
-/// `t_ntt_s`/`t_pass_s` are the measured single-tower NTT and pointwise
-/// pass times; the same op-composition as the chip model is applied, so
-/// the comparison is apples-to-apples.
-pub fn cpu_from_primitives(towers: u64, t_ntt_s: f64, t_intt_s: f64, t_pass_s: f64) -> OpCosts {
-    let towers = towers as f64;
-    let ct_add = 2.0 * t_pass_s;
-    let ct_pt = 2.0 * t_pass_s;
-    let ct_ct = 4.0 * t_ntt_s + 4.0 * t_pass_s + t_pass_s + 3.0 * t_intt_s;
-    let l = RELIN_DIGITS as f64;
-    let relin = l * t_ntt_s + 2.0 * l * t_pass_s + 2.0 * (l - 1.0) * t_pass_s + 2.0 * t_intt_s;
-    OpCosts {
-        backend: "CPU (cofhee-bfv)",
-        ct_ct_add_s: towers * ct_add,
-        ct_pt_mul_s: towers * ct_pt,
-        ct_ct_mul_relin_s: towers * (ct_ct + relin),
-    }
+    Ok(OpCosts::compose("CoFHEE (simulated silicon)", basis.len(), t_ntt, t_intt, t_had, t_add))
 }
 
 #[cfg(test)]
@@ -225,17 +217,5 @@ mod tests {
             r.overlapped_cycles < r.serial_cycles,
             "overlap must beat the serial schedule: {r:?}"
         );
-    }
-
-    #[test]
-    fn cpu_model_composes_identically() {
-        // With identical primitive times, CPU and chip compose the same.
-        let chip = measure_cofhee(1 << 10, 109).unwrap();
-        let freq = ChipConfig::silicon().freq_hz as f64;
-        // Reverse the chip primitives (1 tower).
-        let t_add = chip.ct_ct_add_s / 2.0;
-        let cpu = cpu_from_primitives(1, 0.0, 0.0, t_add);
-        assert!((cpu.ct_ct_add_s - chip.ct_ct_add_s).abs() < 1e-12);
-        let _ = freq;
     }
 }

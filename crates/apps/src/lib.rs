@@ -8,8 +8,8 @@
 //!
 //! * [`workloads`] / [`costs`] / [`estimate`] — the paper's op-count
 //!   accounting: exact operation mixes, per-op cost models measured from
-//!   the simulator (CoFHEE) and from `cofhee-bfv` (CPU), and the Table X
-//!   estimator with the 2.23× / 1.46× speedup reproduction.
+//!   the simulator (CoFHEE) and from the host's NTT plan (CPU), and the
+//!   Table X estimator with the 2.23× / 1.46× speedup reproduction.
 //! * [`demos`] — *functional* encrypted inference running end to end:
 //!   a CryptoNets-style square-activation layer and a
 //!   logistic-regression scorer on BFV, plus a CKKS logistic model that
@@ -24,7 +24,7 @@ pub mod demos;
 pub mod estimate;
 pub mod workloads;
 
-pub use costs::{cpu_from_primitives, measure_cofhee, OpCosts, RELIN_DIGITS};
+pub use costs::{measure_cofhee, OpCosts, RELIN_DIGITS};
 pub use demos::{
     constant_plaintext, decrypt_slots, encrypt_features, encrypt_real_features, sigmoid_deg3,
     ApproxLogistic, LogisticScorer, SquareLayerNet,

@@ -20,8 +20,6 @@
 //!   [`Evaluator::with_backend`] — same results bit-for-bit, selected by
 //!   one constructor argument.
 //! * [`BatchEncoder`] — SIMD slot packing for CryptoNets-style inference.
-//! * [`tower`] — the RNS tower execution path with multithreading: the
-//!   workload shape of the paper's Fig. 6 CPU measurements.
 //!
 //! # Examples
 //!
@@ -65,7 +63,6 @@ mod params;
 mod plaintext;
 
 pub mod sampling;
-pub mod tower;
 
 pub use ciphertext::Ciphertext;
 pub use encrypt::{Decryptor, Encryptor};

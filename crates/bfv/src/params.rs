@@ -8,11 +8,11 @@
 //! * `(n, log q) = (2^13, 218)` — SEAL uses four ≈55-bit towers; CoFHEE
 //!   uses two 109-bit towers.
 //!
-//! The functional (encrypt/decrypt/multiply) path of this crate operates
-//! over a single NTT-friendly prime `q` of up to [`MAX_FUNCTIONAL_LOG_Q`]
-//! bits; wider moduli are handled by the RNS tower path
-//! ([`crate::tower`]), which is also how both the paper's CPU baseline and
-//! the chip execute them.
+//! This crate's exact BFV (encrypt/decrypt/multiply) operates over a
+//! single NTT-friendly prime `q` of up to [`MAX_FUNCTIONAL_LOG_Q`] bits;
+//! a wider `q` is refused. The paper's 218-bit point appears only as
+//! timed workloads: Fig. 6's per-tower tensor streams on the CPU side and
+//! two 109-bit tower schedules on the chip.
 
 use std::sync::Arc;
 
@@ -77,8 +77,8 @@ impl BfvParams {
         if q_bits > MAX_FUNCTIONAL_LOG_Q {
             return Err(BfvError::InvalidParams {
                 reason: format!(
-                    "log q = {q_bits} exceeds the functional path's {MAX_FUNCTIONAL_LOG_Q}-bit \
-                     limit; use the RNS tower evaluator for wider moduli"
+                    "log q = {q_bits} exceeds the {MAX_FUNCTIONAL_LOG_Q}-bit limit of exact \
+                     single-modulus BFV; wider moduli are not supported"
                 ),
             });
         }
@@ -138,8 +138,8 @@ impl BfvParams {
         Self::new(n, t, q)
     }
 
-    /// A `n = 2^13` functional set at 109-bit `q` (the full 218-bit point
-    /// runs through the RNS tower path, exactly as SEAL and CoFHEE do).
+    /// A `n = 2^13` functional set at 109-bit `q` (the paper's 218-bit
+    /// point exceeds [`MAX_FUNCTIONAL_LOG_Q`]: Fig. 6 times it only).
     ///
     /// # Errors
     ///

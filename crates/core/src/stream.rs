@@ -595,8 +595,8 @@ pub fn cores() -> usize {
 /// spawned and nothing allocated.
 ///
 /// The one function in this workspace's library code that creates
-/// threads (Fig. 6's CPU thread sweep in `cofhee_bfv::tower` aside). Its
-/// callers choose what a task is: a limb's whole stream, one transform
+/// threads. Its callers choose what a task is: a limb's whole stream, a
+/// share of Fig. 6's CPU towers (its thread sweep), one transform
 /// or multiply node of a stream that runs alone (the CPU replay's wave),
 /// a coefficient chunk of the BFV host CRT, or one host core's share of
 /// a farm flush's wave (`cofhee_farm::ChipFarm::flush`: each task takes

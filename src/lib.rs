@@ -13,7 +13,7 @@
 //! * [`poly`] — `Z_q[x]/(x^n+1)`, the paper's NTT algorithms, naive
 //!   oracles, golden test vectors.
 //! * [`bfv`] — the BFV scheme (the SEAL-equivalent CPU baseline) with
-//!   exact ciphertext multiplication and RNS tower execution.
+//!   exact ciphertext multiplication.
 //! * [`ckks`] — the CKKS approximate-arithmetic scheme on the same
 //!   silicon: RNS modulus chain with level tracking, canonical-embedding
 //!   encoder, and an evaluator whose multiply/rescale/relinearize all
