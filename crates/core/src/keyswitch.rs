@@ -281,49 +281,5 @@ mod tests {
         let base = [vec![0u128; N], vec![0u128; N]];
         let mut st = OpStream::new(N);
         assert!(record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&keys), base).is_err());
-        let (full, short) = (vec![0u128; N], vec![0u128; N - 1]);
-        assert!(matches!(
-            record_tensor(N, [full.clone(), full.clone()], [full, short]),
-            Err(crate::CoreError::BadOperandLength { expected: N, found }) if found == N - 1
-        ));
-    }
-
-    /// Fig. 6's CPU workload: Eq. 4's tensor on every 64-bit-word tower
-    /// of the paper's two moduli equals the naive negacyclic tensor, at
-    /// every lane count of the replay.
-    #[test]
-    fn tensor_on_every_cpu_tower_matches_the_naive_tensor_at_any_lane_count() {
-        use cofhee_arith::{rns::RnsBasis, Barrett128, ModRing};
-        use cofhee_poly::naive::negacyclic_mul;
-
-        let mut seed = 0x5EED_u128;
-        for (log_q, n) in [(109, 64), (218, 128)] {
-            for &q in RnsBasis::for_total_bits(log_q, 64, n).unwrap().moduli() {
-                let mut sample = || -> Vec<u128> {
-                    (0..n)
-                        .map(|_| {
-                            seed = seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(11);
-                            (seed >> 64) % q
-                        })
-                        .collect()
-                };
-                let (a, b) = ([sample(), sample()], [sample(), sample()]);
-                let ring = Barrett128::new(q).unwrap();
-                let mul = |x: &[u128], y: &[u128]| negacyclic_mul(&ring, x, y).unwrap();
-                let middle: Vec<u128> = mul(&a[0], &b[1])
-                    .iter()
-                    .zip(mul(&a[1], &b[0]))
-                    .map(|(&x, y)| ring.add(x, y))
-                    .collect();
-                let naive = vec![mul(&a[0], &b[0]), middle, mul(&a[1], &b[1])];
-
-                let stream = record_tensor(n, a, b).unwrap();
-                let mut be = CpuBackend::new(q, n).unwrap();
-                for lanes in [1, 2, 4, 8] {
-                    let outputs = be.execute_stream_lanes(&stream, lanes).unwrap().outputs;
-                    assert_eq!(outputs, naive, "log q {log_q}, q {q}, {lanes} lane(s)");
-                }
-            }
-        }
     }
 }

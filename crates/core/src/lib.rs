@@ -84,6 +84,8 @@ mod plan;
 mod rlwe;
 mod schedule;
 mod stream;
+#[cfg(test)]
+mod tower;
 
 pub use backend::{
     BackendFactory, ChipBackend, ChipBackendFactory, CpuBackend, CpuBackendFactory, PolyBackend,
