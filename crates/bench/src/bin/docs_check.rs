@@ -46,12 +46,18 @@
 //! `thread::scope` / `thread::spawn` outside `#[cfg(test)]` items and
 //! allows one hit, in `crates/core/src/stream.rs` (the function).
 //!
+//! **Bins that exist.** Every `--bin <name>` in `README.md`, `docs/*.md`
+//! and `.claude/skills/verify/SKILL.md`, and every `bin:` entry of CI's
+//! smoke matrix, must name a `[[bin]]` of `crates/bench/Cargo.toml`, so a
+//! deleted bin cannot stay in a run command. `EXPERIMENTS.md` is a log and
+//! names deleted bins as history; it is not scanned.
+//!
 //! ```sh
 //! cargo run --release -p cofhee_bench --bin docs_check
 //! ```
 //!
-//! Exit status 0 when every link resolves and no stray call is found;
-//! 1 with one line per finding otherwise.
+//! Exit status 0 when every link resolves, every named bin exists and no
+//! stray call is found; 1 with one line per finding otherwise.
 
 use std::path::{Path, PathBuf};
 
@@ -274,16 +280,86 @@ fn check_links(root: &Path) -> usize {
     broken
 }
 
+/// The `[[bin]]` names a Cargo manifest declares.
+fn declared_bins(manifest: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut in_bin = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_bin = line == "[[bin]]";
+        } else if let Some(name) = line.strip_prefix("name = ").filter(|_| in_bin) {
+            out.push(name.trim_matches('"').to_string());
+        }
+    }
+    out
+}
+
+/// The names that follow `marker` in one source, line-numbered. A marker
+/// followed by a placeholder (`<name>`, `${{ … }}`) names nothing.
+fn named_bins(src: &str, marker: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for (lineno, line) in src.lines().enumerate() {
+        for (pos, _) in line.match_indices(marker) {
+            let name: String = line[pos + marker.len()..]
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            if !name.is_empty() {
+                out.push((lineno + 1, name));
+            }
+        }
+    }
+    out
+}
+
+/// Prints one line per `--bin` in the docs, or `bin:` in CI's matrix,
+/// that names no `cofhee_bench` binary; returns how many.
+fn check_bins(root: &Path) -> usize {
+    let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml"))
+        .expect("cofhee_bench manifest is readable");
+    let bins = declared_bins(&manifest);
+    let mut files: Vec<(PathBuf, &str)> = vec![
+        (root.join("README.md"), "--bin "),
+        (root.join(".claude/skills/verify/SKILL.md"), "--bin "),
+        (root.join(".github/workflows/ci.yml"), "- bin: "),
+    ];
+    if let Ok(entries) = std::fs::read_dir(root.join("docs")) {
+        let docs = entries.flatten().map(|e| e.path());
+        files.extend(
+            docs.filter(|p| p.extension().is_some_and(|e| e == "md")).map(|p| (p, "--bin ")),
+        );
+    }
+    let (mut named, mut unknown) = (0usize, 0usize);
+    for (file, marker) in &files {
+        let src = std::fs::read_to_string(file).expect("listed file is readable");
+        for (line, name) in named_bins(&src, marker) {
+            named += 1;
+            if !bins.contains(&name) {
+                unknown += 1;
+                let rel = file.strip_prefix(root).unwrap_or(file);
+                println!("no such bench bin: {}:{line}: {marker}{name}", rel.display());
+            }
+        }
+    }
+    println!(
+        "docs_check: {} bench bins, {named} bin names in docs and CI, {unknown} unknown",
+        bins.len()
+    );
+    unknown
+}
+
 fn main() {
     let root = repo_root();
-    if check_links(&root) + check_sources(&root) > 0 {
+    if check_links(&root) + check_bins(&root) + check_sources(&root) > 0 {
         std::process::exit(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{calls_outside_tests, unsafe_lines, STRICT_KERNELS, THREAD_CALLS};
+    use super::{
+        calls_outside_tests, declared_bins, named_bins, unsafe_lines, STRICT_KERNELS, THREAD_CALLS,
+    };
 
     fn strict_kernel_calls(src: &str) -> Vec<(usize, &'static str)> {
         calls_outside_tests(src, &STRICT_KERNELS)
@@ -354,5 +430,15 @@ mod tests {
 }
 ";
         assert_eq!(unsafe_lines(src), vec![4, 6, 9]);
+    }
+
+    #[test]
+    fn bin_names_come_from_bin_sections_and_skip_placeholders() {
+        let manifest = "[package]\nname = \"cofhee_bench\"\n\n[[bin]]\nname = \"a_b\"\n\n[[bin]]\nname = \"c\"\n";
+        assert_eq!(declared_bins(manifest), vec!["a_b", "c"]);
+        let doc = "run `cargo run --bin a_b -- --smoke` or --bin c\n`--bin <name>`, --bin ${{ matrix.bin }}";
+        assert_eq!(named_bins(doc, "--bin "), vec![(1, "a_b".into()), (1, "c".into())]);
+        let ci = "      - bin: c # asserts\n        run: x --bin ${{ matrix.bin }}\n      if: matrix.bin == 'c'";
+        assert_eq!(named_bins(ci, "- bin: "), vec![(1, "c".into())]);
     }
 }

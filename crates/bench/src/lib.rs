@@ -11,18 +11,17 @@
 //! | `fig6_cpu_comparison` | Fig. 6a/6b CPU-vs-CoFHEE time and power |
 //! | `table10_apps` | Table X end-to-end application estimates |
 //! | `table11_related` | Table XI related-work efficiency comparison |
-//! | `physical_tables` | Tables III, IV, VI, VII, VIII, IX |
-//! | `fig4_adpll_lock` | ADPLL lock transient (Fig. 4 dynamics) |
 //! | `ablation_scaling` | Section VIII-A scalability + multiplier ablations |
 //!
 //! Every report binary accepts `--smoke`: a reduced-size run (smaller
 //! polynomial degrees, shorter sweeps, fewer timing repetitions) that
 //! exercises the whole table/figure pipeline in well under a second.
-//! CI's `smoke` matrix runs eleven binaries this way — `table5_performance`,
-//! `fig6_cpu_comparison`, `table10_apps`, `backend_compare`,
-//! `stream_overlap`, `farm_saturation`, `service_saturation`,
-//! `hotpath_profile`, `ckks_breakdown`, `trace_export` and
-//! `ablation_scaling` — so the reproduction path cannot silently rot.
+//! CI's `smoke` matrix runs twelve binaries this way — `table5_performance`,
+//! `fig6_cpu_comparison`, `table10_apps`, `table11_related`,
+//! `backend_compare`, `stream_overlap`, `farm_saturation`,
+//! `service_saturation`, `hotpath_profile`, `ckks_breakdown`,
+//! `trace_export` and `ablation_scaling` — so the reproduction path
+//! cannot silently rot.
 
 #![forbid(unsafe_code)]
 

@@ -1,15 +1,13 @@
 //! # cofhee-physical
 //!
-//! Physical-design models for the CoFHEE reproduction. The paper's
-//! Tables III, IV, VI, VII, VIII and IX are EDA *reports* from the
-//! fabricated chip's flow; this crate holds them as typed data with the
-//! derived quantities the evaluation actually consumes:
+//! The physical-design data the evaluation consumes. The paper's
+//! Tables III, IV, VI, VII and IX are EDA reports of the fabricated
+//! chip's flow that nothing here can regenerate, so the paper is their
+//! record; this crate keeps the figures a derivation reads:
 //!
-//! * [`PartCatalogue`] — Table VIII post-synthesis areas/delays, with
-//!   roll-ups (total 9.8345 mm², PE+MDMC compute area, the ≈1.9 mm² cost
-//!   of three extra PEs from Section VIII-A).
-//! * [`LayoutParams`] / [`ClockTreeStats`] — Tables IV and IX.
-//! * [`PnrStats`] / [`via_stats`] / [`flow_stages`] — Tables III, VII, VI.
+//! * [`PartCatalogue`] — Table VIII post-synthesis areas/delays: the
+//!   PE + MDMC compute area Table XI normalizes by, and the ≈1.9 mm²
+//!   cost of three extra PEs from Section VIII-A.
 //! * [`TechScaling`] — the measured 55 nm → 7 nm Barrett-synthesis
 //!   factors (area 16.7×, delay 3.7×) behind the Table XI normalization.
 //! * [`ComparisonTable`] — Table XI: the F1 / CraterLake / BTS / ARK /
@@ -32,14 +30,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod layout;
 mod parts;
-mod pnr;
 mod related;
 mod scaling;
 
-pub use layout::{ClockTreeStats, LayoutParams};
 pub use parts::{Part, PartCatalogue};
-pub use pnr::{flow_stages, via_stats, FlowStage, PnrStage, PnrStats, ViaLayer};
 pub use related::{ComparisonTable, Platform, RelatedDesign};
-pub use scaling::{ideal_area_factor, TechScaling};
+pub use scaling::TechScaling;

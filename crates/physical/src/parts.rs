@@ -46,6 +46,7 @@ impl PartCatalogue {
     }
 
     /// All parts in Table VIII order.
+    #[cfg(test)]
     pub fn parts(&self) -> &[Part] {
         &self.parts
     }
@@ -56,6 +57,7 @@ impl PartCatalogue {
     }
 
     /// Total synthesized area (Table VIII's "Total" row: 9.8345 mm²).
+    #[cfg(test)]
     pub fn total_area_mm2(&self) -> f64 {
         self.parts.iter().map(|p| p.area_mm2).sum()
     }
@@ -68,6 +70,7 @@ impl PartCatalogue {
     }
 
     /// Area of all SRAM blocks.
+    #[cfg(test)]
     pub fn memory_area_mm2(&self) -> f64 {
         ["3 DP SRAMs", "4 SP SRAMs", "CM0 SRAM"]
             .iter()
@@ -84,18 +87,6 @@ impl PartCatalogue {
         // The paper's 1.9 mm² for 3 PEs ⇒ ~0.633 mm² per PE, essentially
         // the PE block itself (mux/control amortized).
         pe * extra_pes as f64
-    }
-
-    /// Renders the catalogue as an aligned text table (the Table VIII
-    /// report).
-    pub fn to_table(&self) -> String {
-        let mut out = String::from("Module         Area (mm2)  Delay (ns)\n");
-        for p in &self.parts {
-            let delay = p.delay_ns.map_or("-".to_string(), |d| format!("{d:.2}"));
-            out.push_str(&format!("{:<14} {:>10.4}  {:>9}\n", p.name, p.area_mm2, delay));
-        }
-        out.push_str(&format!("{:<14} {:>10.4}\n", "Total", self.total_area_mm2()));
-        out
     }
 }
 
@@ -147,16 +138,6 @@ mod tests {
         let c = PartCatalogue::cofhee();
         let frac = c.part("PE").unwrap().area_mm2 / c.total_area_mm2();
         assert!((frac - 0.065).abs() < 0.01, "PE fraction {frac}");
-    }
-
-    #[test]
-    fn table_renders_all_rows() {
-        let c = PartCatalogue::cofhee();
-        let t = c.to_table();
-        assert!(t.contains("PE"));
-        assert!(t.contains("MDMC"));
-        assert!(t.contains("Total"));
-        assert!(t.contains("9.834"));
     }
 
     #[test]

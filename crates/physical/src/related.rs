@@ -2,8 +2,9 @@
 //!
 //! Comparator records hold each design's *published* figures (technology,
 //! polynomial degree, modulus width, area, power, frequency, NTT clock
-//! cycles at `n = 2^13`); the efficiency derivation implements the
-//! paper's normalization:
+//! cycles at `n = 2^13`); `table11_related` replaces CoFHEE's cycle count
+//! with a simulated NTT before deriving. The efficiency derivation
+//! implements the paper's normalization:
 //!
 //! 1. Adjust the NTT time for RNS: a design with `w`-bit words needs
 //!    `⌈128/w⌉` tower passes to cover CoFHEE's 128-bit coefficients.
@@ -58,11 +59,13 @@ impl RelatedDesign {
     /// Number of RNS tower passes this design needs to process a
     /// 128-bit coefficient (the paper: "F1 has to do RNS to split
     /// 128-bit coefficients into 32-bit towers").
+    #[cfg(test)]
     pub fn rns_towers_for_128bit(&self) -> u64 {
         (128u32).div_ceil(self.log_q_bits) as u64
     }
 
     /// Wall time of one 128-bit-equivalent `n = 2^13` NTT, in ns.
+    #[cfg(test)]
     pub fn ntt_time_128bit_ns(&self) -> f64 {
         self.ntt_cycles as f64 / self.freq_mhz * 1e3 * self.rns_towers_for_128bit() as f64
     }
@@ -180,8 +183,9 @@ impl ComparisonTable {
     /// compute area and one NTT's cycle count, normalized to the 7 nm
     /// class with the measured Barrett scaling factors.
     ///
-    /// Returns NTT/ns/mm². The published 4.54·10⁻⁴ is reproduced within
-    /// the rounding of the paper's quoted scaling factors (≈4 %).
+    /// Returns NTT/ns/mm²: −4.2 % from the published 4.54·10⁻⁴ with
+    /// Table XI's 53,248 cycles, −4.7 % with Table V's 53,535. Rounding
+    /// the quoted 16.7× / 3.7× factors covers at most ±1.7 % of that.
     pub fn derive_cofhee_efficiency(&self, parts: &PartCatalogue, scaling: &TechScaling) -> f64 {
         let area = scaling.scale_area_mm2(parts.compute_area_mm2());
         let time_ns = self.cofhee.ntt_cycles as f64 / self.cofhee.freq_mhz * 1e3;

@@ -10,10 +10,6 @@
 /// A technology node scaling relation (from a reference synthesis).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechScaling {
-    /// Source node label.
-    pub from_node: &'static str,
-    /// Target node label.
-    pub to_node: &'static str,
     /// Area shrink factor (source area ÷ target area).
     pub area_factor: f64,
     /// Delay shrink factor (source delay ÷ target delay).
@@ -23,12 +19,7 @@ pub struct TechScaling {
 impl TechScaling {
     /// The paper's measured 55 nm → 7 nm Barrett-multiplier scaling.
     pub fn gf55_to_7nm() -> Self {
-        Self { from_node: "GF55nm", to_node: "GF7nm", area_factor: 16.7, delay_factor: 3.7 }
-    }
-
-    /// Identity scaling (same node).
-    pub fn identity(node: &'static str) -> Self {
-        Self { from_node: node, to_node: node, area_factor: 1.0, delay_factor: 1.0 }
+        Self { area_factor: 16.7, delay_factor: 3.7 }
     }
 
     /// Scales an area from the source node to the target node.
@@ -42,15 +33,15 @@ impl TechScaling {
     }
 }
 
-/// Classical Dennard-style per-node-step factors for cross-checks:
-/// ideal area scales with the square of the feature-size ratio.
-pub fn ideal_area_factor(from_nm: f64, to_nm: f64) -> f64 {
-    (from_nm / to_nm).powi(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Classical Dennard-style per-node-step factor for cross-checks:
+    /// ideal area scales with the square of the feature-size ratio.
+    fn ideal_area_factor(from_nm: f64, to_nm: f64) -> f64 {
+        (from_nm / to_nm).powi(2)
+    }
 
     #[test]
     fn paper_factors_are_recorded() {
@@ -68,12 +59,5 @@ mod tests {
         let ideal = ideal_area_factor(55.0, 7.0);
         assert!(ideal > 60.0);
         assert!(TechScaling::gf55_to_7nm().area_factor < ideal);
-    }
-
-    #[test]
-    fn identity_scaling_is_neutral() {
-        let s = TechScaling::identity("GF12nm");
-        assert_eq!(s.scale_area_mm2(5.0), 5.0);
-        assert_eq!(s.scale_time_ns(7.0), 7.0);
     }
 }

@@ -20,9 +20,8 @@
 //!   dispatch through the recorded-stream machinery the BFV path uses.
 //! * [`sim`] — the chip: SRAM banks, AHB addressing, Barrett PE, MDMC
 //!   with the calibrated cycle model, command FIFO, Cortex-M0, power.
-//! * [`adpll`] — the all-digital PLL's behavioral model.
-//! * [`physical`] — the paper's physical-design tables and the Table XI
-//!   comparison machinery.
+//! * [`physical`] — Table VIII's part areas, the 55 nm → 7 nm scaling
+//!   factors and the Table XI comparison machinery.
 //! * [`core`] — the device driver: Algorithm 2/3 schedules, execution
 //!   modes, RNS dispatch, host-link accounting, and the unified
 //!   `PolyBackend` execution API (pluggable CPU / chip backends).
@@ -47,7 +46,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use cofhee_adpll as adpll;
 pub use cofhee_apps as apps;
 pub use cofhee_arith as arith;
 pub use cofhee_bfv as bfv;

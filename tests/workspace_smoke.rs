@@ -3,7 +3,6 @@
 //! This is the tripwire behind the CI pipeline — if a crate's public
 //! surface or a cross-crate seam breaks, it fails here first.
 
-use cofhee::adpll::Adpll;
 use cofhee::apps::Workload;
 use cofhee::arith::{primes::ntt_prime, Barrett64, ModRing};
 use cofhee::bfv::{BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext};
@@ -112,15 +111,6 @@ fn core_device_runs_algorithm2_polymul() {
     let product = device.run(&schedule, &[&a, &b], ExecutionMode::CommandFifo).unwrap();
     assert_eq!(product.outputs[0].len(), n);
     assert!(product.compute_cycles > 0);
-}
-
-#[test]
-fn adpll_locks_at_250mhz() {
-    let mut pll = Adpll::cofhee_250mhz();
-    let transient = pll.run_to_lock(2_000);
-    assert!(pll.locked());
-    assert!((pll.frequency_hz() - 250.0e6).abs() / 250.0e6 < 0.01);
-    assert!(!transient.is_empty());
 }
 
 #[test]
