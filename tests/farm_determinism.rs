@@ -287,8 +287,10 @@ impl Fnv {
 /// `JobOutcome` field (ciphertext coefficients, level and scale bits
 /// included), the `FarmReport`, the `Scheduler::metrics()` snapshot less
 /// the process-wide twiddle-cache counters (other tests move them), and
-/// the full `MemorySink` event list in recording order.
-fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -> u64 {
+/// the full `MemorySink` event list in recording order — and, second,
+/// the result ciphertexts alone (their words, and a CKKS result's level
+/// and scale bits), which no change of timing may move.
+fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -> [u64; 2] {
     use cofhee::ckks::{CkksEncoder, CkksEncryptor, CkksKeyGenerator, CkksParams};
     use cofhee::farm::JobResult;
     use cofhee::obs::MemorySink;
@@ -330,20 +332,22 @@ fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -
     let jobs = kinds.into_iter().map(|(session, kind, arrival)| Job { session, kind, arrival });
     let outcomes = sched.run(jobs.collect()).unwrap();
 
-    let mut h = Fnv::new();
+    let (mut h, mut results) = (Fnv::new(), Fnv::new());
     for o in &outcomes {
         let fields = [o.index as u64, o.session.raw(), o.arrival, o.finish, o.latency];
         h.text(&format!("{fields:?} {} {}", o.service_cycles, o.streams));
-        match &o.result {
-            JobResult::Bfv(ct) => {
-                for p in ct.polys() {
-                    h.words(&p.to_u128_vec());
+        for h in [&mut h, &mut results] {
+            match &o.result {
+                JobResult::Bfv(ct) => {
+                    for p in ct.polys() {
+                        h.words(&p.to_u128_vec());
+                    }
                 }
-            }
-            JobResult::Ckks(ct) => {
-                h.text(&format!("{:?} {:x}", ct.level(), ct.scale().to_bits()));
-                for limb in ct.components().iter().flatten() {
-                    h.words(limb);
+                JobResult::Ckks(ct) => {
+                    h.text(&format!("{:?} {:x}", ct.level(), ct.scale().to_bits()));
+                    for limb in ct.components().iter().flatten() {
+                        h.words(limb);
+                    }
                 }
             }
         }
@@ -357,7 +361,7 @@ fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -
     for event in sink.events() {
         h.text(&format!("{event:?}"));
     }
-    h.0
+    [h.0, results.0]
 }
 
 /// The farm's whole observable output, pinned to digests recorded at
@@ -366,16 +370,25 @@ fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -
 /// ciphertext word, report field, metric or trace event.
 #[test]
 fn a_fixed_mixed_job_list_reproduces_the_parent_pinned_digests() {
-    let mut got = Vec::new();
+    let (mut got, mut results) = (Vec::new(), Vec::new());
     for chips in [1usize, 4] {
         for sq in [false, true] {
             for level in [OptLevel::O0, OptLevel::O1] {
                 let policy: Box<dyn PlacementPolicy> =
                     if sq { Box::new(ShortestQueue) } else { Box::new(WorkStealing) };
-                got.push(format!("{:016x}", run_digest(chips, policy, level)));
+                let [whole, words] = run_digest(chips, policy, level);
+                got.push(format!("{whole:016x}"));
+                results.push(format!("{words:016x}"));
             }
         }
     }
+    // The result words alone, recorded at 93dd7a0: a change that moves
+    // only simulated timing (and so the whole-output digests) leaves them.
+    let results_pinned = ["51fe2470fd5dc247"; 8];
+    assert_eq!(
+        results, results_pinned,
+        "result words: 1/4 dies × WorkStealing/ShortestQueue × O0/O1"
+    );
     let pinned = [
         "745214fa494afbef",
         "97402e2be66b500b",
