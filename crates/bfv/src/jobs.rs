@@ -162,19 +162,25 @@ impl Evaluator {
         Ok(st)
     }
 
-    /// Records plaintext multiplication (`ct · pt`: the lifted plaintext
-    /// uploaded and transformed once, then per component a forward NTT
-    /// and a fused Hadamard + inverse — Algorithm 2 with the shared
-    /// operand's transform hoisted) as one mod-`q` stream; outputs are
-    /// the result components.
+    /// Records plaintext multiplication (`ct · pt`) as one mod-`q`
+    /// stream: the plaintext's lift in NTT form uploaded — made on the
+    /// host the first time the plaintext meets this `q` and shared by
+    /// its clones from then on — then per component a forward NTT and a
+    /// fused Hadamard + inverse against it (Algorithm 2, the invariant
+    /// operand transformed once). Outputs are the result components.
     ///
     /// # Errors
     ///
-    /// Returns [`BfvError::ParamsMismatch`] for foreign ciphertexts.
+    /// Returns [`BfvError::ParamsMismatch`] for foreign ciphertexts and
+    /// [`BfvError::Backend`] for a plaintext not of degree `n`.
     pub fn mul_plain_stream(&self, a: &Ciphertext, pt: &Plaintext) -> Result<OpStream> {
         self.check_ct(a)?;
-        let lifted: Vec<u128> = pt.coeffs().iter().map(|&m| m as u128).collect();
-        Ok(cofhee_core::record_mul_plain(self.params().n(), lifted, a.polys())?)
+        let (q, n) = (self.params().q(), self.params().n());
+        if pt.coeffs().len() != n {
+            let found = pt.coeffs().len();
+            return Err(cofhee_core::CoreError::BadOperandLength { expected: n, found }.into());
+        }
+        Ok(cofhee_core::record_mul_plain(n, pt.ntt_form(q)?, a.polys())?)
     }
 
     /// Records the unscaled Eq. 4 tensor as one [`OpStream`] per CRT
@@ -725,6 +731,9 @@ mod tests {
         assert_eq!([plain_sum[0], plain_sum[2]], [pa[0], pa[1]], "add_plain");
         let plain_product = uploads(&f.eval.mul_plain_stream(&a, &pt).unwrap());
         assert_eq!(plain_product[1..], pa, "mul_plain");
+        // The plaintext's stored form, the same words for every clone.
+        let again = uploads(&f.eval.mul_plain_stream(&a, &pt.clone()).unwrap());
+        assert_eq!(again[0], plain_product[0], "mul_plain's stored form");
         // The key switch: each key polynomial as the key stores it, and
         // the product's first two components as the fill hands them over.
         let relin = uploads(&f.eval.relin_stream(&prod, &f.rlk).unwrap());

@@ -5,19 +5,45 @@
 //! via the NTT over `t`, so every homomorphic operation acts slot-wise —
 //! the packing CryptoNets-style inference uses to amortize throughput.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use cofhee_arith::Barrett64;
+use cofhee_core::Limb;
 use cofhee_poly::{HarveyNtt, TwiddleCache};
 
 use crate::error::{BfvError, Result};
 use crate::params::BfvParams;
 
 /// A plaintext polynomial: `n` coefficients reduced modulo `t`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A `ct · pt` product multiplies against the plaintext's lift modulo
+/// `q` in NTT form. That form is made once, by the first product that
+/// needs it, and shared by every clone — as clones of a
+/// [`RelinKey`](crate::RelinKey) share its stored form — so a plaintext
+/// reused across jobs is transformed once. Equality and `Debug` see the
+/// coefficients and `t` only.
+#[derive(Clone)]
 pub struct Plaintext {
     coeffs: Vec<u64>,
     t: u64,
+    /// The NTT form of the lift modulo the first `q` it was multiplied
+    /// under.
+    ntt: Arc<OnceLock<Limb>>,
+}
+
+impl PartialEq for Plaintext {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.coeffs, self.t) == (&other.coeffs, other.t)
+    }
+}
+
+impl Eq for Plaintext {}
+
+impl fmt::Debug for Plaintext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Plaintext").field("coeffs", &self.coeffs).field("t", &self.t).finish()
+    }
 }
 
 impl Plaintext {
@@ -43,7 +69,7 @@ impl Plaintext {
                 return Err(BfvError::PlaintextOutOfRange { value: c, t: params.t() });
             }
         }
-        Ok(Self { coeffs, t: params.t() })
+        Ok(Self::from_coeffs(coeffs, params.t()))
     }
 
     /// A plaintext encoding a single constant in coefficient 0.
@@ -57,7 +83,7 @@ impl Plaintext {
         }
         let mut coeffs = vec![0u64; params.n()];
         coeffs[0] = value;
-        Ok(Self { coeffs, t: params.t() })
+        Ok(Self::from_coeffs(coeffs, params.t()))
     }
 
     /// The coefficient vector.
@@ -70,6 +96,24 @@ impl Plaintext {
     #[inline]
     pub fn modulus(&self) -> u64 {
         self.t
+    }
+
+    fn from_coeffs(coeffs: Vec<u64>, t: u64) -> Self {
+        Self { coeffs, t, ntt: Arc::default() }
+    }
+
+    /// The NTT form of the lift modulo `q`: the stored one, or made now
+    /// and stored if none is. A plaintext multiplied under a second `q`
+    /// gets that modulus's form made afresh, not stored.
+    pub(crate) fn ntt_form(&self, q: u128) -> Result<Limb> {
+        if let Some(form) = self.ntt.get().filter(|form| form.modulus() == q) {
+            return Ok(form.clone());
+        }
+        let lift = Limb::new(q, self.coeffs.iter().map(|&m| u128::from(m)).collect())?;
+        let form = lift.ntt_form()?;
+        // Refused when a first modulus holds the cell: not stored then.
+        let _ = self.ntt.set(form.clone());
+        Ok(form)
     }
 }
 
@@ -138,7 +182,7 @@ impl BatchEncoder {
         }
         let mut coeffs = slots.to_vec();
         self.plan.inverse_inplace(&mut coeffs)?;
-        Ok(Plaintext { coeffs, t: self.t })
+        Ok(Plaintext::from_coeffs(coeffs, self.t))
     }
 
     /// Unpacks a plaintext into its slot values (forward NTT over `t`).
@@ -199,7 +243,7 @@ mod tests {
         let pb = enc.encode(&sb).unwrap();
         let ring = Barrett64::new(p.t()).unwrap();
         let prod = naive::negacyclic_mul(&ring, pa.coeffs(), pb.coeffs()).unwrap();
-        let pt_prod = Plaintext { coeffs: prod, t: p.t() };
+        let pt_prod = Plaintext::from_coeffs(prod, p.t());
         let got = enc.decode(&pt_prod);
         let expect: Vec<u64> = sa.iter().zip(&sb).map(|(&a, &b)| ring.mul(a, b)).collect();
         assert_eq!(got, expect);

@@ -9,6 +9,9 @@
 //! Δ-power the encoded reals are multiplied by); both, and each limb's
 //! prime, are checked, not trusted, at each operation.
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use cofhee_core::Limb;
 
 use crate::error::{CkksError, Result};
@@ -31,11 +34,33 @@ pub fn scales_match(a: f64, b: f64) -> bool {
 
 /// An encoded (not yet encrypted) message: the integer polynomial
 /// `⌊Δ·σ⁻¹(z)⌉` in RNS limb form, tagged with level and scale.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A `ct · pt` product multiplies against each limb's NTT form. Those
+/// forms are made once, by the first product, and shared by every clone;
+/// equality and `Debug` see the limbs, level and scale only.
+#[derive(Clone)]
 pub struct CkksPlaintext {
     limbs: RnsPoly,
     level: Level,
     scale: f64,
+    /// The NTT form of each limb, once a product has needed them.
+    ntt: Arc<OnceLock<RnsPoly>>,
+}
+
+impl PartialEq for CkksPlaintext {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.limbs, self.level, self.scale) == (&other.limbs, other.level, other.scale)
+    }
+}
+
+impl fmt::Debug for CkksPlaintext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CkksPlaintext")
+            .field("limbs", &self.limbs)
+            .field("level", &self.level)
+            .field("scale", &self.scale)
+            .finish()
+    }
 }
 
 impl CkksPlaintext {
@@ -47,7 +72,17 @@ impl CkksPlaintext {
     /// match the level or any limb has the wrong length.
     pub fn new(params: &CkksParams, limbs: RnsPoly, level: Level, scale: f64) -> Result<Self> {
         check_rns_poly(params, &limbs, level, "plaintext")?;
-        Ok(Self { limbs, level, scale })
+        Ok(Self { limbs, level, scale, ntt: Arc::default() })
+    }
+
+    /// The NTT form of each limb: the stored forms, or made now and
+    /// stored if none are.
+    pub(crate) fn ntt_forms(&self) -> Result<&[Limb]> {
+        if let Some(forms) = self.ntt.get() {
+            return Ok(forms);
+        }
+        let forms = self.limbs.iter().map(Limb::ntt_form).collect::<cofhee_core::Result<_>>()?;
+        Ok(self.ntt.get_or_init(|| forms))
     }
 
     /// The per-limb residue vectors.

@@ -7,7 +7,9 @@
 //! backends, and a farm takes a job as a [`JobPlan`] of the same streams
 //! and finishers, so local and farm execution are bit-identical by
 //! construction. The 2×2 tensor and `ct · pt` are the scheme-neutral
-//! recorders of `cofhee_core` over one limb's residues. The one builder
+//! recorders of `cofhee_core` over one limb's residues; `ct · pt` takes
+//! the plaintext's limbs in NTT form, made once per plaintext and shared
+//! by its clones, and transforms only the ciphertext. The one builder
 //! with two forms is the key switch: `key_switch_streams` records it
 //! against whichever [`KeySwitchKeys`] it is handed — the key's stored
 //! NTT-form payloads uploaded inline for
@@ -141,10 +143,11 @@ impl CkksEvaluator {
         Ok(streams)
     }
 
-    /// Records plaintext multiplication: per limb the plaintext is
-    /// uploaded and transformed once, then each component takes a forward
-    /// NTT and a fused Hadamard + inverse (Algorithm 2 with the shared
-    /// operand's transform hoisted).
+    /// Records plaintext multiplication: per limb the plaintext's NTT
+    /// form is uploaded — made on the host by the plaintext's first
+    /// product and shared by its clones — then each component takes a
+    /// forward NTT and a fused Hadamard + inverse against it (Algorithm 2,
+    /// the invariant operand transformed once).
     ///
     /// # Errors
     ///
@@ -157,10 +160,11 @@ impl CkksEvaluator {
         self.check_ct(a)?;
         self.check_plain(a.level(), pt)?;
         let n = self.params.n();
+        let forms = pt.ntt_forms()?;
         (0..a.level().limbs())
             .map(|j| {
                 let components = a.components().iter().map(|c| &c[j]);
-                Ok(cofhee_core::record_mul_plain(n, &pt.limbs()[j], components)?)
+                Ok(cofhee_core::record_mul_plain(n, &forms[j], components)?)
             })
             .collect()
     }
@@ -569,7 +573,8 @@ mod tests {
         for j in 0..a.level().limbs() {
             let (pa, pb) = (at(&a, j), at(&b, j));
             assert_eq!(uploads(&add[j]), [pa[0], pb[0], pa[1], pb[1]], "add, limb {j}");
-            let plain = [pt.limbs()[j].as_ptr(), pa[0], pa[1]];
+            // The plaintext's stored form, not its residues.
+            let plain = [pt.ntt_forms().unwrap()[j].as_ptr(), pa[0], pa[1]];
             assert_eq!(uploads(&mul_plain[j]), plain, "mul_plain, limb {j}");
             assert_eq!(uploads(&tensor[j]), [pa[0], pa[1], pb[0], pb[1]], "tensor, limb {j}");
             // The key polynomials as the key stores them, and the

@@ -2,7 +2,8 @@
 //! node for node, each handed one limb's operand words (BFV its
 //! centered lifts, CKKS the limb's residues) — the 2×2 ciphertext
 //! tensor ([`record_tensor`]), the ciphertext × plaintext product
-//! ([`record_mul_plain`]) and the key switch ([`record_key_switch`]).
+//! ([`record_mul_plain`], against the plaintext's stored NTT form) and
+//! the key switch ([`record_key_switch`]).
 //!
 //! A key switch is a host-side digit decomposition of one polynomial,
 //! then per digit a forward NTT, Hadamard products against the two
@@ -148,23 +149,24 @@ pub fn record_tensor<P: Into<Payload>>(n: usize, a: [P; 2], b: [P; 2]) -> Result
     Ok(st)
 }
 
-/// Records the product of each of `components` with the plaintext `pt`,
-/// one limb's words each, as one stream over degree-`n` polynomials: the
-/// plaintext uploaded and transformed once, then per component a forward
-/// NTT and a fused Hadamard + inverse — Algorithm 2 with the shared
-/// operand's transform hoisted. The products are the outputs, in order.
+/// Records the product of each of `components` with a plaintext, one
+/// limb's words each, as one stream over degree-`n` polynomials. The
+/// plaintext is handed over as its stored NTT form `pt_ntt` (see
+/// [`Limb::ntt_form`]) and only uploaded; per component the stream
+/// records upload → forward NTT → a fused Hadamard + inverse against it —
+/// Algorithm 2 with the invariant operand's transform made once, where
+/// the plaintext is made. The products are the outputs, in order.
 ///
 /// # Errors
 ///
 /// [`crate::CoreError::BadOperandLength`] for an operand not of `n` words.
 pub fn record_mul_plain(
     n: usize,
-    pt: impl Into<Payload>,
+    pt_ntt: impl Into<Payload>,
     components: impl IntoIterator<Item = impl Into<Payload>>,
 ) -> Result<OpStream> {
     let mut st = OpStream::new(n);
-    let hm = st.upload_shared(pt)?;
-    let fm = st.ntt(hm)?;
+    let fm = st.upload_shared(pt_ntt)?;
     for words in components {
         let hc = st.upload_shared(words)?;
         let fc = st.ntt(hc)?;

@@ -13,6 +13,9 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
+use cofhee_arith::LazyRing;
+use cofhee_poly::cache::TwiddleCache;
+use cofhee_poly::lazy::HarveyNtt;
 use cofhee_poly::PolyError;
 
 use crate::error::Result;
@@ -64,6 +67,30 @@ impl Limb {
     #[must_use]
     pub fn is_in(&self, modulus: u128, n: usize) -> bool {
         self.modulus == modulus && self.words.len() == n
+    }
+
+    /// The forward transform of this polynomial, bit for bit what an
+    /// `Ntt` node computes from it on either backend: the host plan
+    /// interned for `(modulus, len)`, at the width
+    /// [`TwiddleCache::narrow`] picks — the rule `CpuBackend` and the
+    /// simulator share, so a word-sized modulus builds no wide plan.
+    ///
+    /// # Errors
+    ///
+    /// Root-finding failures (`modulus` not NTT-friendly for the length).
+    pub fn ntt_form(&self) -> Result<Self> {
+        fn forward<R: LazyRing>(plan: Arc<HarveyNtt<R>>, words: &[u128]) -> Result<Vec<u128>> {
+            let ring = plan.ring();
+            let mut v: Vec<R::Elem> = words.iter().map(|&w| ring.from_u128(w)).collect();
+            plan.forward_inplace(&mut v)?;
+            Ok(v.into_iter().map(|e| ring.to_u128(e)).collect())
+        }
+        let (q, n) = (self.modulus, self.words.len());
+        let words = match TwiddleCache::narrow(q, n)? {
+            Some(plan) => forward(plan, &self.words)?,
+            None => forward(TwiddleCache::barrett128(q, n)?, &self.words)?,
+        };
+        Ok(Self { modulus: q, words: Arc::new(words) })
     }
 }
 

@@ -43,7 +43,8 @@ use std::cell::Cell;
 
 use cofhee_arith::primes::ntt_prime;
 use cofhee_core::{
-    record_key_switch, ChipBackend, CpuBackend, KeySwitchKeys, OpStream, PolyBackend, PolyHandle,
+    record_key_switch, record_mul_plain, ChipBackend, CpuBackend, KeySwitchKeys, OpStream,
+    PolyBackend, PolyHandle,
 };
 use cofhee_sim::ChipConfig;
 
@@ -181,20 +182,13 @@ fn ntt_form(cpu: &mut CpuBackend, raw: Vec<u128>) -> PolyHandle {
     cpu.upload(&out[0]).unwrap()
 }
 
-/// `ct · pt` as `cofhee_bfv` records it: the plaintext uploaded and
-/// transformed once, a transform and a fused Hadamard + inverse per
+/// `ct · pt` as both schemes record it: the plaintext's stored NTT form
+/// uploaded, a transform and a fused Hadamard + inverse against it per
 /// ciphertext component.
 fn mul_plain_shaped(n: usize) -> OpStream {
-    let mut st = OpStream::new(n);
-    let pt = st.upload((0..n as u128).map(|i| i % 5).collect()).unwrap();
-    let fpt = st.ntt(pt).unwrap();
-    for c in 0..2u128 {
-        let ct = st.upload((0..n as u128).map(|i| i * 977 + c).collect()).unwrap();
-        let fct = st.ntt(ct).unwrap();
-        let prod = st.hadamard_intt(fct, fpt).unwrap();
-        st.output(prod).unwrap();
-    }
-    st
+    let pt_ntt: Vec<u128> = (0..n as u128).map(|i| i % 5).collect();
+    let components = (0..2u128).map(|c| (0..n as u128).map(|i| i * 977 + c).collect::<Vec<_>>());
+    record_mul_plain(n, pt_ntt, components).unwrap()
 }
 
 /// `ct + ct`: four uploads, one PMODADD per component.
