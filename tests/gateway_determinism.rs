@@ -223,7 +223,10 @@ fn run(level: OptLevel) -> ([u64; 4], u64) {
 }
 
 /// Recorded at commit 8869b40, where every dispatch computed its request
-/// before returning.
+/// before returning; re-pinned once since, on purpose, when a ct×pt
+/// stream stopped transforming its plaintext (one die NTT fewer per such
+/// request moves the report, metrics and events; the downloads and the
+/// admission log do not).
 #[test]
 fn a_fixed_gateway_script_reproduces_the_parent_pinned_digests() {
     let runs = [OptLevel::O0, OptLevel::O1].map(run);
@@ -235,13 +238,13 @@ fn a_fixed_gateway_script_reproduces_the_parent_pinned_digests() {
     assert_eq!(results, ["c97520648403588f"; 2], "O0 then O1: result words");
     let pinned = [
         "459cba1c7b7816e1",
-        "58043781290f26f5",
-        "3dc0a4a990801fd3",
-        "a5e1e969c83d62dc",
+        "a438a2a170518de1",
+        "7feb8c0a26007182",
+        "9446f852dff43ab2",
         "459cba1c7b7816e1",
-        "a1c8578c81804f3c",
-        "8dbaddc886d77909",
-        "e8ce5760cbe89859",
+        "d7ff624944dab180",
+        "6796a65fe7808caa",
+        "a9a17077e2ab3eed",
     ];
     assert_eq!(got, pinned, "O0 then O1: downloads, report, metrics, events");
 }

@@ -244,7 +244,7 @@ fn o1_pass_traffic_on_every_builder_stream_is_what_the_roadmap_records() {
         // Distinct operands: a stream runs as recorded.
         ("bfv add", untouched(6, 592)),
         ("bfv add_plain", untouched(4, 364)),
-        ("bfv mul_plain", untouched(8, 2_839)),
+        ("bfv mul_plain", untouched(7, 2_390)),
         ("bfv tensor", untouched(13, 3_912)),
         ("bfv key switch, inline", untouched(30, 4_576)),
         // A repeated operand: `cse` + `dce` drop the second copy.
@@ -252,7 +252,7 @@ fn o1_pass_traffic_on_every_builder_stream_is_what_the_roadmap_records() {
         ("bfv a * a", saved(13, [2, 2], 9, [3_912, 2_878])),
         ("ckks add", untouched(6, 592)),
         ("ckks add_plain", untouched(4, 364)),
-        ("ckks mul_plain", untouched(8, 2_839)),
+        ("ckks mul_plain", untouched(7, 2_390)),
         ("ckks tensor", untouched(13, 3_912)),
         ("ckks key switch, inline", untouched(48, 7_299)),
         ("ckks rescale", untouched(8, 776)),
