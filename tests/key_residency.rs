@@ -9,8 +9,14 @@
 //! `record_key_switch`), so the lifetime, count and cycle properties are
 //! checked for BFV and CKKS alike; BFV's short-digit refusal needs a key
 //! only `cofhee_bfv` can build and lives in `cofhee_bfv::jobs`.
+//!
+//! A plaintext is the other invariant operand: its NTT form is made once,
+//! by its first ct×pt product, stored and shared by its clones, and every
+//! route uploads it — `components` forward and `components` inverse
+//! transforms per limb, and the naive negacyclic product's bits.
 
-use cofhee::arith::{primes::ntt_prime, Barrett128};
+use cofhee::arith::primes::{ntt_prime, ntt_primes};
+use cofhee::arith::{Barrett128, Barrett64};
 use cofhee::bfv::{
     BfvError, BfvParams, Ciphertext, Encryptor, Evaluator, KeyGenerator, Plaintext, RelinKey,
 };
@@ -19,12 +25,14 @@ use cofhee::ckks::{
     CkksParams, CkksRelinKey, CkksSecretKey,
 };
 use cofhee::core::{
-    BackendFactory, ChipBackendFactory, CpuBackendFactory, OpStream, PoolStats, StreamReport,
+    BackendFactory, ChipBackendFactory, CpuBackendFactory, OpStream, PolyBackend, PoolStats,
+    StreamOp, StreamReport,
 };
 use cofhee::farm::{
     ChipFarm, FarmError, Job, JobKind, RoundRobin, Scheduler, Session, WorkStealing,
 };
 use cofhee::opt::{LimbEngine, OptLevel};
+use cofhee::poly::naive;
 use cofhee::poly::ntt::{self, NttTables};
 use cofhee::service::{Gateway, GatewayConfig, Request, TenantFair};
 use rand::rngs::StdRng;
@@ -485,4 +493,221 @@ fn o1_never_costs_die_cycles_on_a_resident_key_switch() {
     }
     same_switch("bfv", bfv(OptLevel::O0), bfv(OptLevel::O1));
     same_switch("ckks", ckks(OptLevel::O0), ckks(OptLevel::O1));
+}
+
+/// The words `st` uploads first: a ct×pt stream's plaintext, as stored.
+fn first_upload(st: &OpStream) -> &[u128] {
+    match &st.nodes()[0] {
+        StreamOp::Upload(payload) => payload.words().unwrap(),
+        op => panic!("a ct×pt stream starts with its plaintext's upload, not {op:?}"),
+    }
+}
+
+/// `raw` through one `Ntt` node on `be`.
+fn ntt_node(be: &mut dyn PolyBackend, raw: &[u128]) -> Vec<u128> {
+    let mut st = OpStream::new(raw.len());
+    let up = st.upload(raw.to_vec()).unwrap();
+    let form = st.ntt(up).unwrap();
+    st.output(form).unwrap();
+    be.execute_stream(&st).unwrap().outputs.remove(0)
+}
+
+/// A plaintext of small distinct coefficients below `t`.
+fn plaintext(params: &BfvParams, seed: u64) -> Plaintext {
+    let t = params.t();
+    Plaintext::new(params, (0..params.n() as u64).map(|i| (i * 7 + seed) % t).collect()).unwrap()
+}
+
+#[test]
+fn the_stored_plaintext_form_is_an_ntt_nodes_output_on_both_backends() {
+    for bits in [47, 60, 109] {
+        let q = ntt_prime(bits, N).unwrap();
+        let g = bfv(BfvParams::new(N, 257, q).unwrap(), 15);
+        let pt = plaintext(&g.params, 3);
+        let st = Evaluator::new(&g.params).unwrap().mul_plain_stream(&g.a, &pt).unwrap();
+        let lift: Vec<u128> = pt.coeffs().iter().map(|&m| u128::from(m)).collect();
+        for (name, factory) in &factories() {
+            let mut be = factory.make(q, N).unwrap();
+            assert_eq!(ntt_node(be.as_mut(), &lift), first_upload(&st), "{name}, {bits}-bit q");
+        }
+    }
+    let f = ckks(CkksParams::insecure_testing(N).unwrap(), 15);
+    let pt = CkksEncoder::new(&f.params).encode(&[0.75, -2.0]).unwrap();
+    let streams = CkksEvaluator::new(&f.params).unwrap().mul_plain_streams(&f.a, &pt).unwrap();
+    for (name, factory) in &factories() {
+        for (j, (limb, st)) in pt.limbs().iter().zip(&streams).enumerate() {
+            let mut be = factory.make(limb.modulus(), N).unwrap();
+            assert_eq!(ntt_node(be.as_mut(), limb), first_upload(st), "{name}, ckks limb {j}");
+        }
+    }
+}
+
+#[test]
+fn a_ct_pt_product_is_components_forward_and_inverse_transforms_per_limb_on_every_route() {
+    let g = bfv(BfvParams::insecure_testing(N).unwrap(), 16);
+    let f = ckks(CkksParams::insecure_testing(N).unwrap(), 16);
+    let limbs = f.params.moduli().len() as u64;
+    let pt = plaintext(&g.params, 5);
+    let cpt = CkksEncoder::new(&f.params).encode(&[0.5, 3.0]).unwrap();
+    for (name, factory) in &factories() {
+        let ev = Evaluator::with_backend(&g.params, factory.as_ref()).unwrap();
+        let cubic = ev.multiply(&g.a, &g.b).unwrap();
+        // First use, a clone, a three-component ciphertext: the
+        // plaintext is never transformed on the die.
+        for (what, ct, pt) in
+            [("first", &g.a, &pt), ("clone", &g.b, &pt.clone()), ("3", &cubic, &pt)]
+        {
+            ev.reset_backend_telemetry();
+            ev.mul_plain(ct, pt).unwrap();
+            let components = ct.len() as u64;
+            assert_eq!(
+                transforms(ev.backend_report().butterflies),
+                2 * components,
+                "{name} {what}"
+            );
+        }
+        let ev = CkksEvaluator::with_backend(&f.params, factory.as_ref()).unwrap();
+        for (what, pt) in [("first", &cpt), ("clone", &cpt.clone())] {
+            ev.reset_backend_telemetry();
+            ev.mul_plain(&f.a, pt).unwrap();
+            assert_eq!(transforms(ev.backend_report().butterflies), 2 * 2 * limbs, "{name} {what}");
+        }
+    }
+
+    // The farm and the gateway record the same streams: the same count,
+    // and the evaluator's bits.
+    let want = Evaluator::new(&g.params).unwrap().mul_plain(&g.a, &pt).unwrap();
+    let want_ckks = CkksEvaluator::new(&f.params).unwrap().mul_plain(&f.a, &cpt).unwrap();
+    for dies in [1, 4] {
+        let farm = ChipFarm::new(dies, ChipBackendFactory::silicon()).unwrap();
+        let mut s = Scheduler::new(farm, Box::new(WorkStealing));
+        let exact = s.open_session(Session::new("e", &g.params, g.rlk.clone()).unwrap());
+        let approx = s.open_session(Session::new_ckks("a", &f.params, f.rlk.clone()).unwrap());
+        let kinds = [
+            (exact, JobKind::MulPlain(g.a.clone(), pt.clone())),
+            (approx, JobKind::CkksMulPlain(f.a.clone(), cpt.clone())),
+            (exact, JobKind::MulPlain(g.a.clone(), pt.clone())),
+            (approx, JobKind::CkksMulPlain(f.a.clone(), cpt.clone())),
+        ];
+        let jobs = kinds.into_iter().map(|(session, kind)| Job { session, kind, arrival: 0 });
+        let done = s.run(jobs.collect()).unwrap();
+        for pair in done.chunks(2) {
+            assert_eq!(pair[0].result.expect_bfv().polys(), want.polys(), "{dies} dies");
+            let ckks = pair[1].result.expect_ckks();
+            assert_eq!(ckks.components(), want_ckks.components(), "{dies} dies");
+        }
+        let butterflies = s.metrics().counter("farm.ops.butterflies");
+        assert_eq!(transforms(butterflies), 2 * (2 * 2 + 2 * 2 * limbs), "{dies} dies");
+    }
+    let farm = ChipFarm::new(2, ChipBackendFactory::silicon()).unwrap();
+    let sched = Scheduler::new(farm, Box::new(WorkStealing));
+    let mut gw = Gateway::new(sched, Box::new(TenantFair::default()), GatewayConfig::for_chips(2));
+    let exact = gw.register_tenant("exact", &g.params, Some(g.rlk.clone())).unwrap();
+    let a = gw.put_ciphertext(exact, g.a.clone()).unwrap();
+    let tickets = [0, 1].map(|_| gw.submit(exact, Request::MulPlain(a, pt.clone())).unwrap());
+    gw.drain().unwrap();
+    for ticket in &tickets {
+        assert_eq!(gw.result(ticket).unwrap().polys(), want.polys());
+    }
+    assert_eq!(transforms(gw.metrics().counter("farm.ops.butterflies")), 2 * 2 * 2);
+}
+
+#[test]
+fn a_plaintext_keeps_the_form_of_its_first_modulus_and_is_right_under_another() {
+    // Two parameter sets sharing (n, t), differing in q.
+    let g1 = bfv(BfvParams::insecure_testing(N).unwrap(), 17);
+    let t = g1.params.t();
+    let q2 = ntt_prime(59, N).unwrap();
+    assert_ne!(q2, g1.params.q());
+    let g2 = bfv(BfvParams::new(N, t, q2).unwrap(), 17);
+    let pt = plaintext(&g1.params, 9);
+    let (ev1, ev2) = (Evaluator::new(&g1.params).unwrap(), Evaluator::new(&g2.params).unwrap());
+
+    // A farm's job stores the form of its q; a second job with a clone
+    // uploads those very words, transforming nothing on the host.
+    let farm = ChipFarm::new(1, ChipBackendFactory::silicon()).unwrap();
+    let mut s = Scheduler::new(farm, Box::new(WorkStealing));
+    let id = s.open_session(Session::new("e", &g1.params, g1.rlk.clone()).unwrap());
+    let job = |ct: &Ciphertext| Job {
+        session: id,
+        kind: JobKind::MulPlain(ct.clone(), pt.clone()),
+        arrival: 0,
+    };
+    let done = s.run(vec![job(&g1.a), job(&g1.b)]).unwrap();
+    // Both streams of a pair held at once, so that a freed form's
+    // address cannot be handed out again.
+    let pair = |ev: &Evaluator, ct: &Ciphertext| {
+        [&pt, &pt.clone()].map(|pt| ev.mul_plain_stream(ct, pt).unwrap())
+    };
+    // Nothing but the farm has multiplied by `pt` yet. Under q2 its form
+    // is made afresh each time, so the cell was full: the farm's first
+    // job stored q1's form.
+    let [x, y] = pair(&ev2, &g2.a);
+    assert_ne!(first_upload(&x).as_ptr(), first_upload(&y).as_ptr(), "not stored under q2");
+    assert_eq!(first_upload(&x), first_upload(&y));
+    let [x, y] = pair(&ev1, &g1.a);
+    assert_eq!(first_upload(&x).as_ptr(), first_upload(&y).as_ptr(), "stored under q1");
+    assert_eq!(done[0].result.expect_bfv().polys(), ev1.mul_plain(&g1.a, &pt).unwrap().polys());
+    assert_eq!(done[1].result.expect_bfv().polys(), ev1.mul_plain(&g1.b, &pt).unwrap().polys());
+
+    // Correct under both: the naive negacyclic product of each component
+    // with the lift.
+    for (g, ev) in [(&g1, &ev1), (&g2, &ev2)] {
+        let q = g.params.q();
+        let ring = Barrett128::new(q).unwrap();
+        let lift: Vec<u128> = pt.coeffs().iter().map(|&m| u128::from(m)).collect();
+        let prod = ev.mul_plain(&g.a, &pt).unwrap();
+        for (got, c) in prod.polys().iter().zip(g.a.polys()) {
+            assert_eq!(&**got, naive::negacyclic_mul(&ring, c, &lift).unwrap(), "q = {q}");
+        }
+    }
+}
+
+#[test]
+fn ct_pt_products_match_the_naive_oracle_at_the_papers_size() {
+    // n = 2^12, log q = 109: BFV's q, and CKKS's 43 + 33 + 33-bit chain.
+    let n = 1 << 12;
+    let q = ntt_prime(109, n).unwrap();
+    let t = ntt_prime(17, n).unwrap() as u64;
+    let params = BfvParams::new(n, t, q).unwrap();
+    let mut rng = StdRng::seed_from_u64(18);
+    let kg = KeyGenerator::new(&params, &mut rng);
+    let enc = Encryptor::new(&params, kg.public_key(&mut rng).unwrap());
+    let ct = enc.encrypt(&Plaintext::constant(&params, 3).unwrap(), &mut rng).unwrap();
+    let pt = plaintext(&params, 1);
+    let ring = Barrett128::new(q).unwrap();
+    let lift: Vec<u128> = pt.coeffs().iter().map(|&m| u128::from(m)).collect();
+    let want: Vec<Vec<u128>> =
+        ct.polys().iter().map(|c| naive::negacyclic_mul(&ring, c, &lift).unwrap()).collect();
+    let mut moduli = vec![ntt_prime(43, n).unwrap()];
+    moduli.extend(ntt_primes(33, n, 2).unwrap());
+    let f = ckks(CkksParams::new(n, moduli, (1u64 << 33) as f64, 18).unwrap(), 18);
+    let cpt = CkksEncoder::new(&f.params).encode(&[1.25, -0.5]).unwrap();
+    let want_ckks: Vec<Vec<Vec<u64>>> =
+        f.a.components()
+            .iter()
+            .map(|c| {
+                c.iter()
+                    .zip(cpt.limbs())
+                    .map(|(limb, p)| {
+                        let ring = Barrett64::new(limb.modulus() as u64).unwrap();
+                        let words = |l: &[u128]| l.iter().map(|&w| w as u64).collect::<Vec<_>>();
+                        naive::negacyclic_mul(&ring, &words(limb), &words(p)).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+    for (name, factory) in &factories() {
+        let got = Evaluator::with_backend(&params, factory.as_ref()).unwrap().mul_plain(&ct, &pt);
+        let got: Vec<Vec<u128>> = got.unwrap().polys().iter().map(|p| p.to_u128_vec()).collect();
+        assert!(got == want, "{name}: bfv ct·pt ≠ the naive product");
+        let ev = CkksEvaluator::with_backend(&f.params, factory.as_ref()).unwrap();
+        let got = ev.mul_plain(&f.a, &cpt).unwrap();
+        let got: Vec<Vec<Vec<u64>>> = got
+            .components()
+            .iter()
+            .map(|c| c.iter().map(|l| l.iter().map(|&w| w as u64).collect()).collect())
+            .collect();
+        assert!(got == want_ckks, "{name}: ckks ct·pt ≠ the naive product");
+    }
 }

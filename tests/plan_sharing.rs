@@ -3,7 +3,8 @@
 //! process at the paper's 109 bits, whether an evaluator or the key
 //! generator brings it up first, and one word-width plan per chain prime
 //! and no wide one for a CKKS process, however many evaluators and
-//! client objects it brings up.
+//! client objects it brings up, and however many plaintexts its ct×pt
+//! products transform on the host.
 //!
 //! Alone in its test binary on purpose: it reads the process-global
 //! `TwiddleCache` counters, which concurrent tests would move.
@@ -53,9 +54,13 @@ fn params_and_evaluator_share_one_interned_wide_plan() {
     let enc = CkksEncryptor::new(&params, kg.public_key(&sk, &mut rng).unwrap());
     let rlk = kg.relin_key(&sk, &mut rng).unwrap();
     let dec = CkksDecryptor::new(&params, sk);
-    let ct = enc.encrypt(&CkksEncoder::new(&params).encode(&[1.5]).unwrap(), &mut rng).unwrap();
+    let encoder = CkksEncoder::new(&params);
+    let ct = enc.encrypt(&encoder.encode(&[1.5]).unwrap(), &mut rng).unwrap();
     let product = evaluator.multiply_relin_rescale(&ct, &ct, &rlk).unwrap();
     dec.decrypt(&product).unwrap();
+    // A ct×pt product transforms the plaintext on the host, once, at the
+    // width the backends compute at.
+    evaluator.mul_plain(&ct, &encoder.encode(&[0.5]).unwrap()).unwrap();
     let after = TwiddleCache::stats();
     assert_eq!(after.entries64, before.entries64 + 3, "one narrow plan per chain prime");
     assert_eq!(after.entries128, before.entries128, "and no wide one");
