@@ -4,7 +4,8 @@
 //!
 //! CoFHEE's row is priced on the simulator: one `n = 2^13` NTT on a
 //! silicon die, as `table5_performance` runs it, replaces the published
-//! cycle count before the table is printed and the efficiency derived.
+//! cycle count, and the row prints the efficiency those cycles give
+//! (the speedups stay on the published efficiencies).
 //! The run asserts that count within 0.02 % of Table V's 53,535 and the
 //! derived efficiency within 5 % of the published 4.54e-4. Both hold in
 //! `--smoke` mode too: one NTT at `n = 2^13` is all there is to run.
@@ -44,11 +45,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cofhee_bench::pct_err(cycles as f64, published_cycles as f64),
         cofhee_bench::pct_err(cycles as f64, TABLE5_NTT_CYCLES as f64)
     );
-    print!("{}", table.to_table());
-
-    println!("\nEfficiency derivation for CoFHEE (paper Section VII):");
+    // CoFHEE's row shows what its simulated cycles give; the speedups
+    // below stay on the published efficiencies.
     let parts = PartCatalogue::cofhee();
     let scaling = TechScaling::gf55_to_7nm();
+    let derived = table.derive_cofhee_efficiency(&parts, &scaling);
+    let mut shown = table.clone();
+    shown.cofhee.published_efficiency = Some(derived);
+    print!("{}", shown.to_table());
+    println!(
+        "(CoFHEE: cycles simulated, Eff derived from them; Table XI publishes \
+         {PUBLISHED_EFFICIENCY:.2e})"
+    );
+
+    println!("\nEfficiency derivation for CoFHEE (paper Section VII):");
     println!(
         "  compute area (PE + MDMC): {:.4} mm²  → scaled /{:.1}: {:.5} mm²",
         parts.compute_area_mm2(),
@@ -64,7 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scaling.delay_factor,
         scaling.scale_time_ns(time_ns)
     );
-    let derived = table.derive_cofhee_efficiency(&parts, &scaling);
     println!(
         "  derived efficiency: {:.3e} NTT/ns/mm² (paper: {PUBLISHED_EFFICIENCY:.2e}, {})",
         derived,

@@ -266,7 +266,10 @@ fn o1_pass_traffic_on_every_builder_stream_is_what_the_roadmap_records() {
     assert_eq!(measured.len(), pinned.len());
     for ((name, got), (pinned_name, want)) in measured.iter().zip(&pinned) {
         assert_eq!(name, pinned_name);
-        assert_eq!(got, want, "{name}: the ledger moved — update README § Stream compiler too");
+        assert_eq!(
+            got, want,
+            "{name}: the ledger moved — update EXPERIMENTS.md's compiler's ledger table too"
+        );
         assert!(got.o1 <= got.recorded, "{name}: O1 cost cycles");
         let repeats = name.contains("a + a") || name.contains("a * a");
         assert_eq!(got.o1 < got.recorded, repeats, "{name}: O1 pays exactly on a repeated operand");
