@@ -42,6 +42,10 @@ impl OpCosts {
     /// add passes, `ct·pt` two Hadamard passes, and `ct·ct + relin` the
     /// full Algorithm 3 (4 NTT + 4 Had + 1 add + 3 iNTT) plus the
     /// key-switch schedule of the module docs.
+    ///
+    /// Table X's two passes for `ct·pt` assume the ciphertext in NTT form
+    /// too, not only the plaintext: the library's `ct·pt` streams also
+    /// transform each ciphertext component forward and back.
     pub fn compose(
         backend: &'static str,
         towers: usize,

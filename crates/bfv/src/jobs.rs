@@ -10,7 +10,8 @@
 //! 1. **Record** — a pure function of the ciphertexts producing one or
 //!    more [`OpStream`]s (no backend involved):
 //!    [`Evaluator::add_stream`], [`Evaluator::add_plain_stream`],
-//!    [`Evaluator::mul_plain_stream`] record a single mod-`q` stream;
+//!    [`Evaluator::mul_plain_stream`] record a single mod-`q` stream
+//!    (the last against the plaintext's stored NTT form);
 //!    [`Evaluator::tensor_streams`] records one stream per CRT
 //!    computation prime (the per-limb decomposition of the exact Eq. 4
 //!    tensor, [`cofhee_core::record_tensor`] over centered lifts);
@@ -162,25 +163,19 @@ impl Evaluator {
         Ok(st)
     }
 
-    /// Records plaintext multiplication (`ct · pt`) as one mod-`q`
-    /// stream: the plaintext's lift in NTT form uploaded — made on the
-    /// host the first time the plaintext meets this `q` and shared by
-    /// its clones from then on — then per component a forward NTT and a
-    /// fused Hadamard + inverse against it (Algorithm 2, the invariant
-    /// operand transformed once). Outputs are the result components.
+    /// Records plaintext multiplication (`ct · pt`: the plaintext's
+    /// stored NTT form uploaded, then per component a forward NTT and a
+    /// fused Hadamard + inverse against it — Algorithm 2, the invariant
+    /// operand transformed once) as one mod-`q` stream; outputs are the
+    /// result components.
     ///
     /// # Errors
     ///
-    /// Returns [`BfvError::ParamsMismatch`] for foreign ciphertexts and
-    /// [`BfvError::Backend`] for a plaintext not of degree `n`.
+    /// Returns [`BfvError::ParamsMismatch`] for foreign ciphertexts.
     pub fn mul_plain_stream(&self, a: &Ciphertext, pt: &Plaintext) -> Result<OpStream> {
         self.check_ct(a)?;
-        let (q, n) = (self.params().q(), self.params().n());
-        if pt.coeffs().len() != n {
-            let found = pt.coeffs().len();
-            return Err(cofhee_core::CoreError::BadOperandLength { expected: n, found }.into());
-        }
-        Ok(cofhee_core::record_mul_plain(n, pt.ntt_form(q)?, a.polys())?)
+        let form = pt.ntt_form(self.params().q())?;
+        Ok(cofhee_core::record_mul_plain(self.params().n(), form, a.polys())?)
     }
 
     /// Records the unscaled Eq. 4 tensor as one [`OpStream`] per CRT

@@ -17,18 +17,13 @@ use crate::params::BfvParams;
 
 /// A plaintext polynomial: `n` coefficients reduced modulo `t`.
 ///
-/// A `ct · pt` product multiplies against the plaintext's lift modulo
-/// `q` in NTT form. That form is made once, by the first product that
-/// needs it, and shared by every clone — as clones of a
-/// [`RelinKey`](crate::RelinKey) share its stored form — so a plaintext
-/// reused across jobs is transformed once. Equality and `Debug` see the
-/// coefficients and `t` only.
+/// Its first `ct · pt` product stores the NTT form of its lift modulo
+/// `q`, shared by every clone, so a reused plaintext is transformed once.
+/// Equality and `Debug` ignore that form.
 #[derive(Clone)]
 pub struct Plaintext {
     coeffs: Vec<u64>,
     t: u64,
-    /// The NTT form of the lift modulo the first `q` it was multiplied
-    /// under.
     ntt: Arc<OnceLock<Limb>>,
 }
 
@@ -69,7 +64,7 @@ impl Plaintext {
                 return Err(BfvError::PlaintextOutOfRange { value: c, t: params.t() });
             }
         }
-        Ok(Self::from_coeffs(coeffs, params.t()))
+        Ok(Self { coeffs, t: params.t(), ntt: Arc::default() })
     }
 
     /// A plaintext encoding a single constant in coefficient 0.
@@ -83,7 +78,7 @@ impl Plaintext {
         }
         let mut coeffs = vec![0u64; params.n()];
         coeffs[0] = value;
-        Ok(Self::from_coeffs(coeffs, params.t()))
+        Ok(Self { coeffs, t: params.t(), ntt: Arc::default() })
     }
 
     /// The coefficient vector.
@@ -98,20 +93,14 @@ impl Plaintext {
         self.t
     }
 
-    fn from_coeffs(coeffs: Vec<u64>, t: u64) -> Self {
-        Self { coeffs, t, ntt: Arc::default() }
-    }
-
-    /// The NTT form of the lift modulo `q`: the stored one, or made now
-    /// and stored if none is. A plaintext multiplied under a second `q`
-    /// gets that modulus's form made afresh, not stored.
+    /// The NTT form of the lift modulo `q`, stored by the first call;
+    /// under any later `q` it is made afresh and not stored.
     pub(crate) fn ntt_form(&self, q: u128) -> Result<Limb> {
         if let Some(form) = self.ntt.get().filter(|form| form.modulus() == q) {
             return Ok(form.clone());
         }
         let lift = Limb::new(q, self.coeffs.iter().map(|&m| u128::from(m)).collect())?;
         let form = lift.ntt_form()?;
-        // Refused when a first modulus holds the cell: not stored then.
         let _ = self.ntt.set(form.clone());
         Ok(form)
     }
@@ -182,7 +171,7 @@ impl BatchEncoder {
         }
         let mut coeffs = slots.to_vec();
         self.plan.inverse_inplace(&mut coeffs)?;
-        Ok(Plaintext::from_coeffs(coeffs, self.t))
+        Ok(Plaintext { coeffs, t: self.t, ntt: Arc::default() })
     }
 
     /// Unpacks a plaintext into its slot values (forward NTT over `t`).
@@ -243,7 +232,7 @@ mod tests {
         let pb = enc.encode(&sb).unwrap();
         let ring = Barrett64::new(p.t()).unwrap();
         let prod = naive::negacyclic_mul(&ring, pa.coeffs(), pb.coeffs()).unwrap();
-        let pt_prod = Plaintext::from_coeffs(prod, p.t());
+        let pt_prod = Plaintext { coeffs: prod, t: p.t(), ntt: Arc::default() };
         let got = enc.decode(&pt_prod);
         let expect: Vec<u64> = sa.iter().zip(&sb).map(|(&a, &b)| ring.mul(a, b)).collect();
         assert_eq!(got, expect);

@@ -35,15 +35,13 @@ pub fn scales_match(a: f64, b: f64) -> bool {
 /// An encoded (not yet encrypted) message: the integer polynomial
 /// `⌊Δ·σ⁻¹(z)⌉` in RNS limb form, tagged with level and scale.
 ///
-/// A `ct · pt` product multiplies against each limb's NTT form. Those
-/// forms are made once, by the first product, and shared by every clone;
-/// equality and `Debug` see the limbs, level and scale only.
+/// Its first `ct · pt` product stores each limb's NTT form, shared by
+/// every clone. Equality and `Debug` ignore those forms.
 #[derive(Clone)]
 pub struct CkksPlaintext {
     limbs: RnsPoly,
     level: Level,
     scale: f64,
-    /// The NTT form of each limb, once a product has needed them.
     ntt: Arc<OnceLock<RnsPoly>>,
 }
 
@@ -75,8 +73,7 @@ impl CkksPlaintext {
         Ok(Self { limbs, level, scale, ntt: Arc::default() })
     }
 
-    /// The NTT form of each limb: the stored forms, or made now and
-    /// stored if none are.
+    /// The NTT form of each limb, stored by the first call.
     pub(crate) fn ntt_forms(&self) -> Result<&[Limb]> {
         if let Some(forms) = self.ntt.get() {
             return Ok(forms);

@@ -17,9 +17,8 @@
 //! Per primitive:
 //!
 //! * `add`/`sub`/`add_plain` — pointwise limb streams.
-//! * `mul_plain` — per limb, the plaintext's NTT form uploaded (made on
-//!   the host by its first product, shared by its clones), then `ntt(cᵢ)`
-//!   and a fused Hadamard + inverse per component.
+//! * `mul_plain` — per limb, the plaintext's stored NTT form uploaded,
+//!   then `ntt(cᵢ)` and a fused Hadamard + inverse per component.
 //! * `multiply` — the 2×2 tensor per limb (4 NTTs, fused
 //!   Hadamard+iNTT outer components, NTT-domain middle accumulate),
 //!   exactly the dataflow of the BFV tensor stream but **without** the

@@ -7,9 +7,8 @@
 //! backends, and a farm takes a job as a [`JobPlan`] of the same streams
 //! and finishers, so local and farm execution are bit-identical by
 //! construction. The 2×2 tensor and `ct · pt` are the scheme-neutral
-//! recorders of `cofhee_core` over one limb's residues; `ct · pt` takes
-//! the plaintext's limbs in NTT form, made once per plaintext and shared
-//! by its clones, and transforms only the ciphertext. The one builder
+//! recorders of `cofhee_core` over one limb's residues (`ct · pt`
+//! against the plaintext's stored NTT form). The one builder
 //! with two forms is the key switch: `key_switch_streams` records it
 //! against whichever [`KeySwitchKeys`] it is handed — the key's stored
 //! NTT-form payloads uploaded inline for
@@ -143,11 +142,10 @@ impl CkksEvaluator {
         Ok(streams)
     }
 
-    /// Records plaintext multiplication: per limb the plaintext's NTT
-    /// form is uploaded — made on the host by the plaintext's first
-    /// product and shared by its clones — then each component takes a
-    /// forward NTT and a fused Hadamard + inverse against it (Algorithm 2,
-    /// the invariant operand transformed once).
+    /// Records plaintext multiplication: per limb the plaintext's stored
+    /// NTT form is uploaded, then each component takes a forward NTT and
+    /// a fused Hadamard + inverse against it (Algorithm 2, the invariant
+    /// operand transformed once).
     ///
     /// # Errors
     ///

@@ -150,12 +150,10 @@ pub fn record_tensor<P: Into<Payload>>(n: usize, a: [P; 2], b: [P; 2]) -> Result
 }
 
 /// Records the product of each of `components` with a plaintext, one
-/// limb's words each, as one stream over degree-`n` polynomials. The
-/// plaintext is handed over as its stored NTT form `pt_ntt` (see
-/// [`Limb::ntt_form`]) and only uploaded; per component the stream
-/// records upload → forward NTT → a fused Hadamard + inverse against it —
-/// Algorithm 2 with the invariant operand's transform made once, where
-/// the plaintext is made. The products are the outputs, in order.
+/// limb's words each, as one stream over degree-`n` polynomials: the
+/// plaintext's NTT form `pt_ntt` ([`Limb::ntt_form`]) uploaded, then per
+/// component upload → forward NTT → a fused Hadamard + inverse against
+/// it. The products are the outputs, in order.
 ///
 /// # Errors
 ///

@@ -69,11 +69,9 @@ impl Limb {
         self.modulus == modulus && self.words.len() == n
     }
 
-    /// The forward transform of this polynomial, bit for bit what an
-    /// `Ntt` node computes from it on either backend: the host plan
-    /// interned for `(modulus, len)`, at the width
-    /// [`TwiddleCache::narrow`] picks — the rule `CpuBackend` and the
-    /// simulator share, so a word-sized modulus builds no wide plan.
+    /// The forward transform, bit for bit an `Ntt` node's output on
+    /// either backend: the interned host plan at the width
+    /// [`TwiddleCache::narrow`] picks, the rule the backends share.
     ///
     /// # Errors
     ///

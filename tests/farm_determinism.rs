@@ -336,17 +336,17 @@ fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -
     for o in &outcomes {
         let fields = [o.index as u64, o.session.raw(), o.arrival, o.finish, o.latency];
         h.text(&format!("{fields:?} {} {}", o.service_cycles, o.streams));
-        for h in [&mut h, &mut results] {
+        for fnv in [&mut h, &mut results] {
             match &o.result {
                 JobResult::Bfv(ct) => {
                     for p in ct.polys() {
-                        h.words(&p.to_u128_vec());
+                        fnv.words(&p.to_u128_vec());
                     }
                 }
                 JobResult::Ckks(ct) => {
-                    h.text(&format!("{:?} {:x}", ct.level(), ct.scale().to_bits()));
+                    fnv.text(&format!("{:?} {:x}", ct.level(), ct.scale().to_bits()));
                     for limb in ct.components().iter().flatten() {
-                        h.words(limb);
+                        fnv.words(limb);
                     }
                 }
             }

@@ -196,10 +196,10 @@ fn run(level: OptLevel) -> ([u64; 4], u64) {
             }
         } else {
             let ct = gw.download_ckks(tenant, handle).unwrap();
-            for h in [&mut downloads, &mut words] {
-                h.text(&format!("{:?} {:x}", ct.level(), ct.scale().to_bits()));
+            for fnv in [&mut downloads, &mut words] {
+                fnv.text(&format!("{:?} {:x}", ct.level(), ct.scale().to_bits()));
                 for limb in ct.components().iter().flatten() {
-                    h.words(limb);
+                    fnv.words(limb);
                 }
             }
         }
