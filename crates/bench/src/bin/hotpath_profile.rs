@@ -35,10 +35,14 @@
 //! width, below the `2^50` bound of `cofhee_poly`'s one-limb AVX-512 IFMA
 //! lanes — and for the paper's 109-bit prime on the 128-bit ring, below
 //! the `2^110` bound of the three-limb lanes, `ntt`, `intt`,
-//! `hadamard_intt` and `mul` at 2^12–2^14 (2^12 in smoke mode): the
-//! strict kernel (for `mul`, the scalar `ModRing::mul` loop) against the
-//! kernel the plan dispatches to, named in the `kernel` column
-//! (`avx512ifma` where the host has the feature, `scalar` elsewhere).
+//! `hadamard_intt`, `mul`, `add`, `sub` and `below` at 2^12–2^14 (2^12
+//! in smoke mode): the strict kernel (for the element-wise rows, the
+//! scalar `ModRing::mul` / `add` / `sub` loop and `w < q` over every
+//! word; ns per element) against the kernel the plan dispatches to,
+//! named in the `kernel` column (`avx512ifma` where the host has the
+//! feature, `scalar` elsewhere). Each row is checked bit-exact against
+//! the scalar loop before it is timed; `below` must pass the inputs and
+//! refuse them with one word set to `q`.
 //! These rows are in `BENCH_hotpath.json`'s `lanes` array, not in the
 //! `--check` gate: a baseline recorded on an IFMA host would read as a
 //! regression on a runner without it.
@@ -505,7 +509,7 @@ struct LaneRecord {
     plan_ns: f64,
 }
 
-/// Measures the four lane rows at one degree on `ring`, every kernel
+/// Measures the seven lane rows at one degree on `ring`, every kernel
 /// checked bit-exact against the strict one before it is timed.
 fn measure_lanes<R: LazyRing>(
     label: &'static str,
@@ -513,7 +517,10 @@ fn measure_lanes<R: LazyRing>(
     log_n: u32,
     reps: usize,
     out: &mut Vec<LaneRecord>,
-) -> Result<(), Box<dyn std::error::Error>> {
+) -> Result<(), Box<dyn std::error::Error>>
+where
+    R::Elem: Into<u128> + TryFrom<u128>,
+{
     let n = 1usize << log_n;
     let plan = HarveyNtt::new(ring, n)?;
     let tables = plan.tables();
@@ -530,6 +537,12 @@ fn measure_lanes<R: LazyRing>(
     let scalar_mul = |out: &mut [R::Elem], x: &[R::Elem], y: &[R::Elem]| {
         out.iter_mut().zip(x.iter().zip(y)).for_each(|(o, (&x, &y))| *o = ring.mul(x, y));
     };
+    let scalar_add = |out: &mut [R::Elem], x: &[R::Elem], y: &[R::Elem], subtract: bool| {
+        let op = if subtract { R::sub } else { R::add };
+        out.iter_mut().zip(x.iter().zip(y)).for_each(|(o, (&x, &y))| *o = op(ring, x, y));
+    };
+    let q = ring.modulus();
+    let scalar_below = |x: &[R::Elem]| x.iter().all(|&w| w.into() < q);
     let strict_hadamard_intt = |out: &mut [R::Elem], k: usize| {
         scalar_mul(out, &fa[k], &fb[k]);
         ntt::inverse_inplace(ring, out, tables).unwrap();
@@ -548,6 +561,17 @@ fn measure_lanes<R: LazyRing>(
         buf2.copy_from_slice(&a[k]);
         pointwise::mul_assign(ring, &mut buf2, &b[k])?;
         assert_eq!(buf2, buf, "{label} 2^{log_n}: mul != ModRing::mul");
+        scalar_add(&mut buf, &a[k], &b[k], false);
+        pointwise::add_into(ring, &mut buf2, &a[k], &b[k])?;
+        assert_eq!(buf2, buf, "{label} 2^{log_n}: add != ModRing::add");
+        scalar_add(&mut buf, &a[k], &b[k], true);
+        pointwise::sub_into(ring, &mut buf2, &a[k], &b[k])?;
+        assert_eq!(buf2, buf, "{label} 2^{log_n}: sub != ModRing::sub");
+        buf.copy_from_slice(&a[k]);
+        buf[n - 1 - k] = ring.from_u128(q - 1);
+        assert!(scalar_below(&buf) && pointwise::all_below(q, &buf), "{label} 2^{log_n}: below");
+        buf[n - 1 - k] = R::Elem::try_from(q).map_err(|_| "q fits the element")?;
+        assert!(!scalar_below(&buf) && !pointwise::all_below(q, &buf), "{label} 2^{log_n}: below");
     }
 
     let kernel = plan.kernel();
@@ -613,6 +637,35 @@ fn measure_lanes<R: LazyRing>(
                 pointwise::mul_assign(ring, &mut buf2, &b[k]).unwrap();
                 std::hint::black_box(&mut buf2);
             },
+        ),
+    );
+    for (op, subtract) in [("add", false), ("sub", true)] {
+        let sum = if subtract { pointwise::sub_into } else { pointwise::add_into };
+        push(
+            op,
+            n,
+            time_pair(
+                reps,
+                |rep| {
+                    let k = rep % INPUTS;
+                    scalar_add(&mut buf, &a[k], &b[k], subtract);
+                    std::hint::black_box(&mut buf);
+                },
+                |rep| {
+                    let k = rep % INPUTS;
+                    sum(ring, &mut buf2, &a[k], &b[k]).unwrap();
+                    std::hint::black_box(&mut buf2);
+                },
+            ),
+        );
+    }
+    push(
+        "below",
+        n,
+        time_pair(
+            reps,
+            |rep| assert!(std::hint::black_box(scalar_below(&a[rep % INPUTS]))),
+            |rep| assert!(std::hint::black_box(pointwise::all_below(q, &a[rep % INPUTS]))),
         ),
     );
     Ok(())

@@ -44,6 +44,7 @@
 //! under any placement — which is what makes farm results independent of
 //! scheduling policy and chip count.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use cofhee_arith::ModRing;
@@ -109,9 +110,14 @@ impl Evaluator {
         self.check_ct(b)?;
         let n = self.params().n();
         let len = a.len().max(b.len());
-        let zero = Payload::from(vec![0u128; n]);
-        let component =
-            |ct: &Ciphertext, i| ct.polys().get(i).map_or_else(|| zero.clone(), Payload::from);
+        // The padding, built only when the component counts differ.
+        let zero = OnceCell::new();
+        let component = |ct: &Ciphertext, i| {
+            ct.polys().get(i).map_or_else(
+                || zero.get_or_init(|| Payload::from(vec![0u128; n])).clone(),
+                Payload::from,
+            )
+        };
         let mut st = OpStream::new(n);
         for i in 0..len {
             let ha = st.upload_shared(component(a, i))?;

@@ -33,6 +33,7 @@
 //! one stream per *remaining* limb, the dropped top prime's workload
 //! having been folded host-side into the lifted subtrahend.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use cofhee_arith::{signed, ModRing};
@@ -89,12 +90,16 @@ impl CkksEvaluator {
         self.check_aligned(a, b)?;
         let n = self.params.n();
         let comps = a.len().max(b.len());
-        // Zero is zero modulo every prime: one payload serves each limb.
-        let zero = Payload::from(vec![0u128; n]);
+        // Zero is zero modulo every prime: one payload serves each limb,
+        // built only when the component counts differ.
+        let zero = OnceCell::new();
         let mut streams = Vec::with_capacity(a.level().limbs());
         for j in 0..a.level().limbs() {
             let limb = |ct: &CkksCiphertext, i: usize| {
-                ct.components().get(i).map_or_else(|| zero.clone(), |c| Payload::from(&c[j]))
+                ct.components().get(i).map_or_else(
+                    || zero.get_or_init(|| Payload::from(vec![0u128; n])).clone(),
+                    |c| Payload::from(&c[j]),
+                )
             };
             let mut st = OpStream::new(n);
             for i in 0..comps {

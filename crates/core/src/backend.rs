@@ -426,10 +426,7 @@ fn reduce_into<R: LazyRing>(ring: &R, coeffs: &[u128], v: &mut [R::Elem]) -> Res
     if coeffs.len() != v.len() {
         return Err(CoreError::BadOperandLength { expected: v.len(), found: coeffs.len() });
     }
-    for (dst, &c) in v.iter_mut().zip(coeffs) {
-        *dst = ring.from_u128(c);
-    }
-    Ok(())
+    Ok(pointwise::reduce_into(ring, v, coeffs)?)
 }
 
 /// Computes node `op` into `v`, a buffer from the stock. A pure function
@@ -465,14 +462,8 @@ fn compute<R: LazyRing>(
         StreamOp::HadamardAdd(x, y, acc) => {
             pointwise::mul_add_into(ring, v, arg(x)?, arg(y)?, arg(acc)?)?;
         }
-        StreamOp::PointwiseAdd(x, y) => {
-            v.copy_from_slice(arg(x)?);
-            pointwise::add_assign(ring, v, arg(y)?)?;
-        }
-        StreamOp::PointwiseSub(x, y) => {
-            v.copy_from_slice(arg(x)?);
-            pointwise::sub_assign(ring, v, arg(y)?)?;
-        }
+        StreamOp::PointwiseAdd(x, y) => pointwise::add_into(ring, v, arg(x)?, arg(y)?)?,
+        StreamOp::PointwiseSub(x, y) => pointwise::sub_into(ring, v, arg(x)?, arg(y)?)?,
         StreamOp::ScalarMul(x, c) => {
             v.copy_from_slice(arg(x)?);
             pointwise::scalar_mul_assign(ring, v, ring.from_u128(*c));

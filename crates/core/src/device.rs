@@ -7,7 +7,8 @@
 //! compute time, which is what the large-`n` analysis of Section III-C
 //! turns on.
 
-use cofhee_arith::{Barrett128, ModRing};
+use cofhee_arith::Barrett128;
+use cofhee_poly::pointwise;
 use cofhee_sim::{
     BankId, Chip, ChipConfig, Command, DrainReport, HostLink, OpReport, Slot, Spi, Uart,
     COMMAND_WORDS,
@@ -235,12 +236,11 @@ impl Device {
     }
 
     /// The data half of an upload: `coeffs` reduced mod `q` into the
-    /// bank, no wire time.
+    /// bank (copied, when one range check finds them canonical), no wire
+    /// time.
     pub(crate) fn write(&mut self, slot: Slot, coeffs: &[u128]) -> Result<()> {
-        for (word, &c) in self.chip.polynomial_mut(slot, coeffs.len())?.iter_mut().zip(coeffs) {
-            *word = self.ring.from_u128(c);
-        }
-        Ok(())
+        let words = self.chip.polynomial_mut(slot, coeffs.len())?;
+        Ok(pointwise::reduce_into(&self.ring, words, coeffs)?)
     }
 
     // ---- single-command wrappers (Table I, resolved against the plan) --

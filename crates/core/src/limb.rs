@@ -16,7 +16,7 @@ use std::sync::Arc;
 use cofhee_arith::LazyRing;
 use cofhee_poly::cache::TwiddleCache;
 use cofhee_poly::lazy::HarveyNtt;
-use cofhee_poly::PolyError;
+use cofhee_poly::{pointwise, PolyError};
 
 use crate::error::Result;
 use crate::stream::Payload;
@@ -39,7 +39,8 @@ impl Limb {
     /// word is not below `modulus`: the lazy kernels take operands on
     /// trust, so this is where the range is enforced.
     pub fn new(modulus: u128, words: Vec<u128>) -> Result<Self> {
-        if let Some(index) = words.iter().position(|&w| w >= modulus) {
+        if !pointwise::all_below(modulus, &words) {
+            let index = words.iter().position(|&w| w >= modulus).expect("a word is out of range");
             return Err(PolyError::NonCanonical { index, modulus }.into());
         }
         Ok(Self { modulus, words: Arc::new(words) })
@@ -148,6 +149,27 @@ mod tests {
         for op in st.nodes() {
             let StreamOp::Upload(payload) = op else { unreachable!("two uploads") };
             assert_eq!(payload.words().unwrap().as_ptr(), limb.as_ptr());
+        }
+    }
+
+    /// At a length the vector lanes take, the range check refuses a word
+    /// equal to `q`, one above `q` in its high 64 bits only, and a bad word
+    /// in the tail, and the error names the first bad index each time.
+    #[test]
+    fn a_limb_names_the_first_word_out_of_range() {
+        let q = cofhee_arith::primes::ntt_prime(109, 64).unwrap();
+        let words: Vec<u128> = (0..45).map(|i| q - 1 - i * (q / 45)).collect();
+        assert!(Limb::new(q, words.clone()).is_ok());
+        let high = ((q >> 64) + 1) << 64;
+        for (bad, at) in [(q, 0), (high, 17), (q, 44), (high, 44)] {
+            let mut words = words.clone();
+            words[at] = bad;
+            words[44] = words[44].max(bad);
+            assert_eq!(
+                Limb::new(q, words),
+                Err(CoreError::Poly(PolyError::NonCanonical { index: at, modulus: q })),
+                "{bad} at {at}"
+            );
         }
     }
 }

@@ -47,14 +47,20 @@
 //!   by Barrett on the full product (`x·y` shifted down by `b − 2` bits for
 //!   a `b`-bit `q`, times `μ = ⌊2^(b+50)/q⌋` or `⌊2^(b+154)/q⌋`; quotient
 //!   off by at most two, two corrections), the constant multiply by Shoup.
+//! * **Element-wise passes** ([`Elementwise`]) — add, subtract and the
+//!   range check `x < q` on canonical operands, which multiply nothing and
+//!   need no constant but `q`. A `u128` is read as its two 64-bit words
+//!   (one `vpermt2q` pair per load and per store), compared by masks, and
+//!   added or subtracted with the carry or borrow taken under a mask.
 //!
 //! Intermediates may differ from the scalar stages' by a multiple of `q`;
 //! outputs are canonical residues, so both paths agree bit for bit.
 //!
-//! A [`Lanes`] exists only for `u64` elements below `2^50` or `u128`
-//! elements below `2^110`, a length of at least 16 and a host that reports
-//! `avx512f` and `avx512ifma` at run time; nothing else selects it. This
-//! module is the one place in the workspace that holds `unsafe` code.
+//! A [`Lanes`] or an [`Elementwise`] exists only for `u64` elements below
+//! `2^50` or `u128` elements below `2^110`, a length of at least 16 and a
+//! host that reports `avx512f` and `avx512ifma` at run time; nothing else
+//! selects it. This module is the one place in the workspace that holds
+//! `unsafe` code.
 
 use std::any::TypeId;
 use std::marker::PhantomData;
@@ -157,30 +163,33 @@ macro_rules! on_lanes {
     };
 }
 
+/// Whether vectors of `len` elements `E` modulo `q` take the lanes, and
+/// then whether `E` is `u128`; `None` where the scalar path runs: elements
+/// that are neither `u64` below `2^50` nor `u128` below `2^110`, `len <
+/// 16`, or a host without `avx512f` + `avx512ifma`.
+fn admit<E: 'static>(q: u128, len: usize) -> Option<bool> {
+    let elem = TypeId::of::<E>();
+    let (bound, wide) = if elem == TypeId::of::<u64>() {
+        (WORD_BOUND, false)
+    } else if elem == TypeId::of::<u128>() {
+        (WIDE_BOUND, true)
+    } else {
+        return None;
+    };
+    ((3..bound).contains(&q) && len >= MIN_LEN && host_has_ifma()).then_some(wide)
+}
+
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 impl<E: 'static> Lanes<E> {
     /// The lanes for vectors of `len` elements modulo `q`, or `None` where
-    /// the scalar path runs: elements that are neither `u64` below `2^50`
-    /// nor `u128` below `2^110`, `len < 16`, or a host without `avx512f` +
-    /// `avx512ifma`.
+    /// the scalar path runs (see [`admit`]).
     pub(crate) fn new(q: u128, len: usize) -> Option<Self> {
-        let elem = TypeId::of::<E>();
-        let bound = if elem == TypeId::of::<u64>() {
-            WORD_BOUND
-        } else if elem == TypeId::of::<u128>() {
-            WIDE_BOUND
-        } else {
-            return None;
-        };
-        if !(3..bound).contains(&q) || len < MIN_LEN || !host_has_ifma() {
-            return None;
-        }
         let bits = 128 - q.leading_zeros();
-        let ring = if bound == WORD_BOUND {
+        let ring = if admit::<E>(q, len)? {
+            Ring::Wide(Wide::new(q, bits))
+        } else {
             let mu = ((1u128 << (bits + 50)) / q) as u64;
             Ring::Word(Word { q: q as u64, mu, shift: u64::from(bits - 2) })
-        } else {
-            Ring::Wide(Wide::new(q, bits))
         };
         Some(Self { ring, elem: PhantomData })
     }
@@ -227,6 +236,67 @@ impl<E: 'static> Lanes<E> {
     }
 }
 
+/// The element-wise kernels for one modulus on an IFMA host: they read
+/// nothing but `q`, so building one costs no division.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) struct Elementwise<E> {
+    q: u128,
+    wide: bool,
+    elem: PhantomData<fn() -> E>,
+}
+
+/// Runs `$call` with `$t` the element type, `u64` or `u128`. Off x86-64
+/// no `Elementwise` exists, so there is nothing to run.
+macro_rules! on_width {
+    ($k:expr, $t:ident => $call:expr) => {
+        match $k.wide {
+            #[cfg(target_arch = "x86_64")]
+            false => {
+                type $t = u64;
+                // SAFETY: an `Elementwise` exists only where `admit` saw both
+                // features.
+                unsafe { $call }
+            }
+            #[cfg(target_arch = "x86_64")]
+            true => {
+                type $t = u128;
+                // SAFETY: as for the word arm.
+                unsafe { $call }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("no vector lanes off x86-64"),
+        }
+    };
+}
+
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+impl<E: 'static> Elementwise<E> {
+    /// The kernels for vectors of `len` elements modulo `q`, by the rule
+    /// of [`Lanes::new`].
+    pub(crate) fn new(q: u128, len: usize) -> Option<Self> {
+        Some(Self { q, wide: admit::<E>(q, len)?, elem: PhantomData })
+    }
+
+    /// `out[i] = x[i] ± y[i] mod q` for canonical operands, `x` the old
+    /// `out` when `None`: a difference when `subtract`.
+    pub(crate) fn add(&self, out: &mut [E], x: Option<&[E]>, y: &[E], subtract: bool) {
+        let len = out.len();
+        assert!(y.len() == len && x.is_none_or(|x| x.len() == len));
+        on_width!(self, T => x86::add::<T>(self.q, same_mut(out), x.map(same), same(y), subtract))
+    }
+
+    /// Whether every element of `x` is below `q`.
+    pub(crate) fn below(&self, x: &[E]) -> bool {
+        on_width!(self, T => x86::below::<T>(self.q, same(x)))
+    }
+}
+
+/// `x` as `u128` words, when its elements are `u128`.
+pub(crate) fn wide_mut<E: 'static>(x: &mut [E]) -> Option<&mut [u128]> {
+    (TypeId::of::<E>() == TypeId::of::<u128>()).then(|| same_mut(x))
+}
+
 /// Whether the host reports the two features the kernels are built for.
 fn host_has_ifma() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -244,7 +314,6 @@ fn same<T: 'static, U: 'static>(x: &[T]) -> &[U] {
 }
 
 /// [`same`], mutably.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 fn same_mut<T: 'static, U: 'static>(x: &mut [T]) -> &mut [U] {
     assert!(TypeId::of::<T>() == TypeId::of::<U>());
     // SAFETY: as in `same`; the borrow of `x` moves into the result.
@@ -602,14 +671,11 @@ mod x86 {
             self.two_q
         }
 
-        /// Eight `u128` are sixteen words: the low and the high words
-        /// gathered apart, then cut at bits 52 and 104.
+        /// Eight `u128` as their low and high words apart, then cut at
+        /// bits 52 and 104.
         #[target_feature(enable = "avx512f")]
         unsafe fn load(self, x: &[u128]) -> Limbs {
-            let w = words(x);
-            let (a, b) = (load(w), load(w.get(8..).unwrap_or_default()));
-            let lo = _mm512_permutex2var_epi64(a, from_fn(|l| 2 * l), b);
-            let hi = _mm512_permutex2var_epi64(a, from_fn(|l| 2 * l + 1), b);
+            let [lo, hi] = <u128 as Plain>::load(x);
             let m = _mm512_set1_epi64(mask52());
             let mid = _mm512_or_si512(_mm512_srli_epi64::<52>(lo), _mm512_slli_epi64::<12>(hi));
             [_mm512_and_si512(lo, m), _mm512_and_si512(mid, m), _mm512_srli_epi64::<40>(hi)]
@@ -619,10 +685,7 @@ mod x86 {
         unsafe fn store(self, x: &mut [u128], [x0, x1, x2]: Limbs) {
             let lo = _mm512_or_si512(x0, _mm512_slli_epi64::<52>(x1));
             let hi = _mm512_or_si512(_mm512_srli_epi64::<12>(x1), _mm512_slli_epi64::<40>(x2));
-            let w = words_mut(x);
-            let (a, b) = w.split_at_mut(w.len().min(8));
-            store(a, _mm512_permutex2var_epi64(lo, from_fn(|l| 8 * (l & 1) + l / 2), hi));
-            store(b, _mm512_permutex2var_epi64(lo, from_fn(|l| 8 * (l & 1) + l / 2 + 4), hi));
+            <u128 as Plain>::store(x, [lo, hi])
         }
 
         #[target_feature(enable = "avx512f")]
@@ -1015,13 +1078,168 @@ mod x86 {
             k.store(&mut a[i..], p);
         }
     }
+
+    /// Eight elements as plain integers, for the element-wise kernels: a
+    /// vector of `u64`, or eight `u128` as their low and high words apart.
+    ///
+    /// Every method needs a host with `avx512f`, which is why each is
+    /// `unsafe`.
+    pub(super) trait Plain: Copy + 'static {
+        type V: Copy;
+
+        /// `q` in every lane.
+        unsafe fn splat(q: u128) -> Self::V;
+        /// The first `min(8, x.len())` elements of `x`, zeros above.
+        unsafe fn load(x: &[Self]) -> Self::V;
+        /// Writes the first `min(8, x.len())` lanes of `v` to `x`.
+        unsafe fn store(x: &mut [Self], v: Self::V);
+        /// The lanes where `x < y`.
+        unsafe fn lt(x: Self::V, y: Self::V) -> __mmask8;
+        /// `x + y` in the lanes of `m`, `x` in the others, wrapping.
+        unsafe fn add(x: Self::V, m: __mmask8, y: Self::V) -> Self::V;
+        /// `x − y` in the lanes of `m`, `x` in the others, wrapping.
+        unsafe fn sub(x: Self::V, m: __mmask8, y: Self::V) -> Self::V;
+    }
+
+    impl Plain for u64 {
+        type V = __m512i;
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn splat(q: u128) -> __m512i {
+            splat64(q as u64)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load(x: &[u64]) -> __m512i {
+            load(x)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(x: &mut [u64], v: __m512i) {
+            store(x, v)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn lt(x: __m512i, y: __m512i) -> __mmask8 {
+            _mm512_cmplt_epu64_mask(x, y)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn add(x: __m512i, m: __mmask8, y: __m512i) -> __m512i {
+            _mm512_mask_add_epi64(x, m, x, y)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn sub(x: __m512i, m: __mmask8, y: __m512i) -> __m512i {
+            _mm512_mask_sub_epi64(x, m, x, y)
+        }
+    }
+
+    /// The low and the high words of eight `u128`.
+    impl Plain for u128 {
+        type V = [__m512i; 2];
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn splat(q: u128) -> [__m512i; 2] {
+            [splat64(q as u64), splat64((q >> 64) as u64)]
+        }
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load(x: &[u128]) -> [__m512i; 2] {
+            let w = words(x);
+            let (a, b) = (load(w), load(w.get(8..).unwrap_or_default()));
+            [0, 1].map(|h| _mm512_permutex2var_epi64(a, from_fn(|l| 2 * l + h), b))
+        }
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(x: &mut [u128], [lo, hi]: [__m512i; 2]) {
+            let w = words_mut(x);
+            let (a, b) = w.split_at_mut(w.len().min(8));
+            store(a, _mm512_permutex2var_epi64(lo, from_fn(|l| 8 * (l & 1) + l / 2), hi));
+            store(b, _mm512_permutex2var_epi64(lo, from_fn(|l| 8 * (l & 1) + l / 2 + 4), hi));
+        }
+
+        /// The high words decide, the low ones where the high are equal.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn lt([xl, xh]: [__m512i; 2], [yl, yh]: [__m512i; 2]) -> __mmask8 {
+            _mm512_cmplt_epu64_mask(xh, yh)
+                | _mm512_mask_cmplt_epu64_mask(_mm512_cmpeq_epi64_mask(xh, yh), xl, yl)
+        }
+
+        /// A lane whose low sum is below its low `x` carried.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn add([xl, xh]: [__m512i; 2], m: __mmask8, [yl, yh]: [__m512i; 2]) -> [__m512i; 2] {
+            let lo = _mm512_mask_add_epi64(xl, m, xl, yl);
+            let carry = _mm512_mask_cmplt_epu64_mask(m, lo, xl);
+            let hi = _mm512_mask_add_epi64(xh, m, xh, yh);
+            [lo, _mm512_mask_sub_epi64(hi, carry, hi, _mm512_set1_epi64(-1))]
+        }
+
+        /// A lane whose low `x` is below its low `y` borrowed.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn sub([xl, xh]: [__m512i; 2], m: __mmask8, [yl, yh]: [__m512i; 2]) -> [__m512i; 2] {
+            let borrow = _mm512_mask_cmplt_epu64_mask(m, xl, yl);
+            let hi = _mm512_mask_sub_epi64(xh, m, xh, yh);
+            [
+                _mm512_mask_sub_epi64(xl, m, xl, yl),
+                _mm512_mask_add_epi64(hi, borrow, hi, _mm512_set1_epi64(-1)),
+            ]
+        }
+    }
+
+    /// `out = x ± y mod q` for canonical operands, with `x` the old `out`
+    /// when `None`: a difference when `subtract`. Whole vectors first,
+    /// whose loads and stores take no mask, then the tail.
+    ///
+    /// # Safety
+    ///
+    /// The host supports `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn add<T: Plain>(
+        q: u128,
+        out: &mut [T],
+        x: Option<&[T]>,
+        y: &[T],
+        subtract: bool,
+    ) {
+        let q = T::splat(q);
+        let one = |out: &mut [T], x: Option<&[T]>, y: &[T]| {
+            let (x, y) = (x.map_or_else(|| T::load(out), |x| T::load(x)), T::load(y));
+            let r = if subtract {
+                // Where `x < y` the difference wrapped, and `q` brings it back.
+                T::add(T::sub(x, !0, y), T::lt(x, y), q)
+            } else {
+                let s = T::add(x, !0, y);
+                T::sub(s, !T::lt(s, q), q)
+            };
+            T::store(out, r);
+        };
+        let (vecs, tail) = out.as_chunks_mut::<8>();
+        let whole = 8 * vecs.len();
+        for (i, out) in vecs.iter_mut().enumerate() {
+            one(out, x.map(|x| &x[8 * i..][..8]), &y[8 * i..][..8]);
+        }
+        one(tail, x.map(|x| &x[whole..]), &y[whole..]);
+    }
+
+    /// Whether every element of `x` is below `q`: a tail's zero lanes are.
+    ///
+    /// # Safety
+    ///
+    /// As for [`add`].
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn below<T: Plain>(q: u128, x: &[T]) -> bool {
+        let q = T::splat(q);
+        let (vecs, tail) = x.as_chunks::<8>();
+        vecs.iter().all(|x| T::lt(T::load(x), q) == !0) && T::lt(T::load(tail), q) == !0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use cofhee_arith::{primes::ntt_prime, Barrett128, Barrett64, LazyRing, ModRing};
 
-    use super::{host_has_ifma, WIDE_BOUND, WORD_BOUND};
+    use super::{host_has_ifma, Elementwise, WIDE_BOUND, WORD_BOUND};
     use crate::{ntt, pointwise, HarveyNtt};
 
     /// `len` values below `bound` as ring elements, the first and last of
@@ -1038,13 +1256,56 @@ mod tests {
         v.into_iter().map(|x| E::try_from(x).ok().expect("below the container's width")).collect()
     }
 
+    /// The element-wise passes on canonical `x` and `y` against the scalar
+    /// `ModRing` loops, with `y` reworked so that the sums reach `q` and
+    /// the differences reach and cross zero; then the range check, which
+    /// passes `x` and `y` and refuses a word equal to `q`, one above `q`
+    /// in its high 64 bits only (where the element holds it), and either
+    /// at the first word, within the vector and at the last.
+    fn check_elementwise<R: ModRing>(ring: &R, x: &[R::Elem], y: &[R::Elem])
+    where
+        R::Elem: TryFrom<u128> + Into<u128>,
+    {
+        let (q, len) = (ring.modulus(), x.len());
+        let y: Vec<R::Elem> = (0..len)
+            .map(|i| match i % 4 {
+                0 => ring.neg(x[i]),
+                1 => x[i],
+                2 => ring.add(x[i], ring.one()),
+                _ => y[i],
+            })
+            .collect();
+        for (subtract, op) in [(false, R::add as fn(&R, _, _) -> _), (true, R::sub)] {
+            let expect: Vec<R::Elem> = x.iter().zip(&y).map(|(&x, &y)| op(ring, x, y)).collect();
+            let (mut assign, mut into) = (x.to_vec(), vec![ring.from_u128(q - 1); len]);
+            if subtract {
+                pointwise::sub_assign(ring, &mut assign, &y).unwrap();
+                pointwise::sub_into(ring, &mut into, x, &y).unwrap();
+            } else {
+                pointwise::add_assign(ring, &mut assign, &y).unwrap();
+                pointwise::add_into(ring, &mut into, x, &y).unwrap();
+            }
+            assert_eq!(assign, expect, "subtract: {subtract}, q = {q}, len = {len}");
+            assert_eq!(into, expect, "subtract: {subtract}, q = {q}, len = {len}");
+        }
+        assert!(pointwise::all_below(q, x) && pointwise::all_below(q, &y), "q = {q}, len = {len}");
+        let high = ((q >> 64) + 1) << 64;
+        for bad in [q, high].into_iter().filter_map(|w| R::Elem::try_from(w).ok()) {
+            for at in [0, len / 3, len - 1] {
+                let mut words = x.to_vec();
+                words[at] = bad;
+                assert!(!pointwise::all_below(q, &words), "q = {q}, len = {len}, at {at}");
+            }
+        }
+    }
+
     /// Every vector kernel on `n` elements of `ring` against the scalar
     /// stages and loops (called directly, whichever kernel the plan picked)
     /// and the strict oracle, over the full lazy input ranges: the lanes
     /// engage exactly when `q < bound` and `n ≥ 16`.
     fn check<R: LazyRing>(ring: &R, n: usize, bound: u128)
     where
-        R::Elem: TryFrom<u128>,
+        R::Elem: TryFrom<u128> + Into<u128>,
     {
         let q = ring.modulus();
         let plan = HarveyNtt::new(ring, n).unwrap();
@@ -1054,6 +1315,7 @@ mod tests {
         }
         let lanes = wants_lanes && host_has_ifma();
         assert_eq!(plan.kernel(), if lanes { "avx512ifma" } else { "scalar" }, "q = {q}, n = {n}");
+        assert_eq!(Elementwise::<R::Elem>::new(q, n).is_some(), lanes, "q = {q}, n = {n}");
         let canonical =
             |v: &[R::Elem]| v.iter().map(|&x| ring.from_u128(ring.to_u128(x))).collect::<Vec<_>>();
 
@@ -1098,6 +1360,7 @@ mod tests {
         pointwise::scalar_mul_assign(ring, &mut fast, c);
         let scaled: Vec<R::Elem> = x.iter().map(|&x| ring.mul(x, c)).collect();
         assert_eq!(fast, scaled, "scalar_mul_assign, q = {q}, n = {n}");
+        check_elementwise(ring, &x, &y);
     }
 
     #[test]
@@ -1178,9 +1441,12 @@ mod tests {
         }
         fn at<R: LazyRing>(ring: &R)
         where
-            R::Elem: TryFrom<u128>,
+            R::Elem: TryFrom<u128> + Into<u128>,
         {
             let q = ring.modulus();
+            for len in 16..64 {
+                check_elementwise(ring, &values(len, q, 5), &values(len, q, 15));
+            }
             for len in [16, 17, 23, 31, 33, 40, 63] {
                 let [x, y, acc]: [Vec<R::Elem>; 3] =
                     [values(len, q, 3), values(len, q, 9), values(len, q, 27)];

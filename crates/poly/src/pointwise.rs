@@ -7,21 +7,22 @@
 //!
 //! | chip command | function |
 //! |---|---|
-//! | `PMODADD` | [`add_assign`] |
-//! | `PMODSUB` | [`sub_assign`] |
+//! | `PMODADD` | [`add_assign`], [`add_into`] |
+//! | `PMODSUB` | [`sub_assign`], [`sub_into`] |
 //! | `PMODMUL` | [`mul_assign`] (Hadamard product) |
 //! | `CMODMUL` | [`scalar_mul_assign`] |
 //! | `PMODMUL` into `PMODADD` | [`mul_add_into`] |
 //!
-//! The multiplying commands take a [`LazyRing`], whose elements are plain
-//! residues: on a word modulus below `2^50` they run in the vector lanes
-//! of `crate::ifma` where the host has them, bit for bit as the scalar
-//! loops.
+//! Every command runs in the vector lanes of `crate::ifma` where the host
+//! has them, on a word modulus below `2^50` or a `u128` one below `2^110`,
+//! bit for bit as the scalar loops; so does [`all_below`], the range
+//! check of words entering a ring. The multiplying commands take a
+//! [`LazyRing`], whose elements are plain residues.
 
 use cofhee_arith::{LazyRing, ModRing};
 
 use crate::error::{PolyError, Result};
-use crate::ifma::Lanes;
+use crate::ifma::{self, Elementwise, Lanes};
 
 fn check_same_len(a: usize, b: usize) -> Result<()> {
     if a != b {
@@ -36,11 +37,7 @@ fn check_same_len(a: usize, b: usize) -> Result<()> {
 ///
 /// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
 pub fn add_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Result<()> {
-    check_same_len(a.len(), b.len())?;
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x = ring.add(*x, y);
-    }
-    Ok(())
+    sum(ring, a, None, b, false)
 }
 
 /// `a[i] -= b[i] (mod q)` — the `PMODSUB` command.
@@ -49,9 +46,87 @@ pub fn add_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Res
 ///
 /// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
 pub fn sub_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Result<()> {
-    check_same_len(a.len(), b.len())?;
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x = ring.sub(*x, y);
+    sum(ring, a, None, b, true)
+}
+
+/// `out[i] = x[i] + y[i] (mod q)` — `PMODADD` into a third vector,
+/// whatever `out` held before.
+///
+/// # Errors
+///
+/// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
+pub fn add_into<R: ModRing>(
+    ring: &R,
+    out: &mut [R::Elem],
+    x: &[R::Elem],
+    y: &[R::Elem],
+) -> Result<()> {
+    sum(ring, out, Some(x), y, false)
+}
+
+/// `out[i] = x[i] − y[i] (mod q)` — `PMODSUB` into a third vector.
+///
+/// # Errors
+///
+/// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
+pub fn sub_into<R: ModRing>(
+    ring: &R,
+    out: &mut [R::Elem],
+    x: &[R::Elem],
+    y: &[R::Elem],
+) -> Result<()> {
+    sum(ring, out, Some(x), y, true)
+}
+
+/// `out = x ± y`, with `x` the old `out` when `None`.
+fn sum<R: ModRing>(
+    ring: &R,
+    out: &mut [R::Elem],
+    x: Option<&[R::Elem]>,
+    y: &[R::Elem],
+    subtract: bool,
+) -> Result<()> {
+    check_same_len(out.len(), y.len())?;
+    check_same_len(out.len(), x.map_or(out.len(), <[_]>::len))?;
+    if let Some(lanes) = Elementwise::new(ring.modulus(), out.len()) {
+        lanes.add(out, x, y, subtract);
+        return Ok(());
+    }
+    if let Some(x) = x {
+        out.copy_from_slice(x);
+    }
+    for (o, &y) in out.iter_mut().zip(y) {
+        *o = if subtract { ring.sub(*o, y) } else { ring.add(*o, y) };
+    }
+    Ok(())
+}
+
+/// Whether every word is below `q`, a canonical residue: the range check
+/// of words entering a ring.
+pub fn all_below<E: Copy + Into<u128> + 'static>(q: u128, words: &[E]) -> bool {
+    match Elementwise::new(q, words.len()) {
+        Some(lanes) => lanes.below(words),
+        None => words.iter().all(|&w| w.into() < q),
+    }
+}
+
+/// `dst[i] = src[i] mod q` — an upload's words entering the ring. After
+/// one range check, canonical `u128` words are copied as they are;
+/// otherwise each goes through [`ModRing::from_u128`].
+///
+/// # Errors
+///
+/// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
+pub fn reduce_into<R: ModRing>(ring: &R, dst: &mut [R::Elem], src: &[u128]) -> Result<()> {
+    check_same_len(dst.len(), src.len())?;
+    if let Some(wide) = ifma::wide_mut(dst) {
+        if all_below(ring.modulus(), src) {
+            wide.copy_from_slice(src);
+            return Ok(());
+        }
+    }
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = ring.from_u128(s);
     }
     Ok(())
 }

@@ -334,7 +334,9 @@ fn an_out_of_range_destination_fails_the_same_way_and_writes_nothing() {
 /// SRAM written through the backdoor is not reduced. Under a word-sized
 /// modulus, a source word `≥ q` — or one that does not even fit 64 bits —
 /// sends the command down the 128-bit path, so the chip computes whatever
-/// a chip without the narrow kernel computes. (The 128-bit arithmetic
+/// a chip without the narrow kernel computes; and it sends `PMODADD` /
+/// `PMODSUB` down the element-by-element loop on `Barrett128`, which the
+/// two passes here are held to word for word. (The 128-bit arithmetic
 /// `debug_assert!`s its operands canonical, so only a build without debug
 /// assertions — CI's release-mode run — gets this far.)
 #[cfg(not(debug_assertions))]
@@ -350,6 +352,7 @@ fn non_canonical_words_compute_what_the_wide_path_computes() {
     wide.mdmc.set_ntt_plan(Some(plan)); // the wide plan alone
     assert!(narrow.mdmc.computes_narrow() && !wide.mdmc.computes_narrow());
     let mut chips = [narrow, wide];
+    let ring = Barrett128::new(q).unwrap();
 
     for stray in [q, q + 1, (1 << 64) + 5, u128::MAX] {
         seed_banks(&mut chips, q, n);
@@ -371,8 +374,18 @@ fn non_canonical_words_compute_what_the_wide_path_computes() {
                 Command::cmodmul(s(0, 0), 7, s(6, 0)),
                 Command::pmodmul(s(2, 0), s(0, 0), s(6, 1)),
                 Command::cmodmul(s(2, 0), stray, s(7, 0)),
+                Command::pmodadd(s(0, 0), s(2, 0), s(7, 1)),
+                Command::pmodsub(s(2, 0), s(0, 0), s(2, 1)),
             ],
         );
+        let clean = chips[0].read_polynomial(s(2, 0), n).unwrap();
+        type Op = fn(&Barrett128, u128, u128) -> u128;
+        let passes: [(Slot, &[u128], &[u128], Op); 2] =
+            [(s(7, 1), &poly, &clean, Barrett128::add), (s(2, 1), &clean, &poly, Barrett128::sub)];
+        for (dst, x, y, op) in passes {
+            let expect: Vec<u128> = x.iter().zip(y).map(|(&x, &y)| op(&ring, x, y)).collect();
+            assert_eq!(chips[0].read_polynomial(dst, n).unwrap(), expect, "stray {stray}");
+        }
     }
 }
 

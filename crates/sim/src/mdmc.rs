@@ -88,6 +88,10 @@
 //!   reduced) sends that command down the 128-bit path instead, so
 //!   non-canonical contents behave exactly as they do without the
 //!   narrow kernel.
+//! * The add-sub and multiplying passes run the [`pointwise`] kernels (the
+//!   vector lanes, where the host has them) once a range check finds every
+//!   source word canonical; a word `≥ q` sends the pass down the
+//!   element-by-element loop on the `Q` register's ring.
 //!
 //! None of this is visible in any simulated number: those are the price.
 
@@ -207,16 +211,21 @@ struct NarrowKernel {
     b: Vec<u64>,
 }
 
-/// Narrows `src` into `buf`; `false` when some word is not a canonical
-/// residue below `q` (the buffer is then meaningless).
+/// Narrows `src` into `buf`; `false`, with nothing narrowed, when some
+/// word is not a canonical residue below `q`.
 fn narrow(q: u64, buf: &mut Vec<u64>, src: &[u128]) -> bool {
-    buf.clear();
-    let mut canonical = true;
-    buf.extend(src.iter().map(|&w| {
-        canonical &= w < u128::from(q);
-        w as u64
-    }));
+    let canonical = pointwise::all_below(u128::from(q), src);
+    if canonical {
+        buf.clear();
+        buf.extend(src.iter().map(|&w| w as u64));
+    }
     canonical
+}
+
+/// Whether the `n` words at each of `slots` are canonical residues below
+/// `q`, the slots checked in order.
+fn canonical(mem: &Memory, q: u128, slots: &[Slot], n: usize) -> Result<bool> {
+    slots.iter().try_fold(true, |ok, &s| Ok(ok && pointwise::all_below(q, mem.slice(s, n)?)))
 }
 
 fn widen(dst: &mut [u128], src: &[u64]) {
@@ -447,8 +456,7 @@ impl Mdmc {
         match cmd.op {
             Opcode::Ntt => self.apply_ntt(cmd, mem, &ring, gpcfg, n, false),
             Opcode::Intt => self.apply_ntt(cmd, mem, &ring, gpcfg, n, true),
-            Opcode::PModAdd => self.pass(mem, cmd, second_of(cmd)?, n, |a, b| ring.add(a, b)),
-            Opcode::PModSub => self.pass(mem, cmd, second_of(cmd)?, n, |a, b| ring.sub(a, b)),
+            Opcode::PModAdd | Opcode::PModSub => self.add_pass(mem, cmd, second_of(cmd)?, &ring, n),
             Opcode::PModMul => self.mul_pass(mem, cmd, second_of(cmd)?, None, &ring, n),
             // PMUL bypasses the reduction stages: the low 128 bits of
             // the raw product leave the multiplier array.
@@ -677,6 +685,39 @@ impl Mdmc {
         onto(mem.slice_mut(cmd.dst, n)?, &self.staged)
     }
 
+    /// `PMODADD`, or `PMODSUB`: on the [`pointwise`] kernels, straight
+    /// from the source banks, when both sources hold canonical residues;
+    /// otherwise one element at a time on `ring`.
+    fn add_pass(
+        &mut self,
+        mem: &mut Memory,
+        cmd: &Command,
+        y: Slot,
+        ring: &Barrett128,
+        n: usize,
+    ) -> Result<()> {
+        let subtract = cmd.op == Opcode::PModSub;
+        if !canonical(mem, ring.q(), &[cmd.x, y], n)? {
+            let op = if subtract { Barrett128::sub } else { Barrett128::add };
+            return self.pass(mem, cmd, y, n, |a, b| op(ring, a, b));
+        }
+        let rejected = |e| SimError::BadConfiguration { reason: format!("add-sub pass: {e}") };
+        self.run(
+            mem,
+            cmd,
+            y,
+            n,
+            |out, a, b| {
+                let sum = if subtract { pointwise::sub_into } else { pointwise::add_into };
+                sum(ring, out, a, b).map_err(rejected)
+            },
+            |out, b| {
+                let sum = if subtract { pointwise::sub_assign } else { pointwise::add_assign };
+                sum(ring, out, b).map_err(rejected)
+            },
+        )
+    }
+
     /// A multiplying pass — `x[j]·y[j]`, or `x[j]·c` when `c` is given —
     /// modulo the PE's modulus `q`: on the word-width kernel when one is
     /// installed for `q`, else on the [`pointwise`] kernels at 128 bits;
@@ -709,13 +750,10 @@ impl Mdmc {
                 return Ok(());
             }
         }
-        let q = ring.q();
-        let canonical = |words: &[u128]| words.iter().all(|&w| w < q);
-        let canonical = canonical(mem.slice(cmd.x, n)?)
-            && match c {
-                Some(c) => c < q,
-                None => canonical(mem.slice(y, n)?),
-            };
+        let canonical = match c {
+            Some(c) => canonical(mem, ring.q(), &[cmd.x], n)? && c < ring.q(),
+            None => canonical(mem, ring.q(), &[cmd.x, y], n)?,
+        };
         let mul =
             |out: &mut [u128], b: &[u128]| pointwise::mul_assign(ring, out, b).map_err(rejected);
         match c {
