@@ -5,13 +5,12 @@
 //!
 //! * [`U256`] — 256-bit integers for double-width products of CoFHEE's
 //!   native 128-bit coefficients.
-//! * [`ModRing`] — the modular-ring abstraction every reduction engine
-//!   implements, so NTT/polynomial/BFV code is engine-agnostic.
+//! * [`ModRing`] — the interface of the two Barrett widths, so the NTT
+//!   kernels, [`roots::RootSet`] and the layers above are written once
+//!   for both.
 //! * [`Barrett64`] / [`Barrett128`] — Barrett reduction, the strategy the
 //!   chip's processing element implements (Section IV-A of the paper),
 //!   including the `BARRETTCTL1`/`BARRETTCTL2` constants of Table II.
-//! * [`Montgomery64`] / [`Montgomery128`] — the alternative the paper
-//!   compares against, for the multiplier ablation.
 //! * [`ShoupMul`] / [`LazyRing`] — Shoup precomputed constants and
 //!   Harvey-style lazy reduction (`[0, 2q)` redundant representation,
 //!   single final correction): the host-side NTT hot path.
@@ -49,7 +48,6 @@
 
 mod barrett;
 mod error;
-mod montgomery;
 mod ring;
 mod shoup;
 mod u256;
@@ -61,7 +59,6 @@ pub mod signed;
 
 pub use barrett::{Barrett128, Barrett64};
 pub use error::{ArithError, Result};
-pub use montgomery::{Montgomery128, Montgomery64};
 pub use ring::ModRing;
 pub use shoup::{LazyRing, ShoupMul};
 pub use u256::U256;

@@ -1,18 +1,17 @@
-//! The modular-ring abstraction shared by every arithmetic engine.
+//! The modular-ring interface of the two Barrett widths.
 //!
-//! CoFHEE's processing element implements one concrete strategy — a
-//! pipelined Barrett multiplier (Section IV-A of the paper) — while the
-//! state of the art it compares against uses Montgomery multipliers. Both
-//! strategies, at both coefficient widths (64-bit RNS towers for the CPU
-//! baseline, 128-bit native coefficients for the chip), implement
-//! [`ModRing`], so the NTT and polynomial layers run unchanged on any of
-//! them. This is what powers the Barrett-vs-Montgomery ablation bench.
+//! CoFHEE's processing element is a pipelined Barrett multiplier (Section
+//! IV-A of the paper). Its two software widths — [`crate::Barrett64`] for
+//! 64-bit RNS towers (the CPU baseline) and [`crate::Barrett128`] for the
+//! chip's native 128-bit coefficients — implement [`ModRing`], so the
+//! NTT kernels (strict and lazy), [`crate::roots::RootSet`] and the
+//! layers above are written once for both.
 
 use core::fmt;
 
 use crate::error::{ArithError, Result};
 
-/// A ring of integers modulo `q`, with a pluggable reduction strategy.
+/// A ring of integers modulo `q`.
 ///
 /// Elements are always kept reduced: every method requires operands in
 /// `[0, q)` and returns results in `[0, q)`. Use [`ModRing::from_u128`] to

@@ -109,7 +109,6 @@ impl<R: ModRing> RootSet<R> {
 mod tests {
     use super::*;
     use crate::barrett::{Barrett128, Barrett64};
-    use crate::montgomery::Montgomery64;
 
     const Q55: u64 = 18014398510645249; // ≡ 1 mod 2^14
     const Q109: u128 = 324518553658426726783156020805633; // ≡ 1 mod 2^14
@@ -148,14 +147,6 @@ mod tests {
         // ω has order exactly n.
         assert_eq!(ring.pow(rs.omega, n as u128), 1);
         assert_ne!(ring.pow(rs.omega, n as u128 / 2), 1);
-    }
-
-    #[test]
-    fn root_set_works_in_montgomery_form() {
-        let ring = Montgomery64::new(Q55).unwrap();
-        let rs = RootSet::new(&ring, 1 << 10).unwrap();
-        assert_eq!(ring.to_u128(ring.mul(rs.psi, rs.psi_inv)), 1);
-        assert_eq!(ring.to_u128(ring.pow(rs.psi, 1 << 10)), Q55 as u128 - 1);
     }
 
     #[test]

@@ -4,19 +4,26 @@
 //!   predicts ≈4× NTT throughput from 4 PEs at +1.9 mm².
 //! * **Dual-port vs single-port** NTT (II = 1 vs II = 2) and the
 //!   `n = 2^14` large-polynomial mode of Section III-C.
-//! * **Barrett vs Montgomery** multiplier choice (Section IV-A) on
-//!   identical NTT code.
 //! * **Host link** costs: UART vs SPI polynomial transfer and the
 //!   off-chip round trips for n > 2^13.
+//!
+//! Every figure is simulated or analytic, so the output is a pure function
+//! of the simulator, and the run asserts each cycle count exactly. They
+//! follow `stages·(n/2·II/PEs + 22) + 1`: 13 stages at `n = 2^13`, 9 at
+//! the `--smoke` size `n = 2^9`.
 
-use cofhee_arith::{
-    primes::ntt_prime, Barrett128, Barrett64, ModRing, Montgomery128, Montgomery64,
-};
-use cofhee_bench::time_best;
+use cofhee_arith::primes::ntt_prime;
 use cofhee_core::Device;
 use cofhee_physical::PartCatalogue;
-use cofhee_poly::ntt::{self, NttTables};
 use cofhee_sim::{offchip_round_trips, ChipConfig, HostLink, Slot, Spi, Uart};
+
+/// NTT cycles on 1 / 2 / 4 PEs (full run, `--smoke`).
+const PE_CYCLES: ([u64; 3], [u64; 3]) = ([53_535, 26_911, 13_599], [2_503, 1_351, 775]);
+/// NTT cycles into the dual-port pair (II = 1) and into a single-port
+/// bank (II = 2) (full run, `--smoke`).
+const PORT_CYCLES: ((u64, u64), (u64, u64)) = ((53_535, 106_783), (2_503, 4_807));
+/// The `n = 2^14` NTT, forced to II = 2 (full run only).
+const N14_CYCLES: u64 = 229_685;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = cofhee_bench::smoke_mode();
@@ -27,14 +34,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- PE count sweep (Section VIII-A) ----
     println!("== Multi-PE scalability (n = 2^{log_n} NTT) ==");
     let parts = PartCatalogue::cofhee();
+    let pe_cycles = cofhee_bench::sized(PE_CYCLES.0, PE_CYCLES.1);
     let mut base_cycles = 0;
-    for pe in [1usize, 2, 4] {
+    for (pe, expected) in [1usize, 2, 4].into_iter().zip(pe_cycles) {
         let config = ChipConfig::with_pe_count(pe);
         let mut dev = Device::connect(config, q, n)?;
         let plan = dev.bank_plan();
         let poly: Vec<u128> = (0..n as u128).map(|i| i % q).collect();
         dev.upload(Slot::new(plan.d0, 0), &poly)?;
         let report = dev.ntt(Slot::new(plan.d0, 0), Slot::new(plan.d1, 0))?;
+        assert_eq!(report.cycles, expected, "{pe}-PE NTT at n = 2^{log_n}");
         if pe == 1 {
             base_cycles = report.cycles;
         }
@@ -59,6 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let single = dev.ntt(Slot::new(plan.d0, 0), Slot::new(plan.storage[0], 0))?;
         println!("  dual-port pair (II=1):   {:>7} cycles", dual.cycles);
         println!("  single-port dest (II=2): {:>7} cycles", single.cycles);
+        let expected = cofhee_bench::sized(PORT_CYCLES.0, PORT_CYCLES.1);
+        assert_eq!((dual.cycles, single.cycles), expected, "dual / single-port NTT");
     }
     if smoke {
         // The forced-II=2 regime only exists for n > 2^13; nothing to
@@ -73,54 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dev.upload(Slot::new(plan.d0, 0), &poly)?;
         let report = dev.ntt(Slot::new(plan.d0, 0), Slot::new(plan.d1, 0))?;
         println!("  n = 2^14 (forced II=2 per Section III-C): {:>7} cycles\n", report.cycles);
-    }
-
-    // ---- Barrett vs Montgomery (Section IV-A) ----
-    println!("== Multiplier ablation: same NTT, different reduction engine ==");
-    let n_sw = 1usize << cofhee_bench::sized(12u32, 8);
-    let reps64 = cofhee_bench::sized(9, 2);
-    let reps128 = cofhee_bench::sized(5, 2);
-    {
-        let q64 = ntt_prime(55, n_sw)? as u64;
-        let bar = Barrett64::new(q64)?;
-        let mon = Montgomery64::new(q64)?;
-        let tb = NttTables::new(&bar, n_sw)?;
-        let tm = NttTables::new(&mon, n_sw)?;
-        let poly: Vec<u64> = (0..n_sw as u64).map(|i| i % q64).collect();
-        let (_, t_b) = time_best(reps64, || {
-            let mut p = poly.clone();
-            ntt::forward_inplace(&bar, &mut p, &tb).unwrap();
-            p
-        });
-        let polym: Vec<u64> = poly.iter().map(|&x| mon.from_u128(x as u128)).collect();
-        let (_, t_m) = time_best(reps64, || {
-            let mut p = polym.clone();
-            ntt::forward_inplace(&mon, &mut p, &tm).unwrap();
-            p
-        });
-        println!("  64-bit towers:  Barrett {:.3} ms vs Montgomery {:.3} ms", t_b * 1e3, t_m * 1e3);
-    }
-    {
-        let q128 = ntt_prime(109, n_sw)?;
-        let bar = Barrett128::new(q128)?;
-        let mon = Montgomery128::new(q128)?;
-        let tb = NttTables::new(&bar, n_sw)?;
-        let tm = NttTables::new(&mon, n_sw)?;
-        let poly: Vec<u128> = (0..n_sw as u128).map(|i| i % q128).collect();
-        let (_, t_b) = time_best(reps128, || {
-            let mut p = poly.clone();
-            ntt::forward_inplace(&bar, &mut p, &tb).unwrap();
-            p
-        });
-        let polym: Vec<u128> = poly.iter().map(|&x| mon.from_u128(x)).collect();
-        let (_, t_m) = time_best(reps128, || {
-            let mut p = polym.clone();
-            ntt::forward_inplace(&mon, &mut p, &tm).unwrap();
-            p
-        });
-        println!("  128-bit native: Barrett {:.3} ms vs Montgomery {:.3} ms", t_b * 1e3, t_m * 1e3);
-        println!("  (hardware argument: Barrett needs no operand transform and pipelines");
-        println!("   to match the SRAM read path — Section IV-A)\n");
+        assert_eq!(report.cycles, N14_CYCLES, "n = 2^14 NTT");
     }
 
     // ---- Host link costs (Section III-C large polynomials) ----

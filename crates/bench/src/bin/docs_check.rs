@@ -22,10 +22,10 @@
 //! `crates/*/src` is scanned for a call to one of them outside a
 //! `#[cfg(test)]` item (a file that opens with `#![cfg(test)]` is one
 //! such item as a whole). Exempt: `crates/poly/src/ntt.rs` (the
-//! definitions), `crates/poly/src/lazy.rs` (the fallback), and three
-//! bench bins: `hotpath_profile.rs` (the strict-vs-lazy ratio gate),
-//! `ablation_scaling.rs` (the §VIII-A ablation), which measure the strict
-//! kernels on purpose, and this file, which names them to look for them.
+//! definitions), `crates/poly/src/lazy.rs` (the fallback), and two
+//! bench bins: `hotpath_profile.rs` (the strict-vs-lazy ratio gate), which
+//! measures the strict kernels on purpose, and this file, which names them
+//! to look for them.
 //! Every other bench bin times the production kernel. The AVX-512 IFMA
 //! lanes (`crates/poly/src/ifma.rs`) are not a second kernel: they belong
 //! to `HarveyNtt`, which decides once, when a plan is built, whether its
@@ -125,11 +125,10 @@ const STRICT_KERNELS: [&str; 3] =
 
 /// Files under `crates/` allowed to call [`STRICT_KERNELS`] in
 /// production code (relative to the repository root).
-const STRICT_KERNEL_ALLOWED: [&str; 5] = [
+const STRICT_KERNEL_ALLOWED: [&str; 4] = [
     "crates/poly/src/ntt.rs",
     "crates/poly/src/lazy.rs",
     "crates/bench/src/bin/hotpath_profile.rs",
-    "crates/bench/src/bin/ablation_scaling.rs",
     "crates/bench/src/bin/docs_check.rs",
 ];
 

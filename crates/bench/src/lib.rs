@@ -11,7 +11,7 @@
 //! | `fig6_cpu_comparison` | Fig. 6a/6b CPU-vs-CoFHEE time and power |
 //! | `table10_apps` | Table X end-to-end application estimates |
 //! | `table11_related` | Table XI related-work efficiency comparison |
-//! | `ablation_scaling` | Section VIII-A scalability + multiplier ablations |
+//! | `ablation_scaling` | Section VIII-A PE-count, memory-port and host-link ablations |
 //!
 //! Every report binary accepts `--smoke`: a reduced-size run (smaller
 //! polynomial degrees, shorter sweeps, fewer timing repetitions) that

@@ -129,9 +129,6 @@ fn render_event(section: usize, label: &str, ev: &TraceEvent) -> String {
     for (k, v) in &ev.args {
         let _ = write!(args, "\"{k}\": {v}, ");
     }
-    if let Some(w) = ev.wall_ns {
-        let _ = write!(args, "\"wall_ns\": {w}, ");
-    }
     let args = args.trim_end_matches(", ");
     let cat = escape_json(label);
     let name = escape_json(ev.name);

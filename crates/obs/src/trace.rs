@@ -13,7 +13,6 @@
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Timeline a [`TraceEvent`] belongs to. Tracks map one-to-one onto
 /// rows in the exported Chrome trace: two lanes per die (PE compute and
@@ -79,8 +78,7 @@ impl EventKind {
 }
 
 /// One trace event: a named span or instant on a [`Track`], with a
-/// small list of static-keyed numeric arguments and an optional host
-/// wall-clock stamp (filled in by sinks that track host time).
+/// small list of static-keyed numeric arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Timeline the event belongs to.
@@ -92,9 +90,10 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Small numeric payload rendered into the Chrome `args` object.
     pub args: Vec<(&'static str, u64)>,
-    /// Host wall-clock nanoseconds since the sink's epoch, if the sink
-    /// stamps host time (only the test-only host-time `MemorySink` does;
-    /// exporters render it as an argument, never on the timeline).
+    /// Always `None`: no sink stamps host time. Kept only because the
+    /// pinned farm and gateway determinism digests fold every event's
+    /// `Debug`, which prints this field; delete it with their next
+    /// deliberate re-pin.
     pub wall_ns: Option<u64>,
 }
 
@@ -159,7 +158,6 @@ pub fn null_sink() -> SharedSink {
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<TraceEvent>>,
-    epoch: Option<Instant>,
 }
 
 impl MemorySink {
@@ -167,15 +165,6 @@ impl MemorySink {
     /// deterministic, suitable for golden traces and tests.
     pub fn new() -> Self {
         MemorySink::default()
-    }
-
-    /// A recording sink that additionally stamps each event with host
-    /// wall-clock nanoseconds since sink creation. Wall stamps are
-    /// non-deterministic; exporters keep them out of the timeline and
-    /// only surface them as event arguments.
-    #[cfg(test)]
-    fn with_host_time() -> Self {
-        MemorySink { events: Mutex::new(Vec::new()), epoch: Some(Instant::now()) }
     }
 
     /// A shared handle to a fresh deterministic recording sink.
@@ -209,10 +198,7 @@ impl TraceSink for MemorySink {
         true
     }
 
-    fn record(&self, mut event: TraceEvent) {
-        if let Some(epoch) = self.epoch {
-            event.wall_ns = Some(u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+    fn record(&self, event: TraceEvent) {
         self.events.lock().expect("trace sink lock poisoned").push(event);
     }
 }
@@ -278,20 +264,9 @@ mod tests {
         assert_eq!(events[0].name, "drain");
         assert_eq!(events[0].kind, EventKind::Span { start: 10, end: 20 });
         assert_eq!(events[0].args, vec![("commands", 3)]);
-        assert_eq!(events[0].wall_ns, None, "deterministic sink must not stamp host time");
         assert_eq!(events[1].kind.duration(), 0);
         assert_eq!(sink.take().len(), 2);
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn host_time_sink_stamps_monotone_wall_ns() {
-        let sink = MemorySink::with_host_time();
-        sink.record(TraceEvent::instant(Track::Compiler, "a", 0));
-        sink.record(TraceEvent::instant(Track::Compiler, "b", 1));
-        let events = sink.events();
-        let (a, b) = (events[0].wall_ns.unwrap(), events[1].wall_ns.unwrap());
-        assert!(a <= b);
     }
 
     #[test]

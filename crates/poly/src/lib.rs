@@ -41,10 +41,6 @@
 //! * [`bitrev`] — bit-reversal indexing (table build order, the
 //!   MEMCPYR command).
 //!
-//! The Barrett-vs-Montgomery **ablation** (§VIII-A) is not a module
-//! here: it is `cofhee_arith`'s Montgomery engines driven through the
-//! strict [`ntt`] kernels (generic over any `ModRing`) by `cofhee_bench`.
-//!
 //! # Examples
 //!
 //! Multiply two polynomials the way CoFHEE does — 2 NTTs, a Hadamard pass,

@@ -33,14 +33,16 @@ use std::collections::{BTreeMap, VecDeque};
 use cofhee_bfv::{BfvParams, Ciphertext, Plaintext, RelinKey};
 use cofhee_ckks::{CkksCiphertext, CkksParams, CkksRelinKey};
 use cofhee_core::SharedSink;
-use cofhee_farm::{Job, JobKind, JobOutcome, Scheduler, Session, SessionId};
+use cofhee_farm::{
+    Job, JobKind, JobOutcome, JobResult, LatencyPercentiles, Scheduler, Session, SessionId,
+};
 use cofhee_obs::{null_sink, CycleHistogram, MetricsRegistry, TraceEvent, Track};
 
 use crate::admission::{AdmissionPolicy, QueueView};
 use crate::error::{AdmitError, DenyReason, QuotaKind, Result, ServiceError};
 use crate::handle::{CtHandle, TenantId, Ticket};
-use crate::registry::{ciphertext_bytes, CiphertextRegistry, StoredCiphertext};
-use crate::telemetry::{percentiles, ServiceReport, TenantStats};
+use crate::registry::{ciphertext_bytes, stored_bytes, CiphertextRegistry};
+use crate::telemetry::{ServiceReport, TenantStats};
 
 /// One handle-addressed homomorphic request.
 ///
@@ -364,7 +366,7 @@ impl Gateway {
     ///
     /// Unknown tenants and byte-quota violations reject typed.
     pub fn put_ciphertext(&mut self, tenant: TenantId, ct: Ciphertext) -> Result<CtHandle> {
-        self.put_stored(tenant, StoredCiphertext::Bfv(ct), false)
+        self.put_stored(tenant, JobResult::Bfv(ct), false)
     }
 
     /// Uploads a CKKS ciphertext into the registry under `tenant`'s
@@ -379,15 +381,10 @@ impl Gateway {
         tenant: TenantId,
         ct: CkksCiphertext,
     ) -> Result<CtHandle> {
-        self.put_stored(tenant, StoredCiphertext::Ckks(ct), true)
+        self.put_stored(tenant, JobResult::Ckks(ct), true)
     }
 
-    fn put_stored(
-        &mut self,
-        tenant: TenantId,
-        ct: StoredCiphertext,
-        ckks: bool,
-    ) -> Result<CtHandle> {
+    fn put_stored(&mut self, tenant: TenantId, ct: JobResult, ckks: bool) -> Result<CtHandle> {
         let t = self
             .tenants
             .get(tenant.raw() as usize)
@@ -395,7 +392,7 @@ impl Gateway {
         if matches!(t.params, SchemeParams::Ckks(_)) != ckks {
             return Err(AdmitError::Denied { reason: DenyReason::SchemeMismatch }.into());
         }
-        let bytes = ct.bytes(t.params.n());
+        let bytes = stored_bytes(&ct, t.params.n());
         let would_use = self.registry.bytes_used(tenant).saturating_add(bytes);
         if would_use > t.quotas.max_bytes {
             return Err(AdmitError::QuotaExceeded {
@@ -676,7 +673,7 @@ impl Gateway {
     fn store(&mut self, outcomes: Vec<JobOutcome>) {
         for o in outcomes {
             if let Some(ticket) = self.tickets.get(&(o.index as u64)) {
-                self.registry.fill(ticket.result(), o.result.into());
+                self.registry.fill(ticket.result(), o.result);
             }
         }
     }
@@ -772,7 +769,7 @@ impl Gateway {
         self.download_stored(tenant, handle)?.as_ckks().ok_or(ServiceError::WrongScheme { handle })
     }
 
-    fn download_stored(&self, tenant: TenantId, handle: CtHandle) -> Result<&StoredCiphertext> {
+    fn download_stored(&self, tenant: TenantId, handle: CtHandle) -> Result<&JobResult> {
         if self.tenants.get(tenant.raw() as usize).is_none() {
             return Err(AdmitError::Denied { reason: DenyReason::UnknownTenant }.into());
         }
@@ -917,9 +914,9 @@ impl Gateway {
             policy: self.policy.name(),
             farm: self.sched.report(),
             tenants: self.tenants.iter().map(|t| (t.label.clone(), t.stats)).collect(),
-            latency: percentiles(&self.latency_samples),
-            queue: percentiles(&self.queue_samples),
-            service: percentiles(&self.service_samples),
+            latency: LatencyPercentiles::from_histogram(&self.latency_samples),
+            queue: LatencyPercentiles::from_histogram(&self.queue_samples),
+            service: LatencyPercentiles::from_histogram(&self.service_samples),
             now: self.now,
         }
     }

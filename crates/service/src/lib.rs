@@ -84,5 +84,5 @@ pub use error::{AdmitError, DenyReason, ErrorKind, QuotaKind, Result, ServiceErr
 pub use gateway::{Gateway, GatewayConfig, QuotaConfig, Request};
 pub use handle::{CtHandle, TenantId, Ticket};
 pub use loadgen::{arrival_times, request_mix, ArrivalProcess};
-pub use registry::{ciphertext_bytes, CiphertextRegistry, StoredCiphertext, Visibility};
+pub use registry::{ciphertext_bytes, CiphertextRegistry, Visibility};
 pub use telemetry::{jain_index, ServiceReport, TenantStats};

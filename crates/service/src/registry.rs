@@ -14,61 +14,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cofhee_bfv::Ciphertext;
-use cofhee_ckks::CkksCiphertext;
 use cofhee_farm::JobResult;
 
 use crate::error::DenyReason;
 use crate::handle::{CtHandle, TenantId};
-
-/// A registry entry's payload: the registry stores ciphertexts of both
-/// schemes side by side, and download accessors extract the matching
-/// variant (or fail typed with
-/// [`ServiceError::WrongScheme`](crate::ServiceError)).
-#[derive(Debug, Clone)]
-pub enum StoredCiphertext {
-    /// An exact-arithmetic BFV ciphertext.
-    Bfv(Ciphertext),
-    /// An approximate-arithmetic CKKS ciphertext (level- and
-    /// scale-tagged RNS limbs).
-    Ckks(CkksCiphertext),
-}
-
-impl StoredCiphertext {
-    /// Bytes this ciphertext occupies at degree `n` (u128
-    /// coefficients; CKKS counts every live limb of every component).
-    pub fn bytes(&self, n: usize) -> u64 {
-        match self {
-            Self::Bfv(ct) => ciphertext_bytes(ct.len(), n),
-            Self::Ckks(ct) => ct.bytes(),
-        }
-    }
-
-    /// The BFV ciphertext, when this entry holds one.
-    pub fn as_bfv(&self) -> Option<&Ciphertext> {
-        match self {
-            Self::Bfv(ct) => Some(ct),
-            Self::Ckks(_) => None,
-        }
-    }
-
-    /// The CKKS ciphertext, when this entry holds one.
-    pub fn as_ckks(&self) -> Option<&CkksCiphertext> {
-        match self {
-            Self::Ckks(ct) => Some(ct),
-            Self::Bfv(_) => None,
-        }
-    }
-}
-
-impl From<JobResult> for StoredCiphertext {
-    fn from(r: JobResult) -> Self {
-        match r {
-            JobResult::Bfv(ct) => Self::Bfv(ct),
-            JobResult::Ckks(ct) => Self::Ckks(ct),
-        }
-    }
-}
 
 /// Who may read an entry besides its owner.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +37,7 @@ enum EntryState {
     /// Materialized: the producing job finishes at `ready_at` in virtual
     /// time, and is readable from then on once the farm has computed
     /// `ct`.
-    Ready { ct: Option<StoredCiphertext>, ready_at: u64 },
+    Ready { ct: Option<JobResult>, ready_at: u64 },
 }
 
 #[derive(Debug)]
@@ -107,6 +56,15 @@ struct Entry {
 /// (u128 coefficients — what the registry actually stores).
 pub fn ciphertext_bytes(polys: usize, n: usize) -> u64 {
     (polys as u64) * (n as u64) * 16
+}
+
+/// Bytes an entry's ciphertext occupies at degree `n` (CKKS counts every
+/// live limb of every component).
+pub(crate) fn stored_bytes(ct: &JobResult, n: usize) -> u64 {
+    match ct {
+        JobResult::Bfv(ct) => ciphertext_bytes(ct.len(), n),
+        JobResult::Ckks(ct) => ct.bytes(),
+    }
 }
 
 /// The handle-addressed ciphertext store.
@@ -165,14 +123,8 @@ impl CiphertextRegistry {
     }
 
     /// Stores an uploaded ciphertext for `owner`, readable immediately.
-    pub(crate) fn insert(
-        &mut self,
-        owner: TenantId,
-        ct: StoredCiphertext,
-        q: u128,
-        n: usize,
-    ) -> CtHandle {
-        let bytes = ct.bytes(n);
+    pub(crate) fn insert(&mut self, owner: TenantId, ct: JobResult, q: u128, n: usize) -> CtHandle {
+        let bytes = stored_bytes(&ct, n);
         let handle = CtHandle::new(self.next);
         self.next += 1;
         self.entries.insert(
@@ -238,7 +190,7 @@ impl CiphertextRegistry {
 
     /// Stores the computed result of a materialized handle; a result
     /// whose handle was evicted meanwhile is discarded.
-    pub(crate) fn fill(&mut self, handle: CtHandle, result: StoredCiphertext) {
+    pub(crate) fn fill(&mut self, handle: CtHandle, result: JobResult) {
         if let Some(Entry { state: EntryState::Ready { ct, .. }, .. }) =
             self.entries.get_mut(&handle.raw())
         {
@@ -279,7 +231,7 @@ impl CiphertextRegistry {
     }
 
     /// The ciphertext, if `handle` is ready by cycle `at` and computed.
-    pub(crate) fn ready_ciphertext(&self, handle: CtHandle, at: u64) -> Option<&StoredCiphertext> {
+    pub(crate) fn ready_ciphertext(&self, handle: CtHandle, at: u64) -> Option<&JobResult> {
         match self.entries.get(&handle.raw()).map(|e| &e.state) {
             Some(EntryState::Ready { ct, ready_at }) if *ready_at <= at => ct.as_ref(),
             _ => None,
@@ -333,7 +285,7 @@ impl CiphertextRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cofhee_bfv::{BfvParams, Encryptor, KeyGenerator, Plaintext};
+    use cofhee_bfv::{BfvParams, Ciphertext, Encryptor, KeyGenerator, Plaintext};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -351,12 +303,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let (alice, bob, carol) = (TenantId::new(0), TenantId::new(1), TenantId::new(2));
         let mut reg = CiphertextRegistry::new();
-        let h = reg.insert(
-            alice,
-            StoredCiphertext::Bfv(ct(&params, 5, &mut rng)),
-            params.q(),
-            params.n(),
-        );
+        let h = reg.insert(alice, JobResult::Bfv(ct(&params, 5, &mut rng)), params.q(), params.n());
 
         assert!(reg.readable(h, alice).is_ok());
         assert_eq!(reg.readable(h, bob), Err(DenyReason::NotAuthorized(h)));
@@ -384,12 +331,7 @@ mod tests {
         let alice = TenantId::new(0);
         let mut reg = CiphertextRegistry::new();
         let per_ct = ciphertext_bytes(2, params.n());
-        let h = reg.insert(
-            alice,
-            StoredCiphertext::Bfv(ct(&params, 5, &mut rng)),
-            params.q(),
-            params.n(),
-        );
+        let h = reg.insert(alice, JobResult::Bfv(ct(&params, 5, &mut rng)), params.q(), params.n());
         assert_eq!(reg.bytes_used(alice), per_ct);
 
         let r = reg.reserve(alice, params.q(), params.n(), per_ct);
@@ -402,7 +344,7 @@ mod tests {
         assert!(!reg.finished_by(r, 499), "not ready before its finish cycle");
         assert!(reg.finished_by(r, 500));
         assert!(reg.ready_ciphertext(r, 500).is_none(), "not computed yet");
-        reg.fill(r, StoredCiphertext::Bfv(ct(&params, 6, &mut rng)));
+        reg.fill(r, JobResult::Bfv(ct(&params, 6, &mut rng)));
         assert!(reg.ready_ciphertext(r, 499).is_none(), "not ready before its finish cycle");
         assert!(reg.ready_ciphertext(r, 500).is_some());
 

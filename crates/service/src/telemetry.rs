@@ -7,7 +7,6 @@
 //! why, and how the completed work split between queueing and service.
 
 use cofhee_farm::{FarmReport, LatencyPercentiles};
-use cofhee_obs::CycleHistogram;
 
 /// One tenant's lifetime counters at the gateway.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -194,12 +193,6 @@ impl ServiceReport {
         }
         out
     }
-}
-
-/// Percentiles over a gateway cycle histogram (the farm's
-/// histogram-backed summary, used by the gateway for its own samples).
-pub(crate) fn percentiles(hist: &CycleHistogram) -> LatencyPercentiles {
-    LatencyPercentiles::from_histogram(hist)
 }
 
 #[cfg(test)]

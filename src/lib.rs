@@ -8,7 +8,7 @@
 //!
 //! This meta-crate re-exports the member crates:
 //!
-//! * [`arith`] — 256-bit integers, Barrett/Montgomery modular arithmetic,
+//! * [`arith`] — 256-bit integers, Barrett modular arithmetic,
 //!   NTT-friendly primes, roots of unity, RNS.
 //! * [`poly`] — `Z_q[x]/(x^n+1)`, the paper's NTT algorithms, naive
 //!   oracles, golden test vectors.
