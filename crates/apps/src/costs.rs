@@ -96,7 +96,7 @@ pub fn measure_cofhee(n: usize, total_log_q: u32) -> Result<OpCosts> {
     // Measure primitive latencies on the first tower (all towers have
     // identical microarchitectural cost).
     let mut device = Device::connect(ChipConfig::silicon(), basis.moduli()[0], n)?;
-    let plan = device.bank_plan();
+    let plan = device.chip().bank_plan();
     let zero = vec![0u128; n];
     let d0 = cofhee_sim::Slot::new(plan.d0, 0);
     let d1 = cofhee_sim::Slot::new(plan.d1, 0);

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (pe, expected) in [1usize, 2, 4].into_iter().zip(pe_cycles) {
         let config = ChipConfig::with_pe_count(pe);
         let mut dev = Device::connect(config, q, n)?;
-        let plan = dev.bank_plan();
+        let plan = dev.chip().bank_plan();
         let poly: Vec<u128> = (0..n as u128).map(|i| i % q).collect();
         dev.upload(Slot::new(plan.d0, 0), &poly)?;
         let report = dev.ntt(Slot::new(plan.d0, 0), Slot::new(plan.d1, 0))?;
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Memory-port initiation interval ==");
     {
         let mut dev = Device::connect(ChipConfig::silicon(), q, n)?;
-        let plan = dev.bank_plan();
+        let plan = dev.chip().bank_plan();
         let poly: Vec<u128> = (0..n as u128).map(|i| i % q).collect();
         dev.upload(Slot::new(plan.d0, 0), &poly)?;
         let dual = dev.ntt(Slot::new(plan.d0, 0), Slot::new(plan.d1, 0))?;
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let n14 = 1usize << 14;
         let q14 = ntt_prime(109, n14)?;
         let mut dev = Device::connect(ChipConfig::silicon(), q14, n14)?;
-        let plan = dev.bank_plan();
+        let plan = dev.chip().bank_plan();
         let poly: Vec<u128> = (0..n14 as u128).map(|i| i % q14).collect();
         dev.upload(Slot::new(plan.d0, 0), &poly)?;
         let report = dev.ntt(Slot::new(plan.d0, 0), Slot::new(plan.d1, 0))?;

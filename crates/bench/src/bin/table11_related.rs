@@ -25,7 +25,7 @@ fn simulated_ntt_cycles() -> Result<u64, Box<dyn std::error::Error>> {
     let n = 1usize << 13;
     let q = ntt_prime(109, n)?;
     let mut dev = Device::connect(ChipConfig::silicon(), q, n)?;
-    let plan = dev.bank_plan();
+    let plan = dev.chip().bank_plan();
     let poly: Vec<u128> = (0..n as u128).map(|i| i.wrapping_mul(0x9e3779b9) % q).collect();
     let (d0, d1) = (Slot::new(plan.d0, 0), Slot::new(plan.d1, 0));
     dev.upload(d0, &poly)?;

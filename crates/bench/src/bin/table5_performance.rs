@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let freq = config.freq_hz as f64;
 
         let mut dev = Device::connect(config, q, n)?;
-        let plan = dev.bank_plan();
+        let plan = dev.chip().bank_plan();
         let poly: Vec<u128> = (0..n as u128).map(|i| i.wrapping_mul(0x9e3779b9) % q).collect();
         let d0 = cofhee_sim::Slot::new(plan.d0, 0);
         let d1 = cofhee_sim::Slot::new(plan.d1, 0);

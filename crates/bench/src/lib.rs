@@ -16,12 +16,12 @@
 //! Every report binary accepts `--smoke`: a reduced-size run (smaller
 //! polynomial degrees, shorter sweeps, fewer timing repetitions) that
 //! exercises the whole table/figure pipeline in well under a second.
-//! CI's `smoke` matrix runs twelve binaries this way — `table5_performance`,
-//! `fig6_cpu_comparison`, `table10_apps`, `table11_related`,
-//! `backend_compare`, `stream_overlap`, `farm_saturation`,
-//! `service_saturation`, `hotpath_profile`, `ckks_breakdown`,
-//! `trace_export` and `ablation_scaling` — so the reproduction path
-//! cannot silently rot.
+//! CI's `smoke` matrix runs thirteen binaries this way —
+//! `table5_performance`, `fig6_cpu_comparison`, `table10_apps`,
+//! `table11_related`, `backend_compare`, `stream_overlap`,
+//! `farm_saturation`, `service_saturation`, `hotpath_profile`,
+//! `ckks_breakdown`, `trace_export`, `ablation_scaling` and `table1_isa`
+//! — so the reproduction path cannot silently rot.
 
 #![forbid(unsafe_code)]
 

@@ -7,7 +7,7 @@
 //! arithmetic (the Eq. 4 `t/q` rounding via base extension, and key
 //! switching, which Section III-C defers to software). The offloadable
 //! op set is the [`StreamOp`] vocabulary; a [`PolyBackend`] is what runs
-//! it — a polynomial store (`upload` / `download` / `free`), one executor
+//! it — a polynomial store (`upload` / `free`), one executor
 //! ([`PolyBackend::execute_stream`], the preloaded command FIFO of
 //! Section III-I: per-command triggering is "slow as there are delays
 //! imposed by the communication interface") and telemetry — behind one
@@ -154,13 +154,6 @@ pub trait PolyBackend: fmt::Debug + Send {
     ///
     /// Returns [`CoreError::BadOperandLength`] if `coeffs.len() != n`.
     fn upload(&mut self, coeffs: &[u128]) -> Result<PolyHandle>;
-
-    /// Downloads a polynomial as canonical residues in `[0, q)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BadHandle`] for foreign or freed handles.
-    fn download(&mut self, h: PolyHandle) -> Result<Vec<u128>>;
 
     /// Releases a handle (freeing unknown handles is a no-op).
     fn free(&mut self, h: PolyHandle);
@@ -520,17 +513,10 @@ impl<R: LazyRing> CpuState<R> {
         Ok(PolyHandle(id))
     }
 
-    /// The one deliberately allocating step: a download crosses the
+    /// The one deliberately allocating step: a stream output crosses the
     /// backend boundary into caller-owned memory.
     fn canonical(&self, v: &[R::Elem]) -> Vec<u128> {
         v.iter().map(|&c| self.ring.to_u128(c)).collect()
-    }
-
-    fn download(&self, h: PolyHandle) -> Result<Vec<u128>> {
-        match self.pool.get(&h.0) {
-            Some(v) => Ok(self.canonical(v)),
-            None => Err(CoreError::BadHandle { id: h.0 }),
-        }
     }
 
     /// The stream replay at this engine's width: every node runs into
@@ -788,10 +774,6 @@ impl PolyBackend for CpuBackend {
         with_engine!(self, st => st.upload(coeffs))
     }
 
-    fn download(&mut self, h: PolyHandle) -> Result<Vec<u128>> {
-        with_engine!(self, st => st.download(h))
-    }
-
     fn free(&mut self, h: PolyHandle) {
         with_engine!(self, st => st.free(h));
     }
@@ -849,10 +831,10 @@ impl PolyBackend for CpuBackend {
 /// Cycle-accurate execution of recorded streams on the simulated CoFHEE
 /// ASIC.
 ///
-/// Handles are host-resident mirrors: `upload` / `download` / `free`
-/// never touch the die. A stream reduces its [`StreamOp::Input`] mirrors
-/// and upload payloads straight into the SRAM banks of the standard
-/// [`crate::BankPlan`], runs the Table I commands through the command
+/// Handles are host-resident mirrors: `upload` / `free` never touch the
+/// die. A stream reduces its [`StreamOp::Input`] mirrors and upload
+/// payloads straight into the SRAM banks of the die's
+/// [`cofhee_sim::BankPlan`], runs the Table I commands through the command
 /// FIFO, and reads only the marked outputs back. Wire traffic accrues to
 /// [`CommStats`] per the configured [`Link`]; command latencies
 /// accumulate in the cumulative [`OpReport`].
@@ -948,10 +930,6 @@ impl PolyBackend for ChipBackend {
         Ok(PolyHandle(id))
     }
 
-    fn download(&mut self, h: PolyHandle) -> Result<Vec<u128>> {
-        self.pool.get(&h.0).cloned().ok_or(CoreError::BadHandle { id: h.0 })
-    }
-
     fn free(&mut self, h: PolyHandle) {
         if let Some(v) = self.pool.remove(&h.0) {
             self.scratch.put(v);
@@ -1043,6 +1021,15 @@ pub(crate) mod tests {
         be.upload(&out[0]).unwrap()
     }
 
+    /// The stored polynomial `h` as `be` returns words: through a stream
+    /// whose one node is its [`StreamOp::Input`], marked as the output.
+    pub(crate) fn read_back(be: &mut dyn PolyBackend, h: PolyHandle) -> Result<Vec<u128>> {
+        let mut st = OpStream::new(be.n());
+        let stored = st.input(h);
+        st.output(stored)?;
+        Ok(be.execute_stream(&st)?.outputs.remove(0))
+    }
+
     /// Every compute kind of the [`StreamOp`] vocabulary once, each
     /// result an output, in this order: `ntt(a)`, `intt(ntt(a))`,
     /// `a ∘ b`, `intt(ntt(a) ∘ ntt(b))`, `a ∘ b + a`, `a + b`, `a − b`,
@@ -1075,9 +1062,9 @@ pub(crate) mod tests {
         let v = poly(1);
         for be in [&mut cpu as &mut dyn PolyBackend, &mut chip as &mut dyn PolyBackend] {
             let h = be.upload(&v).unwrap();
-            assert_eq!(be.download(h).unwrap(), v);
+            assert_eq!(read_back(be, h).unwrap(), v);
             be.free(h);
-            assert!(matches!(be.download(h), Err(CoreError::BadHandle { .. })));
+            assert!(matches!(read_back(be, h), Err(CoreError::BadHandle { .. })));
         }
     }
 
@@ -1212,8 +1199,8 @@ pub(crate) mod tests {
         through(&mut chip, on_cpu);
         through(&mut cpu, on_chip);
         assert_eq!(cpu.buffers_out(), 1, "only its own upload");
-        assert_eq!(cpu.download(on_cpu).unwrap(), poly(9));
-        assert_eq!(chip.download(on_chip).unwrap(), poly(9));
+        assert_eq!(read_back(&mut cpu, on_cpu).unwrap(), poly(9));
+        assert_eq!(read_back(&mut chip, on_chip).unwrap(), poly(9));
     }
 
     #[test]

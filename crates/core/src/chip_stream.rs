@@ -153,7 +153,7 @@ struct Scheduler<'a> {
 impl<'a> Scheduler<'a> {
     fn new(be: &'a mut ChipBackend, stream: &OpStream, program: &'a mut Vec<Step>) -> Self {
         let n = stream.n();
-        let plan = be.device.bank_plan();
+        let plan = be.device.chip().bank_plan();
         let per_bank = be.device.chip().config().bank_words / n;
         let banks: Vec<BankId> =
             [plan.d0, plan.d1, plan.d2].into_iter().chain(plan.storage).collect();

@@ -10,8 +10,7 @@
 use cofhee_arith::Barrett128;
 use cofhee_poly::pointwise;
 use cofhee_sim::{
-    BankId, Chip, ChipConfig, Command, DrainReport, HostLink, OpReport, Slot, Spi, Uart,
-    COMMAND_WORDS,
+    Chip, ChipConfig, Command, DrainReport, HostLink, OpReport, Slot, Spi, Uart, COMMAND_WORDS,
 };
 
 use crate::error::{CoreError, Result};
@@ -66,26 +65,6 @@ impl CommStats {
         self.bytes = self.bytes.saturating_add(other.bytes);
         self.seconds += other.seconds;
     }
-}
-
-/// The fixed bank assignment the driver schedules against.
-///
-/// Banks 0–2 are the dual-port compute trio, 3/4 hold the forward and
-/// inverse twiddle tables, and 5–7 are single-port polynomial storage.
-#[derive(Debug, Clone, Copy)]
-pub struct BankPlan {
-    /// First dual-port compute bank.
-    pub d0: BankId,
-    /// Second dual-port compute bank.
-    pub d1: BankId,
-    /// Third dual-port (prefetch) bank.
-    pub d2: BankId,
-    /// Forward twiddle bank.
-    pub fwd_twiddle: BankId,
-    /// Inverse twiddle bank.
-    pub inv_twiddle: BankId,
-    /// Single-port storage banks.
-    pub storage: [BankId; 3],
 }
 
 /// A connected CoFHEE co-processor.
@@ -174,23 +153,6 @@ impl Device {
     /// Slot for the inverse twiddle table.
     pub fn inverse_twiddles(&self) -> Slot {
         self.inv_tw
-    }
-
-    /// The standard bank plan.
-    pub fn bank_plan(&self) -> BankPlan {
-        let roles = self.chip.roles();
-        BankPlan {
-            d0: roles.compute_a,
-            d1: roles.compute_b,
-            d2: roles.prefetch,
-            fwd_twiddle: roles.twiddle,
-            inv_twiddle: BankId(roles.twiddle.0 + 1),
-            storage: [
-                BankId(roles.twiddle.0 + 2),
-                BankId(roles.twiddle.0 + 3),
-                BankId(roles.twiddle.0 + 4),
-            ],
-        }
     }
 
     fn account_bytes(&mut self, bytes: u64) {
@@ -354,7 +316,7 @@ mod tests {
     #[test]
     fn upload_download_round_trip() {
         let mut d = device(1 << 8);
-        let plan = d.bank_plan();
+        let plan = d.chip().bank_plan();
         let poly: Vec<u128> = (0..1u128 << 8).collect();
         d.upload(Slot::new(plan.d0, 0), &poly).unwrap();
         assert_eq!(d.download(Slot::new(plan.d0, 0)).unwrap(), poly);
@@ -367,7 +329,7 @@ mod tests {
             Device::connect_via(ChipConfig::silicon(), Q109, 1 << 12, Link::Spi(spi)).unwrap();
         let at_bringup = d.comm_stats();
         assert!(at_bringup.seconds > 0.0, "twiddle upload costs wire time");
-        let plan = d.bank_plan();
+        let plan = d.chip().bank_plan();
         let poly = vec![1u128; 1 << 12];
         d.upload(Slot::new(plan.d0, 0), &poly).unwrap();
         let after = d.comm_stats();
@@ -378,7 +340,7 @@ mod tests {
     #[test]
     fn ntt_round_trip_through_driver() {
         let mut d = device(1 << 10);
-        let plan = d.bank_plan();
+        let plan = d.chip().bank_plan();
         let poly: Vec<u128> = (0..1u128 << 10).map(|i| i * 31 + 5).collect();
         d.upload(Slot::new(plan.d0, 0), &poly).unwrap();
         d.ntt(Slot::new(plan.d0, 0), Slot::new(plan.d1, 0)).unwrap();
@@ -389,7 +351,7 @@ mod tests {
     #[test]
     fn wrong_length_operands_are_rejected() {
         let mut d = device(1 << 8);
-        let plan = d.bank_plan();
+        let plan = d.chip().bank_plan();
         assert!(matches!(
             d.upload(Slot::new(plan.d0, 0), &[1, 2, 3]),
             Err(CoreError::BadOperandLength { .. })
@@ -412,7 +374,7 @@ mod tests {
         let n = 1 << 14;
         let q = ntt_prime(109, n).unwrap();
         let mut d = Device::connect(ChipConfig::silicon(), q, n).unwrap();
-        let plan = d.bank_plan();
+        let plan = d.chip().bank_plan();
         let poly: Vec<u128> = (0..n as u128).collect();
         d.upload(Slot::new(plan.d0, 0), &poly).unwrap();
         let report = d.ntt(Slot::new(plan.d0, 0), Slot::new(plan.d1, 0)).unwrap();

@@ -192,7 +192,7 @@ pub fn digit_decompose(coeffs: &[u128], base_bits: u32, digits: usize) -> Vec<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::tests::ntt_form;
+    use crate::backend::tests::{ntt_form, read_back};
     use crate::backend::{CpuBackend, PolyBackend};
 
     const Q: u128 = 65537; // NTT-friendly for n = 8
@@ -223,7 +223,7 @@ mod tests {
                 let k1: Vec<u128> = (0..N as u128).map(|j| (j * 13 + d * 11 + 9) % Q).collect();
                 let mut stored = |raw: &[u128]| {
                     let form = ntt_form(&mut be, raw);
-                    let coeffs = be.download(form).unwrap();
+                    let coeffs = read_back(&mut be, form).unwrap();
                     be.free(form);
                     Limb::new(Q, coeffs).unwrap()
                 };

@@ -26,7 +26,7 @@
 //!   without a copy. Every ciphertext, plaintext and key of both schemes
 //!   is made of them.
 //! * [`PolyBackend`] — what runs a stream: a polynomial store
-//!   (`upload` / `download` / `free`), one executor
+//!   (`upload` / `free`), one executor
 //!   ([`PolyBackend::execute_stream`]) and telemetry, with [`CpuBackend`]
 //!   (software reference, replaying on the Harvey plan of the modulus
 //!   width) and [`ChipBackend`] (cycle-accurate simulated silicon: the
@@ -92,7 +92,7 @@ pub use backend::{
     PolyHandle,
 };
 pub use chip_stream::DieProgram;
-pub use device::{BankPlan, CommStats, Device, Link};
+pub use device::{CommStats, Device, Link};
 pub use error::{CoreError, Result};
 pub use keyswitch::{
     digit_decompose, record_key_switch, record_mul_plain, record_tensor, KeyPair, KeySwitchKeys,

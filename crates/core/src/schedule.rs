@@ -95,7 +95,7 @@ impl Device {
     /// Algorithm 2, polynomial multiplication: 2 NTTs, one Hadamard
     /// pass, one iNTT. Operands `[A, B]`, result `[A·B]`.
     pub fn poly_mul_schedule(&self) -> Schedule {
-        let p = self.bank_plan();
+        let p = self.chip().bank_plan();
         let [d0, d1, d2] = [p.d0, p.d1, p.d2].map(|bank| Slot::new(bank, 0));
         let (fwd, inv) = (self.forward_twiddles(), self.inverse_twiddles());
         Schedule {
@@ -117,7 +117,7 @@ impl Device {
     /// `[Y₀ = A₀·B₀, Y₁ = A₀·B₁ + A₁·B₀, Y₂ = A₁·B₁]`.
     pub fn ciphertext_mul_schedule(&self) -> Schedule {
         let n = self.n();
-        let p = self.bank_plan();
+        let p = self.chip().bank_plan();
         let [d0, d1, d2] = [p.d0, p.d1, p.d2].map(|bank| Slot::new(bank, 0));
         let [s0, s1, s2] = p.storage.map(|bank| Slot::new(bank, 0));
         let (fwd, inv) = (self.forward_twiddles(), self.inverse_twiddles());

@@ -648,7 +648,7 @@ impl StreamExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::tests::ntt_form;
+    use crate::backend::tests::{ntt_form, read_back};
     use crate::backend::{ChipBackend, CpuBackend};
     use crate::OpReport;
     use cofhee_arith::primes::ntt_prime;
@@ -785,7 +785,7 @@ mod tests {
         assert_eq!(after.high_water, 4, "all parked again, and never more than that");
         assert_eq!(be.buffers_out(), 2 * DIGITS as u64, "only the key stays");
         // The outputs are the inline recording's on a backend of its own.
-        let mut stored = |h| crate::Limb::new(q(), be.download(h).unwrap()).unwrap();
+        let mut stored = |h| crate::Limb::new(q(), read_back(&mut be, h).unwrap()).unwrap();
         let inline: Vec<_> = keys.iter().map(|&(k0, k1)| (stored(k0), stored(k1))).collect();
         let mut st = OpStream::new(N);
         record_key_switch(&mut st, &digits, KeySwitchKeys::Inline(&inline), [poly(1), poly(2)])
@@ -807,7 +807,7 @@ mod tests {
         let mut be = CpuBackend::new(q(), N).unwrap();
         let outcome = be.execute_stream(&st).unwrap();
         let resident = ntt_form(&mut be, &poly(1));
-        assert_eq!(outcome.outputs[0], be.download(resident).unwrap());
+        assert_eq!(outcome.outputs[0], read_back(&mut be, resident).unwrap());
         assert_eq!(outcome.outputs[2], outcome.outputs[0]);
         assert_eq!(be.buffers_out(), 1, "only the comparison copy");
     }
@@ -851,7 +851,7 @@ mod tests {
         st.output(sum).unwrap();
         assert!(matches!(be.execute_stream(&st), Err(CoreError::BadHandle { .. })));
         assert_eq!((before, be.buffers_out()), (1, 1), "only the resident input is out");
-        assert_eq!(be.download(resident).unwrap(), poly(3), "which is still valid");
+        assert_eq!(read_back(&mut be, resident).unwrap(), poly(3), "which is still valid");
     }
 
     #[test]
@@ -915,7 +915,7 @@ mod tests {
         let expect: Vec<u128> = poly(3).iter().map(|&c| (2 * c) % q()).collect();
         assert_eq!(outcome.outputs[0], expect);
         // The resident handle survives stream execution.
-        assert_eq!(be.download(resident).unwrap(), poly(3));
+        assert_eq!(read_back(&mut be, resident).unwrap(), poly(3));
     }
 
     #[test]

@@ -233,12 +233,7 @@ impl ChipFarm {
         self.dies
             .iter()
             .enumerate()
-            .map(|(chip, d)| DieStatus {
-                chip,
-                busy_until: d.clock,
-                pending: d.pending(at),
-                assigned: d.streams,
-            })
+            .map(|(chip, d)| DieStatus { chip, busy_until: d.clock, pending: d.pending(at) })
             .collect()
     }
 
@@ -582,6 +577,5 @@ mod tests {
         assert_eq!(at_zero[1].pending, 0);
         let after = farm.statuses(run.finish);
         assert_eq!(after[0].pending, 0, "finished streams leave the queue");
-        assert_eq!(after[0].assigned, 1);
     }
 }

@@ -25,8 +25,8 @@
 //!   ct+ct add, ct+pt add, ct·pt and ct·ct multiply + relinearize; CKKS
 //!   add, ct·pt and ct·ct multiply + relinearize + rescale) and places
 //!   every plan the same way: each phase's streams on dies via a
-//!   pluggable [`PlacementPolicy`] ([`RoundRobin`], [`ShortestQueue`],
-//!   [`WorkStealing`]), each phase ready when the one before it is done.
+//!   [`PlacementPolicy`] ([`WorkStealing`]: the die that frees up
+//!   first), each phase ready when the one before it is done.
 //! * [`FarmReport`] — aggregate telemetry: per-chip utilization and
 //!   peak queue depth, job-latency percentiles (p50/p95/p99 in
 //!   simulated cycles), and throughput in ops/sec at the configured
@@ -39,11 +39,11 @@
 //! # Determinism
 //!
 //! Everything is a pure function of the job list: dies are identical
-//! (any stream costs the same cycles anywhere), policies see only
+//! (any stream costs the same cycles anywhere), placement sees only
 //! virtual-time state, and jobs are processed in arrival order. A fixed
 //! job list therefore yields bit-identical ciphertexts **and**
 //! identical telemetry across repeated runs — and bit-identical
-//! ciphertexts across farm sizes and policies, since placement can
+//! ciphertexts across farm sizes, since placement can
 //! change only timing, never values. The workspace-level
 //! `tests/farm_determinism.rs` property-checks both, and tracing is
 //! held to the same bar: `tests/obs_zero_perturbation.rs` checks that
@@ -55,7 +55,7 @@
 //! ```
 //! use cofhee_bfv::{BfvParams, Encryptor, KeyGenerator, Plaintext};
 //! use cofhee_core::ChipBackendFactory;
-//! use cofhee_farm::{ChipFarm, Job, JobKind, Scheduler, Session, ShortestQueue};
+//! use cofhee_farm::{ChipFarm, Job, JobKind, Scheduler, Session, WorkStealing};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -67,7 +67,7 @@
 //!
 //! // A 4-die farm of the paper's silicon configuration.
 //! let farm = ChipFarm::new(4, ChipBackendFactory::silicon())?;
-//! let mut sched = Scheduler::new(farm, Box::new(ShortestQueue));
+//! let mut sched = Scheduler::new(farm, Box::new(WorkStealing));
 //! let tenant = sched.open_session(Session::new(
 //!     "tenant-a",
 //!     &params,
@@ -101,7 +101,7 @@ mod telemetry;
 
 pub use error::{FarmError, Result};
 pub use farm::{ChipFarm, Placement};
-pub use policy::{DieStatus, PlacementPolicy, RoundRobin, ShortestQueue, WorkStealing};
+pub use policy::{DieStatus, PlacementPolicy, WorkStealing};
 pub use replay::{mixed_workload_jobs, workload_jobs, ReplayInputs, ReplaySpec};
 pub use scheduler::{Job, JobKind, JobOutcome, JobResult, PricedJob, Scheduler};
 pub use session::{Session, SessionId};

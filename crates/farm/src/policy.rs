@@ -1,10 +1,11 @@
-//! Pluggable stream-placement policies.
+//! Stream placement: the [`PlacementPolicy`] trait and the farm's one
+//! rule, [`WorkStealing`].
 //!
 //! The scheduler decomposes every job into per-limb [`OpStream`]s
 //! (see `cofhee_bfv`'s job layer) and asks a [`PlacementPolicy`] which
-//! die each stream should run on. Policies see only the farm's
+//! die each stream should run on. A policy sees only the farm's
 //! virtual-time status — per-die backlog clocks and queue depths — so
-//! they are deterministic by construction: the same job list against
+//! it is deterministic by construction: the same job list against
 //! the same farm always produces the same placements.
 //!
 //! [`OpStream`]: cofhee_core::OpStream
@@ -21,8 +22,6 @@ pub struct DieStatus {
     /// Streams assigned but not yet finished at the query time — the
     /// die's queue depth as the policy sees it.
     pub pending: usize,
-    /// Streams assigned to this die over the farm's lifetime.
-    pub assigned: u64,
 }
 
 /// Chooses a die for each stream.
@@ -39,49 +38,11 @@ pub trait PlacementPolicy: fmt::Debug + Send {
     fn place(&mut self, dies: &[DieStatus], ready: u64) -> usize;
 }
 
-/// Static round-robin: streams cycle through the dies in index order,
-/// ignoring load. The baseline policy — cheap, fair on homogeneous
-/// traffic, and the worst of the three under skewed stream costs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl PlacementPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn place(&mut self, dies: &[DieStatus], _ready: u64) -> usize {
-        let pick = self.next % dies.len();
-        self.next = (self.next + 1) % dies.len();
-        pick
-    }
-}
-
-/// Joins the shortest queue: the die with the fewest streams still
-/// pending at the stream's ready time (ties break to the lowest die
-/// index). Balances *counts*, not cycles — a long stream behind a
-/// short queue can still build a hotspot.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShortestQueue;
-
-impl PlacementPolicy for ShortestQueue {
-    fn name(&self) -> &'static str {
-        "shortest-queue"
-    }
-
-    fn place(&mut self, dies: &[DieStatus], _ready: u64) -> usize {
-        dies.iter().min_by_key(|d| (d.pending, d.chip)).expect("farm is non-empty").chip
-    }
-}
-
 /// Idealized work stealing: every stream goes to the die that frees up
 /// earliest (`max(busy_until, ready)` minimal; ties to the lowest die
 /// index). This is the virtual-time equivalent of an idle worker always
-/// stealing the next pending stream the moment it runs dry — the
-/// strongest of the three policies, and the one the saturation bench
-/// uses for its scaling claim.
+/// stealing the next pending stream the moment it runs dry, and the
+/// farm's one placement rule.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkStealing;
 
@@ -104,23 +65,10 @@ mod tests {
 
     fn dies() -> Vec<DieStatus> {
         vec![
-            DieStatus { chip: 0, busy_until: 900, pending: 1, assigned: 10 },
-            DieStatus { chip: 1, busy_until: 200, pending: 3, assigned: 12 },
-            DieStatus { chip: 2, busy_until: 500, pending: 0, assigned: 7 },
+            DieStatus { chip: 0, busy_until: 900, pending: 1 },
+            DieStatus { chip: 1, busy_until: 200, pending: 3 },
+            DieStatus { chip: 2, busy_until: 500, pending: 0 },
         ]
-    }
-
-    #[test]
-    fn round_robin_cycles_in_index_order() {
-        let mut p = RoundRobin::default();
-        let d = dies();
-        let picks: Vec<usize> = (0..5).map(|_| p.place(&d, 0)).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1]);
-    }
-
-    #[test]
-    fn shortest_queue_minimizes_pending_count() {
-        assert_eq!(ShortestQueue.place(&dies(), 0), 2);
     }
 
     #[test]

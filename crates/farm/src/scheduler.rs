@@ -675,7 +675,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{RoundRobin, ShortestQueue, WorkStealing};
+    use crate::policy::WorkStealing;
     use cofhee_bfv::{BfvParams, Decryptor, Encryptor, KeyGenerator};
     use cofhee_ckks::Level;
     use cofhee_core::ChipBackendFactory;
@@ -813,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn results_are_identical_across_policies_and_farm_sizes() {
+    fn results_are_identical_across_farm_sizes() {
         let mut t = tenant(32);
         let a = encrypt(&mut t, 5);
         let b = encrypt(&mut t, 7);
@@ -824,13 +824,8 @@ mod tests {
             ]
         };
         let mut reference: Option<Vec<Vec<Vec<u128>>>> = None;
-        for (chips, policy) in [
-            (1usize, Box::new(RoundRobin::default()) as Box<dyn PlacementPolicy>),
-            (3, Box::new(RoundRobin::default())),
-            (3, Box::new(ShortestQueue)),
-            (4, Box::new(WorkStealing)),
-        ] {
-            let (mut s, id) = sched(chips, policy, &t);
+        for chips in 1..=4 {
+            let (mut s, id) = sched(chips, Box::new(WorkStealing), &t);
             let outcomes = s.run(jobs(id)).unwrap();
             let values: Vec<Vec<Vec<u128>>> = outcomes
                 .iter()
@@ -960,7 +955,7 @@ mod tests {
         let mut ta = tenant(34);
         let mut tb = tenant(35);
         let farm = ChipFarm::new(2, ChipBackendFactory::silicon()).unwrap();
-        let mut s = Scheduler::new(farm, Box::new(ShortestQueue));
+        let mut s = Scheduler::new(farm, Box::new(WorkStealing));
         let ida = s.open_session(Session::new("a", &ta.params, ta.rlk.clone()).unwrap());
         let idb = s.open_session(Session::new("b", &tb.params, tb.rlk.clone()).unwrap());
         let ca = encrypt(&mut ta, 4);
@@ -1060,7 +1055,7 @@ mod tests {
         let mut t = ckks_tenant(78);
         let mut bt = tenant(79);
         let farm = ChipFarm::new(1, ChipBackendFactory::silicon()).unwrap();
-        let mut s = Scheduler::new(farm, Box::new(RoundRobin::default()));
+        let mut s = Scheduler::new(farm, Box::new(WorkStealing));
         let keyless = s.open_session(Session::ckks_without_relin("approx", &t.params).unwrap());
         let a = ckks_encrypt(&mut t, &[1.0]);
         // A multiply without key-switch material fails typed...

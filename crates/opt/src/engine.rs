@@ -504,9 +504,6 @@ mod tests {
             lock(&self.1).1 += 1;
             self.0.upload(coeffs)
         }
-        fn download(&mut self, h: PolyHandle) -> Result<Vec<u128>> {
-            self.0.download(h)
-        }
         fn free(&mut self, h: PolyHandle) {
             self.0.free(h);
         }

@@ -9,8 +9,6 @@
 
 use core::fmt;
 
-use cofhee_bfv::BfvError;
-use cofhee_core::CoreError;
 use cofhee_farm::FarmError;
 
 use crate::handle::CtHandle;
@@ -147,9 +145,10 @@ pub enum ErrorKind {
 
 /// Errors raised by the service front-end.
 ///
-/// Wraps [`FarmError`], [`BfvError`], and [`CoreError`] with `From`
-/// impls so every lower layer propagates with `?`, and classifies each
-/// variant under a stable [`ErrorKind`].
+/// Wraps [`AdmitError`] and [`FarmError`] — the admission path and the
+/// farm (whose errors carry any scheme or backend fault) — with `From`
+/// impls so both propagate with `?`, and classifies each variant under
+/// a stable [`ErrorKind`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServiceError {
@@ -175,10 +174,6 @@ pub enum ServiceError {
     },
     /// Error from the farm layer (scheduling, die faults).
     Farm(FarmError),
-    /// Error from the BFV layer.
-    Bfv(BfvError),
-    /// Error from the execution backend (CPU or chip driver).
-    Backend(CoreError),
 }
 
 impl ServiceError {
@@ -193,7 +188,7 @@ impl ServiceError {
                 ErrorKind::Validation
             }
             Self::UnknownTicket { .. } | Self::ResultPending { .. } => ErrorKind::NotFound,
-            Self::Farm(_) | Self::Bfv(_) | Self::Backend(_) => ErrorKind::Execution,
+            Self::Farm(_) => ErrorKind::Execution,
         }
     }
 }
@@ -210,8 +205,6 @@ impl fmt::Display for ServiceError {
                 write!(f, "{handle} stores a ciphertext of the other scheme")
             }
             Self::Farm(e) => write!(f, "farm error: {e}"),
-            Self::Bfv(e) => write!(f, "bfv error: {e}"),
-            Self::Backend(e) => write!(f, "backend error: {e}"),
         }
     }
 }
@@ -221,8 +214,6 @@ impl std::error::Error for ServiceError {
         match self {
             Self::Admit(e) => Some(e),
             Self::Farm(e) => Some(e),
-            Self::Bfv(e) => Some(e),
-            Self::Backend(e) => Some(e),
             _ => None,
         }
     }
@@ -237,18 +228,6 @@ impl From<AdmitError> for ServiceError {
 impl From<FarmError> for ServiceError {
     fn from(e: FarmError) -> Self {
         Self::Farm(e)
-    }
-}
-
-impl From<BfvError> for ServiceError {
-    fn from(e: BfvError) -> Self {
-        Self::Bfv(e)
-    }
-}
-
-impl From<CoreError> for ServiceError {
-    fn from(e: CoreError) -> Self {
-        Self::Backend(e)
     }
 }
 
@@ -269,14 +248,12 @@ mod tests {
         let queue = ServiceError::from(AdmitError::QueueFull { capacity: 8 });
         let denied = ServiceError::from(AdmitError::Denied { reason: DenyReason::UnknownTenant });
         let exec = ServiceError::from(FarmError::EmptyFarm);
-        let bfv = ServiceError::from(BfvError::ParamsMismatch);
         let missing = ServiceError::UnknownTicket { ticket: 3 };
         let pending = ServiceError::ResultPending { handle: CtHandle::new(1) };
         assert_eq!(quota.kind(), ErrorKind::Admission);
         assert_eq!(queue.kind(), ErrorKind::Admission);
         assert_eq!(denied.kind(), ErrorKind::Validation);
         assert_eq!(exec.kind(), ErrorKind::Execution);
-        assert_eq!(bfv.kind(), ErrorKind::Execution);
         assert_eq!(missing.kind(), ErrorKind::NotFound);
         assert_eq!(pending.kind(), ErrorKind::NotFound);
     }

@@ -10,7 +10,7 @@
 //!    [`Chip::price`] (every check, the report, the engine clocks) then
 //!    [`Chip::apply`] (the effect on the banks), which a driver may also
 //!    call apart: [`Chip::price_fifo`] drains the FIFO on timing alone.
-//! 2. **Command FIFO** — [`Chip::submit`] + [`Chip::run_until_idle`]:
+//! 2. **Command FIFO** — [`Chip::submit`] + [`Chip::drain_fifo`]:
 //!    compute commands run sequentially on the MDMC while memory
 //!    commands dispatch to the DMA engine and overlap, exactly the
 //!    concurrency Section III-B describes; a host interrupt fires when
@@ -28,7 +28,7 @@ use crate::config::ChipConfig;
 use crate::error::{Result, SimError};
 use crate::gpcfg::{GpCfg, Register, GPCFG_BASE, GPCFG_SPAN};
 use crate::mdmc::{Mdmc, OpReport};
-use crate::mem::{BankId, BankRoles, Memory, Slot};
+use crate::mem::{BankId, BankPlan, Memory, Slot};
 use crate::power::PowerModel;
 
 /// The banks one command names: source, destination, and the optional
@@ -148,9 +148,9 @@ impl Chip {
         &self.gpcfg
     }
 
-    /// The standard bank role assignment.
-    pub fn roles(&self) -> BankRoles {
-        self.mem.roles()
+    /// The die's bank plan: which bank holds what in every schedule.
+    pub fn bank_plan(&self) -> BankPlan {
+        self.mem.bank_plan()
     }
 
     /// Current simulation time in cycles.
@@ -226,9 +226,8 @@ impl Chip {
     ) -> Result<(Slot, Slot)> {
         let n = tables.n();
         self.load_parameters(ring.modulus(), n, ring.to_u128(tables.n_inv()))?;
-        let roles = self.mem.roles();
-        let fwd = Slot::new(roles.twiddle, 0);
-        let inv = Slot::new(BankId(roles.twiddle.0 + 1), 0);
+        let plan = self.mem.bank_plan();
+        let (fwd, inv) = (Slot::new(plan.fwd_twiddle, 0), Slot::new(plan.inv_twiddle, 0));
         let fwd_tw: Vec<u128> =
             tables.forward_twiddles().iter().map(|&w| ring.to_u128(w)).collect();
         let inv_tw: Vec<u128> =
@@ -372,22 +371,12 @@ impl Chip {
 
     /// Drains the command FIFO: compute commands serialize on the MDMC,
     /// memory commands dispatch to the DMA and overlap when their banks
-    /// are disjoint (Section III-B). Returns the aggregate report with
-    /// `cycles` = wall-clock cycles from start to full drain.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution failures; already-executed commands keep
-    /// their effects.
-    pub fn run_until_idle(&mut self) -> Result<OpReport> {
-        Ok(self.drain_fifo()?.report)
-    }
-
-    /// [`Chip::run_until_idle`] with overlap accounting: alongside the
-    /// wall-clock aggregate, reports the serial (one-command-at-a-time)
-    /// cycle sum of the drained command list, so callers can quantify
-    /// how much latency the DMA/compute concurrency hid. Raises the
-    /// host's drain interrupt exactly as `run_until_idle` does.
+    /// are disjoint (Section III-B), and the host's drain interrupt is
+    /// raised. The [`DrainReport`]'s aggregate has `cycles` = wall-clock
+    /// cycles from start to full drain; beside it stands the serial
+    /// (one-command-at-a-time) cycle sum of the drained command list, so
+    /// callers can quantify how much latency the DMA/compute concurrency
+    /// hid.
     ///
     /// # Errors
     ///
@@ -606,7 +595,7 @@ mod tests {
         chip.submit(Command::ntt(x, fwd, mid)).unwrap();
         chip.submit(Command::intt(mid, inv, back)).unwrap();
         assert!(!chip.take_interrupt());
-        let report = chip.run_until_idle().unwrap();
+        let report = chip.drain_fifo().unwrap().report;
         assert!(chip.take_interrupt(), "drain interrupt");
         assert_eq!(chip.read_polynomial(back, n).unwrap(), poly, "NTT→iNTT round trip");
         assert_eq!(report.butterflies, 2 * (n as u64 / 2) * 8);
@@ -624,7 +613,7 @@ mod tests {
         // disjoint, so wall time should equal the NTT alone.
         chip.submit(Command::ntt(Slot::new(BankId(0), 0), fwd, Slot::new(BankId(1), 0))).unwrap();
         chip.submit(Command::memcpy(Slot::new(BankId(5), 0), Slot::new(BankId(2), 0), n)).unwrap();
-        let report = chip.run_until_idle().unwrap();
+        let report = chip.drain_fifo().unwrap().report;
         assert_eq!(report.cycles, 24_841, "DMA hidden behind compute");
         assert_eq!(chip.read_polynomial(Slot::new(BankId(2), 0), n).unwrap(), poly);
     }
@@ -658,7 +647,7 @@ mod tests {
         // DMA wants the NTT's destination bank: must wait.
         chip.submit(Command::ntt(Slot::new(BankId(0), 0), fwd, Slot::new(BankId(1), 0))).unwrap();
         chip.submit(Command::memcpy(Slot::new(BankId(1), 0), Slot::new(BankId(4), 0), n)).unwrap();
-        let report = chip.run_until_idle().unwrap();
+        let report = chip.drain_fifo().unwrap().report;
         assert!(report.cycles > 24_841 + n as u64, "serialized: {}", report.cycles);
     }
 
@@ -680,7 +669,7 @@ mod tests {
             chip.submit(Command::ntt(sb, fwd, sa)).unwrap();
             chip.submit(Command::pmodmul(ta, sa, sb)).unwrap();
             chip.submit(Command::intt(sb, inv, ta)).unwrap();
-            let report = chip.run_until_idle().unwrap();
+            let report = chip.drain_fifo().unwrap().report;
             // n=2^12 composes within 1 cycle; at n=2^13 the silicon
             // measurement is 30 cycles below the sum of its parts
             // (sub-command pipelining) — we accept ≤0.02 % error and

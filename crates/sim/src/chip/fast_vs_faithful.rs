@@ -27,7 +27,7 @@ pub(super) struct State {
 pub(super) fn state(chip: &Chip) -> State {
     let words = chip.config.bank_words;
     State {
-        banks: (0..chip.mem.bank_count())
+        banks: (0..chip.config.dual_port_banks + chip.config.single_port_banks)
             .map(|b| chip.mem.read_slice(Slot::new(BankId(b), 0), words).unwrap())
             .collect(),
         elapsed: chip.elapsed_cycles(),

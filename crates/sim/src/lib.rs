@@ -88,5 +88,5 @@ pub use error::{Result, SimError};
 pub use gpcfg::{Register, GPCFG_BASE, GPCFG_SPAN, SIGNATURE_VALUE};
 pub use host_link::{offchip_round_trips, HostLink, Spi, Uart};
 pub use mdmc::{OpReport, PhaseCycles};
-pub use mem::{Bank, BankId, BankRoles, Memory, Slot};
+pub use mem::{Bank, BankId, BankPlan, Memory, Slot};
 pub use power::PowerModel;

@@ -937,14 +937,10 @@ mod tests {
     }
 
     fn load_twiddles(r: &mut Rig, forward: bool) -> Slot {
-        // Forward twiddles in the designated twiddle bank; inverse in the
-        // next single-port bank (the driver in cofhee-core does the same).
-        let roles = r.mem.roles();
-        let slot = if forward {
-            Slot::new(roles.twiddle, 0)
-        } else {
-            Slot::new(BankId(roles.twiddle.0 + 1), 0)
-        };
+        // The bank plan's twiddle banks, where the chip's bring-up puts
+        // them too.
+        let plan = r.mem.bank_plan();
+        let slot = Slot::new(if forward { plan.fwd_twiddle } else { plan.inv_twiddle }, 0);
         let tw: Vec<u128> = if forward {
             r.tables.forward_twiddles().to_vec()
         } else {

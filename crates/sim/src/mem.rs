@@ -144,16 +144,6 @@ impl Memory {
         Self::new(config.dual_port_banks, config.single_port_banks, config.bank_words)
     }
 
-    /// Number of logical banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Number of dual-port banks (they occupy the low bank indices).
-    pub fn dual_port_count(&self) -> usize {
-        self.dual_count
-    }
-
     /// The bank metadata.
     pub fn bank(&self, id: BankId) -> Result<&Bank> {
         match self.banks.get(id.0) {
@@ -162,15 +152,17 @@ impl Memory {
         }
     }
 
-    /// Designated bank roles for the MDMC's standard schedule: two
-    /// dual-port compute banks, one dual-port prefetch bank, and the
-    /// single-port twiddle bank.
-    pub fn roles(&self) -> BankRoles {
-        BankRoles {
-            compute_a: BankId(0),
-            compute_b: BankId(1),
-            prefetch: BankId(2.min(self.dual_count.saturating_sub(1))),
-            twiddle: BankId(self.dual_count),
+    /// The [`BankPlan`] over this complement: the first three banks, then
+    /// the first five single-port banks, which follow the dual-port ones.
+    pub(crate) fn bank_plan(&self) -> BankPlan {
+        let single = |i: usize| BankId(self.dual_count + i);
+        BankPlan {
+            d0: BankId(0),
+            d1: BankId(1),
+            d2: BankId(2),
+            fwd_twiddle: single(0),
+            inv_twiddle: single(1),
+            storage: [single(2), single(3), single(4)],
         }
     }
 
@@ -335,17 +327,25 @@ impl Memory {
     }
 }
 
-/// The MDMC's standard bank assignment (Section III-F).
+/// The die's one memory map (Sections III-A and III-F), which every
+/// driver schedules against: three dual-port compute banks, the forward
+/// and inverse twiddle banks, and three single-port storage banks.
+/// [`ChipConfig::validate`](crate::ChipConfig::validate) guarantees that
+/// every bank it names exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankRoles {
-    /// Dual-port bank holding the NTT input (ping).
-    pub compute_a: BankId,
-    /// Dual-port bank holding the NTT output (pong).
-    pub compute_b: BankId,
-    /// Dual-port bank the DMA preloads the next polynomial into.
-    pub prefetch: BankId,
-    /// Single-port bank holding twiddle factors.
-    pub twiddle: BankId,
+pub struct BankPlan {
+    /// First dual-port compute bank (an NTT's input, ping).
+    pub d0: BankId,
+    /// Second dual-port compute bank (an NTT's output, pong).
+    pub d1: BankId,
+    /// Third dual-port bank, which the DMA preloads the next operand into.
+    pub d2: BankId,
+    /// Forward twiddle bank.
+    pub fwd_twiddle: BankId,
+    /// Inverse twiddle bank.
+    pub inv_twiddle: BankId,
+    /// Single-port storage banks.
+    pub storage: [BankId; 3],
 }
 
 fn dp_name(i: usize) -> &'static str {
@@ -371,8 +371,8 @@ mod tests {
     #[test]
     fn silicon_complement_matches_paper() {
         let m = memory();
-        assert_eq!(m.bank_count(), 8, "3 dual-port + 5 single-port");
-        assert_eq!(m.dual_port_count(), 3);
+        assert_eq!(m.banks.len(), 8, "3 dual-port + 5 single-port");
+        assert_eq!(m.dual_count, 3);
         for i in 0..3 {
             assert!(m.bank(BankId(i)).unwrap().is_dual_port());
             assert!(m.bank(BankId(i)).unwrap().base_b().is_some());
@@ -508,14 +508,16 @@ mod tests {
     }
 
     #[test]
-    fn roles_pick_distinct_banks() {
+    fn bank_plan_picks_distinct_banks() {
         let m = memory();
-        let r = m.roles();
-        assert_ne!(r.compute_a, r.compute_b);
-        assert_ne!(r.compute_b, r.prefetch);
-        assert!(m.bank(r.compute_a).unwrap().is_dual_port());
-        assert!(m.bank(r.compute_b).unwrap().is_dual_port());
-        assert!(m.bank(r.prefetch).unwrap().is_dual_port());
-        assert!(!m.bank(r.twiddle).unwrap().is_dual_port());
+        let p = m.bank_plan();
+        let dual = [p.d0, p.d1, p.d2];
+        let single = [p.fwd_twiddle, p.inv_twiddle, p.storage[0], p.storage[1], p.storage[2]];
+        let mut all = [dual.as_slice(), &single].concat();
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), 8, "{p:?}");
+        assert!(dual.iter().all(|&b| m.bank(b).unwrap().is_dual_port()));
+        assert!(single.iter().all(|&b| !m.bank(b).unwrap().is_dual_port()));
     }
 }

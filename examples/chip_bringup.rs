@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Upload a polynomial, run an NTT, read it back.
-    let plan = device.bank_plan();
+    let plan = device.chip().bank_plan();
     let poly: Vec<u128> = (0..n as u128).map(|i| (i * 3 + 1) % q).collect();
     device.upload(Slot::new(plan.d0, 0), &poly)?;
     let report = device.ntt(Slot::new(plan.d0, 0), Slot::new(plan.d1, 0))?;

@@ -26,7 +26,7 @@ fn fig2_flow_fifo_to_mdmc_to_interrupt() {
     chip.submit(Command::ntt(x, fwd, y)).unwrap();
     chip.submit(Command::intt(y, inv, x)).unwrap();
     assert!(!chip.take_interrupt(), "no interrupt before execution");
-    let report = chip.run_until_idle().unwrap();
+    let report = chip.drain_fifo().unwrap().report;
     assert!(chip.take_interrupt(), "drain interrupt raised");
     assert!(report.cycles > 0);
     assert_eq!(chip.read_polynomial(x, n).unwrap(), poly, "round trip");
@@ -43,7 +43,7 @@ fn fifo_depth_is_enforced_at_32() {
     }
     assert_eq!(chip.fifo_space(), 0);
     assert!(chip.submit(cmd).is_err(), "33rd command must be rejected");
-    chip.run_until_idle().unwrap();
+    chip.drain_fifo().unwrap();
     assert_eq!(chip.fifo_space(), FIFO_DEPTH, "queue drained");
 }
 
@@ -63,12 +63,12 @@ fn double_buffering_hides_prefetch_behind_ntt() {
     // NTT (banks 0→1) + background prefetch (bank 5 → bank 2).
     chip.submit(Command::ntt(Slot::new(BankId(0), 0), fwd, Slot::new(BankId(1), 0))).unwrap();
     chip.submit(Command::memcpy(Slot::new(BankId(5), 0), Slot::new(BankId(2), 0), n)).unwrap();
-    let overlapped = chip.run_until_idle().unwrap();
+    let overlapped = chip.drain_fifo().unwrap().report;
     assert_eq!(overlapped.cycles, 24_841, "prefetch fully hidden (Table V NTT latency)");
 
     // Second NTT consumes the prefetched polynomial with no reload gap.
     chip.submit(Command::ntt(Slot::new(BankId(2), 0), fwd, Slot::new(BankId(0), 0))).unwrap();
-    let second = chip.run_until_idle().unwrap();
+    let second = chip.drain_fifo().unwrap().report;
     assert_eq!(second.cycles, 24_841);
 }
 
@@ -102,8 +102,12 @@ fn fig1_topology_is_reachable() {
     // GPCFG at its documented base, PE behind the MDMC, FIFO, and the
     // memory map's dual-port aliases.
     let mut chip = Chip::silicon().unwrap();
-    assert_eq!(chip.memory().bank_count(), 8);
-    assert_eq!(chip.memory().dual_port_count(), 3);
+    let config = chip.config();
+    assert_eq!((config.dual_port_banks, config.single_port_banks), (3, 5));
+    let dual: Vec<bool> =
+        (0..8).map(|b| chip.memory().bank(BankId(b)).unwrap().is_dual_port()).collect();
+    assert_eq!(dual, [true, true, true, false, false, false, false, false]);
+    assert!(chip.memory().bank(BankId(8)).is_err(), "and no ninth bank");
     assert_eq!(
         chip.read_register(cofhee::sim::Register::SIGNATURE).unwrap(),
         cofhee::sim::SIGNATURE_VALUE

@@ -1,8 +1,8 @@
 //! Property tests for the farm's determinism contract: a fixed job
 //! list yields bit-identical ciphertexts and identical virtual-time
 //! telemetry across repeated runs, and bit-identical ciphertexts across
-//! farm sizes and placement policies — results must never depend on
-//! placement; only timing may.
+//! farm sizes — results must never depend on placement; only timing
+//! may.
 //!
 //! Correctness rides along: every scheduled job's result must decrypt
 //! to the plaintext arithmetic it encodes.
@@ -10,8 +10,8 @@
 use cofhee::bfv::{BfvParams, Ciphertext, Decryptor, Encryptor, KeyGenerator, Plaintext};
 use cofhee::core::{ChipBackendFactory, Limb};
 use cofhee::farm::{
-    ChipFarm, ChipStats, FarmReport, Job, JobKind, LatencyPercentiles, PlacementPolicy, RoundRobin,
-    Scheduler, Session, ShortestQueue, WorkStealing,
+    ChipFarm, ChipStats, FarmReport, Job, JobKind, LatencyPercentiles, Scheduler, Session,
+    WorkStealing,
 };
 use cofhee::opt::OptLevel;
 use proptest::collection::vec as pvec;
@@ -111,12 +111,11 @@ fn build_jobs(
 fn run(
     f: &Fixture,
     chips: usize,
-    policy: Box<dyn PlacementPolicy>,
     descs: &[JobDesc],
     gap: u64,
 ) -> (Vec<Vec<Vec<u128>>>, FarmReport) {
     let farm = ChipFarm::new(chips, ChipBackendFactory::silicon()).unwrap();
-    let mut sched = Scheduler::new(farm, policy);
+    let mut sched = Scheduler::new(farm, Box::new(WorkStealing));
     let id = sched.open_session(Session::new("prop", &f.params, f.rlk.clone()).unwrap());
     let (jobs, _) = build_jobs(f, descs, gap, id);
     let outcomes = sched.run(jobs).unwrap();
@@ -152,7 +151,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     // The acceptance property: repeated runs are bit-and-cycle
-    // identical; farm size and policy change timing only, never values;
+    // identical; farm size changes timing only, never values;
     // and every result decrypts to its plaintext arithmetic.
     #[test]
     fn fixed_job_lists_replay_identically_across_runs_and_farm_sizes(
@@ -164,24 +163,22 @@ proptest! {
         let f = fixture();
 
         // 1-chip farm, twice: identical ciphertexts AND telemetry.
-        let (v1a, r1a) = run(&f, 1, Box::new(WorkStealing), &descs, gap);
-        let (v1b, r1b) = run(&f, 1, Box::new(WorkStealing), &descs, gap);
+        let (v1a, r1a) = run(&f, 1, &descs, gap);
+        let (v1b, r1b) = run(&f, 1, &descs, gap);
         prop_assert_eq!(&v1a, &v1b);
         assert_reports_identical(&r1a, &r1b);
 
         // 4-chip farm, twice: same contract.
-        let (v4a, r4a) = run(&f, 4, Box::new(WorkStealing), &descs, gap);
-        let (v4b, r4b) = run(&f, 4, Box::new(WorkStealing), &descs, gap);
+        let (v4a, r4a) = run(&f, 4, &descs, gap);
+        let (v4b, r4b) = run(&f, 4, &descs, gap);
         prop_assert_eq!(&v4a, &v4b);
         assert_reports_identical(&r4a, &r4b);
 
-        // Across farm sizes and policies: values must not depend on
-        // placement.
+        // Across farm sizes, an odd one included: values must not depend
+        // on placement.
         prop_assert_eq!(&v1a, &v4a);
-        let (v4rr, _) = run(&f, 4, Box::new(RoundRobin::default()), &descs, gap);
-        let (v3sq, _) = run(&f, 3, Box::new(ShortestQueue), &descs, gap);
-        prop_assert_eq!(&v4a, &v4rr);
-        prop_assert_eq!(&v4a, &v3sq);
+        let (v3, _) = run(&f, 3, &descs, gap);
+        prop_assert_eq!(&v4a, &v3);
 
         // Work conservation: same streams executed regardless of size.
         prop_assert_eq!(r1a.streams, r4a.streams);
@@ -290,7 +287,7 @@ impl Fnv {
 /// the full `MemorySink` event list in recording order — and, second,
 /// the result ciphertexts alone (their words, and a CKKS result's level
 /// and scale bits), which no change of timing may move.
-fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -> [u64; 2] {
+fn run_digest(chips: usize, level: OptLevel) -> [u64; 2] {
     use cofhee::ckks::{CkksEncoder, CkksEncryptor, CkksKeyGenerator, CkksParams};
     use cofhee::farm::JobResult;
     use cofhee::obs::MemorySink;
@@ -310,7 +307,7 @@ fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -
     let cp = encoder.encode(&[3.0, -1.0]).unwrap();
 
     let farm = ChipFarm::new(chips, ChipBackendFactory::silicon()).unwrap();
-    let mut sched = Scheduler::new(farm, policy);
+    let mut sched = Scheduler::new(farm, Box::new(WorkStealing));
     sched.set_opt_level(level);
     let sink = MemorySink::shared();
     sched.set_trace_sink(sink.clone());
@@ -375,34 +372,18 @@ fn run_digest(chips: usize, policy: Box<dyn PlacementPolicy>, level: OptLevel) -
 fn a_fixed_mixed_job_list_reproduces_the_parent_pinned_digests() {
     let (mut got, mut results) = (Vec::new(), Vec::new());
     for chips in [1usize, 4] {
-        for sq in [false, true] {
-            for level in [OptLevel::O0, OptLevel::O1] {
-                let policy: Box<dyn PlacementPolicy> =
-                    if sq { Box::new(ShortestQueue) } else { Box::new(WorkStealing) };
-                let [whole, words] = run_digest(chips, policy, level);
-                got.push(format!("{whole:016x}"));
-                results.push(format!("{words:016x}"));
-            }
+        for level in [OptLevel::O0, OptLevel::O1] {
+            let [whole, words] = run_digest(chips, level);
+            got.push(format!("{whole:016x}"));
+            results.push(format!("{words:016x}"));
         }
     }
     // The result words alone, recorded at 93dd7a0: a change that moves
     // only simulated timing (and so the whole-output digests) leaves them.
-    let results_pinned = ["51fe2470fd5dc247"; 8];
-    assert_eq!(
-        results, results_pinned,
-        "result words: 1/4 dies × WorkStealing/ShortestQueue × O0/O1"
-    );
-    let pinned = [
-        "1cacb16a1a77d535",
-        "1dcde12c969e75c5",
-        "00170affbbd2ee02",
-        "424236b0a336da54",
-        "5ef57ebecdaff2de",
-        "8cd2e9d7b755d2e3",
-        "f2403ae74d32592f",
-        "dcb16d69d7481462",
-    ];
-    assert_eq!(got, pinned, "1/4 dies × WorkStealing/ShortestQueue × O0/O1");
+    let results_pinned = ["51fe2470fd5dc247"; 4];
+    assert_eq!(results, results_pinned, "result words: 1/4 dies × O0/O1");
+    let pinned = ["1cacb16a1a77d535", "1dcde12c969e75c5", "5ef57ebecdaff2de", "8cd2e9d7b755d2e3"];
+    assert_eq!(got, pinned, "1/4 dies × O0/O1, WorkStealing");
 }
 
 /// Multi-chip farms must never do *more* total stream work than one
@@ -412,8 +393,8 @@ fn a_fixed_mixed_job_list_reproduces_the_parent_pinned_digests() {
 fn added_dies_strictly_shorten_a_parallel_burst() {
     let f = fixture();
     let descs: Vec<JobDesc> = (0..4).map(|i| (3, i, i + 1)).collect();
-    let (_, r1) = run(&f, 1, Box::new(WorkStealing), &descs, 0);
-    let (_, r4) = run(&f, 4, Box::new(WorkStealing), &descs, 0);
+    let (_, r1) = run(&f, 1, &descs, 0);
+    let (_, r4) = run(&f, 4, &descs, 0);
     assert_eq!(r1.streams, r4.streams);
     assert!(
         r4.makespan_cycles < r1.makespan_cycles,

@@ -28,9 +28,7 @@ use cofhee::core::{
     BackendFactory, ChipBackendFactory, CpuBackendFactory, OpStream, PolyBackend, PoolStats,
     StreamOp, StreamReport,
 };
-use cofhee::farm::{
-    ChipFarm, FarmError, Job, JobKind, RoundRobin, Scheduler, Session, WorkStealing,
-};
+use cofhee::farm::{ChipFarm, FarmError, Job, JobKind, Scheduler, Session, WorkStealing};
 use cofhee::opt::{LimbEngine, OptLevel};
 use cofhee::poly::naive;
 use cofhee::poly::ntt::{self, NttTables};
@@ -193,50 +191,40 @@ fn a_farm_key_switch_is_digits_plus_two_transforms_and_the_evaluators_bits() {
     let want_bfv = Evaluator::new(&g.params).unwrap().multiply_relin(&g.a, &g.b, &g.rlk).unwrap();
     let want_ckks =
         CkksEvaluator::new(&f.params).unwrap().multiply_relin_rescale(&f.a, &f.b, &f.rlk).unwrap();
-    for dies in [1, 4] {
+    for dies in [1, 3, 4] {
         for level in [OptLevel::O0, OptLevel::O1] {
-            for policy in [0, 1] {
-                let farm = ChipFarm::new(dies, ChipBackendFactory::silicon()).unwrap();
-                let mut s = match policy {
-                    0 => Scheduler::new(farm, Box::new(WorkStealing)),
-                    _ => Scheduler::new(farm, Box::new(RoundRobin::default())),
-                };
-                s.set_opt_level(level);
-                let exact = s.open_session(Session::new("e", &g.params, g.rlk.clone()).unwrap());
-                let approx =
-                    s.open_session(Session::new_ckks("a", &f.params, f.rlk.clone()).unwrap());
-                let done = s
-                    .run(vec![
-                        Job {
-                            session: exact,
-                            kind: JobKind::MulRelin(g.a.clone(), g.b.clone()),
-                            arrival: 0,
-                        },
-                        Job {
-                            session: approx,
-                            kind: JobKind::CkksMulRelin(f.a.clone(), f.b.clone()),
-                            arrival: 0,
-                        },
-                    ])
-                    .unwrap();
-                let what = format!("{dies} dies, {level}, policy {policy}");
-                assert_eq!(done[0].result.expect_bfv().polys(), want_bfv.polys(), "{what}");
-                assert_eq!(
-                    done[1].result.expect_ckks().components(),
-                    want_ckks.components(),
-                    "{what}"
-                );
-                let m = s.metrics();
-                assert_eq!(
-                    transforms(m.counter("farm.ops.butterflies")),
-                    mul_relin_transforms(&g, &f),
-                    "{what}"
-                );
-                // The key is what a key switch uploads most of.
-                let key_polys =
-                    2 * g.rlk.digit_count() + 2 * f.rlk.digit_count() * f.params.moduli().len();
-                assert_eq!(m.counter("farm.dma.key_bytes"), (key_polys * N * 16) as u64, "{what}");
-            }
+            let farm = ChipFarm::new(dies, ChipBackendFactory::silicon()).unwrap();
+            let mut s = Scheduler::new(farm, Box::new(WorkStealing));
+            s.set_opt_level(level);
+            let exact = s.open_session(Session::new("e", &g.params, g.rlk.clone()).unwrap());
+            let approx = s.open_session(Session::new_ckks("a", &f.params, f.rlk.clone()).unwrap());
+            let done = s
+                .run(vec![
+                    Job {
+                        session: exact,
+                        kind: JobKind::MulRelin(g.a.clone(), g.b.clone()),
+                        arrival: 0,
+                    },
+                    Job {
+                        session: approx,
+                        kind: JobKind::CkksMulRelin(f.a.clone(), f.b.clone()),
+                        arrival: 0,
+                    },
+                ])
+                .unwrap();
+            let what = format!("{dies} dies, {level}");
+            assert_eq!(done[0].result.expect_bfv().polys(), want_bfv.polys(), "{what}");
+            assert_eq!(done[1].result.expect_ckks().components(), want_ckks.components(), "{what}");
+            let m = s.metrics();
+            assert_eq!(
+                transforms(m.counter("farm.ops.butterflies")),
+                mul_relin_transforms(&g, &f),
+                "{what}"
+            );
+            // The key is what a key switch uploads most of.
+            let key_polys =
+                2 * g.rlk.digit_count() + 2 * f.rlk.digit_count() * f.params.moduli().len();
+            assert_eq!(m.counter("farm.dma.key_bytes"), (key_polys * N * 16) as u64, "{what}");
         }
     }
 }

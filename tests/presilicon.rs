@@ -45,7 +45,7 @@ fn polynomial_multiplication_against_golden_product() {
     tb.chip.submit(Command::ntt(b, tb.fwd, a)).unwrap();
     tb.chip.submit(Command::pmodmul(tmp, a, b)).unwrap();
     tb.chip.submit(Command::intt(b, tb.inv, tmp)).unwrap();
-    tb.chip.run_until_idle().unwrap();
+    tb.chip.drain_fifo().unwrap();
 
     assert_eq!(
         tb.chip.read_polynomial(tmp, n).unwrap(),
@@ -114,7 +114,7 @@ fn random_stimulus_regression_across_seeds() {
         tb.chip.submit(Command::ntt(b, tb.fwd, a)).unwrap();
         tb.chip.submit(Command::pmodmul(tmp, a, b)).unwrap();
         tb.chip.submit(Command::intt(b, tb.inv, tmp)).unwrap();
-        tb.chip.run_until_idle().unwrap();
+        tb.chip.drain_fifo().unwrap();
         assert_eq!(tb.chip.read_polynomial(tmp, n).unwrap(), tb.vectors.product, "seed {seed}");
     }
 }

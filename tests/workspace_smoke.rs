@@ -96,7 +96,7 @@ fn sim_chip_dispatches_one_command() {
     let poly: Vec<u128> = (0..n as u128).collect();
     chip.write_polynomial(x, &poly).unwrap();
     chip.submit(Command::ntt(x, fwd, y)).unwrap();
-    let report = chip.run_until_idle().unwrap();
+    let report = chip.drain_fifo().unwrap().report;
     assert!(report.cycles > 0, "command consumed cycles");
 }
 
