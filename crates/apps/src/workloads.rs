@@ -41,8 +41,8 @@ impl Workload {
     }
 
     /// The paper's full Table X application set, in table order — the
-    /// single source every consumer (the Table X estimator, the farm
-    /// demo, the `farm_saturation` bench) iterates instead of
+    /// single source every consumer (the `table10_apps` bench, the farm
+    /// replays, the `farm_saturation` bench) iterates instead of
     /// duplicating the list.
     pub fn all() -> Vec<Self> {
         vec![Self::cryptonets(), Self::logistic_regression()]

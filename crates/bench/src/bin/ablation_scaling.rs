@@ -13,8 +13,8 @@
 //! the `--smoke` size `n = 2^9`.
 
 use cofhee_arith::primes::ntt_prime;
+use cofhee_bench::physical::PartCatalogue;
 use cofhee_core::Device;
-use cofhee_physical::PartCatalogue;
 use cofhee_sim::{offchip_round_trips, ChipConfig, HostLink, Slot, Spi, Uart};
 
 /// NTT cycles on 1 / 2 / 4 PEs (full run, `--smoke`).

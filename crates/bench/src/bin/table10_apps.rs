@@ -1,67 +1,94 @@
 //! Regenerates **Table X**: end-to-end CryptoNets and logistic-regression
-//! estimates, CPU vs CoFHEE, from the paper's exact op mixes.
+//! runtimes, CPU vs CoFHEE, from the paper's exact op mixes (Section VI-C).
+//!
+//! Each of the three op kinds is priced on the farm's own path: one BFV
+//! job at `BfvParams::paper_n12()` (relin key at 16-bit digits, as the
+//! benchmark's farm workloads) through `Scheduler::run` on a fresh
+//! one-die silicon farm. The job's latency is the op's price, and the
+//! CoFHEE column is Σ count × price ÷ clock. Pricing reads only the
+//! shapes of a job's streams, so the run asserts each priced cycle count
+//! exactly. The CPU column times the same three ops on the CPU
+//! `Evaluator` (this host's wall clock), whose ciphertexts must equal
+//! the farm's. `--smoke` shrinks only the CPU timing repetitions.
 
-use cofhee_apps::{estimate, measure_cofhee, OpCosts};
-use cofhee_arith::rns::RnsBasis;
+use cofhee_apps::{Table10Reference, Workload};
 use cofhee_bench::time_best;
-use cofhee_poly::{pointwise, TwiddleCache};
+use cofhee_bfv::{BatchEncoder, BfvParams, Encryptor, Evaluator, KeyGenerator};
+use cofhee_core::ChipBackendFactory;
+use cofhee_farm::JobKind::{Add, MulPlain, MulRelin};
+use cofhee_farm::{ChipFarm, Job, Scheduler, Session, WorkStealing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Priced die cycles of `ct+ct`, `ct·pt` and `ct·ct+relin` at `paper_n12`.
+const PRICED_CYCLES: [u64; 3] = [33_856, 187_526, 1_927_015];
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The application parameter point: (n, log q) = (2^12, 109). Working
-    // back from the paper's Table X totals, its per-op costs are
-    // consistent with this set (ct·ct+relin ≈ 2.9 ms on CoFHEE, i.e.
-    // one 0.84 ms tower multiply plus key switching), not with the
-    // 218-bit set.
-    let n = 1usize << 12;
-    let log_q = 109;
-    println!("Table X — end-to-end applications at (n, log q) = (2^12, {log_q})\n");
-
-    // ---- CoFHEE per-op costs from the simulator ----
-    let cofhee = measure_cofhee(n, log_q)?;
-    println!("CoFHEE per-op costs (measured from simulator, {}):", cofhee.backend);
-    println!("  ct+ct: {:>10.3e} s", cofhee.ct_ct_add_s);
-    println!("  ct·pt: {:>10.3e} s", cofhee.ct_pt_mul_s);
-    println!("  ct·ct+relin: {:>10.3e} s\n", cofhee.ct_ct_mul_relin_s);
-
-    // ---- CPU per-op costs: the production kernel on this machine ----
-    // One tower of the CPU's 64-bit-word basis, timed in place on its
-    // `HarveyNtt` plan; the Hadamard pass stands in for the add pass too.
-    let basis = RnsBasis::for_total_bits(log_q, 64, n)?;
-    let q = basis.moduli()[0] as u64;
-    let plan = TwiddleCache::barrett64(q, n)?;
-    let reps = cofhee_bench::sized(7, 2);
+    let params = BfvParams::paper_n12()?;
+    println!("Table X — end-to-end applications at (n, log q) = (2^12, 109)\n");
     let mut rng = StdRng::seed_from_u64(10);
-    let mut sample = || -> Vec<u64> { (0..n).map(|_| rng.gen::<u64>() % q).collect() };
-    let (mut poly, other) = (sample(), sample());
-    let (_, t_ntt) = time_best(reps, || plan.forward_inplace(&mut poly).unwrap());
-    let (_, t_intt) = time_best(reps, || plan.inverse_inplace(&mut poly).unwrap());
-    let (_, t_pass) =
-        time_best(reps, || pointwise::mul_assign(plan.ring(), &mut poly, &other).unwrap());
-    let towers = basis.len();
-    let cpu = OpCosts::compose("CPU (HarveyNtt plan)", towers, t_ntt, t_intt, t_pass, t_pass);
-    println!("CPU per-op costs ({} towers, this machine):", towers);
-    println!("  ct+ct: {:>10.3e} s", cpu.ct_ct_add_s);
-    println!("  ct·pt: {:>10.3e} s", cpu.ct_pt_mul_s);
-    println!("  ct·ct+relin: {:>10.3e} s\n", cpu.ct_ct_mul_relin_s);
+    let kg = KeyGenerator::new(&params, &mut rng);
+    let enc = Encryptor::new(&params, kg.public_key(&mut rng)?);
+    let rlk = kg.relin_key(16, &mut rng)?;
+    let encoder = BatchEncoder::new(&params)?;
+    let mut encode = || {
+        let slots: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..params.t())).collect();
+        encoder.encode(&slots)
+    };
+    let (ma, mb, pt) = (encode()?, encode()?, encode()?);
+    let (a, b) = (enc.encrypt(&ma, &mut rng)?, enc.encrypt(&mb, &mut rng)?);
 
-    // ---- Table X ----
-    let est = estimate::table10(&cpu, &cofhee);
-    print!("{}", estimate::render_table10(&est));
+    // CPU: the same three ops on the CPU evaluator, best of `reps`.
+    let cpu = Evaluator::new(&params)?;
+    let reps = cofhee_bench::sized(7, 2);
+    let (add, t_add) = time_best(reps, || cpu.add(&a, &b));
+    let (mul_plain, t_mul_plain) = time_best(reps, || cpu.mul_plain(&a, &pt));
+    let (mul_relin, t_mul_relin) = time_best(reps, || cpu.multiply_relin(&a, &b, &rlk));
+    let cpu_results = [add?, mul_plain?, mul_relin?];
+    let cpu_s = [t_add, t_mul_plain, t_mul_relin];
+
+    // CoFHEE: each op alone on a fresh one-die farm.
+    println!("op            priced cc  streams  critical cc  DMA bytes  CoFHEE(s)     CPU(s)");
+    let jobs = [Add(a.clone(), b.clone()), MulPlain(a.clone(), pt), MulRelin(a, b)];
+    let mut cofhee_s = [0.0; 3];
+    for (i, (kind, cpu_ct)) in jobs.into_iter().zip(&cpu_results).enumerate() {
+        let farm = ChipFarm::new(1, ChipBackendFactory::silicon())?;
+        let mut sched = Scheduler::new(farm, Box::new(WorkStealing));
+        let session = sched.open_session(Session::new("table-x", &params, rlk.clone())?);
+        let name = kind.name();
+        let outcome = sched.run(vec![Job { session, kind, arrival: 0 }])?.remove(0);
+        let report = sched.report();
+        assert_eq!(outcome.latency, report.makespan_cycles, "{name}: one job on an idle die");
+        assert_eq!(outcome.latency, PRICED_CYCLES[i], "{name} priced cycles");
+        assert_eq!(outcome.result.expect_bfv(), cpu_ct, "{name}: farm ≡ CPU evaluator");
+        cofhee_s[i] = outcome.latency as f64 / report.freq_hz as f64;
+        let (s, phases) = (report.stream_totals, sched.farm().op_report().phases);
+        let dma = s.uploaded_bytes + s.downloaded_bytes;
+        println!(
+            "{name:<12} {:>10} {:>8} {:>12} {dma:>10} {:>10.3e} {:>10.3e}",
+            outcome.latency, outcome.streams, outcome.service_cycles, cofhee_s[i], cpu_s[i]
+        );
+        println!("  serial {} cc = {phases:?}", s.serial_cycles);
+    }
+
     println!();
-    println!(
-        "Per-op advantage (CPU/CoFHEE): add {:.2}x, ct·pt {:.2}x, ct·ct+relin {:.2}x",
-        cpu.ct_ct_add_s / cofhee.ct_ct_add_s,
-        cpu.ct_pt_mul_s / cofhee.ct_pt_mul_s,
-        cpu.ct_ct_mul_relin_s / cofhee.ct_ct_mul_relin_s
-    );
-    let speedups: Vec<String> =
-        est.iter().map(|e| format!("{} {:.2}x", e.name, e.speedup())).collect();
-    println!("Measured app speedups (CPU/CoFHEE): {} (paper: 2.23x / 1.46x)", speedups.join(", "));
-    println!();
-    println!("Notes: absolute CPU seconds differ from the paper's Ryzen 7 5800h, so the");
-    println!("speedup split between the two apps shifts with the host's add-vs-mul cost");
-    println!("ratio; CPU figures are this host's wall clock, CoFHEE's are simulated.");
+    println!("Application           CPU(s)  CoFHEE(s)  Speedup | paper CPU(s)  CoFHEE(s)  Speedup");
+    for (w, r) in Workload::all().iter().zip(Table10Reference::all()) {
+        assert_eq!(w.name, r.name, "Table X rows in the same order");
+        let counts = [w.ct_ct_add, w.ct_pt_mul, w.ct_ct_mul_relin];
+        let total = |s: [f64; 3]| counts.iter().zip(s).map(|(&c, s)| c as f64 * s).sum::<f64>();
+        let (cpu_total, cofhee_total) = (total(cpu_s), total(cofhee_s));
+        println!(
+            "{:<20}{cpu_total:>8.2}{cofhee_total:>11.2}{:>8.2}x | {:>12.2}{:>11.2}{:>8.2}x",
+            w.name,
+            cpu_total / cofhee_total,
+            r.cpu_s,
+            r.cofhee_s,
+            r.speedup()
+        );
+    }
+    println!("\nCoFHEE seconds: priced die cycles ÷ the die clock, every operand and key");
+    println!("shipped over the link per op. CPU seconds: this host's wall clock, not the");
+    println!("paper's Ryzen 7 5800h. EXPERIMENTS.md (Table X) explains the gap to the paper.");
     Ok(())
 }

@@ -11,8 +11,8 @@
 //! `--smoke` mode too: one NTT at `n = 2^13` is all there is to run.
 
 use cofhee_arith::primes::ntt_prime;
+use cofhee_bench::physical::{ComparisonTable, PartCatalogue, TechScaling};
 use cofhee_core::Device;
-use cofhee_physical::{ComparisonTable, PartCatalogue, TechScaling};
 use cofhee_sim::{ChipConfig, Slot};
 
 /// Table V's silicon-measured NTT at `n = 2^13`.

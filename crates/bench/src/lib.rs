@@ -9,7 +9,7 @@
 //! | `table1_isa` | Table I operation latencies on the simulated chip |
 //! | `table5_performance` | Table V latency + power, paper vs measured |
 //! | `fig6_cpu_comparison` | Fig. 6a/6b CPU-vs-CoFHEE time and power |
-//! | `table10_apps` | Table X end-to-end application estimates |
+//! | `table10_apps` | Table X end-to-end applications, each op kind priced on the farm |
 //! | `table11_related` | Table XI related-work efficiency comparison |
 //! | `ablation_scaling` | Section VIII-A PE-count, memory-port and host-link ablations |
 //!
@@ -22,10 +22,20 @@
 //! `farm_saturation`, `service_saturation`, `hotpath_profile`,
 //! `ckks_breakdown`, `trace_export`, `ablation_scaling` and `table1_isa`
 //! — so the reproduction path cannot silently rot.
+//!
+//! The library also holds [`physical`], the physical-design data that
+//! `table11_related` and `ablation_scaling` read.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 use std::time::Instant;
+
+pub mod physical;
+
+mod parts;
+mod related;
+mod scaling;
 
 /// True when `--smoke` is among the process arguments: report binaries
 /// switch to reduced problem sizes so CI can exercise the full pipeline

@@ -1,9 +1,7 @@
-//! # cofhee-physical
-//!
 //! The physical-design data the evaluation consumes. The paper's
 //! Tables III, IV, VI, VII and IX are EDA reports of the fabricated
 //! chip's flow that nothing here can regenerate, so the paper is their
-//! record; this crate keeps the figures a derivation reads:
+//! record; this module keeps the figures a derivation reads:
 //!
 //! * [`PartCatalogue`] — Table VIII post-synthesis areas/delays: the
 //!   PE + MDMC compute area Table XI normalizes by, and the ≈1.9 mm²
@@ -17,7 +15,7 @@
 //! # Examples
 //!
 //! ```
-//! use cofhee_physical::{ComparisonTable, PartCatalogue, TechScaling};
+//! use cofhee_bench::physical::{ComparisonTable, PartCatalogue, TechScaling};
 //!
 //! let table = ComparisonTable::table11();
 //! let eff = table.derive_cofhee_efficiency(
@@ -27,13 +25,6 @@
 //! assert!((eff - 4.54e-4).abs() / 4.54e-4 < 0.05);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod parts;
-mod related;
-mod scaling;
-
-pub use parts::{Part, PartCatalogue};
-pub use related::{ComparisonTable, Platform, RelatedDesign};
-pub use scaling::TechScaling;
+pub use crate::parts::{Part, PartCatalogue};
+pub use crate::related::{ComparisonTable, Platform, RelatedDesign};
+pub use crate::scaling::TechScaling;

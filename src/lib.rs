@@ -20,16 +20,14 @@
 //!   dispatch through the recorded-stream machinery the BFV path uses.
 //! * [`sim`] — the chip: SRAM banks, AHB addressing, Barrett PE, MDMC
 //!   with the calibrated cycle model, command FIFO, Cortex-M0, power.
-//! * [`physical`] — Table VIII's part areas, the 55 nm → 7 nm scaling
-//!   factors and the Table XI comparison machinery.
 //! * [`core`] — the device driver: Algorithm 2/3 schedules, execution
 //!   modes, RNS dispatch, host-link accounting, and the unified
 //!   `PolyBackend` execution API (pluggable CPU / chip backends).
 //! * [`opt`] — the stream compiler: value numbering and a dead-node
 //!   sweep over recorded `OpStream`s, behind the `O0`/`O1` opt-level
 //!   dial, and the `LimbEngine` both evaluators execute on.
-//! * [`apps`] — CryptoNets and logistic regression, as op-count models
-//!   and as functional encrypted demos.
+//! * [`apps`] — CryptoNets and logistic regression: the paper's Table X
+//!   op mixes and functional encrypted demos.
 //! * [`farm`] — the multi-chip execution service: a pool of simulated
 //!   dies, tenant sessions, and a session-aware scheduler multiplexing
 //!   homomorphic jobs across the pool under a virtual-time clock.
@@ -54,7 +52,6 @@ pub use cofhee_core as core;
 pub use cofhee_farm as farm;
 pub use cofhee_obs as obs;
 pub use cofhee_opt as opt;
-pub use cofhee_physical as physical;
 pub use cofhee_poly as poly;
 pub use cofhee_service as service;
 pub use cofhee_sim as sim;

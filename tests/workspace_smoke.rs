@@ -1,5 +1,6 @@
 //! Workspace smoke test: every `cofhee::*` re-export in `src/lib.rs`
-//! resolves, and one representative operation per member crate runs.
+//! resolves, and one representative operation per member crate runs
+//! (the physical-design tables live in `cofhee_bench::physical`).
 //! This is the tripwire behind the CI pipeline — if a crate's public
 //! surface or a cross-crate seam breaks, it fails here first.
 
@@ -7,9 +8,9 @@ use cofhee::apps::Workload;
 use cofhee::arith::{primes::ntt_prime, Barrett64, ModRing};
 use cofhee::bfv::{BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext};
 use cofhee::core::{Device, ExecutionMode};
-use cofhee::physical::{ComparisonTable, PartCatalogue, TechScaling};
 use cofhee::poly::{naive, ntt, ntt::NttTables};
 use cofhee::sim::{BankId, Chip, ChipConfig, Command, Slot};
+use cofhee_bench::physical::{ComparisonTable, PartCatalogue, TechScaling};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
