@@ -533,19 +533,17 @@ mod tests {
         }
     }
 
+    /// A pointwise kernel into a third vector: `out = x ∘ y` mod `q`.
+    type Kernel = fn(&Barrett128, &mut [u128], &[u128], &[u128]) -> cofhee_poly::Result<()>;
+
     /// `x ∘ y` mod `q` by a pointwise kernel, componentwise.
-    fn pointwise_oracle(
-        f: &Fixture,
-        a: &Ciphertext,
-        b: &Ciphertext,
-        op: fn(&Barrett128, &mut [u128], &[u128]) -> cofhee_poly::Result<()>,
-    ) -> Vec<Vec<u128>> {
+    fn pointwise_oracle(f: &Fixture, a: &Ciphertext, b: &Ciphertext, op: Kernel) -> Vec<Vec<u128>> {
         let ring = Barrett128::new(f.params.q()).unwrap();
         let pairs = a.polys().iter().zip(b.polys());
         pairs
             .map(|(x, y)| {
-                let mut out = x.to_u128_vec();
-                op(&ring, &mut out, y).unwrap();
+                let mut out = vec![0; x.len()];
+                op(&ring, &mut out, x, y).unwrap();
                 out
             })
             .collect()
@@ -559,12 +557,12 @@ mod tests {
         let st = f.eval.add_stream(&a, &b).unwrap();
         let ct = f.eval.ciphertext_from_outputs(run_on_borrowed(&f, &st)).unwrap();
         // The oracle is the pointwise kernels, not another stream.
-        let oracle = pointwise_oracle(&f, &a, &b, pointwise::add_assign);
+        let oracle = pointwise_oracle(&f, &a, &b, pointwise::add_into);
         assert_components(&ct, &oracle, "borrowed-backend add");
         assert_components(&f.eval.add(&a, &b).unwrap(), &oracle, "evaluator add");
         assert_eq!(&f.dec.decrypt(&ct).unwrap().coeffs()[..2], &[13, 24]);
 
-        let oracle = pointwise_oracle(&f, &a, &b, pointwise::sub_assign);
+        let oracle = pointwise_oracle(&f, &a, &b, pointwise::sub_into);
         assert_components(&f.eval.sub(&a, &b).unwrap(), &oracle, "evaluator sub");
         let q = f.params.q();
         let oracle: Vec<Vec<u128>> =

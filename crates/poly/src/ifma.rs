@@ -1277,15 +1277,15 @@ mod tests {
             .collect();
         for (subtract, op) in [(false, R::add as fn(&R, _, _) -> _), (true, R::sub)] {
             let expect: Vec<R::Elem> = x.iter().zip(&y).map(|(&x, &y)| op(ring, x, y)).collect();
-            let (mut assign, mut into) = (x.to_vec(), vec![ring.from_u128(q - 1); len]);
+            let mut into = vec![ring.from_u128(q - 1); len];
             if subtract {
-                pointwise::sub_assign(ring, &mut assign, &y).unwrap();
                 pointwise::sub_into(ring, &mut into, x, &y).unwrap();
             } else {
+                let mut assign = x.to_vec();
                 pointwise::add_assign(ring, &mut assign, &y).unwrap();
+                assert_eq!(assign, expect, "q = {q}, len = {len}");
                 pointwise::add_into(ring, &mut into, x, &y).unwrap();
             }
-            assert_eq!(assign, expect, "subtract: {subtract}, q = {q}, len = {len}");
             assert_eq!(into, expect, "subtract: {subtract}, q = {q}, len = {len}");
         }
         assert!(pointwise::all_below(q, x) && pointwise::all_below(q, &y), "q = {q}, len = {len}");

@@ -8,7 +8,7 @@
 //! | chip command | function |
 //! |---|---|
 //! | `PMODADD` | [`add_assign`], [`add_into`] |
-//! | `PMODSUB` | [`sub_assign`], [`sub_into`] |
+//! | `PMODSUB` | [`sub_into`] |
 //! | `PMODMUL` | [`mul_assign`] (Hadamard product) |
 //! | `CMODMUL` | [`scalar_mul_assign`] |
 //! | `PMODMUL` into `PMODADD` | [`mul_add_into`] |
@@ -38,15 +38,6 @@ fn check_same_len(a: usize, b: usize) -> Result<()> {
 /// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
 pub fn add_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Result<()> {
     sum(ring, a, None, b, false)
-}
-
-/// `a[i] -= b[i] (mod q)` — the `PMODSUB` command.
-///
-/// # Errors
-///
-/// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
-pub fn sub_assign<R: ModRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Result<()> {
-    sum(ring, a, None, b, true)
 }
 
 /// `out[i] = x[i] + y[i] (mod q)` — `PMODADD` into a third vector,
@@ -204,8 +195,9 @@ mod tests {
         let b = vec![5u64, Q - 2, 0, 1];
         let mut a = orig.clone();
         add_assign(&r, &mut a, &b).unwrap();
-        sub_assign(&r, &mut a, &b).unwrap();
-        assert_eq!(a, orig);
+        let mut back = vec![0; a.len()];
+        sub_into(&r, &mut back, &a, &b).unwrap();
+        assert_eq!(back, orig);
     }
 
     #[test]
@@ -241,7 +233,7 @@ mod tests {
         let r = ring();
         let mut a = vec![1u64, 2];
         assert!(add_assign(&r, &mut a, &[1]).is_err());
-        assert!(sub_assign(&r, &mut a, &[1, 2, 3]).is_err());
+        assert!(sub_into(&r, &mut a, &[1, 2], &[1, 2, 3]).is_err());
         assert!(mul_assign(&r, &mut a, &[]).is_err());
     }
 }

@@ -197,6 +197,43 @@ fn every_opcode_and_aliasing_agrees_at_every_width() {
     }
 }
 
+/// A two-source pass whose destination shares a bank with a source, in
+/// every way it can: beside it, which lends the ranges as they are; on it
+/// (`dst == x`, `dst == y`, an in-place `PMODSQR`) and partly across it,
+/// which stage the sources first. Each writes what the faithful chip
+/// writes, in as many cycles, and what the per-element reference computes.
+#[test]
+fn a_destination_beside_on_or_across_a_source_in_its_bank_agrees() {
+    type Pass = fn(Slot, Slot, Slot) -> Command;
+    let passes: [Pass; 4] = [Command::pmodadd, Command::pmodsub, Command::pmodmul, Command::pmul];
+    for bits in [47u32, 109] {
+        for n in [1usize << 6, 1 << 12] {
+            let q = ntt_prime(bits, n).unwrap();
+            let (mut chips, _, _) = pair(q, n);
+            let s = |bank: usize, k: usize| Slot::new(BankId(bank), k * n);
+            let across = |bank: usize| Slot::new(BankId(bank), n / 2);
+            let mut program = Vec::new();
+            for pass in passes {
+                program.extend([
+                    pass(s(0, 0), s(1, 0), s(0, 1)),
+                    pass(s(1, 0), s(0, 1), s(0, 0)),
+                    pass(s(0, 0), s(1, 0), s(0, 0)),
+                    pass(s(1, 0), s(0, 0), s(0, 0)),
+                    pass(s(2, 0), s(1, 0), across(2)),
+                    pass(s(1, 1), s(2, 1), across(2)),
+                ]);
+                if 3 * n <= chips[0].config.bank_words {
+                    program.push(pass(s(7, 0), s(7, 1), s(7, 2)));
+                }
+            }
+            program
+                .extend([Command::pmodsqr(s(6, 0), s(6, 0)), Command::pmodsqr(s(6, 1), across(6))]);
+            seed_banks(&mut chips, q, n);
+            in_lockstep(&mut chips, &program);
+        }
+    }
+}
+
 #[test]
 fn an_overwritten_twiddle_bank_falls_back_to_the_faithful_loop() {
     let n = 1 << 6;

@@ -66,12 +66,13 @@
 //! * Every range a command names is bounds-checked before the first
 //!   word is written, so a failing command leaves memory untouched.
 //! * Streamed passes run one loop from borrowed source slices into the
-//!   borrowed destination ([`Memory::split`]). When the destination
-//!   shares a bank with a source, the first source is moved into it
-//!   (nothing moves when they are one slot) and the second folded in
-//!   there, staged first in a buffer the MDMC reuses only if it shares
-//!   the destination's bank too. `MEMCPY` is a `memmove`; the `src == dst`
-//!   DMA touch a driver queues to occupy the DMA engine moves nothing.
+//!   borrowed destination ([`Memory::split`]), which lends by range: a
+//!   source may share the destination's bank, as on the die, where the
+//!   bank sets only the initiation interval. Only when a source range
+//!   overlaps the destination's (`dst == x`, an in-place `PMODSQR`) are
+//!   both sources first copied into a buffer the MDMC reuses. `MEMCPY`
+//!   is a `memmove`; the `src == dst` DMA touch a driver queues to
+//!   occupy the DMA engine moves nothing.
 //! * NTT/iNTT take the plan-backed path when a plan is installed *and*
 //!   the command names the twiddle table `Chip::load_plan` wrote for it,
 //!   in a bank whose write generation has not moved since: the source is
@@ -298,8 +299,8 @@ pub(crate) struct Mdmc {
     pins: Option<Pins>,
     /// The same plan at word width, when `q` is word-sized.
     narrow: Option<NarrowKernel>,
-    /// Staging for the second source of a pass whose destination shares
-    /// its bank.
+    /// Staging for the sources of a pass when one overlaps its
+    /// destination.
     staged: Vec<u128>,
 }
 
@@ -640,49 +641,32 @@ impl Mdmc {
         n: usize,
         f: impl Fn(u128, u128) -> u128,
     ) -> Result<()> {
-        self.run(
-            mem,
-            cmd,
-            y,
-            n,
-            |out, a, b| {
-                out.iter_mut().zip(a).zip(b).for_each(|((o, &a), &b)| *o = f(a, b));
-                Ok(())
-            },
-            |out, b| {
-                out.iter_mut().zip(b).for_each(|(o, &b)| *o = f(*o, b));
-                Ok(())
-            },
-        )
+        self.run(mem, cmd, y, n, |out, a, b| {
+            out.iter_mut().zip(a).zip(b).for_each(|((o, &a), &b)| *o = f(a, b));
+            Ok(())
+        })
     }
 
-    /// `dst = x ∘ y` over `n` words: `fresh(out, x, y)` straight from
-    /// the source banks when the destination shares a bank with neither
-    /// source; otherwise `onto(out, y)` once the destination holds `x`
-    /// (nothing moves when `dst == x`), with `y` staged first only if it
-    /// shares the destination's bank.
+    /// `dst = x ∘ y` over `n` words: `f(out, x, y)` straight from the
+    /// source ranges, or from copies of both staged first when a source
+    /// overlaps the destination.
     fn run(
         &mut self,
         mem: &mut Memory,
         cmd: &Command,
         y: Slot,
         n: usize,
-        fresh: impl FnOnce(&mut [u128], &[u128], &[u128]) -> Result<()>,
-        onto: impl FnOnce(&mut [u128], &[u128]) -> Result<()>,
+        f: impl FnOnce(&mut [u128], &[u128], &[u128]) -> Result<()>,
     ) -> Result<()> {
         // Every range is checked here, before anything is written.
         if let Some((out, [a, b])) = mem.split(cmd.dst, [cmd.x, y], n)? {
-            return fresh(out, a, b);
-        }
-        if y.bank != cmd.dst.bank {
-            mem.memmove(cmd.x, cmd.dst, n)?;
-            let (out, [b]) = mem.split(cmd.dst, [y], n)?.expect("y lies in another bank");
-            return onto(out, b);
+            return f(out, a, b);
         }
         self.staged.clear();
+        self.staged.extend_from_slice(mem.slice(cmd.x, n)?);
         self.staged.extend_from_slice(mem.slice(y, n)?);
-        mem.memmove(cmd.x, cmd.dst, n)?;
-        onto(mem.slice_mut(cmd.dst, n)?, &self.staged)
+        let (a, b) = self.staged.split_at(n);
+        f(mem.slice_mut(cmd.dst, n)?, a, b)
     }
 
     /// `PMODADD`, or `PMODSUB`: on the [`pointwise`] kernels, straight
@@ -702,20 +686,8 @@ impl Mdmc {
             return self.pass(mem, cmd, y, n, |a, b| op(ring, a, b));
         }
         let rejected = |e| SimError::BadConfiguration { reason: format!("add-sub pass: {e}") };
-        self.run(
-            mem,
-            cmd,
-            y,
-            n,
-            |out, a, b| {
-                let sum = if subtract { pointwise::sub_into } else { pointwise::add_into };
-                sum(ring, out, a, b).map_err(rejected)
-            },
-            |out, b| {
-                let sum = if subtract { pointwise::sub_assign } else { pointwise::add_assign };
-                sum(ring, out, b).map_err(rejected)
-            },
-        )
+        let sum = if subtract { pointwise::sub_into } else { pointwise::add_into };
+        self.run(mem, cmd, y, n, |out, a, b| sum(ring, out, a, b).map_err(rejected))
     }
 
     /// A multiplying pass — `x[j]·y[j]`, or `x[j]·c` when `c` is given —
@@ -754,25 +726,16 @@ impl Mdmc {
             Some(c) => canonical(mem, ring.q(), &[cmd.x], n)? && c < ring.q(),
             None => canonical(mem, ring.q(), &[cmd.x, y], n)?,
         };
-        let mul =
-            |out: &mut [u128], b: &[u128]| pointwise::mul_assign(ring, out, b).map_err(rejected);
         match c {
             Some(c) if canonical => {
                 mem.memmove(cmd.x, cmd.dst, n)?;
                 pointwise::scalar_mul_assign(ring, mem.slice_mut(cmd.dst, n)?, c);
                 Ok(())
             }
-            None if canonical => self.run(
-                mem,
-                cmd,
-                y,
-                n,
-                |out, a, b| {
-                    out.copy_from_slice(a);
-                    mul(out, b)
-                },
-                mul,
-            ),
+            None if canonical => self.run(mem, cmd, y, n, |out, a, b| {
+                out.copy_from_slice(a);
+                pointwise::mul_assign(ring, out, b).map_err(rejected)
+            }),
             Some(c) => self.pass(mem, cmd, y, n, |a, _| ring.mul(a, c)),
             None => self.pass(mem, cmd, y, n, |a, b| ring.mul(a, b)),
         }

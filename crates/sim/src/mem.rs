@@ -18,7 +18,9 @@
 //! streamed. The host model keeps to that: [`Memory::slice`] /
 //! [`Memory::slice_mut`] lend a checked range of a bank,
 //! [`Memory::split`] lends a destination range mutably *beside*
-//! read-only source ranges in other banks, and [`Memory::memmove`]
+//! read-only source ranges — in other banks or in its own, by range, as
+//! the MDMC streams them, whichever bank they sit in — and refuses only
+//! a source that overlaps the destination, and [`Memory::memmove`]
 //! moves words between slots (overlap included) without a staging
 //! buffer. Every one of them checks all of its ranges before it touches
 //! a word, so a failing access leaves memory as it was. The copying
@@ -30,6 +32,8 @@
 //! on it: `write_slice`, `write_word`, the bus; `split`'s destination;
 //! `memmove`) bumps it, so an unchanged generation proves the bank holds
 //! what it held when the generation was read.
+
+use std::cmp::Ordering;
 
 use crate::error::{Result, SimError};
 
@@ -229,9 +233,10 @@ impl Memory {
 
     /// Borrows `len` words at `dst` mutably beside `len` words at each of
     /// `srcs` read-only — the operand fetch and write-back of one
-    /// streamed pass, with nothing copied. Returns `None` when a source
-    /// shares `dst`'s bank: one bank cannot be lent out both ways, so the
-    /// caller stages those sources instead.
+    /// streamed pass, with nothing copied. A source may lie in `dst`'s
+    /// bank, on either side of it; `None` when a source range overlaps
+    /// `dst`'s, which no borrow can lend both ways, so the caller stages
+    /// the sources instead.
     ///
     /// # Errors
     ///
@@ -249,21 +254,29 @@ impl Memory {
             self.span(src, len)?;
         }
         let dst_span = self.span(dst, len)?;
-        if srcs.iter().any(|src| src.bank == dst.bank) {
+        let overlaps = |src: &Slot| {
+            src.bank == dst.bank && src.offset < dst_span.end && dst.offset < src.offset + len
+        };
+        if srcs.iter().any(overlaps) {
             return Ok(None);
         }
         let (below, rest) = self.banks.split_at_mut(dst.bank.0);
         let (this, above) = rest.split_first_mut().expect("dst's bank index was just checked");
         this.generation += 1;
-        let (below, above): (&[Bank], &[Bank]) = (below, above);
+        let (left, rest) = this.words.split_at_mut(dst_span.start);
+        let (out, right) = rest.split_at_mut(len);
+        let (below, above, left, right): (&[Bank], &[Bank], &[u128], &[u128]) =
+            (below, above, left, right);
         let views = srcs.map(|src| {
-            let bank = match src.bank.0.checked_sub(dst.bank.0 + 1) {
-                Some(i) => &above[i],
-                None => &below[src.bank.0],
+            let words = match src.bank.0.cmp(&dst.bank.0) {
+                Ordering::Less => &below[src.bank.0].words[src.offset..],
+                Ordering::Greater => &above[src.bank.0 - dst.bank.0 - 1].words[src.offset..],
+                Ordering::Equal if src.offset < dst.offset => &left[src.offset..],
+                Ordering::Equal => &right[src.offset - dst_span.end..],
             };
-            &bank.words[src.offset..src.offset + len]
+            &words[..len]
         });
-        Ok(Some((&mut this.words[dst_span], views)))
+        Ok(Some((out, views)))
     }
 
     /// Moves `len` words from `src` to `dst`; the ranges may overlap
@@ -411,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn split_lends_a_destination_beside_sources_in_other_banks() {
+    fn split_lends_a_destination_beside_every_source_it_does_not_overlap() {
         let mut m = memory();
         let (below, dst, above) =
             (Slot::new(BankId(0), 8), Slot::new(BankId(3), 16), Slot::new(BankId(7), 0));
@@ -423,8 +436,23 @@ mod tests {
             *o = a + b;
         }
         assert_eq!(m.slice(dst, 3).unwrap(), &[11, 22, 33]);
-        // One bank cannot be lent out both ways, whatever the ranges.
-        assert!(m.split(dst, [below, Slot::new(BankId(3), 100)], 3).unwrap().is_none());
+        // In the destination's own bank, the words on either side of it
+        // are lent too, right up to its edges.
+        let (left, right) = (Slot::new(BankId(3), 13), Slot::new(BankId(3), 19));
+        m.write_slice(left, &[4, 5, 6]).unwrap();
+        m.write_slice(right, &[7, 8, 9]).unwrap();
+        let (out, [l, a, r]) = m.split(dst, [left, above, right], 3).unwrap().unwrap();
+        assert_eq!((l, r), (&[4, 5, 6][..], &[7, 8, 9][..]));
+        for (((o, &l), &a), &r) in out.iter_mut().zip(l).zip(a).zip(r) {
+            *o = l + a + r;
+        }
+        assert_eq!(m.slice(left, 9).unwrap(), &[4, 5, 6, 21, 33, 45, 7, 8, 9]);
+        // A source that overlaps the destination, by one word or wholly,
+        // cannot be lent beside it.
+        for offset in [14, 16, 18] {
+            let on = Slot::new(BankId(3), offset);
+            assert!(m.split(dst, [below, on], 3).unwrap().is_none(), "offset {offset}");
+        }
         // Ranges are checked, sources first, before anything is lent.
         let cap = m.bank(BankId(0)).unwrap().capacity();
         let past = |bank| Slot::new(BankId(bank), cap - 2);
