@@ -89,7 +89,7 @@ struct Die {
     busy: u64,
     /// Streams executed.
     streams: u64,
-    /// Finish times of assigned streams (pending-count queries).
+    /// Finish times of assigned streams (queue-depth reconstruction).
     finishes: Vec<u64>,
     /// Ready times of assigned streams (queue-depth reconstruction).
     readies: Vec<u64>,
@@ -105,16 +105,6 @@ impl Die {
             finishes: Vec::new(),
             readies: Vec::new(),
         }
-    }
-
-    /// Streams assigned but not finished at virtual cycle `at`.
-    ///
-    /// `finishes` is non-decreasing by construction (each stream's
-    /// finish is the die's new clock, and the clock never moves
-    /// backwards), so this is a binary search — placement stays
-    /// `O(log streams)` per die even on million-stream replays.
-    fn pending(&self, at: u64) -> usize {
-        self.finishes.len() - self.finishes.partition_point(|&f| f <= at)
     }
 
     /// Maximum simultaneously in-flight streams (queued or running),
@@ -227,13 +217,13 @@ impl ChipFarm {
         &self.factory
     }
 
-    /// Per-die scheduling status at virtual cycle `at` — the view
-    /// handed to placement policies.
-    pub fn statuses(&self, at: u64) -> Vec<DieStatus> {
+    /// Per-die scheduling status — the view handed to placement
+    /// policies.
+    pub fn statuses(&self) -> Vec<DieStatus> {
         self.dies
             .iter()
             .enumerate()
-            .map(|(chip, d)| DieStatus { chip, busy_until: d.clock, pending: d.pending(at) })
+            .map(|(chip, d)| DieStatus { chip, busy_until: d.clock })
             .collect()
     }
 
@@ -565,17 +555,5 @@ mod tests {
         }
         let after = TwiddleCache::barrett128(q, n).unwrap();
         assert!(std::sync::Arc::ptr_eq(&resident, &after), "second farm reused the plan");
-    }
-
-    #[test]
-    fn statuses_reflect_backlog() {
-        let q = ntt_prime(60, N).unwrap();
-        let mut farm = ChipFarm::new(2, ChipBackendFactory::silicon()).unwrap();
-        let run = farm.place(0, q, N, stream(3, q), 0).unwrap();
-        let at_zero = farm.statuses(0);
-        assert_eq!(at_zero[0].pending, 1);
-        assert_eq!(at_zero[1].pending, 0);
-        let after = farm.statuses(run.finish);
-        assert_eq!(after[0].pending, 0, "finished streams leave the queue");
     }
 }

@@ -4,9 +4,11 @@
 //! The scheduler decomposes every job into per-limb [`OpStream`]s
 //! (see `cofhee_bfv`'s job layer) and asks a [`PlacementPolicy`] which
 //! die each stream should run on. A policy sees only the farm's
-//! virtual-time status — per-die backlog clocks and queue depths — so
+//! virtual-time status — the cycle each die's backlog drains at — so
 //! it is deterministic by construction: the same job list against
-//! the same farm always produces the same placements.
+//! the same farm always produces the same placements. (A die's queue
+//! depth is telemetry, reconstructed once per report as
+//! `ChipStats::max_queue_depth`, not a placement input.)
 //!
 //! [`OpStream`]: cofhee_core::OpStream
 
@@ -19,9 +21,6 @@ pub struct DieStatus {
     pub chip: usize,
     /// Virtual cycle at which the die's current backlog finishes.
     pub busy_until: u64,
-    /// Streams assigned but not yet finished at the query time — the
-    /// die's queue depth as the policy sees it.
-    pub pending: usize,
 }
 
 /// Chooses a die for each stream.
@@ -65,9 +64,9 @@ mod tests {
 
     fn dies() -> Vec<DieStatus> {
         vec![
-            DieStatus { chip: 0, busy_until: 900, pending: 1 },
-            DieStatus { chip: 1, busy_until: 200, pending: 3 },
-            DieStatus { chip: 2, busy_until: 500, pending: 0 },
+            DieStatus { chip: 0, busy_until: 900 },
+            DieStatus { chip: 1, busy_until: 200 },
+            DieStatus { chip: 2, busy_until: 500 },
         ]
     }
 

@@ -333,8 +333,6 @@ pub struct Scheduler {
     latencies: CycleHistogram,
     queue_cycles: CycleHistogram,
     service_cycles: CycleHistogram,
-    /// Peak queue depth each die showed at a placement decision.
-    queue_depth_peaks: Vec<u64>,
     /// Trace sink for job lifecycle spans, phase spans, and placement
     /// instants; the null sink unless installed.
     trace: SharedSink,
@@ -365,7 +363,6 @@ impl Scheduler {
             latencies: CycleHistogram::new(),
             queue_cycles: CycleHistogram::new(),
             service_cycles: CycleHistogram::new(),
-            queue_depth_peaks: Vec::new(),
             trace: null_sink(),
             jobs_done: 0,
             stream_totals: StreamReport::default(),
@@ -436,20 +433,14 @@ impl Scheduler {
             self.stream_totals.ops_eliminated += stats.ops_eliminated;
             stream = opt;
         }
-        let statuses = self.farm.statuses(ready);
+        let statuses = self.farm.statuses();
         let chip = self.policy.place(&statuses, ready);
-        let Some(status) = statuses.get(chip) else {
+        if chip >= statuses.len() {
             return Err(FarmError::UnknownChip { chip, chips: statuses.len() });
-        };
-        let depth = status.pending as u64;
-        if self.queue_depth_peaks.len() < statuses.len() {
-            self.queue_depth_peaks.resize(statuses.len(), 0);
         }
-        self.queue_depth_peaks[chip] = self.queue_depth_peaks[chip].max(depth);
         if self.trace.enabled() {
             self.trace.record(
                 TraceEvent::instant(Track::DieCompute(chip), "place", ready)
-                    .arg("pending", depth)
                     .arg("ops", stream.len() as u64),
             );
         }
@@ -647,9 +638,6 @@ impl Scheduler {
             m.counter_add(&format!("farm.die{}.streams", c.chip), c.streams);
             m.counter_add(&format!("farm.die{}.busy_cycles", c.chip), c.busy_cycles);
             m.gauge_set(&format!("farm.die{}.queue_depth_max", c.chip), c.max_queue_depth as i64);
-        }
-        for (die, &peak) in self.queue_depth_peaks.iter().enumerate() {
-            m.gauge_set(&format!("farm.die{die}.queue_depth_at_place"), peak as i64);
         }
         m.histogram_merge("farm.latency_cycles", &self.latencies);
         m.histogram_merge("farm.queue_cycles", &self.queue_cycles);

@@ -13,6 +13,7 @@ use cofhee::farm::{
     ChipFarm, ChipStats, FarmReport, Job, JobKind, LatencyPercentiles, Scheduler, Session,
     WorkStealing,
 };
+use cofhee::obs::TraceEvent;
 use cofhee::opt::OptLevel;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -278,6 +279,16 @@ impl Fnv {
             self.bytes(&w.to_le_bytes());
         }
     }
+
+    /// One trace event by value — its track, name, kind and arguments —
+    /// so the digest follows what the event says, not how `TraceEvent`
+    /// is laid out.
+    fn event(&mut self, event: &TraceEvent) {
+        self.text(&format!("{:?} {} {:?}", event.track, event.name, event.kind));
+        for (key, value) in &event.args {
+            self.text(&format!("{key}={value}"));
+        }
+    }
 }
 
 /// Everything a farm run shows its caller, folded into one number: every
@@ -356,7 +367,7 @@ fn run_digest(chips: usize, level: OptLevel) -> [u64; 2] {
         }
     }
     for event in sink.events() {
-        h.text(&format!("{event:?}"));
+        h.event(&event);
     }
     [h.0, results.0]
 }

@@ -13,7 +13,7 @@ use cofhee::bfv::{BfvParams, Encryptor, KeyGenerator, Plaintext};
 use cofhee::ckks::{CkksEncoder, CkksEncryptor, CkksKeyGenerator, CkksParams};
 use cofhee::core::ChipBackendFactory;
 use cofhee::farm::{ChipFarm, Scheduler, WorkStealing};
-use cofhee::obs::MemorySink;
+use cofhee::obs::{MemorySink, TraceEvent};
 use cofhee::opt::OptLevel;
 use cofhee::service::{CtHandle, Gateway, GatewayConfig, Request, TenantFair, TenantId, Ticket};
 use rand::rngs::StdRng;
@@ -46,6 +46,16 @@ impl Fnv {
     fn words(&mut self, words: &[u128]) {
         for w in words {
             self.bytes(&w.to_le_bytes());
+        }
+    }
+
+    /// One trace event by value — its track, name, kind and arguments —
+    /// so the digest follows what the event says, not how `TraceEvent`
+    /// is laid out.
+    fn event(&mut self, event: &TraceEvent) {
+        self.text(&format!("{:?} {} {:?}", event.track, event.name, event.kind));
+        for (key, value) in &event.args {
+            self.text(&format!("{key}={value}"));
         }
     }
 }
@@ -217,7 +227,7 @@ fn run(level: OptLevel) -> ([u64; 4], u64) {
     }
     let mut events = Fnv::new();
     for event in sink.events() {
-        events.text(&format!("{event:?}"));
+        events.event(&event);
     }
     ([downloads.0, rendered.0, metrics.0, events.0], words.0)
 }
