@@ -90,11 +90,6 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Small numeric payload rendered into the Chrome `args` object.
     pub args: Vec<(&'static str, u64)>,
-    /// Always `None`: no sink stamps host time. Kept only because the
-    /// pinned farm and gateway determinism digests fold every event's
-    /// `Debug`, which prints this field; delete it with their next
-    /// deliberate re-pin.
-    pub wall_ns: Option<u64>,
 }
 
 impl TraceEvent {
@@ -105,13 +100,12 @@ impl TraceEvent {
             name,
             kind: EventKind::Span { start, end: end.max(start) },
             args: Vec::new(),
-            wall_ns: None,
         }
     }
 
     /// Builds an instant at one virtual cycle.
     pub fn instant(track: Track, name: &'static str, at: u64) -> Self {
-        TraceEvent { track, name, kind: EventKind::Instant { at }, args: Vec::new(), wall_ns: None }
+        TraceEvent { track, name, kind: EventKind::Instant { at }, args: Vec::new() }
     }
 
     /// Attaches one numeric argument (builder style).
