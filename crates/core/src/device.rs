@@ -225,24 +225,6 @@ impl Device {
         Ok(self.chip.execute_now(Command::intt(src, self.inv_tw, dst))?)
     }
 
-    /// Hadamard product (`dst ← x ∘ y`).
-    ///
-    /// # Errors
-    ///
-    /// Chip execution failures.
-    pub fn hadamard(&mut self, x: Slot, y: Slot, dst: Slot) -> Result<OpReport> {
-        Ok(self.chip.execute_now(Command::pmodmul(x, y, dst))?)
-    }
-
-    /// Pointwise addition (`dst ← x + y`).
-    ///
-    /// # Errors
-    ///
-    /// Chip execution failures.
-    pub fn pointwise_add(&mut self, x: Slot, y: Slot, dst: Slot) -> Result<OpReport> {
-        Ok(self.chip.execute_now(Command::pmodadd(x, y, dst))?)
-    }
-
     // ---- command-FIFO path (execution mode 2, with wire accounting) ----
 
     /// The host link this device was brought up over.

@@ -21,8 +21,6 @@ pub struct QueueView {
     pub tenant: TenantId,
     /// The tenant's configured fair-share weight.
     pub weight: u32,
-    /// Requests waiting in the tenant's queue (head included).
-    pub backlog: usize,
     /// Virtual cycle the head request was admitted at.
     pub head_arrival: u64,
     /// The head request's gateway-wide admission sequence number
@@ -117,13 +115,7 @@ mod tests {
     use super::*;
 
     fn view(tenant: u64, weight: u32, arrival: u64, seq: u64) -> QueueView {
-        QueueView {
-            tenant: TenantId::new(tenant),
-            weight,
-            backlog: 1,
-            head_arrival: arrival,
-            head_seq: seq,
-        }
+        QueueView { tenant: TenantId::new(tenant), weight, head_arrival: arrival, head_seq: seq }
     }
 
     #[test]

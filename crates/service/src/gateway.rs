@@ -566,7 +566,6 @@ impl Gateway {
                     self.operands_ready(&head.request).then_some(QueueView {
                         tenant: head.ticket.tenant(),
                         weight: t.quotas.weight,
-                        backlog: t.queue.len(),
                         head_arrival: head.ticket.arrival(),
                         head_seq: head.ticket.id(),
                     })
