@@ -18,12 +18,11 @@
 //! streamed. The host model keeps to that: [`Memory::slice`] /
 //! [`Memory::slice_mut`] lend a checked range of a bank,
 //! [`Memory::split`] lends a destination range mutably *beside*
-//! read-only source ranges — in other banks or in its own, by range, as
-//! the MDMC streams them, whichever bank they sit in — and refuses only
-//! a source that overlaps the destination, and [`Memory::memmove`]
-//! moves words between slots (overlap included) without a staging
-//! buffer. Every one of them checks all of its ranges before it touches
-//! a word, so a failing access leaves memory as it was. The copying
+//! read-only source ranges in any bank, its own included, refusing only
+//! a source that overlaps it, and [`Memory::memmove`] moves words
+//! between slots (overlap included) without a staging buffer. Every one
+//! of them checks all of its ranges before it touches a word, so a
+//! failing access leaves memory as it was. The copying
 //! [`Memory::read_slice`] / [`Memory::write_slice`] remain for the host
 //! side of the link and for the MDMC's reference loops.
 //!
