@@ -445,10 +445,7 @@ fn compute<R: LazyRing>(
             v.copy_from_slice(arg(s)?);
             plan.inverse_inplace(v)?;
         }
-        StreamOp::Hadamard(x, y) => {
-            v.copy_from_slice(arg(x)?);
-            pointwise::mul_assign(ring, v, arg(y)?)?;
-        }
+        StreamOp::Hadamard(x, y) => pointwise::mul_into(ring, v, arg(x)?, arg(y)?)?,
         // The single-pass Harvey kernel: the product feeds the
         // inverse stages directly, no canonical correction between.
         StreamOp::HadamardIntt(x, y) => plan.hadamard_intt_into(arg(x)?, arg(y)?, v)?,
@@ -458,8 +455,7 @@ fn compute<R: LazyRing>(
         StreamOp::PointwiseAdd(x, y) => pointwise::add_into(ring, v, arg(x)?, arg(y)?)?,
         StreamOp::PointwiseSub(x, y) => pointwise::sub_into(ring, v, arg(x)?, arg(y)?)?,
         StreamOp::ScalarMul(x, c) => {
-            v.copy_from_slice(arg(x)?);
-            pointwise::scalar_mul_assign(ring, v, ring.from_u128(*c));
+            pointwise::scalar_mul_into(ring, v, arg(x)?, ring.from_u128(*c))?;
         }
     }
     Ok(())

@@ -229,10 +229,11 @@ impl<E: 'static> Lanes<E> {
         on_lanes!(self, k => x86::products(k, same_mut(out), Some(same(x)), same(y), acc.map(same)))
     }
 
-    /// `a[i] = a[i]·c mod q` for canonical `a[i]` and the prepared
-    /// constant `c`.
-    pub(crate) fn scalar_mul(&self, a: &mut [E], c: &ShoupMul<E>) {
-        on_lanes!(self, k => x86::scalar_mul(k, same_mut(a), one(c)))
+    /// `out[i] = x[i]·c mod q` for canonical `x[i]` and the prepared
+    /// constant `c`, `x` the old `out` when `None`.
+    pub(crate) fn scalar_mul(&self, out: &mut [E], x: Option<&[E]>, c: &ShoupMul<E>) {
+        assert!(x.is_none_or(|x| x.len() == out.len()));
+        on_lanes!(self, k => x86::scalar_mul(k, same_mut(out), x.map(same), one(c)))
     }
 }
 
@@ -338,7 +339,7 @@ mod x86 {
     /// vector registers: each kernel builds it on entry, so no
     /// constant is broadcast inside a loop.
     pub(super) trait Splat: Copy {
-        type Elem: Copy + 'static;
+        type Elem: Copy + Default + 'static;
         type Lanes: Arith<Elem = Self::Elem>;
 
         /// # Safety
@@ -1040,7 +1041,23 @@ mod x86 {
         }
     }
 
-    /// `out = x·y (+ acc)`, with `x` the old `out` when `None`.
+    /// `v`'s words past its whole vectors, padded with zeros to one vector.
+    fn padded<E: Copy + Default>(v: &[E]) -> [E; 8] {
+        let mut last = [E::default(); 8];
+        let rest = v.len() % 8;
+        last[..rest].copy_from_slice(&v[v.len() - rest..]);
+        last
+    }
+
+    /// Vector `i` of `v`: a whole vector of it, or `last`, its padded tail.
+    fn vector<'a, E>(v: &'a [E], last: &'a [E; 8], i: usize) -> &'a [E; 8] {
+        v.get(8 * i..8 * i + 8).map_or(last, |w| w.try_into().expect("eight words"))
+    }
+
+    /// `out = x·y (+ acc)`, with `x` the old `out` when `None`. One loop
+    /// over whole vectors, whose loads and stores take no mask; the tail
+    /// runs as one more vector, padded, and its lanes are copied back. One
+    /// loop body, so the wide product stays inlined.
     ///
     /// # Safety
     ///
@@ -1054,29 +1071,44 @@ mod x86 {
         acc: Option<&[R::Elem]>,
     ) {
         let k = r.lanes();
-        for i in (0..out.len()).step_by(8) {
-            let x = x.map_or_else(|| k.load(&out[i..]), |x| k.load(&x[i..]));
-            let mut p = k.mul(x, k.load(&y[i..]));
+        let [x_last, y_last, acc_last] =
+            [x.unwrap_or_default(), y, acc.unwrap_or_default()].map(padded);
+        let (vecs, tail) = out.as_chunks_mut::<8>();
+        let mut last = padded(tail);
+        for (i, out) in vecs.iter_mut().chain((!tail.is_empty()).then_some(&mut last)).enumerate() {
+            let x = x.map_or_else(|| k.load(out), |x| k.load(vector(x, &x_last, i)));
+            let mut p = k.mul(x, k.load(vector(y, &y_last, i)));
             if let Some(acc) = acc {
-                p = k.fold(k.add(p, k.load(&acc[i..])), k.q());
+                p = k.fold(k.add(p, k.load(vector(acc, &acc_last, i))), k.q());
             }
-            k.store(&mut out[i..], p);
+            k.store(out, p);
         }
+        tail.copy_from_slice(&last[..tail.len()]);
     }
 
-    /// `a = a·c`.
+    /// `out = x·c`, with `x` the old `out` when `None`: whole vectors,
+    /// then the tail, padded, as in [`products`].
     ///
     /// # Safety
     ///
     /// As for [`forward`].
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(super) unsafe fn scalar_mul<R: Splat>(r: R, a: &mut [R::Elem], c: &ShoupMul<R::Elem>) {
+    pub(super) unsafe fn scalar_mul<R: Splat>(
+        r: R,
+        out: &mut [R::Elem],
+        x: Option<&[R::Elem]>,
+        c: &ShoupMul<R::Elem>,
+    ) {
         let k = r.lanes();
         let c = k.splat(c);
-        for i in (0..a.len()).step_by(8) {
-            let p = k.fold(k.mul_lazy(k.load(&a[i..]), c), k.q());
-            k.store(&mut a[i..], p);
+        let x_last = padded(x.unwrap_or_default());
+        let (vecs, tail) = out.as_chunks_mut::<8>();
+        let mut last = padded(tail);
+        for (i, out) in vecs.iter_mut().chain((!tail.is_empty()).then_some(&mut last)).enumerate() {
+            let x = x.map_or_else(|| k.load(out), |x| k.load(vector(x, &x_last, i)));
+            k.store(out, k.fold(k.mul_lazy(x, c), k.q()));
         }
+        tail.copy_from_slice(&last[..tail.len()]);
     }
 
     /// Eight elements as plain integers, for the element-wise kernels: a
@@ -1360,6 +1392,10 @@ mod tests {
         pointwise::scalar_mul_assign(ring, &mut fast, c);
         let scaled: Vec<R::Elem> = x.iter().map(|&x| ring.mul(x, c)).collect();
         assert_eq!(fast, scaled, "scalar_mul_assign, q = {q}, n = {n}");
+        pointwise::mul_into(ring, &mut out, &x, &y).unwrap();
+        assert_eq!(out, product, "mul_into, q = {q}, n = {n}");
+        pointwise::scalar_mul_into(ring, &mut out, &x, c).unwrap();
+        assert_eq!(out, scaled, "scalar_mul_into, q = {q}, n = {n}");
         check_elementwise(ring, &x, &y);
     }
 
@@ -1447,7 +1483,7 @@ mod tests {
             for len in 16..64 {
                 check_elementwise(ring, &values(len, q, 5), &values(len, q, 15));
             }
-            for len in [16, 17, 23, 31, 33, 40, 63] {
+            for len in 16..64 {
                 let [x, y, acc]: [Vec<R::Elem>; 3] =
                     [values(len, q, 3), values(len, q, 9), values(len, q, 27)];
                 let product: Vec<R::Elem> =
@@ -1460,10 +1496,14 @@ mod tests {
                 let sums: Vec<R::Elem> =
                     product.iter().zip(&acc).map(|(&p, &c)| ring.add(p, c)).collect();
                 assert_eq!(out, sums, "q = {q}, len = {len}");
+                pointwise::mul_into(ring, &mut out, &x, &y).unwrap();
+                assert_eq!(out, product, "mul_into, q = {q}, len = {len}");
                 let c = ring.from_u128(q - 2);
+                pointwise::scalar_mul_into(ring, &mut out, &product, c).unwrap();
                 pointwise::scalar_mul_assign(ring, &mut fast, c);
                 let scaled: Vec<R::Elem> = product.iter().map(|&p| ring.mul(p, c)).collect();
                 assert_eq!(fast, scaled, "q = {q}, len = {len}");
+                assert_eq!(out, scaled, "scalar_mul_into, q = {q}, len = {len}");
             }
         }
         at(&Barrett64::new(ntt_prime(43, 8).unwrap() as u64).unwrap());

@@ -9,8 +9,8 @@
 //! |---|---|
 //! | `PMODADD` | [`add_assign`], [`add_into`] |
 //! | `PMODSUB` | [`sub_into`] |
-//! | `PMODMUL` | [`mul_assign`] (Hadamard product) |
-//! | `CMODMUL` | [`scalar_mul_assign`] |
+//! | `PMODMUL` | [`mul_assign`], [`mul_into`] (Hadamard product) |
+//! | `CMODMUL` | [`scalar_mul_assign`], [`scalar_mul_into`] |
 //! | `PMODMUL` into `PMODADD` | [`mul_add_into`] |
 //!
 //! Every command runs in the vector lanes of `crate::ifma` where the host
@@ -139,11 +139,57 @@ pub fn mul_assign<R: LazyRing>(ring: &R, a: &mut [R::Elem], b: &[R::Elem]) -> Re
     Ok(())
 }
 
+/// `out[i] = x[i]·y[i] (mod q)` — `PMODMUL` into a third vector, one pass.
+///
+/// # Errors
+///
+/// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
+pub fn mul_into<R: LazyRing>(
+    ring: &R,
+    out: &mut [R::Elem],
+    x: &[R::Elem],
+    y: &[R::Elem],
+) -> Result<()> {
+    check_same_len(out.len(), x.len())?;
+    check_same_len(out.len(), y.len())?;
+    if let Some(lanes) = Lanes::new(ring.modulus(), out.len()) {
+        lanes.mul_into(out, x, y, None);
+        return Ok(());
+    }
+    for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
+        *o = ring.mul(a, b);
+    }
+    Ok(())
+}
+
+/// `out[i] = x[i]·c (mod q)` — `CMODMUL` into another vector, one pass.
+///
+/// # Errors
+///
+/// Returns [`PolyError::LengthMismatch`] when slice lengths differ.
+pub fn scalar_mul_into<R: LazyRing>(
+    ring: &R,
+    out: &mut [R::Elem],
+    x: &[R::Elem],
+    c: R::Elem,
+) -> Result<()> {
+    check_same_len(out.len(), x.len())?;
+    if let Some(lanes) = Lanes::new(ring.modulus(), out.len()) {
+        lanes.scalar_mul(out, Some(x), &ring.shoup(c));
+        return Ok(());
+    }
+    let aux = ring.prepare(c);
+    for (o, &a) in out.iter_mut().zip(x) {
+        *o = ring.mul_prepared(a, c, aux);
+    }
+    Ok(())
+}
+
 /// `a[i] *= c (mod q)` — the `CMODMUL` command (constant multiplication,
 /// e.g. the `n⁻¹` pass closing an inverse NTT).
 pub fn scalar_mul_assign<R: LazyRing>(ring: &R, a: &mut [R::Elem], c: R::Elem) {
     if let Some(lanes) = Lanes::new(ring.modulus(), a.len()) {
-        return lanes.scalar_mul(a, &ring.shoup(c));
+        return lanes.scalar_mul(a, None, &ring.shoup(c));
     }
     let aux = ring.prepare(c);
     for x in a.iter_mut() {

@@ -727,14 +727,16 @@ impl Mdmc {
             None => canonical(mem, ring.q(), &[cmd.x, y], n)?,
         };
         match c {
-            Some(c) if canonical => {
-                mem.memmove(cmd.x, cmd.dst, n)?;
-                pointwise::scalar_mul_assign(ring, mem.slice_mut(cmd.dst, n)?, c);
-                Ok(())
-            }
+            Some(c) if canonical => match mem.split(cmd.dst, [cmd.x], n)? {
+                Some((out, [a])) => pointwise::scalar_mul_into(ring, out, a, c).map_err(rejected),
+                None => {
+                    mem.memmove(cmd.x, cmd.dst, n)?;
+                    pointwise::scalar_mul_assign(ring, mem.slice_mut(cmd.dst, n)?, c);
+                    Ok(())
+                }
+            },
             None if canonical => self.run(mem, cmd, y, n, |out, a, b| {
-                out.copy_from_slice(a);
-                pointwise::mul_assign(ring, out, b).map_err(rejected)
+                pointwise::mul_into(ring, out, a, b).map_err(rejected)
             }),
             Some(c) => self.pass(mem, cmd, y, n, |a, _| ring.mul(a, c)),
             None => self.pass(mem, cmd, y, n, |a, b| ring.mul(a, b)),
