@@ -166,9 +166,8 @@ pub fn ntt_primes(bits: u32, n: usize, count: usize) -> Result<Vec<u128>> {
 /// 55-bit cap for word engines is that model's, not a limit of
 /// [`crate::Barrett64`], which takes primes up to 62 bits. The BFV
 /// evaluator's exact-tensor *computation basis* does not go through it:
-/// `BfvParams::new` takes the fewest 59-bit primes that cover `2·n·q²`
-/// straight from [`ntt_primes`] (four at the paper's points, where this
-/// plan over the same 236 bits gives five).
+/// `BfvParams::new` takes its lane primes below `2^49` straight from
+/// [`ntt_primes`].
 ///
 /// The paper's two evaluation points decompose as follows (Section VI-B):
 ///

@@ -186,18 +186,6 @@ impl RnsBasis {
         self.moduli.iter().map(|&q| x % q).collect()
     }
 
-    /// Limb `i`'s word-level Barrett engine — what a caller reducing a
-    /// whole vector modulo `qᵢ` hoists out of its loop
-    /// ([`Barrett64::reduce_u128`]: no division). `None` when the basis
-    /// has a modulus of 62 bits or more, or more than 16 of them.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is not a limb of the basis.
-    pub fn word_ring(&self, i: usize) -> Option<Barrett64> {
-        self.word.as_ref().map(|limbs| limbs[i].ring)
-    }
-
     /// Decomposes a 256-bit value into its residues.
     pub fn decompose(&self, x: U256) -> Vec<u128> {
         self.moduli.iter().map(|&q| u256_rem_u128(x, q)).collect()

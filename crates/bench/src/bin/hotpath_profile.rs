@@ -18,17 +18,18 @@
 //! `ModRing::from_u128`).
 //! A `crt_scale_round` row per paper-scale BFV basis (log q = 109) does
 //! the same for the host half of ciphertext multiplication: ns per
-//! coefficient of CRT reconstruction plus Eq. 4's `⌊t·x/q⌉ mod q`, by the
-//! generic public route (`compose_centered`, `widening_mul`,
-//! `round_div_u256`, `rem`: a 256-bit division each) against
-//! `Evaluator::tensor_combine` (word-level Garner and the precomputed
-//! `ScaleRound`). A `lift_centered` row beside it prices the other host
-//! loop of the multiply, the centered lift of the four operand
-//! polynomials onto every computation prime, in ns per lifted
-//! coefficient: two `u128 % u128` software divisions (the route the
-//! evaluator took before, kept here as the oracle) against what
-//! `Evaluator::tensor_streams` records now — one word-level Barrett
-//! reduction — so the division cannot come back unseen.
+//! coefficient of Eq. 4's `⌊t·x/q⌉ mod q` from honest tensor residues
+//! (`|x| ≤ n·q²/2`), by the generic public route (`compose_centered`,
+//! `widening_mul`, `round_div_u256`, `rem`: a 256-bit CRT and division
+//! each) against `Evaluator::tensor_combine` (the RNS scale-and-round on
+//! words). A `lift_centered` row beside it prices the other host
+//! loop of the multiply, the operand polynomials onto every modulus of
+//! the tensor — the centered lifts onto the lane primes and the `q`
+//! limb's shared words — in ns per uploaded coefficient: two
+//! `u128 % u128` software divisions per coefficient (kept here as the
+//! oracle) against what `Evaluator::tensor_streams` records now — one
+//! word-level Barrett reduction per lifted coefficient, none for `q` — so
+//! the division cannot come back unseen.
 //! Every measured pair is also checked bit-exact before it is timed.
 //!
 //! **Vector lanes** (ungated): for a 43-bit prime — a CKKS chain limb's
@@ -78,7 +79,7 @@ use cofhee_arith::{
 use cofhee_bfv::{BfvParams, Ciphertext, Encryptor, Evaluator, KeyGenerator, Plaintext};
 use cofhee_core::StreamOp;
 use cofhee_poly::{ntt, pointwise, HarveyNtt};
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Allowed relative regression of `lazy_ns / strict_ns` vs baseline.
 const REGRESSION_BUDGET: f64 = 0.25;
@@ -353,7 +354,7 @@ fn measure<R: LazyRing>(
     Ok(())
 }
 
-/// The host CRT finisher by the generic public route: per coefficient,
+/// The tensor finisher by the generic public route: per coefficient,
 /// `compose_centered`, then `⌊t·|x|/q⌉ mod q` through `round_div_u256`
 /// and `rem`, sign re-applied. Returns the `3n` coefficients in order.
 fn generic_crt_scale_round(
@@ -390,17 +391,22 @@ fn measure_crt(
     let n = 1usize << log_n;
     let params = BfvParams::new(n, ntt_prime(20, n)? as u64, ntt_prime(109, n)?)?;
     let eval = Evaluator::new(&params)?;
-    let limbs: Vec<Vec<Vec<u128>>> = params
-        .mult_basis()
-        .moduli()
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let ring = Barrett128::new(p)?;
-            let seed = 0xc47 + 8 * i as u128 + log_n as u128;
-            Ok((0..3).map(|part| rand_poly(&ring, n, seed << 2 | part)).collect())
-        })
-        .collect::<Result<_, cofhee_arith::ArithError>>()?;
+    // Honest tensor residues: each coefficient a signed integer below
+    // n·q²/2 in magnitude, reduced onto every modulus of the basis.
+    let basis = params.mult_basis();
+    let q = U256::from_u128(params.q());
+    let bound = q.wrapping_mul(q).wrapping_mul(U256::from_u128(n as u128)).shr(1);
+    let mut rng = StdRng::seed_from_u64(0xc47 + u64::from(log_n));
+    let mut limbs = vec![vec![vec![0u128; n]; 3]; basis.len()];
+    for part in 0..3 {
+        for j in 0..n {
+            let mag = U256::from_halves(rng.gen(), rng.gen()).rem(bound);
+            let x = if rng.gen() { basis.product().wrapping_sub(mag) } else { mag };
+            for (limb, r) in limbs.iter_mut().zip(basis.decompose(x)) {
+                limb[part][j] = r;
+            }
+        }
+    }
 
     let combined = eval.tensor_combine(&limbs)?;
     let fast: Vec<u128> = combined.polys().iter().flat_map(|p| p.coeffs().to_vec()).collect();
@@ -431,9 +437,10 @@ fn measure_crt(
 }
 
 /// The centered lift by division: every polynomial of `a` and `b` onto
-/// every computation prime, `c mod p` and — for the negative half —
-/// `− q mod p` by `%`. One vector per (prime, polynomial), in the order
-/// `Evaluator::tensor_streams` uploads them.
+/// every modulus of the tensor, `c mod p` and — for the negative half —
+/// `− q mod p` by `%` (for `p = q`, the words themselves). One vector per
+/// (modulus, polynomial), in the order `Evaluator::tensor_streams`
+/// uploads them.
 fn lift_by_division(params: &BfvParams, a: &Ciphertext, b: &Ciphertext) -> Vec<Vec<u128>> {
     let q = params.q();
     let mut lifted = Vec::new();

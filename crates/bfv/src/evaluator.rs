@@ -7,20 +7,20 @@
 //! (cc₁, cc₂, cc₃) = (⌊t(ca₁·cb₁)/q⌉, ⌊t(ca₁·cb₂ + ca₂·cb₁)/q⌉, ⌊t(ca₂·cb₂)/q⌉)
 //! ```
 //!
-//! *exactly*: the tensor products are computed over the integers (via a
-//! CRT computation basis of NTT-friendly word primes), then scaled by
-//! `t/q` with symmetric rounding. This is what makes the functional demos
-//! decrypt correctly, unlike per-tower approximations.
+//! *exactly*: the tensor products are computed in RNS over `q` and a few
+//! NTT-friendly lane primes, then scaled by `t/q` with symmetric rounding
+//! by an RNS scale-and-round on words. This is what makes the functional
+//! demos decrypt correctly, unlike per-tower approximations.
 //!
 //! # Division of labor
 //!
 //! Every mod-q polynomial pass — the pointwise ops behind `add`/`sub`/
 //! `neg`/`add_plain`, the negacyclic products behind `mul_plain`, and the
-//! per-prime NTT/Hadamard dataflow of the unscaled tensor inside
+//! per-modulus NTT/Hadamard dataflow of the unscaled tensor inside
 //! `multiply` — runs on a pluggable [`PolyBackend`] (software CPU by
 //! default, the cycle-accurate simulated CoFHEE chip on request; both
-//! bit-identical). The `⌊t·x/q⌉` rounding of Eq. 4 (a CRT base extension)
-//! and the digit *decomposition* of key switching stay host-side,
+//! bit-identical). The `⌊t·x/q⌉` rounding of Eq. 4 (an RNS
+//! scale-and-round) and the digit *decomposition* of key switching stay host-side,
 //! exactly as the paper divides the work (scaling and decomposition need
 //! cross-modulus carries the Table I command set cannot express).
 //!
@@ -35,10 +35,10 @@
 //! mod-q stream each, submitted alone and so replayed with every core
 //! ([`LimbEngine::run`]: a key switch's ready transforms and multiply
 //! passes run `cores` at a time); [`Evaluator::multiply`] is one tensor
-//! stream per CRT computation prime — the fewest 59-bit primes that
-//! cover `2·n·q²`, four at the paper's points — the independent limbs
-//! fanned out across threads, and its host CRT runs in one coefficient
-//! chunk per core. On the chip backend each stream flows through the simulated
+//! stream per lane prime below `2^49` — three at the paper's points — plus
+//! Algorithm 3 mod `q` on the mod-`q` backend, the independent limbs
+//! fanned out across threads, and its scale-and-round runs in one
+//! coefficient chunk per core. On the chip backend each stream flows through the simulated
 //! 32-deep command FIFO in depth-sized batches with interrupt-driven
 //! drains, with upload/download DMA overlapped against PE compute; the
 //! accumulated serial-vs-overlapped telemetry of every op is queryable
@@ -67,10 +67,12 @@ use crate::plaintext::Plaintext;
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     params: BfvParams,
-    /// Backend 0 serves the ciphertext modulus `q` (linear ops, key
-    /// switch); backend `1 + i` serves CRT computation prime `i` of the
-    /// exact tensor. Clones share the engine, its telemetry and the
-    /// relin keys it keeps resident on backend 0 in NTT form.
+    /// One backend per modulus of
+    /// [`BfvParams::mult_basis`](crate::BfvParams::mult_basis): the lane
+    /// primes of the exact tensor, then `q` (the tensor's last limb, the
+    /// linear ops, the key switch). Clones share the engine, its
+    /// telemetry and the relin keys it keeps resident on the `q` backend
+    /// in NTT form.
     engine: LimbEngine,
 }
 
@@ -101,18 +103,17 @@ impl Evaluator {
     /// # }
     /// ```
     ///
-    /// One backend instance is brought up for the ciphertext modulus `q`
-    /// (linear ops) and one per CRT computation prime (the exact-tensor
-    /// dataflow inside [`Evaluator::multiply`]) — mirroring how the
-    /// paper's host drives one logical chip per RNS modulus.
+    /// One backend instance is brought up per modulus of the exact
+    /// tensor: one per lane prime and one for the ciphertext modulus `q`,
+    /// which also serves the linear ops and the key switch — mirroring how
+    /// the paper's host drives one logical chip per RNS modulus.
     ///
     /// # Errors
     ///
     /// Propagates backend bring-up failures.
     pub fn with_backend(params: &BfvParams, factory: &dyn BackendFactory) -> Result<Self> {
-        let mut moduli = vec![params.q()];
-        moduli.extend_from_slice(params.mult_basis().moduli());
-        Ok(Self { params: params.clone(), engine: LimbEngine::new(factory, &moduli, params.n())? })
+        let moduli = params.mult_basis().moduli();
+        Ok(Self { params: params.clone(), engine: LimbEngine::new(factory, moduli, params.n())? })
     }
 
     /// Builder-style: the same evaluator with the stream compiler set to
@@ -143,7 +144,7 @@ impl Evaluator {
     }
 
     /// Cumulative execution telemetry across every backend this
-    /// evaluator drives (the mod-q backend plus the per-prime tensor
+    /// evaluator drives (the mod-q backend plus the lane-prime tensor
     /// backends): measured op counts on all backends, real cycles on the
     /// chip.
     pub fn backend_report(&self) -> OpReport {
@@ -151,7 +152,7 @@ impl Evaluator {
     }
 
     /// Cumulative scratch-pool telemetry across all backends (the
-    /// mod-q backend plus the per-prime tensor backends): once the
+    /// mod-q backend plus the lane-prime tensor backends): once the
     /// evaluator has warmed up, `misses` should stop growing — every
     /// upload, transform, and product is served from recycled buffers
     /// (the zero-alloc steady state proved by `cofhee_core`'s
@@ -181,6 +182,11 @@ impl Evaluator {
         self.engine.reset();
     }
 
+    /// The engine's backend for `q`: the tensor basis's last modulus.
+    fn q_backend(&self) -> usize {
+        self.params.mult_basis().len() - 1
+    }
+
     /// Refuses a ciphertext whose components are not degree-`n`
     /// polynomials mod this evaluator's `q`.
     pub(crate) fn check_ct(&self, ct: &Ciphertext) -> Result<()> {
@@ -192,7 +198,7 @@ impl Evaluator {
         }
     }
 
-    /// Wraps a component computed on a backend or by the host CRT: `n`
+    /// Wraps a component computed on a backend or by the host scale-and-round: `n`
     /// residues, canonical mod `q` (which [`Limb::new`] checks).
     pub(crate) fn limb(&self, values: Vec<u128>) -> Result<Limb> {
         let n = self.params.n();
@@ -207,7 +213,11 @@ impl Evaluator {
     /// transforms and multiply passes of a key switch (or of `ct · pt`)
     /// replay `cores` at a time.
     fn run_mod_q(&self, stream: OpStream) -> Result<Ciphertext> {
-        let outputs = self.engine.run(0, vec![stream])?.pop().expect("one stream, one outcome");
+        let outputs = self
+            .engine
+            .run(self.q_backend(), vec![stream])?
+            .pop()
+            .expect("one stream, one outcome");
         self.ciphertext_from_outputs(outputs)
     }
 
@@ -261,10 +271,10 @@ impl Evaluator {
 
     /// Exact ciphertext multiplication: Eq. 4 with integer tensor and
     /// `t/q` rounding. The unscaled tensor is recorded as one
-    /// [`OpStream`] per CRT computation prime and the independent limbs
-    /// execute in parallel, one backend each, each limb a single batched
-    /// submit; the CRT reconstruction and rounding are host-side, one
-    /// contiguous coefficient chunk per core. Returns a 3-component ciphertext; apply
+    /// [`OpStream`] per modulus of the tensor's basis and the independent
+    /// limbs execute in parallel, one backend each, each limb a single
+    /// batched submit; the scale-and-round is host-side, one contiguous
+    /// coefficient chunk per core. Returns a 3-component ciphertext; apply
     /// [`Evaluator::relinearize`] to shrink it.
     ///
     /// # Errors
@@ -272,7 +282,7 @@ impl Evaluator {
     /// Returns [`BfvError::WrongCiphertextSize`] unless both inputs have
     /// exactly two components, and mismatch errors for foreign operands.
     pub fn multiply(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        let limbs = self.engine.run(1, self.tensor_streams(a, b)?)?;
+        let limbs = self.engine.run(0, self.tensor_streams(a, b)?)?;
         self.tensor_combine(&limbs)
     }
 
@@ -303,15 +313,15 @@ impl Evaluator {
     pub fn relinearize(&self, ct: &Ciphertext, rlk: &RelinKey) -> Result<Ciphertext> {
         self.check_rlk(rlk)?;
         let stored = rlk.parts.iter().map(|(k0, k1)| (&k0[..], &k1[..])).collect();
-        let handles = self.engine.resident_keys(&rlk.id, 0, &[stored])?;
+        let handles = self.engine.resident_keys(&rlk.id, self.q_backend(), &[stored])?;
         let (stream, fill) = self.record_key_switch(rlk, KeySwitchKeys::Resident(&handles[0]))?;
         self.fill_relin(fill, ct)?;
         self.run_mod_q(stream)
     }
 
     /// Convenience: multiply then relinearize — both phases streamed
-    /// (the per-prime tensor limbs in parallel, then the key-switch
-    /// stream), with the host-side CRT reconstruction between them.
+    /// (the tensor limbs in parallel, then the key-switch stream), with
+    /// the host-side scale-and-round between them.
     ///
     /// # Errors
     ///

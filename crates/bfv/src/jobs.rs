@@ -12,9 +12,10 @@
 //!    [`Evaluator::add_stream`], [`Evaluator::add_plain_stream`],
 //!    [`Evaluator::mul_plain_stream`] record a single mod-`q` stream
 //!    (the last against the plaintext's stored NTT form);
-//!    [`Evaluator::tensor_streams`] records one stream per CRT
-//!    computation prime (the per-limb decomposition of the exact Eq. 4
-//!    tensor, [`cofhee_core::record_tensor`] over centered lifts);
+//!    [`Evaluator::tensor_streams`] records one stream per modulus of the
+//!    tensor's basis (the per-limb decomposition of the exact Eq. 4
+//!    tensor, [`cofhee_core::record_tensor`]: over centered lifts onto
+//!    each lane prime, and over the stored words for `q`);
 //!    [`Evaluator::relin_stream`] records the key-switch inner products
 //!    with the scheme-neutral [`cofhee_core::record_key_switch`] as a
 //!    self-contained mod-`q` stream — the relin-key polynomials travel
@@ -25,19 +26,19 @@
 //!    keeps resident on the backend it owns).
 //! 2. **Finish** — host-side reconstruction from the stream outputs:
 //!    [`Evaluator::ciphertext_from_outputs`] rewraps downloaded
-//!    components, and [`Evaluator::tensor_combine`] performs the CRT
-//!    base extension and `⌊t·x/q⌉` rounding of Eq. 4 over the per-limb
-//!    tensor outputs — exactly the work the paper keeps on the host.
-//!    It is exact and word-level: Garner on 64-bit words
-//!    ([`RnsBasis::compose`](cofhee_arith::rns::RnsBasis::compose)) and
-//!    the precomputed [`ScaleRound`](cofhee_arith::signed::ScaleRound) of
-//!    the parameter set, no division and no allocation per coefficient.
+//!    components, and [`Evaluator::tensor_combine`] performs the
+//!    `⌊t·x/q⌉` rounding of Eq. 4 over the per-limb tensor outputs —
+//!    exactly the work the paper keeps on the host. It is exact and
+//!    word-level: an RNS scale-and-round by Shoup constants and one `f64`
+//!    estimate, no big integer, no division and no allocation per
+//!    coefficient.
 //! 3. **Plan** — [`Evaluator::stream_plan`] makes one mod-`q` stream a
 //!    one-phase plan; [`Evaluator::mul_relin_plan`] lowers a multiply to
-//!    the tensor limbs, then the key switch, with the host CRT between
-//!    them. The key switch's host-computed operands (`c₂`'s digits, `c₀`,
-//!    `c₁`) are deferred uploads, filled by that host step, so the whole
-//!    job is recorded — and can be priced — before the product exists.
+//!    the tensor limbs, then the key switch, with the host
+//!    scale-and-round between them. The key switch's host-computed
+//!    operands (`c₂`'s digits, `c₀`, `c₁`) are deferred uploads, filled
+//!    by that host step, so the whole job is recorded — and can be
+//!    priced — before the product exists.
 //!
 //! One recording, two executors: a job run through borrowed backends is
 //! bit-identical to the evaluator running it directly, on any backend
@@ -56,18 +57,19 @@ use crate::ciphertext::Ciphertext;
 use crate::error::{BfvError, Result};
 use crate::evaluator::Evaluator;
 use crate::keys::RelinKey;
+use crate::params::LanePrime;
 use crate::plaintext::Plaintext;
 
-/// Fewest coefficients a chunk of the host CRT carries: below this a
-/// scoped spawn costs more than the chunk, so `n ≤ 2^10` never spawns.
+/// Fewest coefficients a chunk of the scale-and-round carries: below this
+/// a scoped spawn costs more than the chunk, so `n ≤ 2^10` never spawns.
 const MIN_CHUNK: usize = 1 << 10;
 
-/// One task of the chunked host CRT: where the chunk starts, its slice of
-/// each output component, and how it ended.
+/// One task of the chunked scale-and-round: where the chunk starts, its
+/// slice of each output component, and how it ended.
 struct Chunk<'a> {
     start: usize,
     parts: [&'a mut [u128]; 3],
-    done: cofhee_arith::Result<()>,
+    done: Result<()>,
 }
 
 /// What a recorded key switch waits for: the digits of the product's
@@ -184,12 +186,13 @@ impl Evaluator {
         Ok(cofhee_core::record_mul_plain(self.params().n(), form, a.polys())?)
     }
 
-    /// Records the unscaled Eq. 4 tensor as one [`OpStream`] per CRT
-    /// computation prime — the per-limb decomposition a scheduler places
-    /// independently (stream `i` must execute on a backend brought up
-    /// for [`BfvParams::mult_basis`](crate::BfvParams::mult_basis)
-    /// modulus `i`). Each stream marks the three tensor components as
-    /// outputs; hand the per-limb outputs to
+    /// Records the unscaled Eq. 4 tensor as one [`OpStream`] per modulus
+    /// of [`BfvParams::mult_basis`](crate::BfvParams::mult_basis) — the
+    /// per-limb decomposition a scheduler places independently (stream `i`
+    /// must execute on a backend brought up for modulus `i`): one per lane
+    /// prime over the centered lifts, then Algorithm 3 mod `q` over the
+    /// ciphertext words as they are stored. Each stream marks the three
+    /// tensor components as outputs; hand the per-limb outputs to
     /// [`Evaluator::tensor_combine`] to finish the multiplication.
     ///
     /// # Errors
@@ -203,70 +206,59 @@ impl Evaluator {
                 return Err(BfvError::WrongCiphertextSize { expected: 2, found: ct.len() });
             }
         }
-        (0..self.params().mult_basis().len()).map(|i| self.tensor_stream(i, a, b)).collect()
+        let n = self.params().n();
+        let lanes = &self.params().tensor_round().lanes;
+        let mut streams = Vec::with_capacity(lanes.len() + 1);
+        for lane in lanes {
+            let lift = |ct: &Ciphertext| [0, 1].map(|c| self.lift_centered(&ct.polys()[c], lane));
+            streams.push(cofhee_core::record_tensor(n, lift(a), lift(b))?);
+        }
+        let [a0, a1, b0, b1] = [&a.polys()[0], &a.polys()[1], &b.polys()[0], &b.polys()[1]];
+        streams.push(cofhee_core::record_tensor(n, [a0, a1], [b0, b1])?);
+        Ok(streams)
     }
 
-    /// Lifts a ciphertext polynomial to centered residues modulo
-    /// computation prime `i` — one word-level Barrett reduction and one
-    /// conditional modular subtract per coefficient, no division.
-    fn lift_centered(&self, poly: &Limb, i: usize) -> Vec<u128> {
-        let ring = self
-            .params()
-            .mult_basis()
-            .word_ring(i)
-            .expect("BfvParams::new builds the computation basis from 59-bit primes");
-        let half = self.params().q() / 2;
-        let q_mod_p = ring.reduce_u128(self.params().q());
+    /// Lifts a ciphertext polynomial to centered residues modulo a lane
+    /// prime — one word-level Barrett reduction and one conditional
+    /// modular subtract per coefficient, no division.
+    fn lift_centered(&self, poly: &Limb, lane: &LanePrime) -> Vec<u128> {
+        let (ring, half) = (&lane.ring, self.params().q() / 2);
         poly.iter()
             .map(|&c| {
                 let r = ring.reduce_u128(c);
                 // Past q/2 the centered value is c − q: r ← r − q (mod p).
-                u128::from(if c > half { ring.sub(r, q_mod_p) } else { r })
+                u128::from(if c > half { ring.sub(r, lane.q) } else { r })
             })
             .collect()
     }
 
-    /// Records the per-prime unscaled tensor as a stream: the centered
-    /// lifts of both operands modulo computation prime `i`, through the
-    /// 2×2 tensor dataflow CKKS records per limb too. Same dataflow as the
-    /// paper's Algorithm 3 modulo the final scaling, with the three tensor
-    /// components marked as outputs.
-    fn tensor_stream(&self, i: usize, a: &Ciphertext, b: &Ciphertext) -> Result<OpStream> {
-        let lift = |ct: &Ciphertext| [0, 1].map(|c| self.lift_centered(&ct.polys()[c], i));
-        Ok(cofhee_core::record_tensor(self.params().n(), lift(a), lift(b))?)
-    }
-
     /// Finishes an exact multiplication from per-limb tensor outputs:
-    /// CRT-reconstructs each integer coefficient across the computation
-    /// basis, centers it, and applies the `⌊t·x/q⌉ mod q` rounding of
-    /// Eq. 4 — the host-side half the paper never offloads. `limbs[i]`
+    /// Eq. 4's `⌊t·x/q⌉ mod q` of every coefficient, by the RNS
+    /// scale-and-round of [`BfvParams::new`](crate::BfvParams::new)'s
+    /// basis — the host-side half the paper never offloads. `limbs[i]`
     /// must be the three outputs of [`Evaluator::tensor_streams`] stream
     /// `i`.
     ///
-    /// Per coefficient this is one gather, one
-    /// [`compose_centered`](cofhee_arith::rns::RnsBasis::compose_centered)
-    /// and one [`ScaleRound::apply`](cofhee_arith::signed::ScaleRound::apply)
-    /// — bit for bit `round_div_u256(t·|x|, q).rem(q)` with the sign
-    /// re-applied, from multiplications by constants fixed in
-    /// [`BfvParams::new`](crate::BfvParams::new). Coefficients are
-    /// independent, so the range is cut into one contiguous chunk per
-    /// available core — never under 1,024 coefficients, all three
-    /// components per chunk — and the chunks run through
-    /// [`fan_out`](cofhee_core::fan_out). Heap allocations are the three
-    /// output vectors, the chunk list and one residue scratch per chunk,
-    /// whatever `n` is.
+    /// Per coefficient, with `x` the tensor coefficient:
+    /// `r = centre([t·x]_q)`, then per lane prime
+    /// `ỹⱼ = (t·xⱼ − [r]_{pⱼ})·[q⁻¹·P̂ⱼ⁻¹]_{pⱼ}` by Shoup constants,
+    /// `v = ⌊Σ ỹⱼ/pⱼ⌉` in `f64`, and `[y]_q = Σ ỹⱼ·[P̂ⱼ]_q − v·[P]_q` —
+    /// bit for bit the rounded quotient `⌊t·x/q⌉ mod q` for every `|x| ≤
+    /// n·q²/2`, on words alone. Coefficients are independent, so the
+    /// range is cut into one contiguous chunk per available core — never
+    /// under 1,024 coefficients, all three components per chunk — and the
+    /// chunks run through [`fan_out`](cofhee_core::fan_out). Heap
+    /// allocations are the three output vectors, the chunk list and two
+    /// scratch vectors per chunk, whatever `n` is.
     ///
     /// # Errors
     ///
     /// Returns [`BfvError::InvalidParams`] when the limb set does not
     /// match the computation basis or the outputs are malformed, and
     /// [`BfvError::Arith`] for an unreduced residue
-    /// ([`OperandOutOfRange`](cofhee_arith::ArithError::OperandOutOfRange))
-    /// or a coefficient whose `t·|x|` does not fit 256 bits
-    /// ([`Overflow`](cofhee_arith::ArithError::Overflow)) — residues no
-    /// honest tensor produces, since `|x| ≤ n·q²/2`, but the computation
-    /// basis itself reaches past that bound. Of several bad coefficients
-    /// the one reported is the first of the lowest chunk.
+    /// ([`OperandOutOfRange`](cofhee_arith::ArithError::OperandOutOfRange)).
+    /// Of several bad coefficients the one reported is the first of the
+    /// lowest chunk.
     pub fn tensor_combine(&self, limbs: &[Vec<Vec<u128>>]) -> Result<Ciphertext> {
         let chunks = (self.params().n() / MIN_CHUNK).clamp(1, cofhee_core::cores());
         self.tensor_combine_chunked(limbs, chunks)
@@ -293,8 +285,8 @@ impl Evaluator {
                 });
             }
         }
-        let basis = self.params().mult_basis();
         let round = self.params().tensor_round();
+        let (lanes, q_limb) = limbs.split_at(k - 1);
         let mut out = [vec![0u128; n], vec![0u128; n], vec![0u128; n]];
         let len = n.div_ceil(chunks.max(1));
         let [c0, c1, c2] = &mut out;
@@ -304,17 +296,12 @@ impl Evaluator {
             .map(|(c, ((p0, p1), p2))| Chunk { start: c * len, parts: [p0, p1, p2], done: Ok(()) })
             .collect();
         cofhee_core::fan_out(&mut tasks, |chunk| {
-            let mut residues = vec![0u128; k];
+            let mut scratch = (Vec::new(), Vec::new());
             let start = chunk.start;
             chunk.done = chunk.parts.iter_mut().enumerate().try_for_each(|(part, coeffs)| {
-                coeffs.iter_mut().enumerate().try_for_each(|(j, coeff)| {
-                    for (r, limb) in residues.iter_mut().zip(limbs) {
-                        *r = limb[part][start + j];
-                    }
-                    let (mag, neg) = basis.compose_centered(&residues)?;
-                    *coeff = round.apply(mag, neg)?;
-                    Ok(())
-                })
+                let range = start..start + coeffs.len();
+                let x_p = lanes.iter().map(|limb| &limb[part][range.clone()]);
+                round.apply(coeffs, &q_limb[0][part][range.clone()], x_p, &mut scratch)
             });
         });
         tasks.into_iter().try_for_each(|chunk| chunk.done)?;
@@ -413,7 +400,7 @@ impl Evaluator {
     }
 
     /// Lowers `a · b` relinearized under `rlk` to a two-phase plan: the
-    /// tensor limbs, one stream per computation prime, then the key
+    /// tensor limbs, one stream per modulus of the tensor's basis, then the key
     /// switch, one mod-`q` stream with the key inline. Between them the
     /// host runs [`Evaluator::tensor_combine`] and decomposes `c₂`,
     /// filling the uploads the key switch was recorded without.
@@ -601,7 +588,7 @@ mod tests {
     }
 
     /// The per-limb tensor outputs of `a ⊗ b`, each stream on a fresh
-    /// borrowed backend for its computation prime.
+    /// borrowed backend for its modulus.
     fn tensor_limbs(f: &Fixture, a: &Ciphertext, b: &Ciphertext) -> Vec<Vec<Vec<u128>>> {
         let streams = f.eval.tensor_streams(a, b).unwrap();
         let primes = f.params.mult_basis().moduli();

@@ -13,7 +13,7 @@
 //! * [`Encryptor`] / [`Decryptor`] — Eqs. 2–3 of the paper, plus noise
 //!   budget measurement.
 //! * [`Evaluator`] — homomorphic add/sub/plain ops and the *exact* Eq. 4
-//!   ciphertext multiplication (integer tensor via CRT + `t/q` rounding),
+//!   ciphertext multiplication (integer tensor in RNS + exact `t/q` rounding),
 //!   with relinearization. Every mod-q polynomial pass dispatches through
 //!   a pluggable `cofhee_core::PolyBackend`: software CPU by default,
 //!   the cycle-accurate simulated CoFHEE chip via

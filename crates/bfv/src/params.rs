@@ -16,16 +16,20 @@
 
 use std::sync::Arc;
 
-use cofhee_arith::{primes, rns::RnsBasis, signed::ScaleRound, Barrett128};
+use cofhee_arith::{
+    primes, rns::RnsBasis, signed::ScaleRound, Barrett128, Barrett64, LazyRing, ModRing, ShoupMul,
+    U256,
+};
 
 use crate::error::{BfvError, Result};
 
-/// Maximum `log₂ q` the exact single-modulus path supports.
-///
-/// The exact tensor multiplication reconstructs integer coefficients
-/// bounded by `n·q²` through a 256-bit CRT, which caps `q` at 110 bits for
-/// `n = 2^13`. The paper's 109-bit parameter set fits.
+/// Maximum `log₂ q` of the exact single-modulus path: the widest `q`
+/// whose tensor limb runs on the wide vector lanes. The basis conditions
+/// of [`BfvParams::new`] bound `t` and `n`.
 pub const MAX_FUNCTIONAL_LOG_Q: u32 = 110;
+
+/// Widest lane prime: the word vector lanes take moduli below `2^50`.
+const LANE_PRIME_BITS: u32 = 49;
 
 /// A validated BFV parameter set over a single prime modulus.
 #[derive(Debug, Clone)]
@@ -40,20 +44,124 @@ pub struct BfvParams {
     ring: Barrett128,
     /// Δ = ⌊q/t⌋, the plaintext scaling factor of Eq. 2.
     delta: u128,
-    /// The host-side CRT and rounding constants, shared by clones.
+    /// The host-side rounding constants, shared by clones.
     crt: Arc<CrtTables>,
 }
 
 /// What the host half of multiplication and decryption precomputes.
 #[derive(Debug)]
 struct CrtTables {
-    /// NTT-friendly computation primes whose product exceeds `n·q²·2`,
-    /// used for the exact tensor in ciphertext multiplication.
+    /// The tensor's moduli in stream order: the lane primes `p₁ … p_k`,
+    /// then `q`.
     mult_basis: RnsBasis,
-    /// Eq. 4's `⌊t·x/q⌉ mod q`, applied to every tensor coefficient.
-    tensor_round: ScaleRound,
+    /// Eq. 4's `⌊t·x/q⌉ mod q` from the tensor's residues.
+    tensor_round: RnsRound,
     /// Decryption's `⌊t·v/q⌉ mod t`.
     decrypt_round: ScaleRound,
+}
+
+/// A lane prime `pⱼ` and its constants: `[q]_{pⱼ}` (the centered lift
+/// subtracts it past `q/2`), `[t]_{pⱼ}`, `[q⁻¹·P̂ⱼ⁻¹]_{pⱼ}` with `P̂ⱼ =
+/// P/pⱼ`, `1/pⱼ`, and `[P̂ⱼ]_q` with its Shoup quotient for a word
+/// multiplicand, `⌊[P̂ⱼ]_q·2^64/q⌋`.
+#[derive(Debug)]
+pub(crate) struct LanePrime {
+    pub(crate) ring: Barrett64,
+    pub(crate) q: u64,
+    t: ShoupMul<u64>,
+    scale: ShoupMul<u64>,
+    inv: f64,
+    weight: (u128, u64),
+}
+
+/// Eq. 4's exact `⌊t·x/q⌉ mod q` in RNS over `{p₁ … p_k} ∪ {q}`, the
+/// BEHZ / Halevi–Polyakov–Shoup multiply for one `q`: with
+/// `r = centre([t·x]_q)`, `y = (t·x − r)/q` is the rounded quotient (`q`
+/// is odd: no ties); with `ỹⱼ = [(t·xⱼ − [r]_{pⱼ})·q⁻¹·P̂ⱼ⁻¹]_{pⱼ}`,
+/// `y = Σ ỹⱼ·P̂ⱼ − v·P` where `v = ⌊Σ ỹⱼ/pⱼ⌉`, because `|y| < P/4`.
+/// Holds `[t]_q` and `[v·P]_q` for `v = 0 … k`.
+#[derive(Debug)]
+pub(crate) struct RnsRound {
+    pub(crate) lanes: Vec<LanePrime>,
+    q: Barrett128,
+    t: ShoupMul<u128>,
+    p_multiples: Vec<u128>,
+}
+
+impl RnsRound {
+    fn new(t: u64, q: u128, primes: &[u128]) -> Result<Self> {
+        let ring = Barrett128::new(q)?;
+        let mut lanes = Vec::with_capacity(primes.len());
+        for (j, &p) in primes.iter().enumerate() {
+            let lane = Barrett64::new(p as u64)?;
+            let others = primes.iter().enumerate().filter(|&(i, _)| i != j).map(|(_, &p)| p);
+            let hat_p = others.clone().fold(1, |acc, p| lane.mul(acc, lane.from_u128(p)));
+            let hat_q = others.fold(ring.one(), |acc, p| ring.mul(acc, ring.from_u128(p)));
+            let scale = lane.inv(lane.mul(lane.from_u128(q), hat_p))?;
+            let quotient = U256::from_u128(hat_q).shl(64).div_rem(U256::from_u128(q)).0;
+            lanes.push(LanePrime {
+                ring: lane,
+                q: lane.from_u128(q),
+                t: lane.shoup(lane.from_u128(u128::from(t))),
+                scale: lane.shoup(scale),
+                inv: 1.0 / p as f64,
+                weight: (hat_q, quotient.low_u128() as u64),
+            });
+        }
+        let p_mod_q = primes.iter().fold(ring.one(), |acc, &p| ring.mul(acc, ring.from_u128(p)));
+        let p_multiples = (0..=primes.len() as u128).map(|v| ring.mul(v, p_mod_q)).collect();
+        Ok(Self { lanes, q: ring, t: ring.shoup(u128::from(t)), p_multiples })
+    }
+
+    /// `out[j] = ⌊t·x/q⌉ mod q` for a run of tensor coefficients, from
+    /// their residues mod `q` and one column per lane prime: one pass per
+    /// column, `tx` and `estimate` the caller's scratch. An unreduced
+    /// residue is `OperandOutOfRange`, before anything is written.
+    pub(crate) fn apply<'a>(
+        &self,
+        out: &mut [u128],
+        x_q: &'a [u128],
+        x_p: impl Iterator<Item = &'a [u128]> + Clone,
+        (tx, estimate): &mut (Vec<u128>, Vec<f64>),
+    ) -> Result<()> {
+        let ring = &self.q;
+        let q = ring.q();
+        let moduli = std::iter::once(q).chain(self.lanes.iter().map(|l| u128::from(l.ring.q())));
+        for (column, modulus) in std::iter::once(x_q).chain(x_p.clone()).zip(moduli) {
+            if !cofhee_poly::pointwise::all_below(modulus, column) {
+                let value = *column.iter().find(|&&x| x >= modulus).expect("one is unreduced");
+                return Err(cofhee_arith::ArithError::OperandOutOfRange { value, modulus }.into());
+            }
+        }
+        // [t·x]_q, and Σ ỹⱼ·[P̂ⱼ]_q accumulated in `out` below 2q.
+        tx.clear();
+        tx.extend(x_q.iter().map(|&x| ring.reduce_once(ring.mul_lazy(x, &self.t))));
+        estimate.clear();
+        estimate.resize(out.len(), 0.5);
+        out.fill(0);
+        let half = q / 2;
+        for (lane, column) in self.lanes.iter().zip(x_p) {
+            let p = &lane.ring;
+            let (w, quotient) = lane.weight;
+            let terms = out.iter_mut().zip(estimate.iter_mut()).zip(tx.iter()).zip(column);
+            for (((acc, e), &tx), &x) in terms {
+                // t·xⱼ − [r]_{pⱼ} = t·xⱼ − [t·x]_q (+ q past q/2), below 5pⱼ.
+                let r = u64::from(tx > half) * lane.q + 2 * p.q() - p.reduce_u128(tx);
+                let y = p.reduce_once(p.mul_lazy(p.mul_lazy(x as u64, &lane.t) + r, &lane.scale));
+                // y < 2^49: a signed conversion, one instruction.
+                *e += y as i64 as f64 * lane.inv;
+                // y·[P̂ⱼ]_q by Harvey's lemma at β = 2^64: below 2q.
+                let hi = (u128::from(y) * u128::from(quotient)) >> 64;
+                let term = u128::from(y).wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q));
+                *acc = ring.fold_2q(*acc + term);
+            }
+        }
+        // v = ⌊Σ ỹⱼ/pⱼ⌉: the sum is non-negative and `estimate` starts at ½.
+        for (acc, &e) in out.iter_mut().zip(estimate.iter()) {
+            *acc = ring.sub(ring.reduce_once(*acc), self.p_multiples[e as i64 as usize]);
+        }
+        Ok(())
+    }
 }
 
 impl BfvParams {
@@ -61,7 +169,11 @@ impl BfvParams {
     ///
     /// `q` must be an NTT-friendly prime (`q ≡ 1 mod 2n`) of at most
     /// [`MAX_FUNCTIONAL_LOG_Q`] bits; `t` must satisfy `1 < t < q` and
-    /// `t ≪ q`.
+    /// `t ≪ q`. The tensor's basis is `q` plus the fewest NTT primes
+    /// `pⱼ < 2^49` whose product `P` meets the two basis conditions:
+    /// `P > 2·(t·n·q + 1)` — twice the rounded tensor's bound
+    /// `t·n·q/2 + 1`, with one guard bit for the `f64` estimate of the
+    /// scale-and-round — and `q·P < 2^256`.
     ///
     /// # Errors
     ///
@@ -92,33 +204,15 @@ impl BfvParams {
                 reason: format!("plaintext modulus t = {t} must satisfy 2 <= t << q"),
             });
         }
-        // The exact tensor scales values bounded by n·q²/2 by t before the
-        // 256-bit division; keep t·n·q² within 255 bits.
-        let t_bits = 64 - t.leading_zeros();
-        if t_bits + 2 * q_bits + n.trailing_zeros() + 2 > 255 {
-            return Err(BfvError::InvalidParams {
-                reason: format!(
-                    "t ({t_bits} bits) too wide for exact scaling at log q = {q_bits}, n = {n}"
-                ),
-            });
-        }
         let ring = Barrett128::new(q)?;
-        // Computation basis for the exact tensor: product must exceed
-        // 2·n·q² (sign headroom included).
-        let needed_bits = 1 + n.trailing_zeros() + 2 * q_bits + 2;
-        // The fewest word primes `Barrett64` takes (`p < 2^62`) that cover
-        // it — not `primes::tower_plan`, whose 55-bit cap models the
-        // paper's CPU towers and would spend a limb more.
-        let count = needed_bits.div_ceil(59) as usize;
-        let mult_basis = RnsBasis::new(primes::ntt_primes(59, n, count)?)?;
-        if mult_basis.total_bits() < needed_bits {
-            return Err(BfvError::InvalidParams {
-                reason: format!("no {count} 59-bit NTT primes cover {needed_bits} bits at n = {n}"),
-            });
-        }
+        let lane_primes = lane_primes(n, t, q)?;
+        let moduli = lane_primes.iter().copied().chain([q]).collect();
+        let mult_basis = RnsBasis::new(moduli).map_err(|_| BfvError::InvalidParams {
+            reason: format!("q·P exceeds 2^256 for t = {t}, log q = {q_bits}, n = {n}"),
+        })?;
         let crt = Arc::new(CrtTables {
             mult_basis,
-            tensor_round: ScaleRound::new(t as u128, q, q)?,
+            tensor_round: RnsRound::new(t, q, &lane_primes)?,
             decrypt_round: ScaleRound::new(t as u128, q, t as u128)?,
         });
         Ok(Self { n, t, q, ring, delta: q / t as u128, crt })
@@ -198,7 +292,8 @@ impl BfvParams {
         &self.ring
     }
 
-    /// The exact-tensor computation basis.
+    /// The exact tensor's moduli in stream order: the lane primes, then
+    /// `q`.
     #[inline]
     pub fn mult_basis(&self) -> &RnsBasis {
         &self.crt.mult_basis
@@ -206,7 +301,7 @@ impl BfvParams {
 
     /// The exact scale-and-round finishing a tensor coefficient.
     #[inline]
-    pub(crate) fn tensor_round(&self) -> &ScaleRound {
+    pub(crate) fn tensor_round(&self) -> &RnsRound {
         &self.crt.tensor_round
     }
 
@@ -215,6 +310,36 @@ impl BfvParams {
     pub(crate) fn decrypt_round(&self) -> &ScaleRound {
         &self.crt.decrypt_round
     }
+}
+
+/// The lane primes: `k = ⌈(b + 1)/49⌉` NTT primes, none of them `q`,
+/// where `b` is the bit length of `2·(t·n·q + 1)`, their widths summing to
+/// `b + 1` — primes just below `2^w` multiply past `2^(b + 1 − 1)`, so
+/// their product exceeds the bound without a bit more than it needs.
+fn lane_primes(n: usize, t: u64, q: u128) -> Result<Vec<u128>> {
+    let tnq = [u128::from(t), n as u128]
+        .iter()
+        .try_fold(U256::from_u128(q), |acc, &f| acc.checked_mul(U256::from_u128(f)));
+    let bound = tnq.map(|b| b.wrapping_add(U256::ONE).shl(1)).filter(|b| b.bits() < 255);
+    let bound = bound.ok_or_else(|| BfvError::InvalidParams {
+        reason: format!("t·n·q is past 2^254 for t = {t}, n = {n}"),
+    })?;
+    let width = bound.bits() + 1;
+    let k = width.div_ceil(LANE_PRIME_BITS);
+    let mut chosen = Vec::with_capacity(k as usize);
+    for (bits, count) in [(width / k + 1, width % k), (width / k, k - width % k)] {
+        if count > 0 {
+            let found = primes::ntt_primes(bits, n, count as usize + 1)?;
+            chosen.extend(found.into_iter().filter(|&p| p != q).take(count as usize));
+        }
+    }
+    let product = chosen.iter().fold(U256::ONE, |acc, &p| acc.wrapping_mul(U256::from_u128(p)));
+    if product <= bound {
+        return Err(BfvError::InvalidParams {
+            reason: format!("{k} NTT primes of {width} bits in all miss 2·(t·n·q + 1) at n = {n}"),
+        });
+    }
+    Ok(chosen)
 }
 
 #[cfg(test)]
@@ -226,7 +351,7 @@ mod tests {
         let p = BfvParams::insecure_testing(1 << 6).unwrap();
         assert_eq!(p.n(), 64);
         assert!(p.delta() > 0);
-        assert!(p.mult_basis().total_bits() >= 1 + 6 + 2 * p.log_q());
+        assert_eq!(p.mult_basis().moduli().last(), Some(&p.q()), "q is the last limb");
     }
 
     #[test]
@@ -239,25 +364,51 @@ mod tests {
         assert_eq!(primes::tower_plan(p.log_q(), 128).len(), 1);
     }
 
+    /// `2·(t·n·q + 1)`: twice the rounded tensor's bound, one guard bit.
+    fn tensor_bound(params: &BfvParams) -> U256 {
+        let tnq = [params.t() as u128, params.n() as u128]
+            .iter()
+            .fold(U256::from_u128(params.q()), |acc, &f| acc.wrapping_mul(U256::from_u128(f)));
+        tnq.wrapping_add(U256::ONE).shl(1)
+    }
+
+    fn product(moduli: &[u128]) -> U256 {
+        moduli.iter().fold(U256::ONE, |acc, &p| acc.wrapping_mul(U256::from_u128(p)))
+    }
+
     #[test]
-    fn the_computation_basis_is_the_fewest_word_primes_that_cover_the_tensor() {
+    fn the_computation_basis_is_the_fewest_lane_primes_that_cover_the_rounded_tensor() {
         let q_2_11 = primes::ntt_prime(109, 1 << 11).unwrap();
         let t_2_11 = primes::ntt_prime(20, 1 << 11).unwrap() as u64;
-        for (params, limbs) in [
-            (BfvParams::paper_n12().unwrap(), 4),
-            (BfvParams::paper_n13_single_tower().unwrap(), 4),
-            (BfvParams::new(1 << 11, t_2_11, q_2_11).unwrap(), 4),
-            (BfvParams::insecure_testing(1 << 6).unwrap(), 3),
+        for (params, lanes) in [
+            (BfvParams::paper_n12().unwrap(), 3),
+            (BfvParams::paper_n13_single_tower().unwrap(), 3),
+            (BfvParams::new(1 << 11, t_2_11, q_2_11).unwrap(), 3),
+            (BfvParams::insecure_testing(1 << 6).unwrap(), 2),
         ] {
             let basis = params.mult_basis();
-            let needed = 1 + params.n().trailing_zeros() + 2 * params.log_q() + 2;
-            assert_eq!(basis.len(), limbs, "n = {}", params.n());
-            assert!(basis.moduli().iter().all(|&p| p >> 62 == 0), "Barrett64 takes every limb");
-            assert!(basis.total_bits() >= needed);
-            // `ntt_primes` descends: dropping the last keeps the largest.
-            let fewer = RnsBasis::new(basis.moduli()[..limbs - 1].to_vec()).unwrap();
-            assert!(fewer.total_bits() < needed, "one prime fewer would not cover it");
+            let (primes, last) = basis.moduli().split_at(lanes);
+            assert_eq!(last, [params.q()], "n = {}: the lane primes, then q", params.n());
+            assert!(primes.iter().all(|&p| p >> LANE_PRIME_BITS == 0), "the word lanes take them");
+            // Condition 1: P > 2·(t·n·q/2 + 1), with a guard bit.
+            let bound = tensor_bound(&params);
+            assert!(product(primes) > bound, "n = {}", params.n());
+            let fewer = U256::ONE.shl(LANE_PRIME_BITS * (lanes as u32 - 1));
+            assert!(fewer <= bound, "one lane prime fewer could not cover it");
+            // Condition 2: q·P < 2^256.
+            assert!(product(basis.moduli()).bits() <= 256);
         }
+    }
+
+    #[test]
+    fn a_set_whose_q_times_p_passes_256_bits_is_refused() {
+        // log q = 110 at n = 2^13: a 20-bit t fits, a 28-bit one puts q·P
+        // past 2^256.
+        let n = 1 << 13;
+        let q = primes::ntt_prime(110, n).unwrap();
+        assert!(BfvParams::new(n, primes::ntt_prime(20, n).unwrap() as u64, q).is_ok());
+        let wide_t = primes::ntt_prime(28, n).unwrap() as u64;
+        assert!(BfvParams::new(n, wide_t, q).is_err());
     }
 
     #[test]

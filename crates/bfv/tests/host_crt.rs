@@ -1,16 +1,20 @@
-//! The host half of exact BFV multiplication — CRT reconstruction across
-//! the computation basis and Eq. 4's `⌊t·x/q⌉` — held to oracles that
-//! share none of its code: the generic 256-bit route on chosen signed
-//! values, a schoolbook big-integer multiplication at `log q = 109`, and
-//! the same tensor over another basis — the five ≈ 47-bit primes the
-//! evaluator computed over before its basis became the minimal four.
+//! The host half of exact BFV multiplication — Eq. 4's `⌊t·x/q⌉` by the
+//! RNS scale-and-round over the lane primes and `q` — held to oracles
+//! that share none of its code: the generic 256-bit route on chosen
+//! signed values, a schoolbook big-integer multiplication at
+//! `log q = 109`, the same tensor over another basis — five ≈ 47-bit
+//! primes, finished by the generic route — and the strict scalar kernels
+//! at the paper's degrees, on both backends and both compiler levels.
 
 use cofhee_arith::rns::RnsBasis;
-use cofhee_arith::{primes::ntt_prime, signed::round_div_u256, ArithError, U256};
+use cofhee_arith::signed::{round_div_u256, ScaleRound};
+use cofhee_arith::{primes::ntt_prime, ArithError, Barrett128, ModRing, U256};
 use cofhee_bfv::{
     BfvError, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator, Plaintext,
 };
-use cofhee_core::{CpuBackend, OpStream, PolyBackend};
+use cofhee_core::{ChipBackendFactory, CpuBackend, OpStream, PolyBackend};
+use cofhee_opt::OptLevel;
+use cofhee_poly::ntt::{self, NttTables};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,11 +47,32 @@ fn limbs_of(params: &BfvParams, values: &[(U256, bool)]) -> Vec<Vec<Vec<u128>>> 
     limbs
 }
 
-/// Signed values below `P/2`: the extremes, the rounding boundaries
-/// `⌊(2m+1)·q/(2t)⌋ + {−1, 0, 1}` (where `t·x/q` crosses a half), and
+/// `n·q²/2`: no honest tensor coefficient is wider.
+fn tensor_bound(params: &BfvParams) -> U256 {
+    let q = U256::from_u128(params.q());
+    q.wrapping_mul(q).wrapping_mul(U256::from_u128(params.n() as u128)).shr(1)
+}
+
+/// `x` with `t·x ≡ ±(q − 1)/2 (mod q)`, the two sides of a rounding
+/// boundary, shifted by `m·q`.
+fn boundaries(params: &BfvParams, m: u128) -> [U256; 2] {
+    let ring = Barrett128::new(params.q()).unwrap();
+    let t_inv = ring.inv(params.t() as u128).unwrap();
+    let half = params.q() / 2;
+    [half, params.q() - half].map(|r| {
+        let x = ring.mul(r, t_inv);
+        U256::from_u128(m)
+            .wrapping_mul(U256::from_u128(params.q()))
+            .wrapping_add(U256::from_u128(x))
+    })
+}
+
+/// Signed values in the honest tensor range `|x| ≤ n·q²/2`: the
+/// extremes, the rounding boundaries `⌊(2m+1)·q/(2t)⌋ + {−1, 0, 1}`
+/// (where `t·x/q` crosses a half) and `t·x ≡ ±(q − 1)/2 (mod q)`, and
 /// random fill up to `3n` of them.
 fn probe_values(params: &BfvParams, rng: &mut StdRng) -> Vec<(U256, bool)> {
-    let half = params.mult_basis().product().shr(1);
+    let half = tensor_bound(params);
     let (q, two_t) = (U256::from_u128(params.q()), U256::from_u128(2 * params.t() as u128));
     let mut mags = vec![U256::ZERO, U256::ONE, half, half.wrapping_sub(U256::ONE)];
     for m in [0u128, 1, 2, rng.gen::<u128>() >> 8, rng.gen::<u128>() >> 8, rng.gen::<u128>() >> 70]
@@ -55,10 +80,11 @@ fn probe_values(params: &BfvParams, rng: &mut StdRng) -> Vec<(U256, bool)> {
         let odd = U256::from_u128(m).shl(1) | U256::ONE;
         let boundary = odd.checked_mul(q).expect("(2m+1)·q fits").div_rem(two_t).0;
         mags.extend([boundary.wrapping_sub(U256::ONE), boundary, boundary.wrapping_add(U256::ONE)]);
+        mags.extend(boundaries(params, m));
     }
     let mut values: Vec<(U256, bool)> =
         mags.iter().flat_map(|&m| [(m, false), (m, true)]).collect();
-    // −0 is 0, and −⌊P/2⌋ − … would leave the centered range: keep |x| ≤ P/2.
+    // −0 is 0: keep one zero, and every value in the honest range.
     values.retain(|&(m, neg)| m <= half && !(neg && m.is_zero()));
     while values.len() < 3 * params.n() {
         let m = U256::from_halves(rng.gen(), rng.gen()).rem(half);
@@ -86,31 +112,62 @@ fn tensor_combine_matches_the_generic_route_on_every_parameter_set() {
     }
 }
 
-/// `t·|x|` past 256 bits is a typed error, not a wrapped ciphertext:
-/// `|x|` is bounded by `P/2` of the basis, and `BfvParams::new`'s limits
-/// let `t` be wide enough to overflow there.
+/// At the paper's degrees, coefficients at `±n·q²/2` and on either side
+/// of every rounding boundary — `t·x ≡ ±(q − 1)/2 (mod q)` and the
+/// half-integers of `t·x/q` — in every component: `tensor_combine` is
+/// `ScaleRound` of the exact value, coefficient for coefficient.
 #[test]
-fn tensor_combine_refuses_a_scaled_coefficient_that_overflows() {
-    let n = 64;
-    let t = (1u64 << 29) - 1; // the widest `new` takes at log q = 109, n = 64
-    let params = BfvParams::new(n, t, ntt_prime(109, n).unwrap()).unwrap();
-    assert!(BfvParams::new(n, 1 << 29, params.q()).is_err());
+fn the_scale_and_round_is_exact_at_the_bound_and_on_every_rounding_boundary() {
+    for params in [BfvParams::paper_n12().unwrap(), BfvParams::paper_n13_single_tower().unwrap()] {
+        let (n, q, t) = (params.n(), params.q(), params.t() as u128);
+        let round = ScaleRound::new(t, q, q).unwrap();
+        let bound = tensor_bound(&params);
+        let mut mags = vec![bound, bound.wrapping_sub(U256::ONE), U256::ZERO, U256::ONE];
+        let top = bound.div_rem(U256::from_u128(q)).0.low_u128();
+        for m in [0, 1, 2, t, top / 2, top - 1] {
+            mags.extend(boundaries(&params, m));
+            let odd = U256::from_u128(2 * m + 1).wrapping_mul(U256::from_u128(q));
+            let mid = odd.div_rem(U256::from_u128(2 * t)).0;
+            mags.extend([mid.wrapping_sub(U256::ONE), mid, mid.wrapping_add(U256::ONE)]);
+        }
+        let mut values: Vec<(U256, bool)> = mags
+            .iter()
+            .filter(|&&m| m <= bound)
+            .flat_map(|&m| [(m, false), (m, !m.is_zero())])
+            .collect();
+        let probes = values.len();
+        values.extend(values.clone().iter().cycle().take(3 * n - probes));
+        let eval = Evaluator::new(&params).unwrap();
+        let ct = eval.tensor_combine(&limbs_of(&params, &values)).unwrap();
+        let got = ct.polys().iter().flat_map(|p| p.coeffs().iter().copied());
+        for (idx, (got, &(mag, neg))) in got.zip(&values).enumerate() {
+            assert_eq!(got, round.apply(mag, neg).unwrap(), "n = {n}, {idx}: x = {mag}, {neg}");
+        }
+    }
+}
+
+/// A residue at or past its modulus — on a lane prime or on `q` — is a
+/// typed error, not a wrapped ciphertext, in any component.
+#[test]
+fn tensor_combine_refuses_an_unreduced_residue() {
+    let params = BfvParams::insecure_testing(64).unwrap();
     let eval = Evaluator::new(&params).unwrap();
-    let half = params.mult_basis().product().shr(1);
-    let widest_ok = U256::MAX.div_rem(U256::from_u128(t as u128)).0;
-    assert!(half > widest_ok, "P/2 · t must not fit for this test to mean anything");
-
-    let mut values = vec![(U256::ONE, false); 3 * n];
-    values[n + 5] = (widest_ok, true);
-    let ct = eval.tensor_combine(&limbs_of(&params, &values)).unwrap();
-    assert_eq!(ct.polys()[1].coeffs()[5], scale_round_oracle(&params, widest_ok, true));
-
-    for bad in [half, widest_ok.wrapping_add(U256::ONE)] {
-        values[n + 5] = (bad, false);
-        assert!(matches!(
-            eval.tensor_combine(&limbs_of(&params, &values)),
-            Err(BfvError::Arith(ArithError::Overflow { .. }))
-        ));
+    let n = params.n();
+    let good = limbs_of(&params, &vec![(U256::ONE, true); 3 * n]);
+    assert!(eval.tensor_combine(&good).is_ok());
+    for (limb, &modulus) in params.mult_basis().moduli().iter().enumerate() {
+        for part in 0..3 {
+            let mut limbs = good.clone();
+            limbs[limb][part][n - 1 - part] = modulus;
+            assert!(
+                matches!(
+                    eval.tensor_combine(&limbs),
+                    Err(BfvError::Arith(ArithError::OperandOutOfRange { value, modulus: m }))
+                        if value == modulus && m == modulus
+                ),
+                "limb {limb}, component {part}"
+            );
+        }
     }
 }
 
@@ -147,7 +204,7 @@ fn multiply_at_log_q_109_matches_a_schoolbook_big_integer_oracle() {
     let q = ntt_prime(109, n).unwrap();
     let t = ntt_prime(20, n).unwrap() as u64;
     let params = BfvParams::new(n, t, q).unwrap();
-    assert_eq!(params.mult_basis().total_bits(), 236, "the paper-scale computation basis");
+    assert_eq!(params.mult_basis().total_bits(), 246, "the paper-scale computation basis");
     let mut rng = StdRng::seed_from_u64(109);
     let kg = KeyGenerator::new(&params, &mut rng);
     let enc = Encryptor::new(&params, kg.public_key(&mut rng).unwrap());
@@ -225,8 +282,8 @@ fn tensor_mod(p: u128, q: u128, a: &Ciphertext, b: &Ciphertext) -> Vec<Vec<u128>
 }
 
 /// The tensor is exact over any basis that covers `2·n·q²`: computed over
-/// the five-prime tower plan the evaluator used to take and finished by
-/// the generic route, it is `Evaluator::multiply`'s four-limb product
+/// a five-prime tower plan and finished by the generic route, it is
+/// `Evaluator::multiply`'s four-limb product (three lane primes and `q`)
 /// coefficient for coefficient.
 #[test]
 fn multiply_over_four_limbs_equals_the_five_limb_tensor() {
@@ -253,6 +310,61 @@ fn multiply_over_four_limbs_equals_the_five_limb_tensor() {
                 let (mag, neg) = five.compose_centered(&residues).unwrap();
                 let want = scale_round_oracle(&params, mag, neg);
                 assert_eq!(got, want, "n = {n}, component {part}, coefficient {j}");
+            }
+        }
+    }
+}
+
+/// The tensor limbs of `a ⊗ b` on the strict scalar kernels: per modulus
+/// of the basis, the centered lifts (the stored words for `q`) through
+/// `ntt::negacyclic_mul`.
+fn strict_tensor(params: &BfvParams, a: &Ciphertext, b: &Ciphertext) -> Vec<Vec<Vec<u128>>> {
+    let (n, q) = (params.n(), params.q());
+    let basis = params.mult_basis().moduli();
+    basis
+        .iter()
+        .map(|&p| {
+            let ring = Barrett128::new(p).unwrap();
+            let tables = NttTables::new(&ring, n).unwrap();
+            let lift = |ct: &Ciphertext, i: usize| -> Vec<u128> {
+                let centre = |&c: &u128| if c > q / 2 { (c % p + p - q % p) % p } else { c % p };
+                ct.polys()[i].coeffs().iter().map(centre).collect()
+            };
+            let mul = |x: &[u128], y: &[u128]| ntt::negacyclic_mul(&ring, x, y, &tables).unwrap();
+            let (a0, a1, b0, b1) = (lift(a, 0), lift(a, 1), lift(b, 0), lift(b, 1));
+            let cross = mul(&a0, &b1).into_iter().zip(mul(&a1, &b0)).map(|(x, y)| ring.add(x, y));
+            vec![mul(&a0, &b0), cross.collect(), mul(&a1, &b1)]
+        })
+        .collect()
+}
+
+/// At the paper's degrees, `multiply` is one product whatever computes
+/// it: the CPU backend (its vector lanes, where the host has them) and
+/// the simulated chip at `O0` and `O1` agree bit for bit, and equal the
+/// strict scalar kernels' tensor finished by the same scale-and-round.
+#[test]
+fn multiply_at_the_paper_degrees_is_bit_identical_across_backends_levels_and_kernels() {
+    let mut rng = StdRng::seed_from_u64(0x1213);
+    for params in [BfvParams::paper_n12().unwrap(), BfvParams::paper_n13_single_tower().unwrap()] {
+        let (n, t) = (params.n(), params.t());
+        let kg = KeyGenerator::new(&params, &mut rng);
+        let enc = Encryptor::new(&params, kg.public_key(&mut rng).unwrap());
+        let mut fresh = || {
+            let m = (0..n).map(|_| rng.gen_range(0..t)).collect();
+            enc.encrypt(&Plaintext::new(&params, m).unwrap(), &mut rng).unwrap()
+        };
+        let (a, b) = (fresh(), fresh());
+        let cpu = Evaluator::new(&params).unwrap();
+        let want = cpu.multiply(&a, &b).unwrap();
+        let strict = cpu.tensor_combine(&strict_tensor(&params, &a, &b)).unwrap();
+        assert_eq!(strict.polys(), want.polys(), "n = {n}: strict kernels");
+        let chip = ChipBackendFactory::silicon();
+        for level in [OptLevel::O0, OptLevel::O1] {
+            let on_cpu = Evaluator::new(&params).unwrap().with_opt_level(level);
+            let on_chip = Evaluator::with_backend(&params, &chip).unwrap().with_opt_level(level);
+            for (what, ev) in [("cpu", on_cpu), ("chip", on_chip)] {
+                let got = ev.multiply(&a, &b).unwrap();
+                assert_eq!(got.polys(), want.polys(), "n = {n}: {what} at {level:?}");
             }
         }
     }
