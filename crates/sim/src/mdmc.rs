@@ -727,14 +727,9 @@ impl Mdmc {
             None => canonical(mem, ring.q(), &[cmd.x, y], n)?,
         };
         match c {
-            Some(c) if canonical => match mem.split(cmd.dst, [cmd.x], n)? {
-                Some((out, [a])) => pointwise::scalar_mul_into(ring, out, a, c).map_err(rejected),
-                None => {
-                    mem.memmove(cmd.x, cmd.dst, n)?;
-                    pointwise::scalar_mul_assign(ring, mem.slice_mut(cmd.dst, n)?, c);
-                    Ok(())
-                }
-            },
+            Some(c) if canonical => self.run(mem, cmd, y, n, |out, a, _| {
+                pointwise::scalar_mul_into(ring, out, a, c).map_err(rejected)
+            }),
             None if canonical => self.run(mem, cmd, y, n, |out, a, b| {
                 pointwise::mul_into(ring, out, a, b).map_err(rejected)
             }),
