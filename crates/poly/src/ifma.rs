@@ -339,7 +339,7 @@ mod x86 {
     /// vector registers: each kernel builds it on entry, so no
     /// constant is broadcast inside a loop.
     pub(super) trait Splat: Copy {
-        type Elem: Copy + Default + 'static;
+        type Elem: Copy + 'static;
         type Lanes: Arith<Elem = Self::Elem>;
 
         /// # Safety
@@ -1041,23 +1041,7 @@ mod x86 {
         }
     }
 
-    /// `v`'s words past its whole vectors, padded with zeros to one vector.
-    fn padded<E: Copy + Default>(v: &[E]) -> [E; 8] {
-        let mut last = [E::default(); 8];
-        let rest = v.len() % 8;
-        last[..rest].copy_from_slice(&v[v.len() - rest..]);
-        last
-    }
-
-    /// Vector `i` of `v`: a whole vector of it, or `last`, its padded tail.
-    fn vector<'a, E>(v: &'a [E], last: &'a [E; 8], i: usize) -> &'a [E; 8] {
-        v.get(8 * i..8 * i + 8).map_or(last, |w| w.try_into().expect("eight words"))
-    }
-
-    /// `out = x·y (+ acc)`, with `x` the old `out` when `None`. One loop
-    /// over whole vectors, whose loads and stores take no mask; the tail
-    /// runs as one more vector, padded, and its lanes are copied back. One
-    /// loop body, so the wide product stays inlined.
+    /// `out = x·y (+ acc)`, with `x` the old `out` when `None`.
     ///
     /// # Safety
     ///
@@ -1071,23 +1055,17 @@ mod x86 {
         acc: Option<&[R::Elem]>,
     ) {
         let k = r.lanes();
-        let [x_last, y_last, acc_last] =
-            [x.unwrap_or_default(), y, acc.unwrap_or_default()].map(padded);
-        let (vecs, tail) = out.as_chunks_mut::<8>();
-        let mut last = padded(tail);
-        for (i, out) in vecs.iter_mut().chain((!tail.is_empty()).then_some(&mut last)).enumerate() {
-            let x = x.map_or_else(|| k.load(out), |x| k.load(vector(x, &x_last, i)));
-            let mut p = k.mul(x, k.load(vector(y, &y_last, i)));
+        for i in (0..out.len()).step_by(8) {
+            let x = x.map_or_else(|| k.load(&out[i..]), |x| k.load(&x[i..]));
+            let mut p = k.mul(x, k.load(&y[i..]));
             if let Some(acc) = acc {
-                p = k.fold(k.add(p, k.load(vector(acc, &acc_last, i))), k.q());
+                p = k.fold(k.add(p, k.load(&acc[i..])), k.q());
             }
-            k.store(out, p);
+            k.store(&mut out[i..], p);
         }
-        tail.copy_from_slice(&last[..tail.len()]);
     }
 
-    /// `out = x·c`, with `x` the old `out` when `None`: whole vectors,
-    /// then the tail, padded, as in [`products`].
+    /// `out = x·c`, with `x` the old `out` when `None`.
     ///
     /// # Safety
     ///
@@ -1101,14 +1079,10 @@ mod x86 {
     ) {
         let k = r.lanes();
         let c = k.splat(c);
-        let x_last = padded(x.unwrap_or_default());
-        let (vecs, tail) = out.as_chunks_mut::<8>();
-        let mut last = padded(tail);
-        for (i, out) in vecs.iter_mut().chain((!tail.is_empty()).then_some(&mut last)).enumerate() {
-            let x = x.map_or_else(|| k.load(out), |x| k.load(vector(x, &x_last, i)));
-            k.store(out, k.fold(k.mul_lazy(x, c), k.q()));
+        for i in (0..out.len()).step_by(8) {
+            let x = x.map_or_else(|| k.load(&out[i..]), |x| k.load(&x[i..]));
+            k.store(&mut out[i..], k.fold(k.mul_lazy(x, c), k.q()));
         }
-        tail.copy_from_slice(&last[..tail.len()]);
     }
 
     /// Eight elements as plain integers, for the element-wise kernels: a
