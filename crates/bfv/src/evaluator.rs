@@ -74,6 +74,9 @@ pub struct Evaluator {
     /// telemetry and the relin keys it keeps resident on the `q` backend
     /// in NTT form.
     engine: LimbEngine,
+    /// Whether the host loops of a multiply — the centered lift and the
+    /// scale-and-round — may run in the vector lanes.
+    pub(crate) host_lanes: bool,
 }
 
 impl Evaluator {
@@ -113,7 +116,20 @@ impl Evaluator {
     /// Propagates backend bring-up failures.
     pub fn with_backend(params: &BfvParams, factory: &dyn BackendFactory) -> Result<Self> {
         let moduli = params.mult_basis().moduli();
-        Ok(Self { params: params.clone(), engine: LimbEngine::new(factory, moduli, params.n())? })
+        let engine = LimbEngine::new(factory, moduli, params.n())?;
+        Ok(Self { params: params.clone(), engine, host_lanes: true })
+    }
+
+    /// Builder-style: the same evaluator with a multiply's host loops —
+    /// the centered lift of [`Evaluator::tensor_streams`] and the
+    /// scale-and-round of [`Evaluator::tensor_combine`] — on their scalar
+    /// path, what a host without AVX-512 IFMA runs. The result is bit for
+    /// bit the same: this is the vector kernels' oracle, and what
+    /// `hotpath_profile` times its gated rows on.
+    #[must_use]
+    pub fn with_scalar_host_loops(mut self) -> Self {
+        self.host_lanes = false;
+        self
     }
 
     /// Builder-style: the same evaluator with the stream compiler set to

@@ -48,20 +48,26 @@
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-use cofhee_arith::ModRing;
+use cofhee_arith::{Barrett64, ModRing};
 use cofhee_core::{
     Filler, JobPlan, KeySwitchKeys, Limb, OpStream, Payload, PlanPhase, StreamHandle,
 };
+use cofhee_poly::rns::{self, Lane};
 
 use crate::ciphertext::Ciphertext;
 use crate::error::{BfvError, Result};
 use crate::evaluator::Evaluator;
 use crate::keys::RelinKey;
-use crate::params::LanePrime;
 use crate::plaintext::Plaintext;
 
-/// Fewest coefficients a chunk of the scale-and-round carries: below this
-/// a scoped spawn costs more than the chunk, so `n ≤ 2^10` never spawns.
+/// Fewest coefficients a chunk of the scale-and-round carries, so that
+/// `n ≤ 2^10` never spawns: below it a scoped spawn costs more than the
+/// scalar loop's chunk. The vector kernel's chunk costs a third as much,
+/// so there the spawn already costs more at 2^10 — on a 2-vCPU host,
+/// medians of 400 alternating calls: n = 2^11 in one chunk 104–115 µs,
+/// in two 141–157 µs; 2^12 243–298 against 255–299 µs; 2^13 616–640
+/// against 523–585 µs. The scalar loop at 2^11 takes 520 µs in one chunk
+/// and 418 µs in two, which is what a host without IFMA runs.
 const MIN_CHUNK: usize = 1 << 10;
 
 /// One task of the chunked scale-and-round: where the chunk starts, its
@@ -207,29 +213,37 @@ impl Evaluator {
             }
         }
         let n = self.params().n();
-        let lanes = &self.params().tensor_round().lanes;
-        let mut streams = Vec::with_capacity(lanes.len() + 1);
-        for lane in lanes {
-            let lift = |ct: &Ciphertext| [0, 1].map(|c| self.lift_centered(&ct.polys()[c], lane));
-            streams.push(cofhee_core::record_tensor(n, lift(a), lift(b))?);
-        }
         let [a0, a1, b0, b1] = [&a.polys()[0], &a.polys()[1], &b.polys()[0], &b.polys()[1]];
+        let [x0, x1, y0, y1] = [a0, a1, b0, b1].map(|p| self.lift_centered(p));
+        let mut streams = (x0.into_iter().zip(x1).zip(y0.into_iter().zip(y1)))
+            .map(|((x0, x1), (y0, y1))| cofhee_core::record_tensor(n, [x0, x1], [y0, y1]))
+            .collect::<cofhee_core::Result<Vec<_>>>()?;
         streams.push(cofhee_core::record_tensor(n, [a0, a1], [b0, b1])?);
         Ok(streams)
     }
 
-    /// Lifts a ciphertext polynomial to centered residues modulo a lane
-    /// prime — one word-level Barrett reduction and one conditional
-    /// modular subtract per coefficient, no division.
-    fn lift_centered(&self, poly: &Limb, lane: &LanePrime) -> Vec<u128> {
-        let (ring, half) = (&lane.ring, self.params().q() / 2);
-        poly.iter()
-            .map(|&c| {
-                let r = ring.reduce_u128(c);
-                // Past q/2 the centered value is c − q: r ← r − q (mod p).
-                u128::from(if c > half { ring.sub(r, lane.q) } else { r })
-            })
-            .collect()
+    /// Lifts a ciphertext polynomial to centered residues modulo every
+    /// lane prime: the fused kernel of [`cofhee_poly::rns::lift_centered`]
+    /// where the host has it, otherwise per lane prime one word-level
+    /// Barrett reduction and one conditional modular subtract per
+    /// coefficient, no division.
+    fn lift_centered(&self, poly: &Limb) -> Vec<Vec<u128>> {
+        let (round, q) = (self.params().tensor_round(), self.params().q());
+        let lanes = self.host_lanes.then(|| rns::lift_centered(q, poly, &round.lanes));
+        if let Some(lifts) = lanes.flatten() {
+            return lifts;
+        }
+        let half = q / 2;
+        let lift = |(lane, ring): (&Lane, &Barrett64)| {
+            poly.iter()
+                .map(|&c| {
+                    let r = ring.reduce_u128(c);
+                    // Past q/2 the centered value is c − q: r ← r − q (mod p).
+                    u128::from(if c > half { ring.sub(r, lane.q) } else { r })
+                })
+                .collect()
+        };
+        round.lanes.iter().zip(&round.rings).map(lift).collect()
     }
 
     /// Finishes an exact multiplication from per-limb tensor outputs:
@@ -301,7 +315,8 @@ impl Evaluator {
             chunk.done = chunk.parts.iter_mut().enumerate().try_for_each(|(part, coeffs)| {
                 let range = start..start + coeffs.len();
                 let x_p = lanes.iter().map(|limb| &limb[part][range.clone()]);
-                round.apply(coeffs, &q_limb[0][part][range.clone()], x_p, &mut scratch)
+                let x_q = &q_limb[0][part][range.clone()];
+                round.apply(coeffs, x_q, x_p, &mut scratch, self.host_lanes)
             });
         });
         tasks.into_iter().try_for_each(|chunk| chunk.done)?;

@@ -20,6 +20,7 @@ use cofhee_arith::{
     primes, rns::RnsBasis, signed::ScaleRound, Barrett128, Barrett64, LazyRing, ModRing, ShoupMul,
     U256,
 };
+use cofhee_poly::rns::{self, Lane};
 
 use crate::error::{BfvError, Result};
 
@@ -60,29 +61,17 @@ struct CrtTables {
     decrypt_round: ScaleRound,
 }
 
-/// A lane prime `pⱼ` and its constants: `[q]_{pⱼ}` (the centered lift
-/// subtracts it past `q/2`), `[t]_{pⱼ}`, `[q⁻¹·P̂ⱼ⁻¹]_{pⱼ}` with `P̂ⱼ =
-/// P/pⱼ`, `1/pⱼ`, and `[P̂ⱼ]_q` with its Shoup quotient for a word
-/// multiplicand, `⌊[P̂ⱼ]_q·2^64/q⌋`.
-#[derive(Debug)]
-pub(crate) struct LanePrime {
-    pub(crate) ring: Barrett64,
-    pub(crate) q: u64,
-    t: ShoupMul<u64>,
-    scale: ShoupMul<u64>,
-    inv: f64,
-    weight: (u128, u64),
-}
-
 /// Eq. 4's exact `⌊t·x/q⌉ mod q` in RNS over `{p₁ … p_k} ∪ {q}`, the
 /// BEHZ / Halevi–Polyakov–Shoup multiply for one `q`: with
 /// `r = centre([t·x]_q)`, `y = (t·x − r)/q` is the rounded quotient (`q`
 /// is odd: no ties); with `ỹⱼ = [(t·xⱼ − [r]_{pⱼ})·q⁻¹·P̂ⱼ⁻¹]_{pⱼ}`,
 /// `y = Σ ỹⱼ·P̂ⱼ − v·P` where `v = ⌊Σ ỹⱼ/pⱼ⌉`, because `|y| < P/4`.
-/// Holds `[t]_q` and `[v·P]_q` for `v = 0 … k`.
+/// Holds each lane prime's constants ([`Lane`]) and ring, `[t]_q` and
+/// `[v·P]_q` for `v = 0 … k`.
 #[derive(Debug)]
 pub(crate) struct RnsRound {
-    pub(crate) lanes: Vec<LanePrime>,
+    pub(crate) lanes: Vec<Lane>,
+    pub(crate) rings: Vec<Barrett64>,
     q: Barrett128,
     t: ShoupMul<u128>,
     p_multiples: Vec<u128>,
@@ -91,7 +80,7 @@ pub(crate) struct RnsRound {
 impl RnsRound {
     fn new(t: u64, q: u128, primes: &[u128]) -> Result<Self> {
         let ring = Barrett128::new(q)?;
-        let mut lanes = Vec::with_capacity(primes.len());
+        let (mut lanes, mut rings) = (Vec::new(), Vec::new());
         for (j, &p) in primes.iter().enumerate() {
             let lane = Barrett64::new(p as u64)?;
             let others = primes.iter().enumerate().filter(|&(i, _)| i != j).map(|(_, &p)| p);
@@ -99,39 +88,50 @@ impl RnsRound {
             let hat_q = others.fold(ring.one(), |acc, p| ring.mul(acc, ring.from_u128(p)));
             let scale = lane.inv(lane.mul(lane.from_u128(q), hat_p))?;
             let quotient = U256::from_u128(hat_q).shl(64).div_rem(U256::from_u128(q)).0;
-            lanes.push(LanePrime {
-                ring: lane,
+            lanes.push(Lane {
+                p: p as u64,
                 q: lane.from_u128(q),
                 t: lane.shoup(lane.from_u128(u128::from(t))),
                 scale: lane.shoup(scale),
                 inv: 1.0 / p as f64,
                 weight: (hat_q, quotient.low_u128() as u64),
             });
+            rings.push(lane);
         }
         let p_mod_q = primes.iter().fold(ring.one(), |acc, &p| ring.mul(acc, ring.from_u128(p)));
         let p_multiples = (0..=primes.len() as u128).map(|v| ring.mul(v, p_mod_q)).collect();
-        Ok(Self { lanes, q: ring, t: ring.shoup(u128::from(t)), p_multiples })
+        Ok(Self { lanes, rings, q: ring, t: ring.shoup(u128::from(t)), p_multiples })
     }
 
     /// `out[j] = ⌊t·x/q⌉ mod q` for a run of tensor coefficients, from
-    /// their residues mod `q` and one column per lane prime: one pass per
-    /// column, `tx` and `estimate` the caller's scratch. An unreduced
-    /// residue is `OperandOutOfRange`, before anything is written.
+    /// their residues mod `q` and one column per lane prime. An unreduced
+    /// residue is `OperandOutOfRange`, before anything is written. With
+    /// `lanes`, the fused kernel of [`cofhee_poly::rns::scale_round`] runs
+    /// where the host has it; otherwise one pass per column, `tx` and
+    /// `estimate` the caller's scratch.
     pub(crate) fn apply<'a>(
         &self,
         out: &mut [u128],
         x_q: &'a [u128],
         x_p: impl Iterator<Item = &'a [u128]> + Clone,
         (tx, estimate): &mut (Vec<u128>, Vec<f64>),
+        lanes: bool,
     ) -> Result<()> {
         let ring = &self.q;
         let q = ring.q();
-        let moduli = std::iter::once(q).chain(self.lanes.iter().map(|l| u128::from(l.ring.q())));
+        let moduli = std::iter::once(q).chain(self.lanes.iter().map(|l| u128::from(l.p)));
         for (column, modulus) in std::iter::once(x_q).chain(x_p.clone()).zip(moduli) {
             if !cofhee_poly::pointwise::all_below(modulus, column) {
                 let value = *column.iter().find(|&&x| x >= modulus).expect("one is unreduced");
                 return Err(cofhee_arith::ArithError::OperandOutOfRange { value, modulus }.into());
             }
+        }
+        // The kernel takes at most seven lane primes; more runs scalar.
+        let mut columns = [&[][..]; 8];
+        let k = columns.iter_mut().zip(x_p.clone()).map(|(c, x)| *c = x).count();
+        let x = (x_q, &columns[..k]);
+        if lanes && rns::scale_round(out, x, (q, &self.t), &self.lanes, &self.p_multiples) {
+            return Ok(());
         }
         // [t·x]_q, and Σ ỹⱼ·[P̂ⱼ]_q accumulated in `out` below 2q.
         tx.clear();
@@ -140,8 +140,7 @@ impl RnsRound {
         estimate.resize(out.len(), 0.5);
         out.fill(0);
         let half = q / 2;
-        for (lane, column) in self.lanes.iter().zip(x_p) {
-            let p = &lane.ring;
+        for ((lane, p), column) in self.lanes.iter().zip(&self.rings).zip(x_p) {
             let (w, quotient) = lane.weight;
             let terms = out.iter_mut().zip(estimate.iter_mut()).zip(tx.iter()).zip(column);
             for (((acc, e), &tx), &x) in terms {

@@ -115,7 +115,8 @@ fn tensor_combine_matches_the_generic_route_on_every_parameter_set() {
 /// At the paper's degrees, coefficients at `±n·q²/2` and on either side
 /// of every rounding boundary — `t·x ≡ ±(q − 1)/2 (mod q)` and the
 /// half-integers of `t·x/q` — in every component: `tensor_combine` is
-/// `ScaleRound` of the exact value, coefficient for coefficient.
+/// `ScaleRound` of the exact value, coefficient for coefficient, on the
+/// vector kernel (where the host has it) and on the scalar loop.
 #[test]
 fn the_scale_and_round_is_exact_at_the_bound_and_on_every_rounding_boundary() {
     for params in [BfvParams::paper_n12().unwrap(), BfvParams::paper_n13_single_tower().unwrap()] {
@@ -137,36 +138,43 @@ fn the_scale_and_round_is_exact_at_the_bound_and_on_every_rounding_boundary() {
             .collect();
         let probes = values.len();
         values.extend(values.clone().iter().cycle().take(3 * n - probes));
+        let limbs = limbs_of(&params, &values);
         let eval = Evaluator::new(&params).unwrap();
-        let ct = eval.tensor_combine(&limbs_of(&params, &values)).unwrap();
-        let got = ct.polys().iter().flat_map(|p| p.coeffs().iter().copied());
-        for (idx, (got, &(mag, neg))) in got.zip(&values).enumerate() {
-            assert_eq!(got, round.apply(mag, neg).unwrap(), "n = {n}, {idx}: x = {mag}, {neg}");
+        for (path, eval) in [("lanes", eval.clone()), ("scalar", eval.with_scalar_host_loops())] {
+            let ct = eval.tensor_combine(&limbs).unwrap();
+            let got = ct.polys().iter().flat_map(|p| p.coeffs().iter().copied());
+            for (idx, (got, &(mag, neg))) in got.zip(&values).enumerate() {
+                let want = round.apply(mag, neg).unwrap();
+                assert_eq!(got, want, "{path}, n = {n}, {idx}: x = {mag}, {neg}");
+            }
         }
     }
 }
 
 /// A residue at or past its modulus — on a lane prime or on `q` — is a
-/// typed error, not a wrapped ciphertext, in any component.
+/// typed error, not a wrapped ciphertext, in any component, on the vector
+/// kernel's path and on the scalar loop's.
 #[test]
 fn tensor_combine_refuses_an_unreduced_residue() {
     let params = BfvParams::insecure_testing(64).unwrap();
     let eval = Evaluator::new(&params).unwrap();
     let n = params.n();
     let good = limbs_of(&params, &vec![(U256::ONE, true); 3 * n]);
-    assert!(eval.tensor_combine(&good).is_ok());
-    for (limb, &modulus) in params.mult_basis().moduli().iter().enumerate() {
-        for part in 0..3 {
-            let mut limbs = good.clone();
-            limbs[limb][part][n - 1 - part] = modulus;
-            assert!(
-                matches!(
-                    eval.tensor_combine(&limbs),
-                    Err(BfvError::Arith(ArithError::OperandOutOfRange { value, modulus: m }))
-                        if value == modulus && m == modulus
-                ),
-                "limb {limb}, component {part}"
-            );
+    for (path, eval) in [("lanes", eval.clone()), ("scalar", eval.with_scalar_host_loops())] {
+        assert!(eval.tensor_combine(&good).is_ok());
+        for (limb, &modulus) in params.mult_basis().moduli().iter().enumerate() {
+            for part in 0..3 {
+                let mut limbs = good.clone();
+                limbs[limb][part][n - 1 - part] = modulus;
+                assert!(
+                    matches!(
+                        eval.tensor_combine(&limbs),
+                        Err(BfvError::Arith(ArithError::OperandOutOfRange { value, modulus: m }))
+                            if value == modulus && m == modulus
+                    ),
+                    "{path}, limb {limb}, component {part}"
+                );
+            }
         }
     }
 }
@@ -339,9 +347,10 @@ fn strict_tensor(params: &BfvParams, a: &Ciphertext, b: &Ciphertext) -> Vec<Vec<
 }
 
 /// At the paper's degrees, `multiply` is one product whatever computes
-/// it: the CPU backend (its vector lanes, where the host has them) and
-/// the simulated chip at `O0` and `O1` agree bit for bit, and equal the
-/// strict scalar kernels' tensor finished by the same scale-and-round.
+/// it: the CPU backend (its vector lanes, where the host has them), the
+/// same with the host loops scalar, and the simulated chip at `O0` and
+/// `O1` agree bit for bit, and equal the strict scalar kernels' tensor
+/// over `%` lifts, finished by the scalar scale-and-round.
 #[test]
 fn multiply_at_the_paper_degrees_is_bit_identical_across_backends_levels_and_kernels() {
     let mut rng = StdRng::seed_from_u64(0x1213);
@@ -356,8 +365,11 @@ fn multiply_at_the_paper_degrees_is_bit_identical_across_backends_levels_and_ker
         let (a, b) = (fresh(), fresh());
         let cpu = Evaluator::new(&params).unwrap();
         let want = cpu.multiply(&a, &b).unwrap();
-        let strict = cpu.tensor_combine(&strict_tensor(&params, &a, &b)).unwrap();
+        let scalar = cpu.clone().with_scalar_host_loops();
+        let strict = scalar.tensor_combine(&strict_tensor(&params, &a, &b)).unwrap();
         assert_eq!(strict.polys(), want.polys(), "n = {n}: strict kernels");
+        let got = scalar.multiply(&a, &b).unwrap();
+        assert_eq!(got.polys(), want.polys(), "n = {n}: scalar host loops");
         let chip = ChipBackendFactory::silicon();
         for level in [OptLevel::O0, OptLevel::O1] {
             let on_cpu = Evaluator::new(&params).unwrap().with_opt_level(level);

@@ -53,19 +53,34 @@
 //!   (one `vpermt2q` pair per load and per store), compared by masks, and
 //!   added or subtracted with the carry or borrow taken under a mask.
 //!
+//! * **RNS kernels** ([`crate::rns`], for `cofhee_bfv`'s multiply) —
+//!   between a `u128` residue mod `q < 2^110` and lane primes `pⱼ < 2^49`.
+//!   A residue's three limbs times `[2^(52i)]_{pⱼ}` by Shoup at `β = 2^52`
+//!   sum below `6pⱼ`. The *centered lift* reads each word once and writes
+//!   it on every lane prime. The *scale-and-round* reads `x_q` and the `k`
+//!   columns once and writes `⌊t·x/q⌉ mod q` once: `[t·x]_q`, its centered
+//!   lift, two Shoup products per lane prime, the `f64` estimate `v`
+//!   (`vcvtqq2pd`, summed in the scalar loop's order, `vcvttpd2qq`), and
+//!   each word times `[P̂ⱼ]_q` below `2q` by Harvey's lemma; those and
+//!   `[−v·P]_q` (`vpermq` from a table) are summed uncarried, then folded
+//!   once per bit of `2k`.
+//!
 //! Intermediates may differ from the scalar stages' by a multiple of `q`;
 //! outputs are canonical residues, so both paths agree bit for bit.
 //!
 //! A [`Lanes`] or an [`Elementwise`] exists only for `u64` elements below
 //! `2^50` or `u128` elements below `2^110`, a length of at least 16 and a
 //! host that reports `avx512f` and `avx512ifma` at run time; nothing else
-//! selects it. This module is the one place in the workspace that holds
-//! `unsafe` code.
+//! selects it. The RNS kernels take the same lengths and `q`, at most
+//! seven lane primes, each below `2^49`, and also need `avx512dq`. This
+//! module is the one place in the workspace that holds `unsafe` code.
 
 use std::any::TypeId;
 use std::marker::PhantomData;
 
 use cofhee_arith::{ShoupMul, U256};
+
+use crate::rns::Lane;
 
 /// Word lanes: `4q < 2^52`, every lazy operand is an IFMA multiplicand.
 const WORD_BOUND: u128 = 1 << 50;
@@ -77,6 +92,14 @@ const WIDE_BOUND: u128 = 1 << 110;
 
 /// The shortest vector the lanes take; below it the scalar path runs.
 const MIN_LEN: usize = 16;
+
+/// The RNS kernels' lane primes: below `2^49`, so a sum below `8p` and
+/// the scale-and-round's `5p` stay 52-bit multiplicands.
+const RNS_PRIME_BOUND: u64 = 1 << 49;
+
+/// The most lane primes the scale-and-round takes: `[v·P]_q` for `v = 0 …
+/// k` is an eight-entry table in registers.
+const MAX_RNS_LANES: usize = 7;
 
 /// The vector kernels for one modulus on an IFMA host.
 #[derive(Debug, Clone, Copy)]
@@ -118,6 +141,14 @@ struct Wide {
     /// before the Barrett multiply, which leaves it below `2^112`.
     limbs: usize,
     bits: u64,
+}
+
+impl Word {
+    fn new(q: u128) -> Self {
+        let bits = 128 - q.leading_zeros();
+        let mu = ((1u128 << (bits + 50)) / q) as u64;
+        Self { q: q as u64, mu, shift: u64::from(bits - 2) }
+    }
 }
 
 /// The three 52-bit limbs of `x < 2^156`.
@@ -188,8 +219,7 @@ impl<E: 'static> Lanes<E> {
         let ring = if admit::<E>(q, len)? {
             Ring::Wide(Wide::new(q, bits))
         } else {
-            let mu = ((1u128 << (bits + 50)) / q) as u64;
-            Ring::Word(Word { q: q as u64, mu, shift: u64::from(bits - 2) })
+            Ring::Word(Word::new(q))
         };
         Some(Self { ring, elem: PhantomData })
     }
@@ -298,6 +328,72 @@ pub(crate) fn wide_mut<E: 'static>(x: &mut [E]) -> Option<&mut [u128]> {
     (TypeId::of::<E>() == TypeId::of::<u128>()).then(|| same_mut(x))
 }
 
+/// Whether the RNS kernels take `len` residues modulo `q` onto `lanes`:
+/// the host must also report `avx512dq`, which the scale-and-round's
+/// estimate converts with.
+fn rns_admit(q: u128, len: usize, lanes: &[Lane]) -> bool {
+    let fits = |l: &Lane| (3..RNS_PRIME_BOUND).contains(&l.p) && l.q < l.p;
+    #[cfg(target_arch = "x86_64")]
+    let dq = is_x86_feature_detected!("avx512dq");
+    #[cfg(not(target_arch = "x86_64"))]
+    let dq = false;
+    (3..WIDE_BOUND).contains(&q)
+        && len >= MIN_LEN
+        && (1..=MAX_RNS_LANES).contains(&lanes.len())
+        && lanes.iter().all(fits)
+        && host_has_ifma()
+        && dq
+}
+
+/// The centered lift of residues mod `q` onto every lane prime in one
+/// pass: vector `j` holds `[x]_{pⱼ}` where `x ≤ q/2` and `[x − q]_{pⱼ}`
+/// past it. `None` where the lanes do not run.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables, unused_mut))]
+pub fn lift_centered(q: u128, x: &[u128], lanes: &[Lane]) -> Option<Vec<Vec<u128>>> {
+    if !rns_admit(q, x.len(), lanes) {
+        return None;
+    }
+    let mut out = vec![vec![0; x.len()]; lanes.len()];
+    // SAFETY: `rns_admit` saw the three features.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        x86::lift(q, x, lanes, &mut out)
+    };
+    Some(out)
+}
+
+/// `out[i] = ⌊t·x/q⌉ mod q` for the tensor coefficients `x` given by
+/// their canonical residues: `x_q` mod `q` and `x_p[j]` mod lane prime
+/// `j`; `t` is `[t]_q` with its Shoup quotient at `β = 2^128` and
+/// `p_multiples[v] = [v·P]_q` for `v = 0 … k`. Returns whether the lanes
+/// ran: on `false`, `out` is untouched.
+///
+/// # Panics
+///
+/// Where the lanes run, on slices of unequal length or a table that is not
+/// `k + 1` long.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub fn scale_round(
+    out: &mut [u128],
+    (x_q, x_p): (&[u128], &[&[u128]]),
+    (q, t): (u128, &ShoupMul<u128>),
+    lanes: &[Lane],
+    p_multiples: &[u128],
+) -> bool {
+    let len = out.len();
+    if !rns_admit(q, len, lanes) {
+        return false;
+    }
+    assert!(x_q.len() == len && x_p.len() == lanes.len() && x_p.iter().all(|x| x.len() == len));
+    assert_eq!(p_multiples.len(), lanes.len() + 1);
+    // SAFETY: `rns_admit` saw the three features.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        x86::round(q, t, lanes, p_multiples, out, x_q, x_p)
+    };
+    true
+}
+
 /// Whether the host reports the two features the kernels are built for.
 fn host_has_ifma() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -331,9 +427,9 @@ fn one<E: 'static, F: 'static>(c: &ShoupMul<E>) -> &ShoupMul<F> {
 mod x86 {
     use std::arch::x86_64::*;
 
-    use cofhee_arith::ShoupMul;
+    use cofhee_arith::{ShoupMul, U256};
 
-    use super::{Wide, Word};
+    use super::{limbs, Lane, Wide, Word};
 
     /// A ring's constants, and the arithmetic they make once they are in
     /// vector registers: each kernel builds it on entry, so no
@@ -581,6 +677,14 @@ mod x86 {
         [splat64(x[0]), splat64(x[1]), splat64(x[2])]
     }
 
+    /// Eight `u128` from their low and high words: cut at bits 52 and 104.
+    #[target_feature(enable = "avx512f")]
+    fn split([lo, hi]: [__m512i; 2]) -> Limbs {
+        let m = _mm512_set1_epi64(mask52());
+        let mid = _mm512_or_si512(_mm512_srli_epi64::<52>(lo), _mm512_slli_epi64::<12>(hi));
+        [_mm512_and_si512(lo, m), _mm512_and_si512(mid, m), _mm512_srli_epi64::<40>(hi)]
+    }
+
     /// `x mod 2^156` with every limb below `2^52`: carries (or borrows,
     /// the shift is arithmetic) move up, the top limb's excess drops.
     #[target_feature(enable = "avx512f")]
@@ -676,10 +780,7 @@ mod x86 {
         /// bits 52 and 104.
         #[target_feature(enable = "avx512f")]
         unsafe fn load(self, x: &[u128]) -> Limbs {
-            let [lo, hi] = <u128 as Plain>::load(x);
-            let m = _mm512_set1_epi64(mask52());
-            let mid = _mm512_or_si512(_mm512_srli_epi64::<52>(lo), _mm512_slli_epi64::<12>(hi));
-            [_mm512_and_si512(lo, m), _mm512_and_si512(mid, m), _mm512_srli_epi64::<40>(hi)]
+            split(<u128 as Plain>::load(x))
         }
 
         #[target_feature(enable = "avx512f")]
@@ -1085,6 +1186,185 @@ mod x86 {
         }
     }
 
+    /// A [`Lane`] in every lane, with the constants of a residue mod `q`
+    /// in 52-bit limbs: `[2^(52i)]_p` and their Shoup quotients.
+    #[derive(Clone, Copy)]
+    struct PrimeLanes {
+        /// `p`, `2p` and `−p`, and Harvey's products at `β = 2^52`.
+        k: WordLanes,
+        four_p: __m512i,
+        radix: [(__m512i, __m512i); 3],
+        /// `[q]_p`.
+        q: __m512i,
+        t: (__m512i, __m512i),
+        scale: (__m512i, __m512i),
+        inv: __m512d,
+        /// `[P̂]_q` in limbs and `⌊[P̂]_q·2^52/q⌋`.
+        weight: Limbs,
+        weight_quotient: __m512i,
+    }
+
+    impl PrimeLanes {
+        /// One per lane prime, the rest copies of the last: an array on
+        /// the stack, so that no kernel call touches the heap.
+        #[target_feature(enable = "avx512f")]
+        fn all(lanes: &[Lane]) -> [Self; super::MAX_RNS_LANES] {
+            std::array::from_fn(|j| Self::new(&lanes[j.min(lanes.len() - 1)]))
+        }
+
+        #[target_feature(enable = "avx512f")]
+        fn new(lane: &Lane) -> Self {
+            let p = u128::from(lane.p);
+            let shoup = |w: u128| (splat64(w as u64), splat64(((w << 52) / p) as u64));
+            let word = |s: &ShoupMul<u64>| (splat64(s.value), splat64(s.quotient >> 12));
+            Self {
+                // SAFETY: the caller's host supports `avx512f`.
+                k: unsafe { Word::new(p).lanes() },
+                four_p: splat64(4 * lane.p),
+                radix: [0, 52, 104].map(|at| shoup((1 << at) % p)),
+                q: splat64(lane.q),
+                t: word(&lane.t),
+                scale: word(&lane.scale),
+                inv: _mm512_set1_pd(lane.inv),
+                weight: splat3(&limbs(U256::from_u128(lane.weight.0))),
+                weight_quotient: splat64(lane.weight.1 >> 12),
+            }
+        }
+
+        /// `x mod p` in `[0, 2p)` for `x` in normalized limbs: three
+        /// products below `2p` each, their sum folded from `[0, 6p)`.
+        ///
+        /// # Safety
+        ///
+        /// As for [`forward`].
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        unsafe fn residue(&self, x: Limbs) -> __m512i {
+            let k = self.k;
+            let [r0, r1, r2] = [0, 1, 2].map(|l| k.mul_lazy(x[l], self.radix[l]));
+            k.fold(k.fold(_mm512_add_epi64(_mm512_add_epi64(r0, r1), r2), self.four_p), k.two_q)
+        }
+
+        /// `y·[P̂]_q − ⌊y·⌊[P̂]_q·2^52/q⌋/2^52⌋·q`, in `[0, 2q)` by Harvey's
+        /// lemma for `y < 2^52`, modulo `2^156` with `neg_q = 2^156 − q`:
+        /// limbs below `2^55`, not carried.
+        ///
+        /// # Safety
+        ///
+        /// As for [`forward`].
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        unsafe fn weigh(&self, y: __m512i, [n0, n1, n2]: Limbs) -> Limbs {
+            let zero = _mm512_setzero_si512();
+            let [w0, w1, w2] = self.weight;
+            let qh = hi(zero, y, self.weight_quotient);
+            [
+                lo(lo(zero, y, w0), qh, n0),
+                lo(lo(hi(hi(zero, y, w0), qh, n0), y, w1), qh, n1),
+                lo(lo(hi(hi(zero, y, w1), qh, n1), y, w2), qh, n2),
+            ]
+        }
+    }
+
+    /// The lanes where `x > y`, for normalized limbs: `y − x` with its
+    /// borrows carried is negative.
+    #[target_feature(enable = "avx512f")]
+    fn above([x0, x1, x2]: Limbs, [y0, y1, y2]: Limbs) -> __mmask8 {
+        let t0 = _mm512_sub_epi64(y0, x0);
+        let t1 = _mm512_add_epi64(_mm512_sub_epi64(y1, x1), _mm512_srai_epi64::<52>(t0));
+        let t2 = _mm512_add_epi64(_mm512_sub_epi64(y2, x2), _mm512_srai_epi64::<52>(t1));
+        _mm512_cmplt_epi64_mask(t2, _mm512_setzero_si512())
+    }
+
+    /// The centered lift of `x` (residues mod `q`) onto every lane prime:
+    /// `out[j][i] = [x[i]]_{pⱼ}`, less `[q]_{pⱼ}` where `x[i] > q/2`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`forward`].
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn lift(q: u128, x: &[u128], lanes: &[Lane], out: &mut [Vec<u128>]) {
+        let primes = PrimeLanes::all(lanes);
+        let half = <u128 as Plain>::splat(q / 2);
+        let zero = _mm512_setzero_si512();
+        for i in (0..x.len()).step_by(8) {
+            let words = <u128 as Plain>::load(&x[i..]);
+            let past_half = <u128 as Plain>::lt(half, words);
+            let x = split(words);
+            for (c, out) in primes.iter().zip(out.iter_mut()) {
+                let k = c.k;
+                // Past q/2 the centered value is x − q: r + p − [q]_p.
+                let r = k.fold(c.residue(x), k.q);
+                let r = _mm512_mask_add_epi64(r, past_half, r, _mm512_sub_epi64(k.q, c.q));
+                <u128 as Plain>::store(&mut out[i..], [k.fold(r, k.q), zero]);
+            }
+        }
+    }
+
+    /// `out[i] = ⌊t·x/q⌉ mod q` from `x_q` and one column per lane prime,
+    /// as `cofhee_bfv`'s `RnsRound::apply` computes it; `t` is the Shoup
+    /// pair of `[t]_q`. The `k` weighted words, each below `2q`, are summed
+    /// uncarried with `[−v·P]_q` and the sum, below `(2k + 1)·q`, is folded
+    /// once per bit of `2k`.
+    ///
+    /// # Safety
+    ///
+    /// The host supports `avx512f`, `avx512ifma` and `avx512dq`.
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    pub(super) unsafe fn round(
+        q: u128,
+        t: &ShoupMul<u128>,
+        lanes: &[Lane],
+        p_multiples: &[u128],
+        out: &mut [u128],
+        x_q: &[u128],
+        x_p: &[&[u128]],
+    ) {
+        let k = Wide::new(q, 128 - q.leading_zeros()).lanes();
+        let (t, half) = (k.splat(t), splat3(&limbs(U256::from_u128(q / 2))));
+        let primes = PrimeLanes::all(lanes);
+        let primes = &primes[..lanes.len()];
+        let minus_vp: Limbs = [0, 1, 2].map(|l| {
+            let at = |v: i64| p_multiples.get(v as usize).map_or(0, |&m| (q - m) % q);
+            from_fn(|v| limbs(U256::from_u128(at(v)))[l] as i64)
+        });
+        let folds = (2 * lanes.len()).ilog2() as usize + 1;
+        let multiples: [Limbs; 4] = [0, 1, 2, 3].map(|l| splat3(&limbs(U256::from_u128(q << l))));
+        // The coefficients of `out` from `at`: eight but at the tail, where
+        // `out` is not an array, so that whole vectors take no mask.
+        let step = |out: &mut [u128], at: usize| {
+            let len = out.len();
+            let tx = k.fold(k.mul_lazy(k.load(&x_q[at..][..len]), t), k.q);
+            let past_half = above(tx, half);
+            let (mut acc, mut estimate) = ([_mm512_setzero_si512(); 3], _mm512_set1_pd(0.5));
+            for (c, column) in primes.iter().zip(x_p) {
+                let p = c.k;
+                // t·xⱼ − [r]_{pⱼ} = t·xⱼ + 2p − [t·x]_q (+ [q]_p past q/2),
+                // below 5p.
+                let r = _mm512_sub_epi64(p.two_q, c.residue(tx));
+                let r = _mm512_mask_add_epi64(r, past_half, r, c.q);
+                let [x, _] = <u128 as Plain>::load(&column[at..][..len]);
+                let y = _mm512_add_epi64(p.mul_lazy(x, c.t), r);
+                let y = p.fold(p.mul_lazy(y, c.scale), p.q);
+                estimate = _mm512_add_pd(estimate, _mm512_mul_pd(_mm512_cvtepi64_pd(y), c.inv));
+                let term = c.weigh(y, k.neg_q);
+                acc = [0, 1, 2].map(|l| _mm512_add_epi64(acc[l], term[l]));
+            }
+            let v = _mm512_cvttpd_epi64(estimate);
+            let mut y = carry(
+                [0, 1, 2]
+                    .map(|l| _mm512_add_epi64(acc[l], _mm512_permutexvar_epi64(v, minus_vp[l]))),
+            );
+            for m in multiples[..folds].iter().rev() {
+                y = k.fold(y, *m);
+            }
+            k.store(out, y);
+        };
+        let (vecs, tail) = out.as_chunks_mut::<8>();
+        for (i, out) in vecs.iter_mut().enumerate() {
+            step(out, 8 * i);
+        }
+        step(tail, 8 * vecs.len());
+    }
+
     /// Eight elements as plain integers, for the element-wise kernels: a
     /// vector of `u64`, or eight `u128` as their low and high words apart.
     ///
@@ -1482,6 +1762,77 @@ mod tests {
         }
         at(&Barrett64::new(ntt_prime(43, 8).unwrap() as u64).unwrap());
         at(&Barrett128::new(ntt_prime(109, 8).unwrap()).unwrap());
+    }
+
+    /// The lane primes of `cofhee_bfv`'s `paper_n12` / `paper_n13_single_tower`
+    /// (log q = 109, a 20-bit `t`) and their `q`, chosen as `BfvParams::new`
+    /// chooses them: `k = ⌈w/49⌉` NTT primes other than `q` whose widths sum
+    /// to `w`, the bit length of `2·(t·n·q + 1)` plus one.
+    fn paper_lane_primes(n: usize) -> (u128, Vec<u128>) {
+        use cofhee_arith::{primes::ntt_primes, U256};
+
+        let (q, t) = (ntt_prime(109, n).unwrap(), ntt_prime(20, n).unwrap());
+        let tnq = U256::from_u128(q).wrapping_mul(U256::from_u128(t * n as u128));
+        let width = tnq.wrapping_add(U256::ONE).shl(1).bits() + 1;
+        let k = width.div_ceil(49);
+        let mut primes = Vec::new();
+        for (bits, count) in [(width / k + 1, width % k), (width / k, k - width % k)] {
+            let found = ntt_primes(bits, n, count as usize + 1).unwrap();
+            primes.extend(found.into_iter().filter(|&p| p != q).take(count as usize));
+        }
+        (q, primes)
+    }
+
+    /// The centered lift in the lanes against `cofhee_bfv`'s scalar loop (a
+    /// Barrett reduction, less `[q]_p` past `q/2`) and the `%` oracle, on
+    /// the paper sets' lane primes, at every length 16–63 and at `n`:
+    /// `0`, `⌊q/2⌋`, `⌊q/2⌋ + 1` and `q − 1` lead, random residues follow.
+    #[test]
+    fn the_centered_lift_matches_the_scalar_loop_and_the_division_oracle() {
+        use crate::rns::Lane;
+
+        if !host_has_ifma() {
+            println!("skipped: no avx512ifma (the centered lift)");
+        }
+        for n in [1 << 12, 1 << 13] {
+            let (q, primes) = paper_lane_primes(n);
+            let lane = |p: u128| Lane {
+                p: p as u64,
+                q: (q % p) as u64,
+                t: Default::default(),
+                scale: Default::default(),
+                inv: 0.0,
+                weight: (0, 0),
+            };
+            let lanes: Vec<Lane> = primes.iter().map(|&p| lane(p)).collect();
+            let half = q / 2;
+            let mut x: Vec<u128> = values(n, q, q as u64 ^ n as u64);
+            x[..4].copy_from_slice(&[0, half, half + 1, q - 1]);
+            assert!(super::lift_centered(q, &x[..15], &lanes).is_none(), "15 stay scalar");
+            for len in (16..64).chain([n]) {
+                let x = &x[..len];
+                let lifted = super::lift_centered(q, x, &lanes);
+                assert_eq!(lifted.is_some(), host_has_ifma(), "n = {n}, len = {len}");
+                for (j, &p) in primes.iter().enumerate() {
+                    let ring = Barrett64::new(p as u64).unwrap();
+                    let scalar: Vec<u128> = x
+                        .iter()
+                        .map(|&c| {
+                            let r = ring.reduce_u128(c);
+                            u128::from(if c > half { ring.sub(r, ring.from_u128(q)) } else { r })
+                        })
+                        .collect();
+                    let oracle: Vec<u128> = x
+                        .iter()
+                        .map(|&c| if c > half { (c % p + p - q % p) % p } else { c % p })
+                        .collect();
+                    assert_eq!(scalar, oracle, "scalar, n = {n}, len = {len}, p = {p}");
+                    if let Some(lifted) = &lifted {
+                        assert_eq!(lifted[j], oracle, "lanes, n = {n}, len = {len}, p = {p}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -79,6 +79,7 @@ pub mod naive;
 pub mod ntt;
 pub mod pointwise;
 pub mod pool;
+pub mod rns;
 
 pub use cache::{TwiddleCache, TwiddleCacheStats};
 pub use error::{PolyError, Result};
