@@ -20,9 +20,9 @@
 //!   (`ψ`, `ω`, `n⁻¹` — the chip's `INV_POLYDEG` register).
 //! * [`rns`] — the Residue Number System (Section II-D): tower
 //!   decomposition and CRT reconstruction.
-//! * [`signed`] — centered signed representatives and round-to-nearest
-//!   division, the decoder primitives shared by BFV and CKKS, and
-//!   [`signed::ScaleRound`], the exact `⌊t·x/q⌉` for a fixed `(t, q)`.
+//! * [`signed`] — centered signed representatives, shared by BFV and
+//!   CKKS, and the exact 256-bit routes (round-to-nearest division,
+//!   [`signed::ScaleRound`]) their word-level decoders are tested against.
 //!
 //! # Examples
 //!

@@ -4,15 +4,14 @@
 //! residue in `[0, q)` (or a CRT composition in `[0, Q)`) as the *centered*
 //! signed value in `(−q/2, q/2]`, and dividing by a scaling factor with
 //! round-to-nearest (`⌊x/Δ⌉`, the Eq. 4 rounding in BFV decrypt and the
-//! `/Δ` step of the CKKS decoder). Both used to be open-coded at each call
-//! site; this module is their one home, shared by `cofhee_bfv` (decrypt,
-//! tensor recombination) and `cofhee_ckks` (decoding out of the RNS chain).
+//! `/Δ` step of the CKKS decoder). [`centered`] and [`to_residue`] serve
+//! the samplers and signed lifts of `cofhee_bfv` and `cofhee_ckks`.
 //!
-//! The free functions take any denominator and pay a 256-bit division per
-//! call. Where the scaling `(t, q)` is fixed for the life of a parameter
-//! set and the rounding runs once per coefficient — BFV's Eq. 4 and
-//! decryption — [`ScaleRound`] precomputes the reciprocals and gives the
-//! same results from multiplications alone.
+//! The rest is the exact 256-bit route, the tests' oracle for the word
+//! paths (BFV's Eq. 4 and decryption, CKKS decoding), which `docs_check`
+//! keeps it out of: [`round_div_u256`] divides by any denominator,
+//! [`ScaleRound`] by a fixed `(t, q)` from multiplications alone, and
+//! [`centered_to_f64`] converts a composed value.
 
 use crate::error::{ArithError, Result};
 use crate::u256::U256;
@@ -70,8 +69,8 @@ pub fn round_div_u256(num: U256, den: U256) -> U256 {
 }
 
 /// The exact scale-and-round `x ↦ ⌊t·x/q⌉ mod m` on signed magnitudes, for
-/// a fixed `(t, q, m)` — BFV's Eq. 4 finisher (`m = q`) and decryption
-/// (`m = t`).
+/// a fixed `(t, q, m)` — the oracle of BFV's Eq. 4 finisher (`m = q`) and
+/// of its decryption (`m = t`).
 ///
 /// Bit for bit what `round_div_u256(t·|x|, q).rem(m)` with the sign
 /// re-applied returns (ties of the magnitude round up), but both divisions

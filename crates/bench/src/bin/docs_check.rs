@@ -32,6 +32,14 @@
 //! transforms run there, and they are pinned bit for bit to its scalar
 //! stages and to the strict kernels.
 //!
+//! **Words per coefficient.** No client or evaluator path builds a 256-bit
+//! integer per coefficient: BFV decryption rounds on words and CKKS
+//! decoding composes on words. So library code outside `cofhee_arith`
+//! (which defines the 256-bit routes and keeps them as the tests' oracles)
+//! and the bench crate (whose bins time them) must not name
+//! `ScaleRound`, `compose_centered` or `centered_to_f64` outside a
+//! `#[cfg(test)]` item — the same scan as the strict kernels'.
+//!
 //! **One unsafe module.** Library code writes `unsafe` in one file, the
 //! vector lanes (`crates/poly/src/ifma.rs`): the other library crates
 //! forbid `unsafe_code` and `cofhee_poly` denies it outside that module,
@@ -132,6 +140,12 @@ const STRICT_KERNEL_ALLOWED: [&str; 4] = [
     "crates/bench/src/bin/docs_check.rs",
 ];
 
+/// The 256-bit per-coefficient routes, as library code would name them.
+const WIDE_ROUTES: [&str; 3] = ["ScaleRound", "compose_centered", "centered_to_f64"];
+
+/// Crates whose sources may name [`WIDE_ROUTES`] outside tests.
+const WIDE_ROUTES_ALLOWED: [&str; 2] = ["crates/arith/", "crates/bench/"];
+
 /// `unsafe` as code writes it — not the `unsafe_code` lint's name.
 const UNSAFE: [&str; 5] = ["unsafe {", "unsafe fn", "unsafe impl", "unsafe trait", "unsafe extern"];
 
@@ -202,9 +216,9 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Prints one line per stray strict-kernel call, per thread created
-/// outside `fan_out` and per `unsafe` outside the vector lanes; returns
-/// how many.
+/// Prints one line per stray strict-kernel call, per 256-bit route named
+/// outside `cofhee_arith`, per thread created outside `fan_out` and per
+/// `unsafe` outside the vector lanes; returns how many.
 fn check_sources(root: &Path) -> usize {
     let mut files = Vec::new();
     let Ok(crates) = std::fs::read_dir(root.join("crates")) else { return 0 };
@@ -212,7 +226,7 @@ fn check_sources(root: &Path) -> usize {
         rust_sources(&krate.path().join("src"), &mut files);
     }
     files.sort();
-    let (mut stray, mut spawns, mut unsafes) = (0usize, 0usize, 0usize);
+    let (mut stray, mut wide, mut spawns, mut unsafes) = (0usize, 0usize, 0usize, 0usize);
     for file in &files {
         let rel = file.strip_prefix(root).unwrap_or(file).to_string_lossy();
         let src = std::fs::read_to_string(file).expect("listed file is readable");
@@ -220,6 +234,12 @@ fn check_sources(root: &Path) -> usize {
             for (line, kernel) in calls_outside_tests(&src, &STRICT_KERNELS) {
                 stray += 1;
                 println!("strict kernel outside tests: {rel}:{line}: {kernel}");
+            }
+        }
+        if !WIDE_ROUTES_ALLOWED.iter().any(|p| rel.starts_with(p)) {
+            for (line, route) in calls_outside_tests(&src, &WIDE_ROUTES) {
+                wide += 1;
+                println!("256-bit route outside cofhee_arith: {rel}:{line}: {route}");
             }
         }
         let allowed = THREAD_CALLS_ALLOWED.iter().find(|(p, _)| rel == *p).map_or(0, |(_, n)| *n);
@@ -235,11 +255,12 @@ fn check_sources(root: &Path) -> usize {
         }
     }
     println!(
-        "docs_check: {} sources, {stray} strict-kernel calls outside tests, {spawns} threads \
-         created outside fan_out, {unsafes} unsafe lines outside the vector lanes",
+        "docs_check: {} sources, {stray} strict-kernel calls outside tests, {wide} 256-bit \
+         routes outside cofhee_arith, {spawns} threads created outside fan_out, {unsafes} unsafe \
+         lines outside the vector lanes",
         files.len()
     );
-    stray + spawns + unsafes
+    stray + wide + spawns + unsafes
 }
 
 /// Prints one line per broken relative link; returns how many.
@@ -358,6 +379,7 @@ fn main() {
 mod tests {
     use super::{
         calls_outside_tests, declared_bins, named_bins, unsafe_lines, STRICT_KERNELS, THREAD_CALLS,
+        WIDE_ROUTES,
     };
 
     fn strict_kernel_calls(src: &str) -> Vec<(usize, &'static str)> {
@@ -411,6 +433,26 @@ mod tests {
         assert_eq!(
             calls_outside_tests(src, &THREAD_CALLS),
             vec![(3, "thread::scope"), (7, "thread::spawn")]
+        );
+    }
+
+    #[test]
+    fn scan_finds_256_bit_routes_outside_tests() {
+        let src = "\
+//! Decodes without compose_centered.
+use cofhee_arith::signed::{self, ScaleRound};
+fn decode() {
+    let (mag, neg) = basis.compose_centered(&residues)?;
+    signed::centered_to_f64(mag, neg)
+}
+#[cfg(test)]
+mod tests {
+    fn oracle() { basis.compose_centered(&r).unwrap(); }
+}
+";
+        assert_eq!(
+            calls_outside_tests(src, &WIDE_ROUTES),
+            vec![(2, "ScaleRound"), (4, "compose_centered"), (5, "centered_to_f64")]
         );
     }
 

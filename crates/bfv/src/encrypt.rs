@@ -10,11 +10,12 @@
 //! — `(kp₁, kp₂)` or `(s, s²)` — resident on it in NTT form from then
 //! on. An encryption is three transforms and a decryption two or three,
 //! none of them of a key. The samplers, the `Δ·m` lift and the
-//! `⌊t·v/q⌉` rounding stay host-side.
+//! `⌊t·v/q⌉` rounding stay host-side, the rounding on words
+//! (`decrypt_round`, no 256-bit integer per coefficient).
 
 use std::sync::{Arc, OnceLock};
 
-use cofhee_arith::{ModRing, U256};
+use cofhee_arith::ModRing;
 use cofhee_core::{record_decrypt, record_encrypt, Limb, OpStream};
 use cofhee_opt::{KeyId, LimbEngine};
 use rand::Rng;
@@ -116,15 +117,8 @@ impl Decryptor {
 
     /// `m = ⌊t·v/q⌉ mod t` on the centered representative of `v`.
     fn round(&self, v: &[u128]) -> Result<Plaintext> {
-        let ring = self.params.ring();
-        let round = self.params.decrypt_round();
-        let coeffs = v
-            .iter()
-            .map(|&c| {
-                let (mag, neg) = sampling::elem_to_centered(ring, c);
-                Ok(round.apply(U256::from_u128(mag), neg)? as u64)
-            })
-            .collect::<Result<Vec<u64>>>()?;
+        let (ring, round) = (self.params.ring(), decrypt_round(self.params.t(), self.params.q()));
+        let coeffs = v.iter().map(|&c| round(sampling::elem_to_centered(ring, c))).collect();
         Plaintext::new(&self.params, coeffs)
     }
 
@@ -163,10 +157,38 @@ impl Decryptor {
     }
 }
 
+/// Decryption's `⌊t·x/q⌉ mod t` on words, for a centered `x = ±mag`
+/// with `mag ≤ q/2`: the rounded magnitude is below `t`, so only the sign
+/// needs the modulus. An `f64` estimate `m` of `t·mag/q` is corrected from
+/// the exact residual `r = t·mag − m·q`, in wrapping `i128` (its true value
+/// is inside `±2^124`), to `−q/2 < r < q/2` (`q` is odd: no ties). Below
+/// `t = 2^50` the estimate is within one; a wider `t` (up to `2^64` where
+/// `q` accepts it) first adds `r`'s own rounded quotient, within one again.
+fn decrypt_round(t: u64, q: u128) -> impl Fn((u128, bool)) -> u64 {
+    let (t_over_q, inv_q, wide) = (t as f64 / q as f64, 1.0 / q as f64, t >> 50 != 0);
+    let qi = q as i128;
+    move |(mag, neg)| {
+        let mut m = i128::from((t_over_q * mag as f64 + 0.5) as u64);
+        let mut r =
+            u128::from(t).wrapping_mul(mag).wrapping_sub((m as u128).wrapping_mul(q)) as i128;
+        if wide {
+            let d = (r as f64 * inv_q).round() as i128;
+            (m, r) = (m + d, r - d * qi);
+        }
+        let m = (m + i128::from(2 * r >= qi) - i128::from(2 * r < -qi)) as u64;
+        if neg && m != 0 {
+            t - m
+        } else {
+            m
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::keys::KeyGenerator;
+    use cofhee_arith::U256;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -191,6 +213,69 @@ mod tests {
     fn live_buffers(engine: &OnceLock<LimbEngine>) -> u64 {
         let pool = engine.get().expect("brought up").pool_stats();
         pool.hits + pool.misses - pool.recycled
+    }
+
+    /// Residues of the known answers at `q`: `0`, `±1`, `±⌊q/2⌋`, and both
+    /// sides of the boundary `(2m+1)·q/(2t)` — where `t·x/q` crosses
+    /// `m + ½` — for sampled `m` up to `⌊t/2⌋`, with their negatives.
+    fn known_answers(t: u64, q: u128, rng: &mut StdRng) -> Vec<u128> {
+        let mut values = vec![0, 1, q - 1, q / 2, q / 2 + 1];
+        let ms = [0, 1, 2, t / 4, t / 2 - 1, t / 2].into_iter();
+        for m in ms.chain((0..64).map(|_| rng.gen::<u64>() % (t / 2 + 1))) {
+            let num = U256::from_u128(q).wrapping_mul(U256::from_u128(2 * u128::from(m) + 1));
+            let x = num.div_rem(U256::from_u128(2 * u128::from(t))).0.low_u128();
+            for x in [x, x + 1].into_iter().filter(|&x| x <= q / 2) {
+                values.extend([x, q - x].into_iter().filter(|&v| v < q));
+            }
+        }
+        values.extend((0..256).map(|_| rng.gen::<u128>() % q));
+        values
+    }
+
+    #[test]
+    fn the_word_round_is_the_256_bit_round_at_every_known_answer() {
+        use cofhee_arith::{primes, signed::ScaleRound};
+        let n = 64;
+        let q90 = primes::ntt_prime(90, n).unwrap();
+        let sets = [
+            BfvParams::paper_n12().unwrap(),
+            BfvParams::paper_n13_single_tower().unwrap(),
+            BfvParams::insecure_testing(n).unwrap(),
+            // Either side of the estimate's own reach, then the widest t.
+            BfvParams::new(n, (1 << 50) - 1, q90).unwrap(),
+            BfvParams::new(n, (1 << 50) + 1, q90).unwrap(),
+            BfvParams::new(n, u64::MAX, q90).unwrap(),
+            BfvParams::new(n, 2, q90).unwrap(),
+        ];
+        let mut rng = StdRng::seed_from_u64(46);
+        for params in sets {
+            let (t, q) = (params.t(), params.q());
+            let (round, oracle) = (decrypt_round(t, q), ScaleRound::new(t.into(), q, t.into()));
+            let oracle = oracle.unwrap();
+            for v in known_answers(t, q, &mut rng) {
+                let (mag, neg) = cofhee_arith::signed::centered(q, v);
+                let want = oracle.apply(U256::from_u128(mag), neg).unwrap() as u64;
+                assert_eq!(round((mag, neg)), want, "t = {t}, q = {q}, v = {v}");
+            }
+        }
+        // And through `decrypt`: `(v, 0)` decrypts to the round of `v`.
+        let (params, _, dec, mut rng) = setup(n, 9);
+        let (t, q) = (params.t(), params.q());
+        let oracle = ScaleRound::new(t.into(), q, t.into()).unwrap();
+        for v in known_answers(t, q, &mut rng).chunks(n).filter(|c| c.len() == n) {
+            let ct = Ciphertext::new(vec![
+                Limb::new(q, v.to_vec()).unwrap(),
+                Limb::new(q, vec![0; n]).unwrap(),
+            ]);
+            let want: Vec<u64> = v
+                .iter()
+                .map(|&v| {
+                    let (mag, neg) = cofhee_arith::signed::centered(q, v);
+                    oracle.apply(U256::from_u128(mag), neg).unwrap() as u64
+                })
+                .collect();
+            assert_eq!(dec.decrypt(&ct.unwrap()).unwrap().coeffs(), &want[..]);
+        }
     }
 
     #[test]

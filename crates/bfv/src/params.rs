@@ -17,8 +17,7 @@
 use std::sync::Arc;
 
 use cofhee_arith::{
-    primes, rns::RnsBasis, signed::ScaleRound, Barrett128, Barrett64, LazyRing, ModRing, ShoupMul,
-    U256,
+    primes, rns::RnsBasis, Barrett128, Barrett64, LazyRing, ModRing, ShoupMul, U256,
 };
 use cofhee_poly::rns::{self, Lane};
 
@@ -49,7 +48,7 @@ pub struct BfvParams {
     crt: Arc<CrtTables>,
 }
 
-/// What the host half of multiplication and decryption precomputes.
+/// What the host half of multiplication precomputes.
 #[derive(Debug)]
 struct CrtTables {
     /// The tensor's moduli in stream order: the lane primes `p₁ … p_k`,
@@ -57,8 +56,6 @@ struct CrtTables {
     mult_basis: RnsBasis,
     /// Eq. 4's `⌊t·x/q⌉ mod q` from the tensor's residues.
     tensor_round: RnsRound,
-    /// Decryption's `⌊t·v/q⌉ mod t`.
-    decrypt_round: ScaleRound,
 }
 
 /// Eq. 4's exact `⌊t·x/q⌉ mod q` in RNS over `{p₁ … p_k} ∪ {q}`, the
@@ -105,37 +102,55 @@ impl RnsRound {
 
     /// `out[j] = ⌊t·x/q⌉ mod q` for a run of tensor coefficients, from
     /// their residues mod `q` and one column per lane prime. An unreduced
-    /// residue is `OperandOutOfRange`, before anything is written. With
-    /// `lanes`, the fused kernel of [`cofhee_poly::rns::scale_round`] runs
-    /// where the host has it; otherwise one pass per column, `tx` and
-    /// `estimate` the caller's scratch.
+    /// residue is `OperandOutOfRange`, and no result is returned: the pass
+    /// that rounds checks each word it reads — the fused kernel of
+    /// [`cofhee_poly::rns::scale_round`] where the host has it and `lanes`
+    /// asks, otherwise the scalar loop on the caller's `scratch`.
     pub(crate) fn apply<'a>(
         &self,
         out: &mut [u128],
         x_q: &'a [u128],
         x_p: impl Iterator<Item = &'a [u128]> + Clone,
-        (tx, estimate): &mut (Vec<u128>, Vec<f64>),
+        scratch: &mut (Vec<u128>, Vec<f64>),
         lanes: bool,
     ) -> Result<()> {
-        let ring = &self.q;
-        let q = ring.q();
-        let moduli = std::iter::once(q).chain(self.lanes.iter().map(|l| u128::from(l.p)));
-        for (column, modulus) in std::iter::once(x_q).chain(x_p.clone()).zip(moduli) {
-            if !cofhee_poly::pointwise::all_below(modulus, column) {
-                let value = *column.iter().find(|&&x| x >= modulus).expect("one is unreduced");
-                return Err(cofhee_arith::ArithError::OperandOutOfRange { value, modulus }.into());
-            }
-        }
+        let q = self.q.q();
         // The kernel takes at most seven lane primes; more runs scalar.
         let mut columns = [&[][..]; 8];
         let k = columns.iter_mut().zip(x_p.clone()).map(|(c, x)| *c = x).count();
         let x = (x_q, &columns[..k]);
-        if lanes && rns::scale_round(out, x, (q, &self.t), &self.lanes, &self.p_multiples) {
+        let kernel = || rns::scale_round(out, x, (q, &self.t), &self.lanes, &self.p_multiples);
+        let reduced = match lanes.then(kernel).flatten() {
+            Some(reduced) => reduced,
+            None => self.scalar(out, x_q, x_p.clone(), scratch),
+        };
+        if reduced {
             return Ok(());
         }
+        let moduli = std::iter::once(q).chain(self.lanes.iter().map(|l| u128::from(l.p)));
+        let unreduced = |(c, m): (&[u128], u128)| c.iter().find(|&&x| x >= m).map(|&x| (x, m));
+        let mut columns = std::iter::once(x_q).chain(x_p).zip(moduli);
+        let (value, modulus) = columns.find_map(unreduced).expect("a residue is unreduced");
+        Err(cofhee_arith::ArithError::OperandOutOfRange { value, modulus }.into())
+    }
+
+    /// The scalar loop, one pass per column: whether every word was reduced.
+    fn scalar<'a>(
+        &self,
+        out: &mut [u128],
+        x_q: &'a [u128],
+        x_p: impl Iterator<Item = &'a [u128]>,
+        (tx, estimate): &mut (Vec<u128>, Vec<f64>),
+    ) -> bool {
+        let ring = &self.q;
+        let q = ring.q();
+        let mut reduced = true;
         // [t·x]_q, and Σ ỹⱼ·[P̂ⱼ]_q accumulated in `out` below 2q.
         tx.clear();
-        tx.extend(x_q.iter().map(|&x| ring.reduce_once(ring.mul_lazy(x, &self.t))));
+        tx.extend(x_q.iter().map(|&x| {
+            reduced &= x < q;
+            ring.reduce_once(ring.mul_lazy(x, &self.t))
+        }));
         estimate.clear();
         estimate.resize(out.len(), 0.5);
         out.fill(0);
@@ -144,6 +159,7 @@ impl RnsRound {
             let (w, quotient) = lane.weight;
             let terms = out.iter_mut().zip(estimate.iter_mut()).zip(tx.iter()).zip(column);
             for (((acc, e), &tx), &x) in terms {
+                reduced &= x < u128::from(lane.p);
                 // t·xⱼ − [r]_{pⱼ} = t·xⱼ − [t·x]_q (+ q past q/2), below 5pⱼ.
                 let r = u64::from(tx > half) * lane.q + 2 * p.q() - p.reduce_u128(tx);
                 let y = p.reduce_once(p.mul_lazy(p.mul_lazy(x as u64, &lane.t) + r, &lane.scale));
@@ -159,7 +175,7 @@ impl RnsRound {
         for (acc, &e) in out.iter_mut().zip(estimate.iter()) {
             *acc = ring.sub(ring.reduce_once(*acc), self.p_multiples[e as i64 as usize]);
         }
-        Ok(())
+        reduced
     }
 }
 
@@ -209,11 +225,8 @@ impl BfvParams {
         let mult_basis = RnsBasis::new(moduli).map_err(|_| BfvError::InvalidParams {
             reason: format!("q·P exceeds 2^256 for t = {t}, log q = {q_bits}, n = {n}"),
         })?;
-        let crt = Arc::new(CrtTables {
-            mult_basis,
-            tensor_round: RnsRound::new(t, q, &lane_primes)?,
-            decrypt_round: ScaleRound::new(t as u128, q, t as u128)?,
-        });
+        let crt =
+            Arc::new(CrtTables { mult_basis, tensor_round: RnsRound::new(t, q, &lane_primes)? });
         Ok(Self { n, t, q, ring, delta: q / t as u128, crt })
     }
 
@@ -302,12 +315,6 @@ impl BfvParams {
     #[inline]
     pub(crate) fn tensor_round(&self) -> &RnsRound {
         &self.crt.tensor_round
-    }
-
-    /// The exact scale-and-round decrypting a coefficient.
-    #[inline]
-    pub(crate) fn decrypt_round(&self) -> &ScaleRound {
-        &self.crt.decrypt_round
     }
 }
 

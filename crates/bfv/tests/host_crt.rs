@@ -179,6 +179,30 @@ fn tensor_combine_refuses_an_unreduced_residue() {
     }
 }
 
+/// The range check rides in the rounding pass: a residue past its modulus
+/// by any amount — in the low word or only in the high one — at any
+/// coefficient is the typed error naming that residue, on both paths.
+#[test]
+fn an_unreduced_residue_is_refused_wherever_it_lies() {
+    let params = BfvParams::insecure_testing(64).unwrap();
+    let eval = Evaluator::new(&params).unwrap();
+    let n = params.n();
+    let good = limbs_of(&params, &vec![(U256::ONE, false); 3 * n]);
+    for (path, eval) in [("lanes", eval.clone()), ("scalar", eval.with_scalar_host_loops())] {
+        for (limb, &modulus) in params.mult_basis().moduli().iter().enumerate() {
+            for (at, value) in
+                (0..n).zip([modulus + 1, 1 << 64, u128::MAX, (1 << 64) | 1].iter().cycle())
+            {
+                let mut limbs = good.clone();
+                limbs[limb][at % 3][at] = *value;
+                let got = eval.tensor_combine(&limbs);
+                let want = ArithError::OperandOutOfRange { value: *value, modulus };
+                assert_eq!(got.err(), Some(BfvError::Arith(want)), "{path}, limb {limb}, at {at}");
+            }
+        }
+    }
+}
+
 /// Two's-complement image of the centered representative of `c` mod `q`.
 fn lift_signed(c: u128, q: u128) -> U256 {
     if c > q / 2 {

@@ -13,9 +13,9 @@
 //! coefficient vectors into slot evaluations and back in `O(n log n)`.
 //! Encoding multiplies by the scaling factor Δ and rounds each
 //! coefficient to the nearest integer, then reduces into every active
-//! RNS limb; decoding CRT-composes the centered representative out of
-//! the chain ([`cofhee_arith::signed`]) and divides by the carried
-//! scale.
+//! RNS limb. Decoding composes each centered coefficient out of the limbs
+//! on words (Garner's digits, then a `u128`: every chain is below
+//! `2^127`), converts it to `f64` and divides by the carried scale.
 //!
 //! # Precision accounting
 //!
@@ -25,7 +25,7 @@
 //! inside the 2⁻²⁰ relative bound the flow tests assert. The FFT's own
 //! f64 error is orders of magnitude below that.
 
-use cofhee_arith::signed;
+use cofhee_arith::{signed, Barrett128, Barrett64, LazyRing, Result as ArithResult, ShoupMul};
 use cofhee_core::Limb;
 
 use crate::ciphertext::CkksPlaintext;
@@ -38,6 +38,59 @@ pub struct CkksEncoder {
     params: CkksParams,
     /// Precomputed `ψ^k = e^{iπk/n}` twist factors, `k = 0..n`.
     twist: Vec<(f64, f64)>,
+    /// The decoder's compose constants for the whole chain.
+    garner: Garner,
+}
+
+/// Garner's constants of the chain on one ring width, words where every
+/// prime fits [`Barrett64`]: with `Pᵢ = q₀·…·q_{i−1}`, limb `i` holds
+/// `[−Pⱼ/Pᵢ]_{qᵢ}` for each `j < i`, then `[1/Pᵢ]_{qᵢ}`, as Shoup pairs, so
+/// the digit `vᵢ = [(rᵢ − Σⱼ vⱼ·Pⱼ)/Pᵢ]_{qᵢ}` is `i + 1` lazy products of
+/// unreduced words. A level reads a prefix.
+#[derive(Debug, Clone)]
+enum Garner {
+    Word(Vec<(Barrett64, Vec<ShoupMul<u64>>)>),
+    Wide(Vec<(Barrett128, Vec<ShoupMul<u128>>)>),
+}
+
+fn garner<R: LazyRing>(
+    moduli: &[u128],
+    ring: impl Fn(u128) -> ArithResult<R>,
+) -> Vec<(R, Vec<ShoupMul<R::Elem>>)> {
+    let limb = |(i, &q): (usize, &u128)| {
+        let ring = ring(q).expect("a validated chain prime");
+        let prefix =
+            |j| moduli[..j].iter().fold(ring.one(), |p, &q| ring.mul(p, ring.from_u128(q)));
+        let inv = ring.inv(prefix(i)).expect("the chain primes are distinct");
+        let weights = (0..i).map(|j| ring.neg(ring.mul(prefix(j), inv))).chain([inv]);
+        let weights = weights.map(|w| ring.shoup(w)).collect();
+        (ring, weights)
+    };
+    moduli.iter().enumerate().map(limb).collect()
+}
+
+/// Each coefficient's centered value over `scale`, from the limb columns.
+fn compose<R: LazyRing>(
+    limbs: &[(R, Vec<ShoupMul<R::Elem>>)],
+    columns: &[Limb],
+    scale: f64,
+) -> Vec<f64> {
+    let limbs = &limbs[..columns.len()];
+    let q: u128 = limbs.iter().map(|(ring, _)| ring.modulus()).product();
+    let mut digits = vec![R::Elem::default(); limbs.len()];
+    let coefficient = |at: usize| {
+        for (i, (ring, weights)) in limbs.iter().enumerate() {
+            let r = ring.mul_lazy(ring.from_u128(columns[i][at]), &weights[i]);
+            let terms = digits[..i].iter().zip(weights);
+            let sum = terms.fold(r, |acc, (&v, w)| ring.add_lazy(acc, ring.mul_lazy(v, w)));
+            digits[i] = ring.reduce_once(sum);
+        }
+        // x = v₀ + q₀·(v₁ + q₁·(…)) < Q < 2^127, centred at Q/2.
+        let terms = limbs.iter().zip(&digits).rev();
+        let x = terms.fold(0, |x, ((ring, _), &v)| x * ring.modulus() + ring.to_u128(v));
+        (if x > q / 2 { -((q - x) as f64) } else { x as f64 }) / scale
+    };
+    (0..columns[0].len()).map(coefficient).collect()
 }
 
 impl CkksEncoder {
@@ -51,7 +104,14 @@ impl CkksEncoder {
                 (theta.cos(), theta.sin())
             })
             .collect();
-        Self { params: params.clone(), twist }
+        let moduli = params.moduli();
+        let garner =
+            if moduli.iter().all(|&q| u64::try_from(q).is_ok_and(|q| Barrett64::new(q).is_ok())) {
+                Garner::Word(garner(moduli, |q| Barrett64::new(q as u64)))
+            } else {
+                Garner::Wide(garner(moduli, Barrett128::new))
+            };
+        Self { params: params.clone(), twist, garner }
     }
 
     /// Number of real slots one plaintext packs (`n / 2`).
@@ -134,16 +194,10 @@ impl CkksEncoder {
     /// match the carried level (impossible for encoder-produced values).
     pub fn decode(&self, pt: &CkksPlaintext) -> Result<Vec<f64>> {
         let n = self.params.n();
-        let basis = self.params.basis_at(pt.level());
-        let mut re = Vec::with_capacity(n);
-        let mut residues = vec![0u128; pt.level().limbs()];
-        for j in 0..n {
-            for (r, limb) in residues.iter_mut().zip(pt.limbs()) {
-                *r = limb[j];
-            }
-            let (mag, neg) = basis.compose_centered(&residues)?;
-            re.push(signed::centered_to_f64(mag, neg) / pt.scale());
-        }
+        let mut re = match &self.garner {
+            Garner::Word(limbs) => compose(limbs, pt.limbs(), pt.scale()),
+            Garner::Wide(limbs) => compose(limbs, pt.limbs(), pt.scale()),
+        };
         // Twist by ψ^k, then evaluate at all odd roots with one FFT.
         let mut im = vec![0.0f64; n];
         for k in 0..n {
@@ -220,6 +274,51 @@ mod tests {
         let p = CkksParams::insecure_testing(64).unwrap();
         let enc = CkksEncoder::new(&p);
         (p, enc)
+    }
+
+    /// The word compose ≡ the 256-bit route (`compose_centered`, then
+    /// `centered_to_f64`, over the scale) bit for bit, at `0`, `±1`,
+    /// `±⌊Q/2⌋`, either side of `2^53` and `2^64` and at random, at every
+    /// level, on the test chain and on one whose base prime is past `2^62`.
+    #[test]
+    fn the_word_compose_is_the_256_bit_compose_at_every_known_answer() {
+        let n = 64;
+        let mut wide = vec![cofhee_arith::primes::ntt_prime(63, n).unwrap()];
+        wide.extend(cofhee_arith::primes::ntt_primes(30, n, 2).unwrap());
+        let wide = CkksParams::new(n, wide, (1u64 << 30) as f64, 18).unwrap();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u128;
+        for (p, words) in [(setup().0, true), (wide, false)] {
+            let enc = CkksEncoder::new(&p);
+            assert_eq!(matches!(enc.garner, Garner::Word(_)), words);
+            for level in (0..p.moduli().len()).map(Level::new) {
+                let basis = p.basis_at(level);
+                let q = basis.product().low_u128();
+                let mut values = vec![0, 1, q - 1, q / 2, q / 2 + 1];
+                let edges = [1u128 << 53, 1 << 64].into_iter().flat_map(|m| [m - 1, m, m + 1]);
+                values.extend(edges.filter(|&m| m <= q / 2).flat_map(|m| [m, q - m]));
+                values.extend((values.len()..n).map(|_| {
+                    state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(0x1405_7b7e);
+                    state % q
+                }));
+                let limbs = basis
+                    .moduli()
+                    .iter()
+                    .map(|&qj| Limb::new(qj, values.iter().map(|&v| v % qj).collect()).unwrap())
+                    .collect();
+                let scale = p.scale() * 1.5;
+                let pt = CkksPlaintext::new(&p, limbs, level, scale).unwrap();
+                let oracle = values.iter().map(|&v| {
+                    let (mag, neg) = basis.compose_centered(&basis.decompose_u128(v)).unwrap();
+                    (signed::centered_to_f64(mag, neg) / scale).to_bits()
+                });
+                let got = match &enc.garner {
+                    Garner::Word(limbs) => compose(limbs, pt.limbs(), scale),
+                    Garner::Wide(limbs) => compose(limbs, pt.limbs(), scale),
+                };
+                let got: Vec<u64> = got.iter().map(|c| c.to_bits()).collect();
+                assert_eq!(got, oracle.collect::<Vec<_>>(), "level {level}, words {words}");
+            }
+        }
     }
 
     #[test]

@@ -18,17 +18,19 @@
 //! word width. The limbs run one after another on the calling thread:
 //! each stream is a quarter of a millisecond at `n = 2^13`, less than a
 //! thread fan-out is worth. The samplers and the signed lifts stay
-//! host-side.
+//! host-side: `u`, `e₁`, `e₂` are drawn once, uploaded by `Arc` and lifted
+//! in place from limb to limb (`keys::lift_to`).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use cofhee_bfv::sampling;
 use cofhee_core::{record_decrypt, record_encrypt, Limb, OpStream};
 use cofhee_opt::{KeyId, LimbEngine};
 use rand::Rng;
 
 use crate::ciphertext::{check_shape, CkksCiphertext, CkksPlaintext, RnsPoly};
 use crate::error::Result;
-use crate::keys::{lift_limb, sample_signed, CkksPublicKey, CkksSecretKey, SignedDist};
+use crate::keys::{lift_to, CkksPublicKey, CkksSecretKey};
 use crate::params::CkksParams;
 
 /// Encrypts encoded plaintexts under a public key.
@@ -64,19 +66,22 @@ impl CkksEncryptor {
     ) -> Result<CkksCiphertext> {
         check_shape(&self.params, pt.level(), std::slice::from_ref(pt.limbs()))?;
         // One signed sample each, shared across limbs (consistency).
-        let u = sample_signed(&self.params, rng, SignedDist::Ternary);
-        let e1 = sample_signed(&self.params, rng, SignedDist::Cbd);
-        let e2 = sample_signed(&self.params, rng, SignedDist::Cbd);
-        let n = self.params.n();
+        let (ring, n) = (self.params.ring(0), self.params.n());
+        let mut u = Arc::new(sampling::ternary(ring, n, rng));
+        let mut e1 = Arc::new(sampling::error_poly(ring, n, rng));
+        let mut e2 = Arc::new(sampling::error_poly(ring, n, rng));
         let engine = LimbEngine::client(&self.engine, self.params.moduli(), n)?;
         let pairs = self.pk.parts.iter().map(|(p0, p1)| (&p0[..], &p1[..]));
         let keys = engine.resident_pair(&self.key, pairs)?;
         let limbs = pt.level().limbs();
         let (mut c0, mut c1) = (Vec::with_capacity(limbs), Vec::with_capacity(limbs));
         for (j, m) in pt.limbs().iter().enumerate() {
-            let lift = |signed: &[i64]| lift_limb(&self.params, j, signed);
+            for s in [&mut u, &mut e1, &mut e2] {
+                lift_to(&self.params, j, Arc::make_mut(s).as_mut_slice());
+            }
             let mut st = OpStream::new(n);
-            record_encrypt(&mut st, keys[j], lift(&u), [lift(&e1), lift(&e2)], m)?;
+            let noise = [Arc::clone(&e1), Arc::clone(&e2)];
+            record_encrypt(&mut st, keys[j], Arc::clone(&u), noise, m)?;
             let [c0_j, c1_j]: [Vec<u128>; 2] =
                 engine.run_one(j, st)?.try_into().expect("record_encrypt marks (c0, c1)");
             c0.push(Limb::new(m.modulus(), c0_j)?);

@@ -7,12 +7,12 @@
 //! transformed exactly once — here, as it is generated.
 //!
 //! The small signed polynomials (ternary secret, CBD errors) are sampled
-//! *once* as integers and mapped into every limb's ring — that is what
-//! makes the per-limb representations consistent residues of a single
-//! integer polynomial. The public uniform polynomials are sampled
-//! independently per limb, which by CRT **is** a uniform sample modulo
-//! the chain product. Sampling reuses the scheme-agnostic helpers from
-//! `cofhee_bfv::sampling` (generic over [`cofhee_arith::ModRing`]) and
+//! *once*, in the base limb's ring, and lifted limb to limb (`lift_to`)
+//! — that is what makes the per-limb representations consistent residues
+//! of a single integer polynomial. The public uniform polynomials are
+//! sampled independently per limb, which by CRT **is** a uniform sample
+//! modulo the chain product. Sampling reuses the scheme-agnostic helpers
+//! from `cofhee_bfv::sampling` (generic over [`cofhee_arith::ModRing`]) and
 //! stays host-side; every draw of a key is made before anything is
 //! computed, in the order keys have always had.
 //!
@@ -29,9 +29,9 @@
 //! evaluator's engine keys the key's resident copy on, and releases it
 //! by.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use cofhee_arith::{signed, ModRing};
+use cofhee_arith::ModRing;
 use cofhee_bfv::sampling;
 use cofhee_core::{record_public_key, record_relin_key, record_square, KeyPair, Limb, OpStream};
 use cofhee_opt::{KeyId, LimbEngine};
@@ -124,10 +124,11 @@ impl CkksKeyGenerator {
     /// Propagates engine bring-up and execution failures (none for
     /// validated parameter sets).
     pub fn secret_key<G: Rng + ?Sized>(&self, rng: &mut G) -> Result<CkksSecretKey> {
-        let signed = sample_signed(&self.params, rng, SignedDist::Ternary);
+        let mut signed = sampling::ternary(self.params.ring(0), self.params.n(), rng);
         let (mut s, mut s_sq) = (Vec::new(), Vec::new());
         for j in 0..self.limbs() {
-            let s_j = Limb::new(self.params.moduli()[j], lift_limb(&self.params, j, &signed))?;
+            lift_to(&self.params, j, &mut signed);
+            let s_j = Limb::new(self.params.moduli()[j], signed.clone())?;
             let mut st = OpStream::new(self.params.n());
             record_square(&mut st, &s_j)?;
             s_sq.push(self.run(j, st)?.remove(0));
@@ -146,13 +147,13 @@ impl CkksKeyGenerator {
         sk: &CkksSecretKey,
         rng: &mut G,
     ) -> Result<CkksPublicKey> {
-        let e = sample_signed(&self.params, rng, SignedDist::Cbd);
+        let mut e = Arc::new(sampling::error_poly(self.params.ring(0), self.params.n(), rng));
         let a = (0..self.limbs()).map(|j| self.uniform(j, rng)).collect::<Result<Vec<_>>>()?;
         let mut parts = Vec::with_capacity(a.len());
         for (j, a_j) in a.into_iter().enumerate() {
-            let (q, e_j) = (self.params.moduli()[j], lift_limb(&self.params, j, &e));
+            lift_to(&self.params, j, Arc::make_mut(&mut e).as_mut_slice());
             let mut st = OpStream::new(self.params.n());
-            record_public_key(&mut st, q, &sk.s[j], &a_j, e_j)?;
+            record_public_key(&mut st, self.params.moduli()[j], &sk.s[j], &a_j, Arc::clone(&e))?;
             parts.push((self.run(j, st)?.remove(0), a_j));
         }
         Ok(CkksPublicKey { parts })
@@ -178,7 +179,7 @@ impl CkksKeyGenerator {
         let mut e = Vec::with_capacity(digits);
         let mut a = vec![Vec::with_capacity(digits); self.limbs()];
         for _ in 0..digits {
-            e.push(sample_signed(&self.params, rng, SignedDist::Cbd));
+            e.push(Arc::new(sampling::error_poly(self.params.ring(0), self.params.n(), rng)));
             for (j, a_j) in a.iter_mut().enumerate() {
                 a_j.push(sampling::uniform(self.params.ring(j), self.params.n(), rng));
             }
@@ -188,11 +189,9 @@ impl CkksKeyGenerator {
             let ring = self.params.ring(j);
             // Tⁱ mod qⱼ via repeated squaring on 2^w.
             let t_pow = |i: usize| ring.to_u128(ring.pow(ring.from_u128(1u128 << w), i as u128));
-            let draws = a_j
-                .into_iter()
-                .zip(&e)
-                .enumerate()
-                .map(|(i, (a, e))| (a, lift_limb(&self.params, j, e), t_pow(i)));
+            e.iter_mut().for_each(|e| lift_to(&self.params, j, Arc::make_mut(e).as_mut_slice()));
+            let draws =
+                a_j.into_iter().zip(&e).enumerate().map(|(i, (a, e))| (a, Arc::clone(e), t_pow(i)));
             let mut st = OpStream::new(self.params.n());
             record_relin_key(&mut st, ring.modulus(), &sk.s[j], &sk.s_sq[j], draws)?;
             let mut stored = self.run(j, st)?.into_iter();
@@ -219,44 +218,15 @@ impl CkksKeyGenerator {
     }
 }
 
-/// The two small signed distributions of RLWE key material.
-pub(crate) enum SignedDist {
-    /// The ternary secret distribution.
-    Ternary,
-    /// Centered-binomial noise.
-    Cbd,
-}
-
-/// Samples one small signed polynomial, shared across limbs.
-pub(crate) fn sample_signed<G: Rng + ?Sized>(
-    params: &CkksParams,
-    rng: &mut G,
-    dist: SignedDist,
-) -> Vec<i64> {
-    // Sample in the base limb's ring, recover the exact signed value
-    // (magnitudes ≤ 20 ≪ q₀/2), and reuse it for every limb.
-    let ring = params.ring(0);
-    let elems = match dist {
-        SignedDist::Ternary => sampling::ternary(ring, params.n(), rng),
-        SignedDist::Cbd => sampling::error_poly(ring, params.n(), rng),
-    };
-    elems
-        .into_iter()
-        .map(|e| {
-            let (mag, neg) = sampling::elem_to_centered(ring, e);
-            if neg {
-                -(mag as i64)
-            } else {
-                mag as i64
-            }
-        })
-        .collect()
-}
-
-/// One signed integer polynomial as residues of limb `j`.
-pub(crate) fn lift_limb(params: &CkksParams, j: usize, signed: &[i64]) -> Vec<u128> {
-    let q = params.moduli()[j];
-    signed.iter().map(|&v| signed::to_residue(q, v)).collect()
+/// Lifts small signed residues (magnitudes ≤ 20) in place from limb
+/// `j − 1` to limb `j`: re-centred mod `q_{j−1}`, taken mod `qⱼ`. At
+/// `j = 0`, the samplers' ring, nothing moves.
+pub(crate) fn lift_to(params: &CkksParams, j: usize, samples: &mut [u128]) {
+    let Some(from) = j.checked_sub(1).map(|i| params.moduli()[i]) else { return };
+    let to = params.moduli()[j];
+    for w in samples.iter_mut().filter(|w| **w > from / 2) {
+        *w = to - (from - *w);
+    }
 }
 
 #[cfg(test)]

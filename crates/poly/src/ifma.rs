@@ -363,10 +363,11 @@ pub fn lift_centered(q: u128, x: &[u128], lanes: &[Lane]) -> Option<Vec<Vec<u128
 }
 
 /// `out[i] = ⌊t·x/q⌉ mod q` for the tensor coefficients `x` given by
-/// their canonical residues: `x_q` mod `q` and `x_p[j]` mod lane prime
-/// `j`; `t` is `[t]_q` with its Shoup quotient at `β = 2^128` and
-/// `p_multiples[v] = [v·P]_q` for `v = 0 … k`. Returns whether the lanes
-/// ran: on `false`, `out` is untouched.
+/// their residues: `x_q` mod `q` and `x_p[j]` mod lane prime `j`; `t` is
+/// `[t]_q` with its Shoup quotient at `β = 2^128` and `p_multiples[v] =
+/// [v·P]_q` for `v = 0 … k`. `None` where the lanes do not run (`out`
+/// untouched), else whether every residue was canonical, checked in the
+/// same pass (on `false`, `out` is meaningless).
 ///
 /// # Panics
 ///
@@ -379,19 +380,18 @@ pub fn scale_round(
     (q, t): (u128, &ShoupMul<u128>),
     lanes: &[Lane],
     p_multiples: &[u128],
-) -> bool {
+) -> Option<bool> {
     let len = out.len();
     if !rns_admit(q, len, lanes) {
-        return false;
+        return None;
     }
     assert!(x_q.len() == len && x_p.len() == lanes.len() && x_p.iter().all(|x| x.len() == len));
     assert_eq!(p_multiples.len(), lanes.len() + 1);
     // SAFETY: `rns_admit` saw the three features.
     #[cfg(target_arch = "x86_64")]
-    unsafe {
-        x86::round(q, t, lanes, p_multiples, out, x_q, x_p)
-    };
-    true
+    return Some(unsafe { x86::round(q, t, lanes, p_multiples, out, x_q, x_p) });
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("`rns_admit` is false off x86-64")
 }
 
 /// Whether the host reports the two features the kernels are built for.
@@ -1303,7 +1303,7 @@ mod x86 {
     /// as `cofhee_bfv`'s `RnsRound::apply` computes it; `t` is the Shoup
     /// pair of `[t]_q`. The `k` weighted words, each below `2q`, are summed
     /// uncarried with `[−v·P]_q` and the sum, below `(2k + 1)·q`, is folded
-    /// once per bit of `2k`.
+    /// once per bit of `2k`. Returns whether every residue was canonical.
     ///
     /// # Safety
     ///
@@ -1317,8 +1317,9 @@ mod x86 {
         out: &mut [u128],
         x_q: &[u128],
         x_p: &[&[u128]],
-    ) {
+    ) -> bool {
         let k = Wide::new(q, 128 - q.leading_zeros()).lanes();
+        let below_q = <u128 as Plain>::splat(q - 1);
         let (t, half) = (k.splat(t), splat3(&limbs(U256::from_u128(q / 2))));
         let primes = PrimeLanes::all(lanes);
         let primes = &primes[..lanes.len()];
@@ -1328,11 +1329,14 @@ mod x86 {
         });
         let folds = (2 * lanes.len()).ilog2() as usize + 1;
         let multiples: [Limbs; 4] = [0, 1, 2, 3].map(|l| splat3(&limbs(U256::from_u128(q << l))));
-        // The coefficients of `out` from `at`: eight but at the tail, where
-        // `out` is not an array, so that whole vectors take no mask.
+        // The coefficients of `out` from `at`, and the lanes holding an
+        // unreduced residue: eight but at the tail, where `out` is not an
+        // array, so that whole vectors take no mask.
         let step = |out: &mut [u128], at: usize| {
             let len = out.len();
-            let tx = k.fold(k.mul_lazy(k.load(&x_q[at..][..len]), t), k.q);
+            let words = <u128 as Plain>::load(&x_q[at..][..len]);
+            let mut unreduced = <u128 as Plain>::lt(below_q, words);
+            let tx = k.fold(k.mul_lazy(split(words), t), k.q);
             let past_half = above(tx, half);
             let (mut acc, mut estimate) = ([_mm512_setzero_si512(); 3], _mm512_set1_pd(0.5));
             for (c, column) in primes.iter().zip(x_p) {
@@ -1341,7 +1345,8 @@ mod x86 {
                 // below 5p.
                 let r = _mm512_sub_epi64(p.two_q, c.residue(tx));
                 let r = _mm512_mask_add_epi64(r, past_half, r, c.q);
-                let [x, _] = <u128 as Plain>::load(&column[at..][..len]);
+                let [x, high] = <u128 as Plain>::load(&column[at..][..len]);
+                unreduced |= _mm512_cmpge_epu64_mask(x, p.q) | _mm512_test_epi64_mask(high, high);
                 let y = _mm512_add_epi64(p.mul_lazy(x, c.t), r);
                 let y = p.fold(p.mul_lazy(y, c.scale), p.q);
                 estimate = _mm512_add_pd(estimate, _mm512_mul_pd(_mm512_cvtepi64_pd(y), c.inv));
@@ -1357,12 +1362,15 @@ mod x86 {
                 y = k.fold(y, *m);
             }
             k.store(out, y);
+            unreduced
         };
         let (vecs, tail) = out.as_chunks_mut::<8>();
+        let mut unreduced = 0;
         for (i, out) in vecs.iter_mut().enumerate() {
-            step(out, 8 * i);
+            unreduced |= step(out, 8 * i);
         }
-        step(tail, 8 * vecs.len());
+        unreduced |= step(tail, 8 * vecs.len());
+        unreduced == 0
     }
 
     /// Eight elements as plain integers, for the element-wise kernels: a
