@@ -140,8 +140,9 @@ const STRICT_KERNEL_ALLOWED: [&str; 4] = [
     "crates/bench/src/bin/docs_check.rs",
 ];
 
-/// The 256-bit per-coefficient routes, as library code would name them.
-const WIDE_ROUTES: [&str; 3] = ["ScaleRound", "compose_centered", "centered_to_f64"];
+/// The 256-bit per-coefficient routes, as library code would name them:
+/// `.compose(` is `RnsBasis::compose`, which returns a `U256`.
+const WIDE_ROUTES: [&str; 4] = ["ScaleRound", "compose_centered", "centered_to_f64", ".compose("];
 
 /// Crates whose sources may name [`WIDE_ROUTES`] outside tests.
 const WIDE_ROUTES_ALLOWED: [&str; 2] = ["crates/arith/", "crates/bench/"];
@@ -445,6 +446,7 @@ fn decode() {
     let (mag, neg) = basis.compose_centered(&residues)?;
     signed::centered_to_f64(mag, neg)
 }
+fn digits() { let wide = basis.compose(&residues)?; garner.compose_blocks(columns, sink); }
 #[cfg(test)]
 mod tests {
     fn oracle() { basis.compose_centered(&r).unwrap(); }
@@ -452,7 +454,12 @@ mod tests {
 ";
         assert_eq!(
             calls_outside_tests(src, &WIDE_ROUTES),
-            vec![(2, "ScaleRound"), (4, "compose_centered"), (5, "centered_to_f64")]
+            vec![
+                (2, "ScaleRound"),
+                (4, "compose_centered"),
+                (5, "centered_to_f64"),
+                (7, ".compose(")
+            ]
         );
     }
 

@@ -14,8 +14,9 @@
 //! Encoding multiplies by the scaling factor Δ and rounds each
 //! coefficient to the nearest integer, then reduces into every active
 //! RNS limb. Decoding composes each centered coefficient out of the limbs
-//! on words (Garner's digits, then a `u128`: every chain is below
-//! `2^127`), converts it to `f64` and divides by the carried scale.
+//! on words, with the Garner constants the parameter set holds for its
+//! chain (Garner's digits, then a `u128`: every chain is below `2^127`),
+//! converts it to `f64` and divides by the carried scale.
 //!
 //! # Precision accounting
 //!
@@ -25,12 +26,12 @@
 //! inside the 2⁻²⁰ relative bound the flow tests assert. The FFT's own
 //! f64 error is orders of magnitude below that.
 
-use cofhee_arith::{signed, Barrett128, Barrett64, LazyRing, Result as ArithResult, ShoupMul};
+use cofhee_arith::signed;
 use cofhee_core::Limb;
 
 use crate::ciphertext::CkksPlaintext;
 use crate::error::{CkksError, Result};
-use crate::params::{CkksParams, Level};
+use crate::params::{CkksParams, Garner, Level};
 
 /// Encoder/decoder for one parameter set.
 #[derive(Debug, Clone)]
@@ -38,59 +39,18 @@ pub struct CkksEncoder {
     params: CkksParams,
     /// Precomputed `ψ^k = e^{iπk/n}` twist factors, `k = 0..n`.
     twist: Vec<(f64, f64)>,
-    /// The decoder's compose constants for the whole chain.
-    garner: Garner,
-}
-
-/// Garner's constants of the chain on one ring width, words where every
-/// prime fits [`Barrett64`]: with `Pᵢ = q₀·…·q_{i−1}`, limb `i` holds
-/// `[−Pⱼ/Pᵢ]_{qᵢ}` for each `j < i`, then `[1/Pᵢ]_{qᵢ}`, as Shoup pairs, so
-/// the digit `vᵢ = [(rᵢ − Σⱼ vⱼ·Pⱼ)/Pᵢ]_{qᵢ}` is `i + 1` lazy products of
-/// unreduced words. A level reads a prefix.
-#[derive(Debug, Clone)]
-enum Garner {
-    Word(Vec<(Barrett64, Vec<ShoupMul<u64>>)>),
-    Wide(Vec<(Barrett128, Vec<ShoupMul<u128>>)>),
-}
-
-fn garner<R: LazyRing>(
-    moduli: &[u128],
-    ring: impl Fn(u128) -> ArithResult<R>,
-) -> Vec<(R, Vec<ShoupMul<R::Elem>>)> {
-    let limb = |(i, &q): (usize, &u128)| {
-        let ring = ring(q).expect("a validated chain prime");
-        let prefix =
-            |j| moduli[..j].iter().fold(ring.one(), |p, &q| ring.mul(p, ring.from_u128(q)));
-        let inv = ring.inv(prefix(i)).expect("the chain primes are distinct");
-        let weights = (0..i).map(|j| ring.neg(ring.mul(prefix(j), inv))).chain([inv]);
-        let weights = weights.map(|w| ring.shoup(w)).collect();
-        (ring, weights)
-    };
-    moduli.iter().enumerate().map(limb).collect()
 }
 
 /// Each coefficient's centered value over `scale`, from the limb columns.
-fn compose<R: LazyRing>(
-    limbs: &[(R, Vec<ShoupMul<R::Elem>>)],
-    columns: &[Limb],
-    scale: f64,
-) -> Vec<f64> {
-    let limbs = &limbs[..columns.len()];
-    let q: u128 = limbs.iter().map(|(ring, _)| ring.modulus()).product();
-    let mut digits = vec![R::Elem::default(); limbs.len()];
-    let coefficient = |at: usize| {
-        for (i, (ring, weights)) in limbs.iter().enumerate() {
-            let r = ring.mul_lazy(ring.from_u128(columns[i][at]), &weights[i]);
-            let terms = digits[..i].iter().zip(weights);
-            let sum = terms.fold(r, |acc, (&v, w)| ring.add_lazy(acc, ring.mul_lazy(v, w)));
-            digits[i] = ring.reduce_once(sum);
-        }
-        // x = v₀ + q₀·(v₁ + q₁·(…)) < Q < 2^127, centred at Q/2.
-        let terms = limbs.iter().zip(&digits).rev();
-        let x = terms.fold(0, |x, ((ring, _), &v)| x * ring.modulus() + ring.to_u128(v));
-        (if x > q / 2 { -((q - x) as f64) } else { x as f64 }) / scale
-    };
-    (0..columns[0].len()).map(coefficient).collect()
+fn compose(garner: &Garner, columns: &[Limb], scale: f64) -> Vec<f64> {
+    let q: u128 = columns.iter().map(Limb::modulus).product();
+    let mut centered = Vec::with_capacity(columns[0].len());
+    // x < Q < 2^127, centred at Q/2.
+    garner.compose_blocks(columns, |block| {
+        let centre = |&x: &u128| (if x > q / 2 { -((q - x) as f64) } else { x as f64 }) / scale;
+        centered.extend(block.iter().map(centre));
+    });
+    centered
 }
 
 impl CkksEncoder {
@@ -104,14 +64,7 @@ impl CkksEncoder {
                 (theta.cos(), theta.sin())
             })
             .collect();
-        let moduli = params.moduli();
-        let garner =
-            if moduli.iter().all(|&q| u64::try_from(q).is_ok_and(|q| Barrett64::new(q).is_ok())) {
-                Garner::Word(garner(moduli, |q| Barrett64::new(q as u64)))
-            } else {
-                Garner::Wide(garner(moduli, Barrett128::new))
-            };
-        Self { params: params.clone(), twist, garner }
+        Self { params: params.clone(), twist }
     }
 
     /// Number of real slots one plaintext packs (`n / 2`).
@@ -194,10 +147,7 @@ impl CkksEncoder {
     /// match the carried level (impossible for encoder-produced values).
     pub fn decode(&self, pt: &CkksPlaintext) -> Result<Vec<f64>> {
         let n = self.params.n();
-        let mut re = match &self.garner {
-            Garner::Word(limbs) => compose(limbs, pt.limbs(), pt.scale()),
-            Garner::Wide(limbs) => compose(limbs, pt.limbs(), pt.scale()),
-        };
+        let mut re = compose(&self.params.garner, pt.limbs(), pt.scale());
         // Twist by ψ^k, then evaluate at all odd roots with one FFT.
         let mut im = vec![0.0f64; n];
         for k in 0..n {
@@ -289,7 +239,7 @@ mod tests {
         let mut state = 0x9e37_79b9_7f4a_7c15_u128;
         for (p, words) in [(setup().0, true), (wide, false)] {
             let enc = CkksEncoder::new(&p);
-            assert_eq!(matches!(enc.garner, Garner::Word(_)), words);
+            assert_eq!(matches!(*enc.params.garner, Garner::Word(_)), words);
             for level in (0..p.moduli().len()).map(Level::new) {
                 let basis = p.basis_at(level);
                 let q = basis.product().low_u128();
@@ -311,10 +261,7 @@ mod tests {
                     let (mag, neg) = basis.compose_centered(&basis.decompose_u128(v)).unwrap();
                     (signed::centered_to_f64(mag, neg) / scale).to_bits()
                 });
-                let got = match &enc.garner {
-                    Garner::Word(limbs) => compose(limbs, pt.limbs(), scale),
-                    Garner::Wide(limbs) => compose(limbs, pt.limbs(), scale),
-                };
+                let got = compose(&enc.params.garner, pt.limbs(), scale);
                 let got: Vec<u64> = got.iter().map(|c| c.to_bits()).collect();
                 assert_eq!(got, oracle.collect::<Vec<_>>(), "level {level}, words {words}");
             }

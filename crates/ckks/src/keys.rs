@@ -31,7 +31,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use cofhee_arith::ModRing;
+use cofhee_arith::{signed, ModRing};
 use cofhee_bfv::sampling;
 use cofhee_core::{record_public_key, record_relin_key, record_square, KeyPair, Limb, OpStream};
 use cofhee_opt::{KeyId, LimbEngine};
@@ -219,13 +219,25 @@ impl CkksKeyGenerator {
 }
 
 /// Lifts small signed residues (magnitudes ≤ 20) in place from limb
-/// `j − 1` to limb `j`: re-centred mod `q_{j−1}`, taken mod `qⱼ`. At
-/// `j = 0`, the samplers' ring, nothing moves.
+/// `j − 1` to limb `j`. At `j = 0`, the samplers' ring, nothing moves.
 pub(crate) fn lift_to(params: &CkksParams, j: usize, samples: &mut [u128]) {
     let Some(from) = j.checked_sub(1).map(|i| params.moduli()[i]) else { return };
     let to = params.moduli()[j];
-    for w in samples.iter_mut().filter(|w| **w > from / 2) {
-        *w = to - (from - *w);
+    samples.iter_mut().for_each(|w| *w = lift(from, to, *w));
+}
+
+/// CKKS's one signed lift: the residue `v` mod `from`, re-centred into
+/// `(−from/2, from/2]` and taken mod `to`. A magnitude already below
+/// `to` (every sample's, and every rescale's on a chain whose primes
+/// are within 2× of each other) pays no 128-bit division.
+#[inline]
+pub(crate) fn lift(from: u128, to: u128, v: u128) -> u128 {
+    let (mag, neg) = signed::centered(from, v);
+    let m = if mag < to { mag } else { mag % to };
+    if neg && m != 0 {
+        to - m
+    } else {
+        m
     }
 }
 

@@ -10,15 +10,23 @@
 //! way the BFV evaluator fans its CRT computation primes out. That holds
 //! for the client side too (key generation, encryption, decryption), so
 //! a parameter set builds no transform plan of its own: it carries the
-//! chain, the per-level CRT bases and one scalar ring per limb.
+//! chain, the per-level CRT bases, one scalar ring per limb and the
+//! chain's Garner constants, which the decoder and the key switch's digit
+//! cut compose with.
 //!
-//! One CoFHEE-specific constraint: relinearization CRT-composes the cubic
+//! One CoFHEE-specific constraint: relinearization composes the cubic
 //! component on the host before digit decomposition, and the host-side
 //! compose targets the chip's 128-bit native coefficient width — so the
 //! chain product must fit 127 bits. The simulated evaluation points stay
 //! comfortably inside that (the paper's own widest modulus is 109 bits).
 
-use cofhee_arith::{primes, rns::RnsBasis, Barrett128};
+use std::sync::Arc;
+
+use cofhee_arith::{
+    primes, rns::RnsBasis, Barrett128, Barrett64, LazyRing, ModRing, Result as ArithResult,
+    ShoupMul,
+};
+use cofhee_core::Limb;
 
 use crate::error::{CkksError, Result};
 
@@ -79,6 +87,98 @@ pub struct CkksParams {
     rings: Vec<Barrett128>,
     /// `bases[ℓ]` spans `moduli[..= ℓ]` — the CRT basis active at level ℓ.
     bases: Vec<RnsBasis>,
+    /// Garner's constants of the whole chain, built once and shared by
+    /// every clone; a level reads a prefix.
+    pub(crate) garner: Arc<Garner>,
+}
+
+/// Garner's constants of the chain on one ring width, words where every
+/// prime fits [`Barrett64`]: with `Pᵢ = q₀·…·q_{i−1}`, limb `i` holds
+/// `[−Pⱼ/Pᵢ]_{qᵢ}` for each `j < i`, then `[1/Pᵢ]_{qᵢ}`, as Shoup pairs, so
+/// the digit `vᵢ = [(rᵢ − Σⱼ vⱼ·Pⱼ)/Pᵢ]_{qᵢ}` is `i + 1` lazy products of
+/// unreduced words.
+#[derive(Debug)]
+pub(crate) enum Garner {
+    Word(Vec<GarnerLimb<Barrett64>>),
+    Wide(Vec<GarnerLimb<Barrett128>>),
+}
+
+/// One limb's ring and Garner weights.
+type GarnerLimb<R> = (R, Vec<ShoupMul<<R as ModRing>::Elem>>);
+
+impl Garner {
+    fn new(moduli: &[u128]) -> ArithResult<Self> {
+        if moduli.iter().all(|&q| u64::try_from(q).is_ok_and(|q| Barrett64::new(q).is_ok())) {
+            Ok(Self::Word(garner(moduli, |q| Barrett64::new(q as u64))?))
+        } else {
+            Ok(Self::Wide(garner(moduli, Barrett128::new)?))
+        }
+    }
+
+    /// Hands `sink` the canonical values `x < Q` of the limb columns'
+    /// coefficients, in order and in blocks, `Q < 2^127` the product of
+    /// their primes. The columns must be the chain's first limbs.
+    pub(crate) fn compose_blocks(&self, columns: &[Limb], sink: impl FnMut(&[u128])) {
+        match self {
+            Self::Word(limbs) => compose_blocks(limbs, columns, sink),
+            Self::Wide(limbs) => compose_blocks(limbs, columns, sink),
+        }
+    }
+}
+
+/// Coefficients composed per block: each Garner digit is one pass over
+/// the block's limb column, a fixed-constant Shoup multiply-accumulate
+/// per earlier digit, and the block's digits stay in L1.
+const BLOCK: usize = 256;
+
+fn garner<R: LazyRing>(
+    moduli: &[u128],
+    ring: impl Fn(u128) -> ArithResult<R>,
+) -> ArithResult<Vec<GarnerLimb<R>>> {
+    let limb = |(i, &q): (usize, &u128)| {
+        let ring = ring(q)?;
+        let prefix =
+            |j| moduli[..j].iter().fold(ring.one(), |p, &q| ring.mul(p, ring.from_u128(q)));
+        let inv = ring.inv(prefix(i))?;
+        let weights = (0..i).map(|j| ring.neg(ring.mul(prefix(j), inv))).chain([inv]);
+        let weights = weights.map(|w| ring.shoup(w)).collect();
+        Ok((ring, weights))
+    };
+    moduli.iter().enumerate().map(limb).collect()
+}
+
+fn compose_blocks<R: LazyRing>(
+    limbs: &[GarnerLimb<R>],
+    columns: &[Limb],
+    mut sink: impl FnMut(&[u128]),
+) {
+    let limbs = &limbs[..columns.len()];
+    let n = columns[0].len();
+    let mut digits = vec![[R::Elem::default(); BLOCK]; limbs.len()];
+    let mut block = [0u128; BLOCK];
+    for start in (0..n).step_by(BLOCK) {
+        let len = BLOCK.min(n - start);
+        for (i, (ring, weights)) in limbs.iter().enumerate() {
+            let (done, rest) = digits.split_at_mut(i);
+            let v = &mut rest[0][..len];
+            let residues = &columns[i][start..start + len];
+            for (v, &r) in v.iter_mut().zip(residues) {
+                *v = ring.mul_lazy(ring.from_u128(r), &weights[i]);
+            }
+            for (earlier, w) in done.iter().zip(weights) {
+                for (v, &d) in v.iter_mut().zip(earlier) {
+                    *v = ring.add_lazy(*v, ring.mul_lazy(d, w));
+                }
+            }
+            v.iter_mut().for_each(|v| *v = ring.reduce_once(*v));
+        }
+        // x = v₀ + q₀·(v₁ + q₁·(…)).
+        for (k, x) in block[..len].iter_mut().enumerate() {
+            let terms = limbs.iter().zip(&digits).rev();
+            *x = terms.fold(0, |x, ((ring, _), v)| x * ring.modulus() + ring.to_u128(v[k]));
+        }
+        sink(&block[..len]);
+    }
 }
 
 impl CkksParams {
@@ -147,7 +247,8 @@ impl CkksParams {
             });
         }
         let rings = moduli.iter().map(|&q| Ok(Barrett128::new(q)?)).collect::<Result<_>>()?;
-        Ok(Self { n, moduli, scale, base_bits, rings, bases })
+        let garner = Arc::new(Garner::new(&moduli)?);
+        Ok(Self { n, moduli, scale, base_bits, rings, bases, garner })
     }
 
     /// A small, insecure parameter set for tests and demos: a 50-bit base

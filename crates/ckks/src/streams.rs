@@ -18,10 +18,13 @@
 //! dataflow, `digits + 2` transforms per limb either way.
 //!
 //! The key switch and the rescale upload what the host computes from
-//! the ciphertext they transform — `c₂`'s composed digits and the base
-//! limbs, the remaining limbs and the lifted subtrahend — as deferred
-//! uploads, recorded from the ciphertext's level alone and filled once
-//! it exists. [`CkksEvaluator::mul_relin_rescale_plan`] therefore records
+//! the ciphertext they transform — `c₂`'s digits and the base limbs, the
+//! remaining limbs and the lifted subtrahend — as deferred uploads,
+//! recorded from the ciphertext's level alone and filled once it exists.
+//! Both host steps run on machine words: `c₂`'s coefficients are composed
+//! from the chain's Garner constants and cut into digits in one sweep,
+//! and the top limb is lifted into each remaining limb in one pass per
+//! limb. [`CkksEvaluator::mul_relin_rescale_plan`] therefore records
 //! a whole multiply — tensor, key switch, rescale — before its product
 //! exists, with those fills as the host steps between the phases;
 //! `relin_streams` / `rescale_streams` record and fill at once.
@@ -36,21 +39,20 @@
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-use cofhee_arith::{signed, ModRing};
+use cofhee_arith::ModRing;
 use cofhee_core::{
-    digit_decompose, record_key_switch, Filler, JobPlan, KeySwitchKeys, Limb, OpStream, Payload,
-    PlanPhase,
+    record_key_switch, Filler, JobPlan, KeySwitchKeys, Limb, OpStream, Payload, PlanPhase,
 };
 
 use crate::ciphertext::{check_shape, CkksCiphertext, CkksPlaintext};
 use crate::error::{CkksError, Result};
 use crate::evaluator::CkksEvaluator;
-use crate::keys::CkksRelinKey;
+use crate::keys::{lift, CkksRelinKey};
 use crate::params::Level;
 
 /// What recorded key-switch streams wait for: the digits of the
-/// product's composed third component, shared by every limb, and each
-/// limb's `c₀`, `c₁`.
+/// product's third component, shared by every limb, and each limb's
+/// `c₀`, `c₁`.
 pub(crate) struct CkksRelinFill {
     digits: Vec<Filler>,
     base: Vec<[Filler; 2]>,
@@ -280,31 +282,27 @@ impl CkksEvaluator {
     }
 
     /// Fills recorded key-switch streams from the 3-component product
-    /// `ct`: CRT-composes `c₂` out of the chain host-side (the validated
-    /// chain fits the chip's 128-bit native coefficient width),
-    /// digit-decomposes it, and hands over each limb of `c₀` and `c₁`.
-    /// `ct` must sit at the level the streams were recorded for.
+    /// `ct`: composes each coefficient of `c₂` into its canonical chain
+    /// representative `x < Q` host-side (the validated chain fits the
+    /// chip's 128-bit native coefficient width) and cuts its base-`2^w`
+    /// digits in the same sweep, then hands over each limb of `c₀` and
+    /// `c₁`. `ct` must sit at the level the streams were recorded for.
     pub(crate) fn fill_relin(&self, fill: CkksRelinFill, ct: &CkksCiphertext) -> Result<()> {
         self.check_ct(ct)?;
         if ct.len() != 3 {
             return Err(CkksError::WrongCiphertextSize { expected: 3, found: ct.len() });
         }
-        let level = ct.level();
-        let n = self.params.n();
-        let basis = self.params.basis_at(level);
-        // Host: compose c2 into its canonical chain representative.
-        let c2 = &ct.components()[2];
-        let mut residues = vec![0u128; level.limbs()];
-        let mut composed = Vec::with_capacity(n);
-        for k in 0..n {
-            for (r, limb) in residues.iter_mut().zip(c2) {
-                *r = limb[k];
+        let (n, w) = (self.params.n(), self.params.base_bits());
+        let mask = (1u128 << w) - 1;
+        let mut digits: Vec<Vec<u128>> =
+            fill.digits.iter().map(|_| Vec::with_capacity(n)).collect();
+        // Every residue is below its prime: `Limb::new` refuses any other
+        // word, and `check_ct` holds each limb to its chain prime.
+        self.params.garner.compose_blocks(&ct.components()[2], |block| {
+            for (i, digit) in digits.iter_mut().enumerate() {
+                digit.extend(block.iter().map(|&x| (x >> (w * i as u32)) & mask));
             }
-            let wide = basis.compose(&residues)?;
-            // Validated: the chain product fits 127 bits.
-            composed.push(wide.to_u128().expect("chain product fits native width"));
-        }
-        let digits = digit_decompose(&composed, self.params.base_bits(), fill.digits.len());
+        });
         for (filler, digit) in fill.digits.into_iter().zip(digits) {
             filler.fill(digit)?;
         }
@@ -373,36 +371,20 @@ impl CkksEvaluator {
         Ok((streams, CkksRescaleFill(limbs)))
     }
 
-    /// Fills recorded rescale streams from `ct`: lifts each component's
-    /// centered top limb into every remaining limb host-side and hands
-    /// over the remaining limbs. `ct` must sit at the level, and have the
-    /// components, the streams were recorded for.
+    /// Fills recorded rescale streams from `ct`: hands over the
+    /// remaining limbs and, per remaining limb and component, the
+    /// component's top limb re-centred and lifted into it host-side, one
+    /// pass per limb. `ct` must sit at the level, and have the components,
+    /// the streams were recorded for.
     fn fill_rescale(&self, fill: CkksRescaleFill, ct: &CkksCiphertext) -> Result<()> {
         self.check_ct(ct)?;
         let top = ct.level().index();
         let q_top = self.params.moduli()[top];
-        // Host: centered representative of each component's top limb.
-        let lifted: Vec<Vec<(u128, bool)>> = ct
-            .components()
-            .iter()
-            .map(|c| c[top].iter().map(|&v| signed::centered(q_top, v)).collect())
-            .collect();
         for (j, fills) in fill.0.into_iter().enumerate() {
-            let q_j = self.params.ring(j).modulus();
-            for ((c, lift), [fc, fl]) in ct.components().iter().zip(&lifted).zip(fills) {
+            let q_j = self.params.moduli()[j];
+            for (c, [fc, fl]) in ct.components().iter().zip(fills) {
                 fc.fill(c[j].clone())?;
-                let sub: Vec<u128> = lift
-                    .iter()
-                    .map(|&(mag, neg)| {
-                        let m = mag % q_j;
-                        if neg && m != 0 {
-                            q_j - m
-                        } else {
-                            m
-                        }
-                    })
-                    .collect();
-                fl.fill(sub)?;
+                fl.fill(c[top].iter().map(|&v| lift(q_top, q_j, v)).collect::<Vec<_>>())?;
             }
         }
         Ok(())
@@ -427,8 +409,8 @@ impl CkksEvaluator {
 
     /// Lowers `a · b` relinearized under `rlk` and rescaled to a
     /// three-phase plan: the tensor limbs; the key switch, its key
-    /// inline, once the host has composed and decomposed the product's
-    /// cubic component; the rescale, once the host has lifted the key
+    /// inline, once the host has cut the product's cubic component into
+    /// digits; the rescale, once the host has lifted the key
     /// switch's top limb. The result lands one level down at ≈ Δ.
     ///
     /// # Errors
@@ -535,16 +517,139 @@ mod tests {
     use crate::encrypt::CkksEncryptor;
     use crate::keys::CkksKeyGenerator;
     use crate::params::CkksParams;
+    use cofhee_arith::{primes, signed};
+    use cofhee_core::digit_decompose;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The words of each of `st`'s uploads, in record order.
+    fn upload_words(st: &OpStream) -> Vec<&[u128]> {
+        let words = st.nodes().iter().filter_map(|op| match op {
+            cofhee_core::StreamOp::Upload(payload) => Some(payload.words().unwrap()),
+            _ => None,
+        });
+        words.collect()
+    }
+
     /// Where the words of each of `st`'s uploads live, in record order.
     fn uploads(st: &OpStream) -> Vec<*const u128> {
-        let words = |op: &cofhee_core::StreamOp| match op {
-            cofhee_core::StreamOp::Upload(payload) => Some(payload.words().unwrap().as_ptr()),
-            _ => None,
-        };
-        st.nodes().iter().filter_map(words).collect()
+        upload_words(st).into_iter().map(<[u128]>::as_ptr).collect()
+    }
+
+    /// The known-answer chains at degree `n`: the benchmark's 43 + 33 + 33
+    /// bits; one whose base prime is past `2^62`, so its Garner constants
+    /// are the `Wide` table; and one whose base prime is below half of
+    /// each scale prime, so the rescale's lift into it must reduce.
+    fn chains(n: usize) -> [CkksParams; 3] {
+        [(43, 33), (63, 30), (20, 33)].map(|(base, bits)| {
+            let mut moduli = vec![primes::ntt_prime(base, n).unwrap()];
+            moduli.extend(primes::ntt_primes(bits, n, 2).unwrap());
+            CkksParams::new(n, moduli, (1u64 << bits) as f64, 18).unwrap()
+        })
+    }
+
+    /// `n` residues mod `q`: `0`, `1`, `q − 1`, `⌊q/2⌋`, `⌊q/2⌋ + 1`,
+    /// either side of each edge below `q`, then pseudo-random ones.
+    fn known_answers(q: u128, edges: impl Iterator<Item = u128>, n: usize) -> Vec<u128> {
+        let mut values = vec![0, 1, q - 1, q / 2, q / 2 + 1];
+        values.extend(edges.flat_map(|m| [m - 1, m, m + 1]).filter(|&m| m < q));
+        assert!(values.len() <= n, "{} known answers do not fit {n} coefficients", values.len());
+        let mut state = q;
+        values.extend((values.len()..n).map(|_| {
+            state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(0x1405_7b7e);
+            state % q
+        }));
+        values
+    }
+
+    /// A component at `level` whose coefficients are `values` mod each prime.
+    fn component(p: &CkksParams, level: Level, values: &[u128]) -> Vec<Limb> {
+        let limb = |&q: &u128| Limb::new(q, values.iter().map(|&v| v % q).collect()).unwrap();
+        p.moduli_at(level).iter().map(limb).collect()
+    }
+
+    /// The key switch's digits ≡ the 256-bit route it replaced —
+    /// `basis.compose` of each coefficient of `c₂`, then `digit_decompose`
+    /// — bit for bit, at `0`, `1`, `Q − 1`, `⌊Q/2⌋`, `⌊Q/2⌋ + 1`, either
+    /// side of every digit boundary `2^(w·i)` and at random, at every
+    /// level of every chain (the `Word` and the `Wide` Garner table), in
+    /// one partial compose block (`n = 64`) and in several (`n = 512`).
+    #[test]
+    fn the_relin_digits_are_the_256_bit_compose_cut_into_digits() {
+        let mut rng = StdRng::seed_from_u64(47);
+        for (n, chains) in [64, 512].map(|n| (n, chains(n))) {
+            for (chain, p) in chains.iter().enumerate() {
+                let kg = CkksKeyGenerator::new(p);
+                let rlk = kg.relin_key(&kg.secret_key(&mut rng).unwrap(), &mut rng).unwrap();
+                let ev = CkksEvaluator::new(p).unwrap();
+                let w = p.base_bits();
+                for level in (0..p.moduli().len()).map(Level::new) {
+                    let basis = p.basis_at(level);
+                    let edges = (1..).map(|i| w * i).take_while(|&b| b < 127).map(|b| 1u128 << b);
+                    let values = known_answers(basis.product().low_u128(), edges, n);
+                    let c2 = component(p, level, &values);
+                    let composed: Vec<u128> = (0..n)
+                        .map(|k| {
+                            let residues: Vec<u128> = c2.iter().map(|limb| limb[k]).collect();
+                            basis.compose(&residues).unwrap().to_u128().unwrap()
+                        })
+                        .collect();
+                    let digits = p.digits_at(level);
+                    let zero = component(p, level, &vec![0; n]);
+                    let ct = CkksCiphertext::new(p, vec![zero.clone(), zero, c2], level, 1.0);
+                    let streams = ev.relin_streams(&ct.unwrap(), &rlk).unwrap();
+                    // Each digit's upload, then its two key polynomials.
+                    let got: Vec<&[u128]> =
+                        upload_words(&streams[0]).into_iter().step_by(3).take(digits).collect();
+                    let oracle = digit_decompose(&composed, w, digits);
+                    assert_eq!(got, oracle, "n {n}, chain {chain}, level {level}");
+                }
+            }
+        }
+    }
+
+    /// The rescale's lifted subtrahends ≡ `signed::centered` of the top
+    /// limb, then `%` by each remaining prime, bit for bit, at `0`, `1`,
+    /// `q_top − 1`, `⌊q_top/2⌋`, `⌊q_top/2⌋ + 1`, either side of each
+    /// remaining prime's magnitude of either sign and at random, at every
+    /// level above the bottom of every chain. `CkksParams::new` accepts a
+    /// chain whose `q_top/2` passes a remaining prime, and the third chain
+    /// is one: its lift takes the reducing branch.
+    #[test]
+    fn the_rescale_lift_is_the_centered_top_limb_taken_mod_each_prime() {
+        let n = 64;
+        let [.., small_base] = chains(n);
+        assert!(small_base.moduli()[0] < small_base.moduli()[1] / 2);
+        for (chain, p) in chains(n).iter().enumerate() {
+            let ev = CkksEvaluator::new(p).unwrap();
+            for level in (1..p.moduli().len()).map(Level::new) {
+                let (top, q_top) = (level.index(), p.moduli()[level.index()]);
+                let reached = p.moduli()[..top].iter().filter(|&&q| q <= q_top / 2);
+                let values = known_answers(q_top, reached.flat_map(|&q| [q, q_top - q]), n);
+                let reversed: Vec<u128> = values.iter().rev().copied().collect();
+                let components = vec![component(p, level, &values), component(p, level, &reversed)];
+                let ct = CkksCiphertext::new(p, components, level, p.scale()).unwrap();
+                let streams = ev.rescale_streams(&ct).unwrap();
+                for (j, &q) in p.moduli()[..top].iter().enumerate() {
+                    let oracle = |values: &[u128]| -> Vec<u128> {
+                        let lift = |&v: &u128| {
+                            let (mag, neg) = signed::centered(q_top, v);
+                            let m = mag % q;
+                            if neg && m != 0 {
+                                q - m
+                            } else {
+                                m
+                            }
+                        };
+                        values.iter().map(lift).collect()
+                    };
+                    // Per component: its limb, then the lifted subtrahend.
+                    let got = upload_words(&streams[j]);
+                    let oracles = [oracle(&values), oracle(&reversed)];
+                    assert_eq!([got[1], got[3]], oracles, "chain {chain}, level {level}, limb {j}");
+                }
+            }
+        }
     }
 
     /// Where limb `j` of each component lives.
