@@ -50,8 +50,7 @@
 //! the scalar loop before it is timed; `below` must pass the inputs and
 //! refuse them with one word set to `q`.
 //! These rows are in `BENCH_hotpath.json`'s `lanes` array, not in the
-//! `--check` gate: a baseline recorded on an IFMA host would read as a
-//! regression on a runner without it.
+//! `--check` gate.
 //!
 //! ```sh
 //! cargo run --release -p cofhee_bench --bin hotpath_profile             # degrees 2^10–2^14
@@ -70,8 +69,12 @@
 //! in) is the CI perf-regression gate: it loads
 //! `bench/baselines/hotpath.json` and fails (with a diff table) if any
 //! lazy kernel's ns/op regressed more than 25% against the baseline,
-//! or if a `(ring, n, op)` row exists on only one side — a renamed or
-//! dropped row must not leave the gate silently. A row over budget is
+//! or if a row exists on only one side — a renamed or dropped row must
+//! not leave the gate silently. Rows are keyed by `(ring, n, op,
+//! kernel)`: the `barrett128` transforms run on the IFMA lanes where the
+//! host has them and on the scalar stages elsewhere, the baseline holds
+//! an entry for each, and a host gates the kernel it runs and prints
+//! the other as not run. A row over budget is
 //! re-measured in up to two more rounds (see [`remeasure_regressed`])
 //! and fails only if every round exceeds the budget. Both sides are
 //! normalized to the *same-run* baseline kernel (`lazy_ns /
@@ -98,6 +101,9 @@ struct Record {
     ring: String,
     log_n: u32,
     op: String,
+    /// The kernel the lazy side ran on (`HarveyNtt::kernel()` for the
+    /// transform rows, `scalar` for the rest): part of the row's key.
+    kernel: String,
     strict_ns: f64,
     lazy_ns: f64,
 }
@@ -113,9 +119,14 @@ impl Record {
         self.lazy_ns / self.strict_ns
     }
 
-    /// Whether `other` is the same `(ring, n, op)` row.
-    fn same_row(&self, other: &Record) -> bool {
+    /// Whether `other` measures the same `(ring, n, op)`, on any kernel.
+    fn same_op(&self, other: &Record) -> bool {
         self.ring == other.ring && self.log_n == other.log_n && self.op == other.op
+    }
+
+    /// Whether `other` is the same `(ring, n, op, kernel)` row.
+    fn same_row(&self, other: &Record) -> bool {
+        self.same_op(other) && self.kernel == other.kernel
     }
 
     /// Relative change of `lazy/strict` against the baseline row.
@@ -243,7 +254,9 @@ fn measure<R: LazyRing>(
     // --- timings (strict/lazy interleaved per op, inputs rotating) ---
     let mut push = |op: &str, per: usize, (strict_ns, lazy_ns): (f64, f64)| {
         let (strict_ns, lazy_ns) = (strict_ns / per as f64, lazy_ns / per as f64);
-        out.push(Record { ring: label.into(), log_n, op: op.into(), strict_ns, lazy_ns });
+        let kernel = if matches!(op, "mul" | "upload") { "scalar" } else { plan.kernel() };
+        let (ring, op, kernel) = (label.into(), op.into(), kernel.into());
+        out.push(Record { ring, log_n, op, kernel, strict_ns, lazy_ns });
     };
 
     push(
@@ -449,6 +462,7 @@ fn measure_crt(
         ring: "bfv_q109".into(),
         log_n,
         op: "crt_scale_round".into(),
+        kernel: "scalar".into(),
         strict_ns: generic_ns / per_coeff,
         lazy_ns: fast_ns / per_coeff,
     });
@@ -526,6 +540,7 @@ fn measure_lift(
         ring: "bfv_q109".into(),
         log_n,
         op: "lift_centered".into(),
+        kernel: "scalar".into(),
         strict_ns: division_ns / per_coeff,
         lazy_ns: recorded_ns / per_coeff,
     });
@@ -778,12 +793,13 @@ fn render_json(mode: &str, records: &[Record], lanes: &[LaneRecord]) -> String {
         let comma = if i + 1 < records.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "    {{\"ring\": \"{}\", \"log_n\": {}, \"op\": \"{}\", \
+            "    {{\"ring\": \"{}\", \"log_n\": {}, \"op\": \"{}\", \"kernel\": \"{}\", \
              \"strict_ns_per_op\": {:.1}, \"lazy_ns_per_op\": {:.1}, \
              \"speedup\": {:.3}}}{comma}",
             r.ring,
             r.log_n,
             r.op,
+            r.kernel,
             r.strict_ns,
             r.lazy_ns,
             r.speedup()
@@ -838,6 +854,7 @@ fn parse_records(text: &str) -> Vec<Record> {
                 ring: str_field(line, "ring")?,
                 log_n: num_field(line, "log_n")? as u32,
                 op: str_field(line, "op")?,
+                kernel: str_field(line, "kernel")?,
                 strict_ns: num_field(line, "strict_ns_per_op")?,
                 lazy_ns: num_field(line, "lazy_ns_per_op")?,
             })
@@ -871,9 +888,13 @@ fn regressed(record: &Record, baseline: &[Record]) -> bool {
 }
 
 /// The CI regression gate: compares `lazy/strict` ratios against the
-/// checked-in baseline, printing the full diff table. Returns the
-/// number of failing rows: regressions beyond the budget, measured
-/// rows the baseline lacks, and baseline rows the run did not measure.
+/// checked-in baseline, printing the full diff table. Rows are keyed by
+/// `(ring, n, op, kernel)`, and a host gates the rows of the kernels it
+/// runs: a baseline row whose op this run measured on another kernel
+/// (the IFMA lanes on a runner without them, the scalar stages on one
+/// with them) is printed as not run. Returns the number of failing rows:
+/// regressions beyond the budget, measured rows the baseline lacks, and
+/// baseline rows whose op the run did not measure at all.
 fn check_against_baseline(records: &[Record], baseline: &[Record]) -> usize {
     println!(
         "\nRegression gate vs {} (budget: +{:.0}% on lazy/strict)",
@@ -881,48 +902,36 @@ fn check_against_baseline(records: &[Record], baseline: &[Record]) -> usize {
         REGRESSION_BUDGET * 100.0
     );
     println!(
-        "{:<11} {:>6} {:<14} | {:>10} {:>10} {:>8} | verdict",
-        "ring", "n", "op", "base", "now", "delta"
+        "{:<11} {:>6} {:<14} {:<10} | {:>10} {:>10} {:>8} | verdict",
+        "ring", "n", "op", "kernel", "base", "now", "delta"
     );
+    let line = |r: &Record, base: String, now: String, delta: String, verdict: &str| {
+        let n = 1u64 << r.log_n;
+        println!(
+            "{:<11} {n:>6} {:<14} {:<10} | {base:>10} {now:>10} {delta:>8} | {verdict}",
+            r.ring, r.op, r.kernel
+        );
+    };
     let mut failures = 0usize;
     for r in records {
-        let n = 1u64 << r.log_n;
         let Some(b) = baseline.iter().find(|b| b.same_row(r)) else {
             failures += 1;
-            println!(
-                "{:<11} {n:>6} {:<14} | {:>10} {:>10.3} {:>8} | NO BASELINE ROW",
-                r.ring,
-                r.op,
-                "-",
-                r.rel(),
-                "-"
-            );
+            line(r, "-".into(), format!("{:.3}", r.rel()), "-".into(), "NO BASELINE ROW");
             continue;
         };
         let delta = r.delta_vs(b);
         let bad = delta > REGRESSION_BUDGET;
         failures += usize::from(bad);
-        println!(
-            "{:<11} {n:>6} {:<14} | {:>10.3} {:>10.3} {:>+7.1}% | {}",
-            r.ring,
-            r.op,
-            b.rel(),
-            r.rel(),
-            delta * 100.0,
-            if bad { "REGRESSED" } else { "ok" }
-        );
+        let verdict = if bad { "REGRESSED" } else { "ok" };
+        let (base, now) = (format!("{:.3}", b.rel()), format!("{:.3}", r.rel()));
+        line(r, base, now, format!("{:+.1}%", delta * 100.0), verdict);
     }
     for b in baseline.iter().filter(|b| !records.iter().any(|r| r.same_row(b))) {
-        failures += 1;
-        println!(
-            "{:<11} {:>6} {:<14} | {:>10.3} {:>10} {:>8} | NOT MEASURED",
-            b.ring,
-            1u64 << b.log_n,
-            b.op,
-            b.rel(),
-            "-",
-            "-"
-        );
+        let ran = records.iter().find(|r| r.same_op(b));
+        failures += usize::from(ran.is_none());
+        let verdict =
+            ran.map_or("NOT MEASURED".into(), |r| format!("not run (host: {})", r.kernel));
+        line(b, format!("{:.3}", b.rel()), "-".into(), "-".into(), &verdict);
     }
     failures
 }
@@ -1055,18 +1064,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "{:<11} {:>6} {:<14} | {:>12} {:>12} | {:>8}",
+        "{:<11} {:>6} {:<14} | {:>12} {:>12} | {:>8} | kernel",
         "ring", "n", "op", "strict ns/op", "lazy ns/op", "speedup"
     );
     for r in &records {
         println!(
-            "{:<11} {:>6} {:<14} | {:>12.1} {:>12.1} | {:>7.2}x",
+            "{:<11} {:>6} {:<14} | {:>12.1} {:>12.1} | {:>7.2}x | {}",
             r.ring,
             1u64 << r.log_n,
             r.op,
             r.strict_ns,
             r.lazy_ns,
-            r.speedup()
+            r.speedup(),
+            r.kernel
         );
     }
 
@@ -1140,7 +1150,12 @@ mod tests {
     use super::*;
 
     fn row(op: &str, lazy_ns: f64) -> Record {
-        Record { ring: "barrett64".into(), log_n: 11, op: op.into(), strict_ns: 100.0, lazy_ns }
+        on("scalar", op, lazy_ns)
+    }
+
+    fn on(kernel: &str, op: &str, lazy_ns: f64) -> Record {
+        let (ring, op, kernel) = ("barrett128".into(), op.into(), kernel.into());
+        Record { ring, log_n: 11, op, kernel, strict_ns: 100.0, lazy_ns }
     }
 
     #[test]
@@ -1155,5 +1170,17 @@ mod tests {
         assert_eq!(check_against_baseline(&extra, &baseline), 1);
         // Zero overlap fails on every row of both sides.
         assert_eq!(check_against_baseline(&[row("poly_mul", 40.0)], &baseline), 3);
+    }
+
+    #[test]
+    fn check_gates_only_the_kernel_the_host_ran() {
+        let baseline = [on("scalar", "ntt", 40.0), on("avx512ifma", "ntt", 20.0)];
+        // Each host is held to its own kernel's entry; the other is not run.
+        assert_eq!(check_against_baseline(&[on("scalar", "ntt", 45.0)], &baseline), 0);
+        assert_eq!(check_against_baseline(&[on("avx512ifma", "ntt", 24.0)], &baseline), 0);
+        // The lanes read against the scalar entry would pass ×2 slower.
+        assert_eq!(check_against_baseline(&[on("avx512ifma", "ntt", 39.0)], &baseline), 1);
+        // A kernel the baseline holds no entry for fails, however fast.
+        assert_eq!(check_against_baseline(&[on("strict", "ntt", 10.0)], &baseline), 1);
     }
 }

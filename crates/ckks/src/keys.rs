@@ -220,10 +220,14 @@ impl CkksKeyGenerator {
 
 /// Lifts small signed residues (magnitudes ≤ 20) in place from limb
 /// `j − 1` to limb `j`. At `j = 0`, the samplers' ring, nothing moves.
+/// A non-negative sample is its own residue mod every prime, so only the
+/// negative ones are lifted.
 pub(crate) fn lift_to(params: &CkksParams, j: usize, samples: &mut [u128]) {
     let Some(from) = j.checked_sub(1).map(|i| params.moduli()[i]) else { return };
     let to = params.moduli()[j];
-    samples.iter_mut().for_each(|w| *w = lift(from, to, *w));
+    for w in samples.iter_mut().filter(|w| **w > from / 2) {
+        *w = lift(from, to, *w);
+    }
 }
 
 /// CKKS's one signed lift: the residue `v` mod `from`, re-centred into
